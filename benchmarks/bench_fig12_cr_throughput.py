@@ -11,8 +11,9 @@ import pytest
 
 from _harness import FULL, PROCS_PER_NODE, make_machine
 from repro.analysis.tables import Table
-from repro.fmi.checkpoint import MemoryStorage, XorCheckpointEngine
+from repro.fmi.checkpoint import CheckpointEngine, MemoryStorage
 from repro.fmi.payload import Payload
+from repro.fmi.redundancy import make_scheme
 from repro.fmi.xor_group import XorGroupLayout
 from repro.mpi.communicator import Communicator
 from repro.mpi.runtime import MpiJob
@@ -37,7 +38,8 @@ def measure(nprocs: int):
         gid = layout.group_of(api.rank)
         comm = Communicator(api, (1 << 28) + gid, layout.members(gid))
         storage = MemoryStorage(api.node)
-        engine = XorCheckpointEngine(comm, storage, api.memcpy)
+        engine = CheckpointEngine(comm, storage, api.memcpy,
+                                  scheme=make_scheme("xor"))
         payload = Payload.synthetic(BYTES_PER_RANK, seed=api.rank, rep_bytes=32)
         yield from api.barrier()
         t0 = api.now

@@ -12,9 +12,11 @@ Public surface:
   checkpoint interval or MTBF-driven auto-tuning, log-ring base k.
 * :mod:`~repro.fmi.checkpoint` -- the in-memory XOR checkpoint engine.
 * :mod:`~repro.fmi.detector` -- the log-ring failure detector.
-* :mod:`~repro.fmi.msglog` -- the message-logging recovery plane
-  behind ``FmiConfig(recovery="logged")`` (partial rollback: sender
-  payload logs, receiver determinants, survivor replay).
+* :mod:`~repro.fmi.msglog` / :mod:`~repro.fmi.replication` -- the
+  recovery families behind ``FmiConfig(recovery="logged")`` (partial
+  rollback from sender payload logs) and ``"replicated"`` (failover to
+  a live copy); the default global rollback is
+  :class:`~repro.runtime.policy.RecoveryFamily` itself.
 
 A minimal FMI application::
 
@@ -46,10 +48,6 @@ def __getattr__(name):
         from repro.fmi.job import FmiJob
 
         return FmiJob
-    if name == "RecoveryPlane":
-        from repro.fmi.msglog import RecoveryPlane
-
-        return RecoveryPlane
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
@@ -59,6 +57,5 @@ __all__ = [
     "FmiContext",
     "FmiJob",
     "Payload",
-    "RecoveryPlane",
     "UnrecoverableFailure",
 ]

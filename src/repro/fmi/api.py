@@ -75,33 +75,19 @@ class FmiContext(ParallelApi):
         return self.fmi_job.addr_table[world_rank]
 
     def _stamp(self, env, dst_world: int) -> None:
-        plane = self.fmi_job.recovery_plane
-        if plane is not None:
-            plane.on_send(self.world_rank, dst_world, env, self.ctx)
+        on_send = self.fmi_job.recovery.on_send
+        if on_send is not None:
+            on_send(self.world_rank, dst_world, env, self.ctx)
 
     def _post_recv(self, comm: Communicator, source: int, tag: int):
-        plane = self.fmi_job.recovery_plane
-        if plane is not None and (
-            source == self.ANY_SOURCE or tag == self.ANY_TAG
-        ):
-            if plane.kind == "replicated":
-                # Replica consistency: followers replay the lead's
-                # recorded match order (parking until it is recorded);
-                # the lead posts natively and the sink records.
-                self._check_ok()
-                evt = plane.post_wildcard(self, source, tag, comm.id)
-                if evt is not None:
-                    return evt
-                return super()._post_recv(comm, source, tag)
-            # Piecewise-deterministic replay: a re-executed wildcard
-            # receive is rewritten to the *exact* (source, tag) its
-            # original execution matched, in recorded order, until the
-            # determinant cursor reaches the failure point.
-            det = plane.next_determinant(self.world_rank, source, tag, comm.id)
-            if det is not None:
-                self._check_ok()
-                evt = self.ctx.matching.post(det.env_src, det.env_tag, comm.id)
-                plane.check_replayed_match(evt, det, self.world_rank)
+        if source == self.ANY_SOURCE or tag == self.ANY_TAG:
+            # Wildcard matches are the one nondeterministic event: a
+            # logging or replicating family may pin the post to a
+            # recorded match.
+            evt = self.fmi_job.recovery.post_wildcard(
+                self, source, tag, comm.id
+            )
+            if evt is not None:
                 return evt
         return super()._post_recv(comm, source, tag)
 
@@ -142,18 +128,10 @@ class FmiContext(ParallelApi):
     def _loop_impl(self, ckpts, nbytes):
         self._check_ok()
         rs = self.fproc.rank_state
-        plane = self.fmi_job.recovery_plane
+        family = self.fmi_job.recovery
         if rs.restore_pending:
             rs.restore_pending = False
-            if plane is not None:
-                # Partial rollback: sidecar rebuild + log replay; no
-                # world agreement, survivors never enter this branch.
-                restored = yield from plane.partial_restore(self)
-            else:
-                restored = yield from self.engine.restore(
-                    world_agree=self._agree_min,
-                    allow_beyond_xor=self.l2store is not None,
-                )
+            restored = yield from family.restore(self)
             if restored == "beyond-xor":
                 restored = yield from self._restore_from_level2()
             if restored is not None:
@@ -179,14 +157,12 @@ class FmiContext(ParallelApi):
         if want:
             t0 = self.now
             payloads = [self._as_payload(c, i, nbytes) for i, c in enumerate(ckpts)]
-            if plane is not None:
-                plane.note_ckpt_begin(self.world_rank, rs.loop_id, self.ctx)
+            family.note_ckpt_begin(self.world_rank, rs.loop_id, self.ctx)
             meta = yield from self.engine.checkpoint(payloads, dataset_id=rs.loop_id)
             rs.policy.record_checkpoint(self.now, self.now - t0)
             rs.last_ckpt_loop = rs.loop_id
             self.fmi_job.checkpoints_done += 1
-            if plane is not None:
-                plane.note_rank_checkpoint(self.world_rank, rs.loop_id, self.ctx)
+            family.note_rank_checkpoint(self.world_rank, rs.loop_id, self.ctx)
             if (
                 self.l2store is not None
                 and rs.loop_id >= self.fmi_job.next_l2_at

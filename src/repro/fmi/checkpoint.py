@@ -52,7 +52,6 @@ __all__ = [
     "MemoryStorage",
     "TmpfsStorage",
     "CheckpointEngine",
-    "XorCheckpointEngine",
     "CheckpointDataset",
     "TAG_XOR_RING",
     "TAG_XOR_GATHER",
@@ -589,14 +588,6 @@ class CheckpointEngine:
         if me in missing:
             return meta, _slice(blob, meta)
         return dataset
-
-
-class XorCheckpointEngine(CheckpointEngine):
-    """The seed engine's name: a :class:`CheckpointEngine` pinned to
-    the paper's ring-pipelined XOR scheme."""
-
-    def __init__(self, comm, storage, mem_charge):
-        super().__init__(comm, storage, mem_charge, scheme=XorScheme())
 
 
 # ------------------------------------------------------------------ helpers

@@ -101,22 +101,16 @@ class FmiConfig:
                 f"(choose from {sorted(SCHEMES)})"
             )
         check_recovery_mode(self.recovery)
-        if self.recovery == "logged" and self.level2_every is not None:
+        if self.recovery != "global" and self.level2_every is not None:
             raise ValueError(
-                "recovery='logged' does not support multilevel C/R "
-                "(level2_every): partial rollback restores from the "
-                "level-1 tier only"
+                f"recovery={self.recovery!r} does not support multilevel "
+                f"C/R (level2_every): only global rollback restores from "
+                f"the level-2 tier"
             )
         if self.replication_degree < 1:
             raise ValueError(
                 "replication_degree must be >= 1 (1 = no redundancy, "
                 "2 = dual-modular)"
-            )
-        if self.recovery == "replicated" and self.level2_every is not None:
-            raise ValueError(
-                "recovery='replicated' does not support multilevel C/R "
-                "(level2_every): failover promotes a live replica and "
-                "never restores from a checkpoint tier"
             )
         if (self.recovery == "replicated"
                 and self.spare_nodes < self.replication_degree - 1):

@@ -9,14 +9,23 @@ from repro.cluster.node import Node
 from repro.fmi.config import FmiConfig
 from repro.fmi.api import FmiContext
 from repro.fmi.detector import LogRingDetector
+from repro.fmi.msglog import RecoveryPlane
+from repro.fmi.replication import ReplicationPlane
 from repro.fmi.runtime import Fmirun, FmiProcess
 from repro.fmi.state import TransitionLog
 from repro.fmi.xor_group import XorGroupLayout
 from repro.net.pmgr import PmgrRendezvous
 from repro.runtime.core import JobBase
-from repro.runtime.policy import GLOBAL_ROLLBACK, PartialRollback
+from repro.runtime.policy import RecoveryFamily
 
 __all__ = ["FmiJob"]
+
+#: ``FmiConfig.recovery`` -> the job's recovery family
+_FAMILIES = {
+    "global": RecoveryFamily,
+    "logged": RecoveryPlane,
+    "replicated": ReplicationPlane,
+}
 
 AppFactory = Callable[[FmiContext], Any]  # callable(fmi) -> generator
 
@@ -61,28 +70,9 @@ class FmiJob(JobBase):
         self.xor_layout = XorGroupLayout(num_ranks, procs_per_node, group)
         self.detector = LogRingDetector(self)
         self.transitions = TransitionLog()
-        # Recovery plane (config.recovery): "global" keeps the classic
-        # everyone-rolls-back protocol; "logged" attaches the
-        # message-logging plane and its partial-rollback strategy;
-        # "replicated" attaches the replication plane and its
-        # failover-first strategy.
-        self.recovery_plane = None
-        self.recovery_strategy = GLOBAL_ROLLBACK
-        if self.config.recovery == "logged":
-            from repro.fmi.msglog import RecoveryPlane
-
-            plane = RecoveryPlane(self)
-            self.recovery_plane = plane
-            self.recovery_strategy = PartialRollback(plane)
-            self.transport.recovery_filter = plane.accept
-        elif self.config.recovery == "replicated":
-            from repro.fmi.replication import ReplicationPlane
-            from repro.runtime.policy import ReplicatedFailover
-
-            plane = ReplicationPlane(self)
-            self.recovery_plane = plane
-            self.recovery_strategy = ReplicatedFailover(plane)
-            self.transport.replication = plane
+        #: everything that differs between global rollback, message
+        #: logging and replication sits behind this one object
+        self.recovery: RecoveryFamily = _FAMILIES[self.config.recovery](self)
         self._h1_rdv: Dict[Any, PmgrRendezvous] = {}
         self._h2_rdv: Dict[Any, PmgrRendezvous] = {}
 
@@ -100,66 +90,9 @@ class FmiJob(JobBase):
                           copy: int = 0, **kwargs) -> FmiProcess:
         return FmiProcess(self, rank, node, incarnation, copy=copy)
 
-    def adopt_rank_process(self, rproc: FmiProcess) -> None:
-        plane = self.recovery_plane
-        if plane is not None and plane.kind == "replicated":
-            plane.adopt(rproc)
-            return
-        self.rank_procs[rproc.rank] = rproc
-
     # -- runtime services (called by FmiProcess) -------------------------------------
-    def _rendezvous_scope(self, rank: Optional[int], fproc=None):
-        """Key + participant count for an H1/H2 rendezvous.
-
-        Global rollback synchronises the whole world each epoch.
-        Partial rollback (epoch > 0) synchronises only the restarted
-        recovery unit: the failed node slot's own ranks.  Replicated
-        jobs synchronise per copy-cohort at boot, per slot for a
-        re-arming standby, and world-wide (one copy per rank) for a
-        fallback restore.
-        """
-        epoch = self.epoch
-        plane = self.recovery_plane
-        if plane is not None and plane.kind == "replicated":
-            copy = 0 if fproc is None else fproc.copy
-            if fproc is not None and plane.is_unsynced(fproc):
-                # A re-arming standby synchronises only with its own
-                # slot-mates (they respawn as one task).
-                slot = self.slot_of_rank(rank)
-                size = sum(
-                    1 for r in self.ranks_of_slot(slot)
-                    if r not in self.finished_ranks
-                )
-                incarnation = 0 if fproc is None else fproc.incarnation
-                return (
-                    (epoch, "standby", slot, copy, incarnation),
-                    max(size, 1), self.ppn,
-                )
-            if epoch == 0:
-                # Boot: each copy-cohort bootstraps as a full world.
-                return (0, "boot", copy), self.num_ranks, self.num_ranks
-            # Fallback restore: the elected cohort, one copy per rank.
-            return (
-                (epoch, "fallback"),
-                self.num_ranks - len(self.finished_ranks),
-                self.num_ranks,
-            )
-        if (
-            epoch > 0
-            and rank is not None
-            and self.recovery_strategy.rendezvous_scope == "slot"
-        ):
-            slot = self.slot_of_rank(rank)
-            size = sum(
-                1 for r in range(self.num_ranks)
-                if self.slot_of_rank(r) == slot and r not in self.finished_ranks
-            )
-            return (epoch, slot), size, self.ppn
-        return epoch, self.num_ranks - len(self.finished_ranks), self.num_ranks
-
-    def h1_rendezvous(self, rank: Optional[int] = None,
-                      fproc=None) -> PmgrRendezvous:
-        key, size, scale = self._rendezvous_scope(rank, fproc)
+    def h1_rendezvous(self, fproc: FmiProcess) -> PmgrRendezvous:
+        key, size, scale = self.recovery.rendezvous_scope(fproc)
         rdv = self._h1_rdv.get(key)
         if rdv is None:
             cost = self.machine.spec.fmi_bootstrap_time(scale)
@@ -167,9 +100,8 @@ class FmiJob(JobBase):
             self._h1_rdv[key] = rdv
         return rdv
 
-    def h2_rendezvous(self, rank: Optional[int] = None,
-                      fproc=None) -> PmgrRendezvous:
-        key, size, _scale = self._rendezvous_scope(rank, fproc)
+    def h2_rendezvous(self, fproc: FmiProcess) -> PmgrRendezvous:
+        key, size, _scale = self.recovery.rendezvous_scope(fproc)
         rdv = self._h2_rdv.get(key)
         if rdv is None:
             rdv = PmgrRendezvous(self.sim, size, cost=0.0)

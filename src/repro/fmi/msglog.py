@@ -43,8 +43,8 @@ sender to preserve channel FIFO order.  Survivors meanwhile just block
 on their pending receives from the restarted rank; when its
 re-execution reaches the failure point it re-sends them, and re-sends
 of messages a survivor already consumed are suppressed by the
-transport's :attr:`~repro.net.transport.Transport.recovery_filter`
-(the ``lseq`` dedup).  The epoch filter is *not* used: in logged mode
+context's :attr:`~repro.net.transport.NetContext.recv_filter` (the
+``lseq`` dedup).  The epoch filter is *not* used: in logged mode
 every context stays at epoch 0 (there is no global epoch to advance
 past), and exact-once delivery rests entirely on the lseq sets.
 
@@ -58,13 +58,15 @@ is checked post-hoc from ``mlog.log`` / ``mlog.rewind`` / ``net.recv``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro.fmi.channel import ChannelSnapshot, ChannelState, Determinant
 from repro.fmi.checkpoint import CheckpointEngine
 from repro.fmi.redundancy import make_scheme
 from repro.mpi.api import ParallelApi, _snapshot
 from repro.net.matching import ANY_SOURCE, ANY_TAG
 from repro.net.message import Envelope
+from repro.runtime.policy import RecoveryFamily
 
 __all__ = ["RecoveryPlane", "LogEntry"]
 
@@ -90,32 +92,6 @@ class LogEntry:
         self.ckpt_tag = ckpt_tag  # sender's last completed dataset at send
 
 
-class Determinant:
-    """One recorded wildcard match outcome (receiver-side)."""
-
-    __slots__ = ("source", "tag", "comm_id", "env_src", "env_tag", "lseq")
-
-    def __init__(self, source, tag, comm_id, env_src, env_tag, lseq):
-        self.source = source      # posted pattern (may be ANY_SOURCE)
-        self.tag = tag            # posted pattern (may be ANY_TAG)
-        self.comm_id = comm_id
-        self.env_src = env_src    # who actually matched
-        self.env_tag = env_tag
-        self.lseq = lseq          # identity of the matched message
-
-
-class _Snapshot:
-    """Plane state of one rank at a completed checkpoint."""
-
-    __slots__ = ("counters", "consumed", "det_len")
-
-    def __init__(self, counters: Dict[int, int], consumed: Set[Tuple[int, int]],
-                 det_len: int):
-        self.counters = counters  # dst world rank -> next channel seq
-        self.consumed = consumed  # {(src, n)} consumed by the execution
-        self.det_len = det_len    # determinants recorded so far
-
-
 class _SidecarApi(ParallelApi):
     """Minimal API for the rebuild ensemble: ranks are XOR-group
     *positions*, routing goes through a private position->address
@@ -130,39 +106,26 @@ class _SidecarApi(ParallelApi):
         return self._table[position]
 
 
-class RecoveryPlane:
+class RecoveryPlane(RecoveryFamily):
     """Job-wide message-logging state + the partial-restore driver."""
 
-    #: plane-family dispatch tag (the replication plane says
-    #: "replicated"); callers branch on this instead of isinstance
-    kind = "logged"
+    hop_fidelity = "msglog"
 
     def __init__(self, job):
-        self.job = job
-        self.sim = job.sim
-        #: (src, dst) world-rank pair -> next channel sequence number
-        self.send_seq: Dict[Tuple[int, int], int] = {}
+        super().__init__(job)
+        #: world rank -> its channel state (outlives the rank's processes)
+        self.channels: List[ChannelState] = [
+            ChannelState() for _ in range(job.num_ranks)
+        ]
         #: sender world rank -> its payload log (FIFO per channel)
         self.logs: Dict[int, List[LogEntry]] = {}
         #: receiver world rank -> recorded wildcard-match determinants
-        self.determinants: Dict[int, List[Determinant]] = {}
-        #: replay cursor / stop line into ``determinants`` per rank
-        self.det_cursor: Dict[int, int] = {}
-        self.det_limit: Dict[int, int] = {}
-        #: receiver world rank -> {(src, n)} *delivered* into its live
-        #: matching engine (the transport-level exact-once filter)
-        self.seen: Dict[int, Set[Tuple[int, int]]] = {}
-        #: receiver world rank -> {(src, n)} *consumed* (matched) by
-        #: its execution -- the snapshot/rewind basis.  Delivered-but-
-        #: unconsumed messages must be re-deliverable after a rollback,
-        #: so the two sets are tracked separately.
-        self.consumed: Dict[int, Set[Tuple[int, int]]] = {}
-        #: (rank, dataset_id) -> plane snapshot at that checkpoint
-        self.snapshots: Dict[Tuple[int, int], _Snapshot] = {}
+        self.dets: Dict[int, List[Determinant]] = {}
+        #: rank -> {dataset id -> channel snapshot at that checkpoint},
+        #: the retained window (oldest dataset = the rank's GC floor)
+        self.snapshots: Dict[int, Dict[int, ChannelSnapshot]] = {}
         #: rank -> last completed dataset id (stamped on log entries)
         self.last_ckpt: Dict[int, int] = {}
-        #: rank -> retained completed dataset ids (oldest first)
-        self.completed: Dict[int, List[int]] = {}
         #: ranks currently inside partial_restore
         self.recovering: Set[int] = set()
         # -- counters (observability + tests) --
@@ -179,12 +142,45 @@ class RecoveryPlane:
         self.det_mismatches = 0
         self.partial_restores = 0
 
+    # -- process wiring ----------------------------------------------------
+    def on_h1(self, fproc) -> None:
+        # Partial rollback never raises the envelope epoch: survivor
+        # traffic stays valid across the recovery, and exact-once
+        # delivery is the lseq filter instead.
+        ctx = fproc.ctx
+        chan = self.channels[fproc.rank]
+        ctx.matching.match_sink = self._make_sink(fproc.rank, chan)
+        ctx.recv_filter = self._make_recv_filter(chan)
+        ctx.matching.reset()
+        self.job.register_endpoint(fproc.rank, ctx)
+
+    def rendezvous_scope(self, fproc):
+        job = self.job
+        if job.epoch == 0:
+            return super().rendezvous_scope(fproc)
+        # Only the restarted recovery unit synchronises: the failed
+        # node slot's own ranks.
+        slot = job.slot_of_rank(fproc.rank)
+        return (job.epoch, slot), len(self.unfinished_ranks(slot)), job.ppn
+
+    def overlay_epoch(self, fproc) -> int:
+        # Survivors never re-join, so a replacement must join the
+        # epoch-0 overlay to reach them.
+        return 0
+
+    def absorb_notification(self, fproc, generation: int) -> bool:
+        # Survivors absorb: their state is never rolled back, and the
+        # lseq dedup (not the epoch filter) guards their channels.  A
+        # rank caught *mid-restore* must unwind and retry, though: its
+        # sidecar rebuild ensemble may include the newly dead node.
+        return fproc.rank not in self.recovering
+
     # -- send path ---------------------------------------------------------
     def on_send(self, src: int, dst: int, env: Envelope, ctx=None) -> None:
         """Stamp ``env`` with its channel lseq; log it if cross-slot."""
-        key = (src, dst)
-        n = self.send_seq.get(key, 0)
-        self.send_seq[key] = n + 1
+        send_seq = self.channels[src].send_seq
+        n = send_seq.get(dst, 0)
+        send_seq[dst] = n + 1
         env.lseq = (src, dst, n)
         job = self.job
         if job.slot_of_rank(src) == job.slot_of_rank(dst):
@@ -211,21 +207,27 @@ class RecoveryPlane:
             sim.metrics.gauge("mlog.log_bytes").set(self.live_bytes)
 
     # -- receive path ------------------------------------------------------
-    def accept(self, env: Envelope) -> bool:
-        """Transport delivery filter: exact-once per channel lseq."""
-        src, dst, n = env.lseq
-        seen = self.seen.setdefault(dst, set())
-        if (src, n) in seen:
-            self.dup_suppressed += 1
-            if self.sim.tracer.enabled:
-                self.sim.tracer.instant(
-                    "mlog.dup", "mlog", rank=dst, src=src, n=n, tag=env.tag,
-                )
-            return False
-        seen.add((src, n))
-        return True
+    def _make_recv_filter(self, chan: ChannelState):
+        """The per-context :attr:`NetContext.recv_filter` closure:
+        exact-once per channel lseq."""
 
-    def make_sink(self, rank: int):
+        def accept(env: Envelope) -> bool:
+            src, dst, n = env.lseq
+            seen = chan.seen
+            if (src, n) in seen:
+                self.dup_suppressed += 1
+                if self.sim.tracer.enabled:
+                    self.sim.tracer.instant(
+                        "mlog.dup", "mlog", rank=dst, src=src, n=n,
+                        tag=env.tag,
+                    )
+                return False
+            seen.add((src, n))
+            return True
+
+        return accept
+
+    def _make_sink(self, rank: int, chan: ChannelState):
         """The per-context :attr:`MatchingEngine.match_sink` closure:
         consumption bookkeeping for every match, a determinant for
         every *wildcard* match."""
@@ -233,10 +235,10 @@ class RecoveryPlane:
         def sink(source, tag, env):
             lseq = env.lseq
             if lseq is not None:
-                self.consumed.setdefault(rank, set()).add((lseq[0], lseq[2]))
+                chan.consumed.add((lseq[0], lseq[2]))
             if source == ANY_SOURCE or tag == ANY_TAG:
-                if self.det_cursor.get(rank, 0) >= self.det_limit.get(rank, 0):
-                    self.determinants.setdefault(rank, []).append(
+                if chan.det_cursor >= chan.det_limit:
+                    self.dets.setdefault(rank, []).append(
                         Determinant(source, tag, env.comm_id, env.src,
                                     env.tag, lseq)
                     )
@@ -244,18 +246,21 @@ class RecoveryPlane:
 
         return sink
 
-    def next_determinant(self, rank: int, source: int, tag: int,
-                         comm_id: int) -> Optional[Determinant]:
-        """The next recorded determinant for a re-executed wildcard
-        post, or None once the cursor reaches the failure point (or on
-        a pattern mismatch -- counted, replay degrades to free order)."""
-        cursor = self.det_cursor.get(rank, 0)
-        if cursor >= self.det_limit.get(rank, 0):
+    def post_wildcard(self, fmi_ctx, source: int, tag: int, comm_id: int):
+        """Piecewise-deterministic replay: a re-executed wildcard
+        receive is rewritten to the *exact* (source, tag) its original
+        execution matched, in recorded order, until the determinant
+        cursor reaches the failure point (or on a pattern mismatch --
+        counted, replay degrades to free order)."""
+        rank = fmi_ctx.world_rank
+        chan = self.channels[rank]
+        cursor = chan.det_cursor
+        if cursor >= chan.det_limit:
             return None
-        det = self.determinants[rank][cursor]
+        det = self.dets[rank][cursor]
         if (det.source, det.tag, det.comm_id) != (source, tag, comm_id):
             self.det_mismatches += 1
-            self.det_cursor[rank] = self.det_limit.get(rank, 0)
+            chan.det_cursor = chan.det_limit
             if self.sim.tracer.enabled:
                 self.sim.tracer.instant(
                     "mlog.det.mismatch", "mlog", rank=rank,
@@ -263,13 +268,15 @@ class RecoveryPlane:
                     recorded=(det.source, det.tag, det.comm_id),
                 )
             return None
-        self.det_cursor[rank] = cursor + 1
-        return det
+        chan.det_cursor = cursor + 1
+        fmi_ctx._check_ok()
+        evt = fmi_ctx.ctx.matching.post(det.env_src, det.env_tag, comm_id)
+        self._check_replayed_match(evt, det.lseq, rank)
+        return evt
 
-    def check_replayed_match(self, evt, det: Determinant, rank: int) -> None:
+    def _check_replayed_match(self, evt, recorded, rank: int) -> None:
         """Assert a determinant-rewritten post matched the recorded
         message (same channel identity), once it completes."""
-        recorded = det.lseq
 
         def _check(env) -> None:
             if recorded is not None and getattr(env, "lseq", None) != recorded:
@@ -289,31 +296,14 @@ class RecoveryPlane:
             )
 
     # -- checkpoint bookkeeping -------------------------------------------
-    #: retained checkpoint window per rank; mirrors CheckpointEngine.KEEP
-    KEEP = CheckpointEngine.KEEP
-
-    def note_ckpt_begin(self, rank: int, dataset_id: int, ctx=None) -> None:
-        """Checkpoint-begin hook (the replication plane's standby sync
-        keys off it); sender-based logging needs nothing here."""
-
     def note_rank_checkpoint(self, rank: int, dataset_id: int, ctx=None) -> None:
         """``rank`` completed checkpoint ``dataset_id``: snapshot its
-        plane state (the rewind target) and advance garbage collection."""
-        counters = {
-            d: n for (s, d), n in self.send_seq.items() if s == rank
-        }
-        self.snapshots[(rank, dataset_id)] = _Snapshot(
-            counters, set(self.consumed.get(rank, ())),
-            len(self.determinants.get(rank, ())),
+        channel state (the rewind target) and advance garbage collection."""
+        self.channels[rank].snapshot(
+            self.snapshots.setdefault(rank, {}), dataset_id,
+            len(self.dets.get(rank, ())),
         )
         self.last_ckpt[rank] = dataset_id
-        retained = self.completed.setdefault(rank, [])
-        if dataset_id not in retained:
-            retained.append(dataset_id)
-            retained.sort()
-        while len(retained) > self.KEEP:
-            dropped = retained.pop(0)
-            self.snapshots.pop((rank, dropped), None)
         self._gc()
 
     def _gc(self) -> None:
@@ -333,10 +323,10 @@ class RecoveryPlane:
         for r in range(job.num_ranks):
             if r in job.finished_ranks:
                 continue
-            ids = self.completed.get(r)
-            if not ids:
+            window = self.snapshots.get(r)
+            if not window:
                 return  # a live rank has no checkpoint yet: keep all
-            floors.append(ids[0])
+            floors.append(min(window))
         if not floors:
             return
         stable = min(floors)
@@ -368,7 +358,9 @@ class RecoveryPlane:
 
     # -- partial restore ---------------------------------------------------
     def partial_restore(self, fmi_ctx):
-        """The logged-mode replacement for ``CheckpointEngine.restore``.
+        """The logged-mode replacement for ``CheckpointEngine.restore``:
+        sidecar rebuild + log replay; no world agreement, survivors
+        never enter.
 
         Runs inside the restarted rank's process (from ``FMI_Loop``).
         Returns ``(meta, payloads)`` like ``restore()``, or None on a
@@ -408,6 +400,10 @@ class RecoveryPlane:
                 sim.now - t0
             )
         return restored
+
+    #: the seam's name for it (the perf ledger's entry point is
+    #: ``partial_restore``)
+    restore = partial_restore
 
     def _rebuild(self, fmi_ctx):
         """Drive ``CheckpointEngine.rebuild_missing`` over a sidecar
@@ -494,36 +490,23 @@ class RecoveryPlane:
         traffic: everything purged came from another recovery unit --
         the rank's own siblings restart with it and re-send -- so it is
         in the log and is regenerated exactly once."""
-        snap = None if dataset is None else self.snapshots.get((rank, dataset))
+        snap = self.snapshots.get(rank, {}).get(dataset)
         torn = snap is None and dataset is not None
         sim = self.sim
-        consumed = self.consumed.setdefault(rank, set())
+        chan = self.channels[rank]
+        chan.det_limit = len(self.dets.get(rank, ()))
         if torn:
             # At-death values are the rewind target; only the delivered
-            # set shrinks (below), so the unconsumed tail of the queue
-            # is re-deliverable.
-            counters = {
-                d: n for (s, d), n in self.send_seq.items() if s == rank
-            }
-            det_cursor = len(self.determinants.get(rank, ()))
+            # set shrinks, so the unconsumed tail of the queue is
+            # re-deliverable.
+            chan.det_cursor = chan.det_limit
+            chan.rebase_seen()
         else:
-            counters = {} if snap is None else dict(snap.counters)
-            for key in [k for k in self.send_seq if k[0] == rank]:
-                del self.send_seq[key]
-            self.send_seq.update({(rank, d): n for d, n in counters.items()})
-            consumed.clear()
-            if snap is not None:
-                consumed.update(snap.consumed)
-            det_cursor = 0 if snap is None else snap.det_len
-        # In-place: the transport filter and match sinks hold these sets.
-        seen = self.seen.setdefault(rank, set())
-        seen.clear()
-        seen.update(consumed)
+            chan.load(snap)
+        counters = chan.send_seq
         purged = 0
         if matching is not None:
             _cancelled, purged = matching.reset()
-        self.det_limit[rank] = len(self.determinants.get(rank, ()))
-        self.det_cursor[rank] = det_cursor
         # The re-execution re-logs everything past the snapshot; drop
         # the dead incarnation's copies so the log holds each logical
         # message once.
@@ -551,7 +534,7 @@ class RecoveryPlane:
         (channel FIFO), from each sender's current node."""
         job = self.job
         sim = self.sim
-        consumed = self.consumed.get(rank, set())
+        consumed = self.channels[rank].consumed
         by_sender: Dict[int, List[LogEntry]] = {}
         for src, entries in self.logs.items():
             if src == rank or src in self.recovering:

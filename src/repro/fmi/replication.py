@@ -43,30 +43,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.fmi.channel import ChannelSnapshot, ChannelState, Determinant
 from repro.fmi.checkpoint import _slice
 from repro.mpi.datatypes import snapshot as _snapshot
+from repro.net.matching import ANY_SOURCE, ANY_TAG
 from repro.net.message import Envelope
+from repro.runtime.policy import RecoveryFamily
 from repro.simt.kernel import Event
 
-__all__ = ["ReplicationPlane", "ReplicaDeterminant"]
-
-
-class ReplicaDeterminant:
-    """One recorded wildcard match: what the lead actually received."""
-
-    __slots__ = ("env_src", "env_tag", "comm_id", "lseq")
-
-    def __init__(self, env_src: int, env_tag: int, comm_id: int, lseq):
-        self.env_src = env_src
-        self.env_tag = env_tag
-        self.comm_id = comm_id
-        self.lseq = lseq
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<RDet src={self.env_src} tag={self.env_tag} "
-            f"comm={self.comm_id} lseq={self.lseq}>"
-        )
+__all__ = ["ReplicationPlane"]
 
 
 class _StandbyRec:
@@ -82,18 +67,6 @@ class _StandbyRec:
         #: predate some mirrored traffic, so they cannot be sync points)
         self.eligible_ds: Optional[int] = None
         self.sync = Event(sim)
-
-
-class _ChannelSnapshot:
-    """Lead channel state at one checkpoint (the standby's seed)."""
-
-    __slots__ = ("counters", "consumed", "det_len")
-
-    def __init__(self, counters: Dict[int, int], consumed: Set[Tuple[int, int]],
-                 det_len: int):
-        self.counters = counters
-        self.consumed = consumed
-        self.det_len = det_len
 
 
 def _chain(inner: Event, outer: Event) -> None:
@@ -113,10 +86,10 @@ def _chain(inner: Event, outer: Event) -> None:
         inner.callbacks.append(_cb)
 
 
-class ReplicationPlane:
+class ReplicationPlane(RecoveryFamily):
     """Shared state of the ``recovery="replicated"`` family."""
 
-    kind = "replicated"
+    hop_fidelity = "replicated"
 
     #: promotion latency: failure-notice fan-in plus republishing the
     #: endpoint table -- no state movement, which is the whole point
@@ -124,9 +97,13 @@ class ReplicationPlane:
     FAILOVER_DELAY = 0.15
 
     def __init__(self, job):
-        self.job = job
-        self.sim = job.sim
-        self.degree: int = job.config.replication_degree
+        super().__init__(job)
+        job.transport.replication = self  # send-side mirror fan-out
+        self.num_copies: int = job.config.replication_degree
+        # A slot whose processes were sibling-killed (not a node crash)
+        # respawns on its own still-healthy node instead of burning a
+        # spare -- re-arming must not exhaust the pool.
+        self.reuse_healthy_node = self.num_copies > 1
         #: rank -> copy -> FmiProcess (current incarnations)
         self.copies: Dict[int, Dict[int, object]] = {}
         #: which copy currently owns the rank's endpoint-table entry
@@ -134,14 +111,10 @@ class ReplicationPlane:
         #: lead address -> live replica contexts (transport mirror fan-out)
         self.mirrors: Dict[Tuple[int, int], List[object]] = {}
         self._mirror_key: Dict[int, Tuple[int, int]] = {}
-        # -- per-context channel state (the dedup/determinant machinery) --
-        self.counters: Dict[object, Dict[int, int]] = {}
-        self.seen: Dict[object, Set[Tuple[int, int]]] = {}
-        self.consumed: Dict[object, Set[Tuple[int, int]]] = {}
+        #: context -> its channel state (each copy dedups on its own)
+        self.channels: Dict[object, ChannelState] = {}
         #: per-rank recorded wildcard matches, in lead match order
-        self.dets: Dict[int, List[ReplicaDeterminant]] = {}
-        #: per-context replay position into ``dets[rank]``
-        self.det_cursor: Dict[object, int] = {}
+        self.dets: Dict[int, List[Determinant]] = {}
         #: rank -> [(ctx, source, tag, comm_id, event)] wildcards parked
         #: on followers until the lead's determinant arrives
         self.parked: Dict[int, List[tuple]] = {}
@@ -152,10 +125,9 @@ class ReplicationPlane:
         #: (rank, copy) slots whose next incarnation must re-arm as a
         #: standby instead of booting as a peer copy
         self.standby_expected: Set[Tuple[int, int]] = set()
-        #: (rank, dataset_id) -> lead channel snapshot (keep-2, in step
-        #: with the checkpoint engine's retention)
-        self.snapshots: Dict[Tuple[int, int], _ChannelSnapshot] = {}
-        self._snap_ids: Dict[int, List[int]] = {}
+        #: rank -> {dataset id -> lead channel snapshot}, the standby's
+        #: seed (retained in step with the checkpoint engine)
+        self.snapshots: Dict[int, Dict[int, ChannelSnapshot]] = {}
         # -- epoch fencing --
         #: the epoch every replicated context stamps/filters at.  Only a
         #: fallback bumps it: failovers must *not* fence out in-flight
@@ -185,7 +157,8 @@ class ReplicationPlane:
         if copy == self.lead_copy.setdefault(rank, 0):
             self.job.rank_procs[rank] = fproc
 
-    def all_procs(self) -> List[object]:
+    def notify_targets(self) -> List[object]:
+        """Every live copy must hear of a recovery, not just the leads."""
         out: List[object] = []
         for cps in self.copies.values():
             out.extend(cps.values())
@@ -207,23 +180,57 @@ class ReplicationPlane:
             or fproc.ctx in self.standby_recs
         )
 
+    def rendezvous_scope(self, fproc):
+        """Per copy-cohort at boot, per slot for a re-arming standby,
+        and world-wide (one copy per rank) for a fallback restore."""
+        job = self.job
+        epoch = job.epoch
+        if self.is_unsynced(fproc):
+            # A re-arming standby synchronises only with its own
+            # slot-mates (they respawn as one task).
+            slot = job.slot_of_rank(fproc.rank)
+            return (
+                (epoch, "standby", slot, fproc.copy, fproc.incarnation),
+                max(len(self.unfinished_ranks(slot)), 1), job.ppn,
+            )
+        if epoch == 0:
+            # Boot: each copy-cohort bootstraps as a full world.
+            return (0, "boot", fproc.copy), job.num_ranks, job.num_ranks
+        # Fallback restore: the elected cohort, one copy per rank.
+        return (
+            (epoch, "fallback"),
+            job.num_ranks - len(job.finished_ranks),
+            job.num_ranks,
+        )
+
+    def overlay_epoch(self, fproc) -> Optional[int]:
+        # Only the *lead* copies ring together (followers and standbys
+        # are shadows; fmirun's task monitoring plus the plane's direct
+        # pokes cover them), and survivors never re-join.
+        return 0 if self.job.rank_procs.get(fproc.rank) is fproc else None
+
+    def absorb_notification(self, fproc, generation: int) -> bool:
+        # Failover epochs are invisible: every copy absorbs.  Only the
+        # fallback epoch (some rank lost every copy) unwinds to H1.
+        return generation != self.fallback_epoch
+
     # ------------------------------------------------------------ boot (H1)
     def on_h1(self, fproc) -> None:
-        """Wire one copy's fresh context into the plane."""
+        """Wire one copy's context into the plane, which owns the whole
+        decision: era epoch, dedup filter, determinant sink, and whether
+        this copy is the lead (endpoint table), a follower (mirror
+        target), or a re-arming standby (buffer + sync record)."""
         job = self.job
         ctx = fproc.ctx
         rank = fproc.rank
         ctx.epoch = self.era
-        ctx.matching.match_sink = self._make_sink(fproc)
-        ctx.recv_filter = self._make_recv_filter(ctx)
-        ctx.matching.reset()
         # A context entering H1 starts (or restarts) with clean channel
         # state; post-fallback survivors re-enter here after the
         # wholesale era reset.
-        self.counters.pop(ctx, None)
-        self.seen.pop(ctx, None)
-        self.consumed.pop(ctx, None)
-        self.det_cursor.pop(ctx, None)
+        chan = self.channels[ctx] = ChannelState()
+        ctx.matching.match_sink = self._make_sink(fproc, chan)
+        ctx.recv_filter = self._make_recv_filter(ctx, chan)
+        ctx.matching.reset()
         if (rank, fproc.copy) in self.standby_expected:
             self.standby_expected.discard((rank, fproc.copy))
             self.standby_recs[ctx] = _StandbyRec(rank, fproc.copy, self.sim)
@@ -265,9 +272,9 @@ class ReplicationPlane:
         """Stamp the sender's channel sequence (per *context*: each copy
         runs the same channel schedule, so copies of one rank produce
         identical lseq streams)."""
-        counters = self.counters.setdefault(ctx, {})
-        n = counters.get(dst, 0)
-        counters[dst] = n + 1
+        send_seq = self.channels[ctx].send_seq
+        n = send_seq.get(dst, 0)
+        send_seq[dst] = n + 1
         env.lseq = (src, dst, n)
 
     def mirror_copies(self, dst_addr, env: Envelope):
@@ -293,11 +300,9 @@ class ReplicationPlane:
         self.mirrored += len(out)
         return out
 
-    def _make_recv_filter(self, ctx):
+    def _make_recv_filter(self, ctx, chan: ChannelState):
         def accept(env: Envelope) -> bool:
             lseq = env.lseq
-            if lseq is None:
-                return True
             pend = self.pending.get(ctx)
             if pend is not None:
                 # Unsynced standby: park everything until the sync
@@ -306,9 +311,7 @@ class ReplicationPlane:
                 self.standby_buffered += 1
                 return False
             key = (lseq[0], lseq[2])
-            seen = self.seen.get(ctx)
-            if seen is None:
-                seen = self.seen[ctx] = set()
+            seen = chan.seen
             if key in seen:
                 self.dup_suppressed += 1
                 return False
@@ -317,26 +320,24 @@ class ReplicationPlane:
 
         return accept
 
-    def _make_sink(self, fproc):
+    def _make_sink(self, fproc, chan: ChannelState):
         rank = fproc.rank
-        ctx = fproc.ctx
 
         def sink(source: int, tag: int, env: Envelope) -> None:
             lseq = env.lseq
             if lseq is not None:
-                self.consumed.setdefault(ctx, set()).add((lseq[0], lseq[2]))
-            from repro.net.matching import ANY_SOURCE, ANY_TAG
-
+                chan.consumed.add((lseq[0], lseq[2]))
             if source == ANY_SOURCE or tag == ANY_TAG:
                 if self.job.rank_procs.get(rank) is fproc:
                     dets = self.dets.setdefault(rank, [])
                     dets.append(
-                        ReplicaDeterminant(env.src, env.tag, env.comm_id, lseq)
+                        Determinant(source, tag, env.comm_id, env.src,
+                                    env.tag, lseq)
                     )
                     # The recorder is, by definition, caught up: without
                     # this a since-boot lead would later replay its own
                     # record instead of posting natively.
-                    self.det_cursor[ctx] = len(dets)
+                    chan.det_cursor = len(dets)
                     self.det_recorded += 1
                     self._drain_parked(rank)
 
@@ -344,19 +345,22 @@ class ReplicationPlane:
 
     # ------------------------------------------------- wildcard determinants
     def post_wildcard(self, fmi_ctx, source: int, tag: int, comm_id: int):
-        """Replicated wildcard post.
+        """Replica consistency: followers replay the lead's recorded
+        match order (parking until it is recorded).
 
         Returns an event for the caller to yield, or ``None`` when the
         caller (the current lead, fully caught up on its own record)
         should post natively and let the sink record the match.
         """
+        fmi_ctx._check_ok()
         rank = fmi_ctx.world_rank
         ctx = fmi_ctx.ctx
+        chan = self.channels[ctx]
         dets = self.dets.get(rank, ())
-        cursor = self.det_cursor.get(ctx, 0)
+        cursor = chan.det_cursor
         if cursor < len(dets):
             det = dets[cursor]
-            self.det_cursor[ctx] = cursor + 1
+            chan.det_cursor = cursor + 1
             if det.comm_id != comm_id:
                 # Copies run the same program, so pattern drift should
                 # be impossible; degrade to a native post rather than
@@ -381,10 +385,10 @@ class ReplicationPlane:
             ctx, source, tag, comm_id, evt = entry
             if evt.triggered or ctx.closed or not ctx.node.alive:
                 continue
-            cursor = self.det_cursor.get(ctx, 0)
-            if cursor < len(dets):
-                det = dets[cursor]
-                self.det_cursor[ctx] = cursor + 1
+            chan = self.channels[ctx]
+            if chan.det_cursor < len(dets):
+                det = dets[chan.det_cursor]
+                chan.det_cursor += 1
                 _chain(ctx.matching.post(det.env_src, det.env_tag, comm_id), evt)
             elif lead is not None and lead.ctx is ctx:
                 # This copy was promoted while parked: its wildcard is
@@ -413,10 +417,7 @@ class ReplicationPlane:
         dead_lead_slots: List[int] = []
         lost_replica = False
         for vslot in range(job.num_nodes):
-            ranks = [
-                r for r in job.ranks_of_slot(vslot)
-                if r not in job.finished_ranks
-            ]
+            ranks = self.unfinished_ranks(vslot)
             if not ranks:
                 continue
             lead_dead = any(
@@ -465,11 +466,8 @@ class ReplicationPlane:
         ``vslot`` -- deaths are task-granular, so copies live or die as
         whole slots."""
         job = self.job
-        ranks = [
-            r for r in job.ranks_of_slot(vslot)
-            if r not in job.finished_ranks
-        ]
-        for copy in range(self.degree):
+        ranks = self.unfinished_ranks(vslot)
+        for copy in range(self.num_copies):
             for r in ranks:
                 p = self.copies.get(r, {}).get(copy)
                 if p is None or not p.alive or self.is_unsynced(p):
@@ -489,10 +487,7 @@ class ReplicationPlane:
         ):
             return  # superseded by a fallback
         for vslot in vslots:
-            ranks = [
-                r for r in job.ranks_of_slot(vslot)
-                if r not in job.finished_ranks
-            ]
+            ranks = self.unfinished_ranks(vslot)
             if not ranks or all(
                 job.rank_procs.get(r) is not None and job.rank_procs[r].alive
                 for r in ranks
@@ -539,28 +534,22 @@ class ReplicationPlane:
         # Wholesale era reset: channel counters restart from zero on
         # both sides, and the epoch fence disposes of old-era traffic.
         self.dets.clear()
-        self.det_cursor.clear()
-        self.counters.clear()
-        self.seen.clear()
-        self.consumed.clear()
+        for chan in self.channels.values():
+            chan.load(None)
         self.parked.clear()
         self.pending.clear()
         self.standby_recs.clear()
         self.standby_expected.clear()
         self.snapshots.clear()
-        self._snap_ids.clear()
         self.mirrors.clear()
         self._mirror_key.clear()
         for vslot in range(job.num_nodes):
-            active = [
-                r for r in job.ranks_of_slot(vslot)
-                if r not in job.finished_ranks
-            ]
+            active = self.unfinished_ranks(vslot)
             elected = None
             if active:
                 cur = self.lead_copy.get(active[0], 0)
                 for copy in [cur] + [
-                    c for c in range(self.degree) if c != cur
+                    c for c in range(self.num_copies) if c != cur
                 ]:
                     if all(
                         self.copies.get(r, {}).get(copy) is not None
@@ -594,7 +583,7 @@ class ReplicationPlane:
         # The overlay is degraded after failovers (promoted leads never
         # re-joined the log-ring), so poke every surviving copy
         # directly instead of trusting detector propagation.
-        for p in self.all_procs():
+        for p in self.notify_targets():
             if p.alive:
                 p.notify_failure(epoch, "replication fallback")
 
@@ -611,17 +600,10 @@ class ReplicationPlane:
         lead = self.job.rank_procs.get(rank)
         if lead is None or lead.ctx is not ctx:
             return  # follower checkpoints are local redundancy only
-        self.snapshots[(rank, dataset_id)] = _ChannelSnapshot(
-            dict(self.counters.get(ctx, {})),
-            set(self.consumed.get(ctx, ())),
+        self.channels[ctx].snapshot(
+            self.snapshots.setdefault(rank, {}), dataset_id,
             len(self.dets.get(rank, ())),
         )
-        retained = self._snap_ids.setdefault(rank, [])
-        if dataset_id not in retained:
-            retained.append(dataset_id)
-            retained.sort()
-        while len(retained) > 2:  # in step with CheckpointEngine.KEEP
-            self.snapshots.pop((rank, retained.pop(0)), None)
         for rec in self.standby_recs.values():
             if (
                 rec.rank == rank
@@ -641,12 +623,14 @@ class ReplicationPlane:
         """
         rec = self.standby_recs.get(fmi_ctx.ctx)
         if rec is None:
-            restored = yield from fmi_ctx.engine.restore(
-                world_agree=fmi_ctx._agree_min, allow_beyond_xor=False,
-            )
+            restored = yield from super().restore(fmi_ctx)
             return restored
         result = yield from self._standby_sync(fmi_ctx, rec)
         return result
+
+    #: the seam's name for it (the perf ledger's entry point is
+    #: ``partial_restore``)
+    restore = partial_restore
 
     def _standby_sync(self, fmi_ctx, rec: _StandbyRec):
         job = self.job
@@ -690,10 +674,8 @@ class ReplicationPlane:
         fmi_ctx.fproc.storage._meta = {
             k: dict(m) for k, m in lead.storage._meta.items()
         }
-        ids = [
-            ds for ds in fmi_ctx.engine.completed_ids()
-            if (rank, ds) in self.snapshots
-        ]
+        window = self.snapshots.get(rank, {})
+        ids = [ds for ds in fmi_ctx.engine.completed_ids() if ds in window]
         if not ids:
             # Snapshot/storage retention rotate together, so this means
             # the plane state was wiped (fallback) under our feet; the
@@ -702,12 +684,9 @@ class ReplicationPlane:
             yield rec.sync
             raise AssertionError("unreachable: standby outlived fallback")
         dataset = max(ids)
-        snap = self.snapshots[(rank, dataset)]
-        self.counters[ctx] = dict(snap.counters)
-        seen = set(snap.consumed)
-        self.seen[ctx] = seen
-        self.consumed[ctx] = set(snap.consumed)
-        self.det_cursor[ctx] = snap.det_len
+        chan = self.channels[ctx]
+        chan.load(window[dataset])
+        seen = chan.seen
         # Synced: stop buffering and deliver what the snapshot has not
         # already consumed.
         pend = self.pending.pop(ctx, [])

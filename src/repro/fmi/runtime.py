@@ -97,27 +97,21 @@ class FmiProcess(RankProcess):
             return
         if self.notified_gen >= generation:
             return
-        if self.job.recovery_strategy.absorb_notification(self, generation):
-            # Partial rollback: this survivor keeps computing.  Record
-            # the generation (so re-sync sweeps stay quiet) but do not
-            # unwind the application.
-            self.notified_gen = generation
-            if self.sim.tracer.enabled:
-                self.sim.tracer.instant(
-                    "fmi.notify", "recovery", rank=self.rank,
-                    node=self.node.id, incarnation=self.incarnation,
-                    epoch=generation, reason=reason, absorbed=True,
-                    job=self.job.job_id,
-                )
-            return
+        # A family may absorb the notice: this survivor keeps computing.
+        # Record the generation (so re-sync sweeps stay quiet) but do
+        # not unwind the application.
+        absorbed = self.job.recovery.absorb_notification(self, generation)
         self.notified_gen = generation
-        self._notified_pending = True
         if self.sim.tracer.enabled:
             self.sim.tracer.instant(
                 "fmi.notify", "recovery", rank=self.rank, node=self.node.id,
                 incarnation=self.incarnation, epoch=generation, reason=reason,
+                **({"absorbed": True} if absorbed else {}),
                 job=self.job.job_id,
             )
+        if absorbed:
+            return
+        self._notified_pending = True
         self.proc.interrupt(FailureNotified(generation, reason))
 
     # -- the state machine ----------------------------------------------------------
@@ -172,25 +166,8 @@ class FmiProcess(RankProcess):
         job = self.job
         self._notified_pending = False
         self.notified_gen = max(self.notified_gen, job.epoch)
-        plane = job.recovery_plane
-        if plane is None:
-            self.ctx.epoch = job.epoch  # stale pre-failure traffic now drops
-            self.ctx.matching.reset()
-            job.register_endpoint(self.rank, self.ctx)
-        elif plane.kind == "replicated":
-            # The plane owns the whole wiring decision: era epoch,
-            # dedup filter, determinant sink, and whether this copy is
-            # the lead (endpoint table), a follower (mirror target), or
-            # a re-arming standby (buffer + sync record).
-            plane.on_h1(self)
-        else:
-            # Partial rollback never raises the envelope epoch:
-            # survivor traffic stays valid across the recovery, and
-            # exact-once delivery is the plane's lseq filter instead.
-            self.ctx.matching.match_sink = plane.make_sink(self.rank)
-            self.ctx.matching.reset()
-            job.register_endpoint(self.rank, self.ctx)
-        rdv = job.h1_rendezvous(self.rank, self)
+        job.recovery.on_h1(self)
+        rdv = job.h1_rendezvous(self)
         yield rdv.arrive()
 
     def _h2(self):
@@ -199,23 +176,14 @@ class FmiProcess(RankProcess):
         job = self.job
         n_conn = job.detector.connections_per_rank(job.num_ranks)
         yield self.sim.timeout(job.machine.spec.network.overlay_connect_cost * n_conn)
-        # Under partial rollback survivors never re-join, so a
-        # replacement must join the epoch-0 overlay to reach them.
-        # Replicated jobs only ring the *lead* copies together
-        # (followers and standbys are shadows; fmirun's task monitoring
-        # plus the plane's direct pokes cover them).
-        plane = job.recovery_plane
-        is_lead = (
-            plane is None
-            or plane.kind != "replicated"
-            or job.rank_procs.get(self.rank) is self
-        )
-        if is_lead:
-            overlay_epoch = 0 if plane is not None else job.epoch
+        # Followers and standbys of a replicated rank stay out of the
+        # ring (None); only overlay members complete the recovery.
+        overlay_epoch = job.recovery.overlay_epoch(self)
+        if overlay_epoch is not None:
             job.detector.join(self, overlay_epoch)
-        rdv = job.h2_rendezvous(self.rank, self)
+        rdv = job.h2_rendezvous(self)
         yield rdv.arrive()
-        if is_lead:
+        if overlay_epoch is not None:
             job.note_recovery_complete()
 
     def _h3(self):
@@ -261,7 +229,7 @@ class FmirunTask:
             )
             self.children.append(fproc)
             fproc.proc.callbacks.append(self._child_exit(fproc))
-            job.adopt_rank_process(fproc)
+            job.recovery.adopt(fproc)
 
     def _child_exit(self, fproc: FmiProcess):
         def cb(evt: Event) -> None:
@@ -316,31 +284,6 @@ class Fmirun(Survivable):
     @property
     def replacement_timeout(self) -> Optional[float]:
         return self.job.config.replacement_timeout
-
-    @property
-    def num_copies(self) -> int:
-        if self.job.config.recovery == "replicated":
-            return self.job.config.replication_degree
-        return 1
-
-    # -- replication-aware recovery hooks -------------------------------------
-    def _notify_targets(self):
-        plane = self.job.recovery_plane
-        if plane is not None and plane.kind == "replicated":
-            return plane.all_procs()
-        return super()._notify_targets()
-
-    def _slot_procs(self, slot: int):
-        plane = self.job.recovery_plane
-        if plane is not None and plane.kind == "replicated":
-            return plane.slot_procs(slot)
-        return super()._slot_procs(slot)
-
-    def _reuse_healthy_node(self, slot: int) -> bool:
-        # A replicated slot whose processes were sibling-killed (not a
-        # node crash) respawns on its own still-healthy node instead of
-        # burning a spare -- re-arming must not exhaust the pool.
-        return self.num_copies > 1
 
     # -- FMI-specific pieces ---------------------------------------------------
     def make_task(self, slot: int, node: Node) -> FmirunTask:

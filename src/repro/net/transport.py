@@ -58,11 +58,11 @@ class NetContext:
         #: current recovery epoch; bumped by the FMI runtime on recovery
         self.epoch = 0
         self.closed = False
-        #: per-context delivery filter (replication plane): called with
+        #: the one receive-side recovery hook, installed by the job's
+        #: recovery family when the context enters H1: called with
         #: every lseq-stamped envelope just before delivery; returning
-        #: False suppresses it (cross-copy duplicate, or buffered by an
-        #: unsynced standby).  Unlike ``Transport.recovery_filter`` this
-        #: is per *copy*, not per rank.
+        #: False suppresses it (a replayed, re-sent or cross-copy
+        #: duplicate, or one buffered by an unsynced standby)
         self.recv_filter = None
         #: stale envelopes dropped by the epoch filter
         self.stale_dropped = 0
@@ -127,20 +127,17 @@ class Transport:
         self.omission_dups = 0
         #: duplicate copies suppressed at the receiver
         self.dup_dropped = 0
-        #: message-logging recovery filter (set by the logged recovery
-        #: plane): called with every lseq-stamped envelope just before
-        #: delivery; returning False suppresses a replayed/re-sent
-        #: duplicate of a message this receiver already holds
-        self.recovery_filter = None
-        #: envelopes suppressed by the recovery filter
-        self.replay_dup_dropped = 0
+        #: why the job's recovery family needs every hop simulated
+        #: ("msglog": sends are logged and replayed one by one;
+        #: "replicated": mirrored per physical hop, so a macro-collapsed
+        #: collective would bypass the replicas); None = global rollback
+        self.recovery_hops: Optional[str] = None
         #: replication plane (set by the replicated recovery family):
         #: sends to a lead rank's address fan out cloned envelopes to
-        #: its live replicas, and per-context ``recv_filter``s keep the
-        #: copies' delivery streams duplicate-free
+        #: its live replicas
         self.replication = None
-        #: envelopes suppressed/buffered by per-context recv filters
-        self.replication_filtered = 0
+        #: envelopes suppressed/buffered by a context's ``recv_filter``
+        self.lseq_dup_dropped = 0
         # -- macro-event collectives --
         #: lazily-created per-job coordinator (repro.mpi.macro); lives
         #: here because the transport is the per-job rendezvous object
@@ -185,12 +182,8 @@ class Transport:
             return "partition"
         if self.machine.limping_count > 0:
             return "limp"
-        if self.recovery_filter is not None:
-            return "msglog"
-        if self.replication is not None:
-            # Mirroring happens per physical hop: a macro-collapsed
-            # collective would bypass the replicas entirely.
-            return "replicated"
+        if self.recovery_hops is not None:
+            return self.recovery_hops
         if self.sim.tracer.enabled or self.sim.metrics.enabled:
             return "observability"
         return None
@@ -284,13 +277,11 @@ class Transport:
                 elif self._lossy and env.seq in ctx.delivered_seqs:
                     self.dup_dropped += 1
                 elif (
-                    env.lseq is not None
-                    and self.recovery_filter is not None
-                    and not self.recovery_filter(env)
+                    ctx.recv_filter is not None
+                    and env.lseq is not None
+                    and not ctx.recv_filter(env)
                 ):
-                    self.replay_dup_dropped += 1
-                elif ctx.recv_filter is not None and not ctx.recv_filter(env):
-                    self.replication_filtered += 1
+                    self.lseq_dup_dropped += 1
                 else:
                     if self._lossy:
                         ctx.delivered_seqs.add(env.seq)
@@ -386,15 +377,12 @@ class Transport:
             self.dup_dropped += 1
             outcome = "net.drop_dup"
         elif (
-            env.lseq is not None
-            and self.recovery_filter is not None
-            and not self.recovery_filter(env)
+            ctx.recv_filter is not None
+            and env.lseq is not None
+            and not ctx.recv_filter(env)
         ):
-            self.replay_dup_dropped += 1
-            outcome = "net.drop_replay_dup"
-        elif ctx.recv_filter is not None and not ctx.recv_filter(env):
-            self.replication_filtered += 1
-            outcome = "net.drop_replica_dup"
+            self.lseq_dup_dropped += 1
+            outcome = "net.drop_lseq_dup"
         else:
             if self._lossy:
                 ctx.delivered_seqs.add(env.seq)

@@ -195,12 +195,6 @@ class JobBase:
     def make_rank_process(self, rank: int, node: Node, **kwargs) -> RankProcess:
         raise NotImplementedError
 
-    def adopt_rank_process(self, rproc: RankProcess) -> None:
-        """Record a freshly spawned rank process.  The default maps the
-        rank straight to the process; replicated jobs override this to
-        route through the plane (only the lead copy owns the entry)."""
-        self.rank_procs[rproc.rank] = rproc
-
     # -- launch -------------------------------------------------------------
     def launch(self) -> Event:
         """Start the job; returns the job-completion event (value: the

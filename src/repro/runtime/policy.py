@@ -6,8 +6,9 @@ job down and the job event fails with
 machinery behind FMI's fmirun master (Figure 6): pre-reserved spares,
 per-node task monitoring, the recovery-epoch bump, replacement-node
 acquisition, and graceful drain.  Both operate purely through the
-:class:`~repro.runtime.core.JobBase` blackboard, so a new strategy
-(process replication, partial restart...) is one subclass.
+:class:`~repro.runtime.core.JobBase` blackboard.  *How* a survivable
+job gets its ranks computing again is the job's
+:class:`RecoveryFamily` (``job.recovery``).
 """
 
 from __future__ import annotations
@@ -22,98 +23,115 @@ from repro.simt.process import ProcessKilled
 
 __all__ = [
     "FaultPolicy", "FailStop", "Survivable",
-    "RecoveryStrategy", "GlobalRollback", "PartialRollback",
-    "ReplicatedFailover",
+    "RecoveryFamily",
 ]
 
 
-class RecoveryStrategy:
-    """How a :class:`Survivable` job gets its ranks computing again.
+class RecoveryFamily:
+    """Which recovery family a :class:`Survivable` job belongs to, and
+    everything the runtime does differently because of it.
 
-    Orthogonal to the :class:`~repro.fmi.redundancy.RedundancyScheme`
-    (what state survives) and to detection (who hears about a death):
-    this seam decides *which* ranks roll back and how the restarted
-    ones are re-admitted.  Selected per job via
-    ``FmiConfig(recovery=...)``.
+    One instance per job (``job.recovery``), selected by
+    ``FmiConfig(recovery=...)``; orthogonal to the
+    :class:`~repro.fmi.redundancy.RedundancyScheme` (what state
+    survives) and to detection (who hears about a death).  This base
+    class *is* global rollback, the paper's behaviour: every rank
+    unwinds to H1, re-rendezvouses world-wide and restores the last
+    coordinated checkpoint.  :class:`~repro.fmi.msglog.RecoveryPlane`
+    (``"logged"``) and :class:`~repro.fmi.replication.ReplicationPlane`
+    (``"replicated"``) override the methods below; the runtime never
+    asks which one it is talking to.
     """
 
-    #: config name this strategy answers to
-    name = "global"
-    #: whether a failure notification unwinds *every* rank to H1 (the
-    #: global rollback) or only the ranks that actually restarted
-    unwind_survivors = True
-    #: scope of the H1/H2 re-admission rendezvous: "world" gathers all
-    #: unfinished ranks; "slot" gathers only the restarted slot's
-    rendezvous_scope = "world"
+    #: what ``Transport.hop_fidelity_reason`` answers for this family
+    #: (None: individual hops are not load-bearing, macro tier allowed)
+    hop_fidelity: Optional[str] = None
+    #: physical rank-processes per virtual rank; physical slot ``s``
+    #: hosts copy ``s // num_nodes`` of virtual slot ``s % num_nodes``
+    num_copies = 1
+    #: whether a slot whose processes died on a still-healthy node may
+    #: respawn onto that same node instead of taking a spare
+    reuse_healthy_node = False
+    #: per-send hook ``on_send(src, dst, env, ctx)`` stamping the
+    #: channel lseq; ``FmiContext._stamp`` tests this attribute, so
+    #: global rollback pays no call per message
+    on_send = None
 
-    def absorb_notification(self, rproc, generation: int) -> bool:
-        """True if ``rproc`` should record this failure notification
+    def __init__(self, job):
+        self.job = job
+        self.sim = job.sim
+        job.transport.recovery_hops = self.hop_fidelity
+
+    # -- process wiring ----------------------------------------------------
+    def adopt(self, fproc) -> None:
+        """Record a freshly spawned rank process."""
+        self.job.rank_procs[fproc.rank] = fproc
+
+    def on_h1(self, fproc) -> None:
+        """Wire a process's context for the epoch it is entering."""
+        ctx = fproc.ctx
+        ctx.epoch = self.job.epoch  # stale pre-failure traffic now drops
+        ctx.matching.reset()
+        self.job.register_endpoint(fproc.rank, ctx)
+
+    def rendezvous_scope(self, fproc):
+        """``(key, participants, bootstrap scale)`` of the H1/H2
+        rendezvous ``fproc`` joins: every unfinished rank, per epoch."""
+        job = self.job
+        return job.epoch, job.num_ranks - len(job.finished_ranks), job.num_ranks
+
+    def overlay_epoch(self, fproc) -> Optional[int]:
+        """The detection-overlay epoch ``fproc`` joins in H2, or None
+        when it stays out of the ring."""
+        return self.job.epoch
+
+    # -- FMI_Loop ----------------------------------------------------------
+    def post_wildcard(self, fmi_ctx, source: int, tag: int, comm_id: int):
+        """An event replacing a wildcard receive's native post, or
+        None to post natively."""
+        return None
+
+    def restore(self, fmi_ctx):
+        """Bring a restarted rank's state back (generator returning
+        ``(meta, payloads)``, None on a cold start, or "beyond-xor")."""
+        return fmi_ctx.engine.restore(
+            world_agree=fmi_ctx._agree_min,
+            allow_beyond_xor=fmi_ctx.l2store is not None,
+        )
+
+    def note_ckpt_begin(self, rank: int, dataset_id: int, ctx) -> None:
+        """``rank`` is about to write checkpoint ``dataset_id``."""
+
+    def note_rank_checkpoint(self, rank: int, dataset_id: int, ctx) -> None:
+        """``rank`` completed checkpoint ``dataset_id``."""
+
+    # -- failure handling --------------------------------------------------
+    def absorb_notification(self, fproc, generation: int) -> bool:
+        """True if ``fproc`` should record this failure notification
         without acting on it (no unwind to H1)."""
         return False
 
     def try_failover(self, policy: "Survivable", cause: str) -> bool:
-        """Attempt to recover without any rollback at all (promote a
-        live replica in place).  Returns True when the failure was
-        absorbed by failover -- the policy then skips the rank
-        notifications and the safety sweep entirely; survivors never
-        learn a failure happened.  Rollback-based strategies always
-        return False."""
+        """Attempt to recover without any rollback at all.  True means
+        the failure was absorbed: the policy then skips the rank
+        notifications and the safety sweep entirely, and survivors
+        never learn a failure happened."""
         return False
 
+    def notify_targets(self) -> list:
+        """Processes a recovery must reach."""
+        return list(self.job.rank_procs.values())
 
-class GlobalRollback(RecoveryStrategy):
-    """The paper's behaviour (and the default): every rank unwinds to
-    H1, re-rendezvouses world-wide, and restores the last coordinated
-    checkpoint."""
+    def slot_procs(self, slot: int) -> list:
+        """The rank processes hosted on physical slot ``slot``."""
+        return [self.job.rank_procs[r] for r in self.job.ranks_of_slot(slot)]
 
-
-class PartialRollback(RecoveryStrategy):
-    """Message-logging recovery (``recovery="logged"``): survivors keep
-    computing; only the restarted slot re-bootstraps, restores via a
-    sidecar group rebuild, and catches up from the sender-based logs in
-    :class:`~repro.fmi.msglog.RecoveryPlane`."""
-
-    name = "logged"
-    unwind_survivors = False
-    rendezvous_scope = "slot"
-
-    def __init__(self, plane):
-        self.plane = plane
-
-    def absorb_notification(self, rproc, generation: int) -> bool:
-        # Survivors absorb: their state is never rolled back, and the
-        # lseq dedup (not the epoch filter) guards their channels.  A
-        # rank caught *mid-restore* must unwind and retry, though: its
-        # sidecar rebuild ensemble may include the newly dead node.
-        return rproc.rank not in self.plane.recovering
-
-
-class ReplicatedFailover(RecoveryStrategy):
-    """Dual-modular redundancy (``recovery="replicated"``): every
-    virtual rank is backed by ``replication_degree`` live processes.
-    A copy's death is absorbed by promoting a surviving copy in place
-    (:meth:`try_failover`); nobody rolls back, nobody even leaves H3.
-    Only when *all* copies of some rank die inside the re-arm window
-    does the plane fall back to an ordinary global C/R restore."""
-
-    name = "replicated"
-    unwind_survivors = False
-    rendezvous_scope = "world"
-
-    def __init__(self, plane):
-        self.plane = plane
-
-    def absorb_notification(self, rproc, generation: int) -> bool:
-        # Failover epochs are invisible: every copy absorbs.  Only the
-        # fallback epoch (some rank lost every copy) unwinds to H1.
-        return generation != self.plane.fallback_epoch
-
-    def try_failover(self, policy: "Survivable", cause: str) -> bool:
-        return self.plane.try_failover(policy, cause)
-
-
-#: shared default instance (stateless)
-GLOBAL_ROLLBACK = GlobalRollback()
+    def unfinished_ranks(self, vslot: int) -> List[int]:
+        """The ranks of virtual slot ``vslot`` still running the app."""
+        job = self.job
+        return [
+            r for r in job.ranks_of_slot(vslot) if r not in job.finished_ranks
+        ]
 
 
 class FaultPolicy:
@@ -234,7 +252,8 @@ class Survivable(FaultPolicy):
     -- slot bookkeeping, epoch bumps with same-instant coalescing,
     replacement acquisition (spares first, then the resource manager),
     the re-sync of ranks that cannot hear the detection overlay, the
-    safety sweep, and graceful drain -- is shared machinery.
+    safety sweep, and graceful drain -- is shared machinery.  The job
+    must carry its :class:`RecoveryFamily` as ``job.recovery``.
     """
 
     #: pre-reserved spare nodes requested with the allocation
@@ -259,13 +278,6 @@ class Survivable(FaultPolicy):
     def node_of_rank(self, rank: int) -> Node:
         return self.node_slots[self.job.slot_of_rank(rank)]
 
-    @property
-    def recovery_strategy(self) -> RecoveryStrategy:
-        """The job's recovery strategy (the seam the message-logging
-        plane mounts on); :class:`GlobalRollback` unless the job says
-        otherwise."""
-        return getattr(self.job, "recovery_strategy", GLOBAL_ROLLBACK)
-
     # -- per-node task factory (stack-specific) ------------------------------
     def make_task(self, slot: int, node: Node):
         raise NotImplementedError
@@ -273,7 +285,7 @@ class Survivable(FaultPolicy):
     # -- launch --------------------------------------------------------------
     def start(self) -> None:
         job = self.job
-        need = job.num_nodes * self.num_copies
+        need = job.num_nodes * job.recovery.num_copies
         if job.alloc is not None:
             # Service mode: run on the scheduler-granted allocation.
             if len(job.alloc.nodes) < need:
@@ -324,7 +336,7 @@ class Survivable(FaultPolicy):
         self._last_bump_time = self.sim.now
         job.epoch += 1
         job.recovery_causes.append((self.sim.now, cause))
-        failover = self.recovery_strategy.try_failover(self, cause)
+        failover = job.recovery.try_failover(self, cause)
         if not failover:
             # In-flight macro collective instances are dead timelines
             # now: every rank will unwind to H1 and replay the
@@ -351,7 +363,7 @@ class Survivable(FaultPolicy):
             # no detection overlay to hear through; the master re-syncs
             # them directly.  Running processes hear via the overlay
             # (log-ring).
-            for rproc in self._notify_targets():
+            for rproc in job.recovery.notify_targets():
                 if rproc.alive and rproc.needs_resync:
                     rproc.notify_failure(job.epoch, "fmirun re-sync")
         if self._recovery_proc is None or not self._recovery_proc.alive:
@@ -365,36 +377,13 @@ class Survivable(FaultPolicy):
             target = job.epoch
             sweep.callbacks.append(lambda _e: self._sweep(target))
 
-    def _notify_targets(self):
-        """Processes a recovery must reach (replication widens this to
-        every live copy, not just the current leads)."""
-        return list(self.job.rank_procs.values())
-
     def _sweep(self, generation: int) -> None:
         job = self.job
         if job.finished or job.epoch != generation:
             return
-        for rproc in self._notify_targets():
+        for rproc in job.recovery.notify_targets():
             if rproc.alive and rproc.notified_gen < generation:
                 rproc.notify_failure(generation, "fmirun sweep")
-
-    # -- slot geometry hooks (replication multiplies the slot space) ---------
-    @property
-    def num_copies(self) -> int:
-        """Physical rank-processes per virtual rank; physical slot
-        ``s`` hosts copy ``s // num_nodes`` of virtual slot
-        ``s % num_nodes``."""
-        return 1
-
-    def _slot_procs(self, slot: int) -> List[RankProcess]:
-        """The rank processes hosted on physical slot ``slot``."""
-        return [self.job.rank_procs[r] for r in self.job.ranks_of_slot(slot)]
-
-    def _reuse_healthy_node(self, slot: int) -> bool:
-        """Whether a slot whose processes died on a still-healthy node
-        may respawn onto that same node (replication's fallback kills
-        un-synced standby *processes* without touching their nodes)."""
-        return False
 
     def _recover(self):
         """Replace failed nodes and respawn their ranks (Figure 6)."""
@@ -402,10 +391,10 @@ class Survivable(FaultPolicy):
         spec = self.machine.spec
         while True:
             target_epoch = job.epoch
-            for slot in range(job.num_nodes * self.num_copies):
+            for slot in range(job.num_nodes * job.recovery.num_copies):
                 node = self.node_slots[slot]
                 task = self.tasks.get(slot)
-                procs = self._slot_procs(slot)
+                procs = job.recovery.slot_procs(slot)
                 if all(
                     p.alive or p.rank in job.finished_ranks
                     for p in procs
@@ -424,14 +413,15 @@ class Survivable(FaultPolicy):
                     # guard's exit callback fires (shutting it down
                     # below would then suppress the report forever).
                     # Open the failure's epoch first so the recovery
-                    # strategy classifies it before the respawn; a
+                    # family classifies it before the respawn; a
                     # report already in flight at this instant
                     # coalesces in begin_recovery.
                     self.on_task_failure(task, "discovered during recovery")
                 if task is not None:
                     task.shutdown()
                 while True:
-                    if node is not None and node.alive and self._reuse_healthy_node(slot):
+                    if (node is not None and node.alive
+                            and job.recovery.reuse_healthy_node):
                         new_node = node
                         node = None  # one reuse attempt only
                     else:

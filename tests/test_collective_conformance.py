@@ -334,9 +334,11 @@ def test_hop_fidelity_reason_priority_and_coverage():
     machine.node(1).set_limp()  # heal
     assert tr.hop_fidelity_reason() is None
 
-    tr.recovery_filter = lambda env: True
-    assert tr.hop_fidelity_reason() == "msglog"
-    tr.recovery_filter = None
+    # The job's recovery family answers from one field.
+    for reason in ("msglog", "replicated"):
+        tr.recovery_hops = reason
+        assert tr.hop_fidelity_reason() == reason
+    tr.recovery_hops = None
 
     Tracer(sim)
     assert tr.hop_fidelity_reason() == "observability"
@@ -360,9 +362,9 @@ def test_auto_falls_back_when_blocked():
     assert job.transport.hop_fidelity_reason() is None
 
 
-def test_auto_falls_back_under_msglog_filter():
+def test_auto_falls_back_under_a_hop_recording_family():
     def prep(sim, machine, job):
-        job.transport.recovery_filter = lambda env: True
+        job.transport.recovery_hops = "msglog"
     results, _t, job = _run_auto(prep)
     assert results == [10] * 4
     expect_fallback(job, "msglog")

@@ -10,12 +10,13 @@ import pytest
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi.checkpoint import (
+    CheckpointEngine,
     MemoryStorage,
     TmpfsStorage,
-    XorCheckpointEngine,
 )
 from repro.fmi.errors import UnrecoverableFailure
 from repro.fmi.payload import Payload
+from repro.fmi.redundancy import make_scheme
 from repro.mpi.runtime import MpiJob
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
@@ -32,7 +33,8 @@ def run_group(app, n, storage_kind="memory", num_nodes=None, seed=0):
         else:
             storage = TmpfsStorage(api.node, prefix=f"scr/r{api.rank}")
         storages[api.rank] = storage
-        engine = XorCheckpointEngine(api.world, storage, api.memcpy)
+        engine = CheckpointEngine(api.world, storage, api.memcpy,
+                                  scheme=make_scheme("xor"))
         result = yield from app(api, engine, storage)
         return result
 

@@ -8,6 +8,8 @@ failure-free answer -- with the logged run's survivors never touching
 checkpoint restore.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -23,16 +25,18 @@ from repro.net.matching import ANY_SOURCE, ANY_TAG, MatchingEngine
 from repro.net.message import Envelope
 from repro.obs import Tracer
 from repro.simt import Simulator
+from repro.runtime.policy import RecoveryFamily
 from repro.simt.rng import RngRegistry
 
 
 # ------------------------------------------------------------ unit fixtures
 class _StubJob:
     """The minimal job surface RecoveryPlane reads: slot geometry,
-    liveness, and a simulator."""
+    liveness, a transport to label, and a simulator."""
 
     def __init__(self, num_ranks=4, ppn=1):
         self.sim = Simulator()
+        self.transport = SimpleNamespace()
         self.num_ranks = num_ranks
         self.ppn = ppn
         self.finished_ranks = set()
@@ -50,6 +54,13 @@ def _env(src=0, dst=1, tag=0, nbytes=8.0, data=1.0, comm_id=0):
 def make_plane(num_ranks=4, ppn=1):
     job = _StubJob(num_ranks, ppn)
     return job, RecoveryPlane(job)
+
+
+def hooks(plane, rank):
+    """The (recv_filter, match_sink) pair ``on_h1`` installs on
+    ``rank``'s context."""
+    chan = plane.channels[rank]
+    return plane._make_recv_filter(chan), plane._make_sink(rank, chan)
 
 
 # ------------------------------------------------------------- send logging
@@ -71,19 +82,6 @@ def test_same_slot_sends_are_stamped_but_not_logged():
     assert intra.lseq == (0, 1, 0) and cross.lseq == (0, 2, 0)
     assert plane.log_entries == 1
     assert [e.dst for e in plane.logs[0]] == [2]
-
-
-def test_accept_is_exact_once_per_lseq():
-    _job, plane = make_plane()
-    env = _env(src=0, dst=1)
-    plane.on_send(0, 1, env)
-    assert plane.accept(env) is True
-    assert plane.accept(env) is False  # the duplicate re-send
-    assert plane.dup_suppressed == 1
-    # A later message on the same channel still gets through.
-    nxt = _env(src=0, dst=1)
-    plane.on_send(0, 1, nxt)
-    assert plane.accept(nxt) is True
 
 
 # ------------------------------------------------------- GC and checkpoints
@@ -116,27 +114,31 @@ def test_snapshot_window_matches_checkpoint_retention():
     _job, plane = make_plane()
     for ds in range(4):
         plane.note_rank_checkpoint(0, ds)
-    assert (0, 0) not in plane.snapshots and (0, 1) not in plane.snapshots
-    assert (0, 2) in plane.snapshots and (0, 3) in plane.snapshots
+    assert sorted(plane.snapshots[0]) == [2, 3]
 
 
 # ------------------------------------------------------------------ rewind
 def test_rewind_restores_counters_consumed_and_log_tail():
     _job, plane = make_plane()
-    sink = plane.make_sink(1)
+    accept, sink = hooks(plane, 1)
     first = _env(src=0, dst=1)
     plane.on_send(0, 1, first)          # (0,1,0)
+    assert accept(first)
     plane.on_send(1, 2, _env(src=1, dst=2))  # rank 1's own send, n=0
     sink(0, 0, first)                   # rank 1 consumed (0, 0)
     plane.note_rank_checkpoint(1, 0)    # snapshot: counters {2:1}
     plane.on_send(1, 2, _env(src=1, dst=2))  # post-snapshot send, n=1
     later = _env(src=0, dst=1)
     plane.on_send(0, 1, later)
+    assert accept(later)
     sink(0, 0, later)                   # post-snapshot consumption
     plane._rewind(1, 0)
-    assert plane.send_seq[(1, 2)] == 1          # counter rolled back
-    assert plane.consumed[1] == {(0, 0)}        # snapshot consumption
-    assert plane.seen[1] == {(0, 0)}            # delivery filter rebased
+    chan = plane.channels[1]
+    assert chan.send_seq == {2: 1}              # counter rolled back
+    assert chan.consumed == {(0, 0)}            # snapshot consumption
+    assert chan.seen == {(0, 0)}                # delivery filter rebased
+    assert accept(first) is False               # ...in the installed hook
+    assert accept(later) is True                # unconsumed: re-deliverable
     assert [e.n for e in plane.logs[1]] == [0]  # n=1 entry truncated
     # The re-execution regenerates the truncated send with the same lseq.
     redo = _env(src=1, dst=2)
@@ -146,61 +148,141 @@ def test_rewind_restores_counters_consumed_and_log_tail():
 
 def test_rewind_purges_the_live_matching_queue():
     job, plane = make_plane()
+    accept, _sink = hooks(plane, 1)
     matching = MatchingEngine(job.sim)
     env = _env(src=0, dst=1)
     plane.on_send(0, 1, env)
-    assert plane.accept(env)
+    assert accept(env)
     matching.deliver(env)  # sits unexpected in the new incarnation
     plane._rewind(1, None, matching)
     # The queued copy is gone and its lseq erased from ``seen``: the
     # replay is now the unique source of that logical message.
     assert matching._unexpected_live == 0
-    assert plane.seen[1] == set()
-    assert plane.accept(env) is True
+    assert plane.channels[1].seen == set()
+    assert accept(env) is True
+
+
+def test_torn_rewind_keeps_at_death_state_and_rebases_seen():
+    _job, plane = make_plane()
+    accept, sink = hooks(plane, 1)
+    eaten, queued = _env(src=0, dst=1), _env(src=0, dst=1)
+    for env in (eaten, queued):
+        plane.on_send(0, 1, env)
+        assert accept(env)
+    sink(0, 0, eaten)
+    plane.on_send(1, 2, _env(src=1, dst=2))
+    # Dataset 3 was never snapshotted: rank 1 died inside it.
+    plane._rewind(1, 3)
+    chan = plane.channels[1]
+    assert chan.send_seq == {2: 1} and chan.consumed == {(0, 0)}
+    assert chan.seen == {(0, 0)}  # the unconsumed tail is re-deliverable
+    assert accept(queued) is True
+
+
+def test_rank_snapshot_and_rewind_touch_only_that_ranks_counters():
+    """Per-endpoint counters: a checkpoint is a dict copy and a rewind
+    a dict replace of *one* rank's record -- no scan over the job's
+    channels -- with the same values the job-wide ``(src, dst)`` table
+    used to give."""
+    _job, plane = make_plane()
+    flat = {}  # the old representation: (src, dst) -> next n
+
+    def send(src, dst):
+        plane.on_send(src, dst, _env(src=src, dst=dst))
+        flat[(src, dst)] = flat.get((src, dst), 0) + 1
+
+    for src, dst in [(0, 1), (1, 0), (1, 2), (2, 3), (1, 2), (3, 1)]:
+        send(src, dst)
+    others = {r: plane.channels[r].send_seq for r in (0, 2, 3)}
+    plane.note_rank_checkpoint(1, 0)
+    at_ckpt = {d: n for (s, d), n in flat.items() if s == 1}
+    assert plane.snapshots[1][0].send_seq == at_ckpt
+    for src, dst in [(1, 3), (1, 2), (0, 1), (2, 1)]:
+        send(src, dst)
+    before = {r: dict(c) for r, c in others.items()}
+    plane._rewind(1, 0)
+    assert plane.channels[1].send_seq == at_ckpt
+    for r, counters in others.items():
+        assert plane.channels[r].send_seq is counters  # same object...
+        assert counters == before[r]                   # ...same values
+        assert counters == {
+            d: n for (s, d), n in flat.items() if s == r
+        }
 
 
 # ------------------------------------------------------------- determinants
 def test_sink_records_only_wildcard_matches():
     _job, plane = make_plane()
-    sink = plane.make_sink(1)
+    _accept, sink = hooks(plane, 1)
     exact, wild = _env(src=0, dst=1), _env(src=2, dst=1, tag=7)
     plane.on_send(0, 1, exact)
     plane.on_send(2, 1, wild)
     sink(0, 0, exact)              # exact post: consumption only
     sink(ANY_SOURCE, 7, wild)      # wildcard post: determinant too
-    assert plane.consumed[1] == {(0, 0), (2, 0)}
+    assert plane.channels[1].consumed == {(0, 0), (2, 0)}
     assert plane.det_recorded == 1
-    det = plane.determinants[1][0]
+    det = plane.dets[1][0]
     assert (det.env_src, det.env_tag, det.lseq) == (2, 7, (2, 1, 0))
 
 
-def test_next_determinant_replays_in_order_then_stops():
-    _job, plane = make_plane()
-    sink = plane.make_sink(1)
-    for src in (3, 2):
-        env = _env(src=src, dst=1, tag=7)
-        plane.on_send(src, 1, env)
-        sink(ANY_SOURCE, 7, env)
-    plane.det_limit[1] = 2  # as _rewind sets: replay up to the death point
-    plane.det_cursor[1] = 0
-    assert plane.next_determinant(1, ANY_SOURCE, 7, 0).env_src == 3
-    assert plane.next_determinant(1, ANY_SOURCE, 7, 0).env_src == 2
-    assert plane.next_determinant(1, ANY_SOURCE, 7, 0) is None
+class _StubApi:
+    """What ``post_wildcard`` touches of an ``FmiContext``."""
+
+    def __init__(self, sim, rank):
+        self.world_rank = rank
+        self.ctx = SimpleNamespace(matching=MatchingEngine(sim))
+
+    def _check_ok(self):
+        pass
 
 
-def test_next_determinant_mismatch_degrades_to_free_order():
+def _record_wildcards(plane, rank, srcs, tag=7):
+    _accept, sink = hooks(plane, rank)
+    for src in srcs:
+        env = _env(src=src, dst=rank, tag=tag)
+        plane.on_send(src, rank, env)
+        sink(ANY_SOURCE, tag, env)
+
+
+def test_post_wildcard_replays_in_order_then_stops():
+    job, plane = make_plane()
+    _record_wildcards(plane, 1, (3, 2))
+    plane._rewind(1, None)  # replay from the start up to the death point
+    chan = plane.channels[1]
+    assert (chan.det_cursor, chan.det_limit) == (0, 2)
+    api = _StubApi(job.sim, 1)
+    posted = []
+    api.ctx.matching.post = lambda src, tag, comm: (
+        posted.append((src, tag, comm)) or job.sim.event()
+    )
+    assert plane.post_wildcard(api, ANY_SOURCE, 7, 0) is not None
+    assert plane.post_wildcard(api, ANY_SOURCE, 7, 0) is not None
+    # Rewritten to the recorded sources, in recorded order...
+    assert posted == [(3, 7, 0), (2, 7, 0)]
+    # ...then the cursor reaches the limit: native posts, recording again.
+    assert plane.post_wildcard(api, ANY_SOURCE, 7, 0) is None
+    _record_wildcards(plane, 1, (0,))
+    assert len(plane.dets[1]) == 3
+
+
+def test_sink_does_not_rerecord_while_replaying():
     _job, plane = make_plane()
-    sink = plane.make_sink(1)
-    env = _env(src=3, dst=1, tag=7)
-    plane.on_send(3, 1, env)
-    sink(ANY_SOURCE, 7, env)
-    plane.det_limit[1] = 1
-    plane.det_cursor[1] = 0
+    _record_wildcards(plane, 1, (3, 2))
+    plane._rewind(1, None)
+    _record_wildcards(plane, 1, (3,))  # a replayed match, cursor < limit
+    assert len(plane.dets[1]) == 2 and plane.det_recorded == 2
+
+
+def test_post_wildcard_mismatch_degrades_to_free_order():
+    job, plane = make_plane()
+    _record_wildcards(plane, 1, (3,))
+    plane._rewind(1, None)
+    api = _StubApi(job.sim, 1)
     # Re-execution posts a different pattern than recorded: no rewrite,
     # and the cursor jumps to the stop line so replay stays free-order.
-    assert plane.next_determinant(1, ANY_SOURCE, ANY_TAG, 0) is None
+    assert plane.post_wildcard(api, ANY_SOURCE, ANY_TAG, 0) is None
     assert plane.det_mismatches == 1
-    assert plane.next_determinant(1, ANY_SOURCE, 7, 0) is None
+    assert plane.post_wildcard(api, ANY_SOURCE, 7, 0) is None
 
 
 # ------------------------------------------------------ config and guards
@@ -303,7 +385,7 @@ def test_logged_survivors_never_restore():
     assert names.count("mlog.restore.begin") == 2
     assert names.count("ckpt.restore.begin") == 0
     assert job.restores_done == 2
-    plane = job.recovery_plane
+    plane = job.recovery
     assert plane.partial_restores == 2
     assert plane.replayed_msgs > 0
     # Survivors kept their original incarnation throughout.
@@ -316,8 +398,10 @@ def test_logged_survivors_never_restore():
 
 def test_global_mode_attaches_no_plane():
     job, _tracer, _results = run_bsp("global")
-    assert job.recovery_plane is None
-    assert job.transport.recovery_filter is None
+    assert type(job.recovery) is RecoveryFamily
+    assert job.recovery.on_send is None  # envelopes go unstamped
+    assert all(ctx.recv_filter is None for ctx in job.transport.contexts)
+    assert job.transport.hop_fidelity_reason() is None
 
 
 # ------------------------------------------------- wildcard replay ordering
@@ -361,7 +445,7 @@ def run_wildcard(recovery, kill_after_dets=None, rounds=5):
     )
     done = job.launch()
     if kill_after_dets is not None:
-        plane = job.recovery_plane
+        plane = job.recovery
 
         def killer():
             # Land the crash mid-drain: right after the kill_after_dets-th
@@ -381,13 +465,14 @@ def test_determinants_reproduce_wildcard_match_order():
     # its re-execution re-posts those wildcards and the plane rewrites
     # them to the recorded sources, in the recorded order.
     job, killed = run_wildcard("logged", kill_after_dets=7 * 2 + 3)
-    plane = job.recovery_plane
+    plane = job.recovery
     assert plane.det_recorded > 0
     # The death point sat mid-drain, so the rewind left a non-empty
     # recorded window (cursor at the checkpoint's drain boundary, limit
     # mid-drain) and every rewritten post matched its recorded message.
-    assert plane.det_limit[0] % 7 != 0
-    assert plane.det_cursor[0] == plane.det_limit[0]
+    chan = plane.channels[0]
+    assert chan.det_limit % 7 != 0
+    assert chan.det_cursor == chan.det_limit
     assert plane.det_mismatches == 0
     assert len(clean) == len(killed) == 8
     for c, k in zip(clean, killed):

@@ -18,8 +18,9 @@ import pytest
 
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
-from repro.fmi.checkpoint import MemoryStorage, XorCheckpointEngine
+from repro.fmi.checkpoint import CheckpointEngine, MemoryStorage
 from repro.fmi.payload import Payload
+from repro.fmi.redundancy import make_scheme
 from repro.models.cr_model import checkpoint_time, restart_time
 from repro.mpi.runtime import MpiJob
 from repro.obs import Tracer
@@ -40,7 +41,8 @@ def traced_phases(group_size: int, procs_per_node: int = 1):
 
     def app(api):
         storage = MemoryStorage(api.node)
-        engine = XorCheckpointEngine(api.world, storage, api.memcpy)
+        engine = CheckpointEngine(api.world, storage, api.memcpy,
+                                  scheme=make_scheme("xor"))
         payload = Payload.synthetic(CKPT_BYTES, seed=api.rank, rep_bytes=64)
         yield from engine.checkpoint([payload], dataset_id=0)
 
@@ -81,7 +83,8 @@ def test_traced_restore_matches_restart_model():
 
     def app(api):
         storage = MemoryStorage(api.node)
-        engine = XorCheckpointEngine(api.world, storage, api.memcpy)
+        engine = CheckpointEngine(api.world, storage, api.memcpy,
+                                  scheme=make_scheme("xor"))
         payload = Payload.synthetic(CKPT_BYTES, seed=api.rank, rep_bytes=64)
         yield from engine.checkpoint([payload], dataset_id=0)
         if api.rank == 0:

@@ -11,6 +11,7 @@ scan's swallowed-failure race.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.models.efficiency import (
     replication_vs_cr_crossover,
     single_level_efficiency,
 )
+from repro.net.matching import MatchingEngine
 from repro.net.message import Envelope
 from repro.obs import Tracer
 from repro.simt import Simulator
@@ -46,16 +48,24 @@ class _StubCtx:
         self.addr = addr
         self.closed = False
         self.node = _StubNode()
+        self.epoch = 0
+        self.matching = MatchingEngine(Simulator())
 
 
 class _StubJob:
     def __init__(self, degree=2):
         self.sim = Simulator()
+        self.transport = SimpleNamespace()
         self.config = FmiConfig(recovery="replicated",
                                 replication_degree=degree,
                                 spare_nodes=degree - 1)
         self.num_ranks = 4
+        self.epoch = 0
         self.rank_procs = {}
+        self.addr_table = {}
+
+    def register_endpoint(self, rank, ctx):
+        self.addr_table[rank] = ctx.addr
 
 
 def _env(src=0, dst=1, tag=0, nbytes=8.0, data=1.0):
@@ -68,10 +78,23 @@ def make_plane(degree=2):
     return job, ReplicationPlane(job)
 
 
+def boot(plane, rank, copy, addr):
+    """Adopt one copy and take it through ``on_h1``, as the runtime
+    does; returns its wired context."""
+    fproc = SimpleNamespace(rank=rank, copy=copy, ctx=_StubCtx(addr),
+                            alive=True)
+    plane.adopt(fproc)
+    plane.on_h1(fproc)
+    return fproc.ctx
+
+
 # ------------------------------------------------------------- lseq stamping
 def test_on_send_stamps_per_context_sequences():
-    _job, plane = make_plane()
-    lead, follower = _StubCtx((0, 0)), _StubCtx((1, 0))
+    job, plane = make_plane()
+    lead = boot(plane, 0, 0, (0, 0))
+    follower = boot(plane, 0, 1, (1, 0))
+    assert job.addr_table == {0: lead.addr}  # only the lead is published
+    assert plane.mirrors == {lead.addr: [follower]}
     # Copies of one rank run the same channel schedule, so the two
     # contexts must produce *identical* lseq streams independently.
     for ctx in (lead, follower):
@@ -112,32 +135,40 @@ def test_mirror_copies_skips_dead_and_closed_replicas():
     assert plane.mirror_copies((9, 9), _env()) == ()  # no mirror entry
 
 
-# ------------------------------------------------------------ receive filter
-def test_recv_filter_is_exact_once_per_lseq():
-    _job, plane = make_plane()
-    ctx = _StubCtx((0, 0))
-    accept = plane._make_recv_filter(ctx)
-    env = _env()
-    env.lseq = (0, 1, 0)
-    assert accept(env) is True
-    assert accept(env) is False  # the mirrored duplicate
-    assert plane.dup_suppressed == 1
-    nxt = _env()
-    nxt.lseq = (0, 1, 1)
-    assert accept(nxt) is True
-
-
-def test_recv_filter_passes_unstamped_and_parks_on_standbys():
-    _job, plane = make_plane()
-    ctx = _StubCtx((0, 0))
-    accept = plane._make_recv_filter(ctx)
-    assert accept(_env()) is True  # no lseq: intra-slot / control traffic
-    plane.pending[ctx] = []  # now an unsynced standby
-    env = _env()
-    env.lseq = (0, 1, 0)
-    assert accept(env) is False
-    assert plane.pending[ctx] == [env]
+# ------------------------------------------------------------ standby sync
+def test_standby_parks_until_synced_then_loads_the_lead_snapshot():
+    """The keep-2 lead snapshots are a standby's seed: ``load`` rebases
+    its delivered set onto what the snapshot consumed."""
+    job, plane = make_plane()
+    lead = boot(plane, 0, 0, (0, 0))
+    lead_proc = job.rank_procs[0]
+    for n in range(3):
+        env = _env(src=1, dst=0)
+        env.lseq = (1, 0, n)
+        assert lead.recv_filter(env)
+        lead.matching.match_sink(1, 0, env)
+        plane.note_rank_checkpoint(0, n, lead)
+    assert sorted(plane.snapshots[0]) == [1, 2]  # CheckpointEngine.KEEP
+    assert lead_proc.ctx is lead
+    # A follower's checkpoint is local redundancy only: no snapshot.
+    follower = boot(plane, 0, 1, (1, 0))
+    plane.note_rank_checkpoint(0, 9, follower)
+    assert 9 not in plane.snapshots[0]
+    # An unsynced standby parks every stamped envelope...
+    plane.standby_expected.add((0, 1))
+    standby = boot(plane, 0, 1, (2, 0))
+    parked = _env(src=1, dst=0)
+    parked.lseq = (1, 0, 1)
+    assert standby.recv_filter(parked) is False
+    assert plane.pending[standby] == [parked]
     assert plane.standby_buffered == 1
+    # ...and syncing loads the snapshot: consumed lseqs are duplicates.
+    chan = plane.channels[standby]
+    chan.load(plane.snapshots[0][1])
+    del plane.pending[standby]
+    assert chan.seen == chan.consumed == {(1, 0), (1, 1)}
+    assert standby.recv_filter(parked) is False
+    assert plane.dup_suppressed == 1
 
 
 # ------------------------------------------------------ config and guards
@@ -253,7 +284,7 @@ def test_failover_never_touches_checkpoint_restore():
     assert names.count("repl.promote") == 2
     assert names.count("repl.standby.register") == 2
     assert job.restores_done == 0
-    plane = job.recovery_plane
+    plane = job.recovery
     assert plane.promotions == 2
     assert plane.fallbacks == 0
     assert plane.mirrored > 0
@@ -274,7 +305,7 @@ def test_early_kill_rearms_replicas_from_the_lead_snapshot():
     names = [ev.name for ev in tracer.events]
     assert names.count("ckpt.restore.begin") == 0
     assert names.count("repl.standby.sync") == 2
-    plane = job.recovery_plane
+    plane = job.recovery
     assert plane.promotions == 2
     assert plane.standby_syncs == 2
     assert plane.fallbacks == 0
@@ -286,7 +317,7 @@ def test_replica_tier_kill_rearms_without_promotion():
     # no promotion happens -- just a background re-arm.
     job, tracer, results = run_bsp("replicated", kills=[(5, 1.6)], trace=True)
     _assert_failure_free_answer(results)
-    plane = job.recovery_plane
+    plane = job.recovery
     assert plane.promotions == 0
     assert plane.fallbacks == 0
     assert plane.replica_losses >= 1
@@ -306,7 +337,7 @@ def test_kill_both_copies_falls_back_to_coordinated_restore():
         "replicated", kills=[(1, 1.6), (5, 1.65)], trace=True)
     _assert_failure_free_answer(results)
     names = [ev.name for ev in tracer.events]
-    plane = job.recovery_plane
+    plane = job.recovery
     assert plane.fallbacks == 1
     assert names.count("repl.fallback") == 1
     assert names.count("ckpt.restore.begin") > 0
@@ -342,5 +373,5 @@ def test_replicated_answer_is_failure_free_for_any_single_kill(
     _assert_failure_free_answer(results)
     names = [ev.name for ev in tracer.events]
     assert names.count("ckpt.restore.begin") == 0
-    assert job.recovery_plane.fallbacks == 0
+    assert job.recovery.fallbacks == 0
     assert check_zero_rollback(tracer) == []
