@@ -20,10 +20,61 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.cluster.node import Node
 from repro.cluster.spec import NetworkSpec
-from repro.simt.kernel import Event, Simulator
-from repro.simt.primitives import AllOf
+from repro.simt.kernel import _PENDING, Event, Simulator, Timeout
 
 __all__ = ["Fabric"]
+
+
+class _Wire:
+    """One inter-node message in flight; its bound methods are the
+    callbacks of the stages in the module docstring, in order."""
+
+    __slots__ = ("fabric", "src", "dst", "nbytes", "overhead",
+                 "lat_factor", "arrived", "both", "parts_left")
+
+    def __init__(self, fabric: "Fabric", src: Node, dst: Node,
+                 nbytes: float, overhead: float, arrived: Event):
+        self.fabric = fabric
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.overhead = overhead
+        # Limping endpoints stretch the per-message latencies (their
+        # NIC bandwidth is already degraded via set_limp); the wire hop
+        # pays the slower endpoint's factor, sampled at send time.
+        self.lat_factor = max(src.limp_latency, dst.limp_latency)
+        self.arrived = arrived
+        self.parts_left = 2
+
+    def start(self, _head: Event) -> None:
+        """Sender overhead paid: the bytes enter both NIC pipes."""
+        tx = self.src.nic_tx.transfer(self.nbytes)
+        rx = self.dst.nic_rx.transfer(self.nbytes)
+        self.both = both = Event(self.fabric.sim)
+        both.callbacks.append(self.on_wire)
+        tx.callbacks.append(self.part_done)
+        rx.callbacks.append(self.part_done)
+
+    def part_done(self, _part: Event) -> None:
+        self.parts_left -= 1
+        if self.parts_left == 0:
+            self.both.succeed(None)
+
+    def on_wire(self, _both: Event) -> None:
+        """Both pipes drained: wire latency, then receiver overhead at
+        the receiver's limp factor of *this* instant."""
+        fabric = self.fabric
+        tail = Timeout(
+            fabric.sim,
+            fabric.spec.wire_latency * self.lat_factor
+            + self.overhead * self.dst.limp_latency,
+        )
+        tail.callbacks.append(self.land)
+
+    def land(self, _tail: Event) -> None:
+        arrived = self.arrived
+        if arrived._value is _PENDING:
+            arrived.succeed(None)
 
 
 class Fabric:
@@ -171,30 +222,8 @@ class Fabric:
             return src.mem_bw.transfer(nbytes, overhead=2 * overhead)
 
         arrived = Event(self.sim)
-        # Limping endpoints stretch the per-message latencies (their
-        # NIC bandwidth is already degraded via set_limp); the wire hop
-        # pays the slower endpoint's factor.
-        lat_factor = max(src.limp_latency, dst.limp_latency)
-
-        def start(_evt: Event) -> None:
-            tx = src.nic_tx.transfer(nbytes)
-            rx = dst.nic_rx.transfer(nbytes)
-            both = AllOf(self.sim, [tx, rx])
-
-            def on_wire(_e: Event) -> None:
-                tail = self.sim.timeout(
-                    self.spec.wire_latency * lat_factor
-                    + overhead * dst.limp_latency
-                )
-                tail.callbacks.append(
-                    lambda _t: arrived.succeed(None)
-                    if not arrived.triggered
-                    else None
-                )
-
-            both.callbacks.append(on_wire)
-
+        wire = _Wire(self, src, dst, nbytes, overhead, arrived)
         # Sender-side software overhead before bytes hit the NIC.
-        head = self.sim.timeout(overhead * src.limp_latency)
-        head.callbacks.append(start)
+        head = Timeout(self.sim, overhead * src.limp_latency)
+        head.callbacks.append(wire.start)
         return arrived

@@ -17,9 +17,9 @@ The design follows the classic event/process DES style (SimPy-like):
   :class:`~repro.simt.process.Interrupt` is thrown into the generator)
   or *killed* (abrupt termination -- this is how node crashes are
   modelled: a dead process is never resumed).
-* :mod:`~repro.simt.resources` provides queues, counted resources and a
-  fair-share :class:`~repro.simt.resources.BandwidthResource` used to
-  model NICs, memory buses and filesystem streams.
+* :mod:`~repro.simt.resources` provides the fair-share
+  :class:`~repro.simt.resources.BandwidthResource` used to model NICs,
+  memory buses and filesystem streams.
 
 Determinism: given the same seed(s) from :mod:`~repro.simt.rng`, a
 simulation is bit-for-bit reproducible; there is no wall-clock input
@@ -29,7 +29,7 @@ anywhere in the kernel.
 from repro.simt.kernel import BulkCompletion, Event, SimStats, Simulator, Timeout
 from repro.simt.process import Interrupt, Process, ProcessKilled
 from repro.simt.primitives import AllOf, AnyOf
-from repro.simt.resources import BandwidthResource, Resource, Store
+from repro.simt.resources import BandwidthResource
 from repro.simt.rng import RngRegistry
 
 __all__ = [
@@ -41,10 +41,8 @@ __all__ = [
     "Interrupt",
     "Process",
     "ProcessKilled",
-    "Resource",
     "RngRegistry",
     "SimStats",
     "Simulator",
-    "Store",
     "Timeout",
 ]

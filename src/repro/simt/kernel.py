@@ -19,10 +19,24 @@ Hot-path notes (this is the innermost loop of every simulation):
   the common case pays O(1) instead of O(log heap).  At 16k simulated
   ranks the heap otherwise holds tens of thousands of entries and the
   per-event heap traffic dominates the loop.
-* Callback lists are pooled per simulator: an event takes a list from
-  ``sim._cb_pool`` on construction and the dispatch loop returns it
-  after the callbacks ran, so steady-state simulations allocate no
-  list objects per event.
+* :meth:`Event.succeed` and :class:`Timeout` -- together nearly every
+  schedule of a run -- carry their own copy of the push instead of
+  calling :meth:`Simulator._push`: a Python frame per event is the
+  largest single cost left in the loop.  ``_push`` remains the general
+  path (``fail``, delayed ``succeed``, ``Process``, ``BulkCompletion``).
+  The copies must stay *one push each, in program order*: a change that
+  fuses, batches or reorders schedules changes which same-instant event
+  fires first, and with it every simulated number downstream.
+  ``tests/test_golden_order.py`` pins the resulting order across
+  commits.
+* Every event allocates its own ``callbacks`` list: recycling them
+  through a free pool costs four C calls per event to save one ``[]``.
+* ``stats.peak_heap`` is derived, not counted: every schedule bumps
+  ``_seq`` and every dispatch pops exactly one entry, so the number
+  outstanding is ``_seq - pops``.  It only grows between two pops, so
+  its maxima sit immediately before a pop (one integer compare per
+  loop iteration) or at the moment ``stats`` is read (folded in by the
+  property) -- no ``len()`` on the push path.
 * :meth:`Event.cancel` withdraws an event that will never fire so dead
   waiters (killed processes) leave no live-looking tombstones in
   whatever queue holds them; the matching engine keys its lazy sweeps
@@ -55,10 +69,6 @@ class SimulationError(RuntimeError):
 #: Sentinel for "event has not produced a value yet".
 _PENDING = object()
 
-#: Callback lists kept per simulator for reuse (bounded so a burst of
-#: wide events cannot pin memory forever).
-_CB_POOL_MAX = 512
-
 
 class Event:
     """A one-shot occurrence on the simulation timeline.
@@ -79,18 +89,14 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed",
-                 "_scheduled", "_cancelled", "_cancel_cb")
+                 "_cancelled", "_cancel_cb")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        pool = sim._cb_pool
-        self.callbacks: Optional[List[Callable[["Event"], None]]] = (
-            pool.pop() if pool else []
-        )
+        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
         self._processed = False
-        self._scheduled = False
         self._cancelled = False
         #: single hook invoked (synchronously) on cancellation; used by
         #: queue owners (the matching engine) to sweep dead entries
@@ -135,7 +141,12 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        self.sim._push(self, delay)
+        sim = self.sim
+        if delay == 0.0:  # Simulator._push's immediate branch, inlined
+            sim._seq += 1
+            sim._nowq.append(self)
+        else:
+            sim._push(self, delay)
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -162,13 +173,7 @@ class Event:
         if self._value is not _PENDING or self._cancelled:
             return False
         self._cancelled = True
-        cbs = self.callbacks
         self.callbacks = None
-        if cbs is not None:
-            pool = self.sim._cb_pool
-            if len(pool) < _CB_POOL_MAX:
-                cbs.clear()
-                pool.append(cbs)
         hook = self._cancel_cb
         if hook is not None:
             self._cancel_cb = None
@@ -182,10 +187,6 @@ class Event:
         if callbacks is not None:
             for cb in callbacks:
                 cb(self)
-            pool = self.sim._cb_pool
-            if len(pool) < _CB_POOL_MAX:
-                callbacks.clear()
-                pool.append(callbacks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
@@ -206,13 +207,25 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
+        # ``not >=`` rather than ``<``: NaN must not reach the heap.
+        if not delay >= 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ and Simulator._push, flattened into one frame
+        # (see the module docstring).
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._push(self, delay)
+        self._ok = True
+        self._processed = False
+        self._cancelled = False
+        self._cancel_cb = None
+        self.delay = delay
+        seq = sim._seq = sim._seq + 1
+        when = sim.now + delay
+        if when == sim.now:
+            sim._nowq.append(self)
+        else:
+            heappush(sim._heap, (when, seq, self))
 
 
 class BulkCompletion(Event):
@@ -258,7 +271,7 @@ class BulkCompletion(Event):
             evt._value = value
             evt._run_callbacks()
             done += 1
-        self.sim.stats.events_processed += done
+        self.sim._stats.events_processed += done
 
     def cancel(self) -> bool:
         """Withdraw a *scheduled* bulk completion (recovery reset).
@@ -272,13 +285,7 @@ class BulkCompletion(Event):
             return False
         self._cancelled = True
         self._batch = ()
-        cbs = self.callbacks
         self.callbacks = None
-        if cbs is not None:
-            pool = self.sim._cb_pool
-            if len(pool) < _CB_POOL_MAX:
-                cbs.clear()
-                pool.append(cbs)
         hook = self._cancel_cb
         if hook is not None:
             self._cancel_cb = None
@@ -321,9 +328,11 @@ class Simulator:
         self._nowq: deque = deque()
         self._seq: int = 0
         self._active_proc = None  # set by Process while resuming
-        #: recycled callback lists (see module docstring)
-        self._cb_pool: List[list] = []
-        self.stats = SimStats()
+        #: entries dispatched so far; ``_seq - _popped`` are outstanding
+        self._popped: int = 0
+        #: True inside :meth:`run`, whose pop count lives in a local
+        self._running = False
+        self._stats = SimStats()
         #: observability sinks; no-ops until a Tracer / MetricsRegistry
         #: attaches itself (instrumentation sites guard on ``.enabled``)
         self.tracer = NULL_TRACER
@@ -334,27 +343,33 @@ class Simulator:
         #: while an injector is live, so per-hop fidelity stays on.
         self.fault_injectors = 0
 
+    @property
+    def stats(self) -> SimStats:
+        """Lifetime counters (``peak_heap`` is brought up to date here)."""
+        stats = self._stats
+        # Inside run() the pops are in a local, so the depth cannot be
+        # formed; run() folds its own maximum in when it returns.
+        if not self._running:
+            depth = self._seq - self._popped
+            if depth > stats.peak_heap:
+                stats.peak_heap = depth
+        return stats
+
     # -- scheduling ----------------------------------------------------------
     def _push(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
+        # ``not >=`` rather than ``<``: NaN must not reach the heap.
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event._scheduled = True
         seq = self._seq = self._seq + 1
-        heap = self._heap
         # Zero-delay (and float-underflow) schedules take the O(1)
         # immediate queue; only entries for a *future* instant pay for
         # the heap.  The underflow guard keeps the ordering invariant:
         # a heap entry at time == now always predates the whole FIFO.
-        if delay == 0.0 or self.now + delay == self.now:
-            nowq = self._nowq
-            nowq.append(event)
-            depth = len(heap) + len(nowq)
+        when = self.now + delay
+        if when == self.now:
+            self._nowq.append(event)
         else:
-            heappush(heap, (self.now + delay, seq, event))
-            depth = len(heap) + len(self._nowq)
-        stats = self.stats
-        if depth > stats.peak_heap:
-            stats.peak_heap = depth
+            heappush(self._heap, (when, seq, event))
 
     def event(self) -> Event:
         """Create a fresh untriggered event."""
@@ -389,7 +404,9 @@ class Simulator:
                     "event heap corrupted: time went backwards"
                 )
             self.now = time
-        self.stats.events_processed += 1
+        stats = self.stats  # folds in the depth just before this pop
+        self._popped += 1
+        stats.events_processed += 1
         event._run_callbacks()
 
     def peek(self) -> float:
@@ -417,12 +434,19 @@ class Simulator:
         nowq = self._nowq
         pop = heappop
         popleft = nowq.popleft
-        cb_pool = self._cb_pool
+        # ``n`` counts this call's pops; ``high`` is the largest
+        # ``_seq - n`` seen just before a pop, i.e. the peak depth of
+        # this call offset by the pops that preceded it.
         n = 0
+        high = 0
+        self._running = True
         try:
             while heap or nowq:
                 if limit_event is not None and limit_event._processed:
                     break
+                depth = self._seq - n
+                if depth > high:
+                    high = depth
                 # Heap entries at the current instant predate the FIFO
                 # (smaller seq), so they drain first; otherwise the
                 # FIFO empties before the clock may advance.
@@ -434,16 +458,13 @@ class Simulator:
                         break
                     time, _seq, event = pop(heap)
                     self.now = time
+                n += 1
                 event._processed = True
                 callbacks = event.callbacks
                 event.callbacks = None
                 if callbacks is not None:
                     for cb in callbacks:
                         cb(event)
-                    if len(cb_pool) < _CB_POOL_MAX:
-                        callbacks.clear()
-                        cb_pool.append(callbacks)
-                n += 1
                 if max_events is not None and n >= max_events:
                     # The budget is a livelock tripwire, not a hard
                     # stop: the awaited event completing on exactly the
@@ -454,7 +475,13 @@ class Simulator:
                         f"exceeded max_events={max_events}; livelock suspected"
                     )
         finally:
-            self.stats.events_processed += n
+            self._running = False
+            stats = self._stats
+            stats.events_processed += n
+            peak = high - self._popped
+            if peak > stats.peak_heap:
+                stats.peak_heap = peak
+            self._popped += n
         if limit_event is not None:
             if not limit_event.triggered:
                 raise SimulationError(

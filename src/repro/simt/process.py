@@ -134,8 +134,10 @@ class Process(Event):
         # place of whatever it is actually waiting on, permanently
         # desynchronising yield values.  On the normal path ``_target``
         # *is* ``event`` and its callback list is already detached by
-        # the dispatch loop, so this is a no-op.
-        self._detach()
+        # the dispatch loop, so there is nothing to drop.
+        tgt = self._target
+        if tgt is not None and tgt.callbacks is not None:
+            self._detach()
         self._target = None
         self.sim._active_proc = self
         try:
@@ -172,7 +174,7 @@ class Process(Event):
             return
 
         self._target = nxt
-        if nxt.processed:
+        if nxt._processed:
             # Already fired: resume on a fresh zero-delay event carrying
             # the same outcome so scheduling order stays heap-driven.
             relay = Event(self.sim)

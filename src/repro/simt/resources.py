@@ -1,5 +1,4 @@
-"""Shared-resource primitives: FIFO stores, counted resources, and a
-fair-share bandwidth resource.
+"""The fair-share bandwidth resource.
 
 :class:`BandwidthResource` is the workhorse of the hardware model.  A
 NIC, a memory bus, or a filesystem stream is a pipe with a fixed
@@ -13,88 +12,11 @@ numbers.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import List, Optional
 
-from repro.simt.kernel import Event, Simulator
+from repro.simt.kernel import _PENDING, Event, Simulator, Timeout
 
-__all__ = ["Store", "Resource", "BandwidthResource"]
-
-
-class Store:
-    """An unbounded FIFO channel of Python objects.
-
-    ``put`` never blocks.  ``get`` returns an event that fires with the
-    oldest item once one is available.  Items are matched to getters in
-    strict FIFO order, which the message-matching layer relies on.
-    """
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        # Hand the item to the oldest *live* getter, if any.
-        while self._getters:
-            getter = self._getters.popleft()
-            # A killed waiter detaches its resume callback, leaving an
-            # untriggered event nobody listens to -- skip it or the item
-            # would be lost.
-            if not getter.callbacks or getter.triggered:
-                continue
-            getter.succeed(item)
-            return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        evt = Event(self.sim)
-        if self._items:
-            evt.succeed(self._items.popleft())
-        else:
-            self._getters.append(evt)
-        return evt
-
-
-class Resource:
-    """A counted resource with ``capacity`` slots and a FIFO wait queue.
-
-    ``acquire`` returns an event that fires when a slot is granted;
-    ``release`` frees a slot.  A process killed while *holding* a slot
-    leaks it -- by design: a crashed node takes its hardware resources
-    down with it, and the cluster layer discards the whole node object.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    def acquire(self) -> Event:
-        evt = Event(self.sim)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            evt.succeed(self)
-        else:
-            self._waiters.append(evt)
-        return evt
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise RuntimeError("release() without matching acquire()")
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.callbacks or waiter.triggered:
-                continue  # waiter's process was killed while queued
-            waiter.succeed(self)
-            return
-        self.in_use -= 1
+__all__ = ["BandwidthResource"]
 
 
 class _Flow:
@@ -131,7 +53,8 @@ class BandwidthResource:
         self.name = name
         self._flows: List[_Flow] = []
         self._last = sim.now
-        self._timer_gen = 0  # invalidates stale completion timers
+        #: the one completion timer that may still call back
+        self._timer: Optional[Timeout] = None
         #: cumulative bytes fully transferred (for utilization stats)
         self.bytes_done: float = 0.0
 
@@ -184,47 +107,59 @@ class BandwidthResource:
         self._flows.append(_Flow(nbytes, done))
         self._reschedule()
 
-    def _rate(self) -> float:
-        return self.capacity / len(self._flows)
-
     def _advance(self) -> None:
         """Apply progress accrued since the last recomputation."""
         now = self.sim.now
-        if self._flows and now > self._last:
-            progressed = (now - self._last) * self._rate()
-            for flow in self._flows:
+        flows = self._flows
+        if flows and now > self._last:
+            progressed = (now - self._last) * (self.capacity / len(flows))
+            for flow in flows:
                 flow.remaining -= progressed
         self._last = now
 
     def _reschedule(self) -> None:
-        self._timer_gen += 1
+        """Arm the completion timer for the current flow set.
+
+        The timer this supersedes stays where it is in the event heap
+        and still pops (so the kernel's event sequence does not depend
+        on how often the flow set changed) but pops inert: it has lost
+        its callback list.  Only the newest timer reaches
+        :meth:`_on_timer`.
+        """
+        timer = self._timer
+        if timer is not None:
+            timer.callbacks = None
+            self._timer = None
         flows = self._flows
         if not flows:
             return
-        gen = self._timer_gen
-        if len(flows) == 1:  # uncontended pipe: skip the scan
-            min_remaining = flows[0].remaining
-        else:
-            min_remaining = min(f.remaining for f in flows)
-        dt = max(min_remaining, 0.0) / self._rate()
-        timer = self.sim.timeout(dt)
-        timer.callbacks.append(lambda _e: self._on_timer(gen))
+        min_remaining = flows[0].remaining
+        for flow in flows:
+            if flow.remaining < min_remaining:
+                min_remaining = flow.remaining
+        dt = max(min_remaining, 0.0) / (self.capacity / len(flows))
+        timer = self._timer = Timeout(self.sim, dt)
+        timer.callbacks.append(self._on_timer)
 
-    def _on_timer(self, gen: int) -> None:
-        if gen != self._timer_gen:
-            return  # superseded by a newer flow set
+    def _on_timer(self, _timer: Event) -> None:
         self._advance()
-        finished = [f for f in self._flows if f.remaining <= self._EPS]
+        flows = self._flows
+        threshold = self._EPS
+        finished = [f for f in flows if f.remaining <= threshold]
         if not finished:
             # Float residue on multi-GB flows can exceed the absolute
             # epsilon; but this timer was armed exactly for the
             # minimum-remaining flow's deadline, so that flow *is* done.
-            threshold = min(f.remaining for f in self._flows) + self._EPS
-            finished = [f for f in self._flows if f.remaining <= threshold]
-        done_set = set(id(f) for f in finished)
-        self._flows = [f for f in self._flows if id(f) not in done_set]
+            threshold = flows[0].remaining
+            for flow in flows:
+                if flow.remaining < threshold:
+                    threshold = flow.remaining
+            threshold += self._EPS
+            finished = [f for f in flows if f.remaining <= threshold]
+        self._flows = [f for f in flows if f.remaining > threshold]
         for flow in finished:
             self.bytes_done += flow.nbytes
-            if flow.event.callbacks is not None and not flow.event.triggered:
-                flow.event.succeed(None)
+            event = flow.event
+            if event.callbacks is not None and event._value is _PENDING:
+                event.succeed(None)
         self._reschedule()

@@ -137,6 +137,62 @@ def test_fabric_send_from_dead_node_fails():
     assert isinstance(done.value, ConnectionError)
 
 
+def test_fabric_source_dying_mid_flight_still_delivers():
+    # Only a source already dead at send() is refused; once the sender
+    # overhead is running the bytes are on their way.
+    sim, m = make_machine()
+    net = m.spec.network
+    done = m.fabric.send(m.node(0), m.node(1), 1.0)
+    m.node(0).crash()
+    sim.run(until=done)
+    assert done.ok
+    assert sim.now == pytest.approx(
+        2 * net.sw_overhead_fmi + net.wire_latency + 1.0 / net.link_bw)
+
+
+def test_fabric_receiver_abandoned_transfer_runs_dry():
+    # The waiter withdrew the arrival event mid-flight: every stage
+    # still fires (the bytes occupy both NICs) and landing is a no-op.
+    def events_of(abandon):
+        sim, m = make_machine()
+        done = m.fabric.send(m.node(0), m.node(1), 1e6)
+        if abandon:
+            sim.timeout(1e-5).callbacks.append(lambda e: done.cancel())
+        sim.run()
+        assert m.node(1).nic_rx.bytes_done == pytest.approx(1e6)
+        return sim, done
+
+    sim, done = events_of(abandon=True)
+    assert done.cancelled and not done.triggered and not done.processed
+    sim_ref, done_ref = events_of(abandon=False)
+    assert done_ref.processed
+    # one extra timer (the abandon), one arrival less
+    assert sim.stats.events_processed == sim_ref.stats.events_processed
+    assert sim.now == sim_ref.now
+
+
+def test_fabric_limp_factors_sampled_at_send_and_at_wire_time():
+    # Latency-only limps (bw_factor 1): the sender overhead uses the
+    # source's factor at send(), the wire hop the larger factor *at
+    # send()*, the receiver overhead the destination's factor when the
+    # bytes come off the wire.
+    sim, m = make_machine()
+    net = m.spec.network
+    o, wire = net.sw_overhead_fmi, net.wire_latency
+    nbytes = 1e6
+    src, dst = m.node(0), m.node(1)
+    src.set_limp(1.0, 3.0)
+    done = m.fabric.send(src, dst, nbytes)
+    # While the bytes move: the source heals, the destination limps.
+    def flip(_e):
+        src.clear_limp()
+        dst.set_limp(1.0, 5.0)
+    sim.timeout(3 * o + 0.5 * nbytes / net.link_bw).callbacks.append(flip)
+    sim.run(until=done)
+    assert sim.now == pytest.approx(
+        3 * o + nbytes / net.link_bw + 3 * wire + 5 * o, rel=1e-9)
+
+
 def test_fabric_counters():
     sim, m = make_machine()
     m.fabric.send(m.node(0), m.node(1), 100.0)

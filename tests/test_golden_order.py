@@ -1,0 +1,170 @@
+"""Cross-commit event-order guard: the kernel's schedule, pinned.
+
+``test_obs_replay.py`` checks byte-identical replay run-to-run on one
+commit; this file holds the same contract *across* commits.  Each
+scenario has an explicit fault schedule (nothing drawn from an RNG at
+run time) and pins the final clock, the kernel counters, the trace
+length and the sha256 of the JSONL trace.  A change that only makes the
+simulator faster must leave every value here untouched.
+
+To regenerate for a *declared* model change (one whose issue says the
+simulated numbers move): run ``PYTHONPATH=src python
+tests/test_golden_order.py`` on the new commit, paste the printed
+``GOLDEN`` dict over the one below, and say in CHANGES.md which
+scenarios moved and why.  Never regenerate to make a refactor pass.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.apps.synthetic import bsp_app
+from repro.cluster import Machine
+from repro.cluster.spec import SIERRA
+from repro.fmi import FmiConfig, FmiJob
+from repro.obs import Tracer, dumps_jsonl
+from repro.sched import JobSpec, StreamScheduler, trace_arrivals
+from repro.simt import Simulator
+from repro.simt.rng import RngRegistry
+
+#: recorded on commit 18ea7e3 (PR 12), before PR 15 touched the kernel
+GOLDEN = {
+    "crash-global": (
+        "3.8467885629491336", 10306, 22, 2363,
+        "4d6b9dfb785a00601ca2d08eb6abae7df466751f7d84ccb089d011f1731fa9c9"),
+    "crash-logged": (
+        "3.7554656366126804", 9960, 22, 3003,
+        "04acd606b0fb3a6880c685bb069be1d865e1dd4fdba50c7bdb6466b04819d9fc"),
+    "crash-replicated": (
+        "2.917010285730769", 32542, 66, 7287,
+        "d486bd2c956b7574f41890e718f89cfaa783bf43def6118976e4d604fcb9a207"),
+    "gray-limp-partition-crash": (
+        "4.1969744195687255", 18951, 30, 4383,
+        "9138e025455ea41e9c06262e5b84b792aeb410195b7fe285b475b9f51f05ef8e"),
+    "sched-three-tenants": (
+        "2.87122860022531", 14423, 40, 3815,
+        "be039af1cabe93615106d3982fc1784589dc36b8da6bc40c8aeef21949b7fdff"),
+}
+
+
+def _at(sim, when, action):
+    """Run ``action()`` at simulated time ``when`` (one kernel event)."""
+    sim.timeout(when).callbacks.append(lambda _e: action())
+
+
+def _allreduce_app(fmi):
+    """The ``test_obs_replay.py`` application: six checkpointed loops."""
+    state = np.zeros(4, dtype=np.float64)
+    yield from fmi.init()
+    while True:
+        n = yield from fmi.loop([state])
+        if n >= 6:
+            break
+        yield fmi.elapse(0.4)
+        state[0] = n + 1
+        state[1] = yield from fmi.allreduce(float(fmi.rank + n))
+    yield from fmi.finalize()
+    return state
+
+
+def _job(app, recovery, nodes, spares, seed):
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(nodes), RngRegistry(seed))
+    tracer = Tracer(sim)
+    job = FmiJob(
+        machine, app, num_ranks=8, procs_per_node=2,
+        config=FmiConfig(interval=1, xor_group_size=4, recovery=recovery,
+                         spare_nodes=spares),
+    )
+    return sim, machine, tracer, job
+
+
+def _crash(recovery):
+    """The ``test_obs_replay.py`` scenario: slot 1's node dies at 2.5 s."""
+    replicated = recovery == "replicated"
+    sim, machine, tracer, job = _job(
+        _allreduce_app, recovery, nodes=10 if replicated else 6,
+        spares=1, seed=1234)
+    done = job.launch()
+    victim = job.fmirun.node_slots[1].id
+    _at(sim, 2.5, lambda: machine.fail_nodes([victim]))
+    sim.run(until=done)
+    assert job.epoch == 1  # the scenario really recovered
+    return sim, tracer
+
+
+def _gray():
+    """A limping node, then a partition that heals, then a crash."""
+    sim, machine, tracer, job = _job(
+        bsp_app(12, work_s=0.25), "global", nodes=6, spares=1, seed=7)
+    done = job.launch()
+    slots = job.fmirun.node_slots
+    limper, cut, victim = slots[2].id, slots[3].id, slots[0].id
+    _at(sim, 0.6, lambda: machine.limp_nodes([limper], 8.0, 4.0))
+    _at(sim, 1.1, lambda: machine.partition([[cut]], tag="golden"))
+    _at(sim, 1.3, machine.heal_partition)
+    _at(sim, 1.9, lambda: machine.unlimp_nodes([limper]))
+    _at(sim, 2.4, lambda: machine.fail_nodes([victim]))
+    sim.run(until=done)
+    assert job.epoch >= 1
+    return sim, tracer
+
+
+def _sched():
+    """Three tenants, one per FMI family, on one shared machine; the
+    global and the replicated tenant each lose a node."""
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(16), RngRegistry(0))
+    tracer = Tracer(sim)
+    sched = StreamScheduler(machine, backfill=True, spare_pool=2)
+    kills = {"glb": 0.8, "rep": 0.7}
+
+    def aim(rec):
+        delay = kills.pop(rec.spec.name, None)
+        if delay is not None:
+            _at(sim, delay, lambda: rec.job.fmirun.node_slots[0].crash("golden"))
+
+    sched.on_start(aim)
+    common = dict(ranks=4, ppn=2, spares=1, interval=2, iterations=8,
+                  work_s=0.2)
+    sched.submit_many(trace_arrivals([
+        (0.0, JobSpec(name="glb", recovery="global", **common)),
+        (0.2, JobSpec(name="log", recovery="logged", **common)),
+        (0.4, JobSpec(name="rep", recovery="replicated",
+                      replication_degree=2, **common)),
+    ]))
+    drained = sched.drain()
+    sim.run(until=drained, max_events=3_000_000)
+    assert drained.value.completed == 3
+    return sim, tracer
+
+
+SCENARIOS = {
+    "crash-global": lambda: _crash("global"),
+    "crash-logged": lambda: _crash("logged"),
+    "crash-replicated": lambda: _crash("replicated"),
+    "gray-limp-partition-crash": _gray,
+    "sched-three-tenants": _sched,
+}
+
+
+def fingerprint(name):
+    sim, tracer = SCENARIOS[name]()
+    text = dumps_jsonl(tracer)
+    return (repr(sim.now), sim.stats.events_processed, sim.stats.peak_heap,
+            len(tracer.events), hashlib.sha256(text.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_event_order_matches_the_recorded_commit(name):
+    assert fingerprint(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for scenario in SCENARIOS:
+        now, events, peak, count, digest = fingerprint(scenario)
+        print(f"    {scenario!r}: (\n        {now!r}, {events}, {peak}, "
+              f"{count},\n        {digest!r}),")
+    print("}")

@@ -1,8 +1,10 @@
 """Unit tests for the DES kernel: events, clock, ordering, run modes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.simt import Event, Simulator, Timeout
+from repro.simt import BulkCompletion, Event, Simulator, Timeout
 from repro.simt.kernel import SimulationError
 
 
@@ -75,6 +77,25 @@ def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.timeout(-1.0)
+
+
+def test_nan_delay_rejected_at_every_entry_point():
+    # ``nan < 0`` is False: a ``delay < 0`` guard lets NaN into the
+    # heap, where it breaks the ordering invariant silently.
+    sim = Simulator()
+    nan = float("nan")
+    with pytest.raises(ValueError, match="nan"):
+        Timeout(sim, nan)
+    with pytest.raises(SimulationError, match="nan"):
+        sim.event().succeed(delay=nan)
+    with pytest.raises(SimulationError, match="nan"):
+        sim.event().fail(RuntimeError("x"), delay=nan)
+    with pytest.raises(SimulationError, match="nan"):
+        BulkCompletion(sim, nan, [(sim.event(), None)])
+    with pytest.raises(SimulationError, match="past"):
+        sim.event().succeed(delay=-1.0)
+    assert sim.peek() == float("inf")  # nothing was scheduled
+    assert sim.stats.peak_heap == 0
 
 
 def test_value_before_trigger_raises():
@@ -226,6 +247,83 @@ def test_stats_count_events_and_peak_heap():
     assert sim.stats.events_processed == 4  # cumulative
 
 
+# One scheduling operation: (kind, delay, operations its firing issues).
+_KIND = st.sampled_from(
+    ["timeout", "succeed", "delayed", "cancelled", "bulk", "read"])
+_DELAY = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5])
+_LEAF = st.tuples(_KIND, _DELAY, st.just(()))
+_OPS = st.lists(
+    st.tuples(_KIND, _DELAY, st.lists(_LEAF, max_size=4)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS, stepwise=st.booleans())
+def test_peak_heap_equals_brute_force_maximum(ops, stepwise):
+    sim = Simulator()
+    brute = 0  # largest depth seen, sampled after every single schedule
+
+    def issue(kind, delay, children):
+        nonlocal brute
+
+        def fired(_evt):
+            for child in children:
+                issue(*child)
+
+        if kind == "timeout":
+            sim.timeout(delay).callbacks.append(fired)
+        elif kind == "succeed":
+            evt = sim.event()
+            evt.callbacks.append(fired)
+            evt.succeed()
+        elif kind == "delayed":
+            evt = sim.event()
+            evt.callbacks.append(fired)
+            evt.succeed(delay=delay)
+        elif kind == "cancelled":  # never reaches a queue
+            evt = sim.event()
+            evt.cancel()
+            evt.succeed()
+        elif kind == "bulk":  # one entry; its batch is dispatched inline
+            inner = sim.event()
+            inner.callbacks.append(fired)
+            BulkCompletion(sim, delay, [(inner, None)])
+        else:  # a reader in the middle of the run must not disturb it
+            sim.timeout(delay).callbacks.append(
+                lambda _e: sim.stats.peak_heap)
+        brute = max(brute, len(sim._heap) + len(sim._nowq))
+
+    for op in ops:
+        issue(*op)
+    # Read before anything ran: one entry per top-level schedule.
+    assert sim.stats.peak_heap == brute
+    assert brute == sum(kind != "cancelled" for kind, _, _ in ops)
+    if stepwise:
+        while sim.peek() != float("inf"):
+            sim.step()
+    else:
+        sim.run()
+    assert sim.stats.peak_heap == brute
+    assert sim.stats.peak_heap == brute  # reading changes nothing
+    assert len(sim._heap) + len(sim._nowq) == 0
+
+
+def test_peak_heap_survives_a_callback_that_raises():
+    sim = Simulator()
+    for d in (1.0, 1.0, 1.0, 2.0):
+        sim.timeout(d)
+
+    def boom(_e):
+        raise RuntimeError("boom")
+
+    sim.timeout(0.5).callbacks.append(boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert sim.stats.peak_heap == 5
+    sim.run()
+    assert sim.stats.peak_heap == 5
+    assert sim.stats.events_processed == 5
+
+
 def test_stats_counted_even_when_run_raises():
     sim = Simulator()
 
@@ -257,23 +355,8 @@ def test_max_events_still_guards_past_the_awaited_event():
         sim.run(until=never, max_events=1)
 
 
-# ------------------------------------------------------ callback pool
-def test_callback_lists_are_recycled():
-    sim = Simulator()
-    t = sim.timeout(1.0)
-    lst = t.callbacks
-    t.callbacks.append(lambda e: None)
-    sim.run()
-    assert t.callbacks is None  # detached after processing
-    reused = Event(sim)
-    assert reused.callbacks is lst  # pooled list handed to the next event
-    assert reused.callbacks == []
-
-
 # ------------------------------------------------------- bulk completion
 def test_bulk_completion_fires_batch_in_order():
-    from repro.simt import BulkCompletion
-
     sim = Simulator()
     events = [Event(sim) for _ in range(4)]
     fired = []
@@ -287,8 +370,6 @@ def test_bulk_completion_fires_batch_in_order():
 
 
 def test_bulk_completion_skips_cancelled_and_triggered_entries():
-    from repro.simt import BulkCompletion
-
     sim = Simulator()
     a, b, c = Event(sim), Event(sim), Event(sim)
     b.cancel()
@@ -303,8 +384,6 @@ def test_bulk_completion_skips_cancelled_and_triggered_entries():
 
 
 def test_bulk_completion_cancel_drops_whole_batch():
-    from repro.simt import BulkCompletion
-
     sim = Simulator()
     events = [Event(sim) for _ in range(3)]
     bulk = BulkCompletion(sim, 1.0, [(e, None) for e in events])
@@ -314,8 +393,6 @@ def test_bulk_completion_cancel_drops_whole_batch():
 
 
 def test_bulk_completion_resumes_waiting_processes():
-    from repro.simt import BulkCompletion
-
     sim = Simulator()
     events = [Event(sim) for _ in range(3)]
     got = []

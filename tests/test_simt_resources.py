@@ -1,147 +1,9 @@
-"""Unit tests for Store, Resource, and fair-share BandwidthResource."""
+"""Unit tests for the fair-share BandwidthResource and AllOf/AnyOf."""
 
 import pytest
 
-from repro.simt import BandwidthResource, Resource, Simulator, Store
+from repro.simt import BandwidthResource, Simulator
 from repro.simt.primitives import AllOf, AnyOf
-
-
-# ----------------------------------------------------------------- Store
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    sim.spawn(consumer())
-
-    def producer():
-        yield sim.timeout(1.0)
-        store.put("a")
-        store.put("b")
-        store.put("c")
-
-    sim.spawn(producer())
-    sim.run()
-    assert got == ["a", "b", "c"]
-
-
-def test_store_get_before_put_blocks():
-    sim = Simulator()
-    store = Store(sim)
-    times = []
-
-    def consumer():
-        yield store.get()
-        times.append(sim.now)
-
-    sim.spawn(consumer())
-
-    def producer():
-        yield sim.timeout(3.0)
-        store.put(1)
-
-    sim.spawn(producer())
-    sim.run()
-    assert times == [3.0]
-
-
-def test_store_put_before_get_immediate():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    assert len(store) == 1
-    out = []
-
-    def consumer():
-        out.append((yield store.get()))
-
-    sim.spawn(consumer())
-    sim.run()
-    assert out == ["x"] and len(store) == 0
-
-
-def test_store_skips_dead_getters():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def doomed():
-        yield store.get()
-        got.append("doomed")  # pragma: no cover
-
-    def survivor():
-        got.append((yield store.get()))
-
-    d = sim.spawn(doomed())
-    sim.spawn(survivor())
-
-    def driver():
-        yield sim.timeout(1.0)
-        d.kill()
-        yield sim.timeout(1.0)
-        store.put("item")
-
-    sim.spawn(driver())
-    sim.run()
-    assert got == ["item"]
-
-
-# --------------------------------------------------------------- Resource
-def test_resource_capacity_blocks():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    log = []
-
-    def user(name, hold):
-        yield res.acquire()
-        log.append((name, "in", sim.now))
-        yield sim.timeout(hold)
-        res.release()
-        log.append((name, "out", sim.now))
-
-    sim.spawn(user("a", 2.0))
-    sim.spawn(user("b", 1.0))
-    sim.run()
-    assert log == [
-        ("a", "in", 0.0),
-        ("a", "out", 2.0),
-        ("b", "in", 2.0),
-        ("b", "out", 3.0),
-    ]
-
-
-def test_resource_multi_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    starts = []
-
-    def user(name):
-        yield res.acquire()
-        starts.append((name, sim.now))
-        yield sim.timeout(1.0)
-        res.release()
-
-    for n in ("a", "b", "c"):
-        sim.spawn(user(n))
-    sim.run()
-    assert starts == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-
-def test_resource_release_without_acquire_raises():
-    sim = Simulator()
-    res = Resource(sim)
-    with pytest.raises(RuntimeError):
-        res.release()
-
-
-def test_resource_bad_capacity():
-    with pytest.raises(ValueError):
-        Resource(Simulator(), capacity=0)
 
 
 # ------------------------------------------------------ BandwidthResource
@@ -247,6 +109,66 @@ def test_bandwidth_many_flows_aggregate_time():
     # 100 bytes total through a 100 B/s pipe: all end at t=1.
     assert sim.now == pytest.approx(1.0)
     assert all(e.processed for e in events)
+
+
+def _count_timer_entries(bw):
+    """Wrap ``bw._on_timer`` (before any flow starts) with a counter."""
+    entries = []
+    inner = bw._on_timer
+
+    def counted(evt):
+        entries.append(bw.sim.now)
+        inner(evt)
+
+    bw._on_timer = counted
+    return entries
+
+
+def test_bandwidth_flows_started_together_enter_the_timer_once():
+    sim = Simulator()
+    bw = BandwidthResource(sim, capacity=100.0)
+    entries = _count_timer_entries(bw)
+    events = [bw.transfer(10.0) for _ in range(10)]
+    sim.run()
+    # Ten starts armed ten timers, but nine were superseded at once.
+    assert entries == [pytest.approx(1.0)]
+    assert all(e.processed for e in events)
+    assert bw.bytes_done == pytest.approx(100.0)
+    # The superseded timers still pop: 10 timers + 10 completions.
+    assert sim.stats.events_processed == 20
+    assert bw.active_flows == 0 and bw._timer is None
+
+
+def test_bandwidth_superseded_timer_is_inert_not_removed():
+    sim = Simulator()
+    bw = BandwidthResource(sim, capacity=100.0)
+    entries = _count_timer_entries(bw)
+    ends = {}
+    big = bw.transfer(200.0)       # alone: would end at t=2
+    first_timer = bw._timer
+    small = bw.transfer(50.0)      # supersedes it; shares at 50 B/s
+    big.callbacks.append(lambda e: ends.setdefault("big", sim.now))
+    small.callbacks.append(lambda e: ends.setdefault("small", sim.now))
+    assert first_timer.callbacks is None and bw._timer is not first_timer
+    sim.run()
+    # Same completion times as test_bandwidth_short_flow_releases_capacity.
+    assert ends == {"small": pytest.approx(1.0), "big": pytest.approx(2.5)}
+    assert entries == [pytest.approx(1.0), pytest.approx(2.5)]
+    assert first_timer.processed  # popped at t=2, dispatched nothing
+    # 3 timers (one inert) + 2 completions
+    assert sim.stats.events_processed == 5
+
+
+def test_bandwidth_set_capacity_rearms_one_timer():
+    sim = Simulator()
+    bw = BandwidthResource(sim, capacity=100.0)
+    entries = _count_timer_entries(bw)
+    done = bw.transfer(200.0)
+    sim.timeout(1.0).callbacks.append(lambda e: bw.set_capacity(50.0))
+    sim.run(until=done)
+    # 100 B in the first second, the other 100 B at 50 B/s.
+    assert sim.now == pytest.approx(3.0)
+    assert entries == [pytest.approx(3.0)]
 
 
 # ---------------------------------------------------------------- AllOf/AnyOf
