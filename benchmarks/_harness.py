@@ -12,15 +12,23 @@ Scale control via ``REPRO_BENCH_SCALE``:
   by the CI redundancy-ablation job);
 * ``quick`` -- the default: each bench runs in tens of seconds;
 * ``full`` -- the paper's full process counts (up to 1,536).
+
+This module is where the suite's environment is parsed: ``SCALE``,
+``REPRO_BENCH_PROCS`` (see :data:`PROC_COUNTS`), ``REPRO_BENCH_ID``
+(see :func:`emit`) and ``REPRO_COLLECTIVES`` (``auto``/``hops``/
+``macro``), which becomes one ``set_collective_mode`` call at import
+-- the library itself never reads the environment.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from typing import List
+from typing import Any, Dict, List
 
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA, ClusterSpec
+from repro.mpi.collectives import set_collective_mode
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
@@ -28,6 +36,9 @@ SCALE = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
 if SCALE not in ("smoke", "quick", "full"):
     raise ValueError(f"REPRO_BENCH_SCALE must be smoke/quick/full, not {SCALE!r}")
 FULL = SCALE == "full"
+
+# An invalid value fails here, loudly, before any bench runs.
+set_collective_mode(os.environ.get("REPRO_COLLECTIVES", "auto").strip().lower())
 
 #: Fig 12/13/14/15 x-axis (processes at 12 per node).  Overridable via
 #: ``REPRO_BENCH_PROCS`` (space/comma separated) so the figure benches
@@ -48,16 +59,6 @@ if _PROCS_ENV:
     PROC_COUNTS = [int(tok) for tok in _PROCS_ENV]
 PROCS_PER_NODE = 12
 
-#: macro-tier x-axis for the engine throughput bench: process counts
-#: only the macro collective engine can sustain in CI-tolerable time.
-#: 16 ranks per node so 16,384 divides evenly (1,024 nodes).
-MACRO_PROC_COUNTS: List[int] = {
-    "smoke": [1536, 6144],
-    "quick": [1536, 6144, 16384],
-    "full": [1536, 6144, 16384],
-}[SCALE]
-MACRO_PROCS_PER_NODE = 16
-
 #: Fig 10/11 x-axis (redundancy group sizes, one rank per node)
 GROUP_SIZES: List[int] = {
     "smoke": [2, 4, 8],
@@ -67,6 +68,40 @@ GROUP_SIZES: List[int] = {
 
 #: per-node checkpoint bytes for the engine benches (the paper: 6 GB)
 CKPT_BYTES: float = {"smoke": 96e6, "quick": 6e9, "full": 6e9}[SCALE]
+
+RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
+
+#: id for freshly emitted records (``BENCH_local.json`` is git-ignored)
+BENCH_ID = os.environ.get("REPRO_BENCH_ID", "local")
+
+
+def emit(scenario: str, entries: List[Dict[str, Any]]) -> str:
+    """Write (or replace) one scenario's record in
+    ``results/BENCH_<REPRO_BENCH_ID>.json``; returns the file's path.
+
+    The file holds a list of ``{"bench_id", "scenario", "scale",
+    "entries"}`` records, one per ``(scenario, scale)``, so the figure
+    benches leave a diffable trail of the numbers they printed.
+    """
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    path = os.path.join(RESULTS_DIR, f"BENCH_{BENCH_ID}.json")
+    records: List[Dict[str, Any]] = []
+    if os.path.exists(path):
+        with open(path) as fh:
+            records = [
+                rec for rec in json.load(fh)
+                if (rec["scenario"], rec["scale"]) != (scenario, SCALE)
+            ]
+    records.append({
+        "bench_id": BENCH_ID,
+        "scenario": scenario,
+        "scale": SCALE,
+        "entries": entries,
+    })
+    with open(path, "w") as fh:
+        json.dump(records, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def make_machine(num_nodes: int, seed: int = 0, spec: ClusterSpec = SIERRA):

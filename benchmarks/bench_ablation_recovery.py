@@ -22,15 +22,14 @@ check), and the sweep must contain at least one point where the logged
 plane recovers faster than global rollback.
 
 Emits a machine-readable ``BENCH_<id>.json`` record (scenario
-``recovery-ablation``) via :mod:`_results` for the perf trajectory.
+``recovery-ablation``) via ``_harness.emit``.
 """
 
 import time
 
 import numpy as np
 
-from _harness import SCALE
-from _results import emit
+from _harness import SCALE, emit
 from repro.analysis.tables import Table
 from repro.chaos import Campaign, run_campaign
 from repro.chaos.scenario import AtTime, KillRandomSlot, Rule
@@ -151,7 +150,7 @@ def test_ablation_recovery_planes(benchmark):
             f"{entry['replay_msgs']}/{entry['replay_bytes']:.3g}",
         )
     table.show()
-    emit("recovery-ablation", SCALE, entries)
+    emit("recovery-ablation", entries)
 
     # -- assertions: green board, restore shapes, and the latency win
     by_key = {(e["mode"], e["interval"], e["kills"]): e for e in entries}

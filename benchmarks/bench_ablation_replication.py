@@ -24,15 +24,14 @@ answers vs the failure-free reference).  The analytic crossover
 the node-MTBF below which replication wins grows with job size.
 
 Emits a machine-readable ``BENCH_<id>.json`` record (scenario
-``replication-ablation``) via :mod:`_results` for the perf trajectory.
+``replication-ablation``) via ``_harness.emit``.
 """
 
 import time
 
 import numpy as np
 
-from _harness import SCALE
-from _results import emit
+from _harness import SCALE, emit
 from repro.analysis.tables import Table
 from repro.chaos import Campaign, run_campaign
 from repro.chaos.scenario import AtTime, KillSlot, Rule
@@ -169,7 +168,7 @@ def test_ablation_replication(benchmark):
         "mode": "model",
         "crossover_mtbf_s": {str(n): x for n, x in crossover},
     })
-    emit("replication-ablation", SCALE, entries)
+    emit("replication-ablation", entries)
 
     # -- assertions: green board, restore shapes, and the latency win
     sim_entries = [e for e in entries if e["mode"] != "model"]

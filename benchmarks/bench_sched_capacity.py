@@ -29,8 +29,7 @@ import statistics
 import time
 from typing import Any, Dict, List
 
-from _harness import SCALE
-from _results import emit
+from _harness import SCALE, emit
 
 from repro.analysis.tables import Table
 from repro.models.queueing import estimate_capacity
@@ -218,5 +217,5 @@ def test_sched_capacity(benchmark):
     table.show()
     _check_shape(out)
     entries = [{k: v for k, v in p.items() if k != "violations"} for p in out]
-    path = emit("sched_capacity", SCALE, entries)
+    path = emit("sched_capacity", entries)
     print(f"wrote {path}")

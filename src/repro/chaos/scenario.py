@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple, Union
 
-from repro.cluster.failures import EventInjector
+from repro.cluster.failures import EventInjector, _Injector
 from repro.net.faults import LinkFaultModel
 
 __all__ = [
@@ -220,8 +220,12 @@ class Scenario:
 
 
 # ------------------------------------------------------------------ engine
-class ChaosEngine:
+class ChaosEngine(_Injector):
     """Arms a :class:`Scenario` against a (survivable) job.
+
+    The engine is itself an armed injector from the first :meth:`arm`
+    to :meth:`disarm`: rules fire from bare timers at arbitrary points,
+    so every collective in a chaos run keeps per-hop fidelity.
 
     ``rng`` is the seeded stream used by :class:`RandomTimes` spacing
     and :class:`KillRandomSlot` victim selection; scenarios without
@@ -239,19 +243,11 @@ class ChaosEngine:
         self.rng = rng
         self.injected: List[Tuple[float, str]] = []
         self._injectors: List[EventInjector] = []
-        self._macro_blocked = False
 
     # -- arming -----------------------------------------------------------
     def arm(self, scenario: Scenario) -> None:
-        # Chaos actions fire at arbitrary points; every collective in a
-        # chaos run keeps per-hop fidelity (campaigns also always trace,
-        # but the veto holds even for forced-macro experiment modes).
-        if not self._macro_blocked:
-            for job in self.jobs:
-                transport = getattr(job, "transport", None)
-                if transport is not None:
-                    transport.block_macro()
-            self._macro_blocked = True
+        if not self._armed:
+            self.start()
         for rule in scenario.rules:
             self._arm_rule(rule)
 
@@ -290,10 +286,7 @@ class ChaosEngine:
         for injector in self._injectors:
             injector.stop()
         self._injectors.clear()
-        if self._macro_blocked:
-            self._macro_blocked = False
-            for job in self.jobs:
-                job.transport.unblock_macro()
+        self.stop()
 
     # -- firing -----------------------------------------------------------
     def _record(self, desc: str, job_id=None) -> None:

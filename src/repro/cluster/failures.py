@@ -1,6 +1,6 @@
 """Failure injection and failure statistics.
 
-Two injectors:
+Four injectors, one arming protocol (:class:`_Injector`):
 
 * :class:`FailureInjector` -- per-component Poisson processes with the
   TSUBAME2.0 rates of Table I / Fig 1.  Each component class takes down
@@ -9,6 +9,10 @@ Two injectors:
 * :class:`MtbfInjector` -- the simple "kill something every
   Exp(MTBF)" injector used for the Himeno run-through-failures
   experiment (Fig 15, MTBF = 1 minute) and the notification benchmark.
+* :class:`TraceInjector` -- replays a ``(time, node_ids)`` schedule,
+  so one failure scenario runs against several configurations.
+* :class:`EventInjector` -- fires an action when a matching trace
+  event is recorded (the chaos engine's on-event triggers).
 
 Failure *records* are kept so experiments can recompute failures/year
 and MTBF per class -- that is how Table I and Fig 1 are regenerated.
@@ -31,7 +35,6 @@ __all__ = [
     "MtbfInjector",
     "TraceInjector",
     "EventInjector",
-    "LimpInjector",
     "TSUBAME2_FAILURE_TYPES",
     "TSUBAME2_TABLE1_CLASSES",
 ]
@@ -68,10 +71,6 @@ class FailureType:
         return FailureType(
             name, affected_nodes, failures_per_year / SECONDS_PER_YEAR, level
         )
-
-
-def _level_for(affected: int) -> int:
-    return {1: 1, 4: 2, 16: 3, 32: 4}.get(affected, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,40 @@ class FailureRecord:
     nodes: List[int] = field(default_factory=list)
 
 
-class FailureInjector:
+class _Injector:
+    """The arming protocol every injector shares.
+
+    An injector is *armed* from :meth:`start` to :meth:`stop`, and
+    counts itself in ``sim.fault_injectors`` for exactly that long --
+    the one veto :meth:`Transport.hop_fidelity_reason` reports as
+    ``"injector"``.  Subclasses extend :meth:`start` with their arrival
+    logic and poll ``_armed`` to notice a :meth:`stop`.
+    """
+
+    sim: Simulator
+    _armed = False
+
+    def start(self) -> None:
+        if self._armed:
+            raise RuntimeError("injector already started")
+        self._armed = True
+        self.sim.fault_injectors += 1
+
+    def stop(self) -> None:
+        """Disarm; a no-op unless started (so safe to call twice)."""
+        if self._armed:
+            self._armed = False
+            self.sim.fault_injectors -= 1
+
+    def _injected(self, kind: str, **args) -> None:
+        """Record one arrival in the trace and metric streams."""
+        if self.sim.tracer.enabled:
+            self.sim.tracer.instant("failure.inject", "failure", type=kind, **args)
+        if self.sim.metrics.enabled:
+            self.sim.metrics.counter("failures.injected", type=kind).inc()
+
+
+class FailureInjector(_Injector):
     """Poisson failure arrivals for a set of component classes.
 
     ``on_failure(record)`` is invoked for every arrival; the machine
@@ -151,7 +183,6 @@ class FailureInjector:
         self.num_nodes = num_nodes
         self.on_failure = on_failure
         self.records: List[FailureRecord] = []
-        self._running = False
 
     # -- node selection ----------------------------------------------------
     def _pick_nodes(self, ftype: FailureType) -> List[int]:
@@ -169,35 +200,21 @@ class FailureInjector:
     # -- driving -----------------------------------------------------------
     def start(self) -> None:
         """Begin injecting; one arrival process per component class."""
-        if self._running:
-            raise RuntimeError("injector already started")
-        self._running = True
-        self.sim.fault_injectors += 1
+        super().start()
         for ftype in self.types:
             self.sim.spawn(self._arrivals(ftype), name=f"fail:{ftype.name}")
 
-    def stop(self) -> None:
-        if self._running:
-            self._running = False
-            self.sim.fault_injectors -= 1
-
     def _arrivals(self, ftype: FailureType):
-        while self._running:
+        while self._armed:
             gap = float(self.rng.exponential(1.0 / ftype.rate_per_second))
             yield self.sim.timeout(gap)
-            if not self._running:
+            if not self._armed:
                 return
             record = FailureRecord(self.sim.now, ftype, self._pick_nodes(ftype))
             self.records.append(record)
-            if self.sim.tracer.enabled:
-                self.sim.tracer.instant(
-                    "failure.inject", "failure", type=ftype.name,
-                    level=ftype.level, nodes=list(record.nodes),
-                )
-            if self.sim.metrics.enabled:
-                self.sim.metrics.counter(
-                    "failures.injected", type=ftype.name
-                ).inc()
+            self._injected(
+                ftype.name, level=ftype.level, nodes=list(record.nodes)
+            )
             if self.on_failure is not None:
                 self.on_failure(record)
 
@@ -218,7 +235,7 @@ class FailureInjector:
         return out
 
 
-class TraceInjector:
+class TraceInjector(_Injector):
     """Replay a recorded failure trace: ``(time, node_ids)`` pairs.
 
     Makes failure scenarios exactly reproducible across experiments
@@ -232,7 +249,6 @@ class TraceInjector:
         self.schedule = sorted(schedule, key=lambda tn: tn[0])
         self.kill = kill
         self.replayed: List[Tuple[float, List[int]]] = []
-        self._running = False
 
     @classmethod
     def from_records(cls, sim: Simulator, records: Sequence[FailureRecord],
@@ -240,15 +256,8 @@ class TraceInjector:
         return cls(sim, [(r.time, list(r.nodes)) for r in records], kill)
 
     def start(self) -> None:
-        if not self._running:
-            self.sim.fault_injectors += 1
-        self._running = True
+        super().start()
         self.sim.spawn(self._replay(), name="trace-injector")
-
-    def stop(self) -> None:
-        if self._running:
-            self._running = False
-            self.sim.fault_injectors -= 1
 
     def _replay(self):
         now = self.sim.now
@@ -257,20 +266,14 @@ class TraceInjector:
                 continue  # events before start are skipped
             yield self.sim.timeout(time - now)
             now = time
-            if not self._running:
+            if not self._armed:
                 return
             self.replayed.append((time, list(nodes)))
-            if self.sim.tracer.enabled:
-                self.sim.tracer.instant(
-                    "failure.inject", "failure", type="trace",
-                    nodes=list(nodes),
-                )
-            if self.sim.metrics.enabled:
-                self.sim.metrics.counter("failures.injected", type="trace").inc()
+            self._injected("trace", nodes=list(nodes))
             self.kill(list(nodes))
 
 
-class EventInjector:
+class EventInjector(_Injector):
     """Fire an action when a matching *trace event* is recorded.
 
     This bridges the observability stream back into the failure domain:
@@ -309,7 +312,6 @@ class EventInjector:
         self.delay = delay
         self.seen = 0
         self.fired_at: Optional[float] = None
-        self._armed = False
 
     def start(self) -> None:
         tracer = self.sim.tracer
@@ -320,16 +322,12 @@ class EventInjector:
                 "EventInjector needs an attached, enabled Tracer "
                 "(the NULL_TRACER records nothing to trigger on)"
             )
-        if self._armed:
-            raise RuntimeError("injector already started")
-        self._armed = True
-        self.sim.fault_injectors += 1
+        super().start()
         tracer.add_listener(self._on_trace_event)
 
     def stop(self) -> None:
         if self._armed:
-            self._armed = False
-            self.sim.fault_injectors -= 1
+            super().stop()
             self.sim.tracer.remove_listener(self._on_trace_event)
 
     def _on_trace_event(self, ev) -> None:
@@ -349,7 +347,7 @@ class EventInjector:
         self.action()
 
 
-class MtbfInjector:
+class MtbfInjector(_Injector):
     """Kill one uniformly random *live* node every Exp(MTBF) seconds."""
 
     def __init__(
@@ -368,105 +366,19 @@ class MtbfInjector:
         self.kill = kill
         self.num_nodes = num_nodes
         self.kill_times: List[float] = []
-        self._running = False
 
     def start(self) -> None:
-        if not self._running:
-            self.sim.fault_injectors += 1
-        self._running = True
+        super().start()
         self.sim.spawn(self._arrivals(), name="mtbf-injector")
 
-    def stop(self) -> None:
-        if self._running:
-            self._running = False
-            self.sim.fault_injectors -= 1
-
     def _arrivals(self):
-        while self._running:
+        while self._armed:
             gap = float(self.rng.exponential(self.mtbf))
             yield self.sim.timeout(gap)
-            if not self._running:
+            if not self._armed:
                 return
             victim = int(self.rng.integers(self.num_nodes))
             self.kill_times.append(self.sim.now)
-            if self.sim.tracer.enabled:
-                self.sim.tracer.instant(
-                    "failure.inject", "failure", type="mtbf", nodes=[victim],
-                )
-            if self.sim.metrics.enabled:
-                self.sim.metrics.counter("failures.injected", type="mtbf").inc()
+            self._injected("mtbf", nodes=[victim])
             self.kill(victim)
 
-
-class LimpInjector:
-    """Gray-failure injector: random nodes limp for random windows.
-
-    Every Exp(``mean_interval``) seconds a uniformly random *live,
-    healthy* node has its network path degraded (``set_limp``) for an
-    Exp(``mean_duration``) window, then restored -- the slow-but-alive
-    failure mode that crash injectors cannot produce.  Degradation
-    factors are drawn uniformly from ``bw_factors`` x
-    ``latency_factors``.  ``episodes`` records
-    ``(start, end, node, bw_factor, latency_factor)``.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        rng: np.random.Generator,
-        nodes: Sequence,
-        mean_interval: float,
-        mean_duration: float,
-        bw_factors: Sequence[float] = (4.0, 16.0),
-        latency_factors: Sequence[float] = (2.0, 8.0),
-    ):
-        if mean_interval <= 0 or mean_duration <= 0:
-            raise ValueError("mean_interval and mean_duration must be positive")
-        if not nodes:
-            raise ValueError("need at least one node to limp")
-        self.sim = sim
-        self.rng = rng
-        self.nodes = list(nodes)
-        self.mean_interval = mean_interval
-        self.mean_duration = mean_duration
-        self.bw_factors = list(bw_factors)
-        self.latency_factors = list(latency_factors)
-        self.episodes: List[Tuple[float, float, int, float, float]] = []
-        self._running = False
-
-    def start(self) -> None:
-        if not self._running:
-            self.sim.fault_injectors += 1
-        self._running = True
-        self.sim.spawn(self._arrivals(), name="limp-injector")
-
-    def stop(self) -> None:
-        """Disarm and heal every currently limping node."""
-        if self._running:
-            self._running = False
-            self.sim.fault_injectors -= 1
-        for node in self.nodes:
-            if node.alive and node.limping:
-                node.clear_limp()
-
-    def _arrivals(self):
-        while self._running:
-            gap = float(self.rng.exponential(self.mean_interval))
-            yield self.sim.timeout(gap)
-            if not self._running:
-                return
-            healthy = [n for n in self.nodes if n.alive and not n.limping]
-            if not healthy:
-                continue
-            node = healthy[int(self.rng.integers(len(healthy)))]
-            bw = float(self.bw_factors[int(self.rng.integers(len(self.bw_factors)))])
-            lat = float(
-                self.latency_factors[int(self.rng.integers(len(self.latency_factors)))]
-            )
-            duration = float(self.rng.exponential(self.mean_duration))
-            start = self.sim.now
-            node.set_limp(bw, lat)
-            self.episodes.append((start, start + duration, node.id, bw, lat))
-            yield self.sim.timeout(duration)
-            if node.alive and node.limping:
-                node.clear_limp()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.cluster.failures import FailureInjector, FailureRecord, FailureType
 from repro.cluster.network import Fabric
 from repro.cluster.node import Node
 from repro.cluster.resource_manager import ResourceManager
@@ -99,23 +98,3 @@ class Machine:
         for nid in node_ids:
             if self.nodes[nid].alive:
                 self.nodes[nid].clear_limp()
-
-    # -- failure injection -----------------------------------------------------------
-    def make_injector(
-        self,
-        types: Sequence[FailureType],
-        crash_nodes: bool = True,
-        stream: str = "failures",
-    ) -> FailureInjector:
-        """Build a component-level injector wired to this machine."""
-
-        def on_failure(record: FailureRecord) -> None:
-            self.fail_nodes(record.nodes, cause=record.type.name)
-
-        return FailureInjector(
-            self.sim,
-            self.rng.stream(stream),
-            types,
-            self.spec.num_nodes,
-            on_failure=on_failure if crash_nodes else None,
-        )

@@ -223,8 +223,6 @@ class CheckpointEngine:
     #: Smaller than every real dataset id, so a MIN-based agreement
     #: drags every group to the level-2 fallback.
     BEYOND = -2
-    #: historical alias (the seed engine was XOR-only)
-    BEYOND_XOR = BEYOND
 
     def __init__(self, comm, storage, mem_charge,
                  scheme: Optional[RedundancyScheme] = None):

@@ -14,17 +14,23 @@ Two engines sit behind every public collective:
   becomes one closed-form-priced kernel event.  That is what makes
   16k-rank simulations tractable.
 
-Selection -- mirroring the matching-engine seam in
-:mod:`repro.net.matching` -- reads ``REPRO_COLLECTIVES``:
+Selection is the library's own decision (mode ``auto``): each
+collective instance runs macro unless the calling rank is inside a
+``hop_fidelity`` scope or :meth:`Transport.hop_fidelity_reason` names
+a reason -- in priority order ``injector`` (an *armed* injector or
+chaos engine vetoes today; ROADMAP item 1b narrows that to fired
+faults at the shared ``_Injector.start``), ``omission``,
+``partition``, ``limp``, the recovery family's ``recovery_hops``
+(``msglog`` / ``replicated``), ``observability``.  The one
+process-level override is :func:`set_collective_mode`:
 
-* ``auto`` (default): macro when eligible, transparent fallback to
-  hops under chaos/faults/partitions/limping/tracing/msglog/
-  checkpoint-rendezvous;
+* ``auto`` (default, and what ``None`` restores);
 * ``hops``: always the hop-level engine;
-* ``macro``: macro even under tracing (hard blockers still fall
+* ``macro``: macro even under tracing (every other reason still falls
   back); for scale benchmarks that want the fast path unconditionally.
 
-Tests can override programmatically with :func:`set_collective_mode`.
+Nothing here reads the environment; the bench harness translates
+``REPRO_COLLECTIVES`` into one :func:`set_collective_mode` call.
 
 Hop-level algorithms (the usual MPICH choices):
 
@@ -45,7 +51,6 @@ tag)`` and ``post_recv(src, tag)``.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, List, Optional
 
 from repro.mpi.datatypes import sizeof, wire_bytes
@@ -103,36 +108,30 @@ _TINY = 4.0  # bytes of a zero-payload control message
 _nbytes = wire_bytes
 
 
-# -- engine selection (same seam shape as net.matching) ----------------------
+# -- engine selection --------------------------------------------------------
 
 _VALID_MODES = ("auto", "hops", "macro")
 
-#: programmatic override; None means "consult the environment"
-_MODE: Optional[str] = None
-
-
-def _resolve_default() -> str:
-    mode = os.environ.get("REPRO_COLLECTIVES", "auto").strip().lower()
-    if mode not in _VALID_MODES:
-        raise ValueError(
-            f"REPRO_COLLECTIVES={mode!r}: expected one of {_VALID_MODES}"
-        )
-    return mode
+_MODE = "auto"
 
 
 def collective_mode() -> str:
     """The engine mode collectives currently dispatch under."""
-    return _MODE if _MODE is not None else _resolve_default()
+    return _MODE
 
 
-def set_collective_mode(mode: Optional[str]) -> Optional[str]:
-    """Override the engine mode (``None`` restores env resolution).
+def set_collective_mode(mode: Optional[str]) -> str:
+    """Override the engine mode (``None`` restores ``"auto"``).
 
-    Returns the previous override so tests can save/restore.
+    Returns the previous mode so callers can save/restore.
     """
     global _MODE
-    if mode is not None and mode not in _VALID_MODES:
-        raise ValueError(f"unknown collective mode {mode!r}")
+    if mode is None:
+        mode = "auto"
+    elif mode not in _VALID_MODES:
+        raise ValueError(
+            f"unknown collective mode {mode!r}: expected one of {_VALID_MODES}"
+        )
     prev = _MODE
     _MODE = mode
     return prev
@@ -147,7 +146,7 @@ def _macro_instance(comm, kind: str):
     """
     if comm.size == 1:
         return None
-    mode = collective_mode()
+    mode = _MODE
     if mode == "hops":
         return None
     transport = comm.api.transport

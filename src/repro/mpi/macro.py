@@ -34,10 +34,13 @@ verdict is hop-level whenever:
 
 * the calling rank is inside an :meth:`ParallelApi.hop_fidelity`
   scope (checkpoint rendezvous, restore agreement, msglog replay);
-* :meth:`Transport.hop_fidelity_reason` reports armed injectors,
-  omission faults, partitions, limping nodes, a recovery filter, or
-  enabled tracing/metrics ("observability" is overridden when the
-  mode is forced to ``macro``).
+* :meth:`Transport.hop_fidelity_reason` names a reason, checked in
+  this order: ``injector`` (an injector or chaos engine is *armed* --
+  fired or not; ROADMAP item 1b narrows that at the shared
+  ``_Injector.start``), ``omission``, ``partition``, ``limp``, the
+  recovery family's ``recovery_hops`` (``msglog`` / ``replicated``),
+  ``observability`` (enabled tracing/metrics; overridden when
+  ``set_collective_mode("macro")`` forces the tier).
 
 Bookkeeping invariants:
 
@@ -51,8 +54,8 @@ Bookkeeping invariants:
 
 The macro path does **not** tick ``api.msgs_sent`` / ``bytes_sent``
 or the fabric counters -- there are no messages.  Workloads that
-assert on those must run with ``REPRO_COLLECTIVES=hops`` (or under
-tracing, which falls back automatically).
+assert on those must run under ``set_collective_mode("hops")`` (or
+under tracing, which falls back automatically).
 """
 
 from __future__ import annotations

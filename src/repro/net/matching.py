@@ -37,18 +37,14 @@ once enough cancellations/claims have accumulated (cancelled events
 report in through the kernel's cancellation hook).  The compaction
 only drops dead entries, so it can never change match order.
 
-The pre-refactor linear engine survives as
-:class:`repro.net.matching_reference.ReferenceMatchingEngine`: it is
-the conformance oracle for the property tests and the baseline the
-engine-throughput benchmark measures speedups against.  Set
-``REPRO_MATCHING=reference`` to run any simulation on it.
+The linear-scan engine this replaced is the conformance oracle of
+``tests/test_matching_conformance.py`` and lives beside it.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from typing import Callable, Deque, Dict, Iterator, Optional, Tuple
+from typing import Deque, Dict, Iterator, Optional, Tuple
 
 from repro.net.message import Envelope
 from repro.simt.kernel import Event, Simulator
@@ -58,8 +54,6 @@ __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "RecvCancelled",
-    "make_engine",
-    "set_engine_factory",
 ]
 
 ANY_SOURCE = -1
@@ -328,35 +322,3 @@ class MatchingEngine:
         finished rank must have drained (chaos invariant feed)."""
         return sum(1 for rec in self._iter_posted() if rec.live)
 
-
-# -- engine selection ---------------------------------------------------------
-def _resolve_default() -> Callable[[Simulator], "MatchingEngine"]:
-    choice = os.environ.get("REPRO_MATCHING", "indexed").lower()
-    if choice == "indexed":
-        return MatchingEngine
-    if choice == "reference":
-        from repro.net.matching_reference import ReferenceMatchingEngine
-
-        return ReferenceMatchingEngine
-    raise ValueError(
-        f"REPRO_MATCHING must be 'indexed' or 'reference', not {choice!r}"
-    )
-
-
-_engine_factory: Callable[[Simulator], "MatchingEngine"] = _resolve_default()
-
-
-def make_engine(sim: Simulator) -> "MatchingEngine":
-    """Build the matching engine every fresh :class:`NetContext` uses."""
-    return _engine_factory(sim)
-
-
-def set_engine_factory(factory) -> Callable[[Simulator], "MatchingEngine"]:
-    """Swap the engine implementation (benchmarks / conformance runs).
-
-    Returns the previous factory so callers can restore it.
-    """
-    global _engine_factory
-    previous = _engine_factory
-    _engine_factory = factory
-    return previous

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.cluster.machine import Machine
 from repro.cluster.node import Node
 from repro.net.faults import LinkFaultModel
-from repro.net.matching import make_engine
+from repro.net.matching import MatchingEngine
 from repro.net.message import Envelope
 from repro.simt.kernel import Event
 
@@ -54,7 +54,7 @@ class NetContext:
         self.node = node
         self.addr: Address = (node.id, serial)
         self.label = label or f"ctx{serial}"
-        self.matching = make_engine(transport.sim)
+        self.matching = MatchingEngine(transport.sim)
         #: current recovery epoch; bumped by the FMI runtime on recovery
         self.epoch = 0
         self.closed = False
@@ -143,9 +143,6 @@ class Transport:
         #: here because the transport is the per-job rendezvous object
         #: every rank's API shares
         self.macro = None
-        #: explicit vetoes on the macro fast path (chaos engine arming,
-        #: experiment drivers); while > 0 every collective goes hop-level
-        self.macro_blockers = 0
         machine.fabric.on_heal(self._on_heal)
 
     def detach(self) -> None:
@@ -154,13 +151,6 @@ class Transport:
         self.machine.fabric.remove_heal_listener(self._on_heal)
 
     # -- macro-event eligibility ---------------------------------------------
-    def block_macro(self) -> None:
-        """Veto the macro-event collective fast path (stackable)."""
-        self.macro_blockers += 1
-
-    def unblock_macro(self) -> None:
-        self.macro_blockers = max(0, self.macro_blockers - 1)
-
     def hop_fidelity_reason(self) -> Optional[str]:
         """Why collectives on this transport need per-hop fidelity.
 
@@ -172,8 +162,6 @@ class Transport:
         exchanges) do not disable the fast path; their contention
         error is what the conformance tolerance covers.
         """
-        if self.macro_blockers > 0:
-            return "blocked"
         if self.sim.fault_injectors > 0:
             return "injector"
         if self.faults is not None or self._lossy:

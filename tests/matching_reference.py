@@ -1,16 +1,10 @@
-"""The pre-refactor linear matching engine, kept on purpose.
+"""The pre-refactor linear matching engine, kept as a test oracle.
 
 This is the original deque-scan implementation of
-:class:`~repro.net.matching.MatchingEngine`, preserved verbatim for
-two jobs:
-
-* **conformance oracle** -- the property tests drive this engine and
-  the indexed one with the same random post/deliver/reset/cancel
-  sequence and assert identical match order, FIFO non-overtaking and
-  counter values (``tests/test_matching_conformance.py``);
-* **perf baseline** -- ``benchmarks/bench_engine_throughput.py``
-  measures the indexed engine's speedup against it, and
-  ``REPRO_MATCHING=reference`` runs any simulation on it end to end.
+:class:`~repro.net.matching.MatchingEngine`, preserved verbatim:
+``test_matching_conformance.py`` drives this engine and the indexed
+one with the same random post/deliver/reset/cancel sequence and
+asserts identical match order, FIFO non-overtaking and counter values.
 
 It must keep the exact observable semantics of the indexed engine; do
 not optimise it.

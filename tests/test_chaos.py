@@ -33,9 +33,13 @@ from repro.chaos import (
     check_suspicion_resolved,
     run_campaign,
 )
-from repro.cluster.failures import EventInjector
+from repro.cluster import Machine
+from repro.cluster.failures import EventInjector, TraceInjector
+from repro.cluster.spec import SIERRA
+from repro.mpi.runtime import MpiJob
 from repro.obs import Tracer, write_jsonl
 from repro.simt import Simulator
+from repro.simt.rng import RngRegistry
 
 
 # ------------------------------------------------------------ EventInjector
@@ -109,6 +113,35 @@ def test_attime_kills_the_slots_current_node():
     assert t == pytest.approx(2.0)
     assert desc.startswith("kill slot 1")
     assert job.epoch >= 1 and job.finished
+
+
+def test_disarm_removes_exactly_the_veto_arm_placed():
+    """``arm``/``disarm`` are +1/-1 on ``sim.fault_injectors``, once
+    each.  (``disarm`` used to lift a per-transport veto from every
+    tenant, including ones launched after ``arm`` that it had never
+    vetoed.)"""
+    def app(mpi):
+        yield from mpi.barrier()
+
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(4), RngRegistry(0))
+    first = MpiJob(machine, app, 2, procs_per_node=1, charge_init=False)
+    engine = ChaosEngine(first, jobs=[first])
+    engine.arm(Scenario("t", []))
+    engine.arm(Scenario("again", []))
+    assert sim.fault_injectors == 1
+    assert first.transport.hop_fidelity_reason() == "injector"
+
+    late = MpiJob(machine, app, 2, procs_per_node=1, charge_init=False)
+    engine.jobs.append(late)
+    own = TraceInjector(sim, [(1e9, [0])], kill=lambda nodes: None)
+    own.start()
+    engine.disarm()
+    engine.disarm()
+    assert late.transport.hop_fidelity_reason() == "injector"
+    own.stop()
+    assert late.transport.hop_fidelity_reason() is None
+    assert sim.fault_injectors == 0
 
 
 def test_onevent_trigger_lands_at_marker():

@@ -4,14 +4,17 @@ import pytest
 
 from repro.cluster import Machine
 from repro.cluster.failures import (
+    EventInjector,
     FailureInjector,
     FailureType,
     MtbfInjector,
     TSUBAME2_FAILURE_TYPES,
     TSUBAME2_TABLE1_CLASSES,
+    TraceInjector,
 )
 from repro.cluster.resource_manager import AllocationError
 from repro.cluster.spec import SECONDS_PER_YEAR, SIERRA, TSUBAME2
+from repro.obs.tracer import Tracer
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
@@ -97,7 +100,10 @@ def test_injector_crashes_machine_nodes():
     sim = Simulator()
     m = Machine(sim, TSUBAME2.with_nodes(64), RngRegistry(3))
     one_per_hour = [FailureType("node", 1, 1.0 / 3600.0, 1)]
-    inj = m.make_injector(one_per_hour)
+    inj = FailureInjector(
+        sim, m.rng.stream("failures"), one_per_hour, m.spec.num_nodes,
+        on_failure=lambda rec: m.fail_nodes(rec.nodes, cause=rec.type.name),
+    )
     inj.start()
     sim.run(until=50 * 3600.0)
     inj.stop()
@@ -109,14 +115,65 @@ def test_injector_crashes_machine_nodes():
     assert dead == hit
 
 
-def test_injector_double_start_rejected():
+# One arming protocol for every injector class (cluster.failures._Injector).
+INJECTORS = {
+    "failure": lambda sim, rng: FailureInjector(
+        sim, rng, TSUBAME2_FAILURE_TYPES, 16),
+    "trace": lambda sim, rng: TraceInjector(
+        sim, [(1.0, [0])], kill=lambda nodes: None),
+    "event": lambda sim, rng: EventInjector(
+        sim, lambda ev: False, lambda: None),
+    "mtbf": lambda sim, rng: MtbfInjector(
+        sim, rng, 60.0, lambda nid: None, 16),
+}
+
+
+def fresh_injector(kind):
     sim = Simulator()
-    inj = FailureInjector(
-        sim, RngRegistry(0).stream("x"), TSUBAME2_FAILURE_TYPES, 16
-    )
+    Tracer(sim)  # EventInjector needs an enabled tracer to arm
+    return sim, INJECTORS[kind](sim, RngRegistry(0).stream("x"))
+
+
+@pytest.mark.parametrize("kind", sorted(INJECTORS))
+def test_injector_double_start_rejected(kind):
+    sim, inj = fresh_injector(kind)
     inj.start()
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="injector already started"):
         inj.start()
+    assert sim.fault_injectors == 1
+    inj.stop()
+    assert sim.fault_injectors == 0
+
+
+@pytest.mark.parametrize("kind", sorted(INJECTORS))
+def test_injector_stop_is_idempotent_and_a_noop_before_start(kind):
+    sim, inj = fresh_injector(kind)
+    inj.stop()
+    assert sim.fault_injectors == 0
+    inj.start()
+    assert sim.fault_injectors == 1
+    inj.stop()
+    inj.stop()
+    assert sim.fault_injectors == 0
+
+
+def test_rejected_second_start_spawns_no_second_arrival_process():
+    """``start(); start()`` used to spawn a second arrival process while
+    counting the injector once: double the kill rate / every trace entry
+    replayed twice, under ``sim.fault_injectors == 1``."""
+    sim = Simulator()
+    kills = []
+    mtbf = MtbfInjector(sim, RngRegistry(5).stream("mtbf"), 60.0,
+                        kills.append, 32)
+    trace = TraceInjector(sim, [(10.0, [1]), (20.0, [2])],
+                          kill=lambda nodes: None)
+    for inj in (mtbf, trace):
+        inj.start()
+        with pytest.raises(RuntimeError):
+            inj.start()
+    sim.run(until=60.0 * 1000)
+    assert len(kills) == pytest.approx(1000, rel=0.15)  # not ~2000
+    assert trace.replayed == [(10.0, [1]), (20.0, [2])]
 
 
 def test_mtbf_injector_rate():

@@ -18,9 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Machine
+from repro.cluster import Machine, TraceInjector
 from repro.cluster.spec import SIERRA
-from repro.mpi.collectives import allreduce_hier, set_collective_mode
+from repro.mpi.collectives import (
+    allreduce_hier,
+    collective_mode,
+    set_collective_mode,
+)
+from repro.net import LinkFaultModel
 from repro.mpi.ops import MAX, SUM
 from repro.mpi.runtime import MpiJob
 from repro.obs.tracer import Tracer
@@ -281,6 +286,21 @@ def expect_fallback(job, reason):
     assert macro.fallbacks.get(reason, 0) > 0
 
 
+def test_mode_override_ignores_the_environment(monkeypatch):
+    """``None`` restores ``auto`` whatever ``REPRO_COLLECTIVES`` says:
+    the library no longer looks (the bench harness translates it)."""
+    monkeypatch.setenv("REPRO_COLLECTIVES", "hops")
+    assert set_collective_mode("macro") == "auto"  # returns the previous
+    assert collective_mode() == "macro"
+    set_collective_mode(None)
+    assert collective_mode() == "auto"
+    with pytest.raises(ValueError, match="unknown collective mode"):
+        set_collective_mode("bogus")
+    results, _t, job = _run_auto()
+    assert results == [10] * 4
+    assert job.transport.macro.instances_macro > 0
+
+
 def test_auto_uses_macro_when_nominal():
     results, _t, job = _run_auto()
     assert results == [10] * 4
@@ -307,9 +327,17 @@ def test_forced_macro_overrides_tracing():
     assert job.transport.macro.instances_macro > 0
 
 
+def _armed_injector(sim):
+    """A real injector, armed and never firing inside these runs."""
+    injector = TraceInjector(sim, [(1e9, [0])], kill=lambda nodes: None)
+    injector.start()
+    return injector
+
+
 def test_hop_fidelity_reason_priority_and_coverage():
-    """Unit test of the transport gate: every degraded/observed state
-    maps to its reason, in documented priority order."""
+    """Unit test of the transport gate: the six degraded/observed
+    states are stacked from the lowest priority up, so each reason
+    must outrank every one already in force."""
     sim = Simulator()
     machine = Machine(sim, SIERRA.with_nodes(4), RngRegistry(0))
     job = MpiJob(machine, _fallback_app, 4, procs_per_node=1,
@@ -317,31 +345,22 @@ def test_hop_fidelity_reason_priority_and_coverage():
     tr = job.transport
     assert tr.hop_fidelity_reason() is None
 
-    tr.block_macro()
-    assert tr.hop_fidelity_reason() == "blocked"
-    sim.fault_injectors += 1
-    assert tr.hop_fidelity_reason() == "blocked"  # priority order
-    tr.unblock_macro()
-    assert tr.hop_fidelity_reason() == "injector"
-    sim.fault_injectors -= 1
-
-    machine.fabric.partition([[0, 1], [2, 3]])
-    assert tr.hop_fidelity_reason() == "partition"
-    machine.fabric.heal()
-
-    machine.node(1).set_limp(bw_factor=4.0, latency_factor=2.0)
-    assert tr.hop_fidelity_reason() == "limp"
-    machine.node(1).set_limp()  # heal
-    assert tr.hop_fidelity_reason() is None
-
+    Tracer(sim)
+    assert tr.hop_fidelity_reason() == "observability"
     # The job's recovery family answers from one field.
     for reason in ("msglog", "replicated"):
         tr.recovery_hops = reason
         assert tr.hop_fidelity_reason() == reason
-    tr.recovery_hops = None
-
-    Tracer(sim)
-    assert tr.hop_fidelity_reason() == "observability"
+    machine.node(1).set_limp(bw_factor=4.0, latency_factor=2.0)
+    assert tr.hop_fidelity_reason() == "limp"
+    machine.fabric.partition([[0, 1], [2, 3]])
+    assert tr.hop_fidelity_reason() == "partition"
+    tr.set_faults(LinkFaultModel(np.random.default_rng(0), drop_p=0.1))
+    assert tr.hop_fidelity_reason() == "omission"
+    injector = _armed_injector(sim)
+    assert tr.hop_fidelity_reason() == "injector"
+    injector.stop()
+    assert tr.hop_fidelity_reason() == "omission"
 
 
 def test_auto_falls_back_under_limp():
@@ -352,14 +371,20 @@ def test_auto_falls_back_under_limp():
     expect_fallback(job, "limp")
 
 
-def test_auto_falls_back_when_blocked():
+def test_auto_falls_back_while_an_injector_is_armed():
+    armed = []
+
     def prep(sim, machine, job):
-        job.transport.block_macro()
+        armed.append(_armed_injector(sim))
     results, _t, job = _run_auto(prep)
     assert results == [10] * 4
-    expect_fallback(job, "blocked")
-    job.transport.unblock_macro()
+    expect_fallback(job, "injector")
+    armed[0].stop()
     assert job.transport.hop_fidelity_reason() is None
+    # macro again once nothing is armed
+    results, _t, job = _run_auto()
+    assert results == [10] * 4
+    assert job.transport.macro.instances_macro > 0
 
 
 def test_auto_falls_back_under_a_hop_recording_family():
@@ -390,7 +415,7 @@ def test_verdict_is_latched_per_instance():
     while ranks trickle in must not split them."""
     def app(mpi):
         if mpi.rank == 0:
-            mpi.transport.block_macro()
+            _armed_injector(mpi.sim)
         out = yield from mpi.allreduce(1, SUM)
         return out, 0.0, mpi.now
 

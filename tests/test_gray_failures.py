@@ -11,7 +11,6 @@ import pytest
 
 from repro.chaos import GRAY_CAMPAIGNS, run_campaign
 from repro.cluster import Machine
-from repro.cluster.failures import LimpInjector
 from repro.cluster.node import NodeDownError
 from repro.cluster.spec import SIERRA
 from repro.net import LinkFaultModel
@@ -312,33 +311,6 @@ def test_machine_limp_wrappers():
     assert m.node(0).limping and m.node(2).limping and not m.node(1).limping
     m.unlimp_nodes([0, 2])
     assert not m.node(0).limping and not m.node(2).limping
-
-
-def test_limp_injector_is_deterministic_and_stop_heals():
-    def episodes(seed):
-        sim, m, _tp = setup()
-        inj = LimpInjector(
-            sim, np.random.default_rng(seed), list(m.nodes),
-            mean_interval=0.5, mean_duration=0.3,
-        )
-        inj.start()
-        sim.run(until=sim.timeout(5.0))
-        inj.stop()
-        assert all(not n.limping for n in m.nodes if n.alive)
-        return inj.episodes
-
-    eps = episodes(3)
-    assert eps and eps == episodes(3)
-    assert eps != episodes(4)
-
-
-def test_limp_injector_validates_args():
-    sim, m, _tp = setup()
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        LimpInjector(sim, rng, [], 1.0, 1.0)
-    with pytest.raises(ValueError):
-        LimpInjector(sim, rng, [m.node(0)], 0.0, 1.0)
 
 
 # -------------------------------------------------- end-to-end acceptance

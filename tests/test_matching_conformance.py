@@ -24,9 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.matching import ANY_SOURCE, ANY_TAG, MatchingEngine
-from repro.net.matching_reference import ReferenceMatchingEngine
 from repro.net.message import Envelope
 from repro.simt import Simulator
+
+from tests.matching_reference import ReferenceMatchingEngine
 
 _SOURCES = st.integers(0, 3)
 _TAGS = st.integers(0, 2)
