@@ -121,57 +121,60 @@ class FmiContext(ParallelApi):
         per-hop message timing is load-bearing, so the collectives
         inside never take the macro-event fast path.
         """
-        with self.hop_fidelity():
-            result = yield from self._loop_impl(ckpts, nbytes)
-        return result
+        # hop_fidelity(), written out: a ``with`` around a delegating
+        # ``yield from`` would put one more frame under every resume of
+        # a rank that is inside FMI_Loop (kill -> generator.close()
+        # unwinds this ``finally`` the same way).
+        self._hop_only += 1
+        try:
+            self._check_ok()
+            rs = self.fproc.rank_state
+            family = self.fmi_job.recovery
+            if rs.restore_pending:
+                rs.restore_pending = False
+                restored = yield from family.restore(self)
+                if restored == "beyond-xor":
+                    restored = yield from self._restore_from_level2()
+                if restored is not None:
+                    meta, payloads = restored
+                    yield from self._copy_into(ckpts, payloads)
+                    rs.loop_id = meta.dataset_id + 1
+                    rs.last_ckpt_loop = meta.dataset_id
+                    rs.policy.reset_after_recovery(self.now)
+                    self.fmi_job.restores_done += 1
+                    return meta.dataset_id
+                # Cold start: the failure predates the first checkpoint.
+                rs.loop_id = 0
+                rs.policy = type(rs.policy)(self.fmi_job.config)
 
-    def _loop_impl(self, ckpts, nbytes):
-        self._check_ok()
-        rs = self.fproc.rank_state
-        family = self.fmi_job.recovery
-        if rs.restore_pending:
-            rs.restore_pending = False
-            restored = yield from family.restore(self)
-            if restored == "beyond-xor":
-                restored = yield from self._restore_from_level2()
-            if restored is not None:
-                meta, payloads = restored
-                yield from self._copy_into(ckpts, payloads)
-                rs.loop_id = meta.dataset_id + 1
-                rs.last_ckpt_loop = meta.dataset_id
-                rs.policy.reset_after_recovery(self.now)
-                self.fmi_job.restores_done += 1
-                return meta.dataset_id
-            # Cold start: the failure predates the first checkpoint.
-            rs.loop_id = 0
-            rs.policy = type(rs.policy)(self.fmi_job.config)
+            want = rs.policy.should_checkpoint(self.now)
+            if self.fmi_job.config.checkpoint_enabled:
+                # "FMI_Loop ... synchronizes the application": the
+                # checkpoint decision is global, so a time-based (Vaidya)
+                # policy can never split the ranks.
+                from repro.mpi.ops import MAX
 
-        want = rs.policy.should_checkpoint(self.now)
-        if self.fmi_job.config.checkpoint_enabled:
-            # "FMI_Loop ... synchronizes the application": the
-            # checkpoint decision is global, so a time-based (Vaidya)
-            # policy can never split the ranks.
-            from repro.mpi.ops import MAX
+                want = bool((yield from self.allreduce(1 if want else 0, MAX)))
+            if want:
+                t0 = self.now
+                payloads = [self._as_payload(c, i, nbytes) for i, c in enumerate(ckpts)]
+                family.note_ckpt_begin(self.world_rank, rs.loop_id, self.ctx)
+                meta = yield from self.engine.checkpoint(payloads, dataset_id=rs.loop_id)
+                rs.policy.record_checkpoint(self.now, self.now - t0)
+                rs.last_ckpt_loop = rs.loop_id
+                self.fmi_job.checkpoints_done += 1
+                family.note_rank_checkpoint(self.world_rank, rs.loop_id, self.ctx)
+                if (
+                    self.l2store is not None
+                    and rs.loop_id >= self.fmi_job.next_l2_at
+                ):
+                    yield from self._flush_level2(meta)
 
-            want = bool((yield from self.allreduce(1 if want else 0, MAX)))
-        if want:
-            t0 = self.now
-            payloads = [self._as_payload(c, i, nbytes) for i, c in enumerate(ckpts)]
-            family.note_ckpt_begin(self.world_rank, rs.loop_id, self.ctx)
-            meta = yield from self.engine.checkpoint(payloads, dataset_id=rs.loop_id)
-            rs.policy.record_checkpoint(self.now, self.now - t0)
-            rs.last_ckpt_loop = rs.loop_id
-            self.fmi_job.checkpoints_done += 1
-            family.note_rank_checkpoint(self.world_rank, rs.loop_id, self.ctx)
-            if (
-                self.l2store is not None
-                and rs.loop_id >= self.fmi_job.next_l2_at
-            ):
-                yield from self._flush_level2(meta)
-
-        current = rs.loop_id
-        rs.loop_id += 1
-        return current
+            current = rs.loop_id
+            rs.loop_id += 1
+            return current
+        finally:
+            self._hop_only -= 1
 
     # -- level 2 (multilevel C/R, §VIII) ---------------------------------------
     def _flush_level2(self, meta):

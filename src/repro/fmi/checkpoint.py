@@ -299,78 +299,81 @@ class CheckpointEngine:
         interleaving of checkpoint traffic with failures is exactly
         what the recovery experiments measure.
         """
-        with self.comm.api.hop_fidelity():
-            meta = yield from self._checkpoint_impl(payloads, dataset_id)
-        return meta
-
-    def _checkpoint_impl(self, payloads, dataset_id):
-        n = self.comm.size
-        traced = self.sim.tracer.enabled
-        t_total = self.sim.now
-        if traced:
-            self._trace_mark("ckpt.begin", dataset=dataset_id)
-        sections = [(p.data.nbytes, p.nbytes) for p in payloads]
-        blob = _concat(payloads)
-
-        # Group members agree on a common (padded) blob geometry.
-        dims = yield from self.comm.allreduce(
-            (blob.data.nbytes, blob.nbytes), op=_pairmax, nbytes=16.0
-        )
-        max_len, max_declared = dims
-        # Chunks must split evenly for every member (XOR: n-1 chunks).
-        max_len = _round_up(max_len, max(1, self.scheme.pad_multiple(n)))
-        blob = blob.padded(max_len, nbytes=max_declared)
-
-        t_phase = self.sim.now
-        yield from self.storage.store(_blob_key(dataset_id), blob)
-        if traced:
-            self._trace_span("ckpt.snapshot", t_phase, dataset=dataset_id,
-                             nbytes=blob.nbytes)
-        t_phase = self.sim.now
-        if traced:
-            self._trace_mark("ckpt.encode.begin", dataset=dataset_id,
-                             nbytes=blob.nbytes)
-        redundancy = yield from self.scheme.encode(blob)
-        if traced:
-            self._trace_span("ckpt.encode", t_phase, dataset=dataset_id,
-                             nbytes=blob.nbytes)
-        if redundancy is not None:
-            t_phase = self.sim.now
-            yield from self.storage.store(
-                self.scheme.redundancy_key(dataset_id), redundancy
-            )
+        # hop_fidelity(), written out (no forwarding frame under every
+        # resume of a checkpointing rank; a kill's generator.close()
+        # unwinds the ``finally`` as it did the ``with``)
+        api = self.comm.api
+        api._hop_only += 1
+        try:
+            n = self.comm.size
+            traced = self.sim.tracer.enabled
+            t_total = self.sim.now
             if traced:
-                self._trace_span("ckpt.parity_store", t_phase,
-                                 dataset=dataset_id, nbytes=redundancy.nbytes)
-        t_phase = self.sim.now
-        meta = CheckpointDataset(dataset_id, sections, max_len, blob.nbytes)
-        # Metadata is tiny; replicate the whole group's metas everywhere
-        # (as SCR does) so any survivor can describe a lost member's
-        # checkpoint to its replacement.  The allgather doubles as the
-        # group-wide completion barrier: once it returns, every member
-        # has stored blob+redundancy.
-        group_metas = yield from self.comm.allgather(meta.to_dict(), nbytes=96.0)
-        yield from self.storage.store_meta(
-            _meta_key(dataset_id),
-            {"group": {str(pos): m for pos, m in enumerate(group_metas)}},
-        )
-        ids = [i for i in self.completed_ids() if i != dataset_id]
-        ids.append(dataset_id)
-        ids.sort()
-        for old in ids[: -self.KEEP]:
-            self._drop_dataset(old)
-        yield from self._store_completed(ids[-self.KEEP :])
-        if traced:
-            self._trace_span("ckpt.meta", t_phase, dataset=dataset_id)
-            self._trace_span("ckpt.checkpoint", t_total, dataset=dataset_id,
-                             nbytes=blob.nbytes)
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.counter("ckpt.checkpoints").inc()
-            metrics.histogram("ckpt.checkpoint_s").observe(
-                self.sim.now - t_total
+                self._trace_mark("ckpt.begin", dataset=dataset_id)
+            sections = [(p.data.nbytes, p.nbytes) for p in payloads]
+            blob = _concat(payloads)
+
+            # Group members agree on a common (padded) blob geometry.
+            dims = yield from self.comm.allreduce(
+                (blob.data.nbytes, blob.nbytes), op=_pairmax, nbytes=16.0
             )
-        return meta
+            max_len, max_declared = dims
+            # Chunks must split evenly for every member (XOR: n-1 chunks).
+            max_len = _round_up(max_len, max(1, self.scheme.pad_multiple(n)))
+            blob = blob.padded(max_len, nbytes=max_declared)
+
+            t_phase = self.sim.now
+            yield from self.storage.store(_blob_key(dataset_id), blob)
+            if traced:
+                self._trace_span("ckpt.snapshot", t_phase, dataset=dataset_id,
+                                 nbytes=blob.nbytes)
+            t_phase = self.sim.now
+            if traced:
+                self._trace_mark("ckpt.encode.begin", dataset=dataset_id,
+                                 nbytes=blob.nbytes)
+            redundancy = yield from self.scheme.encode(blob)
+            if traced:
+                self._trace_span("ckpt.encode", t_phase, dataset=dataset_id,
+                                 nbytes=blob.nbytes)
+            if redundancy is not None:
+                t_phase = self.sim.now
+                yield from self.storage.store(
+                    self.scheme.redundancy_key(dataset_id), redundancy
+                )
+                if traced:
+                    self._trace_span("ckpt.parity_store", t_phase,
+                                     dataset=dataset_id, nbytes=redundancy.nbytes)
+            t_phase = self.sim.now
+            meta = CheckpointDataset(dataset_id, sections, max_len, blob.nbytes)
+            # Metadata is tiny; replicate the whole group's metas everywhere
+            # (as SCR does) so any survivor can describe a lost member's
+            # checkpoint to its replacement.  The allgather doubles as the
+            # group-wide completion barrier: once it returns, every member
+            # has stored blob+redundancy.
+            group_metas = yield from self.comm.allgather(meta.to_dict(), nbytes=96.0)
+            yield from self.storage.store_meta(
+                _meta_key(dataset_id),
+                {"group": {str(pos): m for pos, m in enumerate(group_metas)}},
+            )
+            ids = [i for i in self.completed_ids() if i != dataset_id]
+            ids.append(dataset_id)
+            ids.sort()
+            for old in ids[: -self.KEEP]:
+                self._drop_dataset(old)
+            yield from self._store_completed(ids[-self.KEEP :])
+            if traced:
+                self._trace_span("ckpt.meta", t_phase, dataset=dataset_id)
+                self._trace_span("ckpt.checkpoint", t_total, dataset=dataset_id,
+                                 nbytes=blob.nbytes)
+            metrics = self.sim.metrics
+            if metrics.enabled:
+                metrics.counter("ckpt.checkpoints").inc()
+                metrics.histogram("ckpt.checkpoint_s").observe(
+                    self.sim.now - t_total
+                )
+            return meta
+        finally:
+            api._hop_only -= 1
 
     # ---------------------------------------------------------------- restart
     def restore(self, world_agree=None, allow_beyond_xor: bool = False):
@@ -398,9 +401,108 @@ class CheckpointEngine:
         if self.sim.tracer.enabled:
             self._trace_mark("ckpt.restore.begin")
         # restore collectives are hop-level for the same reason the
-        # checkpoint rendezvous is
-        with self.comm.api.hop_fidelity():
-            result = yield from self._restore_inner(world_agree, allow_beyond_xor)
+        # checkpoint rendezvous is (hop_fidelity(), written out)
+        api = self.comm.api
+        api._hop_only += 1
+        try:
+            mine = self.completed_ids()
+            entries = yield from self.comm.allgather(list(mine), nbytes=16.0)
+            n = len(entries)
+            missing = [pos for pos, ids in enumerate(entries) if not ids]
+            if len(missing) == n:
+                # Nobody in the group has anything.  Without a deeper tier
+                # that is a cold start; with one it might be a wiped group
+                # (every member's node died), so let level 2 decide.
+                candidate = self.BEYOND if allow_beyond_xor else -1
+            else:
+                survivor_sets = [set(ids) for ids in entries if ids]
+                common = set.intersection(*survivor_sets)
+                if not common or not self.scheme.can_repair(missing, n):
+                    # Either the losses exceed what this scheme encodes for,
+                    # or the survivors hold no common complete dataset.
+                    if not allow_beyond_xor:
+                        raise UnrecoverableFailure(
+                            f"{self.scheme.name} group beyond level-1 repair "
+                            f"({len(missing)} members lost, common datasets: "
+                            f"{sorted(common) if common else []})"
+                        )
+                    candidate = self.BEYOND
+                else:
+                    candidate = max(common)
+
+            if world_agree is not None:
+                dataset = yield from world_agree(candidate)
+            else:
+                dataset = candidate
+            if dataset == self.BEYOND:
+                return self._restored(t0, "beyond-xor")
+            if dataset == -1:
+                # Cold start everywhere: wipe any partial local state.
+                for ds in mine:
+                    self._drop_dataset(ds)
+                if mine:
+                    yield from self._store_completed([])
+                return self._restored(t0, None)
+            if self.comm.rank not in missing and dataset not in mine:
+                raise UnrecoverableFailure(
+                    f"agreed dataset {dataset} not held locally (have {mine})"
+                )
+
+            # Prune datasets newer than the agreed one: they belong to the
+            # rolled-back timeline.
+            if self.comm.rank not in missing:
+                keep = [i for i in mine if i <= dataset]
+                for ds in mine:
+                    if ds > dataset:
+                        self._drop_dataset(ds)
+                if keep != mine:
+                    yield from self._store_completed(keep)
+
+            if not missing:
+                blob = yield from self.storage.load(_blob_key(dataset))
+                meta = yield from self._my_meta(dataset)
+                return self._restored(t0, (meta, _slice(blob, meta)))
+
+            # Rebuild every lost member (XOR repairs at most one; partner
+            # repairs any non-adjacent set, one at a time).
+            blob: Optional[Payload] = None
+            meta: Optional[CheckpointDataset] = None
+            for f in missing:
+                t_rebuild = self.sim.now
+                if self.comm.rank == f:
+                    blob, redundancy, group_meta = (
+                        yield from self.scheme.rebuild_replacement(f, dataset)
+                    )
+                    if self.sim.tracer.enabled:
+                        self._trace_span("ckpt.rebuild", t_rebuild,
+                                         dataset=dataset, role="replacement")
+                    yield from self.storage.store(_blob_key(dataset), blob)
+                    if redundancy is not None:
+                        yield from self.storage.store(
+                            self.scheme.redundancy_key(dataset), redundancy
+                        )
+                    yield from self.storage.store_meta(_meta_key(dataset), group_meta)
+                    yield from self._store_completed([dataset])
+                    meta = CheckpointDataset.from_dict(group_meta["group"][str(f)])
+                else:
+                    assisted = yield from self.scheme.assist_rebuild(f, dataset)
+                    if assisted is not None:
+                        if self.sim.tracer.enabled:
+                            self._trace_span("ckpt.rebuild", t_rebuild,
+                                             dataset=dataset, role="survivor")
+                        blob = assisted
+            if meta is None:
+                # Survivor (or uninvolved member): the assist may already
+                # have loaded my blob; otherwise read it back now.
+                if blob is None:
+                    blob = yield from self.storage.load(_blob_key(dataset))
+                meta = yield from self._my_meta(dataset)
+            return self._restored(t0, (meta, _slice(blob, meta)))
+        finally:
+            api._hop_only -= 1
+
+    def _restored(self, t0: float, result):
+        """Record how a :meth:`restore` that began at ``t0`` ended."""
         if self.sim.tracer.enabled:
             if result == "beyond-xor":
                 outcome, dataset = "beyond-xor", None
@@ -415,101 +517,6 @@ class CheckpointEngine:
             metrics.counter("ckpt.restores").inc()
             metrics.histogram("ckpt.restore_s").observe(self.sim.now - t0)
         return result
-
-    def _restore_inner(self, world_agree, allow_beyond_xor: bool):
-        mine = self.completed_ids()
-        entries = yield from self.comm.allgather(list(mine), nbytes=16.0)
-        n = len(entries)
-        missing = [pos for pos, ids in enumerate(entries) if not ids]
-        if len(missing) == n:
-            # Nobody in the group has anything.  Without a deeper tier
-            # that is a cold start; with one it might be a wiped group
-            # (every member's node died), so let level 2 decide.
-            candidate = self.BEYOND if allow_beyond_xor else -1
-        else:
-            survivor_sets = [set(ids) for ids in entries if ids]
-            common = set.intersection(*survivor_sets)
-            if not common or not self.scheme.can_repair(missing, n):
-                # Either the losses exceed what this scheme encodes for,
-                # or the survivors hold no common complete dataset.
-                if not allow_beyond_xor:
-                    raise UnrecoverableFailure(
-                        f"{self.scheme.name} group beyond level-1 repair "
-                        f"({len(missing)} members lost, common datasets: "
-                        f"{sorted(common) if common else []})"
-                    )
-                candidate = self.BEYOND
-            else:
-                candidate = max(common)
-
-        if world_agree is not None:
-            dataset = yield from world_agree(candidate)
-        else:
-            dataset = candidate
-        if dataset == self.BEYOND:
-            return "beyond-xor"
-        if dataset == -1:
-            # Cold start everywhere: wipe any partial local state.
-            for ds in mine:
-                self._drop_dataset(ds)
-            if mine:
-                yield from self._store_completed([])
-            return None
-        if self.comm.rank not in missing and dataset not in mine:
-            raise UnrecoverableFailure(
-                f"agreed dataset {dataset} not held locally (have {mine})"
-            )
-
-        # Prune datasets newer than the agreed one: they belong to the
-        # rolled-back timeline.
-        if self.comm.rank not in missing:
-            keep = [i for i in mine if i <= dataset]
-            for ds in mine:
-                if ds > dataset:
-                    self._drop_dataset(ds)
-            if keep != mine:
-                yield from self._store_completed(keep)
-
-        if not missing:
-            blob = yield from self.storage.load(_blob_key(dataset))
-            meta = yield from self._my_meta(dataset)
-            return meta, _slice(blob, meta)
-
-        # Rebuild every lost member (XOR repairs at most one; partner
-        # repairs any non-adjacent set, one at a time).
-        blob: Optional[Payload] = None
-        meta: Optional[CheckpointDataset] = None
-        for f in missing:
-            t_rebuild = self.sim.now
-            if self.comm.rank == f:
-                blob, redundancy, group_meta = (
-                    yield from self.scheme.rebuild_replacement(f, dataset)
-                )
-                if self.sim.tracer.enabled:
-                    self._trace_span("ckpt.rebuild", t_rebuild,
-                                     dataset=dataset, role="replacement")
-                yield from self.storage.store(_blob_key(dataset), blob)
-                if redundancy is not None:
-                    yield from self.storage.store(
-                        self.scheme.redundancy_key(dataset), redundancy
-                    )
-                yield from self.storage.store_meta(_meta_key(dataset), group_meta)
-                yield from self._store_completed([dataset])
-                meta = CheckpointDataset.from_dict(group_meta["group"][str(f)])
-            else:
-                assisted = yield from self.scheme.assist_rebuild(f, dataset)
-                if assisted is not None:
-                    if self.sim.tracer.enabled:
-                        self._trace_span("ckpt.rebuild", t_rebuild,
-                                         dataset=dataset, role="survivor")
-                    blob = assisted
-        if meta is None:
-            # Survivor (or uninvolved member): the assist may already
-            # have loaded my blob; otherwise read it back now.
-            if blob is None:
-                blob = yield from self.storage.load(_blob_key(dataset))
-            meta = yield from self._my_meta(dataset)
-        return meta, _slice(blob, meta)
 
     def _my_meta(self, dataset: int):
         raw = yield from self.storage.load_meta(_meta_key(dataset))

@@ -64,7 +64,9 @@ class FmiProcess(RankProcess):
         self.rank_state = RankState(job.config)
         self.state = ProcState.H1_BOOTSTRAPPING
         self.notified_gen = -1
-        self._notified_pending = False
+        #: True from a failure notice until H1 clears it; while set,
+        #: every FMI communication call raises FailureNotified
+        self.notified_pending = False
         super().__init__(job, rank, node, incarnation)
 
     def _ctx_label(self) -> str:
@@ -78,10 +80,6 @@ class FmiProcess(RankProcess):
         return f"fmi:rank{self.rank}.{self.incarnation}"
 
     # -- liveness / notification ------------------------------------------------
-    @property
-    def notified_pending(self) -> bool:
-        return self._notified_pending
-
     @property
     def needs_resync(self) -> bool:
         # H1/H2 processes have no log-ring overlay yet; fmirun must
@@ -111,7 +109,7 @@ class FmiProcess(RankProcess):
             )
         if absorbed:
             return
-        self._notified_pending = True
+        self.notified_pending = True
         self.proc.interrupt(FailureNotified(generation, reason))
 
     # -- the state machine ----------------------------------------------------------
@@ -129,9 +127,12 @@ class FmiProcess(RankProcess):
 
     def _main(self):
         # Overrides the fail-stop-shaped base: the boot latency is paid
-        # once per *process*, but the H1 -> H2 -> H3 body loops on every
-        # Notified transition -- a notification during boot must not
-        # re-charge the fork/exec cost.
+        # once per *process*, but H1 -> H2 -> H3 loops on every Notified
+        # transition -- a notification during boot must not re-charge
+        # the fork/exec cost.  The application generator is driven from
+        # this frame: every resume of the rank walks the chain of
+        # ``yield from`` above the yield it stopped at, so a level that
+        # only forwards is a call per resume.
         job = self.job
         booted = False
         while True:
@@ -139,10 +140,14 @@ class FmiProcess(RankProcess):
                 if not booted:
                     yield from self._boot()
                     booted = True
-                result = yield from self._body()
+                yield from self._h1()
+                yield from self._h2()
+                result = yield from self._enter_h3()
+                self._set_state(ProcState.DONE)
+                job.rank_finished(self.rank, result)
                 return result
             except (FailureNotified, Interrupt) as exc:
-                self._notified_pending = True  # stays set until H1 resets it
+                self.notified_pending = True  # stays set until H1 resets it
                 gen = getattr(exc, "epoch", None)
                 if gen is None and isinstance(exc, Interrupt):
                     cause = exc.cause
@@ -152,19 +157,11 @@ class FmiProcess(RankProcess):
                 )
                 continue  # Notified transition: back to H1
 
-    def _body(self):
-        yield from self._h1()
-        yield from self._h2()
-        result = yield from self._h3()
-        self._set_state(ProcState.DONE)
-        self.job.rank_finished(self.rank, result)
-        return result
-
     def _h1(self):
         """Bootstrapping: synchronise every rank, exchange endpoints."""
         self._set_state(ProcState.H1_BOOTSTRAPPING)
         job = self.job
-        self._notified_pending = False
+        self.notified_pending = False
         self.notified_gen = max(self.notified_gen, job.epoch)
         job.recovery.on_h1(self)
         rdv = job.h1_rendezvous(self)
@@ -186,16 +183,14 @@ class FmiProcess(RankProcess):
         if overlay_epoch is not None:
             job.note_recovery_complete()
 
-    def _h3(self):
-        """Running: (re)start the application generator."""
+    def _enter_h3(self):
+        """Running: the (re)started application generator."""
         self._set_state(ProcState.H3_RUNNING)
         job = self.job
         if job.epoch > 0:
             # Recovery restart: FMI_Loop must restore the checkpoint.
             self.rank_state.restore_pending = True
-        api = job.make_api(self)
-        result = yield from job.app(api)
-        return result
+        return job.app(job.make_api(self))
 
 
 class FmirunTask:

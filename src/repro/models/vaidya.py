@@ -43,6 +43,12 @@ def expected_runtime_factor(
         raise ValueError("ckpt_cost must be >= 0")
     if restart_cost < 0:
         raise ValueError("restart_cost must be >= 0")
+    return _factor(interval, ckpt_cost, mtbf, restart_cost)
+
+
+def _factor(interval: float, ckpt_cost: float, mtbf: float,
+            restart_cost: float) -> float:
+    """:func:`expected_runtime_factor` for inputs already checked."""
     lam = 1.0 / mtbf
     x = lam * (interval + ckpt_cost)
     # Guard against overflow in pathological corners of optimisation.
@@ -82,23 +88,23 @@ def optimal_interval(
     lo = max(1e-9, 0.01 * young_interval(ckpt_cost, mtbf))
     hi = max(100.0 * young_interval(ckpt_cost, mtbf), 10.0 * ckpt_cost)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def f(t: float) -> float:
-        return expected_runtime_factor(t, ckpt_cost, mtbf, restart_cost)
-
+    # The three constants were checked above and every probe lies in
+    # [lo, hi] with lo > 0: probe the unchecked factor (the runtime
+    # calls this per rank per checkpoint, ~55 probes a call).
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
+    fc = _factor(c, ckpt_cost, mtbf, restart_cost)
+    fd = _factor(d, ckpt_cost, mtbf, restart_cost)
     for _ in range(200):
-        if b - a < 1e-9 * max(1.0, b):
+        if b - a < 1e-9 * (b if b > 1.0 else 1.0):
             break
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = f(c)
+            fc = _factor(c, ckpt_cost, mtbf, restart_cost)
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = f(d)
+            fd = _factor(d, ckpt_cost, mtbf, restart_cost)
     return 0.5 * (a + b)

@@ -44,9 +44,12 @@ Hop-level algorithms (the usual MPICH choices):
 * ``scatter``    -- linear from root (small comms only in our apps)
 * ``alltoall``   -- ring-schedule pairwise exchange
 
-Every function is a generator to drive with ``yield from``; the comm
-object supplies ``rank``, ``size``, ``send_async(dst, data, nbytes,
-tag)`` and ``post_recv(src, tag)``.
+Every function returns a generator to drive at once with ``yield
+from``; the comm object supplies ``rank``, ``size``, ``send_async(dst,
+data, nbytes, tag)`` and ``post_recv(src, tag)``.  The ``*_hops``
+functions are the generators themselves; the public names choose the
+engine at the call and hand its generator back (see the note above the
+dispatchers).
 """
 
 from __future__ import annotations
@@ -159,6 +162,13 @@ def _macro_instance(comm, kind: str):
 
 
 # -- public dispatchers ------------------------------------------------------
+# Plain functions that *return* the chosen engine's generator: a
+# generator here would only forward, one frame under every resume of a
+# rank inside a collective.  The engine is therefore chosen (and the
+# rank's macro sequence counter advanced) when the collective is
+# called, not at the first ``next()`` of what it returns -- one line
+# earlier for the ``yield from comm.allreduce(...)`` every caller
+# writes; do not create a collective and drive it later.
 
 
 def bcast(comm, value: Any = None, root: int = 0,
@@ -166,8 +176,8 @@ def bcast(comm, value: Any = None, root: int = 0,
     """Broadcast; returns the root's value everywhere."""
     inst = _macro_instance(comm, "bcast")
     if inst is None:
-        return (yield from bcast_hops(comm, value, root, nbytes))
-    return (yield from inst.join(comm, (value, root, nbytes)))
+        return bcast_hops(comm, value, root, nbytes)
+    return inst.join(comm, (value, root, nbytes))
 
 
 def reduce(comm, value: Any, op: Callable = SUM, root: int = 0,
@@ -175,8 +185,8 @@ def reduce(comm, value: Any, op: Callable = SUM, root: int = 0,
     """Reduction; returns the result at root, None elsewhere."""
     inst = _macro_instance(comm, "reduce")
     if inst is None:
-        return (yield from reduce_hops(comm, value, op, root, nbytes))
-    return (yield from inst.join(comm, (value, op, root, nbytes)))
+        return reduce_hops(comm, value, op, root, nbytes)
+    return inst.join(comm, (value, op, root, nbytes))
 
 
 def allreduce(comm, value: Any, op: Callable = SUM,
@@ -184,16 +194,16 @@ def allreduce(comm, value: Any, op: Callable = SUM,
     """Allreduce; every rank returns the combined value."""
     inst = _macro_instance(comm, "allreduce")
     if inst is None:
-        return (yield from allreduce_hops(comm, value, op, nbytes))
-    return (yield from inst.join(comm, (value, op, nbytes)))
+        return allreduce_hops(comm, value, op, nbytes)
+    return inst.join(comm, (value, op, nbytes))
 
 
 def barrier(comm):
     """Barrier; no rank exits before every rank has entered."""
     inst = _macro_instance(comm, "barrier")
     if inst is None:
-        return (yield from barrier_hops(comm))
-    return (yield from inst.join(comm, ()))
+        return barrier_hops(comm)
+    return inst.join(comm, ())
 
 
 def gather(comm, value: Any, root: int = 0,
@@ -201,16 +211,16 @@ def gather(comm, value: Any, root: int = 0,
     """Gather; root returns the list ordered by rank, None elsewhere."""
     inst = _macro_instance(comm, "gather")
     if inst is None:
-        return (yield from gather_hops(comm, value, root, nbytes))
-    return (yield from inst.join(comm, (value, root, nbytes)))
+        return gather_hops(comm, value, root, nbytes)
+    return inst.join(comm, (value, root, nbytes))
 
 
 def allgather(comm, value: Any, nbytes: Optional[float] = None):
     """Allgather; every rank returns the list ordered by rank."""
     inst = _macro_instance(comm, "allgather")
     if inst is None:
-        return (yield from allgather_hops(comm, value, nbytes))
-    return (yield from inst.join(comm, (value, nbytes)))
+        return allgather_hops(comm, value, nbytes)
+    return inst.join(comm, (value, nbytes))
 
 
 def scatter(comm, values: Optional[List[Any]] = None, root: int = 0,
@@ -218,16 +228,16 @@ def scatter(comm, values: Optional[List[Any]] = None, root: int = 0,
     """Scatter; rank i returns values[i] from the root."""
     inst = _macro_instance(comm, "scatter")
     if inst is None:
-        return (yield from scatter_hops(comm, values, root, nbytes))
-    return (yield from inst.join(comm, (values, root, nbytes)))
+        return scatter_hops(comm, values, root, nbytes)
+    return inst.join(comm, (values, root, nbytes))
 
 
 def alltoall(comm, values: List[Any], nbytes: Optional[float] = None):
     """All-to-all personalized exchange; values[i] goes to rank i."""
     inst = _macro_instance(comm, "alltoall")
     if inst is None:
-        return (yield from alltoall_hops(comm, values, nbytes))
-    return (yield from inst.join(comm, (values, nbytes)))
+        return alltoall_hops(comm, values, nbytes)
+    return inst.join(comm, (values, nbytes))
 
 
 def allreduce_hier(comm, value: Any, op: Callable = SUM,
@@ -236,10 +246,8 @@ def allreduce_hier(comm, value: Any, op: Callable = SUM,
     """Topology-aware allreduce (see :func:`allreduce_hier_hops`)."""
     inst = _macro_instance(comm, "allreduce_hier")
     if inst is None:
-        return (yield from allreduce_hier_hops(
-            comm, value, op, nbytes, procs_per_node))
-    return (yield from inst.join(
-        comm, (value, op, nbytes, max(1, procs_per_node))))
+        return allreduce_hier_hops(comm, value, op, nbytes, procs_per_node)
+    return inst.join(comm, (value, op, nbytes, max(1, procs_per_node)))
 
 
 # -- hop-level engine (the conformance oracle) -------------------------------

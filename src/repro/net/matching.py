@@ -47,7 +47,7 @@ from collections import deque
 from typing import Deque, Dict, Iterator, Optional, Tuple
 
 from repro.net.message import Envelope
-from repro.simt.kernel import Event, Simulator
+from repro.simt.kernel import _PENDING, Event, Simulator
 
 __all__ = [
     "MatchingEngine",
@@ -215,7 +215,7 @@ class MatchingEngine:
                 break
             rec = best_dq.popleft()
             evt = rec.event
-            if evt.callbacks is not None and not evt.triggered:
+            if evt.callbacks is not None and evt._value is _PENDING:
                 self.matched_posted += 1
                 if self.match_sink is not None:
                     self.match_sink(rec.source, rec.tag, env)

@@ -35,7 +35,7 @@ from repro.cluster.node import Node
 from repro.net.faults import LinkFaultModel
 from repro.net.matching import MatchingEngine
 from repro.net.message import Envelope
-from repro.simt.kernel import Event
+from repro.simt.kernel import _PENDING, Event
 
 __all__ = ["Transport", "NetContext"]
 
@@ -274,7 +274,7 @@ class Transport:
                     if self._lossy:
                         ctx.delivered_seqs.add(env.seq)
                     ctx.matching.deliver(env)
-                if not done.triggered:
+                if done._value is _PENDING:  # not done.triggered, per message
                     done.succeed(None)
 
             wire.callbacks.append(on_arrival_fast)

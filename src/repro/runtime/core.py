@@ -35,7 +35,7 @@ class JobAborted(RuntimeError):
 class RankProcess:
     """One rank's runtime process (one incarnation).
 
-    Subclasses override :meth:`_body` (what runs after boot) and, when
+    Subclasses override :meth:`_body` (what runs after boot) or, when
     a rank can outlive its first process (FMI), :meth:`_main` itself.
     """
 

@@ -24,19 +24,24 @@ Hot-path notes (this is the innermost loop of every simulation):
   calling :meth:`Simulator._push`: a Python frame per event is the
   largest single cost left in the loop.  ``_push`` remains the general
   path (``fail``, delayed ``succeed``, ``Process``, ``BulkCompletion``).
-  The copies must stay *one push each, in program order*: a change that
-  fuses, batches or reorders schedules changes which same-instant event
-  fires first, and with it every simulated number downstream.
-  ``tests/test_golden_order.py`` pins the resulting order across
-  commits.
+  The copies must stay *one push each, in program order*: the rule is
+  that no live callback moves, and a change that fuses, batches or
+  reorders schedules which *have* a callback changes which
+  same-instant event fires first, and with it every simulated number
+  downstream.  An entry that would dispatch nothing may be left out if
+  every live one keeps its ``(time, seq)``: a fair-share pipe takes a
+  sequence number for each new deadline but keeps one entry on the heap
+  (``simt.resources``).  ``tests/test_golden_order.py`` pins the
+  resulting order across commits.
 * Every event allocates its own ``callbacks`` list: recycling them
   through a free pool costs four C calls per event to save one ``[]``.
 * ``stats.peak_heap`` is derived, not counted: every schedule bumps
   ``_seq`` and every dispatch pops exactly one entry, so the number
-  outstanding is ``_seq - pops``.  It only grows between two pops, so
-  its maxima sit immediately before a pop (one integer compare per
-  loop iteration) or at the moment ``stats`` is read (folded in by the
-  property) -- no ``len()`` on the push path.
+  outstanding is ``_seq - _reserved - pops`` (``_reserved``: sequence
+  numbers a pipe holds without an entry).  It only grows between two
+  pops, so its maxima sit immediately before a pop (one integer
+  compare per loop iteration) or at the moment ``stats`` is read
+  (folded in by the property) -- no ``len()`` on the push path.
 * :meth:`Event.cancel` withdraws an event that will never fire so dead
   waiters (killed processes) leave no live-looking tombstones in
   whatever queue holds them; the matching engine keys its lazy sweeps
@@ -328,7 +333,12 @@ class Simulator:
         self._nowq: deque = deque()
         self._seq: int = 0
         self._active_proc = None  # set by Process while resuming
-        #: entries dispatched so far; ``_seq - _popped`` are outstanding
+        #: sequence numbers taken without a push: a fair-share pipe
+        #: reserves its deadline's place in the order and pushes only
+        #: the entry that has to exist (``simt.resources``)
+        self._reserved: int = 0
+        #: entries dispatched so far; ``_seq - _reserved - _popped``
+        #: are outstanding
         self._popped: int = 0
         #: True inside :meth:`run`, whose pop count lives in a local
         self._running = False
@@ -350,7 +360,7 @@ class Simulator:
         # Inside run() the pops are in a local, so the depth cannot be
         # formed; run() folds its own maximum in when it returns.
         if not self._running:
-            depth = self._seq - self._popped
+            depth = self._seq - self._reserved - self._popped
             if depth > stats.peak_heap:
                 stats.peak_heap = depth
         return stats
@@ -435,8 +445,8 @@ class Simulator:
         pop = heappop
         popleft = nowq.popleft
         # ``n`` counts this call's pops; ``high`` is the largest
-        # ``_seq - n`` seen just before a pop, i.e. the peak depth of
-        # this call offset by the pops that preceded it.
+        # ``_seq - _reserved - n`` seen just before a pop, i.e. the
+        # peak depth of this call offset by the pops that preceded it.
         n = 0
         high = 0
         self._running = True
@@ -444,7 +454,7 @@ class Simulator:
             while heap or nowq:
                 if limit_event is not None and limit_event._processed:
                     break
-                depth = self._seq - n
+                depth = self._seq - self._reserved - n
                 if depth > high:
                     high = depth
                 # Heap entries at the current instant predate the FIFO

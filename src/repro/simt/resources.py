@@ -8,24 +8,49 @@ This is what makes, e.g., 12 ranks on one node checkpointing 512 MB
 each take ~12x longer through the node's single InfiniBand link than
 one rank would -- the effect behind Figure 12's per-node throughput
 numbers.
+
+Hot-path notes (twelve ranks per node start and finish flows on the
+same pipe all the time; on a checkpointing run this file is entered
+once per message part):
+
+* **One armed entry per pipe.**  Every change of the flow set moves
+  the completion deadline, but only the newest deadline ever does any
+  work.  So a change always *reserves* its place in the kernel's order
+  -- it computes the absolute deadline and takes the next sequence
+  number, exactly as a fresh ``Timeout`` would -- and reaches the heap
+  only when it has to: no entry is armed, or the new deadline is
+  earlier than the armed one (which then pops inert), or the deadline
+  is the current instant (the immediate queue).  Otherwise the armed
+  entry stays, and when it pops ahead of the reserved ``(when, seq)``
+  it touches no pipe state and pushes itself back at exactly that
+  reserved position.  The live :meth:`~BandwidthResource._on_timer`
+  therefore runs at the heap position it always had, with the floats it
+  always saw; what is gone are entries that dispatched nothing.
+  ``tests/pipe_reference.py`` keeps the arm-on-every-change pipe as the
+  oracle for this.
+* The bookkeeping lives in the frame that needs it: the progress
+  update is written out in :meth:`~BandwidthResource._start` and
+  ``_on_timer``, the flow count comes out of the scan that finds the
+  next deadline, a flow has no constructor, and the pipe pushes its own
+  heap entries -- which is why the not-a-number guards sit on the
+  public arguments here rather than in ``Timeout``.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import List, Optional
 
-from repro.simt.kernel import _PENDING, Event, Simulator, Timeout
+from repro.simt.kernel import _PENDING, Event, Simulator
 
 __all__ = ["BandwidthResource"]
 
 
 class _Flow:
-    __slots__ = ("remaining", "event", "nbytes")
+    """One transfer in flight; :meth:`BandwidthResource._start` fills
+    the slots (no ``__init__``: it would be a frame per message)."""
 
-    def __init__(self, nbytes: float, event: Event):
-        self.nbytes = nbytes
-        self.remaining = float(nbytes)
-        self.event = event
+    __slots__ = ("remaining", "event", "nbytes")
 
 
 class BandwidthResource:
@@ -46,23 +71,41 @@ class BandwidthResource:
     _EPS = 1e-6
 
     def __init__(self, sim: Simulator, capacity: float, name: str = "bw"):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        # ``not >``: NaN must be refused here, nothing downstream will.
+        if not capacity > 0:
+            raise ValueError(f"capacity must be positive, got {capacity!r}")
         self.sim = sim
         self.capacity = float(capacity)
         self.name = name
         self._flows: List[_Flow] = []
         self._last = sim.now
-        #: the one completion timer that may still call back
-        self._timer: Optional[Timeout] = None
+        #: bytes/second per flow, as of the last :meth:`_reschedule`
+        #: that found flows (the flow set and the capacity cannot
+        #: change without one)
+        self._rate = 0.0
+        # -- the one armed entry (see the module docstring) --
+        #: the callback list every entry of this pipe carries
+        self._fire = [self._on_timer]
+        #: the newest entry object; on the heap (or the immediate
+        #: queue) iff ``_armed_at`` is set, free for re-use otherwise
+        self._entry: Optional[Event] = None
+        #: heap time of the armed entry, None when nothing is armed
+        self._armed_at: Optional[float] = None
+        #: the reserved deadline ``(_due_at, _due_seq)`` the armed entry
+        #: has still to move to; ``_due_seq`` is 0 when it already sits
+        #: at its deadline (sequence numbers start at 1)
+        self._due_at = 0.0
+        self._due_seq = 0
         #: cumulative bytes fully transferred (for utilization stats)
         self.bytes_done: float = 0.0
 
     # -- public ----------------------------------------------------------------
     def transfer(self, nbytes: float, overhead: float = 0.0) -> Event:
         """Move ``nbytes`` through the pipe; event fires at completion."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
+        if not nbytes >= 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
+        if not overhead >= 0:
+            raise ValueError(f"overhead must be >= 0, got {overhead!r}")
         done = Event(self.sim)
         if overhead > 0:
             # Charge the fixed overhead first, then enter the shared pipe.
@@ -80,10 +123,10 @@ class BandwidthResource:
         """Change the pipe's capacity mid-simulation (limping links).
 
         In-flight flows keep the progress accrued at the old rate and
-        continue at the new one; completion timers are recomputed.
+        continue at the new one; the completion deadline is recomputed.
         """
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if not capacity > 0:
+            raise ValueError(f"capacity must be positive, got {capacity!r}")
         if capacity == self.capacity:
             return
         self._advance()
@@ -98,68 +141,132 @@ class BandwidthResource:
     def _start(self, nbytes: float, done: Event) -> None:
         if done.callbacks is None:
             return  # receiver abandoned before start (e.g. killed)
-        self._advance()
-        if nbytes <= self._EPS:
-            self.bytes_done += nbytes
-            done.succeed(None)
-            self._reschedule()
-            return
-        self._flows.append(_Flow(nbytes, done))
-        self._reschedule()
-
-    def _advance(self) -> None:
-        """Apply progress accrued since the last recomputation."""
+        # _advance(), written out
         now = self.sim.now
         flows = self._flows
         if flows and now > self._last:
-            progressed = (now - self._last) * (self.capacity / len(flows))
+            progressed = (now - self._last) * self._rate
+            for flow in flows:
+                flow.remaining -= progressed
+        self._last = now
+        if nbytes <= self._EPS:
+            self.bytes_done += nbytes
+            done.succeed(None)
+        else:
+            flow = _Flow()
+            flow.nbytes = nbytes
+            flow.remaining = float(nbytes)
+            flow.event = done
+            flows.append(flow)
+        self._reschedule()
+
+    def _advance(self) -> None:
+        """Apply progress accrued since the last recomputation
+        (:meth:`_start` and :meth:`_on_timer` carry their own copy)."""
+        now = self.sim.now
+        flows = self._flows
+        if flows and now > self._last:
+            progressed = (now - self._last) * self._rate
             for flow in flows:
                 flow.remaining -= progressed
         self._last = now
 
     def _reschedule(self) -> None:
-        """Arm the completion timer for the current flow set.
+        """Set the completion deadline for the current flow set.
 
-        The timer this supersedes stays where it is in the event heap
-        and still pops (so the kernel's event sequence does not depend
-        on how often the flow set changed) but pops inert: it has lost
-        its callback list.  Only the newest timer reaches
-        :meth:`_on_timer`.
+        Always takes the deadline's place in the kernel's order (the
+        next sequence number); pushes an entry only when the armed one
+        cannot stand in for it -- see the module docstring.
         """
-        timer = self._timer
-        if timer is not None:
-            timer.callbacks = None
-            self._timer = None
         flows = self._flows
+        armed_at = self._armed_at
         if not flows:
+            if armed_at is not None:
+                self._entry.callbacks = None  # still pops, inert
+                self._entry = self._armed_at = None
+                self._due_seq = 0
             return
+        count = 0
         min_remaining = flows[0].remaining
         for flow in flows:
+            count += 1
             if flow.remaining < min_remaining:
                 min_remaining = flow.remaining
-        dt = max(min_remaining, 0.0) / (self.capacity / len(flows))
-        timer = self._timer = Timeout(self.sim, dt)
-        timer.callbacks.append(self._on_timer)
+        rate = self._rate = self.capacity / count
+        sim = self.sim
+        now = sim.now
+        # The larger of min_remaining and 0.0, without the call (like
+        # the builtin it keeps a -0.0, which gives the same ``when``)
+        when = now + (0.0 if min_remaining < 0.0 else min_remaining) / rate
+        if not when >= now:  # inf bytes through an inf pipe
+            raise ValueError(f"{self.name}: completion time is {when!r}")
+        seq = sim._seq = sim._seq + 1
+        if armed_at is None:
+            entry = self._entry
+            if entry is None:
+                entry = self._entry = Event(sim)
+        elif when >= armed_at and when > now:
+            # The armed entry pops first and moves itself here; this
+            # reservation may itself be superseded and never be pushed.
+            self._due_at = when
+            self._due_seq = seq
+            sim._reserved += 1
+            return
+        else:
+            # An earlier deadline (or one at this very instant, whose
+            # place is in the immediate queue): the armed entry cannot
+            # stand in for it, and pops inert.
+            self._entry.callbacks = None
+            entry = self._entry = Event(sim)
+            self._due_seq = 0
+        entry.callbacks = self._fire
+        self._armed_at = when
+        if when == now:
+            sim._nowq.append(entry)
+        else:
+            heappush(sim._heap, (when, seq, entry))
 
-    def _on_timer(self, _timer: Event) -> None:
-        self._advance()
+    def _on_timer(self, entry: Event) -> None:
+        sim = self.sim
+        seq = self._due_seq
+        if seq:
+            # Popped ahead of the deadline: touch no flow (their floats
+            # must see exactly the updates a live timer applies) and
+            # move to the reserved *absolute* position -- ``now + delay``
+            # would not be ``when`` in floats.  That sequence number
+            # predates everything in the immediate queue, so the heap
+            # is its place even when ``when`` is this instant.
+            self._due_seq = 0
+            when = self._armed_at = self._due_at
+            entry.callbacks = self._fire
+            sim._reserved -= 1
+            heappush(sim._heap, (when, seq, entry))
+            return
+        self._armed_at = None  # popped at its deadline; free for re-use
+        # _advance(), written out and fused with the scan for the flow
+        # this deadline was set for (x - 0.0 is x, bit for bit)
+        now = sim.now
         flows = self._flows
-        threshold = self._EPS
-        finished = [f for f in flows if f.remaining <= threshold]
-        if not finished:
-            # Float residue on multi-GB flows can exceed the absolute
-            # epsilon; but this timer was armed exactly for the
-            # minimum-remaining flow's deadline, so that flow *is* done.
-            threshold = flows[0].remaining
-            for flow in flows:
-                if flow.remaining < threshold:
-                    threshold = flow.remaining
-            threshold += self._EPS
-            finished = [f for f in flows if f.remaining <= threshold]
-        self._flows = [f for f in flows if f.remaining > threshold]
-        for flow in finished:
-            self.bytes_done += flow.nbytes
-            event = flow.event
-            if event.callbacks is not None and event._value is _PENDING:
-                event.succeed(None)
+        progressed = (now - self._last) * self._rate if now > self._last else 0.0
+        self._last = now
+        low = flows[0].remaining - progressed
+        for flow in flows:
+            remaining = flow.remaining = flow.remaining - progressed
+            if remaining < low:
+                low = remaining
+        # Float residue on multi-GB flows can exceed the absolute
+        # epsilon; but this deadline was exactly the minimum-remaining
+        # flow's, so that flow *is* done.
+        threshold = self._EPS if low <= self._EPS else low + self._EPS
+        kept = 0
+        for flow in flows:
+            if flow.remaining > threshold:
+                flows[kept] = flow
+                kept += 1
+            else:
+                self.bytes_done += flow.nbytes
+                event = flow.event
+                if event.callbacks is not None and event._value is _PENDING:
+                    event.succeed(None)
+        del flows[kept:]
         self._reschedule()

@@ -102,6 +102,47 @@ def test_zero_cost_interval_is_zero():
     assert optimal_interval(0.0, 100.0) == 0.0
 
 
+def _golden_section_over_the_public_factor(c, m, r):
+    """``optimal_interval`` as it was written while every probe went
+    through the checked public function."""
+    lo = max(1e-9, 0.01 * young_interval(c, m))
+    hi = max(100.0 * young_interval(c, m), 10.0 * c)
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def f(t):
+        return expected_runtime_factor(t, c, m, r)
+
+    a, b = lo, hi
+    c_, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = f(c_), f(d)
+    for _ in range(200):
+        if b - a < 1e-9 * max(1.0, b):
+            break
+        if fc < fd:
+            b, d, fd = d, c_, fc
+            c_ = b - phi * (b - a)
+            fc = f(c_)
+        else:
+            a, c_, fc = c_, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("restart", [0.0, 0.55, 50.0])
+@pytest.mark.parametrize("mtbf", [1.0, 60.0, 3600.0, 1e7])
+@pytest.mark.parametrize("cost", [
+    # what the benchmark's himeno_cr run measures (least, median, most)
+    0.299052230738722, 0.3112469803098836, 0.32344376988683643,
+    1e-12, 1e-3, 1.0, 10.0, 977.0, 1e5,
+])
+def test_optimal_interval_probes_the_same_floats_unchecked(cost, mtbf, restart):
+    # == on purpose: the unchecked probe must be the same expression,
+    # so the search takes the same branches to the same bracket.
+    assert optimal_interval(cost, mtbf, restart) == (
+        _golden_section_over_the_public_factor(cost, mtbf, restart))
+
+
 def test_vaidya_validation():
     with pytest.raises(ValueError):
         expected_runtime_factor(0.0, 1.0, 100.0)

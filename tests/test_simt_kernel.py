@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simt import BulkCompletion, Event, Simulator, Timeout
+from repro.simt import (
+    BandwidthResource, BulkCompletion, Event, Simulator, Timeout)
 from repro.simt.kernel import SimulationError
 
 
@@ -248,23 +249,33 @@ def test_stats_count_events_and_peak_heap():
 
 
 # One scheduling operation: (kind, delay, operations its firing issues).
+# "pipe" starts a flow on one shared BandwidthResource, whose deadline
+# *reservations* take a sequence number without an entry: each must
+# count in the depth from the moment it is pushed, not before.
 _KIND = st.sampled_from(
-    ["timeout", "succeed", "delayed", "cancelled", "bulk", "read"])
+    ["timeout", "succeed", "delayed", "cancelled", "bulk", "read",
+     "pipe", "pipe"])
 _DELAY = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5])
 _LEAF = st.tuples(_KIND, _DELAY, st.just(()))
 _OPS = st.lists(
     st.tuples(_KIND, _DELAY, st.lists(_LEAF, max_size=4)), max_size=12)
 
 
-@settings(max_examples=150, deadline=None)
-@given(ops=_OPS, stepwise=st.booleans())
-def test_peak_heap_equals_brute_force_maximum(ops, stepwise):
+def _drive_counting_depth(ops, stepwise):
+    """Issue ``ops`` and drain; returns (simulator, deepest the two
+    queues ever were, depth before anything ran).  The depth is sampled
+    after every schedule a callback of this test issues and, stepwise,
+    before every pop -- which also sees the pushes a pipe makes inside
+    its own callbacks, so the stepwise figure is exact."""
     sim = Simulator()
-    brute = 0  # largest depth seen, sampled after every single schedule
+    pipe = BandwidthResource(sim, capacity=100.0)
+    brute = 0
+
+    def sample():
+        nonlocal brute
+        brute = max(brute, len(sim._heap) + len(sim._nowq))
 
     def issue(kind, delay, children):
-        nonlocal brute
-
         def fired(_evt):
             for child in children:
                 issue(*child)
@@ -287,24 +298,59 @@ def test_peak_heap_equals_brute_force_maximum(ops, stepwise):
             inner = sim.event()
             inner.callbacks.append(fired)
             BulkCompletion(sim, delay, [(inner, None)])
+        elif kind == "pipe":  # later-due flows only reserve a deadline
+            pipe.transfer(50.0 + 100.0 * delay, overhead=delay / 4
+                          ).callbacks.append(fired)
         else:  # a reader in the middle of the run must not disturb it
             sim.timeout(delay).callbacks.append(
                 lambda _e: sim.stats.peak_heap)
-        brute = max(brute, len(sim._heap) + len(sim._nowq))
+        sample()
 
     for op in ops:
         issue(*op)
-    # Read before anything ran: one entry per top-level schedule.
-    assert sim.stats.peak_heap == brute
-    assert brute == sum(kind != "cancelled" for kind, _, _ in ops)
+    before = sim.stats.peak_heap
     if stepwise:
         while sim.peek() != float("inf"):
+            sample()
             sim.step()
     else:
         sim.run()
+    assert len(sim._heap) + len(sim._nowq) == 0
+    return sim, brute, before
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS)
+def test_peak_heap_equals_brute_force_maximum(ops):
+    sim, brute, before = _drive_counting_depth(ops, stepwise=True)
+    # Read before anything ran: one entry per top-level schedule, but
+    # the flows already in the pipe (no overhead to wait out) share its
+    # one armed entry.
+    in_pipe = [kind == "pipe" and delay == 0.0 for kind, delay, _ in ops]
+    others = [kind != "cancelled" for kind, _, _ in ops]
+    assert before == sum(others) - sum(in_pipe) + any(in_pipe)
     assert sim.stats.peak_heap == brute
     assert sim.stats.peak_heap == brute  # reading changes nothing
-    assert len(sim._heap) + len(sim._nowq) == 0
+    # run() keeps its pops in a local and folds the maximum in at the
+    # end: same schedule, same figure.
+    ran, _sampled, ran_before = _drive_counting_depth(ops, stepwise=False)
+    assert ran_before == before
+    assert ran.stats.peak_heap == brute
+    assert ran.stats.events_processed == sim.stats.events_processed
+
+
+def test_peak_heap_does_not_count_a_reserved_deadline():
+    sim = Simulator()
+    pipe = BandwidthResource(sim, capacity=100.0)
+    for _ in range(5):
+        pipe.transfer(10.0)  # one entry armed, four deadlines reserved
+    assert (len(sim._heap), sim._reserved) == (1, 4)
+    assert sim.stats.peak_heap == 1
+    sim.run()
+    # early pop + live pop + five completions, at most five at once
+    assert sim.stats.events_processed == 7
+    assert sim.stats.peak_heap == 5
+    assert sim._seq - sim._reserved == sim.stats.events_processed
 
 
 def test_peak_heap_survives_a_callback_that_raises():

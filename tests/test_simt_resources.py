@@ -1,9 +1,14 @@
 """Unit tests for the fair-share BandwidthResource and AllOf/AnyOf."""
 
+import functools
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simt import BandwidthResource, Simulator
 from repro.simt.primitives import AllOf, AnyOf
+from tests.pipe_reference import ReferenceBandwidthResource
 
 
 # ------------------------------------------------------ BandwidthResource
@@ -90,6 +95,8 @@ def test_bandwidth_rejects_negative():
         bw.transfer(-1.0)
     with pytest.raises(ValueError):
         BandwidthResource(sim, capacity=0.0)
+    with pytest.raises(ValueError):
+        bw.set_capacity(-5.0)
 
 
 def test_bandwidth_bytes_done_accounting():
@@ -111,64 +118,286 @@ def test_bandwidth_many_flows_aggregate_time():
     assert all(e.processed for e in events)
 
 
-def _count_timer_entries(bw):
-    """Wrap ``bw._on_timer`` (before any flow starts) with a counter."""
-    entries = []
-    inner = bw._on_timer
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, 0.0])
+def test_bandwidth_bad_capacity_is_refused_at_the_call(bad):
+    sim = Simulator()
+    with pytest.raises(ValueError, match="capacity must be positive"):
+        BandwidthResource(sim, capacity=bad)
+    bw = BandwidthResource(sim, capacity=10.0)
+    bw.transfer(100.0)
+    scheduled = sim.stats.peak_heap
+    with pytest.raises(ValueError, match="capacity must be positive"):
+        bw.set_capacity(bad)
+    assert bw.capacity == 10.0
+    assert sim.stats.peak_heap == scheduled  # nothing was scheduled
 
-    def counted(evt):
-        entries.append(bw.sim.now)
-        inner(evt)
 
-    bw._on_timer = counted
-    return entries
+@pytest.mark.parametrize("kwargs, named", [
+    ({"nbytes": float("nan")}, "nbytes"),
+    ({"nbytes": 10.0, "overhead": float("nan")}, "overhead"),
+    ({"nbytes": 10.0, "overhead": -0.5}, "overhead"),
+])
+def test_bandwidth_bad_transfer_is_refused_at_the_call(kwargs, named):
+    # NaN compares False both ways: ``nan < 0`` let these through, to
+    # surface later as "negative timeout delay: nan" (or, for the
+    # overhead, to be dropped without a word).
+    sim = Simulator()
+    bw = BandwidthResource(sim, capacity=10.0)
+    with pytest.raises(ValueError, match=f"{named} must be >= 0"):
+        bw.transfer(**kwargs)
+    assert sim.peek() == float("inf") and sim.stats.peak_heap == 0
+    assert bw.active_flows == 0
+
+
+def test_bandwidth_nan_deadline_does_not_reach_the_heap():
+    # Each argument is legal on its own; together the deadline is
+    # inf / inf.  ``Timeout`` used to refuse it; the pipe pushes its
+    # own entries now, so the pipe must.
+    sim = Simulator()
+    bw = BandwidthResource(sim, capacity=float("inf"))
+    with pytest.raises(ValueError, match="completion time is nan"):
+        bw.transfer(float("inf"))
+    assert sim.peek() == float("inf")
+
+
+class _CountingPipe(BandwidthResource):
+    """Records every entry into ``_on_timer``: when, and whether the
+    entry popped ahead of its deadline (and only moved itself) or at it."""
+
+    def __init__(self, sim, capacity, pops=None):
+        self.pops = [] if pops is None else pops
+        super().__init__(sim, capacity)
+
+    def _on_timer(self, entry):
+        kind = "early" if self._due_seq else "live"
+        self.pops.append((self.sim.now, kind))
+        super()._on_timer(entry)
 
 
 def test_bandwidth_flows_started_together_enter_the_timer_once():
     sim = Simulator()
-    bw = BandwidthResource(sim, capacity=100.0)
-    entries = _count_timer_entries(bw)
+    bw = _CountingPipe(sim, capacity=100.0)
     events = [bw.transfer(10.0) for _ in range(10)]
+    # The first start armed an entry for t=0.1; the nine later (and
+    # later-due) deadlines only reserved their place.
+    assert bw._armed_at == pytest.approx(0.1)
+    assert bw._due_at == pytest.approx(1.0) and bw._due_seq
+    assert sim.stats.peak_heap == 1
     sim.run()
-    # Ten starts armed ten timers, but nine were superseded at once.
-    assert entries == [pytest.approx(1.0)]
+    # The entry popped once ahead of the deadline and moved itself;
+    # the completion work was done once.
+    assert bw.pops == [(pytest.approx(0.1), "early"),
+                       (pytest.approx(1.0), "live")]
     assert all(e.processed for e in events)
     assert bw.bytes_done == pytest.approx(100.0)
-    # The superseded timers still pop: 10 timers + 10 completions.
-    assert sim.stats.events_processed == 20
-    assert bw.active_flows == 0 and bw._timer is None
+    # 2 pipe pops + 10 completions (it was 10 timers + 10 completions
+    # while every start armed a timer of its own).
+    assert sim.stats.events_processed == 12
+    assert bw.active_flows == 0 and bw._armed_at is None
 
 
 def test_bandwidth_superseded_timer_is_inert_not_removed():
     sim = Simulator()
-    bw = BandwidthResource(sim, capacity=100.0)
-    entries = _count_timer_entries(bw)
+    bw = _CountingPipe(sim, capacity=100.0)
     ends = {}
-    big = bw.transfer(200.0)       # alone: would end at t=2
-    first_timer = bw._timer
-    small = bw.transfer(50.0)      # supersedes it; shares at 50 B/s
-    big.callbacks.append(lambda e: ends.setdefault("big", sim.now))
-    small.callbacks.append(lambda e: ends.setdefault("small", sim.now))
-    assert first_timer.callbacks is None and bw._timer is not first_timer
+
+    def watch(name, done):
+        done.callbacks.append(lambda e: ends.setdefault(name, sim.now))
+
+    watch("big", bw.transfer(200.0))      # alone: would end at t=2
+    first = bw._entry
+    assert first.callbacks is not None and bw._armed_at == pytest.approx(2.0)
+    # An *earlier* deadline cannot wait for the armed entry: that one
+    # goes inert (it cannot leave the heap) and a new one is pushed.
+    watch("small", bw.transfer(50.0))     # shares at 50 B/s: due t=1
+    second = bw._entry
+    assert first.callbacks is None and second is not first
+    assert bw._armed_at == pytest.approx(1.0) and not bw._due_seq
+    # A *later* deadline keeps the armed entry and reserves its place.
+    sim.timeout(0.5).callbacks.append(
+        lambda e: watch("late", bw.transfer(100.0)))
+    sim.run(until=0.75)
+    assert bw._entry is second and bw._armed_at == pytest.approx(1.0)
+    assert bw._due_at == pytest.approx(1.25) and bw._due_seq
     sim.run()
-    # Same completion times as test_bandwidth_short_flow_releases_capacity.
-    assert ends == {"small": pytest.approx(1.0), "big": pytest.approx(2.5)}
-    assert entries == [pytest.approx(1.0), pytest.approx(2.5)]
-    assert first_timer.processed  # popped at t=2, dispatched nothing
-    # 3 timers (one inert) + 2 completions
-    assert sim.stats.events_processed == 5
+    # 350 B through 100 B/s; small's last 25 B went at a third share.
+    assert ends == {"small": pytest.approx(1.25), "late": pytest.approx(2.75),
+                    "big": pytest.approx(3.5)}
+    assert bw.pops == [
+        (pytest.approx(1.0), "early"), (pytest.approx(1.25), "live"),
+        (pytest.approx(2.75), "live"), (pytest.approx(3.5), "live")]
+    assert first.processed  # popped at t=2, dispatched nothing
+    # 4 pipe pops + the inert entry + 3 completions + the t=0.5 timeout
+    assert sim.stats.events_processed == 9
 
 
 def test_bandwidth_set_capacity_rearms_one_timer():
+    # Slower: the deadline moves out, the armed entry stays and moves
+    # itself when it pops.
     sim = Simulator()
-    bw = BandwidthResource(sim, capacity=100.0)
-    entries = _count_timer_entries(bw)
+    bw = _CountingPipe(sim, capacity=100.0)
     done = bw.transfer(200.0)
+    armed = bw._entry
     sim.timeout(1.0).callbacks.append(lambda e: bw.set_capacity(50.0))
     sim.run(until=done)
     # 100 B in the first second, the other 100 B at 50 B/s.
     assert sim.now == pytest.approx(3.0)
-    assert entries == [pytest.approx(3.0)]
+    assert bw.pops == [(pytest.approx(2.0), "early"),
+                       (pytest.approx(3.0), "live")]
+    assert bw._entry is armed
+    # Faster: the deadline moves in, so a new entry replaces the armed
+    # one, which pops inert at its old time.
+    sim = Simulator()
+    bw = _CountingPipe(sim, capacity=100.0)
+    done = bw.transfer(200.0)
+    armed = bw._entry
+    sim.timeout(1.0).callbacks.append(lambda e: bw.set_capacity(200.0))
+    sim.run(until=done)
+    assert sim.now == pytest.approx(1.5)
+    assert bw.pops == [(pytest.approx(1.5), "live")]
+    assert armed.callbacks is None and not armed.processed
+    sim.run()
+    assert armed.processed and bw.pops == [(pytest.approx(1.5), "live")]
+
+
+# ------------------------------------------- conformance with the oracle
+# One schedule entry: (kind, issue time, ...).  Sizes include zero and
+# sub-epsilon flows (finished on arrival), overheads include none.
+_AT = st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1.0, 1.7, 3.0])
+_SIZE = st.sampled_from([0.0, 1e-7, 1.0, 10.0, 50.0, 200.0, 333.0, 1e9 / 3])
+_OVERHEAD = st.sampled_from([0.0, 0.0, 0.125, 0.3])
+_PIPE = st.sampled_from([0, 1])
+_OP = st.one_of(
+    st.tuples(st.just("start"), _AT, _PIPE, _SIZE, _OVERHEAD),
+    # the receiver goes away before (overhead > 0) or after the start
+    st.tuples(st.just("abandon"), _AT, _PIPE, _SIZE, _OVERHEAD),
+    # one message through both pipes at once, like cluster.network._Wire
+    st.tuples(st.just("wire"), _AT, _SIZE),
+    st.tuples(st.just("capacity"), _AT, _PIPE,
+              st.sampled_from([25.0, 50.0, 100.0, 400.0])),
+)
+
+
+def _delay_to(now, instant):
+    """A delay with ``now + delay == instant`` in floats, or None."""
+    if instant < now:
+        return None
+    delay = instant - now
+    for candidate in (delay, math.nextafter(delay, math.inf),
+                      math.nextafter(delay, 0.0)):
+        if now + candidate == instant:
+            return candidate
+    return None
+
+
+def _armed_entries(sim, pipe):
+    """Entries of ``pipe`` outstanding in the kernel that can still
+    call back (an inert one has lost the pipe's callback list)."""
+    queued = [entry for _when, _seq, entry in sim._heap] + list(sim._nowq)
+    return sum(entry.callbacks is pipe._fire for entry in queued)
+
+
+def _drive(pipe_cls, ops, instants=(), one_entry=False):
+    """Run one schedule; returns (callback log, flow -> completion
+    time, bytes_done per pipe).  Every schedule entry also plants
+    foreign timeouts at each of ``instants`` it can reach exactly;
+    they log what the pipes look like when they fire, so a pipe
+    callback that ran on the other side of one shows."""
+    sim = Simulator()
+    pipes = [pipe_cls(sim, 100.0), pipe_cls(sim, 150.0)]
+    log, ended = [], {}
+
+    def note(*label):
+        log.append((repr(sim.now), label))
+        if one_entry:
+            assert all(_armed_entries(sim, pipe) <= 1 for pipe in pipes)
+
+    def watch(ident, event):
+        def fired(_evt):
+            ended[ident] = sim.now
+            note("done", ident)
+
+        event.callbacks.append(fired)
+
+    def foreign(k):
+        return lambda _evt: note(
+            "foreign", k, [(p.bytes_done, p.active_flows) for p in pipes])
+
+    def issue(index, kind, *args):
+        def fired(_evt):
+            if kind == "start":
+                pipe, nbytes, overhead = args
+                watch(index, pipes[pipe].transfer(nbytes, overhead))
+            elif kind == "abandon":
+                pipe, nbytes, overhead = args
+                pipes[pipe].transfer(nbytes, overhead).cancel()
+            elif kind == "wire":
+                parts = [pipe.transfer(args[0]) for pipe in pipes]
+                both = sim.event()
+                watch(index, both)
+
+                def part_done(_part):
+                    parts.pop()
+                    if not parts:
+                        both.succeed()
+
+                for part in list(parts):
+                    part.callbacks.append(part_done)
+            else:
+                pipes[args[0]].set_capacity(args[1])
+            note("issued", index)
+            for k, instant in enumerate(instants):
+                delay = _delay_to(sim.now, instant)
+                if delay is not None:
+                    sim.timeout(delay).callbacks.append(foreign(k))
+
+        return fired
+
+    for index, (kind, at, *args) in enumerate(ops):
+        sim.timeout(at).callbacks.append(issue(index, kind, *args))
+    sim.run()
+    return log, ended, [pipe.bytes_done for pipe in pipes]
+
+
+def _oracle(ops):
+    """Where the flows end, recorded from an oracle run, and the oracle
+    run again with foreign timers aimed at exactly those instants, to
+    force ties with the pipes' own entries.  The timers only look, so
+    the instants stay what they were."""
+    _log, ended, _bytes = _drive(ReferenceBandwidthResource, ops)
+    instants = sorted(set(ended.values()))
+    want = _drive(ReferenceBandwidthResource, ops, instants)
+    assert want[1] == ended
+    return instants, want
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_OP, min_size=1, max_size=10))
+def test_one_entry_pipe_fires_every_callback_where_the_oracle_does(ops):
+    instants, want = _oracle(ops)
+    got = _drive(BandwidthResource, ops, instants, one_entry=True)
+    assert got[0] == want[0]  # every (repr(now), label), in global order
+    assert got[1] == want[1]  # every completion time, to the bit
+    assert got[2] == want[2]
+
+
+def test_conformance_schedule_reaches_every_pipe_branch():
+    # The hypothesis suite is only worth its name if its vocabulary can
+    # produce an early pop, an inert entry and an immediate-queue
+    # deadline; this fixed draw from it does, and ties a foreign timer
+    # with each completion.
+    ops = [("start", 0.0, 0, 200.0, 0.0), ("start", 0.0, 0, 50.0, 0.0),
+           ("start", 0.5, 0, 1e9 / 3, 0.125), ("capacity", 1.0, 0, 400.0),
+           ("wire", 0.25, 333.0), ("abandon", 0.1, 1, 10.0, 0.3),
+           ("start", 1.7, 1, 1e-7, 0.0), ("capacity", 1.7, 1, 25.0)]
+    instants, want = _oracle(ops)
+    pops = []  # of both pipes
+    got = _drive(functools.partial(_CountingPipe, pops=pops), ops, instants,
+                 one_entry=True)
+    assert got == want
+    assert {kind for _now, kind in pops} == {"early", "live"}
+    ties = [label for _now, label in got[0] if label[0] == "foreign"]
+    assert len({label[1] for label in ties}) == len(instants)
 
 
 # ---------------------------------------------------------------- AllOf/AnyOf
