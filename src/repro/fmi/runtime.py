@@ -126,19 +126,19 @@ class FmiProcess(RankProcess):
             )
 
     def _main(self):
-        # Overrides the fail-stop-shaped base: the boot latency is paid
-        # once per *process*, but H1 -> H2 -> H3 loops on every Notified
-        # transition -- a notification during boot must not re-charge
-        # the fork/exec cost.  The application generator is driven from
-        # this frame: every resume of the rank walks the chain of
-        # ``yield from`` above the yield it stopped at, so a level that
-        # only forwards is a call per resume.
+        # The boot latency is paid once per *process*, but H1 -> H2 ->
+        # H3 loops on every Notified transition -- a notification
+        # during boot must not re-charge the fork/exec cost.  The
+        # application generator is driven from this frame: every resume
+        # of the rank walks the chain of ``yield from`` above the yield
+        # it stopped at, so a level that only forwards is a call per
+        # resume.
         job = self.job
         booted = False
         while True:
             try:
                 if not booted:
-                    yield from self._boot()
+                    yield self.sim.timeout(job.boot_latency)
                     booted = True
                 yield from self._h1()
                 yield from self._h2()

@@ -10,7 +10,15 @@ last rank arrives the coordinator
 
 1. replays the hop algorithm's exact data movement in plain Python
    (same fold order, same ``snapshot`` copy points), producing
-   byte-identical per-rank results, and
+   byte-identical per-rank results -- deciding *once per instance*
+   what the hop path decides per message: a power-of-two allreduce
+   whose ranks all passed the same :mod:`repro.mpi.ops` operator over
+   exact ``int``/``float``/``bool`` values has nothing to copy and
+   nothing to dispatch on, so each recursive-doubling round is one
+   ``map`` of the operator's scalar function over the round's
+   accumulators (:func:`_round_fn`; arrays, ``Payload``s, NumPy
+   scalars, user callables, mixed operators and, for now, sizes with
+   a remainder keep the rank-by-rank loop), and
 2. prices the collective once with the closed-form model in
    :mod:`repro.models.collective_model`, then schedules a **single**
    :class:`~repro.simt.kernel.BulkCompletion` that resumes every rank
@@ -44,9 +52,11 @@ verdict is hop-level whenever:
 
 Bookkeeping invariants:
 
-* instances are keyed ``(comm_id, kind, n)`` where ``n`` is the
-  per-rank call count -- FIFO alignment exactly mirrors the tag-based
-  matching of the hop engine;
+* instances are keyed ``(epoch, comm_id, kind, n)`` where ``n`` is
+  the per-rank call count under that recovery epoch -- FIFO alignment
+  exactly mirrors the tag-based matching of the hop engine, and the
+  epoch is the macro analogue of epoch-stamped envelopes (see
+  :meth:`MacroCollectives.instance`);
 * :meth:`MacroCollectives.reset` (called from recovery's
   ``begin_recovery`` via :meth:`Transport.macro_reset`) cancels every
   in-flight instance and clears the sequence counters, so a rolled
@@ -145,10 +155,12 @@ class MacroCollectives:
 
     def __init__(self, transport):
         self.transport = transport
-        #: per-rank collective call counters: (comm_id, kind, rank) -> n
-        self._seq: Dict[Tuple[int, str, int], int] = {}
-        #: instances not yet consulted by every rank
-        self._pending: Dict[Tuple[int, str, int], _Instance] = {}
+        #: per-rank collective call counters:
+        #: (epoch, comm_id, kind, rank) -> n
+        self._seq: Dict[Tuple[int, int, str, int], int] = {}
+        #: instances not yet consulted by every rank, by
+        #: (epoch, comm_id, kind, n)
+        self._pending: Dict[Tuple[int, int, str, int], _Instance] = {}
         #: macro instances whose completion has not fired yet
         self._live: set = set()
         #: memoized model times and rank->node placements
@@ -214,8 +226,8 @@ class MacroCollectives:
         """Last rank arrived: compute results, price, schedule."""
         results, sizes_sig, root, ppn = _FINISH[inst.kind](inst)
         duration = self._duration(comm, inst.kind, sizes_sig, root, ppn)
-        batch = [(inst.events[r], results[r]) for r in range(inst.size)]
-        inst.bulk = BulkCompletion(self.transport.sim, duration, batch)
+        inst.bulk = BulkCompletion(self.transport.sim, duration,
+                                   zip(inst.events, results))
         inst.bulk.callbacks.append(lambda _e: self._live.discard(inst))
         self.macro_events += 1
 
@@ -279,28 +291,72 @@ def _finish_bcast(inst: _Instance):
     return results, b, root, 1
 
 
+#: exact classes an op of :mod:`repro.mpi.ops` folds with its scalar
+#: function into the same three classes, and :func:`snapshot` never
+#: copies: a fold over nothing else needs no per-element decision
+_PLAIN = frozenset({int, float, bool})
+
+
+def _round_fn(vals: List[Any], ops: List[Any]):
+    """The one O(n) look at an allreduce's inputs: the scalar function
+    a whole round can be mapped with, or ``None``.
+
+    Not ``None`` only when every rank passed the *same* operator of
+    :mod:`repro.mpi.ops` and every value is an exact ``int``, ``float``
+    or ``bool``; then ``op(a, snapshot(b))`` *is* ``op.scalar_fn(a, b)``
+    for every pair the schedule will ever form (the results stay in
+    those classes).  Arrays, ``Payload``s, NumPy scalars, user
+    callables and mixed operators decline.
+    """
+    op = ops[0]
+    fn = getattr(op, "scalar_fn", None)
+    if fn is None:
+        return None
+    for other in ops:
+        if other is not op:
+            return None
+    return fn if _PLAIN.issuperset(map(type, vals)) else None
+
+
 def _allreduce_results(vals: List[Any], ops: List[Any], size: int) -> List[Any]:
     """Recursive doubling, replayed: pairwise pre-fold, the masked
     exchange rounds over simultaneous pre-round accumulators, and the
-    post-step push-back."""
-    snap = snapshot
+    post-step push-back.
+
+    At a power-of-two size the schedule is the masked rounds and
+    nothing else, and when :func:`_round_fn` finds nothing to decide
+    per element each round is mapped in a single pass (same operands
+    in the same order per rank, so the same bits).  Everything else
+    is replayed rank by rank with the operator and :func:`snapshot`
+    the hop path would have applied -- a size with a remainder
+    included, for now: mapping its rounds too is a two-line change
+    that waits on the benchmark's floor for this tier's profiled
+    share, which is set on a 1,536-rank run (ROADMAP item 4).
+    """
     pof2 = 1
     while pof2 * 2 <= size:
         pof2 *= 2
     rem = size - pof2
+    fn = _round_fn(vals, ops) if rem == 0 else None
+    if fn is not None:
+        cur = vals
+        mask = 1
+        while mask < size:
+            # both sides send their pre-round accumulator
+            cur = list(map(fn, cur, [cur[r ^ mask] for r in range(size)]))
+            mask <<= 1
+        return cur
+    snap = snapshot
     acc = list(vals)
     for r in range(0, 2 * rem, 2):
         acc[r + 1] = ops[r + 1](acc[r + 1], snap(acc[r]))
-
-    def realrank(nr: int) -> int:
-        return nr * 2 + 1 if nr < rem else nr + rem
-
-    ranks = [realrank(nr) for nr in range(pof2)]
+    # the power-of-two core, by new rank: the odd half of each
+    # pre-folded pair, then everyone past the pairs
+    ranks = [*range(1, 2 * rem, 2), *range(2 * rem, size)]
     mask = 1
     while mask < pof2:
         cur = [acc[r] for r in ranks]  # both sides send pre-round accs
-        for nr in range(pof2):
-            a = ranks[nr]
+        for nr, a in enumerate(ranks):
             acc[a] = ops[a](cur[nr], snap(cur[nr ^ mask]))
         mask <<= 1
     for r in range(0, 2 * rem, 2):

@@ -7,6 +7,8 @@ topology-dependent order).  NumPy arrays combine elementwise.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["SUM", "MAX", "MIN", "PROD", "LOR", "LAND"]
@@ -23,11 +25,16 @@ def _elementwise(scalar_fn, array_fn):
             return array_fn(a, b)
         return scalar_fn(a, b)
 
+    #: what ``op`` computes for two exact ``int``/``float``/``bool``
+    #: operands; the macro tier folds a whole round of such values
+    #: with ``map(op.scalar_fn, ...)`` instead of entering ``op`` per
+    #: rank (``repro.mpi.macro._allreduce_results``)
+    op.scalar_fn = scalar_fn
     return op
 
 
-SUM = _elementwise(lambda a, b: a + b, np.add)
-PROD = _elementwise(lambda a, b: a * b, np.multiply)
+SUM = _elementwise(operator.add, np.add)
+PROD = _elementwise(operator.mul, np.multiply)
 MAX = _elementwise(max, np.maximum)
 MIN = _elementwise(min, np.minimum)
 LOR = _elementwise(lambda a, b: bool(a) or bool(b), np.logical_or)

@@ -43,8 +43,9 @@ class MpiRankProcess(RankProcess):
         self.rendezvous = rendezvous
         super().__init__(job, rank, node)
 
-    def _body(self):
+    def _main(self):
         job = self.job
+        yield self.sim.timeout(job.boot_latency)
         yield self.rendezvous.arrive()  # MPI_Init
         if self.rank == 0:
             job.init_done_at = self.sim.now

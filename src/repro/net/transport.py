@@ -66,9 +66,13 @@ class NetContext:
         self.recv_filter = None
         #: stale envelopes dropped by the epoch filter
         self.stale_dropped = 0
-        #: sequence numbers already delivered (duplicate suppression;
-        #: only populated when a lossy link model has been attached)
-        self.delivered_seqs: Set[int] = set()
+        #: sequence numbers already delivered (duplicate suppression):
+        #: a set once a lossy link model has been attached
+        #: (:meth:`Transport.set_faults`), ``None`` until then, so that
+        #: a clean run carries no set per rank
+        self.delivered_seqs: Optional[Set[int]] = (
+            set() if transport._lossy else None
+        )
 
     @property
     def alive(self) -> bool:
@@ -77,6 +81,56 @@ class NetContext:
     def close(self) -> None:
         self.closed = True
         self.transport._registry.pop(self.addr, None)
+
+
+class _Arrival:
+    """One message in flight on the unobserved path: the callback
+    :meth:`Transport.send` leaves on the wire event.
+
+    A record rather than a closure -- a closure over these names is a
+    function object plus one cyclic-GC-tracked cell per name, per
+    message, and at 16k ranks the collector's walks over them cost more
+    wall clock than the interpreter does.  ``send`` fills the slots
+    (no ``__init__``: it would be a frame per message).
+    """
+
+    __slots__ = ("transport", "env", "src_nid", "dst_addr", "done")
+
+    def __call__(self, evt: Event) -> None:
+        done = self.done
+        if not evt._ok:
+            if not done.triggered:
+                done.fail(evt._value)
+            return
+        transport = self.transport
+        fabric = transport.machine.fabric
+        env = self.env
+        dst_addr = self.dst_addr
+        if fabric._partition is not None and not fabric.reachable(
+            self.src_nid, dst_addr[0]
+        ):
+            transport._cut(env, self.src_nid, dst_addr, done)
+            return
+        ctx = transport._registry.get(dst_addr)
+        if ctx is None or ctx.closed or not ctx.node.alive:
+            transport.dropped_dead += 1
+        elif env.epoch < ctx.epoch:
+            transport.dropped_stale += 1
+            ctx.stale_dropped += 1
+        elif transport._lossy and env.seq in ctx.delivered_seqs:
+            transport.dup_dropped += 1
+        elif (
+            ctx.recv_filter is not None
+            and env.lseq is not None
+            and not ctx.recv_filter(env)
+        ):
+            transport.lseq_dup_dropped += 1
+        else:
+            if transport._lossy:
+                ctx.delivered_seqs.add(env.seq)
+            ctx.matching.deliver(env)
+        if done._value is _PENDING:  # not done.triggered, per message
+            done.succeed(None)
 
 
 class Transport:
@@ -205,7 +259,10 @@ class Transport:
     def set_faults(self, model: LinkFaultModel) -> None:
         """Attach a lossy-link model (all subsequent sends consult it)."""
         self.faults = model
-        self._lossy = True
+        if not self._lossy:
+            self._lossy = True
+            for ctx in self.contexts:
+                ctx.delivered_seqs = set()
 
     def clear_faults(self) -> None:
         """Detach the model; in-flight faults still play out."""
@@ -244,40 +301,13 @@ class Transport:
             # No-observability fast path: identical delivery semantics
             # and event ordering, but no outcome labels, no label-dict
             # construction, and no per-message metric lookups.
-            registry = self._registry
-
-            def on_arrival_fast(evt: Event) -> None:
-                if not evt._ok:
-                    if not done.triggered:
-                        done.fail(evt._value)
-                    return
-                if fabric._partition is not None and not fabric.reachable(
-                    src_nid, dst_addr[0]
-                ):
-                    self._cut(env, src_nid, dst_addr, done)
-                    return
-                ctx = registry.get(dst_addr)
-                if ctx is None or ctx.closed or not ctx.node.alive:
-                    self.dropped_dead += 1
-                elif env.epoch < ctx.epoch:
-                    self.dropped_stale += 1
-                    ctx.stale_dropped += 1
-                elif self._lossy and env.seq in ctx.delivered_seqs:
-                    self.dup_dropped += 1
-                elif (
-                    ctx.recv_filter is not None
-                    and env.lseq is not None
-                    and not ctx.recv_filter(env)
-                ):
-                    self.lseq_dup_dropped += 1
-                else:
-                    if self._lossy:
-                        ctx.delivered_seqs.add(env.seq)
-                    ctx.matching.deliver(env)
-                if done._value is _PENDING:  # not done.triggered, per message
-                    done.succeed(None)
-
-            wire.callbacks.append(on_arrival_fast)
+            arrival = _Arrival()
+            arrival.transport = self
+            arrival.env = env
+            arrival.src_nid = src_nid
+            arrival.dst_addr = dst_addr
+            arrival.done = done
+            wire.callbacks.append(arrival)
             return done
         if tracer.enabled:
             tracer.instant(

@@ -7,9 +7,9 @@ policy object attached at construction decides what happens when a
 rank dies (see :mod:`repro.runtime.policy`).
 
 :class:`RankProcess` wraps one rank's simulated process: it creates
-the rank's network context, charges the spawn + exec-load boot
-latency, runs the stack-specific body, and routes the process's exit
-event to the job's fault policy.
+the rank's network context, spawns the stack-specific body (which
+first charges the spawn + exec-load boot latency), and routes the
+process's exit event to the job's fault policy.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class JobAborted(RuntimeError):
 class RankProcess:
     """One rank's runtime process (one incarnation).
 
-    Subclasses override :meth:`_body` (what runs after boot) or, when
-    a rank can outlive its first process (FMI), :meth:`_main` itself.
+    Subclasses write :meth:`_main`, the generator the process runs:
+    wait out ``job.boot_latency`` once, then the stack's own lifecycle.
     """
 
     def __init__(self, job: "JobBase", rank: int, node: Node, incarnation: int = 0):
@@ -81,17 +81,11 @@ class RankProcess:
         receive one (the job dies first)."""
 
     # -- lifecycle ----------------------------------------------------------
-    def _boot(self):
-        """fork/exec + loading the executable (once per process)."""
-        spec = self.job.machine.spec
-        yield self.sim.timeout(spec.proc_spawn_latency + spec.exec_load_latency)
-
     def _main(self):
-        yield from self._boot()
-        result = yield from self._body()
-        return result
-
-    def _body(self):
+        """The process body, one generator frame for the whole life of
+        the rank: every resume walks the ``yield from`` chain above the
+        yield it stopped at, so a level that only forwards (a base
+        ``_main`` relaying to a hook) is a call per resume."""
         raise NotImplementedError
 
     def _dispatch_exit(self, proc_evt: Event) -> None:
@@ -138,6 +132,11 @@ class JobBase:
         self.alloc = alloc
         #: tenant label on every metric/trace record this job emits
         self.job_id = job_id if job_id is not None else name
+        #: fork/exec + loading the executable: what every rank process
+        #: waits out first, once per process
+        self.boot_latency = (
+            machine.spec.proc_spawn_latency + machine.spec.exec_load_latency
+        )
         self.transport = Transport(machine, sw_overhead=sw_overhead)
 
         # -- shared runtime state --

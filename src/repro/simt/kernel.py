@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
@@ -238,10 +238,11 @@ class BulkCompletion(Event):
 
     The macro-event collective fast path schedules a single
     ``BulkCompletion`` where the hop-level engine would schedule
-    O(n log n) per-message events: ``batch`` is a list of
-    ``(event, value)`` pairs, and when the bulk event fires every
-    batch event succeeds with its value *without ever touching the
-    heap* -- their callbacks run inline, in batch order, at the bulk
+    O(n log n) per-message events: ``batch`` is any iterable of
+    ``(event, value)`` pairs -- consumed once, when the bulk event
+    fires, so a lazy ``zip`` need never become 16k tuples -- and every
+    batch event then succeeds with its value *without ever touching
+    the heap*: their callbacks run inline, in batch order, at the bulk
     event's timestamp.  Cancelled or already-triggered batch entries
     are skipped (a waiter killed mid-flight must not be resumed).
 
@@ -253,13 +254,15 @@ class BulkCompletion(Event):
     ``stats.events_processed``: they are real event completions whose
     heap traffic the bulk event absorbed, and counting them keeps the
     events/s throughput metric comparable between the macro and
-    hop-level collective engines.
+    hop-level collective engines.  Like a popped event, each is counted
+    before its callbacks run: a callback that raises out of the batch
+    leaves the events completed so far, its own included, counted.
     """
 
     __slots__ = ("_batch",)
 
     def __init__(self, sim: "Simulator", delay: float,
-                 batch: List[tuple]):
+                 batch: Iterable[tuple]):
         super().__init__(sim)
         self._batch = batch
         self.callbacks.append(self._dispatch)
@@ -269,14 +272,16 @@ class BulkCompletion(Event):
 
     def _dispatch(self, _evt: Event) -> None:
         done = 0
-        for evt, value in self._batch:
-            if evt._cancelled or evt._value is not _PENDING:
-                continue
-            evt._ok = True
-            evt._value = value
-            evt._run_callbacks()
-            done += 1
-        self.sim._stats.events_processed += done
+        try:
+            for evt, value in self._batch:
+                if evt._cancelled or evt._value is not _PENDING:
+                    continue
+                evt._ok = True
+                evt._value = value
+                done += 1
+                evt._run_callbacks()
+        finally:
+            self.sim._stats.events_processed += done
 
     def cancel(self) -> bool:
         """Withdraw a *scheduled* bulk completion (recovery reset).

@@ -34,6 +34,8 @@ once per message part):
   next deadline, a flow has no constructor, and the pipe pushes its own
   heap entries -- which is why the not-a-number guards sit on the
   public arguments here rather than in ``Timeout``.
+* No closure per transfer: a flow that first pays a fixed overhead
+  waits as a slotted :class:`_DelayedStart` on its overhead timer.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import List, Optional
 
-from repro.simt.kernel import _PENDING, Event, Simulator
+from repro.simt.kernel import _PENDING, Event, Simulator, Timeout
 
 __all__ = ["BandwidthResource"]
 
@@ -51,6 +53,19 @@ class _Flow:
     the slots (no ``__init__``: it would be a frame per message)."""
 
     __slots__ = ("remaining", "event", "nbytes")
+
+
+class _DelayedStart:
+    """A transfer still paying its fixed overhead: the callback on the
+    overhead timer, which then enters the pipe.  A record filled by
+    :meth:`BandwidthResource.transfer`, not a closure -- three cells
+    and a function object per message are work for the cyclic
+    collector, and with 16k ranks in one heap that is the wall clock."""
+
+    __slots__ = ("pipe", "nbytes", "done")
+
+    def __call__(self, _timer: Event) -> None:
+        self.pipe._start(self.nbytes, self.done)
 
 
 class BandwidthResource:
@@ -109,8 +124,11 @@ class BandwidthResource:
         done = Event(self.sim)
         if overhead > 0:
             # Charge the fixed overhead first, then enter the shared pipe.
-            t = self.sim.timeout(overhead)
-            t.callbacks.append(lambda _e: self._start(nbytes, done))
+            start = _DelayedStart()
+            start.pipe = self
+            start.nbytes = nbytes
+            start.done = done
+            Timeout(self.sim, overhead).callbacks.append(start)
         else:
             self._start(nbytes, done)
         return done

@@ -1,58 +1,20 @@
-"""Closed-form completion-time model for the collective algorithms.
+"""The per-edge pricing loops, kept as a test oracle.
 
-The macro-event fast path (:mod:`repro.mpi.macro`) replaces every hop
-of a collective with **one** kernel event; this module prices that
-event.  Each function replays the hop algorithm's message schedule on
-virtual per-rank clocks, charging the same closed-form per-message
-costs the fabric would charge an uncontended transfer:
+This is :mod:`repro.models.collective_model` as it stood before the
+``*_time`` functions learned to price from two per-rank tables: every
+message edge calls :meth:`NetParams.cost`, which picks the intra- or
+inter-node formula and evaluates it on the spot.  Everything below the
+imports is preserved verbatim; ``test_collective_model_oracle.py``
+prices the same random placements and size shapes with this module and
+the production one and asserts float ``==``, not ``approx``.
 
-* inter-node: ``t(b) = 2*o + L + b/B``   (head overhead, send, wire
-  latency + tail overhead -- exactly :meth:`Fabric.transfer_time`)
-* intra-node: ``m(b) = 2*o + b/M``       (the memory-bus path)
-
-where ``o`` is the per-side software overhead, ``L`` the wire latency,
-``B`` the NIC bandwidth and ``M`` the memory-bus bandwidth from the
-cluster spec.  Because ``yield comm.send_async(...)`` blocks until
-delivery, a sender's messages serialize; the virtual clocks reproduce
-that, so for the regular shapes the totals collapse to the familiar
-closed forms (uniform payload ``b``, power-of-two ``p``, one rank per
-node):
-
-=================  ==========================================
-``bcast``          ``ceil(log2 p) * t(b)``
-``reduce``         ``log2 p * t(b)``
-``allreduce``      ``(log2 p + 2*[p not pof2]) * t(b)``
-``barrier``        ``ceil(log2 p) * t(4)``
-``gather``         ``R(p) = max_k R(s_k) + t(b*s_k)`` recurrence
-``allgather``      ``(p-1) * t(b)``
-``scatter``        ``sum over dst != root of t(b_dst)`` (serialized)
-``alltoall``       ``(p-1) * t(b)``
-``allreduce_hier`` ``[2o+(P-1)b/M] + T_ar(p/P) + (P-1)*m(b)``
-=================  ==========================================
-
-The model deliberately ignores *intra-collective* NIC/memory-bus
-contention between concurrent flows of the same round (except in the
-hierarchical fan-in, where it is structural): the fast path is only
-eligible when the network is otherwise idle, and for the
-latency-dominated messages our collectives carry the bandwidth error
-is far below the conformance tolerance.  Per-message flow sharing is
-what the hop-level oracle still prices exactly.
-
-Every function takes ``nodes`` -- the node id of each communicator
-rank, in rank order -- so mixed intra-/inter-node shapes (e.g. twelve
-ranks per node) price each edge with the right formula.  The formulas
-are evaluated once per rank, not once per edge: a function builds the
-two tables ``shm[r] = m(b_r)`` and ``p2p[r] = t(b_r)`` up front
-(:func:`_tables`) and its schedule loop only picks between them, which
-yields the same floats as evaluating the formula per edge
-(``tests/collective_model_reference.py`` keeps those loops as the
-oracle; the comparison is ``==``).
+It defines *what* a macro collective costs; do not optimise it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 __all__ = ["NetParams", "collective_time"]
 
@@ -88,6 +50,11 @@ class NetParams:
         """Uncontended intra-node (memory-bus) transfer."""
         return 2.0 * self.sw_overhead + nbytes / self.mem_bw
 
+    def cost(self, src_node: int, dst_node: int, nbytes: float) -> float:
+        if src_node == dst_node:
+            return self.shm(nbytes)
+        return self.p2p(nbytes)
+
 
 def collective_time(
     kind: str,
@@ -119,28 +86,6 @@ def _per_rank(sizes, size: int) -> List[float]:
     return [float(s) for s in sizes]
 
 
-def _tables(per: List[float], net: NetParams) -> Tuple[List[float], List[float]]:
-    """``(shm, p2p)``: what a message of rank ``r``'s ``per[r]`` bytes
-    costs within a node and between two.
-
-    A ``*_time`` function builds these once and then only *picks* per
-    edge (``shm[a] if nodes[a] == nodes[b] else p2p[a]``) -- the same
-    expression on the same float, so the model times are bit-equal to
-    pricing every edge afresh (``tests/collective_model_reference.py``
-    is that loop).  Uniform sizes, the common case, cost one call each.
-    """
-    first = per[0]
-    if per.count(first) == len(per):
-        return [net.shm(first)] * len(per), [net.p2p(first)] * len(per)
-    return [net.shm(b) for b in per], [net.p2p(b) for b in per]
-
-
-def _from_root(seq: Sequence, root: int) -> Sequence:
-    """``seq`` indexed by rank relative to ``root``."""
-    root %= len(seq)
-    return [*seq[root:], *seq[:root]] if root else seq
-
-
 def bcast_time(nodes: Sequence[int], nbytes: float, net: NetParams,
                root: int = 0) -> float:
     """Binomial tree; the root (and every forwarder) serializes its
@@ -148,8 +93,7 @@ def bcast_time(nodes: Sequence[int], nbytes: float, net: NetParams,
     size = len(nodes)
     if size <= 1:
         return 0.0
-    nodes = _from_root(nodes, root)
-    shm, p2p = net.shm(nbytes), net.p2p(nbytes)
+    node_of = lambda rel: nodes[(rel + root) % size]  # noqa: E731
     top = 1
     while top < size:
         top <<= 1
@@ -163,7 +107,7 @@ def bcast_time(nodes: Sequence[int], nbytes: float, net: NetParams,
         while mask >= 1:
             child = rel + mask
             if child < size:
-                clock += shm if nodes[rel] == nodes[child] else p2p
+                clock += net.cost(node_of(rel), node_of(child), nbytes)
                 if clock > done:
                     done = clock
                 stack.append((child, mask, clock))
@@ -180,14 +124,14 @@ def reduce_time(nodes: Sequence[int], sizes, net: NetParams,
     per = _per_rank(sizes, size)
     if size <= 1:
         return 0.0
-    nodes = _from_root(nodes, root)
-    shm, p2p = _tables(_from_root(per, root), net)
+    node_of = lambda rel: nodes[(rel + root) % size]  # noqa: E731
+    b_of = lambda rel: per[(rel + root) % size]  # noqa: E731
     done = [0.0] * size
     mask = 1
     while mask < size:
         for rel in range(0, size - mask, mask << 1):
             sender = rel + mask
-            c = shm[sender] if nodes[sender] == nodes[rel] else p2p[sender]
+            c = net.cost(node_of(sender), node_of(rel), b_of(sender))
             arrived = done[sender] + c
             done[sender] = arrived  # send_async blocks until delivery
             if arrived > done[rel]:
@@ -203,36 +147,33 @@ def allreduce_time(nodes: Sequence[int], sizes, net: NetParams) -> float:
     per = _per_rank(sizes, size)
     if size <= 1:
         return 0.0
-    shm, p2p = _tables(per, net)
     pof2 = 1
     while pof2 * 2 <= size:
         pof2 *= 2
     rem = size - pof2
     done = [0.0] * size
     for r in range(0, 2 * rem, 2):
-        c = shm[r] if nodes[r] == nodes[r + 1] else p2p[r]
+        c = net.cost(nodes[r], nodes[r + 1], per[r])
         done[r] += c
         if done[r] > done[r + 1]:
             done[r + 1] = done[r]
-    # the power-of-two core, by new rank: the odd half of each
-    # pre-folded pair, then everyone past the pairs
-    ranks = [*range(1, 2 * rem, 2), *range(2 * rem, size)]
+
+    def realrank(nr: int) -> int:
+        return nr * 2 + 1 if nr < rem else nr + rem
+
     mask = 1
     while mask < pof2:
+        ranks = [realrank(nr) for nr in range(pof2)]
         prev = [done[r] for r in ranks]
         for nr in range(pof2):
             a = ranks[nr]
             p = ranks[nr ^ mask]
-            if nodes[a] == nodes[p]:
-                out = prev[nr] + shm[a]
-                back = prev[nr ^ mask] + shm[p]
-            else:
-                out = prev[nr] + p2p[a]
-                back = prev[nr ^ mask] + p2p[p]
+            out = prev[nr] + net.cost(nodes[a], nodes[p], per[a])
+            back = prev[nr ^ mask] + net.cost(nodes[p], nodes[a], per[p])
             done[a] = out if out > back else back
         mask <<= 1
     for r in range(0, 2 * rem, 2):
-        c = shm[r + 1] if nodes[r + 1] == nodes[r] else p2p[r + 1]
+        c = net.cost(nodes[r + 1], nodes[r], per[r + 1])
         done[r + 1] += c
         if done[r + 1] > done[r]:
             done[r] = done[r + 1]
@@ -244,7 +185,6 @@ def barrier_time(nodes: Sequence[int], nbytes: float, net: NetParams) -> float:
     size = len(nodes)
     if size <= 1:
         return 0.0
-    shm, p2p = net.shm(nbytes), net.p2p(nbytes)
     done = [0.0] * size
     mask = 1
     while mask < size:
@@ -252,8 +192,8 @@ def barrier_time(nodes: Sequence[int], nbytes: float, net: NetParams) -> float:
         for r in range(size):
             dst = (r + mask) % size
             src = (r - mask) % size
-            out = prev[r] + (shm if nodes[r] == nodes[dst] else p2p)
-            inc = prev[src] + (shm if nodes[src] == nodes[r] else p2p)
+            out = prev[r] + net.cost(nodes[r], nodes[dst], nbytes)
+            inc = prev[src] + net.cost(nodes[src], nodes[r], nbytes)
             done[r] = out if out > inc else inc
         mask <<= 1
     return max(done)
@@ -262,22 +202,20 @@ def barrier_time(nodes: Sequence[int], nbytes: float, net: NetParams) -> float:
 def gather_time(nodes: Sequence[int], sizes, net: NetParams,
                 root: int = 0) -> float:
     """Binomial fan-in like reduce, but message bytes grow with the
-    sender's accumulated subtree (``b * subtree_size``), so each of
-    the ``size - 1`` edges is priced on its own byte count."""
+    sender's accumulated subtree (``b * subtree_size``)."""
     size = len(nodes)
     per = _per_rank(sizes, size)
     if size <= 1:
         return 0.0
-    nodes = _from_root(nodes, root)
-    per = _from_root(per, root)
+    node_of = lambda rel: nodes[(rel + root) % size]  # noqa: E731
     done = [0.0] * size
     mask = 1
     while mask < size:
         for rel in range(0, size - mask, mask << 1):
             sender = rel + mask
             count = min(mask, size - sender)
-            b = per[sender] * count
-            c = net.shm(b) if nodes[sender] == nodes[rel] else net.p2p(b)
+            b = per[(sender + root) % size] * count
+            c = net.cost(node_of(sender), node_of(rel), b)
             arrived = done[sender] + c
             done[sender] = arrived
             if arrived > done[rel]:
@@ -294,17 +232,14 @@ def allgather_time(nodes: Sequence[int], sizes, net: NetParams) -> float:
     per = _per_rank(sizes, size)
     if size <= 1:
         return 0.0
-    shm, p2p = _tables(per, net)
     done = [0.0] * size
     for _step in range(size - 1):
         prev = list(done)
         for r in range(size):
             right = (r + 1) % size
             left = (r - 1) % size
-            out = prev[r] + (shm[r] if nodes[r] == nodes[right] else p2p[r])
-            inc = prev[left] + (
-                shm[left] if nodes[left] == nodes[r] else p2p[left]
-            )
+            out = prev[r] + net.cost(nodes[r], nodes[right], per[r])
+            inc = prev[left] + net.cost(nodes[left], nodes[r], per[left])
             done[r] = out if out > inc else inc
     return max(done)
 
@@ -314,42 +249,34 @@ def scatter_time(nodes: Sequence[int], sizes, net: NetParams,
     """Linear from root; the root's sends serialize."""
     size = len(nodes)
     per = _per_rank(sizes, size)
-    if size <= 1:
-        return 0.0
-    shm, p2p = _tables(per, net)
     clock = 0.0
     for dst in range(size):
         if dst == root:
             continue
-        clock += shm[dst] if nodes[root] == nodes[dst] else p2p[dst]
+        clock += net.cost(nodes[root], nodes[dst], per[dst])
     return clock
 
 
 def alltoall_time(nodes: Sequence[int], sizes, net: NetParams) -> float:
     """Ring-schedule pairwise exchange; ``sizes`` may be a scalar
-    (uniform) or a per-rank-per-destination matrix -- one pair of
-    tables per source row, a single shared pair when uniform."""
+    (uniform) or a per-rank-per-destination matrix."""
     size = len(nodes)
     if size <= 1:
         return 0.0
-    if isinstance(sizes, (int, float)):
-        rows = [_tables(_per_rank(sizes, size), net)] * size
-    else:
-        rows = [_tables(_per_rank(row, size), net) for row in sizes]
-    shm = [row[0] for row in rows]
-    p2p = [row[1] for row in rows]
+    uniform = isinstance(sizes, (int, float))
+    b_of = (
+        (lambda src, dst: float(sizes))
+        if uniform
+        else (lambda src, dst: float(sizes[src][dst]))
+    )
     done = [0.0] * size
     for step in range(1, size):
         prev = list(done)
         for r in range(size):
             dst = (r + step) % size
             src = (r - step) % size
-            out = prev[r] + (
-                shm[r][dst] if nodes[r] == nodes[dst] else p2p[r][dst]
-            )
-            inc = prev[src] + (
-                shm[src][r] if nodes[src] == nodes[r] else p2p[src][r]
-            )
+            out = prev[r] + net.cost(nodes[r], nodes[dst], b_of(r, dst))
+            inc = prev[src] + net.cost(nodes[src], nodes[r], b_of(src, r))
             done[r] = out if out > inc else inc
     return max(done)
 
@@ -365,7 +292,6 @@ def allreduce_hier_time(nodes: Sequence[int], sizes, net: NetParams,
     P = max(1, procs_per_node)
     if P == 1 or size <= P:
         return allreduce_time(nodes, per, net)
-    shm, p2p = _tables(per, net)
     leaders = list(range(0, size, P))
     up = 0.0
     down = 0.0
@@ -386,7 +312,7 @@ def allreduce_hier_time(nodes: Sequence[int], sizes, net: NetParams,
                 up = t
         clock = 0.0
         for r in locals_:
-            clock += shm[lead] if nodes[lead] == nodes[r] else p2p[lead]
+            clock += net.cost(nodes[lead], nodes[r], per[lead])
         if clock > down:
             down = clock
     mid = allreduce_time(

@@ -452,3 +452,43 @@ def test_bulk_completion_resumes_waiting_processes():
     BulkCompletion(sim, 0.5, [(e, i) for i, e in enumerate(events)])
     sim.run()
     assert got == [(0.5, 0), (0.5, 1), (0.5, 2)]
+
+
+def test_bulk_completion_accepts_a_lazy_batch():
+    sim = Simulator()
+    events = [Event(sim) for _ in range(3)]
+    BulkCompletion(sim, 1.0, zip(events, "abc"))  # iterable, consumed once
+    sim.run()
+    assert [e.value for e in events] == ["a", "b", "c"]
+    assert sim.stats.events_processed == 4
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_bulk_completion_counts_an_event_before_its_callbacks_run(drive):
+    # Like a popped event (PR 15): a callback that raises mid-batch
+    # leaves the completions so far -- its own included -- counted, not
+    # dropped with the frame that was adding them up.
+    sim = Simulator()
+    events = [Event(sim) for _ in range(5)]
+    fired = []
+    for i, evt in enumerate(events):
+        evt.callbacks.append(lambda _e, i=i: fired.append(i))
+
+    def boom(_e):
+        raise RuntimeError("boom")
+
+    events[2].callbacks.append(boom)
+    BulkCompletion(sim, 1.0, [(e, None) for e in events])
+    sim.timeout(2.0)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run() if drive == "run" else sim.step()
+    assert fired == [0, 1, 2]
+    assert [e.processed for e in events] == [True, True, True, False, False]
+    assert not events[3].triggered and not events[4].triggered
+    assert sim.stats.events_processed == 1 + 3  # the bulk event + three
+    assert sim.stats.peak_heap == 2
+    sim.run()  # the rest of the batch went with the exception
+    assert fired == [0, 1, 2]
+    assert sim.now == 2.0
+    assert sim.stats.events_processed == 1 + 3 + 1
+    assert sim.stats.peak_heap == 2
