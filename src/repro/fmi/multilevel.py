@@ -21,7 +21,7 @@ SCR/multilevel-checkpointing line of work the paper builds on.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -37,6 +37,9 @@ class Level2Store:
         self.pfs = pfs
         self.job_name = job_name
         self.rank = rank
+        #: dataset ids whose files may be on the PFS (see ``_known``)
+        self._datasets: Set[int] = set()
+        self._discovered = False
 
     # -- paths -------------------------------------------------------------
     def _blob_path(self, dataset: int, rank: Optional[int] = None) -> str:
@@ -51,6 +54,7 @@ class Level2Store:
         """Write this rank's blob (async-ish: the PFS pipe is shared)."""
         import json
 
+        self._datasets.add(dataset)
         header = json.dumps({"sections": [list(s) for s in sections]}).encode()
         yield self.pfs.write(self._blob_path(dataset) + ".meta", header)
         yield self.pfs.write(
@@ -66,28 +70,37 @@ class Level2Store:
     def prune(self, keep: List[int]) -> None:
         """Drop this rank's blobs for datasets not in ``keep`` (rank 0
         also drops their markers)."""
-        prefix = f"fmi-l2/{self.job_name}/ds"
-        for path in self.pfs.listdir():
-            if not path.startswith(prefix):
-                continue
-            rest = path[len(prefix):]
-            ds = int(rest.split("/", 1)[0])
-            if ds in keep:
-                continue
-            if path == self._blob_path(ds) or path == self._blob_path(ds) + ".meta":
-                self.pfs.unlink(path)
-            elif self.rank == 0 and path == self._marker_path(ds):
-                self.pfs.unlink(path)
+        for ds in self._known().difference(keep):
+            blob = self._blob_path(ds)
+            self.pfs.unlink(blob)
+            self.pfs.unlink(blob + ".meta")
+            if self.rank == 0:
+                self.pfs.unlink(self._marker_path(ds))
+            self._datasets.discard(ds)
 
     # -- read side -----------------------------------------------------------
+    def _known(self) -> Set[int]:
+        """Dataset ids that may have files on the PFS: whatever one
+        listing finds the first time the store is asked (a restarted
+        rank inherits its predecessor's files), and this store's own
+        flushes from then on.  Every rank flushes every dataset, so a
+        store need not sort and parse the job's whole namespace after
+        each flush to learn what it wrote itself."""
+        if not self._discovered:
+            self._discovered = True
+            prefix = f"fmi-l2/{self.job_name}/ds"
+            for path in self.pfs.listdir():
+                if path.startswith(prefix):
+                    self._datasets.add(int(path[len(prefix):].split("/", 1)[0]))
+        return self._datasets
+
     def complete_datasets(self) -> List[int]:
-        """Dataset ids with a COMPLETE marker (globally visible)."""
-        prefix = f"fmi-l2/{self.job_name}/ds"
-        out = []
-        for path in self.pfs.listdir():
-            if path.startswith(prefix) and path.endswith("/COMPLETE"):
-                out.append(int(path[len(prefix):].split("/", 1)[0]))
-        return sorted(out)
+        """Known dataset ids with a COMPLETE marker (which rank 0
+        writes, and every rank sees)."""
+        return [
+            ds for ds in sorted(self._known())
+            if self.pfs.exists(self._marker_path(ds))
+        ]
 
     def latest_for_me(self) -> int:
         """Newest complete dataset that has *my* blob (normally the

@@ -35,7 +35,7 @@ from repro.cluster.node import Node
 from repro.net.faults import LinkFaultModel
 from repro.net.matching import MatchingEngine
 from repro.net.message import Envelope
-from repro.simt.kernel import _PENDING, Event
+from repro.simt.kernel import _PENDING, Event, Timeout
 
 __all__ = ["Transport", "NetContext"]
 
@@ -84,21 +84,32 @@ class NetContext:
 
 
 class _Arrival:
-    """One message in flight on the unobserved path: the callback
-    :meth:`Transport.send` leaves on the wire event.
+    """One message in flight: the callback :meth:`Transport.send`
+    leaves on the wire event, and the message's one delivery body
+    whether or not anyone is watching.
 
     A record rather than a closure -- a closure over these names is a
     function object plus one cyclic-GC-tracked cell per name, per
     message, and at 16k ranks the collector's walks over them cost more
     wall clock than the interpreter does.  ``send`` fills the slots
     (no ``__init__``: it would be a frame per message).
+
+    The record is its own timer callback too: a copy the omission model
+    delayed, one retransmitted across a drop-mode cut and a trailing
+    duplicate all re-enter it from a ``Timeout``, and a heal re-enters
+    the records parked at a stall-mode cut with no event at all.
+    ``done`` is ``None`` on a duplicate's twin, which must never touch
+    the sender's completion.
     """
 
     __slots__ = ("transport", "env", "src_nid", "dst_addr", "done")
 
-    def __call__(self, evt: Event) -> None:
+    def __call__(self, evt: Optional[Event] = None) -> None:
+        """Final delivery step: partition cut, liveness, epoch filter,
+        duplicate suppression -- in that order -- then the record of
+        what happened, for whoever is watching *now*."""
         done = self.done
-        if not evt._ok:
+        if evt is not None and not evt._ok:
             if not done.triggered:
                 done.fail(evt._value)
             return
@@ -109,28 +120,97 @@ class _Arrival:
         if fabric._partition is not None and not fabric.reachable(
             self.src_nid, dst_addr[0]
         ):
-            transport._cut(env, self.src_nid, dst_addr, done)
+            transport._cut(self)
             return
         ctx = transport._registry.get(dst_addr)
         if ctx is None or ctx.closed or not ctx.node.alive:
             transport.dropped_dead += 1
+            outcome = "net.drop_dead"
+            ctx = None  # closed or on a dead node: as good as not there
         elif env.epoch < ctx.epoch:
             transport.dropped_stale += 1
             ctx.stale_dropped += 1
+            outcome = "net.drop_stale"
         elif transport._lossy and env.seq in ctx.delivered_seqs:
             transport.dup_dropped += 1
+            outcome = "net.drop_dup"
         elif (
             ctx.recv_filter is not None
             and env.lseq is not None
             and not ctx.recv_filter(env)
         ):
             transport.lseq_dup_dropped += 1
+            outcome = "net.drop_lseq_dup"
         else:
             if transport._lossy:
                 ctx.delivered_seqs.add(env.seq)
             ctx.matching.deliver(env)
-        if done._value is _PENDING:  # not done.triggered, per message
+            outcome = "net.recv"
+        sim = transport.sim
+        if sim.tracer.enabled:
+            # One call shape per combination of the two optional
+            # arguments: merging them in as a ``**extra`` dict cost more
+            # than the record.  ``ctx_epoch`` (absent when nobody was
+            # there to receive) lets post-hoc checkers re-verify the
+            # epoch filter -- a net.recv with env.epoch < ctx_epoch
+            # would be a stale delivery; ``lseq`` is the (src, dst, n)
+            # channel identity the orphan checker correlates with
+            # mlog.log / mlog.rewind.
+            instant = sim.tracer.instant
+            node = dst_addr[0]
+            lseq = env.lseq
+            if ctx is None:
+                if lseq is None:
+                    instant(outcome, "net", env.dst, node, None, env.epoch,
+                            src=env.src, nbytes=env.nbytes, tag=env.tag)
+                else:
+                    instant(outcome, "net", env.dst, node, None, env.epoch,
+                            src=env.src, nbytes=env.nbytes, tag=env.tag,
+                            lseq=lseq)
+            elif lseq is None:
+                instant(outcome, "net", env.dst, node, None, env.epoch,
+                        src=env.src, nbytes=env.nbytes, tag=env.tag,
+                        ctx_epoch=ctx.epoch)
+            else:
+                instant(outcome, "net", env.dst, node, None, env.epoch,
+                        src=env.src, nbytes=env.nbytes, tag=env.tag,
+                        ctx_epoch=ctx.epoch, lseq=lseq)
+        if sim.metrics.enabled:
+            sim.metrics.counter_at[outcome, "node", dst_addr[0]].inc()
+        if done is not None and done._value is _PENDING:  # not triggered
             done.succeed(None)
+
+
+class _LossyArrival(_Arrival):
+    """A message the omission model did not leave alone.  Its
+    :class:`FaultPlan` rides along (with the model that drew it, for
+    ``rto`` and ``dup_lag``) until the wire event arrives, then plays
+    out as timers that re-enter the record; a subclass, so that a
+    clean message carries no two empty slots."""
+
+    __slots__ = ("plan", "faults")
+
+    def __call__(self, evt: Optional[Event] = None) -> None:
+        plan = self.plan
+        if plan is None or not evt._ok:
+            _Arrival.__call__(self, evt)
+            return
+        self.plan = None  # the timers below re-enter as plain arrivals
+        faults = self.faults
+        sim = self.transport.sim
+        extra = plan.drops * faults.rto + plan.delay
+        if extra > 0:
+            Timeout(sim, extra).callbacks.append(self)
+        else:
+            _Arrival.__call__(self, evt)
+        if plan.duplicate:
+            twin = _Arrival()
+            twin.transport = self.transport
+            twin.env = self.env
+            twin.src_nid = self.src_nid
+            twin.dst_addr = self.dst_addr
+            twin.done = None
+            Timeout(sim, extra + faults.dup_lag).callbacks.append(twin)
 
 
 class Transport:
@@ -165,8 +245,8 @@ class Transport:
         self._lossy = False
         #: what happens to a message arriving at a partition cut
         self.partition_mode = "stall"  # or "drop"
-        #: envelopes parked at a cut, flushed in order on heal
-        self._stalled: List[Tuple[Envelope, int, Address, Optional[Event]]] = []
+        #: records parked at a cut, re-entered in order on heal
+        self._stalled: List[_Arrival] = []
         #: cut envelopes parked until heal (stall mode)
         self.partition_stalls = 0
         #: parked envelopes delivered by a heal
@@ -245,12 +325,6 @@ class Transport:
         self.contexts.append(ctx)
         return ctx
 
-    def lookup(self, addr: Address) -> Optional[NetContext]:
-        ctx = self._registry.get(addr)
-        if ctx is not None and ctx.alive:
-            return ctx
-        return None
-
     def context_at(self, addr: Address) -> Optional[NetContext]:
         """The registered context at ``addr`` regardless of liveness."""
         return self._registry.get(addr)
@@ -289,149 +363,51 @@ class Transport:
         wire = fabric.send(
             src.node, dst_node, env.nbytes, sw_overhead=self.sw_overhead
         )
-        done = Event(self.sim)
-        tracer = self.sim.tracer
-        metrics = self.sim.metrics
+        sim = self.sim
+        done = Event(sim)
         src_nid = src.node.id
-        if (
-            self.faults is None
-            and not tracer.enabled
-            and not metrics.enabled
-        ):
-            # No-observability fast path: identical delivery semantics
-            # and event ordering, but no outcome labels, no label-dict
-            # construction, and no per-message metric lookups.
-            arrival = _Arrival()
-            arrival.transport = self
-            arrival.env = env
-            arrival.src_nid = src_nid
-            arrival.dst_addr = dst_addr
-            arrival.done = done
-            wire.callbacks.append(arrival)
-            return done
+        tracer = sim.tracer
         if tracer.enabled:
             tracer.instant(
-                "net.send", "net", rank=env.src, node=src_nid,
-                epoch=env.epoch, dst=env.dst, dst_node=dst_addr[0],
-                nbytes=env.nbytes, tag=env.tag,
+                "net.send", "net", env.src, src_nid, None, env.epoch,
+                dst=env.dst, dst_node=dst_addr[0], nbytes=env.nbytes,
+                tag=env.tag,
             )
-        if metrics.enabled:
-            metrics.counter("net.msgs_sent", node=src_nid).inc()
-            metrics.counter("net.bytes_sent", node=src_nid).inc(env.nbytes)
-
+        if sim.metrics.enabled:
+            counter_at = sim.metrics.counter_at
+            counter_at["net.msgs_sent", "node", src_nid].inc()
+            counter_at["net.bytes_sent", "node", src_nid].inc(env.nbytes)
         # Draw this message's fault plan up front (one seeded draw per
         # message keeps replays byte-identical).
         faults = self.faults
-        plan = None
-        if faults is not None:
-            plan = faults.plan(src_nid, dst_addr[0])
-            if plan.clean:
-                plan = None
-            else:
-                self.omission_drops += plan.drops
-                if plan.delay:
-                    self.omission_delays += 1
-                if plan.duplicate:
-                    self.omission_dups += 1
-                if tracer.enabled:
-                    tracer.instant(
-                        "net.omission", "net", rank=env.src, node=src_nid,
-                        epoch=env.epoch, dst=env.dst, drops=plan.drops,
-                        delay=plan.delay, dup=plan.duplicate,
-                    )
-
-        def on_arrival(evt: Event) -> None:
-            if not evt._ok:
-                if not done.triggered:
-                    done.fail(evt._value)
-                return
-            if plan is None:
-                self._arrive(env, src_nid, dst_addr, done)
-                return
-            extra = plan.drops * faults.rto + plan.delay
-            if extra > 0:
-                timer = self.sim.timeout(extra)
-                timer.callbacks.append(
-                    lambda _e: self._arrive(env, src_nid, dst_addr, done)
-                )
-            else:
-                self._arrive(env, src_nid, dst_addr, done)
+        plan = None if faults is None else faults.plan(src_nid, dst_addr[0])
+        if plan is None or plan.clean:
+            arrival = _Arrival()
+        else:
+            self.omission_drops += plan.drops
+            if plan.delay:
+                self.omission_delays += 1
             if plan.duplicate:
-                dup_timer = self.sim.timeout(extra + faults.dup_lag)
-                dup_timer.callbacks.append(
-                    lambda _e: self._arrive(env, src_nid, dst_addr, None)
+                self.omission_dups += 1
+            if tracer.enabled:
+                tracer.instant(
+                    "net.omission", "net", rank=env.src, node=src_nid,
+                    epoch=env.epoch, dst=env.dst, drops=plan.drops,
+                    delay=plan.delay, dup=plan.duplicate,
                 )
-
-        wire.callbacks.append(on_arrival)
+            arrival = _LossyArrival()
+            arrival.plan = plan
+            arrival.faults = faults
+        arrival.transport = self
+        arrival.env = env
+        arrival.src_nid = src_nid
+        arrival.dst_addr = dst_addr
+        arrival.done = done
+        wire.callbacks.append(arrival)
         return done
 
-    # -- delivery ------------------------------------------------------------
-    def _arrive(
-        self,
-        env: Envelope,
-        src_nid: int,
-        dst_addr: Address,
-        done: Optional[Event],
-    ) -> None:
-        """Final delivery step: partition cut, liveness, epoch filter,
-        duplicate suppression -- in that order."""
-        fabric = self.machine.fabric
-        if fabric._partition is not None and not fabric.reachable(
-            src_nid, dst_addr[0]
-        ):
-            self._cut(env, src_nid, dst_addr, done)
-            return
-        tracer = self.sim.tracer
-        metrics = self.sim.metrics
-        ctx = self.lookup(dst_addr)
-        if ctx is None:
-            self.dropped_dead += 1
-            outcome = "net.drop_dead"
-        elif env.epoch < ctx.epoch:
-            self.dropped_stale += 1
-            ctx.stale_dropped += 1
-            outcome = "net.drop_stale"
-        elif self._lossy and env.seq in ctx.delivered_seqs:
-            self.dup_dropped += 1
-            outcome = "net.drop_dup"
-        elif (
-            ctx.recv_filter is not None
-            and env.lseq is not None
-            and not ctx.recv_filter(env)
-        ):
-            self.lseq_dup_dropped += 1
-            outcome = "net.drop_lseq_dup"
-        else:
-            if self._lossy:
-                ctx.delivered_seqs.add(env.seq)
-            ctx.matching.deliver(env)
-            outcome = "net.recv"
-        if tracer.enabled:
-            # ctx_epoch lets post-hoc checkers re-verify the epoch
-            # filter: a net.recv with env.epoch < ctx_epoch would be
-            # a stale delivery.
-            extra = {} if ctx is None else {"ctx_epoch": ctx.epoch}
-            if env.lseq is not None:
-                # (src, dst, n) channel identity: the orphan checker
-                # correlates deliveries with mlog.log / mlog.rewind.
-                extra["lseq"] = env.lseq
-            tracer.instant(
-                outcome, "net", rank=env.dst, node=dst_addr[0],
-                epoch=env.epoch, src=env.src, nbytes=env.nbytes,
-                tag=env.tag, **extra,
-            )
-        if metrics.enabled:
-            metrics.counter(outcome, node=dst_addr[0]).inc()
-        if done is not None and not done.triggered:
-            done.succeed(None)
-
-    def _cut(
-        self,
-        env: Envelope,
-        src_nid: int,
-        dst_addr: Address,
-        done: Optional[Event],
-    ) -> None:
+    # -- partition cuts --------------------------------------------------------
+    def _cut(self, arrival: _Arrival) -> None:
         """The message hit a partition cut.
 
         ``stall`` parks it until the fabric heals (switch buffering +
@@ -442,24 +418,22 @@ class Transport:
         if self.partition_mode == "stall":
             self.partition_stalls += 1
             if self.sim.tracer.enabled:
+                env = arrival.env
                 self.sim.tracer.instant(
                     "net.partition_stall", "net", rank=env.dst,
-                    node=dst_addr[0], epoch=env.epoch, src=env.src,
+                    node=arrival.dst_addr[0], epoch=env.epoch, src=env.src,
                     tag=env.tag,
                 )
-            self._stalled.append((env, src_nid, dst_addr, done))
+            self._stalled.append(arrival)
             return
         self.partition_retries += 1
-        timer = self.sim.timeout(self.partition_rto)
-        timer.callbacks.append(
-            lambda _e: self._arrive(env, src_nid, dst_addr, done)
-        )
+        Timeout(self.sim, self.partition_rto).callbacks.append(arrival)
 
     def _on_heal(self, tag: str) -> None:
-        """Flush envelopes parked at the (now healed) cut, in order."""
+        """Flush the records parked at the (now healed) cut, in order."""
         if not self._stalled:
             return
         stalled, self._stalled = self._stalled, []
         self.partition_flushed += len(stalled)
-        for env, src_nid, dst_addr, done in stalled:
-            self._arrive(env, src_nid, dst_addr, done)
+        for arrival in stalled:
+            arrival()

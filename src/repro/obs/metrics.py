@@ -13,6 +13,13 @@ the registry is disabled (the default :data:`NULL_METRICS`), every
 accessor returns a shared no-op instrument, so un-instrumented runs
 pay one branch per update site.
 
+That lookup sorts its labels on every call, which is fine for a site
+reached once per checkpoint or per failure.  A site reached once per
+message holds its instrument instead -- ``counter_at`` resolves the
+same counter once and is a dict subscript from then on:
+
+    sim.metrics.counter_at["net.msgs", "node", 3].inc()
+
 Like the tracer, this module imports nothing from the rest of
 ``repro``.
 """
@@ -43,8 +50,9 @@ class Counter:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
+        # ``not >=`` rather than ``<``: NaN must not reach the total.
+        if not amount >= 0:
+            raise ValueError(f"counters only go up, not by {amount}")
         self.value += amount
 
     def snapshot(self) -> float:
@@ -155,6 +163,25 @@ class _NullInstrument:
 _NULL_INSTRUMENT = _NullInstrument()
 
 
+class _CounterTable(dict):
+    """``table[name, label, value]`` is ``registry.counter(name,
+    **{label: value})``: the registry's own get-or-create on the first
+    use of a key -- same instrument, same creation order, same
+    snapshot -- and a plain dict hit on every later one."""
+
+    __slots__ = ("_registry",)
+
+    def __init__(self, registry: "MetricsRegistry"):
+        self._registry = registry
+
+    def __missing__(self, key: Tuple[str, str, Any]) -> Counter:
+        name, label, value = key
+        counter = self._registry.counter(name, **{label: value})
+        if counter is not _NULL_INSTRUMENT:  # a disabled registry may wake
+            self[key] = counter
+        return counter
+
+
 class MetricsRegistry:
     """Labelled metric store for one simulation."""
 
@@ -163,6 +190,9 @@ class MetricsRegistry:
     def __init__(self, sim=None, enabled: bool = True, attach: bool = True):
         self.enabled = enabled
         self._metrics: Dict[Tuple[str, str, LabelSet], Any] = {}
+        #: one-label counters for per-message sites, resolved once:
+        #: ``counter_at[name, label, value].inc()``
+        self.counter_at: Dict[Tuple[str, str, Any], Counter] = _CounterTable(self)
         if sim is not None and attach:
             sim.metrics = self
 

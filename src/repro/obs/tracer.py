@@ -28,7 +28,7 @@ imports it, so it must stay at the bottom of the dependency graph.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "Tracer", "NullTracer", "NULL_TRACER"]
 
@@ -91,6 +91,9 @@ class TraceEvent:
         return f"<TraceEvent {self.cat}/{self.name} t={self.ts:.6g}{span}{who}>"
 
 
+_new_event = TraceEvent.__new__
+
+
 class Tracer:
     """Event recorder bound to one simulator.
 
@@ -142,11 +145,20 @@ class Tracer:
         """Record a point event at the current sim time."""
         if not self.enabled:
             return
-        ev = TraceEvent(
-            name, cat, PH_INSTANT, self.sim.now,
-            rank=rank, node=node, incarnation=incarnation, epoch=epoch,
-            args=args,
-        )
+        # The per-message record: the ten slots filled here, without
+        # the frame TraceEvent.__init__ would cost (complete(), a few
+        # spans per checkpoint, just calls it).
+        ev = _new_event(TraceEvent)
+        ev.name = name
+        ev.cat = cat
+        ev.ph = PH_INSTANT
+        ev.ts = self.sim.now
+        ev.dur = None
+        ev.rank = rank
+        ev.node = node
+        ev.incarnation = incarnation
+        ev.epoch = epoch
+        ev.args = args
         self.events.append(ev)
         if self._listeners:
             self._notify(ev)
@@ -165,12 +177,8 @@ class Tracer:
         """Record a span from ``start`` to the current sim time."""
         if not self.enabled:
             return
-        now = self.sim.now
-        ev = TraceEvent(
-            name, cat, PH_COMPLETE, start, dur=now - start,
-            rank=rank, node=node, incarnation=incarnation, epoch=epoch,
-            args=args,
-        )
+        ev = TraceEvent(name, cat, PH_COMPLETE, start, self.sim.now - start,
+                        rank, node, incarnation, epoch, args)
         self.events.append(ev)
         if self._listeners:
             self._notify(ev)
@@ -200,7 +208,8 @@ class NullTracer:
     """
 
     enabled = False
-    events: List[TraceEvent] = []
+    #: immutable: one object is shared by every untraced simulation
+    events: Tuple[TraceEvent, ...] = ()
 
     def instant(self, *_a: Any, **_k: Any) -> None:
         pass

@@ -22,10 +22,16 @@ run time) and is pinned in two halves that move under different rules:
   -> new per scenario in CHANGES.md with the delta accounted for by
   kind of entry.  The command prints one dict, so a diet stage cannot
   touch a digest without saying so.
+* ``METRICS`` -- for the scenarios that attach a ``MetricsRegistry``,
+  the sha256 of its snapshot: every instrument's labels and value.  It
+  moves under the ``PINNED`` rule (``... tests/test_golden_order.py
+  metrics`` prints it): a change to how instruments are looked up or
+  updated must leave it untouched.
 """
 
 import functools
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -34,7 +40,8 @@ from repro.apps.synthetic import bsp_app
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
-from repro.obs import Tracer, dumps_jsonl
+from repro.net.faults import LinkFaultModel
+from repro.obs import MetricsRegistry, Tracer, dumps_jsonl
 from repro.sched import JobSpec, StreamScheduler, trace_arrivals
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
@@ -56,6 +63,11 @@ PINNED = {
     "sched-three-tenants": (
         "2.87122860022531", 3815,
         "be039af1cabe93615106d3982fc1784589dc36b8da6bc40c8aeef21949b7fdff"),
+    # recorded on commit 69b6df7 (PR 19), before PR 20 made the lossy
+    # and the observed delivery one record and one body
+    "lossy-partition-crash-metered": (
+        "8.667363092803315", 5490,
+        "607df2f7eb7bcf752af6007ff4b43cb35575f76ffbe3b98f7b1a5c6d1e79a553"),
 }
 
 #: (events_processed, peak_heap); last re-recorded by PR 17 (event
@@ -67,6 +79,14 @@ COUNTERS = {
     "crash-replicated": (31025, 62),
     "gray-limp-partition-crash": (18945, 30),
     "sched-three-tenants": (14092, 40),
+    "lossy-partition-crash-metered": (23032, 34),  # on 69b6df7 (PR 19)
+}
+
+#: sha256 of ``json.dumps(metrics.snapshot(), sort_keys=True)``, for the
+#: scenarios that attach a registry; recorded on commit 69b6df7 (PR 19)
+METRICS = {
+    "lossy-partition-crash-metered":
+        "bda699ef329cff6616a368b70ca2e6f51881a30a95a70e1004f0a59dc9af8beb",
 }
 
 
@@ -133,6 +153,44 @@ def _gray():
     return sim, tracer
 
 
+def _lossy():
+    """Lossy links with drop, duplicate and delay all armed, a
+    drop-mode partition that heals, then a crash -- traced *and*
+    metered, with level-2 flushes: the one scenario that crosses the
+    omission model, the retransmitting cut and the metrics registry."""
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(6), RngRegistry(11))
+    tracer = Tracer(sim)
+    MetricsRegistry(sim)
+    job = FmiJob(
+        machine, bsp_app(12, work_s=0.25), num_ranks=8, procs_per_node=2,
+        config=FmiConfig(interval=1, xor_group_size=4, spare_nodes=1,
+                         level2_every=2),
+    )
+    done = job.launch()
+    transport = job.transport
+    slots = job.fmirun.node_slots
+    cut, victim = slots[3].id, slots[0].id
+    model = LinkFaultModel(machine.rng.stream("golden-links"),
+                           drop_p=0.06, dup_p=0.05, delay_p=0.06)
+
+    def split():
+        transport.partition_mode = "drop"
+        machine.partition([[cut]], tag="golden")
+
+    _at(sim, 0.4, lambda: transport.set_faults(model))
+    _at(sim, 1.1, split)
+    _at(sim, 1.3, machine.heal_partition)
+    _at(sim, 2.4, lambda: machine.fail_nodes([victim]))
+    sim.run(until=done)
+    assert job.epoch >= 1 and job.level2_flushes > 0
+    # every branch the scenario exists for was really taken
+    assert transport.omission_drops and transport.omission_delays
+    assert transport.omission_dups and transport.dup_dropped
+    assert transport.partition_retries and transport.dropped_dead
+    return sim, tracer
+
+
 def _sched():
     """Three tenants, one per FMI family, on one shared machine; the
     global and the replicated tenant each lose a node."""
@@ -168,17 +226,23 @@ SCENARIOS = {
     "crash-replicated": lambda: _crash("replicated"),
     "gray-limp-partition-crash": _gray,
     "sched-three-tenants": _sched,
+    "lossy-partition-crash-metered": _lossy,
 }
 
 
 @functools.lru_cache(maxsize=None)
 def fingerprint(name):
-    """``(pinned triple, kernel counters)`` of one scenario run."""
+    """``(pinned triple, kernel counters, metrics digest)`` of one
+    scenario run; the digest is ``None`` without a registry."""
     sim, tracer = SCENARIOS[name]()
     text = dumps_jsonl(tracer)
     pinned = (repr(sim.now), len(tracer.events),
               hashlib.sha256(text.encode()).hexdigest())
-    return pinned, (sim.stats.events_processed, sim.stats.peak_heap)
+    metrics = None
+    if sim.metrics.enabled:
+        snapshot = json.dumps(sim.metrics.snapshot(), sort_keys=True)
+        metrics = hashlib.sha256(snapshot.encode()).hexdigest()
+    return pinned, (sim.stats.events_processed, sim.stats.peak_heap), metrics
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -191,18 +255,25 @@ def test_kernel_counters_match_the_recorded_diet_stage(name):
     assert fingerprint(name)[1] == COUNTERS[name]
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_metrics_snapshot_matches_the_recorded_commit(name):
+    assert fingerprint(name)[2] == METRICS.get(name)
+
+
 if __name__ == "__main__":
     import sys
 
     half = sys.argv[1] if len(sys.argv) == 2 else None
-    if half not in ("pinned", "counters"):
-        sys.exit("usage: test_golden_order.py pinned|counters")
+    if half not in ("pinned", "counters", "metrics"):
+        sys.exit("usage: test_golden_order.py pinned|counters|metrics")
     print(f"{half.upper()} = {{")
     for scenario in SCENARIOS:
-        (now, count, digest), counters = fingerprint(scenario)
+        (now, count, digest), counters, metrics = fingerprint(scenario)
         if half == "pinned":
             print(f"    {scenario!r}: (\n        {now!r}, {count},\n"
                   f"        {digest!r}),")
-        else:
+        elif half == "counters":
             print(f"    {scenario!r}: {counters},")
+        elif metrics is not None:
+            print(f"    {scenario!r}:\n        {metrics!r},")
     print("}")
