@@ -12,6 +12,32 @@ NIC -- the effect that shapes the XOR-gather restart cost (Fig 11) and
 the per-node C/R throughput (Fig 12).
 
 Intra-node messages bypass the NIC and move through the memory bus.
+
+The five stages of an inter-node message, and the frame each runs in
+(a :class:`_Wire` record carries the message through all of them):
+
+1. **head** -- :meth:`Fabric.send` arms a ``Timeout`` of the sender's
+   software overhead (at the sender's limp factor of the send instant)
+   and returns the ``arrived`` event.
+2. **start** -- the head's callback: the bytes enter ``A.nic_tx`` and
+   ``B.nic_rx`` with *the wire itself* as each flow's completion
+   target.  No event per flow.
+3. **join** -- a pipe calls :meth:`_Wire.succeed` in the frame of the
+   timer that drained the flow (in ``start``'s own frame for a flow the
+   pipe finishes at once); the second call arms the tail there and
+   then.  The join has no event either: it touches nothing but the
+   wire's own counter (DESIGN section 9 has the rule).
+4. **tail** -- a ``Timeout`` of the wire latency at the slower
+   endpoint's limp factor (sampled at send) plus the receiver's
+   software overhead at *its* limp factor of the drain frame.
+5. **land** -- the tail's callback completes ``arrived``; what waits on
+   it (the transport's delivery) is dispatched from the immediate
+   queue, after everything already queued for that instant.  A
+   delivery may change what a same-instant resume sees, so it keeps
+   its own event.
+
+One ``Event`` and two ``Timeout`` entries per message; head and tail
+are real delays.
 """
 
 from __future__ import annotations
@@ -26,43 +52,34 @@ __all__ = ["Fabric"]
 
 
 class _Wire:
-    """One inter-node message in flight; its bound methods are the
-    callbacks of the stages in the module docstring, in order."""
+    """One inter-node message in flight: the callback of its head and
+    tail timers (:meth:`start`, :meth:`land`) and, in between, the
+    completion target of its own two NIC flows.  :meth:`Fabric.send`
+    fills the slots (no ``__init__``: it would be a frame per message).
+    """
 
     __slots__ = ("fabric", "src", "dst", "nbytes", "overhead",
-                 "lat_factor", "arrived", "both", "parts_left")
+                 "lat_factor", "arrived", "parts_left")
 
-    def __init__(self, fabric: "Fabric", src: Node, dst: Node,
-                 nbytes: float, overhead: float, arrived: Event):
-        self.fabric = fabric
-        self.src = src
-        self.dst = dst
-        self.nbytes = nbytes
-        self.overhead = overhead
-        # Limping endpoints stretch the per-message latencies (their
-        # NIC bandwidth is already degraded via set_limp); the wire hop
-        # pays the slower endpoint's factor, sampled at send time.
-        self.lat_factor = max(src.limp_latency, dst.limp_latency)
-        self.arrived = arrived
-        self.parts_left = 2
+    # What a pipe reads on a flow's completion target before it calls
+    # ``succeed`` (an ``Event`` everywhere else): not abandoned, not
+    # completed by anyone else.
+    callbacks = ()
+    _value = _PENDING
 
     def start(self, _head: Event) -> None:
         """Sender overhead paid: the bytes enter both NIC pipes."""
-        tx = self.src.nic_tx.transfer(self.nbytes)
-        rx = self.dst.nic_rx.transfer(self.nbytes)
-        self.both = both = Event(self.fabric.sim)
-        both.callbacks.append(self.on_wire)
-        tx.callbacks.append(self.part_done)
-        rx.callbacks.append(self.part_done)
+        nbytes = self.nbytes
+        self.src.nic_tx._start(nbytes, self)
+        self.dst.nic_rx._start(nbytes, self)
 
-    def part_done(self, _part: Event) -> None:
+    def succeed(self, _value: None) -> None:
+        """A pipe drained this wire's flow.  When both have: wire
+        latency, then receiver overhead at the receiver's limp factor
+        as this frame finds it."""
         self.parts_left -= 1
-        if self.parts_left == 0:
-            self.both.succeed(None)
-
-    def on_wire(self, _both: Event) -> None:
-        """Both pipes drained: wire latency, then receiver overhead at
-        the receiver's limp factor of *this* instant."""
+        if self.parts_left:
+            return
         fabric = self.fabric
         tail = Timeout(
             fabric.sim,
@@ -209,6 +226,10 @@ class Fabric:
         (a dead node's matching engine no longer exists, so the bytes
         simply vanish, as on real hardware).
         """
+        # ``not >=``: NaN must be refused here, before it is counted and
+        # one software overhead before a pipe would see it.
+        if not nbytes >= 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
         if not src.alive:
             evt = Event(self.sim)
             evt.fail(ConnectionError(f"source node {src.id} is down"))
@@ -221,8 +242,21 @@ class Fabric:
             # Shared-memory path: one pass through the memory bus, no NIC.
             return src.mem_bw.transfer(nbytes, overhead=2 * overhead)
 
-        arrived = Event(self.sim)
-        wire = _Wire(self, src, dst, nbytes, overhead, arrived)
+        wire = _Wire()
+        wire.fabric = self
+        wire.src = src
+        wire.dst = dst
+        wire.nbytes = nbytes
+        wire.overhead = overhead
+        # Limping endpoints stretch the per-message latencies (their
+        # NIC bandwidth is already degraded via set_limp); the wire hop
+        # pays the slower endpoint's factor, sampled at send time.
+        lat_factor = src.limp_latency
+        if dst.limp_latency > lat_factor:
+            lat_factor = dst.limp_latency
+        wire.lat_factor = lat_factor
+        wire.arrived = arrived = Event(self.sim)
+        wire.parts_left = 2
         # Sender-side software overhead before bytes hit the NIC.
         head = Timeout(self.sim, overhead * src.limp_latency)
         head.callbacks.append(wire.start)

@@ -103,8 +103,14 @@ class Node:
         """
         if not self.alive:
             raise NodeDownError(f"node {self.id} is down")
-        if bw_factor < 1.0 or latency_factor < 1.0:
-            raise ValueError("limp factors must be >= 1.0")
+        # ``not >=``: NaN must be refused here, before any state is
+        # written (it would flip the limp sink, then surface from a
+        # wire's tail timer).
+        if not (bw_factor >= 1.0 and latency_factor >= 1.0):
+            raise ValueError(
+                f"limp factors must be >= 1.0, got {bw_factor!r}, "
+                f"{latency_factor!r}"
+            )
         was_limping = self.limping
         self.limp_bw = float(bw_factor)
         self.limp_latency = float(latency_factor)

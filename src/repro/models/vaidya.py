@@ -17,6 +17,7 @@ benchmark on interval choice.
 
 from __future__ import annotations
 
+import functools
 import math
 
 __all__ = ["expected_runtime_factor", "optimal_interval", "young_interval"]
@@ -68,11 +69,17 @@ def young_interval(ckpt_cost: float, mtbf: float) -> float:
     return math.sqrt(2.0 * ckpt_cost * mtbf)
 
 
+@functools.lru_cache(maxsize=1024)
 def optimal_interval(
     ckpt_cost: float, mtbf: float, restart_cost: float = 0.0
 ) -> float:
     """Numerically optimal useful-work segment length between
-    checkpoints (seconds)."""
+    checkpoints (seconds).
+
+    Memoised: symmetric ranks measure the same checkpoint cost and each
+    asks after every checkpoint.  A raised error is not cached, so bad
+    input raises every time.
+    """
     _check_finite(ckpt_cost=ckpt_cost, mtbf=mtbf, restart_cost=restart_cost)
     if ckpt_cost < 0:
         raise ValueError("ckpt_cost must be >= 0")

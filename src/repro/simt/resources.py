@@ -50,7 +50,10 @@ __all__ = ["BandwidthResource"]
 
 class _Flow:
     """One transfer in flight; :meth:`BandwidthResource._start` fills
-    the slots (no ``__init__``: it would be a frame per message)."""
+    the slots (no ``__init__``: it would be a frame per message).
+    ``event`` is the completion target: an :class:`Event`, or a record
+    that answers ``callbacks`` / ``_value`` / ``succeed`` like one and
+    so is called in the draining frame (``cluster.network``'s wire)."""
 
     __slots__ = ("remaining", "event", "nbytes")
 

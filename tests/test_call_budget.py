@@ -25,10 +25,23 @@ before PR 15                              -       -         29.5
 PR 15 (host cost of one event)         2285   126.4         18.1
 PR 17 (one heap entry per pipe, no
 forwarding frames under a resume)      1702   123.9         13.7
+PR 20 (same run, re-read)              1679   123.9         13.6
+PR 21 (a wire is the completion target
+of its own two pipe flows; Vaidya's
+search memoised)                       1462    97.2         15.0
 ====================================  =====  ======  ===========
 
-The ceilings sit ~12 % above the last row: room for honest small
-additions, not for a new call per event or a new event per message.
+The ceilings sit ~12 % above the last row (events: 8 %, below the 106
+that one more event per inter-node message would read): room for
+honest small additions, not for a new call per event or a new event
+per message.  **Calls per event rose in PR 21, 13.6 -> 15.0, while
+calls fell 13 % and events 22 %: the three events removed per message
+were the cheapest ones (19 calls between them), and a ratio over a
+count penalises removing the count.**  That is why the ratio is the
+third ceiling and not the first; it is re-set above the new reading,
+still under the 18.1 of PR 15, and kept -- it is what catches calls
+and events creeping back *together*.  PR 21's row was read on CPython
+3.11 only (the one interpreter in that session).
 
 **Watching** the same run -- a ``Tracer`` and a ``MetricsRegistry``
 attached -- is pinned as a *ratio* of profiled calls, observed over
@@ -46,11 +59,15 @@ closure and four forwarding calls per
 observed delivery)                           524,315  1.268
 PR 20 (one record, one delivery body;
 counters resolved once)                      449,579  1.087
+PR 21 (nothing changed for a watcher; the
+bare run got cheaper)                        393,879  1.100
 ==========================================  ========  =====
 
-against 413,624 calls bare on both commits.  One more call per
-observed message is +0.010; the ceiling leaves room for two.  Read on
-CPython 3.11 only -- the other interpreters here have no numpy.
+against 413,624 calls bare on PRs 19 and 20 and 357,924 on PR 21: the
+same 35,955 calls of watching over a smaller base, the trap of the
+paragraph above once more, so the ceiling stays where PR 20 put it.
+One more call per observed message is +0.010 -- the room that is left.
+Read on CPython 3.11 only -- the other interpreters here have no numpy.
 
 **The macro tier** is pinned by a second run, of the benchmark's
 ``macro_16k`` shape at 1,024 ranks x 2 rounds (a macro allreduce, then
@@ -71,16 +88,19 @@ per rank-round / per rank at burst     calls  events  tracked  cells
 PR 17                                  191.1    7.56     46.3    9.8
 PR 19 (whole-round fold, two-table
 pricing, a slotted record per message) 129.2    7.56     32.6    0.0
+PR 21 (the ring's 128 inter-node
+messages lose three events each)       127.6    7.38     32.3    0.0
 =====================================  =====  ======  =======  =====
 
-The event count is an equality: that diet was not allowed to move an
-event.  Calls, events and cells read the same on CPython 3.9, 3.10,
-3.11, 3.12 and 3.13 (measured on each); the tracked objects are those
-of 3.11 and later -- 3.9 and 3.10 give every instance without
-``__slots__`` a dictionary of its own from the start, 8 or 9 tracked
-objects more per rank on both rows (55.4 -> 40.6), so the ceiling is
-set per interpreter, ~12 % above the last row in both cases and below
-the first.
+The event count is an equality: PR 19's diet was not allowed to move
+an event, and PR 21 moved exactly 3 x 128.  On PR 19's row calls,
+events and cells read the same on CPython 3.9, 3.10, 3.11, 3.12 and
+3.13 (measured on each; PR 21's row is 3.11's); the tracked objects
+are those of 3.11 and later -- 3.9 and 3.10 give every instance
+without ``__slots__`` a dictionary of its own from the start, 8 or 9
+tracked objects more per rank on the first two rows (55.4 -> 40.6), so
+the ceiling is set per interpreter, ~12 % above PR 19's row in both
+cases and below the first.
 """
 
 import cProfile
@@ -94,6 +114,7 @@ from repro.apps.himeno import HimenoParams, himeno_fmi_app
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
+from repro.models.vaidya import optimal_interval
 from repro.mpi.collectives import set_collective_mode
 from repro.mpi.runtime import MpiJob
 from repro.obs import MetricsRegistry, Tracer
@@ -101,17 +122,20 @@ from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
 RANKS, ITERATIONS = 24, 8
-CALLS_PER_RANK_ITERATION = 1900.0
-EVENTS_PER_RANK_ITERATION = 139.0
+CALLS_PER_RANK_ITERATION = 1640.0
+EVENTS_PER_RANK_ITERATION = 105.0
 #: below the 18.1 this run cost before the diet, so that neither half
 #: can drift back while the other hides it
-CALLS_PER_EVENT = 15.5
+CALLS_PER_EVENT = 16.8
 OBSERVED_CALLS_RATIO = 1.11
 
 
 def _profiled_run(observed):
     """``(calls, events)`` of the profiled run, bare or with a tracer
     and a metrics registry attached."""
+    # the one memo under src/ that outlives a simulation: without this
+    # a run would be cheaper for every run profiled before it
+    optimal_interval.cache_clear()
     sim = Simulator()
     machine = Machine(sim, SIERRA.with_nodes(10), RngRegistry(14))
     if observed:
@@ -136,7 +160,7 @@ def _profiled_run(observed):
 
     assert job.recovery_count == 1
     events = sim.stats.events_processed
-    assert events > 20_000  # the run is the size the ceilings were set on
+    assert events > 17_000  # the run is the size the ceilings were set on
     return pstats.Stats(profile).total_calls, events
 
 
@@ -174,7 +198,7 @@ def test_observed_calls_stay_within_the_ratio_of_the_bare_run():
 # ------------------------------------------------------------- macro tier
 MACRO_RANKS, MACRO_ROUNDS, MACRO_PPN = 1024, 2, 16
 MACRO_CALLS_PER_RANK_ROUND = 142.0
-MACRO_EVENTS = 15_492  # 7.56 per rank-round
+MACRO_EVENTS = 15_108  # 7.38 per rank-round
 MACRO_TRACKED_PER_RANK = 37.0 if sys.version_info >= (3, 11) else 45.5
 MACRO_CELLS_PER_RANK = 1.0
 

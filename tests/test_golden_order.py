@@ -3,14 +3,14 @@
 ``test_obs_replay.py`` checks byte-identical replay run-to-run on one
 commit; this file holds the same contract *across* commits.  Each
 scenario has an explicit fault schedule (nothing drawn from an RNG at
-run time) and is pinned in two halves that move under different rules:
+run time) and is pinned in halves that move under different rules:
 
 * ``PINNED`` -- the final clock, the trace length and the sha256 of the
   JSONL trace: what the simulation *computed*, and in which order.  A
   change that only makes the simulator faster, an event diet included,
   must leave every value here untouched.  To regenerate for a
   *declared* model change (one whose issue says the simulated numbers
-  move): run ``PYTHONPATH=src python tests/test_golden_order.py pinned``
+  move): run ``PYTHONPATH=src python -m tests.test_golden_order pinned``
   on the new commit, paste the printed dict over the one below, and
   say in CHANGES.md which scenarios moved and why.  Never regenerate to
   make a refactor pass.
@@ -18,15 +18,26 @@ run time) and is pinned in two halves that move under different rules:
   entries the kernel popped to get there.  A declared *event diet* (a
   change that removes entries which dispatch nothing while every live
   callback keeps its ``(time, seq)``) re-records these, and only these:
-  run ``... tests/test_golden_order.py counters``, paste, and give old
+  run ``... -m tests.test_golden_order counters``, paste, and give old
   -> new per scenario in CHANGES.md with the delta accounted for by
   kind of entry.  The command prints one dict, so a diet stage cannot
   touch a digest without saying so.
 * ``METRICS`` -- for the scenarios that attach a ``MetricsRegistry``,
   the sha256 of its snapshot: every instrument's labels and value.  It
-  moves under the ``PINNED`` rule (``... tests/test_golden_order.py
+  moves under the ``PINNED`` rule (``... -m tests.test_golden_order
   metrics`` prints it): a change to how instruments are looked up or
   updated must leave it untouched.
+* ``SCHEDULE`` -- the sha256 over ``(repr(now), kind, identity)`` of
+  every callback the kernel dispatched, in dispatch order, recorded by
+  ``tests/schedule_recorder.py``: which process resumed, which message
+  was delivered, which pipe's timer ran, which wire started or landed,
+  at which float.  The trace digest sees only what an instrumented site
+  reports; this sees the order of everything else.  It moves under the
+  ``PINNED`` rule (``... -m tests.test_golden_order schedule``).  The
+  one thing it leaves out is a wire's own join bookkeeping
+  (``_Wire.part_done`` / ``on_wire`` where a commit has them):
+  callbacks that touch only their own record, which DESIGN section 9
+  lets ride in their caller's frame.
 """
 
 import functools
@@ -45,6 +56,7 @@ from repro.obs import MetricsRegistry, Tracer, dumps_jsonl
 from repro.sched import JobSpec, StreamScheduler, trace_arrivals
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
+from tests.schedule_recorder import RecordingSimulator
 
 #: recorded on commit 18ea7e3 (PR 12), before PR 15 touched the kernel
 PINNED = {
@@ -70,16 +82,24 @@ PINNED = {
         "607df2f7eb7bcf752af6007ff4b43cb35575f76ffbe3b98f7b1a5c6d1e79a553"),
 }
 
-#: (events_processed, peak_heap); last re-recorded by PR 17 (event
-#: diet, stage 1: a fair-share pipe keeps one heap entry; old -> new
-#: per scenario in CHANGES.md)
+#: (events_processed, peak_heap); last re-recorded by PR 21 (event
+#: diet, stage 2: a wire is the completion target of its own two pipe
+#: flows, so the ``tx``, ``rx`` and ``both`` events of every inter-node
+#: message are gone).  Old -> new, the delta exactly 3 x the scenario's
+#: inter-node messages (``_Wire.start`` dispatches, in brackets):
+#:   crash-global                  (10299, 22) ->  (7875, 22)   [808]
+#:   crash-logged                   (9952, 22) ->  (7594, 22)   [786]
+#:   crash-replicated              (31025, 62) -> (21998, 52)  [3009]
+#:   gray-limp-partition-crash     (18945, 30) -> (14502, 30)  [1481]
+#:   sched-three-tenants           (14092, 40) -> (10666, 40)  [1142]
+#:   lossy-partition-crash-metered (23032, 34) -> (17692, 32)  [1780]
 COUNTERS = {
-    "crash-global": (10299, 22),
-    "crash-logged": (9952, 22),
-    "crash-replicated": (31025, 62),
-    "gray-limp-partition-crash": (18945, 30),
-    "sched-three-tenants": (14092, 40),
-    "lossy-partition-crash-metered": (23032, 34),  # on 69b6df7 (PR 19)
+    "crash-global": (7875, 22),
+    "crash-logged": (7594, 22),
+    "crash-replicated": (21998, 52),
+    "gray-limp-partition-crash": (14502, 30),
+    "sched-three-tenants": (10666, 40),
+    "lossy-partition-crash-metered": (17692, 32),
 }
 
 #: sha256 of ``json.dumps(metrics.snapshot(), sort_keys=True)``, for the
@@ -87,6 +107,23 @@ COUNTERS = {
 METRICS = {
     "lossy-partition-crash-metered":
         "bda699ef329cff6616a368b70ca2e6f51881a30a95a70e1004f0a59dc9af8beb",
+}
+
+#: sha256 of the dispatch sequence (``tests/schedule_recorder.py``);
+#: recorded on commit 58d77b4 (PR 20), before PR 21 touched the wire
+SCHEDULE = {
+    "crash-global":
+        "3617df95148975dacebce05c27aa92e6007bcd65dd86157d16af094276aa4d5f",
+    "crash-logged":
+        "75688335dff774ddc920047223f74889b21b67a91646afb97d0065ba3209d6ea",
+    "crash-replicated":
+        "c1c97f3a75acb73c4a9362663c630d5fa54131d63f97ece802bea293237eecde",
+    "gray-limp-partition-crash":
+        "b4c80de1d3dd2c8d3599e586edcd68c21f123207977b3a45f81b8781716aa632",
+    "sched-three-tenants":
+        "93bd44bccf9ddd69b09f79c73b1465143e48f0263fb7cbb34e1e090e64159470",
+    "lossy-partition-crash-metered":
+        "7741b5d400fcfe3d52351ceb43e56a4473b528e0e748bb90e60b32e67aa96f55",
 }
 
 
@@ -110,8 +147,8 @@ def _allreduce_app(fmi):
     return state
 
 
-def _job(app, recovery, nodes, spares, seed):
-    sim = Simulator()
+def _job(make_sim, app, recovery, nodes, spares, seed):
+    sim = make_sim()
     machine = Machine(sim, SIERRA.with_nodes(nodes), RngRegistry(seed))
     tracer = Tracer(sim)
     job = FmiJob(
@@ -122,11 +159,11 @@ def _job(app, recovery, nodes, spares, seed):
     return sim, machine, tracer, job
 
 
-def _crash(recovery):
+def _crash(make_sim, recovery):
     """The ``test_obs_replay.py`` scenario: slot 1's node dies at 2.5 s."""
     replicated = recovery == "replicated"
     sim, machine, tracer, job = _job(
-        _allreduce_app, recovery, nodes=10 if replicated else 6,
+        make_sim, _allreduce_app, recovery, nodes=10 if replicated else 6,
         spares=1, seed=1234)
     done = job.launch()
     victim = job.fmirun.node_slots[1].id
@@ -136,10 +173,11 @@ def _crash(recovery):
     return sim, tracer
 
 
-def _gray():
+def _gray(make_sim):
     """A limping node, then a partition that heals, then a crash."""
     sim, machine, tracer, job = _job(
-        bsp_app(12, work_s=0.25), "global", nodes=6, spares=1, seed=7)
+        make_sim, bsp_app(12, work_s=0.25), "global", nodes=6, spares=1,
+        seed=7)
     done = job.launch()
     slots = job.fmirun.node_slots
     limper, cut, victim = slots[2].id, slots[3].id, slots[0].id
@@ -153,12 +191,12 @@ def _gray():
     return sim, tracer
 
 
-def _lossy():
+def _lossy(make_sim):
     """Lossy links with drop, duplicate and delay all armed, a
     drop-mode partition that heals, then a crash -- traced *and*
     metered, with level-2 flushes: the one scenario that crosses the
     omission model, the retransmitting cut and the metrics registry."""
-    sim = Simulator()
+    sim = make_sim()
     machine = Machine(sim, SIERRA.with_nodes(6), RngRegistry(11))
     tracer = Tracer(sim)
     MetricsRegistry(sim)
@@ -191,10 +229,10 @@ def _lossy():
     return sim, tracer
 
 
-def _sched():
+def _sched(make_sim):
     """Three tenants, one per FMI family, on one shared machine; the
     global and the replicated tenant each lose a node."""
-    sim = Simulator()
+    sim = make_sim()
     machine = Machine(sim, SIERRA.with_nodes(16), RngRegistry(0))
     tracer = Tracer(sim)
     sched = StreamScheduler(machine, backfill=True, spare_pool=2)
@@ -220,10 +258,11 @@ def _sched():
     return sim, tracer
 
 
+#: each takes the simulator class to run on
 SCENARIOS = {
-    "crash-global": lambda: _crash("global"),
-    "crash-logged": lambda: _crash("logged"),
-    "crash-replicated": lambda: _crash("replicated"),
+    "crash-global": lambda make_sim: _crash(make_sim, "global"),
+    "crash-logged": lambda make_sim: _crash(make_sim, "logged"),
+    "crash-replicated": lambda make_sim: _crash(make_sim, "replicated"),
     "gray-limp-partition-crash": _gray,
     "sched-three-tenants": _sched,
     "lossy-partition-crash-metered": _lossy,
@@ -234,7 +273,7 @@ SCENARIOS = {
 def fingerprint(name):
     """``(pinned triple, kernel counters, metrics digest)`` of one
     scenario run; the digest is ``None`` without a registry."""
-    sim, tracer = SCENARIOS[name]()
+    sim, tracer = SCENARIOS[name](Simulator)
     text = dumps_jsonl(tracer)
     pinned = (repr(sim.now), len(tracer.events),
               hashlib.sha256(text.encode()).hexdigest())
@@ -243,6 +282,15 @@ def fingerprint(name):
         snapshot = json.dumps(sim.metrics.snapshot(), sort_keys=True)
         metrics = hashlib.sha256(snapshot.encode()).hexdigest()
     return pinned, (sim.stats.events_processed, sim.stats.peak_heap), metrics
+
+
+@functools.lru_cache(maxsize=None)
+def schedule(name):
+    """The dispatch-sequence digest of one scenario, and that the
+    single-stepped run computed what the inlined loop computes."""
+    sim, tracer = SCENARIOS[name](RecordingSimulator)
+    assert (repr(sim.now), len(tracer.events)) == fingerprint(name)[0][:2]
+    return sim.digest.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -260,12 +308,18 @@ def test_metrics_snapshot_matches_the_recorded_commit(name):
     assert fingerprint(name)[2] == METRICS.get(name)
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_dispatch_sequence_matches_the_recorded_commit(name):
+    assert schedule(name) == SCHEDULE[name]
+
+
 if __name__ == "__main__":
     import sys
 
     half = sys.argv[1] if len(sys.argv) == 2 else None
-    if half not in ("pinned", "counters", "metrics"):
-        sys.exit("usage: test_golden_order.py pinned|counters|metrics")
+    if half not in ("pinned", "counters", "metrics", "schedule"):
+        sys.exit("usage: python -m tests.test_golden_order "
+                 "pinned|counters|metrics|schedule")
     print(f"{half.upper()} = {{")
     for scenario in SCENARIOS:
         (now, count, digest), counters, metrics = fingerprint(scenario)
@@ -274,6 +328,8 @@ if __name__ == "__main__":
                   f"        {digest!r}),")
         elif half == "counters":
             print(f"    {scenario!r}: {counters},")
+        elif half == "schedule":
+            print(f"    {scenario!r}:\n        {schedule(scenario)!r},")
         elif metrics is not None:
             print(f"    {scenario!r}:\n        {metrics!r},")
     print("}")
