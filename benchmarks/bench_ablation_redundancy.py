@@ -39,12 +39,9 @@ def measure(scheme: str, group_size: int):
         yield from engine.checkpoint([payload], dataset_id=0)
         ckpt_durations[api.rank] = api.now - t0
         if api.rank == 0:
-            blob_bytes = storage._blobs["ckpt@0"].data.nbytes
-            extra = sum(
-                p.data.nbytes for k, p in storage._blobs.items()
-                if not k.startswith("ckpt@")
-            )
-            overheads[api.rank] = extra / blob_bytes
+            rkey = engine.scheme.redundancy_key(0)
+            extra = storage.peek(rkey).data.nbytes if rkey else 0
+            overheads[api.rank] = extra / storage.peek("ckpt@0").data.nbytes
         if not repairable:
             return
         if api.rank == FAILED:

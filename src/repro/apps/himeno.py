@@ -174,8 +174,7 @@ def himeno_fmi_app(params: HimenoParams):
         gflops_points = 0.0
         yield from fmi.init()
         while True:
-            ckpt = [field] if params.synthetic else [field]
-            n = yield from fmi.loop(ckpt)
+            n = yield from fmi.loop([field])
             if n >= params.iterations:
                 break
             field, res = yield from _iteration(fmi, params, field, rhs)

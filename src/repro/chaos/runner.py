@@ -85,19 +85,26 @@ def _resolve(campaign: Union[str, Campaign]) -> Campaign:
         raise KeyError(f"unknown campaign {campaign!r} (known: {known})")
 
 
-def _build_job(campaign: Campaign, seed: int):
+def _build_job(campaign: Campaign, seed: int, names: Sequence[str] = ("fmi",)):
+    """A fresh simulator and machine carrying one identical FMI job per
+    name, each on its own allocation from the shared resource manager;
+    returns ``(sim, machine, job, ...)``."""
     sim = Simulator()
     machine = Machine(
         sim, SIERRA.with_nodes(campaign.total_nodes), RngRegistry(seed)
     )
-    job = FmiJob(
-        machine,
-        bsp_app(campaign.iterations, campaign.work_s, campaign.halo_bytes),
-        num_ranks=campaign.num_ranks,
-        procs_per_node=campaign.ppn,
-        config=campaign.make_config(),
-    )
-    return sim, machine, job
+    jobs = [
+        FmiJob(
+            machine,
+            bsp_app(campaign.iterations, campaign.work_s, campaign.halo_bytes),
+            num_ranks=campaign.num_ranks,
+            procs_per_node=campaign.ppn,
+            config=campaign.make_config(),
+            name=name,
+        )
+        for name in names
+    ]
+    return (sim, machine, *jobs)
 
 
 def reference_results(campaign: Union[str, Campaign]) -> list:
@@ -114,122 +121,64 @@ def reference_results(campaign: Union[str, Campaign]) -> list:
 def run_campaign(
     campaign: Union[str, Campaign], seed: int, keep_trace: bool = False
 ) -> RunResult:
-    """One deterministic chaos run + full invariant check."""
+    """One deterministic chaos run + full invariant check.
+
+    A campaign with ``tenants > 1`` is service mode: kills are aimed at
+    specific tenants (:class:`~repro.chaos.scenario.KillTenantSlot`),
+    the trace-level invariants run once over the merged trace (keyed by
+    ``job`` label), the per-job state invariants and the bit-equality
+    check run per tenant, and the ``tenant-isolation`` invariant ties
+    them together.  The solo run is the same body with one job.
+    """
     campaign = _resolve(campaign)
     reference = reference_results(campaign)
-    if campaign.tenants > 1:
-        return _run_multi_tenant(campaign, seed, reference, keep_trace)
-
-    sim, machine, job = _build_job(campaign, seed)
-    tracer = Tracer(sim)
-    MetricsRegistry(sim)
-    rng = machine.rng.stream("chaos")
-    scenario = Scenario(campaign.name, campaign.rules(rng, campaign))
-    engine = ChaosEngine(job, rng)
-    monitor = DetectorMonitor(job)
-
-    done = job.launch()
-    engine.arm(scenario)
-    monitor.start()
-
-    violations: List[Violation] = []
-    results: Optional[Sequence] = None
-    try:
-        results = sim.run(until=done, max_events=MAX_EVENTS)
-    except SimulationError as exc:
-        violations.append(Violation("liveness", str(exc)))
-    except Exception as exc:  # job aborted (FmiAbort, ...)
-        violations.append(Violation("liveness", f"job failed: {exc!r}"))
-    engine.disarm()
-    monitor.sample()  # one final look at the detector table
-
-    violations += check_all(job, tracer, results, reference, monitor)
-    return RunResult(
-        campaign=campaign.name,
-        seed=seed,
-        violations=violations,
-        recoveries=job.epoch,
-        injected=list(engine.injected),
-        sim_time=sim.now,
-        trace_events=len(tracer.events),
-        stale_dropped=job.transport.dropped_stale,
-        false_suspicions=job.detector.false_suspicions,
-        repaired_edges=job.detector.repaired_edges,
-        partition_stalls=job.transport.partition_stalls,
-        partition_retries=job.transport.partition_retries,
-        omission_drops=job.transport.omission_drops,
-        omission_dups=job.transport.omission_dups,
-        dup_dropped=job.transport.dup_dropped,
-        tracer=tracer if keep_trace else None,
-    )
-
-
-def _run_multi_tenant(
-    campaign: Campaign, seed: int, reference: list, keep_trace: bool
-) -> RunResult:
-    """Service mode: ``campaign.tenants`` identical FMI jobs share one
-    machine, each on its own allocation from the shared resource
-    manager.  Kills are aimed at specific tenants
-    (:class:`~repro.chaos.scenario.KillTenantSlot`), the trace-level
-    invariants run once over the merged trace (keyed by ``job`` label),
-    the per-job state invariants and the bit-equality check run per
-    tenant, and the ``tenant-isolation`` invariant ties them together.
-    """
-    sim = Simulator()
-    machine = Machine(
-        sim, SIERRA.with_nodes(campaign.total_nodes), RngRegistry(seed)
+    solo = campaign.tenants == 1
+    sim, machine, *jobs = _build_job(
+        campaign, seed,
+        ["fmi"] if solo else [f"t{t}" for t in range(campaign.tenants)],
     )
     tracer = Tracer(sim)
     MetricsRegistry(sim)
-    jobs = [
-        FmiJob(
-            machine,
-            bsp_app(campaign.iterations, campaign.work_s, campaign.halo_bytes),
-            num_ranks=campaign.num_ranks,
-            procs_per_node=campaign.ppn,
-            config=campaign.make_config(),
-            name=f"t{t}",
-        )
-        for t in range(campaign.tenants)
-    ]
     rng = machine.rng.stream("chaos")
     scenario = Scenario(campaign.name, campaign.rules(rng, campaign))
     engine = ChaosEngine(jobs[0], rng, jobs=jobs)
     monitors = [DetectorMonitor(job) for job in jobs]
 
-    all_done = AllOf(sim, [job.launch() for job in jobs])
+    launched = [job.launch() for job in jobs]
     engine.arm(scenario)
     for monitor in monitors:
         monitor.start()
 
     violations: List[Violation] = []
-    results_list: Optional[list] = None
+    results: Optional[list] = None  # per tenant
     try:
-        results_list = sim.run(until=all_done, max_events=MAX_EVENTS)
+        # (no AllOf around a solo launch: it would be one more event)
+        sim.run(
+            until=launched[0] if solo else AllOf(sim, launched),
+            max_events=MAX_EVENTS,
+        )
+        results = [done.value for done in launched]
     except SimulationError as exc:
         violations.append(Violation("liveness", str(exc)))
-    except Exception as exc:  # some tenant aborted (FmiAbort, ...)
+    except Exception as exc:  # some job aborted (FmiAbort, ...)
         violations.append(Violation("liveness", f"job failed: {exc!r}"))
     engine.disarm()
     for monitor in monitors:
-        monitor.sample()
+        monitor.sample()  # one final look at the detector table
 
-    # Trace-level checkers once (keyed by job label), state checkers and
-    # the answer per tenant, tenant-isolation across all of them.
     violations += check_all(
-        jobs[0], tracer,
-        results_list[0] if results_list is not None else None,
-        reference, monitors[0], jobs=jobs,
+        jobs[0], tracer, results[0] if results is not None else None,
+        reference, monitors[0], jobs=None if solo else jobs,
     )
     for idx in range(1, len(jobs)):
         job, monitor = jobs[idx], monitors[idx]
         violations += check_posted_receives(job)
         violations += check_link_accounting(job)
         violations += check_detector_bounded(job, monitor)
-        if results_list is not None:
+        if results is not None:
             violations += [
                 Violation(v.invariant, f"{job.job_id}: {v.detail}")
-                for v in check_answer(results_list[idx], reference)
+                for v in check_answer(results[idx], reference)
             ]
     return RunResult(
         campaign=campaign.name,

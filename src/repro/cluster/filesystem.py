@@ -70,6 +70,12 @@ class _FilesystemBase:
         done.callbacks.append(deliver)
         return result
 
+    def peek(self, path: str) -> Optional[bytes]:
+        """The stored bytes free of charge, None when there are none
+        (never written, unlinked, or the store was destroyed): for
+        lookups that model no I/O, such as a library's cached index."""
+        return self._files.get(path)
+
     def unlink(self, path: str) -> None:
         self._files.pop(path, None)
 

@@ -19,14 +19,14 @@ FMI specifics are:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.fmi.checkpoint import CheckpointEngine
 from repro.fmi.errors import FailureNotified
 from repro.fmi.redundancy import make_scheme
-from repro.fmi.payload import Payload
+from repro.fmi.payload import Payload, copy_into, pack, unpack
 from repro.mpi.api import ParallelApi
 from repro.mpi.communicator import Communicator
 
@@ -137,7 +137,7 @@ class FmiContext(ParallelApi):
                     restored = yield from self._restore_from_level2()
                 if restored is not None:
                     meta, payloads = restored
-                    yield from self._copy_into(ckpts, payloads)
+                    yield from copy_into(self.memcpy, ckpts, payloads)
                     rs.loop_id = meta.dataset_id + 1
                     rs.last_ckpt_loop = meta.dataset_id
                     rs.policy.reset_after_recovery(self.now)
@@ -157,7 +157,7 @@ class FmiContext(ParallelApi):
                 want = bool((yield from self.allreduce(1 if want else 0, MAX)))
             if want:
                 t0 = self.now
-                payloads = [self._as_payload(c, i, nbytes) for i, c in enumerate(ckpts)]
+                payloads = pack(ckpts, nbytes)
                 family.note_ckpt_begin(self.world_rank, rs.loop_id, self.ctx)
                 meta = yield from self.engine.checkpoint(payloads, dataset_id=rs.loop_id)
                 rs.policy.record_checkpoint(self.now, self.now - t0)
@@ -202,7 +202,7 @@ class FmiContext(ParallelApi):
         if ds < 0:
             return None  # no level-2 dataset either: cold start
         blob, sections = yield from self.l2store.read(ds)
-        payloads = _slice_sections(blob, sections)
+        payloads = unpack(blob, sections)
         # Local level-1 state is a stale timeline; wipe and re-encode
         # so the XOR tier protects the restored state immediately.
         yield from self.engine.reset_local()
@@ -212,51 +212,10 @@ class FmiContext(ParallelApi):
         return meta, payloads
 
     def _agree_min(self, candidate: int):
-        """Job-wide agreement on the restore dataset (world MIN).
-
-        Hop-fidelity even when driven outside :meth:`loop` (the
-        checkpoint engine takes this as its ``world_agree`` callback).
-        """
+        """Job-wide agreement on the restore dataset (world MIN); the
+        checkpoint engine's ``world_agree`` callback.  Both callers
+        (:meth:`loop`, ``CheckpointEngine.restore``) already hold the
+        hop-fidelity scope."""
         from repro.mpi.ops import MIN
 
-        with self.hop_fidelity():
-            result = yield from self.allreduce(candidate, MIN)
-        return result
-
-
-    # -- helpers -----------------------------------------------------------------
-    @staticmethod
-    def _as_payload(buf: CkptBuffer, index: int, nbytes) -> Payload:
-        declared = None if nbytes is None else float(nbytes[index])
-        if isinstance(buf, Payload):
-            return buf if declared is None else Payload(buf.data, nbytes=declared)
-        if isinstance(buf, np.ndarray):
-            return Payload(buf.copy(), nbytes=declared)
-        raise TypeError("checkpoint buffers must be numpy arrays or Payloads")
-
-    def _copy_into(self, ckpts: Sequence[CkptBuffer], payloads: List[Payload]):
-        if len(ckpts) != len(payloads):
-            raise ValueError(
-                f"checkpoint has {len(payloads)} buffers, app passed {len(ckpts)}"
-            )
-        total = sum(p.nbytes for p in payloads)
-        yield self.memcpy(total)  # restoring user buffers is one more memcpy
-        for buf, payload in zip(ckpts, payloads):
-            if isinstance(buf, Payload):
-                if buf.data.nbytes != payload.data.nbytes:
-                    raise ValueError("restored payload shape mismatch")
-                buf.data[:] = payload.data
-                buf.nbytes = payload.nbytes
-            else:
-                flat = buf.view(np.uint8).reshape(-1)
-                if flat.nbytes != payload.data.nbytes:
-                    raise ValueError("restored array shape mismatch")
-                flat[:] = payload.data
-def _slice_sections(blob: Payload, sections) -> List[Payload]:
-    out = []
-    offset = 0
-    for data_len, declared in sections:
-        piece = blob.data[offset : offset + data_len].copy()
-        out.append(Payload(piece, nbytes=max(float(declared), float(data_len))))
-        offset += data_len
-    return out
+        return self.allreduce(candidate, MIN)

@@ -1,13 +1,28 @@
 """The in-memory (and, for SCR, filesystem) checkpoint engine.
 
-Implements Section V:
+Implements Section V, and is the only code that agrees on, rebuilds,
+slices or clones a dataset.  Its clients call one of three entries:
+``checkpoint`` (FMI_Loop, ``Scr.checkpoint``, the level-2 re-seed),
+``restore`` (the coordinated rollback: FMI_Loop through the recovery
+family, ``Scr.restart``, the figure benches) and ``rebuild_missing``
+(the logging plane's sidecar rebuild, survivors read-only); the two
+restart entries share one survey and one rebuild-and-store body.
 
 * **storage adapters** -- FMI writes checkpoints "directly to memory
   using memcpy" (:class:`MemoryStorage`, charged through the node's
   memory bus); SCR writes "to memory via a file system"
   (:class:`TmpfsStorage`, charged through the tmpfs bandwidth + open
   latency + a CRC verification pass).  This difference is the ~10 %
-  Himeno gap in Fig 15.
+  Himeno gap in Fig 15.  Both speak one storage protocol: ``store`` /
+  ``load`` / ``store_meta`` / ``load_meta`` are generators charged
+  through the node; ``peek`` / ``peek_meta`` return the same things
+  free of charge and read-only (:class:`MemoryStorage` hands out the
+  stored object itself; None when absent); ``unstore`` /
+  ``unstore_meta`` / ``clear`` drop.
+  Nothing outside an adapter touches its backing store.  Only the
+  in-memory tier is ever cloned (a standby copies its lead's process
+  memory), so ``nbytes`` / ``clone_from`` are :class:`MemoryStorage`'s
+  alone.
 
 * **pluggable redundancy** -- the engine owns the *protocol* (geometry
   agreement, dataset versioning, keep-2 pruning, group/world restore
@@ -33,15 +48,15 @@ for every scheme.
 
 from __future__ import annotations
 
+import json
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.cluster.node import Node
 from repro.fmi.errors import UnrecoverableFailure
-from repro.fmi.payload import Payload
+from repro.fmi.payload import Payload, unpack
 from repro.fmi.redundancy import (
-    TAG_XOR_GATHER,
-    TAG_XOR_META,
-    TAG_XOR_RING,
     RedundancyScheme,
     XorScheme,
     _blob_key,
@@ -53,9 +68,6 @@ __all__ = [
     "TmpfsStorage",
     "CheckpointEngine",
     "CheckpointDataset",
-    "TAG_XOR_RING",
-    "TAG_XOR_GATHER",
-    "TAG_XOR_META",
 ]
 
 _COMPLETED_KEY = "completed"
@@ -112,8 +124,8 @@ class MemoryStorage:
         yield self.node.memcpy(payload.nbytes)
         return payload.copy()
 
-    def has(self, key: str) -> bool:
-        return key in self._blobs
+    def peek(self, key: str) -> Optional[Payload]:
+        return self._blobs.get(key)
 
     def unstore(self, key: str) -> None:
         self._blobs.pop(key, None)
@@ -126,8 +138,8 @@ class MemoryStorage:
         yield self.node.memcpy(64.0)
         return dict(self._meta[key])
 
-    def has_meta(self, key: str) -> bool:
-        return key in self._meta
+    def peek_meta(self, key: str) -> Optional[dict]:
+        return self._meta.get(key)
 
     def unstore_meta(self, key: str) -> None:
         self._meta.pop(key, None)
@@ -135,6 +147,17 @@ class MemoryStorage:
     def clear(self) -> None:
         self._blobs.clear()
         self._meta.clear()
+
+    @property
+    def nbytes(self) -> float:
+        """Declared bytes of every stored blob (what a clone moves)."""
+        return sum(p.nbytes for p in self._blobs.values())
+
+    def clone_from(self, other: "MemoryStorage") -> None:
+        """Become a deep copy of ``other`` (the standby's in-memory
+        clone of its lead; the caller charges the transfer)."""
+        self._blobs = {k: p.copy() for k, p in other._blobs.items()}
+        self._meta = {k: dict(m) for k, m in other._meta.items()}
 
 
 class TmpfsStorage:
@@ -169,30 +192,31 @@ class TmpfsStorage:
         size_raw = yield self.node.tmpfs.read(self._path(key) + ".size")
         declared = float(size_raw.decode())
         raw = yield self.node.tmpfs.read(self._path(key), nbytes=declared)
-        import numpy as np
-
         return Payload(np.frombuffer(raw, dtype=np.uint8).copy(), nbytes=declared)
 
-    def has(self, key: str) -> bool:
-        return self.node.tmpfs.exists(self._path(key))
+    def peek(self, key: str) -> Optional[Payload]:
+        # the sidecar is written last: no size, no complete blob yet
+        size_raw = self.node.tmpfs.peek(self._path(key) + ".size")
+        if size_raw is None:
+            return None
+        raw = self.node.tmpfs.peek(self._path(key))
+        return Payload(np.frombuffer(raw, dtype=np.uint8),  # read-only view
+                       nbytes=float(size_raw.decode()))
 
     def unstore(self, key: str) -> None:
         self.node.tmpfs.unlink(self._path(key))
         self.node.tmpfs.unlink(self._path(key) + ".size")
 
     def store_meta(self, key: str, meta: dict):
-        import json
-
         yield self.node.tmpfs.write(self._path(key) + ".meta", json.dumps(meta).encode())
 
     def load_meta(self, key: str):
-        import json
-
         raw = yield self.node.tmpfs.read(self._path(key) + ".meta")
         return json.loads(raw.decode())
 
-    def has_meta(self, key: str) -> bool:
-        return self.node.tmpfs.exists(self._path(key) + ".meta")
+    def peek_meta(self, key: str) -> Optional[dict]:
+        raw = self.node.tmpfs.peek(self._path(key) + ".meta")
+        return None if raw is None else json.loads(raw.decode())
 
     def unstore_meta(self, key: str) -> None:
         self.node.tmpfs.unlink(self._path(key) + ".meta")
@@ -254,18 +278,8 @@ class CheckpointEngine:
 
     # -- local dataset bookkeeping -------------------------------------------
     def completed_ids(self) -> List[int]:
-        if not self.storage.has_meta(_COMPLETED_KEY):
-            return []
-        # Metadata dict reads are free of charge here (callers that
-        # care run load_meta through the generator API).
-        if isinstance(self.storage, MemoryStorage):
-            return list(self.storage._meta[_COMPLETED_KEY]["ids"])
-        import json
-
-        raw = self.storage.node.tmpfs._files.get(
-            self.storage._path(_COMPLETED_KEY) + ".meta"
-        )
-        return list(json.loads(raw.decode())["ids"]) if raw else []
+        completed = self.storage.peek_meta(_COMPLETED_KEY)
+        return list(completed["ids"]) if completed else []
 
     def _store_completed(self, ids: List[int]):
         yield from self.storage.store_meta(_COMPLETED_KEY, {"ids": sorted(ids)})
@@ -405,31 +419,12 @@ class CheckpointEngine:
         api = self.comm.api
         api._hop_only += 1
         try:
-            mine = self.completed_ids()
-            entries = yield from self.comm.allgather(list(mine), nbytes=16.0)
-            n = len(entries)
-            missing = [pos for pos, ids in enumerate(entries) if not ids]
-            if len(missing) == n:
-                # Nobody in the group has anything.  Without a deeper tier
-                # that is a cold start; with one it might be a wiped group
-                # (every member's node died), so let level 2 decide.
-                candidate = self.BEYOND if allow_beyond_xor else -1
-            else:
-                survivor_sets = [set(ids) for ids in entries if ids]
-                common = set.intersection(*survivor_sets)
-                if not common or not self.scheme.can_repair(missing, n):
-                    # Either the losses exceed what this scheme encodes for,
-                    # or the survivors hold no common complete dataset.
-                    if not allow_beyond_xor:
-                        raise UnrecoverableFailure(
-                            f"{self.scheme.name} group beyond level-1 repair "
-                            f"({len(missing)} members lost, common datasets: "
-                            f"{sorted(common) if common else []})"
-                        )
-                    candidate = self.BEYOND
-                else:
-                    candidate = max(common)
-
+            # No survivor anywhere is a cold start -- or, with a deeper
+            # tier, perhaps a wiped group (every member's node died), so
+            # level 2 decides.
+            mine, missing, candidate = yield from self._survey(
+                None, allow_beyond_xor
+            )
             if world_agree is not None:
                 dataset = yield from world_agree(candidate)
             else:
@@ -443,61 +438,24 @@ class CheckpointEngine:
                 if mine:
                     yield from self._store_completed([])
                 return self._restored(t0, None)
-            if self.comm.rank not in missing and dataset not in mine:
-                raise UnrecoverableFailure(
-                    f"agreed dataset {dataset} not held locally (have {mine})"
-                )
-
             # Prune datasets newer than the agreed one: they belong to the
             # rolled-back timeline.
             if self.comm.rank not in missing:
+                self._check_held(dataset, mine)
                 keep = [i for i in mine if i <= dataset]
                 for ds in mine:
                     if ds > dataset:
                         self._drop_dataset(ds)
                 if keep != mine:
                     yield from self._store_completed(keep)
-
-            if not missing:
-                blob = yield from self.storage.load(_blob_key(dataset))
-                meta = yield from self._my_meta(dataset)
-                return self._restored(t0, (meta, _slice(blob, meta)))
-
-            # Rebuild every lost member (XOR repairs at most one; partner
-            # repairs any non-adjacent set, one at a time).
-            blob: Optional[Payload] = None
-            meta: Optional[CheckpointDataset] = None
-            for f in missing:
-                t_rebuild = self.sim.now
-                if self.comm.rank == f:
-                    blob, redundancy, group_meta = (
-                        yield from self.scheme.rebuild_replacement(f, dataset)
-                    )
-                    if self.sim.tracer.enabled:
-                        self._trace_span("ckpt.rebuild", t_rebuild,
-                                         dataset=dataset, role="replacement")
-                    yield from self.storage.store(_blob_key(dataset), blob)
-                    if redundancy is not None:
-                        yield from self.storage.store(
-                            self.scheme.redundancy_key(dataset), redundancy
-                        )
-                    yield from self.storage.store_meta(_meta_key(dataset), group_meta)
-                    yield from self._store_completed([dataset])
-                    meta = CheckpointDataset.from_dict(group_meta["group"][str(f)])
-                else:
-                    assisted = yield from self.scheme.assist_rebuild(f, dataset)
-                    if assisted is not None:
-                        if self.sim.tracer.enabled:
-                            self._trace_span("ckpt.rebuild", t_rebuild,
-                                             dataset=dataset, role="survivor")
-                        blob = assisted
+            blob, meta = yield from self._rebuild(missing, dataset)
             if meta is None:
                 # Survivor (or uninvolved member): the assist may already
                 # have loaded my blob; otherwise read it back now.
                 if blob is None:
                     blob = yield from self.storage.load(_blob_key(dataset))
-                meta = yield from self._my_meta(dataset)
-            return self._restored(t0, (meta, _slice(blob, meta)))
+                meta = yield from self.load_meta(dataset)
+            return self._restored(t0, (meta, unpack(blob, meta.sections)))
         finally:
             api._hop_only -= 1
 
@@ -518,7 +476,8 @@ class CheckpointEngine:
             metrics.histogram("ckpt.restore_s").observe(self.sim.now - t0)
         return result
 
-    def _my_meta(self, dataset: int):
+    def load_meta(self, dataset: int):
+        """This member's :class:`CheckpointDataset` of a local dataset."""
         raw = yield from self.storage.load_meta(_meta_key(dataset))
         return CheckpointDataset.from_dict(raw["group"][str(self.comm.rank)])
 
@@ -540,37 +499,61 @@ class CheckpointEngine:
         the scheme cannot repair ``missing``, or when the survivors
         hold no common complete dataset.
         """
-        n = self.comm.size
-        me = self.comm.rank
-        missing = sorted(missing)
+        mine, missing, dataset = yield from self._survey(sorted(missing), False)
+        if dataset == -1:
+            return None  # nobody has checkpointed yet: cold start
+        if self.comm.rank not in missing:
+            self._check_held(dataset, mine)
+        blob, meta = yield from self._rebuild(missing, dataset)
+        if meta is None:
+            return dataset
+        return meta, unpack(blob, meta.sections)
+
+    # ------------------------------------------- shared by the two entries
+    def _survey(self, missing: Optional[List[int]], allow_beyond: bool):
+        """Group agreement: one allgather of completed ids.
+
+        ``missing`` lists the lost positions (``None``: whoever holds
+        nothing).  Returns ``(mine, missing, candidate)`` -- the newest
+        dataset every survivor holds, or -1 when no survivor holds
+        anything.  A group whose survivors share no dataset, or whose
+        losses the scheme cannot repair, raises
+        :class:`UnrecoverableFailure`; with ``allow_beyond`` both that
+        and the empty group answer :attr:`BEYOND` instead.
+        """
         mine = self.completed_ids()
         entries = yield from self.comm.allgather(list(mine), nbytes=16.0)
-        survivor_sets = [
-            set(ids) for pos, ids in enumerate(entries) if pos not in missing
-        ]
-        common = set.intersection(*survivor_sets) if survivor_sets else set()
-        if not common:
-            if any(survivor_sets):
-                raise UnrecoverableFailure(
-                    f"{self.scheme.name} group survivors hold no common "
-                    f"dataset (partial rollback cannot proceed)"
-                )
-            return None  # nobody has checkpointed yet: cold start
-        if not self.scheme.can_repair(missing, n):
-            raise UnrecoverableFailure(
-                f"{self.scheme.name} group beyond repair for partial "
-                f"rollback ({len(missing)} members lost)"
-            )
-        dataset = max(common)
-        if me not in missing and dataset not in mine:
+        if missing is None:
+            missing = [pos for pos, ids in enumerate(entries) if not ids]
+        held = [set(ids) for pos, ids in enumerate(entries) if pos not in missing]
+        if not any(held):
+            return mine, missing, self.BEYOND if allow_beyond else -1
+        common = set.intersection(*held)
+        if common and self.scheme.can_repair(missing, len(entries)):
+            return mine, missing, max(common)
+        if allow_beyond:
+            return mine, missing, self.BEYOND
+        raise UnrecoverableFailure(
+            f"{self.scheme.name} group beyond level-1 repair "
+            f"({len(missing)} members lost, common datasets: {sorted(common)})"
+        )
+
+    def _check_held(self, dataset: int, mine: List[int]) -> None:
+        if dataset not in mine:
             raise UnrecoverableFailure(
                 f"agreed dataset {dataset} not held locally (have {mine})"
             )
+
+    def _rebuild(self, missing: List[int], dataset: int):
+        """Rebuild every lost member in turn (XOR repairs at most one;
+        partner any non-adjacent set) and store what it gets.  Returns
+        ``(blob, meta)``: both on a rebuilt member; on a survivor the
+        blob if an assist happened to load it, and no meta."""
         blob: Optional[Payload] = None
         meta: Optional[CheckpointDataset] = None
         for f in missing:
             t_rebuild = self.sim.now
-            if me == f:
+            if self.comm.rank == f:
                 blob, redundancy, group_meta = (
                     yield from self.scheme.rebuild_replacement(f, dataset)
                 )
@@ -587,12 +570,12 @@ class CheckpointEngine:
                 meta = CheckpointDataset.from_dict(group_meta["group"][str(f)])
             else:
                 assisted = yield from self.scheme.assist_rebuild(f, dataset)
-                if assisted is not None and self.sim.tracer.enabled:
-                    self._trace_span("ckpt.rebuild", t_rebuild,
-                                     dataset=dataset, role="survivor")
-        if me in missing:
-            return meta, _slice(blob, meta)
-        return dataset
+                if assisted is not None:
+                    if self.sim.tracer.enabled:
+                        self._trace_span("ckpt.rebuild", t_rebuild,
+                                         dataset=dataset, role="survivor")
+                    blob = assisted
+        return blob, meta
 
 
 # ------------------------------------------------------------------ helpers
@@ -605,20 +588,8 @@ def _round_up(value: int, multiple: int) -> int:
 
 
 def _concat(payloads: Sequence[Payload]) -> Payload:
-    import numpy as np
-
     if not payloads:
         return Payload(np.zeros(1, dtype=np.uint8), nbytes=1.0)
     data = np.concatenate([p.data for p in payloads])
     declared = sum(p.nbytes for p in payloads)
     return Payload(data, nbytes=max(declared, float(data.nbytes)))
-
-
-def _slice(blob: Payload, meta: CheckpointDataset) -> List[Payload]:
-    out: List[Payload] = []
-    offset = 0
-    for data_len, declared in meta.sections:
-        piece = blob.data[offset : offset + data_len].copy()
-        out.append(Payload(piece, nbytes=max(declared, float(data_len))))
-        offset += data_len
-    return out

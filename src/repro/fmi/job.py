@@ -152,13 +152,5 @@ class FmiJob(JobBase):
         every rank was back in H3."""
         if epoch not in self.recovered_at:
             return None
-        start = next(
-            (t for t, _c in self.recovery_causes if t <= self.recovered_at[epoch]),
-            None,
-        )
-        causes = [t for t, _c in self.recovery_causes]
-        if epoch - 1 < len(causes):
-            start = causes[epoch - 1]
-        if start is None:
-            return None
-        return self.recovered_at[epoch] - start
+        # begin_recovery bumps the epoch and records its cause together
+        return self.recovered_at[epoch] - self.recovery_causes[epoch - 1][0]

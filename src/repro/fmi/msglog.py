@@ -63,7 +63,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.fmi.channel import ChannelSnapshot, ChannelState, Determinant
 from repro.fmi.checkpoint import CheckpointEngine
 from repro.fmi.redundancy import make_scheme
-from repro.mpi.api import ParallelApi, _snapshot
+from repro.mpi.api import ParallelApi
+from repro.mpi.datatypes import snapshot as _snapshot
 from repro.net.matching import ANY_SOURCE, ANY_TAG
 from repro.net.message import Envelope
 from repro.runtime.policy import RecoveryFamily
@@ -445,7 +446,7 @@ class RecoveryPlane(RecoveryFamily):
                     scheme=make_scheme(scheme_name),
                 )
                 procs.append(ctxs[pos].node.spawn(
-                    self._assist(engine, missing),
+                    engine.rebuild_missing(missing),
                     name=f"mlog.rebuild[g{group}:p{pos}]",
                 ))
             api = _SidecarApi(transport, ctxs[my_pos], my_pos, size, table)
@@ -463,10 +464,6 @@ class RecoveryPlane(RecoveryFamily):
             for ctx in ctxs:
                 ctx.close()
         return mine
-
-    @staticmethod
-    def _assist(engine, missing):
-        yield from engine.rebuild_missing(list(missing))
 
     def _rewind(self, rank: int, dataset: Optional[int],
                 matching=None) -> None:

@@ -116,10 +116,9 @@ class Level2Store:
 
         header = yield self.pfs.read(self._blob_path(dataset) + ".meta")
         sections = [tuple(s) for s in json.loads(header.decode())["sections"]]
-        declared = None
-        # The write recorded the declared size via the Payload nbytes;
-        # recover it from the sections (sum of declared section sizes,
-        # padded blob may be larger in real bytes).
+        # The declared size is not stored: recover it from the sections
+        # (sum of declared section sizes; the padded blob may be larger
+        # in real bytes).
         raw = yield self.pfs.read(self._blob_path(dataset))
         blob = Payload(
             np.frombuffer(raw, dtype=np.uint8).copy(),

@@ -17,11 +17,11 @@ checkpoint.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["Payload"]
+__all__ = ["Payload", "pack", "unpack", "copy_into"]
 
 ArrayLike = Union[np.ndarray, bytes, bytearray, memoryview]
 
@@ -138,3 +138,57 @@ class Payload:
     def __repr__(self) -> str:  # pragma: no cover
         marker = "" if self.exact else f" (rep {self.data.nbytes}B)"
         return f"<Payload {self.nbytes:.0f}B{marker}>"
+
+
+# ------------------------------------------------ user buffers <-> payloads
+# The three routines every checkpoint client shares (FMI_Loop, SCR, the
+# level-2 restore, the standby sync): one definition each.
+def pack(buffers: Sequence[Union[np.ndarray, Payload]],
+         nbytes: Optional[Sequence[float]] = None) -> List[Payload]:
+    """Snapshot user checkpoint buffers: arrays are copied, payloads
+    taken as they are; ``nbytes[i]`` overrides buffer ``i``'s declared
+    size."""
+    out = []
+    for index, buf in enumerate(buffers):
+        declared = None if nbytes is None else float(nbytes[index])
+        if isinstance(buf, Payload):
+            out.append(buf if declared is None else Payload(buf.data, nbytes=declared))
+        elif isinstance(buf, np.ndarray):
+            out.append(Payload(buf.copy(), nbytes=declared))
+        else:
+            raise TypeError("checkpoint buffers must be numpy arrays or Payloads")
+    return out
+
+
+def unpack(blob: Payload, sections) -> List[Payload]:
+    """Slice a stored blob back into its ``(data_len, declared_nbytes)``
+    sections (the padding past the last one is dropped)."""
+    out = []
+    offset = 0
+    for data_len, declared in sections:
+        piece = blob.data[offset : offset + data_len].copy()
+        out.append(Payload(piece, nbytes=max(declared, float(data_len))))
+        offset += data_len
+    return out
+
+
+def copy_into(memcpy, buffers: Sequence[Union[np.ndarray, Payload]],
+              payloads: List[Payload]):
+    """Generator: copy restored ``payloads`` into the application's
+    ``buffers``, charged as one more ``memcpy(nbytes)`` of the total."""
+    if len(buffers) != len(payloads):
+        raise ValueError(
+            f"checkpoint has {len(payloads)} buffers, app passed {len(buffers)}"
+        )
+    yield memcpy(sum(p.nbytes for p in payloads))
+    for buf, payload in zip(buffers, payloads):
+        if isinstance(buf, Payload):
+            if buf.data.nbytes != payload.data.nbytes:
+                raise ValueError("restored payload shape mismatch")
+            buf.data[:] = payload.data
+            buf.nbytes = payload.nbytes
+        else:
+            flat = buf.view(np.uint8).reshape(-1)
+            if flat.nbytes != payload.data.nbytes:
+                raise ValueError("restored array shape mismatch")
+            flat[:] = payload.data

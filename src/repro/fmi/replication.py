@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fmi.channel import ChannelSnapshot, ChannelState, Determinant
-from repro.fmi.checkpoint import _slice
+from repro.fmi.payload import unpack
 from repro.mpi.datatypes import snapshot as _snapshot
 from repro.net.matching import ANY_SOURCE, ANY_TAG
 from repro.net.message import Envelope
@@ -648,9 +648,7 @@ class ReplicationPlane(RecoveryFamily):
                 rec.sync = Event(self.sim)
                 rec.eligible_ds = None
                 continue
-            nbytes = max(
-                sum(p.nbytes for p in lead.storage._blobs.values()), 64.0
-            )
+            nbytes = max(lead.storage.nbytes, 64.0)
             try:
                 yield job.machine.fabric.send(
                     lead.node, fmi_ctx.node, nbytes,
@@ -668,12 +666,7 @@ class ReplicationPlane(RecoveryFamily):
         # Clone the lead's in-memory checkpoint storage wholesale, then
         # restore the newest dataset we hold a channel snapshot for
         # (the lead may have checkpointed again mid-transfer).
-        fmi_ctx.fproc.storage._blobs = {
-            k: p.copy() for k, p in lead.storage._blobs.items()
-        }
-        fmi_ctx.fproc.storage._meta = {
-            k: dict(m) for k, m in lead.storage._meta.items()
-        }
+        fmi_ctx.fproc.storage.clone_from(lead.storage)
         window = self.snapshots.get(rank, {})
         ids = [ds for ds in fmi_ctx.engine.completed_ids() if ds in window]
         if not ids:
@@ -708,6 +701,6 @@ class ReplicationPlane(RecoveryFamily):
                 dataset=dataset, waited=self.sim.now - t0,
                 delivered=delivered, buffered=len(pend),
             )
-        meta = yield from fmi_ctx.engine._my_meta(dataset)
+        meta = yield from fmi_ctx.engine.load_meta(dataset)
         blob = yield from fmi_ctx.engine.load_blob(dataset)
-        return meta, _slice(blob, meta)
+        return meta, unpack(blob, meta.sections)

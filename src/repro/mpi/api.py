@@ -57,12 +57,6 @@ class Request:
         return out
 
 
-#: buffered-send copy semantics now live in ``datatypes`` (the
-#: macro-event collective path shares them); kept under the old name
-#: for callers inside this package.
-_snapshot = snapshot
-
-
 class ParallelApi:
     """Common per-rank API: what MPI and FMI semantics share."""
 
@@ -132,7 +126,7 @@ class ParallelApi:
             size = nbytes if nbytes.__class__ is float else float(nbytes)
         env = Envelope(
             src=comm.rank, dst=dst, tag=tag, comm_id=comm.id,
-            epoch=self._epoch(), nbytes=size, data=_snapshot(data),
+            epoch=self._epoch(), nbytes=size, data=snapshot(data),
         )
         self.bytes_sent += size
         self.msgs_sent += 1

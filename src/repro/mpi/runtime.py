@@ -79,20 +79,6 @@ class MpiJob(JobBase):
             alloc=alloc, job_id=job_id,
         )
 
-    # -- compatibility aliases ------------------------------------------------
-    @property
-    def nprocs(self) -> int:
-        return self.num_ranks
-
-    @property
-    def charge_init(self) -> bool:
-        return self.policy.charge_init
-
-    @property
-    def _procs(self):
-        """The raw simulated processes, rank order (tests/observability)."""
-        return [self.rank_procs[r].proc for r in sorted(self.rank_procs)]
-
     # -- rank factory ---------------------------------------------------------
     def make_rank_process(self, rank: int, node: Node, rendezvous=None,
                           **kwargs) -> MpiRankProcess:

@@ -16,7 +16,7 @@ the same fixed-interval / Vaidya-MTBF policy as FMI_Loop.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.fmi.checkpoint import CheckpointEngine, TmpfsStorage
 from repro.fmi.config import FmiConfig
 from repro.fmi.redundancy import make_scheme
 from repro.fmi.interval import IntervalPolicy
-from repro.fmi.payload import Payload
+from repro.fmi.payload import Payload, copy_into, pack
 from repro.fmi.xor_group import XorGroupLayout
 from repro.mpi.api import MpiApi
 from repro.mpi.communicator import Communicator
@@ -92,21 +92,10 @@ class Scr:
                    nbytes: Optional[Sequence[float]] = None):
         """Level-1 checkpoint: tmpfs write + XOR encode across nodes."""
         t0 = self.api.now
-        payloads = [self._as_payload(b, i, nbytes) for i, b in enumerate(buffers)]
-        meta = yield from self.engine.checkpoint(payloads, dataset_id)
+        meta = yield from self.engine.checkpoint(pack(buffers, nbytes), dataset_id)
         self.policy.record_checkpoint(self.api.now, self.api.now - t0)
         self.checkpoints_written += 1
         return meta
-
-    def flush_to_pfs(self, dataset_id: int):
-        """Level-2: copy the local checkpoint blob to the PFS."""
-        blob = yield from self.storage.load(f"ckpt@{dataset_id}")
-        machine = self.api.job.machine
-        yield machine.pfs.write(
-            f"scr/l2/ds{dataset_id}/rank{self.api.rank}",
-            blob.tobytes(),
-            nbytes=blob.nbytes,
-        )
 
     # -- read path -----------------------------------------------------------
     def restart(self):
@@ -131,22 +120,6 @@ class Scr:
         return meta.dataset_id, payloads
 
     def restore_into(self, buffers: Sequence[np.ndarray], payloads: List[Payload]):
-        """Copy restored payloads into application arrays."""
-        if len(buffers) != len(payloads):
-            raise ValueError("buffer/payload count mismatch")
-        total = sum(p.nbytes for p in payloads)
-        yield self.api.memcpy(total)
-        for buf, payload in zip(buffers, payloads):
-            if isinstance(buf, Payload):
-                buf.data[:] = payload.data
-                buf.nbytes = payload.nbytes
-            else:
-                flat = buf.view(np.uint8).reshape(-1)
-                flat[:] = payload.data
-
-    @staticmethod
-    def _as_payload(buf, index: int, nbytes) -> Payload:
-        declared = None if nbytes is None else float(nbytes[index])
-        if isinstance(buf, Payload):
-            return buf if declared is None else Payload(buf.data, nbytes=declared)
-        return Payload(np.ascontiguousarray(buf).copy(), nbytes=declared)
+        """Copy restored payloads into application arrays (generator;
+        the checks and the charge FMI_Loop applies)."""
+        return copy_into(self.api.memcpy, buffers, payloads)

@@ -196,8 +196,8 @@ def test_parity_memory_overhead():
 
     _sim, _results, storages = run_group(app, 16)
     st = storages[0]
-    blob = st._blobs["ckpt@1"]
-    parity = st._blobs["parity@1"]
+    blob = st.peek("ckpt@1")
+    parity = st.peek("parity@1")
     assert parity.data.nbytes / blob.data.nbytes == pytest.approx(1 / 15, rel=1e-6)
 
 

@@ -35,7 +35,7 @@ def test_node_crash_aborts_whole_job():
     with pytest.raises(JobAborted):
         sim.run(until=done)
     # Fail-stop: every rank process is dead, not just node 1's.
-    assert all(not p.alive for p in job._procs)
+    assert all(not rp.proc.alive for rp in job.rank_procs.values())
     assert sim.now < 100.0
 
 
@@ -181,19 +181,31 @@ def test_restart_driver_respects_max_restarts():
 
 
 # ------------------------------------------------------------------------ SCR
-def test_scr_level2_flush_to_pfs():
+def test_scr_rejects_what_fmi_loop_rejects():
+    """SCR packs and copies in through the routines FMI_Loop uses, so a
+    non-array buffer, a wrong buffer count and a wrong buffer size are
+    the same TypeError / ValueError -- not a NumPy broadcast error, and
+    not a 1-byte payload silently filling the array."""
     sim, machine = make(10)
 
     def app(mpi):
         scr = Scr(mpi, procs_per_node=2, group_size=4, interval=1)
-        u = np.full(16, float(mpi.rank), dtype=np.float64)
-        yield from scr.checkpoint([u], dataset_id=0)
-        yield from scr.flush_to_pfs(0)
-        return machine.pfs.exists(f"scr/l2/ds0/rank{mpi.rank}")
+        with pytest.raises(TypeError, match="numpy arrays or Payloads"):
+            yield from scr.checkpoint([[1.0, 2.0]], dataset_id=0)
+        yield from scr.checkpoint(
+            [np.full(1, mpi.rank, dtype=np.uint8), np.zeros(4)], dataset_id=0
+        )
+        _ds, payloads = yield from scr.restart()
+        with pytest.raises(ValueError, match="2 buffers, app passed 1"):
+            yield from scr.restore_into([np.zeros(1, dtype=np.uint8)], payloads)
+        wide = np.full(16, 7.0)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            yield from scr.restore_into([wide, np.zeros(4)], payloads)
+        assert (wide == 7.0).all()  # the 1-byte payload was not broadcast
+        return "checked"
 
     job = MpiJob(machine, app, nprocs=8, procs_per_node=2, charge_init=False)
-    results = sim.run(until=job.launch())
-    assert all(results)
+    assert sim.run(until=job.launch()) == ["checked"] * 8
 
 
 def test_scr_vaidya_mtbf_mode_sets_interval():

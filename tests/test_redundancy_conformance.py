@@ -145,13 +145,14 @@ def test_storage_overhead_matches_model(scheme):
 
     _sim, _results, storages = run_group(app, n, scheme)
     st = storages[0]
-    blob = st._blobs["ckpt@1"]
-    redundancy = [k for k in st._blobs if not k.startswith("ckpt@")]
+    blob = st.peek("ckpt@1")
+    redundancy = make_scheme(scheme).redundancy_key(1)
     expected = storage_overhead(scheme, n)
     if expected == 0.0:
-        assert redundancy == []
+        # nothing but the blob is stored
+        assert redundancy is None and st.nbytes == blob.nbytes
     else:
-        measured = st._blobs[redundancy[0]].data.nbytes / blob.data.nbytes
+        measured = st.peek(redundancy).data.nbytes / blob.data.nbytes
         assert measured == pytest.approx(expected, rel=1e-6)
 
 
