@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List
+import time
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA, ClusterSpec
@@ -153,3 +154,111 @@ def run_engine_group(body, group_size: int, scheme: str = "xor",
                  charge_init=False)
     results = sim.run(until=job.launch())
     return sim, results, tracer
+
+
+# -- recovery-family ablations (bench_ablation_recovery / _replication) ------
+#: the sweep both ablations share: seeds per point, checkpoint
+#: intervals, kills per run
+ABLATION_SEEDS = {"smoke": 2, "quick": 4, "full": 8}[SCALE]
+ABLATION_INTERVALS = [1, 3]
+ABLATION_KILL_COUNTS = {"smoke": [1], "quick": [1, 2], "full": [1, 2]}[SCALE]
+
+
+def count_events(events, name: str) -> int:
+    return sum(1 for e in events if e.name == name)
+
+
+def ablation_sweep(
+    scenario: str,
+    modes: Sequence[str],
+    victims: Callable,
+    measure: Callable[[list], Dict[str, Any]],
+) -> Dict[Tuple[str, int, int], Dict[str, Any]]:
+    """Run every ``(mode, interval, kills)`` point of a recovery-family
+    ablation, :data:`ABLATION_SEEDS` seeded kill schedules each.
+
+    ``victims(rng, campaign, kills)`` returns one kill action per kill;
+    it draws (if it draws at all) before the kill times do, and nothing
+    depends on the mode, so at a given seed every mode faces the same
+    schedule -- the controlled variable of the ablation.
+    ``measure(trace events)`` adds the bench's own per-run
+    measurements to the ones every ablation takes.  Returns ``{point:
+    {"runs": [...], "wall_clock_s": ...}}``.
+    """
+    from repro.chaos import Campaign, run_campaign
+    from repro.chaos.scenario import AtTime, Rule
+
+    def rules_for(kills):
+        def rules(rng, campaign):
+            actions = victims(rng, campaign, kills)
+            t0 = float(rng.uniform(1.5, 2.5))
+            gap = float(rng.uniform(1.2, 1.8))
+            return [
+                Rule(AtTime(t0 + k * gap), action)
+                for k, action in enumerate(actions)
+            ]
+
+        return rules
+
+    def run(campaign, seed):
+        result = run_campaign(campaign, seed, keep_trace=True)
+        ev = result.tracer.events
+        spans = [e.dur for e in ev if e.name == "recovery" and e.dur]
+        return {
+            "ok": result.ok,
+            "recovery_latency_s": max(spans) if spans else 0.0,
+            "recoveries": result.recoveries,
+            "sim_time_s": result.sim_time,
+            "ckpt_restores": count_events(ev, "ckpt.restore.begin"),
+            "trace_events": result.trace_events,
+            **measure(ev),
+        }
+
+    out = {}
+    for mode in modes:
+        for interval in ABLATION_INTERVALS:
+            for kills in ABLATION_KILL_COUNTS:
+                name = f"{scenario}-{mode}-i{interval}-k{kills}"
+                extra = {"interval": interval}
+                if mode != "global":
+                    extra["recovery"] = mode
+                campaign = Campaign(name, name, rules_for(kills),
+                                    pool_extra=3, config_extra=extra)
+                t0 = time.monotonic()
+                runs = [run(campaign, seed) for seed in range(ABLATION_SEEDS)]
+                out[(mode, interval, kills)] = {
+                    "runs": runs,
+                    "wall_clock_s": time.monotonic() - t0,
+                }
+    return out
+
+
+def ablation_entries(
+    out: Dict[Tuple[str, int, int], Dict[str, Any]], summed: Sequence[str]
+) -> Iterator[Tuple[Dict[str, Any], List[Dict[str, Any]]]]:
+    """``(entry, runs)`` per sweep point in sorted order: the
+    :func:`emit`-ready fields every ablation reports, plus each per-run
+    measurement named in ``summed`` totalled over the seeds.  Means are
+    over the runs that saw a recovery (all runs when none did)."""
+    for (mode, interval, kills), point in sorted(out.items()):
+        runs = point["runs"]
+        hit = [r for r in runs if r["recoveries"] > 0] or runs
+        entry = {
+            "procs": 8,
+            "mode": mode,
+            "interval": interval,
+            "kills": kills,
+            "seeds": ABLATION_SEEDS,
+            "green": sum(1 for r in runs if r["ok"]),
+            "recovery_latency_s":
+                sum(r["recovery_latency_s"] for r in hit) / len(hit),
+            "sim_time_s": sum(r["sim_time_s"] for r in hit) / len(hit),
+            "wall_clock_s": point["wall_clock_s"],
+            "simulated_s": sum(r["sim_time_s"] for r in runs),
+            "events_per_sec": (
+                sum(r["trace_events"] for r in runs) / point["wall_clock_s"]
+            ),
+        }
+        for key in ("ckpt_restores", *summed):
+            entry[key] = sum(r[key] for r in runs)
+        yield entry, runs

@@ -25,88 +25,39 @@ Emits a machine-readable ``BENCH_<id>.json`` record (scenario
 ``recovery-ablation``) via ``_harness.emit``.
 """
 
-import time
-
-import numpy as np
-
-from _harness import SCALE, emit
+from _harness import (
+    ABLATION_INTERVALS as INTERVALS,
+    ABLATION_KILL_COUNTS as KILL_COUNTS,
+    ABLATION_SEEDS as SEEDS,
+    ablation_entries,
+    ablation_sweep,
+    count_events,
+    emit,
+)
 from repro.analysis.tables import Table
-from repro.chaos import Campaign, run_campaign
-from repro.chaos.scenario import AtTime, KillRandomSlot, Rule
+from repro.chaos.scenario import KillRandomSlot
 
-SEEDS = {"smoke": 2, "quick": 4, "full": 8}[SCALE]
-INTERVALS = [1, 3]
-KILL_COUNTS = {"smoke": [1], "quick": [1, 2], "full": [1, 2]}[SCALE]
 MODES = ["global", "logged"]
 
 
-def _kill_rules(kills):
-    def rules(rng: np.random.Generator, c: Campaign):
-        # Identical draws for both modes at a given seed: the kill
-        # schedule is the controlled variable of the ablation.
-        t0 = float(rng.uniform(1.5, 2.5))
-        gap = float(rng.uniform(1.2, 1.8))
-        return [
-            Rule(AtTime(t0 + k * gap), KillRandomSlot())
-            for k in range(kills)
-        ]
-
-    return rules
+def _victims(rng, campaign, kills):
+    # whichever slot is live when the kill fires (engine RNG stream)
+    return [KillRandomSlot()] * kills
 
 
-def _campaign(mode, interval, kills):
-    name = f"recovery-ablation-{mode}-i{interval}-k{kills}"
-    extra = {"interval": interval}
-    if mode == "logged":
-        extra["recovery"] = "logged"
-    return Campaign(name, name, _kill_rules(kills), pool_extra=3,
-                    config_extra=extra)
-
-
-def _measure(result):
-    """Trace-derived per-run measurements."""
-    ev = result.tracer.events
-    spans = [e.dur for e in ev if e.name == "recovery" and e.dur]
+def _measure(ev):
+    """Logged-plane traffic of one run, from its trace."""
+    replays = [e.args for e in ev if e.name == "mlog.replay.done"]
     return {
-        "ok": result.ok,
-        "recovery_latency_s": max(spans) if spans else 0.0,
-        "recoveries": result.recoveries,
-        "sim_time_s": result.sim_time,
-        "ckpt_restores": sum(1 for e in ev if e.name == "ckpt.restore.begin"),
-        "mlog_restores": sum(1 for e in ev if e.name == "mlog.restore.begin"),
-        "replay_msgs": sum(
-            e.args.get("msgs", 0) for e in ev if e.name == "mlog.replay.done"
-        ),
-        "replay_bytes": sum(
-            e.args.get("nbytes", 0.0) for e in ev
-            if e.name == "mlog.replay.done"
-        ),
-        "logged_msgs": sum(1 for e in ev if e.name == "mlog.log"),
-        "trace_events": result.trace_events,
+        "mlog_restores": count_events(ev, "mlog.restore.begin"),
+        "replay_msgs": sum(a.get("msgs", 0) for a in replays),
+        "replay_bytes": sum(a.get("nbytes", 0.0) for a in replays),
+        "logged_msgs": count_events(ev, "mlog.log"),
     }
 
 
 def run_sweep():
-    out = {}
-    for mode in MODES:
-        for interval in INTERVALS:
-            for kills in KILL_COUNTS:
-                campaign = _campaign(mode, interval, kills)
-                t0 = time.monotonic()
-                runs = [
-                    _measure(run_campaign(campaign, seed, keep_trace=True))
-                    for seed in range(SEEDS)
-                ]
-                out[(mode, interval, kills)] = {
-                    "runs": runs,
-                    "wall_clock_s": time.monotonic() - t0,
-                }
-    return out
-
-
-def _mean(runs, key):
-    picked = [r for r in runs if r["recoveries"] > 0] or runs
-    return sum(r[key] for r in picked) / len(picked)
+    return ablation_sweep("recovery-ablation", MODES, _victims, _measure)
 
 
 def test_ablation_recovery_planes(benchmark):
@@ -119,33 +70,15 @@ def test_ablation_recovery_planes(benchmark):
          "restores ckpt/mlog", "replay msgs/bytes"],
     )
     entries = []
-    for (mode, interval, kills), point in sorted(out.items()):
-        runs = point["runs"]
-        latency = _mean(runs, "recovery_latency_s")
-        entry = {
-            "procs": 8,
-            "mode": mode,
-            "interval": interval,
-            "kills": kills,
-            "seeds": SEEDS,
-            "green": sum(1 for r in runs if r["ok"]),
-            "recovery_latency_s": latency,
-            "sim_time_s": _mean(runs, "sim_time_s"),
-            "ckpt_restores": sum(r["ckpt_restores"] for r in runs),
-            "mlog_restores": sum(r["mlog_restores"] for r in runs),
-            "replay_msgs": sum(r["replay_msgs"] for r in runs),
-            "replay_bytes": sum(r["replay_bytes"] for r in runs),
-            "logged_msgs": sum(r["logged_msgs"] for r in runs),
-            "wall_clock_s": point["wall_clock_s"],
-            "simulated_s": sum(r["sim_time_s"] for r in runs),
-            "events_per_sec": (
-                sum(r["trace_events"] for r in runs) / point["wall_clock_s"]
-            ),
-        }
+    for entry, _runs in ablation_entries(
+        out, ["mlog_restores", "replay_msgs", "replay_bytes", "logged_msgs"]
+    ):
         entries.append(entry)
         table.add(
-            mode, interval, kills, f"{entry['green']}/{SEEDS}",
-            round(latency, 3), round(entry["sim_time_s"], 2),
+            entry["mode"], entry["interval"], entry["kills"],
+            f"{entry['green']}/{SEEDS}",
+            round(entry["recovery_latency_s"], 3),
+            round(entry["sim_time_s"], 2),
             f"{entry['ckpt_restores']}/{entry['mlog_restores']}",
             f"{entry['replay_msgs']}/{entry['replay_bytes']:.3g}",
         )

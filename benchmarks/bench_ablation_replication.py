@@ -27,89 +27,44 @@ Emits a machine-readable ``BENCH_<id>.json`` record (scenario
 ``replication-ablation``) via ``_harness.emit``.
 """
 
-import time
-
-import numpy as np
-
-from _harness import SCALE, emit
+from _harness import (
+    ABLATION_INTERVALS as INTERVALS,
+    ABLATION_KILL_COUNTS as KILL_COUNTS,
+    ABLATION_SEEDS as SEEDS,
+    ablation_entries,
+    ablation_sweep,
+    count_events,
+    emit,
+)
 from repro.analysis.tables import Table
-from repro.chaos import Campaign, run_campaign
-from repro.chaos.scenario import AtTime, KillSlot, Rule
+from repro.chaos.scenario import KillSlot
 from repro.models.efficiency import replication_vs_cr_crossover
 
-SEEDS = {"smoke": 2, "quick": 4, "full": 8}[SCALE]
-INTERVALS = [1, 3]
-KILL_COUNTS = {"smoke": [1], "quick": [1, 2], "full": [1, 2]}[SCALE]
 MODES = ["global", "logged", "replicated"]
 #: the logged plane's measured single-kill recovery (the paper's
 #: transparency bar); failover must land under it everywhere
 LOGGED_RECOVERY_BAR_S = 0.455
 
 
-def _kill_rules(kills):
-    def rules(rng: np.random.Generator, c: Campaign):
-        # Identical draws for every mode at a given seed: victims are
-        # *virtual* slots fixed at build time (distinct, so replicated
-        # runs exercise independent failovers rather than the
-        # both-copies fallback -- that corner has its own campaign).
-        slots = rng.choice(c.num_slots, size=kills, replace=False)
-        t0 = float(rng.uniform(1.5, 2.5))
-        gap = float(rng.uniform(1.2, 1.8))
-        return [
-            Rule(AtTime(t0 + k * gap), KillSlot(int(slot)))
-            for k, slot in enumerate(slots)
-        ]
-
-    return rules
+def _victims(rng, campaign, kills):
+    # *Virtual* slots fixed at build time (distinct, so replicated runs
+    # exercise independent failovers rather than the both-copies
+    # fallback -- that corner has its own campaign).
+    slots = rng.choice(campaign.num_slots, size=kills, replace=False)
+    return [KillSlot(int(slot)) for slot in slots]
 
 
-def _campaign(mode, interval, kills):
-    name = f"replication-ablation-{mode}-i{interval}-k{kills}"
-    extra = {"interval": interval}
-    if mode != "global":
-        extra["recovery"] = mode
-    return Campaign(name, name, _kill_rules(kills), pool_extra=3,
-                    config_extra=extra)
-
-
-def _measure(result):
-    """Trace-derived per-run measurements."""
-    ev = result.tracer.events
-    spans = [e.dur for e in ev if e.name == "recovery" and e.dur]
+def _measure(ev):
+    """Replication-plane activity of one run, from its trace."""
     return {
-        "ok": result.ok,
-        "recovery_latency_s": max(spans) if spans else 0.0,
-        "recoveries": result.recoveries,
-        "sim_time_s": result.sim_time,
-        "ckpt_restores": sum(1 for e in ev if e.name == "ckpt.restore.begin"),
-        "promotions": sum(1 for e in ev if e.name == "repl.promote"),
-        "fallbacks": sum(1 for e in ev if e.name == "repl.fallback"),
-        "rearms": sum(1 for e in ev if e.name == "repl.standby.sync"),
-        "trace_events": result.trace_events,
+        "promotions": count_events(ev, "repl.promote"),
+        "fallbacks": count_events(ev, "repl.fallback"),
+        "rearms": count_events(ev, "repl.standby.sync"),
     }
 
 
 def run_sweep():
-    out = {}
-    for mode in MODES:
-        for interval in INTERVALS:
-            for kills in KILL_COUNTS:
-                campaign = _campaign(mode, interval, kills)
-                t0 = time.monotonic()
-                runs = [
-                    _measure(run_campaign(campaign, seed, keep_trace=True))
-                    for seed in range(SEEDS)
-                ]
-                out[(mode, interval, kills)] = {
-                    "runs": runs,
-                    "wall_clock_s": time.monotonic() - t0,
-                }
-    return out
-
-
-def _mean(runs, key):
-    picked = [r for r in runs if r["recoveries"] > 0] or runs
-    return sum(r[key] for r in picked) / len(picked)
+    return ablation_sweep("replication-ablation", MODES, _victims, _measure)
 
 
 def test_ablation_replication(benchmark):
@@ -122,35 +77,18 @@ def test_ablation_replication(benchmark):
          "ckpt restores", "promote/rearm/fallback"],
     )
     entries = []
-    for (mode, interval, kills), point in sorted(out.items()):
-        runs = point["runs"]
-        latency = _mean(runs, "recovery_latency_s")
-        entry = {
-            "procs": 8,
-            "mode": mode,
-            "interval": interval,
-            "kills": kills,
-            "seeds": SEEDS,
-            "green": sum(1 for r in runs if r["ok"]),
-            "recovery_latency_s": latency,
-            "worst_recovery_latency_s": max(
-                r["recovery_latency_s"] for r in runs
-            ),
-            "sim_time_s": _mean(runs, "sim_time_s"),
-            "ckpt_restores": sum(r["ckpt_restores"] for r in runs),
-            "promotions": sum(r["promotions"] for r in runs),
-            "fallbacks": sum(r["fallbacks"] for r in runs),
-            "rearms": sum(r["rearms"] for r in runs),
-            "wall_clock_s": point["wall_clock_s"],
-            "simulated_s": sum(r["sim_time_s"] for r in runs),
-            "events_per_sec": (
-                sum(r["trace_events"] for r in runs) / point["wall_clock_s"]
-            ),
-        }
+    for entry, runs in ablation_entries(
+        out, ["promotions", "fallbacks", "rearms"]
+    ):
+        entry["worst_recovery_latency_s"] = max(
+            r["recovery_latency_s"] for r in runs
+        )
         entries.append(entry)
         table.add(
-            mode, interval, kills, f"{entry['green']}/{SEEDS}",
-            round(latency, 3), round(entry["sim_time_s"], 2),
+            entry["mode"], entry["interval"], entry["kills"],
+            f"{entry['green']}/{SEEDS}",
+            round(entry["recovery_latency_s"], 3),
+            round(entry["sim_time_s"], 2),
             entry["ckpt_restores"],
             f"{entry['promotions']}/{entry['rearms']}/{entry['fallbacks']}",
         )

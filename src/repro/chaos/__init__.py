@@ -43,7 +43,6 @@ from repro.chaos.scenario import (
     ChaosEngine,
     DrainSlot,
     HealPartition,
-    KillNode,
     KillRandomSlot,
     KillRank,
     KillSlot,
@@ -55,14 +54,13 @@ from repro.chaos.scenario import (
     RandomTimes,
     Rule,
     Scenario,
-    UnlimpSlot,
 )
 
 __all__ = [
     "AtTime", "OnEvent", "RandomTimes",
-    "KillSlot", "KillRandomSlot", "KillNode", "KillRank", "DrainSlot",
+    "KillSlot", "KillRandomSlot", "KillRank", "DrainSlot",
     "Partition", "HealPartition", "Omission", "OmissionOff",
-    "LimpSlot", "UnlimpSlot",
+    "LimpSlot",
     "Rule", "Scenario", "ChaosEngine",
     "CAMPAIGNS", "GRAY_CAMPAIGNS", "Campaign",
     "Violation", "DetectorMonitor", "check_all",

@@ -44,7 +44,7 @@ Replication invariant:
   place.  The only legal restores are at/after an explicit
   ``repl.fallback`` (every copy of some rank died).
 
-Multi-tenant invariant (shared-cluster runs that pass ``jobs=``):
+Multi-tenant invariant (shared-cluster runs: more than one job):
 
 * **tenant-isolation** -- a kill aimed at one tenant is invisible to
   every other tenant: bystanders end at epoch 0 with zero detector
@@ -513,18 +513,22 @@ def check_answer(results: Sequence, reference: Sequence) -> List[Violation]:
 
 # ------------------------------------------------------------------ driver
 def check_all(
-    job,
+    jobs: Sequence,
     tracer,
-    results: Optional[Sequence],
-    reference: Optional[Sequence],
-    monitor: Optional[DetectorMonitor] = None,
-    jobs: Optional[Sequence] = None,
+    results: Optional[Sequence[Sequence]],
+    reference: Sequence,
+    monitors: Sequence[DetectorMonitor],
 ) -> List[Violation]:
-    """Run every checker; ``results=None`` means the job never finished
-    (already reported by the runner as its own violation).  ``jobs``
-    lists every co-resident tenant on a shared cluster -- passing it
-    turns on the tenant-isolation invariant (single-tenant runs omit
-    it)."""
+    """Run every checker over one finished run.
+
+    ``jobs``, ``results`` and ``monitors`` are per tenant, in the same
+    order (a solo run passes one-element lists); ``results=None`` means
+    the run never finished (already reported by the runner as its own
+    violation).  The trace-level checkers run once over the merged
+    trace, the state checkers and the answer check once per job -- each
+    violation they find names its tenant -- and the tenant-isolation
+    invariant whenever there is more than one.
+    """
     out: List[Violation] = []
     out += check_epoch_monotone(tracer)
     out += check_no_stale_delivery(tracer)
@@ -532,12 +536,15 @@ def check_all(
     out += check_suspicion_resolved(tracer)
     out += check_no_orphans(tracer)
     out += check_zero_rollback(tracer)
-    out += check_posted_receives(job)
-    out += check_link_accounting(job)
-    if monitor is not None:
-        out += check_detector_bounded(job, monitor)
-    if results is not None and reference is not None:
-        out += check_answer(results, reference)
-    if jobs is not None:
+    for idx, job in enumerate(jobs):
+        found = check_posted_receives(job)
+        found += check_link_accounting(job)
+        found += check_detector_bounded(job, monitors[idx])
+        if results is not None:
+            found += check_answer(results[idx], reference)
+        out += [
+            Violation(v.invariant, f"{job.job_id}: {v.detail}") for v in found
+        ]
+    if len(jobs) > 1:
         out += check_tenant_isolation(tracer, jobs)
     return out

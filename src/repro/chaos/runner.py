@@ -20,15 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.campaigns import CAMPAIGNS, Campaign
-from repro.chaos.invariants import (
-    DetectorMonitor,
-    Violation,
-    check_all,
-    check_answer,
-    check_detector_bounded,
-    check_link_accounting,
-    check_posted_receives,
-)
+from repro.chaos.invariants import DetectorMonitor, Violation, check_all
 from repro.chaos.scenario import ChaosEngine, Scenario
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
@@ -125,10 +117,10 @@ def run_campaign(
 
     A campaign with ``tenants > 1`` is service mode: kills are aimed at
     specific tenants (:class:`~repro.chaos.scenario.KillTenantSlot`),
-    the trace-level invariants run once over the merged trace (keyed by
-    ``job`` label), the per-job state invariants and the bit-equality
-    check run per tenant, and the ``tenant-isolation`` invariant ties
-    them together.  The solo run is the same body with one job.
+    and :func:`~repro.chaos.invariants.check_all` adds the
+    ``tenant-isolation`` invariant to the per-trace and per-job checks
+    it runs for any number of jobs.  The solo run is the same body with
+    one job.
     """
     campaign = _resolve(campaign)
     reference = reference_results(campaign)
@@ -166,20 +158,7 @@ def run_campaign(
     for monitor in monitors:
         monitor.sample()  # one final look at the detector table
 
-    violations += check_all(
-        jobs[0], tracer, results[0] if results is not None else None,
-        reference, monitors[0], jobs=None if solo else jobs,
-    )
-    for idx in range(1, len(jobs)):
-        job, monitor = jobs[idx], monitors[idx]
-        violations += check_posted_receives(job)
-        violations += check_link_accounting(job)
-        violations += check_detector_bounded(job, monitor)
-        if results is not None:
-            violations += [
-                Violation(v.invariant, f"{job.job_id}: {v.detail}")
-                for v in check_answer(results[idx], reference)
-            ]
+    violations += check_all(jobs, tracer, results, reference, monitors)
     return RunResult(
         campaign=campaign.name,
         seed=seed,

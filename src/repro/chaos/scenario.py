@@ -15,7 +15,6 @@ triggers
 actions
     :class:`KillSlot` / :class:`KillRandomSlot` -- crash whichever node
     currently holds a job slot (replacements included);
-    :class:`KillNode` -- crash a machine node by id;
     :class:`KillRank` -- kill one rank's *process*, leaving its node up
     (exercises the fmirun.task sibling-kill / EXIT_FAILURE path);
     :class:`DrainSlot` -- gracefully vacate a slot (Section III-A).
@@ -25,8 +24,8 @@ gray-failure actions (nothing dies; see DESIGN.md)
     slot groups (in-flight cross-cut messages stall or drop), then heal;
     :class:`Omission` / :class:`OmissionOff` -- attach/detach a seeded
     per-link drop/duplicate/delay model to the job's transport;
-    :class:`LimpSlot` / :class:`UnlimpSlot` -- degrade/restore one
-    slot's NIC bandwidth and latency.
+    :class:`LimpSlot` -- degrade one slot's NIC bandwidth and latency
+    for a ``duration``.
 
 The :class:`ChaosEngine` arms a scenario against a launched job.  Every
 action fires from the event heap (a timeout callback), never from
@@ -45,10 +44,10 @@ from repro.net.faults import LinkFaultModel
 
 __all__ = [
     "AtTime", "OnEvent", "RandomTimes",
-    "KillSlot", "KillRandomSlot", "KillNode", "KillRank", "DrainSlot",
+    "KillSlot", "KillRandomSlot", "KillRank", "DrainSlot",
     "KillTenantSlot",
     "Partition", "HealPartition", "Omission", "OmissionOff",
-    "LimpSlot", "UnlimpSlot",
+    "LimpSlot",
     "Rule", "Scenario", "ChaosEngine",
 ]
 
@@ -96,13 +95,6 @@ class KillSlot:
 @dataclass(frozen=True)
 class KillRandomSlot:
     """Crash a uniformly random *live* slot (engine RNG stream)."""
-
-
-@dataclass(frozen=True)
-class KillNode:
-    """Crash machine node ``node_id``."""
-
-    node_id: int
 
 
 @dataclass(frozen=True)
@@ -183,8 +175,8 @@ class OmissionOff:
 class LimpSlot:
     """Degrade the network path of the node holding ``slot``: NIC
     bandwidth divided by ``bw_factor``, per-message latencies times
-    ``latency_factor``.  ``duration`` auto-reverts; None limps until an
-    explicit :class:`UnlimpSlot`."""
+    ``latency_factor``.  ``duration`` auto-reverts; None limps for the
+    rest of the run."""
 
     slot: int
     bw_factor: float = 8.0
@@ -192,16 +184,9 @@ class LimpSlot:
     duration: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class UnlimpSlot:
-    """Restore the network health of the node holding ``slot``."""
-
-    slot: int
-
-
 Action = Union[
-    KillSlot, KillRandomSlot, KillNode, KillRank, DrainSlot, KillTenantSlot,
-    Partition, HealPartition, Omission, OmissionOff, LimpSlot, UnlimpSlot,
+    KillSlot, KillRandomSlot, KillRank, DrainSlot, KillTenantSlot,
+    Partition, HealPartition, Omission, OmissionOff, LimpSlot,
 ]
 
 
@@ -343,13 +328,6 @@ class ChaosEngine(_Injector):
                 return
             self._record(f"kill slot {action.slot} (node {node.id})")
             node.crash(f"chaos: slot {action.slot}")
-        elif isinstance(action, KillNode):
-            node = job.machine.node(action.node_id)
-            if not node.alive:
-                self._record(f"kill node {action.node_id}: already dead")
-                return
-            self._record(f"kill node {action.node_id}")
-            node.crash("chaos: node kill")
         elif isinstance(action, KillRank):
             rproc = job.rank_procs.get(action.rank)
             if rproc is None or not rproc.proc.alive:
@@ -425,13 +403,6 @@ class ChaosEngine(_Injector):
                 timer = self.sim.timeout(action.duration)
                 timer.callbacks.append(lambda _e: self._unlimp(node))
             self._record(desc)
-        elif isinstance(action, UnlimpSlot):
-            node = job.fmirun.node_slots[action.slot]
-            if not node.alive:
-                self._record(f"unlimp slot {action.slot}: refused (node dead)")
-                return
-            node.clear_limp()
-            self._record(f"unlimp slot {action.slot} (node {node.id})")
         else:
             raise TypeError(f"unknown action {action!r}")
 

@@ -46,7 +46,7 @@ class LogRingDetector:
         self.job = job
         self.cm = ConnectionManager(job.machine)
         self.k = job.config.logring_k
-        self.suspicion_grace = getattr(job.config, "suspicion_grace", 0.5)
+        self.suspicion_grace = job.config.suspicion_grace
         self._conns: Dict[int, List[Connection]] = {}
         self._joined_epoch: Dict[int, int] = {}
         self._cascaded: Dict[int, int] = {}  # rank -> last generation cascaded
@@ -97,6 +97,23 @@ class LogRingDetector:
             if not lst:
                 self._conns.pop(rank, None)
 
+    def _link(self, rank: int, peer: int, epoch: int) -> bool:
+        """Create the ``epoch`` overlay edge between two live ranks and
+        list it at both ends.  False when a partition cut separates
+        their nodes right now: :meth:`_repair` retries on heal."""
+        procs = self.job.rank_procs
+        try:
+            conn = self.cm.connect(
+                (rank, epoch), procs[rank].node, (peer, epoch), procs[peer].node
+            )
+        except ConnectionError:
+            return False
+        conn.on_disconnect((rank, epoch), self._on_event)
+        conn.on_disconnect((peer, epoch), self._on_event)
+        self._conns.setdefault(rank, []).append(conn)
+        self._conns.setdefault(peer, []).append(conn)
+        return True
+
     def join(self, fproc, epoch: int) -> None:
         """``fproc`` (in H2) enters the epoch's overlay.
 
@@ -122,21 +139,8 @@ class LogRingDetector:
             if self._joined_epoch.get(peer) != epoch:
                 continue  # peer will create the edge when it joins
             peer_proc = self.job.rank_procs.get(peer)
-            if peer_proc is None or not peer_proc.alive:
-                continue
-            try:
-                conn = self.cm.connect(
-                    (rank, epoch), fproc.node, (peer, epoch), peer_proc.node
-                )
-            except ConnectionError:
-                # The peer is behind an active partition cut: the edge
-                # cannot be established now; _on_partition_heal repairs
-                # it once the fabric reconnects.
-                continue
-            conn.on_disconnect((rank, epoch), self._on_event)
-            conn.on_disconnect((peer, epoch), self._on_event)
-            self._conns[rank].append(conn)
-            self._conns.setdefault(peer, []).append(conn)
+            if peer_proc is not None and peer_proc.alive:
+                self._link(rank, peer, epoch)
         sim = self.job.sim
         if sim.tracer.enabled:
             sim.tracer.instant(
@@ -339,18 +343,8 @@ class LogRingDetector:
             for peer in logring_neighbors(rank, n, self.k):
                 if peer not in joined or self._has_open_edge(rank, peer):
                     continue
-                fproc = job.rank_procs[rank]
-                peer_proc = job.rank_procs[peer]
-                try:
-                    conn = self.cm.connect(
-                        (rank, epoch), fproc.node, (peer, epoch), peer_proc.node
-                    )
-                except ConnectionError:
+                if not self._link(rank, peer, epoch):
                     continue  # still unreachable (e.g. a new partition)
-                conn.on_disconnect((rank, epoch), self._on_event)
-                conn.on_disconnect((peer, epoch), self._on_event)
-                self._conns.setdefault(rank, []).append(conn)
-                self._conns.setdefault(peer, []).append(conn)
                 self.repaired_edges += 1
                 if sim.tracer.enabled:
                     sim.tracer.instant(

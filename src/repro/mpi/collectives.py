@@ -1,6 +1,9 @@
 """Collective algorithms over a communicator.
 
-Two engines sit behind every public collective:
+Two engines sit behind each of the eight collectives a
+:class:`~repro.mpi.communicator.Communicator` offers (``bcast``,
+``reduce``, ``allreduce``, ``barrier``, ``gather``, ``allgather``,
+``scatter``, ``alltoall``):
 
 * The **hop-level** engine (the ``*_hops`` generators): real
   message-passing algorithms, not analytic shortcuts -- the cost of a
@@ -18,7 +21,7 @@ Selection is the library's own decision (mode ``auto``): each
 collective instance runs macro unless the calling rank is inside a
 ``hop_fidelity`` scope or :meth:`Transport.hop_fidelity_reason` names
 a reason -- in priority order ``injector`` (an *armed* injector or
-chaos engine vetoes today; ROADMAP item 1b narrows that to fired
+chaos engine vetoes today; ROADMAP item 2b narrows that to fired
 faults at the shared ``_Injector.start``), ``omission``,
 ``partition``, ``limp``, the recovery family's ``recovery_hops``
 (``msglog`` / ``replicated``), ``observability``.  The one
@@ -44,12 +47,14 @@ Hop-level algorithms (the usual MPICH choices):
 * ``scatter``    -- linear from root (small comms only in our apps)
 * ``alltoall``   -- ring-schedule pairwise exchange
 
-Every function returns a generator to drive at once with ``yield
-from``; the comm object supplies ``rank``, ``size``, ``send_async(dst,
-data, nbytes, tag)`` and ``post_recv(src, tag)``.  The ``*_hops``
-functions are the generators themselves; the public names choose the
-engine at the call and hand its generator back (see the note above the
-dispatchers).
+The ``*_hops`` functions are the generators themselves; the comm
+object supplies ``rank``, ``size``, ``send_async(dst, data, nbytes,
+tag)`` and ``post_recv(src, tag)``.  Nobody calls them by name but the
+one dispatch point: ``Communicator.<kind>`` validates its arguments,
+asks :func:`_macro_instance` which engine this instance runs on and
+hands that engine's generator back.  What this module keeps is what
+only it can: the tags, the process-level mode switch, the coordinator
+lookup and the oracle algorithms.
 """
 
 from __future__ import annotations
@@ -60,15 +65,6 @@ from repro.mpi.datatypes import sizeof, wire_bytes
 from repro.mpi.ops import SUM
 
 __all__ = [
-    "bcast",
-    "reduce",
-    "allreduce",
-    "barrier",
-    "gather",
-    "allgather",
-    "scatter",
-    "alltoall",
-    "allreduce_hier",
     "bcast_hops",
     "reduce_hops",
     "allreduce_hops",
@@ -77,7 +73,6 @@ __all__ = [
     "allgather_hops",
     "scatter_hops",
     "alltoall_hops",
-    "allreduce_hier_hops",
     "collective_mode",
     "set_collective_mode",
     "TAG_BCAST",
@@ -102,13 +97,10 @@ TAG_GATHER = _BASE + 5
 TAG_ALLGATHER = _BASE + 6
 TAG_SCATTER = _BASE + 7
 TAG_ALLTOALL = _BASE + 8
-TAG_HIER_UP = _BASE + 9
-TAG_HIER_DOWN = _BASE + 10
 
-_TINY = 4.0  # bytes of a zero-payload control message
-
-#: byte pricing shared with the macro path (repro.mpi.datatypes)
-_nbytes = wire_bytes
+#: bytes of a zero-payload control message (the macro path prices its
+#: barrier with the same constant)
+_TINY = 4.0
 
 
 # -- engine selection --------------------------------------------------------
@@ -161,95 +153,6 @@ def _macro_instance(comm, kind: str):
     return macro.instance(comm, kind, mode)
 
 
-# -- public dispatchers ------------------------------------------------------
-# Plain functions that *return* the chosen engine's generator: a
-# generator here would only forward, one frame under every resume of a
-# rank inside a collective.  The engine is therefore chosen (and the
-# rank's macro sequence counter advanced) when the collective is
-# called, not at the first ``next()`` of what it returns -- one line
-# earlier for the ``yield from comm.allreduce(...)`` every caller
-# writes; do not create a collective and drive it later.
-
-
-def bcast(comm, value: Any = None, root: int = 0,
-          nbytes: Optional[float] = None):
-    """Broadcast; returns the root's value everywhere."""
-    inst = _macro_instance(comm, "bcast")
-    if inst is None:
-        return bcast_hops(comm, value, root, nbytes)
-    return inst.join(comm, (value, root, nbytes))
-
-
-def reduce(comm, value: Any, op: Callable = SUM, root: int = 0,
-           nbytes: Optional[float] = None):
-    """Reduction; returns the result at root, None elsewhere."""
-    inst = _macro_instance(comm, "reduce")
-    if inst is None:
-        return reduce_hops(comm, value, op, root, nbytes)
-    return inst.join(comm, (value, op, root, nbytes))
-
-
-def allreduce(comm, value: Any, op: Callable = SUM,
-              nbytes: Optional[float] = None):
-    """Allreduce; every rank returns the combined value."""
-    inst = _macro_instance(comm, "allreduce")
-    if inst is None:
-        return allreduce_hops(comm, value, op, nbytes)
-    return inst.join(comm, (value, op, nbytes))
-
-
-def barrier(comm):
-    """Barrier; no rank exits before every rank has entered."""
-    inst = _macro_instance(comm, "barrier")
-    if inst is None:
-        return barrier_hops(comm)
-    return inst.join(comm, ())
-
-
-def gather(comm, value: Any, root: int = 0,
-           nbytes: Optional[float] = None):
-    """Gather; root returns the list ordered by rank, None elsewhere."""
-    inst = _macro_instance(comm, "gather")
-    if inst is None:
-        return gather_hops(comm, value, root, nbytes)
-    return inst.join(comm, (value, root, nbytes))
-
-
-def allgather(comm, value: Any, nbytes: Optional[float] = None):
-    """Allgather; every rank returns the list ordered by rank."""
-    inst = _macro_instance(comm, "allgather")
-    if inst is None:
-        return allgather_hops(comm, value, nbytes)
-    return inst.join(comm, (value, nbytes))
-
-
-def scatter(comm, values: Optional[List[Any]] = None, root: int = 0,
-            nbytes: Optional[float] = None):
-    """Scatter; rank i returns values[i] from the root."""
-    inst = _macro_instance(comm, "scatter")
-    if inst is None:
-        return scatter_hops(comm, values, root, nbytes)
-    return inst.join(comm, (values, root, nbytes))
-
-
-def alltoall(comm, values: List[Any], nbytes: Optional[float] = None):
-    """All-to-all personalized exchange; values[i] goes to rank i."""
-    inst = _macro_instance(comm, "alltoall")
-    if inst is None:
-        return alltoall_hops(comm, values, nbytes)
-    return inst.join(comm, (values, nbytes))
-
-
-def allreduce_hier(comm, value: Any, op: Callable = SUM,
-                   nbytes: Optional[float] = None,
-                   procs_per_node: int = 1):
-    """Topology-aware allreduce (see :func:`allreduce_hier_hops`)."""
-    inst = _macro_instance(comm, "allreduce_hier")
-    if inst is None:
-        return allreduce_hier_hops(comm, value, op, nbytes, procs_per_node)
-    return inst.join(comm, (value, op, nbytes, max(1, procs_per_node)))
-
-
 # -- hop-level engine (the conformance oracle) -------------------------------
 
 
@@ -283,7 +186,7 @@ def reduce_hops(comm, value: Any, op: Callable = SUM, root: int = 0,
                 nbytes: Optional[float] = None):
     """Binomial-tree reduction; returns the result at root, None elsewhere."""
     size, rank = comm.size, comm.rank
-    nbytes = _nbytes(value, nbytes)
+    nbytes = wire_bytes(value, nbytes)
     if size == 1:
         return value
     relative = (rank - root) % size
@@ -306,7 +209,7 @@ def allreduce_hops(comm, value: Any, op: Callable = SUM,
                    nbytes: Optional[float] = None):
     """Recursive-doubling allreduce (handles non-power-of-two sizes)."""
     size, rank = comm.size, comm.rank
-    nbytes = _nbytes(value, nbytes)
+    nbytes = wire_bytes(value, nbytes)
     if size == 1:
         return value
     pof2 = 1
@@ -376,7 +279,7 @@ def gather_hops(comm, value: Any, root: int = 0,
                 nbytes: Optional[float] = None):
     """Binomial-tree gather; root returns the list ordered by rank."""
     size, rank = comm.size, comm.rank
-    nbytes = _nbytes(value, nbytes)
+    nbytes = wire_bytes(value, nbytes)
     items = {rank: value}
     if size == 1:
         return [value]
@@ -398,7 +301,7 @@ def gather_hops(comm, value: Any, root: int = 0,
 def allgather_hops(comm, value: Any, nbytes: Optional[float] = None):
     """Ring allgather: size-1 steps, each forwarding one block."""
     size, rank = comm.size, comm.rank
-    nbytes = _nbytes(value, nbytes)
+    nbytes = wire_bytes(value, nbytes)
     blocks: List[Any] = [None] * size
     blocks[rank] = value
     if size == 1:
@@ -420,102 +323,27 @@ def allgather_hops(comm, value: Any, nbytes: Optional[float] = None):
 
 def scatter_hops(comm, values: Optional[List[Any]] = None, root: int = 0,
                  nbytes: Optional[float] = None):
-    """Root sends item i to rank i (linear; fine for small comms)."""
+    """Root sends item i to rank i (linear; fine for small comms).
+    ``Communicator.scatter`` has checked the root's list."""
     size, rank = comm.size, comm.rank
     if rank == root:
-        if values is None or len(values) != size:
-            raise ValueError("root must pass one value per rank")
         for dst in range(size):
             if dst != root:
                 # price each destination's own item (an explicit
                 # nbytes still applies uniformly)
                 yield comm.send_async(
-                    dst, values[dst], _nbytes(values[dst], nbytes), TAG_SCATTER
+                    dst, values[dst], wire_bytes(values[dst], nbytes),
+                    TAG_SCATTER,
                 )
         return values[root]
     env = yield comm.post_recv(root, TAG_SCATTER)
     return env.data
 
 
-def allreduce_hier_hops(comm, value: Any, op: Callable = SUM,
-                        nbytes: Optional[float] = None,
-                        procs_per_node: int = 1):
-    """Topology-aware allreduce: reduce to a per-node leader through
-    shared memory, recursive-double among leaders over the fabric,
-    then broadcast back intra-node.
-
-    With block rank placement (ranks ``i*P..i*P+P-1`` on node ``i``)
-    this sends only one fabric message per node per round -- the
-    standard optimisation for fat nodes, and what keeps the event count
-    sane for 1,536-process simulations.
-    """
-    size, rank = comm.size, comm.rank
-    nbytes = _nbytes(value, nbytes)
-    P = max(1, procs_per_node)
-    if P == 1 or size <= P:
-        result = yield from allreduce_hops(comm, value, op, nbytes)
-        return result
-    if size % P != 0:
-        raise ValueError("size must be a multiple of procs_per_node")
-    leader = (rank // P) * P
-    acc = value
-    if rank != leader:
-        yield comm.send_async(leader, acc, nbytes, TAG_HIER_UP)
-    else:
-        post_recv = comm.post_recv
-        for _ in range(P - 1):
-            env = yield post_recv(-1, TAG_HIER_UP)  # ANY_SOURCE
-            acc = op(acc, env.data)
-        # Inter-node recursive doubling among the leaders.
-        leaders = list(range(0, size, P))
-        my_idx = leaders.index(rank)
-        n_lead = len(leaders)
-        pof2 = 1
-        while pof2 * 2 <= n_lead:
-            pof2 *= 2
-        rem = n_lead - pof2
-        newidx = -1
-        if my_idx < 2 * rem:
-            if my_idx % 2 == 0:
-                yield comm.send_async(leaders[my_idx + 1], acc, nbytes, TAG_ALLREDUCE)
-            else:
-                env = yield comm.post_recv(leaders[my_idx - 1], TAG_ALLREDUCE)
-                acc = op(acc, env.data)
-                newidx = my_idx // 2
-        else:
-            newidx = my_idx - rem
-        if newidx != -1:
-            def real(ni: int) -> int:
-                return leaders[ni * 2 + 1] if ni < rem else leaders[ni + rem]
-
-            mask = 1
-            while mask < pof2:
-                partner = real(newidx ^ mask)
-                recv_evt = comm.post_recv(partner, TAG_ALLREDUCE)
-                yield comm.send_async(partner, acc, nbytes, TAG_ALLREDUCE)
-                env = yield recv_evt
-                acc = op(acc, env.data)
-                mask <<= 1
-        if my_idx < 2 * rem:
-            if my_idx % 2 == 1:
-                yield comm.send_async(leaders[my_idx - 1], acc, nbytes, TAG_ALLREDUCE)
-            else:
-                env = yield comm.post_recv(leaders[my_idx + 1], TAG_ALLREDUCE)
-                acc = env.data
-        # Intra-node broadcast back to my P-1 locals.
-        for local in range(leader + 1, leader + P):
-            yield comm.send_async(local, acc, nbytes, TAG_HIER_DOWN)
-    if rank != leader:
-        env = yield comm.post_recv(leader, TAG_HIER_DOWN)
-        acc = env.data
-    return acc
-
-
 def alltoall_hops(comm, values: List[Any], nbytes: Optional[float] = None):
-    """Pairwise exchange on a ring schedule; values[i] goes to rank i."""
+    """Pairwise exchange on a ring schedule; values[i] goes to rank i.
+    ``Communicator.alltoall`` has checked the list's length."""
     size, rank = comm.size, comm.rank
-    if len(values) != size:
-        raise ValueError("alltoall needs one value per rank")
     result: List[Any] = [None] * size
     result[rank] = values[rank]
     post_recv = comm.post_recv
@@ -526,7 +354,7 @@ def alltoall_hops(comm, values: List[Any], nbytes: Optional[float] = None):
         recv_evt = post_recv(src, TAG_ALLTOALL)
         # price each destination's own item, not values[0]'s size
         yield send_async(
-            dst, values[dst], _nbytes(values[dst], nbytes), TAG_ALLTOALL
+            dst, values[dst], wire_bytes(values[dst], nbytes), TAG_ALLTOALL
         )
         env = yield recv_evt
         result[src] = env.data

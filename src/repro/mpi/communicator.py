@@ -6,6 +6,9 @@ table.  That indirection is exactly what FMI virtualises: after a
 recovery the same communicator object keeps working because only the
 route changed (Section IV-D, "Transparent Communicator Recovery").
 
+The eight collective methods are the collective stack's one dispatch
+point (engine choice and argument validation; the algorithms live in
+:mod:`repro.mpi.collectives` and :mod:`repro.mpi.macro`).
 ``dup``/``split`` are collective generators.  Context ids are assigned
 from a per-process counter; since communicator creation is collective
 and SPMD programs execute those calls in the same global order, every
@@ -16,7 +19,17 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.mpi import collectives
+from repro.mpi.collectives import (
+    _macro_instance,
+    allgather_hops,
+    allreduce_hops,
+    alltoall_hops,
+    barrier_hops,
+    bcast_hops,
+    gather_hops,
+    reduce_hops,
+    scatter_hops,
+)
 from repro.mpi.ops import SUM
 from repro.net.matching import ANY_SOURCE, ANY_TAG
 
@@ -65,30 +78,76 @@ class Communicator:
         yield send_evt
         return env.data
 
-    # -- collectives (generators) ----------------------------------------------
+    # -- collectives: the one dispatch point ----------------------------------
+    # Each method asks the per-transport coordinator which engine this
+    # instance runs on (``None`` -> the hop-level oracle) and *returns*
+    # that engine's generator: a generator here would only forward, one
+    # frame under every resume of a rank inside a collective.  The
+    # engine is therefore chosen (and the rank's macro sequence counter
+    # advanced) when the collective is called, not at the first
+    # ``next()`` of what it returns -- one line earlier for the ``yield
+    # from comm.allreduce(...)`` every caller writes; do not create a
+    # collective and drive it later.
     def barrier(self):
-        return collectives.barrier(self)
+        """No rank exits before every rank has entered."""
+        inst = _macro_instance(self, "barrier")
+        if inst is None:
+            return barrier_hops(self)
+        return inst.join(self, ())
 
-    def bcast(self, value: Any = None, root: int = 0, nbytes: Optional[float] = None):
-        return collectives.bcast(self, value, root, nbytes)
+    def bcast(self, value: Any = None, root: int = 0,
+              nbytes: Optional[float] = None):
+        """Returns the root's value everywhere."""
+        inst = _macro_instance(self, "bcast")
+        if inst is None:
+            return bcast_hops(self, value, root, nbytes)
+        return inst.join(self, (value, root, nbytes))
 
     def reduce(self, value: Any, op=None, root: int = 0, nbytes=None):
-        return collectives.reduce(self, value, op or SUM, root, nbytes)
+        """Returns the result at root, None elsewhere."""
+        inst = _macro_instance(self, "reduce")
+        if inst is None:
+            return reduce_hops(self, value, op or SUM, root, nbytes)
+        return inst.join(self, (value, op or SUM, root, nbytes))
 
     def allreduce(self, value: Any, op=None, nbytes: Optional[float] = None):
-        return collectives.allreduce(self, value, op or SUM, nbytes)
+        """Every rank returns the combined value."""
+        inst = _macro_instance(self, "allreduce")
+        if inst is None:
+            return allreduce_hops(self, value, op or SUM, nbytes)
+        return inst.join(self, (value, op or SUM, nbytes))
 
     def gather(self, value: Any, root: int = 0, nbytes=None):
-        return collectives.gather(self, value, root, nbytes)
+        """Root returns the list ordered by rank, None elsewhere."""
+        inst = _macro_instance(self, "gather")
+        if inst is None:
+            return gather_hops(self, value, root, nbytes)
+        return inst.join(self, (value, root, nbytes))
 
     def allgather(self, value: Any, nbytes: Optional[float] = None):
-        return collectives.allgather(self, value, nbytes)
+        """Every rank returns the list ordered by rank."""
+        inst = _macro_instance(self, "allgather")
+        if inst is None:
+            return allgather_hops(self, value, nbytes)
+        return inst.join(self, (value, nbytes))
 
     def scatter(self, values=None, root: int = 0, nbytes=None):
-        return collectives.scatter(self, values, root, nbytes)
+        """Rank i returns ``values[i]`` from the root."""
+        if self.rank == root and (values is None or len(values) != self.size):
+            raise ValueError("root must pass one value per rank")
+        inst = _macro_instance(self, "scatter")
+        if inst is None:
+            return scatter_hops(self, values, root, nbytes)
+        return inst.join(self, (values, root, nbytes))
 
     def alltoall(self, values, nbytes: Optional[float] = None):
-        return collectives.alltoall(self, values, nbytes)
+        """Personalized exchange; ``values[i]`` goes to rank i."""
+        if len(values) != self.size:
+            raise ValueError("alltoall needs one value per rank")
+        inst = _macro_instance(self, "alltoall")
+        if inst is None:
+            return alltoall_hops(self, values, nbytes)
+        return inst.join(self, (values, nbytes))
 
     # -- construction of derived communicators ------------------------------------
     def dup(self):

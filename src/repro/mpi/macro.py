@@ -5,7 +5,9 @@ running a 16k-rank allreduce as tens of thousands of per-message
 events buys nothing -- the outcome is fully determined by the
 algorithm, the payload sizes and the calibrated fabric constants.
 This module exploits that: every rank entering a collective *joins* a
-shared per-transport instance instead of exchanging messages; when the
+shared per-transport instance instead of exchanging messages
+(``Communicator.<kind>`` is the one place that decides, per call,
+between :meth:`_Instance.join` and the ``*_hops`` oracle); when the
 last rank arrives the coordinator
 
 1. replays the hop algorithm's exact data movement in plain Python
@@ -44,7 +46,7 @@ verdict is hop-level whenever:
   scope (checkpoint rendezvous, restore agreement, msglog replay);
 * :meth:`Transport.hop_fidelity_reason` names a reason, checked in
   this order: ``injector`` (an injector or chaos engine is *armed* --
-  fired or not; ROADMAP item 1b narrows that at the shared
+  fired or not; ROADMAP item 2b narrows that at the shared
   ``_Injector.start``), ``omission``, ``partition``, ``limp``, the
   recovery family's ``recovery_hops`` (``msglog`` / ``replicated``),
   ``observability`` (enabled tracing/metrics; overridden when
@@ -73,14 +75,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.models.collective_model import NetParams, collective_time
+from repro.mpi.collectives import _TINY
 from repro.mpi.datatypes import snapshot, wire_bytes
 from repro.simt.kernel import _PENDING, BulkCompletion, Event
 
 __all__ = ["MacroCollectives"]
-
-#: bytes of a zero-payload control message (kept in sync with the hop
-#: engine's ``collectives._TINY``)
-_TINY = 4.0
 
 
 def _sig(per: List[float]):
@@ -97,7 +96,7 @@ class _Instance:
     """One collective occurrence: who has arrived, with what args."""
 
     __slots__ = ("coord", "kind", "size", "verdict", "consulted",
-                 "order", "args", "events", "bulk")
+                 "joined", "args", "events", "bulk")
 
     def __init__(self, coord: "MacroCollectives", kind: str, size: int,
                  verdict: Optional[str]):
@@ -107,8 +106,8 @@ class _Instance:
         #: None -> macro; otherwise the hop-fidelity reason string
         self.verdict = verdict
         self.consulted = 0
-        #: ranks in join order (the hier intra-node fold order)
-        self.order: List[int] = []
+        #: ranks that have joined so far
+        self.joined = 0
         # rank-indexed; every slot is filled by the time _complete runs
         self.args: List[Optional[tuple]] = [None] * size
         self.events: List[Optional[Event]] = [None] * size
@@ -117,29 +116,19 @@ class _Instance:
     def join(self, comm, args: tuple):
         """Generator a rank drives instead of the hop algorithm.
 
-        Raises exactly what (and when) the hop path would: the FMI
-        failure-notification check and the argument validations all
-        fire on the caller's first ``next()``.
+        ``args`` is the kind's positional tuple, already validated by
+        the ``Communicator`` method that dispatched here.  The FMI
+        failure-notification check fires where the hop path's first
+        send or receive would raise it: on the caller's first
+        ``next()``.
         """
         api = comm.api
         api._check_ok()
-        kind = self.kind
-        if kind == "scatter":
-            values, root = args[0], args[1]
-            if comm.rank == root and (values is None or len(values) != comm.size):
-                raise ValueError("root must pass one value per rank")
-        elif kind == "alltoall":
-            if len(args[0]) != comm.size:
-                raise ValueError("alltoall needs one value per rank")
-        elif kind == "allreduce_hier":
-            P = args[3]
-            if 1 < P < comm.size and comm.size % P != 0:
-                raise ValueError("size must be a multiple of procs_per_node")
         evt = Event(api.sim)
         self.args[comm.rank] = args
         self.events[comm.rank] = evt
-        self.order.append(comm.rank)
-        if len(self.order) == self.size:
+        self.joined += 1
+        if self.joined == self.size:
             self.coord._complete(self, comm)
         result = yield evt
         return result
@@ -224,16 +213,15 @@ class MacroCollectives:
     # -- completion -------------------------------------------------------
     def _complete(self, inst: _Instance, comm) -> None:
         """Last rank arrived: compute results, price, schedule."""
-        results, sizes_sig, root, ppn = _FINISH[inst.kind](inst)
-        duration = self._duration(comm, inst.kind, sizes_sig, root, ppn)
+        results, sizes_sig, root = _FINISH[inst.kind](inst)
+        duration = self._duration(comm, inst.kind, sizes_sig, root)
         inst.bulk = BulkCompletion(self.transport.sim, duration,
                                    zip(inst.events, results))
         inst.bulk.callbacks.append(lambda _e: self._live.discard(inst))
         self.macro_events += 1
 
-    def _duration(self, comm, kind: str, sizes_sig, root: int,
-                  ppn: int) -> float:
-        key = (kind, comm.id, root, ppn, sizes_sig)
+    def _duration(self, comm, kind: str, sizes_sig, root: int) -> float:
+        key = (kind, comm.id, root, sizes_sig)
         t = self._times.get(key)
         if t is None:
             nodes = self._nodes_cache.get(comm.id)
@@ -243,8 +231,7 @@ class MacroCollectives:
                 self._nodes_cache[comm.id] = nodes
             if self._net is None:
                 self._net = NetParams.from_transport(self.transport)
-            t = collective_time(kind, nodes, sizes_sig, self._net,
-                                root=root, procs_per_node=ppn)
+            t = collective_time(kind, nodes, sizes_sig, self._net, root)
             self._times[key] = t
         return t
 
@@ -276,7 +263,7 @@ class MacroCollectives:
 # Result replay: each function reproduces the hop algorithm's data
 # movement exactly -- same fold order, snapshot() at every point the
 # hop path's send_async would have copied -- and returns
-# (per-rank results, size signature, root, procs_per_node).
+# (per-rank results, size signature, root).
 # ---------------------------------------------------------------------------
 
 
@@ -288,7 +275,7 @@ def _finish_bcast(inst: _Instance):
     # each hop edge copies at the parent's send, so every non-root
     # rank ends up with its own copy of the root's value
     results = [value if r == root else snapshot(value) for r in range(size)]
-    return results, b, root, 1
+    return results, b, root
 
 
 #: exact classes an op of :mod:`repro.mpi.ops` folds with its scalar
@@ -331,7 +318,7 @@ def _allreduce_results(vals: List[Any], ops: List[Any], size: int) -> List[Any]:
     the hop path would have applied -- a size with a remainder
     included, for now: mapping its rounds too is a two-line change
     that waits on the benchmark's floor for this tier's profiled
-    share, which is set on a 1,536-rank run (ROADMAP item 4).
+    share, which is set on a 1,536-rank run (ROADMAP items 1b, 6a).
     """
     pof2 = 1
     while pof2 * 2 <= size:
@@ -369,7 +356,7 @@ def _finish_allreduce(inst: _Instance):
     vals = [args[r][0] for r in range(size)]
     ops = [args[r][1] for r in range(size)]
     per = [wire_bytes(vals[r], args[r][2]) for r in range(size)]
-    return _allreduce_results(vals, ops, size), _sig(per), 0, 1
+    return _allreduce_results(vals, ops, size), _sig(per), 0
 
 
 def _finish_reduce(inst: _Instance):
@@ -387,11 +374,11 @@ def _finish_reduce(inst: _Instance):
         mask <<= 1
     results: List[Any] = [None] * size
     results[root] = acc[0]
-    return results, _sig(per), root, 1
+    return results, _sig(per), root
 
 
 def _finish_barrier(inst: _Instance):
-    return [None] * inst.size, _TINY, 0, 1
+    return [None] * inst.size, _TINY, 0
 
 
 def _finish_gather(inst: _Instance):
@@ -402,7 +389,7 @@ def _finish_gather(inst: _Instance):
     # the dicts pass through snapshot uncopied, so the root's list
     # holds the senders' original objects -- exactly like the hop path
     results[root] = [args[r][0] for r in range(size)]
-    return results, _sig(per), root, 1
+    return results, _sig(per), root
 
 
 def _finish_allgather(inst: _Instance):
@@ -412,7 +399,7 @@ def _finish_allgather(inst: _Instance):
     # ring blocks travel inside (idx, blk) tuples, which snapshot
     # passes through -- every rank shares the originals
     results = [list(vals) for _ in range(size)]
-    return results, _sig(per), 0, 1
+    return results, _sig(per), 0
 
 
 def _finish_scatter(inst: _Instance):
@@ -423,7 +410,7 @@ def _finish_scatter(inst: _Instance):
     results = [
         values[r] if r == root else snapshot(values[r]) for r in range(size)
     ]
-    return results, _sig(per), root, 1
+    return results, _sig(per), root
 
 
 def _finish_alltoall(inst: _Instance):
@@ -442,37 +429,7 @@ def _finish_alltoall(inst: _Instance):
         ]
         results.append(row)
     sig = flat0 if uniform else tuple(tuple(row) for row in matrix)
-    return results, sig, 0, 1
-
-
-def _finish_hier(inst: _Instance):
-    size, args = inst.size, inst.args
-    vals = [args[r][0] for r in range(size)]
-    ops = [args[r][1] for r in range(size)]
-    per = [wire_bytes(vals[r], args[r][2]) for r in range(size)]
-    P = args[0][3]
-    if P == 1 or size <= P:
-        # the hop path delegates to plain allreduce here; so do we
-        return _allreduce_results(vals, ops, size), _sig(per), 0, P
-    leaders = list(range(0, size, P))
-    # the leader folds ANY_SOURCE receives in arrival order; join
-    # order is the macro-world equivalent of that delivery order
-    pos = {r: i for i, r in enumerate(inst.order)}
-    lead_acc = []
-    for lead in leaders:
-        locals_ = sorted(range(lead + 1, lead + P), key=pos.__getitem__)
-        a = vals[lead]
-        for r in locals_:
-            a = ops[lead](a, snapshot(vals[r]))
-        lead_acc.append(a)
-    lead_res = _allreduce_results(lead_acc, [ops[l] for l in leaders],
-                                  len(leaders))
-    results: List[Any] = [None] * size
-    for i, lead in enumerate(leaders):
-        results[lead] = lead_res[i]
-        for r in range(lead + 1, lead + P):
-            results[r] = snapshot(lead_res[i])
-    return results, _sig(per), 0, P
+    return results, sig, 0
 
 
 _FINISH = {
@@ -484,5 +441,4 @@ _FINISH = {
     "allgather": _finish_allgather,
     "scatter": _finish_scatter,
     "alltoall": _finish_alltoall,
-    "allreduce_hier": _finish_hier,
 }

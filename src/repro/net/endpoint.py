@@ -51,56 +51,33 @@ class Connection:
     def close_from(self, key: Any, reason: str = "explicit-close") -> None:
         """``key`` closes the connection; its peer is notified after
         the per-hop notification delay."""
-        if not self.open:
-            return
-        self.open = False
-        self.mgr._forget(self)
-        peer = self.peer_of(key)
-        self.mgr._notify(self, peer, reason, self.mgr.hop_delay)
+        self.mgr._break(self, [self.peer_of(key)], reason, self.mgr.hop_delay)
 
     def close_silent(self) -> None:
         """Tear down without notifying anyone (overlay rebuild: both
         sides are already re-entering H1 and replace their edges)."""
-        if not self.open:
-            return
-        self.open = False
-        self.mgr._forget(self)
+        self.mgr._break(self, (), "", 0.0)
 
     def break_by_owner_death(self, dead_key: Any, reason: str) -> None:
         """The process behind ``dead_key`` died (without its node
         dying); the peer hears after the ibverbs close delay, exactly
         like a node death."""
-        if not self.open:
-            return
-        self.open = False
-        self.mgr._forget(self)
         peer = self.peer_of(dead_key)
-        node = self.nodes[peer]
-        if node.alive:
-            self.mgr._notify(self, peer, reason, self.mgr.close_delay)
+        self.mgr._break(self, [peer] if self.nodes[peer].alive else (),
+                        reason, self.mgr.close_delay)
 
     def break_by_partition(self, reason: str) -> None:
         """A network partition cut this connection.  Unlike a death,
         *both* endpoints are alive and both observe a disconnect event
         (after the ibverbs close delay) -- the raw material of a
         false-positive failure suspicion."""
-        if not self.open:
-            return
-        self.open = False
-        self.mgr._forget(self)
-        for key, node in self.nodes.items():
-            if node.alive:
-                self.mgr._notify(self, key, reason, self.mgr.close_delay)
+        live = [key for key, node in self.nodes.items() if node.alive]
+        self.mgr._break(self, live, reason, self.mgr.close_delay)
 
-    def _break_by_death(self, dead_node: Node, reason: str) -> None:
-        """A node died; the surviving side learns after the ibverbs delay."""
-        if not self.open:
-            return
-        self.open = False
-        self.mgr._forget(self)
-        for key, node in self.nodes.items():
-            if node is not dead_node and node.alive:
-                self.mgr._notify(self, key, reason, self.mgr.close_delay)
+    #: A node death is heard the same way -- by every end whose node is
+    #: alive (the dead one already reads ``alive == False``), after the
+    #: ibverbs close delay.
+    _break_by_death = break_by_partition
 
 
 class ConnectionManager:
@@ -150,12 +127,21 @@ class ConnectionManager:
         return len(self._all)
 
     # -- plumbing ------------------------------------------------------------
-    def _forget(self, conn: Connection) -> None:
+    def _break(self, conn: Connection, hearers, reason: str,
+               delay: float) -> None:
+        """The one way a connection ends: close it (once), forget it,
+        and raise the disconnect event at each endpoint key in
+        ``hearers`` after ``delay``."""
+        if not conn.open:
+            return
+        conn.open = False
         self._all.pop(conn, None)
         for node in conn.nodes.values():
             bucket = self._by_node.get(node.id)
             if bucket is not None:
                 bucket.pop(conn, None)
+        for key in hearers:
+            self._notify(conn, key, reason, delay)
 
     def _notify(self, conn: Connection, key: Any, reason: str, delay: float) -> None:
         cb = conn._cbs.get(key)
@@ -167,7 +153,7 @@ class ConnectionManager:
     def _on_node_death(self, node: Node, cause: Any) -> None:
         conns: List[Connection] = list(self._by_node.get(node.id, ()))
         for conn in conns:
-            conn._break_by_death(node, f"peer-death:{cause}")
+            conn._break_by_death(f"peer-death:{cause}")
 
     def _on_partition(self, tag: str, component: Dict[int, int]) -> None:
         """Break every connection whose endpoints now sit in different

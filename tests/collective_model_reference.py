@@ -62,7 +62,6 @@ def collective_time(
     sizes,
     net: NetParams,
     root: int = 0,
-    procs_per_node: int = 1,
 ) -> float:
     """Completion time (seconds from synchronized entry) of one
     collective over ranks placed at ``nodes``.
@@ -73,8 +72,6 @@ def collective_time(
     for ``reduce``/``allreduce``/``gather``/``scatter``, and a
     per-rank-per-destination matrix for ``alltoall``.
     """
-    if kind == "allreduce_hier":
-        return allreduce_hier_time(nodes, sizes, net, procs_per_node)
     if kind in ("bcast", "reduce", "gather", "scatter"):
         return _KINDS[kind](nodes, sizes, net, root)
     return _KINDS[kind](nodes, sizes, net)
@@ -281,48 +278,6 @@ def alltoall_time(nodes: Sequence[int], sizes, net: NetParams) -> float:
     return max(done)
 
 
-def allreduce_hier_time(nodes: Sequence[int], sizes, net: NetParams,
-                        procs_per_node: int) -> float:
-    """Shared-memory fan-in to per-node leaders, recursive doubling
-    among leaders, serialized fan-out.  The fan-in's (P-1) concurrent
-    flows share the leader's medium -- that contention is structural,
-    so it is priced."""
-    size = len(nodes)
-    per = _per_rank(sizes, size)
-    P = max(1, procs_per_node)
-    if P == 1 or size <= P:
-        return allreduce_time(nodes, per, net)
-    leaders = list(range(0, size, P))
-    up = 0.0
-    down = 0.0
-    for lead in leaders:
-        locals_ = list(range(lead + 1, lead + P))
-        n_shm = sum(1 for r in locals_ if nodes[r] == nodes[lead])
-        n_net = len(locals_) - n_shm
-        for r in locals_:
-            if nodes[r] == nodes[lead]:
-                t = 2.0 * net.sw_overhead + n_shm * per[r] / net.mem_bw
-            else:
-                t = (
-                    2.0 * net.sw_overhead
-                    + net.wire_latency
-                    + n_net * per[r] / net.link_bw
-                )
-            if t > up:
-                up = t
-        clock = 0.0
-        for r in locals_:
-            clock += net.cost(nodes[lead], nodes[r], per[lead])
-        if clock > down:
-            down = clock
-    mid = allreduce_time(
-        [nodes[lead] for lead in leaders],
-        [per[lead] for lead in leaders],
-        net,
-    )
-    return up + mid + down
-
-
 _KINDS = {
     "bcast": bcast_time,
     "reduce": reduce_time,
@@ -332,5 +287,4 @@ _KINDS = {
     "allgather": allgather_time,
     "scatter": scatter_time,
     "alltoall": alltoall_time,
-    "allreduce_hier": allreduce_hier_time,
 }

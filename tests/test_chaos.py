@@ -14,6 +14,7 @@ from repro.chaos import (
     GRAY_CAMPAIGNS,
     AtTime,
     ChaosEngine,
+    DetectorMonitor,
     DrainSlot,
     HealPartition,
     KillRank,
@@ -26,6 +27,7 @@ from repro.chaos import (
     RandomTimes,
     Rule,
     Scenario,
+    check_all,
     check_answer,
     check_epoch_monotone,
     check_no_split_brain,
@@ -39,6 +41,7 @@ from repro.cluster.spec import SIERRA
 from repro.mpi.runtime import MpiJob
 from repro.obs import Tracer, write_jsonl
 from repro.simt import Simulator
+from repro.simt.primitives import AllOf
 from repro.simt.rng import RngRegistry
 
 
@@ -418,6 +421,32 @@ def test_answer_checker_is_bit_exact():
     off = [ref[0].copy(), ref[1] + 1e-12]
     assert len(check_answer(off, ref)) == 1
     assert len(check_answer([ref[0]], ref)) == 1  # length mismatch
+
+
+def test_check_all_names_every_tenant_in_a_per_job_violation():
+    """One shape for any number of jobs: the per-job checkers and the
+    answer check run for *every* tenant, and what they find says whose
+    it is -- tenant 0 is not special."""
+    from repro.chaos.runner import _build_job, reference_results
+
+    campaign = CAMPAIGNS["multi-tenant-kill"]
+    sim, _machine, *jobs = _build_job(campaign, 0, ["t0", "t1"])
+    tracer = Tracer(sim)
+    monitors = [DetectorMonitor(job) for job in jobs]
+    launched = [job.launch() for job in jobs]
+    sim.run(until=AllOf(sim, launched))
+    results = [done.value for done in launched]
+    reference = reference_results(campaign)
+
+    assert check_all(jobs, tracer, results, reference, monitors) == []
+    wrong = [np.asarray(r) + 1.0 for r in reference]
+    found = check_all(jobs, tracer, results, wrong, monitors)
+    assert {v.invariant for v in found} == {"answer"}
+    for job in jobs:
+        mine = [v for v in found if v.detail.startswith(f"{job.job_id}: ")]
+        assert len(mine) == campaign.num_ranks
+    # a run that never finished has no answers to check
+    assert check_all(jobs, tracer, None, wrong, monitors) == []
 
 
 # -------------------------------------------------------------- end to end

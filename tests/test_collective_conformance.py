@@ -20,11 +20,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Machine, TraceInjector
 from repro.cluster.spec import SIERRA
-from repro.mpi.collectives import (
-    allreduce_hier,
-    collective_mode,
-    set_collective_mode,
-)
+from repro.mpi.collectives import collective_mode, set_collective_mode
 from repro.net import LinkFaultModel
 from repro.mpi.ops import MAX, SUM
 from repro.mpi.runtime import MpiJob
@@ -188,16 +184,6 @@ def test_alltoall_conformance(nprocs):
         out = yield from mpi.alltoall(values)
         return out
     check_conformance(timed(coll), nprocs)
-
-
-@pytest.mark.parametrize("nprocs,ppn", [(8, 2), (12, 4), (24, 12)])
-def test_allreduce_hier_conformance(nprocs, ppn):
-    def coll(mpi):
-        out = yield from allreduce_hier(
-            mpi.world, float(mpi.rank + 1), SUM, procs_per_node=ppn
-        )
-        return out
-    check_conformance(timed(coll), nprocs, ppn=ppn)
 
 
 def test_multi_rank_per_node_conformance():

@@ -20,8 +20,7 @@ from tests import collective_model_reference as oracle
 ROOTED = ("bcast", "reduce", "gather", "scatter")
 #: kinds whose ``sizes`` is one scalar / may also be one value per rank
 SCALAR_ONLY = ("bcast", "barrier")
-PER_RANK = ("reduce", "allreduce", "gather", "allgather", "scatter",
-            "allreduce_hier")
+PER_RANK = ("reduce", "allreduce", "gather", "allgather", "scatter")
 KINDS = SCALAR_ONLY + PER_RANK + ("alltoall",)
 
 SIERRA_LIKE = NetParams(sw_overhead=0.9e-6, wire_latency=1.3e-6,
@@ -64,9 +63,6 @@ def cases(draw):
     kind = draw(st.sampled_from(KINDS))
     size = draw(st.one_of(st.integers(1, 48),
                           st.sampled_from([1, 2, 4, 8, 16, 32])))
-    ppn = draw(st.sampled_from([1, 2, 3, 16]))
-    if kind == "allreduce_hier" and size > ppn:
-        size -= size % ppn  # the only shape the hop path accepts
     nodes = draw(placements(size))
     if kind == "alltoall" and draw(st.booleans()):
         sizes = draw(st.lists(
@@ -77,37 +73,34 @@ def cases(draw):
     else:
         sizes = draw(nbytes)
     root = draw(st.integers(0, size - 1)) if kind in ROOTED else 0
-    return kind, nodes, sizes, root, ppn, draw(net_params)
+    return kind, nodes, sizes, root, draw(net_params)
 
 
-def both(kind, nodes, sizes, net, root=0, ppn=1):
+def both(kind, nodes, sizes, net, root=0):
     return (
-        collective_time(kind, nodes, sizes, net, root=root,
-                        procs_per_node=ppn),
+        collective_time(kind, nodes, sizes, net, root=root),
         oracle.collective_time(kind, nodes, sizes,
-                               oracle.NetParams(**asdict(net)), root=root,
-                               procs_per_node=ppn),
+                               oracle.NetParams(**asdict(net)), root=root),
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(cases())
 def test_every_kind_prices_exactly_like_the_per_edge_loop(case):
-    kind, nodes, sizes, root, ppn, net = case
-    got, want = both(kind, nodes, sizes, net, root, ppn)
-    assert got == want, (kind, nodes, sizes, root, ppn, got, want)
+    kind, nodes, sizes, root, net = case
+    got, want = both(kind, nodes, sizes, net, root)
+    assert got == want, (kind, nodes, sizes, root, got, want)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13, 16, 33, 48])
 def test_every_root_of_every_size(kind, size):
-    ppn = 3 if size % 3 == 0 else 1
     nodes = tuple((r * 7) % 5 for r in range(size))  # scattered, repeating
     sizes = 8.0 if kind in SCALAR_ONLY or kind == "alltoall" else [
         float(64 + 8 * (r % 4)) for r in range(size)
     ]
     for root in range(size if kind in ROOTED else 1):
-        got, want = both(kind, nodes, sizes, SIERRA_LIKE, root, ppn)
+        got, want = both(kind, nodes, sizes, SIERRA_LIKE, root)
         assert got == want, (kind, size, root)
         assert got > 0.0 or size == 1
 
