@@ -3,23 +3,25 @@
 MPI-like semantics come from :class:`~repro.mpi.api.ParallelApi`; the
 FMI specifics are:
 
-* **virtual ranks** -- routing goes through the job's *current*
-  endpoint table, so a rank keeps its identity across process
-  replacement (Figure 2);
-* **epoch stamping** -- every envelope carries the current recovery
-  epoch, and the transport drops stale pre-failure messages
-  (Section IV-D);
-* **failure errors** -- once this process has been notified of a
-  failure, every communication call raises
+* **virtual ranks** -- ``addr_table`` is the job's *current* endpoint
+  table, so a rank keeps its identity across process replacement
+  (Figure 2);
+* **epoch stamping** -- every envelope carries ``ctx.epoch``, the
+  current recovery epoch, and the transport drops stale pre-failure
+  messages (Section IV-D);
+* **failure errors** -- once ``fproc`` has been notified of a failure,
+  every communication call raises
   :class:`~repro.fmi.errors.FailureNotified` until recovery completes
   (the runtime driver catches it; applications do not);
+* **the recovery family** -- ``recovery.on_send`` sees every outgoing
+  envelope, ``recovery.post_wildcard`` every wildcard receive;
 * **FMI_Loop** -- :meth:`loop` synchronises, checkpoints, and
   rolls back / restores, per Section III-B.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from repro.fmi.redundancy import make_scheme
 from repro.fmi.payload import Payload, copy_into, pack, unpack
 from repro.mpi.api import ParallelApi
 from repro.mpi.communicator import Communicator
+from repro.mpi.ops import MAX, MIN
 
 __all__ = ["FmiContext"]
 
@@ -43,9 +46,11 @@ class FmiContext(ParallelApi):
 
     def __init__(self, fproc):
         job = fproc.job
-        super().__init__(job.transport, fproc.ctx, fproc.rank, job.num_ranks)
+        super().__init__(job.transport, fproc.ctx, fproc.rank, job.num_ranks,
+                         job.addr_table)
         self.fproc = fproc
         self.fmi_job = job
+        self.recovery = job.recovery
         layout = job.xor_layout
         group_idx = layout.group_of(fproc.rank)
         self.group_comm = Communicator(
@@ -61,35 +66,11 @@ class FmiContext(ParallelApi):
 
             self.l2store = Level2Store(job.machine.pfs, job.name, fproc.rank)
 
-    # -- FMI-specific plumbing ------------------------------------------------
     def _check_ok(self) -> None:
         if self.fproc.notified_pending:
             raise FailureNotified(
                 self.fproc.notified_gen, "communication after failure notice"
             )
-
-    def _epoch(self) -> int:
-        return self.ctx.epoch
-
-    def _route(self, world_rank: int) -> Tuple[int, int]:
-        return self.fmi_job.addr_table[world_rank]
-
-    def _stamp(self, env, dst_world: int) -> None:
-        on_send = self.fmi_job.recovery.on_send
-        if on_send is not None:
-            on_send(self.world_rank, dst_world, env, self.ctx)
-
-    def _post_recv(self, comm: Communicator, source: int, tag: int):
-        if source == self.ANY_SOURCE or tag == self.ANY_TAG:
-            # Wildcard matches are the one nondeterministic event: a
-            # logging or replicating family may pin the post to a
-            # recorded match.
-            evt = self.fmi_job.recovery.post_wildcard(
-                self, source, tag, comm.id
-            )
-            if evt is not None:
-                return evt
-        return super()._post_recv(comm, source, tag)
 
     # -- the programming model (Figure 3) ------------------------------------------
     def init(self):
@@ -129,7 +110,7 @@ class FmiContext(ParallelApi):
         try:
             self._check_ok()
             rs = self.fproc.rank_state
-            family = self.fmi_job.recovery
+            family = self.recovery
             if rs.restore_pending:
                 rs.restore_pending = False
                 restored = yield from family.restore(self)
@@ -152,8 +133,6 @@ class FmiContext(ParallelApi):
                 # "FMI_Loop ... synchronizes the application": the
                 # checkpoint decision is global, so a time-based (Vaidya)
                 # policy can never split the ranks.
-                from repro.mpi.ops import MAX
-
                 want = bool((yield from self.allreduce(1 if want else 0, MAX)))
             if want:
                 t0 = self.now
@@ -216,6 +195,4 @@ class FmiContext(ParallelApi):
         checkpoint engine's ``world_agree`` callback.  Both callers
         (:meth:`loop`, ``CheckpointEngine.restore``) already hold the
         hop-fidelity scope."""
-        from repro.mpi.ops import MIN
-
         return self.allreduce(candidate, MIN)

@@ -63,7 +63,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.fmi.channel import ChannelSnapshot, ChannelState, Determinant
 from repro.fmi.checkpoint import CheckpointEngine
 from repro.fmi.redundancy import make_scheme
-from repro.mpi.api import ParallelApi
+from repro.mpi.api import MpiApi
 from repro.mpi.datatypes import snapshot as _snapshot
 from repro.net.matching import ANY_SOURCE, ANY_TAG
 from repro.net.message import Envelope
@@ -91,20 +91,6 @@ class LogEntry:
         self.nbytes = nbytes
         self.data = data          # payload copy
         self.ckpt_tag = ckpt_tag  # sender's last completed dataset at send
-
-
-class _SidecarApi(ParallelApi):
-    """Minimal API for the rebuild ensemble: ranks are XOR-group
-    *positions*, routing goes through a private position->address
-    table, epoch stays 0.  Gives ``CheckpointEngine`` collectives
-    without touching any application context."""
-
-    def __init__(self, transport, ctx, position, group_size, table):
-        super().__init__(transport, ctx, position, group_size)
-        self._table = table
-
-    def _route(self, position: int):
-        return self._table[position]
 
 
 class RecoveryPlane(RecoveryFamily):
@@ -409,8 +395,10 @@ class RecoveryPlane(RecoveryFamily):
     def _rebuild(self, fmi_ctx):
         """Drive ``CheckpointEngine.rebuild_missing`` over a sidecar
         ensemble: one fresh context per group member, on the member's
-        *current* node, against the member's live storage.  Survivor
-        application contexts are never touched."""
+        *current* node, against the member's live storage.  Each gets
+        a plain :class:`MpiApi` whose ranks are XOR-group *positions*
+        (private position->address table, epoch 0): collectives for a
+        ``CheckpointEngine`` with no application context touched."""
         job = self.job
         layout = job.xor_layout
         rank = fmi_ctx.world_rank
@@ -440,7 +428,7 @@ class RecoveryPlane(RecoveryFamily):
             for pos, member in enumerate(members):
                 if pos == my_pos:
                     continue
-                api = _SidecarApi(transport, ctxs[pos], pos, size, table)
+                api = MpiApi(transport, ctxs[pos], pos, size, table)
                 engine = CheckpointEngine(
                     api.world, job.rank_procs[member].storage, api.memcpy,
                     scheme=make_scheme(scheme_name),
@@ -449,7 +437,7 @@ class RecoveryPlane(RecoveryFamily):
                     engine.rebuild_missing(missing),
                     name=f"mlog.rebuild[g{group}:p{pos}]",
                 ))
-            api = _SidecarApi(transport, ctxs[my_pos], my_pos, size, table)
+            api = MpiApi(transport, ctxs[my_pos], my_pos, size, table)
             engine = CheckpointEngine(
                 api.world, fmi_ctx.fproc.storage, api.memcpy,
                 scheme=make_scheme(scheme_name),

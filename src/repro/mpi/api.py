@@ -1,15 +1,19 @@
 """Per-rank messaging APIs.
 
-:class:`ParallelApi` is the shared machinery (send/recv through the
-transport, communicators, collectives, compute charging); MPI and FMI
-specialise it:
+:class:`ParallelApi` is the shared machinery (communicators,
+collectives, compute charging, and the data the one send and post body
+in :class:`~repro.mpi.communicator.Communicator` reads); MPI and FMI
+differ in that data, not in code:
 
-* :class:`MpiApi` routes through a static rank→address table (MPI's
-  rank *is* the process) and stamps every envelope with epoch 0.
-* ``FmiContext`` (in :mod:`repro.fmi.api`) routes through the job's
-  *current* endpoint table, stamps the current recovery epoch, and
-  checks the failure-notification flag before every operation -- the
-  "all FMI communication calls return an error until recovery" rule.
+* :class:`MpiApi`: the address table never changes (MPI's rank *is*
+  the process), nobody bumps ``ctx.epoch`` off 0, and ``fproc`` /
+  ``recovery`` keep their class-level defaults -- never notified of a
+  failure, no plane looking at the sends.
+* ``FmiContext`` (in :mod:`repro.fmi.api`): the table is the job's
+  *current* endpoint table, ``ctx.epoch`` the current recovery epoch,
+  ``fproc`` the process whose failure-notification flag gates every
+  operation -- the "all FMI communication calls return an error until
+  recovery" rule -- and ``recovery`` the job's recovery family.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, Optional, Tuple
 
 from repro.mpi.communicator import WORLD_ID, Communicator
-from repro.mpi.datatypes import sizeof, snapshot
 from repro.net.matching import ANY_SOURCE, ANY_TAG
-from repro.net.message import Envelope
 from repro.net.transport import NetContext, Transport
 
 __all__ = ["ParallelApi", "MpiApi", "Request"]
@@ -57,18 +59,39 @@ class Request:
         return out
 
 
+class _NoFaultTolerance:
+    """``fproc`` and ``recovery`` of an API with no FMI under it."""
+
+    notified_pending = False
+    on_send = None
+
+    @staticmethod
+    def post_wildcard(api, source: int, tag: int, comm_id: int):
+        return None
+
+
 class ParallelApi:
     """Common per-rank API: what MPI and FMI semantics share."""
 
     ANY_SOURCE = ANY_SOURCE
     ANY_TAG = ANY_TAG
 
+    #: the process whose ``notified_pending`` flag gates every send and
+    #: post, and the recovery family: its ``on_send`` (None: nobody
+    #: looks) is the one per-message seam, its ``post_wildcard`` may
+    #: replace the post of a receive whose pattern holds a wildcard
+    fproc = recovery = _NoFaultTolerance
+
     def __init__(self, transport: Transport, ctx: NetContext,
-                 world_rank: int, world_size: int):
+                 world_rank: int, world_size: int,
+                 addr_table: Dict[int, Tuple[int, int]]):
         self.transport = transport
         self.sim = transport.sim
         self.ctx = ctx
         self.node = ctx.node
+        #: world rank -> transport address; the owner mutates it in
+        #: place when a rank moves, so every holder sees the new route
+        self.addr_table = addr_table
         self.world_rank = world_rank
         self.world_size = world_size
         self._comm_seq = WORLD_ID
@@ -95,48 +118,14 @@ class ParallelApi:
         finally:
             self._hop_only -= 1
 
-    # -- specialisation hooks -----------------------------------------------
     def _check_ok(self) -> None:
-        """Raise if communication is currently forbidden (FMI hook)."""
+        """Raise if communication is currently forbidden: what a set
+        ``fproc.notified_pending`` sends the send and post body to
+        (FMI overrides it; the one specialisation hook)."""
 
-    def _epoch(self) -> int:
-        return 0
-
-    def _route(self, world_rank: int) -> Tuple[int, int]:
-        """World rank -> transport address.  Must be overridden."""
-        raise NotImplementedError
-
-    def _stamp(self, env: Envelope, dst_world: int) -> None:
-        """Give a recovery plane a look at every outgoing envelope
-        (lseq stamping + sender-side logging).  No-op by default."""
-
-    # -- plumbing used by Communicator -----------------------------------------
     def _next_comm_id(self) -> int:
         self._comm_seq += 1
         return self._comm_seq
-
-    def _send(self, comm: Communicator, dst: int, data: Any,
-              nbytes: Optional[float], tag: int):
-        self._check_ok()
-        if not 0 <= dst < comm.size:
-            raise ValueError(f"destination rank {dst} out of range")
-        if nbytes is None:
-            size = sizeof(data)
-        else:
-            size = nbytes if nbytes.__class__ is float else float(nbytes)
-        env = Envelope(
-            src=comm.rank, dst=dst, tag=tag, comm_id=comm.id,
-            epoch=self._epoch(), nbytes=size, data=snapshot(data),
-        )
-        self.bytes_sent += size
-        self.msgs_sent += 1
-        dst_world = comm.members[dst]
-        self._stamp(env, dst_world)
-        return self.transport.send(self.ctx, self._route(dst_world), env)
-
-    def _post_recv(self, comm: Communicator, source: int, tag: int):
-        self._check_ok()
-        return self.ctx.matching.post(source, tag, comm.id)
 
     # -- world-communicator sugar -----------------------------------------------
     @property
@@ -210,12 +199,3 @@ class ParallelApi:
 
 class MpiApi(ParallelApi):
     """The fail-stop MPI flavour: static routing, epoch always 0."""
-
-    def __init__(self, transport: Transport, ctx: NetContext,
-                 world_rank: int, world_size: int,
-                 addr_table: Dict[int, Tuple[int, int]]):
-        super().__init__(transport, ctx, world_rank, world_size)
-        self._addr_table = addr_table
-
-    def _route(self, world_rank: int) -> Tuple[int, int]:
-        return self._addr_table[world_rank]

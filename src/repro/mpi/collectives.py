@@ -232,16 +232,15 @@ def allreduce_hops(comm, value: Any, op: Callable = SUM,
         newrank = rank - rem
 
     if newrank != -1:
-        def realrank(nr: int) -> int:
-            return nr * 2 + 1 if nr < rem else nr + rem
-
         # Hot loop: hoist the bound methods so each hop pays two local
         # calls instead of repeated attribute walks through the comm.
         post_recv = comm.post_recv
         send_async = comm.send_async
         mask = 1
         while mask < pof2:
-            partner = realrank(newrank ^ mask)
+            partner = newrank ^ mask
+            # back to a real rank: the folded pairs kept their odd half
+            partner = partner * 2 + 1 if partner < rem else partner + rem
             recv_evt = post_recv(partner, TAG_ALLREDUCE)
             yield send_async(partner, acc, nbytes, TAG_ALLREDUCE)
             env = yield recv_evt

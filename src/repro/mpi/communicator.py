@@ -1,7 +1,7 @@
 """Communicators: ordered groups of ranks with an id for matching.
 
 A communicator holds *logical* ranks; translation to a physical
-process address happens at send time through the owning API's routing
+process address happens at send time through the owning API's address
 table.  That indirection is exactly what FMI virtualises: after a
 recovery the same communicator object keeps working because only the
 route changed (Section IV-D, "Transparent Communicator Recovery").
@@ -30,8 +30,10 @@ from repro.mpi.collectives import (
     reduce_hops,
     scatter_hops,
 )
+from repro.mpi.datatypes import _IMMUTABLE, sizeof, snapshot
 from repro.mpi.ops import SUM
 from repro.net.matching import ANY_SOURCE, ANY_TAG
+from repro.net.message import Envelope
 
 __all__ = ["Communicator"]
 
@@ -54,14 +56,53 @@ class Communicator:
         self.size = len(self.members)
 
     # -- point-to-point (events) ------------------------------------------
+    # The message path: everything between a collective and
+    # ``Transport.send`` / ``MatchingEngine.post`` is these two bodies.
+    # What MPI and FMI differ in is data on the API they read inline
+    # (``fproc``, ``ctx.epoch``, ``addr_table``, ``recovery``), so a
+    # message costs no hook calls; ``recovery.on_send`` is the one seam.
     def send_async(self, dst: int, data: Any, nbytes: Optional[float] = None,
                    tag: int = 0):
         """Event firing when the message has been moved (buffered send)."""
-        return self.api._send(self, dst, data, nbytes, tag)
+        api = self.api
+        if api.fproc.notified_pending:
+            api._check_ok()
+        if not 0 <= dst < self.size:
+            raise ValueError(f"destination rank {dst} out of range")
+        if nbytes is None:
+            size = sizeof(data)
+        else:
+            size = nbytes if nbytes.__class__ is float else float(nbytes)
+        if not size >= 0:  # negative or NaN, before any counter or plane
+            raise ValueError(f"message size must be >= 0 bytes, got {size}")
+        ctx = api.ctx
+        env = Envelope(
+            self.rank, dst, tag, self.id, ctx.epoch, size,
+            data if data.__class__ in _IMMUTABLE else snapshot(data),
+        )
+        api.bytes_sent += size
+        api.msgs_sent += 1
+        dst_world = self.members[dst]
+        on_send = api.recovery.on_send
+        if on_send is not None:
+            # the plane's look at every outgoing envelope: lseq
+            # stamping, sender-side logging
+            on_send(api.world_rank, dst_world, env, ctx)
+        return api.transport.send(ctx, api.addr_table[dst_world], env)
 
     def post_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Event firing with the matching :class:`Envelope`."""
-        return self.api._post_recv(self, source, tag)
+        api = self.api
+        if api.fproc.notified_pending:
+            api._check_ok()
+        if source == ANY_SOURCE or tag == ANY_TAG:
+            # Wildcard matches are the one nondeterministic event: a
+            # logging or replicating family may pin the post to a
+            # recorded match.
+            evt = api.recovery.post_wildcard(api, source, tag, self.id)
+            if evt is not None:
+                return evt
+        return api.ctx.matching.post(source, tag, self.id)
 
     # -- point-to-point (generators) ----------------------------------------
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):

@@ -189,7 +189,7 @@ class MacroCollectives:
         post-recovery replay realigns from call zero under the new
         epoch.
         """
-        epoch = comm.api._epoch()
+        epoch = comm.api.ctx.epoch
         seq_key = (epoch, comm.id, kind, comm.rank)
         n = self._seq.get(seq_key, 0)
         self._seq[seq_key] = n + 1
@@ -226,8 +226,8 @@ class MacroCollectives:
         if t is None:
             nodes = self._nodes_cache.get(comm.id)
             if nodes is None:
-                route = comm.api._route
-                nodes = tuple(route(w)[0] for w in comm.members)
+                table = comm.api.addr_table
+                nodes = tuple(table[w][0] for w in comm.members)
                 self._nodes_cache[comm.id] = nodes
             if self._net is None:
                 self._net = NetParams.from_transport(self.transport)

@@ -28,6 +28,13 @@ buckets:
   exactly one bucket: its own pattern.  Claiming an envelope marks it
   *taken*; the stale aliases in sibling buckets are skipped (and
   popped) when they surface at a bucket head.
+* **the engine probes what was posted** -- until its first wildcard
+  ``post`` / ``probe`` no wildcard-keyed bucket can hold anything, so
+  a delivery consults, and an unexpected arrival is filed under, the
+  exact key alone and a claim leaves no alias behind.  The first
+  wildcard pattern files the waiting arrivals under their three
+  wildcard keys in arrival order, once, and the four-bucket path runs
+  from then on (until a :meth:`reset` empties both queues).
 
 Dead entries -- posted receives whose waiter died (killed process,
 :meth:`~repro.simt.kernel.Event.cancel`, an externally failed event)
@@ -70,37 +77,23 @@ class RecvCancelled(Exception):
 
 
 class _PostedRecv:
-    __slots__ = ("source", "tag", "comm_id", "event", "seq")
+    """One waiting receive; ``post`` fills the slots (no ``__init__``:
+    it would be a frame per message)."""
 
-    def __init__(self, source: int, tag: int, comm_id: int, event: Event,
-                 seq: int):
-        self.source = source
-        self.tag = tag
-        self.comm_id = comm_id
-        self.event = event
-        self.seq = seq
+    __slots__ = ("source", "tag", "event", "seq")
 
     @property
     def live(self) -> bool:
         evt = self.event
         return evt.callbacks is not None and not evt.triggered
 
-    def matches(self, env: Envelope) -> bool:
-        return (
-            env.comm_id == self.comm_id
-            and (self.source == ANY_SOURCE or env.src == self.source)
-            and (self.tag == ANY_TAG or env.tag == self.tag)
-        )
-
 
 class _Unexpected:
-    """One arrived envelope, shared between its four index buckets."""
+    """One arrived envelope, shared between its index buckets;
+    ``deliver`` fills the slots.  ``seq`` is its arrival order, what
+    the wildcard buckets are built in."""
 
-    __slots__ = ("env", "taken")
-
-    def __init__(self, env: Envelope):
-        self.env = env
-        self.taken = False
+    __slots__ = ("env", "taken", "seq")
 
 
 class MatchingEngine:
@@ -118,13 +111,16 @@ class MatchingEngine:
         self._post_seq = 0
         self._unexpected: Dict[_BucketKey, Deque[_Unexpected]] = {}
         self._unexpected_live = 0
+        #: a wildcard pattern has been posted or probed: the three
+        #: wildcard keys of every arrival are in use
+        self._wild = False
         #: dead/taken entries accumulated since the last compaction;
         #: a compaction runs when the debt reaches ``_sweep_at``, which
         #: is re-armed to the surviving entry count so sweeps stay
         #: amortised O(1) per operation at any queue depth
         self._sweep_debt = 0
         self._sweep_at = _SWEEP_THRESHOLD
-        self._on_cancel = self._note_cancel  # bind once, not per post
+        self._on_cancel = self._note_debt  # bind once, not per post
         #: observability counters
         self.delivered = 0
         self.matched_unexpected = 0
@@ -141,6 +137,8 @@ class MatchingEngine:
     def post(self, source: int, tag: int, comm_id: int) -> Event:
         """Post a receive; the event fires with the matching Envelope."""
         evt = Event(self.sim)
+        if not self._wild and (source == ANY_SOURCE or tag == ANY_TAG):
+            self._open_wildcards()
         # First look in the unexpected queue (oldest first: FIFO).  A
         # post consults exactly one bucket -- its own pattern -- so no
         # probe object and no scan are needed.
@@ -153,14 +151,19 @@ class MatchingEngine:
                 rec = dq.popleft()
                 rec.taken = True
                 self._unexpected_live -= 1
-                self._note_debt()
+                if self._wild:  # three stale aliases stay behind
+                    self._note_debt()
                 self.matched_unexpected += 1
                 if self.match_sink is not None:
                     self.match_sink(source, tag, rec.env)
                 evt.succeed(rec.env)
                 return evt
             del self._unexpected[key]
-        rec = _PostedRecv(source, tag, comm_id, evt, self._post_seq)
+        rec = _PostedRecv()
+        rec.source = source
+        rec.tag = tag
+        rec.event = evt
+        rec.seq = self._post_seq
         self._post_seq += 1
         bucket = self._posted.get(key)
         if bucket is None:
@@ -171,6 +174,8 @@ class MatchingEngine:
 
     def probe(self, source: int, tag: int, comm_id: int) -> Optional[Envelope]:
         """Non-destructive check of the unexpected queue (MPI_Iprobe)."""
+        if not self._wild and (source == ANY_SOURCE or tag == ANY_TAG):
+            self._open_wildcards()
         dq = self._unexpected.get((comm_id, source, tag))
         if dq is None:
             return None
@@ -186,12 +191,15 @@ class MatchingEngine:
         """An envelope arrived from the transport."""
         self.delivered += 1
         comm_id, src, tag = env.comm_id, env.src, env.tag
-        keys = (
-            (comm_id, src, tag),
-            (comm_id, src, ANY_TAG),
-            (comm_id, ANY_SOURCE, tag),
-            (comm_id, ANY_SOURCE, ANY_TAG),
-        )
+        if self._wild:
+            keys = (
+                (comm_id, src, tag),
+                (comm_id, src, ANY_TAG),
+                (comm_id, ANY_SOURCE, tag),
+                (comm_id, ANY_SOURCE, ANY_TAG),
+            )
+        else:
+            keys = ((comm_id, src, tag),)
         posted = self._posted
         # Walk matching posted receives in post order (= ascending seq
         # across the candidate bucket heads), pruning dead entries as
@@ -226,14 +234,40 @@ class MatchingEngine:
             # receive with a later seq may also match, and must not be
             # shadowed by the corpse.
             self.pruned_dead += 1
-        rec = _Unexpected(env)
+        rec = _Unexpected()
+        rec.env = env
+        rec.taken = False
+        rec.seq = self.delivered
+        self._file(rec, keys)
+        self._unexpected_live += 1
+
+    def _file(self, rec: _Unexpected, keys) -> None:
         unexpected = self._unexpected
         for key in keys:
             dq = unexpected.get(key)
             if dq is None:
                 dq = unexpected[key] = deque()
             dq.append(rec)
-        self._unexpected_live += 1
+
+    def _open_wildcards(self) -> None:
+        """The first wildcard pattern: file what is waiting under its
+        wildcard keys too, in arrival order.  Nothing waiting has been
+        claimed -- a claim that leaves no alias pops its only entry --
+        and no posted receive needs moving: each sits under its own
+        pattern, and none of those held a wildcard."""
+        self._wild = True
+        waiting = sorted(
+            (rec for dq in self._unexpected.values() for rec in dq),
+            key=lambda rec: rec.seq,
+        )
+        for rec in waiting:
+            env = rec.env
+            comm_id, src, tag = env.comm_id, env.src, env.tag
+            self._file(rec, (
+                (comm_id, src, ANY_TAG),
+                (comm_id, ANY_SOURCE, tag),
+                (comm_id, ANY_SOURCE, ANY_TAG),
+            ))
 
     # -- recovery ------------------------------------------------------------
     def reset(self) -> Tuple[int, int]:
@@ -256,17 +290,16 @@ class MatchingEngine:
         purged = self._unexpected_live
         self._unexpected.clear()
         self._unexpected_live = 0
+        self._wild = False  # both queues are empty: nothing is aliased
         self._sweep_debt = 0
         self.cancelled_total += cancelled
         self.purged_total += purged
         return cancelled, purged
 
     # -- lazy sweeping --------------------------------------------------------
-    def _note_cancel(self, _evt: Event) -> None:
-        """Kernel cancellation hook for posted-receive events."""
-        self._note_debt()
-
-    def _note_debt(self) -> None:
+    def _note_debt(self, _evt: Optional[Event] = None) -> None:
+        """One more dead entry (a claimed arrival's aliases, or -- as
+        the kernel's cancellation hook -- a posted receive's event)."""
         self._sweep_debt += 1
         if self._sweep_debt >= self._sweep_at:
             self._sweep()

@@ -53,8 +53,8 @@ class RecoveryFamily:
     #: respawn onto that same node instead of taking a spare
     reuse_healthy_node = False
     #: per-send hook ``on_send(src, dst, env, ctx)`` stamping the
-    #: channel lseq; ``FmiContext._stamp`` tests this attribute, so
-    #: global rollback pays no call per message
+    #: channel lseq; ``Communicator.send_async`` tests this attribute,
+    #: so global rollback pays no call per message
     on_send = None
 
     def __init__(self, job):

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.simt.kernel import _PENDING, Event, SimulationError, Simulator
+from repro.simt.kernel import (
+    _PENDING, Event, SimulationError, Simulator, Timeout,
+)
 
 __all__ = ["Process", "Interrupt", "ProcessKilled"]
 
@@ -159,7 +161,9 @@ class Process(Event):
             return
         self.sim._active_proc = None
 
-        if not isinstance(nxt, Event):
+        # exact classes first: a call per wake for the subclass check
+        cls = nxt.__class__
+        if cls is not Event and cls is not Timeout and not isinstance(nxt, Event):
             err = SimulationError(
                 f"process {self.name!r} yielded {type(nxt).__name__}, "
                 "expected an Event"
