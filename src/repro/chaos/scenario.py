@@ -36,6 +36,7 @@ generator cannot be closed from its own frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -58,6 +59,11 @@ class AtTime:
     """Fire at a fixed simulated time (clamped to now if in the past)."""
 
     t: float
+
+    def __post_init__(self) -> None:
+        # max(0.0, nan) is 0.0: a NaN time would fire at once.
+        if math.isnan(self.t):
+            raise ValueError("AtTime needs a time, got NaN")
 
 
 @dataclass(frozen=True)

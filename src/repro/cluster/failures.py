@@ -20,6 +20,7 @@ and MTBF per class -- that is how Table I and Fig 1 are regenerated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -247,6 +248,10 @@ class TraceInjector(_Injector):
     def __init__(self, sim: Simulator, schedule, kill: Callable[[List[int]], None]):
         self.sim = sim
         self.schedule = sorted(schedule, key=lambda tn: tn[0])
+        # NaN sorts nowhere and would end the replay at its entry,
+        # silently dropping every later kill.
+        if any(math.isnan(time) for time, _nodes in self.schedule):
+            raise ValueError("trace schedule times must not be NaN")
         self.kill = kill
         self.replayed: List[Tuple[float, List[int]]] = []
 
@@ -303,7 +308,7 @@ class EventInjector(_Injector):
     ):
         if count < 1:
             raise ValueError("count must be >= 1")
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError("delay must be >= 0")
         self.sim = sim
         self.match = match
@@ -358,7 +363,7 @@ class MtbfInjector(_Injector):
         kill: Callable[[int], None],
         num_nodes: int,
     ):
-        if mtbf_seconds <= 0:
+        if not mtbf_seconds > 0:
             raise ValueError("MTBF must be positive")
         self.sim = sim
         self.rng = rng

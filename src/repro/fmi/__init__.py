@@ -12,11 +12,16 @@ Public surface:
   checkpoint interval or MTBF-driven auto-tuning, log-ring base k.
 * :mod:`~repro.fmi.checkpoint` -- the in-memory XOR checkpoint engine.
 * :mod:`~repro.fmi.detector` -- the log-ring failure detector.
+* :mod:`~repro.fmi.runtime` -- the Figure 6 hierarchy:
+  :class:`~repro.fmi.runtime.Fmirun` (the master and the job's fault
+  policy), ``FmirunTask`` per node, ``FmiProcess`` per rank, and
+  :class:`~repro.fmi.runtime.RecoveryFamily`, the one seam every
+  recovery family implements (the base class is the default global
+  rollback).
 * :mod:`~repro.fmi.msglog` / :mod:`~repro.fmi.replication` -- the
   recovery families behind ``FmiConfig(recovery="logged")`` (partial
   rollback from sender payload logs) and ``"replicated"`` (failover to
-  a live copy); the default global rollback is
-  :class:`~repro.runtime.policy.RecoveryFamily` itself.
+  a live copy).
 
 A minimal FMI application::
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -87,8 +88,15 @@ class FmiConfig:
     def __post_init__(self) -> None:
         if self.interval is not None and self.interval < 1:
             raise ValueError("interval must be >= 1")
-        if self.mtbf_seconds is not None and self.mtbf_seconds <= 0:
-            raise ValueError("mtbf_seconds must be positive")
+        # The float knobs are guarded as ``not x > 0`` / ``not x >= 0``:
+        # NaN fails every comparison, so it is refused here, not mid-run
+        # (Vaidya's model needs a finite MTBF as well).
+        if (self.mtbf_seconds is not None
+                and not 0 < self.mtbf_seconds < math.inf):
+            raise ValueError(
+                f"mtbf_seconds must be positive and finite, "
+                f"got {self.mtbf_seconds!r}"
+            )
         if self.xor_group_size < 2:
             raise ValueError("xor_group_size must be >= 2")
         # Late import: redundancy.py owns the scheme registry and the
@@ -126,5 +134,13 @@ class FmiConfig:
             raise ValueError("spare_nodes must be >= 0")
         if self.level2_every is not None and self.level2_every < 1:
             raise ValueError("level2_every must be >= 1")
-        if self.suspicion_grace <= 0:
+        if self.max_recoveries is not None and not self.max_recoveries >= 0:
+            raise ValueError("max_recoveries must be >= 0")
+        if (self.replacement_timeout is not None
+                and not self.replacement_timeout >= 0):
+            raise ValueError(
+                f"replacement_timeout must be >= 0, "
+                f"got {self.replacement_timeout!r}"
+            )
+        if not self.suspicion_grace > 0:
             raise ValueError("suspicion_grace must be positive")

@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.machine import Machine
-from repro.cluster.node import Node
 from repro.fmi.config import FmiConfig
 from repro.fmi.api import FmiContext
 from repro.fmi.detector import LogRingDetector
 from repro.fmi.msglog import RecoveryPlane
 from repro.fmi.replication import ReplicationPlane
-from repro.fmi.runtime import Fmirun, FmiProcess
+from repro.fmi.runtime import Fmirun, FmiProcess, RecoveryFamily
 from repro.fmi.state import TransitionLog
 from repro.fmi.xor_group import XorGroupLayout
 from repro.net.pmgr import PmgrRendezvous
 from repro.runtime.core import JobBase
-from repro.runtime.policy import RecoveryFamily
 
 __all__ = ["FmiJob"]
 
@@ -66,6 +64,11 @@ class FmiJob(JobBase):
             alloc=alloc, job_id=job_id,
         )
         self.fmirun: Fmirun = self.policy  # the runtime's public name
+        #: the recovery epoch: bumped by ``Fmirun.begin_recovery``,
+        #: stamped on every envelope of the global family
+        self.epoch = 0
+        #: (time, cause) of the failure that opened each epoch >= 1
+        self.recovery_causes: List[Tuple[float, str]] = []
         group = min(self.config.xor_group_size, self.num_nodes)
         self.xor_layout = XorGroupLayout(num_ranks, procs_per_node, group)
         self.detector = LogRingDetector(self)
@@ -84,11 +87,6 @@ class FmiJob(JobBase):
         self.next_l2_at = 0
         self.level2_flushes = 0
         self.level2_restores = 0
-
-    # -- rank factory ----------------------------------------------------------
-    def make_rank_process(self, rank: int, node: Node, incarnation: int = 0,
-                          copy: int = 0, **kwargs) -> FmiProcess:
-        return FmiProcess(self, rank, node, incarnation, copy=copy)
 
     # -- runtime services (called by FmiProcess) -------------------------------------
     def h1_rendezvous(self, fproc: FmiProcess) -> PmgrRendezvous:
@@ -132,9 +130,6 @@ class FmiJob(JobBase):
                         "fmi.recovery_latency_s", job=self.job_id
                     ).observe(latency)
 
-    def make_api(self, fproc: FmiProcess) -> FmiContext:
-        return FmiContext(fproc)
-
     def _on_rank_finished(self, rank: int) -> None:
         self.detector.leave(rank)
 
@@ -149,8 +144,9 @@ class FmiJob(JobBase):
 
     def recovery_latency(self, epoch: int) -> Optional[float]:
         """Seconds from the failure that opened ``epoch`` to the moment
-        every rank was back in H3."""
-        if epoch not in self.recovered_at:
+        every rank was back in H3; None for epoch 0 (no failure opened
+        it) or an epoch not yet recovered."""
+        if epoch < 1 or epoch not in self.recovered_at:
             return None
         # begin_recovery bumps the epoch and records its cause together
         return self.recovered_at[epoch] - self.recovery_causes[epoch - 1][0]

@@ -63,11 +63,11 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.fmi.channel import ChannelSnapshot, ChannelState, Determinant
 from repro.fmi.checkpoint import CheckpointEngine
 from repro.fmi.redundancy import make_scheme
+from repro.fmi.runtime import RecoveryFamily
 from repro.mpi.api import MpiApi
 from repro.mpi.datatypes import snapshot as _snapshot
 from repro.net.matching import ANY_SOURCE, ANY_TAG
 from repro.net.message import Envelope
-from repro.runtime.policy import RecoveryFamily
 
 __all__ = ["RecoveryPlane", "LogEntry"]
 

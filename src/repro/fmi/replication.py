@@ -45,10 +45,10 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fmi.channel import ChannelSnapshot, ChannelState, Determinant
 from repro.fmi.payload import unpack
+from repro.fmi.runtime import RecoveryFamily
 from repro.mpi.datatypes import snapshot as _snapshot
 from repro.net.matching import ANY_SOURCE, ANY_TAG
 from repro.net.message import Envelope
-from repro.runtime.policy import RecoveryFamily
 from repro.simt.kernel import Event
 
 __all__ = ["ReplicationPlane"]
@@ -100,10 +100,6 @@ class ReplicationPlane(RecoveryFamily):
         super().__init__(job)
         job.transport.replication = self  # send-side mirror fan-out
         self.num_copies: int = job.config.replication_degree
-        # A slot whose processes were sibling-killed (not a node crash)
-        # respawns on its own still-healthy node instead of burning a
-        # spare -- re-arming must not exhaust the pool.
-        self.reuse_healthy_node = self.num_copies > 1
         #: rank -> copy -> FmiProcess (current incarnations)
         self.copies: Dict[int, Dict[int, object]] = {}
         #: which copy currently owns the rank's endpoint-table entry

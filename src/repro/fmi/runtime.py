@@ -1,16 +1,15 @@
-"""The survivable FMI runtime: fmirun, fmirun.task, and rank processes.
+"""The survivable FMI runtime: fmirun, fmirun.task, rank processes, and
+the recovery-family seam.
 
 Hierarchy (Figure 6):
 
-* :class:`Fmirun` -- the master process.  Lives on the login node
+* :class:`Fmirun` -- the master process and the job's
+  :class:`~repro.runtime.core.FaultPolicy`.  Lives on the login node
   (outside the compute failure domain -- the paper acknowledges this
-  single point of failure and argues its MTBF is years).  It is the
-  FMI face of the shared :class:`~repro.runtime.policy.Survivable`
-  fault policy: allocation with pre-reserved spares, per-node task
-  monitoring, recovery-epoch bumps, replacement acquisition, and
-  graceful drain all live in :mod:`repro.runtime`; this subclass binds
-  the knobs to :class:`~repro.fmi.config.FmiConfig` and supplies the
-  FMI task/process classes.
+  single point of failure and argues its MTBF is years): allocation
+  with pre-reserved spares, per-node task monitoring, recovery-epoch
+  bumps, replacement acquisition, and graceful drain, with its knobs
+  read from :class:`~repro.fmi.config.FmiConfig`.
 * :class:`FmirunTask` -- one per node; spawns the node's application
   processes, kills its remaining children when one dies, and reports
   EXIT_FAILURE up to fmirun.
@@ -19,6 +18,11 @@ Hierarchy (Figure 6):
   (including mid-collective, mid-checkpoint) unwinds the application
   generator and loops back to H1 -- the paper's Notified transition.
 
+*How* the ranks compute again after a failure is the job's
+:class:`RecoveryFamily` (``job.recovery``); this base class is global
+rollback, and the two planes (:mod:`repro.fmi.msglog`,
+:mod:`repro.fmi.replication`) subclass it.
+
 Survivor processes are *never* restarted as processes; their
 in-memory checkpoint storage survives recovery, which is what makes
 FMI's restart so much cheaper than MPI's relaunch.
@@ -26,19 +30,126 @@ FMI's restart so much cheaper than MPI's relaunch.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.cluster.node import Node
+from repro.fmi.api import FmiContext
 from repro.fmi.checkpoint import MemoryStorage
 from repro.fmi.errors import FailureNotified, FmiAbort
 from repro.fmi.interval import IntervalPolicy
 from repro.fmi.state import ProcState
-from repro.runtime.core import RankProcess
-from repro.runtime.policy import Survivable
+from repro.runtime.core import FaultPolicy, RankProcess
 from repro.simt.kernel import Event
+from repro.simt.primitives import AnyOf
 from repro.simt.process import Interrupt, ProcessKilled
 
-__all__ = ["Fmirun", "FmirunTask", "FmiProcess", "RankState"]
+__all__ = [
+    "Fmirun", "FmirunTask", "FmiProcess", "RankState", "RecoveryFamily",
+]
+
+
+class RecoveryFamily:
+    """Which recovery family an FMI job belongs to, and everything the
+    runtime does differently because of it.
+
+    One instance per job (``job.recovery``), selected by
+    ``FmiConfig(recovery=...)``; orthogonal to the
+    :class:`~repro.fmi.redundancy.RedundancyScheme` (what state
+    survives) and to detection (who hears about a death).  This base
+    class *is* global rollback, the paper's behaviour: every rank
+    unwinds to H1, re-rendezvouses world-wide and restores the last
+    coordinated checkpoint.  :class:`~repro.fmi.msglog.RecoveryPlane`
+    (``"logged"``) and :class:`~repro.fmi.replication.ReplicationPlane`
+    (``"replicated"``) override the methods below; the runtime never
+    asks which one it is talking to.
+    """
+
+    #: what ``Transport.hop_fidelity_reason`` answers for this family
+    #: (None: individual hops are not load-bearing, macro tier allowed)
+    hop_fidelity: Optional[str] = None
+    #: physical rank-processes per virtual rank; physical slot ``s``
+    #: hosts copy ``s // num_nodes`` of virtual slot ``s % num_nodes``
+    num_copies = 1
+    #: per-send hook ``on_send(src, dst, env, ctx)`` stamping the
+    #: channel lseq; ``Communicator.send_async`` tests this attribute,
+    #: so global rollback pays no call per message
+    on_send = None
+
+    def __init__(self, job):
+        self.job = job
+        self.sim = job.sim
+        job.transport.recovery_hops = self.hop_fidelity
+
+    # -- process wiring ----------------------------------------------------
+    def adopt(self, fproc) -> None:
+        """Record a freshly spawned rank process."""
+        self.job.rank_procs[fproc.rank] = fproc
+
+    def on_h1(self, fproc) -> None:
+        """Wire a process's context for the epoch it is entering."""
+        ctx = fproc.ctx
+        ctx.epoch = self.job.epoch  # stale pre-failure traffic now drops
+        ctx.matching.reset()
+        self.job.register_endpoint(fproc.rank, ctx)
+
+    def rendezvous_scope(self, fproc):
+        """``(key, participants, bootstrap scale)`` of the H1/H2
+        rendezvous ``fproc`` joins: every unfinished rank, per epoch."""
+        job = self.job
+        return job.epoch, job.num_ranks - len(job.finished_ranks), job.num_ranks
+
+    def overlay_epoch(self, fproc) -> Optional[int]:
+        """The detection-overlay epoch ``fproc`` joins in H2, or None
+        when it stays out of the ring."""
+        return self.job.epoch
+
+    # -- FMI_Loop ----------------------------------------------------------
+    def post_wildcard(self, fmi_ctx, source: int, tag: int, comm_id: int):
+        """An event replacing a wildcard receive's native post, or
+        None to post natively."""
+        return None
+
+    def restore(self, fmi_ctx):
+        """Bring a restarted rank's state back (generator returning
+        ``(meta, payloads)``, None on a cold start, or "beyond-xor")."""
+        return fmi_ctx.engine.restore(
+            world_agree=fmi_ctx._agree_min,
+            allow_beyond_xor=fmi_ctx.l2store is not None,
+        )
+
+    def note_ckpt_begin(self, rank: int, dataset_id: int, ctx) -> None:
+        """``rank`` is about to write checkpoint ``dataset_id``."""
+
+    def note_rank_checkpoint(self, rank: int, dataset_id: int, ctx) -> None:
+        """``rank`` completed checkpoint ``dataset_id``."""
+
+    # -- failure handling --------------------------------------------------
+    def absorb_notification(self, fproc, generation: int) -> bool:
+        """True if ``fproc`` should record this failure notification
+        without acting on it (no unwind to H1)."""
+        return False
+
+    def try_failover(self, fmirun: "Fmirun", cause: str) -> bool:
+        """Attempt to recover without any rollback at all.  True means
+        the failure was absorbed: fmirun then skips the rank
+        notifications and the safety sweep entirely, and survivors
+        never learn a failure happened."""
+        return False
+
+    def notify_targets(self) -> list:
+        """Processes a recovery must reach."""
+        return list(self.job.rank_procs.values())
+
+    def slot_procs(self, slot: int) -> list:
+        """The rank processes hosted on physical slot ``slot``."""
+        return [self.job.rank_procs[r] for r in self.job.ranks_of_slot(slot)]
+
+    def unfinished_ranks(self, vslot: int) -> List[int]:
+        """The ranks of virtual slot ``vslot`` still running the app."""
+        job = self.job
+        return [
+            r for r in job.ranks_of_slot(vslot) if r not in job.finished_ranks
+        ]
 
 
 class RankState:
@@ -190,7 +301,7 @@ class FmiProcess(RankProcess):
         if job.epoch > 0:
             # Recovery restart: FMI_Loop must restore the checkpoint.
             self.rank_state.restore_pending = True
-        return job.app(job.make_api(self))
+        return job.app(FmiContext(self))
 
 
 class FmirunTask:
@@ -219,9 +330,7 @@ class FmirunTask:
         job = self.fmirun.job
         copy = self.slot // job.num_nodes  # replica tier of this slot
         for rank in ranks:
-            fproc = job.make_rank_process(
-                rank, self.node, incarnation=incarnation, copy=copy
-            )
+            fproc = FmiProcess(job, rank, self.node, incarnation, copy=copy)
             self.children.append(fproc)
             fproc.proc.callbacks.append(self._child_exit(fproc))
             job.recovery.adopt(fproc)
@@ -256,35 +365,243 @@ class FmirunTask:
             self._guard.kill(cause="job teardown")
 
 
-class Fmirun(Survivable):
+class Fmirun(FaultPolicy):
     """The master runtime process (head-node side).
 
-    All the recovery machinery is inherited from
-    :class:`~repro.runtime.policy.Survivable`; this subclass wires the
-    policy knobs to the job's :class:`~repro.fmi.config.FmiConfig` and
-    supplies :class:`FmirunTask` as the per-node monitor.
+    Slot bookkeeping, epoch bumps with same-instant coalescing,
+    replacement acquisition (spares first, then the resource manager),
+    the re-sync of ranks that cannot hear the detection overlay, the
+    safety sweep, and graceful drain.  Everything that differs between
+    recovery families is asked of ``job.recovery``.
     """
 
-    abort_error = FmiAbort
+    def bind(self, job) -> None:
+        super().bind(job)
+        self.sim = job.sim
+        self.machine = job.machine
+        self.alloc = None
+        self.node_slots: List[Node] = []
+        self.tasks: Dict[int, FmirunTask] = {}
+        self._last_bump_time: Optional[float] = None
+        self._recovery_proc = None
 
-    # -- knobs from FmiConfig -------------------------------------------------
-    @property
-    def num_spares(self) -> int:
-        return self.job.config.spare_nodes
+    # -- launch --------------------------------------------------------------
+    def start(self) -> None:
+        job = self.job
+        need = job.num_nodes * job.recovery.num_copies
+        if job.alloc is not None:
+            # Service mode: run on the scheduler-granted allocation.
+            if len(job.alloc.nodes) < need:
+                raise ValueError(
+                    f"allocation has {len(job.alloc.nodes)} compute nodes, "
+                    f"job needs {need}"
+                )
+            self.alloc = job.alloc
+        else:
+            self.alloc = self.machine.rm.allocate(
+                need, num_spares=job.config.spare_nodes
+            )
+        self.node_slots = list(self.alloc.nodes[:need])
+        for slot, node in enumerate(self.node_slots):
+            self._start_task(slot, node, incarnation=0)
 
-    @property
-    def max_recoveries(self) -> Optional[int]:
-        return self.job.config.max_recoveries
+    def _start_task(self, slot: int, node: Node, incarnation: int) -> None:
+        task = FmirunTask(self, slot, node)
+        self.tasks[slot] = task
+        task.spawn_ranks(
+            self.job.ranks_of_slot(slot % self.job.num_nodes), incarnation
+        )
 
-    @property
-    def replacement_timeout(self) -> Optional[float]:
-        return self.job.config.replacement_timeout
+    # -- rank death ----------------------------------------------------------
+    def on_rank_exit(self, rproc: RankProcess, proc_evt: Event) -> None:
+        # A killed rank (injected failure / node crash) is the
+        # survivable path, driven by the tasks' node monitoring; any
+        # other death is a programming error or unrecoverable: abort.
+        if proc_evt._ok or rproc.rank in self.job.finished_ranks:
+            return
+        if not isinstance(proc_evt._value, ProcessKilled):
+            self.job.abort(proc_evt._value)
 
-    # -- FMI-specific pieces ---------------------------------------------------
-    def make_task(self, slot: int, node: Node) -> FmirunTask:
-        return FmirunTask(self, slot, node)
+    def on_task_failure(self, task: FmirunTask, cause: str) -> None:
+        if self.job.finished:
+            return
+        self.begin_recovery(f"task[{task.slot}]: {cause}")
+
+    # -- recovery ------------------------------------------------------------
+    def begin_recovery(self, cause: str) -> None:
+        """Bump the recovery epoch (coalescing same-instant failures)
+        and make sure the replacement machinery is running."""
+        job = self.job
+        if self._last_bump_time == self.sim.now:
+            return
+        self._last_bump_time = self.sim.now
+        job.epoch += 1
+        job.recovery_causes.append((self.sim.now, cause))
+        failover = job.recovery.try_failover(self, cause)
+        if not failover:
+            # In-flight macro collective instances are dead timelines
+            # now: every rank will unwind to H1 and replay the
+            # collective sequence from the restored iteration, so the
+            # coordinator's counters and pending completions must start
+            # clean.  A failover keeps every survivor's timeline, so
+            # the fidelity guard (not a reset) handles it.
+            job.transport.macro_reset()
+        if self.sim.tracer.enabled:
+            self.sim.tracer.instant(
+                "recovery.begin", "recovery", epoch=job.epoch, cause=cause,
+                failover=failover, job=job.job_id,
+            )
+        if self.sim.metrics.enabled:
+            self.sim.metrics.counter("fmi.recoveries", job=job.job_id).inc()
+            self.sim.metrics.gauge("fmi.epoch", job=job.job_id).set(job.epoch)
+        max_recoveries = job.config.max_recoveries
+        if max_recoveries is not None and job.epoch > max_recoveries:
+            job.abort(FmiAbort(f"exceeded max_recoveries={max_recoveries}"))
+            return
+        if not failover:
+            # Processes already recovering from an earlier failure have
+            # no detection overlay to hear through; the master re-syncs
+            # them directly.  Running processes hear via the overlay
+            # (log-ring).
+            for rproc in job.recovery.notify_targets():
+                if rproc.alive and rproc.needs_resync:
+                    rproc.notify_failure(job.epoch, "fmirun re-sync")
+        if self._recovery_proc is None or not self._recovery_proc.alive:
+            self._recovery_proc = self.sim.spawn(
+                self._recover(), name="fmirun.recover"
+            )
+        if not failover:
+            # Safety sweep: anything still un-notified well after the
+            # overlay should have reached it gets a direct poke.
+            sweep = self.sim.timeout(1.0)
+            target = job.epoch
+            sweep.callbacks.append(lambda _e: self._sweep(target))
+
+    def _sweep(self, generation: int) -> None:
+        job = self.job
+        if job.finished or job.epoch != generation:
+            return
+        for rproc in job.recovery.notify_targets():
+            if rproc.alive and rproc.notified_gen < generation:
+                rproc.notify_failure(generation, "fmirun sweep")
+
+    def _recover(self):
+        """Replace failed nodes and respawn their ranks (Figure 6)."""
+        job = self.job
+        spec = self.machine.spec
+        while True:
+            target_epoch = job.epoch
+            for slot in range(job.num_nodes * job.recovery.num_copies):
+                node = self.node_slots[slot]
+                task = self.tasks.get(slot)
+                procs = job.recovery.slot_procs(slot)
+                if all(
+                    p.alive or p.rank in job.finished_ranks
+                    for p in procs
+                ) and node.alive and task is not None and not task.failed:
+                    continue
+                # This slot needs a fresh node (spare list first, then
+                # the resource manager).  Any node we acquire can be
+                # killed while we wait -- the spare while idle in the
+                # reserve pool, the granted node during the grant
+                # latency, or either during the task-spawn window -- so
+                # every acquisition is re-checked after each wait and
+                # retried until a task starts on a *live* node.
+                if task is not None and not task.failed:
+                    # A broken slot whose guard never reported: this
+                    # scan can land on a fresh failure before the
+                    # guard's exit callback fires (shutting it down
+                    # below would then suppress the report forever).
+                    # Open the failure's epoch first so the recovery
+                    # family classifies it before the respawn; a
+                    # report already in flight at this instant
+                    # coalesces in begin_recovery.
+                    self.on_task_failure(task, "discovered during recovery")
+                if task is not None:
+                    task.shutdown()
+                while True:
+                    # A slot whose processes were sibling-killed (not a
+                    # node crash) respawns on its own still-healthy node
+                    # when its ranks have other copies -- re-arming a
+                    # replica must not exhaust the spare pool.
+                    if (node is not None and node.alive
+                            and job.recovery.num_copies > 1):
+                        new_node = node
+                        node = None  # one reuse attempt only
+                    else:
+                        new_node = self.alloc.take_spare()
+                    if new_node is None:
+                        # On-demand tier: the allocation's grow() seam
+                        # (shared spare pool first when the scheduler
+                        # attached one, else a resource-manager grant).
+                        request = self.alloc.grow()
+                        deadline = job.config.replacement_timeout
+                        if deadline is None:
+                            new_node = yield request
+                        else:
+                            idx, value = yield AnyOf(
+                                self.sim, [request, self.sim.timeout(deadline)]
+                            )
+                            if idx == 1:
+                                # Withdraw before aborting: a grant
+                                # racing this deadline re-enters the
+                                # pool instead of stranding.
+                                request.cancel()
+                                job.abort(FmiAbort(
+                                    f"no replacement node granted within "
+                                    f"{deadline}s (machine exhausted?)"
+                                ))
+                                return
+                            new_node = value
+                    if not new_node.alive:
+                        continue  # died during the grant; ask again
+                    self.node_slots[slot] = new_node
+                    yield self.sim.timeout(spec.proc_spawn_latency)  # start the task
+                    if new_node.alive:
+                        break
+                    # Killed in the spawn window: acquire another node.
+                incarnation = max(p.incarnation for p in procs) + 1
+                self._start_task(slot, new_node, incarnation)
+            if job.epoch == target_epoch:
+                return
+
+    # -- dynamic leave (maintenance drain) ------------------------------------
+    def drain_slot(self, slot: int) -> None:
+        """Gracefully vacate a node ("compute nodes ... leave the job
+        dynamically", Section III-A).
+
+        The slot's ranks are migrated onto a replacement node through
+        the ordinary recovery machinery -- one rollback to the last
+        checkpoint, redundancy-group rebuild of the leaving ranks'
+        state -- and the *healthy* node goes back to the resource
+        manager's idle pool, immediately available to other jobs (or as
+        this job's next replacement).
+        """
+        if self.job.finished:
+            raise RuntimeError("cannot drain a finished job")
+        task = self.tasks.get(slot)
+        node = self.node_slots[slot]
+        if task is None or task.failed or not node.alive:
+            raise RuntimeError(f"slot {slot} is not drainable")
+        for child in list(task.children):
+            if child.proc.alive:
+                child.proc.kill(cause=f"drain slot {slot}")
+                break  # the sibling-kill path takes down the rest
+        # The node is healthy; put it back in the pool once its guard
+        # process is gone (the child-death path killed it synchronously).
+        # It leaves through the allocation so release() won't reclaim it
+        # a second time (that double entry could grant one node to two
+        # tenants at once).
+        self.alloc.return_node(node)
 
     def wrap_abort(self, cause) -> BaseException:
         if isinstance(cause, FmiAbort):
             return cause
         return FmiAbort(repr(cause))
+
+    # -- teardown ---------------------------------------------------------------
+    def shutdown(self) -> None:
+        for task in self.tasks.values():
+            task.shutdown()
+        if self.alloc is not None:
+            self.alloc.release()

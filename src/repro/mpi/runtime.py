@@ -8,11 +8,11 @@ exception -- the whole job is torn down (every surviving rank killed)
 and the job event fails with :class:`JobAborted`.  That is MPI's
 fail-stop contract, the thing FMI exists to avoid.
 
-The launch machinery (allocation, context table, rank spawning, abort)
-lives in :mod:`repro.runtime`; this module is only the MPI-specific
-glue: the :class:`~repro.runtime.policy.FailStop` policy plus a rank
-body that runs ``MPI_Init`` and hands the application an
-:class:`~repro.mpi.api.MpiApi`.
+The launch chassis (context table, result collection, abort) lives in
+:mod:`repro.runtime`; this module is the MPI-specific rest: the
+:class:`FailStop` policy (srun-style allocation, one launch, abort on
+the first death) plus a rank body that runs ``MPI_Init`` and hands the
+application an :class:`~repro.mpi.api.MpiApi`.
 
 :class:`MpiRestartDriver` is the ``mpirun``-in-a-batch-script loop of
 traditional C/R: relaunch the job after each abort (replacing dead
@@ -28,10 +28,11 @@ from typing import Any, Callable, List, Optional
 from repro.cluster.machine import Machine
 from repro.cluster.node import Node
 from repro.mpi.api import MpiApi
-from repro.runtime.core import JobAborted, JobBase, RankProcess
-from repro.runtime.policy import FailStop
+from repro.net.pmgr import PmgrRendezvous
+from repro.runtime.core import FaultPolicy, JobAborted, JobBase, RankProcess
+from repro.simt.kernel import Event
 
-__all__ = ["MpiJob", "JobAborted", "MpiRestartDriver"]
+__all__ = ["FailStop", "MpiJob", "JobAborted", "MpiRestartDriver"]
 
 AppFactory = Callable[[MpiApi], Any]  # callable(api) -> generator
 
@@ -56,6 +57,76 @@ class MpiRankProcess(RankProcess):
         return result
 
 
+class FailStop(FaultPolicy):
+    """MPI semantics: eager whole-job allocation, one launch, and any
+    rank death kills every rank."""
+
+    def __init__(self, nodes: Optional[List[Node]] = None, charge_init: bool = True):
+        self.nodes = nodes
+        self.charge_init = charge_init
+        self.alloc = None
+        # True only for the srun-style self-allocation: an externally
+        # owned allocation (service mode) is never released on a failed
+        # bind -- its owner decides.
+        self._owns_alloc = False
+
+    def bind(self, job: JobBase) -> None:
+        super().bind(job)
+        nodes = self.nodes
+        if nodes is None and job.alloc is not None:
+            # Service mode: the scheduler granted the allocation; the
+            # job runs on it and releases it when done (the scheduler
+            # watches the idle pool, not the allocation object).
+            self.alloc = job.alloc
+            nodes = self.alloc.nodes
+        elif nodes is None:
+            # srun-style: the allocation is grabbed when the job object
+            # is created, released when the job event triggers.
+            self.alloc = job.machine.rm.allocate(job.num_nodes)
+            nodes = self.alloc.nodes
+            self._owns_alloc = True
+        if len(nodes) < job.num_nodes:
+            # A failed bind must not keep holding nodes: release any
+            # srun-style allocation before propagating the error.  An
+            # externally owned allocation stays with its owner.
+            if self._owns_alloc and self.alloc is not None:
+                self.alloc.release()
+                self.alloc = None
+                self._owns_alloc = False
+            raise ValueError("not enough nodes for the requested ranks")
+        self.nodes = nodes[: job.num_nodes]
+        job.nodes = self.nodes
+        if self.alloc is not None:
+            alloc = self.alloc  # bind the object: self.alloc may be reset
+            job.done.callbacks.append(lambda _e: alloc.release())
+
+    def start(self) -> None:
+        job = self.job
+        for node in self.nodes:
+            if not node.alive:
+                job.abort(f"launch onto dead node {node.id}")
+                return
+        spec = job.machine.spec
+        cost = spec.mpi_init_time(job.num_ranks) if self.charge_init else 0.0
+        rendezvous = PmgrRendezvous(job.sim, job.num_ranks, cost=cost)
+        for rank in range(job.num_ranks):
+            node = self.nodes[job.slot_of_rank(rank)]
+            rproc = MpiRankProcess(job, rank, node, rendezvous)
+            job.rank_procs[rank] = rproc
+            job.register_endpoint(rank, rproc.ctx)
+
+    def on_rank_exit(self, rproc: RankProcess, proc_evt: Event) -> None:
+        if proc_evt._ok:
+            self.job.rank_finished(rproc.rank, proc_evt._value)
+        else:
+            self.job.abort(proc_evt._value)
+
+    def wrap_abort(self, cause) -> BaseException:
+        if isinstance(cause, JobAborted):
+            return cause
+        return JobAborted(cause)
+
+
 class MpiJob(JobBase):
     """One launch of an MPI application (one ``srun``/``mpirun``)."""
 
@@ -78,11 +149,6 @@ class MpiJob(JobBase):
             sw_overhead=machine.spec.network.sw_overhead_mpi,
             alloc=alloc, job_id=job_id,
         )
-
-    # -- rank factory ---------------------------------------------------------
-    def make_rank_process(self, rank: int, node: Node, rendezvous=None,
-                          **kwargs) -> MpiRankProcess:
-        return MpiRankProcess(self, rank, node, rendezvous)
 
 
 class MpiRestartDriver:

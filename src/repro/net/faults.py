@@ -76,7 +76,7 @@ class LinkFaultModel:
         for name, p in (("drop_p", drop_p), ("dup_p", dup_p), ("delay_p", delay_p)):
             if not 0.0 <= p < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), not {p}")
-        if rto <= 0 or dup_lag <= 0 or delay_mean <= 0:
+        if not (rto > 0 and dup_lag > 0 and delay_mean > 0):
             raise ValueError("rto, dup_lag and delay_mean must be positive")
         self.rng = rng
         self.drop_p = drop_p

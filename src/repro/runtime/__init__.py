@@ -5,31 +5,29 @@ survivable in-place recovery (Figures 6 and 14) -- is a difference in
 *fault policy*, not in launch mechanics.  Both stacks allocate nodes,
 create per-rank network contexts, spawn rank processes (paying spawn +
 exec-load latency), rendezvous, collect results, and tear down.  This
-package owns that shared machinery:
+package holds only what both stacks run:
 
 * :class:`~repro.runtime.core.JobBase` -- allocation geometry, the
   rank -> address context table, result collection, abort/teardown.
 * :class:`~repro.runtime.core.RankProcess` -- one rank's lifecycle:
   context creation, boot latency, exit-callback dispatch.
-* :class:`~repro.runtime.policy.FaultPolicy` -- the seam.
-  :class:`~repro.runtime.policy.FailStop` kills the whole job on any
-  rank death (MPI semantics); :class:`~repro.runtime.policy.Survivable`
-  replaces lost nodes in place (spare pool, recovery-epoch bump, the
-  machinery behind FMI's fmirun master).
+* :class:`~repro.runtime.core.FaultPolicy` -- the seam.  Each stack
+  brings its own policy and builds its own rank processes:
+  :class:`~repro.mpi.runtime.FailStop` kills the whole job on any rank
+  death (MPI semantics); :class:`~repro.fmi.runtime.Fmirun` replaces
+  lost nodes in place (spare pool, recovery-epoch bump, the paper's
+  fmirun master).
 
-``repro.mpi.runtime`` and ``repro.fmi`` specialise these classes; new
-fault-tolerance strategies are one policy subclass, not a third forked
-stack.
+Nothing here imports :mod:`repro.fmi`, :mod:`repro.mpi`,
+:mod:`repro.sched` or :mod:`repro.chaos`
+(``tests/test_runtime_layering.py`` holds that).
 """
 
-from repro.runtime.core import JobAborted, JobBase, RankProcess
-from repro.runtime.policy import FailStop, FaultPolicy, Survivable
+from repro.runtime.core import FaultPolicy, JobAborted, JobBase, RankProcess
 
 __all__ = [
-    "FailStop",
     "FaultPolicy",
     "JobAborted",
     "JobBase",
     "RankProcess",
-    "Survivable",
 ]

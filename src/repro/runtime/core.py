@@ -1,10 +1,11 @@
 """Job and rank-process lifecycle shared by the MPI and FMI stacks.
 
 :class:`JobBase` is the blackboard both runtimes read and write: the
-placement geometry, the rank -> transport-address table, the recovery
-epoch, the per-rank results, and the single ``done`` event.  The
-policy object attached at construction decides what happens when a
-rank dies (see :mod:`repro.runtime.policy`).
+placement geometry, the rank -> transport-address table, the per-rank
+results, and the single ``done`` event.  The :class:`FaultPolicy`
+attached at construction decides what happens when a rank dies:
+:class:`~repro.mpi.runtime.FailStop` for MPI,
+:class:`~repro.fmi.runtime.Fmirun` for FMI.
 
 :class:`RankProcess` wraps one rank's simulated process: it creates
 the rank's network context, spawns the stack-specific body (which
@@ -21,7 +22,7 @@ from repro.cluster.node import Node
 from repro.net.transport import NetContext, Transport
 from repro.simt.kernel import Event
 
-__all__ = ["JobAborted", "JobBase", "RankProcess"]
+__all__ = ["FaultPolicy", "JobAborted", "JobBase", "RankProcess"]
 
 
 class JobAborted(RuntimeError):
@@ -65,21 +66,6 @@ class RankProcess:
         if self.proc.alive:
             self.proc.kill(cause=cause)
 
-    # -- failure notification (survivable stacks override) -------------------
-    #: highest recovery generation this process has been told about
-    notified_gen = -1
-
-    @property
-    def needs_resync(self) -> bool:
-        """True when this process cannot hear failures through the
-        normal detection overlay and needs a direct poke (FMI's
-        processes in H1/H2)."""
-        return False
-
-    def notify_failure(self, generation: int, reason: str = "") -> None:
-        """Deliver a failure notification.  Fail-stop ranks never
-        receive one (the job dies first)."""
-
     # -- lifecycle ----------------------------------------------------------
     def _main(self):
         """The process body, one generator frame for the whole life of
@@ -92,15 +78,42 @@ class RankProcess:
         self.job.policy.on_rank_exit(self, proc_evt)
 
 
+class FaultPolicy:
+    """Strategy object owning allocation, placement, rank spawning and
+    rank-death handling for one :class:`JobBase`."""
+
+    job: "JobBase"
+
+    def bind(self, job: "JobBase") -> None:
+        """Attach to a job (called once, at the end of job __init__).
+        May allocate nodes and hook teardown onto ``job.done``."""
+        self.job = job
+
+    def start(self) -> None:
+        """Create contexts and spawn every rank (job launch)."""
+        raise NotImplementedError
+
+    def on_rank_exit(self, rproc: RankProcess, proc_evt: Event) -> None:
+        """A rank process exited (successfully or not)."""
+        raise NotImplementedError
+
+    def wrap_abort(self, cause) -> BaseException:
+        """Turn an abort cause into the exception ``job.done`` fails with."""
+        raise NotImplementedError
+
+    def shutdown(self) -> None:
+        """Job teardown (completion or abort)."""
+
+
 class JobBase:
     """One launch of a parallel application on the simulated machine.
 
     Owns everything the two stacks used to duplicate: validation,
     transport creation, the context table, result collection, the
-    completion event, and abort/teardown.  Allocation and placement
-    are delegated to the attached :class:`~repro.runtime.policy
-    .FaultPolicy` (eager whole-job allocation for fail-stop, spare-
-    backed slot allocation for survivable).
+    completion event, and abort/teardown.  Allocation, placement and
+    rank spawning are delegated to the attached :class:`FaultPolicy`
+    (eager whole-job allocation for fail-stop, spare-backed slot
+    allocation for FMI).
     """
 
     def __init__(
@@ -109,7 +122,7 @@ class JobBase:
         app: Callable[..., Any],
         num_ranks: int,
         procs_per_node: int,
-        policy,
+        policy: FaultPolicy,
         name: str,
         sw_overhead: Optional[float] = None,
         alloc=None,
@@ -140,7 +153,6 @@ class JobBase:
         self.transport = Transport(machine, sw_overhead=sw_overhead)
 
         # -- shared runtime state --
-        self.epoch = 0
         self.rank_procs: Dict[int, RankProcess] = {}
         self.addr_table: Dict[int, Tuple[int, int]] = {}
         self.finished_ranks: Set[int] = set()
@@ -154,8 +166,6 @@ class JobBase:
         self.launched_at: Optional[float] = None
         #: simulated time init (MPI_Init / FMI's first H2 exit) completed
         self.init_done_at: Optional[float] = None
-        #: (time, cause) per recovery epoch (empty for fail-stop jobs)
-        self.recovery_causes: List[Tuple[float, str]] = []
 
         # Bind last: the policy may allocate nodes (fail-stop does so
         # eagerly, matching srun's behaviour) and attach teardown hooks
@@ -169,9 +179,6 @@ class JobBase:
 
     def slot_of_rank(self, rank: int) -> int:
         return rank // self.ppn
-
-    def node_of_rank(self, rank: int) -> Node:
-        return self.policy.node_of_rank(rank)
 
     # -- context table ------------------------------------------------------
     def register_endpoint(self, rank: int, ctx: NetContext) -> None:
@@ -189,10 +196,6 @@ class JobBase:
             if old_ctx is not None and old_ctx is not ctx:
                 old_ctx.close()
         self.addr_table[rank] = ctx.addr
-
-    # -- rank-process factory (stack-specific) -------------------------------
-    def make_rank_process(self, rank: int, node: Node, **kwargs) -> RankProcess:
-        raise NotImplementedError
 
     # -- launch -------------------------------------------------------------
     def launch(self) -> Event:
@@ -218,11 +221,6 @@ class JobBase:
     def _on_rank_finished(self, rank: int) -> None:
         """Hook for per-rank completion bookkeeping (FMI deregisters
         the rank from the failure detector here)."""
-
-    def process_lost(self, rproc: RankProcess, exc: BaseException) -> None:
-        """A rank process was killed (injected failure / node crash)
-        under a survivable policy.  Recovery is driven by the policy's
-        node monitoring; nothing to do here beyond bookkeeping."""
 
     def abort(self, cause: Any) -> None:
         if self.done.triggered:

@@ -57,8 +57,15 @@ def test_event_injector_validates_args():
     sim = Simulator()
     with pytest.raises(ValueError):
         EventInjector(sim, lambda ev: True, lambda: None, count=0)
-    with pytest.raises(ValueError):
-        EventInjector(sim, lambda ev: True, lambda: None, delay=-1.0)
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="delay"):
+            EventInjector(sim, lambda ev: True, lambda: None, delay=delay)
+
+
+def test_at_time_refuses_nan():
+    # ``max(0.0, nan)`` is 0.0: the rule used to fire at once.
+    with pytest.raises(ValueError, match="NaN"):
+        AtTime(float("nan"))
 
 
 def test_event_injector_fires_on_nth_match_after_delay():

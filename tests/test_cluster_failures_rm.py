@@ -194,8 +194,21 @@ def test_mtbf_injector_rate():
 
 
 def test_mtbf_injector_validates():
-    with pytest.raises(ValueError):
-        MtbfInjector(Simulator(), RngRegistry(0).stream("x"), 0.0, lambda n: None, 4)
+    # NaN used to be accepted: the injector stayed armed (every
+    # collective pinned to hops) while its arrival process died on the
+    # first Timeout(nan)
+    for mtbf in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="MTBF"):
+            MtbfInjector(Simulator(), RngRegistry(0).stream("x"), mtbf,
+                         lambda n: None, 4)
+
+
+def test_trace_injector_refuses_nan_time():
+    # Accepted, the replay stopped at the NaN entry and every later kill
+    # was lost.
+    with pytest.raises(ValueError, match="NaN"):
+        TraceInjector(Simulator(), [(1.0, [1]), (float("nan"), [0]), (2.0, [2])],
+                      kill=lambda nodes: None)
 
 
 # -------------------------------------------------------- resource manager

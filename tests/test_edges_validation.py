@@ -33,6 +33,15 @@ def test_fmi_config_validation():
         Cfg(spare_nodes=-1)
     with pytest.raises(ValueError):
         Cfg(level2_every=0)
+    # NaN and negatives that used to fail only mid-run (or, for
+    # suspicion_grace, never)
+    nan = float("nan")
+    for bad in (dict(mtbf_seconds=nan), dict(mtbf_seconds=float("inf")),
+                dict(max_recoveries=-1),
+                dict(replacement_timeout=nan), dict(replacement_timeout=-1.0),
+                dict(suspicion_grace=nan)):
+        with pytest.raises(ValueError):
+            Cfg(**bad)
 
 
 def test_fmi_job_validation():

@@ -205,6 +205,10 @@ def test_fault_model_validates_probabilities():
         LinkFaultModel(rng, dup_p=-0.1)
     with pytest.raises(ValueError, match="positive"):
         LinkFaultModel(rng, rto=0.0)
+    # NaN timings: a ``<= 0`` guard let them through to every draw
+    for knob in ("rto", "dup_lag", "delay_mean"):
+        with pytest.raises(ValueError, match="positive"):
+            LinkFaultModel(rng, **{knob: float("nan")})
 
 
 def test_fault_model_loopback_immune():

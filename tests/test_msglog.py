@@ -20,12 +20,12 @@ from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
 from repro.fmi.config import check_recovery_mode
 from repro.fmi.msglog import RecoveryPlane
+from repro.fmi.runtime import RecoveryFamily
 from repro.mpi.scr import Scr
 from repro.net.matching import ANY_SOURCE, ANY_TAG, MatchingEngine
 from repro.net.message import Envelope
 from repro.obs import Tracer
 from repro.simt import Simulator
-from repro.runtime.policy import RecoveryFamily
 from repro.simt.rng import RngRegistry
 
 

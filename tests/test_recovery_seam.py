@@ -26,11 +26,11 @@ from repro.fmi.config import RECOVERY_MODES
 from repro.fmi.checkpoint import CheckpointEngine
 from repro.fmi.msglog import RecoveryPlane
 from repro.fmi.replication import ReplicationPlane
+from repro.fmi.runtime import RecoveryFamily
 from repro.net.message import Envelope
 from repro.net.transport import Transport
 from repro.obs import Tracer
 from repro.obs.export import dumps_jsonl
-from repro.runtime.policy import RecoveryFamily
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 

@@ -71,3 +71,12 @@ def test_render_report_readable():
     assert "recoveries" in text
     assert "failure 1" in text
     assert "H3" in text
+
+
+def test_recovery_latency_of_epoch_zero_is_none():
+    # Epoch 0 is the launch, not a recovery: it used to be measured from
+    # the *last* failure (recovery_causes[-1]) and came out negative.
+    job = run_job(kill_at=1.5)
+    assert job.epoch == 1 and 0 in job.recovered_at
+    assert job.recovery_latency(0) is None
+    assert job.recovery_latency(1) > 0

@@ -1,9 +1,9 @@
 """The shared runtime core: both launch stacks on one chassis.
 
 MpiJob and FmiJob are the same :class:`~repro.runtime.core.JobBase`
-machinery behind different :class:`~repro.runtime.policy.FaultPolicy`
+machinery behind different :class:`~repro.runtime.core.FaultPolicy`
 strategies -- these tests pin that contract, plus the error paths of
-the survivable policy's graceful drain and the restart driver's
+fmirun's graceful drain and the restart driver's
 ``max_restarts`` exhaustion.
 """
 
@@ -14,8 +14,8 @@ from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
 from repro.fmi.runtime import Fmirun
-from repro.mpi.runtime import JobAborted, MpiJob, MpiRestartDriver
-from repro.runtime import FailStop, JobBase, RankProcess, Survivable
+from repro.mpi.runtime import FailStop, JobAborted, MpiJob, MpiRestartDriver
+from repro.runtime import FaultPolicy, JobBase, RankProcess
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
@@ -66,7 +66,7 @@ def test_both_stacks_share_the_runtime_core():
     # One chassis, two fault policies.
     assert isinstance(mpi_job, JobBase) and isinstance(fmi_job, JobBase)
     assert isinstance(mpi_job.policy, FailStop)
-    assert isinstance(fmi_job.policy, Survivable)
+    assert isinstance(fmi_job.policy, FaultPolicy)
     assert fmi_job.fmirun is fmi_job.policy
     assert isinstance(fmi_job.fmirun, Fmirun)
 
