@@ -156,9 +156,8 @@ def run_engine_group(body, group_size: int, scheme: str = "xor",
     return sim, results, tracer
 
 
-# -- recovery-family ablations (bench_ablation_recovery / _replication) ------
-#: the sweep both ablations share: seeds per point, checkpoint
-#: intervals, kills per run
+# -- the recovery-family ablation (bench_ablation_replication) ---------------
+#: its sweep: seeds per point, checkpoint intervals, kills per run
 ABLATION_SEEDS = {"smoke": 2, "quick": 4, "full": 8}[SCALE]
 ABLATION_INTERVALS = [1, 3]
 ABLATION_KILL_COUNTS = {"smoke": [1], "quick": [1, 2], "full": [1, 2]}[SCALE]

@@ -12,14 +12,19 @@ kill count, measuring:
   rank back in H3).  Failover moves no state, so the replicated plane
   must beat the logged plane's measured 0.455 s at *every* sweep point
   -- the FTHP-MPI trade: 2x the hardware for near-zero recovery time;
-* **restore traffic shape** -- replicated runs must show *zero*
-  checkpoint restores (the ``zero-rollback`` invariant); promotions and
-  background re-arms replace them;
-* **mirror traffic** -- the dual-send bandwidth price replication pays
-  while nothing is failing.
+* **restore traffic shape** -- logged and replicated runs must show
+  *zero* checkpoint restores: under logging only the killed slot's
+  ranks restore, through ``mlog.restore``; under replication
+  promotions and background re-arms replace them (the
+  ``zero-rollback`` invariant).  Global rollback restores every rank;
+* **replay traffic** -- messages and bytes pushed from survivor logs
+  into the restarted ranks, the price partial rollback pays instead of
+  the world-wide rollback.
 
 Every run must come back green (all chaos invariants, bit-equal
-answers vs the failure-free reference).  The analytic crossover
+answers vs the failure-free reference, the no-orphans check), and the
+logged plane must recover faster than global rollback on at least one
+sweep point.  The analytic crossover
 (``replication_vs_cr_crossover``) is checked for the FTHP-MPI shape:
 the node-MTBF below which replication wins grows with job size.
 
@@ -55,8 +60,14 @@ def _victims(rng, campaign, kills):
 
 
 def _measure(ev):
-    """Replication-plane activity of one run, from its trace."""
+    """Logged- and replication-plane activity of one run, from its
+    trace."""
+    replays = [e.args for e in ev if e.name == "mlog.replay.done"]
     return {
+        "mlog_restores": count_events(ev, "mlog.restore.begin"),
+        "replay_msgs": sum(a.get("msgs", 0) for a in replays),
+        "replay_bytes": sum(a.get("nbytes", 0.0) for a in replays),
+        "logged_msgs": count_events(ev, "mlog.log"),
         "promotions": count_events(ev, "repl.promote"),
         "fallbacks": count_events(ev, "repl.fallback"),
         "rearms": count_events(ev, "repl.standby.sync"),
@@ -74,11 +85,13 @@ def test_ablation_replication(benchmark):
         f"Recovery-family ablation, {SEEDS} seeds per point "
         f"(8 ranks, ppn=2, XOR group 4, degree 2 when replicated)",
         ["mode", "interval", "kills", "green", "recovery (s)", "sim (s)",
-         "ckpt restores", "promote/rearm/fallback"],
+         "restores ckpt/mlog", "replay msgs/bytes",
+         "promote/rearm/fallback"],
     )
     entries = []
     for entry, runs in ablation_entries(
-        out, ["promotions", "fallbacks", "rearms"]
+        out, ["mlog_restores", "replay_msgs", "replay_bytes", "logged_msgs",
+              "promotions", "fallbacks", "rearms"]
     ):
         entry["worst_recovery_latency_s"] = max(
             r["recovery_latency_s"] for r in runs
@@ -89,7 +102,8 @@ def test_ablation_replication(benchmark):
             f"{entry['green']}/{SEEDS}",
             round(entry["recovery_latency_s"], 3),
             round(entry["sim_time_s"], 2),
-            entry["ckpt_restores"],
+            f"{entry['ckpt_restores']}/{entry['mlog_restores']}",
+            f"{entry['replay_msgs']}/{entry['replay_bytes']:.3g}",
             f"{entry['promotions']}/{entry['rearms']}/{entry['fallbacks']}",
         )
     table.show()
@@ -112,27 +126,36 @@ def test_ablation_replication(benchmark):
     sim_entries = [e for e in entries if e["mode"] != "model"]
     by_key = {(e["mode"], e["interval"], e["kills"]): e for e in sim_entries}
     for entry in sim_entries:
+        mode = entry["mode"]
         assert entry["green"] == SEEDS, entry
-        if entry["mode"] == "replicated":
-            # Failover, not rollback: no checkpoint restore anywhere,
-            # every kill absorbed by an in-place promotion.
-            assert entry["ckpt_restores"] == 0, entry
-            assert entry["promotions"] > 0, entry
+        # Only global rollback opens a checkpoint restore: logged
+        # survivors never do (only the killed slot's ppn ranks restore,
+        # through the plane), and failover absorbs every kill with an
+        # in-place promotion.
+        assert (entry["ckpt_restores"] > 0) == (mode == "global"), entry
+        assert (entry["mlog_restores"] > 0) == (mode == "logged"), entry
+        assert (entry["promotions"] > 0) == (mode == "replicated"), entry
+        if mode == "logged":
+            assert entry["logged_msgs"] > 0, entry
+        if mode == "replicated":
             assert entry["fallbacks"] == 0, entry
             # The headline bar, at every sweep point and every seed.
             assert (entry["worst_recovery_latency_s"]
                     < LOGGED_RECOVERY_BAR_S), entry
-        else:
-            assert entry["promotions"] == 0
-            assert entry["ckpt_restores"] > 0 or entry["mode"] == "logged"
+    # Replay traffic flows on at least one logged point (a kill can
+    # land before any cross-slot backlog exists, but not everywhere).
+    assert any(e["replay_msgs"] > 0 for e in sim_entries
+               if e["mode"] == "logged")
     # Failover also beats both rollback families head-to-head on every
-    # (interval, kills) sweep point.
-    for interval in INTERVALS:
-        for kills in KILL_COUNTS:
-            repl = by_key[("replicated", interval, kills)]
-            for other in ("global", "logged"):
-                assert (repl["recovery_latency_s"]
-                        < by_key[(other, interval, kills)]
-                        ["recovery_latency_s"]), (interval, kills, other)
+    # (interval, kills) sweep point, and partial rollback beats global
+    # rollback on at least one.
+    latency = {k: e["recovery_latency_s"] for k, e in by_key.items()}
+    points = [(i, k) for i in INTERVALS for k in KILL_COUNTS]
+    for interval, kills in points:
+        for other in ("global", "logged"):
+            assert (latency[("replicated", interval, kills)]
+                    < latency[(other, interval, kills)]), (interval, kills, other)
+    assert any(latency[("logged", *p)] < latency[("global", *p)]
+               for p in points), latency
     xs = [x for _n, x in crossover]
     assert xs == sorted(xs) and xs[0] > 0

@@ -452,13 +452,13 @@ GRAY_CAMPAIGNS: List[str] = [
     "limping-node",
 ]
 
-#: names of the message-logging campaigns (the CI recovery-ablation set)
+#: names of the message-logging campaigns (half the CI recovery-planes set)
 LOGGED_CAMPAIGNS: List[str] = [
     "logged-single-kill",
     "logged-sequential-kills",
 ]
 
-#: names of the replication campaigns (the CI replication-ablation set)
+#: names of the replication campaigns (the other half)
 REPLICATED_CAMPAIGNS: List[str] = [
     "replicated-single-kill",
     "replicated-kill-both-copies",

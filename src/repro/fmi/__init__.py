@@ -21,7 +21,8 @@ Public surface:
 * :mod:`~repro.fmi.msglog` / :mod:`~repro.fmi.replication` -- the
   recovery families behind ``FmiConfig(recovery="logged")`` (partial
   rollback from sender payload logs) and ``"replicated"`` (failover to
-  a live copy).
+  a live copy), both built on the channel layer of
+  :mod:`~repro.fmi.channel`.
 
 A minimal FMI application::
 

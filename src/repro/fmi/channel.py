@@ -1,4 +1,4 @@
-"""Per-endpoint channel state under both lseq-stamping recovery planes.
+"""The channel layer both lseq-stamping recovery planes are built on.
 
 Message logging (:mod:`repro.fmi.msglog`) and replication
 (:mod:`repro.fmi.replication`) rest on the same channel discipline:
@@ -10,18 +10,30 @@ same messages in the same order.  :class:`ChannelState` is that state
 for one endpoint -- a world rank under logging (it outlives the rank's
 processes), a network context under replication (one per copy).
 
-The planes' per-message hooks (``on_send`` / ``accept`` / ``sink``)
-read and write these fields directly; only the per-checkpoint
-operations are methods.
+:class:`ChannelPlane` is the recovery family both planes subclass.  It
+keeps what they share -- per-rank determinant lists and snapshot
+windows, and the dedup / determinant counters -- and does once what
+they do alike: the H1 wiring of a context's receive filter and match
+sink, snapshot filing at a rank checkpoint, and the determinant rule.
+Under that rule a channel *replays* while its cursor is behind its
+rank's determinant list; once caught up, its wildcard matches are
+recorded and advance the cursor; a post whose pattern disagrees with
+the record is counted and skips the cursor to the end.
+
+Each plane keeps only its protocol, including its own per-message
+hooks (``on_send`` / ``accept`` / ``sink``), which read and write the
+:class:`ChannelState` fields directly; the shared methods here are off
+the per-message path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.fmi.checkpoint import CheckpointEngine
+from repro.fmi.runtime import RecoveryFamily
 
-__all__ = ["ChannelState", "ChannelSnapshot", "Determinant"]
+__all__ = ["ChannelPlane", "ChannelState", "ChannelSnapshot", "Determinant"]
 
 
 class Determinant:
@@ -49,7 +61,7 @@ class ChannelSnapshot(NamedTuple):
 class ChannelState:
     """Send counters, dedup sets and determinant cursor of one endpoint."""
 
-    __slots__ = ("send_seq", "seen", "consumed", "det_cursor", "det_limit")
+    __slots__ = ("send_seq", "seen", "consumed", "det_cursor")
 
     def __init__(self):
         #: dst world rank -> next channel sequence number
@@ -62,12 +74,9 @@ class ChannelState:
         #: must be re-deliverable after a rollback, so the two sets are
         #: tracked separately.
         self.consumed: Set[Tuple[int, int]] = set()
-        #: replay position into the endpoint's determinant list
+        #: position in the rank's determinant list: behind its end, the
+        #: endpoint replays; at its end, it records
         self.det_cursor = 0
-        #: where a logged re-execution stops replaying determinants and
-        #: records again (replication replays whatever the lead has
-        #: recorded, so it leaves this at 0)
-        self.det_limit = 0
 
     def snapshot(self, window: Dict[int, ChannelSnapshot], dataset_id: int,
                  det_len: int) -> None:
@@ -98,3 +107,78 @@ class ChannelState:
         """Forget deliveries the execution has not consumed, so they
         can be delivered again."""
         self.seen = set(self.consumed)
+
+
+class ChannelPlane(RecoveryFamily):
+    """The state and the rules both lseq planes share.
+
+    Subclasses provide ``_make_recv_filter(fproc, chan)`` and
+    ``_make_sink(fproc, chan)``: the closures :meth:`_wire` installs.
+    """
+
+    #: prefix and category of the plane's trace events
+    trace_cat = ""
+
+    def __init__(self, job):
+        super().__init__(job)
+        #: rank -> recorded wildcard-match determinants, in match order
+        self.dets: Dict[int, List[Determinant]] = {}
+        #: rank -> {dataset id -> channel snapshot at that checkpoint},
+        #: the retained window
+        self.snapshots: Dict[int, Dict[int, ChannelSnapshot]] = {}
+        # -- counters (observability + tests) --
+        self.dup_suppressed = 0
+        self.det_recorded = 0
+        self.det_mismatches = 0
+
+    def _wire(self, fproc, chan: ChannelState) -> None:
+        """H1: hook ``fproc``'s context up to ``chan`` -- the receive
+        filter, the match sink -- and drop whatever it had queued."""
+        ctx = fproc.ctx
+        ctx.matching.match_sink = self._make_sink(fproc, chan)
+        ctx.recv_filter = self._make_recv_filter(fproc, chan)
+        ctx.matching.reset()
+
+    def _file_snapshot(self, rank: int, chan: ChannelState,
+                       dataset_id: int) -> None:
+        """``rank`` completed checkpoint ``dataset_id``: file ``chan``
+        into its window (the rewind or standby-seed target)."""
+        chan.snapshot(self.snapshots.setdefault(rank, {}), dataset_id,
+                      len(self.dets.get(rank, ())))
+
+    # -- the determinant rule ------------------------------------------------
+    def _record(self, rank: int, chan: ChannelState, source: int, tag: int,
+                env) -> None:
+        """A wildcard post matched ``env``: record it if ``chan`` is
+        caught up (a replaying channel's match is already on record)."""
+        dets = self.dets.setdefault(rank, [])
+        if chan.det_cursor < len(dets):
+            return
+        dets.append(Determinant(source, tag, env.comm_id, env.src, env.tag,
+                                env.lseq))
+        chan.det_cursor = len(dets)
+        self.det_recorded += 1
+
+    def _next_det(self, rank: int, chan: ChannelState, source: int, tag: int,
+                  comm_id: int) -> Optional[Determinant]:
+        """The recorded match a wildcard post replays, advancing the
+        cursor; None when ``chan`` is caught up.  A post whose pattern
+        disagrees with the record is counted, and the cursor skips to
+        the end: replay degrades to free order."""
+        dets = self.dets.get(rank, ())
+        cursor = chan.det_cursor
+        if cursor >= len(dets):
+            return None
+        det = dets[cursor]
+        if (det.source, det.tag, det.comm_id) != (source, tag, comm_id):
+            self.det_mismatches += 1
+            chan.det_cursor = len(dets)
+            if self.sim.tracer.enabled:
+                self.sim.tracer.instant(
+                    f"{self.trace_cat}.det.mismatch", self.trace_cat,
+                    rank=rank, posted=(source, tag, comm_id),
+                    recorded=(det.source, det.tag, det.comm_id),
+                )
+            return None
+        chan.det_cursor = cursor + 1
+        return det

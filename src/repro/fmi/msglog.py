@@ -60,10 +60,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.fmi.channel import ChannelSnapshot, ChannelState, Determinant
+from repro.fmi.channel import ChannelPlane, ChannelState
 from repro.fmi.checkpoint import CheckpointEngine
 from repro.fmi.redundancy import make_scheme
-from repro.fmi.runtime import RecoveryFamily
 from repro.mpi.api import MpiApi
 from repro.mpi.datatypes import snapshot as _snapshot
 from repro.net.matching import ANY_SOURCE, ANY_TAG
@@ -93,10 +92,14 @@ class LogEntry:
         self.ckpt_tag = ckpt_tag  # sender's last completed dataset at send
 
 
-class RecoveryPlane(RecoveryFamily):
-    """Job-wide message-logging state + the partial-restore driver."""
+class RecoveryPlane(ChannelPlane):
+    """Job-wide message-logging state + the partial-restore driver.
+
+    Determinants and snapshot windows are keyed by world rank; a
+    rank's oldest retained snapshot is its GC floor."""
 
     hop_fidelity = "msglog"
+    trace_cat = "mlog"
 
     def __init__(self, job):
         super().__init__(job)
@@ -106,11 +109,6 @@ class RecoveryPlane(RecoveryFamily):
         ]
         #: sender world rank -> its payload log (FIFO per channel)
         self.logs: Dict[int, List[LogEntry]] = {}
-        #: receiver world rank -> recorded wildcard-match determinants
-        self.dets: Dict[int, List[Determinant]] = {}
-        #: rank -> {dataset id -> channel snapshot at that checkpoint},
-        #: the retained window (oldest dataset = the rank's GC floor)
-        self.snapshots: Dict[int, Dict[int, ChannelSnapshot]] = {}
         #: rank -> last completed dataset id (stamped on log entries)
         self.last_ckpt: Dict[int, int] = {}
         #: ranks currently inside partial_restore
@@ -121,12 +119,7 @@ class RecoveryPlane(RecoveryFamily):
         self.live_entries = 0
         self.live_bytes = 0.0
         self.gc_entries = 0
-        self.gc_bytes = 0.0
         self.replayed_msgs = 0
-        self.replayed_bytes = 0.0
-        self.dup_suppressed = 0
-        self.det_recorded = 0
-        self.det_mismatches = 0
         self.partial_restores = 0
 
     # -- process wiring ----------------------------------------------------
@@ -134,12 +127,8 @@ class RecoveryPlane(RecoveryFamily):
         # Partial rollback never raises the envelope epoch: survivor
         # traffic stays valid across the recovery, and exact-once
         # delivery is the lseq filter instead.
-        ctx = fproc.ctx
-        chan = self.channels[fproc.rank]
-        ctx.matching.match_sink = self._make_sink(fproc.rank, chan)
-        ctx.recv_filter = self._make_recv_filter(chan)
-        ctx.matching.reset()
-        self.job.register_endpoint(fproc.rank, ctx)
+        self._wire(fproc, self.channels[fproc.rank])
+        self.job.register_endpoint(fproc.rank, fproc.ctx)
 
     def rendezvous_scope(self, fproc):
         job = self.job
@@ -194,7 +183,7 @@ class RecoveryPlane(RecoveryFamily):
             sim.metrics.gauge("mlog.log_bytes").set(self.live_bytes)
 
     # -- receive path ------------------------------------------------------
-    def _make_recv_filter(self, chan: ChannelState):
+    def _make_recv_filter(self, fproc, chan: ChannelState):
         """The per-context :attr:`NetContext.recv_filter` closure:
         exact-once per channel lseq."""
 
@@ -214,22 +203,18 @@ class RecoveryPlane(RecoveryFamily):
 
         return accept
 
-    def _make_sink(self, rank: int, chan: ChannelState):
+    def _make_sink(self, fproc, chan: ChannelState):
         """The per-context :attr:`MatchingEngine.match_sink` closure:
         consumption bookkeeping for every match, a determinant for
         every *wildcard* match."""
+        rank = fproc.rank
 
         def sink(source, tag, env):
             lseq = env.lseq
             if lseq is not None:
                 chan.consumed.add((lseq[0], lseq[2]))
             if source == ANY_SOURCE or tag == ANY_TAG:
-                if chan.det_cursor >= chan.det_limit:
-                    self.dets.setdefault(rank, []).append(
-                        Determinant(source, tag, env.comm_id, env.src,
-                                    env.tag, lseq)
-                    )
-                    self.det_recorded += 1
+                self._record(rank, chan, source, tag, env)
 
         return sink
 
@@ -237,26 +222,12 @@ class RecoveryPlane(RecoveryFamily):
         """Piecewise-deterministic replay: a re-executed wildcard
         receive is rewritten to the *exact* (source, tag) its original
         execution matched, in recorded order, until the determinant
-        cursor reaches the failure point (or on a pattern mismatch --
-        counted, replay degrades to free order)."""
+        cursor reaches the failure point; from there it posts natively
+        and records again."""
         rank = fmi_ctx.world_rank
-        chan = self.channels[rank]
-        cursor = chan.det_cursor
-        if cursor >= chan.det_limit:
+        det = self._next_det(rank, self.channels[rank], source, tag, comm_id)
+        if det is None:
             return None
-        det = self.dets[rank][cursor]
-        if (det.source, det.tag, det.comm_id) != (source, tag, comm_id):
-            self.det_mismatches += 1
-            chan.det_cursor = chan.det_limit
-            if self.sim.tracer.enabled:
-                self.sim.tracer.instant(
-                    "mlog.det.mismatch", "mlog", rank=rank,
-                    posted=(source, tag, comm_id),
-                    recorded=(det.source, det.tag, det.comm_id),
-                )
-            return None
-        chan.det_cursor = cursor + 1
-        fmi_ctx._check_ok()
         evt = fmi_ctx.ctx.matching.post(det.env_src, det.env_tag, comm_id)
         self._check_replayed_match(evt, det.lseq, rank)
         return evt
@@ -286,10 +257,7 @@ class RecoveryPlane(RecoveryFamily):
     def note_rank_checkpoint(self, rank: int, dataset_id: int, ctx=None) -> None:
         """``rank`` completed checkpoint ``dataset_id``: snapshot its
         channel state (the rewind target) and advance garbage collection."""
-        self.channels[rank].snapshot(
-            self.snapshots.setdefault(rank, {}), dataset_id,
-            len(self.dets.get(rank, ())),
-        )
+        self._file_snapshot(rank, self.channels[rank], dataset_id)
         self.last_ckpt[rank] = dataset_id
         self._gc()
 
@@ -317,22 +285,13 @@ class RecoveryPlane(RecoveryFamily):
         if not floors:
             return
         stable = min(floors)
-        dropped = 0
-        dropped_bytes = 0.0
-        for src, entries in self.logs.items():
-            kept = [e for e in entries if e.ckpt_tag >= stable]
-            if len(kept) != len(entries):
-                dropped += len(entries) - len(kept)
-                dropped_bytes += sum(e.nbytes for e in entries) - sum(
-                    e.nbytes for e in kept
-                )
-                self.logs[src] = kept
+        dropped, dropped_bytes = self._trim([
+            (src, [e for e in entries if e.ckpt_tag >= stable])
+            for src, entries in self.logs.items()
+        ])
         if not dropped:
             return
         self.gc_entries += dropped
-        self.gc_bytes += dropped_bytes
-        self.live_entries -= dropped
-        self.live_bytes -= dropped_bytes
         sim = self.sim
         if sim.tracer.enabled:
             sim.tracer.instant(
@@ -342,6 +301,26 @@ class RecoveryPlane(RecoveryFamily):
         if sim.metrics.enabled:
             sim.metrics.gauge("mlog.log_bytes").set(self.live_bytes)
             sim.metrics.counter("mlog.gc_entries").inc(dropped)
+
+    def _trim(self, kept_logs) -> Tuple[int, float]:
+        """Shorten logs to the ``(src, kept entries)`` pairs given,
+        keeping the live counters in step; returns the entries and
+        bytes dropped.  The log-trim body of :meth:`_gc` and
+        :meth:`_rewind`."""
+        logs = self.logs
+        dropped = 0
+        dropped_bytes = 0.0
+        for src, kept in kept_logs:
+            entries = logs[src]
+            if len(kept) != len(entries):
+                dropped += len(entries) - len(kept)
+                dropped_bytes += sum(e.nbytes for e in entries) - sum(
+                    e.nbytes for e in kept
+                )
+                logs[src] = kept
+        self.live_entries -= dropped
+        self.live_bytes -= dropped_bytes
+        return dropped, dropped_bytes
 
     # -- partial restore ---------------------------------------------------
     def partial_restore(self, fmi_ctx):
@@ -479,14 +458,16 @@ class RecoveryPlane(RecoveryFamily):
         torn = snap is None and dataset is not None
         sim = self.sim
         chan = self.channels[rank]
-        chan.det_limit = len(self.dets.get(rank, ()))
         if torn:
-            # At-death values are the rewind target; only the delivered
-            # set shrinks, so the unconsumed tail of the queue is
+            # At-death values are the rewind target, determinant cursor
+            # included (nothing to replay); only the delivered set
+            # shrinks, so the unconsumed tail of the queue is
             # re-deliverable.
-            chan.det_cursor = chan.det_limit
+            chan.det_cursor = len(self.dets.get(rank, ()))
             chan.rebase_seen()
         else:
+            # The cursor lands on the snapshot's record: the execution
+            # replays from there to the death point.
             chan.load(snap)
         counters = chan.send_seq
         purged = 0
@@ -497,14 +478,9 @@ class RecoveryPlane(RecoveryFamily):
         # message once.
         entries = self.logs.get(rank)
         if entries:
-            kept = [e for e in entries if e.n < counters.get(e.dst, 0)]
-            removed = len(entries) - len(kept)
-            if removed:
-                self.live_entries -= removed
-                self.live_bytes -= sum(e.nbytes for e in entries) - sum(
-                    e.nbytes for e in kept
-                )
-                self.logs[rank] = kept
+            self._trim([
+                (rank, [e for e in entries if e.n < counters.get(e.dst, 0)])
+            ])
         if sim.tracer.enabled:
             sim.tracer.instant(
                 "mlog.rewind", "mlog", rank=rank, epoch=self.job.epoch,
@@ -554,7 +530,6 @@ class RecoveryPlane(RecoveryFamily):
             elif not proc._ok:
                 raise proc._value
         self.replayed_msgs += counts["msgs"]
-        self.replayed_bytes += counts["bytes"]
         return counts["msgs"], counts["bytes"]
 
     def _replay_sender(self, ctx, src: int, rank: int,

@@ -3,23 +3,24 @@
 Every virtual rank is backed by ``replication_degree`` physical
 processes (FTHP-MPI's model; ReStore's in-memory state angle).  All
 copies execute the application; the *lead* copy owns the rank's entry
-in the endpoint table, and the transport mirrors every lseq-stamped
-envelope addressed to a lead onto its live replicas, so each copy
-observes the same message stream.
+in the endpoint table, and the plane's ``on_send`` sends a clone of
+every envelope addressed to a lead to each of its live replicas, so
+each copy observes the same message stream.
 
 Three mechanisms keep the copies bit-identical:
 
 * **channel dedup** -- senders stamp ``env.lseq = (src, dst, n)`` from
-  a per-context channel counter (the msglog determinant machinery);
-  since every copy of a sender re-sends the same logical message, each
+  a per-context channel counter (:mod:`repro.fmi.channel`); since
+  every copy of a sender re-sends the same logical message, each
   receiving copy keeps the first arrival per ``(src, n)`` and drops
   the rest.
 * **determinant latch** -- wildcard receives are nondeterministic, so
   the lead records ``(env_src, env_tag)`` per match into a per-rank
-  determinant list and followers *replay* it: their wildcard posts are
-  rewritten to the exact recorded source, parking until the lead's
-  record arrives.  A promoted copy first drains any recorded
-  determinants it has not consumed, then posts natively.
+  determinant list and followers *replay* it under the channel layer's
+  rule: their wildcard posts are rewritten to the exact recorded
+  source, parking when caught up until the lead's record arrives.  A
+  promoted copy first drains any recorded determinants it has not
+  consumed, then posts natively.
 * **standby re-arm** -- a respawned copy buffers mirrored traffic,
   waits for the lead's next checkpoint, clones the lead's in-memory
   checkpoint storage plus the channel counters snapshotted at that
@@ -43,9 +44,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.fmi.channel import ChannelSnapshot, ChannelState, Determinant
+from repro.fmi.channel import ChannelPlane, ChannelState
 from repro.fmi.payload import unpack
-from repro.fmi.runtime import RecoveryFamily
 from repro.mpi.datatypes import snapshot as _snapshot
 from repro.net.matching import ANY_SOURCE, ANY_TAG
 from repro.net.message import Envelope
@@ -57,7 +57,7 @@ __all__ = ["ReplicationPlane"]
 class _StandbyRec:
     """Book-keeping for one re-arming copy awaiting its sync point."""
 
-    __slots__ = ("rank", "copy", "eligible_ds", "sync")
+    __slots__ = ("rank", "copy", "eligible_ds", "sync", "buffered")
 
     def __init__(self, rank: int, copy: int, sim):
         self.rank = rank
@@ -67,6 +67,8 @@ class _StandbyRec:
         #: predate some mirrored traffic, so they cannot be sync points)
         self.eligible_ds: Optional[int] = None
         self.sync = Event(sim)
+        #: stamped envelopes buffered until the sync point
+        self.buffered: List[Envelope] = []
 
 
 def _chain(inner: Event, outer: Event) -> None:
@@ -86,10 +88,14 @@ def _chain(inner: Event, outer: Event) -> None:
         inner.callbacks.append(_cb)
 
 
-class ReplicationPlane(RecoveryFamily):
-    """Shared state of the ``recovery="replicated"`` family."""
+class ReplicationPlane(ChannelPlane):
+    """Shared state of the ``recovery="replicated"`` family.
+
+    Determinants are keyed by virtual rank and recorded by its lead;
+    snapshot windows hold the lead's channel state, a standby's seed."""
 
     hop_fidelity = "replicated"
+    trace_cat = "repl"
 
     #: promotion latency: failure-notice fan-in plus republishing the
     #: endpoint table -- no state movement, which is the whole point
@@ -98,32 +104,25 @@ class ReplicationPlane(RecoveryFamily):
 
     def __init__(self, job):
         super().__init__(job)
-        job.transport.replication = self  # send-side mirror fan-out
         self.num_copies: int = job.config.replication_degree
         #: rank -> copy -> FmiProcess (current incarnations)
         self.copies: Dict[int, Dict[int, object]] = {}
         #: which copy currently owns the rank's endpoint-table entry
         self.lead_copy: Dict[int, int] = {}
-        #: lead address -> live replica contexts (transport mirror fan-out)
+        #: lead address -> live replica contexts (``on_send``'s fan-out)
         self.mirrors: Dict[Tuple[int, int], List[object]] = {}
         self._mirror_key: Dict[int, Tuple[int, int]] = {}
         #: context -> its channel state (each copy dedups on its own)
         self.channels: Dict[object, ChannelState] = {}
-        #: per-rank recorded wildcard matches, in lead match order
-        self.dets: Dict[int, List[Determinant]] = {}
         #: rank -> [(ctx, source, tag, comm_id, event)] wildcards parked
         #: on followers until the lead's determinant arrives
         self.parked: Dict[int, List[tuple]] = {}
         # -- standby protocol --
-        #: unsynced standby ctx -> buffered mirrored envelopes
-        self.pending: Dict[object, List[Envelope]] = {}
+        #: unsynced standby ctx -> its record (and buffered envelopes)
         self.standby_recs: Dict[object, _StandbyRec] = {}
         #: (rank, copy) slots whose next incarnation must re-arm as a
         #: standby instead of booting as a peer copy
         self.standby_expected: Set[Tuple[int, int]] = set()
-        #: rank -> {dataset id -> lead channel snapshot}, the standby's
-        #: seed (retained in step with the checkpoint engine)
-        self.snapshots: Dict[int, Dict[int, ChannelSnapshot]] = {}
         # -- epoch fencing --
         #: the epoch every replicated context stamps/filters at.  Only a
         #: fallback bumps it: failovers must *not* fence out in-flight
@@ -137,9 +136,6 @@ class ReplicationPlane(RecoveryFamily):
         self.replica_losses = 0
         self.fallbacks = 0
         self.mirrored = 0
-        self.dup_suppressed = 0
-        self.det_recorded = 0
-        self.det_mismatches = 0
         self.standby_buffered = 0
         self.standby_syncs = 0
 
@@ -224,13 +220,10 @@ class ReplicationPlane(RecoveryFamily):
         # state; post-fallback survivors re-enter here after the
         # wholesale era reset.
         chan = self.channels[ctx] = ChannelState()
-        ctx.matching.match_sink = self._make_sink(fproc, chan)
-        ctx.recv_filter = self._make_recv_filter(ctx, chan)
-        ctx.matching.reset()
+        self._wire(fproc, chan)
         if (rank, fproc.copy) in self.standby_expected:
             self.standby_expected.discard((rank, fproc.copy))
             self.standby_recs[ctx] = _StandbyRec(rank, fproc.copy, self.sim)
-            self.pending[ctx] = []
             self._rebuild_mirrors(rank)
             if self.sim.tracer.enabled:
                 self.sim.tracer.instant(
@@ -267,11 +260,18 @@ class ReplicationPlane(RecoveryFamily):
     def on_send(self, src: int, dst: int, env: Envelope, ctx=None) -> None:
         """Stamp the sender's channel sequence (per *context*: each copy
         runs the same channel schedule, so copies of one rank produce
-        identical lseq streams)."""
+        identical lseq streams), then send the mirror clones of a
+        lead-bound envelope.  The clones enter the wire before the
+        caller sends ``env`` itself: that order of ``Envelope.seq``
+        draws and wire starts is part of the pinned schedule."""
         send_seq = self.channels[ctx].send_seq
         n = send_seq.get(dst, 0)
         send_seq[dst] = n + 1
         env.lseq = (src, dst, n)
+        job = self.job
+        transport = job.transport
+        for maddr, menv in self.mirror_copies(job.addr_table[dst], env):
+            transport.send(ctx, maddr, menv)
 
     def mirror_copies(self, dst_addr, env: Envelope):
         """Clones of ``env`` for the replicas shadowing ``dst_addr``.
@@ -296,14 +296,16 @@ class ReplicationPlane(RecoveryFamily):
         self.mirrored += len(out)
         return out
 
-    def _make_recv_filter(self, ctx, chan: ChannelState):
+    def _make_recv_filter(self, fproc, chan: ChannelState):
+        ctx = fproc.ctx
+
         def accept(env: Envelope) -> bool:
             lseq = env.lseq
-            pend = self.pending.get(ctx)
-            if pend is not None:
+            rec = self.standby_recs.get(ctx)
+            if rec is not None:
                 # Unsynced standby: park everything until the sync
                 # point tells us which messages the snapshot consumed.
-                pend.append(env)
+                rec.buffered.append(env)
                 self.standby_buffered += 1
                 return False
             key = (lseq[0], lseq[2])
@@ -324,17 +326,9 @@ class ReplicationPlane(RecoveryFamily):
             if lseq is not None:
                 chan.consumed.add((lseq[0], lseq[2]))
             if source == ANY_SOURCE or tag == ANY_TAG:
+                # Only the lead records; its followers replay.
                 if self.job.rank_procs.get(rank) is fproc:
-                    dets = self.dets.setdefault(rank, [])
-                    dets.append(
-                        Determinant(source, tag, env.comm_id, env.src,
-                                    env.tag, lseq)
-                    )
-                    # The recorder is, by definition, caught up: without
-                    # this a since-boot lead would later replay its own
-                    # record instead of posting natively.
-                    chan.det_cursor = len(dets)
-                    self.det_recorded += 1
+                    self._record(rank, chan, source, tag, env)
                     self._drain_parked(rank)
 
         return sink
@@ -348,21 +342,10 @@ class ReplicationPlane(RecoveryFamily):
         caller (the current lead, fully caught up on its own record)
         should post natively and let the sink record the match.
         """
-        fmi_ctx._check_ok()
         rank = fmi_ctx.world_rank
         ctx = fmi_ctx.ctx
-        chan = self.channels[ctx]
-        dets = self.dets.get(rank, ())
-        cursor = chan.det_cursor
-        if cursor < len(dets):
-            det = dets[cursor]
-            chan.det_cursor = cursor + 1
-            if det.comm_id != comm_id:
-                # Copies run the same program, so pattern drift should
-                # be impossible; degrade to a native post rather than
-                # matching into the wrong communicator.
-                self.det_mismatches += 1
-                return None
+        det = self._next_det(rank, self.channels[ctx], source, tag, comm_id)
+        if det is not None:
             return ctx.matching.post(det.env_src, det.env_tag, comm_id)
         if self.job.rank_procs.get(rank) is fmi_ctx.fproc:
             return None
@@ -374,17 +357,15 @@ class ReplicationPlane(RecoveryFamily):
         waiters = self.parked.pop(rank, None)
         if not waiters:
             return
-        dets = self.dets.get(rank, ())
         lead = self.job.rank_procs.get(rank)
         remaining = []
         for entry in waiters:
             ctx, source, tag, comm_id, evt = entry
             if evt.triggered or ctx.closed or not ctx.node.alive:
                 continue
-            chan = self.channels[ctx]
-            if chan.det_cursor < len(dets):
-                det = dets[chan.det_cursor]
-                chan.det_cursor += 1
+            det = self._next_det(rank, self.channels[ctx], source, tag,
+                                 comm_id)
+            if det is not None:
                 _chain(ctx.matching.post(det.env_src, det.env_tag, comm_id), evt)
             elif lead is not None and lead.ctx is ctx:
                 # This copy was promoted while parked: its wildcard is
@@ -533,7 +514,6 @@ class ReplicationPlane(RecoveryFamily):
         for chan in self.channels.values():
             chan.load(None)
         self.parked.clear()
-        self.pending.clear()
         self.standby_recs.clear()
         self.standby_expected.clear()
         self.snapshots.clear()
@@ -596,10 +576,7 @@ class ReplicationPlane(RecoveryFamily):
         lead = self.job.rank_procs.get(rank)
         if lead is None or lead.ctx is not ctx:
             return  # follower checkpoints are local redundancy only
-        self.channels[ctx].snapshot(
-            self.snapshots.setdefault(rank, {}), dataset_id,
-            len(self.dets.get(rank, ())),
-        )
+        self._file_snapshot(rank, self.channels[ctx], dataset_id)
         for rec in self.standby_recs.values():
             if (
                 rec.rank == rank
@@ -678,8 +655,8 @@ class ReplicationPlane(RecoveryFamily):
         seen = chan.seen
         # Synced: stop buffering and deliver what the snapshot has not
         # already consumed.
-        pend = self.pending.pop(ctx, [])
         self.standby_recs.pop(ctx, None)
+        pend = rec.buffered
         delivered = 0
         for env in pend:
             if env.epoch < ctx.epoch:

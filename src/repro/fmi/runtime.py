@@ -21,7 +21,8 @@ Hierarchy (Figure 6):
 *How* the ranks compute again after a failure is the job's
 :class:`RecoveryFamily` (``job.recovery``); this base class is global
 rollback, and the two planes (:mod:`repro.fmi.msglog`,
-:mod:`repro.fmi.replication`) subclass it.
+:mod:`repro.fmi.replication`) subclass it through the channel layer of
+:mod:`repro.fmi.channel`.
 
 Survivor processes are *never* restarted as processes; their
 in-memory checkpoint storage survives recovery, which is what makes
@@ -71,8 +72,10 @@ class RecoveryFamily:
     #: hosts copy ``s // num_nodes`` of virtual slot ``s % num_nodes``
     num_copies = 1
     #: per-send hook ``on_send(src, dst, env, ctx)`` stamping the
-    #: channel lseq; ``Communicator.send_async`` tests this attribute,
-    #: so global rollback pays no call per message
+    #: channel lseq (and logging, or sending mirror clones, ahead of
+    #: the envelope's own ``Transport.send``);
+    #: ``Communicator.send_async`` tests this attribute, so global
+    #: rollback pays no call per message
     on_send = None
 
     def __init__(self, job):

@@ -86,7 +86,7 @@ class Communicator:
         on_send = api.recovery.on_send
         if on_send is not None:
             # the plane's look at every outgoing envelope: lseq
-            # stamping, sender-side logging
+            # stamping, sender-side logging, mirror clones
             on_send(api.world_rank, dst_world, env, ctx)
         return api.transport.send(ctx, api.addr_table[dst_world], env)
 

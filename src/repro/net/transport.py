@@ -58,11 +58,12 @@ class NetContext:
         #: current recovery epoch; bumped by the FMI runtime on recovery
         self.epoch = 0
         self.closed = False
-        #: the one receive-side recovery hook, installed by the job's
-        #: recovery family when the context enters H1: called with
-        #: every lseq-stamped envelope just before delivery; returning
-        #: False suppresses it (a replayed, re-sent or cross-copy
-        #: duplicate, or one buffered by an unsynced standby)
+        #: the transport's only recovery hook, installed by the job's
+        #: lseq plane when the context enters H1 (the send side has
+        #: none: the plane's ``on_send`` runs above ``Transport.send``):
+        #: called with every lseq-stamped envelope just before delivery;
+        #: returning False suppresses it (a replayed, re-sent or
+        #: cross-copy duplicate, or one buffered by an unsynced standby)
         self.recv_filter = None
         #: stale envelopes dropped by the epoch filter
         self.stale_dropped = 0
@@ -263,14 +264,12 @@ class Transport:
         self.dup_dropped = 0
         #: why the job's recovery family needs every hop simulated
         #: ("msglog": sends are logged and replayed one by one;
-        #: "replicated": mirrored per physical hop, so a macro-collapsed
-        #: collective would bypass the replicas); None = global rollback
+        #: "replicated": each send to a lead is mirrored to its replicas
+        #: in ``on_send``, so a macro-collapsed collective would bypass
+        #: them); None = global rollback
         self.recovery_hops: Optional[str] = None
-        #: replication plane (set by the replicated recovery family):
-        #: sends to a lead rank's address fan out cloned envelopes to
-        #: its live replicas
-        self.replication = None
-        #: envelopes suppressed/buffered by a context's ``recv_filter``
+        #: envelopes suppressed or buffered by a context's
+        #: ``recv_filter``
         self.lseq_dup_dropped = 0
         # -- macro-event collectives --
         #: lazily-created per-job coordinator (repro.mpi.macro); lives
@@ -349,15 +348,9 @@ class Transport:
         The returned event fires when the bytes have left/landed; it
         fires even if the destination died mid-flight (the sender
         cannot tell -- PSM semantics).  It only fails if the *sender's*
-        node is down.
+        node is down.  One envelope, one destination: the transport
+        knows no recovery family on this side.
         """
-        repl = self.replication
-        if repl is not None and env.lseq is not None:
-            # Mirror onto the replicas shadowing this destination.  The
-            # clones carry fresh (non-lead) addresses, so the recursive
-            # sends fan out exactly once.
-            for maddr, menv in repl.mirror_copies(dst_addr, env):
-                self.send(src, maddr, menv)
         dst_node = self.machine.nodes[dst_addr[0]]
         fabric = self.machine.fabric
         wire = fabric.send(

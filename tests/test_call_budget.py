@@ -60,7 +60,7 @@ bucket: one ``dict.get`` inside ``deliver`` (4 before), budget 2.
 attached -- is pinned as the *excess* of profiled calls, observed
 minus bare on the same interpreter.  Both arms are pinned to the hop
 engine: an attached tracer still moves a run off the macro tier
-(ROADMAP item 1a), and that switch is not what this pin is about.  Two
+(ROADMAP item 2(a)), and that switch is not what this pin is about.  Two
 records and three counter updates per message are what is left (9
 calls a message):
 

@@ -222,8 +222,8 @@ def test_gate_then_range_then_size_then_seam_then_transport(
     elif flavour == "logged":
         assert order == ["send_async", "on_send", "transport"]
     else:
-        # each copy: stamped once, then its own send and the mirror
-        # copy to the destination's other replica
+        # each copy: stamped once, then the mirror copy to the
+        # destination's other replica and its own send
         assert order == ["send_async", "on_send", "transport", "transport"] * 2
 
 

@@ -59,8 +59,8 @@ def make_plane(num_ranks=4, ppn=1):
 def hooks(plane, rank):
     """The (recv_filter, match_sink) pair ``on_h1`` installs on
     ``rank``'s context."""
-    chan = plane.channels[rank]
-    return plane._make_recv_filter(chan), plane._make_sink(rank, chan)
+    chan, fproc = plane.channels[rank], SimpleNamespace(rank=rank)
+    return plane._make_recv_filter(fproc, chan), plane._make_sink(fproc, chan)
 
 
 # ------------------------------------------------------------- send logging
@@ -249,7 +249,7 @@ def test_post_wildcard_replays_in_order_then_stops():
     _record_wildcards(plane, 1, (3, 2))
     plane._rewind(1, None)  # replay from the start up to the death point
     chan = plane.channels[1]
-    assert (chan.det_cursor, chan.det_limit) == (0, 2)
+    assert (chan.det_cursor, len(plane.dets[1])) == (0, 2)
     api = _StubApi(job.sim, 1)
     posted = []
     api.ctx.matching.post = lambda src, tag, comm: (
@@ -259,7 +259,8 @@ def test_post_wildcard_replays_in_order_then_stops():
     assert plane.post_wildcard(api, ANY_SOURCE, 7, 0) is not None
     # Rewritten to the recorded sources, in recorded order...
     assert posted == [(3, 7, 0), (2, 7, 0)]
-    # ...then the cursor reaches the limit: native posts, recording again.
+    # ...then the cursor reaches the record's end: native posts,
+    # recording again.
     assert plane.post_wildcard(api, ANY_SOURCE, 7, 0) is None
     _record_wildcards(plane, 1, (0,))
     assert len(plane.dets[1]) == 3
@@ -279,7 +280,8 @@ def test_post_wildcard_mismatch_degrades_to_free_order():
     plane._rewind(1, None)
     api = _StubApi(job.sim, 1)
     # Re-execution posts a different pattern than recorded: no rewrite,
-    # and the cursor jumps to the stop line so replay stays free-order.
+    # and the cursor skips to the record's end so replay stays
+    # free-order.
     assert plane.post_wildcard(api, ANY_SOURCE, ANY_TAG, 0) is None
     assert plane.det_mismatches == 1
     assert plane.post_wildcard(api, ANY_SOURCE, 7, 0) is None
@@ -459,8 +461,17 @@ def run_wildcard(recovery, kill_after_dets=None, rounds=5):
     return job, results
 
 
-def test_determinants_reproduce_wildcard_match_order():
+def test_determinants_reproduce_wildcard_match_order(monkeypatch):
     _j, clean = run_wildcard("logged")
+    windows = []
+    real_rewind = RecoveryPlane._rewind
+
+    def rewind(plane, rank, dataset, matching=None):
+        real_rewind(plane, rank, dataset, matching)
+        windows.append((rank, plane.channels[rank].det_cursor,
+                        len(plane.dets.get(rank, ()))))
+
+    monkeypatch.setattr(RecoveryPlane, "_rewind", rewind)
     # Kill rank 0's own slot three matches into an ANY_SOURCE drain:
     # its re-execution re-posts those wildcards and the plane rewrites
     # them to the recorded sources, in the recorded order.
@@ -468,11 +479,14 @@ def test_determinants_reproduce_wildcard_match_order():
     plane = job.recovery
     assert plane.det_recorded > 0
     # The death point sat mid-drain, so the rewind left a non-empty
-    # recorded window (cursor at the checkpoint's drain boundary, limit
-    # mid-drain) and every rewritten post matched its recorded message.
+    # replay window (cursor at the checkpoint's drain boundary, the
+    # record's end mid-drain)...
+    [(cursor, end)] = [(c, e) for rank, c, e in windows if rank == 0]
+    assert cursor % 7 == 0 and end % 7 != 0 and cursor < end
+    # ...the replay caught up, and every rewritten post matched its
+    # recorded message.
     chan = plane.channels[0]
-    assert chan.det_limit % 7 != 0
-    assert chan.det_cursor == chan.det_limit
+    assert chan.det_cursor == len(plane.dets[0])
     assert plane.det_mismatches == 0
     assert len(clean) == len(killed) == 8
     for c, k in zip(clean, killed):

@@ -5,8 +5,10 @@
   indistinguishable from global rollback);
 * the single receive-side hook ``NetContext.recv_filter`` driven
   through both transport delivery paths with each plane's filter;
-* the shared :class:`~repro.fmi.channel.ChannelState` record;
-* the guard that a ``recovery="global"`` run never enters either plane.
+* the shared channel layer: the :class:`~repro.fmi.channel.ChannelState`
+  record and the one determinant rule both planes follow;
+* the guard that a ``recovery="global"`` run never enters either plane
+  or the channel layer under them.
 """
 
 import cProfile
@@ -25,8 +27,9 @@ from repro.fmi.channel import ChannelState
 from repro.fmi.config import RECOVERY_MODES
 from repro.fmi.checkpoint import CheckpointEngine
 from repro.fmi.msglog import RecoveryPlane
-from repro.fmi.replication import ReplicationPlane
+from repro.fmi.replication import ReplicationPlane, _StandbyRec
 from repro.fmi.runtime import RecoveryFamily
+from repro.net.matching import ANY_SOURCE
 from repro.net.message import Envelope
 from repro.net.transport import Transport
 from repro.obs import Tracer
@@ -107,21 +110,31 @@ def test_do_nothing_family_is_global_rollback(monkeypatch):
 
 
 # --------------------------------------------------- the one transport hook
-def _logged_filter(sim):
+def _logged_plane(sim):
     job = SimpleNamespace(sim=sim, transport=SimpleNamespace(), num_ranks=2)
-    plane = RecoveryPlane(job)
-    return plane, plane._make_recv_filter(plane.channels[1]), None
+    return RecoveryPlane(job)
+
+
+def _replicated_plane(sim):
+    job = SimpleNamespace(
+        sim=sim, transport=SimpleNamespace(), rank_procs={},
+        config=FmiConfig(recovery="replicated", spare_nodes=1),
+    )
+    return ReplicationPlane(job)
+
+
+def _logged_filter(sim):
+    plane = _logged_plane(sim)
+    fproc = SimpleNamespace(rank=1)
+    return plane, plane._make_recv_filter(fproc, plane.channels[1]), None
 
 
 def _replicated_filter(sim):
-    job = SimpleNamespace(
-        sim=sim, transport=SimpleNamespace(),
-        config=FmiConfig(recovery="replicated", spare_nodes=1),
-    )
-    plane = ReplicationPlane(job)
+    plane = _replicated_plane(sim)
     key = object()  # stands in for the receiving context
     chan = plane.channels[key] = ChannelState()
-    return plane, plane._make_recv_filter(key, chan), key
+    fproc = SimpleNamespace(ctx=key)
+    return plane, plane._make_recv_filter(fproc, chan), key
 
 
 @pytest.mark.parametrize("traced", [False, True],
@@ -163,11 +176,11 @@ def test_recv_filter_through_both_delivery_paths(make_filter, traced):
                             "net.recv"]
     if standby_key is not None:
         # An unsynced standby parks stamped envelopes instead.
-        plane.pending[standby_key] = []
+        rec = plane.standby_recs[standby_key] = _StandbyRec(1, 1, sim)
         dst.recv_filter = plane._make_recv_filter(
-            standby_key, plane.channels[standby_key])
+            SimpleNamespace(ctx=standby_key), plane.channels[standby_key])
         parked = send((0, 1, 2))
-        assert plane.pending[standby_key] == [parked]
+        assert rec.buffered == [parked]
         assert plane.standby_buffered == 1
         assert dst.matching.delivered == 3
         assert transport.lseq_dup_dropped == 2
@@ -208,12 +221,74 @@ def test_channel_state_load_rebases_seen_onto_consumed():
         {}, set(), set(), 0)
 
 
+class _Ctx:
+    """A context stand-in (hashable: the replicated plane keys channels
+    by context) whose matching engine is ``matching``."""
+
+    def __init__(self, matching=None):
+        self.matching = matching
+
+
+def _logged_rule(sim, posted):
+    """Rank 1 records its own matches and replays them."""
+    plane = _logged_plane(sim)
+    chan = plane.channels[1]
+    fproc = SimpleNamespace(rank=1)
+    api = SimpleNamespace(world_rank=1, fproc=fproc, ctx=_Ctx(posted))
+    return plane, 1, plane._make_sink(fproc, chan), chan, api
+
+
+def _replicated_rule(sim, posted):
+    """Rank 0's lead records; its follower replays."""
+    plane = _replicated_plane(sim)
+    lead = SimpleNamespace(rank=0, ctx=_Ctx())
+    follower = SimpleNamespace(rank=0, ctx=_Ctx(posted))
+    plane.job.rank_procs[0] = lead
+    sink = plane._make_sink(lead, plane.channels.setdefault(
+        lead.ctx, ChannelState()))
+    chan = plane.channels[follower.ctx] = ChannelState()
+    api = SimpleNamespace(world_rank=0, fproc=follower, ctx=follower.ctx)
+    return plane, 0, sink, chan, api
+
+
+@pytest.mark.parametrize("make", [_logged_rule, _replicated_rule],
+                         ids=["logged", "replicated"])
+def test_both_planes_follow_one_determinant_rule(make):
+    """Behind the record's end a channel replays it in order; at the
+    end a logged post goes native and a replicated follower parks."""
+    sim = Simulator()
+    posts = []
+    posted = SimpleNamespace(
+        post=lambda src, tag, comm: posts.append((src, tag, comm)) or
+        sim.event())
+    plane, rank, sink, chan, api = make(sim, posted)
+    srcs = [3, 2, 5, 1]
+    for n, src in enumerate(srcs):
+        env = Envelope(src=src, dst=rank, tag=7, comm_id=0, epoch=0,
+                       nbytes=8.0, data=None)
+        env.lseq = (src, rank, n)
+        sink(ANY_SOURCE, 7, env)
+    assert plane.det_recorded == len(plane.dets[rank]) == 4
+    chan.det_cursor = 1
+    for _ in srcs[1:]:
+        assert plane.post_wildcard(api, ANY_SOURCE, 7, 0) is not None
+    assert posts == [(src, 7, 0) for src in srcs[1:]]
+    assert chan.det_cursor == 4
+    last = plane.post_wildcard(api, ANY_SOURCE, 7, 0)
+    if make is _logged_rule:
+        assert last is None
+    else:
+        assert not last.triggered
+        assert plane.parked[rank] == [(api.ctx, ANY_SOURCE, 7, 0, last)]
+    assert len(posts) == 3 and plane.det_mismatches == 0
+
+
 # ------------------------------------------------------- global bypass guard
 def test_global_run_enters_neither_plane_module():
     """The in-tree mirror of the benchmark's ``fmi.msglog.calls_m == 0``
     on the global-rollback workloads: a killed ``recovery="global"`` job
-    executes no function defined in ``fmi/msglog.py`` or
-    ``fmi/replication.py``."""
+    executes no function defined in ``fmi/msglog.py``,
+    ``fmi/replication.py`` or the ``fmi/channel.py`` layer under them."""
     profile = cProfile.Profile()
     profile.enable()
     job, _tracer, results = run_bsp("global", num_ranks=4, ppn=1)
@@ -223,6 +298,7 @@ def test_global_run_enters_neither_plane_module():
     assert any(f.endswith("fmi/runtime.py") for f in files)
     entered = sorted(
         f for f in files
-        if f.endswith(("fmi/msglog.py", "fmi/replication.py"))
+        if f.endswith(("fmi/msglog.py", "fmi/replication.py",
+                       "fmi/channel.py"))
     )
     assert entered == []

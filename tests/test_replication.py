@@ -1,13 +1,14 @@
 """The replication recovery plane: unit + end-to-end coverage.
 
 Unit tests drive :class:`~repro.fmi.replication.ReplicationPlane`
-against a stub job (lseq stamping, payload-snapshotting mirrors, the
-exact-once receive filter).  The end-to-end tests run a killed BSP job
-under ``recovery="replicated"`` and require it to land bit-identical on
-the failure-free answer *without any rank ever opening a checkpoint
-restore* -- failover, not rollback -- plus the graceful fall-back when
-both copies of one virtual rank die, and regressions for the recovery
-scan's swallowed-failure race.
+against a stub job (lseq stamping, the mirror fan-out of ``on_send``,
+payload-snapshotting mirrors, the exact-once receive filter).  The
+end-to-end tests run a killed BSP job under ``recovery="replicated"``
+and require it to land bit-identical on the failure-free answer
+*without any rank ever opening a checkpoint restore* -- failover, not
+rollback -- plus the graceful fall-back when both copies of one
+virtual rank die, and regressions for the recovery scan's
+swallowed-failure race.
 """
 
 import math
@@ -31,6 +32,7 @@ from repro.models.efficiency import (
 )
 from repro.net.matching import MatchingEngine
 from repro.net.message import Envelope
+from repro.net.transport import Transport
 from repro.obs import Tracer
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
@@ -52,10 +54,20 @@ class _StubCtx:
         self.matching = MatchingEngine(Simulator())
 
 
+class _StubTransport:
+    """Records every send the plane makes: ``(src ctx, dst addr, env)``."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, src, dst_addr, env):
+        self.sent.append((src, dst_addr, env))
+
+
 class _StubJob:
     def __init__(self, degree=2):
         self.sim = Simulator()
-        self.transport = SimpleNamespace()
+        self.transport = _StubTransport()
         self.config = FmiConfig(recovery="replicated",
                                 replication_degree=degree,
                                 spare_nodes=degree - 1)
@@ -78,10 +90,12 @@ def make_plane(degree=2):
     return job, ReplicationPlane(job)
 
 
-def boot(plane, rank, copy, addr):
+def boot(plane, rank, copy, addr, ctx=None):
     """Adopt one copy and take it through ``on_h1``, as the runtime
-    does; returns its wired context."""
-    fproc = SimpleNamespace(rank=rank, copy=copy, ctx=_StubCtx(addr),
+    does; returns its wired context (a stub at ``addr`` unless
+    ``ctx`` is given)."""
+    fproc = SimpleNamespace(rank=rank, copy=copy,
+                            ctx=_StubCtx(addr) if ctx is None else ctx,
                             alive=True)
     plane.adopt(fproc)
     plane.on_h1(fproc)
@@ -90,20 +104,59 @@ def boot(plane, rank, copy, addr):
 
 # ------------------------------------------------------------- lseq stamping
 def test_on_send_stamps_per_context_sequences():
-    job, plane = make_plane()
+    job, plane = make_plane(degree=3)
     lead = boot(plane, 0, 0, (0, 0))
     follower = boot(plane, 0, 1, (1, 0))
     assert job.addr_table == {0: lead.addr}  # only the lead is published
     assert plane.mirrors == {lead.addr: [follower]}
+    # Rank 1 runs three copies, one of them on a dead node; rank 2 one.
+    boot(plane, 1, 0, (2, 0))
+    replicas = [boot(plane, 1, 1, (3, 0)), boot(plane, 1, 2, (4, 0))]
+    boot(plane, 2, 0, (5, 0))
+    replicas[1].node = _StubNode()
+    replicas[1].node.alive = False
+    sent = job.transport.sent
     # Copies of one rank run the same channel schedule, so the two
     # contexts must produce *identical* lseq streams independently.
     for ctx in (lead, follower):
         envs = [_env(src=0, dst=1) for _ in range(3)] + [_env(src=0, dst=2)]
         for e in envs[:3]:
+            mark = len(sent)
             plane.on_send(0, 1, e, ctx=ctx)
+            # A lead-bound send: one clone per live replica, from this
+            # copy, on the wire before on_send returns.
+            assert [(src, addr, m.lseq) for src, addr, m in sent[mark:]] \
+                == [(ctx, replicas[0].addr, e.lseq)]
+        mark = len(sent)
         plane.on_send(0, 2, envs[3], ctx=ctx)
+        assert sent[mark:] == []  # no replica, no clone
         assert [e.lseq for e in envs] == [(0, 1, 0), (0, 1, 1), (0, 1, 2),
                                           (0, 2, 0)]
+    assert plane.mirrored == 6
+
+
+def test_transport_send_mirrors_nothing():
+    """The fan-out is ``on_send``'s: an lseq-stamped envelope handed
+    straight to ``Transport.send`` reaches its one destination."""
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(3), RngRegistry(0))
+    job = _StubJob()
+    job.sim = sim
+    job.transport = transport = Transport(machine)
+    plane = ReplicationPlane(job)
+    lead, follower = (
+        boot(plane, 0, copy, None, transport.create_context(machine.node(n)))
+        for copy, n in ((0, 1), (1, 2))
+    )
+    assert plane.mirrors == {lead.addr: [follower]}
+    env = _env(src=1, dst=0)
+    env.lseq = (1, 0, 0)
+    src = transport.create_context(machine.node(0))
+    sim.run(until=transport.send(src, lead.addr, env))
+    sim.run()
+    assert lead.matching.delivered == 1
+    assert follower.matching.delivered == 0
+    assert plane.mirrored == 0
 
 
 # ------------------------------------------------------------------ mirrors
@@ -160,12 +213,12 @@ def test_standby_parks_until_synced_then_loads_the_lead_snapshot():
     parked = _env(src=1, dst=0)
     parked.lseq = (1, 0, 1)
     assert standby.recv_filter(parked) is False
-    assert plane.pending[standby] == [parked]
+    assert plane.standby_recs[standby].buffered == [parked]
     assert plane.standby_buffered == 1
     # ...and syncing loads the snapshot: consumed lseqs are duplicates.
     chan = plane.channels[standby]
     chan.load(plane.snapshots[0][1])
-    del plane.pending[standby]
+    del plane.standby_recs[standby]
     assert chan.seen == chan.consumed == {(1, 0), (1, 1)}
     assert standby.recv_filter(parked) is False
     assert plane.dup_suppressed == 1
