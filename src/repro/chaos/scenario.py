@@ -86,6 +86,23 @@ class RandomTimes:
     mean_spacing: float
     start: float = 0.0
 
+    def __post_init__(self) -> None:
+        # a NaN start or spacing made every firing land at t = 0
+        if not (self.k >= 0 and math.isfinite(self.start)
+                and math.isfinite(self.mean_spacing) and self.mean_spacing > 0):
+            raise ValueError(
+                f"RandomTimes needs k >= 0, a finite start and a finite "
+                f"mean_spacing > 0, got k={self.k!r}, start={self.start!r}, "
+                f"mean_spacing={self.mean_spacing!r}"
+            )
+
+
+# A NaN or negative delay would reach ``sim.timeout`` only when the
+# action fires, mid-run: refuse it when the action is built.
+def _check_duration(owner: str, name: str, value: Optional[float]) -> None:
+    if value is not None and not value >= 0:
+        raise ValueError(f"{owner} {name} must be >= 0, got {value!r}")
+
 
 Trigger = Union[AtTime, OnEvent, RandomTimes]
 
@@ -147,6 +164,13 @@ class Partition:
     heal_after: Optional[float] = None
     mode: str = "stall"
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("stall", "drop"):
+            raise ValueError(
+                f"Partition mode must be 'stall' or 'drop', got {self.mode!r}"
+            )
+        _check_duration("Partition", "heal_after", self.heal_after)
+
 
 @dataclass(frozen=True)
 class HealPartition:
@@ -171,6 +195,9 @@ class Omission:
     delay_mean: float = 0.01
     duration: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        _check_duration("Omission", "duration", self.duration)
+
 
 @dataclass(frozen=True)
 class OmissionOff:
@@ -188,6 +215,9 @@ class LimpSlot:
     bw_factor: float = 8.0
     latency_factor: float = 4.0
     duration: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        _check_duration("LimpSlot", "duration", self.duration)
 
 
 Action = Union[

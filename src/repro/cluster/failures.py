@@ -133,7 +133,8 @@ class _Injector:
 
     An injector is *armed* from :meth:`start` to :meth:`stop`, and
     counts itself in ``sim.fault_injectors`` for exactly that long --
-    the one veto :meth:`Transport.hop_fidelity_reason` reports as
+    the veto the collective verdict (``MacroCollectives.verdict`` in
+    :mod:`repro.mpi.macro`, which holds the priority order) reports as
     ``"injector"``.  Subclasses extend :meth:`start` with their arrival
     logic and poll ``_armed`` to notice a :meth:`stop`.
     """

@@ -97,15 +97,15 @@ class FmiContext(ParallelApi):
         thereafter per the interval policy (fixed interval or
         Vaidya-tuned from the configured MTBF).
 
-        The whole call runs under :meth:`hop_fidelity`: checkpoint
+        The whole call runs in a ``_hop_only`` scope: checkpoint
         rendezvous, restore agreement and log replay are exactly where
         per-hop message timing is load-bearing, so the collectives
         inside never take the macro-event fast path.
         """
-        # hop_fidelity(), written out: a ``with`` around a delegating
-        # ``yield from`` would put one more frame under every resume of
-        # a rank that is inside FMI_Loop (kill -> generator.close()
-        # unwinds this ``finally`` the same way).
+        # A counter, not a ``with``: a context manager around a
+        # delegating ``yield from`` would put one more frame under every
+        # resume of a rank that is inside FMI_Loop (kill ->
+        # generator.close() unwinds this ``finally`` the same way).
         self._hop_only += 1
         try:
             self._check_ok()
@@ -193,6 +193,6 @@ class FmiContext(ParallelApi):
     def _agree_min(self, candidate: int):
         """Job-wide agreement on the restore dataset (world MIN); the
         checkpoint engine's ``world_agree`` callback.  Both callers
-        (:meth:`loop`, ``CheckpointEngine.restore``) already hold the
-        hop-fidelity scope."""
+        (:meth:`loop`, ``CheckpointEngine.restore``) already hold a
+        ``_hop_only`` scope."""
         return self.allreduce(candidate, MIN)

@@ -313,9 +313,9 @@ class CheckpointEngine:
         interleaving of checkpoint traffic with failures is exactly
         what the recovery experiments measure.
         """
-        # hop_fidelity(), written out (no forwarding frame under every
-        # resume of a checkpointing rank; a kill's generator.close()
-        # unwinds the ``finally`` as it did the ``with``)
+        # a ``_hop_only`` scope as a counter, not a ``with`` (no
+        # forwarding frame under every resume of a checkpointing rank;
+        # a kill's generator.close() unwinds the ``finally``)
         api = self.comm.api
         api._hop_only += 1
         try:
@@ -415,7 +415,7 @@ class CheckpointEngine:
         if self.sim.tracer.enabled:
             self._trace_mark("ckpt.restore.begin")
         # restore collectives are hop-level for the same reason the
-        # checkpoint rendezvous is (hop_fidelity(), written out)
+        # checkpoint rendezvous is (the same ``_hop_only`` scope)
         api = self.comm.api
         api._hop_only += 1
         try:

@@ -58,6 +58,7 @@ is checked post-hoc from ``mlog.log`` / ``mlog.rewind`` / ``net.recv``.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fmi.channel import ChannelPlane, ChannelState
@@ -314,9 +315,8 @@ class RecoveryPlane(ChannelPlane):
             entries = logs[src]
             if len(kept) != len(entries):
                 dropped += len(entries) - len(kept)
-                dropped_bytes += sum(e.nbytes for e in entries) - sum(
-                    e.nbytes for e in kept
-                )
+                dropped_bytes += (sum(map(attrgetter("nbytes"), entries))
+                                  - sum(map(attrgetter("nbytes"), kept)))
                 logs[src] = kept
         self.live_entries -= dropped
         self.live_bytes -= dropped_bytes

@@ -65,7 +65,7 @@ class RecoveryFamily:
     asks which one it is talking to.
     """
 
-    #: what ``Transport.hop_fidelity_reason`` answers for this family
+    #: the reason ``MacroCollectives.verdict`` gives for this family
     #: (None: individual hops are not load-bearing, macro tier allowed)
     hop_fidelity: Optional[str] = None
     #: physical rank-processes per virtual rank; physical slot ``s``
@@ -81,7 +81,6 @@ class RecoveryFamily:
     def __init__(self, job):
         self.job = job
         self.sim = job.sim
-        job.transport.recovery_hops = self.hop_fidelity
 
     # -- process wiring ----------------------------------------------------
     def adopt(self, fproc) -> None:
@@ -448,7 +447,9 @@ class Fmirun(FaultPolicy):
             # coordinator's counters and pending completions must start
             # clean.  A failover keeps every survivor's timeline, so
             # the fidelity guard (not a reset) handles it.
-            job.transport.macro_reset()
+            macro = job.transport.macro
+            if macro is not None:
+                macro.reset()
         if self.sim.tracer.enabled:
             self.sim.tracer.instant(
                 "recovery.begin", "recovery", epoch=job.epoch, cause=cause,

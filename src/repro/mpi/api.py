@@ -18,7 +18,6 @@ differ in that data, not in code:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Dict, Optional, Tuple
 
 from repro.mpi.communicator import WORLD_ID, Communicator
@@ -64,6 +63,7 @@ class _NoFaultTolerance:
 
     notified_pending = False
     on_send = None
+    hop_fidelity = None
 
     @staticmethod
     def post_wildcard(api, source: int, tag: int, comm_id: int):
@@ -79,7 +79,8 @@ class ParallelApi:
     #: the process whose ``notified_pending`` flag gates every send and
     #: post, and the recovery family: its ``on_send`` (None: nobody
     #: looks) is the one per-message seam, its ``post_wildcard`` may
-    #: replace the post of a receive whose pattern holds a wildcard
+    #: replace the post of a receive whose pattern holds a wildcard,
+    #: its ``hop_fidelity`` is one of the collective verdict's reasons
     fproc = recovery = _NoFaultTolerance
 
     def __init__(self, transport: Transport, ctx: NetContext,
@@ -101,22 +102,11 @@ class ParallelApi:
         self.msgs_sent = 0
         #: while > 0, collectives issued through this API must run on
         #: the hop-level engine (checkpoint rendezvous, restore
-        #: agreement -- sections where per-hop fidelity is load-bearing)
+        #: agreement -- sections where per-hop fidelity is load-bearing).
+        #: A scope is ``+= 1`` then ``try: ... finally: -= 1`` around a
+        #: section every participating rank runs together (SPMD), so the
+        #: whole instance lands on the same engine
         self._hop_only = 0
-
-    @contextmanager
-    def hop_fidelity(self):
-        """Scope in which this rank's collectives are macro-ineligible.
-
-        Callers are collective sections executed by every participating
-        rank together (SPMD), so the whole instance lands on the same
-        engine.
-        """
-        self._hop_only += 1
-        try:
-            yield
-        finally:
-            self._hop_only -= 1
 
     def _check_ok(self) -> None:
         """Raise if communication is currently forbidden: what a set

@@ -18,17 +18,14 @@ Two engines sit behind each of the eight collectives a
   16k-rank simulations tractable.
 
 Selection is the library's own decision (mode ``auto``): each
-collective instance runs macro unless the calling rank is inside a
-``hop_fidelity`` scope or :meth:`Transport.hop_fidelity_reason` names
-a reason -- in priority order ``injector`` (an *armed* injector or
-chaos engine vetoes today; ROADMAP item 2b narrows that to fired
-faults at the shared ``_Injector.start``), ``omission``,
-``partition``, ``limp``, the recovery family's ``recovery_hops``
-(``msglog`` / ``replicated``), ``observability``.  The one
+collective instance runs macro unless
+:meth:`MacroCollectives.verdict <repro.mpi.macro.MacroCollectives.verdict>`
+names a reason; its docstring lists them in priority order.  The one
 process-level override is :func:`set_collective_mode`:
 
 * ``auto`` (default, and what ``None`` restores);
-* ``hops``: always the hop-level engine;
+* ``hops``: always the hop-level engine, without consulting the
+  coordinator at all;
 * ``macro``: macro even under tracing (every other reason still falls
   back); for scale benchmarks that want the fast path unconditionally.
 
@@ -73,7 +70,6 @@ __all__ = [
     "allgather_hops",
     "scatter_hops",
     "alltoall_hops",
-    "collective_mode",
     "set_collective_mode",
     "TAG_BCAST",
     "TAG_REDUCE",
@@ -108,11 +104,6 @@ _TINY = 4.0
 _VALID_MODES = ("auto", "hops", "macro")
 
 _MODE = "auto"
-
-
-def collective_mode() -> str:
-    """The engine mode collectives currently dispatch under."""
-    return _MODE
 
 
 def set_collective_mode(mode: Optional[str]) -> str:

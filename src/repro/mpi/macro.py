@@ -39,18 +39,9 @@ Eligibility
 A rank consults the coordinator on *every* collective call (keeping
 per-rank sequence numbers aligned), but the macro/hop verdict is
 latched by the **first** rank to arrive and applies to the whole
-instance -- mixed engines within one collective would deadlock.  The
-verdict is hop-level whenever:
-
-* the calling rank is inside an :meth:`ParallelApi.hop_fidelity`
-  scope (checkpoint rendezvous, restore agreement, msglog replay);
-* :meth:`Transport.hop_fidelity_reason` names a reason, checked in
-  this order: ``injector`` (an injector or chaos engine is *armed* --
-  fired or not; ROADMAP item 2b narrows that at the shared
-  ``_Injector.start``), ``omission``, ``partition``, ``limp``, the
-  recovery family's ``recovery_hops`` (``msglog`` / ``replicated``),
-  ``observability`` (enabled tracing/metrics; overridden when
-  ``set_collective_mode("macro")`` forces the tier).
+instance -- mixed engines within one collective would deadlock.
+:meth:`MacroCollectives.verdict` is that verdict, and its docstring
+holds the reasons and their priority order.
 
 Bookkeeping invariants:
 
@@ -60,7 +51,7 @@ Bookkeeping invariants:
   epoch is the macro analogue of epoch-stamped envelopes (see
   :meth:`MacroCollectives.instance`);
 * :meth:`MacroCollectives.reset` (called from recovery's
-  ``begin_recovery`` via :meth:`Transport.macro_reset`) cancels every
+  ``begin_recovery``) cancels every
   in-flight instance and clears the sequence counters, so a rolled
   back world replays its collective sequence from a clean slate.
 
@@ -165,13 +156,50 @@ class MacroCollectives:
         self.fallbacks: Dict[str, int] = {}
 
     # -- eligibility ------------------------------------------------------
-    def _verdict(self, api, mode: str) -> Optional[str]:
+    @staticmethod
+    def verdict(api, mode: str) -> Optional[str]:
+        """Hops or macro, and why: ``None`` lets the macro tier run, a
+        reason string sends the instance down the hop path.
+
+        The one place this is decided.  The reasons, in priority order
+        (the first that holds is the answer):
+
+        1. ``checkpoint`` -- the calling rank is inside a ``_hop_only``
+           scope (checkpoint rendezvous, restore agreement, log replay);
+        2. ``injector`` -- an injector or chaos engine is *armed*
+           (``sim.fault_injectors``), fired or not; ROADMAP item 2b
+           narrows that at the shared ``_Injector.start``;
+        3. ``omission`` -- a lossy-link model is attached, or ever was
+           (a detached one may still have duplicates in flight);
+        4. ``partition`` -- the fabric is cut;
+        5. ``limp`` -- some node's NIC is degraded;
+        6. the recovery family's own ``hop_fidelity`` (``msglog``,
+           ``replicated``), read from ``api.recovery``;
+        7. ``observability`` -- tracing or metrics are on; waived under
+           mode ``macro``, which trades trace fidelity for speed.
+
+        The check is *nominal* state, not in-flight traffic: concurrent
+        point-to-point flows (halo exchanges) do not disable the fast
+        path; their contention error is what the conformance tolerance
+        covers.
+        """
         if api._hop_only:
             return "checkpoint"
-        reason = self.transport.hop_fidelity_reason()
-        if reason == "observability" and mode == "macro":
-            return None  # forced mode trades trace fidelity for speed
-        return reason
+        transport = api.transport
+        sim = transport.sim
+        if sim.fault_injectors > 0:
+            return "injector"
+        if transport._lossy:  # set by every set_faults, never cleared
+            return "omission"
+        if transport.machine.fabric.partitioned:
+            return "partition"
+        if transport.machine.limping_count > 0:
+            return "limp"
+        if api.recovery.hop_fidelity is not None:
+            return api.recovery.hop_fidelity
+        if mode != "macro" and (sim.tracer.enabled or sim.metrics.enabled):
+            return "observability"
+        return None
 
     def instance(self, comm, kind: str, mode: str) -> Optional[_Instance]:
         """Consult (and advance) this rank's collective sequence.
@@ -196,7 +224,7 @@ class MacroCollectives:
         key = (epoch, comm.id, kind, n)
         inst = self._pending.get(key)
         if inst is None:
-            verdict = self._verdict(comm.api, mode)
+            verdict = self.verdict(comm.api, mode)
             inst = _Instance(self, kind, comm.size, verdict)
             self._pending[key] = inst
             if verdict is None:

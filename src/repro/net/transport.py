@@ -24,6 +24,11 @@ Gray failures ride the same delivery path:
   injects seeded per-message drop/duplicate/delay.  Drops cost
   retransmission timeouts; duplicates are suppressed at the receiver
   via the envelope's globally unique sequence number.
+
+Whether a collective runs on per-message hops or as one macro event
+is not decided here: ``MacroCollectives.verdict`` in
+:mod:`repro.mpi.macro` reads the fault state above and holds the
+priority order.
 """
 
 from __future__ import annotations
@@ -262,19 +267,12 @@ class Transport:
         self.omission_dups = 0
         #: duplicate copies suppressed at the receiver
         self.dup_dropped = 0
-        #: why the job's recovery family needs every hop simulated
-        #: ("msglog": sends are logged and replayed one by one;
-        #: "replicated": each send to a lead is mirrored to its replicas
-        #: in ``on_send``, so a macro-collapsed collective would bypass
-        #: them); None = global rollback
-        self.recovery_hops: Optional[str] = None
         #: envelopes suppressed or buffered by a context's
         #: ``recv_filter``
         self.lseq_dup_dropped = 0
-        # -- macro-event collectives --
-        #: lazily-created per-job coordinator (repro.mpi.macro); lives
-        #: here because the transport is the per-job rendezvous object
-        #: every rank's API shares
+        #: a slot the collective layer fills lazily with its per-job
+        #: coordinator: the transport is the one object every rank's API
+        #: shares, and never reads the slot itself
         self.macro = None
         machine.fabric.on_heal(self._on_heal)
 
@@ -282,40 +280,6 @@ class Transport:
         """Unhook from the (long-lived) fabric at job teardown so a
         stream of tenant jobs does not accumulate dead heal listeners."""
         self.machine.fabric.remove_heal_listener(self._on_heal)
-
-    # -- macro-event eligibility ---------------------------------------------
-    def hop_fidelity_reason(self) -> Optional[str]:
-        """Why collectives on this transport need per-hop fidelity.
-
-        Returns ``None`` when the macro-event fast path may run, or a
-        short reason string: something is armed, degraded, observed or
-        recorded that makes individual message hops load-bearing.
-        The check is *nominal* network state, not instantaneous
-        in-flight traffic -- concurrent point-to-point flows (halo
-        exchanges) do not disable the fast path; their contention
-        error is what the conformance tolerance covers.
-        """
-        if self.sim.fault_injectors > 0:
-            return "injector"
-        if self.faults is not None or self._lossy:
-            return "omission"
-        if self.machine.fabric.partitioned:
-            return "partition"
-        if self.machine.limping_count > 0:
-            return "limp"
-        if self.recovery_hops is not None:
-            return self.recovery_hops
-        if self.sim.tracer.enabled or self.sim.metrics.enabled:
-            return "observability"
-        return None
-
-    def macro_reset(self) -> None:
-        """Recovery hook: drop all in-flight macro collective state
-        (pending instances, per-rank sequence counters, scheduled
-        completions) so a post-rollback world starts from a clean
-        collective sequence."""
-        if self.macro is not None:
-            self.macro.reset()
 
     # -- registry ---------------------------------------------------------
     def create_context(self, node: Node, label: str = "") -> NetContext:

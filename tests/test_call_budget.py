@@ -134,7 +134,6 @@ from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
 from repro.models.vaidya import optimal_interval
-from repro.mpi.collectives import set_collective_mode
 from repro.mpi.communicator import Communicator
 from repro.mpi.runtime import MpiJob
 from repro.net.matching import MatchingEngine
@@ -143,6 +142,7 @@ from repro.net.transport import Transport
 from repro.obs import MetricsRegistry, Tracer
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
+from tests.collective_engine import pinned_engine
 
 RANKS, ITERATIONS = 24, 8
 CALLS_PER_RANK_ITERATION = 1405.0
@@ -209,12 +209,9 @@ def test_calls_per_kernel_event_stay_under_the_ceiling(budget_run):
 
 
 def test_watching_costs_a_bounded_number_of_calls():
-    previous = set_collective_mode("hops")
-    try:
+    with pinned_engine("hops"):
         calls, events = _profiled_run(observed=False)
         observed_calls, observed_events = _profiled_run(observed=True)
-    finally:
-        set_collective_mode(previous)
     assert observed_events == events  # observe, never perturb
     assert observed_calls - calls < OBSERVED_CALLS_EXCESS, (observed_calls, calls)
 
@@ -340,8 +337,7 @@ def macro_budget_run():
     """``(calls, events, tracked objects, closure cells)``: the first
     two from a profiled run, the other two at the burst of a second,
     single-stepped run with the collector off."""
-    previous = set_collective_mode("macro")
-    try:
+    with pinned_engine("macro"):
         sim, job = _macro_job()
         profile = cProfile.Profile()
         profile.enable()
@@ -376,8 +372,6 @@ def macro_budget_run():
         finally:
             gc.enable()
         _check_macro(job, done.value)
-    finally:
-        set_collective_mode(previous)
     return calls, events, tracked, cells
 
 

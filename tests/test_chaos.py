@@ -43,6 +43,7 @@ from repro.obs import Tracer, write_jsonl
 from repro.simt import Simulator
 from repro.simt.primitives import AllOf
 from repro.simt.rng import RngRegistry
+from tests.collective_engine import verdict
 
 
 # ------------------------------------------------------------ EventInjector
@@ -66,6 +67,45 @@ def test_at_time_refuses_nan():
     # ``max(0.0, nan)`` is 0.0: the rule used to fire at once.
     with pytest.raises(ValueError, match="NaN"):
         AtTime(float("nan"))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, match", [
+    # a NaN start or spacing fired every kill at t = 0
+    (lambda: RandomTimes(k=2, mean_spacing=NAN), "RandomTimes"),
+    (lambda: RandomTimes(k=2, mean_spacing=1.0, start=NAN), "RandomTimes"),
+    (lambda: RandomTimes(k=2, mean_spacing=INF), "RandomTimes"),
+    (lambda: RandomTimes(k=2, mean_spacing=1.0, start=-INF), "RandomTimes"),
+    (lambda: RandomTimes(k=2, mean_spacing=0.0), "RandomTimes"),
+    (lambda: RandomTimes(k=2, mean_spacing=-1.0), "RandomTimes"),
+    (lambda: RandomTimes(k=-1, mean_spacing=1.0), "RandomTimes"),
+    # a misspelt mode ran drop mode
+    (lambda: Partition(groups=((0,), (1,)), mode="stal"), "mode"),
+    # a NaN heal crashed the run when the cut went in
+    (lambda: Partition(groups=((0,), (1,)), heal_after=NAN), "heal_after"),
+    (lambda: Partition(groups=((0,), (1,)), heal_after=-1.0), "heal_after"),
+    (lambda: Omission(drop_p=0.1, duration=NAN), "duration"),
+    (lambda: Omission(drop_p=0.1, duration=-0.5), "duration"),
+    (lambda: LimpSlot(0, duration=NAN), "duration"),
+    (lambda: LimpSlot(0, duration=-2.0), "duration"),
+], ids=[
+    "spacing-nan", "start-nan", "spacing-inf", "start-inf", "spacing-zero",
+    "spacing-negative", "k-negative", "partition-mode", "heal-nan",
+    "heal-negative", "omission-nan", "omission-negative", "limp-nan",
+    "limp-negative",
+])
+def test_dsl_refuses_bad_input_at_construction(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_dsl_still_accepts_edge_values():
+    RandomTimes(k=0, mean_spacing=1e-9, start=-1.0)
+    Partition(groups=((0,), (1,)), heal_after=0.0, mode="drop")
+    Omission(duration=0.0)
+    LimpSlot(0, duration=None)
 
 
 def test_event_injector_fires_on_nth_match_after_delay():
@@ -140,7 +180,7 @@ def test_disarm_removes_exactly_the_veto_arm_placed():
     engine.arm(Scenario("t", []))
     engine.arm(Scenario("again", []))
     assert sim.fault_injectors == 1
-    assert first.transport.hop_fidelity_reason() == "injector"
+    assert verdict(first.transport) == "injector"
 
     late = MpiJob(machine, app, 2, procs_per_node=1, charge_init=False)
     engine.jobs.append(late)
@@ -148,9 +188,9 @@ def test_disarm_removes_exactly_the_veto_arm_placed():
     own.start()
     engine.disarm()
     engine.disarm()
-    assert late.transport.hop_fidelity_reason() == "injector"
+    assert verdict(late.transport) == "injector"
     own.stop()
-    assert late.transport.hop_fidelity_reason() is None
+    assert verdict(late.transport) is None
     assert sim.fault_injectors == 0
 
 

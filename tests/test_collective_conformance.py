@@ -13,6 +13,8 @@ The contract of :mod:`repro.mpi.macro`:
   falls back to the hop engine transparently.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,13 +22,16 @@ from hypothesis import strategies as st
 
 from repro.cluster import Machine, TraceInjector
 from repro.cluster.spec import SIERRA
-from repro.mpi.collectives import collective_mode, set_collective_mode
+from repro.mpi.api import ParallelApi
+from repro.mpi.collectives import set_collective_mode
 from repro.net import LinkFaultModel
 from repro.mpi.ops import MAX, SUM
 from repro.mpi.runtime import MpiJob
+from repro.obs import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
+from tests.collective_engine import pinned_engine, verdict
 
 #: relative tolerance on collective completion time (max over ranks);
 #: covers the contention the closed-form model deliberately ignores
@@ -36,16 +41,15 @@ ABS_TOL = 5e-6
 
 
 @pytest.fixture(autouse=True)
-def _restore_mode():
-    yield
-    set_collective_mode(None)
+def _auto_engine():
+    with pinned_engine(None):
+        yield
 
 
 def run_timed(app, nprocs, mode, ppn=1, nodes=None, seed=0, prep=None):
     """Run ``app`` (rank generator returning (result, t0, t1)) under a
     collective engine mode; returns (results, duration, job)."""
-    set_collective_mode(mode)
-    try:
+    with pinned_engine(mode):
         sim = Simulator()
         machine = Machine(
             sim,
@@ -57,8 +61,6 @@ def run_timed(app, nprocs, mode, ppn=1, nodes=None, seed=0, prep=None):
         if prep is not None:
             prep(sim, machine, job)
         out = sim.run(until=job.launch())
-    finally:
-        set_collective_mode(None)
     results = [r for r, _t0, _t1 in out]
     start = min(t0 for _r, t0, _t1 in out)
     end = max(t1 for _r, _t0, t1 in out)
@@ -277,9 +279,8 @@ def test_mode_override_ignores_the_environment(monkeypatch):
     the library no longer looks (the bench harness translates it)."""
     monkeypatch.setenv("REPRO_COLLECTIVES", "hops")
     assert set_collective_mode("macro") == "auto"  # returns the previous
-    assert collective_mode() == "macro"
-    set_collective_mode(None)
-    assert collective_mode() == "auto"
+    assert set_collective_mode(None) == "macro"
+    assert set_collective_mode(None) == "auto"
     with pytest.raises(ValueError, match="unknown collective mode"):
         set_collective_mode("bogus")
     results, _t, job = _run_auto()
@@ -302,13 +303,13 @@ def test_auto_falls_back_under_tracing():
 
 
 def test_forced_macro_overrides_tracing():
-    set_collective_mode("macro")
-    sim = Simulator()
-    machine = Machine(sim, SIERRA.with_nodes(4), RngRegistry(0))
-    Tracer(sim)
-    job = MpiJob(machine, _fallback_app, 4, procs_per_node=1,
-                 charge_init=False)
-    out = sim.run(until=job.launch())
+    with pinned_engine("macro"):
+        sim = Simulator()
+        machine = Machine(sim, SIERRA.with_nodes(4), RngRegistry(0))
+        Tracer(sim)
+        job = MpiJob(machine, _fallback_app, 4, procs_per_node=1,
+                     charge_init=False)
+        out = sim.run(until=job.launch())
     assert [r for r, _, _ in out] == [10] * 4
     assert job.transport.macro.instances_macro > 0
 
@@ -320,33 +321,44 @@ def _armed_injector(sim):
     return injector
 
 
-def test_hop_fidelity_reason_priority_and_coverage():
-    """Unit test of the transport gate: the six degraded/observed
-    states are stacked from the lowest priority up, so each reason
-    must outrank every one already in force."""
+def test_verdict_priority_and_coverage():
+    """Unit test of ``MacroCollectives.verdict``: the seven reasons are
+    stacked from the lowest priority up, so each must outrank every one
+    already in force."""
     sim = Simulator()
     machine = Machine(sim, SIERRA.with_nodes(4), RngRegistry(0))
     job = MpiJob(machine, _fallback_app, 4, procs_per_node=1,
                  charge_init=False)
     tr = job.transport
-    assert tr.hop_fidelity_reason() is None
+    assert verdict(tr) is None
+    assert verdict(tr, mode="macro") is None
 
+    # Either half of observability is enough; mode "macro" waives it.
+    metrics = MetricsRegistry(sim)
+    assert verdict(tr) == "observability"
+    metrics.enabled = False
     Tracer(sim)
-    assert tr.hop_fidelity_reason() == "observability"
-    # The job's recovery family answers from one field.
+    assert verdict(tr) == "observability"
+    assert verdict(tr, mode="macro") is None
+    # The family answers from its own field.
     for reason in ("msglog", "replicated"):
-        tr.recovery_hops = reason
-        assert tr.hop_fidelity_reason() == reason
+        family = SimpleNamespace(hop_fidelity=reason)
+        assert verdict(tr, family) == verdict(tr, family, "macro") == reason
+    family = SimpleNamespace(hop_fidelity="msglog")
     machine.node(1).set_limp(bw_factor=4.0, latency_factor=2.0)
-    assert tr.hop_fidelity_reason() == "limp"
+    assert verdict(tr, family) == "limp"
     machine.fabric.partition([[0, 1], [2, 3]])
-    assert tr.hop_fidelity_reason() == "partition"
+    assert verdict(tr, family) == "partition"
     tr.set_faults(LinkFaultModel(np.random.default_rng(0), drop_p=0.1))
-    assert tr.hop_fidelity_reason() == "omission"
+    assert verdict(tr, family) == "omission"
     injector = _armed_injector(sim)
-    assert tr.hop_fidelity_reason() == "injector"
+    assert verdict(tr, family) == "injector"
+    assert verdict(tr, family, hop_only=1) == "checkpoint"
+    assert verdict(tr, family, "macro", hop_only=2) == "checkpoint"
     injector.stop()
-    assert tr.hop_fidelity_reason() == "omission"
+    # a detached model may still have duplicates in flight
+    tr.clear_faults()
+    assert verdict(tr, family) == "omission"
 
 
 def test_auto_falls_back_under_limp():
@@ -366,25 +378,35 @@ def test_auto_falls_back_while_an_injector_is_armed():
     assert results == [10] * 4
     expect_fallback(job, "injector")
     armed[0].stop()
-    assert job.transport.hop_fidelity_reason() is None
+    assert verdict(job.transport) is None
     # macro again once nothing is armed
     results, _t, job = _run_auto()
     assert results == [10] * 4
     assert job.transport.macro.instances_macro > 0
 
 
+class _LoggingFamily(ParallelApi.recovery):
+    """No fault tolerance, but a family whose hops are load-bearing."""
+
+    hop_fidelity = "msglog"
+
+
 def test_auto_falls_back_under_a_hop_recording_family():
-    def prep(sim, machine, job):
-        job.transport.recovery_hops = "msglog"
-    results, _t, job = _run_auto(prep)
+    def app(mpi):
+        mpi.recovery = _LoggingFamily  # the verdict reads the caller's API
+        return (yield from _fallback_app(mpi))
+    results, _t, job = _run_auto(app=app)
     assert results == [10] * 4
     expect_fallback(job, "msglog")
 
 
 def test_auto_falls_back_in_hop_fidelity_scope():
     def app(mpi):
-        with mpi.hop_fidelity():
+        mpi._hop_only += 1  # the scope FMI_Loop and checkpoints open
+        try:
             out = yield from mpi.allreduce(mpi.rank + 1, SUM)
+        finally:
+            mpi._hop_only -= 1
         out2 = yield from mpi.allreduce(out, SUM)
         return (out, out2), 0.0, mpi.now
 

@@ -17,11 +17,11 @@ from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.models import collective_model
 from repro.mpi import collectives, macro
-from repro.mpi.collectives import set_collective_mode
 from repro.mpi.communicator import Communicator
 from repro.mpi.runtime import MpiJob
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
+from tests.collective_engine import pinned_engine
 
 #: everything public on a Communicator that is *not* a collective kind
 NOT_A_KIND = {"send_async", "post_recv", "recv", "sendrecv", "dup", "split",
@@ -59,7 +59,7 @@ def test_every_engine_knows_the_same_kinds():
 
 def test_collectives_module_holds_only_what_only_it_can():
     allowed = {kind + "_hops" for kind in _communicator_kinds()} | {
-        "set_collective_mode", "collective_mode", "_macro_instance",
+        "set_collective_mode", "_macro_instance",
     }
     assert _functions(collectives) == allowed
 
@@ -94,14 +94,11 @@ def _errors(call, mode):
             return str(exc)
         return None
 
-    prev = set_collective_mode(mode)
-    try:
+    with pinned_engine(mode):
         sim = Simulator()
         machine = Machine(sim, SIERRA.with_nodes(4), RngRegistry(0))
         job = MpiJob(machine, app, 4, procs_per_node=1, charge_init=False)
         return sim.run(until=job.launch())
-    finally:
-        set_collective_mode(prev)
 
 
 @pytest.mark.parametrize("call, who", [

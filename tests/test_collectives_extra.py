@@ -9,20 +9,19 @@ from hypothesis import strategies as st
 
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
-from repro.mpi.collectives import set_collective_mode
 from repro.mpi.ops import SUM
 from repro.mpi.runtime import MpiJob
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
+from tests.collective_engine import pinned_engine
 
 
 @pytest.fixture(autouse=True)
 def _hop_engine():
     """These tests assert hop-level properties (fabric message counts,
     per-message algebra), so they pin the oracle engine."""
-    prev = set_collective_mode("hops")
-    yield
-    set_collective_mode(prev)
+    with pinned_engine("hops"):
+        yield
 
 
 def run_app(app, nprocs, ppn=1, num_nodes=None, seed=0):

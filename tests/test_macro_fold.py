@@ -20,11 +20,11 @@ from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi.payload import Payload
 from repro.mpi import ops
-from repro.mpi.collectives import set_collective_mode
 from repro.mpi.macro import _allreduce_results, _round_fn
 from repro.mpi.runtime import MpiJob
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
+from tests.collective_engine import pinned_engine
 
 OPS = [ops.SUM, ops.PROD, ops.MAX, ops.MIN, ops.LOR, ops.LAND]
 
@@ -161,14 +161,11 @@ def test_ndarray_allreduce_gives_every_rank_its_own_array(size):
         result = yield from api.allreduce(np.full(3, float(api.rank)))
         return result
 
-    previous = set_collective_mode("macro")
-    try:
+    with pinned_engine("macro"):
         sim = Simulator()
         machine = Machine(sim, SIERRA.with_nodes(size), RngRegistry(0))
         job = MpiJob(machine, app, size, charge_init=False)
         results = sim.run(until=job.launch())
-    finally:
-        set_collective_mode(previous)
     assert job.transport.macro.instances_macro == 1
     total = float(sum(range(size)))
     assert len({id(r) for r in results}) == size

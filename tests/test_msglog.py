@@ -27,16 +27,16 @@ from repro.net.message import Envelope
 from repro.obs import Tracer
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
+from tests.collective_engine import verdict
 
 
 # ------------------------------------------------------------ unit fixtures
 class _StubJob:
     """The minimal job surface RecoveryPlane reads: slot geometry,
-    liveness, a transport to label, and a simulator."""
+    liveness, and a simulator."""
 
     def __init__(self, num_ranks=4, ppn=1):
         self.sim = Simulator()
-        self.transport = SimpleNamespace()
         self.num_ranks = num_ranks
         self.ppn = ppn
         self.finished_ranks = set()
@@ -403,7 +403,7 @@ def test_global_mode_attaches_no_plane():
     assert type(job.recovery) is RecoveryFamily
     assert job.recovery.on_send is None  # envelopes go unstamped
     assert all(ctx.recv_filter is None for ctx in job.transport.contexts)
-    assert job.transport.hop_fidelity_reason() is None
+    assert verdict(job.transport, job.recovery) is None
 
 
 # ------------------------------------------------- wildcard replay ordering

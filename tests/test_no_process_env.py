@@ -1,7 +1,8 @@
 """Guard: the library never reads the process environment.
 
 Which engine runs is decided from what the library observes
-(``Transport.hop_fidelity_reason``) plus the one explicit override
+(``MacroCollectives.verdict``, whose docstring holds the priority
+order) plus the one explicit override
 ``set_collective_mode``; environment parsing belongs to
 ``benchmarks/_harness.py`` and the CLIs' ``argparse``.  This walks
 every module under ``src/repro`` and fails on any ``os.environ`` /

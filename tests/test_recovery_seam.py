@@ -36,6 +36,7 @@ from repro.obs import Tracer
 from repro.obs.export import dumps_jsonl
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
+from tests.collective_engine import verdict
 
 ITERS = 6
 
@@ -84,7 +85,7 @@ def test_family_contract(recovery, cls, reason):
     # The family alone decides whether hops are load-bearing (the
     # tracer is detached so "observability" does not mask the answer).
     tracer.enabled = False
-    assert job.transport.hop_fidelity_reason() == reason
+    assert verdict(job.transport, job.recovery) == reason
     # Trace replay is byte-identical run to run.
     _job2, tracer2, _killed2 = run_bsp(recovery, trace=True)
     trace = dumps_jsonl(tracer.events)
@@ -111,13 +112,13 @@ def test_do_nothing_family_is_global_rollback(monkeypatch):
 
 # --------------------------------------------------- the one transport hook
 def _logged_plane(sim):
-    job = SimpleNamespace(sim=sim, transport=SimpleNamespace(), num_ranks=2)
+    job = SimpleNamespace(sim=sim, num_ranks=2)
     return RecoveryPlane(job)
 
 
 def _replicated_plane(sim):
     job = SimpleNamespace(
-        sim=sim, transport=SimpleNamespace(), rank_procs={},
+        sim=sim, rank_procs={},
         config=FmiConfig(recovery="replicated", spare_nodes=1),
     )
     return ReplicationPlane(job)

@@ -1,17 +1,24 @@
-"""Guard: the shared runtime core stays stack-neutral.
+"""Guard: the lower layers stay stack-neutral.
 
 ``repro.runtime`` holds only what the MPI and FMI stacks both run
 (``JobBase``, ``RankProcess``, ``JobAborted``, the ``FaultPolicy``
-base); each stack's policy lives with the stack.  This walks every
-module under ``src/repro/runtime`` and fails on any import of
-``repro.fmi``, ``repro.mpi``, ``repro.sched`` or ``repro.chaos``,
+base); each stack's policy lives with the stack.  Below it,
+``repro.net`` (the transport), ``repro.cluster`` (machine, fabric,
+injectors) and ``repro.simt`` (the kernel) know no collective engine,
+recovery family, scheduler or chaos engine either: which engine a
+collective runs on is decided above them, in ``repro.mpi.macro``.
+This walks every module under those packages and fails on any import
+of ``repro.fmi``, ``repro.mpi``, ``repro.sched`` or ``repro.chaos``,
 however it is spelled.
 """
 
 import ast
 from pathlib import Path
 
-RUNTIME = Path(__file__).resolve().parent.parent / "src" / "repro" / "runtime"
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+NEUTRAL = ("runtime", "net", "cluster", "simt")
 STACKS = ("repro.fmi", "repro.mpi", "repro.sched", "repro.chaos")
 
 
@@ -36,15 +43,16 @@ def stack_imports(tree: ast.AST):
                         yield node.lineno, f"repro.{alias.name}"
 
 
-def test_runtime_core_imports_no_stack():
-    modules = sorted(RUNTIME.rglob("*.py"))
-    assert modules, f"nothing found under {RUNTIME}"
+@pytest.mark.parametrize("package", NEUTRAL)
+def test_lower_layer_imports_no_stack(package):
+    modules = sorted((SRC / package).rglob("*.py"))
+    assert modules, f"nothing found under {SRC / package}"
     offenders = [
-        f"{path.relative_to(RUNTIME.parent)}:{line} imports {module}"
+        f"{path.relative_to(SRC.parent)}:{line} imports {module}"
         for path in modules
         for line, module in stack_imports(ast.parse(path.read_text(), str(path)))
     ]
-    assert not offenders, "stack imports in repro.runtime: " + ", ".join(offenders)
+    assert not offenders, f"stack imports in repro.{package}: " + ", ".join(offenders)
 
 
 def test_the_guard_sees_every_spelling():
