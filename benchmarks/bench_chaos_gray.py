@@ -29,8 +29,7 @@ LIMP_FACTORS = [2.0, 8.0, 32.0]
 
 
 def _sweep_campaign(name, rules_fn, **geometry):
-    """An ad-hoc campaign (unique name: the failure-free reference is
-    cached per campaign name)."""
+    """An ad-hoc campaign."""
     return Campaign(name, name, rules_fn, **geometry)
 
 

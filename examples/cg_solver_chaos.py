@@ -9,20 +9,21 @@ Solves the same SPD linear system three times on a simulated cluster:
 3. with a random crash *storm* (MTBF ~ a few seconds) plus level-2
    PFS checkpoints, so even same-XOR-group double failures survive.
 
-All three produce the bit-identical solution; the run report shows
-what each disruption cost.
+All three produce the bit-identical solution; each run's trace report
+(``repro.obs.summary``) shows what the disruption cost.
 
 Run:  python examples/cg_solver_chaos.py
 """
 
 import numpy as np
 
-from repro.analysis.report import render_report
 from repro.apps.cg import cg_fmi_app, make_spd_problem
 from repro.cluster import Machine
 from repro.cluster.failures import MtbfInjector
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
+from repro.obs import Tracer
+from repro.obs.summary import report
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
@@ -45,6 +46,7 @@ def launch(machine, level2=False, spares=1):
 
 def run_clean():
     sim = Simulator()
+    Tracer(sim)
     machine = Machine(sim, SIERRA.with_nodes(8), RngRegistry(1))
     job = launch(machine, spares=0)
     x = sim.run(until=job.launch())[0]
@@ -53,6 +55,7 @@ def run_clean():
 
 def run_with_drain():
     sim = Simulator()
+    Tracer(sim)
     machine = Machine(sim, SIERRA.with_nodes(8), RngRegistry(2))
     job = launch(machine)
 
@@ -70,6 +73,7 @@ def run_with_drain():
 
 def run_with_storm():
     sim = Simulator()
+    Tracer(sim)
     machine = Machine(sim, SIERRA.with_nodes(20), RngRegistry(3))
     job = launch(machine, level2=True, spares=3)
     done = job.launch()
@@ -84,20 +88,25 @@ def run_with_storm():
     return x, job
 
 
+def show(title, job):
+    print(f"#### {title}")
+    print(report(job.sim.tracer))
+    print(f"level-2 flushes / restores: "
+          f"{job.level2_flushes} / {job.level2_restores}")
+    print()
+
+
 def main():
     _a, _b, x_true = make_spd_problem(N)
 
     x_clean, job_clean = run_clean()
-    print(render_report(job_clean, "1) failure-free"))
-    print()
+    show("1) failure-free", job_clean)
 
     x_drain, job_drain = run_with_drain()
-    print(render_report(job_drain, "2) graceful drain mid-solve"))
-    print()
+    show("2) graceful drain mid-solve", job_drain)
 
     x_storm, job_storm = run_with_storm()
-    print(render_report(job_storm, "3) crash storm (MTBF 5s, multilevel C/R)"))
-    print()
+    show("3) crash storm (MTBF 5s, multilevel C/R)", job_storm)
 
     assert np.array_equal(x_clean, x_drain)
     assert np.array_equal(x_clean, x_storm)

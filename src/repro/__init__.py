@@ -16,7 +16,7 @@ discrete-event-simulated HPC cluster.  Layer map (bottom up):
 ``repro.models``    the paper's analytic models (C/R cost, Vaidya,
                     availability, multilevel efficiency)
 ``repro.apps``      ping-pong, Himeno, conjugate gradient, synthetic
-``repro.analysis``  tables and post-run reports
+``repro.analysis``  fixed-width table rendering
 ==================  ==================================================
 
 Start with :class:`repro.fmi.FmiJob` (see the README quickstart) or the

@@ -28,10 +28,11 @@ __all__ = ["bsp_app", "imbalanced_app", "comm_storm_app", "expected_bsp_state"]
 def expected_bsp_state(rank: int, size: int, iterations: int) -> np.ndarray:
     """The state vector a correct :func:`bsp_app` run must end with."""
     u = np.zeros(4, dtype=np.float64)
+    ranks_sum = float(sum(range(size)))
     for n in range(iterations):
         u[0] = n + 1.0
         u[1] = u[1] * 0.5 + rank + n
-        u[2] = float(sum(range(size))) + size * n  # allreduce of rank+n
+        u[2] = ranks_sum + size * n  # allreduce of rank+n
         u[3] = (rank - 1) % size + n  # left neighbour's payload
     return u
 

@@ -10,21 +10,22 @@ invariant suite against the trace and runtime state.
 Determinism: everything stochastic -- victim slots, kill times, event
 jitter -- is drawn from the machine's seeded ``"chaos"`` RNG stream, so
 ``run_campaign(c, seed)`` replays the exact same schedule every time.
-The failure-free reference results are computed once per campaign and
-cached (they do not depend on the seed: the BSP app is deterministic).
+The reference answer is the BSP app's closed form
+(:func:`~repro.apps.synthetic.expected_bsp_state`), bit-equal to a
+failure-free run of the campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.campaigns import CAMPAIGNS, Campaign
 from repro.chaos.invariants import DetectorMonitor, Violation, check_all
 from repro.chaos.scenario import ChaosEngine, Scenario
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
-from repro.apps.synthetic import bsp_app
+from repro.apps.synthetic import bsp_app, expected_bsp_state
 from repro.fmi import FmiJob
 from repro.obs import MetricsRegistry, Tracer
 from repro.simt import Simulator
@@ -38,8 +39,6 @@ __all__ = ["RunResult", "run_campaign", "soak", "MAX_EVENTS"]
 #: violation (a deadlocked run would otherwise just run out of heap,
 #: a livelocked one would spin forever)
 MAX_EVENTS = 3_000_000
-
-_reference_cache: Dict[str, list] = {}
 
 
 @dataclass
@@ -100,14 +99,10 @@ def _build_job(campaign: Campaign, seed: int, names: Sequence[str] = ("fmi",)):
 
 
 def reference_results(campaign: Union[str, Campaign]) -> list:
-    """The failure-free per-rank results (cached per campaign)."""
-    campaign = _resolve(campaign)
-    cached = _reference_cache.get(campaign.name)
-    if cached is None:
-        sim, _machine, job = _build_job(campaign, seed=0)
-        cached = sim.run(until=job.launch(), max_events=MAX_EVENTS)
-        _reference_cache[campaign.name] = cached
-    return cached
+    """The per-rank answers every run of the campaign must end with."""
+    c = _resolve(campaign)
+    return [expected_bsp_state(r, c.num_ranks, c.iterations)
+            for r in range(c.num_ranks)]
 
 
 def run_campaign(

@@ -371,7 +371,6 @@ class MtbfInjector(_Injector):
         self.mtbf = mtbf_seconds
         self.kill = kill
         self.num_nodes = num_nodes
-        self.kill_times: List[float] = []
 
     def start(self) -> None:
         super().start()
@@ -384,7 +383,6 @@ class MtbfInjector(_Injector):
             if not self._armed:
                 return
             victim = int(self.rng.integers(self.num_nodes))
-            self.kill_times.append(self.sim.now)
             self._injected("mtbf", nodes=[victim])
             self.kill(victim)
 

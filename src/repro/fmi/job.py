@@ -11,7 +11,6 @@ from repro.fmi.detector import LogRingDetector
 from repro.fmi.msglog import RecoveryPlane
 from repro.fmi.replication import ReplicationPlane
 from repro.fmi.runtime import Fmirun, FmiProcess, RecoveryFamily
-from repro.fmi.state import TransitionLog
 from repro.fmi.xor_group import XorGroupLayout
 from repro.net.pmgr import PmgrRendezvous
 from repro.runtime.core import JobBase
@@ -72,7 +71,6 @@ class FmiJob(JobBase):
         group = min(self.config.xor_group_size, self.num_nodes)
         self.xor_layout = XorGroupLayout(num_ranks, procs_per_node, group)
         self.detector = LogRingDetector(self)
-        self.transitions = TransitionLog()
         #: everything that differs between global rollback, message
         #: logging and replication sits behind this one object
         self.recovery: RecoveryFamily = _FAMILIES[self.config.recovery](self)

@@ -21,11 +21,10 @@ data plane:
 
 Group members are laid out across distinct nodes
 (:class:`~repro.fmi.xor_group.XorGroupLayout`), so a partner copy is
-automatically off-node.  Every scheme also exposes its analytic cost
-model (:meth:`RedundancyScheme.checkpoint_model` /
-:meth:`~RedundancyScheme.restart_model`), wired to
-:mod:`repro.models.cr_model` so benchmarks and regression tests cover
-each scheme against its own prediction.
+automatically off-node.  Each scheme's analytic cost and storage
+overhead live in :mod:`repro.models.cr_model`, keyed by the scheme's
+``name``; benchmarks and regression tests check each scheme against
+its own prediction.
 """
 
 from __future__ import annotations
@@ -95,10 +94,6 @@ class RedundancyScheme:
         """Storage key of this scheme's redundancy data, or None."""
         return None
 
-    def storage_overhead(self, n: int) -> float:
-        """Redundancy bytes stored per checkpoint byte."""
-        return 0.0
-
     # -- encode -------------------------------------------------------------
     def encode(self, blob: Payload):
         """Generator: produce this member's redundancy payload for the
@@ -126,21 +121,6 @@ class RedundancyScheme:
         raise NotImplementedError
         yield  # pragma: no cover
 
-    # -- analytic cost model ---------------------------------------------------
-    def checkpoint_model(self, s: float, group_size: int, mem_bw: float,
-                         net_bw: float, procs_per_node: int = 1) -> float:
-        from repro.models.cr_model import checkpoint_time
-
-        return checkpoint_time(s, group_size, mem_bw, net_bw,
-                               procs_per_node, scheme=self.name)
-
-    def restart_model(self, s: float, group_size: int, mem_bw: float,
-                      net_bw: float, procs_per_node: int = 1) -> float:
-        from repro.models.cr_model import restart_time
-
-        return restart_time(s, group_size, mem_bw, net_bw,
-                            procs_per_node, scheme=self.name)
-
 
 class XorScheme(RedundancyScheme):
     """Ring-pipelined XOR parity -- the paper's Section V scheme.
@@ -164,9 +144,6 @@ class XorScheme(RedundancyScheme):
 
     def redundancy_key(self, dataset: int) -> str:
         return f"parity@{dataset}"
-
-    def storage_overhead(self, n: int) -> float:
-        return 1.0 / max(1, n - 1)
 
     def can_repair(self, missing: List[int], n: int) -> bool:
         return len(missing) <= 1
@@ -311,9 +288,6 @@ class PartnerScheme(RedundancyScheme):
 
     def redundancy_key(self, dataset: int) -> str:
         return f"partner@{dataset}"
-
-    def storage_overhead(self, n: int) -> float:
-        return 1.0 if n > 1 else 0.0
 
     def can_repair(self, missing: List[int], n: int) -> bool:
         if missing and n < 2:

@@ -228,9 +228,6 @@ class FmiProcess(RankProcess):
     # -- the state machine ----------------------------------------------------------
     def _set_state(self, state: ProcState) -> None:
         self.state = state
-        self.job.transitions.record(
-            self.sim.now, self.rank, self.incarnation, state, self.job.epoch
-        )
         if self.sim.tracer.enabled:
             self.sim.tracer.instant(
                 "fmi.state", "state", rank=self.rank, node=self.node.id,

@@ -1,45 +1,21 @@
-"""Process states (Figure 5) and a transition log for observability."""
+"""Process states (Figure 5).
+
+Every transition is an ``fmi.state`` trace instant
+(:meth:`~repro.fmi.runtime.FmiProcess._set_state`); the obs report
+(:mod:`repro.obs.summary`) reads dwell times and the H3 share from it.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List
 
-__all__ = ["ProcState", "Transition", "TransitionLog"]
+__all__ = ["ProcState"]
 
 
 class ProcState(enum.Enum):
-    """The paper's three live states plus terminal ones."""
+    """The paper's three live states plus the terminal one."""
 
     H1_BOOTSTRAPPING = "H1"
     H2_CONNECTING = "H2"
     H3_RUNNING = "H3"
     DONE = "done"
-    DEAD = "dead"
-
-
-@dataclass(frozen=True)
-class Transition:
-    time: float
-    rank: int
-    incarnation: int
-    state: ProcState
-    epoch: int
-
-
-class TransitionLog:
-    """Job-wide record of every state transition (tests and traces)."""
-
-    def __init__(self) -> None:
-        self.entries: List[Transition] = []
-
-    def record(self, time: float, rank: int, incarnation: int,
-               state: ProcState, epoch: int) -> None:
-        self.entries.append(Transition(time, rank, incarnation, state, epoch))
-
-    def of_rank(self, rank: int) -> List[Transition]:
-        return [t for t in self.entries if t.rank == rank]
-
-    def states_of_rank(self, rank: int) -> List[ProcState]:
-        return [t.state for t in self.of_rank(rank)]

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.fmi.checkpoint import CheckpointEngine, TmpfsStorage
 from repro.fmi.config import FmiConfig
-from repro.fmi.redundancy import make_scheme
 from repro.fmi.interval import IntervalPolicy
 from repro.fmi.payload import Payload, copy_into, pack
 from repro.fmi.xor_group import XorGroupLayout
@@ -45,19 +44,7 @@ class Scr:
         group_size: int = 16,
         interval: Optional[int] = None,
         mtbf_seconds: Optional[float] = None,
-        scheme: str = "xor",
-        recovery: str = "global",
     ):
-        from repro.fmi.config import check_recovery_mode
-
-        check_recovery_mode(recovery)
-        if recovery == "logged":
-            raise ValueError(
-                "recovery='logged' needs the survivable FMI runtime: "
-                "fail-stop MPI relaunches the whole job, so there are "
-                "no survivors to replay message logs (use FmiJob with "
-                "FmiConfig(recovery='logged'))"
-            )
         self.api = api
         group = min(group_size, api.size // procs_per_node)
         self.layout = XorGroupLayout(api.size, procs_per_node, group)
@@ -66,8 +53,7 @@ class Scr:
             api, SCR_COMM_BASE + gid, self.layout.members(gid)
         )
         self.storage = TmpfsStorage(api.node, prefix=f"scr/r{api.rank}")
-        self.engine = CheckpointEngine(self.group_comm, self.storage,
-                                       api.memcpy, scheme=make_scheme(scheme))
+        self.engine = CheckpointEngine(self.group_comm, self.storage, api.memcpy)
         self.policy = IntervalPolicy(
             FmiConfig(interval=interval, mtbf_seconds=mtbf_seconds,
                       xor_group_size=max(2, group))

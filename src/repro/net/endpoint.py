@@ -66,18 +66,14 @@ class Connection:
         self.mgr._break(self, [peer] if self.nodes[peer].alive else (),
                         reason, self.mgr.close_delay)
 
-    def break_by_partition(self, reason: str) -> None:
-        """A network partition cut this connection.  Unlike a death,
-        *both* endpoints are alive and both observe a disconnect event
-        (after the ibverbs close delay) -- the raw material of a
-        false-positive failure suspicion."""
+    def break_to_live_ends(self, reason: str) -> None:
+        """A node death or a network partition cut this connection:
+        every end whose node is alive hears after the ibverbs close
+        delay.  After a death that is the survivor (the dead end already
+        reads ``alive == False``); after a partition it is *both* ends
+        -- the raw material of a false-positive failure suspicion."""
         live = [key for key, node in self.nodes.items() if node.alive]
         self.mgr._break(self, live, reason, self.mgr.close_delay)
-
-    #: A node death is heard the same way -- by every end whose node is
-    #: alive (the dead one already reads ``alive == False``), after the
-    #: ibverbs close delay.
-    _break_by_death = break_by_partition
 
 
 class ConnectionManager:
@@ -153,7 +149,7 @@ class ConnectionManager:
     def _on_node_death(self, node: Node, cause: Any) -> None:
         conns: List[Connection] = list(self._by_node.get(node.id, ()))
         for conn in conns:
-            conn._break_by_death(f"peer-death:{cause}")
+            conn.break_to_live_ends(f"peer-death:{cause}")
 
     def _on_partition(self, tag: str, component: Dict[int, int]) -> None:
         """Break every connection whose endpoints now sit in different
@@ -163,4 +159,4 @@ class ConnectionManager:
             nid_a = conn.nodes[key_a].id
             nid_b = conn.nodes[key_b].id
             if component.get(nid_a, 0) != component.get(nid_b, 0):
-                conn.break_by_partition(f"partition:{tag}")
+                conn.break_to_live_ends(f"partition:{tag}")

@@ -10,7 +10,9 @@ or a JSONL file via the CLI), this module computes:
   snapshot / ring-encode / parity / meta phases and whole checkpoints
   and restores (Figures 10-12);
 * **state-machine dwell times** -- how long ranks spent in H1/H2/H3
-  per incarnation, and per-epoch recovery windows (Figure 5).
+  per incarnation, and per-epoch recovery windows (Figure 5);
+* **the run** -- ranks, span, checkpoint rounds, recoveries and the
+  share of live rank-time spent in H3.
 
 Run it directly on an exported trace::
 
@@ -29,6 +31,7 @@ __all__ = [
     "checkpoint_summary",
     "recovery_summary",
     "state_dwell_times",
+    "run_summary",
     "report",
     "main",
 ]
@@ -126,24 +129,54 @@ def recovery_summary(source: EventSource) -> List[Dict[str, Any]]:
     return out
 
 
-def state_dwell_times(source: EventSource) -> Dict[str, Dict[str, float]]:
-    """How long rank incarnations dwell in each state (H1, H2, H3).
-
-    Computed from consecutive ``fmi.state`` instants of the same
-    ``(rank, incarnation)``; the final state of each incarnation has no
-    successor and is excluded.
-    """
+def _dwell_samples(events: List[TraceEvent]) -> Dict[str, List[float]]:
+    """Per state, every dwell between consecutive ``fmi.state`` instants
+    of one ``(job, rank, incarnation)``."""
     per_proc: Dict[Any, List[TraceEvent]] = {}
-    for ev in _events(source):
+    for ev in events:
         if ev.cat == "state" and ev.name == "fmi.state":
-            per_proc.setdefault((ev.rank, ev.incarnation), []).append(ev)
+            key = (ev.args.get("job"), ev.rank, ev.incarnation)
+            per_proc.setdefault(key, []).append(ev)
     dwell: Dict[str, List[float]] = {}
     for transitions in per_proc.values():
         transitions.sort(key=lambda e: e.ts)
         for cur, nxt in zip(transitions, transitions[1:]):
             state = str(cur.args.get("state", "?"))
             dwell.setdefault(state, []).append(nxt.ts - cur.ts)
+    return dwell
+
+
+def state_dwell_times(source: EventSource) -> Dict[str, Dict[str, float]]:
+    """How long rank incarnations dwell in each state (H1, H2, H3).
+
+    Computed from consecutive ``fmi.state`` instants of the same
+    ``(job, rank, incarnation)``; the final state of each incarnation
+    has no successor and is excluded.
+    """
+    dwell = _dwell_samples(_events(source))
     return {state: _dist(vals) for state, vals in sorted(dwell.items())}
+
+
+# ----------------------------------------------------------------------- run
+def run_summary(source: EventSource) -> Dict[str, Any]:
+    """The run at a glance: ranks, span, checkpoint rounds, recoveries
+    (each with its latency and cause) and the H3 share of live
+    rank-time (the time ranks spent in H1, H2 or H3)."""
+    events = _events(source)
+    ranks = len({(ev.args.get("job"), ev.rank) for ev in events
+                 if ev.cat == "state" and ev.name == "fmi.state"})
+    checkpoints = sum(1 for ev in events if ev.cat == "ckpt"
+                      and ev.name == "ckpt.checkpoint" and ev.ph == "X")
+    dwell = _dwell_samples(events)
+    live = sum(sum(dwell.get(state, ())) for state in ("H1", "H2", "H3"))
+    return {
+        "ranks": ranks,
+        "span": (max(ev.ts + (ev.dur or 0.0) for ev in events)
+                 - min(ev.ts for ev in events)) if events else 0.0,
+        "checkpoint_rounds": checkpoints // ranks if ranks else 0,
+        "recoveries": recovery_summary(events),
+        "h3_share": sum(dwell.get("H3", ())) / live if live else 0.0,
+    }
 
 
 # -------------------------------------------------------------------- report
@@ -154,6 +187,16 @@ def report(source: EventSource) -> str:
     events = _events(source)
     lines: List[str] = [f"trace: {len(events)} events"]
 
+    run = run_summary(events)
+    if run["ranks"]:
+        table = Table("Run", ["metric", "value"])
+        table.add("ranks", run["ranks"])
+        table.add("span (s)", run["span"])
+        table.add("checkpoint rounds", run["checkpoint_rounds"])
+        table.add("recoveries", len(run["recoveries"]))
+        table.add("H3 share of live rank-time", run["h3_share"])
+        lines.append(table.render())
+
     notif = notification_summary(events)
     if notif:
         table = Table(
@@ -163,7 +206,7 @@ def report(source: EventSource) -> str:
         for gen in sorted(notif):
             entry = notif[gen]
             hops = " ".join(f"{h}:{c}" for h, c in sorted(entry["hops"].items()))
-            latency = "-" if entry["latency"] is None else f"{entry['latency']:.4f}"
+            latency = "-" if entry["latency"] is None else entry["latency"]
             table.add(gen, entry["count"], entry["max_hop"], hops, latency)
         lines.append(table.render())
 
@@ -174,19 +217,18 @@ def report(source: EventSource) -> str:
             ["span", "count", "mean (s)", "min (s)", "max (s)"],
         )
         for name, dist in ckpt.items():
-            table.add(name, dist["count"], round(dist["mean"], 4),
-                      round(dist["min"], 4), round(dist["max"], 4))
+            table.add(name, dist["count"], dist["mean"], dist["min"], dist["max"])
         lines.append(table.render())
 
-    recov = recovery_summary(events)
+    recov = run["recoveries"]
     if recov:
         table = Table(
             "Recovery windows (failure -> all ranks in H3)",
             ["epoch", "start (s)", "duration (s)", "cause"],
         )
         for entry in recov:
-            table.add(entry["epoch"], round(entry["start"], 4),
-                      round(entry["duration"], 4), entry["cause"])
+            table.add(entry["epoch"], entry["start"], entry["duration"],
+                      entry["cause"])
         lines.append(table.render())
 
     dwell = state_dwell_times(events)
@@ -196,8 +238,7 @@ def report(source: EventSource) -> str:
             ["state", "samples", "mean (s)", "min (s)", "max (s)"],
         )
         for state, dist in dwell.items():
-            table.add(state, dist["count"], round(dist["mean"], 4),
-                      round(dist["min"], 4), round(dist["max"], 4))
+            table.add(state, dist["count"], dist["mean"], dist["min"], dist["max"])
         lines.append(table.render())
 
     return "\n\n".join(lines)

@@ -1,11 +1,10 @@
-"""Table rendering, size estimation, reduction ops, transition log."""
+"""Table rendering, size estimation, reduction ops."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.tables import Table, fmt_bytes, fmt_seconds
 from repro.fmi.payload import Payload
-from repro.fmi.state import ProcState, TransitionLog
 from repro.mpi.datatypes import sizeof
 from repro.mpi.ops import LAND, LOR, MAX, MIN, PROD, SUM
 
@@ -99,15 +98,3 @@ def test_ops_arrays_elementwise():
     assert np.array_equal(MIN(a, b), [1, 2])
     assert np.array_equal(PROD(a, b), [4, 10])
 
-
-# ------------------------------------------------------------ transition log
-def test_transition_log_per_rank():
-    log = TransitionLog()
-    log.record(0.0, 0, 0, ProcState.H1_BOOTSTRAPPING, 0)
-    log.record(0.1, 1, 0, ProcState.H1_BOOTSTRAPPING, 0)
-    log.record(0.2, 0, 0, ProcState.H2_CONNECTING, 0)
-    assert log.states_of_rank(0) == [
-        ProcState.H1_BOOTSTRAPPING, ProcState.H2_CONNECTING
-    ]
-    assert len(log.of_rank(1)) == 1
-    assert log.of_rank(1)[0].time == 0.1

@@ -13,6 +13,7 @@ from repro.chaos import (
     CAMPAIGNS,
     GRAY_CAMPAIGNS,
     AtTime,
+    Campaign,
     ChaosEngine,
     DetectorMonitor,
     DrainSlot,
@@ -502,6 +503,27 @@ def test_campaign_survives_and_is_green(name):
     result = run_campaign(name, seed=1)
     assert result.violations == []
     assert result.trace_events > 0
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_closed_form_reference_equals_a_failure_free_run(name):
+    from repro.chaos.runner import _build_job, reference_results
+
+    campaign = CAMPAIGNS[name]
+    sim, _machine, job = _build_job(campaign, 0)
+    simulated = sim.run(until=job.launch())
+    closed = reference_results(campaign)
+    assert len(simulated) == len(closed)
+    for got, want in zip(simulated, closed):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_campaigns_sharing_a_name_each_get_their_own_reference():
+    for iterations in (5, 6):
+        campaign = Campaign("adhoc", "no rules", lambda rng, c: [],
+                            iterations=iterations)
+        assert run_campaign(campaign, seed=0).violations == []
 
 
 def test_campaign_replay_is_deterministic():

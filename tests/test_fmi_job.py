@@ -8,6 +8,7 @@ from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
 from repro.fmi.errors import FmiAbort
 from repro.fmi.state import ProcState
+from repro.obs import Tracer
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
@@ -99,6 +100,7 @@ def test_init_time_recorded():
 def run_with_kill(kill_time, num_loops=6, work=0.5, num_nodes=10, ranks=16,
                   ppn=2, group=4, spares=1, seed=0, kill_node=0):
     sim, machine = make(num_nodes, seed)
+    Tracer(sim)  # sim.tracer: the state-machine record
     job = FmiJob(
         machine, counting_app(num_loops, work), num_ranks=ranks,
         procs_per_node=ppn,
@@ -154,7 +156,8 @@ def test_failed_ranks_replaced_on_spare_node():
 
 def test_survivors_transition_h3_h1_h2_h3():
     sim, machine, job, _ = run_with_kill(kill_time=1.5)
-    states = job.transitions.states_of_rank(15)  # a survivor
+    states = [ProcState(ev.args["state"]) for ev in sim.tracer.events
+              if ev.name == "fmi.state" and ev.rank == 15]  # a survivor
     assert states[:3] == [
         ProcState.H1_BOOTSTRAPPING, ProcState.H2_CONNECTING, ProcState.H3_RUNNING
     ]

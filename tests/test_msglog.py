@@ -21,7 +21,6 @@ from repro.fmi import FmiConfig, FmiJob
 from repro.fmi.config import check_recovery_mode
 from repro.fmi.msglog import RecoveryPlane
 from repro.fmi.runtime import RecoveryFamily
-from repro.mpi.scr import Scr
 from repro.net.matching import ANY_SOURCE, ANY_TAG, MatchingEngine
 from repro.net.message import Envelope
 from repro.obs import Tracer
@@ -296,11 +295,6 @@ def test_recovery_mode_validation():
     with pytest.raises(ValueError, match="multilevel"):
         FmiConfig(recovery="logged", level2_every=2)
     FmiConfig(recovery="logged")  # valid
-
-
-def test_scr_rejects_logged_recovery():
-    with pytest.raises(ValueError, match="fail-stop"):
-        Scr(None, procs_per_node=1, recovery="logged")
 
 
 # --------------------------------------------------------- orphan invariant

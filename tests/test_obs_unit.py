@@ -23,7 +23,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.summary import main as summary_main
-from repro.obs.summary import notification_summary, state_dwell_times
+from repro.obs.summary import notification_summary, report, state_dwell_times
 from repro.simt import Simulator
 
 
@@ -232,6 +232,16 @@ def test_state_dwell_times_use_consecutive_transitions():
     assert dwell["H1"]["mean"] == pytest.approx(1.0)
     assert dwell["H2"]["mean"] == pytest.approx(0.5)
     assert "H3" not in dwell  # final state has no successor
+
+
+def test_report_prints_short_durations_nonzero():
+    events = [
+        TraceEvent("ckpt.checkpoint", "ckpt", "X", 1.0, dur=3e-5, rank=0),
+    ]
+    text = report(events)
+    row = next(line for line in text.splitlines()
+               if line.startswith("ckpt.checkpoint"))
+    assert row.count("3.000e-05") == 3  # mean, min and max
 
 
 def test_summary_cli_renders_a_report(tmp_path, capsys):
