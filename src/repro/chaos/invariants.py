@@ -193,17 +193,18 @@ def check_zero_rollback(tracer) -> List[Violation]:
     """Replicated recovery never restores a checkpoint -- failover is
     the whole point -- except after an explicit fallback.
 
-    Gated on the presence of ``repl.*`` trace events (a no-op for the
-    global and logged families).  A standby re-arm clones its lead's
-    live storage directly and never runs the restore collectives, so
-    any ``ckpt.restore.begin`` before the first ``repl.fallback`` (or
-    without one at all) means a survivor was rolled back.
+    Gated on the presence of ``repl.*`` trace events, all of category
+    ``repl`` (a no-op for the global and logged families).  A standby
+    re-arm clones its lead's live storage directly and never runs the
+    restore collectives, so any ``ckpt.restore.begin`` before the first
+    ``repl.fallback`` (or without one at all) means a survivor was
+    rolled back.
     """
     replicated = False
     first_fallback: Optional[float] = None
     restores: List = []
     for ev in tracer.events:
-        if ev.name.startswith("repl."):
+        if ev.cat == "repl":
             replicated = True
             if ev.name == "repl.fallback" and first_fallback is None:
                 first_fallback = ev.ts

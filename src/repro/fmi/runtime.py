@@ -239,10 +239,9 @@ class FmiProcess(RankProcess):
         # The boot latency is paid once per *process*, but H1 -> H2 ->
         # H3 loops on every Notified transition -- a notification
         # during boot must not re-charge the fork/exec cost.  The
-        # application generator is driven from this frame: every resume
-        # of the rank walks the chain of ``yield from`` above the yield
-        # it stopped at, so a level that only forwards is a call per
-        # resume.
+        # application generator is handed off to the process
+        # trampoline (``simt.process``), so a resume of the rank enters
+        # the application's frames only, never this one to forward.
         job = self.job
         booted = False
         while True:
@@ -252,7 +251,7 @@ class FmiProcess(RankProcess):
                     booted = True
                 yield from self._h1()
                 yield from self._h2()
-                result = yield from self._enter_h3()
+                result = yield self._enter_h3()
                 self._set_state(ProcState.DONE)
                 job.rank_finished(self.rank, result)
                 return result
@@ -294,7 +293,8 @@ class FmiProcess(RankProcess):
             job.note_recovery_complete()
 
     def _enter_h3(self):
-        """Running: the (re)started application generator."""
+        """Running: the (re)started application generator, for
+        :meth:`_main` to hand off."""
         self._set_state(ProcState.H3_RUNNING)
         job = self.job
         if job.epoch > 0:

@@ -53,7 +53,7 @@ class MpiRankProcess(RankProcess):
         api = MpiApi(job.transport, self.ctx, self.rank, job.num_ranks,
                      job.addr_table)
         api.job = job  # SCR & apps reach machine-level services through this
-        result = yield from job.app(api)
+        result = yield job.app(api)  # handed off (simt.process)
         return result
 
 

@@ -71,7 +71,9 @@ class RankProcess:
         """The process body, one generator frame for the whole life of
         the rank: every resume walks the ``yield from`` chain above the
         yield it stopped at, so a level that only forwards (a base
-        ``_main`` relaying to a hook) is a call per resume."""
+        ``_main`` relaying to a hook) is a call per resume.  The body
+        hands the application off with a bare ``yield`` (``simt.process``),
+        so it is not such a level either."""
         raise NotImplementedError
 
     def _dispatch_exit(self, proc_evt: Event) -> None:

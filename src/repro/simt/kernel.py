@@ -12,13 +12,23 @@ Hot-path notes (this is the innermost loop of every simulation):
   subclass instrumentation but costs a method call per event.
 * Zero-delay schedules (event completions, process resumes -- the
   majority of all events) bypass the heap entirely and go to a FIFO
-  *immediate queue*.  Order is unchanged: an entry already in the heap
-  for the current instant was necessarily scheduled earlier (smaller
-  seq) than anything in the immediate queue, so draining "heap entries
-  at ``now`` first, then the FIFO" reproduces exact seq order while
-  the common case pays O(1) instead of O(log heap).  At 16k simulated
-  ranks the heap otherwise holds tens of thousands of entries and the
-  per-event heap traffic dominates the loop.
+  *immediate queue*, a plain list.  Order is unchanged: an entry
+  already in the heap for the current instant was necessarily
+  scheduled earlier (smaller seq) than anything in the immediate
+  queue, so draining "heap entries at ``now`` first, then the FIFO"
+  reproduces exact seq order while the common case pays O(1) instead
+  of O(log heap).  At 16k simulated ranks the heap otherwise holds
+  tens of thousands of entries and the per-event heap traffic
+  dominates the loop.  :meth:`Simulator.run` drains the queue a
+  *batch* at a time: it swaps in a fresh list and walks the old one
+  with a ``for`` loop, so a zero-delay event costs no pop call, and
+  what the batch's callbacks schedule lands behind it in the new list.
+  After each entry the walk yields to a heap entry due at ``now`` (the
+  pipe's reserved re-push, whose seq predates the whole queue), and on
+  any early exit the unwalked tail goes back in front of the new
+  queue.  Each slot is cleared as it is dispatched, so the batch keeps
+  no processed event alive; :meth:`Simulator.peek` sees the rest of a
+  batch in ``_batch``.
 * :meth:`Event.succeed` and :class:`Timeout` -- together nearly every
   schedule of a run -- carry their own copy of the push instead of
   calling :meth:`Simulator._push`: a Python frame per event is the
@@ -50,7 +60,6 @@ Hot-path notes (this is the innermost loop of every simulation):
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional
 
@@ -335,7 +344,10 @@ class Simulator:
         self._heap: List[Any] = []
         #: zero-delay events awaiting dispatch at the current instant
         #: (FIFO == schedule order; see module docstring)
-        self._nowq: deque = deque()
+        self._nowq: List[Event] = []
+        #: the immediate queue :meth:`run` is walking, dispatched
+        #: slots set to None; the rest of it precedes ``_nowq``
+        self._batch: Optional[List[Optional[Event]]] = None
         self._seq: int = 0
         self._active_proc = None  # set by Process while resuming
         #: sequence numbers taken without a push: a fair-share pipe
@@ -411,7 +423,7 @@ class Simulator:
         heap = self._heap
         nowq = self._nowq
         if nowq and (not heap or heap[0][0] > self.now):
-            event = nowq.popleft()
+            event = nowq.pop(0)
         else:
             time, _seq, event = heappop(heap)
             if time < self.now:  # pragma: no cover - defensive
@@ -426,7 +438,9 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if nothing is scheduled."""
-        if self._nowq:
+        batch = self._batch
+        # slots are cleared in order: the last one goes last
+        if self._nowq or (batch is not None and batch[-1] is not None):
             return self.now
         if self._heap:
             return self._heap[0][0]
@@ -436,7 +450,9 @@ class Simulator:
         """Run until the heap drains, ``until`` is reached, or the event
         ``until`` (if an :class:`Event` is passed) is processed.
 
-        Returns the value of the ``until`` event when one is given.
+        Returns the value of the ``until`` event when one is given.  A
+        time ``until`` before :attr:`now` (or NaN) is refused: the clock
+        never runs backwards.
         """
         limit_time = None
         limit_event = None
@@ -444,35 +460,70 @@ class Simulator:
             limit_event = until
         elif until is not None:
             limit_time = float(until)
+            # ``not >=`` rather than ``<``: NaN must be refused too.
+            if not limit_time >= self.now:
+                raise SimulationError(
+                    f"cannot run until {limit_time!r}: "
+                    f"the clock is already at {self.now!r}"
+                )
 
         heap = self._heap
-        nowq = self._nowq
         pop = heappop
-        popleft = nowq.popleft
         # ``n`` counts this call's pops; ``high`` is the largest
         # ``_seq - _reserved - n`` seen just before a pop, i.e. the
         # peak depth of this call offset by the pops that preceded it.
         n = 0
         high = 0
+        # the batch being walked, and the index of its current entry
+        batch = None
+        k = 0
         self._running = True
         try:
-            while heap or nowq:
+            while True:
                 if limit_event is not None and limit_event._processed:
+                    break
+                nowq = self._nowq
+                now = self.now
+                # Heap entries at the current instant predate the FIFO
+                # (smaller seq), so they drain first; otherwise the
+                # FIFO empties before the clock may advance.
+                if nowq and (not heap or heap[0][0] > now):
+                    batch = self._batch = nowq
+                    self._nowq = []
+                    for k, event in enumerate(batch):
+                        depth = self._seq - self._reserved - n
+                        if depth > high:
+                            high = depth
+                        batch[k] = None
+                        n += 1
+                        event._processed = True
+                        callbacks = event.callbacks
+                        event.callbacks = None
+                        if callbacks is not None:
+                            for cb in callbacks:
+                                cb(event)
+                        if max_events is not None and n >= max_events and not (
+                                limit_event is not None and limit_event._processed):
+                            raise SimulationError(
+                                f"exceeded max_events={max_events}; "
+                                "livelock suspected"
+                            )
+                        if ((limit_event is not None and limit_event._processed)
+                                or (heap and heap[0][0] <= now)):
+                            self._nowq[:0] = batch[k + 1:]
+                            break
+                    batch = self._batch = None
+                    continue
+                if not heap:
+                    break
+                if limit_time is not None and heap[0][0] > limit_time:
+                    self.now = limit_time
                     break
                 depth = self._seq - self._reserved - n
                 if depth > high:
                     high = depth
-                # Heap entries at the current instant predate the FIFO
-                # (smaller seq), so they drain first; otherwise the
-                # FIFO empties before the clock may advance.
-                if nowq and (not heap or heap[0][0] > self.now):
-                    event = popleft()
-                else:
-                    if limit_time is not None and heap[0][0] > limit_time:
-                        self.now = limit_time
-                        break
-                    time, _seq, event = pop(heap)
-                    self.now = time
+                time, _seq, event = pop(heap)
+                self.now = time
                 n += 1
                 event._processed = True
                 callbacks = event.callbacks
@@ -480,16 +531,20 @@ class Simulator:
                 if callbacks is not None:
                     for cb in callbacks:
                         cb(event)
-                if max_events is not None and n >= max_events:
-                    # The budget is a livelock tripwire, not a hard
-                    # stop: the awaited event completing on exactly the
-                    # Nth step is success, not livelock.
-                    if limit_event is not None and limit_event._processed:
-                        break
+                # The budget is a livelock tripwire, not a hard stop:
+                # the awaited event completing on exactly the Nth step
+                # is success, not livelock.
+                if max_events is not None and n >= max_events and not (
+                        limit_event is not None and limit_event._processed):
                     raise SimulationError(
                         f"exceeded max_events={max_events}; livelock suspected"
                     )
         finally:
+            if batch is not None:
+                # A callback raised, or the budget tripped, mid-batch:
+                # the unwalked tail goes back in front, in order.
+                self._nowq[:0] = batch[k + 1:]
+                self._batch = None
             self._running = False
             stats = self._stats
             stats.events_processed += n

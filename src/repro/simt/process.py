@@ -15,10 +15,19 @@ Two ways a process can die from the outside:
   :class:`ProcessKilled`.  This models a node crash: a process on a
   dead node simply ceases to exist, mid-instruction, with no chance to
   clean up its protocol state.
+
+A process body may also ``yield`` a *generator*, once at a time: the
+*hand-off*.  The trampoline then drives that subroutine itself, and the
+body receives its return value (or its exception) at that ``yield``,
+exactly where ``yield from`` would deliver it.  The difference is the
+cost: under ``yield from`` every resume of the subroutine enters the
+body's frame only to forward into it.  A rank's runtime body hands its
+application over this way; application code keeps ``yield from``.
 """
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Generator, Optional
 
 from repro.simt.kernel import (
@@ -51,9 +60,16 @@ class Process(Event):
     The process is itself an :class:`Event`: it succeeds with the
     generator's return value, or fails with the uncaught exception.
     Other processes can therefore ``yield proc`` to join it.
+
+    Yielding a generator hands it off (module docstring): while the
+    subroutine runs, ``generator`` is the subroutine and ``_caller``
+    the body that yielded it.  There is one caller slot, not a stack: a
+    subroutine that yields a generator in turn fails the process with
+    :class:`~repro.simt.kernel.SimulationError`.
     """
 
-    __slots__ = ("generator", "name", "_target", "_killed", "_resume_cb")
+    __slots__ = ("generator", "name", "_target", "_killed", "_resume_cb",
+                 "_caller")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
         super().__init__(sim)
@@ -61,6 +77,8 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None  # event we are waiting on
         self._killed = False
+        #: the body suspended at a hand-off ``yield``, None otherwise
+        self._caller: Optional[Generator] = None
         self._resume_cb = self._resume
         # Bootstrap: resume once at the current time.
         init = Event(sim)
@@ -108,13 +126,25 @@ class Process(Event):
         if tgt is not None and not tgt.callbacks and not tgt.triggered:
             tgt.cancel()
         self._target = None
-        try:
-            self.generator.close()
-        except Exception:  # pragma: no cover - user finally blocks misbehaving
-            pass
+        self._close()
         self._ok = False
         self._value = ProcessKilled(self, cause)
         self.sim._push(self, 0.0)
+
+    def _close(self) -> None:
+        """Close the generator: a handed-off subroutine first, then the
+        body that yielded it -- the order ``yield from`` gives, so their
+        ``finally`` blocks run in the same order."""
+        caller = self._caller
+        self._caller = None
+        for gen in (self.generator, caller):
+            if gen is not None:
+                try:
+                    gen.close()
+                except Exception:  # pragma: no cover - user finally blocks misbehaving
+                    pass
+        if caller is not None:
+            self.generator = caller
 
     def _detach(self) -> None:
         """Stop listening to the event we were waiting on."""
@@ -141,41 +171,58 @@ class Process(Event):
         if tgt is not None and tgt.callbacks is not None:
             self._detach()
         self._target = None
-        self.sim._active_proc = self
-        try:
-            if event._ok:
-                nxt = self.generator.send(event._value)
-            else:
-                nxt = self.generator.throw(event._value)
-        except StopIteration as stop:
-            self.sim._active_proc = None
-            self._ok = True
-            self._value = stop.value
-            self.sim._push(self, 0.0)
-            return
-        except BaseException as exc:
-            self.sim._active_proc = None
-            self._ok = False
-            self._value = exc
-            self.sim._push(self, 0.0)
-            return
-        self.sim._active_proc = None
-
-        # exact classes first: a call per wake for the subclass check
-        cls = nxt.__class__
-        if cls is not Event and cls is not Timeout and not isinstance(nxt, Event):
-            err = SimulationError(
-                f"process {self.name!r} yielded {type(nxt).__name__}, "
-                "expected an Event"
-            )
-            self._ok = False
-            self._value = err
-            self.sim._push(self, 0.0)
+        sim = self.sim
+        sim._active_proc = self
+        gen = self.generator
+        ok = event._ok
+        value = event._value
+        while True:
             try:
-                self.generator.close()
-            except Exception:  # pragma: no cover
-                pass
+                if ok:
+                    nxt = gen.send(value)
+                else:
+                    nxt = gen.throw(value)
+            except BaseException as exc:
+                # a return (generators raise StopIteration itself) or
+                # an uncaught exception
+                ok = exc.__class__ is StopIteration
+                value = exc.value if ok else exc
+                caller = self._caller
+                if caller is None:
+                    sim._active_proc = None
+                    self._ok = ok
+                    self._value = value
+                    sim._push(self, 0.0)
+                    return
+                # a handed-off subroutine ended: the outcome of the
+                # caller's ``yield``
+                self._caller = None
+                gen = self.generator = caller
+                continue
+            # exact classes first: a call per wake for the subclass check
+            cls = nxt.__class__
+            if cls is Event or cls is Timeout or isinstance(nxt, Event):
+                break
+            if cls is GeneratorType and self._caller is None:
+                # the hand-off: drive the subroutine from here on
+                self._caller = gen
+                gen = self.generator = nxt
+                ok = True
+                value = None
+                continue
+            sim._active_proc = None
+            self._ok = False
+            self._value = SimulationError(
+                f"process {self.name!r} yielded a generator from a "
+                "handed-off one; hand-offs do not nest"
+                if cls is GeneratorType else
+                f"process {self.name!r} yielded {cls.__name__}, "
+                "expected an Event or a generator"
+            )
+            sim._push(self, 0.0)
+            self._close()
             return
+        sim._active_proc = None
 
         self._target = nxt
         if nxt._processed:

@@ -1,9 +1,12 @@
 """Host-cost tripwire: Python+C calls and kernel events of a fixed run.
 
 The per-event path (``simt.kernel``, ``simt.resources``,
-``cluster.network``) is kept free of pools, closures and per-push
-``len()`` calls, and the resume path of a rank free of generator frames
-that only forward: each costs a call or more on every one of the
+``cluster.network``) is kept free of pools, closures, per-push
+``len()`` calls and per-event queue pops, and the resume path of a rank
+free of generator frames that only forward -- the runtime bodies
+(``FmiProcess._main``, ``MpiRankProcess._main``) included, which hand
+the application to the process trampoline instead of driving it with
+``yield from``: each costs a call or more on every one of the
 hundreds of thousands of events of a run.  This pins the cost of a
 small run of the benchmark's ``himeno_cr`` shape (checkpointed
 synthetic Himeno, one node crash), so the next such line fails tier-1
@@ -32,6 +35,9 @@ search memoised)                       1462    97.2         15.0
 PR 23 (same run, re-read)              1456    97.2         15.0
 PR 24 (one send body, one post body,
 matching probes what was posted)       1255    97.2         12.9
+the immediate queue drained a batch
+at a time; a rank body hands its
+application off                        1172    97.2         12.1
 ====================================  =====  ======  ===========
 
 The ceilings sit ~12 % above the last row (events: 8 %, below the 106
@@ -109,6 +115,8 @@ PR 21 (the ring's 128 inter-node
 messages lose three events each)       127.6    7.38     32.3    0.0
 PR 24 (the ring's messages lose the
 hook stack; the macro tier none)       106.6    7.38     32.3    0.0
+no pop per zero-delay event, no body
+frame per resume                        99.0    7.38     32.3    0.0
 =====================================  =====  ======  =======  =====
 
 The event count is an equality: PR 19's diet was not allowed to move
@@ -145,11 +153,11 @@ from repro.simt.rng import RngRegistry
 from tests.collective_engine import pinned_engine
 
 RANKS, ITERATIONS = 24, 8
-CALLS_PER_RANK_ITERATION = 1405.0
+CALLS_PER_RANK_ITERATION = 1310.0
 EVENTS_PER_RANK_ITERATION = 105.0
 #: below the 18.1 this run cost before the diet, so that neither half
 #: can drift back while the other hides it
-CALLS_PER_EVENT = 14.5
+CALLS_PER_EVENT = 13.5
 #: calls a tracer and a metrics registry add to the run, in all
 OBSERVED_CALLS_EXCESS = 39_000
 
@@ -294,7 +302,7 @@ def test_a_clean_delivery_probes_one_bucket():
 
 # ------------------------------------------------------------- macro tier
 MACRO_RANKS, MACRO_ROUNDS, MACRO_PPN = 1024, 2, 16
-MACRO_CALLS_PER_RANK_ROUND = 119.0
+MACRO_CALLS_PER_RANK_ROUND = 111.0
 MACRO_EVENTS = 15_108  # 7.38 per rank-round
 MACRO_TRACKED_PER_RANK = 37.0 if sys.version_info >= (3, 11) else 45.5
 MACRO_CELLS_PER_RANK = 1.0

@@ -348,6 +348,35 @@ def test_failover_never_touches_checkpoint_restore():
     assert latency is not None and latency < 0.455
 
 
+def _hand_built_trace(*records):
+    """A tracer holding ``(ts, name, cat)`` instants, in that order."""
+    sim = Simulator()
+    tracer = Tracer(sim)
+    for ts, name, cat in records:
+        sim.now = ts
+        tracer.instant(name, cat, rank=0)
+    return tracer
+
+
+def test_zero_rollback_is_checked_only_where_replication_ran():
+    # A restore before the first fallback is a rollback of a survivor.
+    tracer = _hand_built_trace(
+        (1.0, "repl.promote", "repl"),
+        (2.0, "ckpt.restore.begin", "ckpt"),
+        (3.0, "repl.fallback", "repl"),
+        (4.0, "ckpt.restore.begin", "ckpt"),
+    )
+    violations = check_zero_rollback(tracer)
+    assert [v.invariant for v in violations] == ["zero-rollback"]
+    assert "t=2" in violations[0].detail and "fallback at t=3" in violations[0].detail
+    # No repl event at all: another family, whose restores are its job.
+    tracer = _hand_built_trace(
+        (1.0, "mlog.det.mismatch", "mlog"),
+        (2.0, "ckpt.restore.begin", "ckpt"),
+    )
+    assert check_zero_rollback(tracer) == []
+
+
 def test_early_kill_rearms_replicas_from_the_lead_snapshot():
     # An early kill leaves time for the full re-arm cycle: the fresh
     # copies sync from the promoted lead's in-memory channel snapshot.

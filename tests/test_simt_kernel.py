@@ -117,6 +117,36 @@ def test_run_until_time_stops_clock_there():
     assert sim.now == 10.0
 
 
+def test_run_until_a_past_time_is_refused():
+    # Regression: run(until=3.0) after run(until=6.0) set the clock
+    # back to 3.0, and a 1 s timeout then fired at 4.0 -- before the
+    # instant 6.0 that had already been processed.
+    sim = Simulator()
+    sim.timeout(10.0)
+    sim.run(until=6.0)
+    with pytest.raises(SimulationError, match="already at 6.0"):
+        sim.run(until=3.0)
+    assert sim.now == 6.0
+    fired = []
+    sim.timeout(1.0).callbacks.append(lambda _e: fired.append(sim.now))
+    sim.run(until=6.0)  # the current instant is not the past
+    sim.run()
+    assert fired == [7.0] and sim.now == 10.0
+
+
+def test_run_until_nan_is_refused_before_anything_runs():
+    # ``until=nan`` used to compare false against every deadline and
+    # drain the whole schedule.
+    sim = Simulator()
+    fired = []
+    sim.timeout(1.0).callbacks.append(fired.append)
+    sim.event().succeed()
+    with pytest.raises(SimulationError, match="nan"):
+        sim.run(until=float("nan"))
+    assert fired == [] and sim.now == 0.0
+    assert sim.peek() == 0.0 and sim.stats.events_processed == 0
+
+
 def test_run_until_event_returns_its_value():
     sim = Simulator()
     evt = sim.event()
@@ -273,7 +303,8 @@ def _drive_counting_depth(ops, stepwise):
 
     def sample():
         nonlocal brute
-        brute = max(brute, len(sim._heap) + len(sim._nowq))
+        batch = [entry for entry in sim._batch or () if entry is not None]
+        brute = max(brute, len(sim._heap) + len(sim._nowq) + len(batch))
 
     def issue(kind, delay, children):
         def fired(_evt):

@@ -1,6 +1,8 @@
 """Unit tests for generator processes: resume, interrupt, kill, join."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simt import Interrupt, Process, ProcessKilled, Simulator
 from repro.simt.kernel import SimulationError
@@ -249,3 +251,152 @@ def test_process_immediate_return():
     proc = sim.spawn(worker())
     sim.run()
     assert proc.value == "quick"
+
+
+# ---------------------------------------------------------------- hand-off
+_STEPS = st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.booleans()),
+                  max_size=3)
+_ROUND = st.tuples(_STEPS, st.sampled_from(["return", "raise"]))
+_INSTANT = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5])
+
+
+def _run_program(handoff, pre, rounds, body_catches, interrupts, kill_at):
+    """One body program, its subroutines entered by hand-off or by
+    ``yield from``; returns everything the two must agree on."""
+    sim = Simulator()
+    log = []
+
+    def sub(tag, steps, end):
+        try:
+            for i, (delay, catch) in enumerate(steps):
+                try:
+                    got = yield sim.timeout(delay, value=(tag, i))
+                    log.append(("sub", tag, repr(sim.now), got))
+                except Interrupt as exc:
+                    log.append(("sub-interrupt", tag, repr(sim.now), exc.cause))
+                    if not catch:
+                        raise
+            if end == "raise":
+                raise ValueError(f"sub {tag} failed")
+            return ("result", tag)
+        finally:
+            log.append(("sub-finally", tag, repr(sim.now)))
+
+    def body():
+        try:
+            yield sim.timeout(pre)
+            for tag, (steps, end) in enumerate(rounds):
+                child = sub(tag, steps, end)
+                try:
+                    if handoff:
+                        got = yield child
+                    else:
+                        got = yield from child
+                    log.append(("body-got", tag, repr(sim.now), got))
+                except ValueError as exc:
+                    log.append(("body-caught", tag, repr(sim.now), str(exc)))
+                except Interrupt as exc:
+                    if not body_catches:
+                        raise
+                    log.append(("body-interrupt", tag, repr(sim.now), exc.cause))
+            yield sim.timeout(0.5)
+            return "body-done"
+        finally:
+            log.append(("body-finally", repr(sim.now)))
+
+    proc = sim.spawn(body(), name="body")
+    for t in interrupts:
+        sim.timeout(t).callbacks.append(
+            lambda _e, t=t: proc.interrupt(("interrupt", t)))
+    if kill_at is not None:
+        sim.timeout(kill_at).callbacks.append(lambda _e: proc.kill("kill"))
+    sim.run()
+    outcome = (proc.ok, repr(proc.value) if proc.ok
+               else (type(proc.value).__name__, str(proc.value)))
+    return log, outcome, sim.stats.events_processed, repr(sim.now)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pre=st.sampled_from([0.0, 0.5]),
+       rounds=st.lists(_ROUND, min_size=1, max_size=2),
+       body_catches=st.booleans(),
+       interrupts=st.lists(_INSTANT, max_size=2),
+       kill_at=st.one_of(st.none(), _INSTANT))
+def test_a_hand_off_behaves_as_yield_from(pre, rounds, body_catches,
+                                          interrupts, kill_at):
+    program = (pre, rounds, body_catches, interrupts, kill_at)
+    assert _run_program(True, *program) == _run_program(False, *program)
+
+
+def test_a_nested_hand_off_is_refused():
+    sim = Simulator()
+    log = []
+
+    def inner():
+        log.append("inner ran")  # must never start
+        yield sim.timeout(1.0)
+
+    def sub():
+        try:
+            yield sim.timeout(1.0)
+            yield inner()
+        finally:
+            log.append("sub-finally")
+
+    def body():
+        try:
+            yield sub()
+        finally:
+            log.append("body-finally")
+
+    proc = sim.spawn(body(), name="body")
+    sim.run()
+    assert not proc.ok and isinstance(proc.value, SimulationError)
+    assert "hand-offs do not nest" in str(proc.value)
+    assert log == ["sub-finally", "body-finally"]  # the yield-from order
+
+
+def test_kill_closes_the_subroutine_then_the_body():
+    sim = Simulator()
+    log = []
+
+    def sub():
+        try:
+            yield sim.timeout(5.0)
+        finally:
+            log.append(("sub-finally", sim.now))
+
+    def body():
+        try:
+            yield sub()
+        finally:
+            log.append(("body-finally", sim.now))
+
+    proc = sim.spawn(body())
+    sim.timeout(1.0).callbacks.append(lambda _e: proc.kill("crash"))
+    sim.run()
+    assert log == [("sub-finally", 1.0), ("body-finally", 1.0)]
+    assert isinstance(proc.value, ProcessKilled)
+    assert proc.generator.gi_frame is None  # the body, closed
+
+
+@pytest.mark.parametrize("flavour", ["mpi", "fmi"])
+def test_an_app_that_is_not_a_generator_is_named(flavour):
+    # Under ``yield from job.app(api)`` this was a bare "'int' object
+    # is not iterable" from inside the runtime body.
+    from repro.cluster import Machine
+    from repro.cluster.spec import SIERRA
+    from repro.fmi import FmiConfig, FmiJob
+    from repro.mpi.runtime import MpiJob
+    from repro.simt.rng import RngRegistry
+
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(4), RngRegistry(14))
+    if flavour == "mpi":
+        job = MpiJob(machine, lambda api: 42, 2, charge_init=False)
+    else:
+        job = FmiJob(machine, lambda api: 42, num_ranks=2,
+                     config=FmiConfig(checkpoint_enabled=False,
+                                      xor_group_size=2))
+    with pytest.raises(Exception, match="yielded int, expected an Event or a generator"):
+        sim.run(until=job.launch())

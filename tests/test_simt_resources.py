@@ -294,6 +294,8 @@ def _armed_entries(sim, pipe):
     """Entries of ``pipe`` outstanding in the kernel that can still
     call back (an inert one has lost the pipe's callback list)."""
     queued = [entry for _when, _seq, entry in sim._heap] + list(sim._nowq)
+    # inside run(), the rest of the batch being walked is queued too
+    queued += [entry for entry in sim._batch or () if entry is not None]
     return sum(entry.callbacks is pipe._fire for entry in queued)
 
 
