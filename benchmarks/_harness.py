@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.cluster import Machine
@@ -185,6 +186,7 @@ def ablation_sweep(
     {"runs": [...], "wall_clock_s": ...}}``.
     """
     from repro.chaos import Campaign, run_campaign
+    from repro.chaos.campaigns import BASE_CONFIG
     from repro.chaos.scenario import AtTime, Rule
 
     def rules_for(kills):
@@ -218,11 +220,10 @@ def ablation_sweep(
         for interval in ABLATION_INTERVALS:
             for kills in ABLATION_KILL_COUNTS:
                 name = f"{scenario}-{mode}-i{interval}-k{kills}"
-                extra = {"interval": interval}
-                if mode != "global":
-                    extra["recovery"] = mode
+                config = replace(BASE_CONFIG, interval=interval,
+                                 recovery=mode)
                 campaign = Campaign(name, name, rules_for(kills),
-                                    pool_extra=3, config_extra=extra)
+                                    pool_extra=3, config=config)
                 t0 = time.monotonic()
                 runs = [run(campaign, seed) for seed in range(ABLATION_SEEDS)]
                 out[(mode, interval, kills)] = {

@@ -71,7 +71,7 @@ Multi-tenant campaign (service mode: several jobs share one cluster):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -93,15 +93,23 @@ from repro.fmi.config import FmiConfig
 
 __all__ = [
     "Campaign", "CAMPAIGNS", "GRAY_CAMPAIGNS", "LOGGED_CAMPAIGNS",
-    "REPLICATED_CAMPAIGNS",
+    "REPLICATED_CAMPAIGNS", "BASE_CONFIG",
 ]
 
 RulesFn = Callable[[np.random.Generator, "Campaign"], List[Rule]]
 
 
+#: every campaign's base configuration: a checkpoint per FMI_Loop call,
+#: four-node XOR groups, two reserved spares
+BASE_CONFIG = FmiConfig(interval=1, xor_group_size=4, spare_nodes=2)
+
+
 @dataclass(frozen=True)
 class Campaign:
-    """One failure class: job geometry + config + seeded rule builder."""
+    """One failure class: job geometry + config + seeded rule builder.
+
+    An illegal geometry x config is refused at construction, by the
+    rule ``FmiJob`` applies (:meth:`FmiConfig.check_job`)."""
 
     name: str
     summary: str
@@ -111,13 +119,21 @@ class Campaign:
     iterations: int = 10
     work_s: float = 0.25
     halo_bytes: float = 1e4
-    spare_nodes: int = 2
+    #: the FMI configuration every tenant's job runs with
+    config: FmiConfig = BASE_CONFIG
     #: idle nodes beyond job + spares (the RM's on-demand pool)
     pool_extra: int = 2
-    config_extra: Dict = field(default_factory=dict)
     #: co-resident copies of the job on one shared cluster; > 1 turns
     #: on the multi-tenant runner path and the tenant-isolation check
     tenants: int = 1
+
+    def __post_init__(self) -> None:
+        # One tenant's allocation footprint (compute tiers + spares);
+        # replicated jobs allocate one node tier per copy: physical slot
+        # s hosts copy s // num_slots of virtual slot s % num_slots.
+        object.__setattr__(self, "nodes_per_tenant", sum(
+            self.config.check_job(self.num_ranks, self.ppn)
+        ))
 
     @property
     def num_slots(self) -> int:
@@ -125,28 +141,8 @@ class Campaign:
         return self.num_ranks // self.ppn
 
     @property
-    def replication_degree(self) -> int:
-        """Physical copies per rank (1 unless ``recovery="replicated"``)."""
-        cfg = self.make_config()
-        return cfg.replication_degree if cfg.recovery == "replicated" else 1
-
-    @property
-    def nodes_per_tenant(self) -> int:
-        """One tenant's allocation footprint (compute tiers + spares)."""
-        # Replicated jobs allocate one node tier per copy: physical
-        # slot s hosts copy s // num_slots of virtual slot s % num_slots.
-        return self.num_slots * self.replication_degree + self.spare_nodes
-
-    @property
     def total_nodes(self) -> int:
         return self.nodes_per_tenant * self.tenants + self.pool_extra
-
-    def make_config(self) -> FmiConfig:
-        kwargs = dict(
-            interval=1, xor_group_size=4, spare_nodes=self.spare_nodes,
-        )
-        kwargs.update(self.config_extra)
-        return FmiConfig(**kwargs)
 
 
 # --------------------------------------------------------------- rule builders
@@ -310,7 +306,7 @@ def _replicated_single_kill_rules(rng: np.random.Generator, c: Campaign) -> List
     # (killing one forces an in-place promotion), the upper tiers hold
     # replicas (killing one only triggers a background re-arm).  Either
     # way the zero-rollback invariant must hold.
-    slot = int(rng.integers(c.num_slots * c.replication_degree))
+    slot = int(rng.integers(c.num_slots * c.config.num_copies))
     t0 = float(rng.uniform(1.5, 3.5))
     return [Rule(AtTime(t0), KillSlot(slot))]
 
@@ -333,6 +329,10 @@ def _replicated_kill_both_copies_rules(rng: np.random.Generator, c: Campaign) ->
 
 
 # ------------------------------------------------------------------ registry
+#: the level-2 (PFS) tier behind every campaign whose kills can wipe a
+#: whole XOR group
+_MULTILEVEL = replace(BASE_CONFIG, level2_every=1)
+
 CAMPAIGNS: Dict[str, Campaign] = {
     c.name: c
     for c in [
@@ -348,30 +348,28 @@ CAMPAIGNS: Dict[str, Campaign] = {
             pool_extra=3,
             # At ppn=2 a 4-rank XOR group spans two slots, so the two
             # kills can wipe a whole group; level 2 makes that survivable.
-            config_extra={"level2_every": 1},
+            config=_MULTILEVEL,
         ),
         Campaign(
             "double-kill-xor-group",
             "both nodes of one XOR group die; level-2 fallback",
             _double_kill_xor_group_rules,
-            config_extra={"level2_every": 1},
+            config=_MULTILEVEL,
             pool_extra=3,
         ),
         Campaign(
             "spare-exhaustion",
             "more kills than pre-reserved spares; on-demand RM grants",
             _spare_exhaustion_rules,
-            spare_nodes=1,
             pool_extra=4,
-            config_extra={"level2_every": 1},
+            config=replace(_MULTILEVEL, spare_nodes=1),
         ),
         Campaign(
             "drain-then-fail",
             "graceful drain, then a real failure",
             _drain_then_fail_rules,
-            spare_nodes=1,
             pool_extra=3,
-            config_extra={"level2_every": 1},
+            config=replace(_MULTILEVEL, spare_nodes=1),
         ),
         Campaign(
             "partition-heal",
@@ -383,7 +381,7 @@ CAMPAIGNS: Dict[str, Campaign] = {
             "node dies while the fabric is partitioned",
             _partition_kill_mid_heal_rules,
             pool_extra=3,
-            config_extra={"level2_every": 1},
+            config=_MULTILEVEL,
         ),
         Campaign(
             "flapping-partition",
@@ -395,50 +393,49 @@ CAMPAIGNS: Dict[str, Campaign] = {
             "seeded drop/dup/delay on every link, plus one node kill",
             _lossy_links_rules,
             pool_extra=3,
-            config_extra={"level2_every": 1},
+            config=_MULTILEVEL,
         ),
         Campaign(
             "limping-node",
             "one node limps while a different node dies",
             _limping_node_rules,
             pool_extra=3,
-            config_extra={"level2_every": 1},
+            config=_MULTILEVEL,
         ),
         Campaign(
             "logged-single-kill",
             "partial rollback: one slot dies, survivors replay its logs",
             _logged_single_kill_rules,
-            config_extra={"recovery": "logged"},
+            config=replace(BASE_CONFIG, recovery="logged"),
         ),
         Campaign(
             "logged-sequential-kills",
             "partial rollback: second kill after the first replay",
             _logged_sequential_kills_rules,
             pool_extra=3,
-            config_extra={"recovery": "logged"},
+            config=replace(BASE_CONFIG, recovery="logged"),
         ),
         Campaign(
             "multi-tenant-kill",
             "kills land in two co-resident tenants; both recover alone",
             _multi_tenant_kill_rules,
             tenants=3,
-            spare_nodes=1,
             pool_extra=2,
-            config_extra={"level2_every": 1},
+            config=replace(_MULTILEVEL, spare_nodes=1),
         ),
         Campaign(
             "replicated-single-kill",
             "failover: one copy dies, nobody rolls back",
             _replicated_single_kill_rules,
             pool_extra=3,
-            config_extra={"recovery": "replicated"},
+            config=replace(BASE_CONFIG, recovery="replicated"),
         ),
         Campaign(
             "replicated-kill-both-copies",
             "both copies of one slot die; graceful fallback to rollback",
             _replicated_kill_both_copies_rules,
             pool_extra=3,
-            config_extra={"recovery": "replicated"},
+            config=replace(BASE_CONFIG, recovery="replicated"),
         ),
     ]
 }

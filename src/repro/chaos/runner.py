@@ -90,7 +90,7 @@ def _build_job(campaign: Campaign, seed: int, names: Sequence[str] = ("fmi",)):
             bsp_app(campaign.iterations, campaign.work_s, campaign.halo_bytes),
             num_ranks=campaign.num_ranks,
             procs_per_node=campaign.ppn,
-            config=campaign.make_config(),
+            config=campaign.config,
             name=name,
         )
         for name in names

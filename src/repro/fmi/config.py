@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from numbers import Integral
+from typing import Optional, Tuple
 
-__all__ = ["FmiConfig", "RECOVERY_MODES", "check_recovery_mode"]
+from repro.fmi.xor_group import XorGroupLayout
+
+__all__ = ["FmiConfig", "RECOVERY_MODES"]
 
 #: recovery-plane selection: "global" rolls every rank back to the last
 #: coordinated checkpoint; "logged" replays sender-based message logs
@@ -15,18 +18,15 @@ __all__ = ["FmiConfig", "RECOVERY_MODES", "check_recovery_mode"]
 #: instead of rolling back
 RECOVERY_MODES = ("global", "logged", "replicated")
 
-
-def check_recovery_mode(name: str) -> str:
-    """Validate a recovery-plane name; returns it unchanged."""
-    if name not in RECOVERY_MODES:
-        raise ValueError(
-            f"unknown recovery mode {name!r} "
-            f"(choose from {sorted(RECOVERY_MODES)})"
-        )
-    return name
+#: the knobs that count something: slice bounds, loop counts and
+#: comparisons mid-run, so a float or NaN is refused here
+_INTEGRAL = (
+    "interval", "xor_group_size", "replication_degree", "logring_k",
+    "spare_nodes", "level2_every", "max_recoveries",
+)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FmiConfig:
     """Knobs of the FMI runtime.
 
@@ -43,7 +43,8 @@ class FmiConfig:
     #: expected machine MTBF driving Vaidya auto-tuning; None = off
     mtbf_seconds: Optional[float] = None
     #: redundancy group size in ranks (Section V-C tunes this; 16 is
-    #: the paper's choice). Groups are laid out across nodes.
+    #: the paper's choice). Groups are laid out across nodes; a job
+    #: with fewer nodes gets one group over all of them.
     xor_group_size: int = 16
     #: level-1 redundancy scheme: "xor" (the paper's ring-pipelined
     #: parity), "partner" (full-copy neighbour replication), or
@@ -84,8 +85,17 @@ class FmiConfig:
     #: (fmirun's management network) and dropped if the suspect is
     #: alive, preventing split-brain double recovery on a cut.
     suspicion_grace: float = 0.5
+    #: derived, not settable: physical rank-processes per virtual rank
+    #: (``replication_degree`` under recovery="replicated", else 1);
+    #: physical slot ``s`` hosts copy ``s // num_nodes`` of virtual slot
+    #: ``s % num_nodes``
+    num_copies: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in _INTEGRAL:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.interval is not None and self.interval < 1:
             raise ValueError("interval must be >= 1")
         # The float knobs are guarded as ``not x > 0`` / ``not x >= 0``:
@@ -108,7 +118,11 @@ class FmiConfig:
                 f"unknown redundancy scheme {self.redundancy!r} "
                 f"(choose from {sorted(SCHEMES)})"
             )
-        check_recovery_mode(self.recovery)
+        if self.recovery not in RECOVERY_MODES:
+            raise ValueError(
+                f"unknown recovery mode {self.recovery!r} "
+                f"(choose from {sorted(RECOVERY_MODES)})"
+            )
         if self.recovery != "global" and self.level2_every is not None:
             raise ValueError(
                 f"recovery={self.recovery!r} does not support multilevel "
@@ -144,3 +158,21 @@ class FmiConfig:
             )
         if not self.suspicion_grace > 0:
             raise ValueError("suspicion_grace must be positive")
+        object.__setattr__(
+            self, "num_copies",
+            self.replication_degree if self.recovery == "replicated" else 1,
+        )
+
+    def check_job(self, num_ranks: int, procs_per_node: int) -> Tuple[int, int]:
+        """The legality rule of an FMI job: geometry x this config.
+
+        Every entry point (``FmiJob`` through ``Fmirun.bind``,
+        ``repro.sched.JobSpec``, ``repro.chaos.Campaign``) calls it at
+        construction, so a job that cannot run is refused before it
+        holds a node.  The config's own knobs were checked when it was
+        built; this adds the geometry and the XOR group layout (groups
+        spread a node's ranks over distinct nodes, Section V-A).
+        Returns the node footprint ``(compute nodes x copies, spares)``.
+        """
+        layout = XorGroupLayout(num_ranks, procs_per_node, self.xor_group_size)
+        return layout.num_nodes * self.num_copies, self.spare_nodes

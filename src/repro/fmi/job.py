@@ -35,7 +35,9 @@ class FmiJob(JobBase):
     rendezvous, the log-ring detector, and the statistics every
     benchmark reads.  Launch/context/abort machinery is inherited from
     :class:`~repro.runtime.core.JobBase`; the survivable behaviour is
-    the attached :class:`~repro.fmi.runtime.Fmirun` policy.
+    the attached :class:`~repro.fmi.runtime.Fmirun` policy, whose bind
+    refuses an illegal job (:meth:`FmiConfig.check_job`) at
+    construction.
 
     Typical use::
 
@@ -68,8 +70,9 @@ class FmiJob(JobBase):
         self.epoch = 0
         #: (time, cause) of the failure that opened each epoch >= 1
         self.recovery_causes: List[Tuple[float, str]] = []
-        group = min(self.config.xor_group_size, self.num_nodes)
-        self.xor_layout = XorGroupLayout(num_ranks, procs_per_node, group)
+        self.xor_layout = XorGroupLayout(
+            num_ranks, procs_per_node, self.config.xor_group_size
+        )
         self.detector = LogRingDetector(self)
         #: everything that differs between global rollback, message
         #: logging and replication sits behind this one object

@@ -104,7 +104,6 @@ class ReplicationPlane(ChannelPlane):
 
     def __init__(self, job):
         super().__init__(job)
-        self.num_copies: int = job.config.replication_degree
         #: rank -> copy -> FmiProcess (current incarnations)
         self.copies: Dict[int, Dict[int, object]] = {}
         #: which copy currently owns the rank's endpoint-table entry
@@ -444,7 +443,7 @@ class ReplicationPlane(ChannelPlane):
         whole slots."""
         job = self.job
         ranks = self.unfinished_ranks(vslot)
-        for copy in range(self.num_copies):
+        for copy in range(job.config.num_copies):
             for r in ranks:
                 p = self.copies.get(r, {}).get(copy)
                 if p is None or not p.alive or self.is_unsynced(p):
@@ -525,7 +524,7 @@ class ReplicationPlane(ChannelPlane):
             if active:
                 cur = self.lead_copy.get(active[0], 0)
                 for copy in [cur] + [
-                    c for c in range(self.num_copies) if c != cur
+                    c for c in range(job.config.num_copies) if c != cur
                 ]:
                     if all(
                         self.copies.get(r, {}).get(copy) is not None

@@ -68,9 +68,6 @@ class RecoveryFamily:
     #: the reason ``MacroCollectives.verdict`` gives for this family
     #: (None: individual hops are not load-bearing, macro tier allowed)
     hop_fidelity: Optional[str] = None
-    #: physical rank-processes per virtual rank; physical slot ``s``
-    #: hosts copy ``s // num_nodes`` of virtual slot ``s % num_nodes``
-    num_copies = 1
     #: per-send hook ``on_send(src, dst, env, ctx)`` stamping the
     #: channel lseq (and logging, or sending mirror clones, ahead of
     #: the envelope's own ``Transport.send``);
@@ -376,6 +373,17 @@ class Fmirun(FaultPolicy):
 
     def bind(self, job) -> None:
         super().bind(job)
+        #: physical node slots (compute nodes x copies) and reserved
+        #: spares: the job's footprint under its one legality rule
+        self.num_slots, self.num_spares = job.config.check_job(
+            job.num_ranks, job.ppn
+        )
+        if job.alloc is not None and len(job.alloc.nodes) < self.num_slots:
+            # An externally owned allocation stays with its owner.
+            raise ValueError(
+                f"allocation has {len(job.alloc.nodes)} compute nodes, "
+                f"job needs {self.num_slots}"
+            )
         self.sim = job.sim
         self.machine = job.machine
         self.alloc = None
@@ -387,20 +395,14 @@ class Fmirun(FaultPolicy):
     # -- launch --------------------------------------------------------------
     def start(self) -> None:
         job = self.job
-        need = job.num_nodes * job.recovery.num_copies
         if job.alloc is not None:
             # Service mode: run on the scheduler-granted allocation.
-            if len(job.alloc.nodes) < need:
-                raise ValueError(
-                    f"allocation has {len(job.alloc.nodes)} compute nodes, "
-                    f"job needs {need}"
-                )
             self.alloc = job.alloc
         else:
             self.alloc = self.machine.rm.allocate(
-                need, num_spares=job.config.spare_nodes
+                self.num_slots, num_spares=self.num_spares
             )
-        self.node_slots = list(self.alloc.nodes[:need])
+        self.node_slots = list(self.alloc.nodes[:self.num_slots])
         for slot, node in enumerate(self.node_slots):
             self._start_task(slot, node, incarnation=0)
 
@@ -492,7 +494,7 @@ class Fmirun(FaultPolicy):
         spec = self.machine.spec
         while True:
             target_epoch = job.epoch
-            for slot in range(job.num_nodes * job.recovery.num_copies):
+            for slot in range(self.num_slots):
                 node = self.node_slots[slot]
                 task = self.tasks.get(slot)
                 procs = job.recovery.slot_procs(slot)
@@ -526,7 +528,7 @@ class Fmirun(FaultPolicy):
                     # when its ranks have other copies -- re-arming a
                     # replica must not exhaust the spare pool.
                     if (node is not None and node.alive
-                            and job.recovery.num_copies > 1):
+                            and job.config.num_copies > 1):
                         new_node = node
                         node = None  # one reuse attempt only
                     else:

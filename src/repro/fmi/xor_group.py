@@ -18,20 +18,25 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.runtime.core import check_geometry
+
 __all__ = ["XorGroupLayout"]
 
 
 class XorGroupLayout:
-    """Rank → XOR-group mapping for block placement."""
+    """Rank → XOR-group mapping for block placement.
+
+    ``group_size`` is the requested size; a job with fewer nodes gets
+    one group across all of them."""
 
     def __init__(self, num_ranks: int, procs_per_node: int, group_size: int):
-        if num_ranks < 1 or procs_per_node < 1:
-            raise ValueError("num_ranks and procs_per_node must be >= 1")
-        if num_ranks % procs_per_node != 0:
-            raise ValueError("num_ranks must be a multiple of procs_per_node")
-        num_nodes = num_ranks // procs_per_node
+        num_nodes = check_geometry(num_ranks, procs_per_node)
+        requested, group_size = group_size, min(group_size, num_nodes)
         if group_size < 2:
-            raise ValueError("group_size must be >= 2")
+            raise ValueError(
+                f"an XOR group needs >= 2 nodes, got group_size="
+                f"{requested} on {num_nodes} node(s)"
+            )
         if num_nodes % group_size != 0:
             raise ValueError(
                 f"node count ({num_nodes}) must be a multiple of the XOR "

@@ -29,7 +29,13 @@ from repro.cluster.machine import Machine
 from repro.cluster.node import Node
 from repro.mpi.api import MpiApi
 from repro.net.pmgr import PmgrRendezvous
-from repro.runtime.core import FaultPolicy, JobAborted, JobBase, RankProcess
+from repro.runtime.core import (
+    FaultPolicy,
+    JobAborted,
+    JobBase,
+    RankProcess,
+    check_geometry,
+)
 from repro.simt.kernel import Event
 
 __all__ = ["FailStop", "MpiJob", "JobAborted", "MpiRestartDriver"]
@@ -178,7 +184,7 @@ class MpiRestartDriver:
         self.max_restarts = max_restarts
         self.name = name
         self.restarts = 0
-        self.num_nodes = nprocs // procs_per_node
+        self.num_nodes = check_geometry(nprocs, procs_per_node)
         self.jobs: List[MpiJob] = []
 
     def run(self):

@@ -46,8 +46,7 @@ class Scr:
         mtbf_seconds: Optional[float] = None,
     ):
         self.api = api
-        group = min(group_size, api.size // procs_per_node)
-        self.layout = XorGroupLayout(api.size, procs_per_node, group)
+        self.layout = XorGroupLayout(api.size, procs_per_node, group_size)
         gid = self.layout.group_of(api.rank)
         self.group_comm = Communicator(
             api, SCR_COMM_BASE + gid, self.layout.members(gid)
@@ -55,8 +54,7 @@ class Scr:
         self.storage = TmpfsStorage(api.node, prefix=f"scr/r{api.rank}")
         self.engine = CheckpointEngine(self.group_comm, self.storage, api.memcpy)
         self.policy = IntervalPolicy(
-            FmiConfig(interval=interval, mtbf_seconds=mtbf_seconds,
-                      xor_group_size=max(2, group))
+            FmiConfig(interval=interval, mtbf_seconds=mtbf_seconds)
         )
         self.checkpoints_written = 0
 

@@ -7,6 +7,9 @@ create per-rank network contexts, spawn rank processes (paying spawn +
 exec-load latency), rendezvous, collect results, and tear down.  This
 package holds only what both stacks run:
 
+* :func:`~repro.runtime.core.check_geometry` -- the one geometry rule
+  (ranks >= 1, ppn >= 1, ranks a multiple of ppn) every entry point of
+  either stack applies at construction.
 * :class:`~repro.runtime.core.JobBase` -- allocation geometry, the
   rank -> address context table, result collection, abort/teardown.
 * :class:`~repro.runtime.core.RankProcess` -- one rank's lifecycle:
@@ -23,11 +26,18 @@ Nothing here imports :mod:`repro.fmi`, :mod:`repro.mpi`,
 (``tests/test_runtime_layering.py`` holds that).
 """
 
-from repro.runtime.core import FaultPolicy, JobAborted, JobBase, RankProcess
+from repro.runtime.core import (
+    FaultPolicy,
+    JobAborted,
+    JobBase,
+    RankProcess,
+    check_geometry,
+)
 
 __all__ = [
     "FaultPolicy",
     "JobAborted",
     "JobBase",
     "RankProcess",
+    "check_geometry",
 ]

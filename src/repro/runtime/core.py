@@ -22,7 +22,19 @@ from repro.cluster.node import Node
 from repro.net.transport import NetContext, Transport
 from repro.simt.kernel import Event
 
-__all__ = ["FaultPolicy", "JobAborted", "JobBase", "RankProcess"]
+__all__ = [
+    "FaultPolicy", "JobAborted", "JobBase", "RankProcess", "check_geometry",
+]
+
+
+def check_geometry(num_ranks: int, procs_per_node: int) -> int:
+    """The one geometry rule of a job on either stack (block placement,
+    ``procs_per_node`` ranks on every node); returns the node count."""
+    if num_ranks < 1 or procs_per_node < 1:
+        raise ValueError("num_ranks and procs_per_node must be >= 1")
+    if num_ranks % procs_per_node != 0:
+        raise ValueError("num_ranks must be a multiple of procs_per_node")
+    return num_ranks // procs_per_node
 
 
 class JobAborted(RuntimeError):
@@ -130,16 +142,12 @@ class JobBase:
         alloc=None,
         job_id: Optional[str] = None,
     ):
-        if num_ranks < 1 or procs_per_node < 1:
-            raise ValueError("num_ranks and procs_per_node must be >= 1")
-        if num_ranks % procs_per_node != 0:
-            raise ValueError("num_ranks must be a multiple of procs_per_node")
+        self.num_nodes = check_geometry(num_ranks, procs_per_node)
         self.machine = machine
         self.sim = machine.sim
         self.app = app
         self.num_ranks = num_ranks
         self.ppn = procs_per_node
-        self.num_nodes = num_ranks // procs_per_node
         self.name = name
         #: externally owned allocation (service mode: the scheduler
         #: grants nodes and hands the job a ready allocation); None =
@@ -152,7 +160,6 @@ class JobBase:
         self.boot_latency = (
             machine.spec.proc_spawn_latency + machine.spec.exec_load_latency
         )
-        self.transport = Transport(machine, sw_overhead=sw_overhead)
 
         # -- shared runtime state --
         self.rank_procs: Dict[int, RankProcess] = {}
@@ -169,11 +176,14 @@ class JobBase:
         #: simulated time init (MPI_Init / FMI's first H2 exit) completed
         self.init_done_at: Optional[float] = None
 
-        # Bind last: the policy may allocate nodes (fail-stop does so
-        # eagerly, matching srun's behaviour) and attach teardown hooks
-        # to ``done``.
+        # The policy may refuse the job (too few nodes; FMI's legality
+        # rule), allocate nodes (fail-stop does so eagerly, matching
+        # srun's behaviour) and attach teardown hooks to ``done``.  It
+        # binds before the transport subscribes to the fabric, so a
+        # refused job leaves no listener behind.
         self.policy = policy
         policy.bind(self)
+        self.transport = Transport(machine, sw_overhead=sw_overhead)
 
     # -- geometry -----------------------------------------------------------
     def ranks_of_slot(self, slot: int) -> List[int]:

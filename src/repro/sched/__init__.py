@@ -21,7 +21,6 @@ from repro.sched.scheduler import SchedSummary, StreamScheduler, TenantRecord
 from repro.sched.spec import (
     Arrival,
     JobSpec,
-    RECOVERY_FAMILIES,
     poisson_arrivals,
     trace_arrivals,
 )
@@ -29,7 +28,6 @@ from repro.sched.spec import (
 __all__ = [
     "Arrival",
     "JobSpec",
-    "RECOVERY_FAMILIES",
     "SchedSummary",
     "StreamScheduler",
     "TenantRecord",

@@ -27,6 +27,7 @@ import numpy as np
 from repro.cluster import Machine
 from repro.cluster.failures import MtbfInjector
 from repro.cluster.spec import SIERRA
+from repro.fmi.config import FmiConfig
 from repro.sched.scheduler import SchedSummary, StreamScheduler
 from repro.sched.spec import JobSpec, poisson_arrivals
 from repro.simt import Simulator
@@ -36,15 +37,16 @@ MAX_EVENTS = 5_000_000
 
 #: the canned per-family tenant shapes the soak cycles through
 FAMILY_SPECS = {
-    "failstop": JobSpec(name="fs", ranks=4, ppn=2, recovery="failstop",
-                        iterations=8, work_s=0.2),
-    "global": JobSpec(name="glb", ranks=4, ppn=2, recovery="global",
-                      spares=1, interval=2, iterations=8, work_s=0.2),
-    "logged": JobSpec(name="log", ranks=4, ppn=2, recovery="logged",
-                      spares=1, interval=2, iterations=8, work_s=0.2),
-    "replicated": JobSpec(name="rep", ranks=4, ppn=2, recovery="replicated",
-                          spares=1, replication_degree=2, interval=2,
-                          iterations=8, work_s=0.2),
+    "failstop": JobSpec(name="fs", ranks=4, ppn=2, iterations=8, work_s=0.2),
+    "global": JobSpec(name="glb", ranks=4, ppn=2, iterations=8, work_s=0.2,
+                      config=FmiConfig(interval=2, spare_nodes=1)),
+    "logged": JobSpec(name="log", ranks=4, ppn=2, iterations=8, work_s=0.2,
+                      config=FmiConfig(interval=2, spare_nodes=1,
+                                       recovery="logged")),
+    "replicated": JobSpec(name="rep", ranks=4, ppn=2, iterations=8,
+                          work_s=0.2,
+                          config=FmiConfig(interval=2, spare_nodes=1,
+                                           recovery="replicated")),
 }
 
 
@@ -169,8 +171,10 @@ def _tenant_table(summary: SchedSummary) -> str:
     for rec in summary.records:
         wait = f"{rec.wait_s:.2f}" if rec.wait_s is not None else "-"
         svc = f"{rec.service_s:.2f}" if rec.service_s is not None else "-"
+        config = rec.spec.config
+        family = config.recovery if config is not None else "failstop"
         lines.append(
-            f"    {rec.job_id:<10} {rec.spec.recovery:<10} {rec.state:<9} "
+            f"    {rec.job_id:<10} {family:<10} {rec.state:<9} "
             f"{wait:>7} {svc:>7} {rec.restarts:>3}"
         )
     return "\n".join(lines)

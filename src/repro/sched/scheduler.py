@@ -22,11 +22,12 @@ Policies:
   at their original position *within their priority class* (i.e.
   behind all higher-priority work) and restart from scratch.
 
-Failure handling is per recovery family: FMI tenants (``global`` /
-``logged`` / ``replicated``) recover in place -- drawing replacement
-nodes from their reserved spares, then the shared :class:`SparePool`,
-then on-demand RM grants via ``Allocation.grow()`` -- while
-``failstop`` tenants abort and are requeued (the classic
+Failure handling is per recovery family: FMI tenants (a spec with a
+config, whose ``recovery`` is ``global`` / ``logged`` /
+``replicated``) recover in place -- drawing replacement nodes from
+their reserved spares, then the shared :class:`SparePool`, then
+on-demand RM grants via ``Allocation.grow()`` -- while fail-stop
+tenants (``config=None``) abort and are requeued (the classic
 relaunch-through-the-batch-queue loop) up to ``max_restarts`` times.
 
 Everything is deterministic given the machine's seeded RNG streams:
@@ -232,7 +233,7 @@ class StreamScheduler:
     def _build_job(self, rec: TenantRecord, alloc: Allocation):
         spec = rec.spec
         app = spec.make_app()
-        if spec.recovery == "failstop":
+        if spec.config is None:
             return MpiJob(
                 self.machine, app, spec.ranks, spec.ppn,
                 name=rec.job_id, alloc=alloc, job_id=rec.job_id,
@@ -241,16 +242,13 @@ class StreamScheduler:
 
         return FmiJob(
             self.machine, app, spec.ranks, spec.ppn,
-            config=spec.make_config(), name=rec.job_id,
+            config=spec.config, name=rec.job_id,
             alloc=alloc, job_id=rec.job_id,
         )
 
     def _try_start(self, rec: TenantRecord, backfilled: bool) -> bool:
-        spec = rec.spec
         idle_before = self.rm.idle_count
-        alloc = self.rm.try_allocate(
-            spec.num_nodes * spec.num_copies, num_spares=spec.spares
-        )
+        alloc = self.rm.try_allocate(*rec.spec.footprint)
         if alloc is None:
             return False
         if self.pool is not None:
@@ -311,7 +309,7 @@ class StreamScheduler:
             self._enqueue(rec)
         elif (
             isinstance(evt.value, JobAborted)
-            and rec.spec.recovery == "failstop"
+            and rec.spec.config is None
             and rec.restarts < rec.spec.max_restarts
         ):
             # The classic batch loop: relaunch through the queue.

@@ -1,11 +1,20 @@
 """Job descriptions and arrival processes for the stream scheduler.
 
 A :class:`JobSpec` is everything the scheduler needs to admit, place,
-and price one tenant: geometry (ranks, processes per node, reserved
-spares), the recovery family (``failstop`` relaunches through the
-queue; ``global``/``logged``/``replicated`` are the FMI planes), the
-checkpoint interval, the synthetic workload parameters, and the
-runtime estimate backfill reasons about.
+and price one tenant: geometry (ranks, processes per node), the FMI
+configuration (``None`` is a fail-stop MPI job that relaunches through
+the queue; otherwise the config's ``recovery`` picks the FMI plane and
+its knobs -- interval, spares, XOR group, replication degree -- run the
+job), the synthetic workload parameters, and the runtime estimate
+backfill reasons about::
+
+    JobSpec(name="a", ranks=8, ppn=2,
+            config=FmiConfig(interval=1, spare_nodes=1, xor_group_size=4))
+    JobSpec(name="b", ranks=4, ppn=2)  # fail-stop
+
+A spec that cannot run is refused when it is built, by the same rule
+``FmiJob`` applies (:meth:`~repro.fmi.config.FmiConfig.check_job`), so
+it never reaches the queue.
 
 Arrivals are either *trace-driven* (explicit ``(time, spec)`` pairs,
 e.g. replayed from a production log) or *distribution-driven*
@@ -14,32 +23,26 @@ e.g. replayed from a production log) or *distribution-driven*
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from repro.apps.synthetic import bsp_app, expected_bsp_state
 from repro.fmi.config import FmiConfig
+from repro.runtime.core import check_geometry
 
-__all__ = ["RECOVERY_FAMILIES", "JobSpec", "Arrival", "poisson_arrivals"]
-
-#: admissible recovery families: MPI's relaunch-through-the-queue
-#: contract plus the three FMI recovery planes
-RECOVERY_FAMILIES = ("failstop", "global", "logged", "replicated")
+__all__ = ["JobSpec", "Arrival", "poisson_arrivals"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class JobSpec:
     """One tenant's job description (the scheduler's admission unit)."""
 
     name: str = "job"
     ranks: int = 4
     ppn: int = 1
-    #: pre-reserved spare nodes allocated with the job (FMI families)
-    spares: int = 0
-    recovery: str = "global"
-    replication_degree: int = 2
-    #: checkpoint every k-th FMI_Loop call (FMI families)
-    interval: Optional[int] = 1
+    #: the FMI runtime configuration, shared by every job built from
+    #: this spec; None = fail-stop MPI (requeued on a failure)
+    config: Optional[FmiConfig] = None
     iterations: int = 10
     work_s: float = 0.1
     halo_bytes: float = 1e4
@@ -49,46 +52,27 @@ class JobSpec:
     est_runtime: Optional[float] = None
     #: fail-stop relaunch budget before the job is marked failed
     max_restarts: int = 4
-    #: extra FmiConfig knobs (e.g. replacement_timeout, redundancy)
-    config_extra: Dict[str, Any] = field(default_factory=dict)
     #: custom application factory ``spec -> app`` (default: bsp_app)
     app_factory: Optional[Callable[["JobSpec"], Any]] = None
 
     def __post_init__(self) -> None:
-        if self.ranks < 1 or self.ppn < 1:
-            raise ValueError("ranks and ppn must be >= 1")
-        if self.ranks % self.ppn != 0:
-            raise ValueError("ranks must be a multiple of ppn")
-        if self.recovery not in RECOVERY_FAMILIES:
-            raise ValueError(
-                f"unknown recovery family {self.recovery!r} "
-                f"(choose from {RECOVERY_FAMILIES})"
-            )
-        if self.spares < 0:
-            raise ValueError("spares must be >= 0")
-        if self.recovery == "failstop" and self.spares:
-            raise ValueError("failstop jobs take no spares (they requeue)")
-        if (self.recovery == "replicated"
-                and self.spares < self.replication_degree - 1):
-            raise ValueError(
-                "replicated jobs need spares >= replication_degree - 1"
-            )
+        if self.config is None:
+            footprint = (check_geometry(self.ranks, self.ppn), 0)
+        else:
+            footprint = self.config.check_job(self.ranks, self.ppn)
         if self.iterations < 1 or self.work_s <= 0:
             raise ValueError("iterations >= 1 and work_s > 0 required")
+        # Fixed at construction (the spec is frozen), since the
+        # scheduler reads them on every admission pass: ``footprint`` is
+        # ``(compute nodes x copies, reserved spares)``, ``total_nodes``
+        # their sum.
+        object.__setattr__(self, "footprint", footprint)
+        object.__setattr__(self, "total_nodes", sum(footprint))
 
     # -- geometry -----------------------------------------------------------
     @property
     def num_nodes(self) -> int:
         return self.ranks // self.ppn
-
-    @property
-    def num_copies(self) -> int:
-        return self.replication_degree if self.recovery == "replicated" else 1
-
-    @property
-    def total_nodes(self) -> int:
-        """Admission footprint: compute nodes x copies + reserved spares."""
-        return self.num_nodes * self.num_copies + self.spares
 
     # -- runtime ------------------------------------------------------------
     @property
@@ -110,18 +94,6 @@ class JobSpec:
         if self.app_factory is not None:
             return self.app_factory(self)
         return bsp_app(self.iterations, self.work_s, self.halo_bytes)
-
-    def make_config(self) -> Optional[FmiConfig]:
-        """The FmiConfig for this tenant; None for fail-stop jobs."""
-        if self.recovery == "failstop":
-            return None
-        return FmiConfig(
-            interval=self.interval,
-            recovery=self.recovery,
-            replication_degree=self.replication_degree,
-            spare_nodes=self.spares,
-            **self.config_extra,
-        )
 
     def expected_results(self) -> List[Any]:
         """Per-rank answers of the default workload (solo, failure-free

@@ -42,6 +42,18 @@ def test_fmi_config_validation():
                 dict(suspicion_grace=nan)):
         with pytest.raises(ValueError):
             Cfg(**bad)
+    # Integer knobs: a fraction or NaN used to run silently, fail mid-run
+    # on a slice, or be refused with a misleading message.
+    for bad in (dict(interval=nan), dict(interval=2.5),
+                dict(level2_every=nan), dict(max_recoveries=0.5),
+                dict(spare_nodes=1.5), dict(logring_k=nan),
+                dict(recovery="replicated", replication_degree=nan),
+                dict(xor_group_size=nan), dict(xor_group_size=4.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Cfg(**bad)
+    # NumPy integers are integers.
+    Cfg(interval=np.int64(2), spare_nodes=np.int32(0),
+        xor_group_size=np.int64(4), max_recoveries=np.uint8(1))
 
 
 def test_fmi_job_validation():

@@ -255,13 +255,15 @@ def _sched(make_sim):
             _at(sim, delay, lambda: rec.job.fmirun.node_slots[0].crash("golden"))
 
     sched.on_start(aim)
-    common = dict(ranks=4, ppn=2, spares=1, interval=2, iterations=8,
-                  work_s=0.2)
+    common = dict(ranks=4, ppn=2, iterations=8, work_s=0.2)
+
+    def config(recovery):
+        return FmiConfig(interval=2, spare_nodes=1, recovery=recovery)
+
     sched.submit_many(trace_arrivals([
-        (0.0, JobSpec(name="glb", recovery="global", **common)),
-        (0.2, JobSpec(name="log", recovery="logged", **common)),
-        (0.4, JobSpec(name="rep", recovery="replicated",
-                      replication_degree=2, **common)),
+        (0.0, JobSpec(name="glb", config=config("global"), **common)),
+        (0.2, JobSpec(name="log", config=config("logged"), **common)),
+        (0.4, JobSpec(name="rep", config=config("replicated"), **common)),
     ]))
     drained = sched.drain()
     sim.run(until=drained, max_events=3_000_000)

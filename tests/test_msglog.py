@@ -18,7 +18,6 @@ from repro.chaos.invariants import check_no_orphans
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
-from repro.fmi.config import check_recovery_mode
 from repro.fmi.msglog import RecoveryPlane
 from repro.fmi.runtime import RecoveryFamily
 from repro.net.matching import ANY_SOURCE, ANY_TAG, MatchingEngine
@@ -288,8 +287,6 @@ def test_post_wildcard_mismatch_degrades_to_free_order():
 
 # ------------------------------------------------------ config and guards
 def test_recovery_mode_validation():
-    with pytest.raises(ValueError, match="unknown recovery mode"):
-        check_recovery_mode("bogus")
     with pytest.raises(ValueError, match="unknown recovery mode"):
         FmiConfig(recovery="bogus")
     with pytest.raises(ValueError, match="multilevel"):

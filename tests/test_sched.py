@@ -22,6 +22,7 @@ import pytest
 from repro.apps.synthetic import expected_bsp_state
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
+from repro.fmi import FmiConfig
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.export import dumps_jsonl
 from repro.sched import JobSpec, StreamScheduler, trace_arrivals
@@ -31,26 +32,23 @@ from repro.simt.rng import RngRegistry
 MAX_EVENTS = 3_000_000
 
 # ----------------------------------------------------------- the e2e stream
-#: eight tenants, two per recovery family, staggered arrivals
+SHAPE = dict(ranks=4, ppn=2, iterations=8, work_s=0.2)
+GLOBAL = FmiConfig(interval=2, spare_nodes=1)
+LOGGED = FmiConfig(interval=2, spare_nodes=1, recovery="logged")
+REPLICATED = FmiConfig(interval=2, spare_nodes=1, recovery="replicated",
+                       replication_degree=2)
+
+#: eight tenants, two per recovery family (no config: fail-stop),
+#: staggered arrivals
 E2E_SPECS = [
-    (0.0, JobSpec(name="glb-a", ranks=4, ppn=2, recovery="global",
-                  spares=1, interval=2, iterations=8, work_s=0.2)),
-    (0.2, JobSpec(name="log-a", ranks=4, ppn=2, recovery="logged",
-                  spares=1, interval=2, iterations=8, work_s=0.2)),
-    (0.4, JobSpec(name="rep-a", ranks=4, ppn=2, recovery="replicated",
-                  spares=1, replication_degree=2, interval=2,
-                  iterations=8, work_s=0.2)),
-    (0.6, JobSpec(name="fs-a", ranks=4, ppn=2, recovery="failstop",
-                  iterations=8, work_s=0.2)),
-    (0.8, JobSpec(name="glb-b", ranks=4, ppn=2, recovery="global",
-                  spares=1, interval=2, iterations=8, work_s=0.2)),
-    (1.0, JobSpec(name="log-b", ranks=4, ppn=2, recovery="logged",
-                  spares=1, interval=2, iterations=8, work_s=0.2)),
-    (1.2, JobSpec(name="rep-b", ranks=4, ppn=2, recovery="replicated",
-                  spares=1, replication_degree=2, interval=2,
-                  iterations=8, work_s=0.2)),
-    (1.4, JobSpec(name="fs-b", ranks=4, ppn=2, recovery="failstop",
-                  iterations=8, work_s=0.2)),
+    (0.0, JobSpec(name="glb-a", config=GLOBAL, **SHAPE)),
+    (0.2, JobSpec(name="log-a", config=LOGGED, **SHAPE)),
+    (0.4, JobSpec(name="rep-a", config=REPLICATED, **SHAPE)),
+    (0.6, JobSpec(name="fs-a", **SHAPE)),
+    (0.8, JobSpec(name="glb-b", config=GLOBAL, **SHAPE)),
+    (1.0, JobSpec(name="log-b", config=LOGGED, **SHAPE)),
+    (1.2, JobSpec(name="rep-b", config=REPLICATED, **SHAPE)),
+    (1.4, JobSpec(name="fs-b", **SHAPE)),
 ]
 
 #: tenants that take a seeded kill (spec name -> seconds after start);
@@ -134,7 +132,7 @@ def test_e2e_metrics_segregated_per_tenant(e2e):
     recs = {r.spec.name: r for r in summary.records}
     for name, rec in recs.items():
         recoveries = metrics.counter("fmi.recoveries", job=rec.job_id).value
-        if name in KILLS and rec.spec.recovery != "failstop":
+        if name in KILLS and rec.spec.config is not None:
             assert recoveries >= 1, f"{rec.job_id} took a kill, 0 recoveries"
         else:
             # Bystanders and failstop tenants never open an FMI epoch.
@@ -186,12 +184,9 @@ def _mini(num_nodes, **sched_kw):
     return sim, machine, sched
 
 
-LONG = JobSpec(name="long", ranks=4, ppn=1, recovery="failstop",
-               iterations=10, work_s=0.2)
-WIDE = JobSpec(name="wide", ranks=4, ppn=1, recovery="failstop",
-               iterations=2, work_s=0.1)
-SHORT = JobSpec(name="short", ranks=2, ppn=1, recovery="failstop",
-                iterations=1, work_s=0.05)
+LONG = JobSpec(name="long", ranks=4, ppn=1, iterations=10, work_s=0.2)
+WIDE = JobSpec(name="wide", ranks=4, ppn=1, iterations=2, work_s=0.1)
+SHORT = JobSpec(name="short", ranks=2, ppn=1, iterations=1, work_s=0.05)
 
 
 def test_backfill_short_job_jumps_blocked_head():
@@ -236,8 +231,7 @@ def test_preempt_evicts_lower_priority():
 
 def test_unsatisfiable_job_rejected_not_starving():
     sim, _machine, sched = _mini(2, backfill=True)
-    huge = sched.submit(JobSpec(name="huge", ranks=8, ppn=1,
-                                recovery="failstop", iterations=1,
+    huge = sched.submit(JobSpec(name="huge", ranks=8, ppn=1, iterations=1,
                                 work_s=0.05), at=0.0)
     small = sched.submit(SHORT, at=0.1)
     drained = sched.drain()

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
+from repro.fmi import FmiConfig
 from repro.sched import JobSpec, StreamScheduler
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
@@ -36,7 +37,8 @@ def job_specs():
         name=st.just("j"),
         ranks=st.sampled_from([2, 4]),
         ppn=st.just(1),
-        recovery=st.sampled_from(["global", "failstop"]),
+        # global rollback, or fail-stop (no config)
+        config=st.sampled_from([FmiConfig(interval=1, spare_nodes=0), None]),
         iterations=st.integers(1, 3),
         work_s=st.sampled_from([0.05, 0.1]),
         priority=st.integers(0, 2),
