@@ -10,48 +10,43 @@ Hot-path notes (this is the innermost loop of every simulation):
   counters in locals and dispatches callbacks inline instead of going
   through :meth:`Simulator.step`, which exists for single-stepping and
   subclass instrumentation but costs a method call per event.
-* Zero-delay schedules (event completions, process resumes -- the
-  majority of all events) bypass the heap entirely and go to a FIFO
-  *immediate queue*, a plain list.  Order is unchanged: an entry
-  already in the heap for the current instant was necessarily
-  scheduled earlier (smaller seq) than anything in the immediate
-  queue, so draining "heap entries at ``now`` first, then the FIFO"
-  reproduces exact seq order while the common case pays O(1) instead
-  of O(log heap).  At 16k simulated ranks the heap otherwise holds
-  tens of thousands of entries and the per-event heap traffic
-  dominates the loop.  :meth:`Simulator.run` drains the queue a
-  *batch* at a time: it swaps in a fresh list and walks the old one
-  with a ``for`` loop, so a zero-delay event costs no pop call, and
-  what the batch's callbacks schedule lands behind it in the new list.
-  After each entry the walk yields to a heap entry due at ``now`` (the
-  pipe's reserved re-push, whose seq predates the whole queue), and on
-  any early exit the unwalked tail goes back in front of the new
-  queue.  Each slot is cleared as it is dispatched, so the batch keeps
-  no processed event alive; :meth:`Simulator.peek` sees the rest of a
-  batch in ``_batch``.
+* **One heap entry per instant.**  Lockstep ranks land most timers on
+  a pending float, so the heap holds one float per distinct time and
+  ``_at`` maps it to its *bucket*, the events due then in seq order: a
+  push is one ``append`` (seq is monotone) or, to a new instant, one
+  ``heappush``; a bucket is one ``heappop``.  Zero-delay schedules
+  (most events) skip both for a FIFO *immediate queue*.  A bucket was
+  filled before the clock reached it, so it predates the whole queue:
+  the bucket at ``now`` drains first, then the queue, then the clock
+  advances.  :meth:`Simulator.run` walks a bucket, or a batch of the
+  queue (swapped for a fresh list), with a ``for`` loop -- no pop per
+  event -- clearing each slot as it dispatches it, so the walk keeps
+  no processed event alive and :meth:`Simulator.peek` sees the rest in
+  ``_batch``; an early stop puts the unwalked tail back in front.  The
+  one out-of-order push, a pipe's reserved re-push, goes in by seq
+  (:meth:`Simulator._insert`), into the live bucket too; at ``now``
+  during a queue batch it opens a bucket, which the batch yields to.
 * :meth:`Event.succeed` and :class:`Timeout` -- together nearly every
   schedule of a run -- carry their own copy of the push instead of
   calling :meth:`Simulator._push`: a Python frame per event is the
   largest single cost left in the loop.  ``_push`` remains the general
   path (``fail``, delayed ``succeed``, ``Process``, ``BulkCompletion``).
-  The copies must stay *one push each, in program order*: the rule is
-  that no live callback moves, and a change that fuses, batches or
-  reorders schedules which *have* a callback changes which
-  same-instant event fires first, and with it every simulated number
-  downstream.  An entry that would dispatch nothing may be left out if
-  every live one keeps its ``(time, seq)``: a fair-share pipe takes a
-  sequence number for each new deadline but keeps one entry on the heap
-  (``simt.resources``).  ``tests/test_golden_order.py`` pins the
-  resulting order across commits.
+  The copies must stay *one push each, in program order*: no live
+  callback moves, or which same-instant event fires first changes, and
+  with it every simulated number downstream.  An entry that would
+  dispatch nothing may be left out if every live one keeps its
+  ``(time, seq)``: a fair-share pipe takes a sequence number for each
+  new deadline but keeps one entry queued (``simt.resources``).
+  ``tests/test_golden_order.py`` pins the resulting order.
 * Every event allocates its own ``callbacks`` list: recycling them
   through a free pool costs four C calls per event to save one ``[]``.
-* ``stats.peak_heap`` is derived, not counted: every schedule bumps
-  ``_seq`` and every dispatch pops exactly one entry, so the number
-  outstanding is ``_seq - _reserved - pops`` (``_reserved``: sequence
-  numbers a pipe holds without an entry).  It only grows between two
-  pops, so its maxima sit immediately before a pop (one integer
-  compare per loop iteration) or at the moment ``stats`` is read
-  (folded in by the property) -- no ``len()`` on the push path.
+* ``stats.peak_heap`` counts outstanding entries, not buckets, and is
+  derived: every schedule bumps ``_seq`` and every dispatch retires
+  one entry, so ``_seq - _reserved - pops`` are outstanding
+  (``_reserved``: sequence numbers a pipe holds without an entry).  It
+  only grows between two dispatches, so its maxima sit just before one
+  (an integer compare per event) or when ``stats`` is read (folded in
+  by the property) -- no ``len()`` on the push path.
 * :meth:`Event.cancel` withdraws an event that will never fire so dead
   waiters (killed processes) leave no live-looking tombstones in
   whatever queue holds them; the matching engine keys its lazy sweeps
@@ -61,7 +56,7 @@ Hot-path notes (this is the innermost loop of every simulation):
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
@@ -83,6 +78,8 @@ class SimulationError(RuntimeError):
 #: Sentinel for "event has not produced a value yet".
 _PENDING = object()
 
+_INF = float("inf")
+
 
 class Event:
     """A one-shot occurrence on the simulation timeline.
@@ -102,8 +99,9 @@ class Event:
     completion of an operation whose waiter died must not crash).
     """
 
+    #: ``_seq``: written by a push, read in a bucket (not by __init__)
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed",
-                 "_cancelled", "_cancel_cb")
+                 "_cancelled", "_cancel_cb", "_seq")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -221,9 +219,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        # ``not >=`` rather than ``<``: NaN must not reach the heap.
-        if not delay >= 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        # a chained compare, not ``<``: NaN and inf must not reach the heap
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"timeout delay must be finite and >= 0: {delay}")
         # Event.__init__ and Simulator._push, flattened into one frame
         # (see the module docstring).
         self.sim = sim
@@ -234,12 +232,15 @@ class Timeout(Event):
         self._cancelled = False
         self._cancel_cb = None
         self.delay = delay
-        seq = sim._seq = sim._seq + 1
+        self._seq = sim._seq = sim._seq + 1
         when = sim.now + delay
         if when == sim.now:
             sim._nowq.append(self)
+        elif when in sim._at:
+            sim._at[when].append(self)
         else:
-            heappush(sim._heap, (when, seq, self))
+            sim._at[when] = [self]
+            heappush(sim._heap, when)
 
 
 class BulkCompletion(Event):
@@ -318,8 +319,8 @@ class SimStats:
     __slots__ = ("events_processed", "peak_heap")
 
     def __init__(self) -> None:
-        #: event completions dispatched: heap pops plus batch events a
-        #: :class:`BulkCompletion` completed inline
+        #: event completions dispatched: queued entries plus batch events
+        #: a :class:`BulkCompletion` completed inline
         self.events_processed = 0
         #: largest number of scheduled events ever outstanding at once
         self.peak_heap = 0
@@ -334,19 +335,21 @@ class SimStats:
 class Simulator:
     """The discrete-event simulator: virtual clock plus event heap.
 
-    Heap entries are ``(time, seq, event)``; ``seq`` is a monotonically
-    increasing tiebreaker so same-time events fire in schedule order,
-    which makes the whole simulation deterministic.
+    The heap holds one float per pending instant and ``_at`` maps it to
+    that instant's bucket, its events in ``seq`` order; ``seq`` is a
+    monotonically increasing tiebreaker so same-time events fire in
+    schedule order, which makes the whole simulation deterministic.
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: List[Any] = []
+        self._heap: List[float] = []
+        self._at: Dict[float, List[Optional[Event]]] = {}
         #: zero-delay events awaiting dispatch at the current instant
         #: (FIFO == schedule order; see module docstring)
         self._nowq: List[Event] = []
-        #: the immediate queue :meth:`run` is walking, dispatched
-        #: slots set to None; the rest of it precedes ``_nowq``
+        #: the bucket or queue batch :meth:`run` is walking, dispatched
+        #: slots set to None; a walked bucket stays in ``_at``
         self._batch: Optional[List[Optional[Event]]] = None
         self._seq: int = 0
         self._active_proc = None  # set by Process while resuming
@@ -384,19 +387,34 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
     def _push(self, event: Event, delay: float = 0.0) -> None:
-        # ``not >=`` rather than ``<``: NaN must not reach the heap.
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        seq = self._seq = self._seq + 1
-        # Zero-delay (and float-underflow) schedules take the O(1)
-        # immediate queue; only entries for a *future* instant pay for
-        # the heap.  The underflow guard keeps the ordering invariant:
-        # a heap entry at time == now always predates the whole FIFO.
+        # a chained compare, not ``<``: NaN and inf must not reach the heap
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(
+                f"cannot schedule into the past or at infinity (delay={delay})")
+        event._seq = self._seq = self._seq + 1
+        # Zero-delay (and float-underflow) schedules take the immediate
+        # queue; only entries for a *future* instant go to a bucket.
+        # The underflow guard keeps the order rule: a bucket at ``now``
+        # always predates the whole queue.
         when = self.now + delay
         if when == self.now:
             self._nowq.append(event)
+        elif when in self._at:
+            self._at[when].append(event)
         else:
-            heappush(self._heap, (when, seq, event))
+            self._at[when] = [event]
+            heappush(self._heap, when)
+
+    def _insert(self, event: Event, when: float, seq: int) -> None:
+        """Put ``event`` at ``(when, seq)``: the out-of-order push."""
+        event._seq = seq
+        bucket = self._at.setdefault(when, [])
+        if not bucket:
+            heappush(self._heap, when)
+        i = len(bucket)
+        while i and bucket[i - 1] is not None and bucket[i - 1]._seq > seq:
+            i -= 1
+        bucket.insert(i, event)
 
     def event(self) -> Event:
         """Create a fresh untriggered event."""
@@ -419,18 +437,19 @@ class Simulator:
 
     # -- execution -------------------------------------------------------------
     def step(self) -> None:
-        """Process the next scheduled event (heap or immediate queue)."""
-        heap = self._heap
-        nowq = self._nowq
-        if nowq and (not heap or heap[0][0] > self.now):
+        """Process the next scheduled event: the first of the bucket at
+        ``now``, else of the immediate queue, else of the next bucket."""
+        heap, nowq = self._heap, self._nowq
+        if nowq and (not heap or heap[0] > self.now):
             event = nowq.pop(0)
+        elif heap:
+            self.now = heap[0]
+            bucket = self._at[self.now]
+            event = bucket.pop(0)
+            if not bucket:
+                del self._at[heappop(heap)]
         else:
-            time, _seq, event = heappop(heap)
-            if time < self.now:  # pragma: no cover - defensive
-                raise SimulationError(
-                    "event heap corrupted: time went backwards"
-                )
-            self.now = time
+            raise SimulationError("nothing scheduled")
         stats = self.stats  # folds in the depth just before this pop
         self._popped += 1
         stats.events_processed += 1
@@ -443,8 +462,8 @@ class Simulator:
         if self._nowq or (batch is not None and batch[-1] is not None):
             return self.now
         if self._heap:
-            return self._heap[0][0]
-        return float("inf")
+            return self._heap[0]
+        return _INF
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None):
         """Run until the heap drains, ``until`` is reached, or the event
@@ -452,7 +471,7 @@ class Simulator:
 
         Returns the value of the ``until`` event when one is given.  A
         time ``until`` before :attr:`now` (or NaN) is refused: the clock
-        never runs backwards.
+        never runs backwards.  A stalled run says who waits on what.
         """
         limit_time = None
         limit_event = None
@@ -468,15 +487,13 @@ class Simulator:
                 )
 
         heap = self._heap
+        at = self._at
         pop = heappop
-        # ``n`` counts this call's pops; ``high`` is the largest
-        # ``_seq - _reserved - n`` seen just before a pop, i.e. the
-        # peak depth of this call offset by the pops that preceded it.
+        # ``n`` counts this call's dispatches; ``high`` is the largest
+        # ``_seq - _reserved - n`` seen just before one, i.e. the peak
+        # depth of this call offset by the dispatches that preceded it.
         n = 0
         high = 0
-        # the batch being walked, and the index of its current entry
-        batch = None
-        k = 0
         self._running = True
         try:
             while True:
@@ -484,12 +501,22 @@ class Simulator:
                     break
                 nowq = self._nowq
                 now = self.now
-                # Heap entries at the current instant predate the FIFO
-                # (smaller seq), so they drain first; otherwise the
-                # FIFO empties before the clock may advance.
-                if nowq and (not heap or heap[0][0] > now):
+                # the bucket at ``now``, the queue, the next bucket
+                if nowq and (not heap or heap[0] > now):
                     batch = self._batch = nowq
                     self._nowq = []
+                    live = None
+                elif not heap:
+                    break
+                else:
+                    live = heap[0]
+                    if limit_time is not None and live > limit_time:
+                        self.now = limit_time
+                        break
+                    pop(heap)
+                    batch = self._batch = at[live]
+                    self.now = now = live
+                try:
                     for k, event in enumerate(batch):
                         depth = self._seq - self._reserved - n
                         if depth > high:
@@ -502,49 +529,30 @@ class Simulator:
                         if callbacks is not None:
                             for cb in callbacks:
                                 cb(event)
+                        # The budget is a livelock tripwire, not a hard
+                        # stop: the awaited event completing on exactly
+                        # the Nth step is success, not livelock.
                         if max_events is not None and n >= max_events and not (
                                 limit_event is not None and limit_event._processed):
-                            raise SimulationError(
+                            raise SimulationError(self._stall(
                                 f"exceeded max_events={max_events}; "
-                                "livelock suspected"
-                            )
+                                "livelock suspected"))
+                        # a queue batch yields to a re-push due now
                         if ((limit_event is not None and limit_event._processed)
-                                or (heap and heap[0][0] <= now)):
-                            self._nowq[:0] = batch[k + 1:]
+                                or (heap and heap[0] <= now)):
                             break
-                    batch = self._batch = None
-                    continue
-                if not heap:
-                    break
-                if limit_time is not None and heap[0][0] > limit_time:
-                    self.now = limit_time
-                    break
-                depth = self._seq - self._reserved - n
-                if depth > high:
-                    high = depth
-                time, _seq, event = pop(heap)
-                self.now = time
-                n += 1
-                event._processed = True
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks is not None:
-                    for cb in callbacks:
-                        cb(event)
-                # The budget is a livelock tripwire, not a hard stop:
-                # the awaited event completing on exactly the Nth step
-                # is success, not livelock.
-                if max_events is not None and n >= max_events and not (
-                        limit_event is not None and limit_event._processed):
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; livelock suspected"
-                    )
+                finally:
+                    # walked, or stopped: the rest goes back in front
+                    self._batch = None
+                    tail = batch[k + 1:]
+                    if live is None:
+                        self._nowq[:0] = tail
+                    elif tail:
+                        at[live] = tail
+                        heappush(heap, live)
+                    else:
+                        del at[live]
         finally:
-            if batch is not None:
-                # A callback raised, or the budget tripped, mid-batch:
-                # the unwalked tail goes back in front, in order.
-                self._nowq[:0] = batch[k + 1:]
-                self._batch = None
             self._running = False
             stats = self._stats
             stats.events_processed += n
@@ -554,12 +562,32 @@ class Simulator:
             self._popped += n
         if limit_event is not None:
             if not limit_event.triggered:
-                raise SimulationError(
-                    "simulation ran out of events before the awaited event fired"
-                )
+                raise SimulationError(self._stall(
+                    "simulation ran out of events before the awaited event "
+                    "fired", limit_event))
             if not limit_event.ok:
                 raise limit_event.value
             return limit_event.value
         # If the heap drained before limit_time, the clock stays at the
         # last event time by convention.
         return None
+
+    def _upcoming(self, limit: int = 8) -> List[Event]:
+        """The next ``limit`` entries due, in dispatch order."""
+        walked, now = self._batch or [], self.now
+        due = [event for event in walked if event is not None] + self._nowq
+        if self._at.get(now) is not walked:  # it precedes a queue batch
+            due[:0] = self._at.get(now, ())
+        for when in sorted(self._heap):
+            due += self._at[when] if when > now else ()
+        return due[:limit]
+
+    def _stall(self, what: str, until: Optional[Event] = None) -> str:
+        """``what``, then who waits on what (``simt.process``): the wait
+        chain from the awaited ``until``, or the next entries due."""
+        from repro.simt.process import wait_chain, waiters
+        if until is None:
+            due = "; ".join(map(waiters, self._upcoming()))
+            return f"{what} at now={self.now!r}; next due: {due}"
+        return (f"{what} (now={self.now!r}, events_processed="
+                f"{self._stats.events_processed}); waiting: {wait_chain(until)}")

@@ -34,7 +34,34 @@ from repro.simt.kernel import (
     _PENDING, Event, SimulationError, Simulator, Timeout,
 )
 
-__all__ = ["Process", "Interrupt", "ProcessKilled"]
+__all__ = ["Process", "Interrupt", "ProcessKilled", "wait_chain", "waiters"]
+
+
+def waiters(event: Event) -> str:
+    """Who ``event`` wakes: each callback named by its process or its
+    ``__qualname__`` (a stalled run's report, :meth:`Simulator._stall`)."""
+    names = []
+    for cb in event.callbacks or ():
+        owner = getattr(cb, "__self__", None)
+        names.append(f"process {owner.name!r}" if isinstance(owner, Process)
+                     else getattr(cb, "__qualname__", type(cb).__qualname__))
+    return ", ".join(names) or f"{type(event).__name__} (inert)"
+
+
+def wait_chain(event: Event) -> str:
+    """What ``event`` waits on: the processes it joins, one ``_target``
+    after another, then the event the last one waits on."""
+    chain = []
+    while isinstance(event, Process) and len(chain) < 64:  # no cycle
+        chain.append(f"process {event.name!r}")
+        event = event._target
+    if event is not None:
+        count = len(event.callbacks or ())
+        state = ("cancelled" if event._cancelled else
+                 "triggered" if event.triggered else "untriggered")
+        chain.append(f"{type(event).__name__} ({state}, {count} "
+                     f"callback{'' if count == 1 else 's'})")
+    return " \u2192 ".join(chain)
 
 
 class Interrupt(Exception):

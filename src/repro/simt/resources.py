@@ -43,7 +43,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import List, Optional
 
-from repro.simt.kernel import _PENDING, Event, Simulator, Timeout
+from repro.simt.kernel import _INF, _PENDING, Event, Simulator, Timeout
 
 __all__ = ["BandwidthResource"]
 
@@ -219,7 +219,7 @@ class BandwidthResource:
         # The larger of min_remaining and 0.0, without the call (like
         # the builtin it keeps a -0.0, which gives the same ``when``)
         when = now + (0.0 if min_remaining < 0.0 else min_remaining) / rate
-        if not when >= now:  # inf bytes through an inf pipe
+        if not now <= when < _INF:  # inf bytes, or through an inf pipe
             raise ValueError(f"{self.name}: completion time is {when!r}")
         seq = sim._seq = sim._seq + 1
         if armed_at is None:
@@ -241,11 +241,15 @@ class BandwidthResource:
             entry = self._entry = Event(sim)
             self._due_seq = 0
         entry.callbacks = self._fire
+        entry._seq = seq
         self._armed_at = when
         if when == now:
             sim._nowq.append(entry)
+        elif when in sim._at:  # Simulator._push, inlined
+            sim._at[when].append(entry)
         else:
-            heappush(sim._heap, (when, seq, entry))
+            sim._at[when] = [entry]
+            heappush(sim._heap, when)
 
     def _on_timer(self, entry: Event) -> None:
         sim = self.sim
@@ -255,13 +259,21 @@ class BandwidthResource:
             # must see exactly the updates a live timer applies) and
             # move to the reserved *absolute* position -- ``now + delay``
             # would not be ``when`` in floats.  That sequence number
-            # predates everything in the immediate queue, so the heap
+            # predates everything in the immediate queue, so a bucket
             # is its place even when ``when`` is this instant.
             self._due_seq = 0
             when = self._armed_at = self._due_at
             entry.callbacks = self._fire
             sim._reserved -= 1
-            heappush(sim._heap, (when, seq, entry))
+            entry._seq = seq
+            at = sim._at
+            if when not in at:
+                at[when] = [entry]
+                heappush(sim._heap, when)
+            elif (at[when][-1] or entry)._seq <= seq:  # None: all walked
+                at[when].append(entry)
+            else:
+                sim._insert(entry, when, seq)
             return
         self._armed_at = None  # popped at its deadline; free for re-use
         # _advance(), written out and fused with the scan for the flow

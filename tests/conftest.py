@@ -1,0 +1,12 @@
+"""Hypothesis settings profiles for the suite.
+
+``deep`` runs every property at ten times hypothesis's default example
+count.  The kernel and pipe oracles scale their ``max_examples`` with
+it, so ``python -m pytest tests/test_kernel_oracle.py
+--hypothesis-profile=deep`` runs them at ten times their tier-1 counts;
+tier-1 itself loads no profile.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("deep", max_examples=10 * settings.default.max_examples)

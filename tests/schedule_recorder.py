@@ -53,10 +53,11 @@ class RecordingSimulator(Simulator):
         while heap or nowq:
             if limit_event is not None and limit_event.processed:
                 break
-            if nowq and (not heap or heap[0][0] > self.now):
+            if nowq and (not heap or heap[0] > self.now):
                 when, event = self.now, nowq[0]
             else:
-                when, _seq, event = heap[0]
+                when = heap[0]
+                event = self._at[when][0]
                 if limit_time is not None and when > limit_time:
                     self.now = limit_time
                     break

@@ -99,6 +99,37 @@ def test_nan_delay_rejected_at_every_entry_point():
     assert sim.stats.peak_heap == 0
 
 
+def test_infinite_delay_rejected_at_every_entry_point():
+    # ``peek()`` answers inf for "nothing scheduled", yet ``run()`` used
+    # to pop an entry at inf and leave the clock there for good.
+    sim = Simulator()
+    inf = float("inf")
+    with pytest.raises(ValueError, match="inf"):
+        Timeout(sim, inf)
+    with pytest.raises(SimulationError, match="inf"):
+        sim.event().succeed(delay=inf)
+    with pytest.raises(SimulationError, match="inf"):
+        sim.event().fail(RuntimeError("x"), delay=inf)
+    with pytest.raises(SimulationError, match="inf"):
+        BulkCompletion(sim, inf, [(sim.event(), None)])
+    with pytest.raises(ValueError, match="completion time is inf"):
+        BandwidthResource(sim, 10.0).transfer(inf)
+    assert sim.peek() == inf and sim.stats.peak_heap == 0
+    sim.run()
+    assert sim.now == 0.0
+
+
+def test_step_on_an_empty_simulator_says_so():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="nothing scheduled"):
+        sim.step()
+    sim.timeout(1.0)
+    sim.step()
+    with pytest.raises(SimulationError, match="nothing scheduled"):
+        sim.step()
+    assert sim.now == 1.0 and sim.stats.events_processed == 1
+
+
 def test_value_before_trigger_raises():
     sim = Simulator()
     evt = sim.event()
@@ -183,6 +214,48 @@ def test_max_events_guard():
     ping(None)
     with pytest.raises(SimulationError, match="livelock"):
         sim.run(max_events=100)
+
+
+def test_a_drained_run_names_the_wait_chain():
+    sim = Simulator()
+    stuck = sim.event()
+
+    def rank():
+        yield sim.timeout(2.0)
+        yield stuck
+
+    inner = sim.spawn(rank(), name="rank3#1")
+
+    def fmirun():
+        yield inner
+
+    outer = sim.spawn(fmirun(), name="fmirun")
+    with pytest.raises(SimulationError) as info:
+        sim.run(until=outer)
+    assert str(info.value) == (
+        "simulation ran out of events before the awaited event fired "
+        "(now=2.0, events_processed=3); waiting: process 'fmirun' "
+        "\u2192 process 'rank3#1' \u2192 Event (untriggered, 1 callback)")
+
+
+def test_a_livelock_names_the_callbacks_due_next():
+    sim = Simulator()
+
+    def pinger():
+        while True:
+            yield sim.timeout(1.0)
+
+    def ping(_e):
+        sim.timeout(1.0).callbacks.append(ping)
+
+    sim.spawn(pinger(), name="pinger")
+    ping(None)
+    with pytest.raises(SimulationError, match="livelock") as info:
+        sim.run(max_events=7)
+    assert str(info.value) == (
+        "exceeded max_events=7; livelock suspected at now=3.0; next due: "
+        "test_a_livelock_names_the_callbacks_due_next.<locals>.ping; "
+        "process 'pinger'")
 
 
 def test_peek_empty_is_inf():
@@ -304,7 +377,9 @@ def _drive_counting_depth(ops, stepwise):
     def sample():
         nonlocal brute
         batch = [entry for entry in sim._batch or () if entry is not None]
-        brute = max(brute, len(sim._heap) + len(sim._nowq) + len(batch))
+        queued = sum(len([e for e in bucket if e is not None])
+                     for bucket in sim._at.values() if bucket is not sim._batch)
+        brute = max(brute, queued + len(sim._nowq) + len(batch))
 
     def issue(kind, delay, children):
         def fired(_evt):
@@ -346,7 +421,7 @@ def _drive_counting_depth(ops, stepwise):
             sim.step()
     else:
         sim.run()
-    assert len(sim._heap) + len(sim._nowq) == 0
+    assert len(sim._heap) + len(sim._at) + len(sim._nowq) == 0
     return sim, brute, before
 
 
@@ -375,7 +450,7 @@ def test_peak_heap_does_not_count_a_reserved_deadline():
     pipe = BandwidthResource(sim, capacity=100.0)
     for _ in range(5):
         pipe.transfer(10.0)  # one entry armed, four deadlines reserved
-    assert (len(sim._heap), sim._reserved) == (1, 4)
+    assert (sum(map(len, sim._at.values())), sim._reserved) == (1, 4)
     assert sim.stats.peak_heap == 1
     sim.run()
     # early pop + live pop + five completions, at most five at once
