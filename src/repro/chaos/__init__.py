@@ -12,10 +12,12 @@ the observability layer:
   recovery, double kill in one XOR group, spare exhaustion,
   drain-then-fail) and gray failures (partition-heal, partition-kill-
   mid-heal, flapping-partition, lossy-links, limping-node);
-* :mod:`~repro.chaos.invariants` -- runtime-wide properties checked
-  against the trace and runtime state after every run;
+* :mod:`~repro.chaos.invariants` -- runtime-wide properties: the trace
+  invariants are one state machine, fed online during every run and
+  replayable over a recorded trace; the state checks read the runtime
+  once the run ends;
 * :mod:`~repro.chaos.runner` -- deterministic (campaign, seed)
-  execution and the seed-sweep soak.
+  execution.
 
 CLI (see ``python -m repro.chaos --help``)::
 
@@ -26,18 +28,22 @@ CLI (see ``python -m repro.chaos --help``)::
 from repro.chaos.campaigns import CAMPAIGNS, GRAY_CAMPAIGNS, Campaign
 from repro.chaos.invariants import (
     DetectorMonitor,
+    TraceInvariants,
     Violation,
     check_all,
     check_answer,
     check_detector_bounded,
     check_epoch_monotone,
     check_link_accounting,
+    check_no_orphans,
     check_no_split_brain,
     check_no_stale_delivery,
     check_posted_receives,
     check_suspicion_resolved,
+    check_tenant_isolation,
+    check_zero_rollback,
 )
-from repro.chaos.runner import MAX_EVENTS, RunResult, run_campaign, soak
+from repro.chaos.runner import MAX_EVENTS, RunResult, run_campaign
 from repro.chaos.scenario import (
     AtTime,
     ChaosEngine,
@@ -63,10 +69,11 @@ __all__ = [
     "LimpSlot",
     "Rule", "Scenario", "ChaosEngine",
     "CAMPAIGNS", "GRAY_CAMPAIGNS", "Campaign",
-    "Violation", "DetectorMonitor", "check_all",
+    "Violation", "DetectorMonitor", "TraceInvariants",
     "check_epoch_monotone", "check_no_stale_delivery",
     "check_posted_receives", "check_detector_bounded", "check_answer",
     "check_no_split_brain", "check_suspicion_resolved",
-    "check_link_accounting",
-    "RunResult", "run_campaign", "soak", "MAX_EVENTS",
+    "check_link_accounting", "check_no_orphans", "check_zero_rollback",
+    "check_tenant_isolation", "check_all",
+    "RunResult", "run_campaign", "MAX_EVENTS",
 ]

@@ -1,68 +1,35 @@
-"""Runtime-wide invariants checked after (and during) every chaos run.
+"""Runtime-wide invariants of every chaos run: fed online, replayable.
 
-Each checker consumes the observability streams -- the trace, the
-metrics, and a handful of public runtime counters -- and returns a list
-of :class:`Violation` s (empty = green):
+The trace invariants are one state machine, :class:`TraceInvariants`,
+with one handler per event name it reads; a handler serves every
+invariant that reads that name.  :func:`~repro.chaos.runner.run_campaign`
+subscribes the machine to the run's tracer before launch, so it reads
+the run as it happens; :func:`check_all` and the ``check_*`` trace
+functions replay a recorded trace through the same handlers.  Every
+check returns a list of :class:`Violation` s (empty = green), and each
+``check_*`` docstring states its invariant:
 
-* **epoch-monotone** -- per rank, the recovery epoch stamped on
-  ``fmi.state`` transitions never decreases, and ``fmi.notify``
-  generations are strictly increasing per incarnation.
-* **no-stale-delivery** -- every ``net.recv`` carries the receiving
-  context's epoch (``ctx_epoch``); a delivery with an envelope epoch
-  older than its context would mean the transport's epoch filter
-  (Section IV-D) was bypassed.
-* **posted-receives** -- at job end, every context that is still live
-  has no pending (un-triggered) posted receive: each posted receive was
-  either matched or cancelled by a recovery reset; superseded contexts
-  must have been closed.
-* **detector-bounded** -- the log-ring connection table holds at most
-  ``2 x out-degree`` entries per rank, and no *closed* connection
-  lingers in it longer than the ibverbs close delay allows
-  (:class:`DetectorMonitor` samples during the run, since the table is
-  legitimately empty once every rank has left).
-* **answer** -- the application's per-rank results are bit-equal to the
-  failure-free reference run.
-
-Gray-failure invariants:
-
-* **no-split-brain** -- a network partition alone must never be treated
-  as a failure: no rank may act on a partition-rooted notification that
-  was not out-of-band confirmed, and the number of recovery epochs must
-  not exceed the number of *real* injected deaths/drains (a partition
-  that triggered recovery on both sides would double it).
-* **suspicion-resolved** -- every ``overlay.suspect`` the detector
-  raises is eventually cleared (peer alive, healed, dead, or the rank
-  left); an unresolved suspicion is a leaked timer or a lost decision.
-* **link-accounting** -- after the run, no message is still parked at a
-  healed partition cut, and the receiver never suppressed more
-  duplicates than the fault model injected.
-
-Replication invariant:
-
-* **zero-rollback** -- a replicated run (any ``repl.*`` trace event)
-  must never restore a checkpoint: failover promotes a live copy in
-  place.  The only legal restores are at/after an explicit
-  ``repl.fallback`` (every copy of some rank died).
-
-Multi-tenant invariant (shared-cluster runs: more than one job):
-
-* **tenant-isolation** -- a kill aimed at one tenant is invisible to
-  every other tenant: bystanders end at epoch 0 with zero detector
-  notifications, targeted tenants each recover through their *own*
-  epochs, and nobody opens more epochs than kills aimed at it.
+* read from the trace: **epoch-monotone**, **no-stale-delivery** (the
+  epoch filter of Section IV-D), **no-split-brain** and
+  **suspicion-resolved** (gray failures), **no-orphans** (the logged
+  plane), **zero-rollback** (the replicated plane) and, on a shared
+  cluster, **tenant-isolation**;
+* read from the runtime once the run ends: **posted-receives**,
+  **detector-bounded** (sampled during the run by
+  :class:`DetectorMonitor`), **link-accounting** and the **answer**.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.net.overlay import root_reason
 
 __all__ = [
-    "Violation", "DetectorMonitor",
+    "Violation", "DetectorMonitor", "TraceInvariants",
     "check_epoch_monotone", "check_no_stale_delivery",
     "check_posted_receives", "check_detector_bounded", "check_answer",
     "check_no_split_brain", "check_suspicion_resolved",
@@ -80,57 +47,263 @@ class Violation:
         return f"{self.invariant}: {self.detail}"
 
 
-# ----------------------------------------------------------- trace checkers
+#: the trace invariants, in the order their violations are reported
+TRACE_INVARIANTS = ("epoch-monotone", "no-stale-delivery", "no-split-brain",
+                    "suspicion-resolved", "no-orphans", "zero-rollback")
+
+#: every event name the machine reads; ``a.b`` is read by ``_on_a_b``
+EVENTS = (
+    "net.recv", "fmi.state", "fmi.notify", "recovery.begin", "chaos.inject",
+    "node.crash", "overlay.suspect", "overlay.suspect.cleared",
+    "overlay.notified", "mlog.log", "mlog.rewind", "ckpt.restore.begin",
+    "repl.fallback", "repl.promote", "repl.replica_lost",
+    "repl.standby.register", "repl.standby.sync",
+)
+
+
+def _context(ev) -> str:
+    """``" (epoch E, job J)"``, with whichever of the two ``ev`` carries."""
+    labels = {"epoch": ev.epoch, "job": ev.args.get("job")}
+    text = ", ".join(f"{k} {v}" for k, v in labels.items() if v is not None)
+    return f" ({text})" if text else ""
+
+
+# ----------------------------------------------------------- trace machine
+class TraceInvariants:
+    """Every trace invariant as one state machine, fed event by event.
+
+    Each name in :data:`EVENTS` has one handler, which updates every
+    invariant that reads the name and flags a per-event violation at
+    once, with the event's time and rank.  :meth:`violations` adds what
+    only the whole trace can tell; :meth:`verdict` adds the state checks.
+    Feed it live (:meth:`subscribe`) or a recorded trace (:meth:`replay`).
+    """
+
+    def __init__(self) -> None:
+        self._found: List[Violation] = []  # per-event, in trace order
+        self._state_epoch: Dict[tuple, int] = {}  # (job, rank)
+        self._notify_gen: Dict[tuple, int] = {}  # (job, rank, incarnation)
+        self._deaths = self._recoveries = 0
+        self._suspicions: Dict[tuple, float] = {}  # (job, rank, peer) -> ts
+        self._log_times: Dict[tuple, List[float]] = {}  # (src, dst, n)
+        self._delivered: Dict[tuple, None] = {}  # (src, dst, n)
+        self._rewinds: List[tuple] = []  # (ts, rank, {dst: counter})
+        self._replicated = False
+        self._first_fallback: Optional[float] = None
+        self._restores: List = []
+        self._per_job: Dict[tuple, int] = {}  # (what, job) -> count
+        self._max_epoch: Dict[str, int] = {}
+
+    def handlers(self) -> Dict[str, Callable]:
+        """Event name -> the one bound method that reads it."""
+        return {name: getattr(self, "_on_" + name.replace(".", "_"))
+                for name in EVENTS}
+
+    def subscribe(self, tracer) -> None:
+        """Read ``tracer``'s events as they are recorded."""
+        for name, handler in self.handlers().items():
+            tracer.subscribe(name, handler)
+
+    def replay(self, events) -> "TraceInvariants":
+        """Feed a recorded trace, in order; returns the machine."""
+        handlers = self.handlers()
+        for ev in events:
+            if ev.name in handlers:
+                handlers[ev.name](ev)
+        return self
+
+    # -- handlers: one per event name -------------------------------------
+    def _tally(self, what: str, jid) -> None:
+        if jid is not None:
+            self._per_job[what, jid] = self._per_job.get((what, jid), 0) + 1
+
+    def _on_net_recv(self, ev) -> None:
+        args = ev.args
+        if "ctx_epoch" in args and ev.epoch < args["ctx_epoch"]:
+            self._found.append(Violation("no-stale-delivery", (
+                f"rank {ev.rank} received an epoch-{ev.epoch} envelope "
+                f"in an epoch-{args['ctx_epoch']} context at t={ev.ts:.6g}")))
+        if "lseq" in args:
+            self._delivered[tuple(args["lseq"])] = None
+
+    def _on_fmi_state(self, ev) -> None:
+        jid = ev.args.get("job")
+        prev = self._state_epoch.get((jid, ev.rank))
+        if prev is not None and ev.epoch < prev:
+            self._found.append(Violation("epoch-monotone", (
+                f"job {jid} rank {ev.rank} state epoch went "
+                f"{prev} -> {ev.epoch} at t={ev.ts:.6g}")))
+        self._state_epoch[jid, ev.rank] = ev.epoch
+        if jid is not None and ev.epoch > self._max_epoch.get(jid, 0):
+            self._max_epoch[jid] = ev.epoch
+
+    def _on_fmi_notify(self, ev) -> None:
+        jid = ev.args.get("job")
+        key = (jid, ev.rank, ev.incarnation)
+        prev = self._notify_gen.get(key)
+        if prev is not None and ev.epoch <= prev:
+            self._found.append(Violation("epoch-monotone", (
+                f"job {jid} rank {ev.rank} (inc {ev.incarnation}) notified "
+                f"of generation {ev.epoch} after {prev} at t={ev.ts:.6g}")))
+        self._notify_gen[key] = ev.epoch
+        reason = root_reason(str(ev.args.get("reason", "")))
+        if reason.startswith("partition:"):
+            self._found.append(Violation("no-split-brain", (
+                f"rank {ev.rank}{_context(ev)} acted on unconfirmed "
+                f"partition event {reason!r} at t={ev.ts:.6g}")))
+        if jid is not None and ev.epoch > self._max_epoch.get(jid, 0):
+            self._max_epoch[jid] = ev.epoch
+
+    def _on_recovery_begin(self, ev) -> None:
+        self._recoveries += 1
+        self._tally("recoveries", ev.args.get("job"))
+
+    def _on_chaos_inject(self, ev) -> None:
+        action = ev.args.get("action", "")
+        # Process-only kills and drains cause recovery without a
+        # node.crash trace; refused/no-op records do not count.
+        if (action.startswith(("kill rank", "drain slot"))
+                and "refused" not in action and "already dead" not in action):
+            self._deaths += 1
+        if action.startswith("kill tenant") and "already dead" not in action:
+            self._tally("kills", ev.args.get("job"))
+
+    def _on_node_crash(self, ev) -> None:
+        self._deaths += 1
+
+    def _on_overlay_suspect(self, ev) -> None:
+        self._suspicions[ev.args.get("job"), ev.rank, ev.args.get("peer")] = ev.ts
+
+    def _on_overlay_suspect_cleared(self, ev) -> None:
+        self._suspicions.pop((ev.args.get("job"), ev.rank, ev.args.get("peer")), None)
+
+    def _on_overlay_notified(self, ev) -> None:
+        self._tally("notified", ev.args.get("job"))
+
+    def _on_mlog_log(self, ev) -> None:
+        key = (ev.rank, ev.args.get("dst"), ev.args.get("n"))
+        self._log_times.setdefault(key, []).append(ev.ts)
+
+    def _on_mlog_rewind(self, ev) -> None:
+        counters = {int(d): n for d, n in ev.args.get("counters", {}).items()}
+        self._rewinds.append((ev.ts, ev.rank, counters))
+
+    def _on_ckpt_restore_begin(self, ev) -> None:
+        self._restores.append(ev)
+
+    def _on_repl_fallback(self, ev) -> None:
+        if self._first_fallback is None:
+            self._first_fallback = ev.ts
+        self._replicated = True
+
+    def _on_repl_promote(self, ev) -> None:
+        self._replicated = True
+
+    _on_repl_replica_lost = _on_repl_standby_register = _on_repl_standby_sync = (
+        _on_repl_promote)
+
+    # -- verdicts -----------------------------------------------------------
+    def violations(self) -> List[Violation]:
+        """Every trace-invariant violation so far, grouped by invariant
+        in :data:`TRACE_INVARIANTS` order, each group in trace order."""
+        out = list(self._found)
+        if self._recoveries > self._deaths:
+            out.append(Violation("no-split-brain", (
+                f"{self._recoveries} recovery epoch(s) opened for only "
+                f"{self._deaths} real injected death(s)/drain(s)")))
+        out += [Violation("suspicion-resolved", f"job {jid} rank {rank}'s suspicion "
+                          f"of rank {peer} (raised t={ts:.6g}) was never resolved")
+                for (jid, rank, peer), ts in self._suspicions.items()]
+        # An orphan: a delivered message its sender's rewind truncated
+        # from the log, logged before that rewind and never after it.
+        for src, dst, n in (self._delivered if self._rewinds else ()):
+            times = self._log_times.get((src, dst, n))
+            if not times:
+                continue  # never logged: an intra-unit channel
+            for ts, rank, counters in self._rewinds:
+                if rank != src or n < counters.get(dst, 0):
+                    continue  # not this sender / survived the rewind
+                if any(t < ts for t in times) and not any(t > ts for t in times):
+                    out.append(Violation("no-orphans", (
+                        f"message ({src}->{dst}, n={n}) was delivered, then "
+                        f"rolled back by rank {src}'s rewind at t={ts:.6g}, "
+                        f"and never re-logged: the receiver's state is an "
+                        f"orphan of an unsent message")))
+        fallback = self._first_fallback
+        why = (" although replication never fell back" if fallback is None
+               else f", before the first fallback at t={fallback:.6g}")
+        out += [Violation("zero-rollback", f"rank {ev.rank}{_context(ev)} began "
+                          f"a checkpoint restore at t={ev.ts:.6g}{why}")
+                for ev in self._restores
+                if self._replicated and (fallback is None or ev.ts < fallback)]
+        out.sort(key=lambda v: TRACE_INVARIANTS.index(v.invariant))
+        return out
+
+    def tenant_isolation(self, jobs) -> List[Violation]:
+        """The tenant-isolation verdict over ``jobs`` (see
+        :func:`check_tenant_isolation`)."""
+        out: List[str] = []
+        for jid in [job.job_id for job in jobs]:
+            kills = self._per_job.get(("kills", jid), 0)
+            recoveries = self._per_job.get(("recoveries", jid), 0)
+            if kills == 0:
+                notified = self._per_job.get(("notified", jid), 0)
+                for what, count in [("recovery epoch(s)", recoveries),
+                                    ("detector notification(s)", notified)]:
+                    if count:
+                        out.append(f"bystander {jid} saw {count} {what} although "
+                                   f"no kill targeted it")
+                if self._max_epoch.get(jid, 0) > 0:
+                    out.append(f"bystander {jid} reached epoch {self._max_epoch[jid]} "
+                               f"although no kill targeted it")
+            elif recoveries == 0:
+                out.append(f"{jid} was targeted by {kills} kill(s) but never "
+                           f"opened a recovery epoch of its own")
+            elif recoveries > kills:
+                out.append(f"{jid} opened {recoveries} recovery epoch(s) for "
+                           f"only {kills} kill(s) aimed at it")
+        return [Violation("tenant-isolation", detail) for detail in out]
+
+    def verdict(self, jobs, results, reference, monitors) -> List[Violation]:
+        """The whole run's violations (see :func:`check_all`), from the
+        events this machine has read."""
+        out = self.violations()
+        for idx, job in enumerate(jobs):
+            found = check_posted_receives(job)
+            found += check_link_accounting(job)
+            found += check_detector_bounded(job, monitors[idx])
+            if results is not None:
+                found += check_answer(results[idx], reference)
+            out += [Violation(v.invariant, f"{job.job_id}: {v.detail}") for v in found]
+        if len(jobs) > 1:
+            out += self.tenant_isolation(jobs)
+        return out
+
+
+def _replayed(tracer, invariant: str) -> List[Violation]:
+    found = TraceInvariants().replay(tracer.events).violations()
+    return [v for v in found if v.invariant == invariant]
+
+
+# ------------------------------------------------- trace checks (replayed)
 def check_epoch_monotone(tracer) -> List[Violation]:
-    """Recovery epochs never run backwards, per (tenant, rank).
+    """Recovery epochs never run backwards, per (tenant, rank): the
+    epoch on ``fmi.state`` transitions never decreases, and
+    ``fmi.notify`` generations strictly increase per incarnation.
 
     Keyed by the ``job`` label the runtime stamps on every ``fmi.*``
     event: on a shared cluster two tenants legitimately run the same
     rank numbers at unrelated epochs, and only same-tenant regressions
     are bugs.
     """
-    out: List[Violation] = []
-    last_state_epoch: Dict[tuple, int] = {}
-    last_notify_gen: Dict[tuple, int] = {}
-    for ev in tracer.events:
-        if ev.name == "fmi.state":
-            key = (ev.args.get("job"), ev.rank)
-            prev = last_state_epoch.get(key)
-            if prev is not None and ev.epoch < prev:
-                out.append(Violation(
-                    "epoch-monotone",
-                    f"job {key[0]} rank {ev.rank} state epoch went "
-                    f"{prev} -> {ev.epoch} at t={ev.ts:.6g}",
-                ))
-            last_state_epoch[key] = ev.epoch
-        elif ev.name == "fmi.notify":
-            key = (ev.args.get("job"), ev.rank, ev.incarnation)
-            prev = last_notify_gen.get(key)
-            if prev is not None and ev.epoch <= prev:
-                out.append(Violation(
-                    "epoch-monotone",
-                    f"job {key[0]} rank {ev.rank} (inc {ev.incarnation}) "
-                    f"notified of generation {ev.epoch} after {prev} "
-                    f"at t={ev.ts:.6g}",
-                ))
-            last_notify_gen[key] = ev.epoch
-    return out
+    return _replayed(tracer, "epoch-monotone")
 
 
 def check_no_stale_delivery(tracer) -> List[Violation]:
-    """No envelope from an older epoch was delivered into a context."""
-    out: List[Violation] = []
-    for ev in tracer.events:
-        if ev.name != "net.recv":
-            continue
-        ctx_epoch = ev.args.get("ctx_epoch")
-        if ctx_epoch is not None and ev.epoch < ctx_epoch:
-            out.append(Violation(
-                "no-stale-delivery",
-                f"rank {ev.rank} received an epoch-{ev.epoch} envelope "
-                f"in an epoch-{ctx_epoch} context at t={ev.ts:.6g}",
-            ))
-    return out
+    """No envelope from an older epoch was delivered into a context:
+    every ``net.recv`` carries its context's epoch (``ctx_epoch``), and
+    an older envelope means the transport's epoch filter was bypassed."""
+    return _replayed(tracer, "no-stale-delivery")
 
 
 def check_no_orphans(tracer) -> List[Violation]:
@@ -146,88 +319,63 @@ def check_no_orphans(tracer) -> List[Violation]:
     send, and the receiver's lseq filter deduplicates the copy.
     No-op for runs without mlog events (global recovery plane).
     """
-    # (src, dst, n) -> send-log timestamps, in trace order
-    log_times: Dict[tuple, List[float]] = {}
-    # (src, dst, n) -> delivered at least once
-    delivered: set = set()
-    # sender rewinds: (ts, rank, {dst: counter})
-    rewinds: List[tuple] = []
-    for ev in tracer.events:
-        if ev.name == "mlog.log":
-            key = (ev.rank, ev.args.get("dst"), ev.args.get("n"))
-            log_times.setdefault(key, []).append(ev.ts)
-        elif ev.name == "mlog.rewind":
-            counters = {
-                int(d): n for d, n in ev.args.get("counters", {}).items()
-            }
-            rewinds.append((ev.ts, ev.rank, counters))
-        elif ev.name == "net.recv":
-            lseq = ev.args.get("lseq")
-            if lseq is not None:
-                delivered.add(tuple(lseq))
-    if not rewinds:
-        return []
-    out: List[Violation] = []
-    for key in delivered:
-        times = log_times.get(key)
-        if not times:
-            continue  # never logged: an intra-unit channel
-        src, dst, n = key
-        for ts, rank, counters in rewinds:
-            if rank != src or n < counters.get(dst, 0):
-                continue  # not this sender / survived the rewind
-            if not any(t < ts for t in times):
-                continue  # first logged after this rewind
-            if not any(t > ts for t in times):
-                out.append(Violation(
-                    "no-orphans",
-                    f"message ({src}->{dst}, n={n}) was delivered, then "
-                    f"rolled back by rank {src}'s rewind at t={ts:.6g}, "
-                    f"and never re-logged: the receiver's state is an "
-                    f"orphan of an unsent message",
-                ))
-    return out
+    return _replayed(tracer, "no-orphans")
 
 
 def check_zero_rollback(tracer) -> List[Violation]:
     """Replicated recovery never restores a checkpoint -- failover is
     the whole point -- except after an explicit fallback.
 
-    Gated on the presence of ``repl.*`` trace events, all of category
-    ``repl`` (a no-op for the global and logged families).  A standby
-    re-arm clones its lead's live storage directly and never runs the
-    restore collectives, so any ``ckpt.restore.begin`` before the first
-    ``repl.fallback`` (or without one at all) means a survivor was
-    rolled back.
+    Gated on the presence of ``repl.*`` trace events (a no-op for the
+    global and logged families).  A standby re-arm clones its lead's
+    live storage directly and never runs the restore collectives, so
+    any ``ckpt.restore.begin`` before the first ``repl.fallback`` (or
+    without one at all) means a survivor was rolled back.
     """
-    replicated = False
-    first_fallback: Optional[float] = None
-    restores: List = []
-    for ev in tracer.events:
-        if ev.cat == "repl":
-            replicated = True
-            if ev.name == "repl.fallback" and first_fallback is None:
-                first_fallback = ev.ts
-        elif ev.name == "ckpt.restore.begin":
-            restores.append(ev)
-    if not replicated:
-        return []
-    out: List[Violation] = []
-    for ev in restores:
-        if first_fallback is None:
-            out.append(Violation(
-                "zero-rollback",
-                f"rank {ev.rank} began a checkpoint restore at "
-                f"t={ev.ts:.6g} although replication never fell back",
-            ))
-        elif ev.ts < first_fallback:
-            out.append(Violation(
-                "zero-rollback",
-                f"rank {ev.rank} began a checkpoint restore at "
-                f"t={ev.ts:.6g}, before the first fallback at "
-                f"t={first_fallback:.6g}",
-            ))
-    return out
+    return _replayed(tracer, "zero-rollback")
+
+
+def check_no_split_brain(tracer) -> List[Violation]:
+    """A partition alone must never drive recovery.
+
+    Two teeth: (1) no ``fmi.notify`` whose root reason is a raw
+    ``partition:`` event -- the detector must hold such events as
+    suspicions and only act after out-of-band confirmation
+    (``confirmed:...``); (2) the job never opens more recovery epochs
+    than real deaths/drains were injected, so a cut observed on both
+    sides cannot silently double the recovery count.
+    """
+    return _replayed(tracer, "no-split-brain")
+
+
+def check_suspicion_resolved(tracer) -> List[Violation]:
+    """Every raised suspicion is eventually cleared, per tenant (peer
+    alive, healed, dead, or the rank left); an unresolved suspicion is
+    a leaked timer or a lost decision."""
+    return _replayed(tracer, "suspicion-resolved")
+
+
+def check_tenant_isolation(tracer, jobs) -> List[Violation]:
+    """One tenant's failure stays that tenant's problem.
+
+    Multi-tenant runs only (``jobs`` is every co-resident job).  Kills
+    injected through :class:`~repro.chaos.scenario.KillTenantSlot` tag
+    their ``chaos.inject`` record with the victim's ``job_id``; from
+    that tag and the per-tenant ``job`` labels on the recovery streams,
+    three teeth:
+
+    * a *bystander* (tenant never targeted) must end with epoch 0 --
+      zero ``recovery.begin``, zero ``fmi.notify``, zero detector
+      ``overlay.notified`` events carry its id (no cross-tenant epoch
+      bumps, no detector split-brain);
+    * every *targeted* tenant opened at least one recovery epoch of its
+      own (it recovered independently rather than riding another
+      tenant's recovery);
+    * no tenant opens more recovery epochs than kills aimed at it
+      (allocations are node-exclusive, so a neighbour's dead node can
+      never be mistaken for ours).
+    """
+    return TraceInvariants().replay(tracer.events).tenant_isolation(jobs)
 
 
 # ---------------------------------------------------------- state checkers
@@ -320,6 +468,9 @@ class DetectorMonitor:
 
 
 def check_detector_bounded(job, monitor: DetectorMonitor) -> List[Violation]:
+    """The log-ring connection table stayed within ``2 x out-degree``
+    entries per rank, and no closed connection outlived the monitor's
+    grace window in it."""
     out = list(monitor.violations)
     bound = 2 * job.detector.connections_per_rank(job.num_ranks)
     if monitor.max_entries > bound:
@@ -331,74 +482,10 @@ def check_detector_bounded(job, monitor: DetectorMonitor) -> List[Violation]:
     return out
 
 
-# ------------------------------------------------------- gray-failure checks
-def check_no_split_brain(tracer) -> List[Violation]:
-    """A partition alone must never drive recovery.
-
-    Two teeth: (1) no ``fmi.notify`` whose root reason is a raw
-    ``partition:`` event -- the detector must hold such events as
-    suspicions and only act after out-of-band confirmation
-    (``confirmed:...``); (2) the job never opens more recovery epochs
-    than real deaths/drains were injected, so a cut observed on both
-    sides cannot silently double the recovery count.
-    """
-    out: List[Violation] = []
-    deaths = 0
-    recoveries = 0
-    for ev in tracer.events:
-        if ev.name == "node.crash":
-            deaths += 1
-        elif ev.name == "chaos.inject":
-            action = ev.args.get("action", "")
-            # Process-only kills and drains cause recovery without a
-            # node.crash trace; refused/no-op records do not count.
-            if (
-                (action.startswith("kill rank") or action.startswith("drain slot"))
-                and "refused" not in action
-                and "already dead" not in action
-            ):
-                deaths += 1
-        elif ev.name == "recovery.begin":
-            recoveries += 1
-        elif ev.name == "fmi.notify":
-            reason = root_reason(str(ev.args.get("reason", "")))
-            if reason.startswith("partition:"):
-                out.append(Violation(
-                    "no-split-brain",
-                    f"rank {ev.rank} acted on unconfirmed partition event "
-                    f"{reason!r} at t={ev.ts:.6g}",
-                ))
-    if recoveries > deaths:
-        out.append(Violation(
-            "no-split-brain",
-            f"{recoveries} recovery epoch(s) opened for only {deaths} "
-            f"real injected death(s)/drain(s)",
-        ))
-    return out
-
-
-def check_suspicion_resolved(tracer) -> List[Violation]:
-    """Every raised suspicion is eventually cleared (per tenant)."""
-    pending: Dict[tuple, float] = {}
-    for ev in tracer.events:
-        if ev.name == "overlay.suspect":
-            pending[(ev.args.get("job"), ev.rank, ev.args.get("peer"))] = ev.ts
-        elif ev.name == "overlay.suspect.cleared":
-            pending.pop(
-                (ev.args.get("job"), ev.rank, ev.args.get("peer")), None
-            )
-    return [
-        Violation(
-            "suspicion-resolved",
-            f"job {jid} rank {rank}'s suspicion of rank {peer} "
-            f"(raised t={ts:.6g}) was never resolved",
-        )
-        for (jid, rank, peer), ts in pending.items()
-    ]
-
-
 def check_link_accounting(job) -> List[Violation]:
-    """No lost or fabricated messages at the gray-failure layer."""
+    """No lost or fabricated messages at the gray-failure layer: none
+    still parked at a healed partition cut, and no more duplicates
+    suppressed than the fault model injected."""
     out: List[Violation] = []
     transport = job.transport
     if transport._stalled and not job.machine.fabric.partitioned:
@@ -413,80 +500,6 @@ def check_link_accounting(job) -> List[Violation]:
             f"suppressed {transport.dup_dropped} duplicate(s) but the "
             f"fault model only injected {transport.omission_dups}",
         ))
-    return out
-
-
-# --------------------------------------------------------- tenant isolation
-def check_tenant_isolation(tracer, jobs) -> List[Violation]:
-    """One tenant's failure stays that tenant's problem.
-
-    Multi-tenant runs only (``jobs`` is every co-resident job).  Kills
-    injected through :class:`~repro.chaos.scenario.KillTenantSlot` tag
-    their ``chaos.inject`` record with the victim's ``job_id``; from
-    that tag and the per-tenant ``job`` labels on the recovery streams,
-    three teeth:
-
-    * a *bystander* (tenant never targeted) must end with epoch 0 --
-      zero ``recovery.begin``, zero ``fmi.notify``, zero detector
-      ``overlay.notified`` events carry its id (no cross-tenant epoch
-      bumps, no detector split-brain);
-    * every *targeted* tenant opened at least one recovery epoch of its
-      own (it recovered independently rather than riding another
-      tenant's recovery);
-    * no tenant opens more recovery epochs than kills aimed at it
-      (allocations are node-exclusive, so a neighbour's dead node can
-      never be mistaken for ours).
-    """
-    kills: Dict[str, int] = {}
-    recoveries: Dict[str, int] = {}
-    notified: Dict[str, int] = {}
-    max_epoch: Dict[str, int] = {}
-    for ev in tracer.events:
-        jid = ev.args.get("job")
-        if ev.name == "chaos.inject":
-            action = ev.args.get("action", "")
-            if (jid is not None and action.startswith("kill tenant")
-                    and "already dead" not in action):
-                kills[jid] = kills.get(jid, 0) + 1
-        elif ev.name == "recovery.begin" and jid is not None:
-            recoveries[jid] = recoveries.get(jid, 0) + 1
-        elif ev.name == "overlay.notified" and jid is not None:
-            notified[jid] = notified.get(jid, 0) + 1
-        elif ev.name in ("fmi.state", "fmi.notify") and jid is not None:
-            max_epoch[jid] = max(max_epoch.get(jid, 0), ev.epoch)
-    out: List[Violation] = []
-    for job in jobs:
-        jid = job.job_id
-        if kills.get(jid, 0) == 0:
-            for what, count in [
-                ("recovery epoch(s)", recoveries.get(jid, 0)),
-                ("detector notification(s)", notified.get(jid, 0)),
-            ]:
-                if count:
-                    out.append(Violation(
-                        "tenant-isolation",
-                        f"bystander {jid} saw {count} {what} although no "
-                        f"kill targeted it",
-                    ))
-            if max_epoch.get(jid, 0) > 0:
-                out.append(Violation(
-                    "tenant-isolation",
-                    f"bystander {jid} reached epoch {max_epoch[jid]} "
-                    f"although no kill targeted it",
-                ))
-        else:
-            if recoveries.get(jid, 0) == 0:
-                out.append(Violation(
-                    "tenant-isolation",
-                    f"{jid} was targeted by {kills[jid]} kill(s) but never "
-                    f"opened a recovery epoch of its own",
-                ))
-            if recoveries.get(jid, 0) > kills[jid]:
-                out.append(Violation(
-                    "tenant-isolation",
-                    f"{jid} opened {recoveries[jid]} recovery epoch(s) for "
-                    f"only {kills[jid]} kill(s) aimed at it",
-                ))
     return out
 
 
@@ -520,32 +533,16 @@ def check_all(
     reference: Sequence,
     monitors: Sequence[DetectorMonitor],
 ) -> List[Violation]:
-    """Run every checker over one finished run.
+    """Every check over one finished run, its trace replayed.
 
     ``jobs``, ``results`` and ``monitors`` are per tenant, in the same
     order (a solo run passes one-element lists); ``results=None`` means
     the run never finished (already reported by the runner as its own
-    violation).  The trace-level checkers run once over the merged
-    trace, the state checkers and the answer check once per job -- each
+    violation).  The trace invariants read the merged trace once, the
+    state checks and the answer check run once per job -- each
     violation they find names its tenant -- and the tenant-isolation
     invariant whenever there is more than one.
     """
-    out: List[Violation] = []
-    out += check_epoch_monotone(tracer)
-    out += check_no_stale_delivery(tracer)
-    out += check_no_split_brain(tracer)
-    out += check_suspicion_resolved(tracer)
-    out += check_no_orphans(tracer)
-    out += check_zero_rollback(tracer)
-    for idx, job in enumerate(jobs):
-        found = check_posted_receives(job)
-        found += check_link_accounting(job)
-        found += check_detector_bounded(job, monitors[idx])
-        if results is not None:
-            found += check_answer(results[idx], reference)
-        out += [
-            Violation(v.invariant, f"{job.job_id}: {v.detail}") for v in found
-        ]
-    if len(jobs) > 1:
-        out += check_tenant_isolation(tracer, jobs)
-    return out
+    return TraceInvariants().replay(tracer.events).verdict(
+        jobs, results, reference, monitors
+    )

@@ -1,11 +1,14 @@
 """Run one (campaign, seed) pair and check every invariant.
 
 The runner builds a fresh simulator + machine + traced FMI job for the
-pair, arms the campaign's scenario through a :class:`ChaosEngine`,
-samples the failure detector with a :class:`DetectorMonitor`, drives
-the simulation to completion (bounded by ``MAX_EVENTS`` so a livelock
-becomes a reported violation instead of a hang), and runs the full
-invariant suite against the trace and runtime state.
+pair, subscribes the trace invariants (:class:`TraceInvariants`) to
+its tracer so they read the run as it happens, arms the campaign's
+scenario through a :class:`ChaosEngine`, samples the failure detector
+with a :class:`DetectorMonitor`, drives the simulation to completion
+(bounded by ``MAX_EVENTS`` so a livelock becomes a reported violation
+instead of a hang), and adds the state checks once the run ends.  The
+recorded trace replays through the same invariants
+(:func:`~repro.chaos.invariants.check_all`).
 
 Determinism: everything stochastic -- victim slots, kill times, event
 jitter -- is drawn from the machine's seeded ``"chaos"`` RNG stream, so
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.campaigns import CAMPAIGNS, Campaign
-from repro.chaos.invariants import DetectorMonitor, Violation, check_all
+from repro.chaos.invariants import DetectorMonitor, TraceInvariants, Violation
 from repro.chaos.scenario import ChaosEngine, Scenario
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
@@ -33,7 +36,7 @@ from repro.simt.kernel import SimulationError
 from repro.simt.primitives import AllOf
 from repro.simt.rng import RngRegistry
 
-__all__ = ["RunResult", "run_campaign", "soak", "MAX_EVENTS"]
+__all__ = ["RunResult", "run_campaign", "MAX_EVENTS"]
 
 #: hard event budget per run; hitting it is reported as a liveness
 #: violation (a deadlocked run would otherwise just run out of heap,
@@ -112,10 +115,9 @@ def run_campaign(
 
     A campaign with ``tenants > 1`` is service mode: kills are aimed at
     specific tenants (:class:`~repro.chaos.scenario.KillTenantSlot`),
-    and :func:`~repro.chaos.invariants.check_all` adds the
-    ``tenant-isolation`` invariant to the per-trace and per-job checks
-    it runs for any number of jobs.  The solo run is the same body with
-    one job.
+    and the verdict adds the ``tenant-isolation`` invariant to the
+    per-trace and per-job checks it runs for any number of jobs.  The
+    solo run is the same body with one job.
     """
     campaign = _resolve(campaign)
     reference = reference_results(campaign)
@@ -125,6 +127,8 @@ def run_campaign(
         ["fmi"] if solo else [f"t{t}" for t in range(campaign.tenants)],
     )
     tracer = Tracer(sim)
+    invariants = TraceInvariants()
+    invariants.subscribe(tracer)
     MetricsRegistry(sim)
     rng = machine.rng.stream("chaos")
     scenario = Scenario(campaign.name, campaign.rules(rng, campaign))
@@ -153,7 +157,7 @@ def run_campaign(
     for monitor in monitors:
         monitor.sample()  # one final look at the detector table
 
-    violations += check_all(jobs, tracer, results, reference, monitors)
+    violations += invariants.verdict(jobs, results, reference, monitors)
     return RunResult(
         campaign=campaign.name,
         seed=seed,
@@ -172,14 +176,3 @@ def run_campaign(
         dup_dropped=sum(j.transport.dup_dropped for j in jobs),
         tracer=tracer if keep_trace else None,
     )
-
-
-def soak(
-    campaigns: Sequence[Union[str, Campaign]], seeds: Sequence[int]
-) -> List[RunResult]:
-    """Sweep ``campaigns x seeds``; returns every run's result."""
-    out: List[RunResult] = []
-    for campaign in campaigns:
-        for seed in seeds:
-            out.append(run_campaign(campaign, seed))
-    return out

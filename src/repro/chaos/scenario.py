@@ -27,9 +27,10 @@ gray-failure actions (nothing dies; see DESIGN.md)
     :class:`LimpSlot` -- degrade one slot's NIC bandwidth and latency
     for a ``duration``.
 
-The :class:`ChaosEngine` arms a scenario against a launched job.  Every
-action fires from the event heap (a timeout callback), never from
-inside a tracer listener: the trace event that triggers a kill is
+The :class:`ChaosEngine` arms a scenario against a launched job,
+refusing any rule that names a slot, rank or tenant the job lacks.
+Every action fires from the event heap (a timeout callback), never
+from inside a tracer subscriber: the trace event that triggers a kill is
 frequently emitted by the very generator the kill would close, and a
 generator cannot be closed from its own frame.
 """
@@ -76,6 +77,11 @@ class OnEvent:
     delay: float = 0.0
     where: Optional[Callable[[object], bool]] = None
 
+    def __post_init__(self) -> None:
+        if not self.count >= 1:
+            raise ValueError(f"OnEvent count must be >= 1, got {self.count!r}")
+        _check_duration("OnEvent", "delay", self.delay)
+
 
 @dataclass(frozen=True)
 class RandomTimes:
@@ -97,10 +103,16 @@ class RandomTimes:
             )
 
 
-# A NaN or negative delay would reach ``sim.timeout`` only when the
-# action fires, mid-run: refuse it when the action is built.
+# A NaN, infinite or negative delay would reach ``sim.timeout`` only
+# when the rule fires, mid-run: refuse it when the rule is built.
 def _check_duration(owner: str, name: str, value: Optional[float]) -> None:
-    if value is not None and not value >= 0:
+    if value is not None and not 0 <= value < math.inf:
+        raise ValueError(f"{owner} {name} must be finite and >= 0, got {value!r}")
+
+
+# A negative index would silently pick from the end of the slot list.
+def _check_index(owner: str, name: str, value: int) -> None:
+    if not value >= 0:
         raise ValueError(f"{owner} {name} must be >= 0, got {value!r}")
 
 
@@ -114,6 +126,9 @@ class KillSlot:
 
     slot: int
 
+    def __post_init__(self) -> None:
+        _check_index("KillSlot", "slot", self.slot)
+
 
 @dataclass(frozen=True)
 class KillRandomSlot:
@@ -126,12 +141,18 @@ class KillRank:
 
     rank: int
 
+    def __post_init__(self) -> None:
+        _check_index("KillRank", "rank", self.rank)
+
 
 @dataclass(frozen=True)
 class DrainSlot:
     """Gracefully vacate slot ``slot`` (maintenance drain)."""
 
     slot: int
+
+    def __post_init__(self) -> None:
+        _check_index("DrainSlot", "slot", self.slot)
 
 
 @dataclass(frozen=True)
@@ -144,6 +165,10 @@ class KillTenantSlot:
 
     tenant: int
     slot: int
+
+    def __post_init__(self) -> None:
+        _check_index("KillTenantSlot", "tenant", self.tenant)
+        _check_index("KillTenantSlot", "slot", self.slot)
 
 
 @dataclass(frozen=True)
@@ -217,6 +242,7 @@ class LimpSlot:
     duration: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _check_index("LimpSlot", "slot", self.slot)
         _check_duration("LimpSlot", "duration", self.duration)
 
 
@@ -267,10 +293,35 @@ class ChaosEngine(_Injector):
 
     # -- arming -----------------------------------------------------------
     def arm(self, scenario: Scenario) -> None:
+        """Arm every rule of ``scenario``; a rule naming a slot, rank or
+        tenant the jobs do not have is refused before any rule is armed
+        (every such count is fixed when the job is built)."""
+        for rule in scenario.rules:
+            self._check_targets(rule.action)
         if not self._armed:
             self.start()
         for rule in scenario.rules:
             self._arm_rule(rule)
+
+    def _check_targets(self, action: Action) -> None:
+        job = self.job
+        if isinstance(action, KillTenantSlot):
+            if action.tenant >= len(self.jobs):
+                raise ValueError(
+                    f"{action!r}: the engine has {len(self.jobs)} tenant(s)"
+                )
+            job = self.jobs[action.tenant]
+        if isinstance(action, KillRank):
+            named, limit, what = [action.rank], job.num_ranks, "rank(s)"
+        elif isinstance(action, Partition):
+            named = [slot for group in action.groups for slot in group]
+            limit, what = job.fmirun.num_slots, "slot(s)"
+        elif isinstance(action, (KillSlot, DrainSlot, LimpSlot, KillTenantSlot)):
+            named, limit, what = [action.slot], job.fmirun.num_slots, "slot(s)"
+        else:
+            return
+        if not all(0 <= index < limit for index in named):
+            raise ValueError(f"{action!r}: the job has {limit} {what}")
 
     def _arm_rule(self, rule: Rule) -> None:
         trig = rule.trigger
@@ -284,15 +335,10 @@ class ChaosEngine(_Injector):
                 t += float(self.rng.exponential(trig.mean_spacing))
                 self._at(max(0.0, t - self.sim.now), rule.action)
         elif isinstance(trig, OnEvent):
-            name, where = trig.name, trig.where
-
-            def match(ev, _name=name, _where=where):
-                return ev.name == _name and (_where is None or _where(ev))
-
             injector = EventInjector(
-                self.sim, match,
+                self.sim, trig.name,
                 lambda action=rule.action: self._fire(action),
-                count=trig.count, delay=trig.delay,
+                trig.count, trig.delay, trig.where,
             )
             injector.start()
             self._injectors.append(injector)

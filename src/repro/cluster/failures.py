@@ -283,12 +283,12 @@ class EventInjector(_Injector):
     """Fire an action when a matching *trace event* is recorded.
 
     This bridges the observability stream back into the failure domain:
-    arm it with a predicate over :class:`~repro.obs.tracer.TraceEvent`
-    records (e.g. the ``ckpt.encode.begin`` marker, or
-    ``recovery.begin``) and it fires ``action`` once, ``delay`` seconds
-    after the ``count``-th match.  The chaos campaign engine uses this
-    for its on-event triggers ("kill a node exactly when the XOR encode
-    starts").
+    arm it with an event name (e.g. the ``ckpt.encode.begin`` marker, or
+    ``recovery.begin``) and an optional ``where`` predicate over
+    :class:`~repro.obs.tracer.TraceEvent` records, and it fires
+    ``action`` once, ``delay`` seconds after the ``count``-th match.
+    The chaos campaign engine uses this for its on-event triggers
+    ("kill a node exactly when the XOR encode starts").
 
     The action is always deferred through a (possibly zero-delay)
     timeout, never run from inside the tracer callback: the matching
@@ -302,42 +302,42 @@ class EventInjector(_Injector):
     def __init__(
         self,
         sim: Simulator,
-        match: Callable[[object], bool],
+        name: str,
         action: Callable[[], None],
         count: int = 1,
         delay: float = 0.0,
+        where: Optional[Callable[[object], bool]] = None,
     ):
         if count < 1:
             raise ValueError("count must be >= 1")
-        if not delay >= 0:
-            raise ValueError("delay must be >= 0")
+        if not 0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         self.sim = sim
-        self.match = match
+        self.name = name
         self.action = action
         self.count = count
         self.delay = delay
+        self.where = where
         self.seen = 0
         self.fired_at: Optional[float] = None
 
     def start(self) -> None:
         tracer = self.sim.tracer
-        if not getattr(tracer, "enabled", False) or not hasattr(
-            tracer, "add_listener"
-        ):
+        if not tracer.enabled:
             raise RuntimeError(
                 "EventInjector needs an attached, enabled Tracer "
                 "(the NULL_TRACER records nothing to trigger on)"
             )
         super().start()
-        tracer.add_listener(self._on_trace_event)
+        tracer.subscribe(self.name, self._on_trace_event)
 
     def stop(self) -> None:
         if self._armed:
             super().stop()
-            self.sim.tracer.remove_listener(self._on_trace_event)
+            self.sim.tracer.unsubscribe(self.name, self._on_trace_event)
 
     def _on_trace_event(self, ev) -> None:
-        if not self._armed or not self.match(ev):
+        if self.where is not None and not self.where(ev):
             return
         self.seen += 1
         if self.seen < self.count:

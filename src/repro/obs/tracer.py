@@ -28,7 +28,7 @@ imports it, so it must stay at the bottom of the dependency graph.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "Tracer", "NullTracer", "NULL_TRACER"]
 
@@ -109,27 +109,29 @@ class Tracer:
         self.sim = sim
         self.enabled = enabled
         self.events: List[TraceEvent] = []
-        #: live subscribers invoked on every recorded event (the chaos
-        #: engine's event triggers).  Listeners must not advance the
-        #: simulation or kill processes synchronously -- the event may
-        #: have been emitted from inside the frame they would destroy;
-        #: defer side effects through a zero-delay timeout.
-        self._listeners: List[Any] = []
+        #: event name -> its subscribers, in subscription order
+        self._subscribers: Dict[str, Tuple[Callable[[TraceEvent], None], ...]] = {}
         if attach:
             sim.tracer = self
 
     # -- live subscription ----------------------------------------------------
-    def add_listener(self, callback) -> None:
-        """Subscribe ``callback(event)`` to every recorded event."""
-        self._listeners.append(callback)
+    def subscribe(self, name: str, callback: Callable[[TraceEvent], None]) -> None:
+        """Call ``callback(event)`` on every event recorded as ``name``.
 
-    def remove_listener(self, callback) -> None:
-        if callback in self._listeners:
-            self._listeners.remove(callback)
+        An event of a name nobody subscribed to costs one dict
+        membership test and no call.  A subscriber runs inside the frame
+        that emitted the event, so it must not advance the simulation
+        or kill processes: the frame it would destroy may be the one
+        that is calling it.  Defer side effects through a zero-delay
+        timeout.  A subscriber may unsubscribe itself while it runs.
+        """
+        self._subscribers[name] = self._subscribers.get(name, ()) + (callback,)
 
-    def _notify(self, ev: TraceEvent) -> None:
-        for cb in tuple(self._listeners):
-            cb(ev)
+    def unsubscribe(self, name: str, callback: Callable[[TraceEvent], None]) -> None:
+        """Drop ``callback``'s subscriptions to ``name`` (none is a no-op)."""
+        rest = tuple(cb for cb in self._subscribers.pop(name, ()) if cb != callback)
+        if rest:
+            self._subscribers[name] = rest
 
     # -- recording -----------------------------------------------------------
     def instant(
@@ -160,8 +162,9 @@ class Tracer:
         ev.epoch = epoch
         ev.args = args
         self.events.append(ev)
-        if self._listeners:
-            self._notify(ev)
+        if name in self._subscribers:
+            for callback in self._subscribers[name]:
+                callback(ev)
 
     def complete(
         self,
@@ -180,8 +183,9 @@ class Tracer:
         ev = TraceEvent(name, cat, PH_COMPLETE, start, self.sim.now - start,
                         rank, node, incarnation, epoch, args)
         self.events.append(ev)
-        if self._listeners:
-            self._notify(ev)
+        if name in self._subscribers:
+            for callback in self._subscribers[name]:
+                callback(ev)
 
     # -- querying ------------------------------------------------------------
     def select(self, cat: Optional[str] = None, name: Optional[str] = None) -> Iterator[TraceEvent]:

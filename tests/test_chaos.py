@@ -34,8 +34,10 @@ from repro.chaos import (
     check_no_split_brain,
     check_no_stale_delivery,
     check_suspicion_resolved,
+    check_zero_rollback,
     run_campaign,
 )
+from repro.chaos.scenario import KillTenantSlot
 from repro.cluster import Machine
 from repro.cluster.failures import EventInjector, TraceInjector
 from repro.cluster.spec import SIERRA
@@ -50,7 +52,7 @@ from tests.collective_engine import verdict
 # ------------------------------------------------------------ EventInjector
 def test_event_injector_requires_enabled_tracer():
     sim = Simulator()  # NULL_TRACER: nothing to trigger on
-    injector = EventInjector(sim, lambda ev: True, lambda: None)
+    injector = EventInjector(sim, "anything", lambda: None)
     with pytest.raises(RuntimeError, match="Tracer"):
         injector.start()
 
@@ -58,10 +60,10 @@ def test_event_injector_requires_enabled_tracer():
 def test_event_injector_validates_args():
     sim = Simulator()
     with pytest.raises(ValueError):
-        EventInjector(sim, lambda ev: True, lambda: None, count=0)
+        EventInjector(sim, "anything", lambda: None, count=0)
     for delay in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="delay"):
-            EventInjector(sim, lambda ev: True, lambda: None, delay=delay)
+            EventInjector(sim, "anything", lambda: None, delay=delay)
 
 
 def test_at_time_refuses_nan():
@@ -91,11 +93,33 @@ NAN, INF = float("nan"), float("inf")
     (lambda: Omission(drop_p=0.1, duration=-0.5), "duration"),
     (lambda: LimpSlot(0, duration=NAN), "duration"),
     (lambda: LimpSlot(0, duration=-2.0), "duration"),
+    # an infinite delay raised inside the rank that emitted the event
+    (lambda: OnEvent("ckpt.encode.begin", delay=INF), "delay"),
+    (lambda: OnEvent("ckpt.encode.begin", delay=NAN), "delay"),
+    (lambda: OnEvent("ckpt.encode.begin", delay=-1.0), "delay"),
+    # count=0 used to be refused only at arm(), after launch
+    (lambda: OnEvent("ckpt.encode.begin", count=0), "count"),
+    (lambda: EventInjector(Simulator(), "tick", lambda: None, delay=INF),
+     "delay"),
+    (lambda: Partition(groups=((0,), (1,)), heal_after=INF), "heal_after"),
+    (lambda: Omission(drop_p=0.1, duration=INF), "duration"),
+    (lambda: LimpSlot(0, duration=INF), "duration"),
+    # a negative index silently picked from the end of the slot list
+    (lambda: KillSlot(-1), "slot"),
+    (lambda: KillRank(-1), "rank"),
+    (lambda: DrainSlot(-1), "slot"),
+    (lambda: LimpSlot(-1), "slot"),
+    (lambda: KillTenantSlot(-1, 0), "tenant"),
+    (lambda: KillTenantSlot(0, -1), "slot"),
 ], ids=[
     "spacing-nan", "start-nan", "spacing-inf", "start-inf", "spacing-zero",
     "spacing-negative", "k-negative", "partition-mode", "heal-nan",
     "heal-negative", "omission-nan", "omission-negative", "limp-nan",
-    "limp-negative",
+    "limp-negative", "onevent-delay-inf", "onevent-delay-nan",
+    "onevent-delay-negative", "onevent-count-zero", "injector-delay-inf",
+    "heal-inf", "omission-inf", "limp-inf", "killslot-negative",
+    "killrank-negative", "drainslot-negative", "limpslot-negative",
+    "tenant-negative", "tenant-slot-negative",
 ])
 def test_dsl_refuses_bad_input_at_construction(build, match):
     with pytest.raises(ValueError, match=match):
@@ -107,6 +131,29 @@ def test_dsl_still_accepts_edge_values():
     Partition(groups=((0,), (1,)), heal_after=0.0, mode="drop")
     Omission(duration=0.0)
     LimpSlot(0, duration=None)
+    OnEvent("recovery.begin", count=1, delay=0.0)
+    KillTenantSlot(0, 0)
+
+
+@pytest.mark.parametrize("action", [
+    KillSlot(99), DrainSlot(4), LimpSlot(99), KillRank(99),
+    KillTenantSlot(1, 0), KillTenantSlot(0, 99),
+    Partition(groups=((0, 1), (2, 99))),
+], ids=repr)
+def test_arm_refuses_a_target_the_job_lacks(action):
+    """Slots, ranks and tenants are counted before launch: a rule
+    naming one the job lacks is refused at ``arm``, before any rule is
+    armed.  (``KillSlot(99)`` used to end the run as ``liveness: job
+    failed: IndexError``.)"""
+    sim, machine, job = _tiny_job()
+    Tracer(sim)
+    assert job.fmirun.num_slots == 4 and job.num_ranks < 99
+    engine = ChaosEngine(job)
+    job.launch()
+    fine = Rule(OnEvent("recovery.begin"), KillSlot(3))
+    with pytest.raises(ValueError, match="the (job|engine) has"):
+        engine.arm(Scenario("t", [fine, Rule(AtTime(1.0), action)]))
+    assert sim.fault_injectors == 0 and engine._injectors == []
 
 
 def test_event_injector_fires_on_nth_match_after_delay():
@@ -114,7 +161,7 @@ def test_event_injector_fires_on_nth_match_after_delay():
     tracer = Tracer(sim)
     fired = []
     injector = EventInjector(
-        sim, lambda ev: ev.name == "tick", lambda: fired.append(sim.now),
+        sim, "tick", lambda: fired.append(sim.now),
         count=3, delay=0.5,
     )
     injector.start()
@@ -137,7 +184,7 @@ def test_event_injector_stop_disarms():
     sim = Simulator()
     tracer = Tracer(sim)
     fired = []
-    injector = EventInjector(sim, lambda ev: True, lambda: fired.append(1))
+    injector = EventInjector(sim, "anything", lambda: fired.append(1))
     injector.start()
     injector.stop()
     tracer.instant("anything", "test")
@@ -449,6 +496,30 @@ def test_split_brain_checker_counts_recoveries_vs_deaths():
     violations = check_no_split_brain(double)
     assert len(violations) == 1
     assert "2 recovery epoch(s)" in violations[0].detail
+
+
+def test_split_brain_notify_detail_names_epoch_and_job():
+    bad = _FakeTracer([
+        _FakeEvent("fmi.notify", rank=2, epoch=3, ts=1.5,
+                   args={"reason": "partition:p1", "job": "t1"}),
+    ])
+    (violation,) = check_no_split_brain(bad)
+    assert "rank 2 (epoch 3, job t1)" in violation.detail
+    assert "t=1.5" in violation.detail
+
+
+def test_zero_rollback_detail_names_epoch_and_job():
+    sim = Simulator()
+    tracer = Tracer(sim)
+    tracer.instant("repl.promote", "repl")
+    sim.now = 2.0
+    tracer.instant("ckpt.restore.begin", "ckpt", rank=1, epoch=4, job="t0")
+    sim.now = 3.0
+    tracer.instant("ckpt.restore.begin", "ckpt", rank=2)
+    first, second = check_zero_rollback(tracer)
+    assert "rank 1 (epoch 4, job t0) began" in first.detail
+    assert "t=2" in first.detail and "never fell back" in first.detail
+    assert "rank 2 began" in second.detail  # no context to name
 
 
 def test_suspicion_checker_requires_resolution():

@@ -122,7 +122,7 @@ INJECTORS = {
     "trace": lambda sim, rng: TraceInjector(
         sim, [(1.0, [0])], kill=lambda nodes: None),
     "event": lambda sim, rng: EventInjector(
-        sim, lambda ev: False, lambda: None),
+        sim, "never.recorded", lambda: None),
     "mtbf": lambda sim, rng: MtbfInjector(
         sim, rng, 60.0, lambda nid: None, 16),
 }

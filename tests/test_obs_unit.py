@@ -81,6 +81,30 @@ def test_null_tracer_is_inert():
     assert list(NULL_TRACER.select()) == []
 
 
+def test_subscribers_see_only_their_name_in_order():
+    sim = Simulator()
+    tracer = Tracer(sim)
+    seen = []
+
+    def once(ev):
+        seen.append(("once", ev.name))
+        tracer.unsubscribe("a", once)  # mid-dispatch: the next still runs
+
+    def every(ev):
+        seen.append(("every", ev.name, ev.ph))
+
+    tracer.subscribe("a", once)
+    tracer.subscribe("a", every)
+    tracer.instant("a", "test")
+    tracer.instant("b", "test")
+    tracer.complete("a", "test", start=0.0)
+    tracer.unsubscribe("a", every)
+    tracer.unsubscribe("a", every)  # no longer subscribed: a no-op
+    tracer.instant("a", "test")
+    assert seen == [("once", "a"), ("every", "a", "i"), ("every", "a", "X")]
+    assert len(tracer) == 4
+
+
 def test_select_filters_by_cat_and_name():
     sim = Simulator()
     tracer = Tracer(sim)
