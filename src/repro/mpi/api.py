@@ -18,6 +18,7 @@ differ in that data, not in code:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
 from repro.mpi.communicator import WORLD_ID, Communicator
@@ -58,6 +59,13 @@ class Request:
         return out
 
 
+@lru_cache(maxsize=None)
+def _world_members(size: int) -> range:
+    """The world group of ``size`` ranks, one shared ``range`` per size:
+    it is immutable, so every rank's world communicator holds the same."""
+    return range(size)
+
+
 class _NoFaultTolerance:
     """``fproc`` and ``recovery`` of an API with no FMI under it."""
 
@@ -71,7 +79,15 @@ class _NoFaultTolerance:
 
 
 class ParallelApi:
-    """Common per-rank API: what MPI and FMI semantics share."""
+    """Common per-rank API: what MPI and FMI semantics share.
+
+    Slotted, one instance per rank; a subclass that shadows ``fproc`` /
+    ``recovery`` per instance (``FmiContext``) keeps a dict for them.
+    """
+
+    __slots__ = ("transport", "sim", "ctx", "node", "addr_table",
+                 "world_rank", "world_size", "_comm_seq", "world",
+                 "bytes_sent", "msgs_sent", "_hop_only")
 
     ANY_SOURCE = ANY_SOURCE
     ANY_TAG = ANY_TAG
@@ -96,7 +112,7 @@ class ParallelApi:
         self.world_rank = world_rank
         self.world_size = world_size
         self._comm_seq = WORLD_ID
-        self.world = Communicator(self, WORLD_ID, range(world_size))
+        self.world = Communicator(self, WORLD_ID, _world_members(world_size))
         #: bytes sent by this rank (observability)
         self.bytes_sent = 0.0
         self.msgs_sent = 0
@@ -189,3 +205,7 @@ class ParallelApi:
 
 class MpiApi(ParallelApi):
     """The fail-stop MPI flavour: static routing, epoch always 0."""
+
+    #: the launching job, set by the rank body: SCR and apps reach
+    #: machine-level services through it
+    __slots__ = ("job",)

@@ -43,6 +43,8 @@ WORLD_ID = 0
 class Communicator:
     """An ordered rank group bound to one :class:`ParallelApi`."""
 
+    __slots__ = ("api", "id", "members", "rank", "size")
+
     def __init__(self, api, comm_id: int, members: List[int]):
         if api.world_rank not in members:
             raise ValueError("cannot build a communicator I am not a member of")

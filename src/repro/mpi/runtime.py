@@ -46,6 +46,8 @@ AppFactory = Callable[[MpiApi], Any]  # callable(api) -> generator
 class MpiRankProcess(RankProcess):
     """One MPI rank: boot, ``MPI_Init`` rendezvous, run the app."""
 
+    __slots__ = ("rendezvous",)
+
     def __init__(self, job: "MpiJob", rank: int, node: Node, rendezvous):
         self.rendezvous = rendezvous
         super().__init__(job, rank, node)

@@ -22,7 +22,13 @@ buckets:
   (exact, source-wildcard, tag-wildcard, both-wildcard) and takes the
   live head with the smallest post sequence number -- byte-identical
   match order to a linear scan of a single deque, at O(1) per message
-  instead of O(posted).
+  instead of O(posted).  A bucket has two shapes: the bare
+  ``_PostedRecv`` while it holds one receive -- the common case, one
+  waiting receive per pattern per rank -- and a ``deque`` in post
+  order from the moment a second receive is posted under the same key
+  (a sweep that leaves one record stores it bare again).  The bucket
+  key is deleted the moment its last record is popped, so a drained
+  pattern costs nothing.
 * **unexpected messages** -- each arrival is appended to all four
   buckets it could be claimed under.  A posted receive consults
   exactly one bucket: its own pattern.  Claiming an envelope marks it
@@ -51,7 +57,8 @@ The linear-scan engine this replaced is the conformance oracle of
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, Optional, Tuple
+from types import MappingProxyType
+from typing import Deque, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.net.message import Envelope
 from repro.simt.kernel import _PENDING, Event, Simulator
@@ -70,6 +77,8 @@ ANY_TAG = -1
 _SWEEP_THRESHOLD = 64
 
 _BucketKey = Tuple[int, int, int]  # (comm_id, source, tag)
+
+_NO_ARRIVALS: Mapping = MappingProxyType({})
 
 
 class RecvCancelled(Exception):
@@ -105,11 +114,17 @@ class MatchingEngine:
     #: consumption and to record wildcard-match determinants.
     match_sink = None
 
+    #: the unexpected index until the first arrival is filed: read-only
+    #: and shared, so an engine whose receives are always posted first
+    #: carries no empty dict of its own
+    _unexpected: Mapping[_BucketKey, Deque[_Unexpected]] = _NO_ARRIVALS
+
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self._posted: Dict[_BucketKey, Deque[_PostedRecv]] = {}
+        self._posted: Dict[
+            _BucketKey, Union[_PostedRecv, Deque[_PostedRecv]]
+        ] = {}
         self._post_seq = 0
-        self._unexpected: Dict[_BucketKey, Deque[_Unexpected]] = {}
         self._unexpected_live = 0
         #: a wildcard pattern has been posted or probed: the three
         #: wildcard keys of every arrival are in use
@@ -120,7 +135,6 @@ class MatchingEngine:
         #: amortised O(1) per operation at any queue depth
         self._sweep_debt = 0
         self._sweep_at = _SWEEP_THRESHOLD
-        self._on_cancel = self._note_debt  # bind once, not per post
         #: observability counters
         self.delivered = 0
         self.matched_unexpected = 0
@@ -165,11 +179,15 @@ class MatchingEngine:
         rec.event = evt
         rec.seq = self._post_seq
         self._post_seq += 1
-        bucket = self._posted.get(key)
+        posted = self._posted
+        bucket = posted.get(key)
         if bucket is None:
-            bucket = self._posted[key] = deque()
-        bucket.append(rec)
-        evt._cancel_cb = self._on_cancel
+            posted[key] = rec
+        elif bucket.__class__ is _PostedRecv:
+            posted[key] = deque((bucket, rec))
+        else:
+            bucket.append(rec)
+        evt._cancel_cb = self  # no bound method per post or per engine
         return evt
 
     def probe(self, source: int, tag: int, comm_id: int) -> Optional[Envelope]:
@@ -206,22 +224,26 @@ class MatchingEngine:
         # they are encountered, until a live one claims the envelope --
         # exactly the linear scan's semantics.
         while True:
-            best_dq: Optional[Deque[_PostedRecv]] = None
+            best_key = best = None
             best_seq = -1
             for key in keys:
-                dq = posted.get(key)
-                if dq is None:
+                bucket = posted.get(key)
+                if bucket is None:
                     continue
-                if not dq:
-                    del posted[key]
-                    continue
-                seq = dq[0].seq
-                if best_dq is None or seq < best_seq:
-                    best_dq = dq
-                    best_seq = seq
-            if best_dq is None:
+                head = bucket if bucket.__class__ is _PostedRecv else bucket[0]
+                if best is None or head.seq < best_seq:
+                    best_key = key
+                    best = bucket
+                    best_seq = head.seq
+            if best is None:
                 break
-            rec = best_dq.popleft()
+            if best.__class__ is _PostedRecv:
+                rec = best
+                del posted[best_key]
+            else:
+                rec = best.popleft()
+                if not best:
+                    del posted[best_key]
             evt = rec.event
             if evt.callbacks is not None and evt._value is _PENDING:
                 self.matched_posted += 1
@@ -243,6 +265,8 @@ class MatchingEngine:
 
     def _file(self, rec: _Unexpected, keys) -> None:
         unexpected = self._unexpected
+        if unexpected is _NO_ARRIVALS:
+            unexpected = self._unexpected = {}
         for key in keys:
             dq = unexpected.get(key)
             if dq is None:
@@ -277,8 +301,10 @@ class MatchingEngine:
         """
         live = [
             rec
-            for dq in self._posted.values()
-            for rec in dq
+            for bucket in self._posted.values()
+            for rec in (
+                (bucket,) if bucket.__class__ is _PostedRecv else bucket
+            )
             if rec.live
         ]
         live.sort(key=lambda rec: rec.seq)  # fail in post order
@@ -288,7 +314,8 @@ class MatchingEngine:
         cancelled = len(live)
         self._posted.clear()
         purged = self._unexpected_live
-        self._unexpected.clear()
+        if self._unexpected:
+            self._unexpected.clear()
         self._unexpected_live = 0
         self._wild = False  # both queues are empty: nothing is aliased
         self._sweep_debt = 0
@@ -304,6 +331,9 @@ class MatchingEngine:
         if self._sweep_debt >= self._sweep_at:
             self._sweep()
 
+    #: the engine is the cancellation hook of every receive it posts
+    __call__ = _note_debt
+
     def _sweep(self) -> None:
         """Compact every bucket: drop dead receives and taken aliases.
 
@@ -313,16 +343,18 @@ class MatchingEngine:
         """
         self._sweep_debt = 0
         surviving = 0
-        for key in list(self._posted):
-            dq = self._posted[key]
-            kept = [rec for rec in dq if rec.live]
-            if len(kept) != len(dq):
-                self.swept_dead += len(dq) - len(kept)
-                if kept:
-                    self._posted[key] = deque(kept)
-                else:
-                    del self._posted[key]
+        posted = self._posted
+        for key in list(posted):
+            bucket = posted[key]
+            if bucket.__class__ is _PostedRecv:
+                bucket = (bucket,)
+            kept = [rec for rec in bucket if rec.live]
+            if len(kept) != len(bucket):
+                self.swept_dead += len(bucket) - len(kept)
+                if not kept:
+                    del posted[key]
                     continue
+                posted[key] = kept[0] if len(kept) == 1 else deque(kept)
             surviving += len(kept)
         for key in list(self._unexpected):
             dq = self._unexpected[key]
@@ -338,8 +370,11 @@ class MatchingEngine:
 
     # -- introspection --------------------------------------------------------
     def _iter_posted(self) -> Iterator[_PostedRecv]:
-        for dq in self._posted.values():
-            yield from dq
+        for bucket in self._posted.values():
+            if bucket.__class__ is _PostedRecv:
+                yield bucket
+            else:
+                yield from bucket
 
     @property
     def unexpected_count(self) -> int:
@@ -347,7 +382,7 @@ class MatchingEngine:
 
     @property
     def posted_count(self) -> int:
-        return sum(len(dq) for dq in self._posted.values())
+        return sum(1 for _rec in self._iter_posted())
 
     @property
     def pending_posted(self) -> int:

@@ -45,7 +45,7 @@ class PmgrRendezvous:
 
     @property
     def waiting(self) -> int:
-        return len(self._arrived) if not self._released else 0
+        return len(self._arrived)
 
     def arrive(self) -> Event:
         """Check in; the event fires when everyone has and the
@@ -67,6 +67,9 @@ class PmgrRendezvous:
     def _release(self, _evt: Event) -> None:
         self._released = True
         self.released_at = self.sim.now
-        for evt in self._arrived:
+        # drop the fired events with the list: a job-long rendezvous
+        # would otherwise hold one per rank for the whole run
+        arrived, self._arrived = self._arrived, []
+        for evt in arrived:
             if evt.callbacks is not None and not evt.triggered:
                 evt.succeed(None)

@@ -50,6 +50,9 @@ Address = Tuple[int, int]  # (node_id, serial)
 class NetContext:
     """Per-process networking state: address, matching engine, epoch."""
 
+    __slots__ = ("transport", "node", "addr", "label", "matching", "epoch",
+                 "closed", "recv_filter", "stale_dropped", "delivered_seqs")
+
     def __init__(self, transport: "Transport", node: Node, label: str = ""):
         # Serials are per-transport, not per-process: two simulations in
         # the same interpreter must assign identical addresses/labels or

@@ -52,6 +52,8 @@ class RankProcess:
     wait out ``job.boot_latency`` once, then the stack's own lifecycle.
     """
 
+    __slots__ = ("job", "rank", "node", "incarnation", "sim", "ctx", "proc")
+
     def __init__(self, job: "JobBase", rank: int, node: Node, incarnation: int = 0):
         self.job = job
         self.rank = rank

@@ -406,17 +406,30 @@ class StreamScheduler:
         finally:
             self._pumping = False
 
+    def _draining(self) -> int:
+        """Nodes of victims whose abort is in flight (``preempted``, not
+        yet out of ``running``): the one reservation rule counts them as
+        free *now*, for the head that evicted them."""
+        return sum(len(rec.nodes) for rec in self.running.values()
+                   if rec.state == "preempted")
+
     def _shadow_window(self, head: TenantRecord):
         """EASY reservation for the blocked head: (shadow time, extra).
 
         Walk the running jobs in estimated-completion order until the
         head's footprint fits; that completion is the *shadow* time, and
         ``extra`` is how many idle-at-shadow nodes the head leaves over
-        for backfill jobs that would outlive the shadow.
+        for backfill jobs that would outlive the shadow.  When idle plus
+        draining nodes already cover the head, the shadow is now: a
+        requeued victim cannot backfill into the nodes its abort freed
+        for the head and be preempted again, at the same instant.
         """
         need = head.spec.total_nodes
         idle = self.rm.idle_count
         now = self.sim.now
+        draining = self._draining()
+        if draining and idle + draining >= need:
+            return now, idle + draining - need
         ends = sorted(
             (
                 max(rec.started_at + rec.spec.estimated_runtime, now),
@@ -441,12 +454,14 @@ class StreamScheduler:
     def _preempt_for(self, head: TenantRecord) -> bool:
         """Evict strictly-lower-priority running jobs until the head
         fits.  Victims are chosen lowest-priority-first, youngest-first
-        (least work lost), deterministically."""
+        (least work lost), deterministically; the nodes of victims
+        already draining count as freed, and no victim is picked twice."""
         need = head.spec.total_nodes
-        freed = self.rm.idle_count
+        freed = self.rm.idle_count + self._draining()
         victims = sorted(
             (r for r in self.running.values()
-             if r.spec.priority < head.spec.priority),
+             if r.state != "preempted"
+             and r.spec.priority < head.spec.priority),
             key=lambda r: (r.spec.priority, -r.seq),
         )
         chosen = []

@@ -491,9 +491,11 @@ class Simulator:
         pop = heappop
         # ``n`` counts this call's dispatches; ``high`` is the largest
         # ``_seq - _reserved - n`` seen just before one, i.e. the peak
-        # depth of this call offset by the dispatches that preceded it.
+        # depth of this call offset by the dispatches that preceded it;
+        # ``moved`` is ``n`` when the clock last advanced (stall text).
         n = 0
         high = 0
+        moved = 0
         self._running = True
         try:
             while True:
@@ -515,6 +517,8 @@ class Simulator:
                         break
                     pop(heap)
                     batch = self._batch = at[live]
+                    if live != now:
+                        moved = n
                     self.now = now = live
                 try:
                     for k, event in enumerate(batch):
@@ -536,7 +540,8 @@ class Simulator:
                                 limit_event is not None and limit_event._processed):
                             raise SimulationError(self._stall(
                                 f"exceeded max_events={max_events}; "
-                                "livelock suspected"))
+                                f"livelock suspected ({n - moved} of them "
+                                "since the clock last advanced)"))
                         # a queue batch yields to a re-push due now
                         if ((limit_event is not None and limit_event._processed)
                                 or (heap and heap[0] <= now)):

@@ -21,7 +21,9 @@ otherwise preserved verbatim; ``test_kernel_oracle.py`` drives this
 simulator and the production one with the same random schedule and
 asserts the same callbacks at the same instants in the same order, the
 same ``events_processed``, the same ``peak_heap`` and the same stall
-reports (:meth:`_upcoming` is rewritten the same way).
+reports (:meth:`_upcoming` is rewritten the same way, and ``run``
+counts the events since the clock last advanced the way the
+production loop does, for a tripped ``max_events``).
 
 It defines *which* entry the kernel dispatches next; do not optimise it.
 """
@@ -113,6 +115,7 @@ class ReferenceSimulator(Simulator):
         # peak depth of this call offset by the pops that preceded it.
         n = 0
         high = 0
+        moved = 0  # ``n`` when the clock last advanced (stall text)
         self._running = True
         try:
             while at or nowq:
@@ -131,6 +134,8 @@ class ReferenceSimulator(Simulator):
                         self.now = limit_time
                         break
                     time, event = self._pop()
+                    if time != self.now:
+                        moved = n
                     self.now = time
                 n += 1
                 event._processed = True
@@ -147,7 +152,8 @@ class ReferenceSimulator(Simulator):
                         break
                     raise SimulationError(self._stall(
                         f"exceeded max_events={max_events}; "
-                        "livelock suspected"))
+                        f"livelock suspected ({n - moved} of them "
+                        "since the clock last advanced)"))
         finally:
             self._running = False
             stats = self._stats

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Machine, TraceInjector
 from repro.cluster.spec import SIERRA
-from repro.mpi.api import ParallelApi
+from repro.mpi.api import MpiApi, ParallelApi
 from repro.mpi.collectives import set_collective_mode
 from repro.net import LinkFaultModel
 from repro.mpi.ops import MAX, SUM
@@ -391,11 +391,11 @@ class _LoggingFamily(ParallelApi.recovery):
     hop_fidelity = "msglog"
 
 
-def test_auto_falls_back_under_a_hop_recording_family():
-    def app(mpi):
-        mpi.recovery = _LoggingFamily  # the verdict reads the caller's API
-        return (yield from _fallback_app(mpi))
-    results, _t, job = _run_auto(app=app)
+def test_auto_falls_back_under_a_hop_recording_family(monkeypatch):
+    # the verdict reads the caller's API; a slotted MpiApi takes the
+    # family on its class, for the length of the test
+    monkeypatch.setattr(MpiApi, "recovery", _LoggingFamily)
+    results, _t, job = _run_auto()
     assert results == [10] * 4
     expect_fallback(job, "msglog")
 

@@ -30,7 +30,9 @@ claims, cancellations, forced sweeps, resets) -- the general ``_OPS``
 usually draw a wildcard within the first few operations.
 """
 
-from hypothesis import given, settings
+from collections import deque
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net.matching import ANY_SOURCE, ANY_TAG, MatchingEngine
@@ -38,6 +40,9 @@ from repro.net.message import Envelope
 from repro.simt import Simulator
 
 from tests.matching_reference import ReferenceMatchingEngine
+
+#: 1 at tier-1, 10 under ``--hypothesis-profile=deep`` (``conftest.py``)
+_SCALE = max(1, settings.default.max_examples // 100)
 
 _SOURCES = st.integers(0, 3)
 _TAGS = st.integers(0, 2)
@@ -154,19 +159,42 @@ def _assert_conforms(ops):
             <= eng.pruned_dead + eng.swept_dead)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200 * _SCALE, deadline=None)
 @given(ops=_OPS)
+# the two bucket shapes: one record, a deque from the second receive
+# under its key on, and no bucket once the last record is popped
+@example(ops=[("post", 0, 1, 0), ("post", 0, 1, 0), ("deliver", 0, 1, 0),
+              ("deliver", 0, 1, 0), ("post", 0, 1, 0), ("deliver", 0, 1, 0),
+              ("deliver", 0, 1, 0)])
+# a dead single record pruned by a delivery; one swept, then one left
+# alone in a swept deque
+@example(ops=[("post", 0, 1, 0), ("cancel", 0), ("deliver", 0, 1, 0),
+              ("post", 0, 1, 0)])
+@example(ops=[("post", 1, 1, 0), ("cancel", 0), ("sweep",),
+              ("deliver", 1, 1, 0), ("post", 2, 0, 0), ("post", 2, 0, 0),
+              ("cancel", 1), ("sweep",), ("deliver", 2, 0, 0),
+              ("deliver", 2, 0, 0)])
+# a reset over single and deque buckets mixed
+@example(ops=[("post", 0, 0, 0), ("post", 1, 0, 0), ("post", 1, 0, 0),
+              ("post", 2, 1, 1), ("cancel", 1), ("reset",),
+              ("deliver", 1, 0, 0), ("post", 1, 0, 0)])
+# the first wildcard post opens over single-record buckets: deliveries
+# compare their heads with the wildcard bucket's
+@example(ops=[("post", 0, 0, 0), ("post", 1, 0, 0), ("deliver", 2, 0, 0),
+              ("post", ANY_SOURCE, 0, 0), ("post", 1, ANY_TAG, 0),
+              ("deliver", 1, 0, 0), ("deliver", 1, 0, 0),
+              ("deliver", 0, 0, 0), ("deliver", 3, 0, 0)])
 def test_indexed_engine_matches_linear_oracle(ops):
     _assert_conforms(ops)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300 * _SCALE, deadline=None)
 @given(ops=_LATE_WILDCARD_OPS)
 def test_first_wildcard_after_exact_only_traffic_matches_linear_oracle(ops):
     _assert_conforms(ops)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200 * _SCALE, deadline=None)
 @given(ops=_OPS)
 def test_indexed_engine_fifo_non_overtaking(ops):
     outcomes = _run_engine(MatchingEngine, ops)[1]
@@ -243,3 +271,31 @@ def test_an_engine_that_never_sees_a_wildcard_never_keys_one():
     eng.reset()
     _deliver(eng, 1, 1, "late")
     assert not _wildcard_keys(eng) and eng.unexpected_count == 1
+
+
+def test_a_bucket_is_its_record_until_a_second_receive_shares_the_key():
+    sim = Simulator()
+    eng = MatchingEngine(sim)
+    key = (0, 1, 2)
+    first = eng.post(1, 2, 0)
+    assert type(eng._posted[key]).__name__ == "_PostedRecv"
+    second = eng.post(1, 2, 0)
+    assert type(eng._posted[key]) is deque and eng.posted_count == 2
+    _deliver(eng, 1, 2, "a")
+    assert type(eng._posted[key]) is deque and eng.posted_count == 1
+    _deliver(eng, 1, 2, "b")
+    assert key not in eng._posted  # gone with its last record
+    lone = eng.post(1, 2, 0)
+    _deliver(eng, 1, 2, "c")
+    assert not eng._posted
+    sim.run()
+    assert [e.value.data for e in (first, second, lone)] == ["a", "b", "c"]
+    # a sweep that leaves one live record stores it bare again
+    dead, live = eng.post(3, 0, 0), eng.post(3, 0, 0)
+    dead.cancel()
+    eng._sweep()
+    assert type(eng._posted[(0, 3, 0)]).__name__ == "_PostedRecv"
+    assert eng.swept_dead == 1 and eng.pending_posted == 1
+    _deliver(eng, 3, 0, "d")
+    sim.run()
+    assert live.value.data == "d" and not eng._posted

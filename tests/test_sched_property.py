@@ -16,7 +16,7 @@ drives it to drain under a random policy mix.  Checked invariants:
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Machine
@@ -27,6 +27,8 @@ from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
 MAX_EVENTS = 1_500_000
+#: 1 at tier-1, 10 under ``--hypothesis-profile=deep`` (``conftest.py``)
+_SCALE = max(1, settings.default.max_examples // 100)
 
 
 # ------------------------------------------------------------- strategies
@@ -106,7 +108,7 @@ def assert_invariants(machine, sched, summary):
     assert machine.rm.idle_count == len(machine.live_nodes)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25 * _SCALE, deadline=None)
 @given(
     num_nodes=st.integers(3, 10),
     stream=streams,
@@ -129,8 +131,26 @@ def test_stream_invariants(num_nodes, stream, backfill, spare_pool):
         assert [r.seq for r in order] == sorted(r.seq for r in order)
 
 
-@settings(max_examples=15, deadline=None)
+_CR = FmiConfig(interval=1, spare_nodes=0)
+
+
+def _spec(ranks, config, iterations, priority):
+    return JobSpec(name="j", ranks=ranks, ppn=1, config=config,
+                   iterations=iterations, work_s=0.1, priority=priority)
+
+
+@settings(max_examples=15 * _SCALE, deadline=None)
 @given(num_nodes=st.integers(4, 10), stream=streams)
+# A zero-time preemption livelock, shrunk: the fail-stop head j#3
+# evicted j#1 and j#2 at t=1.3, and each victim, requeued while the
+# other still drained, backfilled into the nodes it had freed for the
+# head and was evicted again.
+@example(num_nodes=7, stream=[
+    (_spec(4, _CR, 3, 2), 7),
+    (_spec(2, _CR, 2, 0), 9),
+    (_spec(2, _CR, 1, 1), 13),
+    (_spec(4, None, 3, 2), 13),
+])
 def test_stream_invariants_with_preemption(num_nodes, stream):
     machine, sched, summary = run_stream(
         num_nodes, stream, backfill=True, preempt=True, spare_pool=0

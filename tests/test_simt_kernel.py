@@ -253,9 +253,28 @@ def test_a_livelock_names_the_callbacks_due_next():
     with pytest.raises(SimulationError, match="livelock") as info:
         sim.run(max_events=7)
     assert str(info.value) == (
-        "exceeded max_events=7; livelock suspected at now=3.0; next due: "
+        "exceeded max_events=7; livelock suspected (2 of them since the "
+        "clock last advanced) at now=3.0; next due: "
         "test_a_livelock_names_the_callbacks_due_next.<locals>.ping; "
         "process 'pinger'")
+
+
+def test_a_zero_time_livelock_says_the_clock_stood_still():
+    """Slow progress and a zero-time loop both trip ``max_events``; the
+    count of events since the clock last moved tells them apart."""
+    sim = Simulator()
+
+    def spin(_e):
+        evt = sim.event()
+        evt.callbacks.append(spin)
+        evt.succeed()
+
+    sim.timeout(1.0)
+    sim.timeout(2.0).callbacks.append(spin)
+    with pytest.raises(SimulationError) as info:
+        sim.run(max_events=50)
+    assert "(49 of them since the clock last advanced) at now=2.0" in str(
+        info.value)
 
 
 def test_peek_empty_is_inf():
