@@ -18,7 +18,7 @@ import pytest
 from _harness import FULL, PROCS_PER_NODE, make_machine, nodes_for
 from repro.analysis.tables import Table
 from repro.apps.himeno import FLOPS_PER_POINT, HimenoParams, himeno_fmi_app, himeno_mpi_app
-from repro.cluster.failures import MtbfInjector
+from repro.chaos import ChaosEngine, KillRandomSlot, Poisson, Rule, Scenario
 from repro.fmi import FmiConfig, FmiJob
 from repro.mpi.runtime import MpiJob
 from repro.mpi.scr import Scr
@@ -69,15 +69,10 @@ def run_fmi(nprocs: int, with_ckpt: bool, inject: bool, seed: int):
     job = FmiJob(machine, himeno_fmi_app(params()), num_ranks=nprocs,
                  procs_per_node=PROCS_PER_NODE, config=config)
     done = job.launch()
-    injector = None
     if inject:
-        injector = MtbfInjector(
-            sim, machine.rng.stream("fig15-kills"), MTBF,
-            kill=lambda slot: job.fmirun.node_slots[slot].crash("mtbf"),
-            num_nodes=job.num_nodes,
-        )
-        injector.start()
-        done.callbacks.append(lambda _e: injector.stop())
+        engine = ChaosEngine(machine, machine.rng.stream("fig15-kills"), [job])
+        engine.arm(Scenario("mtbf", [Rule(Poisson(MTBF), KillRandomSlot())]))
+        done.callbacks.append(lambda _e: engine.disarm())
     sim.run(until=done)
     elapsed = sim.now - job.init_done_at
     return gflops(nprocs, elapsed), job.recovery_count

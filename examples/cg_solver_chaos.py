@@ -18,8 +18,8 @@ Run:  python examples/cg_solver_chaos.py
 import numpy as np
 
 from repro.apps.cg import cg_fmi_app, make_spd_problem
+from repro.chaos import ChaosEngine, KillRandomSlot, Poisson, Rule, Scenario
 from repro.cluster import Machine
-from repro.cluster.failures import MtbfInjector
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
 from repro.obs import Tracer
@@ -77,13 +77,9 @@ def run_with_storm():
     machine = Machine(sim, SIERRA.with_nodes(20), RngRegistry(3))
     job = launch(machine, level2=True, spares=3)
     done = job.launch()
-    injector = MtbfInjector(
-        sim, machine.rng.stream("storm"), mtbf_seconds=5.0,
-        kill=lambda slot: job.fmirun.node_slots[slot].crash("storm"),
-        num_nodes=job.num_nodes,
-    )
-    injector.start()
-    done.callbacks.append(lambda _e: injector.stop())
+    engine = ChaosEngine(machine, machine.rng.stream("storm"), [job])
+    engine.arm(Scenario("storm", [Rule(Poisson(5.0), KillRandomSlot())]))
+    done.callbacks.append(lambda _e: engine.disarm())
     x = sim.run(until=done)[0]
     return x, job
 

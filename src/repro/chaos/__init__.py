@@ -4,9 +4,9 @@ A Jepsen-style adversarial-schedule harness on top of the simulator and
 the observability layer:
 
 * :mod:`~repro.chaos.scenario` -- the declarative DSL: triggers
-  (fixed time, trace event, seeded random schedule) x actions (kill
-  slot/node/rank, drain, partition/heal, lossy links, limping nodes)
-  armed by a :class:`ChaosEngine`;
+  (fixed time, trace event, seeded random schedule, Poisson MTBF) x
+  actions (kill slot/node/rank, drain, partition/heal, lossy links,
+  limping nodes) armed by a :class:`ChaosEngine`;
 * :mod:`~repro.chaos.campaigns` -- canned campaigns covering the
   corner matrix: crash faults (mid-checkpoint kill, kill-during-
   recovery, double kill in one XOR group, spare exhaustion,
@@ -49,6 +49,7 @@ from repro.chaos.scenario import (
     ChaosEngine,
     DrainSlot,
     HealPartition,
+    KillRandomNode,
     KillRandomSlot,
     KillRank,
     KillSlot,
@@ -57,14 +58,15 @@ from repro.chaos.scenario import (
     OmissionOff,
     OnEvent,
     Partition,
+    Poisson,
     RandomTimes,
     Rule,
     Scenario,
 )
 
 __all__ = [
-    "AtTime", "OnEvent", "RandomTimes",
-    "KillSlot", "KillRandomSlot", "KillRank", "DrainSlot",
+    "AtTime", "OnEvent", "RandomTimes", "Poisson",
+    "KillSlot", "KillRandomSlot", "KillRandomNode", "KillRank", "DrainSlot",
     "Partition", "HealPartition", "Omission", "OmissionOff",
     "LimpSlot",
     "Rule", "Scenario", "ChaosEngine",

@@ -67,6 +67,10 @@ Multi-tenant campaign (service mode: several jobs share one cluster):
   recover independently (their own epochs, bit-equal answers) and the
   bystander must never leave epoch 0 -- the ``tenant-isolation``
   invariant.
+
+The builders stay hand-written: they define the benchmark's
+``chaos_sweep`` workload, so turning them into rows of one strategy
+over the DSL waits for after ROADMAP item 1-I.
 """
 
 from __future__ import annotations

@@ -132,7 +132,7 @@ def run_campaign(
     MetricsRegistry(sim)
     rng = machine.rng.stream("chaos")
     scenario = Scenario(campaign.name, campaign.rules(rng, campaign))
-    engine = ChaosEngine(jobs[0], rng, jobs=jobs)
+    engine = ChaosEngine(machine, rng, jobs=jobs)
     monitors = [DetectorMonitor(job) for job in jobs]
 
     launched = [job.launch() for job in jobs]

@@ -15,7 +15,8 @@ cluster, TSUBAME2.0 failure data, the Coastal cluster failure rates):
   models with real byte storage (checkpoints written here can actually
   be read back and verified).
 * :mod:`~repro.cluster.failures` -- per-component Poisson failure
-  injection (Table I / Fig 1 rates) plus simple MTBF-driven injection.
+  injection (Table I / Fig 1 rates) and trace replay; MTBF-driven
+  kills are the chaos DSL's ``Poisson`` trigger.
 * :mod:`~repro.cluster.resource_manager` -- a SLURM-ish allocator with
   a spare-node pool, used by ``fmirun`` for dynamic node allocation.
 * :mod:`~repro.cluster.machine` -- glues the above into a `Machine`.
@@ -25,7 +26,6 @@ from repro.cluster.failures import (
     FailureInjector,
     FailureRecord,
     FailureType,
-    MtbfInjector,
     TSUBAME2_FAILURE_TYPES,
     TraceInjector,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "FailureType",
     "FilesystemSpec",
     "Machine",
-    "MtbfInjector",
     "NetworkSpec",
     "Node",
     "NodeSpec",

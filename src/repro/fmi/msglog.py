@@ -131,9 +131,16 @@ class RecoveryPlane(ChannelPlane):
         self._wire(fproc, self.channels[fproc.rank])
         self.job.register_endpoint(fproc.rank, fproc.ctx)
 
+    def _boot_epoch(self) -> Optional[int]:
+        """The epoch whose world rendezvous first completed; None while
+        the job boots.  A failure before then is a plain restart: no
+        rank has state to keep or an endpoint its peers know, so every
+        rank unwinds and boots world-wide, as under global rollback."""
+        return next(iter(self.job.recovered_at), None)
+
     def rendezvous_scope(self, fproc):
         job = self.job
-        if job.epoch == 0:
+        if self._boot_epoch() in (None, job.epoch):
             return super().rendezvous_scope(fproc)
         # Only the restarted recovery unit synchronises: the failed
         # node slot's own ranks.
@@ -142,15 +149,23 @@ class RecoveryPlane(ChannelPlane):
 
     def overlay_epoch(self, fproc) -> int:
         # Survivors never re-join, so a replacement must join the
-        # epoch-0 overlay to reach them.
-        return 0
+        # overlay the job booted in to reach them.
+        boot = self._boot_epoch()
+        return self.job.epoch if boot is None else boot
+
+    def restores(self, fproc) -> bool:
+        # Only a replacement lost its state; a survivor that unwound
+        # while the job booted enters H3 for the first time.
+        return fproc.incarnation > 0
 
     def absorb_notification(self, fproc, generation: int) -> bool:
-        # Survivors absorb: their state is never rolled back, and the
-        # lseq dedup (not the epoch filter) guards their channels.  A
-        # rank caught *mid-restore* must unwind and retry, though: its
-        # sidecar rebuild ensemble may include the newly dead node.
-        return fproc.rank not in self.recovering
+        # Survivors absorb once the job has booted: their state is
+        # never rolled back, and the lseq dedup (not the epoch filter)
+        # guards their channels.  A rank caught *mid-restore* must
+        # unwind and retry, though: its sidecar rebuild ensemble may
+        # include the newly dead node.
+        return (self._boot_epoch() is not None
+                and fproc.rank not in self.recovering)
 
     # -- send path ---------------------------------------------------------
     def on_send(self, src: int, dst: int, env: Envelope, ctx=None) -> None:

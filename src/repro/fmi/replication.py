@@ -381,12 +381,13 @@ class ReplicationPlane(ChannelPlane):
     def try_failover(self, policy, cause: str) -> bool:
         """Classify the damage; True = handled without any rollback."""
         job = self.job
-        if (
+        if not job.recovered_at or (
             self.fallback_epoch is not None
             and self.fallback_epoch not in job.recovered_at
         ):
-            # A failure landed *during* a fallback restore: restart the
-            # fallback at the fresh epoch (it must own the new
+            # A failure landed before the job booted (the boot cohorts
+            # cannot fill) or *during* a fallback restore: (re)start
+            # the fallback at the fresh epoch (it must own the new
             # generation or nobody would unwind for it).
             self._fallback(cause)
             return False

@@ -108,6 +108,11 @@ class RecoveryFamily:
         None to post natively."""
         return None
 
+    def restores(self, fproc) -> bool:
+        """True if ``fproc``, entering H3 after a failure, must restore
+        before it runs: under global rollback every rank does."""
+        return True
+
     def restore(self, fmi_ctx):
         """Bring a restarted rank's state back (generator returning
         ``(meta, payloads)``, None on a cold start, or "beyond-xor")."""
@@ -294,7 +299,7 @@ class FmiProcess(RankProcess):
         :meth:`_main` to hand off."""
         self._set_state(ProcState.H3_RUNNING)
         job = self.job
-        if job.epoch > 0:
+        if job.epoch > 0 and job.recovery.restores(self):
             # Recovery restart: FMI_Loop must restore the checkpoint.
             self.rank_state.restore_pending = True
         return job.app(FmiContext(self))

@@ -1,7 +1,7 @@
 """Synthetic workloads + the failure-soak test: many random failures
-over a long run, driven by the MTBF injector, with a verifiable state
-recurrence -- the strongest end-to-end evidence that rollback never
-corrupts application state."""
+over a long run, driven by a chaos-DSL Poisson (MTBF) rule, with a
+verifiable state recurrence -- the strongest end-to-end evidence that
+rollback never corrupts application state."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,8 @@ from repro.apps.synthetic import (
     expected_bsp_state,
     imbalanced_app,
 )
+from repro.chaos import ChaosEngine, KillRandomSlot, Poisson, Rule, Scenario
 from repro.cluster import Machine
-from repro.cluster.failures import MtbfInjector
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
 from repro.mpi.runtime import MpiJob
@@ -78,13 +78,9 @@ def test_fmi_soak_many_random_failures(seed):
                          level2_every=2),
     )
     done = job.launch()
-    injector = MtbfInjector(
-        sim, machine.rng.stream("soak"), mtbf_seconds=4.0,
-        kill=lambda slot: job.fmirun.node_slots[slot].crash("soak"),
-        num_nodes=job.num_nodes,
-    )
-    injector.start()
-    done.callbacks.append(lambda _e: injector.stop())
+    engine = ChaosEngine(machine, machine.rng.stream("soak"), [job])
+    engine.arm(Scenario("soak", [Rule(Poisson(4.0), KillRandomSlot())]))
+    done.callbacks.append(lambda _e: engine.disarm())
     results = sim.run(until=done)
     assert job.recovery_count >= 2, "soak too gentle; raise the rate"
     for rank, u in enumerate(results):
@@ -106,13 +102,9 @@ def test_fmi_soak_statistics_sane():
                          level2_every=2),
     )
     done = job.launch()
-    injector = MtbfInjector(
-        sim, machine.rng.stream("soak2"), mtbf_seconds=8.0,
-        kill=lambda slot: job.fmirun.node_slots[slot].crash("soak"),
-        num_nodes=job.num_nodes,
-    )
-    injector.start()
-    done.callbacks.append(lambda _e: injector.stop())
+    engine = ChaosEngine(machine, machine.rng.stream("soak2"), [job])
+    engine.arm(Scenario("soak", [Rule(Poisson(8.0), KillRandomSlot())]))
+    done.callbacks.append(lambda _e: engine.disarm())
     sim.run(until=done)
     # Every recovery that completed has a latency record.
     for epoch in range(1, job.recovery_count + 1):
