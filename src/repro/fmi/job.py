@@ -110,9 +110,11 @@ class FmiJob(JobBase):
     def note_recovery_complete(self) -> None:
         epoch = self.epoch
         if epoch not in self.recovered_at:
-            self.recovered_at[epoch] = self.sim.now
-            if epoch == 0:
+            # the first world rendezvous to complete ends init, in
+            # epoch 0 or, after a failure before boot, a later one
+            if not self.recovered_at:
                 self.init_done_at = self.sim.now
+            self.recovered_at[epoch] = self.sim.now
             if self.sim.tracer.enabled and epoch > 0:
                 start = self.recovery_causes[epoch - 1][0] if (
                     epoch - 1 < len(self.recovery_causes)
