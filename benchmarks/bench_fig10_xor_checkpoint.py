@@ -9,7 +9,7 @@ Timing comes from the observability layer: the checkpoint engine
 emits ``ckpt.checkpoint`` (and per-phase ``ckpt.snapshot`` /
 ``ckpt.encode`` / ...) spans into an attached
 :class:`repro.obs.Tracer`, and the benchmark reads the distributions
-back through :func:`repro.obs.summary.checkpoint_summary` instead of
+back through :func:`repro.obs.summary.summarize` instead of
 stopwatching inside the application.
 """
 
@@ -18,7 +18,7 @@ import pytest
 from _harness import CKPT_BYTES, GROUP_SIZES, run_engine_group
 from repro.analysis.tables import Table
 from repro.models.cr_model import checkpoint_time
-from repro.obs.summary import checkpoint_summary
+from repro.obs.summary import summarize
 
 
 def measure_checkpoint(group_size: int):
@@ -28,7 +28,7 @@ def measure_checkpoint(group_size: int):
     _sim, _results, tracer = run_engine_group(
         body, group_size, scheme="xor", seed=group_size, trace=True
     )
-    phases = checkpoint_summary(tracer)
+    phases = summarize(tracer).checkpoint()
     assert phases["ckpt.checkpoint"]["count"] == group_size
     return phases
 

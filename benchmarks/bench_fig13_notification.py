@@ -9,7 +9,7 @@ to 1,536 processes.
 Measurement comes from the observability layer: a
 :class:`repro.obs.Tracer` records the ``node.crash`` instant and every
 ``overlay.notified`` event (with its cascade hop count), and
-:func:`repro.obs.summary.notification_summary` turns that into the
+:func:`repro.obs.summary.summarize` turns that into the
 survivor count, hop histogram and notification latency -- no hand-
 rolled timing in the benchmark itself.
 """
@@ -22,7 +22,7 @@ from repro.analysis.tables import Table
 from repro.fmi import FmiConfig, FmiJob
 from repro.net.overlay import max_notification_hops_bound
 from repro.obs import Tracer
-from repro.obs.summary import notification_summary
+from repro.obs.summary import summarize
 
 
 def idle_app(iterations=1000, step=0.25):
@@ -55,7 +55,7 @@ def measure(nprocs: int, crash_at: float = 5.0):
 
     sim.spawn(killer())
     sim.run(until=crash_at + 2.0)
-    gen1 = notification_summary(tracer)[1]
+    gen1 = summarize(tracer).notification()[job.job_id, 1]
     survivors = nprocs - PROCS_PER_NODE
     assert gen1["count"] == survivors, (
         f"log-ring reached {gen1['count']}/{survivors} survivors"

@@ -28,7 +28,7 @@ from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
 from repro.obs import MetricsRegistry, Tracer, write_chrome_trace, write_jsonl
-from repro.obs.summary import notification_summary, report
+from repro.obs.summary import report, summarize
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
@@ -80,7 +80,7 @@ def main():
 
     # The log-ring cascade, straight from the trace: who heard, and in
     # how many hops (compare Figures 8 and 13).
-    gen1 = notification_summary(tracer)[1]
+    gen1 = summarize(tracer).notification()[job.job_id, 1]
     print(f"\nfailure at t={gen1['failure_at']:.3f}s reached "
           f"{gen1['count']} survivors in <= {gen1['max_hop']} hops, "
           f"last one {gen1['latency']*1000:.0f} ms after the crash")

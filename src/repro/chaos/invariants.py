@@ -22,14 +22,15 @@ check returns a list of :class:`Violation` s (empty = green), and each
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.net.overlay import root_reason
+from repro.obs.tracer import TraceReader
 
 __all__ = [
-    "Violation", "DetectorMonitor", "TraceInvariants",
+    "Violation", "DetectorMonitor", "TraceInvariants", "takes_down",
     "check_epoch_monotone", "check_no_stale_delivery",
     "check_posted_receives", "check_detector_bounded", "check_answer",
     "check_no_split_brain", "check_suspicion_resolved",
@@ -51,14 +52,11 @@ class Violation:
 TRACE_INVARIANTS = ("epoch-monotone", "no-stale-delivery", "no-split-brain",
                     "suspicion-resolved", "no-orphans", "zero-rollback")
 
-#: every event name the machine reads; ``a.b`` is read by ``_on_a_b``
-EVENTS = (
-    "net.recv", "fmi.state", "fmi.notify", "recovery.begin", "chaos.inject",
-    "node.crash", "overlay.suspect", "overlay.suspect.cleared",
-    "overlay.notified", "mlog.log", "mlog.rewind", "ckpt.restore.begin",
-    "repl.fallback", "repl.promote", "repl.replica_lost",
-    "repl.standby.register", "repl.standby.sync",
-)
+def takes_down(action: str) -> bool:
+    """Whether a ``chaos.inject`` action took a rank or a node down: a
+    kill or a drain that was neither refused nor aimed at the dead."""
+    return (action.startswith(("kill ", "drain slot"))
+            and "refused" not in action and "already dead" not in action)
 
 
 def _context(ev) -> str:
@@ -69,15 +67,23 @@ def _context(ev) -> str:
 
 
 # ----------------------------------------------------------- trace machine
-class TraceInvariants:
+class TraceInvariants(TraceReader):
     """Every trace invariant as one state machine, fed event by event.
 
-    Each name in :data:`EVENTS` has one handler, which updates every
+    Each name in ``EVENTS`` has one handler, which updates every
     invariant that reads the name and flags a per-event violation at
     once, with the event's time and rank.  :meth:`violations` adds what
     only the whole trace can tell; :meth:`verdict` adds the state checks.
     Feed it live (:meth:`subscribe`) or a recorded trace (:meth:`replay`).
     """
+
+    EVENTS = (
+        "net.recv", "fmi.state", "fmi.notify", "recovery.begin", "chaos.inject",
+        "node.crash", "overlay.suspect", "overlay.suspect.cleared",
+        "overlay.notified", "mlog.log", "mlog.rewind", "ckpt.restore.begin",
+        "repl.fallback", "repl.promote", "repl.replica_lost",
+        "repl.standby.register", "repl.standby.sync",
+    )
 
     def __init__(self) -> None:
         self._found: List[Violation] = []  # per-event, in trace order
@@ -93,24 +99,6 @@ class TraceInvariants:
         self._restores: List = []
         self._per_job: Dict[tuple, int] = {}  # (what, job) -> count
         self._max_epoch: Dict[str, int] = {}
-
-    def handlers(self) -> Dict[str, Callable]:
-        """Event name -> the one bound method that reads it."""
-        return {name: getattr(self, "_on_" + name.replace(".", "_"))
-                for name in EVENTS}
-
-    def subscribe(self, tracer) -> None:
-        """Read ``tracer``'s events as they are recorded."""
-        for name, handler in self.handlers().items():
-            tracer.subscribe(name, handler)
-
-    def replay(self, events) -> "TraceInvariants":
-        """Feed a recorded trace, in order; returns the machine."""
-        handlers = self.handlers()
-        for ev in events:
-            if ev.name in handlers:
-                handlers[ev.name](ev)
-        return self
 
     # -- handlers: one per event name -------------------------------------
     def _tally(self, what: str, jid) -> None:
@@ -160,12 +148,13 @@ class TraceInvariants:
 
     def _on_chaos_inject(self, ev) -> None:
         action = ev.args.get("action", "")
+        if not takes_down(action):
+            return
         # Process-only kills and drains cause recovery without a
-        # node.crash trace; refused/no-op records do not count.
-        if (action.startswith(("kill rank", "drain slot"))
-                and "refused" not in action and "already dead" not in action):
+        # node.crash trace; a node kill is counted at its node.crash.
+        if action.startswith(("kill rank", "drain slot")):
             self._deaths += 1
-        if action.startswith("kill tenant") and "already dead" not in action:
+        elif action.startswith("kill tenant"):
             self._tally("kills", ev.args.get("job"))
 
     def _on_node_crash(self, ev) -> None:

@@ -16,7 +16,10 @@
   across replays of a seeded scenario) and Chrome ``trace_event`` JSON.
 * :mod:`~repro.obs.summary` turns a trace into the paper's quantities:
   notification-hop distributions, checkpoint-phase times, recovery
-  windows.  Also a CLI: ``python -m repro.obs.summary trace.jsonl``.
+  windows.  Its :class:`~repro.obs.summary.TraceSummary` reads through
+  :class:`~repro.obs.tracer.TraceReader`, one handler per event name,
+  live or replayed (:func:`~repro.obs.summary.summarize`).  Also a CLI:
+  ``python -m repro.obs.summary trace.jsonl``.
 
 When nothing is attached, every hook hits the shared no-op
 :data:`~repro.obs.tracer.NULL_TRACER` /

@@ -11,7 +11,7 @@ nodes to ``pid`` and ranks to ``tid`` for visual inspection.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Iterable, List, Union
+from typing import IO, Any, Dict, Iterable, List, Sequence, Union
 
 from repro.obs.tracer import PH_COMPLETE, TraceEvent, Tracer
 
@@ -31,8 +31,9 @@ EventSource = Union[Tracer, Iterable[TraceEvent]]
 _FIELDS = ("ts", "dur", "ph", "cat", "name", "rank", "node", "incarnation", "epoch")
 
 
-def _events(source: EventSource) -> Iterable[TraceEvent]:
-    return source.events if isinstance(source, Tracer) else source
+def _events(source: EventSource) -> Sequence[TraceEvent]:
+    """The recorded events of ``source``, as a sequence."""
+    return source.events if isinstance(source, Tracer) else list(source)
 
 
 def event_to_dict(ev: TraceEvent) -> Dict[str, Any]:
@@ -67,7 +68,7 @@ def dumps_jsonl(source: EventSource) -> str:
 
 def write_jsonl(source: EventSource, path_or_file: Union[str, IO[str]]) -> int:
     """Write the trace as JSON Lines; returns the event count."""
-    events = list(_events(source))
+    events = _events(source)
     if hasattr(path_or_file, "write"):
         path_or_file.write(dumps_jsonl(events))  # type: ignore[union-attr]
     else:

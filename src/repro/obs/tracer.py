@@ -28,9 +28,9 @@ imports it, so it must stay at the bottom of the dependency graph.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["TraceEvent", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["TraceEvent", "Tracer", "TraceReader", "NullTracer", "NULL_TRACER"]
 
 #: Instant and complete phase markers (Chrome trace_event vocabulary).
 PH_INSTANT = "i"
@@ -202,6 +202,36 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+class TraceReader:
+    """A trace reader with one handler per event name it reads.
+
+    A subclass lists its names in ``EVENTS``; ``a.b`` is read by the
+    method ``_on_a_b``.  Feed it live (:meth:`subscribe`: the tracer
+    calls each bound handler itself) or a recorded trace (:meth:`replay`).
+    """
+
+    #: every event name the reader reads
+    EVENTS: Tuple[str, ...] = ()
+
+    def handlers(self) -> Dict[str, Callable[[TraceEvent], None]]:
+        """Event name -> the one bound method that reads it."""
+        return {name: getattr(self, "_on_" + name.replace(".", "_"))
+                for name in self.EVENTS}
+
+    def subscribe(self, tracer: Tracer) -> None:
+        """Read ``tracer``'s events as they are recorded."""
+        for name, handler in self.handlers().items():
+            tracer.subscribe(name, handler)
+
+    def replay(self, events: Iterable[TraceEvent]):
+        """Feed a recorded trace, in order; returns the reader."""
+        handlers = self.handlers()
+        for ev in events:
+            if ev.name in handlers:
+                handlers[ev.name](ev)
+        return self
 
 
 class NullTracer:

@@ -17,7 +17,7 @@ from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
 from repro.net.overlay import max_notification_hops_bound
 from repro.obs import Tracer
-from repro.obs.summary import notification_summary
+from repro.obs.summary import summarize
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
@@ -67,10 +67,10 @@ def test_traced_notifications_within_logring_bound(n, victim_pick, seed):
     # (< 0.3 s); no need to simulate the subsequent recovery.
     sim.run(until=CRASH_AT + 0.5)
 
-    summary = notification_summary(tracer)
+    summary = summarize(tracer).notification()
     if n == 1:  # pragma: no cover - excluded by the strategy
         return
-    gen1 = summary[1]
+    gen1 = summary[job.job_id, 1]
     survivors = n - 1
     bound = max_notification_hops_bound(n)
     assert gen1["count"] == survivors, (

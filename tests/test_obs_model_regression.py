@@ -24,7 +24,7 @@ from repro.fmi.redundancy import make_scheme
 from repro.models.cr_model import checkpoint_time, restart_time
 from repro.mpi.runtime import MpiJob
 from repro.obs import Tracer
-from repro.obs.summary import checkpoint_summary
+from repro.obs.summary import summarize
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
@@ -49,7 +49,7 @@ def traced_phases(group_size: int, procs_per_node: int = 1):
     job = MpiJob(machine, app, nprocs=group_size,
                  procs_per_node=procs_per_node, charge_init=False)
     sim.run(until=job.launch())
-    phases = checkpoint_summary(tracer)
+    phases = summarize(tracer).checkpoint()
     assert phases["ckpt.checkpoint"]["count"] == group_size
     return phases
 
@@ -96,7 +96,7 @@ def test_traced_restore_matches_restart_model():
     job = MpiJob(machine, app, nprocs=group_size, procs_per_node=1,
                  charge_init=False)
     sim.run(until=job.launch())
-    phases = checkpoint_summary(tracer)
+    phases = summarize(tracer).checkpoint()
     model = restart_time(CKPT_BYTES, group_size, MEM_BW, NET_BW)
     assert phases["ckpt.restore"]["count"] == group_size
     assert phases["ckpt.restore"]["max"] == pytest.approx(model, rel=0.35)

@@ -23,7 +23,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.summary import main as summary_main
-from repro.obs.summary import notification_summary, report, state_dwell_times
+from repro.obs.summary import report, summarize
 from repro.simt import Simulator
 
 
@@ -182,7 +182,7 @@ def _sample_events():
     return [
         TraceEvent("send", "net", "i", 1.25, rank=2, node=1,
                    args={"nbytes": 64, "dst": 3}),
-        TraceEvent("encode", "ckpt", "X", 2.0, dur=0.5, rank=0, node=0,
+        TraceEvent("ckpt.encode", "ckpt", "X", 2.0, dur=0.5, rank=0, node=0,
                    incarnation=1, epoch=2),
     ]
 
@@ -235,7 +235,7 @@ def test_notification_summary_counts_hops_and_latency():
         TraceEvent("overlay.notified", "overlay", "i", 10.25, rank=3, epoch=1,
                    args={"hop": 2}),
     ]
-    gen1 = notification_summary(events)[1]
+    gen1 = summarize(events).notification()[None, 1]
     assert gen1["count"] == 3
     assert gen1["hops"] == {1: 1, 2: 2}
     assert gen1["max_hop"] == 2
@@ -252,7 +252,7 @@ def test_state_dwell_times_use_consecutive_transitions():
         TraceEvent("fmi.state", "state", "i", 1.5, rank=0, incarnation=0,
                    args={"state": "H3"}),
     ]
-    dwell = state_dwell_times(events)
+    dwell = summarize(events).dwell()
     assert dwell["H1"]["mean"] == pytest.approx(1.0)
     assert dwell["H2"]["mean"] == pytest.approx(0.5)
     assert "H3" not in dwell  # final state has no successor
