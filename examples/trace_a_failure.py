@@ -3,8 +3,8 @@
 
 Runs the quickstart scenario -- a 16-rank FMI job that loses a node
 mid-run and recovers from its in-memory XOR checkpoint -- but with a
-:class:`repro.obs.Tracer` and :class:`repro.obs.MetricsRegistry`
-attached to the simulator.  Every message, overlay notification,
+:class:`repro.obs.Tracer` attached to the simulator and a
+:class:`repro.obs.MetricsRegistry` reading its trace.  Every message, overlay notification,
 checkpoint phase, state transition and recovery window becomes a typed
 event; afterwards we
 
@@ -54,11 +54,12 @@ def application(fmi):
 
 def main():
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp())
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     sim = Simulator()
     machine = Machine(sim, SIERRA.with_nodes(10), RngRegistry(42))
     tracer = Tracer(sim)            # sim.tracer: every subsystem now emits
-    metrics = MetricsRegistry(sim)  # sim.metrics: counters ride along
+    metrics = MetricsRegistry(sim)  # counters, read off the trace
     job = FmiJob(
         machine,
         application,

@@ -30,7 +30,7 @@ from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.apps.synthetic import bsp_app, expected_bsp_state
 from repro.fmi import FmiJob
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer
 from repro.simt import Simulator
 from repro.simt.kernel import SimulationError
 from repro.simt.primitives import AllOf
@@ -129,7 +129,6 @@ def run_campaign(
     tracer = Tracer(sim)
     invariants = TraceInvariants()
     invariants.subscribe(tracer)
-    MetricsRegistry(sim)
     rng = machine.rng.stream("chaos")
     scenario = Scenario(campaign.name, campaign.rules(rng, campaign))
     engine = ChaosEngine(machine, rng, jobs=jobs)

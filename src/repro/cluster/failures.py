@@ -160,11 +160,9 @@ class _Injector:
             self.sim.fault_injectors -= 1
 
     def _injected(self, kind: str, **args) -> None:
-        """Record one arrival in the trace and metric streams."""
+        """Record one arrival in the trace (metrics read it there)."""
         if self.sim.tracer.enabled:
             self.sim.tracer.instant("failure.inject", "failure", type=kind, **args)
-        if self.sim.metrics.enabled:
-            self.sim.metrics.counter("failures.injected", type=kind).inc()
 
 
 class FailureInjector(_Injector):

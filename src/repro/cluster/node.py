@@ -151,8 +151,6 @@ class Node:
             self.sim.tracer.instant(
                 "node.crash", "failure", node=self.id, cause=str(cause),
             )
-        if self.sim.metrics.enabled:
-            self.sim.metrics.counter("node.crashes").inc()
         procs, self._procs = self._procs, []
         for proc in procs:
             proc.kill(cause=f"node {self.id} crash: {cause}")

@@ -379,12 +379,6 @@ class CheckpointEngine:
                 self._trace_span("ckpt.meta", t_phase, dataset=dataset_id)
                 self._trace_span("ckpt.checkpoint", t_total, dataset=dataset_id,
                                  nbytes=blob.nbytes)
-            metrics = self.sim.metrics
-            if metrics.enabled:
-                metrics.counter("ckpt.checkpoints").inc()
-                metrics.histogram("ckpt.checkpoint_s").observe(
-                    self.sim.now - t_total
-                )
             return meta
         finally:
             api._hop_only -= 1
@@ -470,10 +464,6 @@ class CheckpointEngine:
                 outcome, dataset = "restored", result[0].dataset_id
             self._trace_span("ckpt.restore", t0, outcome=outcome,
                              dataset=dataset)
-        metrics = self.sim.metrics
-        if metrics.enabled and result not in (None, "beyond-xor"):
-            metrics.counter("ckpt.restores").inc()
-            metrics.histogram("ckpt.restore_s").observe(self.sim.now - t0)
         return result
 
     def load_meta(self, dataset: int):

@@ -230,8 +230,6 @@ class LogRingDetector:
                     epoch=generation, hop=hop, reason=reason,
                     job=self.job.job_id,
                 )
-            if sim.metrics.enabled:
-                sim.metrics.histogram("overlay.notify_hops").observe(hop)
         fproc.notify_failure(generation, reason)
 
     # -- suspicion (partition-rooted events) ----------------------------------

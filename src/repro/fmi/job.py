@@ -126,12 +126,6 @@ class FmiJob(JobBase):
                     ) else "",
                     job=self.job_id,
                 )
-            if self.sim.metrics.enabled and epoch > 0:
-                latency = self.recovery_latency(epoch)
-                if latency is not None:
-                    self.sim.metrics.histogram(
-                        "fmi.recovery_latency_s", job=self.job_id
-                    ).observe(latency)
 
     def _on_rank_finished(self, rank: int) -> None:
         self.detector.leave(rank)

@@ -194,9 +194,6 @@ class RecoveryPlane(ChannelPlane):
                 "mlog.log", "mlog", rank=src, epoch=job.epoch, dst=dst,
                 tag=env.tag, n=n, nbytes=env.nbytes, ckpt=entry.ckpt_tag,
             )
-        if sim.metrics.enabled:
-            sim.metrics.counter("mlog.logged_msgs").inc()
-            sim.metrics.gauge("mlog.log_bytes").set(self.live_bytes)
 
     # -- receive path ------------------------------------------------------
     def _make_recv_filter(self, fproc, chan: ChannelState):
@@ -314,9 +311,6 @@ class RecoveryPlane(ChannelPlane):
                 "mlog.gc", "mlog", stable=stable, entries=dropped,
                 nbytes=dropped_bytes, live=self.live_entries,
             )
-        if sim.metrics.enabled:
-            sim.metrics.gauge("mlog.log_bytes").set(self.live_bytes)
-            sim.metrics.counter("mlog.gc_entries").inc(dropped)
 
     def _trim(self, kept_logs) -> Tuple[int, float]:
         """Shorten logs to the ``(src, kept entries)`` pairs given,
@@ -373,12 +367,6 @@ class RecoveryPlane(ChannelPlane):
                 "mlog.replay.done", "mlog", rank=rank, epoch=job.epoch,
                 msgs=msgs, nbytes=nbytes,
                 dataset=-1 if dataset is None else dataset,
-            )
-        if sim.metrics.enabled:
-            sim.metrics.counter("mlog.replayed_msgs").inc(msgs)
-            sim.metrics.counter("mlog.replayed_bytes").inc(nbytes)
-            sim.metrics.histogram("mlog.restore_latency_s").observe(
-                sim.now - t0
             )
         return restored
 

@@ -459,9 +459,6 @@ class Fmirun(FaultPolicy):
                 "recovery.begin", "recovery", epoch=job.epoch, cause=cause,
                 failover=failover, job=job.job_id,
             )
-        if self.sim.metrics.enabled:
-            self.sim.metrics.counter("fmi.recoveries", job=job.job_id).inc()
-            self.sim.metrics.gauge("fmi.epoch", job=job.job_id).set(job.epoch)
         max_recoveries = job.config.max_recoveries
         if max_recoveries is not None and job.epoch > max_recoveries:
             job.abort(FmiAbort(f"exceeded max_recoveries={max_recoveries}"))

@@ -175,8 +175,9 @@ class MacroCollectives:
         5. ``limp`` -- some node's NIC is degraded;
         6. the recovery family's own ``hop_fidelity`` (``msglog``,
            ``replicated``), read from ``api.recovery``;
-        7. ``observability`` -- tracing or metrics are on; waived under
-           mode ``macro``, which trades trace fidelity for speed.
+        7. ``observability`` -- tracing is on (metrics are a view of the
+           trace); waived under mode ``macro``, which trades trace
+           fidelity for speed.
 
         The check is *nominal* state, not in-flight traffic: concurrent
         point-to-point flows (halo exchanges) do not disable the fast
@@ -197,7 +198,7 @@ class MacroCollectives:
             return "limp"
         if api.recovery.hop_fidelity is not None:
             return api.recovery.hop_fidelity
-        if mode != "macro" and (sim.tracer.enabled or sim.metrics.enabled):
+        if mode != "macro" and sim.tracer.enabled:
             return "observability"
         return None
 

@@ -184,8 +184,6 @@ class _Arrival:
                 instant(outcome, "net", env.dst, node, None, env.epoch,
                         src=env.src, nbytes=env.nbytes, tag=env.tag,
                         ctx_epoch=ctx.epoch, lseq=lseq)
-        if sim.metrics.enabled:
-            sim.metrics.counter_at[outcome, "node", dst_addr[0]].inc()
         if done is not None and done._value is _PENDING:  # not triggered
             done.succeed(None)
 
@@ -333,10 +331,6 @@ class Transport:
                 dst=env.dst, dst_node=dst_addr[0], nbytes=env.nbytes,
                 tag=env.tag,
             )
-        if sim.metrics.enabled:
-            counter_at = sim.metrics.counter_at
-            counter_at["net.msgs_sent", "node", src_nid].inc()
-            counter_at["net.bytes_sent", "node", src_nid].inc(env.nbytes)
         # Draw this message's fault plan up front (one seeded draw per
         # message keeps replays byte-identical).
         faults = self.faults

@@ -7,11 +7,12 @@
   launching a job::
 
       sim = Simulator()
-      tracer = Tracer(sim)           # sim.tracer now records
-      metrics = MetricsRegistry(sim) # sim.metrics now records
+      tracer = Tracer(sim)            # sim.tracer now records
+      metrics = MetricsRegistry(sim)  # reads what the tracer records
 
 * :class:`~repro.obs.metrics.MetricsRegistry` holds labelled counters,
-  gauges and histograms updated by the same hooks.
+  gauges and histograms, a view of the trace: each read replays the
+  events recorded since the last one, and no hook writes a metric.
 * :mod:`~repro.obs.export` writes deterministic JSONL (byte-identical
   across replays of a seeded scenario) and Chrome ``trace_event`` JSON.
 * :mod:`~repro.obs.summary` turns a trace into the paper's quantities:
@@ -22,8 +23,7 @@
   ``python -m repro.obs.summary trace.jsonl``.
 
 When nothing is attached, every hook hits the shared no-op
-:data:`~repro.obs.tracer.NULL_TRACER` /
-:data:`~repro.obs.metrics.NULL_METRICS`, keeping the un-instrumented
+:data:`~repro.obs.tracer.NULL_TRACER`, keeping the un-instrumented
 fast path within noise of the un-instrumented build.
 
 (`summary` is imported lazily -- ``from repro.obs import summary`` --
@@ -38,13 +38,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer
 
 __all__ = [
@@ -52,7 +46,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_METRICS",
     "NULL_TRACER",
     "NullTracer",
     "TraceEvent",

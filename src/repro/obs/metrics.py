@@ -1,41 +1,33 @@
-"""Counters, gauges and histograms with per-rank / per-node labels.
+"""Counters, gauges and histograms with per-rank / per-node labels: a
+view of the trace.
 
-A :class:`MetricsRegistry` attaches to a simulator (``sim.metrics``)
-the same way the tracer does.  Instrumentation sites ask the registry
-for a metric by name + labels and update it:
+A :class:`MetricsRegistry` reads the simulator's
+:class:`~repro.obs.tracer.Tracer`, so it needs one attached first;
+nothing in the runtime writes a metric.  Every read first replays the
+events recorded since the previous read, one handler per event name
+(the :class:`~repro.obs.tracer.TraceReader` protocol), so a run pays
+nothing per message for its metrics, and each metric equals its trace
+twin -- ``fmi.recovery_latency_s`` is the ``recovery`` span's ``dur``:
 
-    sim.metrics.counter("net.msgs", node=3).inc()
-    sim.metrics.histogram("ckpt.encode_s").observe(dt)
+    tracer = Tracer(sim)
+    metrics = MetricsRegistry(sim)
+    ...
+    metrics.sum_counters("net.msgs_sent")
+    metrics.histogram("ckpt.checkpoint_s").mean
 
-Metrics are get-or-create: the first call with a given (name, labels)
-pair creates the instrument, later calls return the same object.  When
-the registry is disabled (the default :data:`NULL_METRICS`), every
-accessor returns a shared no-op instrument, so un-instrumented runs
-pay one branch per update site.
-
-That lookup sorts its labels on every call, which is fine for a site
-reached once per checkpoint or per failure.  A site reached once per
-message holds its instrument instead -- ``counter_at`` resolves the
-same counter once and is a dict subscript from then on:
-
-    sim.metrics.counter_at["net.msgs", "node", 3].inc()
-
-Like the tracer, this module imports nothing from the rest of
-``repro``.
+A registry counts the events recorded after it was built, in the order
+they were recorded.  Metrics are get-or-create: the first read or
+update of a (name, labels) pair creates the instrument, later ones
+return the same object.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_METRICS",
-]
+from repro.obs.tracer import TraceEvent, TraceReader, Tracer
+
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 LabelSet = Tuple[Tuple[str, Any], ...]
 
@@ -131,105 +123,60 @@ class Histogram:
         }
 
 
-class _NullInstrument:
-    """Accepts updates and drops them (disabled-registry path)."""
+class MetricsRegistry(TraceReader):
+    """Labelled metric store for one simulation, read off its trace."""
 
-    __slots__ = ()
-    kind = "null"
-    value = 0.0
-    values: List[float] = []
-    count = 0
-    total = 0.0
-    mean = 0.0
-    min = 0.0
-    max = 0.0
+    EVENTS = (
+        "net.send", "net.recv", "net.drop_dead", "net.drop_stale",
+        "net.drop_dup", "net.drop_lseq_dup", "mlog.log", "mlog.gc",
+        "mlog.restore", "mlog.replay.done", "ckpt.checkpoint", "ckpt.restore",
+        "overlay.notified", "recovery.begin", "recovery", "sched.submit",
+        "sched.start", "sched.requeue", "failure.inject", "node.crash",
+    )
 
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def percentile(self, q: float) -> float:
-        return 0.0
-
-    def snapshot(self) -> float:
-        return 0.0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class _CounterTable(dict):
-    """``table[name, label, value]`` is ``registry.counter(name,
-    **{label: value})``: the registry's own get-or-create on the first
-    use of a key -- same instrument, same creation order, same
-    snapshot -- and a plain dict hit on every later one."""
-
-    __slots__ = ("_registry",)
-
-    def __init__(self, registry: "MetricsRegistry"):
-        self._registry = registry
-
-    def __missing__(self, key: Tuple[str, str, Any]) -> Counter:
-        name, label, value = key
-        counter = self._registry.counter(name, **{label: value})
-        if counter is not _NULL_INSTRUMENT:  # a disabled registry may wake
-            self[key] = counter
-        return counter
-
-
-class MetricsRegistry:
-    """Labelled metric store for one simulation."""
-
-    enabled: bool
-
-    def __init__(self, sim=None, enabled: bool = True, attach: bool = True):
-        self.enabled = enabled
+    def __init__(self, sim) -> None:
+        tracer = sim.tracer
+        if not isinstance(tracer, Tracer):
+            raise ValueError("MetricsRegistry reads the trace: attach a "
+                             "Tracer to the simulator first")
+        self._tracer = tracer
+        self._seen = len(tracer.events)  # what was recorded before is not ours
         self._metrics: Dict[Tuple[str, str, LabelSet], Any] = {}
-        #: one-label counters for per-message sites, resolved once:
-        #: ``counter_at[name, label, value].inc()``
-        self.counter_at: Dict[Tuple[str, str, Any], Counter] = _CounterTable(self)
-        if sim is not None and attach:
-            sim.metrics = self
+        #: job -> its first ``sched.submit`` time; None once it started
+        self._submitted: Dict[Any, Optional[float]] = {}
 
-    # -- access ------------------------------------------------------------
-    @staticmethod
-    def _key(kind: str, name: str, labels: Dict[str, Any]) -> Tuple[str, str, LabelSet]:
-        return kind, name, tuple(sorted(labels.items()))
+    # -- the trace, read on demand ------------------------------------------
+    def _read(self) -> None:
+        events = self._tracer.events
+        if self._seen < len(events):
+            fresh = events[self._seen:]
+            self._seen = len(events)
+            self.replay(fresh)
 
-    def _get(self, cls, name: str, labels: Dict[str, Any]):
-        if not self.enabled:
-            return _NULL_INSTRUMENT
-        key = self._key(cls.kind, name, labels)
+    def _get(self, cls, name: str, **labels: Any):
+        key = cls.kind, name, tuple(sorted(labels.items()))
         metric = self._metrics.get(key)
         if metric is None:
             metric = self._metrics[key] = cls()
         return metric
 
+    # -- access ------------------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get(Counter, name, labels)
+        self._read()
+        return self._get(Counter, name, **labels)
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get(Gauge, name, labels)
+        self._read()
+        return self._get(Gauge, name, **labels)
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self._get(Histogram, name, labels)
+        self._read()
+        return self._get(Histogram, name, **labels)
 
     # -- aggregation -------------------------------------------------------
-    def merged_histogram(self, name: str) -> Histogram:
-        """One histogram combining every label set of ``name``."""
-        merged = Histogram()
-        for (kind, n, _labels), metric in self._metrics.items():
-            if kind == "histogram" and n == name:
-                merged.values.extend(metric.values)
-        return merged
-
     def sum_counters(self, name: str) -> float:
         """Total of every label set of counter ``name``."""
+        self._read()
         return sum(
             metric.value
             for (kind, n, _labels), metric in self._metrics.items()
@@ -238,6 +185,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """Deterministic flat dump: ``kind:name{k=v,...} -> snapshot``."""
+        self._read()
         out: Dict[str, Any] = {}
         for (kind, name, labels) in sorted(self._metrics, key=repr):
             label_txt = ",".join(f"{k}={v}" for k, v in labels)
@@ -246,13 +194,68 @@ class MetricsRegistry:
             ].snapshot()
         return out
 
+    # -- handlers: one per event name ---------------------------------------
+    def _on_net_recv(self, ev: TraceEvent) -> None:
+        # every outcome of a delivery counts per destination node
+        self._get(Counter, ev.name, node=ev.node).inc()
 
-class NullMetricsRegistry(MetricsRegistry):
-    """The default registry: permanently disabled."""
+    _on_net_drop_dead = _on_net_drop_stale = _on_net_recv
+    _on_net_drop_dup = _on_net_drop_lseq_dup = _on_net_recv
 
-    def __init__(self) -> None:
-        super().__init__(sim=None, enabled=False, attach=False)
+    def _on_net_send(self, ev: TraceEvent) -> None:
+        self._get(Counter, "net.msgs_sent", node=ev.node).inc()
+        self._get(Counter, "net.bytes_sent", node=ev.node).inc(ev.args["nbytes"])
 
+    def _on_mlog_log(self, ev: TraceEvent) -> None:
+        self._get(Counter, "mlog.logged_msgs").inc()
 
-#: Shared no-op registry every fresh :class:`Simulator` starts with.
-NULL_METRICS = NullMetricsRegistry()
+    def _on_mlog_gc(self, ev: TraceEvent) -> None:
+        self._get(Counter, "mlog.gc_entries").inc(ev.args["entries"])
+
+    def _on_mlog_restore(self, ev: TraceEvent) -> None:
+        self._get(Histogram, "mlog.restore_latency_s").observe(ev.dur)
+
+    def _on_mlog_replay_done(self, ev: TraceEvent) -> None:
+        self._get(Counter, "mlog.replayed_msgs").inc(ev.args["msgs"])
+        self._get(Counter, "mlog.replayed_bytes").inc(ev.args["nbytes"])
+
+    def _on_ckpt_checkpoint(self, ev: TraceEvent) -> None:
+        self._get(Counter, "ckpt.checkpoints").inc()
+        self._get(Histogram, "ckpt.checkpoint_s").observe(ev.dur)
+
+    def _on_ckpt_restore(self, ev: TraceEvent) -> None:
+        if ev.args["outcome"] == "restored":  # not a cold start
+            self._get(Counter, "ckpt.restores").inc()
+            self._get(Histogram, "ckpt.restore_s").observe(ev.dur)
+
+    def _on_overlay_notified(self, ev: TraceEvent) -> None:
+        self._get(Histogram, "overlay.notify_hops").observe(ev.args["hop"])
+
+    def _on_recovery_begin(self, ev: TraceEvent) -> None:
+        job = ev.args["job"]
+        self._get(Counter, "fmi.recoveries", job=job).inc()
+        self._get(Gauge, "fmi.epoch", job=job).set(ev.epoch)
+
+    def _on_recovery(self, ev: TraceEvent) -> None:
+        self._get(Histogram, "fmi.recovery_latency_s",
+                  job=ev.args["job"]).observe(ev.dur)
+
+    def _on_sched_submit(self, ev: TraceEvent) -> None:
+        self._submitted.setdefault(ev.args["job"], ev.ts)
+
+    def _on_sched_start(self, ev: TraceEvent) -> None:
+        job = ev.args["job"]
+        submitted = self._submitted.get(job)
+        if submitted is not None:  # the first start: the queue wait
+            self._submitted[job] = None
+            self._get(Histogram, "sched.wait_s", job=job).observe(
+                ev.ts - submitted)
+
+    def _on_sched_requeue(self, ev: TraceEvent) -> None:
+        self._get(Counter, "sched.restarts", job=ev.args["job"]).inc()
+
+    def _on_failure_inject(self, ev: TraceEvent) -> None:
+        self._get(Counter, "failures.injected", type=ev.args["type"]).inc()
+
+    def _on_node_crash(self, ev: TraceEvent) -> None:
+        self._get(Counter, "node.crashes").inc()

@@ -53,13 +53,16 @@ class TraceSummary(TraceReader):
         self._states: Dict[tuple, list] = {}  # (job, rank, incarnation)
         self._notified: Dict[tuple, Dict[str, Any]] = {}  # (job, generation)
         self._failures: Dict[tuple, List[float]] = {}  # (name, job) -> times
+        self._owner: Dict[int, Any] = {}  # node -> job of its last fmi.state
         self._spans: Dict[str, List[float]] = {}  # ckpt span -> durations
         self._recoveries: List[Dict[str, Any]] = []
 
     # -- handlers: one per event name -------------------------------------
     def _on_fmi_state(self, ev) -> None:
-        key = (ev.args.get("job"), ev.rank, ev.incarnation)
-        self._states.setdefault(key, []).append(ev)
+        job = ev.args.get("job")
+        self._states.setdefault((job, ev.rank, ev.incarnation), []).append(ev)
+        if ev.node is not None:
+            self._owner[ev.node] = job
 
     def _on_overlay_notified(self, ev) -> None:
         key = (ev.args.get("job"), ev.epoch if ev.epoch is not None else 0)
@@ -71,9 +74,13 @@ class TraceSummary(TraceReader):
         entry["last"] = ev.ts
 
     def _on_node_crash(self, ev) -> None:
-        self._failures.setdefault((ev.name, ev.args.get("job")), []).append(ev.ts)
+        # A node does not know its tenant: the crash is the job's whose
+        # rank last reported a state from it (unlabelled if none did).
+        self._failures.setdefault((ev.name, self._owner.get(ev.node)),
+                                  []).append(ev.ts)
 
-    _on_failure_inject = _on_node_crash
+    def _on_failure_inject(self, ev) -> None:
+        self._failures.setdefault((ev.name, ev.args.get("job")), []).append(ev.ts)
 
     def _on_recovery(self, ev) -> None:
         self._recoveries.append({
@@ -100,7 +107,8 @@ class TraceSummary(TraceReader):
         event -- the time from failure to the last survivor's
         notification (Fig 13's y-axis).  A job's failures are its own
         and the unlabelled ones: every ``node.crash``, else (when there
-        is none) every ``failure.inject``.
+        is none) every ``failure.inject``.  A crash is the job's whose
+        ``fmi.state`` last named the node; an injection names its job.
         """
         out = {}
         for (jid, gen), entry in sorted(self._notified.items(),

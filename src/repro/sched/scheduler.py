@@ -261,16 +261,7 @@ class StreamScheduler:
         rec.backfilled = backfilled
         rec.idle_before_start = idle_before
         rec.nodes = [n.id for n in alloc.all_nodes]
-        if rec.started_at is None:
-            # first start: record the queue wait
-            rec.started_at = self.sim.now
-            wait = rec.wait_s or 0.0
-            if self.sim.metrics.enabled:
-                self.sim.metrics.histogram(
-                    "sched.wait_s", job=rec.job_id
-                ).observe(wait)
-        else:
-            rec.started_at = self.sim.now
+        rec.started_at = self.sim.now
         self.running[rec.job_id] = rec
         self.max_concurrent = max(self.max_concurrent, len(self.running))
         self._trace(
@@ -295,16 +286,9 @@ class StreamScheduler:
             rec.result = evt.value
             self._trace("sched.finish", rec, wait=rec.wait_s,
                         service=rec.service_s)
-            if self.sim.metrics.enabled:
-                spec = rec.spec
-                service = rec.service_s or spec.ideal_runtime
-                self.sim.metrics.gauge(
-                    "sched.goodput", job=rec.job_id
-                ).set(spec.ideal_runtime / service if service > 0 else 0.0)
         elif rec.state == "preempted":
             rec.preemptions += 1
             rec.restarts += 1
-            self._count_restart(rec)
             self._trace("sched.requeue", rec, cause="preempted")
             self._enqueue(rec)
         elif (
@@ -314,7 +298,6 @@ class StreamScheduler:
         ):
             # The classic batch loop: relaunch through the queue.
             rec.restarts += 1
-            self._count_restart(rec)
             rec.state = "requeueing"
             self._trace("sched.requeue", rec, cause=str(evt.value))
             delay = self.sim.timeout(self.machine.spec.job_relaunch_latency)
@@ -328,10 +311,6 @@ class StreamScheduler:
             # Cluster has slack: restock the shared reserve.
             self.pool.refill(self._pool_target)
         self._pump()
-
-    def _count_restart(self, rec: TenantRecord) -> None:
-        if self.sim.metrics.enabled:
-            self.sim.metrics.counter("sched.restarts", job=rec.job_id).inc()
 
     def _settle(self, rec: TenantRecord) -> None:
         if rec.state in _TERMINAL:

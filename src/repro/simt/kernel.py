@@ -58,7 +58,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
 __all__ = [
@@ -363,10 +362,9 @@ class Simulator:
         #: True inside :meth:`run`, whose pop count lives in a local
         self._running = False
         self._stats = SimStats()
-        #: observability sinks; no-ops until a Tracer / MetricsRegistry
-        #: attaches itself (instrumentation sites guard on ``.enabled``)
+        #: the observability sink; a no-op until a Tracer attaches
+        #: itself (instrumentation sites guard on ``.enabled``)
         self.tracer = NULL_TRACER
-        self.metrics = NULL_METRICS
         #: failure injectors currently armed against this simulation
         #: (maintained by ``cluster.failures``); the macro-event
         #: eligibility check reads it -- a fault may land in any window

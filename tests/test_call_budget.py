@@ -67,8 +67,9 @@ attached -- is pinned as the *excess* of profiled calls, observed
 minus bare on the same interpreter.  Both arms are pinned to the hop
 engine: an attached tracer still moves a run off the macro tier
 (ROADMAP item 2(a)), and that switch is not what this pin is about.  Two
-records and three counter updates per message are what is left (9
-calls a message):
+records per message are what is left: the registry reads the trace only
+when asked, and this run never asks (the three counter updates a
+message paid before the last row are gone):
 
 ==========================================  ========  ========  ======
 commit                                      observed      bare  excess
@@ -82,6 +83,10 @@ PR 21 (nothing changed for a watcher; the
 bare run got cheaper)                        393,879   357,924   35,955
 PR 24 (the same, again: 393,489 over
 357,539 on its parent)                       338,554   302,604   35,950
+the same, re-read on the parent of the
+next row                                     304,090   270,984   33,106
+metrics a view of the trace: no metric
+written per message                          292,001   270,984   21,017
 ==========================================  ========  ========  ======
 
 This was pinned as the ratio observed / bare until PR 24, and that
@@ -171,7 +176,7 @@ EVENTS_PER_RANK_ITERATION = 105.0
 #: can drift back while the other hides it
 CALLS_PER_EVENT = 13.5
 #: calls a tracer and a metrics registry add to the run, in all
-OBSERVED_CALLS_EXCESS = 39_000
+OBSERVED_CALLS_EXCESS = 24_000
 
 
 def _profiled_run(observed):

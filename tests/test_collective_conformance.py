@@ -27,7 +27,6 @@ from repro.mpi.collectives import set_collective_mode
 from repro.net import LinkFaultModel
 from repro.mpi.ops import MAX, SUM
 from repro.mpi.runtime import MpiJob
-from repro.obs import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
@@ -333,10 +332,7 @@ def test_verdict_priority_and_coverage():
     assert verdict(tr) is None
     assert verdict(tr, mode="macro") is None
 
-    # Either half of observability is enough; mode "macro" waives it.
-    metrics = MetricsRegistry(sim)
-    assert verdict(tr) == "observability"
-    metrics.enabled = False
+    # A tracer is observability; mode "macro" waives it.
     Tracer(sim)
     assert verdict(tr) == "observability"
     assert verdict(tr, mode="macro") is None

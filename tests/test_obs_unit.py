@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.obs import (
-    NULL_METRICS,
     NULL_TRACER,
     MetricsRegistry,
     Tracer,
@@ -117,8 +116,15 @@ def test_select_filters_by_cat_and_name():
 
 
 # ------------------------------------------------------------------ metrics
+def _registry():
+    """A registry on a fresh traced simulator."""
+    sim = Simulator()
+    Tracer(sim)
+    return MetricsRegistry(sim)
+
+
 def test_counter_gauge_histogram_arithmetic():
-    reg = MetricsRegistry()
+    reg = _registry()
     c = reg.counter("msgs", node=1)
     c.inc()
     c.inc(2.5)
@@ -147,7 +153,7 @@ def test_counter_gauge_histogram_arithmetic():
 
 def test_registry_aggregation_and_snapshot_determinism():
     def build():
-        reg = MetricsRegistry()
+        reg = _registry()
         reg.counter("net.msgs", node=2).inc(5)
         reg.counter("net.msgs", node=1).inc(3)
         reg.histogram("hops", node=1).observe(1.0)
@@ -157,7 +163,6 @@ def test_registry_aggregation_and_snapshot_determinism():
 
     reg = build()
     assert reg.sum_counters("net.msgs") == 8
-    assert reg.merged_histogram("hops").values == [1.0, 3.0]
     snap = reg.snapshot()
     assert snap["counter:net.msgs{node=1}"] == 3
     assert snap["gauge:epoch{}"] == 1
@@ -167,14 +172,38 @@ def test_registry_aggregation_and_snapshot_determinism():
     assert snap == build().snapshot()
 
 
-def test_null_metrics_accepts_everything():
-    assert NULL_METRICS.enabled is False
-    c = NULL_METRICS.counter("x", node=1)
-    c.inc(10)
-    NULL_METRICS.gauge("y").set(3)
-    NULL_METRICS.histogram("z").observe(1.0)
-    assert c.value == 0.0
-    assert NULL_METRICS.snapshot() == {}
+def test_a_registry_needs_a_tracer_to_read():
+    sim = Simulator()
+    with pytest.raises(ValueError, match="attach a Tracer"):
+        MetricsRegistry(sim)
+    Tracer(sim, enabled=False)  # attached, if not yet recording
+    assert MetricsRegistry(sim).snapshot() == {}
+
+
+def test_a_registry_reads_the_trace_recorded_since_it_was_built():
+    sim = Simulator()
+    tracer = Tracer(sim)
+    tracer.instant("node.crash", "failure", node=0)
+    reg = MetricsRegistry(sim)
+    assert reg.snapshot() == {}  # the crash came before the registry
+    tracer.instant("node.crash", "failure", node=1)
+    tracer.instant("net.send", "net", 0, 2, dst=1, nbytes=8.0)
+    tracer.instant("net.drop_dead", "net", 1, 3)
+    sim.now = 0.5
+    tracer.complete("ckpt.restore", "ckpt", 0.25, outcome="cold-start")
+    tracer.complete("ckpt.restore", "ckpt", 0.25, outcome="restored")
+    assert reg.snapshot() == {
+        "counter:ckpt.restores{}": 1.0,
+        "counter:net.bytes_sent{node=2}": 8.0,
+        "counter:net.drop_dead{node=3}": 1.0,
+        "counter:net.msgs_sent{node=2}": 1.0,
+        "counter:node.crashes{}": 1.0,
+        "histogram:ckpt.restore_s{}": {
+            "count": 1.0, "mean": 0.25, "min": 0.25, "max": 0.25,
+            "p50": 0.25, "p99": 0.25},
+    }
+    tracer.instant("node.crash", "failure", node=2)
+    assert reg.counter("node.crashes").value == 2.0  # each read catches up
 
 
 # ---------------------------------------------------------------- exporters

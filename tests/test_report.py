@@ -94,6 +94,17 @@ def test_report_keeps_co_resident_tenants_apart():
                                               ["t1", "1"]]
 
 
+def test_a_tenants_notification_latency_runs_from_its_own_crash():
+    # t1's node dies 50 ms after t0's; t0 used to be measured from it
+    # (0.150 s), the newest crash before its first notification.
+    tracer = run_campaign("multi-tenant-kill", 0, keep_trace=True).tracer
+    notified = summarize(tracer).notification()
+    assert notified["t0", 1]["failure_at"] == 2.8924427057095095
+    assert abs(notified["t0", 1]["latency"] - 0.200) < 1e-9
+    assert notified["t1", 1]["failure_at"] == 2.9424427057095093
+    assert abs(notified["t1", 1]["latency"] - 0.200) < 1e-9
+
+
 def test_recovery_latency_of_epoch_zero_is_none():
     # Epoch 0 is the launch, not a recovery: it used to be measured from
     # the *last* failure (recovery_causes[-1]) and came out negative.

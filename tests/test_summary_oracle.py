@@ -4,15 +4,16 @@
 handler per event name; the five functions it replaced, each a separate
 walk over the finished trace, are kept in ``tests/summary_reference.py``.
 Hypothesis draws event sequences over every name the summary reads plus
-a few nobody reads, with ranks, epochs and incarnations in small ranges,
-``job`` labels from {none, t0, t1}, the ``state`` / ``hop`` / ``cause``
-arguments the summary looks at, span durations, and non-decreasing
-timestamps.  Three readings of one drawn trace must agree: the machine
+a few nobody reads, with ranks, nodes, epochs and incarnations in small
+ranges, ``job`` labels from {none, t0, t1}, the ``state`` / ``hop`` /
+``cause`` arguments the summary looks at, span durations, and
+non-decreasing timestamps.  Three readings of one drawn trace must agree: the machine
 subscribed to a real :class:`~repro.obs.Tracer` while the events are
 recorded, the machine replaying the recorded trace (:func:`summarize`),
 and the reference walks.  The walks merge tenants, so the per-tenant
 quantities (notification and recovery) are compared with the walks run
-over each tenant's events plus the unlabelled failure events; the
+over each tenant's events: its labelled ones, the crashes of the nodes
+its ``fmi.state`` last named, and the unlabelled failure events; the
 machine drops the walks' unread ``p50``, which is stripped before
 comparing.
 """
@@ -41,6 +42,7 @@ UNREAD = {"fmi.notify": ("recovery", "i"), "recovery.begin": ("recovery", "i"),
 NAMES = {**READ, **UNREAD}
 
 SMALL = st.integers(0, 3)  # ranks, epochs, hops
+NODES = st.one_of(st.none(), st.integers(0, 2))
 
 #: per name, the arguments its events may carry (each optional)
 ARGS = {
@@ -75,7 +77,7 @@ def _traces(draw):
         if job is not None:
             args["job"] = job
         trace.append((draw(st.sampled_from([0.0, 0.5, 1.0])), name,
-                      draw(SMALL), draw(st.integers(0, 1)),
+                      draw(SMALL), draw(NODES), draw(st.integers(0, 1)),
                       draw(st.one_of(st.none(), SMALL)),
                       draw(st.sampled_from([0.0, 0.25, 2.0])), args))
     return trace
@@ -89,17 +91,17 @@ def _record(trace):
     tracer = Tracer(sim)
     online = TraceSummary()
     online.subscribe(tracer)
-    for gap, name, rank, incarnation, epoch, dur, args in trace:
+    for gap, name, rank, node, incarnation, epoch, dur, args in trace:
         sim.now += gap
         cat, ph = NAMES[name]
         if ph == "X":
             start = sim.now
             sim.now += dur
-            tracer.complete(name, cat, start, rank=rank,
+            tracer.complete(name, cat, start, rank=rank, node=node,
                             incarnation=incarnation, epoch=epoch, **args)
         else:
-            tracer.instant(name, cat, rank=rank, incarnation=incarnation,
-                           epoch=epoch, **args)
+            tracer.instant(name, cat, rank=rank, node=node,
+                           incarnation=incarnation, epoch=epoch, **args)
     return tracer, online
 
 
@@ -109,9 +111,22 @@ def _no_p50(dists):
 
 
 def _tenant(events, job):
-    """``job``'s events and the unlabelled failure events."""
-    return [ev for ev in events if ev.args.get("job") == job
-            or (ev.cat == "failure" and "job" not in ev.args)]
+    """``job``'s events and the unlabelled failure events.  A crash
+    names no job: it is the job's whose ``fmi.state`` last named its
+    node, and unlabelled when none did."""
+    owner, mine = {}, []
+    for ev in events:
+        if ev.name == "fmi.state" and ev.node is not None:
+            owner[ev.node] = ev.args.get("job")
+        if ev.name == "node.crash":
+            keep = owner.get(ev.node) in (None, job)
+        elif ev.cat == "failure":
+            keep = ev.args.get("job") in (None, job)
+        else:
+            keep = ev.args.get("job") == job
+        if keep:
+            mine.append(ev)
+    return mine
 
 
 def _reading(machine):
@@ -149,20 +164,22 @@ def _walked(events):
 
 
 #: cases the random draws seldom hit: a tenant with no crash of its own
-#: falls back to the unlabelled injection (not to t1's crash), a crash
-#: at the very instant of the first notification opens its generation,
-#: and a notification with no epoch counts as generation 0
+#: falls back to the unlabelled injection (not to the crash of t1's
+#: node), a crash at the very instant of the first notification opens
+#: its generation, and a notification with no epoch counts as
+#: generation 0
 _TIES = [
-    (0.0, "failure.inject", 0, 0, None, 0.0, {}),
-    (0.5, "node.crash", 1, 0, None, 0.0, {"job": "t1"}),
-    (0.0, "overlay.notified", 2, 0, 1, 0.0, {"hop": 1, "job": "t0"}),
-    (0.0, "overlay.notified", 3, 0, None, 0.0, {"hop": 2, "job": "t1"}),
-    (0.5, "overlay.notified", 2, 1, 1, 0.0, {"job": "t0"}),
-    (0.0, "fmi.state", 0, 0, 0, 0.0, {"state": "H1", "job": "t0"}),
-    (0.5, "recovery", 0, 0, 1, 0.25, {"cause": "task[0]: node-crash",
-                                       "job": "t0"}),
-    (0.0, "fmi.state", 0, 0, 1, 0.0, {"state": "H3", "job": "t0"}),
-    (0.0, "ckpt.checkpoint", 0, 0, None, 0.0, {}),
+    (0.0, "fmi.state", 3, 1, 0, 0, 0.0, {"state": "H3", "job": "t1"}),
+    (0.0, "failure.inject", 0, None, 0, None, 0.0, {}),
+    (0.5, "node.crash", 1, 1, 0, None, 0.0, {}),
+    (0.0, "overlay.notified", 2, 0, 0, 1, 0.0, {"hop": 1, "job": "t0"}),
+    (0.0, "overlay.notified", 3, 1, 0, None, 0.0, {"hop": 2, "job": "t1"}),
+    (0.5, "overlay.notified", 2, 0, 1, 1, 0.0, {"job": "t0"}),
+    (0.0, "fmi.state", 0, 0, 0, 0, 0.0, {"state": "H1", "job": "t0"}),
+    (0.5, "recovery", 0, None, 0, 1, 0.25, {"cause": "task[0]: node-crash",
+                                             "job": "t0"}),
+    (0.0, "fmi.state", 0, 0, 0, 1, 0.0, {"state": "H3", "job": "t0"}),
+    (0.0, "ckpt.checkpoint", 0, 0, 0, None, 0.0, {}),
 ]
 
 
