@@ -137,12 +137,12 @@ class FmiContext(ParallelApi):
             if want:
                 t0 = self.now
                 payloads = pack(ckpts, nbytes)
-                family.note_ckpt_begin(self.world_rank, rs.loop_id, self.ctx)
+                family.note_ckpt_begin(self.rank, rs.loop_id, self.ctx)
                 meta = yield from self.engine.checkpoint(payloads, dataset_id=rs.loop_id)
                 rs.policy.record_checkpoint(self.now, self.now - t0)
                 rs.last_ckpt_loop = rs.loop_id
                 self.fmi_job.checkpoints_done += 1
-                family.note_rank_checkpoint(self.world_rank, rs.loop_id, self.ctx)
+                family.note_rank_checkpoint(self.rank, rs.loop_id, self.ctx)
                 if (
                     self.l2store is not None
                     and rs.loop_id >= self.fmi_job.next_l2_at

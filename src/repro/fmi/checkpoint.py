@@ -261,7 +261,7 @@ class CheckpointEngine:
         """Emit one ``ckpt`` span for this member (world identity)."""
         api = self.comm.api
         self.sim.tracer.complete(
-            name, "ckpt", start, rank=api.world_rank, node=api.node.id,
+            name, "ckpt", start, rank=api.rank, node=api.node.id,
             group_rank=self.comm.rank, group_size=self.comm.size,
             scheme=self.scheme.name, **args,
         )
@@ -273,7 +273,7 @@ class CheckpointEngine:
         engine keys mid-checkpoint fault injection off them."""
         api = self.comm.api
         self.sim.tracer.instant(
-            name, "ckpt", rank=api.world_rank, node=api.node.id, **args,
+            name, "ckpt", rank=api.rank, node=api.node.id, **args,
         )
 
     # -- local dataset bookkeeping -------------------------------------------

@@ -237,7 +237,7 @@ class RecoveryPlane(ChannelPlane):
         execution matched, in recorded order, until the determinant
         cursor reaches the failure point; from there it posts natively
         and records again."""
-        rank = fmi_ctx.world_rank
+        rank = fmi_ctx.rank
         det = self._next_det(rank, self.channels[rank], source, tag, comm_id)
         if det is None:
             return None
@@ -340,7 +340,7 @@ class RecoveryPlane(ChannelPlane):
         Runs inside the restarted rank's process (from ``FMI_Loop``).
         Returns ``(meta, payloads)`` like ``restore()``, or None on a
         group-wide cold start."""
-        rank = fmi_ctx.world_rank
+        rank = fmi_ctx.rank
         job = self.job
         sim = self.sim
         t0 = sim.now
@@ -383,7 +383,7 @@ class RecoveryPlane(ChannelPlane):
         ``CheckpointEngine`` with no application context touched."""
         job = self.job
         layout = job.xor_layout
-        rank = fmi_ctx.world_rank
+        rank = fmi_ctx.rank
         group = layout.group_of(rank)
         members = layout.members(group)
         size = len(members)

@@ -341,7 +341,7 @@ class ReplicationPlane(ChannelPlane):
         caller (the current lead, fully caught up on its own record)
         should post natively and let the sink record the match.
         """
-        rank = fmi_ctx.world_rank
+        rank = fmi_ctx.rank
         ctx = fmi_ctx.ctx
         det = self._next_det(rank, self.channels[ctx], source, tag, comm_id)
         if det is not None:
@@ -608,7 +608,7 @@ class ReplicationPlane(ChannelPlane):
     def _standby_sync(self, fmi_ctx, rec: _StandbyRec):
         job = self.job
         ctx = fmi_ctx.ctx
-        rank = fmi_ctx.world_rank
+        rank = fmi_ctx.rank
         t0 = self.sim.now
         while True:
             yield rec.sync

@@ -86,7 +86,7 @@ class ParallelApi:
     """
 
     __slots__ = ("transport", "sim", "ctx", "node", "addr_table",
-                 "world_rank", "world_size", "_comm_seq", "world",
+                 "rank", "size", "_comm_seq", "world",
                  "bytes_sent", "msgs_sent", "_hop_only")
 
     ANY_SOURCE = ANY_SOURCE
@@ -100,7 +100,7 @@ class ParallelApi:
     fproc = recovery = _NoFaultTolerance
 
     def __init__(self, transport: Transport, ctx: NetContext,
-                 world_rank: int, world_size: int,
+                 rank: int, size: int,
                  addr_table: Dict[int, Tuple[int, int]]):
         self.transport = transport
         self.sim = transport.sim
@@ -109,10 +109,11 @@ class ParallelApi:
         #: world rank -> transport address; the owner mutates it in
         #: place when a rank moves, so every holder sees the new route
         self.addr_table = addr_table
-        self.world_rank = world_rank
-        self.world_size = world_size
+        #: world rank and size: plain data, read on every call of an app
+        self.rank = rank
+        self.size = size
         self._comm_seq = WORLD_ID
-        self.world = Communicator(self, WORLD_ID, _world_members(world_size))
+        self.world = Communicator(self, WORLD_ID, _world_members(size))
         #: bytes sent by this rank (observability)
         self.bytes_sent = 0.0
         self.msgs_sent = 0
@@ -134,14 +135,6 @@ class ParallelApi:
         return self._comm_seq
 
     # -- world-communicator sugar -----------------------------------------------
-    @property
-    def rank(self) -> int:
-        return self.world_rank
-
-    @property
-    def size(self) -> int:
-        return self.world_size
-
     def send(self, dst: int, data: Any, nbytes: Optional[float] = None,
              tag: int = 0):
         return self.world.send_async(dst, data, nbytes, tag)

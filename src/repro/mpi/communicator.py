@@ -46,7 +46,7 @@ class Communicator:
     __slots__ = ("api", "id", "members", "rank", "size")
 
     def __init__(self, api, comm_id: int, members: List[int]):
-        if api.world_rank not in members:
+        if api.rank not in members:
             raise ValueError("cannot build a communicator I am not a member of")
         self.api = api
         self.id = comm_id
@@ -54,7 +54,7 @@ class Communicator:
         # ways, and costs no per-rank memory -- at 16k ranks a copied
         # world members list would be O(n^2) bytes across the job.
         self.members = members if type(members) is range else list(members)
-        self.rank = self.members.index(api.world_rank)
+        self.rank = self.members.index(api.rank)
         self.size = len(self.members)
 
     # -- point-to-point (events) ------------------------------------------
@@ -89,7 +89,7 @@ class Communicator:
         if on_send is not None:
             # the plane's look at every outgoing envelope: lseq
             # stamping, sender-side logging, mirror clones
-            on_send(api.world_rank, dst_world, env, ctx)
+            on_send(api.rank, dst_world, env, ctx)
         return api.transport.send(ctx, api.addr_table[dst_world], env)
 
     def post_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):

@@ -99,8 +99,9 @@ class _Instance:
         self.consulted = 0
         #: ranks that have joined so far
         self.joined = 0
-        # rank-indexed; every slot is filled by the time _complete runs
-        self.args: List[Optional[tuple]] = [None] * size
+        # rank-indexed; every slot is filled by the time _complete
+        # runs, which drops ``args`` and whose bulk empties ``events``
+        self.args: Optional[List[Optional[tuple]]] = [None] * size
         self.events: List[Optional[Event]] = [None] * size
         self.bulk: Optional[BulkCompletion] = None
 
@@ -114,7 +115,8 @@ class _Instance:
         ``next()``.
         """
         api = comm.api
-        api._check_ok()
+        if api.fproc.notified_pending:
+            api._check_ok()
         evt = Event(api.sim)
         self.args[comm.rank] = args
         self.events[comm.rank] = evt
@@ -243,9 +245,11 @@ class MacroCollectives:
     def _complete(self, inst: _Instance, comm) -> None:
         """Last rank arrived: compute results, price, schedule."""
         results, sizes_sig, root = _FINISH[inst.kind](inst)
+        inst.args = None  # read: nothing holds a rank's inputs past here
         duration = self._duration(comm, inst.kind, sizes_sig, root)
+        # the bulk clears each event and result as it hands it over
         inst.bulk = BulkCompletion(self.transport.sim, duration,
-                                   zip(inst.events, results))
+                                   inst.events, results)
         inst.bulk.callbacks.append(lambda _e: self._live.discard(inst))
         self.macro_events += 1
 

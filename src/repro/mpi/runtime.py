@@ -23,6 +23,7 @@ latency and a fresh ``MPI_Init`` every time.
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Callable, List, Optional
 
 from repro.cluster.machine import Machine
@@ -61,8 +62,12 @@ class MpiRankProcess(RankProcess):
         api = MpiApi(job.transport, self.ctx, self.rank, job.num_ranks,
                      job.addr_table)
         api.job = job  # SCR & apps reach machine-level services through this
-        result = yield job.app(api)  # handed off (simt.process)
-        return result
+        app = job.app(api)
+        if app.__class__ is not GeneratorType:
+            # not a body: an event is waited on, anything else is named
+            # by the trampoline
+            return (yield app)
+        return app  # the tail hand-off (simt.process): nothing left to do
 
 
 class FailStop(FaultPolicy):

@@ -106,25 +106,32 @@ class _Unexpected:
 
 
 class MatchingEngine:
-    """Per-process matching state: posted receives + unexpected queue."""
+    """Per-process matching state: posted receives + unexpected queue.
 
-    #: optional observer called as ``match_sink(source, tag, env)`` with
-    #: the *posted pattern* and the envelope, just before each match
-    #: fires.  The message-logging recovery plane uses it to track
-    #: consumption and to record wildcard-match determinants.
-    match_sink = None
+    Slotted, one per rank context."""
 
-    #: the unexpected index until the first arrival is filed: read-only
-    #: and shared, so an engine whose receives are always posted first
-    #: carries no empty dict of its own
-    _unexpected: Mapping[_BucketKey, Deque[_Unexpected]] = _NO_ARRIVALS
+    __slots__ = ("sim", "match_sink", "_posted", "_unexpected", "_post_seq",
+                 "_unexpected_live", "_wild", "_sweep_debt", "_sweep_at",
+                 "delivered", "matched_unexpected", "matched_posted",
+                 "pruned_dead", "swept_dead", "cancelled_total",
+                 "purged_total")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
+        #: optional observer called as ``match_sink(source, tag, env)``
+        #: with the *posted pattern* and the envelope, just before each
+        #: match fires.  The message-logging recovery plane uses it to
+        #: track consumption and to record wildcard-match determinants.
+        self.match_sink = None
         self._posted: Dict[
             _BucketKey, Union[_PostedRecv, Deque[_PostedRecv]]
         ] = {}
+        #: the unexpected index until the first arrival is filed: a
+        #: read-only mapping shared by every engine, so one whose
+        #: receives are always posted first carries no empty dict
+        self._unexpected: Mapping[_BucketKey, Deque[_Unexpected]] = _NO_ARRIVALS
         self._post_seq = 0
+        #: arrivals waiting unclaimed; while 0 a post looks up nothing
         self._unexpected_live = 0
         #: a wildcard pattern has been posted or probed: the three
         #: wildcard keys of every arrival are in use
@@ -155,24 +162,26 @@ class MatchingEngine:
             self._open_wildcards()
         # First look in the unexpected queue (oldest first: FIFO).  A
         # post consults exactly one bucket -- its own pattern -- so no
-        # probe object and no scan are needed.
+        # probe object and no scan are needed; and none at all while no
+        # arrival waits (taken aliases left behind are swept as ever).
         key = (comm_id, source, tag)
-        dq = self._unexpected.get(key)
-        if dq is not None:
-            while dq and dq[0].taken:
-                dq.popleft()
-            if dq:
-                rec = dq.popleft()
-                rec.taken = True
-                self._unexpected_live -= 1
-                if self._wild:  # three stale aliases stay behind
-                    self._note_debt()
-                self.matched_unexpected += 1
-                if self.match_sink is not None:
-                    self.match_sink(source, tag, rec.env)
-                evt.succeed(rec.env)
-                return evt
-            del self._unexpected[key]
+        if self._unexpected_live:
+            dq = self._unexpected.get(key)
+            if dq is not None:
+                while dq and dq[0].taken:
+                    dq.popleft()
+                if dq:
+                    rec = dq.popleft()
+                    rec.taken = True
+                    self._unexpected_live -= 1
+                    if self._wild:  # three stale aliases stay behind
+                        self._note_debt()
+                    self.matched_unexpected += 1
+                    if self.match_sink is not None:
+                        self.match_sink(source, tag, rec.env)
+                    evt.succeed(rec.env)
+                    return evt
+                del self._unexpected[key]
         rec = _PostedRecv()
         rec.source = source
         rec.tag = tag

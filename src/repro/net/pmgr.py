@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.simt.kernel import Event, Simulator
+from repro.simt.kernel import _PENDING, Event, Simulator
 
 __all__ = ["PmgrRendezvous"]
 
@@ -71,5 +71,5 @@ class PmgrRendezvous:
         # would otherwise hold one per rank for the whole run
         arrived, self._arrived = self._arrived, []
         for evt in arrived:
-            if evt.callbacks is not None and not evt.triggered:
+            if evt.callbacks is not None and evt._value is _PENDING:
                 evt.succeed(None)

@@ -10,7 +10,8 @@ attached at construction decides what happens when a rank dies:
 :class:`RankProcess` wraps one rank's simulated process: it creates
 the rank's network context, spawns the stack-specific body (which
 first charges the spawn + exec-load boot latency), and routes the
-process's exit event to the job's fault policy.
+process's exit event to the job's fault policy: the rank is the exit
+event's callback itself, no bound method per rank.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.cluster.machine import Machine
 from repro.cluster.node import Node
 from repro.net.transport import NetContext, Transport
-from repro.simt.kernel import Event
+from repro.simt.kernel import _PENDING, Event
 
 __all__ = [
     "FaultPolicy", "JobAborted", "JobBase", "RankProcess", "check_geometry",
@@ -62,7 +63,7 @@ class RankProcess:
         self.sim = job.sim
         self.ctx: NetContext = job.transport.create_context(node, self._ctx_label())
         self.proc = node.spawn(self._main(), name=self._proc_name())
-        self.proc.callbacks.append(self._dispatch_exit)
+        self.proc.callbacks.append(self)  # the exit hook: __call__
 
     # -- naming hooks -------------------------------------------------------
     def _ctx_label(self) -> str:
@@ -86,11 +87,13 @@ class RankProcess:
         the rank: every resume walks the ``yield from`` chain above the
         yield it stopped at, so a level that only forwards (a base
         ``_main`` relaying to a hook) is a call per resume.  The body
-        hands the application off with a bare ``yield`` (``simt.process``),
-        so it is not such a level either."""
+        hands the application off (``simt.process``) -- with a bare
+        ``yield`` when it has work after the application, else by
+        returning it -- so it is not such a level either."""
         raise NotImplementedError
 
-    def _dispatch_exit(self, proc_evt: Event) -> None:
+    def __call__(self, proc_evt: Event) -> None:
+        """The process's exit: route it to the job's fault policy."""
         self.job.policy.on_rank_exit(self, proc_evt)
 
 
@@ -223,7 +226,7 @@ class JobBase:
 
     # -- completion & abort --------------------------------------------------
     def rank_finished(self, rank: int, result: Any) -> None:
-        if self.done.triggered:
+        if self.done._value is not _PENDING:  # once per rank: no property
             return
         self.finished_ranks.add(rank)
         self.results[rank] = result

@@ -88,10 +88,12 @@ class TenantRecord:
 
     @property
     def wait_s(self) -> Optional[float]:
-        """Queue wait of the first start (the sched.wait_s metric)."""
-        if self.started_at is None or self.submitted_at is None:
+        """Queue wait of the first start (the sched.wait_s metric): a
+        restart moves ``started_at``, not the first attempt's start."""
+        first = self.attempts[0][0] if self.attempts else self.started_at
+        if first is None or self.submitted_at is None:
             return None
-        return self.started_at - self.submitted_at
+        return first - self.submitted_at
 
     @property
     def service_s(self) -> Optional[float]:

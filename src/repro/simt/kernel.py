@@ -56,7 +56,7 @@ Hot-path notes (this is the innermost loop of every simulation):
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.tracer import NULL_TRACER
 
@@ -247,13 +247,16 @@ class BulkCompletion(Event):
 
     The macro-event collective fast path schedules a single
     ``BulkCompletion`` where the hop-level engine would schedule
-    O(n log n) per-message events: ``batch`` is any iterable of
-    ``(event, value)`` pairs -- consumed once, when the bulk event
-    fires, so a lazy ``zip`` need never become 16k tuples -- and every
-    batch event then succeeds with its value *without ever touching
-    the heap*: their callbacks run inline, in batch order, at the bulk
-    event's timestamp.  Cancelled or already-triggered batch entries
-    are skipped (a waiter killed mid-flight must not be resumed).
+    O(n log n) per-message events: ``events[k]`` succeeds with
+    ``values[k]`` *without ever touching the heap* -- their callbacks
+    run inline, as :meth:`Simulator.run` runs a popped event's, in list
+    order, at the bulk event's timestamp.  Cancelled or
+    already-triggered entries are skipped (a waiter killed mid-flight
+    must not be resumed).  Each slot of both lists is cleared the moment
+    it is walked: the lists are the caller's, and a batch dispatched so
+    far holds neither the events nor the values it has handed over --
+    a woken rank's next operation starts while the rest are still being
+    walked.
 
     Dispatch happens through an ordinary callback so it works under
     both :meth:`Simulator.step` and the inlined :meth:`Simulator.run`
@@ -268,27 +271,38 @@ class BulkCompletion(Event):
     leaves the events completed so far, its own included, counted.
     """
 
-    __slots__ = ("_batch",)
+    __slots__ = ("_events", "_values")
 
     def __init__(self, sim: "Simulator", delay: float,
-                 batch: Iterable[tuple]):
+                 events: List[Event], values: List[Any]):
         super().__init__(sim)
-        self._batch = batch
+        self._events = events
+        self._values = values
         self.callbacks.append(self._dispatch)
         self._ok = True
         self._value = None
         sim._push(self, delay)
 
     def _dispatch(self, _evt: Event) -> None:
+        events, values = self._events, self._values
+        self._events = self._values = ()
         done = 0
         try:
-            for evt, value in self._batch:
+            for k, evt in enumerate(events):
+                value = values[k]
+                events[k] = values[k] = None
                 if evt._cancelled or evt._value is not _PENDING:
                     continue
                 evt._ok = True
                 evt._value = value
                 done += 1
-                evt._run_callbacks()
+                # Event._run_callbacks, inlined as in Simulator.run
+                evt._processed = True
+                callbacks = evt.callbacks
+                evt.callbacks = None
+                if callbacks is not None:
+                    for cb in callbacks:
+                        cb(evt)
         finally:
             self.sim._stats.events_processed += done
 
@@ -303,7 +317,7 @@ class BulkCompletion(Event):
         if self._processed or self._cancelled:
             return False
         self._cancelled = True
-        self._batch = ()
+        self._events = self._values = ()
         self.callbacks = None
         hook = self._cancel_cb
         if hook is not None:

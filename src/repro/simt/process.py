@@ -23,6 +23,14 @@ exactly where ``yield from`` would deliver it.  The difference is the
 cost: under ``yield from`` every resume of the subroutine enters the
 body's frame only to forward into it.  A rank's runtime body hands its
 application over this way; application code keeps ``yield from``.
+
+A body that *returns* a generator makes the *tail hand-off*: that
+generator becomes the body, and the process ends with its outcome.  A
+runtime body with nothing left to do after the application (the MPI
+rank's) ends with ``return app`` and is gone -- no frame kept for the
+whole run, no resume at the end only to pass the result on.  A
+handed-off subroutine's return value is not a body: it goes back to the
+caller, generator or not.
 """
 
 from __future__ import annotations
@@ -92,7 +100,8 @@ class Process(Event):
     subroutine runs, ``generator`` is the subroutine and ``_caller``
     the body that yielded it.  There is one caller slot, not a stack: a
     subroutine that yields a generator in turn fails the process with
-    :class:`~repro.simt.kernel.SimulationError`.
+    :class:`~repro.simt.kernel.SimulationError`.  Returning a generator
+    from the body replaces ``generator`` with it (the tail hand-off).
     """
 
     __slots__ = ("generator", "name", "_target", "_killed", "_resume_cb",
@@ -216,6 +225,12 @@ class Process(Event):
                 value = exc.value if ok else exc
                 caller = self._caller
                 if caller is None:
+                    if ok and value.__class__ is GeneratorType:
+                        # the tail hand-off: the returned generator is
+                        # the body from here on
+                        gen = self.generator = value
+                        value = None
+                        continue
                     sim._active_proc = None
                     self._ok = ok
                     self._value = value

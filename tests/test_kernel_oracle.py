@@ -85,9 +85,9 @@ def _drive(sim_cls, ops, plan):
             return
         elif kind == "bulk":  # one entry; its batch is dispatched inline
             evt = sim.event()
-            BulkCompletion(sim, delay, [(evt, None)])
+            BulkCompletion(sim, delay, [evt], [None])
         elif kind == "inert":  # a cancelled bulk stays in its bucket
-            BulkCompletion(sim, delay, [(sim.event(), None)]).cancel()
+            BulkCompletion(sim, delay, [sim.event()], [None]).cancel()
             return
         elif kind == "ties":  # five entries on one float
             for _ in range(4):
@@ -338,7 +338,7 @@ def test_inert_entries_inside_a_bucket_dispatch_nothing():
     log = []
     _due(sim, log, 1.0, 1, "a")
     inner = sim.event()
-    BulkCompletion(sim, 1.0, [(inner, None)]).cancel()
+    BulkCompletion(sim, 1.0, [inner], [None]).cancel()
     pipe = BandwidthResource(sim, 100.0)
     pipe.transfer(100.0)  # armed for t=1.0, inert once a flow due
     pipe.transfer(20.0).callbacks.append(  # earlier (t=0.4) comes in

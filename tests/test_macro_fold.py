@@ -8,8 +8,12 @@ the size is a power of two, every rank passed the same
 rank by rank through the operator and ``snapshot``.  Both walk the
 same schedule with the same operands in the same order, so the results
 must agree to the bit and to the class -- and inputs that need a
-decision per element must never take the mapped lane.
+decision per element must never take the mapped lane.  Once folded,
+the instance lets go of the inputs, and the bulk completion of each
+rank's join event and result as it resumes the rank.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -19,10 +23,10 @@ from hypothesis import strategies as st
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi.payload import Payload
-from repro.mpi import ops
+from repro.mpi import macro, ops
 from repro.mpi.macro import _allreduce_results, _round_fn
 from repro.mpi.runtime import MpiJob
-from repro.simt import Simulator
+from repro.simt import Event, Simulator
 from repro.simt.rng import RngRegistry
 from tests.collective_engine import pinned_engine
 
@@ -173,3 +177,49 @@ def test_ndarray_allreduce_gives_every_rank_its_own_array(size):
         mine += 100.0 * (r + 1)  # in place
         for other in results[r + 1:]:
             assert np.array_equal(other, np.full(3, total))
+
+
+def test_the_bulk_lets_go_of_each_rank_it_resumes(monkeypatch):
+    # The bulk resumes the ranks inline in rank order, each running on
+    # to its next operation before the next rank is resumed.  When the
+    # last one runs, nothing may still hold an earlier rank's join
+    # event, any rank's inputs, or a result its rank has dropped.
+    size = 8
+    joins, inputs, results, held = [], [], [], []
+
+    class Watched(Event):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, sim):
+            super().__init__(sim)
+            joins.append(weakref.ref(self))
+
+    monkeypatch.setattr(macro, "Event", Watched)
+
+    def contribution(rank):
+        value = np.full(3, float(rank))
+        inputs.append(weakref.ref(value))
+        return value
+
+    def app(api):
+        result = yield from api.allreduce(contribution(api.rank))
+        results.append(weakref.ref(result))
+        del result
+        if api.rank == size - 1:
+            held.append((
+                sum(ref() is not None for ref in joins),
+                sum(ref() is not None for ref in inputs),
+                sum(ref() is not None for ref in results),
+            ))
+        yield api.elapse(1.0)
+
+    with pinned_engine("macro"):
+        sim = Simulator()
+        machine = Machine(sim, SIERRA.with_nodes(size), RngRegistry(0))
+        job = MpiJob(machine, app, size, charge_init=False)
+        sim.run(until=job.launch())
+    assert job.transport.macro.instances_macro == 1
+    assert len(joins) == len(inputs) == len(results) == size
+    # what is left is the last rank's own join event, still being
+    # dispatched, and the result it carries
+    assert held == [(1, 0, 1)]

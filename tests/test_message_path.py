@@ -78,7 +78,7 @@ def _send_seq(api, dst_world):
     """Rank->``dst_world`` channel sequence of ``api``'s family (the
     logged plane keys channels by rank, the replicated one by context)."""
     channels = api.recovery.channels
-    chan = channels[api.world_rank] if isinstance(channels, list) else channels[api.ctx]
+    chan = channels[api.rank] if isinstance(channels, list) else channels[api.ctx]
     return chan.send_seq.get(dst_world, 0)
 
 
@@ -369,8 +369,8 @@ def test_rebuild_ensemble_is_plain_mpi_at_epoch_zero(monkeypatch):
         assert not hasattr(api, "__dict__")  # class-level fproc / recovery
         assert api.ctx.label.startswith("mlog:rebuild:")
         assert api.ctx.epoch == 0 and api.ctx.closed
-        assert sorted(api.addr_table) == list(range(api.world_size))
-        assert api.addr_table[api.world_rank] == api.ctx.addr
+        assert sorted(api.addr_table) == list(range(api.size))
+        assert api.addr_table[api.rank] == api.ctx.addr
     side_traffic = [(addr, env) for ctx, addr, env in sent
                     if ctx in rebuild_ctxs]
     assert side_traffic and sum(api.msgs_sent for api in sidecars) == len(

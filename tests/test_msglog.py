@@ -227,7 +227,7 @@ class _StubApi:
     """What ``post_wildcard`` touches of an ``FmiContext``."""
 
     def __init__(self, sim, rank):
-        self.world_rank = rank
+        self.rank = rank
         self.ctx = SimpleNamespace(matching=MatchingEngine(sim))
 
     def _check_ok(self):
@@ -250,9 +250,9 @@ def test_post_wildcard_replays_in_order_then_stops():
     assert (chan.det_cursor, len(plane.dets[1])) == (0, 2)
     api = _StubApi(job.sim, 1)
     posted = []
-    api.ctx.matching.post = lambda src, tag, comm: (
+    api.ctx.matching = SimpleNamespace(post=lambda src, tag, comm: (
         posted.append((src, tag, comm)) or job.sim.event()
-    )
+    ))
     assert plane.post_wildcard(api, ANY_SOURCE, 7, 0) is not None
     assert plane.post_wildcard(api, ANY_SOURCE, 7, 0) is not None
     # Rewritten to the recorded sources, in recorded order...

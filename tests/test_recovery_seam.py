@@ -235,7 +235,7 @@ def _logged_rule(sim, posted):
     plane = _logged_plane(sim)
     chan = plane.channels[1]
     fproc = SimpleNamespace(rank=1)
-    api = SimpleNamespace(world_rank=1, fproc=fproc, ctx=_Ctx(posted))
+    api = SimpleNamespace(rank=1, fproc=fproc, ctx=_Ctx(posted))
     return plane, 1, plane._make_sink(fproc, chan), chan, api
 
 
@@ -248,7 +248,7 @@ def _replicated_rule(sim, posted):
     sink = plane._make_sink(lead, plane.channels.setdefault(
         lead.ctx, ChannelState()))
     chan = plane.channels[follower.ctx] = ChannelState()
-    api = SimpleNamespace(world_rank=0, fproc=follower, ctx=follower.ctx)
+    api = SimpleNamespace(rank=0, fproc=follower, ctx=follower.ctx)
     return plane, 0, sink, chan, api
 
 

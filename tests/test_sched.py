@@ -16,6 +16,8 @@ Plus focused unit tests for the scheduler policies (FCFS, EASY
 backfill, preempt-low-priority, rejection) on hand-built streams.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,20 @@ def test_e2e_metrics_segregated_per_tenant(e2e):
             assert restarts == 0
         # Every tenant's queue wait was recorded exactly once.
         assert metrics.histogram("sched.wait_s", job=rec.job_id).count == 1
+
+
+def test_e2e_a_restarted_tenant_waited_once(e2e):
+    # The record and the ``sched.finish`` event read the first start,
+    # as the metric does: the relaunch is service, not queue wait.
+    summary, jsonl, metrics, _, _ = e2e
+    rec = next(r for r in summary.records if r.spec.name == "fs-a")
+    assert rec.job_id == "fs-a#3" and rec.restarts >= 1
+    wait = metrics.histogram("sched.wait_s", job=rec.job_id)
+    assert wait.count == 1 and rec.wait_s == wait.total == 0.0
+    finish = [ev for ev in map(json.loads, jsonl.splitlines())
+              if ev["name"] == "sched.finish"
+              and ev["args"]["job"] == rec.job_id]
+    assert [ev["args"]["wait"] for ev in finish] == [rec.wait_s]
 
 
 def test_e2e_no_node_double_booked(e2e):

@@ -92,7 +92,7 @@ def test_nan_delay_rejected_at_every_entry_point():
     with pytest.raises(SimulationError, match="nan"):
         sim.event().fail(RuntimeError("x"), delay=nan)
     with pytest.raises(SimulationError, match="nan"):
-        BulkCompletion(sim, nan, [(sim.event(), None)])
+        BulkCompletion(sim, nan, [sim.event()], [None])
     with pytest.raises(SimulationError, match="past"):
         sim.event().succeed(delay=-1.0)
     assert sim.peek() == float("inf")  # nothing was scheduled
@@ -111,7 +111,7 @@ def test_infinite_delay_rejected_at_every_entry_point():
     with pytest.raises(SimulationError, match="inf"):
         sim.event().fail(RuntimeError("x"), delay=inf)
     with pytest.raises(SimulationError, match="inf"):
-        BulkCompletion(sim, inf, [(sim.event(), None)])
+        BulkCompletion(sim, inf, [sim.event()], [None])
     with pytest.raises(ValueError, match="completion time is inf"):
         BandwidthResource(sim, 10.0).transfer(inf)
     assert sim.peek() == inf and sim.stats.peak_heap == 0
@@ -422,7 +422,7 @@ def _drive_counting_depth(ops, stepwise):
         elif kind == "bulk":  # one entry; its batch is dispatched inline
             inner = sim.event()
             inner.callbacks.append(fired)
-            BulkCompletion(sim, delay, [(inner, None)])
+            BulkCompletion(sim, delay, [inner], [None])
         elif kind == "pipe":  # later-due flows only reserve a deadline
             pipe.transfer(50.0 + 100.0 * delay, overhead=delay / 4
                           ).callbacks.append(fired)
@@ -533,7 +533,7 @@ def test_bulk_completion_fires_batch_in_order():
     fired = []
     for i, evt in enumerate(events):
         evt.callbacks.append(lambda e, i=i: fired.append((sim.now, i, e.value)))
-    BulkCompletion(sim, 2.0, [(evt, i * 10) for i, evt in enumerate(events)])
+    BulkCompletion(sim, 2.0, list(events), [i * 10 for i in range(4)])
     sim.run()
     assert sim.now == 2.0
     assert fired == [(2.0, 0, 0), (2.0, 1, 10), (2.0, 2, 20), (2.0, 3, 30)]
@@ -547,7 +547,7 @@ def test_bulk_completion_skips_cancelled_and_triggered_entries():
     c.succeed("early")
     fired = []
     a.callbacks.append(lambda e: fired.append(e.value))
-    BulkCompletion(sim, 1.0, [(a, "A"), (b, "B"), (c, "C")])
+    BulkCompletion(sim, 1.0, [a, b, c], ["A", "B", "C"])
     sim.run()
     assert fired == ["A"]
     assert b.cancelled and not b.processed
@@ -557,7 +557,7 @@ def test_bulk_completion_skips_cancelled_and_triggered_entries():
 def test_bulk_completion_cancel_drops_whole_batch():
     sim = Simulator()
     events = [Event(sim) for _ in range(3)]
-    bulk = BulkCompletion(sim, 1.0, [(e, None) for e in events])
+    bulk = BulkCompletion(sim, 1.0, list(events), [None] * 3)
     assert bulk.cancel()
     sim.run()
     assert all(not e.processed and not e.triggered for e in events)
@@ -574,17 +574,27 @@ def test_bulk_completion_resumes_waiting_processes():
 
     for i, evt in enumerate(events):
         sim.spawn(waiter(evt))
-    BulkCompletion(sim, 0.5, [(e, i) for i, e in enumerate(events)])
+    BulkCompletion(sim, 0.5, list(events), [0, 1, 2])
     sim.run()
     assert got == [(0.5, 0), (0.5, 1), (0.5, 2)]
 
 
-def test_bulk_completion_accepts_a_lazy_batch():
+def test_bulk_completion_drops_each_entry_once_dispatched():
     sim = Simulator()
     events = [Event(sim) for _ in range(3)]
-    BulkCompletion(sim, 1.0, zip(events, "abc"))  # iterable, consumed once
+    batch, values = list(events), list("abc")
+    seen = []
+    for evt in events:
+        # what the bulk still holds while this event's callbacks run
+        evt.callbacks.append(lambda _e: seen.append((list(batch), list(values))))
+    bulk = BulkCompletion(sim, 1.0, batch, values)
     sim.run()
     assert [e.value for e in events] == ["a", "b", "c"]
+    assert seen == [
+        ([None] * k + events[k:], [None] * k + list("abc")[k:])
+        for k in range(1, 4)
+    ]
+    assert (bulk._events, bulk._values) == ((), ())
     assert sim.stats.events_processed == 4
 
 
@@ -603,7 +613,7 @@ def test_bulk_completion_counts_an_event_before_its_callbacks_run(drive):
         raise RuntimeError("boom")
 
     events[2].callbacks.append(boom)
-    BulkCompletion(sim, 1.0, [(e, None) for e in events])
+    BulkCompletion(sim, 1.0, list(events), [None] * 5)
     sim.timeout(2.0)
     with pytest.raises(RuntimeError, match="boom"):
         sim.run() if drive == "run" else sim.step()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simt import Interrupt, Process, ProcessKilled, Simulator
+from repro.simt.process import wait_chain
 from repro.simt.kernel import SimulationError
 
 
@@ -378,6 +379,92 @@ def test_kill_closes_the_subroutine_then_the_body():
     assert log == [("sub-finally", 1.0), ("body-finally", 1.0)]
     assert isinstance(proc.value, ProcessKilled)
     assert proc.generator.gi_frame is None  # the body, closed
+
+
+# ----------------------------------------------------------- tail hand-off
+def _tail_program(sim, log, end="return"):
+    """A body that boots, then returns its tail: the tail is the body."""
+
+    def tail():
+        try:
+            got = yield sim.timeout(1.0, value="tick")
+            log.append(("tail", sim.now, got))
+            yield sim.timeout(1.0)
+            if end == "raise":
+                raise ValueError("tail failed")
+            return "tail-done"
+        finally:
+            log.append(("tail-finally", sim.now))
+
+    def body():
+        yield sim.timeout(0.5)
+        log.append(("body", sim.now))
+        return tail()
+
+    return body()
+
+
+def test_a_returned_generator_is_the_body_and_gives_the_value():
+    sim = Simulator()
+    log = []
+    body = _tail_program(sim, log)
+    proc = sim.spawn(body, name="rank")
+    sim.run()
+    assert proc.ok and proc.value == "tail-done"
+    assert log == [("body", 0.5), ("tail", 1.5, "tick"), ("tail-finally", 2.5)]
+    assert body.gi_frame is None and proc.generator is not body
+    assert sim.stats.events_processed == 5  # boot, 3 timeouts, the join
+
+
+def test_a_tail_that_raises_fails_the_process():
+    sim = Simulator()
+    log = []
+    proc = sim.spawn(_tail_program(sim, log, end="raise"), name="rank")
+    sim.run()
+    assert not proc.ok and isinstance(proc.value, ValueError)
+    assert log[-1] == ("tail-finally", 2.5)
+
+
+def test_kill_during_the_tail_closes_it():
+    sim = Simulator()
+    log = []
+    proc = sim.spawn(_tail_program(sim, log), name="rank")
+    sim.timeout(1.0).callbacks.append(lambda _e: proc.kill("crash"))
+    sim.run()
+    assert isinstance(proc.value, ProcessKilled)
+    assert log == [("body", 0.5), ("tail-finally", 1.0)]
+    assert proc.generator.gi_frame is None  # the tail, closed
+
+
+def test_wait_chain_names_the_process_running_its_tail():
+    sim = Simulator()
+    proc = sim.spawn(_tail_program(sim, []), name="rank")
+    sim.run(until=1.0)
+    assert wait_chain(proc) == (
+        "process 'rank' \u2192 Timeout (triggered, 1 callback)")
+
+
+def test_a_subroutine_that_returns_a_generator_returns_it():
+    # only the body's own return is a tail: a handed-off subroutine's
+    # value goes back to its caller, generator or not
+    sim = Simulator()
+
+    def gen():
+        yield sim.timeout(1.0)
+
+    made = gen()
+
+    def sub():
+        yield sim.timeout(1.0)
+        return made
+
+    def body():
+        got = yield sub()
+        return got is made
+
+    proc = sim.spawn(body())
+    sim.run()
+    assert proc.value is True and sim.now == 1.0
 
 
 @pytest.mark.parametrize("flavour", ["mpi", "fmi"])
