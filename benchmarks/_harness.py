@@ -14,10 +14,8 @@ Scale control via ``REPRO_BENCH_SCALE``:
 * ``full`` -- the paper's full process counts (up to 1,536).
 
 This module is where the suite's environment is parsed: ``SCALE``,
-``REPRO_BENCH_PROCS`` (see :data:`PROC_COUNTS`), ``REPRO_BENCH_ID``
-(see :func:`emit`) and ``REPRO_COLLECTIVES`` (``auto``/``hops``/
-``macro``), which becomes one ``set_collective_mode`` call at import
--- the library itself never reads the environment.
+``REPRO_BENCH_PROCS`` (see :data:`PROC_COUNTS`) and ``REPRO_BENCH_ID``
+(see :func:`emit`) -- the library itself never reads the environment.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA, ClusterSpec
-from repro.mpi.collectives import set_collective_mode
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
@@ -39,14 +36,11 @@ if SCALE not in ("smoke", "quick", "full"):
     raise ValueError(f"REPRO_BENCH_SCALE must be smoke/quick/full, not {SCALE!r}")
 FULL = SCALE == "full"
 
-# An invalid value fails here, loudly, before any bench runs.
-set_collective_mode(os.environ.get("REPRO_COLLECTIVES", "auto").strip().lower())
-
 #: Fig 12/13/14/15 x-axis (processes at 12 per node).  Overridable via
 #: ``REPRO_BENCH_PROCS`` (space/comma separated) so the figure benches
 #: can be pushed to macro-tier counts, e.g.::
 #:
-#:     REPRO_BENCH_PROCS="1536 6144 16128" REPRO_COLLECTIVES=macro \
+#:     REPRO_BENCH_PROCS="1536 6144 16128" \
 #:         python -m pytest benchmarks/bench_fig14_init_time.py ...
 #:
 #: (counts must stay divisible by :data:`PROCS_PER_NODE`; 16,128 is the

@@ -78,11 +78,11 @@ class TraceInvariants(TraceReader):
     """
 
     EVENTS = (
-        "net.recv", "fmi.state", "fmi.notify", "recovery.begin", "chaos.inject",
-        "node.crash", "overlay.suspect", "overlay.suspect.cleared",
-        "overlay.notified", "mlog.log", "mlog.rewind", "ckpt.restore.begin",
-        "repl.fallback", "repl.promote", "repl.replica_lost",
-        "repl.standby.register", "repl.standby.sync",
+        "net.recv", "mpi.collective", "fmi.state", "fmi.notify",
+        "recovery.begin", "chaos.inject", "node.crash", "overlay.suspect",
+        "overlay.suspect.cleared", "overlay.notified", "mlog.log",
+        "mlog.rewind", "ckpt.restore.begin", "repl.fallback", "repl.promote",
+        "repl.replica_lost", "repl.standby.register", "repl.standby.sync",
     )
 
     def __init__(self) -> None:
@@ -113,6 +113,9 @@ class TraceInvariants(TraceReader):
                 f"in an epoch-{args['ctx_epoch']} context at t={ev.ts:.6g}")))
         if "lseq" in args:
             self._delivered[tuple(args["lseq"])] = None
+
+    # a macro collective instance is one delivery to all of its ranks
+    _on_mpi_collective = _on_net_recv
 
     def _on_fmi_state(self, ev) -> None:
         jid = ev.args.get("job")
@@ -291,7 +294,10 @@ def check_epoch_monotone(tracer) -> List[Violation]:
 def check_no_stale_delivery(tracer) -> List[Violation]:
     """No envelope from an older epoch was delivered into a context:
     every ``net.recv`` carries its context's epoch (``ctx_epoch``), and
-    an older envelope means the transport's epoch filter was bypassed."""
+    an older envelope means the transport's epoch filter was bypassed.
+    An ``mpi.collective`` record (a macro instance) carries the same
+    pair: an instance of a dead epoch completed, which the coordinator's
+    reset should have cancelled."""
     return _replayed(tracer, "no-stale-delivery")
 
 

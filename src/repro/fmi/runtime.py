@@ -254,6 +254,14 @@ class FmiProcess(RankProcess):
                 yield from self._h1()
                 yield from self._h2()
                 result = yield self._enter_h3()
+                epoch = job.epoch
+                if (epoch > self.notified_gen
+                        and not job.recovery.absorb_notification(self, epoch)):
+                    # The app ran to its end on messages already on the
+                    # wire when a failure opened ``epoch``, before any
+                    # notice reached this rank: that epoch's restore
+                    # waits for it, so it does not finish.
+                    raise FailureNotified(epoch, "finished in a dead epoch")
                 self._set_state(ProcState.DONE)
                 job.rank_finished(self.rank, result)
                 return result

@@ -20,17 +20,17 @@ Two engines sit behind each of the eight collectives a
 Selection is the library's own decision (mode ``auto``): each
 collective instance runs macro unless
 :meth:`MacroCollectives.verdict <repro.mpi.macro.MacroCollectives.verdict>`
-names a reason; its docstring lists them in priority order.  The one
-process-level override is :func:`set_collective_mode`:
+names a reason; its docstring lists them in priority order, and a
+tracer is not one of them.  The one process-level override is
+:func:`set_collective_mode`:
 
 * ``auto`` (default, and what ``None`` restores);
 * ``hops``: always the hop-level engine, without consulting the
   coordinator at all;
-* ``macro``: macro even under tracing (every other reason still falls
-  back); for scale benchmarks that want the fast path unconditionally.
+* ``macro``: the same as ``auto``, still accepted for the callers that
+  pass it.
 
-Nothing here reads the environment; the bench harness translates
-``REPRO_COLLECTIVES`` into one :func:`set_collective_mode` call.
+Nothing here reads the environment.
 
 Hop-level algorithms (the usual MPICH choices):
 
@@ -101,6 +101,8 @@ _TINY = 4.0
 
 # -- engine selection --------------------------------------------------------
 
+#: ``macro`` selects what ``auto`` does; it stays valid for the callers
+#: that still pass it
 _VALID_MODES = ("auto", "hops", "macro")
 
 _MODE = "auto"
@@ -130,10 +132,7 @@ def _macro_instance(comm, kind: str):
     short-circuit them for free), so per-rank sequence counters stay
     aligned across ranks trivially.
     """
-    if comm.size == 1:
-        return None
-    mode = _MODE
-    if mode == "hops":
+    if comm.size == 1 or _MODE == "hops":
         return None
     transport = comm.api.transport
     macro = transport.macro
@@ -141,7 +140,7 @@ def _macro_instance(comm, kind: str):
         from repro.mpi.macro import MacroCollectives
 
         macro = transport.macro = MacroCollectives(transport)
-    return macro.instance(comm, kind, mode)
+    return macro.instance(comm, kind)
 
 
 # -- hop-level engine (the conformance oracle) -------------------------------

@@ -57,8 +57,14 @@ Bookkeeping invariants:
 
 The macro path does **not** tick ``api.msgs_sent`` / ``bytes_sent``
 or the fabric counters -- there are no messages.  Workloads that
-assert on those must run under ``set_collective_mode("hops")`` (or
-under tracing, which falls back automatically).
+assert on those must run under ``set_collective_mode("hops")``.
+
+Observation picks no engine: a traced run takes the same verdicts as
+an untraced one.  What a tracer sees of a macro instance is one
+``mpi.collective`` span per instance, from its first join to its bulk
+completion, written when the instance completes (one that
+:meth:`MacroCollectives.reset` cancels leaves none) -- the collective
+call, where the hop engine's trace shows the wire.
 """
 
 from __future__ import annotations
@@ -86,16 +92,21 @@ def _sig(per: List[float]):
 class _Instance:
     """One collective occurrence: who has arrived, with what args."""
 
-    __slots__ = ("coord", "kind", "size", "verdict", "consulted",
-                 "joined", "args", "events", "bulk")
+    __slots__ = ("coord", "key", "kind", "size", "verdict", "start",
+                 "consulted", "joined", "args", "events", "bulk", "nbytes",
+                 "api")
 
-    def __init__(self, coord: "MacroCollectives", kind: str, size: int,
-                 verdict: Optional[str]):
+    def __init__(self, coord: "MacroCollectives", key: tuple, size: int,
+                 verdict: Optional[str], start: float):
         self.coord = coord
-        self.kind = kind
+        #: ``(epoch, comm_id, kind, n)``, see :meth:`MacroCollectives.instance`
+        self.key = key
+        self.kind = key[2]
         self.size = size
         #: None -> macro; otherwise the hop-fidelity reason string
         self.verdict = verdict
+        #: when the first rank called it (a rank joins as it calls)
+        self.start = start
         self.consulted = 0
         #: ranks that have joined so far
         self.joined = 0
@@ -104,6 +115,10 @@ class _Instance:
         self.args: Optional[List[Optional[tuple]]] = [None] * size
         self.events: List[Optional[Event]] = [None] * size
         self.bulk: Optional[BulkCompletion] = None
+        #: the size signature the model priced, and the API of the rank
+        #: whose join completed the instance: the trace record's
+        self.nbytes = None
+        self.api = None
 
     def join(self, comm, args: tuple):
         """Generator a rank drives instead of the hop algorithm.
@@ -125,6 +140,31 @@ class _Instance:
             self.coord._complete(self, comm)
         result = yield evt
         return result
+
+    def _completed(self, _bulk: BulkCompletion) -> None:
+        """The bulk's own callback: the instance is no longer live, and
+        a tracer gets its one ``mpi.collective`` record.
+
+        ``epoch`` is the instance's; ``ctx_epoch`` is the epoch the
+        completing rank's context holds now, as on a ``net.recv`` -- an
+        older ``epoch`` would be a collective of a dead epoch delivered
+        into a newer one.  ``job`` is the label an FMI rank's records
+        carry (none for a plain MPI API).
+        """
+        coord = self.coord
+        coord._live.discard(self)
+        tracer = coord.transport.sim.tracer
+        if tracer.enabled:
+            epoch, comm_id, kind, n = self.key
+            api = self.api
+            job = getattr(api, "fmi_job", None)
+            tracer.complete(
+                "mpi.collective", "mpi", self.start, epoch=epoch,
+                kind=kind, comm=comm_id, n=n, size=self.size,
+                nbytes=self.nbytes,
+                job=None if job is None else job.job_id,
+                ctx_epoch=api.ctx.epoch,
+            )
 
 
 class MacroCollectives:
@@ -159,7 +199,7 @@ class MacroCollectives:
 
     # -- eligibility ------------------------------------------------------
     @staticmethod
-    def verdict(api, mode: str) -> Optional[str]:
+    def verdict(api) -> Optional[str]:
         """Hops or macro, and why: ``None`` lets the macro tier run, a
         reason string sends the instance down the hop path.
 
@@ -176,21 +216,18 @@ class MacroCollectives:
         4. ``partition`` -- the fabric is cut;
         5. ``limp`` -- some node's NIC is degraded;
         6. the recovery family's own ``hop_fidelity`` (``msglog``,
-           ``replicated``), read from ``api.recovery``;
-        7. ``observability`` -- tracing is on (metrics are a view of the
-           trace); waived under mode ``macro``, which trades trace
-           fidelity for speed.
+           ``replicated``), read from ``api.recovery``.
 
-        The check is *nominal* state, not in-flight traffic: concurrent
-        point-to-point flows (halo exchanges) do not disable the fast
-        path; their contention error is what the conformance tolerance
-        covers.
+        Observation is not a reason: a tracer reads a macro instance
+        from its one ``mpi.collective`` record.  The check is *nominal*
+        state, not in-flight traffic: concurrent point-to-point flows
+        (halo exchanges) do not disable the fast path; their contention
+        error is what the conformance tolerance covers.
         """
         if api._hop_only:
             return "checkpoint"
         transport = api.transport
-        sim = transport.sim
-        if sim.fault_injectors > 0:
+        if transport.sim.fault_injectors > 0:
             return "injector"
         if transport._lossy:  # set by every set_faults, never cleared
             return "omission"
@@ -198,13 +235,9 @@ class MacroCollectives:
             return "partition"
         if transport.machine.limping_count > 0:
             return "limp"
-        if api.recovery.hop_fidelity is not None:
-            return api.recovery.hop_fidelity
-        if mode != "macro" and sim.tracer.enabled:
-            return "observability"
-        return None
+        return api.recovery.hop_fidelity
 
-    def instance(self, comm, kind: str, mode: str) -> Optional[_Instance]:
+    def instance(self, comm, kind: str) -> Optional[_Instance]:
         """Consult (and advance) this rank's collective sequence.
 
         Returns the instance to :meth:`_Instance.join` when the
@@ -220,15 +253,16 @@ class MacroCollectives:
         post-recovery replay realigns from call zero under the new
         epoch.
         """
-        epoch = comm.api.ctx.epoch
+        api = comm.api
+        epoch = api.ctx.epoch
         seq_key = (epoch, comm.id, kind, comm.rank)
         n = self._seq.get(seq_key, 0)
         self._seq[seq_key] = n + 1
         key = (epoch, comm.id, kind, n)
         inst = self._pending.get(key)
         if inst is None:
-            verdict = self.verdict(comm.api, mode)
-            inst = _Instance(self, kind, comm.size, verdict)
+            verdict = self.verdict(api)
+            inst = _Instance(self, key, comm.size, verdict, api.sim.now)
             self._pending[key] = inst
             if verdict is None:
                 self.instances_macro += 1
@@ -246,11 +280,13 @@ class MacroCollectives:
         """Last rank arrived: compute results, price, schedule."""
         results, sizes_sig, root = _FINISH[inst.kind](inst)
         inst.args = None  # read: nothing holds a rank's inputs past here
+        inst.nbytes = sizes_sig
+        inst.api = comm.api
         duration = self._duration(comm, inst.kind, sizes_sig, root)
         # the bulk clears each event and result as it hands it over
         inst.bulk = BulkCompletion(self.transport.sim, duration,
                                    inst.events, results)
-        inst.bulk.callbacks.append(lambda _e: self._live.discard(inst))
+        inst.bulk.callbacks.append(inst._completed)
         self.macro_events += 1
 
     def _duration(self, comm, kind: str, sizes_sig, root: int) -> float:

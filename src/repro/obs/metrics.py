@@ -132,6 +132,7 @@ class MetricsRegistry(TraceReader):
         "mlog.restore", "mlog.replay.done", "ckpt.checkpoint", "ckpt.restore",
         "overlay.notified", "recovery.begin", "recovery", "sched.submit",
         "sched.start", "sched.requeue", "failure.inject", "node.crash",
+        "mpi.collective",
     )
 
     def __init__(self, sim) -> None:
@@ -259,3 +260,6 @@ class MetricsRegistry(TraceReader):
 
     def _on_node_crash(self, ev: TraceEvent) -> None:
         self._get(Counter, "node.crashes").inc()
+
+    def _on_mpi_collective(self, ev: TraceEvent) -> None:
+        self._get(Counter, "mpi.collectives", kind=ev.args["kind"]).inc()

@@ -24,10 +24,10 @@ def pinned_engine(mode):
         set_collective_mode(previous)
 
 
-def verdict(transport, recovery=ParallelApi.recovery, mode="auto", hop_only=0):
+def verdict(transport, recovery=ParallelApi.recovery, hop_only=0):
     """What :meth:`MacroCollectives.verdict` answers for a rank on
     ``transport`` whose API carries ``recovery`` (default: no family)
     and ``hop_only`` open ``_hop_only`` scopes."""
     api = SimpleNamespace(transport=transport, recovery=recovery,
                           _hop_only=hop_only)
-    return MacroCollectives.verdict(api, mode)
+    return MacroCollectives.verdict(api)

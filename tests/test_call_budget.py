@@ -70,12 +70,14 @@ bucket: one ``dict.get`` inside ``deliver`` (4 before), budget 2.
 
 **Watching** the same run -- a ``Tracer`` and a ``MetricsRegistry``
 attached -- is pinned as the *excess* of profiled calls, observed
-minus bare on the same interpreter.  Both arms are pinned to the hop
-engine: an attached tracer still moves a run off the macro tier
-(ROADMAP item 2(a)), and that switch is not what this pin is about.  Two
-records per message are what is left: the registry reads the trace only
-when asked, and this run never asks (the three counter updates a
-message paid before the last row are gone):
+minus bare on the same interpreter.  Both arms run on the engines the
+library picks, and a tracer is not among its reasons: the same kernel
+events, bare or watched, is the first assertion (until the last row the
+arms were pinned to the hop engine, because a tracer moved the run off
+the macro tier).  Two records per message and one per macro
+collective are what is left: the registry reads the trace only when
+asked, and this run never asks (the three counter updates a message
+paid before the last two rows are gone):
 
 ==========================================  ========  ========  ======
 commit                                      observed      bare  excess
@@ -93,6 +95,8 @@ the same, re-read on the parent of the
 next row                                     304,090   270,984   33,106
 metrics a view of the trace: no metric
 written per message                          292,001   270,984   21,017
+observation picks no engine: unpinned,
+part of the run on the macro tier            225,203   210,468   14,735
 ==========================================  ========  ========  ======
 
 This was pinned as the ratio observed / bare until PR 24, and that
@@ -181,7 +185,6 @@ from repro.net.transport import Transport
 from repro.obs import MetricsRegistry, Tracer
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
-from tests.collective_engine import pinned_engine
 
 RANKS, ITERATIONS = 24, 8
 CALLS_PER_RANK_ITERATION = 1230.0
@@ -248,9 +251,8 @@ def test_calls_per_kernel_event_stay_under_the_ceiling(budget_run):
 
 
 def test_watching_costs_a_bounded_number_of_calls():
-    with pinned_engine("hops"):
-        calls, events = _profiled_run(observed=False)
-        observed_calls, observed_events = _profiled_run(observed=True)
+    calls, events = _profiled_run(observed=False)
+    observed_calls, observed_events = _profiled_run(observed=True)
     assert observed_events == events  # observe, never perturb
     assert observed_calls - calls < OBSERVED_CALLS_EXCESS, (observed_calls, calls)
 
@@ -378,47 +380,46 @@ def macro_budget_run():
     bytes)``: the first two from a profiled run, the other three at the
     burst of a second, single-stepped run with the collector off and
     ``tracemalloc`` on."""
-    with pinned_engine("macro"):
-        sim, job = _macro_job()
-        profile = cProfile.Profile()
-        profile.enable()
-        results = sim.run(until=job.launch())
-        profile.disable()
-        _check_macro(job, results)
-        calls = pstats.Stats(profile).total_calls
-        events = sim.stats.events_processed
+    sim, job = _macro_job()
+    profile = cProfile.Profile()
+    profile.enable()
+    results = sim.run(until=job.launch())
+    profile.disable()
+    _check_macro(job, results)
+    calls = pstats.Stats(profile).total_calls
+    events = sim.stats.events_processed
 
-        sim, job = _macro_job()
-        del profile, results
-        gc.collect()
-        gc.disable()
-        tracemalloc.start()
-        try:
-            before = gc.get_objects()
-            base = len(before)
-            base_cells = sum(1 for o in before if type(o) is _CELL)
-            del before
-            base_bytes = tracemalloc.get_traced_memory()[0]
-            done = job.launch()
-            tracked = cells = traced = steps = 0
-            while not done.processed:
-                sim.step()
-                steps += 1
-                if steps % 256 == 0:
-                    # read before the sample's own list is allocated
-                    traced = max(traced,
-                                 tracemalloc.get_traced_memory()[0] - base_bytes)
-                    objects = gc.get_objects()
-                    if len(objects) - base > tracked:
-                        tracked = len(objects) - base
-                        cells = sum(
-                            1 for o in objects if type(o) is _CELL
-                        ) - base_cells
-                    del objects
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-        _check_macro(job, done.value)
+    sim, job = _macro_job()
+    del profile, results
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = gc.get_objects()
+        base = len(before)
+        base_cells = sum(1 for o in before if type(o) is _CELL)
+        del before
+        base_bytes = tracemalloc.get_traced_memory()[0]
+        done = job.launch()
+        tracked = cells = traced = steps = 0
+        while not done.processed:
+            sim.step()
+            steps += 1
+            if steps % 256 == 0:
+                # read before the sample's own list is allocated
+                traced = max(traced,
+                             tracemalloc.get_traced_memory()[0] - base_bytes)
+                objects = gc.get_objects()
+                if len(objects) - base > tracked:
+                    tracked = len(objects) - base
+                    cells = sum(
+                        1 for o in objects if type(o) is _CELL
+                    ) - base_cells
+                del objects
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    _check_macro(job, done.value)
     return calls, events, tracked, cells, traced
 
 

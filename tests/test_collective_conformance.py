@@ -275,7 +275,7 @@ def expect_fallback(job, reason):
 
 def test_mode_override_ignores_the_environment(monkeypatch):
     """``None`` restores ``auto`` whatever ``REPRO_COLLECTIVES`` says:
-    the library no longer looks (the bench harness translates it)."""
+    the library never looks."""
     monkeypatch.setenv("REPRO_COLLECTIVES", "hops")
     assert set_collective_mode("macro") == "auto"  # returns the previous
     assert set_collective_mode(None) == "macro"
@@ -293,24 +293,18 @@ def test_auto_uses_macro_when_nominal():
     assert job.transport.macro.instances_macro > 0
 
 
-def test_auto_falls_back_under_tracing():
+def test_a_traced_run_stays_macro_with_the_same_answer():
+    tracers = []
+
     def prep(sim, machine, job):
-        Tracer(sim)
-    results, _t, job = _run_auto(prep)
-    assert results == [10] * 4
-    expect_fallback(job, "observability")
-
-
-def test_forced_macro_overrides_tracing():
-    with pinned_engine("macro"):
-        sim = Simulator()
-        machine = Machine(sim, SIERRA.with_nodes(4), RngRegistry(0))
-        Tracer(sim)
-        job = MpiJob(machine, _fallback_app, 4, procs_per_node=1,
-                     charge_init=False)
-        out = sim.run(until=job.launch())
-    assert [r for r, _, _ in out] == [10] * 4
-    assert job.transport.macro.instances_macro > 0
+        tracers.append(Tracer(sim))
+    bare, bare_t, _job = _run_auto()
+    results, t, job = _run_auto(prep)
+    assert results == bare == [10] * 4 and t == bare_t
+    macro = job.transport.macro
+    assert macro.instances_macro == 1 and macro.instances_hop == 0
+    record, = tracers[0].select(name="mpi.collective")
+    assert record.args["kind"] == "allreduce" and record.args["size"] == 4
 
 
 def _armed_injector(sim):
@@ -321,25 +315,20 @@ def _armed_injector(sim):
 
 
 def test_verdict_priority_and_coverage():
-    """Unit test of ``MacroCollectives.verdict``: the seven reasons are
+    """Unit test of ``MacroCollectives.verdict``: the six reasons are
     stacked from the lowest priority up, so each must outrank every one
-    already in force."""
+    already in force.  A tracer is none of them."""
     sim = Simulator()
     machine = Machine(sim, SIERRA.with_nodes(4), RngRegistry(0))
     job = MpiJob(machine, _fallback_app, 4, procs_per_node=1,
                  charge_init=False)
     tr = job.transport
     assert verdict(tr) is None
-    assert verdict(tr, mode="macro") is None
-
-    # A tracer is observability; mode "macro" waives it.
     Tracer(sim)
-    assert verdict(tr) == "observability"
-    assert verdict(tr, mode="macro") is None
+    assert verdict(tr) is None
     # The family answers from its own field.
     for reason in ("msglog", "replicated"):
-        family = SimpleNamespace(hop_fidelity=reason)
-        assert verdict(tr, family) == verdict(tr, family, "macro") == reason
+        assert verdict(tr, SimpleNamespace(hop_fidelity=reason)) == reason
     family = SimpleNamespace(hop_fidelity="msglog")
     machine.node(1).set_limp(bw_factor=4.0, latency_factor=2.0)
     assert verdict(tr, family) == "limp"
@@ -350,7 +339,7 @@ def test_verdict_priority_and_coverage():
     injector = _armed_injector(sim)
     assert verdict(tr, family) == "injector"
     assert verdict(tr, family, hop_only=1) == "checkpoint"
-    assert verdict(tr, family, "macro", hop_only=2) == "checkpoint"
+    assert verdict(tr, family, hop_only=2) == "checkpoint"
     injector.stop()
     # a detached model may still have duplicates in flight
     tr.clear_faults()

@@ -46,10 +46,14 @@ run time) and is pinned in halves that move under different rules:
   same time and identity under the new name; quote that diff in
   CHANGES.md.
 * ``MACRO`` -- the one untraced run, the call budget's macro-tier job
-  (a tracer moves every collective off the macro tier, so no scenario
-  above reaches it): its ``SCHEDULE`` digest, final clock and
+  (the scenarios above reach the macro tier too, but only for a few
+  8-rank collectives): its ``SCHEDULE`` digest, final clock and
   ``COUNTERS``, moving under those rules (``... -m
   tests.test_golden_order macro`` prints it).
+
+A tracer changes no answer: every scenario run bare ends on the clock,
+the kernel event count and the answers of its traced run, and so does
+the ``MACRO`` job (``test_a_tracer_*``).
 """
 
 import functools
@@ -68,27 +72,32 @@ from repro.obs import MetricsRegistry, Tracer, dumps_jsonl
 from repro.sched import JobSpec, StreamScheduler, trace_arrivals
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
-from tests.collective_engine import pinned_engine
 from tests.schedule_recorder import RecordingSimulator
-from tests.test_call_budget import _check_macro, _macro_job
+from tests.test_call_budget import (
+    MACRO_RANKS, MACRO_ROUNDS, _check_macro, _macro_job,
+)
 
 #: recorded on commit 18ea7e3 (PR 12), before PR 15 touched the kernel
+#: -- and four re-recorded once, for a declared model change of traced
+#: runs only (a tracer no longer moves a collective off the macro tier, and
+#: each macro instance leaves one ``mpi.collective`` record): their
+#: clocks are now the untraced ones
 PINNED = {
     "crash-global": (
-        "3.8467885629491336", 2363,
-        "4d6b9dfb785a00601ca2d08eb6abae7df466751f7d84ccb089d011f1731fa9c9"),
+        "3.8467885501034544", 2002,
+        "13fa68549d0f30cfa1694eaccf55403554dc8ec96895c19bca19af5c84028eef"),
     "crash-logged": (
-        "3.7554656366126804", 3003,
-        "04acd606b0fb3a6880c685bb069be1d865e1dd4fdba50c7bdb6466b04819d9fc"),
+        "3.755465621797866", 2957,
+        "95f58aabc6a92a35548e48c0ca58164d7418ba5c3d5cd5aeca8f3661b550cbf9"),
     "crash-replicated": (
         "2.917010285730769", 7287,
         "d486bd2c956b7574f41890e718f89cfaa783bf43def6118976e4d604fcb9a207"),
     "gray-limp-partition-crash": (
-        "4.1969744195687255", 4383,
-        "9138e025455ea41e9c06262e5b84b792aeb410195b7fe285b475b9f51f05ef8e"),
+        "4.19697439140823", 3981,
+        "57989be78613759fbd2c544714a857cd264f4402b352e93b22235332d09a2a28"),
     "sched-three-tenants": (
-        "2.87122860022531", 3815,
-        "be039af1cabe93615106d3982fc1784589dc36b8da6bc40c8aeef21949b7fdff"),
+        "2.871228577487656", 3663,
+        "fd70b077137cca5b0913e383568f247342ecb78b6ce4eb8b68a622d02e8d3dc5"),
     # recorded on commit 69b6df7 (PR 19), before PR 20 made the lossy
     # and the observed delivery one record and one body
     "lossy-partition-crash-metered": (
@@ -107,12 +116,16 @@ PINNED = {
 #:   gray-limp-partition-crash     (18945, 30) -> (14502, 30)  [1481]
 #:   sched-three-tenants           (14092, 40) -> (10666, 40)  [1142]
 #:   lossy-partition-crash-metered (23032, 34) -> (17692, 32)  [1780]
+#: Four moved once more with the ``PINNED`` model change, onto their
+#: untraced counts: crash-global (7875, 22) -> (6675, 20), crash-logged
+#: 7594 -> 7424, gray-limp-partition-crash 14502 -> 13166,
+#: sched-three-tenants 10666 -> 10187.
 COUNTERS = {
-    "crash-global": (7875, 22),
-    "crash-logged": (7594, 22),
+    "crash-global": (6675, 20),
+    "crash-logged": (7424, 22),
     "crash-replicated": (21998, 52),
-    "gray-limp-partition-crash": (14502, 30),
-    "sched-three-tenants": (10666, 40),
+    "gray-limp-partition-crash": (13166, 30),
+    "sched-three-tenants": (10187, 40),
     "lossy-partition-crash-metered": (17692, 32),
 }
 
@@ -122,18 +135,19 @@ COUNTERS = {
 #: once since, when the registry became a view of the trace: the gauges
 #: ``mlog.log_bytes`` (crash-logged, sched-three-tenants) and
 #: ``sched.goodput`` (sched-three-tenants, one per job) have no trace
-#: twin and went, every other key kept its value
+#: twin and went, every other key kept its value; and four once more
+#: with the ``PINNED`` model change (``mpi.collectives{kind}`` is new)
 METRICS = {
     "crash-global":
-        "6a9d1bfdbbc2478a62f9fdd6a65294b52515acccebaf41694fe22ca6b09ae384",
+        "0335ad75944ae10b70aafb61223f139f585cfe5b65f7715e56954088bf27084c",
     "crash-logged":
-        "3e0d25bce0bd234d610df07a265a7c4358199afd46cfb8c58398637db912934a",
+        "c6c1596f98b342a7fc48262519686e83401150a5762c406af1d71468d4cf8415",
     "crash-replicated":
         "d735f2bf08dcb74ccc2f4ca25417b029c95dce46a951fad69fcc4f9be5cbe374",
     "gray-limp-partition-crash":
-        "bd5af0886b7059a30ba0151c3afc96912bda394914d6e1e247fffd51baa20612",
+        "f8e732401618a1c0ecf1f671be643f31855ca527516e2ff35ccecd69e7faeaac",
     "sched-three-tenants":
-        "02f0c4792c2b58122e91e800393d746461059d2833f48718c913e7102cd54bc9",
+        "943d00011c4fc89b946dd19e92a8c0b360e2e95df5b701efac89477d9e530d74",
     "lossy-partition-crash-metered":
         "bda699ef329cff6616a368b70ca2e6f51881a30a95a70e1004f0a59dc9af8beb",
 }
@@ -146,31 +160,35 @@ METRICS = {
 #: (``crash-replicated`` fails over and never sweeps); then a rank
 #: became its own exit hook, ``RankProcess._dispatch_exit`` ->
 #: ``FmiProcess``, 9 entries in each crash scenario, 20 in
-#: ``sched-three-tenants``
+#: ``sched-three-tenants``; and four once more with the ``PINNED`` model
+#: change
 SCHEDULE = {
     "crash-global":
-        "2836a259e2432ce3096fc582d2a781a68fe39ec38e96441e3b7ae81181bd565c",
+        "44edddfb93efe4dfc9a58f3682f30e5d966469b5a143d50c7fd1d09fcaef2ad4",
     "crash-logged":
-        "2a133edfa5d5a60f769ae5e4d2015de63e187f92cbe960f3436c4ccf9ffd97b0",
+        "62a8fb821783e099fec16ebfa91f86bd90a656a496dda93203dd8780adc4071e",
     "crash-replicated":
         "db4b7e116ac6155e86dd8814d3e93c5db300899c892ee1afd3fe9bd98c967543",
     "gray-limp-partition-crash":
-        "258c78e9e4ffa8df5bc0e661dfa2911d3eb2fb279daa32c7f84be564d1448be9",
+        "edf40d07f8ce49132666cb4ba3358cb533502860720cf894d91ca99839de6876",
     "sched-three-tenants":
-        "5fe53e234579b7d6d620de72e3bc5dc07470081d8fedf5d1c6a178dd84e1992a",
+        "21a252ba5521cb86f92d93ae682b6f95d8c6dd1196adcc6e180ca039a17570c0",
     "lossy-partition-crash-metered":
         "d50bcddb1f796360016bed0bb0d325e6bef4390fe572cf5c17ef818cd9a05524",
 }
 
 #: the call budget's macro-tier run (``tests/test_call_budget.py``),
-#: untraced -- a tracer moves every collective off the macro tier, so
-#: no scenario above reaches it: ``(schedule digest, repr(sim.now),
-#: (events_processed, peak_heap))``.  Recorded on commit 472b942 and
-#: re-recorded once, under the ``SCHEDULE`` rule, for the exit-hook
-#: rename: ``RankProcess._dispatch_exit`` -> ``MpiRankProcess``, one
-#: entry per rank (1,024); the clock and the counters held
+#: untraced, and the one pin where a collective of 1,024 ranks runs on
+#: the macro tier: ``(schedule digest, repr(sim.now), (events_processed,
+#: peak_heap))``.  Recorded on commit 472b942 and re-recorded twice,
+#: under the ``SCHEDULE`` rule, for renames: the exit hook,
+#: ``RankProcess._dispatch_exit`` -> ``MpiRankProcess``, one entry per
+#: rank (1,024); then the bulk's own callback,
+#: ``MacroCollectives._complete.<locals>.<lambda>`` ->
+#: ``_Instance._completed``, one entry per instance (2).  The clock and
+#: the counters held
 MACRO = (
-    "6cae8180215975daf46cf1e0d2a240ea8dcc3109cbc52efa120d93f1b45c5732",
+    "aebad701197094e7e48537cf61fecdde242bf49eb66ca4c9c6fa2609f03f2ba1",
     "0.17006687372839502",
     (15108, 1984),
 )
@@ -196,16 +214,17 @@ def _allreduce_app(fmi):
     return state
 
 
-def _observed(sim):
-    """A tracer and a metrics registry on ``sim``."""
-    tracer = Tracer(sim)
-    return tracer, MetricsRegistry(sim)
+def _observed(sim, traced):
+    """A tracer and a metrics registry on ``sim``, or neither."""
+    if not traced:
+        return None, None
+    return Tracer(sim), MetricsRegistry(sim)
 
 
-def _job(make_sim, app, recovery, nodes, spares, seed):
+def _job(make_sim, app, recovery, nodes, spares, seed, traced):
     sim = make_sim()
     machine = Machine(sim, SIERRA.with_nodes(nodes), RngRegistry(seed))
-    tracer, metrics = _observed(sim)
+    tracer, metrics = _observed(sim, traced)
     job = FmiJob(
         machine, app, num_ranks=8, procs_per_node=2,
         config=FmiConfig(interval=1, xor_group_size=4, recovery=recovery,
@@ -214,25 +233,25 @@ def _job(make_sim, app, recovery, nodes, spares, seed):
     return sim, machine, (tracer, metrics), job
 
 
-def _crash(make_sim, recovery):
+def _crash(make_sim, recovery, traced):
     """The ``test_obs_replay.py`` scenario: slot 1's node dies at 2.5 s."""
     replicated = recovery == "replicated"
     sim, machine, observers, job = _job(
         make_sim, _allreduce_app, recovery, nodes=10 if replicated else 6,
-        spares=1, seed=1234)
+        spares=1, seed=1234, traced=traced)
     done = job.launch()
     victim = job.fmirun.node_slots[1].id
     _at(sim, 2.5, lambda: machine.fail_nodes([victim]))
-    sim.run(until=done)
+    answers = sim.run(until=done)
     assert job.epoch == 1  # the scenario really recovered
-    return (sim, *observers)
+    return (sim, *observers, answers)
 
 
-def _gray(make_sim):
+def _gray(make_sim, traced):
     """A limping node, then a partition that heals, then a crash."""
     sim, machine, observers, job = _job(
         make_sim, bsp_app(12, work_s=0.25), "global", nodes=6, spares=1,
-        seed=7)
+        seed=7, traced=traced)
     done = job.launch()
     slots = job.fmirun.node_slots
     limper, cut, victim = slots[2].id, slots[3].id, slots[0].id
@@ -241,19 +260,19 @@ def _gray(make_sim):
     _at(sim, 1.3, machine.heal_partition)
     _at(sim, 1.9, lambda: machine.unlimp_nodes([limper]))
     _at(sim, 2.4, lambda: machine.fail_nodes([victim]))
-    sim.run(until=done)
+    answers = sim.run(until=done)
     assert job.epoch >= 1
-    return (sim, *observers)
+    return (sim, *observers, answers)
 
 
-def _lossy(make_sim):
+def _lossy(make_sim, traced):
     """Lossy links with drop, duplicate and delay all armed, a
     drop-mode partition that heals, then a crash -- traced *and*
     metered, with level-2 flushes: the one scenario that crosses the
     omission model, the retransmitting cut and the metrics registry."""
     sim = make_sim()
     machine = Machine(sim, SIERRA.with_nodes(6), RngRegistry(11))
-    tracer, metrics = _observed(sim)
+    tracer, metrics = _observed(sim, traced)
     job = FmiJob(
         machine, bsp_app(12, work_s=0.25), num_ranks=8, procs_per_node=2,
         config=FmiConfig(interval=1, xor_group_size=4, spare_nodes=1,
@@ -274,21 +293,21 @@ def _lossy(make_sim):
     _at(sim, 1.1, split)
     _at(sim, 1.3, machine.heal_partition)
     _at(sim, 2.4, lambda: machine.fail_nodes([victim]))
-    sim.run(until=done)
+    answers = sim.run(until=done)
     assert job.epoch >= 1 and job.level2_flushes > 0
     # every branch the scenario exists for was really taken
     assert transport.omission_drops and transport.omission_delays
     assert transport.omission_dups and transport.dup_dropped
     assert transport.partition_retries and transport.dropped_dead
-    return sim, tracer, metrics
+    return sim, tracer, metrics, answers
 
 
-def _sched(make_sim):
+def _sched(make_sim, traced):
     """Three tenants, one per FMI family, on one shared machine; the
     global and the replicated tenant each lose a node."""
     sim = make_sim()
     machine = Machine(sim, SIERRA.with_nodes(16), RngRegistry(0))
-    tracer, metrics = _observed(sim)
+    tracer, metrics = _observed(sim, traced)
     sched = StreamScheduler(machine, backfill=True, spare_pool=2)
     kills = {"glb": 0.8, "rep": 0.7}
 
@@ -311,38 +330,47 @@ def _sched(make_sim):
     drained = sched.drain()
     sim.run(until=drained, max_events=3_000_000)
     assert drained.value.completed == 3
-    return sim, tracer, metrics
+    return sim, tracer, metrics, [rec.result for rec in sched.records]
 
 
-#: each takes the simulator class to run on
+#: each takes the simulator class to run on and whether to attach the
+#: tracer and registry (without them both come back ``None``), and
+#: returns ``(sim, tracer, metrics, answers)``
 SCENARIOS = {
-    "crash-global": lambda make_sim: _crash(make_sim, "global"),
-    "crash-logged": lambda make_sim: _crash(make_sim, "logged"),
-    "crash-replicated": lambda make_sim: _crash(make_sim, "replicated"),
-    "gray-limp-partition-crash": _gray,
-    "sched-three-tenants": _sched,
-    "lossy-partition-crash-metered": _lossy,
+    "crash-global": lambda make_sim, traced=True: _crash(
+        make_sim, "global", traced),
+    "crash-logged": lambda make_sim, traced=True: _crash(
+        make_sim, "logged", traced),
+    "crash-replicated": lambda make_sim, traced=True: _crash(
+        make_sim, "replicated", traced),
+    "gray-limp-partition-crash": lambda make_sim, traced=True: _gray(
+        make_sim, traced),
+    "sched-three-tenants": lambda make_sim, traced=True: _sched(
+        make_sim, traced),
+    "lossy-partition-crash-metered": lambda make_sim, traced=True: _lossy(
+        make_sim, traced),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def fingerprint(name):
-    """``(pinned triple, kernel counters, metrics digest)`` of one
-    scenario run."""
-    sim, tracer, metrics = SCENARIOS[name](Simulator)
+    """``(pinned triple, kernel counters, metrics digest, answers)`` of
+    one scenario run."""
+    sim, tracer, metrics, answers = SCENARIOS[name](Simulator)
     text = dumps_jsonl(tracer)
     pinned = (repr(sim.now), len(tracer.events),
               hashlib.sha256(text.encode()).hexdigest())
     snapshot = json.dumps(metrics.snapshot(), sort_keys=True)
     digest = hashlib.sha256(snapshot.encode()).hexdigest()
-    return pinned, (sim.stats.events_processed, sim.stats.peak_heap), digest
+    return (pinned, (sim.stats.events_processed, sim.stats.peak_heap),
+            digest, answers)
 
 
 @functools.lru_cache(maxsize=None)
 def schedule(name):
     """The dispatch-sequence digest of one scenario, and that the
     single-stepped run computed what the inlined loop computes."""
-    sim, tracer, _metrics = SCENARIOS[name](RecordingSimulator)
+    sim, tracer, _metrics, _answers = SCENARIOS[name](RecordingSimulator)
     assert (repr(sim.now), len(tracer.events)) == fingerprint(name)[0][:2]
     return sim.digest.hexdigest()
 
@@ -353,9 +381,8 @@ def macro_fingerprint():
     counters from the inlined loop, which must end at the same float."""
     runs = []
     for make_sim in (RecordingSimulator, Simulator):
-        with pinned_engine("macro"):
-            sim, job = _macro_job(make_sim)
-            _check_macro(job, sim.run(until=job.launch()))
+        sim, job = _macro_job(make_sim)
+        _check_macro(job, sim.run(until=job.launch()))
         runs.append(sim)
     recorded, inlined = runs
     assert repr(recorded.now) == repr(inlined.now)
@@ -387,6 +414,27 @@ def test_the_untraced_macro_tier_matches_the_recorded_commit():
     assert macro_fingerprint() == MACRO
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_tracer_changes_no_answer(name):
+    """Observation picks no engine: the scenario run bare ends on the
+    clock, the kernel event count and the answers of the traced run."""
+    sim, _tracer, _metrics, answers = SCENARIOS[name](Simulator, False)
+    (now, _count, _digest), (events, _peak), _m, traced = fingerprint(name)
+    assert (repr(sim.now), sim.stats.events_processed) == (now, events)
+    np.testing.assert_equal(traced, answers)
+
+
+def test_a_tracer_keeps_the_macro_tier_and_writes_one_record_per_instance():
+    sim, job = _macro_job()
+    tracer = Tracer(sim)
+    _check_macro(job, sim.run(until=job.launch()))
+    _digest, now, (events, _peak) = macro_fingerprint()
+    assert (repr(sim.now), sim.stats.events_processed) == (now, events)
+    records = list(tracer.select(name="mpi.collective"))
+    assert [(ev.args["kind"], ev.args["n"], ev.args["size"]) for ev in records
+            ] == [("allreduce", n, MACRO_RANKS) for n in range(MACRO_ROUNDS)]
+
+
 if __name__ == "__main__":
     import sys
 
@@ -400,7 +448,8 @@ if __name__ == "__main__":
         sys.exit()
     print(f"{half.upper()} = {{")
     for scenario in SCENARIOS:
-        (now, count, digest), counters, metrics = fingerprint(scenario)
+        (now, count, digest), counters, metrics, _answers = fingerprint(
+            scenario)
         if half == "pinned":
             print(f"    {scenario!r}: (\n        {now!r}, {count},\n"
                   f"        {digest!r}),")

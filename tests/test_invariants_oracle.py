@@ -12,7 +12,10 @@ timestamps.  Three readings of one drawn trace must find the same
 multiset of violations: the machine subscribed to a real
 :class:`~repro.obs.Tracer` while the events are recorded, the machine
 replaying the recorded trace (and every public ``check_*`` function,
-which replays it), and the reference walks.  The machine's
+which replays it), and the reference walks.  The walks predate the
+macro tier's ``mpi.collective`` record, which stands for a delivery to
+every rank of the instance: they are fed the same trace with that
+name renamed ``net.recv``.  The machine's
 ``no-split-brain`` and ``zero-rollback`` details name the event's epoch
 and job as well; that context is stripped before comparing.
 """
@@ -27,15 +30,16 @@ from hypothesis import strategies as st
 
 import repro.chaos.invariants as machine_mod
 from repro.chaos.invariants import TraceInvariants
-from repro.obs import Tracer
+from repro.obs import Tracer, TraceEvent
 from repro.simt import Simulator
 from tests import invariants_reference as reference
 
 #: every name the invariants read, with the category the runtime gives it
 READ = {
-    "net.recv": "net", "fmi.state": "state", "fmi.notify": "recovery",
-    "recovery.begin": "recovery", "chaos.inject": "failure",
-    "node.crash": "failure", "overlay.suspect": "overlay",
+    "net.recv": "net", "mpi.collective": "mpi", "fmi.state": "state",
+    "fmi.notify": "recovery", "recovery.begin": "recovery",
+    "chaos.inject": "failure", "node.crash": "failure",
+    "overlay.suspect": "overlay",
     "overlay.suspect.cleared": "overlay", "overlay.notified": "overlay",
     "mlog.log": "mlog", "mlog.rewind": "mlog", "ckpt.restore.begin": "ckpt",
     "repl.fallback": "repl", "repl.promote": "repl",
@@ -49,7 +53,7 @@ NAMES = {**READ, **UNREAD}
 #: the names each invariant reads together (tenant-isolation last)
 GROUPS = [
     ("fmi.state", "fmi.notify"),
-    ("net.recv",),
+    ("net.recv", "mpi.collective"),
     ("fmi.notify", "node.crash", "chaos.inject", "recovery.begin"),
     ("overlay.suspect", "overlay.suspect.cleared"),
     ("mlog.log", "net.recv", "mlog.rewind"),
@@ -76,6 +80,7 @@ ACTIONS = st.sampled_from([
 #: per name, the arguments its events may carry (each optional)
 ARGS = {
     "net.recv": {"ctx_epoch": SMALL, "lseq": st.tuples(SMALL, SMALL, FEW)},
+    "mpi.collective": {"ctx_epoch": SMALL},
     "fmi.notify": {"reason": REASONS},
     "chaos.inject": {"action": ACTIONS},
     "overlay.suspect": {"peer": SMALL},
@@ -115,7 +120,8 @@ def _traces(draw):
             args["job"] = job
         # The epoch-monotone and stale-delivery checks compare epochs;
         # elsewhere an event may carry none.
-        compared = name in ("fmi.state", "fmi.notify", "net.recv")
+        compared = name in ("fmi.state", "fmi.notify", "net.recv",
+                            "mpi.collective")
         epoch = draw(SMALL if compared else st.one_of(st.none(), SMALL))
         trace.append((draw(st.sampled_from([0.0, 0.5, 1.0])), name,
                       draw(SMALL), draw(st.integers(0, 1)), epoch, args))
@@ -146,6 +152,17 @@ def _record(trace):
         tracer.instant(name, NAMES[name], rank=rank, incarnation=incarnation,
                        epoch=epoch, **args)
     return tracer, online
+
+
+def _as_delivered(tracer):
+    """``tracer``'s events with each ``mpi.collective`` renamed
+    ``net.recv``: the trace the reference walks read."""
+    return SimpleNamespace(events=[
+        TraceEvent("net.recv", ev.cat, ev.ph, ev.ts, ev.dur, ev.rank,
+                   ev.node, ev.incarnation, ev.epoch, ev.args)
+        if ev.name == "mpi.collective" else ev
+        for ev in tracer.events
+    ])
 
 
 #: the reference walk behind each public trace check
@@ -185,12 +202,13 @@ def test_machine_online_and_replayed_matches_the_seven_walks(trace):
     got_replayed = replayed.violations() + replayed.tenant_isolation(_JOBS)
     assert got_online == got_replayed
 
+    delivered = _as_delivered(tracer)
     expected = []
     for public, walk in PAIRS:
-        want = walk(tracer)
+        want = walk(delivered)
         assert _normalised(public(tracer)) == _normalised(want)
         expected += want
-    expected += reference.check_tenant_isolation(tracer, _JOBS)
+    expected += reference.check_tenant_isolation(delivered, _JOBS)
     assert _normalised(got_online) == _normalised(expected)
     assert _normalised(
         machine_mod.check_tenant_isolation(tracer, _JOBS)
@@ -236,3 +254,18 @@ def test_every_replication_event_marks_a_replicated_run(name):
     want = reference.check_zero_rollback(tracer)
     assert len(want) == 1
     assert _normalised(online.violations()) == _normalised(want)
+
+
+def test_a_macro_collective_completing_in_a_dead_epoch_is_a_stale_delivery():
+    sim = Simulator()
+    tracer = Tracer(sim)
+    sim.now = 0.5
+    for ctx_epoch in (0, 1):  # its own epoch, then a newer one
+        tracer.complete("mpi.collective", "mpi", 0.25, epoch=0,
+                        kind="allreduce", comm=0, n=3, size=4, nbytes=8.0,
+                        job="t0", ctx_epoch=ctx_epoch)
+    found = machine_mod.check_no_stale_delivery(tracer)
+    assert [(v.invariant, v.detail) for v in found] == [(
+        "no-stale-delivery",
+        "rank None received an epoch-0 envelope in an epoch-1 context "
+        "at t=0.25")]

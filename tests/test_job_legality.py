@@ -200,6 +200,12 @@ BOOT_S = 0.6
 # cohorts met in one rendezvous ("rendezvous overfull: 3 > size 2").
 @example(ranks=2, ppn=1, family="replicated", redundancy="xor", group=2,
          spares=1, degree=2, level2=None, kill_at=0.0, kill_seed=0)
+# A node dying in the job's closing finalize barrier: two ranks of the
+# other node completed it on messages already on the wire and finished
+# in the new epoch, never notified, while the respawned ranks waited
+# for them in the restore agreement (the simulation ran dry).
+@example(ranks=4, ppn=2, family="global", redundancy="xor", group=2,
+         spares=1, degree=1, level2=None, kill_at=0.788163, kill_seed=0)
 def test_lattice_draw_is_refused_or_runs_bitwise(
     ranks, ppn, family, redundancy, group, spares, degree, level2,
     kill_at, kill_seed,
@@ -249,3 +255,22 @@ def test_lattice_draw_is_refused_or_runs_bitwise(
     assert invariants.violations() == []
     sched.shutdown()
     assert machine.rm.idle_count == len(machine.live_nodes)
+
+
+#: the finalize window of the lattice's 4-rank, ppn-2 ``global`` draw
+#: (its ideal runtime plus ``BOOT_S`` is 0.75 s): from the end of its
+#: last checkpoint to the job's finish, in simulated seconds
+FINALIZE_WINDOW = (0.5911207711, 0.5911243)
+
+
+@pytest.mark.parametrize("kill_seed", range(6))
+@pytest.mark.parametrize("step", range(8))
+def test_a_kill_in_the_finalize_window_is_recovered(step, kill_seed):
+    """Eight instants across the window, each under six kill seeds (some
+    pick the spare node): every one runs to the bitwise answer."""
+    lo, hi = FINALIZE_WINDOW
+    at = lo + (hi - lo) * step / 7
+    test_lattice_draw_is_refused_or_runs_bitwise.hypothesis.inner_test(
+        ranks=4, ppn=2, family="global", redundancy="xor", group=2,
+        spares=1, degree=1, level2=None, kill_at=at / 0.75,
+        kill_seed=kill_seed)

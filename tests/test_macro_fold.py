@@ -28,7 +28,6 @@ from repro.mpi.macro import _allreduce_results, _round_fn
 from repro.mpi.runtime import MpiJob
 from repro.simt import Event, Simulator
 from repro.simt.rng import RngRegistry
-from tests.collective_engine import pinned_engine
 
 OPS = [ops.SUM, ops.PROD, ops.MAX, ops.MIN, ops.LOR, ops.LAND]
 
@@ -165,11 +164,10 @@ def test_ndarray_allreduce_gives_every_rank_its_own_array(size):
         result = yield from api.allreduce(np.full(3, float(api.rank)))
         return result
 
-    with pinned_engine("macro"):
-        sim = Simulator()
-        machine = Machine(sim, SIERRA.with_nodes(size), RngRegistry(0))
-        job = MpiJob(machine, app, size, charge_init=False)
-        results = sim.run(until=job.launch())
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(size), RngRegistry(0))
+    job = MpiJob(machine, app, size, charge_init=False)
+    results = sim.run(until=job.launch())
     assert job.transport.macro.instances_macro == 1
     total = float(sum(range(size)))
     assert len({id(r) for r in results}) == size
@@ -213,11 +211,10 @@ def test_the_bulk_lets_go_of_each_rank_it_resumes(monkeypatch):
             ))
         yield api.elapse(1.0)
 
-    with pinned_engine("macro"):
-        sim = Simulator()
-        machine = Machine(sim, SIERRA.with_nodes(size), RngRegistry(0))
-        job = MpiJob(machine, app, size, charge_init=False)
-        sim.run(until=job.launch())
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(size), RngRegistry(0))
+    job = MpiJob(machine, app, size, charge_init=False)
+    sim.run(until=job.launch())
     assert job.transport.macro.instances_macro == 1
     assert len(joins) == len(inputs) == len(results) == size
     # what is left is the last rank's own join event, still being

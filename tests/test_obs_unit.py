@@ -206,6 +206,20 @@ def test_a_registry_reads_the_trace_recorded_since_it_was_built():
     assert reg.counter("node.crashes").value == 2.0  # each read catches up
 
 
+def test_a_registry_counts_macro_collectives_by_kind():
+    sim = Simulator()
+    tracer = Tracer(sim)
+    reg = MetricsRegistry(sim)
+    sim.now = 0.5
+    for n, kind in enumerate(["allreduce", "barrier", "allreduce"]):
+        tracer.complete("mpi.collective", "mpi", 0.25, epoch=0, kind=kind,
+                        comm=0, n=n, size=4, nbytes=8.0, job="t0",
+                        ctx_epoch=0)
+    assert reg.counter("mpi.collectives", kind="allreduce").value == 2.0
+    assert reg.counter("mpi.collectives", kind="barrier").value == 1.0
+    assert reg.sum_counters("mpi.collectives") == 3.0
+
+
 # ---------------------------------------------------------------- exporters
 def _sample_events():
     return [

@@ -82,9 +82,7 @@ def test_family_contract(recovery, cls, reason):
     for rank, (c, k) in enumerate(zip(clean, killed)):
         assert np.array_equal(c, expected_bsp_state(rank, 8, ITERS))
         assert np.array_equal(k, c)
-    # The family alone decides whether hops are load-bearing (the
-    # tracer is detached so "observability" does not mask the answer).
-    tracer.enabled = False
+    # The family alone decides whether hops are load-bearing.
     assert verdict(job.transport, job.recovery) == reason
     # Trace replay is byte-identical run to run.
     _job2, tracer2, _killed2 = run_bsp(recovery, trace=True)
