@@ -19,7 +19,10 @@ kill count, measuring:
   ``zero-rollback`` invariant).  Global rollback restores every rank;
 * **replay traffic** -- messages and bytes pushed from survivor logs
   into the restarted ranks, the price partial rollback pays instead of
-  the world-wide rollback.
+  the world-wide rollback.  Per recovery it must stay below the
+  ``replay_crossover_bytes`` break-even of
+  :mod:`repro.models.msglog_model`, past which replaying the backlog
+  would cost more than the world bootstrap it avoids.
 
 Every run must come back green (all chaos invariants, bit-equal
 answers vs the failure-free reference, the no-orphans check), and the
@@ -43,9 +46,21 @@ from _harness import (
 )
 from repro.analysis.tables import Table
 from repro.chaos.scenario import KillSlot
+from repro.cluster.spec import SIERRA
 from repro.models.efficiency import replication_vs_cr_crossover
+from repro.models.msglog_model import replay_crossover_bytes
 
 MODES = ["global", "logged", "replicated"]
+#: the campaign geometry every sweep point runs
+RANKS, PPN = 8, 2
+#: the replay backlog at which partial rollback stops paying: the H1
+#: bootstrap the runtime charges the world minus the one it charges the
+#: restarted slot (``fmi_bootstrap_time`` at the job's and at one
+#: node's scale), at link bandwidth, shared by the slot's ranks
+REPLAY_CROSSOVER_BYTES = replay_crossover_bytes(
+    SIERRA.fmi_bootstrap_time(RANKS), SIERRA.fmi_bootstrap_time(PPN),
+    SIERRA.network.link_bw, procs_per_node=PPN,
+)
 #: the logged plane's measured single-kill recovery (the paper's
 #: transparency bar); failover must land under it everywhere
 LOGGED_RECOVERY_BAR_S = 0.455
@@ -83,7 +98,7 @@ def test_ablation_replication(benchmark):
 
     table = Table(
         f"Recovery-family ablation, {SEEDS} seeds per point "
-        f"(8 ranks, ppn=2, XOR group 4, degree 2 when replicated)",
+        f"({RANKS} ranks, ppn={PPN}, XOR group 4, degree 2 when replicated)",
         ["mode", "interval", "kills", "green", "recovery (s)", "sim (s)",
          "restores ckpt/mlog", "replay msgs/bytes",
          "promote/rearm/fallback"],
@@ -91,7 +106,7 @@ def test_ablation_replication(benchmark):
     entries = []
     for entry, runs in ablation_entries(
         out, ["mlog_restores", "replay_msgs", "replay_bytes", "logged_msgs",
-              "promotions", "fallbacks", "rearms"]
+              "promotions", "fallbacks", "rearms", "recoveries"]
     ):
         entry["worst_recovery_latency_s"] = max(
             r["recovery_latency_s"] for r in runs
@@ -116,6 +131,8 @@ def test_ablation_replication(benchmark):
     for n, x in crossover:
         print(f"  replication beats C/R below node-MTBF "
               f"{x:,.0f} s at n={n}")
+    print(f"  logged replay breaks even with global rollback at "
+          f"{REPLAY_CROSSOVER_BYTES:.3g} B per recovery")
     entries.append({
         "mode": "model",
         "crossover_mtbf_s": {str(n): x for n, x in crossover},
@@ -137,6 +154,9 @@ def test_ablation_replication(benchmark):
         assert (entry["promotions"] > 0) == (mode == "replicated"), entry
         if mode == "logged":
             assert entry["logged_msgs"] > 0, entry
+            # far below the modelled break-even with global rollback
+            assert (entry["replay_bytes"] / max(entry["recoveries"], 1)
+                    < REPLAY_CROSSOVER_BYTES), entry
         if mode == "replicated":
             assert entry["fallbacks"] == 0, entry
             # The headline bar, at every sweep point and every seed.

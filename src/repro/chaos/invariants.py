@@ -22,7 +22,7 @@ check returns a list of :class:`Violation` s (empty = green), and each
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -59,9 +59,10 @@ def takes_down(action: str) -> bool:
             and "refused" not in action and "already dead" not in action)
 
 
-def _context(ev) -> str:
-    """``" (epoch E, job J)"``, with whichever of the two ``ev`` carries."""
-    labels = {"epoch": ev.epoch, "job": ev.args.get("job")}
+def _context(ev, job=None) -> str:
+    """``" (epoch E, job J)"``, with whichever of the two ``ev`` carries
+    (the job, if it carries none, is ``job``)."""
+    labels = {"epoch": ev.epoch, "job": ev.args.get("job", job)}
     text = ", ".join(f"{k} {v}" for k, v in labels.items() if v is not None)
     return f" ({text})" if text else ""
 
@@ -94,9 +95,12 @@ class TraceInvariants(TraceReader):
         self._log_times: Dict[tuple, List[float]] = {}  # (src, dst, n)
         self._delivered: Dict[tuple, None] = {}  # (src, dst, n)
         self._rewinds: List[tuple] = []  # (ts, rank, {dst: counter})
-        self._replicated = False
-        self._first_fallback: Optional[float] = None
-        self._restores: List = []
+        # zero-rollback, per tenant: a node's tenant is the job whose
+        # rank last reported an ``fmi.state`` from it
+        self._owner: Dict[int, object] = {}  # node -> job
+        self._replicated: Set = set()  # jobs with a repl.* record
+        self._first_fallback: Dict[object, float] = {}  # job -> ts
+        self._restores: List[tuple] = []  # (job, ckpt.restore.begin)
         self._per_job: Dict[tuple, int] = {}  # (what, job) -> count
         self._max_epoch: Dict[str, int] = {}
 
@@ -127,6 +131,8 @@ class TraceInvariants(TraceReader):
         self._state_epoch[jid, ev.rank] = ev.epoch
         if jid is not None and ev.epoch > self._max_epoch.get(jid, 0):
             self._max_epoch[jid] = ev.epoch
+        if ev.node is not None:
+            self._owner[ev.node] = jid
 
     def _on_fmi_notify(self, ev) -> None:
         jid = ev.args.get("job")
@@ -181,15 +187,14 @@ class TraceInvariants(TraceReader):
         self._rewinds.append((ev.ts, ev.rank, counters))
 
     def _on_ckpt_restore_begin(self, ev) -> None:
-        self._restores.append(ev)
+        self._restores.append((self._owner.get(ev.node), ev))
 
     def _on_repl_fallback(self, ev) -> None:
-        if self._first_fallback is None:
-            self._first_fallback = ev.ts
-        self._replicated = True
+        self._first_fallback.setdefault(ev.args.get("job"), ev.ts)
+        self._replicated.add(ev.args.get("job"))
 
     def _on_repl_promote(self, ev) -> None:
-        self._replicated = True
+        self._replicated.add(ev.args.get("job"))
 
     _on_repl_replica_lost = _on_repl_standby_register = _on_repl_standby_sync = (
         _on_repl_promote)
@@ -221,13 +226,14 @@ class TraceInvariants(TraceReader):
                         f"rolled back by rank {src}'s rewind at t={ts:.6g}, "
                         f"and never re-logged: the receiver's state is an "
                         f"orphan of an unsent message")))
-        fallback = self._first_fallback
-        why = (" although replication never fell back" if fallback is None
-               else f", before the first fallback at t={fallback:.6g}")
-        out += [Violation("zero-rollback", f"rank {ev.rank}{_context(ev)} began "
-                          f"a checkpoint restore at t={ev.ts:.6g}{why}")
-                for ev in self._restores
-                if self._replicated and (fallback is None or ev.ts < fallback)]
+        for jid, ev in self._restores:
+            fallback = self._first_fallback.get(jid)
+            if jid in self._replicated and (fallback is None or ev.ts < fallback):
+                why = (" although replication never fell back" if fallback is None
+                       else f", before the first fallback at t={fallback:.6g}")
+                out.append(Violation("zero-rollback", (
+                    f"rank {ev.rank}{_context(ev, jid)} began a checkpoint "
+                    f"restore at t={ev.ts:.6g}{why}")))
         out.sort(key=lambda v: TRACE_INVARIANTS.index(v.invariant))
         return out
 
@@ -321,11 +327,15 @@ def check_zero_rollback(tracer) -> List[Violation]:
     """Replicated recovery never restores a checkpoint -- failover is
     the whole point -- except after an explicit fallback.
 
-    Gated on the presence of ``repl.*`` trace events (a no-op for the
-    global and logged families).  A standby re-arm clones its lead's
-    live storage directly and never runs the restore collectives, so
-    any ``ckpt.restore.begin`` before the first ``repl.fallback`` (or
-    without one at all) means a survivor was rolled back.
+    Checked per tenant, and gated on the presence of the tenant's
+    ``repl.*`` trace events (a no-op for the global and logged
+    families).  A standby re-arm clones its lead's live storage
+    directly and never runs the restore collectives, so any
+    ``ckpt.restore.begin`` before the tenant's first ``repl.fallback``
+    (or without one at all) means a survivor was rolled back.  A
+    ``repl.*`` record carries its ``job``; a restore carries only a
+    node, and belongs to the tenant whose rank last reported an
+    ``fmi.state`` from that node.
     """
     return _replayed(tracer, "zero-rollback")
 

@@ -267,10 +267,13 @@ class CheckpointEngine:
         )
 
     def _trace_mark(self, name: str, **args) -> None:
-        """Emit one instant ``ckpt`` marker.  Spans are recorded at
-        phase *end* (with a retroactive start), so these begin markers
-        are the only live signal that a phase just started -- the chaos
-        engine keys mid-checkpoint fault injection off them."""
+        """Emit one instant ``ckpt`` marker, ``ckpt.encode.begin`` or
+        ``ckpt.restore.begin``.  Spans are recorded at phase *end*
+        (with a retroactive start), so these two are the only live
+        signal that a phase just started: the chaos engine keys
+        mid-checkpoint fault injection off the first, and the
+        zero-rollback invariant reads the second.  A checkpoint's own
+        start is its ``ckpt.checkpoint`` span's."""
         api = self.comm.api
         self.sim.tracer.instant(
             name, "ckpt", rank=api.rank, node=api.node.id, **args,
@@ -322,8 +325,6 @@ class CheckpointEngine:
             n = self.comm.size
             traced = self.sim.tracer.enabled
             t_total = self.sim.now
-            if traced:
-                self._trace_mark("ckpt.begin", dataset=dataset_id)
             sections = [(p.data.nbytes, p.nbytes) for p in payloads]
             blob = _concat(payloads)
 

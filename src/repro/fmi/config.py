@@ -21,8 +21,8 @@ RECOVERY_MODES = ("global", "logged", "replicated")
 #: the knobs that count something: slice bounds, loop counts and
 #: comparisons mid-run, so a float or NaN is refused here
 _INTEGRAL = (
-    "interval", "xor_group_size", "replication_degree", "logring_k",
-    "spare_nodes", "level2_every", "max_recoveries",
+    "interval", "xor_group_size", "replication_degree", "spare_nodes",
+    "level2_every",
 )
 
 
@@ -61,8 +61,6 @@ class FmiConfig:
     #: (2 = dual-modular redundancy, the FTHP-MPI default); ignored by
     #: the rollback-based planes
     replication_degree: int = 2
-    #: log-ring base k (Section IV-C; k=2 is the paper's default)
-    logring_k: int = 2
     #: pre-reserved spare nodes requested with the allocation
     spare_nodes: int = 1
     #: master switch: False disables FMI_Loop checkpointing entirely
@@ -73,18 +71,10 @@ class FmiConfig:
     #: exceed XOR protection fall back to the newest level-2 dataset.
     #: None disables level 2 (the 2014 prototype's behaviour).
     level2_every: Optional[int] = None
-    #: give up after this many recoveries (safety valve for tests);
-    #: None = unlimited, the paper's run-through-everything behaviour
-    max_recoveries: Optional[int] = None
     #: how long fmirun will wait for the resource manager to grant a
     #: replacement node before aborting the job.  None = wait forever
     #: (the paper: "fmirun waits until new nodes are allocated").
     replacement_timeout: Optional[float] = None
-    #: how long the detector sits on a partition-rooted disconnect
-    #: before acting on it: the suspicion is verified out-of-band
-    #: (fmirun's management network) and dropped if the suspect is
-    #: alive, preventing split-brain double recovery on a cut.
-    suspicion_grace: float = 0.5
     #: derived, not settable: physical rank-processes per virtual rank
     #: (``replication_degree`` under recovery="replicated", else 1);
     #: physical slot ``s`` hosts copy ``s // num_nodes`` of virtual slot
@@ -142,22 +132,16 @@ class FmiConfig:
                 f"{self.replication_degree - 1} to re-arm replicas after "
                 f"a failover (got spare_nodes={self.spare_nodes})"
             )
-        if self.logring_k < 2:
-            raise ValueError("logring_k must be >= 2")
         if self.spare_nodes < 0:
             raise ValueError("spare_nodes must be >= 0")
         if self.level2_every is not None and self.level2_every < 1:
             raise ValueError("level2_every must be >= 1")
-        if self.max_recoveries is not None and not self.max_recoveries >= 0:
-            raise ValueError("max_recoveries must be >= 0")
         if (self.replacement_timeout is not None
                 and not self.replacement_timeout >= 0):
             raise ValueError(
                 f"replacement_timeout must be >= 0, "
                 f"got {self.replacement_timeout!r}"
             )
-        if not self.suspicion_grace > 0:
-            raise ValueError("suspicion_grace must be positive")
         object.__setattr__(
             self, "num_copies",
             self.replication_degree if self.recovery == "replicated" else 1,

@@ -42,11 +42,17 @@ class LogRingDetector:
     """Builds per-epoch log-ring overlays and turns connection events
     into FMI failure notifications."""
 
+    #: log-ring base (Section IV-C: the paper's k = 2)
+    K = 2
+    #: how long a partition-rooted disconnect is held as a suspicion
+    #: before it is verified out-of-band (fmirun's management network)
+    #: and dropped if the suspect is alive: no split-brain double
+    #: recovery on a cut
+    SUSPICION_GRACE = 0.5
+
     def __init__(self, job):
         self.job = job
         self.cm = ConnectionManager(job.machine)
-        self.k = job.config.logring_k
-        self.suspicion_grace = job.config.suspicion_grace
         self._conns: Dict[int, List[Connection]] = {}
         self._joined_epoch: Dict[int, int] = {}
         self._cascaded: Dict[int, int] = {}  # rank -> last generation cascaded
@@ -74,7 +80,7 @@ class LogRingDetector:
 
     # -- membership -----------------------------------------------------------
     def connections_per_rank(self, n: int) -> int:
-        return len(logring_neighbors(0, n, self.k))
+        return len(logring_neighbors(0, n, self.K))
 
     def _unlink(self, conn: Connection) -> None:
         """Drop a (closed) connection from both endpoints' lists.
@@ -128,7 +134,7 @@ class LogRingDetector:
         self._joined_epoch[rank] = epoch
         self._conns[rank] = []
         n = self.job.num_ranks
-        out = logring_neighbors(rank, n, self.k)
+        out = logring_neighbors(rank, n, self.K)
         neighbours = set(out)
         # Incoming edges are the mirror image: rank - offset for every
         # log-ring offset (closed form; avoids an O(n) scan per join).
@@ -247,7 +253,7 @@ class LogRingDetector:
                 "overlay.suspect", "overlay", rank=rank,
                 peer=peer_rank, reason=reason, job=self.job.job_id,
             )
-        timer = sim.timeout(self.suspicion_grace)
+        timer = sim.timeout(self.SUSPICION_GRACE)
         timer.callbacks.append(
             lambda _e: self._verify(rank, epoch, peer_rank, reason)
         )
@@ -338,7 +344,7 @@ class LogRingDetector:
             for conn in [c for c in self._conns.get(rank, ()) if not c.open]:
                 self._unlink(conn)
         for rank in members:
-            for peer in logring_neighbors(rank, n, self.k):
+            for peer in logring_neighbors(rank, n, self.K):
                 if peer not in joined or self._has_open_edge(rank, peer):
                     continue
                 if not self._link(rank, peer, epoch):

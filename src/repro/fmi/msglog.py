@@ -50,8 +50,9 @@ past), and exact-once delivery rests entirely on the lseq sets.
 
 Trace events (``mlog.*``): ``mlog.log`` (an entry appended),
 ``mlog.gc``, ``mlog.restore.begin`` / ``mlog.restore`` (span),
-``mlog.rewind``, ``mlog.replay`` (one message), ``mlog.replay.done``,
-``mlog.dup`` (a suppressed duplicate re-send), ``mlog.det.mismatch``.
+``mlog.rewind``, ``mlog.replay.begin``, ``mlog.replay`` (one message),
+``mlog.replay.done``, ``mlog.det.mismatch``.  A re-send the lseq filter
+suppresses is the transport's ``net.drop_lseq_dup``.
 The orphan invariant (:func:`repro.chaos.invariants.check_no_orphans`)
 is checked post-hoc from ``mlog.log`` / ``mlog.rewind`` / ``net.recv``.
 """
@@ -201,17 +202,13 @@ class RecoveryPlane(ChannelPlane):
         exact-once per channel lseq."""
 
         def accept(env: Envelope) -> bool:
-            src, dst, n = env.lseq
+            lseq = env.lseq
+            key = (lseq[0], lseq[2])
             seen = chan.seen
-            if (src, n) in seen:
+            if key in seen:
                 self.dup_suppressed += 1
-                if self.sim.tracer.enabled:
-                    self.sim.tracer.instant(
-                        "mlog.dup", "mlog", rank=dst, src=src, n=n,
-                        tag=env.tag,
-                    )
                 return False
-            seen.add((src, n))
+            seen.add(key)
             return True
 
         return accept

@@ -227,7 +227,7 @@ class ReplicationPlane(ChannelPlane):
             if self.sim.tracer.enabled:
                 self.sim.tracer.instant(
                     "repl.standby.register", "repl", rank=rank,
-                    copy=fproc.copy, epoch=job.epoch,
+                    copy=fproc.copy, epoch=job.epoch, job=job.job_id,
                 )
             return
         if job.rank_procs.get(rank) is fproc:
@@ -432,6 +432,7 @@ class ReplicationPlane(ChannelPlane):
             if self.sim.tracer.enabled:
                 self.sim.tracer.instant(
                     "repl.replica_lost", "repl", epoch=job.epoch, cause=cause,
+                    job=job.job_id,
                 )
         # Service never blinked: recovery is complete the instant the
         # failure was classified.
@@ -483,7 +484,7 @@ class ReplicationPlane(ChannelPlane):
                 if self.sim.tracer.enabled:
                     self.sim.tracer.instant(
                         "repl.promote", "repl", rank=r, copy=copy,
-                        epoch=epoch, cause=cause,
+                        epoch=epoch, cause=cause, job=job.job_id,
                     )
                 self._drain_parked(r)
         if job.epoch == epoch:
@@ -507,6 +508,7 @@ class ReplicationPlane(ChannelPlane):
         if self.sim.tracer.enabled:
             self.sim.tracer.instant(
                 "repl.fallback", "repl", epoch=epoch, cause=cause,
+                job=job.job_id,
             )
         # Wholesale era reset: channel counters restart from zero on
         # both sides, and the epoch fence disposes of old-era traffic.
@@ -672,7 +674,7 @@ class ReplicationPlane(ChannelPlane):
             self.sim.tracer.instant(
                 "repl.standby.sync", "repl", rank=rank, copy=rec.copy,
                 dataset=dataset, waited=self.sim.now - t0,
-                delivered=delivered, buffered=len(pend),
+                delivered=delivered, buffered=len(pend), job=self.job.job_id,
             )
         meta = yield from fmi_ctx.engine.load_meta(dataset)
         blob = yield from fmi_ctx.engine.load_blob(dataset)

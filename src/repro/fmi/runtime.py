@@ -467,10 +467,6 @@ class Fmirun(FaultPolicy):
                 "recovery.begin", "recovery", epoch=job.epoch, cause=cause,
                 failover=failover, job=job.job_id,
             )
-        max_recoveries = job.config.max_recoveries
-        if max_recoveries is not None and job.epoch > max_recoveries:
-            job.abort(FmiAbort(f"exceeded max_recoveries={max_recoveries}"))
-            return
         if not failover:
             # Processes already recovering from an earlier failure have
             # no detection overlay to hear through; the master re-syncs

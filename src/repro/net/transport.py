@@ -25,6 +25,15 @@ Gray failures ride the same delivery path:
   retransmission timeouts; duplicates are suppressed at the receiver
   via the envelope's globally unique sequence number.
 
+Tracing writes one record per message, where its fate is decided:
+``net.recv`` or one of ``net.drop_dead`` / ``net.drop_stale`` /
+``net.drop_dup`` / ``net.drop_lseq_dup``, at the destination's rank
+and node, carrying ``src``, ``src_node``, ``nbytes`` and ``tag``.  A
+message that never resolves -- still in flight when the run ends, or
+lost with its sender's node -- leaves no record.  Two more records
+mark what the gray-failure paths drew: ``net.omission`` (a message's
+fault plan, at send) and ``net.partition_stall`` (a park at a cut).
+
 Whether a collective runs on per-message hops or as one macro event
 is not decided here: ``MacroCollectives.verdict`` in
 :mod:`repro.mpi.macro` reads the fault state above and holds the
@@ -157,33 +166,40 @@ class _Arrival:
             outcome = "net.recv"
         sim = transport.sim
         if sim.tracer.enabled:
-            # One call shape per combination of the two optional
-            # arguments: merging them in as a ``**extra`` dict cost more
-            # than the record.  ``ctx_epoch`` (absent when nobody was
-            # there to receive) lets post-hoc checkers re-verify the
-            # epoch filter -- a net.recv with env.epoch < ctx_epoch
-            # would be a stale delivery; ``lseq`` is the (src, dst, n)
-            # channel identity the orphan checker correlates with
-            # mlog.log / mlog.rewind.
+            # The message's one record.  ``ctx_epoch`` (absent when
+            # nobody was there to receive) lets post-hoc checkers
+            # re-verify the epoch filter -- a net.recv with env.epoch <
+            # ctx_epoch would be a stale delivery; ``lseq`` is the
+            # (src, dst, n) channel identity the orphan checker
+            # correlates with mlog.log / mlog.rewind; ``dup`` marks a
+            # duplicate's twin, so that each message counts as sent
+            # once.  The two common records get a call shape each:
+            # merging optional arguments in as a ``**args`` dict costs
+            # a third of the record.
             instant = sim.tracer.instant
-            node = dst_addr[0]
             lseq = env.lseq
-            if ctx is None:
+            if ctx is not None and done is not None:
                 if lseq is None:
-                    instant(outcome, "net", env.dst, node, None, env.epoch,
-                            src=env.src, nbytes=env.nbytes, tag=env.tag)
+                    instant(outcome, "net", env.dst, dst_addr[0], None,
+                            env.epoch, src=env.src, src_node=self.src_nid,
+                            nbytes=env.nbytes, tag=env.tag,
+                            ctx_epoch=ctx.epoch)
                 else:
-                    instant(outcome, "net", env.dst, node, None, env.epoch,
-                            src=env.src, nbytes=env.nbytes, tag=env.tag,
-                            lseq=lseq)
-            elif lseq is None:
-                instant(outcome, "net", env.dst, node, None, env.epoch,
-                        src=env.src, nbytes=env.nbytes, tag=env.tag,
-                        ctx_epoch=ctx.epoch)
-            else:
-                instant(outcome, "net", env.dst, node, None, env.epoch,
-                        src=env.src, nbytes=env.nbytes, tag=env.tag,
-                        ctx_epoch=ctx.epoch, lseq=lseq)
+                    instant(outcome, "net", env.dst, dst_addr[0], None,
+                            env.epoch, src=env.src, src_node=self.src_nid,
+                            nbytes=env.nbytes, tag=env.tag,
+                            ctx_epoch=ctx.epoch, lseq=lseq)
+            else:  # nobody there to receive, or a duplicate's twin
+                args = {"src": env.src, "src_node": self.src_nid,
+                        "nbytes": env.nbytes, "tag": env.tag}
+                if ctx is not None:
+                    args["ctx_epoch"] = ctx.epoch
+                if lseq is not None:
+                    args["lseq"] = lseq
+                if done is None:
+                    args["dup"] = True
+                instant(outcome, "net", env.dst, dst_addr[0], None,
+                        env.epoch, **args)
         if done is not None and done._value is _PENDING:  # not triggered
             done.succeed(None)
 
@@ -324,13 +340,6 @@ class Transport:
         sim = self.sim
         done = Event(sim)
         src_nid = src.node.id
-        tracer = sim.tracer
-        if tracer.enabled:
-            tracer.instant(
-                "net.send", "net", env.src, src_nid, None, env.epoch,
-                dst=env.dst, dst_node=dst_addr[0], nbytes=env.nbytes,
-                tag=env.tag,
-            )
         # Draw this message's fault plan up front (one seeded draw per
         # message keeps replays byte-identical).
         faults = self.faults
@@ -343,8 +352,8 @@ class Transport:
                 self.omission_delays += 1
             if plan.duplicate:
                 self.omission_dups += 1
-            if tracer.enabled:
-                tracer.instant(
+            if sim.tracer.enabled:
+                sim.tracer.instant(
                     "net.omission", "net", rank=env.src, node=src_nid,
                     epoch=env.epoch, dst=env.dst, drops=plan.drops,
                     delay=plan.delay, dup=plan.duplicate,

@@ -127,8 +127,8 @@ class MetricsRegistry(TraceReader):
     """Labelled metric store for one simulation, read off its trace."""
 
     EVENTS = (
-        "net.send", "net.recv", "net.drop_dead", "net.drop_stale",
-        "net.drop_dup", "net.drop_lseq_dup", "mlog.log", "mlog.gc",
+        "net.recv", "net.drop_dead", "net.drop_stale", "net.drop_dup",
+        "net.drop_lseq_dup", "mlog.log", "mlog.gc",
         "mlog.restore", "mlog.replay.done", "ckpt.checkpoint", "ckpt.restore",
         "overlay.notified", "recovery.begin", "recovery", "sched.submit",
         "sched.start", "sched.requeue", "failure.inject", "node.crash",
@@ -197,15 +197,18 @@ class MetricsRegistry(TraceReader):
 
     # -- handlers: one per event name ---------------------------------------
     def _on_net_recv(self, ev: TraceEvent) -> None:
-        # every outcome of a delivery counts per destination node
+        # A message's one record: its outcome counts per destination
+        # node, and the message as sent from its source node -- once,
+        # on the record of the copy that is not a duplicate's twin.
         self._get(Counter, ev.name, node=ev.node).inc()
+        args = ev.args
+        if "dup" not in args:
+            node = args["src_node"]
+            self._get(Counter, "net.msgs_sent", node=node).inc()
+            self._get(Counter, "net.bytes_sent", node=node).inc(args["nbytes"])
 
     _on_net_drop_dead = _on_net_drop_stale = _on_net_recv
     _on_net_drop_dup = _on_net_drop_lseq_dup = _on_net_recv
-
-    def _on_net_send(self, ev: TraceEvent) -> None:
-        self._get(Counter, "net.msgs_sent", node=ev.node).inc()
-        self._get(Counter, "net.bytes_sent", node=ev.node).inc(ev.args["nbytes"])
 
     def _on_mlog_log(self, ev: TraceEvent) -> None:
         self._get(Counter, "mlog.logged_msgs").inc()

@@ -12,8 +12,9 @@ lookup and a branch.
 
 Two event shapes cover everything the paper measures:
 
-* **instant** (``ph="i"``) -- a point occurrence: a message delivered,
-  a failure injected, a notification arriving, a state transition.
+* **instant** (``ph="i"``) -- a point occurrence: a message's fate
+  (its one record, :mod:`repro.net.transport`), a failure injected, a
+  notification arriving, a state transition.
 * **complete** (``ph="X"``) -- a span with a duration: a checkpoint
   phase, a restore, a recovery window.  The instrumented code records
   the start time itself and calls :meth:`Tracer.complete` at the end,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 CHANGES = Path(__file__).resolve().parent.parent / "CHANGES.md"
 LIMIT = 1500
-FIRST_BOUNDED = 21
+FIRST_BOUNDED = 1
 
 
 def entries():

@@ -498,9 +498,11 @@ def test_limp_auto_reverts_after_duration():
 
 # ------------------------------------------------------- invariant checkers
 class _FakeEvent:
-    def __init__(self, name, rank=0, epoch=0, incarnation=0, ts=0.0, args=()):
+    def __init__(self, name, rank=0, epoch=0, incarnation=0, ts=0.0, args=(),
+                 node=None):
         self.name = name
         self.rank = rank
+        self.node = node
         self.epoch = epoch
         self.incarnation = incarnation
         self.ts = ts

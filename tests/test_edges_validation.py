@@ -28,32 +28,26 @@ def test_fmi_config_validation():
     with pytest.raises(ValueError):
         Cfg(xor_group_size=1)
     with pytest.raises(ValueError):
-        Cfg(logring_k=1)
-    with pytest.raises(ValueError):
         Cfg(spare_nodes=-1)
     with pytest.raises(ValueError):
         Cfg(level2_every=0)
-    # NaN and negatives that used to fail only mid-run (or, for
-    # suspicion_grace, never)
+    # NaN and negatives that used to fail only mid-run
     nan = float("nan")
     for bad in (dict(mtbf_seconds=nan), dict(mtbf_seconds=float("inf")),
-                dict(max_recoveries=-1),
-                dict(replacement_timeout=nan), dict(replacement_timeout=-1.0),
-                dict(suspicion_grace=nan)):
+                dict(replacement_timeout=nan), dict(replacement_timeout=-1.0)):
         with pytest.raises(ValueError):
             Cfg(**bad)
     # Integer knobs: a fraction or NaN used to run silently, fail mid-run
     # on a slice, or be refused with a misleading message.
     for bad in (dict(interval=nan), dict(interval=2.5),
-                dict(level2_every=nan), dict(max_recoveries=0.5),
-                dict(spare_nodes=1.5), dict(logring_k=nan),
+                dict(level2_every=nan), dict(spare_nodes=1.5),
                 dict(recovery="replicated", replication_degree=nan),
                 dict(xor_group_size=nan), dict(xor_group_size=4.0)):
         with pytest.raises(ValueError, match="must be an integer"):
             Cfg(**bad)
     # NumPy integers are integers.
     Cfg(interval=np.int64(2), spare_nodes=np.int32(0),
-        xor_group_size=np.int64(4), max_recoveries=np.uint8(1))
+        xor_group_size=np.int64(4), level2_every=np.uint8(1))
 
 
 def test_fmi_job_validation():

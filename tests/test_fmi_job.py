@@ -252,27 +252,6 @@ def test_failure_before_first_checkpoint_cold_starts():
         assert u[0] == 3.0
 
 
-def test_max_recoveries_guard():
-    sim, machine = make(12, seed=5)
-    job = FmiJob(
-        machine, counting_app(50, work=0.5), num_ranks=16, procs_per_node=2,
-        config=FmiConfig(
-            interval=1, xor_group_size=4, spare_nodes=2, max_recoveries=1
-        ),
-    )
-    done = job.launch()
-
-    def killer():
-        yield sim.timeout(1.5)
-        machine.node(0).crash("one")
-        yield sim.timeout(10.0)
-        machine.node(1).crash("two")
-
-    sim.spawn(killer())
-    with pytest.raises(FmiAbort, match="max_recoveries"):
-        sim.run(until=done)
-
-
 def test_app_exception_aborts_job():
     def buggy(fmi):
         yield from fmi.init()

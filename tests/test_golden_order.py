@@ -64,6 +64,7 @@ import numpy as np
 import pytest
 
 from repro.apps.synthetic import bsp_app
+from repro.chaos.invariants import TraceInvariants
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
@@ -81,28 +82,40 @@ from tests.test_call_budget import (
 #: -- and four re-recorded once, for a declared model change of traced
 #: runs only (a tracer no longer moves a collective off the macro tier, and
 #: each macro instance leaves one ``mpi.collective`` record): their
-#: clocks are now the untraced ones
+#: clocks are now the untraced ones; then all six once more for a
+#: declared change of the trace format (a message's outcome record is
+#: its only record: ``net.send``, ``ckpt.begin`` and ``mlog.dup`` are
+#: gone, the outcome record carries ``src_node``, a duplicate's twin
+#: ``dup``, and ``repl.*`` records ``job``).  No clock moved; record
+#: counts old -> new, the delta exactly the parent's ``net.send`` +
+#: ``ckpt.begin`` records (no scenario wrote an ``mlog.dup``):
+#:   crash-global                  2002 -> 1200   [746 + 56]
+#:   crash-logged                  2957 -> 2031   [870 + 56]
+#:   crash-replicated              7287 -> 3951   [3228 + 108]
+#:   gray-limp-partition-crash     3981 -> 2333   [1544 + 104]
+#:   sched-three-tenants           3663 -> 2183   [1404 + 76]
+#:   lossy-partition-crash-metered 5490 -> 3272   [2114 + 104]
 PINNED = {
     "crash-global": (
-        "3.8467885501034544", 2002,
-        "13fa68549d0f30cfa1694eaccf55403554dc8ec96895c19bca19af5c84028eef"),
+        "3.8467885501034544", 1200,
+        "42c638aae2ad1551acd3038ce75d2ea8254e170a362c277500349dbcba90bfa1"),
     "crash-logged": (
-        "3.755465621797866", 2957,
-        "95f58aabc6a92a35548e48c0ca58164d7418ba5c3d5cd5aeca8f3661b550cbf9"),
+        "3.755465621797866", 2031,
+        "1db5ee8a82f085fcc38d7a30d8c6a89773f0b5e2eda195226d3c9da1cdb57abf"),
     "crash-replicated": (
-        "2.917010285730769", 7287,
-        "d486bd2c956b7574f41890e718f89cfaa783bf43def6118976e4d604fcb9a207"),
+        "2.917010285730769", 3951,
+        "3340d4ea2c8477807604dc1172bb7e55d7592fe2fd446b4721adb04acfbac8e5"),
     "gray-limp-partition-crash": (
-        "4.19697439140823", 3981,
-        "57989be78613759fbd2c544714a857cd264f4402b352e93b22235332d09a2a28"),
+        "4.19697439140823", 2333,
+        "1dbc6e02ddb24faaf839dba268bcccbd40b7cd1974551779568e633d9dc97818"),
     "sched-three-tenants": (
-        "2.871228577487656", 3663,
-        "fd70b077137cca5b0913e383568f247342ecb78b6ce4eb8b68a622d02e8d3dc5"),
+        "2.871228577487656", 2183,
+        "dcaea82a541b6fdf8fc8ca7645b91de9d9d73fbc4d9fd12310557e0f7bd74a77"),
     # recorded on commit 69b6df7 (PR 19), before PR 20 made the lossy
     # and the observed delivery one record and one body
     "lossy-partition-crash-metered": (
-        "8.667363092803315", 5490,
-        "607df2f7eb7bcf752af6007ff4b43cb35575f76ffbe3b98f7b1a5c6d1e79a553"),
+        "8.667363092803315", 3272,
+        "e5c584c71f2a17de3e506caffea2ead6b3abf84916b65f1bcab2146339bdba8c"),
 }
 
 #: (events_processed, peak_heap); last re-recorded by PR 21 (event
@@ -136,14 +149,20 @@ COUNTERS = {
 #: ``mlog.log_bytes`` (crash-logged, sched-three-tenants) and
 #: ``sched.goodput`` (sched-three-tenants, one per job) have no trace
 #: twin and went, every other key kept its value; and four once more
-#: with the ``PINNED`` model change (``mpi.collectives{kind}`` is new)
+#: with the ``PINNED`` model change (``mpi.collectives{kind}`` is new);
+#: and ``crash-replicated`` once more with the ``PINNED`` format change:
+#: a message is counted as sent from its outcome record, so the 12
+#: messages of the closing exchange still in flight when the run ends
+#: (4 from each of nodes 4, 6 and 7, 4 bytes each) are no longer
+#: counted -- ``net.msgs_sent`` 420 -> 416 and ``net.bytes_sent``
+#: 11488 -> 11472 on each of the three; every other key kept its value
 METRICS = {
     "crash-global":
         "0335ad75944ae10b70aafb61223f139f585cfe5b65f7715e56954088bf27084c",
     "crash-logged":
         "c6c1596f98b342a7fc48262519686e83401150a5762c406af1d71468d4cf8415",
     "crash-replicated":
-        "d735f2bf08dcb74ccc2f4ca25417b029c95dce46a951fad69fcc4f9be5cbe374",
+        "88a20f61a8cae1ef1442dc310ded63b8529dcf05e6912f1d39d33b46b49b424f",
     "gray-limp-partition-crash":
         "f8e732401618a1c0ecf1f671be643f31855ca527516e2ff35ccecd69e7faeaac",
     "sched-three-tenants":
@@ -244,7 +263,7 @@ def _crash(make_sim, recovery, traced):
     _at(sim, 2.5, lambda: machine.fail_nodes([victim]))
     answers = sim.run(until=done)
     assert job.epoch == 1  # the scenario really recovered
-    return (sim, *observers, answers)
+    return (sim, *observers, answers, [job.transport])
 
 
 def _gray(make_sim, traced):
@@ -262,7 +281,7 @@ def _gray(make_sim, traced):
     _at(sim, 2.4, lambda: machine.fail_nodes([victim]))
     answers = sim.run(until=done)
     assert job.epoch >= 1
-    return (sim, *observers, answers)
+    return (sim, *observers, answers, [job.transport])
 
 
 def _lossy(make_sim, traced):
@@ -299,7 +318,7 @@ def _lossy(make_sim, traced):
     assert transport.omission_drops and transport.omission_delays
     assert transport.omission_dups and transport.dup_dropped
     assert transport.partition_retries and transport.dropped_dead
-    return sim, tracer, metrics, answers
+    return sim, tracer, metrics, answers, [transport]
 
 
 def _sched(make_sim, traced):
@@ -330,12 +349,13 @@ def _sched(make_sim, traced):
     drained = sched.drain()
     sim.run(until=drained, max_events=3_000_000)
     assert drained.value.completed == 3
-    return sim, tracer, metrics, [rec.result for rec in sched.records]
+    return (sim, tracer, metrics, [rec.result for rec in sched.records],
+            [rec.job.transport for rec in sched.records])
 
 
 #: each takes the simulator class to run on and whether to attach the
 #: tracer and registry (without them both come back ``None``), and
-#: returns ``(sim, tracer, metrics, answers)``
+#: returns ``(sim, tracer, metrics, answers, transports)``
 SCENARIOS = {
     "crash-global": lambda make_sim, traced=True: _crash(
         make_sim, "global", traced),
@@ -353,10 +373,16 @@ SCENARIOS = {
 
 
 @functools.lru_cache(maxsize=None)
+def traced(name):
+    """One traced run of a scenario, as ``SCENARIOS`` returns it."""
+    return SCENARIOS[name](Simulator)
+
+
+@functools.lru_cache(maxsize=None)
 def fingerprint(name):
     """``(pinned triple, kernel counters, metrics digest, answers)`` of
     one scenario run."""
-    sim, tracer, metrics, answers = SCENARIOS[name](Simulator)
+    sim, tracer, metrics, answers, _transports = traced(name)
     text = dumps_jsonl(tracer)
     pinned = (repr(sim.now), len(tracer.events),
               hashlib.sha256(text.encode()).hexdigest())
@@ -370,7 +396,7 @@ def fingerprint(name):
 def schedule(name):
     """The dispatch-sequence digest of one scenario, and that the
     single-stepped run computed what the inlined loop computes."""
-    sim, tracer, _metrics, _answers = SCENARIOS[name](RecordingSimulator)
+    sim, tracer, _metrics, _answers, _tps = SCENARIOS[name](RecordingSimulator)
     assert (repr(sim.now), len(tracer.events)) == fingerprint(name)[0][:2]
     return sim.digest.hexdigest()
 
@@ -410,6 +436,39 @@ def test_dispatch_sequence_matches_the_recorded_commit(name):
     assert schedule(name) == SCHEDULE[name]
 
 
+#: a message's one record: its delivery or one of the four drops
+OUTCOMES = ("net.recv", "net.drop_dead", "net.drop_stale", "net.drop_dup",
+            "net.drop_lseq_dup")
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_each_resolved_message_leaves_one_record_and_counts_once(name):
+    """One outcome record per delivery or drop the transports counted
+    (a standby's sync would deliver the envelopes it buffered outside
+    the transport; no scenario here has one), and ``net.msgs_sent``
+    counts every record but a duplicate's twin."""
+    _sim, tracer, metrics, _answers, transports = traced(name)
+    records = [ev for ev in tracer.events if ev.name in OUTCOMES]
+    resolved = sum(
+        sum(ctx.matching.delivered for ctx in tp.contexts) + tp.dropped_dead
+        + tp.dropped_stale + tp.dup_dropped + tp.lseq_dup_dropped
+        for tp in transports)
+    assert len(records) == resolved
+    sent = [ev for ev in records if "dup" not in ev.args]
+    assert metrics.sum_counters("net.msgs_sent") == len(sent)
+    assert metrics.sum_counters("net.bytes_sent") == sum(
+        ev.args["nbytes"] for ev in sent)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_trace_invariant_holds_on_the_traced_run(name):
+    """``sched-three-tenants`` included: a rollback tenant's restores
+    are judged apart from its replicated neighbour's ``repl.*``
+    records."""
+    _sim, tracer, _metrics, _answers, _tps = traced(name)
+    assert TraceInvariants().replay(tracer.events).violations() == []
+
+
 def test_the_untraced_macro_tier_matches_the_recorded_commit():
     assert macro_fingerprint() == MACRO
 
@@ -418,7 +477,7 @@ def test_the_untraced_macro_tier_matches_the_recorded_commit():
 def test_a_tracer_changes_no_answer(name):
     """Observation picks no engine: the scenario run bare ends on the
     clock, the kernel event count and the answers of the traced run."""
-    sim, _tracer, _metrics, answers = SCENARIOS[name](Simulator, False)
+    sim, _tracer, _metrics, answers, _tps = SCENARIOS[name](Simulator, False)
     (now, _count, _digest), (events, _peak), _m, traced = fingerprint(name)
     assert (repr(sim.now), sim.stats.events_processed) == (now, events)
     np.testing.assert_equal(traced, answers)

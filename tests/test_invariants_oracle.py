@@ -15,9 +15,12 @@ replaying the recorded trace (and every public ``check_*`` function,
 which replays it), and the reference walks.  The walks predate the
 macro tier's ``mpi.collective`` record, which stands for a delivery to
 every rank of the instance: they are fed the same trace with that
-name renamed ``net.recv``.  The machine's
-``no-split-brain`` and ``zero-rollback`` details name the event's epoch
-and job as well; that context is stripped before comparing.
+name renamed ``net.recv``.  The machine checks ``zero-rollback`` per
+tenant, the walk over a whole trace: it is fed each tenant's sub-trace
+in turn (each event's node is its rank's, two ranks a node, so that a
+restore has a tenant to belong to).  The machine's ``no-split-brain``
+and ``zero-rollback`` details name the event's epoch and job as well;
+that context is stripped before comparing.
 """
 
 import re
@@ -47,7 +50,7 @@ READ = {
     "repl.standby.sync": "repl",
 }
 #: names nobody reads: they must change nothing
-UNREAD = {"net.send": "net", "ckpt.encode.begin": "ckpt",
+UNREAD = {"net.omission": "net", "ckpt.encode.begin": "ckpt",
           "mlog.replay.done": "mlog"}
 NAMES = {**READ, **UNREAD}
 #: the names each invariant reads together (tenant-isolation last)
@@ -149,9 +152,25 @@ def _record(trace):
     online.subscribe(tracer)
     for gap, name, rank, incarnation, epoch, args in trace:
         sim.now += gap
-        tracer.instant(name, NAMES[name], rank=rank, incarnation=incarnation,
-                       epoch=epoch, **args)
+        tracer.instant(name, NAMES[name], rank=rank, node=rank // 2,
+                       incarnation=incarnation, epoch=epoch, **args)
     return tracer, online
+
+
+def _zero_rollback_per_tenant(tracer):
+    """The reference walk over each tenant's sub-trace: its ``repl.*``
+    records, by their ``job``, and the restores on the nodes its ranks
+    last reported an ``fmi.state`` from."""
+    owner, tenants = {}, {}
+    for ev in tracer.events:
+        if ev.name == "fmi.state":
+            owner[ev.node] = ev.args.get("job")
+        elif ev.cat == "repl":
+            tenants.setdefault(ev.args.get("job"), []).append(ev)
+        elif ev.name == "ckpt.restore.begin":
+            tenants.setdefault(owner.get(ev.node), []).append(ev)
+    return [violation for events in tenants.values() for violation in
+            reference.check_zero_rollback(SimpleNamespace(events=events))]
 
 
 def _as_delivered(tracer):
@@ -173,7 +192,7 @@ PAIRS = [
     (machine_mod.check_suspicion_resolved,
      reference.check_suspicion_resolved),
     (machine_mod.check_no_orphans, reference.check_no_orphans),
-    (machine_mod.check_zero_rollback, reference.check_zero_rollback),
+    (machine_mod.check_zero_rollback, _zero_rollback_per_tenant),
 ]
 
 
@@ -241,6 +260,26 @@ def test_the_drawn_traces_can_break_every_invariant():
     for _public, walk in PAIRS:
         expected += walk(tracer)
     assert _normalised(online.violations()) == _normalised(expected)
+
+
+def test_a_restore_answers_to_its_own_tenant():
+    """A co-resident tenant's replication does not make a rollback
+    tenant's restore a violation; the restoring tenant's own does."""
+    trace = [
+        (0.0, "fmi.state", 0, 0, 0, {"job": "t0"}),  # node 0 is t0's
+        (0.0, "fmi.state", 2, 0, 0, {"job": "t1"}),  # node 1 is t1's
+        (0.5, "repl.promote", 2, 0, None, {"job": "t1"}),
+        (0.5, "ckpt.restore.begin", 1, 0, None, {}),
+    ]
+    tracer, online = _record(trace)
+    assert online.violations() == []
+    tracer, online = _record(trace + [
+        (0.0, "ckpt.restore.begin", 3, 0, None, {})])
+    assert [str(v) for v in online.violations()] == [
+        "zero-rollback: rank 3 (job t1) began a checkpoint restore at t=1 "
+        "although replication never fell back"]
+    assert _normalised(online.violations()) == _normalised(
+        _zero_rollback_per_tenant(tracer))
 
 
 @pytest.mark.parametrize(

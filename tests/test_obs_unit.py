@@ -187,8 +187,12 @@ def test_a_registry_reads_the_trace_recorded_since_it_was_built():
     reg = MetricsRegistry(sim)
     assert reg.snapshot() == {}  # the crash came before the registry
     tracer.instant("node.crash", "failure", node=1)
-    tracer.instant("net.send", "net", 0, 2, dst=1, nbytes=8.0)
-    tracer.instant("net.drop_dead", "net", 1, 3)
+    # a message's one record counts it as sent from its source node ...
+    tracer.instant("net.drop_dead", "net", 1, 3, src=0, src_node=2,
+                   nbytes=8.0, tag=0)
+    # ... and a duplicate's twin only at its destination
+    tracer.instant("net.drop_dup", "net", 1, 3, src=0, src_node=2,
+                   nbytes=8.0, tag=0, ctx_epoch=0, dup=True)
     sim.now = 0.5
     tracer.complete("ckpt.restore", "ckpt", 0.25, outcome="cold-start")
     tracer.complete("ckpt.restore", "ckpt", 0.25, outcome="restored")
@@ -196,6 +200,7 @@ def test_a_registry_reads_the_trace_recorded_since_it_was_built():
         "counter:ckpt.restores{}": 1.0,
         "counter:net.bytes_sent{node=2}": 8.0,
         "counter:net.drop_dead{node=3}": 1.0,
+        "counter:net.drop_dup{node=3}": 1.0,
         "counter:net.msgs_sent{node=2}": 1.0,
         "counter:node.crashes{}": 1.0,
         "histogram:ckpt.restore_s{}": {

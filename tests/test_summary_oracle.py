@@ -38,7 +38,7 @@ READ = {
 }
 #: names nobody reads: they must change nothing
 UNREAD = {"fmi.notify": ("recovery", "i"), "recovery.begin": ("recovery", "i"),
-          "ckpt.encode.begin": ("ckpt", "i"), "net.send": ("net", "i"),
+          "ckpt.encode.begin": ("ckpt", "i"), "net.recv": ("net", "i"),
           "mpi.collective": ("mpi", "X")}
 NAMES = {**READ, **UNREAD}
 
