@@ -64,7 +64,7 @@ class _Wire:
     # What a pipe reads on a flow's completion target before it calls
     # ``succeed`` (an ``Event`` everywhere else): not abandoned, not
     # completed by anyone else.
-    callbacks = ()
+    _callbacks = ()
     _value = _PENDING
 
     def start(self, _head: Event) -> None:
@@ -81,12 +81,11 @@ class _Wire:
         if self.parts_left:
             return
         fabric = self.fabric
-        tail = Timeout(
+        Timeout(
             fabric.sim,
             fabric.spec.wire_latency * self.lat_factor
             + self.overhead * self.dst.limp_latency,
-        )
-        tail.callbacks.append(self.land)
+        )._callbacks = self.land
 
     def land(self, _tail: Event) -> None:
         arrived = self.arrived
@@ -258,6 +257,5 @@ class Fabric:
         wire.arrived = arrived = Event(self.sim)
         wire.parts_left = 2
         # Sender-side software overhead before bytes hit the NIC.
-        head = Timeout(self.sim, overhead * src.limp_latency)
-        head.callbacks.append(wire.start)
+        Timeout(self.sim, overhead * src.limp_latency)._callbacks = wire.start
         return arrived

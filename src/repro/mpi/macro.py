@@ -177,9 +177,9 @@ class MacroCollectives:
 
     def __init__(self, transport):
         self.transport = transport
-        #: per-rank collective call counters:
-        #: (epoch, comm_id, kind, rank) -> n
-        self._seq: Dict[Tuple[int, int, str, int], int] = {}
+        #: collective call counters, one per rank of the communicator:
+        #: (epoch, comm_id, kind) -> [n of rank 0, n of rank 1, ...]
+        self._seq: Dict[Tuple[int, int, str], List[int]] = {}
         #: instances not yet consulted by every rank, by
         #: (epoch, comm_id, kind, n)
         self._pending: Dict[Tuple[int, int, str, int], _Instance] = {}
@@ -255,9 +255,13 @@ class MacroCollectives:
         """
         api = comm.api
         epoch = api.ctx.epoch
-        seq_key = (epoch, comm.id, kind, comm.rank)
-        n = self._seq.get(seq_key, 0)
-        self._seq[seq_key] = n + 1
+        seq_key = (epoch, comm.id, kind)
+        counts = self._seq.get(seq_key)
+        if counts is None:
+            counts = self._seq[seq_key] = [0] * comm.size
+        rank = comm.rank
+        n = counts[rank]
+        counts[rank] = n + 1
         key = (epoch, comm.id, kind, n)
         inst = self._pending.get(key)
         if inst is None:
@@ -284,9 +288,9 @@ class MacroCollectives:
         inst.api = comm.api
         duration = self._duration(comm, inst.kind, sizes_sig, root)
         # the bulk clears each event and result as it hands it over
-        inst.bulk = BulkCompletion(self.transport.sim, duration,
-                                   inst.events, results)
-        inst.bulk.callbacks.append(inst._completed)
+        bulk = inst.bulk = BulkCompletion(self.transport.sim, duration,
+                                          inst.events, results)
+        bulk._callbacks = [bulk._callbacks, inst._completed]
         self.macro_events += 1
 
     def _duration(self, comm, kind: str, sizes_sig, root: int) -> float:

@@ -94,7 +94,7 @@ class _PostedRecv:
     @property
     def live(self) -> bool:
         evt = self.event
-        return evt.callbacks is not None and not evt.triggered
+        return evt._callbacks is not None and not evt.triggered
 
 
 class _Unexpected:
@@ -254,7 +254,7 @@ class MatchingEngine:
                 if not best:
                     del posted[best_key]
             evt = rec.event
-            if evt.callbacks is not None and evt._value is _PENDING:
+            if evt._callbacks is not None and evt._value is _PENDING:
                 self.matched_posted += 1
                 if self.match_sink is not None:
                     self.match_sink(rec.source, rec.tag, env)

@@ -61,7 +61,7 @@ class PmgrRendezvous:
         if len(self._arrived) == self.size:
             self.complete_at = self.sim.now
             exchange = self.sim.timeout(self.cost)
-            exchange.callbacks.append(self._release)
+            exchange._callbacks = self._release
         return evt
 
     def _release(self, _evt: Event) -> None:
@@ -71,5 +71,5 @@ class PmgrRendezvous:
         # would otherwise hold one per rank for the whole run
         arrived, self._arrived = self._arrived, []
         for evt in arrived:
-            if evt.callbacks is not None and evt._value is _PENDING:
+            if evt._callbacks is not None and evt._value is _PENDING:
                 evt.succeed(None)

@@ -223,7 +223,7 @@ class _LossyArrival(_Arrival):
         sim = self.transport.sim
         extra = plan.drops * faults.rto + plan.delay
         if extra > 0:
-            Timeout(sim, extra).callbacks.append(self)
+            Timeout(sim, extra)._callbacks = self
         else:
             _Arrival.__call__(self, evt)
         if plan.duplicate:
@@ -233,7 +233,7 @@ class _LossyArrival(_Arrival):
             twin.src_nid = self.src_nid
             twin.dst_addr = self.dst_addr
             twin.done = None
-            Timeout(sim, extra + faults.dup_lag).callbacks.append(twin)
+            Timeout(sim, extra + faults.dup_lag)._callbacks = twin
 
 
 class Transport:
@@ -366,7 +366,7 @@ class Transport:
         arrival.src_nid = src_nid
         arrival.dst_addr = dst_addr
         arrival.done = done
-        wire.callbacks.append(arrival)
+        wire._callbacks = arrival  # fresh from the fabric: no waiter yet
         return done
 
     # -- partition cuts --------------------------------------------------------
@@ -390,7 +390,7 @@ class Transport:
             self._stalled.append(arrival)
             return
         self.partition_retries += 1
-        Timeout(self.sim, self.partition_rto).callbacks.append(arrival)
+        Timeout(self.sim, self.partition_rto)._callbacks = arrival
 
     def _on_heal(self, tag: str) -> None:
         """Flush the records parked at the (now healed) cut, in order."""

@@ -63,7 +63,7 @@ class RankProcess:
         self.sim = job.sim
         self.ctx: NetContext = job.transport.create_context(node, self._ctx_label())
         self.proc = node.spawn(self._main(), name=self._proc_name())
-        self.proc.callbacks.append(self)  # the exit hook: __call__
+        self.proc._callbacks = self  # the exit hook: __call__
 
     # -- naming hooks -------------------------------------------------------
     def _ctx_label(self) -> str:
@@ -176,7 +176,7 @@ class JobBase:
         # level subscriptions (transport heal hook, and whatever
         # subclasses add via _detach) once the job is over, so a stream
         # of tenants does not accumulate dead listeners.
-        self.done.callbacks.append(lambda _e: self._detach())
+        self.done._callbacks = lambda _e: self._detach()
         self.launched_at: Optional[float] = None
         #: simulated time init (MPI_Init / FMI's first H2 exit) completed
         self.init_done_at: Optional[float] = None

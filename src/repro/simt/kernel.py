@@ -38,8 +38,16 @@ Hot-path notes (this is the innermost loop of every simulation):
   ``(time, seq)``: a fair-share pipe takes a sequence number for each
   new deadline but keeps one entry queued (``simt.resources``).
   ``tests/test_golden_order.py`` pins the resulting order.
-* Every event allocates its own ``callbacks`` list: recycling them
-  through a free pool costs four C calls per event to save one ``[]``.
+* An event keeps its callbacks in one raw slot, ``_callbacks``, whose
+  shape says how many it holds: ``()`` for none, the callable itself
+  for one, a list for two or more, ``None`` once the event fired, was
+  cancelled or was made inert.  Most events have exactly one waiter,
+  so most allocate nothing beyond themselves, and registering that
+  waiter is a store, not a ``list.append``.  The dispatch sites here
+  read the shape by class (a callback may define ``__len__``, so never
+  by truthiness); the hot registration sites write the slot of an event
+  that is fresh or already theirs.  The public ``callbacks`` property
+  stays a list: reading it turns the slot into one, in place.
 * ``stats.peak_heap`` counts outstanding entries, not buckets, and is
   derived: every schedule bumps ``_seq`` and every dispatch retires
   one entry, so ``_seq - _reserved - pops`` are outstanding
@@ -99,12 +107,14 @@ class Event:
     """
 
     #: ``_seq``: written by a push, read in a bucket (not by __init__)
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed",
+    __slots__ = ("sim", "_callbacks", "_value", "_ok", "_processed",
                  "_cancelled", "_cancel_cb", "_seq")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
+        #: ``()``, one callable, a list of two or more, or ``None``
+        #: (module docstring); :attr:`callbacks` is the list view
+        self._callbacks: Any = ()
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
         self._processed = False
@@ -114,6 +124,22 @@ class Event:
         self._cancel_cb: Optional[Callable[["Event"], None]] = None
 
     # -- state inspection -------------------------------------------------
+    @property
+    def callbacks(self) -> Optional[List[Callable[["Event"], None]]]:
+        """The callbacks in registration order, as a list callers may
+        append to; ``None`` once the event fired or was cancelled.
+        The first read turns the slot into that list."""
+        callbacks = self._callbacks
+        cls = callbacks.__class__
+        if cls is list or callbacks is None:
+            return callbacks
+        callbacks = self._callbacks = [] if cls is tuple else [callbacks]
+        return callbacks
+
+    @callbacks.setter
+    def callbacks(self, value: Optional[List[Callable[["Event"], None]]]) -> None:
+        self._callbacks = value
+
     @property
     def triggered(self) -> bool:
         """True once the event has a value and is (or was) on the heap."""
@@ -184,7 +210,7 @@ class Event:
         if self._value is not _PENDING or self._cancelled:
             return False
         self._cancelled = True
-        self.callbacks = None
+        self._callbacks = None
         hook = self._cancel_cb
         if hook is not None:
             self._cancel_cb = None
@@ -194,10 +220,13 @@ class Event:
     # -- internal ------------------------------------------------------------
     def _run_callbacks(self) -> None:
         self._processed = True
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks is not None:
+        callbacks, self._callbacks = self._callbacks, None
+        cls = callbacks.__class__
+        if cls is list:
             for cb in callbacks:
                 cb(self)
+        elif cls is not tuple and callbacks is not None:
+            callbacks(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
@@ -224,7 +253,7 @@ class Timeout(Event):
         # Event.__init__ and Simulator._push, flattened into one frame
         # (see the module docstring).
         self.sim = sim
-        self.callbacks = []
+        self._callbacks = ()
         self._value = value
         self._ok = True
         self._processed = False
@@ -278,7 +307,7 @@ class BulkCompletion(Event):
         super().__init__(sim)
         self._events = events
         self._values = values
-        self.callbacks.append(self._dispatch)
+        self._callbacks = self._dispatch
         self._ok = True
         self._value = None
         sim._push(self, delay)
@@ -298,11 +327,14 @@ class BulkCompletion(Event):
                 done += 1
                 # Event._run_callbacks, inlined as in Simulator.run
                 evt._processed = True
-                callbacks = evt.callbacks
-                evt.callbacks = None
-                if callbacks is not None:
+                callbacks = evt._callbacks
+                evt._callbacks = None
+                cls = callbacks.__class__
+                if cls is list:
                     for cb in callbacks:
                         cb(evt)
+                elif cls is not tuple and callbacks is not None:
+                    callbacks(evt)
         finally:
             self.sim._stats.events_processed += done
 
@@ -318,7 +350,7 @@ class BulkCompletion(Event):
             return False
         self._cancelled = True
         self._events = self._values = ()
-        self.callbacks = None
+        self._callbacks = None
         hook = self._cancel_cb
         if hook is not None:
             self._cancel_cb = None
@@ -540,11 +572,14 @@ class Simulator:
                         batch[k] = None
                         n += 1
                         event._processed = True
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        if callbacks is not None:
+                        callbacks = event._callbacks
+                        event._callbacks = None
+                        cls = callbacks.__class__
+                        if cls is list:
                             for cb in callbacks:
                                 cb(event)
+                        elif cls is not tuple and callbacks is not None:
+                            callbacks(event)
                         # The budget is a livelock tripwire, not a hard
                         # stop: the awaited event completing on exactly
                         # the Nth step is success, not livelock.

@@ -45,11 +45,21 @@ from repro.simt.kernel import (
 __all__ = ["Process", "Interrupt", "ProcessKilled", "wait_chain", "waiters"]
 
 
+def _registered(event: Event):
+    """The callbacks in ``event``'s slot, read without turning the slot
+    into a list: a report must not change the events it describes."""
+    callbacks = event._callbacks
+    cls = callbacks.__class__
+    if cls is list:
+        return callbacks
+    return () if cls is tuple or callbacks is None else (callbacks,)
+
+
 def waiters(event: Event) -> str:
     """Who ``event`` wakes: each callback named by its process or its
     ``__qualname__`` (a stalled run's report, :meth:`Simulator._stall`)."""
     names = []
-    for cb in event.callbacks or ():
+    for cb in _registered(event):
         owner = getattr(cb, "__self__", None)
         names.append(f"process {owner.name!r}" if isinstance(owner, Process)
                      else getattr(cb, "__qualname__", type(cb).__qualname__))
@@ -64,7 +74,7 @@ def wait_chain(event: Event) -> str:
         chain.append(f"process {event.name!r}")
         event = event._target
     if event is not None:
-        count = len(event.callbacks or ())
+        count = len(_registered(event))
         state = ("cancelled" if event._cancelled else
                  "triggered" if event.triggered else "untriggered")
         chain.append(f"{type(event).__name__} ({state}, {count} "
@@ -102,6 +112,8 @@ class Process(Event):
     subroutine that yields a generator in turn fails the process with
     :class:`~repro.simt.kernel.SimulationError`.  Returning a generator
     from the body replaces ``generator`` with it (the tail hand-off).
+    Yielding a cancelled event fails the process the same way: it would
+    never fire.
     """
 
     __slots__ = ("generator", "name", "_target", "_killed", "_resume_cb",
@@ -120,7 +132,7 @@ class Process(Event):
         init = Event(sim)
         init._ok = True
         init._value = None
-        init.callbacks.append(self._resume_cb)
+        init._callbacks = self._resume_cb
         sim._push(init, 0.0)
 
     # -- lifecycle ------------------------------------------------------------
@@ -140,7 +152,7 @@ class Process(Event):
         evt = Event(self.sim)
         evt._ok = False
         evt._value = Interrupt(cause)
-        evt.callbacks.append(self._resume_cb)
+        evt._callbacks = self._resume_cb
         self.sim._push(evt, 0.0)
         self._target = evt
 
@@ -159,7 +171,7 @@ class Process(Event):
         # killed process must not leave a live-looking posted receive
         # behind to swallow a message meant for a living waiter.
         tgt = self._target
-        if tgt is not None and not tgt.callbacks and not tgt.triggered:
+        if tgt is not None and not _registered(tgt) and not tgt.triggered:
             tgt.cancel()
         self._target = None
         self._close()
@@ -183,13 +195,19 @@ class Process(Event):
             self.generator = caller
 
     def _detach(self) -> None:
-        """Stop listening to the event we were waiting on."""
+        """Stop listening to the event we were waiting on; a slot that
+        held this process alone goes back to empty."""
         tgt = self._target
-        if tgt is not None and tgt.callbacks is not None:
+        if tgt is None:
+            return
+        callbacks = tgt._callbacks
+        if callbacks.__class__ is list:
             try:
-                tgt.callbacks.remove(self._resume_cb)
+                callbacks.remove(self._resume_cb)
             except ValueError:
                 pass
+        elif callbacks is self._resume_cb:
+            tgt._callbacks = ()
 
     # -- the trampoline -------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -201,10 +219,10 @@ class Process(Event):
         # now -- otherwise that event later resumes the generator in
         # place of whatever it is actually waiting on, permanently
         # desynchronising yield values.  On the normal path ``_target``
-        # *is* ``event`` and its callback list is already detached by
+        # *is* ``event`` and its callback slot was already cleared by
         # the dispatch loop, so there is nothing to drop.
         tgt = self._target
-        if tgt is not None and tgt.callbacks is not None:
+        if tgt is not None and tgt._callbacks is not None:
             self._detach()
         self._target = None
         sim = self.sim
@@ -244,23 +262,29 @@ class Process(Event):
             # exact classes first: a call per wake for the subclass check
             cls = nxt.__class__
             if cls is Event or cls is Timeout or isinstance(nxt, Event):
-                break
-            if cls is GeneratorType and self._caller is None:
+                if nxt._callbacks is not None or nxt._processed:
+                    break
+                # a withdrawn event never fires: waiting on it would
+                # hang the process with nothing to say why
+                error = (f"process {self.name!r} yielded a "
+                         f"{'cancelled' if nxt._cancelled else 'inert'} "
+                         f"{cls.__name__}, which never fires")
+            elif cls is GeneratorType and self._caller is None:
                 # the hand-off: drive the subroutine from here on
                 self._caller = gen
                 gen = self.generator = nxt
                 ok = True
                 value = None
                 continue
+            elif cls is GeneratorType:
+                error = (f"process {self.name!r} yielded a generator from "
+                         "a handed-off one; hand-offs do not nest")
+            else:
+                error = (f"process {self.name!r} yielded {cls.__name__}, "
+                         "expected an Event or a generator")
             sim._active_proc = None
             self._ok = False
-            self._value = SimulationError(
-                f"process {self.name!r} yielded a generator from a "
-                "handed-off one; hand-offs do not nest"
-                if cls is GeneratorType else
-                f"process {self.name!r} yielded {cls.__name__}, "
-                "expected an Event or a generator"
-            )
+            self._value = SimulationError(error)
             sim._push(self, 0.0)
             self._close()
             return
@@ -273,8 +297,17 @@ class Process(Event):
             relay = Event(self.sim)
             relay._ok = nxt._ok
             relay._value = nxt._value
-            relay.callbacks.append(self._resume_cb)
+            relay._callbacks = self._resume_cb
             self.sim._push(relay, 0.0)
             self._target = relay
+            return
+        # register in the slot (kernel docstring): empty -> the callable,
+        # one -> a list of both, a list -> appended
+        callbacks = nxt._callbacks
+        cls = callbacks.__class__
+        if cls is tuple:
+            nxt._callbacks = self._resume_cb
+        elif cls is list:
+            callbacks.append(self._resume_cb)
         else:
-            nxt.callbacks.append(self._resume_cb)
+            nxt._callbacks = [callbacks, self._resume_cb]

@@ -52,7 +52,7 @@ class _Flow:
     """One transfer in flight; :meth:`BandwidthResource._start` fills
     the slots (no ``__init__``: it would be a frame per message).
     ``event`` is the completion target: an :class:`Event`, or a record
-    that answers ``callbacks`` / ``_value`` / ``succeed`` like one and
+    that answers ``_callbacks`` / ``_value`` / ``succeed`` like one and
     so is called in the draining frame (``cluster.network``'s wire)."""
 
     __slots__ = ("remaining", "event", "nbytes")
@@ -102,8 +102,8 @@ class BandwidthResource:
         #: change without one)
         self._rate = 0.0
         # -- the one armed entry (see the module docstring) --
-        #: the callback list every entry of this pipe carries
-        self._fire = [self._on_timer]
+        #: the one callback every entry of this pipe carries in its slot
+        self._fire = self._on_timer
         #: the newest entry object; on the heap (or the immediate
         #: queue) iff ``_armed_at`` is set, free for re-use otherwise
         self._entry: Optional[Event] = None
@@ -131,7 +131,7 @@ class BandwidthResource:
             start.pipe = self
             start.nbytes = nbytes
             start.done = done
-            Timeout(self.sim, overhead).callbacks.append(start)
+            Timeout(self.sim, overhead)._callbacks = start
         else:
             self._start(nbytes, done)
         return done
@@ -160,7 +160,7 @@ class BandwidthResource:
 
     # -- internals ----------------------------------------------------------------
     def _start(self, nbytes: float, done: Event) -> None:
-        if done.callbacks is None:
+        if done._callbacks is None:
             return  # receiver abandoned before start (e.g. killed)
         # _advance(), written out
         now = self.sim.now
@@ -203,7 +203,7 @@ class BandwidthResource:
         armed_at = self._armed_at
         if not flows:
             if armed_at is not None:
-                self._entry.callbacks = None  # still pops, inert
+                self._entry._callbacks = None  # still pops, inert
                 self._entry = self._armed_at = None
                 self._due_seq = 0
             return
@@ -237,10 +237,10 @@ class BandwidthResource:
             # An earlier deadline (or one at this very instant, whose
             # place is in the immediate queue): the armed entry cannot
             # stand in for it, and pops inert.
-            self._entry.callbacks = None
+            self._entry._callbacks = None
             entry = self._entry = Event(sim)
             self._due_seq = 0
-        entry.callbacks = self._fire
+        entry._callbacks = self._fire
         entry._seq = seq
         self._armed_at = when
         if when == now:
@@ -263,7 +263,7 @@ class BandwidthResource:
             # is its place even when ``when`` is this instant.
             self._due_seq = 0
             when = self._armed_at = self._due_at
-            entry.callbacks = self._fire
+            entry._callbacks = self._fire
             sim._reserved -= 1
             entry._seq = seq
             at = sim._at
@@ -299,7 +299,7 @@ class BandwidthResource:
             else:
                 self.bytes_done += flow.nbytes
                 event = flow.event
-                if event.callbacks is not None and event._value is _PENDING:
+                if event._callbacks is not None and event._value is _PENDING:
                     event.succeed(None)
         del flows[kept:]
         self._reschedule()

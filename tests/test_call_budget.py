@@ -44,6 +44,10 @@ the same, re-read on the parent of
 the next row                           1117    97.2         11.5
 rank and size plain slots, no
 unexpected lookup while none waits     1096    97.2         11.3
+the same, re-read on the parent of
+the next row                           1100    97.2         11.3
+one waiter held in the event's slot,
+no callback list per event             1035    97.2         10.6
 ====================================  =====  ======  ===========
 
 The ceilings sit ~12 % above the last row (events: 8 %, below the 106
@@ -150,6 +154,10 @@ rank its own exit hook, a slotted
 engine, a bulk that drops each rank's
 event and result as it resumes it,
 an instance that drops its inputs       86.7    7.38     26.2    0.0   3,539
+one waiter held in the event's slot
+(no callback list per event), one
+sequence-counter list per instance
+key instead of a tuple key per rank     79.6    7.38     20.3    0.0   3,033
 =====================================  =====  ======  =======  =====  ======
 
 The event count is an equality: PR 19's diet was not allowed to move
@@ -165,7 +173,8 @@ tracked ceiling to ~12 % above it and added the traced one, also
 ~12 % above; on 3.9 and 3.10 both are unmeasured and allow for the
 dict the matching engine still carried there.  The tail hand-off's row
 lowered the calls, tracked and traced ceilings to ~12 % above it
-again; the 3.9/3.10 ceilings stay.
+again; the 3.9/3.10 ceilings stay.  The event slot's row lowered the
+same three, and the first table's calls and calls/event, the same way.
 """
 
 import cProfile
@@ -191,11 +200,11 @@ from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
 RANKS, ITERATIONS = 24, 8
-CALLS_PER_RANK_ITERATION = 1230.0
+CALLS_PER_RANK_ITERATION = 1160.0
 EVENTS_PER_RANK_ITERATION = 105.0
 #: below the 18.1 this run cost before the diet, so that neither half
 #: can drift back while the other hides it
-CALLS_PER_EVENT = 13.5
+CALLS_PER_EVENT = 11.9
 #: calls a tracer and a metrics registry add to the run, in all: 6,707
 #: run alone, 10,238 after the rest of tier-1 (the bare arm then reads
 #: 3,531 calls fewer)
@@ -341,11 +350,11 @@ def test_a_clean_delivery_probes_one_bucket():
 
 # ------------------------------------------------------------- macro tier
 MACRO_RANKS, MACRO_ROUNDS, MACRO_PPN = 1024, 2, 16
-MACRO_CALLS_PER_RANK_ROUND = 97.0
+MACRO_CALLS_PER_RANK_ROUND = 89.0
 MACRO_EVENTS = 15_108  # 7.38 per rank-round
-MACRO_TRACKED_PER_RANK = 29.3 if sys.version_info >= (3, 11) else 40.0
+MACRO_TRACKED_PER_RANK = 22.7 if sys.version_info >= (3, 11) else 40.0
 MACRO_CELLS_PER_RANK = 1.0
-MACRO_TRACED_BYTES_PER_RANK = 3960.0 if sys.version_info >= (3, 11) else 5000.0
+MACRO_TRACED_BYTES_PER_RANK = 3400.0 if sys.version_info >= (3, 11) else 5000.0
 
 _CELL = type((lambda x: lambda: x)(0).__closure__[0])
 

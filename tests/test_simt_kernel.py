@@ -627,3 +627,45 @@ def test_bulk_completion_counts_an_event_before_its_callbacks_run(drive):
     assert sim.now == 2.0
     assert sim.stats.events_processed == 1 + 3 + 1
     assert sim.stats.peak_heap == 2
+
+
+class _Falsy:
+    """A callback that is false in a boolean context."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __len__(self):
+        return 0
+
+    def __call__(self, evt):
+        self.log.append(evt.value)
+
+
+def test_a_falsy_lone_callback_runs_at_every_dispatch_site():
+    # the slot's shape is read by class: a callable that defines
+    # ``__len__`` is still one callback, in ``run``, ``step`` and a bulk
+    sim = Simulator()
+    log = []
+    for value in ("run", "step"):
+        evt = sim.event()
+        evt._callbacks = _Falsy(log)
+        evt.succeed(value)
+        sim.run() if value == "run" else sim.step()
+    evt = sim.event()
+    evt._callbacks = _Falsy(log)
+    BulkCompletion(sim, 0.0, [evt], ["bulk"])
+    sim.run()
+    assert log == ["run", "step", "bulk"]
+
+
+def test_callbacks_reads_the_slot_as_a_list_and_writes_it_as_given():
+    sim = Simulator()
+    evt = sim.event()
+    assert evt._callbacks == ()
+    assert evt.callbacks == [] and evt._callbacks == []
+    lone = sim.event()
+    lone._callbacks = print
+    assert lone.callbacks == [print] and lone._callbacks == [print]
+    lone.callbacks = None
+    assert lone._callbacks is None and lone.callbacks is None

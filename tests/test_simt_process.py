@@ -201,6 +201,89 @@ def test_yield_non_event_is_error():
     assert isinstance(proc.value, SimulationError)
 
 
+def test_yielding_a_cancelled_event_fails_the_process_by_name():
+    # It never fires: the process must not hang on it, and the kernel
+    # must not crash on the registration.
+    sim = Simulator()
+    evt = sim.event()
+    evt.cancel()
+    closed = []
+
+    def worker():
+        try:
+            yield evt
+        finally:
+            closed.append(sim.now)
+
+    proc = sim.spawn(worker(), name="p")
+    sim.run()
+    assert not proc.ok
+    assert isinstance(proc.value, SimulationError)
+    assert str(proc.value) == (
+        "process 'p' yielded a cancelled Event, which never fires")
+    assert closed == [0.0]
+
+
+def test_one_waiter_is_held_without_a_list():
+    sim = Simulator()
+    evt = sim.event()
+
+    def worker():
+        return (yield evt)
+
+    proc = sim.spawn(worker(), name="p")
+    sim.run()
+    assert evt._callbacks is proc._resume_cb
+    # a report reads the slot and leaves it as it found it
+    assert wait_chain(proc) == "process 'p' → Event (untriggered, 1 callback)"
+    assert evt._callbacks is proc._resume_cb
+    evt.succeed("v")
+    sim.run()
+    assert proc.value == "v" and evt._callbacks is None
+
+
+def test_callbacks_lists_the_slot_in_registration_order():
+    sim = Simulator()
+    evt = sim.event()
+    order = []
+    assert evt._callbacks == ()
+
+    def worker():
+        order.append((yield evt))
+
+    first = sim.spawn(worker(), name="first")
+    sim.run()
+    assert evt._callbacks is first._resume_cb
+    # the list view takes the lone waiter along, first
+    evt.callbacks.append(lambda e: order.append("appended"))
+    sim.spawn(worker(), name="second")
+    sim.run()
+    assert [getattr(cb, "__self__", None) is not None
+            for cb in evt.callbacks] == [True, False, True]
+    evt.succeed("v")
+    sim.run()
+    assert order == ["v", "appended", "v"]
+    assert evt.callbacks is None
+
+
+def test_an_interrupt_empties_a_one_waiter_slot():
+    sim = Simulator()
+    evt = sim.event()
+
+    def worker():
+        try:
+            yield evt
+        except Interrupt:
+            return "interrupted"
+
+    proc = sim.spawn(worker())
+    sim.run()
+    proc.interrupt()
+    sim.run()
+    assert proc.value == "interrupted"
+    assert evt._callbacks == () and evt.callbacks == []
+
+
 def test_yield_already_processed_event():
     sim = Simulator()
 
