@@ -21,6 +21,7 @@ from repro.net.overlay import (
     max_notification_hops_bound,
     notification_hops,
 )
+from repro.obs import Tracer
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
@@ -45,6 +46,7 @@ def part2_live(nranks=96, ppn=12):
     print(f"Live detection: {nranks} ranks, 12/node; crashing node 0 at t=5s")
     sim = Simulator()
     machine = Machine(sim, SIERRA.with_nodes(nranks // ppn + 1), RngRegistry(7))
+    tracer = Tracer(sim)  # each notification is an ``overlay.notified`` record
 
     def idle(fmi):
         u = np.zeros(1)
@@ -69,7 +71,8 @@ def part2_live(nranks=96, ppn=12):
     sim.spawn(chaos())
     sim.run(until=crash_at + 2.0)
 
-    delays = sorted(t - crash_at for _r, t, g in job.detector.notifications if g == 1)
+    delays = sorted(ev.ts - crash_at for ev in tracer.events
+                    if ev.name == "overlay.notified" and ev.epoch == 1)
     print(f"  survivors notified: {len(delays)} / {nranks - ppn}")
     print(f"  first (direct ibverbs event): {delays[0] * 1e3:.1f} ms")
     print(f"  last  (end of cascade):       {delays[-1] * 1e3:.1f} ms")

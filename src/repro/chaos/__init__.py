@@ -30,18 +30,10 @@ from repro.chaos.invariants import (
     DetectorMonitor,
     TraceInvariants,
     Violation,
-    check_all,
     check_answer,
     check_detector_bounded,
-    check_epoch_monotone,
     check_link_accounting,
-    check_no_orphans,
-    check_no_split_brain,
-    check_no_stale_delivery,
     check_posted_receives,
-    check_suspicion_resolved,
-    check_tenant_isolation,
-    check_zero_rollback,
 )
 from repro.chaos.runner import MAX_EVENTS, RunResult, run_campaign
 from repro.chaos.scenario import (
@@ -72,10 +64,7 @@ __all__ = [
     "Rule", "Scenario", "ChaosEngine",
     "CAMPAIGNS", "GRAY_CAMPAIGNS", "Campaign",
     "Violation", "DetectorMonitor", "TraceInvariants",
-    "check_epoch_monotone", "check_no_stale_delivery",
     "check_posted_receives", "check_detector_bounded", "check_answer",
-    "check_no_split_brain", "check_suspicion_resolved",
-    "check_link_accounting", "check_no_orphans", "check_zero_rollback",
-    "check_tenant_isolation", "check_all",
+    "check_link_accounting",
     "RunResult", "run_campaign", "MAX_EVENTS",
 ]

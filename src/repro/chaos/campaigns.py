@@ -70,7 +70,7 @@ Multi-tenant campaign (service mode: several jobs share one cluster):
 
 The builders stay hand-written: they define the benchmark's
 ``chaos_sweep`` workload, so turning them into rows of one strategy
-over the DSL waits for after ROADMAP item 1-I.
+over the DSL (ROADMAP item 16) waits for after ROADMAP item 21.
 """
 
 from __future__ import annotations

@@ -4,13 +4,13 @@ The trace invariants are one state machine, :class:`TraceInvariants`,
 with one handler per event name it reads; a handler serves every
 invariant that reads that name.  :func:`~repro.chaos.runner.run_campaign`
 subscribes the machine to the run's tracer before launch, so it reads
-the run as it happens; :func:`check_all` and the ``check_*`` trace
-functions replay a recorded trace through the same handlers.  Every
-check returns a list of :class:`Violation` s (empty = green), and each
-``check_*`` docstring states its invariant:
+the run as it happens; ``TraceInvariants().replay(events)`` reads a
+recorded trace through the same handlers.  Every check returns a list
+of :class:`Violation` s (empty = green):
 
-* read from the trace: **epoch-monotone**, **no-stale-delivery** (the
-  epoch filter of Section IV-D), **no-split-brain** and
+* read from the trace (stated in the :class:`TraceInvariants`
+  docstring): **epoch-monotone**, **no-stale-delivery** (the epoch
+  filter of Section IV-D), **no-split-brain** and
   **suspicion-resolved** (gray failures), **no-orphans** (the logged
   plane), **zero-rollback** (the replicated plane) and, on a shared
   cluster, **tenant-isolation**;
@@ -22,7 +22,7 @@ check returns a list of :class:`Violation` s (empty = green), and each
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
@@ -31,11 +31,8 @@ from repro.obs.tracer import TraceReader
 
 __all__ = [
     "Violation", "DetectorMonitor", "TraceInvariants", "takes_down",
-    "check_epoch_monotone", "check_no_stale_delivery",
     "check_posted_receives", "check_detector_bounded", "check_answer",
-    "check_no_split_brain", "check_suspicion_resolved",
-    "check_link_accounting", "check_no_orphans", "check_zero_rollback",
-    "check_tenant_isolation", "check_all",
+    "check_link_accounting",
 ]
 
 
@@ -74,8 +71,66 @@ class TraceInvariants(TraceReader):
     Each name in ``EVENTS`` has one handler, which updates every
     invariant that reads the name and flags a per-event violation at
     once, with the event's time and rank.  :meth:`violations` adds what
-    only the whole trace can tell; :meth:`verdict` adds the state checks.
-    Feed it live (:meth:`subscribe`) or a recorded trace (:meth:`replay`).
+    only the whole trace can tell; :meth:`tenant_isolation` judges a
+    shared cluster; :meth:`verdict` adds the state checks.  Feed it live
+    (:meth:`subscribe`) or a recorded trace (:meth:`replay`).
+
+    The invariants, in the order :meth:`violations` reports them:
+
+    * **epoch-monotone** -- recovery epochs never run backwards, per
+      (tenant, rank): the epoch on ``fmi.state`` transitions never
+      decreases, and ``fmi.notify`` generations strictly increase per
+      incarnation.  Keyed by the ``job`` label the runtime stamps on
+      every ``fmi.*`` event: two tenants legitimately run the same rank
+      numbers at unrelated epochs, and only same-tenant regressions are
+      bugs.
+    * **no-stale-delivery** -- no envelope from an older epoch was
+      delivered into a context: every ``net.recv`` carries its
+      context's epoch (``ctx_epoch``), and an older envelope means the
+      transport's epoch filter was bypassed.  An ``mpi.collective``
+      record (a macro instance) carries the same pair: an instance of a
+      dead epoch completed, which the coordinator's reset should have
+      cancelled.
+    * **no-split-brain** -- a partition alone never drives recovery.
+      Two teeth: no ``fmi.notify`` whose root reason is a raw
+      ``partition:`` event (the detector holds such events as
+      suspicions and acts only after out-of-band confirmation,
+      ``confirmed:...``); and no more recovery epochs than real
+      deaths/drains were injected, so a cut observed on both sides
+      cannot silently double the recovery count.
+    * **suspicion-resolved** -- every raised suspicion is eventually
+      cleared, per tenant (peer alive, healed, dead, or the rank left);
+      an unresolved suspicion is a leaked timer or a lost decision.
+    * **no-orphans** -- partial rollback never leaves an orphan receive
+      behind.  An orphan is a process whose state depends on a message
+      its sender's rollback "unsent".  Under sender-based logging every
+      delivered channel message ``(src, dst, n)`` whose sender later
+      rewound past it (the rewind's channel counter is <= n, which
+      truncates the log entry) must be logged *again* after that rewind:
+      piecewise-deterministic re-execution regenerated the identical
+      send, and the receiver's lseq filter deduplicates the copy.
+      A no-op for runs without ``mlog`` records.
+    * **zero-rollback** -- replicated recovery never restores a
+      checkpoint (failover is the whole point) except after an explicit
+      fallback.  Checked per tenant, and gated on the tenant's ``repl.*``
+      records (a no-op for the global and logged families).  A standby
+      re-arm clones its lead's live storage and never runs the restore
+      collectives, so any ``ckpt.restore.begin`` before the tenant's
+      first ``repl.fallback`` (or without one) means a survivor was
+      rolled back.  A ``repl.*`` record carries its ``job``; a restore
+      carries only a node, and belongs to the tenant whose rank last
+      reported an ``fmi.state`` from that node.
+    * **tenant-isolation** (:meth:`tenant_isolation`, multi-tenant runs
+      only) -- one tenant's failure stays that tenant's problem.  Kills
+      injected through :class:`~repro.chaos.scenario.KillTenantSlot`
+      tag their ``chaos.inject`` record with the victim's ``job_id``;
+      from that tag and the ``job`` labels on the recovery streams,
+      three teeth: a *bystander* (never targeted) ends at epoch 0, with
+      no ``recovery.begin``, ``fmi.notify`` or ``overlay.notified``
+      record of its own; every *targeted* tenant opened a recovery
+      epoch of its own; and no tenant opens more recovery epochs than
+      kills aimed at it (allocations are node-exclusive, so a
+      neighbour's dead node is never mistaken for ours).
     """
 
     EVENTS = (
@@ -238,8 +293,8 @@ class TraceInvariants(TraceReader):
         return out
 
     def tenant_isolation(self, jobs) -> List[Violation]:
-        """The tenant-isolation verdict over ``jobs`` (see
-        :func:`check_tenant_isolation`)."""
+        """The tenant-isolation verdict over ``jobs``, every co-resident
+        job of the run."""
         out: List[str] = []
         for jid in [job.job_id for job in jobs]:
             kills = self._per_job.get(("kills", jid), 0)
@@ -263,8 +318,17 @@ class TraceInvariants(TraceReader):
         return [Violation("tenant-isolation", detail) for detail in out]
 
     def verdict(self, jobs, results, reference, monitors) -> List[Violation]:
-        """The whole run's violations (see :func:`check_all`), from the
-        events this machine has read."""
+        """Every check over one finished run, from the events this
+        machine has read.
+
+        ``jobs``, ``results`` and ``monitors`` are per tenant, in the
+        same order (a solo run passes one-element lists);
+        ``results=None`` means the run never finished (the runner
+        reports that as its own violation).  The trace invariants come
+        once, the state checks and the answer check once per job --
+        each violation they find names its tenant -- and
+        tenant-isolation whenever there is more than one job.
+        """
         out = self.violations()
         for idx, job in enumerate(jobs):
             found = check_posted_receives(job)
@@ -276,111 +340,6 @@ class TraceInvariants(TraceReader):
         if len(jobs) > 1:
             out += self.tenant_isolation(jobs)
         return out
-
-
-def _replayed(tracer, invariant: str) -> List[Violation]:
-    found = TraceInvariants().replay(tracer.events).violations()
-    return [v for v in found if v.invariant == invariant]
-
-
-# ------------------------------------------------- trace checks (replayed)
-def check_epoch_monotone(tracer) -> List[Violation]:
-    """Recovery epochs never run backwards, per (tenant, rank): the
-    epoch on ``fmi.state`` transitions never decreases, and
-    ``fmi.notify`` generations strictly increase per incarnation.
-
-    Keyed by the ``job`` label the runtime stamps on every ``fmi.*``
-    event: on a shared cluster two tenants legitimately run the same
-    rank numbers at unrelated epochs, and only same-tenant regressions
-    are bugs.
-    """
-    return _replayed(tracer, "epoch-monotone")
-
-
-def check_no_stale_delivery(tracer) -> List[Violation]:
-    """No envelope from an older epoch was delivered into a context:
-    every ``net.recv`` carries its context's epoch (``ctx_epoch``), and
-    an older envelope means the transport's epoch filter was bypassed.
-    An ``mpi.collective`` record (a macro instance) carries the same
-    pair: an instance of a dead epoch completed, which the coordinator's
-    reset should have cancelled."""
-    return _replayed(tracer, "no-stale-delivery")
-
-
-def check_no_orphans(tracer) -> List[Violation]:
-    """Partial rollback never leaves an orphan receive behind.
-
-    An *orphan* is a process whose state depends on a message its
-    sender's rollback "unsent" and that the system can no longer
-    account for.  Under sender-based logging the accounting obligation
-    is: every logged channel message ``(src, dst, n)`` whose sender
-    later rewound past it (the rewind's channel counter is <= n, which
-    truncates the log entry) must be logged *again* after that rewind
-    -- piecewise-deterministic re-execution regenerated the identical
-    send, and the receiver's lseq filter deduplicates the copy.
-    No-op for runs without mlog events (global recovery plane).
-    """
-    return _replayed(tracer, "no-orphans")
-
-
-def check_zero_rollback(tracer) -> List[Violation]:
-    """Replicated recovery never restores a checkpoint -- failover is
-    the whole point -- except after an explicit fallback.
-
-    Checked per tenant, and gated on the presence of the tenant's
-    ``repl.*`` trace events (a no-op for the global and logged
-    families).  A standby re-arm clones its lead's live storage
-    directly and never runs the restore collectives, so any
-    ``ckpt.restore.begin`` before the tenant's first ``repl.fallback``
-    (or without one at all) means a survivor was rolled back.  A
-    ``repl.*`` record carries its ``job``; a restore carries only a
-    node, and belongs to the tenant whose rank last reported an
-    ``fmi.state`` from that node.
-    """
-    return _replayed(tracer, "zero-rollback")
-
-
-def check_no_split_brain(tracer) -> List[Violation]:
-    """A partition alone must never drive recovery.
-
-    Two teeth: (1) no ``fmi.notify`` whose root reason is a raw
-    ``partition:`` event -- the detector must hold such events as
-    suspicions and only act after out-of-band confirmation
-    (``confirmed:...``); (2) the job never opens more recovery epochs
-    than real deaths/drains were injected, so a cut observed on both
-    sides cannot silently double the recovery count.
-    """
-    return _replayed(tracer, "no-split-brain")
-
-
-def check_suspicion_resolved(tracer) -> List[Violation]:
-    """Every raised suspicion is eventually cleared, per tenant (peer
-    alive, healed, dead, or the rank left); an unresolved suspicion is
-    a leaked timer or a lost decision."""
-    return _replayed(tracer, "suspicion-resolved")
-
-
-def check_tenant_isolation(tracer, jobs) -> List[Violation]:
-    """One tenant's failure stays that tenant's problem.
-
-    Multi-tenant runs only (``jobs`` is every co-resident job).  Kills
-    injected through :class:`~repro.chaos.scenario.KillTenantSlot` tag
-    their ``chaos.inject`` record with the victim's ``job_id``; from
-    that tag and the per-tenant ``job`` labels on the recovery streams,
-    three teeth:
-
-    * a *bystander* (tenant never targeted) must end with epoch 0 --
-      zero ``recovery.begin``, zero ``fmi.notify``, zero detector
-      ``overlay.notified`` events carry its id (no cross-tenant epoch
-      bumps, no detector split-brain);
-    * every *targeted* tenant opened at least one recovery epoch of its
-      own (it recovered independently rather than riding another
-      tenant's recovery);
-    * no tenant opens more recovery epochs than kills aimed at it
-      (allocations are node-exclusive, so a neighbour's dead node can
-      never be mistaken for ours).
-    """
-    return TraceInvariants().replay(tracer.events).tenant_isolation(jobs)
 
 
 # ---------------------------------------------------------- state checkers
@@ -528,26 +487,3 @@ def check_answer(results: Sequence, reference: Sequence) -> List[Violation]:
                 f"rank {rank}: {got!r} != failure-free {want!r}",
             ))
     return out
-
-
-# ------------------------------------------------------------------ driver
-def check_all(
-    jobs: Sequence,
-    tracer,
-    results: Optional[Sequence[Sequence]],
-    reference: Sequence,
-    monitors: Sequence[DetectorMonitor],
-) -> List[Violation]:
-    """Every check over one finished run, its trace replayed.
-
-    ``jobs``, ``results`` and ``monitors`` are per tenant, in the same
-    order (a solo run passes one-element lists); ``results=None`` means
-    the run never finished (already reported by the runner as its own
-    violation).  The trace invariants read the merged trace once, the
-    state checks and the answer check run once per job -- each
-    violation they find names its tenant -- and the tenant-isolation
-    invariant whenever there is more than one.
-    """
-    return TraceInvariants().replay(tracer.events).verdict(
-        jobs, results, reference, monitors
-    )

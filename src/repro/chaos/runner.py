@@ -6,9 +6,9 @@ its tracer so they read the run as it happens, arms the campaign's
 scenario through a :class:`ChaosEngine`, samples the failure detector
 with a :class:`DetectorMonitor`, drives the simulation to completion
 (bounded by ``MAX_EVENTS`` so a livelock becomes a reported violation
-instead of a hang), and adds the state checks once the run ends.  The
-recorded trace replays through the same invariants
-(:func:`~repro.chaos.invariants.check_all`).
+instead of a hang), and adds the state checks once the run ends
+(:meth:`TraceInvariants.verdict`).  A recorded trace replays through
+the same invariants: ``TraceInvariants().replay(events)``.
 
 Determinism: everything stochastic -- victim slots, kill times, event
 jitter -- is drawn from the machine's seeded ``"chaos"`` RNG stream, so

@@ -15,11 +15,11 @@ protocol (:class:`_Injector`):
   runs ``python -m repro.sched --mtbf``'s kills as one single-node
   class at rate 1/MTBF (gap, then victim, as ``Rule(Poisson(mtbf),
   KillRandomNode())`` draws them): the perf benchmark's layer check keeps
-  ``sched_soak`` off the chaos package until ROADMAP item 1-I.
+  ``sched_soak`` off the chaos package until ROADMAP item 21.
 * :class:`TraceInjector` -- replays a ``(time, node_ids)`` schedule,
   so one failure scenario runs against several configurations.  It
   stays only because the perf benchmark's workloads import it; its
-  deletion rides with ROADMAP item 1-I.
+  deletion rides with ROADMAP item 21.
 
 Failure *records* are kept so experiments can recompute failures/year
 and MTBF per class -- that is how Table I and Fig 1 are regenerated.

@@ -126,10 +126,6 @@ class ChannelPlane(RecoveryFamily):
         #: rank -> {dataset id -> channel snapshot at that checkpoint},
         #: the retained window
         self.snapshots: Dict[int, Dict[int, ChannelSnapshot]] = {}
-        # -- counters (observability + tests) --
-        self.dup_suppressed = 0
-        self.det_recorded = 0
-        self.det_mismatches = 0
 
     def _wire(self, fproc, chan: ChannelState) -> None:
         """H1: hook ``fproc``'s context up to ``chan`` -- the receive
@@ -157,13 +153,12 @@ class ChannelPlane(RecoveryFamily):
         dets.append(Determinant(source, tag, env.comm_id, env.src, env.tag,
                                 env.lseq))
         chan.det_cursor = len(dets)
-        self.det_recorded += 1
 
     def _next_det(self, rank: int, chan: ChannelState, source: int, tag: int,
                   comm_id: int) -> Optional[Determinant]:
         """The recorded match a wildcard post replays, advancing the
         cursor; None when ``chan`` is caught up.  A post whose pattern
-        disagrees with the record is counted, and the cursor skips to
+        disagrees with the record is traced, and the cursor skips to
         the end: replay degrades to free order."""
         dets = self.dets.get(rank, ())
         cursor = chan.det_cursor
@@ -171,7 +166,6 @@ class ChannelPlane(RecoveryFamily):
             return None
         det = dets[cursor]
         if (det.source, det.tag, det.comm_id) != (source, tag, comm_id):
-            self.det_mismatches += 1
             chan.det_cursor = len(dets)
             if self.sim.tracer.enabled:
                 self.sim.tracer.instant(

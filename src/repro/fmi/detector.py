@@ -56,8 +56,6 @@ class LogRingDetector:
         self._conns: Dict[int, List[Connection]] = {}
         self._joined_epoch: Dict[int, int] = {}
         self._cascaded: Dict[int, int] = {}  # rank -> last generation cascaded
-        #: (rank, time, generation) notification record -- Fig 13's data
-        self.notifications: List[Tuple[int, float, int]] = []
         #: pending partition-rooted suspicions: (rank, peer) -> raised-at
         self._suspected: Dict[Tuple[int, int], float] = {}
         #: suspicions cleared because the suspect was alive (gray stats)
@@ -227,7 +225,6 @@ class LogRingDetector:
                     other.close_from((rank, epoch), reason=f"cascade:{reason}")
                 self._unlink(other)
             sim = self.job.sim
-            self.notifications.append((rank, sim.now, generation))
             hop = hops_of_reason(reason)
             if sim.tracer.enabled:
                 sim.tracer.instant(

@@ -116,14 +116,11 @@ class FmiJob(JobBase):
                 self.init_done_at = self.sim.now
             self.recovered_at[epoch] = self.sim.now
             if self.sim.tracer.enabled and epoch > 0:
-                start = self.recovery_causes[epoch - 1][0] if (
-                    epoch - 1 < len(self.recovery_causes)
-                ) else self.sim.now
+                # begin_recovery bumps the epoch and records its cause
+                # together
+                start, cause = self.recovery_causes[epoch - 1]
                 self.sim.tracer.complete(
-                    "recovery", "recovery", start, epoch=epoch,
-                    cause=self.recovery_causes[epoch - 1][1] if (
-                        epoch - 1 < len(self.recovery_causes)
-                    ) else "",
+                    "recovery", "recovery", start, epoch=epoch, cause=cause,
                     job=self.job_id,
                 )
 

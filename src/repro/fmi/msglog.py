@@ -53,8 +53,8 @@ Trace events (``mlog.*``): ``mlog.log`` (an entry appended),
 ``mlog.rewind``, ``mlog.replay.begin``, ``mlog.replay`` (one message),
 ``mlog.replay.done``, ``mlog.det.mismatch``.  A re-send the lseq filter
 suppresses is the transport's ``net.drop_lseq_dup``.
-The orphan invariant (:func:`repro.chaos.invariants.check_no_orphans`)
-is checked post-hoc from ``mlog.log`` / ``mlog.rewind`` / ``net.recv``.
+The no-orphans invariant (:class:`repro.chaos.invariants.TraceInvariants`)
+reads ``mlog.log`` / ``mlog.rewind`` / ``net.recv``.
 """
 
 from __future__ import annotations
@@ -115,14 +115,6 @@ class RecoveryPlane(ChannelPlane):
         self.last_ckpt: Dict[int, int] = {}
         #: ranks currently inside partial_restore
         self.recovering: Set[int] = set()
-        # -- counters (observability + tests) --
-        self.log_entries = 0
-        self.log_bytes = 0.0
-        self.live_entries = 0
-        self.live_bytes = 0.0
-        self.gc_entries = 0
-        self.replayed_msgs = 0
-        self.partial_restores = 0
 
     # -- process wiring ----------------------------------------------------
     def on_h1(self, fproc) -> None:
@@ -185,10 +177,6 @@ class RecoveryPlane(ChannelPlane):
             _snapshot(env.data), self.last_ckpt.get(src, -1),
         )
         self.logs.setdefault(src, []).append(entry)
-        self.log_entries += 1
-        self.log_bytes += env.nbytes
-        self.live_entries += 1
-        self.live_bytes += env.nbytes
         sim = self.sim
         if sim.tracer.enabled:
             sim.tracer.instant(
@@ -206,7 +194,6 @@ class RecoveryPlane(ChannelPlane):
             key = (lseq[0], lseq[2])
             seen = chan.seen
             if key in seen:
-                self.dup_suppressed += 1
                 return False
             seen.add(key)
             return True
@@ -248,7 +235,6 @@ class RecoveryPlane(ChannelPlane):
 
         def _check(env) -> None:
             if recorded is not None and getattr(env, "lseq", None) != recorded:
-                self.det_mismatches += 1
                 if self.sim.tracer.enabled:
                     self.sim.tracer.instant(
                         "mlog.det.mismatch", "mlog", rank=rank,
@@ -301,18 +287,17 @@ class RecoveryPlane(ChannelPlane):
         ])
         if not dropped:
             return
-        self.gc_entries += dropped
         sim = self.sim
         if sim.tracer.enabled:
             sim.tracer.instant(
                 "mlog.gc", "mlog", stable=stable, entries=dropped,
-                nbytes=dropped_bytes, live=self.live_entries,
+                nbytes=dropped_bytes,
+                live=sum(map(len, self.logs.values())),
             )
 
     def _trim(self, kept_logs) -> Tuple[int, float]:
-        """Shorten logs to the ``(src, kept entries)`` pairs given,
-        keeping the live counters in step; returns the entries and
-        bytes dropped.  The log-trim body of :meth:`_gc` and
+        """Shorten logs to the ``(src, kept entries)`` pairs given;
+        returns the entries and bytes dropped.  The log-trim body of :meth:`_gc` and
         :meth:`_rewind`."""
         logs = self.logs
         dropped = 0
@@ -324,8 +309,6 @@ class RecoveryPlane(ChannelPlane):
                 dropped_bytes += (sum(map(attrgetter("nbytes"), entries))
                                   - sum(map(attrgetter("nbytes"), kept)))
                 logs[src] = kept
-        self.live_entries -= dropped
-        self.live_bytes -= dropped_bytes
         return dropped, dropped_bytes
 
     # -- partial restore ---------------------------------------------------
@@ -342,7 +325,6 @@ class RecoveryPlane(ChannelPlane):
         sim = self.sim
         t0 = sim.now
         self.recovering.add(rank)
-        self.partial_restores += 1
         if sim.tracer.enabled:
             sim.tracer.instant(
                 "mlog.restore.begin", "mlog", rank=rank,
@@ -529,7 +511,6 @@ class RecoveryPlane(ChannelPlane):
                 yield proc
             elif not proc._ok:
                 raise proc._value
-        self.replayed_msgs += counts["msgs"]
         return counts["msgs"], counts["bytes"]
 
     def _replay_sender(self, ctx, src: int, rank: int,

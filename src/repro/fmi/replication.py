@@ -130,13 +130,6 @@ class ReplicationPlane(ChannelPlane):
         self.era = 0
         #: epoch of the most recent fallback (None = never fell back)
         self.fallback_epoch: Optional[int] = None
-        # -- counters (bench / invariant surface) --
-        self.promotions = 0
-        self.replica_losses = 0
-        self.fallbacks = 0
-        self.mirrored = 0
-        self.standby_buffered = 0
-        self.standby_syncs = 0
 
     # ------------------------------------------------------------ geometry
     def adopt(self, fproc) -> None:
@@ -292,7 +285,6 @@ class ReplicationPlane(ChannelPlane):
             )
             menv.lseq = env.lseq
             out.append((ctx.addr, menv))
-        self.mirrored += len(out)
         return out
 
     def _make_recv_filter(self, fproc, chan: ChannelState):
@@ -305,12 +297,10 @@ class ReplicationPlane(ChannelPlane):
                 # Unsynced standby: park everything until the sync
                 # point tells us which messages the snapshot consumed.
                 rec.buffered.append(env)
-                self.standby_buffered += 1
                 return False
             key = (lseq[0], lseq[2])
             seen = chan.seen
             if key in seen:
-                self.dup_suppressed += 1
                 return False
             seen.add(key)
             return True
@@ -428,7 +418,6 @@ class ReplicationPlane(ChannelPlane):
             )
             return True
         if lost_replica:
-            self.replica_losses += 1
             if self.sim.tracer.enabled:
                 self.sim.tracer.instant(
                     "repl.replica_lost", "repl", epoch=job.epoch, cause=cause,
@@ -480,7 +469,6 @@ class ReplicationPlane(ChannelPlane):
                 job.rank_procs[r] = proc
                 job.register_endpoint(r, proc.ctx)
                 self._rebuild_mirrors(r)
-                self.promotions += 1
                 if self.sim.tracer.enabled:
                     self.sim.tracer.instant(
                         "repl.promote", "repl", rank=r, copy=copy,
@@ -502,7 +490,6 @@ class ReplicationPlane(ChannelPlane):
         """
         job = self.job
         epoch = job.epoch
-        self.fallbacks += 1
         self.fallback_epoch = epoch
         self.era = epoch
         if self.sim.tracer.enabled:
@@ -669,7 +656,6 @@ class ReplicationPlane(ChannelPlane):
             seen.add(key)
             ctx.matching.deliver(env)
             delivered += 1
-        self.standby_syncs += 1
         if self.sim.tracer.enabled:
             self.sim.tracer.instant(
                 "repl.standby.sync", "repl", rank=rank, copy=rec.copy,

@@ -86,8 +86,7 @@ class ParallelApi:
     """
 
     __slots__ = ("transport", "sim", "ctx", "node", "addr_table",
-                 "rank", "size", "_comm_seq", "world",
-                 "bytes_sent", "msgs_sent", "_hop_only")
+                 "rank", "size", "_comm_seq", "world", "_hop_only")
 
     ANY_SOURCE = ANY_SOURCE
     ANY_TAG = ANY_TAG
@@ -114,9 +113,6 @@ class ParallelApi:
         self.size = size
         self._comm_seq = WORLD_ID
         self.world = Communicator(self, WORLD_ID, _world_members(size))
-        #: bytes sent by this rank (observability)
-        self.bytes_sent = 0.0
-        self.msgs_sent = 0
         #: while > 0, collectives issued through this API must run on
         #: the hop-level engine (checkpoint rendezvous, restore
         #: agreement -- sections where per-hop fidelity is load-bearing).

@@ -75,15 +75,13 @@ class Communicator:
             size = sizeof(data)
         else:
             size = nbytes if nbytes.__class__ is float else float(nbytes)
-        if not size >= 0:  # negative or NaN, before any counter or plane
+        if not size >= 0:  # negative or NaN, before any plane sees it
             raise ValueError(f"message size must be >= 0 bytes, got {size}")
         ctx = api.ctx
         env = Envelope(
             self.rank, dst, tag, self.id, ctx.epoch, size,
             data if data.__class__ in _IMMUTABLE else snapshot(data),
         )
-        api.bytes_sent += size
-        api.msgs_sent += 1
         dst_world = self.members[dst]
         on_send = api.recovery.on_send
         if on_send is not None:

@@ -55,9 +55,10 @@ Bookkeeping invariants:
   in-flight instance and clears the sequence counters, so a rolled
   back world replays its collective sequence from a clean slate.
 
-The macro path does **not** tick ``api.msgs_sent`` / ``bytes_sent``
-or the fabric counters -- there are no messages.  Workloads that
-assert on those must run under ``set_collective_mode("hops")``.
+The macro path writes no ``net.recv`` record, so the trace counts
+none of its traffic as sent, and it does not tick the fabric counters
+-- there are no messages.  Workloads that assert on those must run
+under ``set_collective_mode("hops")``.
 
 Observation picks no engine: a traced run takes the same verdicts as
 an untraced one.  What a tracer sees of a macro instance is one
@@ -192,8 +193,6 @@ class MacroCollectives:
         # -- counters (observability without tracing) --
         self.instances_macro = 0
         self.instances_hop = 0
-        self.macro_events = 0
-        self.resets = 0
         #: hop-fidelity reason -> count
         self.fallbacks: Dict[str, int] = {}
 
@@ -291,7 +290,6 @@ class MacroCollectives:
         bulk = inst.bulk = BulkCompletion(self.transport.sim, duration,
                                           inst.events, results)
         bulk._callbacks = [bulk._callbacks, inst._completed]
-        self.macro_events += 1
 
     def _duration(self, comm, kind: str, sizes_sig, root: int) -> float:
         key = (kind, comm.id, root, sizes_sig)
@@ -329,7 +327,6 @@ class MacroCollectives:
         self._seq.clear()
         self._times.clear()
         self._nodes_cache.clear()
-        self.resets += 1
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ class Scr:
         self.policy = IntervalPolicy(
             FmiConfig(interval=interval, mtbf_seconds=mtbf_seconds)
         )
-        self.checkpoints_written = 0
 
     # -- write path --------------------------------------------------------
     def need_checkpoint(self) -> bool:
@@ -78,7 +77,6 @@ class Scr:
         t0 = self.api.now
         meta = yield from self.engine.checkpoint(pack(buffers, nbytes), dataset_id)
         self.policy.record_checkpoint(self.api.now, self.api.now - t0)
-        self.checkpoints_written += 1
         return meta
 
     # -- read path -----------------------------------------------------------

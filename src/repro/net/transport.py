@@ -60,7 +60,7 @@ class NetContext:
     """Per-process networking state: address, matching engine, epoch."""
 
     __slots__ = ("transport", "node", "addr", "label", "matching", "epoch",
-                 "closed", "recv_filter", "stale_dropped", "delivered_seqs")
+                 "closed", "recv_filter", "delivered_seqs")
 
     def __init__(self, transport: "Transport", node: Node, label: str = ""):
         # Serials are per-transport, not per-process: two simulations in
@@ -82,8 +82,6 @@ class NetContext:
         #: returning False suppresses it (a replayed, re-sent or
         #: cross-copy duplicate, or one buffered by an unsynced standby)
         self.recv_filter = None
-        #: stale envelopes dropped by the epoch filter
-        self.stale_dropped = 0
         #: sequence numbers already delivered (duplicate suppression):
         #: a set once a lossy link model has been attached
         #: (:meth:`Transport.set_faults`), ``None`` until then, so that
@@ -147,7 +145,6 @@ class _Arrival:
             ctx = None  # closed or on a dead node: as good as not there
         elif env.epoch < ctx.epoch:
             transport.dropped_stale += 1
-            ctx.stale_dropped += 1
             outcome = "net.drop_stale"
         elif transport._lossy and env.seq in ctx.delivered_seqs:
             transport.dup_dropped += 1

@@ -23,13 +23,24 @@ return the same object.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import TraceEvent, TraceReader, Tracer
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile"]
 
 LabelSet = Tuple[Tuple[str, Any], ...]
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of the sorted ``ordered``, ``q`` in
+    [0, 100]: the smallest value with at least ``q`` % of the values at
+    or below it (the least one for ``q = 0``; 0.0 when empty)."""
+    if not ordered:
+        return 0.0
+    idx = math.ceil(q / 100.0 * len(ordered)) - 1
+    return ordered[max(0, min(len(ordered) - 1, idx))]
 
 
 class Counter:
@@ -106,11 +117,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Exact percentile (nearest-rank), ``q`` in [0, 100]."""
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        idx = max(0, min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1)))))
-        return ordered[idx]
+        return percentile(sorted(self.values), q)
 
     def snapshot(self) -> Dict[str, float]:
         return {

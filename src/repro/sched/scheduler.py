@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Optional
 from repro.cluster.machine import Machine
 from repro.cluster.resource_manager import Allocation, SparePool
 from repro.mpi.runtime import MpiJob
+from repro.obs.metrics import percentile
 from repro.runtime.core import JobAborted
 from repro.sched.spec import Arrival, JobSpec
 from repro.simt.kernel import Event
@@ -118,8 +119,8 @@ class SchedSummary:
         self.preemptions = sum(r.preemptions for r in records)
         waits = sorted(r.wait_s for r in records if r.wait_s is not None)
         self.mean_wait = sum(waits) / len(waits) if waits else 0.0
-        self.p50_wait = _percentile(waits, 0.50)
-        self.p99_wait = _percentile(waits, 0.99)
+        self.p50_wait = percentile(waits, 50)
+        self.p99_wait = percentile(waits, 99)
         starts = [r.submitted_at for r in records if r.submitted_at is not None]
         ends = [r.finished_at for r in records if r.finished_at is not None]
         self.makespan = (max(ends) - min(starts)) if starts and ends else 0.0
@@ -134,13 +135,6 @@ class SchedSummary:
         self.goodput = useful / busy if busy > 0 else 0.0
         total = scheduler.machine.spec.num_nodes * self.makespan
         self.utilization = busy / total if total > 0 else 0.0
-
-
-def _percentile(sorted_vals: List[float], q: float) -> float:
-    if not sorted_vals:
-        return 0.0
-    idx = min(len(sorted_vals) - 1, int(math.ceil(q * len(sorted_vals))) - 1)
-    return sorted_vals[max(idx, 0)]
 
 
 class StreamScheduler:

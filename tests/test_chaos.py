@@ -31,13 +31,8 @@ from repro.chaos import (
     RandomTimes,
     Rule,
     Scenario,
-    check_all,
+    TraceInvariants,
     check_answer,
-    check_epoch_monotone,
-    check_no_split_brain,
-    check_no_stale_delivery,
-    check_suspicion_resolved,
-    check_zero_rollback,
     run_campaign,
 )
 from repro.chaos.scenario import KillTenantSlot
@@ -509,72 +504,68 @@ class _FakeEvent:
         self.args = dict(args)
 
 
-class _FakeTracer:
-    def __init__(self, events):
-        self.events = events
+def _violations(events):
+    """The trace invariants' verdict on ``events``, replayed."""
+    return TraceInvariants().replay(events).violations()
 
 
 def test_epoch_monotone_catches_backwards_epoch():
-    tracer = _FakeTracer([
+    violations = _violations([
         _FakeEvent("fmi.state", rank=1, epoch=2, ts=1.0),
         _FakeEvent("fmi.state", rank=1, epoch=1, ts=2.0),
     ])
-    violations = check_epoch_monotone(tracer)
-    assert len(violations) == 1
+    assert [v.invariant for v in violations] == ["epoch-monotone"]
     assert "went 2 -> 1" in violations[0].detail
 
 
 def test_epoch_monotone_accepts_increasing():
-    tracer = _FakeTracer([
+    assert _violations([
         _FakeEvent("fmi.state", rank=1, epoch=0),
         _FakeEvent("fmi.state", rank=1, epoch=0),
         _FakeEvent("fmi.state", rank=1, epoch=2),
-    ])
-    assert check_epoch_monotone(tracer) == []
+    ]) == []
 
 
 def test_stale_delivery_checker():
     ok = _FakeEvent("net.recv", epoch=3, args={"ctx_epoch": 3})
     bad = _FakeEvent("net.recv", epoch=1, args={"ctx_epoch": 3})
-    assert check_no_stale_delivery(_FakeTracer([ok])) == []
-    violations = check_no_stale_delivery(_FakeTracer([ok, bad]))
-    assert len(violations) == 1
+    assert _violations([ok]) == []
+    violations = _violations([ok, bad])
+    assert [v.invariant for v in violations] == ["no-stale-delivery"]
     assert "epoch-1" in violations[0].detail
 
 
 def test_split_brain_checker_flags_unconfirmed_partition_notify():
-    bad = _FakeTracer([
+    violations = _violations([
         _FakeEvent("fmi.notify", rank=2,
                    args={"reason": "cascade:partition:p1"}),
     ])
-    violations = check_no_split_brain(bad)
-    assert any("unconfirmed partition" in v.detail for v in violations)
-    ok = _FakeTracer([
+    assert any(v.invariant == "no-split-brain"
+               and "unconfirmed partition" in v.detail for v in violations)
+    assert _violations([
         _FakeEvent("node.crash"),
         _FakeEvent("recovery.begin"),
         _FakeEvent("fmi.notify", rank=2,
                    args={"reason": "confirmed:partition:p1"}),
-    ])
-    assert check_no_split_brain(ok) == []
+    ]) == []
 
 
 def test_split_brain_checker_counts_recoveries_vs_deaths():
-    double = _FakeTracer([
+    violations = _violations([
         _FakeEvent("node.crash"),
         _FakeEvent("recovery.begin"),
         _FakeEvent("recovery.begin"),  # both sides of a cut recovered
     ])
-    violations = check_no_split_brain(double)
-    assert len(violations) == 1
+    assert [v.invariant for v in violations] == ["no-split-brain"]
     assert "2 recovery epoch(s)" in violations[0].detail
 
 
 def test_split_brain_notify_detail_names_epoch_and_job():
-    bad = _FakeTracer([
+    (violation,) = _violations([
         _FakeEvent("fmi.notify", rank=2, epoch=3, ts=1.5,
                    args={"reason": "partition:p1", "job": "t1"}),
     ])
-    (violation,) = check_no_split_brain(bad)
+    assert violation.invariant == "no-split-brain"
     assert "rank 2 (epoch 3, job t1)" in violation.detail
     assert "t=1.5" in violation.detail
 
@@ -587,21 +578,21 @@ def test_zero_rollback_detail_names_epoch_and_job():
     tracer.instant("ckpt.restore.begin", "ckpt", rank=1, epoch=4, job="t0")
     sim.now = 3.0
     tracer.instant("ckpt.restore.begin", "ckpt", rank=2)
-    first, second = check_zero_rollback(tracer)
+    first, second = _violations(tracer.events)
+    assert first.invariant == second.invariant == "zero-rollback"
     assert "rank 1 (epoch 4, job t0) began" in first.detail
     assert "t=2" in first.detail and "never fell back" in first.detail
     assert "rank 2 began" in second.detail  # no context to name
 
 
 def test_suspicion_checker_requires_resolution():
-    leaked = _FakeTracer([
+    violations = _violations([
         _FakeEvent("overlay.suspect", rank=1, args={"peer": 5}),
         _FakeEvent("overlay.suspect", rank=5, args={"peer": 1}),
         _FakeEvent("overlay.suspect.cleared", rank=1,
                    args={"peer": 5, "resolution": "peer-alive"}),
     ])
-    violations = check_suspicion_resolved(leaked)
-    assert len(violations) == 1
+    assert [v.invariant for v in violations] == ["suspicion-resolved"]
     assert "rank 5's suspicion of rank 1" in violations[0].detail
 
 
@@ -613,7 +604,7 @@ def test_answer_checker_is_bit_exact():
     assert len(check_answer([ref[0]], ref)) == 1  # length mismatch
 
 
-def test_check_all_names_every_tenant_in_a_per_job_violation():
+def test_verdict_names_every_tenant_in_a_per_job_violation():
     """One shape for any number of jobs: the per-job checkers and the
     answer check run for *every* tenant, and what they find says whose
     it is -- tenant 0 is not special."""
@@ -628,15 +619,19 @@ def test_check_all_names_every_tenant_in_a_per_job_violation():
     results = [done.value for done in launched]
     reference = reference_results(campaign)
 
-    assert check_all(jobs, tracer, results, reference, monitors) == []
+    def verdict_of(results, reference):
+        return TraceInvariants().replay(tracer.events).verdict(
+            jobs, results, reference, monitors)
+
+    assert verdict_of(results, reference) == []
     wrong = [np.asarray(r) + 1.0 for r in reference]
-    found = check_all(jobs, tracer, results, wrong, monitors)
+    found = verdict_of(results, wrong)
     assert {v.invariant for v in found} == {"answer"}
     for job in jobs:
         mine = [v for v in found if v.detail.startswith(f"{job.job_id}: ")]
         assert len(mine) == campaign.num_ranks
     # a run that never finished has no answers to check
-    assert check_all(jobs, tracer, None, wrong, monitors) == []
+    assert verdict_of(None, wrong) == []
 
 
 # -------------------------------------------------------------- end to end

@@ -10,6 +10,7 @@ from repro.fmi.config import FmiConfig as Cfg
 from repro.fmi.payload import Payload
 from repro.mpi.communicator import Communicator
 from repro.mpi.runtime import MpiJob
+from repro.obs import MetricsRegistry, Tracer
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
@@ -149,21 +150,21 @@ def test_loop_rejects_non_buffer_ckpts():
 # ----------------------------------------------------------- api counters
 def test_bytes_sent_accounting():
     sim, machine = make()
+    Tracer(sim)
+    metrics = MetricsRegistry(sim)  # counts each message off its record
 
     def app(mpi):
         if mpi.rank == 0:
             yield mpi.send(1, np.zeros(125, dtype=np.float64))  # 1000 B
             yield mpi.send(1, "x", nbytes=24.0)
-            return (mpi.msgs_sent, mpi.bytes_sent)
+            return None
         yield from mpi.recv(0)
         yield from mpi.recv(0)
         return None
 
-    results = sim.run(until=MpiJob(machine, app, nprocs=2,
-                                   charge_init=False).launch())
-    msgs, nbytes = results[0]
-    assert msgs == 2
-    assert nbytes == pytest.approx(1024.0)
+    sim.run(until=MpiJob(machine, app, nprocs=2, charge_init=False).launch())
+    assert metrics.sum_counters("net.msgs_sent") == 2
+    assert metrics.sum_counters("net.bytes_sent") == pytest.approx(1024.0)
 
 
 def test_stale_epoch_counter_after_recovery():

@@ -8,13 +8,17 @@ from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
 from repro.fmi.config import FmiConfig as Cfg
 from repro.fmi.interval import IntervalPolicy
+from repro.obs import Tracer
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
 
 # --------------------------------------------------------------- detector
-def launch_idle(nranks=24, ppn=2, num_nodes=None, seed=0, iters=100, step=0.5):
+def launch_idle(nranks=24, ppn=2, num_nodes=None, seed=0, iters=100, step=0.5,
+                traced=False):
     sim = Simulator()
+    if traced:
+        Tracer(sim)
     machine = Machine(
         sim, SIERRA.with_nodes(num_nodes or nranks // ppn + 1), RngRegistry(seed)
     )
@@ -48,11 +52,12 @@ def test_detector_overlay_connection_count():
 
 
 def test_detector_notification_reaches_all_survivors_once():
-    sim, machine, job = launch_idle()
+    sim, machine, job = launch_idle(traced=True)
     sim.run(until=2.0)
     job.fmirun.node_slots[3].crash("det-test")
     sim.run(until=4.0)
-    notes = [(r, t) for r, t, g in job.detector.notifications if g == 1]
+    notes = [(ev.rank, ev.ts) for ev in sim.tracer.events
+             if ev.name == "overlay.notified" and ev.epoch == 1]
     survivor_ranks = {r for r, _ in notes}
     dead = set(job.ranks_of_slot(3))
     assert survivor_ranks == set(range(24)) - dead

@@ -155,20 +155,25 @@ COUNTERS = {
 #: messages of the closing exchange still in flight when the run ends
 #: (4 from each of nodes 4, 6 and 7, 4 bytes each) are no longer
 #: counted -- ``net.msgs_sent`` 420 -> 416 and ``net.bytes_sent``
-#: 11488 -> 11472 on each of the three; every other key kept its value
+#: 11488 -> 11472 on each of the three; every other key kept its value;
+#: and four once more when ``Histogram.percentile`` became nearest-rank
+#: (it had rounded ``q/100 * (n-1)``): only ``ckpt.restore_s``'s ``p50``
+#: moved -- crash-global and gray-limp-partition-crash 4.15628e-05 ->
+#: 3.79817e-05, lossy-partition-crash-metered 0.0320551 -> 4.14928e-05,
+#: sched-three-tenants 2.00918e-05 -> 2.00838e-05
 METRICS = {
     "crash-global":
-        "0335ad75944ae10b70aafb61223f139f585cfe5b65f7715e56954088bf27084c",
+        "f454096c1f55bb15c2e39f658b3df51c1cc0a1df0326158515cdce118fe96d24",
     "crash-logged":
         "c6c1596f98b342a7fc48262519686e83401150a5762c406af1d71468d4cf8415",
     "crash-replicated":
         "88a20f61a8cae1ef1442dc310ded63b8529dcf05e6912f1d39d33b46b49b424f",
     "gray-limp-partition-crash":
-        "f8e732401618a1c0ecf1f671be643f31855ca527516e2ff35ccecd69e7faeaac",
+        "0518f8f076790d9df51833abd3df77c86e643587660c49d93a1585dd1bc744b8",
     "sched-three-tenants":
-        "943d00011c4fc89b946dd19e92a8c0b360e2e95df5b701efac89477d9e530d74",
+        "c8daf001e8ab66f0bea5339f8cb46d155535a4facada5bf6f50c8b47401710e8",
     "lossy-partition-crash-metered":
-        "bda699ef329cff6616a368b70ca2e6f51881a30a95a70e1004f0a59dc9af8beb",
+        "75d1c39773580810583dae14beb8bd7904aa7043c17a4caa0bac5ed76da9e211",
 }
 
 #: sha256 of the dispatch sequence (``tests/schedule_recorder.py``);

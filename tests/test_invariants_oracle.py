@@ -11,8 +11,9 @@ ranks, epochs and incarnations in small ranges, ``job`` labels from
 timestamps.  Three readings of one drawn trace must find the same
 multiset of violations: the machine subscribed to a real
 :class:`~repro.obs.Tracer` while the events are recorded, the machine
-replaying the recorded trace (and every public ``check_*`` function,
-which replays it), and the reference walks.  The walks predate the
+replaying the recorded trace (each invariant's slice of its
+``violations()`` held to that invariant's walk), and the reference
+walks.  The walks predate the
 macro tier's ``mpi.collective`` record, which stands for a delivery to
 every rank of the instance: they are fed the same trace with that
 name renamed ``net.recv``.  The machine checks ``zero-rollback`` per
@@ -184,16 +185,19 @@ def _as_delivered(tracer):
     ])
 
 
-#: the reference walk behind each public trace check
+#: the reference walk behind each trace invariant, in report order
 PAIRS = [
-    (machine_mod.check_epoch_monotone, reference.check_epoch_monotone),
-    (machine_mod.check_no_stale_delivery, reference.check_no_stale_delivery),
-    (machine_mod.check_no_split_brain, reference.check_no_split_brain),
-    (machine_mod.check_suspicion_resolved,
-     reference.check_suspicion_resolved),
-    (machine_mod.check_no_orphans, reference.check_no_orphans),
-    (machine_mod.check_zero_rollback, _zero_rollback_per_tenant),
+    ("epoch-monotone", reference.check_epoch_monotone),
+    ("no-stale-delivery", reference.check_no_stale_delivery),
+    ("no-split-brain", reference.check_no_split_brain),
+    ("suspicion-resolved", reference.check_suspicion_resolved),
+    ("no-orphans", reference.check_no_orphans),
+    ("zero-rollback", _zero_rollback_per_tenant),
 ]
+
+
+def _slice(violations, invariant):
+    return [v for v in violations if v.invariant == invariant]
 
 
 #: ties the random draws seldom hit: a message logged at the very
@@ -223,14 +227,14 @@ def test_machine_online_and_replayed_matches_the_seven_walks(trace):
 
     delivered = _as_delivered(tracer)
     expected = []
-    for public, walk in PAIRS:
+    for invariant, walk in PAIRS:
         want = walk(delivered)
-        assert _normalised(public(tracer)) == _normalised(want)
+        assert _normalised(_slice(got_replayed, invariant)) == _normalised(want)
         expected += want
     expected += reference.check_tenant_isolation(delivered, _JOBS)
     assert _normalised(got_online) == _normalised(expected)
     assert _normalised(
-        machine_mod.check_tenant_isolation(tracer, _JOBS)
+        replayed.tenant_isolation(_JOBS)
     ) == _normalised(reference.check_tenant_isolation(tracer, _JOBS))
 
 
@@ -303,7 +307,7 @@ def test_a_macro_collective_completing_in_a_dead_epoch_is_a_stale_delivery():
         tracer.complete("mpi.collective", "mpi", 0.25, epoch=0,
                         kind="allreduce", comm=0, n=3, size=4, nbytes=8.0,
                         job="t0", ctx_epoch=ctx_epoch)
-    found = machine_mod.check_no_stale_delivery(tracer)
+    found = TraceInvariants().replay(tracer.events).violations()
     assert [(v.invariant, v.detail) for v in found] == [(
         "no-stale-delivery",
         "rank None received an epoch-0 envelope in an epoch-1 context "

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.apps.synthetic import bsp_app, expected_bsp_state
-from repro.chaos.invariants import check_no_orphans
+from repro.chaos.invariants import TraceInvariants
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
@@ -78,34 +78,39 @@ def test_same_slot_sends_are_stamped_but_not_logged():
     plane.on_send(0, 1, intra)
     plane.on_send(0, 2, cross)
     assert intra.lseq == (0, 1, 0) and cross.lseq == (0, 2, 0)
-    assert plane.log_entries == 1
-    assert [e.dst for e in plane.logs[0]] == [2]
+    assert [(src, e.dst) for src, entries in plane.logs.items()
+            for e in entries] == [(0, 2)]
 
 
 # ------------------------------------------------------- GC and checkpoints
+def _gc_records(job):
+    return [ev.args for ev in job.sim.tracer.events if ev.name == "mlog.gc"]
+
+
 def test_gc_waits_for_every_live_rank():
-    _job, plane = make_plane()
+    job, plane = make_plane()
+    Tracer(job.sim)
     plane.on_send(0, 1, _env(src=0, dst=1))
     # Only rank 0 has checkpointed: the stable floor is undefined.
     plane.note_rank_checkpoint(0, 0)
-    assert plane.live_entries == 1 and plane.gc_entries == 0
+    assert len(plane.logs[0]) == 1 and _gc_records(job) == []
 
 
 def test_gc_drops_entries_behind_the_stable_floor():
-    _job, plane = make_plane()
+    job, plane = make_plane()
+    Tracer(job.sim)
     for r in range(4):
         plane.note_rank_checkpoint(r, 0)
     plane.on_send(0, 1, _env(src=0, dst=1))  # stamped ckpt_tag=0
     for r in range(4):
         plane.note_rank_checkpoint(r, 1)
     # KEEP=2 retains {0,1}: the floor is still 0, nothing dropped.
-    assert plane.live_entries == 1
+    assert len(plane.logs[0]) == 1
     for r in range(4):
         plane.note_rank_checkpoint(r, 2)
     # Retained window is now {1,2}: the entry (ckpt_tag=0) is dead.
-    assert plane.live_entries == 0
-    assert plane.gc_entries == 1
     assert plane.logs[0] == []
+    assert [(gc["entries"], gc["live"]) for gc in _gc_records(job)] == [(1, 0)]
 
 
 def test_snapshot_window_matches_checkpoint_retention():
@@ -218,7 +223,7 @@ def test_sink_records_only_wildcard_matches():
     sink(0, 0, exact)              # exact post: consumption only
     sink(ANY_SOURCE, 7, wild)      # wildcard post: determinant too
     assert plane.channels[1].consumed == {(0, 0), (2, 0)}
-    assert plane.det_recorded == 1
+    assert len(plane.dets[1]) == 1
     det = plane.dets[1][0]
     assert (det.env_src, det.env_tag, det.lseq) == (2, 7, (2, 1, 0))
 
@@ -269,11 +274,12 @@ def test_sink_does_not_rerecord_while_replaying():
     _record_wildcards(plane, 1, (3, 2))
     plane._rewind(1, None)
     _record_wildcards(plane, 1, (3,))  # a replayed match, cursor < limit
-    assert len(plane.dets[1]) == 2 and plane.det_recorded == 2
+    assert len(plane.dets[1]) == 2
 
 
 def test_post_wildcard_mismatch_degrades_to_free_order():
     job, plane = make_plane()
+    tracer = Tracer(job.sim)
     _record_wildcards(plane, 1, (3,))
     plane._rewind(1, None)
     api = _StubApi(job.sim, 1)
@@ -281,7 +287,7 @@ def test_post_wildcard_mismatch_degrades_to_free_order():
     # and the cursor skips to the record's end so replay stays
     # free-order.
     assert plane.post_wildcard(api, ANY_SOURCE, ANY_TAG, 0) is None
-    assert plane.det_mismatches == 1
+    assert [ev.name for ev in tracer.events].count("mlog.det.mismatch") == 1
     assert plane.post_wildcard(api, ANY_SOURCE, 7, 0) is None
 
 
@@ -303,9 +309,9 @@ class _FakeEvent:
         self.args = dict(args)
 
 
-class _FakeTracer:
-    def __init__(self, events):
-        self.events = events
+def _violations(events):
+    """The trace invariants' verdict on ``events``, replayed."""
+    return TraceInvariants().replay(events).violations()
 
 
 def test_orphan_checker_flags_unrelogged_delivery():
@@ -315,13 +321,13 @@ def test_orphan_checker_flags_unrelogged_delivery():
         _FakeEvent("mlog.rewind", rank=1, ts=2.0,
                    args={"counters": {"0": 5}}),
     ]
-    violations = check_no_orphans(_FakeTracer(ev))
-    assert len(violations) == 1
+    violations = _violations(ev)
+    assert [v.invariant for v in violations] == ["no-orphans"]
     assert "never re-logged" in violations[0].detail
     # Re-executing the send after the rewind discharges the obligation.
     ev.append(_FakeEvent("mlog.log", rank=1, ts=2.5,
                          args={"dst": 0, "n": 5}))
-    assert check_no_orphans(_FakeTracer(ev)) == []
+    assert _violations(ev) == []
 
 
 def test_orphan_checker_ignores_messages_that_survive_the_rewind():
@@ -332,8 +338,8 @@ def test_orphan_checker_ignores_messages_that_survive_the_rewind():
         _FakeEvent("mlog.rewind", rank=1, ts=2.0,
                    args={"counters": {"0": 6}}),
     ]
-    assert check_no_orphans(_FakeTracer(ev)) == []
-    assert check_no_orphans(_FakeTracer([])) == []
+    assert _violations(ev) == []
+    assert _violations([]) == []
 
 
 # --------------------------------------------------------------- end to end
@@ -378,15 +384,14 @@ def test_logged_survivors_never_restore():
     assert names.count("mlog.restore.begin") == 2
     assert names.count("ckpt.restore.begin") == 0
     assert job.restores_done == 2
-    plane = job.recovery
-    assert plane.partial_restores == 2
-    assert plane.replayed_msgs > 0
+    assert sum(ev.args["msgs"] for ev in tracer.events
+               if ev.name == "mlog.replay.done") > 0
     # Survivors kept their original incarnation throughout.
     for rank in (0, 1, 4, 5, 6, 7):
         assert job.rank_procs[rank].incarnation == 0
     for rank in (2, 3):
         assert job.rank_procs[rank].incarnation == 1
-    assert check_no_orphans(tracer) == []
+    assert _violations(tracer.events) == []
 
 
 def test_global_mode_attaches_no_plane():
@@ -430,7 +435,9 @@ def wildcard_app(rounds):
 
 
 def run_wildcard(recovery, kill_after_dets=None, rounds=5):
+    """Returns ``(job, results)``; the run is traced (``job.sim.tracer``)."""
     sim = Simulator()
+    Tracer(sim)
     machine = Machine(sim, SIERRA.with_nodes(6), RngRegistry(0))
     job = FmiJob(
         machine, wildcard_app(rounds), num_ranks=8, procs_per_node=2,
@@ -443,7 +450,7 @@ def run_wildcard(recovery, kill_after_dets=None, rounds=5):
         def killer():
             # Land the crash mid-drain: right after the kill_after_dets-th
             # wildcard match is recorded, with the drain still unfinished.
-            while plane.det_recorded < kill_after_dets:
+            while sum(map(len, plane.dets.values())) < kill_after_dets:
                 yield sim.timeout(0.005)
             machine.node(0).crash("injected")
 
@@ -468,7 +475,7 @@ def test_determinants_reproduce_wildcard_match_order(monkeypatch):
     # them to the recorded sources, in the recorded order.
     job, killed = run_wildcard("logged", kill_after_dets=7 * 2 + 3)
     plane = job.recovery
-    assert plane.det_recorded > 0
+    assert plane.dets[0]
     # The death point sat mid-drain, so the rewind left a non-empty
     # replay window (cursor at the checkpoint's drain boundary, the
     # record's end mid-drain)...
@@ -478,7 +485,8 @@ def test_determinants_reproduce_wildcard_match_order(monkeypatch):
     # recorded message.
     chan = plane.channels[0]
     assert chan.det_cursor == len(plane.dets[0])
-    assert plane.det_mismatches == 0
+    assert not any(ev.name == "mlog.det.mismatch"
+                   for ev in job.sim.tracer.events)
     assert len(clean) == len(killed) == 8
     for c, k in zip(clean, killed):
         assert np.array_equal(c, k)

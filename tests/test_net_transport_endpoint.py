@@ -8,6 +8,7 @@ from repro.net.endpoint import ConnectionManager
 from repro.net.message import Envelope
 from repro.net.pmgr import PmgrRendezvous
 from repro.net.transport import Transport
+from repro.obs import Tracer
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
@@ -61,11 +62,14 @@ def test_stale_epoch_dropped():
     a = tp.create_context(m.node(0))
     b = tp.create_context(m.node(1))
     b.epoch = 3  # b has recovered past epoch 0
+    tracer = Tracer(sim)
     recv = b.matching.post(source=0, tag=0, comm_id=0)
     tp.send(a, b.addr, env(0, 1, epoch=2, data="stale"))
     sim.run()
     assert not recv.triggered
-    assert tp.dropped_stale == 1 and b.stale_dropped == 1
+    assert tp.dropped_stale == 1
+    assert [(ev.name, ev.node, ev.args["ctx_epoch"]) for ev in tracer.events] \
+        == [("net.drop_stale", 1, 3)]
 
 
 def test_current_epoch_delivered():

@@ -21,6 +21,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.metrics import percentile
 from repro.obs.summary import main as summary_main
 from repro.obs.summary import report, summarize
 from repro.simt import Simulator
@@ -149,6 +150,16 @@ def test_counter_gauge_histogram_arithmetic():
     assert h.percentile(0) == 1.0
     assert h.percentile(50) == 3.0
     assert h.percentile(100) == 5.0
+    # nearest rank: the smallest value with at least q % of the values at
+    # or below it, so p50 of [1, 2, 3, 4] is 2; the scheduler's wait
+    # percentiles read the same function
+    even = reg.histogram("even")
+    for v in [4.0, 1.0, 3.0, 2.0]:
+        even.observe(v)
+    assert [even.percentile(q) for q in (0, 25, 50, 51, 75, 99, 100)] == [
+        1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 4.0]
+    assert percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.0
+    assert percentile([], 50) == reg.histogram("empty").percentile(50) == 0.0
 
 
 def test_registry_aggregation_and_snapshot_determinism():
