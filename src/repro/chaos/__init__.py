@@ -40,14 +40,13 @@ from repro.chaos.scenario import (
     AtTime,
     ChaosEngine,
     DrainSlot,
-    HealPartition,
     KillRandomNode,
     KillRandomSlot,
     KillRank,
     KillSlot,
+    KillTenantSlot,
     LimpSlot,
     Omission,
-    OmissionOff,
     OnEvent,
     Partition,
     Poisson,
@@ -59,8 +58,8 @@ from repro.chaos.scenario import (
 __all__ = [
     "AtTime", "OnEvent", "RandomTimes", "Poisson",
     "KillSlot", "KillRandomSlot", "KillRandomNode", "KillRank", "DrainSlot",
-    "Partition", "HealPartition", "Omission", "OmissionOff",
-    "LimpSlot",
+    "KillTenantSlot",
+    "Partition", "Omission", "LimpSlot",
     "Rule", "Scenario", "ChaosEngine",
     "CAMPAIGNS", "GRAY_CAMPAIGNS", "Campaign",
     "Violation", "DetectorMonitor", "TraceInvariants",

@@ -386,7 +386,6 @@ class DetectorMonitor:
         self.job = job
         self.sample_dt = sample_dt
         self.grace = grace
-        self.samples = 0
         self.max_entries = 0
         self._stale_first_seen: Dict[int, float] = {}
         self.violations: List[Violation] = []
@@ -401,7 +400,6 @@ class DetectorMonitor:
             yield sim.timeout(self.sample_dt)
 
     def sample(self) -> None:
-        self.samples += 1
         now = self.job.sim.now
         seen_stale = set()
         for rank, conns in self.job.detector._conns.items():

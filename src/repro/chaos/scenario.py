@@ -27,18 +27,18 @@ actions
     :class:`DrainSlot` -- gracefully vacate a slot (Section III-A).
 
 gray-failure actions (nothing dies; see DESIGN.md)
-    :class:`Partition` / :class:`HealPartition` -- cut the fabric into
-    slot groups (in-flight cross-cut messages stall or drop), then heal;
-    :class:`Omission` / :class:`OmissionOff` -- attach/detach a seeded
-    per-link drop/duplicate/delay model to the job's transport;
-    :class:`LimpSlot` -- degrade one slot's NIC bandwidth and latency
-    for a ``duration``.
+    :class:`Partition` -- cut the fabric into slot groups (in-flight
+    cross-cut messages stall or drop), healed after ``heal_after``;
+    :class:`Omission` -- attach a seeded per-link drop/duplicate/delay
+    model to the job's transport, detached after ``duration``;
+    :class:`LimpSlot` -- degrade one slot's NIC bandwidth and latency,
+    restored after ``duration``.
 
 The :class:`ChaosEngine` arms a scenario against a machine and the
 jobs it may target, refusing at ``arm`` any rule that names a slot,
 rank or tenant the jobs lack, targets a job on an engine with none,
 draws randomness on an engine without an rng, or triggers on events
-with no enabled tracer.  Every fault injected into a run enters here,
+with no attached tracer.  Every fault injected into a run enters here,
 except the two arrival processes of :mod:`repro.cluster.failures`.
 Every action fires from the event heap (a timeout callback), never
 from inside a tracer subscriber: the trace event that triggers a kill is
@@ -53,14 +53,15 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple, Union
 
 from repro.cluster.failures import _Injector
-from repro.net.faults import LinkFaultModel
+from repro.cluster.network import partition_components
+from repro.cluster.node import check_limp_factors
+from repro.net.faults import LinkFaultModel, check_link_faults
 
 __all__ = [
     "AtTime", "OnEvent", "RandomTimes", "Poisson",
     "KillSlot", "KillRandomSlot", "KillRandomNode", "KillRank", "DrainSlot",
     "KillTenantSlot",
-    "Partition", "HealPartition", "Omission", "OmissionOff",
-    "LimpSlot",
+    "Partition", "Omission", "LimpSlot",
     "Rule", "Scenario", "ChaosEngine",
 ]
 
@@ -214,8 +215,8 @@ class Partition:
     until heal (``mode="stall"``) or dropped-and-retransmitted
     (``mode="drop"``); overlay connections across the cut raise
     disconnect events with a ``partition:`` reason on *both* (live)
-    ends.  ``heal_after`` schedules the heal; None leaves the cut until
-    an explicit :class:`HealPartition`.
+    ends.  ``heal_after`` schedules the heal; None leaves the cut for
+    the rest of the run.  A slot may sit in one group only.
     """
 
     groups: Tuple[Tuple[int, ...], ...]
@@ -228,11 +229,7 @@ class Partition:
                 f"Partition mode must be 'stall' or 'drop', got {self.mode!r}"
             )
         _check_duration("Partition", "heal_after", self.heal_after)
-
-
-@dataclass(frozen=True)
-class HealPartition:
-    """Heal the active partition (no-op when fully connected)."""
+        partition_components(self.groups)
 
 
 @dataclass(frozen=True)
@@ -255,11 +252,8 @@ class Omission:
 
     def __post_init__(self) -> None:
         _check_duration("Omission", "duration", self.duration)
-
-
-@dataclass(frozen=True)
-class OmissionOff:
-    """Detach the lossy-link model (in-flight faults still play out)."""
+        check_link_faults(self.drop_p, self.dup_p, self.delay_p,
+                          rto=self.rto, delay_mean=self.delay_mean)
 
 
 @dataclass(frozen=True)
@@ -277,12 +271,13 @@ class LimpSlot:
     def __post_init__(self) -> None:
         _check_index("LimpSlot", "slot", self.slot)
         _check_duration("LimpSlot", "duration", self.duration)
+        check_limp_factors(self.bw_factor, self.latency_factor)
 
 
 Action = Union[
     KillSlot, KillRandomSlot, KillRandomNode, KillRank, DrainSlot,
     KillTenantSlot,
-    Partition, HealPartition, Omission, OmissionOff, LimpSlot,
+    Partition, Omission, LimpSlot,
 ]
 
 
@@ -355,7 +350,7 @@ class ChaosEngine(_Injector):
                 raise ValueError(f"{part!r} draws from the engine rng; "
                                  f"the engine has none")
         if isinstance(trig, OnEvent) and not self.sim.tracer.enabled:
-            raise ValueError(f"{trig!r} needs an attached, enabled Tracer "
+            raise ValueError(f"{trig!r} needs an attached Tracer "
                              f"(NULL_TRACER records nothing to trigger on)")
         if isinstance(action, KillRandomNode):
             return
@@ -515,14 +510,6 @@ class ChaosEngine(_Injector):
                 timer = self.sim.timeout(action.heal_after)
                 timer.callbacks.append(lambda _e: self._heal(tag))
             self._record(desc)
-        elif isinstance(action, HealPartition):
-            fabric = job.machine.fabric
-            if not fabric.partitioned:
-                self._record("heal: no active partition")
-                return
-            tag = fabric.partition_tag
-            self._record(f"heal partition {tag}")
-            fabric.heal()
         elif isinstance(action, Omission):
             model = LinkFaultModel(
                 self.rng, drop_p=action.drop_p, dup_p=action.dup_p,
@@ -536,12 +523,6 @@ class ChaosEngine(_Injector):
                 timer = self.sim.timeout(action.duration)
                 timer.callbacks.append(lambda _e: self._omission_off(model))
             self._record(desc)
-        elif isinstance(action, OmissionOff):
-            if job.transport.faults is None:
-                self._record("omission off: no model attached")
-                return
-            job.transport.clear_faults()
-            self._record("omission off")
         elif isinstance(action, LimpSlot):
             node = job.fmirun.node_slots[action.slot]
             if not node.alive:

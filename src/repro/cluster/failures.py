@@ -259,11 +259,6 @@ class TraceInjector(_Injector):
         self.kill = kill
         self.replayed: List[Tuple[float, List[int]]] = []
 
-    @classmethod
-    def from_records(cls, sim: Simulator, records: Sequence[FailureRecord],
-                     kill: Callable[[List[int]], None]) -> "TraceInjector":
-        return cls(sim, [(r.time, list(r.nodes)) for r in records], kill)
-
     def start(self) -> None:
         super().start()
         self.sim.spawn(self._replay(), name="trace-injector")

@@ -101,10 +101,6 @@ class Tmpfs(_FilesystemBase):
     models the loss of in-memory checkpoints on node failure.
     """
 
-    def __init__(self, sim: Simulator, bandwidth: float, latency: float, node_id: int):
-        super().__init__(sim, bandwidth, latency, name=f"tmpfs[{node_id}]")
-        self.node_id = node_id
-
     def destroy(self) -> None:
         """Node crash: all files are gone, further I/O fails."""
         self._destroyed = True

@@ -75,26 +75,3 @@ class Machine:
         """Crash a set of nodes simultaneously."""
         for nid in node_ids:
             self.nodes[nid].crash(cause)
-
-    # -- gray failures ---------------------------------------------------------
-    def partition(self, groups: Sequence[Sequence[int]], tag: str = "") -> str:
-        """Split the fabric into components of node ids (see Fabric)."""
-        return self.fabric.partition(groups, tag)
-
-    def heal_partition(self) -> None:
-        self.fabric.heal()
-
-    def limp_nodes(
-        self,
-        node_ids: Sequence[int],
-        bw_factor: float = 1.0,
-        latency_factor: float = 1.0,
-    ) -> None:
-        """Degrade the network path of a set of (live) nodes."""
-        for nid in node_ids:
-            self.nodes[nid].set_limp(bw_factor, latency_factor)
-
-    def unlimp_nodes(self, node_ids: Sequence[int]) -> None:
-        for nid in node_ids:
-            if self.nodes[nid].alive:
-                self.nodes[nid].clear_limp()

@@ -48,7 +48,21 @@ from repro.cluster.node import Node
 from repro.cluster.spec import NetworkSpec
 from repro.simt.kernel import _PENDING, Event, Simulator, Timeout
 
-__all__ = ["Fabric"]
+__all__ = ["Fabric", "partition_components"]
+
+
+def partition_components(groups: Iterable[Iterable[int]]) -> Dict[int, int]:
+    """``id -> component`` of a partition's groups; an id may sit in
+    one group only.  Explicit groups are numbered from 1: component 0
+    is reserved for unlisted nodes, so a single group really is cleaved
+    off from the rest of the machine."""
+    component: Dict[int, int] = {}
+    for idx, group in enumerate(groups, start=1):
+        for member in group:
+            if member in component:
+                raise ValueError(f"id {member} appears in two partition groups")
+            component[member] = idx
+    return component
 
 
 class _Wire:
@@ -163,15 +177,7 @@ class Fabric:
             raise RuntimeError(
                 f"fabric already partitioned ({self._partition_tag}); heal first"
             )
-        # Explicit groups are numbered from 1: component 0 is reserved
-        # for unlisted nodes, so a single group really is cleaved off
-        # from the rest of the machine.
-        component: Dict[int, int] = {}
-        for idx, group in enumerate(groups, start=1):
-            for nid in group:
-                if nid in component:
-                    raise ValueError(f"node {nid} appears in two partition groups")
-                component[nid] = idx
+        component = partition_components(groups)
         self._partition_count += 1
         self._partition = component
         self._partition_tag = tag or f"p{self._partition_count}"

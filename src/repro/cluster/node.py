@@ -21,11 +21,21 @@ from repro.simt.kernel import Simulator
 from repro.simt.process import Process
 from repro.simt.resources import BandwidthResource
 
-__all__ = ["Node", "NodeDownError"]
+__all__ = ["Node", "NodeDownError", "check_limp_factors"]
 
 
 class NodeDownError(RuntimeError):
     """Operation attempted on a crashed node."""
+
+
+def check_limp_factors(bw_factor: float, latency_factor: float) -> None:
+    """Refuse limp factors below 1.0: a limp only slows a node down.
+    ``not >=`` so that NaN is refused too."""
+    if not (bw_factor >= 1.0 and latency_factor >= 1.0):
+        raise ValueError(
+            f"limp factors must be >= 1.0, got {bw_factor!r}, "
+            f"{latency_factor!r}"
+        )
 
 
 class Node:
@@ -42,7 +52,7 @@ class Node:
         self.nic_tx = BandwidthResource(sim, net.link_bw, name=f"tx[{node_id}]")
         self.nic_rx = BandwidthResource(sim, net.link_bw, name=f"rx[{node_id}]")
         fs = spec.filesystem
-        self.tmpfs = Tmpfs(sim, fs.tmpfs_bw, fs.tmpfs_latency, node_id)
+        self.tmpfs = Tmpfs(sim, fs.tmpfs_bw, fs.tmpfs_latency, f"tmpfs[{node_id}]")
         self._procs: List[Process] = []
         self._crash_listeners: List[Callable[["Node", Any], None]] = []
         #: gray-failure degradation factors (1.0 = healthy); >= 1 slows
@@ -77,14 +87,13 @@ class Node:
         """Copy ``nbytes`` through the memory bus (fair-shared)."""
         return self.mem_bw.transfer(nbytes)
 
-    def compute(self, flops: float, cores: int = 1):
-        """Event firing after ``flops`` of work on ``cores`` cores.
+    def compute(self, flops: float):
+        """Event firing after ``flops`` of work on one core.
 
         Compute is modelled per-process (each rank owns its core), so
         this is a plain timeout rather than a shared resource.
         """
-        cores = max(1, min(cores, self.spec.node.cores))
-        return self.sim.timeout(flops / (self.spec.node.core_flops * cores))
+        return self.sim.timeout(flops / self.spec.node.core_flops)
 
     # -- gray failures: limping -------------------------------------------------
     @property
@@ -103,14 +112,9 @@ class Node:
         """
         if not self.alive:
             raise NodeDownError(f"node {self.id} is down")
-        # ``not >=``: NaN must be refused here, before any state is
-        # written (it would flip the limp sink, then surface from a
-        # wire's tail timer).
-        if not (bw_factor >= 1.0 and latency_factor >= 1.0):
-            raise ValueError(
-                f"limp factors must be >= 1.0, got {bw_factor!r}, "
-                f"{latency_factor!r}"
-            )
+        # before any state is written: a NaN would flip the limp sink,
+        # then surface from a wire's tail timer
+        check_limp_factors(bw_factor, latency_factor)
         was_limping = self.limping
         self.limp_bw = float(bw_factor)
         self.limp_latency = float(latency_factor)

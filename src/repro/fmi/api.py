@@ -120,7 +120,6 @@ class FmiContext(ParallelApi):
                     meta, payloads = restored
                     yield from copy_into(self.memcpy, ckpts, payloads)
                     rs.loop_id = meta.dataset_id + 1
-                    rs.last_ckpt_loop = meta.dataset_id
                     rs.policy.reset_after_recovery(self.now)
                     self.fmi_job.restores_done += 1
                     return meta.dataset_id
@@ -140,7 +139,6 @@ class FmiContext(ParallelApi):
                 family.note_ckpt_begin(self.rank, rs.loop_id, self.ctx)
                 meta = yield from self.engine.checkpoint(payloads, dataset_id=rs.loop_id)
                 rs.policy.record_checkpoint(self.now, self.now - t0)
-                rs.last_ckpt_loop = rs.loop_id
                 self.fmi_job.checkpoints_done += 1
                 family.note_rank_checkpoint(self.rank, rs.loop_id, self.ctx)
                 if (

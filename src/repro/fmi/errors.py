@@ -21,7 +21,6 @@ class FailureNotified(FmiError):
     def __init__(self, epoch: int, reason: str = ""):
         super().__init__(f"failure notified (recovery epoch {epoch}): {reason}")
         self.epoch = epoch
-        self.reason = reason
 
 
 class UnrecoverableFailure(FmiError):

@@ -24,8 +24,8 @@ class IntervalPolicy:
 
     def __init__(self, config: FmiConfig):
         self.config = config
-        self._measured_cost: Optional[float] = None
-        self._time_interval: Optional[float] = None
+        #: current auto-tuned interval in seconds (None in interval mode)
+        self.time_interval: Optional[float] = None
         self._last_ckpt_time: Optional[float] = None
         self._calls_since_ckpt = 0
 
@@ -34,9 +34,8 @@ class IntervalPolicy:
         """A checkpoint just completed; update auto-tuning state."""
         self._last_ckpt_time = now
         self._calls_since_ckpt = 0
-        self._measured_cost = cost
         if self.config.mtbf_seconds is not None and cost > 0:
-            self._time_interval = optimal_interval(cost, self.config.mtbf_seconds)
+            self.time_interval = optimal_interval(cost, self.config.mtbf_seconds)
 
     def reset_after_recovery(self, now: float) -> None:
         """Rollback restored state at ``now``; restart the clock."""
@@ -56,13 +55,8 @@ class IntervalPolicy:
         if self.config.interval is not None:
             return self._calls_since_ckpt >= self.config.interval
         if self.config.mtbf_seconds is not None:
-            interval = self._time_interval
+            interval = self.time_interval
             if interval is None:
                 return False  # cost not measured yet (cannot happen in practice)
             return now - self._last_ckpt_time >= interval
         return False  # neither knob set: only the initial checkpoint
-
-    @property
-    def time_interval(self) -> Optional[float]:
-        """Current auto-tuned interval in seconds (None if interval mode)."""
-        return self._time_interval

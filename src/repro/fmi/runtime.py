@@ -162,7 +162,6 @@ class RankState:
 
     def __init__(self, config):
         self.loop_id = 0
-        self.last_ckpt_loop: Optional[int] = None
         self.restore_pending = False
         self.policy = IntervalPolicy(config)
 

@@ -46,7 +46,6 @@ class XorGroupLayout:
         self.procs_per_node = procs_per_node
         self.group_size = group_size
         self.num_nodes = num_nodes
-        self.groups_per_block = procs_per_node
         self.num_blocks = num_nodes // group_size
 
     # -- rank geometry ----------------------------------------------------
@@ -74,10 +73,6 @@ class XorGroupLayout:
             (first_node + i) * self.procs_per_node + slot
             for i in range(self.group_size)
         ]
-
-    def position_in_group(self, rank: int) -> int:
-        """Index of ``rank`` within its group (the codec's member id)."""
-        return self.node_of(rank) % self.group_size
 
     @property
     def num_groups(self) -> int:

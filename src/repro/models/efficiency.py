@@ -60,7 +60,6 @@ def multilevel_efficiency(
     c2: float,
     r2: float,
     l2: float,
-    level2_vulnerable: bool = True,
 ) -> float:
     """Efficiency of the combined L1 (XOR) + L2 (PFS) scheme.
 
@@ -69,12 +68,12 @@ def multilevel_efficiency(
     segment are accounted: level-1 ones through ``e1``, level-2 ones
     through the outer renewal term.
 
-    With ``level2_vulnerable`` (default), the long PFS write itself is
-    exposed to the *combined* failure rate -- any failure during the
-    write aborts and restarts it (after a cheap L1 recovery).  Once the
-    PFS write time approaches the machine MTBF this term explodes,
-    which is the mechanism behind Fig 17's efficiency collapse when
-    both failure rates and 10 GB/node level-2 costs scale 50x.
+    The long PFS write itself is exposed to the *combined* failure
+    rate -- any failure during the write aborts and restarts it (after
+    a cheap L1 recovery).  Once the PFS write time approaches the
+    machine MTBF this term explodes, which is the mechanism behind Fig
+    17's efficiency collapse when both failure rates and 10 GB/node
+    level-2 costs scale 50x.
     """
     _check_finite(c1=c1, r1=r1, l1=l1, c2=c2, r2=r2, l2=l2)
     for name, v in (("c1", c1), ("r1", r1), ("c2", c2), ("r2", r2)):
@@ -89,7 +88,7 @@ def multilevel_efficiency(
 
     # Expected wall time of one L2 checkpoint write.
     l_all = l1 + l2
-    if level2_vulnerable and c2 > 0 and l_all > 0:
+    if c2 > 0:
         x = l_all * c2
         if x > 700:
             return 0.0

@@ -10,8 +10,9 @@ than FMI+C in Fig 15.
 Because MPI is fail-stop, SCR is *application-driven*: the app calls
 :meth:`Scr.restart` at startup (after a relaunch it finds the latest
 dataset, rebuilding a replaced node's files from the XOR group) and
-:meth:`Scr.checkpoint` inside its loop.  ``need_checkpoint`` implements
-the same fixed-interval / Vaidya-MTBF policy as FMI_Loop.
+:meth:`Scr.checkpoint` inside its loop.  ``need_checkpoint_collective``
+implements the same fixed-interval / Vaidya-MTBF policy as FMI_Loop,
+with FMI_Loop's job-wide agreement.
 """
 
 from __future__ import annotations
@@ -58,13 +59,9 @@ class Scr:
         )
 
     # -- write path --------------------------------------------------------
-    def need_checkpoint(self) -> bool:
-        """Local interval decision (use the collective form inside
-        SPMD loops so a time-based policy cannot split the ranks)."""
-        return self.policy.should_checkpoint(self.api.now)
-
     def need_checkpoint_collective(self):
-        """Job-wide checkpoint decision: any rank's yes is everyone's."""
+        """Job-wide checkpoint decision: any rank's yes is everyone's, so
+        a time-based policy cannot split the ranks."""
         from repro.mpi.ops import MAX
 
         want = self.policy.should_checkpoint(self.api.now)

@@ -85,7 +85,6 @@ class ConnectionManager:
         net = machine.spec.network
         self.close_delay = net.ibverbs_close_delay
         self.hop_delay = net.notify_hop_delay
-        self.connect_cost = net.overlay_connect_cost
         # Insertion-ordered (dict-as-set): on a node death the
         # disconnect timers must be scheduled in establishment order,
         # not in hash/memory-address order, or replays of the same
@@ -104,8 +103,8 @@ class ConnectionManager:
     # -- establishment ----------------------------------------------------
     def connect(self, key_a: Any, node_a: Node, key_b: Any, node_b: Node) -> Connection:
         """Create a connection (instantaneous bookkeeping; callers charge
-        ``connect_cost`` simulated time themselves, since they may
-        pipeline several establishments)."""
+        ``NetworkSpec.overlay_connect_cost`` simulated time themselves,
+        since they may pipeline several establishments)."""
         if not (node_a.alive and node_b.alive):
             raise ConnectionError("cannot connect: endpoint node is down")
         if not self.machine.fabric.reachable(node_a.id, node_b.id):

@@ -20,11 +20,24 @@ from __future__ import annotations
 
 from typing import Optional, Set, Tuple
 
-__all__ = ["FaultPlan", "LinkFaultModel"]
+__all__ = ["FaultPlan", "LinkFaultModel", "check_link_faults"]
 
 #: safety valve: a message is never dropped more times than this in a
 #: row (drop_p < 1 makes longer runs astronomically unlikely anyway)
 MAX_CONSECUTIVE_DROPS = 64
+
+
+def check_link_faults(drop_p: float, dup_p: float, delay_p: float,
+                      **positive: float) -> None:
+    """Refuse a fault model's parameters: each probability must lie in
+    [0, 1) (a drop_p of 1 would lose every copy), and each named
+    duration in ``positive`` must be > 0 (NaN fails both)."""
+    for name, p in (("drop_p", drop_p), ("dup_p", dup_p), ("delay_p", delay_p)):
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"{name} must be in [0, 1), not {p}")
+    for name, value in positive.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, not {value}")
 
 
 class FaultPlan:
@@ -73,11 +86,8 @@ class LinkFaultModel:
         delay_mean: float = 0.01,
         links: Optional[Set[Tuple[int, int]]] = None,
     ):
-        for name, p in (("drop_p", drop_p), ("dup_p", dup_p), ("delay_p", delay_p)):
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), not {p}")
-        if not (rto > 0 and dup_lag > 0 and delay_mean > 0):
-            raise ValueError("rto, dup_lag and delay_mean must be positive")
+        check_link_faults(drop_p, dup_p, delay_p, rto=rto, dup_lag=dup_lag,
+                          delay_mean=delay_mean)
         self.rng = rng
         self.drop_p = drop_p
         self.dup_p = dup_p

@@ -29,7 +29,7 @@ imports it, so it must stay at the bottom of the dependency graph.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "Tracer", "TraceReader", "NullTracer", "NULL_TRACER"]
 
@@ -98,22 +98,20 @@ _new_event = TraceEvent.__new__
 class Tracer:
     """Event recorder bound to one simulator.
 
-    Constructing a tracer with a simulator attaches it (``sim.tracer``
-    becomes this object); pass ``attach=False`` to keep the simulator's
-    existing tracer.  ``enabled`` can be flipped at any time -- call
-    sites check it before building event arguments.
+    Constructing a tracer attaches it: ``sim.tracer`` becomes this
+    object, and every event from then on lands in :attr:`events`.
+    Setting ``sim.tracer = NULL_TRACER`` detaches it again.
     """
 
-    enabled: bool
+    #: call sites check it before building event arguments
+    enabled = True
 
-    def __init__(self, sim, enabled: bool = True, attach: bool = True):
+    def __init__(self, sim):
         self.sim = sim
-        self.enabled = enabled
         self.events: List[TraceEvent] = []
         #: event name -> its subscribers, in subscription order
         self._subscribers: Dict[str, Tuple[Callable[[TraceEvent], None], ...]] = {}
-        if attach:
-            sim.tracer = self
+        sim.tracer = self
 
     # -- live subscription ----------------------------------------------------
     def subscribe(self, name: str, callback: Callable[[TraceEvent], None]) -> None:
@@ -146,8 +144,6 @@ class Tracer:
         **args: Any,
     ) -> None:
         """Record a point event at the current sim time."""
-        if not self.enabled:
-            return
         # The per-message record: the ten slots filled here, without
         # the frame TraceEvent.__init__ would cost (complete(), a few
         # spans per checkpoint, just calls it).
@@ -179,30 +175,12 @@ class Tracer:
         **args: Any,
     ) -> None:
         """Record a span from ``start`` to the current sim time."""
-        if not self.enabled:
-            return
         ev = TraceEvent(name, cat, PH_COMPLETE, start, self.sim.now - start,
                         rank, node, incarnation, epoch, args)
         self.events.append(ev)
         if name in self._subscribers:
             for callback in self._subscribers[name]:
                 callback(ev)
-
-    # -- querying ------------------------------------------------------------
-    def select(self, cat: Optional[str] = None, name: Optional[str] = None) -> Iterator[TraceEvent]:
-        """Iterate events, optionally filtered by category and/or name."""
-        for ev in self.events:
-            if cat is not None and ev.cat != cat:
-                continue
-            if name is not None and ev.name != name:
-                continue
-            yield ev
-
-    def clear(self) -> None:
-        self.events.clear()
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 class TraceReader:
@@ -251,15 +229,6 @@ class NullTracer:
 
     def complete(self, *_a: Any, **_k: Any) -> None:
         pass
-
-    def select(self, *_a: Any, **_k: Any) -> Iterator[TraceEvent]:
-        return iter(())
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
 
 
 #: Shared no-op tracer every fresh :class:`Simulator` starts with.

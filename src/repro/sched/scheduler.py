@@ -57,8 +57,7 @@ _TERMINAL = ("done", "failed", "rejected")
 class TenantRecord:
     """One submitted job's life in the queue (the scheduler's ledger)."""
 
-    def __init__(self, scheduler: "StreamScheduler", spec: JobSpec, seq: int):
-        self.scheduler = scheduler
+    def __init__(self, spec: JobSpec, seq: int):
         self.spec = spec
         #: FIFO position; requeues keep it, so fairness is by submission
         self.seq = seq
@@ -174,7 +173,7 @@ class StreamScheduler:
     # -- submission ----------------------------------------------------------
     def submit(self, spec: JobSpec, at: Optional[float] = None) -> TenantRecord:
         """Submit one job, now or at absolute sim time ``at``."""
-        rec = TenantRecord(self, spec, self._seq)
+        rec = TenantRecord(spec, self._seq)
         self._seq += 1
         self.records.append(rec)
         self._open += 1

@@ -23,7 +23,7 @@ e.g. replayed from a production log) or *distribution-driven*
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from repro.apps.synthetic import bsp_app, expected_bsp_state
@@ -104,9 +104,6 @@ class JobSpec:
             expected_bsp_state(r, self.ranks, self.iterations)
             for r in range(self.ranks)
         ]
-
-    def with_(self, **changes) -> "JobSpec":
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)

@@ -397,7 +397,6 @@ class Simulator:
         #: slots set to None; a walked bucket stays in ``_at``
         self._batch: Optional[List[Optional[Event]]] = None
         self._seq: int = 0
-        self._active_proc = None  # set by Process while resuming
         #: sequence numbers taken without a push: a fair-share pipe
         #: reserves its deadline's place in the order and pushes only
         #: the entry that has to exist (``simt.resources``)
@@ -473,11 +472,6 @@ class Simulator:
         from repro.simt.process import Process
 
         return Process(self, generator, name=name)
-
-    @property
-    def active_process(self):
-        """The process currently being resumed, if any."""
-        return self._active_proc
 
     # -- execution -------------------------------------------------------------
     def step(self) -> None:

@@ -95,7 +95,6 @@ class ProcessKilled(Exception):
 
     def __init__(self, process: "Process", cause: Any = None):
         super().__init__(f"process {process.name!r} killed ({cause!r})")
-        self.process = process
         self.cause = cause
 
 
@@ -226,7 +225,6 @@ class Process(Event):
             self._detach()
         self._target = None
         sim = self.sim
-        sim._active_proc = self
         gen = self.generator
         ok = event._ok
         value = event._value
@@ -249,7 +247,6 @@ class Process(Event):
                         gen = self.generator = value
                         value = None
                         continue
-                    sim._active_proc = None
                     self._ok = ok
                     self._value = value
                     sim._push(self, 0.0)
@@ -282,13 +279,11 @@ class Process(Event):
             else:
                 error = (f"process {self.name!r} yielded {cls.__name__}, "
                          "expected an Event or a generator")
-            sim._active_proc = None
             self._ok = False
             self._value = SimulationError(error)
             sim._push(self, 0.0)
             self._close()
             return
-        sim._active_proc = None
 
         self._target = nxt
         if nxt._processed:

@@ -394,7 +394,6 @@ class Process(Event):
             self._detach()
         self._target = None
         sim = self.sim
-        sim._active_proc = self
         gen = self.generator
         ok = event._ok
         value = event._value
@@ -417,7 +416,6 @@ class Process(Event):
                         gen = self.generator = value
                         value = None
                         continue
-                    sim._active_proc = None
                     self._ok = ok
                     self._value = value
                     sim._push(self, 0.0)
@@ -438,7 +436,6 @@ class Process(Event):
                 ok = True
                 value = None
                 continue
-            sim._active_proc = None
             self._ok = False
             self._value = SimulationError(
                 f"process {self.name!r} yielded a generator from a "
@@ -450,7 +447,6 @@ class Process(Event):
             sim._push(self, 0.0)
             self._close()
             return
-        sim._active_proc = None
 
         self._target = nxt
         if nxt._processed:

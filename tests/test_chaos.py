@@ -17,14 +17,13 @@ from repro.chaos import (
     ChaosEngine,
     DetectorMonitor,
     DrainSlot,
-    HealPartition,
     KillRandomNode,
     KillRandomSlot,
     KillRank,
     KillSlot,
+    KillTenantSlot,
     LimpSlot,
     Omission,
-    OmissionOff,
     OnEvent,
     Partition,
     Poisson,
@@ -35,7 +34,6 @@ from repro.chaos import (
     check_answer,
     run_campaign,
 )
-from repro.chaos.scenario import KillTenantSlot
 from repro.cluster import Machine
 from repro.cluster.failures import TraceInjector
 from repro.cluster.spec import SIERRA
@@ -177,6 +175,38 @@ def test_dsl_still_accepts_edge_values():
     LimpSlot(0, duration=None)
     OnEvent("recovery.begin", count=1, delay=0.0)
     KillTenantSlot(0, 0)
+
+
+@pytest.mark.parametrize("build, match", [
+    # each armed without error, then raised out of ``sim.run`` when its
+    # rule fired: the DSL now applies its layer's own rule when built
+    (lambda: LimpSlot(1, bw_factor=0.0), "limp factors"),
+    (lambda: LimpSlot(1, bw_factor=-2.0), "limp factors"),
+    (lambda: LimpSlot(1, bw_factor=NAN), "limp factors"),
+    (lambda: LimpSlot(1, latency_factor=0.5), "limp factors"),
+    (lambda: Omission(drop_p=1.0), "drop_p"),
+    (lambda: Omission(drop_p=1.5), "drop_p"),
+    (lambda: Omission(dup_p=NAN), "dup_p"),
+    (lambda: Omission(rto=0.0), "rto"),
+    (lambda: Omission(rto=-1.0), "rto"),
+    (lambda: Partition(groups=((0, 1), (1, 2))), "two partition groups"),
+], ids=[
+    "limp-bw-zero", "limp-bw-negative", "limp-bw-nan", "limp-latency-below-one",
+    "omission-drop-one", "omission-drop-above-one", "omission-dup-nan",
+    "omission-rto-zero", "omission-rto-negative", "partition-slot-twice",
+])
+def test_dsl_refuses_what_its_layer_would_refuse_mid_run(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_the_package_exports_the_whole_dsl():
+    import repro.chaos
+    from repro.chaos import scenario
+
+    dsl = [name for name in repro.chaos.__all__
+           if getattr(repro.chaos, name) is getattr(scenario, name, None)]
+    assert dsl == scenario.__all__
 
 
 @pytest.mark.parametrize("action", [
@@ -421,16 +451,6 @@ def test_second_partition_is_refused():
     assert "partition: refused (already partitioned)" in descs
 
 
-def test_heal_without_partition_is_recorded_as_noop():
-    sim, machine, job = _tiny_job()
-    Tracer(sim)
-    engine = ChaosEngine(machine, jobs=[job])
-    done = job.launch()
-    engine.arm(Scenario("t", [Rule(AtTime(1.0), HealPartition())]))
-    sim.run(until=done)
-    assert ("heal: no active partition") in [d for _t, d in engine.injected]
-
-
 def test_omission_attach_detach_records():
     sim, machine, job = _tiny_job()
     Tracer(sim)
@@ -438,11 +458,9 @@ def test_omission_attach_detach_records():
     done = job.launch()
     engine.arm(Scenario("t", [
         Rule(AtTime(1.0), Omission(drop_p=0.05, duration=1.0)),
-        Rule(AtTime(0.5), OmissionOff()),  # before attach: no-op record
     ]))
     sim.run(until=done)
     descs = [d for _t, d in engine.injected]
-    assert "omission off: no model attached" in descs
     assert any(d.startswith("omission on") for d in descs)
     assert any(d == "omission off (scheduled)" for d in descs)
     assert job.finished and job.transport.faults is None

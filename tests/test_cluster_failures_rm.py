@@ -139,7 +139,7 @@ INJECTORS.update(dict.fromkeys(RULES, INJECTORS["engine"]))
 def fresh_injector(kind):
     """``(sim, injector, start)``: ``start()`` arms the injector."""
     sim = Simulator()
-    Tracer(sim)  # an OnEvent rule needs an enabled tracer to arm
+    Tracer(sim)  # an OnEvent rule needs an attached tracer to arm
     inj = INJECTORS[kind](sim, RngRegistry(0).stream("x"))
     if kind not in RULES:
         return sim, inj, inj.start

@@ -6,8 +6,8 @@ record is its own timer callback and its own parked entry.  Three
 sections:
 
 * units for the record -- wire failure, the duplicate's twin, parking
-  at a cut, the registry swapped mid-run, ``tracer.enabled`` flipped
-  while a message is in flight;
+  at a cut, the registry swapped mid-run, a tracer attached or
+  detached while a message is in flight;
 * units for the instruments a per-message site touches;
 * "observe, never perturb", generalised from the one crash scenario of
   ``test_obs_replay.py``: any drawn mix of omission faults, a partition
@@ -182,21 +182,19 @@ def test_swapping_the_registry_mid_run_moves_the_updates():
 
 def test_a_message_in_flight_is_recorded_by_the_flag_at_arrival():
     """The declared edge of the one record: nothing about the observers
-    is decided at send time, so a message is traced if and only if the
-    tracer is on when it arrives (a tracer alone, switched on
-    mid-flight, used to miss the arrival: the message was already on
-    the untraced callback)."""
+    is decided at send time, so a message is traced if and only if a
+    tracer is attached when it arrives (a tracer attached mid-flight
+    used to miss the arrival: the message was already on the untraced
+    callback)."""
     sim, _machine, tp, a, b, _tracer, _metrics = setup()
-    tracer = Tracer(sim, enabled=False)
     unseen_send = tp.send(a, b.addr, env(0))
-    tracer.enabled = True
+    tracer = Tracer(sim)
     sim.run(until=unseen_send)
     assert net_names(tracer) == ["net.recv"]
-    tracer.clear()
     unseen_recv = tp.send(a, b.addr, env(1))
-    tracer.enabled = False
+    sim.tracer = NULL_TRACER
     sim.run(until=unseen_recv)
-    assert net_names(tracer) == []
+    assert net_names(tracer) == ["net.recv"]
     assert b.matching.delivered == 2
 
 
@@ -264,11 +262,11 @@ def _run(observed, model, mode, cut_at, heal_after, kill_at, victim):
 
     def split():
         tp.partition_mode = mode
-        machine.partition([[slots[2].id]])
+        machine.fabric.partition([[slots[2].id]])
 
     at(0.1, lambda: tp.set_faults(faults))
     at(cut_at, split)
-    at(cut_at + heal_after, machine.heal_partition)
+    at(cut_at + heal_after, machine.fabric.heal)
     at(kill_at, lambda: machine.fail_nodes([slots[victim].id]))
     try:
         results = sim.run(until=done, max_events=2_000_000)

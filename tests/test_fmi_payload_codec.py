@@ -188,7 +188,7 @@ def test_layout_membership_consistency():
         g = lay.group_of(r)
         members = lay.members(g)
         assert r in members
-        assert members[lay.position_in_group(r)] == r
+        assert members[lay.node_of(r) % lay.group_size] == r
     assert lay.num_groups == (48 // 4 // 3) * 4
 
 

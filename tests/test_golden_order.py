@@ -279,10 +279,10 @@ def _gray(make_sim, traced):
     done = job.launch()
     slots = job.fmirun.node_slots
     limper, cut, victim = slots[2].id, slots[3].id, slots[0].id
-    _at(sim, 0.6, lambda: machine.limp_nodes([limper], 8.0, 4.0))
-    _at(sim, 1.1, lambda: machine.partition([[cut]], tag="golden"))
-    _at(sim, 1.3, machine.heal_partition)
-    _at(sim, 1.9, lambda: machine.unlimp_nodes([limper]))
+    _at(sim, 0.6, lambda: machine.nodes[limper].set_limp(8.0, 4.0))
+    _at(sim, 1.1, lambda: machine.fabric.partition([[cut]], tag="golden"))
+    _at(sim, 1.3, machine.fabric.heal)
+    _at(sim, 1.9, machine.nodes[limper].clear_limp)
     _at(sim, 2.4, lambda: machine.fail_nodes([victim]))
     answers = sim.run(until=done)
     assert job.epoch >= 1
@@ -311,11 +311,11 @@ def _lossy(make_sim, traced):
 
     def split():
         transport.partition_mode = "drop"
-        machine.partition([[cut]], tag="golden")
+        machine.fabric.partition([[cut]], tag="golden")
 
     _at(sim, 0.4, lambda: transport.set_faults(model))
     _at(sim, 1.1, split)
-    _at(sim, 1.3, machine.heal_partition)
+    _at(sim, 1.3, machine.fabric.heal)
     _at(sim, 2.4, lambda: machine.fail_nodes([victim]))
     answers = sim.run(until=done)
     assert job.epoch >= 1 and job.level2_flushes > 0
@@ -494,7 +494,7 @@ def test_a_tracer_keeps_the_macro_tier_and_writes_one_record_per_instance():
     _check_macro(job, sim.run(until=job.launch()))
     _digest, now, (events, _peak) = macro_fingerprint()
     assert (repr(sim.now), sim.stats.events_processed) == (now, events)
-    records = list(tracer.select(name="mpi.collective"))
+    records = [ev for ev in tracer.events if ev.name == "mpi.collective"]
     assert [(ev.args["kind"], ev.args["n"], ev.args["size"]) for ev in records
             ] == [("allreduce", n, MACRO_RANKS) for n in range(MACRO_ROUNDS)]
 

@@ -309,14 +309,6 @@ def test_limp_slows_transfers_and_clear_restores():
     assert m.node(1).limp_bw == 1.0 and m.node(1).limp_latency == 1.0
 
 
-def test_machine_limp_wrappers():
-    sim, m, _tp = setup()
-    m.limp_nodes([0, 2], bw_factor=4.0, latency_factor=2.0)
-    assert m.node(0).limping and m.node(2).limping and not m.node(1).limping
-    m.unlimp_nodes([0, 2])
-    assert not m.node(0).limping and not m.node(2).limping
-
-
 # -------------------------------------------------- end-to-end acceptance
 def test_partition_heal_alone_never_triggers_recovery():
     """A cut that heals must look like nothing happened: suspicions are

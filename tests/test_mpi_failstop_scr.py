@@ -215,7 +215,8 @@ def test_scr_vaidya_mtbf_mode_sets_interval():
     def app(mpi):
         scr = Scr(mpi, procs_per_node=2, group_size=4, mtbf_seconds=60.0)
         u = np.zeros(1024, dtype=np.float64)
-        assert scr.need_checkpoint()  # first call always checkpoints
+        # the first call always checkpoints
+        assert (yield from scr.need_checkpoint_collective())
         yield from scr.checkpoint([u], dataset_id=0)
         intervals[mpi.rank] = scr.policy.time_interval
         return None

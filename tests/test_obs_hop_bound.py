@@ -81,8 +81,8 @@ def test_traced_notifications_within_logring_bound(n, victim_pick, seed):
     )
     # Every notified rank is a distinct survivor (no double counting).
     notified_ranks = {
-        ev.rank for ev in tracer.select(cat="overlay", name="overlay.notified")
-        if ev.epoch == 1
+        ev.rank for ev in tracer.events
+        if ev.name == "overlay.notified" and ev.epoch == 1
     }
     assert len(notified_ranks) == survivors
     assert victim_slot not in notified_ranks

@@ -17,6 +17,7 @@ backfill, preempt-low-priority, rejection) on hand-built streams.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,8 +235,8 @@ def test_no_backfill_is_strict_fcfs():
 
 def test_preempt_evicts_lower_priority():
     sim, _machine, sched = _mini(4, backfill=True, preempt=True)
-    low = sched.submit(LONG.with_(priority=0), at=0.0)
-    high = sched.submit(WIDE.with_(priority=5), at=0.3)
+    low = sched.submit(replace(LONG, priority=0), at=0.0)
+    high = sched.submit(replace(WIDE, priority=5), at=0.3)
     drained = sched.drain()
     sim.run(until=drained, max_events=MAX_EVENTS)
     summary = drained.value

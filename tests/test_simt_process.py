@@ -311,20 +311,6 @@ def test_alive_property():
     assert not proc.alive
 
 
-def test_active_process_visible_during_resume():
-    sim = Simulator()
-    seen = []
-
-    def worker():
-        seen.append(sim.active_process)
-        yield sim.timeout(1.0)
-
-    proc = sim.spawn(worker())
-    sim.run()
-    assert seen == [proc]
-    assert sim.active_process is None
-
-
 def test_process_immediate_return():
     sim = Simulator()
 

@@ -73,8 +73,9 @@ def test_trace_from_poisson_records_replays_identically():
 
     sim2 = Simulator()
     hits = []
-    replay = TraceInjector.from_records(
-        sim2, rec.records, kill=lambda nodes: hits.append((sim2.now, tuple(nodes)))
+    replay = TraceInjector(
+        sim2, [(r.time, list(r.nodes)) for r in rec.records],
+        kill=lambda nodes: hits.append((sim2.now, tuple(nodes))),
     )
     replay.start()
     sim2.run()
