@@ -28,7 +28,6 @@ structure: flops/compute-rate + halo messages + allreduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -62,9 +61,6 @@ class HimenoParams:
     #: checkpoint bytes per rank (synthetic); Fig 15 uses 821 MB/node
     #: over 12 ranks = ~68.4 MB/rank
     ckpt_bytes: float = 68.4e6
-    #: checkpoint every k-th iteration; None lets the FMI/SCR policy
-    #: decide (MTBF auto-tuning)
-    ckpt_interval: Optional[int] = None
     #: extra simulated seconds per iteration (lets small test grids
     #: occupy realistic wall time so failures can be injected mid-run)
     extra_work_s: float = 0.0

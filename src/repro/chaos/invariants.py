@@ -365,21 +365,19 @@ def check_posted_receives(job) -> List[Violation]:
 
 
 class DetectorMonitor:
-    """Samples the log-ring detector's connection table during a run.
+    """Samples every joined rank's overlay edges during a run.
 
     The boundedness invariant cannot be checked only at job end -- every
-    rank's ``leave()`` empties its own list, so the final table is empty
-    even with the accumulation bug present.  Instead the monitor samples
+    rank's ``leave()`` drops its own edges, so the final view is empty
+    even with an accumulation bug present.  Instead the monitor samples
     every ``sample_dt`` simulated seconds and records:
 
-    * the largest per-rank entry count seen (must stay within
+    * the largest per-rank edge count seen (must stay within
       ``2 x out-degree``: a rank's incoming plus outgoing log-ring
       edges);
-    * any *closed* connection that stays in the table longer than
-      ``grace`` seconds.  Transiently-closed entries are legal (a node
-      death closes edges ~0.2 s before the detector hears the ibverbs
-      event); a closed entry that survives past the grace window is the
-      neighbour-list leak.
+    * any *closed* connection still listed as a live rank's edge
+      longer than ``grace`` seconds.  The connection manager unlists a
+      connection the moment it closes, so one that lingers is a leak.
     """
 
     def __init__(self, job, sample_dt: float = 0.25, grace: float = 1.0):
@@ -402,15 +400,13 @@ class DetectorMonitor:
     def sample(self) -> None:
         now = self.job.sim.now
         seen_stale = set()
-        for rank, conns in self.job.detector._conns.items():
+        detector = self.job.detector
+        for rank in detector._joined_epoch:
+            conns = detector.edges(rank)
             self.max_entries = max(self.max_entries, len(conns))
             rproc = self.job.rank_procs.get(rank)
             if rproc is None or not rproc.alive:
-                # A dead rank's list is garbage-collected when its
-                # replacement rejoins; nobody is alive to hear its
-                # disconnect events meanwhile.  The leak this monitor
-                # hunts is closed entries in *live* ranks' lists.
-                continue
+                continue  # the leak hunted is in *live* ranks' edges
             for conn in conns:
                 if conn.open:
                     continue
@@ -419,8 +415,8 @@ class DetectorMonitor:
                 if now - first > self.grace:
                     self.violations.append(Violation(
                         "detector-bounded",
-                        f"closed connection {conn.ends} still in rank "
-                        f"{rank}'s table {now - first:.3g}s after it was "
+                        f"closed connection {conn.ends} still listed at "
+                        f"rank {rank} {now - first:.3g}s after it was "
                         f"first seen closed (t={now:.6g})",
                     ))
                     seen_stale.discard(id(conn))  # report once
@@ -430,16 +426,16 @@ class DetectorMonitor:
 
 
 def check_detector_bounded(job, monitor: DetectorMonitor) -> List[Violation]:
-    """The log-ring connection table stayed within ``2 x out-degree``
-    entries per rank, and no closed connection outlived the monitor's
-    grace window in it."""
+    """Every rank's overlay edges stayed within ``2 x out-degree``, and
+    no closed connection stayed listed past the monitor's grace
+    window."""
     out = list(monitor.violations)
     bound = 2 * job.detector.connections_per_rank(job.num_ranks)
     if monitor.max_entries > bound:
         out.append(Violation(
             "detector-bounded",
-            f"a rank's connection table reached {monitor.max_entries} "
-            f"entries (log-ring bound: {bound})",
+            f"a rank's overlay reached {monitor.max_entries} "
+            f"edges (log-ring bound: {bound})",
         ))
     return out
 

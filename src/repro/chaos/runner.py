@@ -53,7 +53,6 @@ class RunResult:
     injected: List[Tuple[float, str]]
     sim_time: float
     trace_events: int
-    stale_dropped: int
     #: gray-failure statistics (all zero for kill-only campaigns)
     false_suspicions: int = 0
     repaired_edges: int = 0
@@ -165,7 +164,6 @@ def run_campaign(
         injected=list(engine.injected),
         sim_time=sim.now,
         trace_events=len(tracer.events),
-        stale_dropped=sum(j.transport.dropped_stale for j in jobs),
         false_suspicions=sum(j.detector.false_suspicions for j in jobs),
         repaired_edges=sum(j.detector.repaired_edges for j in jobs),
         partition_stalls=sum(j.transport.partition_stalls for j in jobs),

@@ -67,7 +67,6 @@ class Machine:
             pass
 
     def _node_crashed(self, node: Node, cause: Any) -> None:
-        self.rm.node_failed(node)
         for listener in list(self._death_listeners):
             listener(node, cause)
 

@@ -28,6 +28,7 @@ deterministically.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Deque, Dict, List, Optional
 
 from repro.cluster.node import Node
@@ -49,11 +50,8 @@ class Allocation:
     resource manager exactly once, at :meth:`release`.
     """
 
-    def __init__(
-        self, rm: "ResourceManager", job_id: int, nodes: List[Node], spares: List[Node]
-    ):
+    def __init__(self, rm: "ResourceManager", nodes: List[Node], spares: List[Node]):
         self.rm = rm
-        self.job_id = job_id
         self.nodes = nodes
         self.spares = spares
         self.released = False
@@ -214,11 +212,11 @@ class ResourceManager:
     def __init__(self, sim: Simulator, nodes: List[Node], grant_latency: float = 0.5):
         self.sim = sim
         self.grant_latency = grant_latency
-        self._idle: List[Node] = list(nodes)
-        self._idle_set = set(map(id, nodes))
+        # Insertion-ordered (dict-as-set): grants pop from the front, so
+        # a node can be idle only once and same-instant races resolve in
+        # release order.
+        self._idle: Dict[Node, None] = dict.fromkeys(nodes)
         self._pending: Deque[Event] = deque()
-        self._allocs: Dict[int, Allocation] = {}
-        self._next_job = 0
 
     # -- bookkeeping ----------------------------------------------------------
     @property
@@ -228,17 +226,13 @@ class ResourceManager:
 
     def _gc_idle(self) -> None:
         if any(not n.alive for n in self._idle):
-            self._idle = [n for n in self._idle if n.alive]
-            self._idle_set = set(map(id, self._idle))
+            self._idle = {n: None for n in self._idle if n.alive}
 
     def _pop_idle(self, count: int) -> List[Node]:
-        taken, self._idle = self._idle[:count], self._idle[count:]
-        self._idle_set.difference_update(map(id, taken))
+        taken = list(islice(self._idle, count))
+        for node in taken:
+            del self._idle[node]
         return taken
-
-    def node_failed(self, node: Node) -> None:
-        """Called by the machine when a node dies; drop it from the pool."""
-        self._gc_idle()
 
     # -- allocation --------------------------------------------------------------
     def allocate(self, num_nodes: int, num_spares: int = 0) -> Allocation:
@@ -264,10 +258,7 @@ class ResourceManager:
         if want > len(self._idle):
             return None
         granted = self._pop_idle(want)
-        self._next_job += 1
-        alloc = Allocation(self, self._next_job, granted[:num_nodes], granted[num_nodes:])
-        self._allocs[alloc.job_id] = alloc
-        return alloc
+        return Allocation(self, granted[:num_nodes], granted[num_nodes:])
 
     def acquire_idle(self, count: int) -> List[Node]:
         """Immediately take up to ``count`` idle nodes with no
@@ -315,17 +306,15 @@ class ResourceManager:
         self._reclaim(node)
 
     def _release(self, alloc: Allocation) -> None:
-        self._allocs.pop(alloc.job_id, None)
         for node in alloc.all_nodes:
             self._reclaim(node)
 
     def _reclaim(self, node: Node) -> None:
-        if not node.alive or id(node) in self._idle_set:
+        if not node.alive or node in self._idle:
             return
         while self._pending:
             waiter = self._pending.popleft()
             if not waiter.cancelled and not waiter.triggered:
                 self._grant(node, waiter)
                 return
-        self._idle.append(node)
-        self._idle_set.add(id(node))
+        self._idle[node] = None

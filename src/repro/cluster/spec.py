@@ -75,8 +75,6 @@ class NetworkSpec:
     sw_overhead_mpi: float = 1.0275e-6
     #: per-message software overhead per endpoint, FMI transport
     sw_overhead_fmi: float = 1.0365e-6
-    #: time to establish one reliable connection (QP pair etc.)
-    connect_latency: float = 25e-6
     #: delay before ibverbs reports a dead peer as a disconnection
     #: event (Section VI-A: "ibverbs waits approximately 0.2 seconds")
     ibverbs_close_delay: float = 0.2

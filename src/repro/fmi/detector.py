@@ -53,7 +53,6 @@ class LogRingDetector:
     def __init__(self, job):
         self.job = job
         self.cm = ConnectionManager(job.machine)
-        self._conns: Dict[int, List[Connection]] = {}
         self._joined_epoch: Dict[int, int] = {}
         self._cascaded: Dict[int, int] = {}  # rank -> last generation cascaded
         #: pending partition-rooted suspicions: (rank, peer) -> raised-at
@@ -63,7 +62,8 @@ class LogRingDetector:
         #: overlay edges re-established after partition heals
         self.repaired_edges = 0
         # Registered after the ConnectionManager's own death listener, so
-        # by the time _on_node_death runs the node's edges are closed.
+        # by the time _on_node_death runs the node's edges are closed
+        # and unlisted.
         job.machine.on_node_death(self._on_node_death)
         job.machine.fabric.on_heal(self._on_partition_heal)
 
@@ -80,31 +80,18 @@ class LogRingDetector:
     def connections_per_rank(self, n: int) -> int:
         return len(logring_neighbors(0, n, self.K))
 
-    def _unlink(self, conn: Connection) -> None:
-        """Drop a (closed) connection from both endpoints' lists.
-
-        Every teardown path must call this: ``join`` appends each edge
-        to *both* ends, so popping only the dying rank's list leaves the
-        closed object in its neighbours' lists until they happen to
-        rejoin -- which a long failure-free stretch or an early-finished
-        rank never does.
-        """
-        for key in conn.ends:
-            rank = key[0]
-            lst = self._conns.get(rank)
-            if lst is None:
-                continue
-            try:
-                lst.remove(conn)
-            except ValueError:
-                continue
-            if not lst:
-                self._conns.pop(rank, None)
+    def edges(self, rank: int) -> List[Connection]:
+        """``rank``'s overlay edges, in establishment order: the
+        connection manager's open connections at ``(rank, joined
+        epoch)``.  Every edge a rank has belongs to the epoch it
+        joined, and the manager unlists a connection the moment it
+        closes, so the detector keeps no table of its own."""
+        return list(self.cm.by_end.get((rank, self._joined_epoch.get(rank)), ()))
 
     def _link(self, rank: int, peer: int, epoch: int) -> bool:
-        """Create the ``epoch`` overlay edge between two live ranks and
-        list it at both ends.  False when a partition cut separates
-        their nodes right now: :meth:`_repair` retries on heal."""
+        """Create the ``epoch`` overlay edge between two live ranks.
+        False when a partition cut separates their nodes right now:
+        :meth:`_repair` retries on heal."""
         procs = self.job.rank_procs
         try:
             conn = self.cm.connect(
@@ -114,8 +101,6 @@ class LogRingDetector:
             return False
         conn.on_disconnect((rank, epoch), self._on_event)
         conn.on_disconnect((peer, epoch), self._on_event)
-        self._conns.setdefault(rank, []).append(conn)
-        self._conns.setdefault(peer, []).append(conn)
         return True
 
     def join(self, fproc, epoch: int) -> None:
@@ -126,11 +111,9 @@ class LogRingDetector:
         after every member has joined the overlay is complete.
         """
         rank = fproc.rank
-        for conn in self._conns.pop(rank, []):
+        for conn in self.edges(rank):
             conn.close_silent()
-            self._unlink(conn)
         self._joined_epoch[rank] = epoch
-        self._conns[rank] = []
         n = self.job.num_ranks
         out = logring_neighbors(rank, n, self.K)
         neighbours = set(out)
@@ -150,14 +133,13 @@ class LogRingDetector:
             sim.tracer.instant(
                 "overlay.join", "overlay", rank=rank, node=fproc.node.id,
                 incarnation=fproc.incarnation, epoch=epoch,
-                edges=len(self._conns[rank]), job=self.job.job_id,
+                edges=len(self.edges(rank)), job=self.job.job_id,
             )
 
     def leave(self, rank: int) -> None:
         """Silently drop a rank's overlay edges (finished rank)."""
-        for conn in self._conns.pop(rank, []):
+        for conn in self.edges(rank):
             conn.close_silent()
-            self._unlink(conn)
         self._joined_epoch.pop(rank, None)
         self._clear_suspicions(rank, resolution="left")
 
@@ -165,40 +147,26 @@ class LogRingDetector:
     def process_died(self, rank: int, reason: str) -> None:
         """fmirun.task saw a child die while its node stayed up; break
         the child's connections as the ibverbs layer would."""
-        for conn in self._conns.pop(rank, []):
-            epoch = self._joined_epoch.get(rank, 0)
-            conn.break_by_owner_death((rank, epoch), reason)
-            self._unlink(conn)
+        for conn in self.edges(rank):
+            conn.break_by_owner_death((rank, self._joined_epoch[rank]), reason)
         self._joined_epoch.pop(rank, None)
         self._clear_suspicions(rank, resolution="dead")
 
     def _on_node_death(self, node, cause) -> None:
-        """Purge the table entries of every rank that died with ``node``.
-
-        Edges with a surviving endpoint are unlinked when the survivor's
-        disconnect event fires, but an edge between two ranks on the
-        *same* dead node never raises an event on either side -- nobody
-        would drop it until a replacement rejoins, which can be seconds
-        away when spares are exhausted.
-        """
+        """Forget every rank that died with ``node``: its join epoch and
+        its pending suspicions.  Its edges are already closed, and so
+        unlisted, by the connection manager's own death listener."""
         if self.job.finished:
             return
         for rank, rproc in list(self.job.rank_procs.items()):
             if rproc.node is not node:
                 continue
-            for conn in list(self._conns.get(rank, ())):
-                if not conn.open:
-                    self._unlink(conn)
             self._joined_epoch.pop(rank, None)
             self._clear_suspicions(rank, resolution="dead")
 
     # -- event handling -----------------------------------------------------------
     def _on_event(self, conn: Connection, key: Any, reason: str) -> None:
         rank, epoch = key
-        # The connection fired a disconnect event, so it is closed:
-        # unlink it even when this endpoint is itself already dead (the
-        # early return below) or the cascade was already run.
-        self._unlink(conn)
         fproc = self.job.rank_procs.get(rank)
         if fproc is None or not fproc.alive:
             return
@@ -220,10 +188,8 @@ class LogRingDetector:
             return
         if self._cascaded.get(rank, -1) < generation:
             self._cascaded[rank] = generation
-            for other in self._conns.pop(rank, []):
-                if other.open:
-                    other.close_from((rank, epoch), reason=f"cascade:{reason}")
-                self._unlink(other)
+            for other in self.edges(rank):
+                other.close_from((rank, epoch), reason=f"cascade:{reason}")
             sim = self.job.sim
             hop = hops_of_reason(reason)
             if sim.tracer.enabled:
@@ -309,8 +275,8 @@ class LogRingDetector:
         self._repair()
 
     def _has_open_edge(self, rank: int, peer: int) -> bool:
-        for conn in self._conns.get(rank, ()):
-            if conn.open and {key[0] for key in conn.ends} == {rank, peer}:
+        for conn in self.edges(rank):
+            if {key[0] for key in conn.ends} == {rank, peer}:
                 return True
         return False
 
@@ -333,13 +299,6 @@ class LogRingDetector:
         joined = set(members)
         n = job.num_ranks
         sim = job.sim
-        # The cut's broken connections are still listed until their
-        # disconnect events fire (~the ibverbs close delay).  Purge
-        # them now, or the repaired edges would transiently push the
-        # table past its 2 x out-degree bound.
-        for rank in members:
-            for conn in [c for c in self._conns.get(rank, ()) if not c.open]:
-                self._unlink(conn)
         for rank in members:
             for peer in logring_neighbors(rank, n, self.K):
                 if peer not in joined or self._has_open_edge(rank, peer):

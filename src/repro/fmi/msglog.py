@@ -63,7 +63,7 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fmi.channel import ChannelPlane, ChannelState
-from repro.fmi.checkpoint import CheckpointEngine
+from repro.fmi.checkpoint import CheckpointEngine, MemoryStorage
 from repro.fmi.redundancy import make_scheme
 from repro.mpi.api import MpiApi
 from repro.mpi.datatypes import snapshot as _snapshot
@@ -272,7 +272,7 @@ class RecoveryPlane(ChannelPlane):
         job = self.job
         floors: List[int] = []
         for r in range(job.num_ranks):
-            if r in job.finished_ranks:
+            if r in job.results:
                 continue
             window = self.snapshots.get(r)
             if not window:
@@ -359,24 +359,36 @@ class RecoveryPlane(ChannelPlane):
         *current* node, against the member's live storage.  Each gets
         a plain :class:`MpiApi` whose ranks are XOR-group *positions*
         (private position->address table, epoch 0): collectives for a
-        ``CheckpointEngine`` with no application context touched."""
+        ``CheckpointEngine`` with no application context touched.
+
+        A member whose process or node died with no replacement yet (a
+        second kill at the same instant) is lost just like a restarting
+        one.  Nothing spawns on a dead node: its sidecar stands in on
+        this rank's node, with empty storage."""
         job = self.job
+        rank_procs = job.rank_procs
         layout = job.xor_layout
         rank = fmi_ctx.rank
         group = layout.group_of(rank)
         members = layout.members(group)
         size = len(members)
         my_pos = members.index(rank)
+        dead = {
+            m for m in members
+            if not rank_procs[m].node.alive
+            or not (rank_procs[m].proc.alive or m in job.results)
+        }
         missing = sorted(
-            pos for pos, m in enumerate(members) if m in self.recovering
+            pos for pos, m in enumerate(members)
+            if m in self.recovering or m in dead
         )
         transport = job.transport
         ctxs = []
         table: Dict[int, Tuple[int, int]] = {}
         for pos, member in enumerate(members):
             node = (
-                fmi_ctx.node if member == rank
-                else job.rank_procs[member].node
+                fmi_ctx.node if member == rank or member in dead
+                else rank_procs[member].node
             )
             ctx = transport.create_context(
                 node, label=f"mlog:rebuild:g{group}:p{pos}"
@@ -390,8 +402,12 @@ class RecoveryPlane(ChannelPlane):
                 if pos == my_pos:
                     continue
                 api = MpiApi(transport, ctxs[pos], pos, size, table)
+                storage = (
+                    MemoryStorage(ctxs[pos].node) if member in dead
+                    else rank_procs[member].storage
+                )
                 engine = CheckpointEngine(
-                    api.world, job.rank_procs[member].storage, api.memcpy,
+                    api.world, storage, api.memcpy,
                     scheme=make_scheme(scheme_name),
                 )
                 procs.append(ctxs[pos].node.spawn(

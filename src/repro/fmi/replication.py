@@ -37,7 +37,8 @@ Failure handling is a two-tier ladder (``try_failover``):
 * only when some rank loses its last synced copy does the plane fall
   back to the classic coordinated restore: it elects one copy per
   rank, retires the rest to the standby protocol, and the elected
-  cohort performs a plain global rollback (epoch-fenced by ``era``).
+  cohort performs a plain global rollback (epoch-fenced by
+  ``fallback_epoch``).
 """
 
 from __future__ import annotations
@@ -123,12 +124,12 @@ class ReplicationPlane(ChannelPlane):
         #: standby instead of booting as a peer copy
         self.standby_expected: Set[Tuple[int, int]] = set()
         # -- epoch fencing --
-        #: the epoch every replicated context stamps/filters at.  Only a
-        #: fallback bumps it: failovers must *not* fence out in-flight
-        #: traffic (survivors keep computing), and a re-arming standby
-        #: must accept survivor traffic stamped before its respawn.
-        self.era = 0
-        #: epoch of the most recent fallback (None = never fell back)
+        #: epoch of the most recent fallback (None = never fell back);
+        #: ``fallback_epoch or 0`` is the era every replicated context
+        #: stamps/filters at.  Only a fallback bumps it: failovers must
+        #: *not* fence out in-flight traffic (survivors keep computing),
+        #: and a re-arming standby must accept survivor traffic stamped
+        #: before its respawn.
         self.fallback_epoch: Optional[int] = None
 
     # ------------------------------------------------------------ geometry
@@ -183,7 +184,7 @@ class ReplicationPlane(ChannelPlane):
         # Fallback restore: the elected cohort, one copy per rank.
         return (
             (epoch, "fallback"),
-            job.num_ranks - len(job.finished_ranks),
+            job.num_ranks - len(job.results),
             job.num_ranks,
         )
 
@@ -207,7 +208,7 @@ class ReplicationPlane(ChannelPlane):
         job = self.job
         ctx = fproc.ctx
         rank = fproc.rank
-        ctx.epoch = self.era
+        ctx.epoch = self.fallback_epoch or 0
         # A context entering H1 starts (or restarts) with clean channel
         # state; post-fallback survivors re-enter here after the
         # wholesale era reset.
@@ -405,7 +406,7 @@ class ReplicationPlane(ChannelPlane):
         # Every dead copy's next incarnation re-arms as a standby (a
         # fresh process has no state and must never act as a peer).
         for rank, cps in self.copies.items():
-            if rank in job.finished_ranks:
+            if rank in job.results:
                 continue
             for copy, p in cps.items():
                 if not p.alive:
@@ -491,7 +492,6 @@ class ReplicationPlane(ChannelPlane):
         job = self.job
         epoch = job.epoch
         self.fallback_epoch = epoch
-        self.era = epoch
         if self.sim.tracer.enabled:
             self.sim.tracer.instant(
                 "repl.fallback", "repl", epoch=epoch, cause=cause,

@@ -95,7 +95,7 @@ class RecoveryFamily:
         """``(key, participants, bootstrap scale)`` of the H1/H2
         rendezvous ``fproc`` joins: every unfinished rank, per epoch."""
         job = self.job
-        return job.epoch, job.num_ranks - len(job.finished_ranks), job.num_ranks
+        return job.epoch, job.num_ranks - len(job.results), job.num_ranks
 
     def overlay_epoch(self, fproc) -> Optional[int]:
         """The detection-overlay epoch ``fproc`` joins in H2, or None
@@ -152,7 +152,7 @@ class RecoveryFamily:
         """The ranks of virtual slot ``vslot`` still running the app."""
         job = self.job
         return [
-            r for r in job.ranks_of_slot(vslot) if r not in job.finished_ranks
+            r for r in job.ranks_of_slot(vslot) if r not in job.results
         ]
 
 
@@ -401,7 +401,6 @@ class Fmirun(FaultPolicy):
         self.alloc = None
         self.node_slots: List[Node] = []
         self.tasks: Dict[int, FmirunTask] = {}
-        self._last_bump_time: Optional[float] = None
         self._recovery_proc = None
 
     # -- launch --------------------------------------------------------------
@@ -430,7 +429,7 @@ class Fmirun(FaultPolicy):
         # A killed rank (injected failure / node crash) is the
         # survivable path, driven by the tasks' node monitoring; any
         # other death is a programming error or unrecoverable: abort.
-        if proc_evt._ok or rproc.rank in self.job.finished_ranks:
+        if proc_evt._ok or rproc.rank in self.job.results:
             return
         if not isinstance(proc_evt._value, ProcessKilled):
             self.job.abort(proc_evt._value)
@@ -445,11 +444,11 @@ class Fmirun(FaultPolicy):
         """Bump the recovery epoch (coalescing same-instant failures)
         and make sure the replacement machinery is running."""
         job = self.job
-        if self._last_bump_time == self.sim.now:
+        causes = job.recovery_causes
+        if causes and causes[-1][0] == self.sim.now:
             return
-        self._last_bump_time = self.sim.now
         job.epoch += 1
-        job.recovery_causes.append((self.sim.now, cause))
+        causes.append((self.sim.now, cause))
         failover = job.recovery.try_failover(self, cause)
         if not failover:
             # In-flight macro collective instances are dead timelines
@@ -504,7 +503,7 @@ class Fmirun(FaultPolicy):
                 task = self.tasks.get(slot)
                 procs = job.recovery.slot_procs(slot)
                 if all(
-                    p.alive or p.rank in job.finished_ranks
+                    p.alive or p.rank in job.results
                     for p in procs
                 ) and node.alive and task is not None and not task.failed:
                     continue

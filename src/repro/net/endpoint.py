@@ -13,7 +13,7 @@ transport, which (as on the real hardware) reports nothing.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.cluster.machine import Machine
 from repro.cluster.node import Node
@@ -89,8 +89,11 @@ class ConnectionManager:
         # disconnect timers must be scheduled in establishment order,
         # not in hash/memory-address order, or replays of the same
         # seed diverge in same-instant event ordering.
-        self._by_node: Dict[int, Dict[Connection, None]] = {}
         self._all: Dict[Connection, None] = {}
+        #: end key -> that end's open connections, in establishment
+        #: order (the detector's overlay edges; a closed connection is
+        #: never listed)
+        self.by_end: Dict[Any, Dict[Connection, None]] = {}
         machine.on_node_death(self._on_node_death)
         machine.fabric.on_partition(self._on_partition)
 
@@ -113,8 +116,8 @@ class ConnectionManager:
             )
         conn = Connection(self, key_a, node_a, key_b, node_b)
         self._all[conn] = None
-        self._by_node.setdefault(node_a.id, {})[conn] = None
-        self._by_node.setdefault(node_b.id, {})[conn] = None
+        self.by_end.setdefault(key_a, {})[conn] = None
+        self.by_end.setdefault(key_b, {})[conn] = None
         return conn
 
     @property
@@ -130,11 +133,12 @@ class ConnectionManager:
         if not conn.open:
             return
         conn.open = False
-        self._all.pop(conn, None)
-        for node in conn.nodes.values():
-            bucket = self._by_node.get(node.id)
-            if bucket is not None:
-                bucket.pop(conn, None)
+        del self._all[conn]
+        for key in conn.ends:
+            bucket = self.by_end[key]
+            del bucket[conn]
+            if not bucket:
+                del self.by_end[key]
         for key in hearers:
             self._notify(conn, key, reason, delay)
 
@@ -146,8 +150,7 @@ class ConnectionManager:
         timer.callbacks.append(lambda _e: cb(conn, key, reason))
 
     def _on_node_death(self, node: Node, cause: Any) -> None:
-        conns: List[Connection] = list(self._by_node.get(node.id, ()))
-        for conn in conns:
+        for conn in [c for c in self._all if node in c.nodes.values()]:
             conn.break_to_live_ends(f"peer-death:{cause}")
 
     def _on_partition(self, tag: str, component: Dict[int, int]) -> None:

@@ -37,20 +37,15 @@ class PmgrRendezvous:
         self.size = size
         self.cost = cost
         self._arrived: List[Event] = []
-        self._released = False
         #: time the last participant checked in (None until complete)
         self.complete_at: Optional[float] = None
         #: time participants were released (None until released)
         self.released_at: Optional[float] = None
 
-    @property
-    def waiting(self) -> int:
-        return len(self._arrived)
-
     def arrive(self) -> Event:
         """Check in; the event fires when everyone has and the
         endpoint exchange has completed."""
-        if self._released:
+        if self.released_at is not None:
             raise RuntimeError("rendezvous already released (one-shot)")
         evt = Event(self.sim)
         self._arrived.append(evt)
@@ -65,7 +60,6 @@ class PmgrRendezvous:
         return evt
 
     def _release(self, _evt: Event) -> None:
-        self._released = True
         self.released_at = self.sim.now
         # drop the fired events with the list: a job-long rendezvous
         # would otherwise hold one per rank for the whole run

@@ -16,7 +16,7 @@ event's callback itself, no bound method per rank.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.machine import Machine
 from repro.cluster.node import Node
@@ -169,7 +169,7 @@ class JobBase:
         # -- shared runtime state --
         self.rank_procs: Dict[int, RankProcess] = {}
         self.addr_table: Dict[int, Tuple[int, int]] = {}
-        self.finished_ranks: Set[int] = set()
+        #: rank -> its app's return value; the keys are the finished ranks
         self.results: Dict[int, Any] = {}
         self.done: Event = self.sim.event()
         # Jobs come and go on a long-lived machine: drop the machine-
@@ -228,10 +228,9 @@ class JobBase:
     def rank_finished(self, rank: int, result: Any) -> None:
         if self.done._value is not _PENDING:  # once per rank: no property
             return
-        self.finished_ranks.add(rank)
         self.results[rank] = result
         self._on_rank_finished(rank)
-        if len(self.finished_ranks) == self.num_ranks:
+        if len(self.results) == self.num_ranks:
             self.policy.shutdown()
             self.done.succeed([self.results[r] for r in range(self.num_ranks)])
 

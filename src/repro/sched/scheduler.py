@@ -163,7 +163,6 @@ class StreamScheduler:
         self.records: List[TenantRecord] = []
         self._seq = 0
         self._open = 0  # records not yet in a terminal state
-        self._pending_arrivals = 0
         self._drained: Optional[Event] = None
         self._pumping = False
         self._start_listeners: List[Callable[[TenantRecord], None]] = []
@@ -180,11 +179,11 @@ class StreamScheduler:
         if at is None or at <= self.sim.now:
             self._enqueue(rec)
         else:
-            self._pending_arrivals += 1
             timer = self.sim.timeout(at - self.sim.now)
 
+            # A named function, not a lambda: schedule recordings
+            # identify a callback by its name.
             def arrive(_e, rec=rec):
-                self._pending_arrivals -= 1
                 self._enqueue(rec)
 
             timer.callbacks.append(arrive)
@@ -199,8 +198,8 @@ class StreamScheduler:
 
     def drain(self) -> Event:
         """Event that fires once every submitted job has reached a
-        terminal state (done/failed/rejected) and no arrivals are
-        pending.  Run the simulator until this to soak a stream."""
+        terminal state (done/failed/rejected); a pending arrival is an
+        open record.  Run the simulator until this to soak a stream."""
         if self._drained is None:
             self._drained = self.sim.event()
             self._check_drained()
@@ -317,7 +316,6 @@ class StreamScheduler:
             self._drained is not None
             and not self._drained.triggered
             and self._open == 0
-            and self._pending_arrivals == 0
         ):
             self._drained.succeed(self.summary())
 

@@ -146,8 +146,7 @@ def test_himeno_fmi_survives_failure_same_answer():
 def test_himeno_mpi_scr_restart_resumes():
     from repro.mpi.runtime import MpiRestartDriver
 
-    params = HimenoParams(iterations=6, nx=8, ny=8, nz=16, ckpt_interval=1,
-                          extra_work_s=0.4)
+    params = HimenoParams(iterations=6, nx=8, ny=8, nz=16, extra_work_s=0.4)
     sim, machine = make(6, seed=3)
 
     def scr_factory(api):

@@ -104,33 +104,33 @@ def test_process_death_without_node_death_detected():
 def _closed_conns(detector):
     return [
         (rank, conn)
-        for rank, conns in detector._conns.items()
+        for (rank, _epoch), conns in detector.cm.by_end.items()
         for conn in conns
         if not conn.open
     ]
 
 
 def test_detector_join_unlinks_old_edges_from_peers():
-    # Regression: teardown paths (join/leave/process_died) popped the
-    # acting rank's *own* list but left the closed Connection objects
-    # in every peer's list until the peer happened to rejoin, so the
-    # table carried corpses for the whole detection/recovery window.
+    # Regression: teardown paths (join/leave/process_died) once dropped
+    # only the acting rank's *own* list and left the closed Connection
+    # objects in every peer's list until the peer happened to rejoin,
+    # so the table carried corpses for the whole recovery window.
     sim, machine, job = launch_idle()
     sim.run(until=2.0)
     det = job.detector
-    old = list(det._conns[0])
+    old = det.edges(0)
     assert old  # rank 0 is wired into the epoch-0 overlay
     det.join(job.rank_procs[0], epoch=1)  # rejoins ahead of everyone
     for conn in old:
         assert not conn.open
-        for conns in det._conns.values():
+        for conns in det.cm.by_end.values():
             assert conn not in conns
 
 
 def test_detector_prunes_closed_conns_after_node_death():
     # Edges between two ranks on the same dead node never raise a
-    # disconnect event on either side; the node-death purge must drop
-    # them without waiting for the replacement to rejoin.
+    # disconnect event on either side; the node death must unlist them
+    # without waiting for the replacement to rejoin.
     sim, machine, job = launch_idle()
     sim.run(until=2.0)
     job.fmirun.node_slots[2].crash("prune-test")

@@ -8,16 +8,20 @@ failure-free answer -- with the logged run's survivors never touching
 checkpoint restore.
 """
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.apps.himeno import HimenoParams, himeno_fmi_app
 from repro.apps.synthetic import bsp_app, expected_bsp_state
 from repro.chaos.invariants import TraceInvariants
+from repro.chaos.scenario import AtTime, ChaosEngine, KillSlot, Rule, Scenario
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
+from repro.fmi.errors import FmiAbort
 from repro.fmi.msglog import RecoveryPlane
 from repro.fmi.runtime import RecoveryFamily
 from repro.net.matching import ANY_SOURCE, ANY_TAG, MatchingEngine
@@ -37,7 +41,7 @@ class _StubJob:
         self.sim = Simulator()
         self.num_ranks = num_ranks
         self.ppn = ppn
-        self.finished_ranks = set()
+        self.results = {}
         self.epoch = 0
 
     def slot_of_rank(self, rank):
@@ -400,6 +404,47 @@ def test_global_mode_attaches_no_plane():
     assert job.recovery.on_send is None  # envelopes go unstamped
     assert all(ctx.recv_filter is None for ctx in job.transport.contexts)
     assert verdict(job.transport, job.recovery) is None
+
+
+def ending_under(recovery, kills):
+    """How a 4-rank Himeno job with one XOR group of 4 and one spare
+    ends when ``kills`` -- ``(time, slot)`` pairs -- crash its nodes:
+    the abort cause's exception type and its lost-member count."""
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(17), RngRegistry(0))
+    params = HimenoParams(iterations=50, nx=8, ny=8, nz=16, extra_work_s=0.05)
+    job = FmiJob(
+        machine, himeno_fmi_app(params), num_ranks=4, procs_per_node=1,
+        config=FmiConfig(interval=2, xor_group_size=4, spare_nodes=1,
+                         recovery=recovery),
+    )
+    engine = ChaosEngine(machine, jobs=[job])
+    done = job.launch()
+    engine.arm(Scenario("double-loss", [
+        Rule(AtTime(t), KillSlot(slot)) for t, slot in kills
+    ]))
+    with pytest.raises(FmiAbort) as abort:
+        sim.run(until=done)
+    cause = str(abort.value)
+    lost = re.search(r"(\d+) members lost", cause)
+    return cause.split("(")[0], lost and int(lost.group(1))
+
+
+@pytest.mark.parametrize("kills", [
+    # a kill, then two members of the group at one later instant
+    [(0.9646696849397154, 1), (2.9919350351154375, 3),
+     (2.9919350351154375, 0)],
+    # two members at one instant, nothing before
+    [(2.0, 0), (2.0, 1)],
+], ids=["after-a-recovery", "same-instant"])
+def test_two_lost_members_end_alike_under_global_and_logged(kills):
+    """A member killed at the same instant as the restarting one has no
+    replacement yet: the logged rebuild counts it lost (and spawns
+    nothing on its dead node) instead of ending on a raw
+    ``NodeDownError``."""
+    global_ = ending_under("global", kills)
+    assert global_ == ("UnrecoverableFailure", 2)
+    assert ending_under("logged", kills) == global_
 
 
 # ------------------------------------------------- wildcard replay ordering
