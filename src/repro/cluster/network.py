@@ -14,11 +14,12 @@ the per-node C/R throughput (Fig 12).
 Intra-node messages bypass the NIC and move through the memory bus.
 
 The five stages of an inter-node message, and the frame each runs in
-(a :class:`_Wire` record carries the message through all of them):
+(one :class:`_Wire` record carries the message through all of them,
+and is the event its landing completes):
 
 1. **head** -- :meth:`Fabric.send` arms a ``Timeout`` of the sender's
    software overhead (at the sender's limp factor of the send instant)
-   and returns the ``arrived`` event.
+   and returns the wire.
 2. **start** -- the head's callback: the bytes enter ``A.nic_tx`` and
    ``B.nic_rx`` with *the wire itself* as each flow's completion
    target.  No event per flow.
@@ -30,14 +31,15 @@ The five stages of an inter-node message, and the frame each runs in
 4. **tail** -- a ``Timeout`` of the wire latency at the slower
    endpoint's limp factor (sampled at send) plus the receiver's
    software overhead at *its* limp factor of the drain frame.
-5. **land** -- the tail's callback completes ``arrived``; what waits on
-   it (the transport's delivery) is dispatched from the immediate
-   queue, after everything already queued for that instant.  A
-   delivery may change what a same-instant resume sees, so it keeps
-   its own event.
+5. **land** -- the tail's callback completes the wire, pushing it on
+   the immediate queue as ``Event.succeed`` would; what waits on it
+   (the transport's delivery) is dispatched from there, after
+   everything already queued for that instant.  A delivery may change
+   what a same-instant resume sees, so it keeps its own event.
 
-One ``Event`` and two ``Timeout`` entries per message; head and tail
-are real delays.
+The wire and two ``Timeout`` entries per message; head and tail are
+real delays.  A withdrawn wire (:meth:`_Wire.cancel`, its waiter gone)
+withdraws the landing only: its bytes still run dry through both NICs.
 """
 
 from __future__ import annotations
@@ -65,21 +67,21 @@ def partition_components(groups: Iterable[Iterable[int]]) -> Dict[int, int]:
     return component
 
 
-class _Wire:
-    """One inter-node message in flight: the callback of its head and
-    tail timers (:meth:`start`, :meth:`land`) and, in between, the
-    completion target of its own two NIC flows.  :meth:`Fabric.send`
-    fills the slots (no ``__init__``: it would be a frame per message).
+class _Wire(Event):
+    """One inter-node message in flight, and the event its landing
+    completes: the callback of its head and tail timers (:meth:`start`,
+    :meth:`land`) and, in between, the completion target of its own two
+    NIC flows.  :meth:`Fabric.send` builds it with no Python frame and
+    fills Event's slots and its own (``simt.kernel`` has the rule for
+    such records).
+
+    ``succeed`` is the join a pipe calls when it drains a flow, not the
+    trigger: :meth:`land` completes the event, pushing it inline.
     """
 
     __slots__ = ("fabric", "src", "dst", "nbytes", "overhead",
-                 "lat_factor", "arrived", "parts_left")
-
-    # What a pipe reads on a flow's completion target before it calls
-    # ``succeed`` (an ``Event`` everywhere else): not abandoned, not
-    # completed by anyone else.
-    _callbacks = ()
-    _value = _PENDING
+                 "lat_factor", "parts_left")
+    __init__ = object.__init__
 
     def start(self, _head: Event) -> None:
         """Sender overhead paid: the bytes enter both NIC pipes."""
@@ -102,9 +104,28 @@ class _Wire:
         )._callbacks = self.land
 
     def land(self, _tail: Event) -> None:
-        arrived = self.arrived
-        if arrived._value is _PENDING:
-            arrived.succeed(None)
+        """The last byte is in: complete the arrival, as
+        :meth:`Event.succeed` would, unless it was withdrawn."""
+        if self._value is _PENDING and not self._cancelled:
+            self._ok = True
+            self._value = None
+            sim = self.sim
+            sim._seq += 1
+            sim._nowq.append(self)
+
+    def cancel(self) -> bool:
+        """Withdraw the arrival, not the bytes: they still run dry
+        through both NICs and the tail still fires, to land on nothing.
+        The slot is emptied to ``()``, not ``None``, because a pipe
+        skips a flow whose target's slot is ``None``."""
+        if self._value is not _PENDING or self._cancelled:
+            return False
+        self._cancelled = True
+        self._callbacks = ()
+        return True
+
+    def _what(self) -> str:
+        return f"wire node {self.src.id}\u2192{self.dst.id}"
 
 
 class Fabric:
@@ -247,7 +268,15 @@ class Fabric:
             # Shared-memory path: one pass through the memory bus, no NIC.
             return src.mem_bw.transfer(nbytes, overhead=2 * overhead)
 
+        sim = self.sim
         wire = _Wire()
+        wire.sim = sim
+        wire._callbacks = ()
+        wire._value = _PENDING
+        wire._ok = None
+        wire._processed = False
+        wire._cancelled = False
+        wire._cancel_cb = None
         wire.fabric = self
         wire.src = src
         wire.dst = dst
@@ -260,8 +289,7 @@ class Fabric:
         if dst.limp_latency > lat_factor:
             lat_factor = dst.limp_latency
         wire.lat_factor = lat_factor
-        wire.arrived = arrived = Event(self.sim)
         wire.parts_left = 2
         # Sender-side software overhead before bytes hit the NIC.
-        Timeout(self.sim, overhead * src.limp_latency)._callbacks = wire.start
-        return arrived
+        Timeout(sim, overhead * src.limp_latency)._callbacks = wire.start
+        return wire

@@ -85,16 +85,30 @@ class RecvCancelled(Exception):
     """A posted receive was cancelled by a recovery reset."""
 
 
-class _PostedRecv:
-    """One waiting receive; ``post`` fills the slots (no ``__init__``:
-    it would be a frame per message)."""
+class _PostedRecv(Event):
+    """One receive, and the event its match completes: ``post`` builds
+    it with no Python frame and fills Event's slots and its own
+    (``simt.kernel`` has the rule for such records)."""
 
-    __slots__ = ("source", "tag", "event", "seq")
+    __slots__ = ("source", "tag", "seq")
+    __init__ = object.__init__
 
     @property
     def live(self) -> bool:
-        evt = self.event
-        return evt._callbacks is not None and not evt.triggered
+        return self._callbacks is not None and self._value is _PENDING
+
+    def _what(self) -> str:
+        # cold (a stalled run's report): the comm is the key of the
+        # bucket the record waits in, while it waits in one
+        comm = ""
+        engine = self._cancel_cb
+        if engine is not None:
+            for (comm_id, _source, _tag), bucket in engine._posted.items():
+                if bucket is self or (bucket.__class__ is not _PostedRecv
+                                      and self in bucket):
+                    comm = f", comm {comm_id}"
+                    break
+        return f"posted receive (source {self.source}, tag {self.tag}{comm})"
 
 
 class _Unexpected:
@@ -157,7 +171,16 @@ class MatchingEngine:
     # -- receive side -----------------------------------------------------
     def post(self, source: int, tag: int, comm_id: int) -> Event:
         """Post a receive; the event fires with the matching Envelope."""
-        evt = Event(self.sim)
+        rec = _PostedRecv()
+        rec.sim = self.sim
+        rec._callbacks = ()
+        rec._value = _PENDING
+        rec._ok = None
+        rec._processed = False
+        rec._cancelled = False
+        rec._cancel_cb = None
+        rec.source = source
+        rec.tag = tag
         if not self._wild and (source == ANY_SOURCE or tag == ANY_TAG):
             self._open_wildcards()
         # First look in the unexpected queue (oldest first: FIFO).  A
@@ -171,21 +194,17 @@ class MatchingEngine:
                 while dq and dq[0].taken:
                     dq.popleft()
                 if dq:
-                    rec = dq.popleft()
-                    rec.taken = True
+                    arrived = dq.popleft()
+                    arrived.taken = True
                     self._unexpected_live -= 1
                     if self._wild:  # three stale aliases stay behind
                         self._note_debt()
                     self.matched_unexpected += 1
                     if self.match_sink is not None:
-                        self.match_sink(source, tag, rec.env)
-                    evt.succeed(rec.env)
-                    return evt
+                        self.match_sink(source, tag, arrived.env)
+                    rec.succeed(arrived.env)
+                    return rec
                 del self._unexpected[key]
-        rec = _PostedRecv()
-        rec.source = source
-        rec.tag = tag
-        rec.event = evt
         rec.seq = self._post_seq
         self._post_seq += 1
         posted = self._posted
@@ -196,8 +215,8 @@ class MatchingEngine:
             posted[key] = deque((bucket, rec))
         else:
             bucket.append(rec)
-        evt._cancel_cb = self  # no bound method per post or per engine
-        return evt
+        rec._cancel_cb = self  # no bound method per post or per engine
+        return rec
 
     def probe(self, source: int, tag: int, comm_id: int) -> Optional[Envelope]:
         """Non-destructive check of the unexpected queue (MPI_Iprobe)."""
@@ -253,12 +272,11 @@ class MatchingEngine:
                 rec = best.popleft()
                 if not best:
                     del posted[best_key]
-            evt = rec.event
-            if evt._callbacks is not None and evt._value is _PENDING:
+            if rec._callbacks is not None and rec._value is _PENDING:
                 self.matched_posted += 1
                 if self.match_sink is not None:
                     self.match_sink(rec.source, rec.tag, env)
-                evt.succeed(env)
+                rec.succeed(env)
                 return
             # The waiter died (killed process / already-cancelled
             # event): prune the entry and keep walking -- a *live*
@@ -318,8 +336,8 @@ class MatchingEngine:
         ]
         live.sort(key=lambda rec: rec.seq)  # fail in post order
         for rec in live:
-            rec.event._cancel_cb = None
-            rec.event.fail(RecvCancelled())
+            rec._cancel_cb = None
+            rec.fail(RecvCancelled())
         cancelled = len(live)
         self._posted.clear()
         purged = self._unexpected_live

@@ -25,6 +25,10 @@ Gray failures ride the same delivery path:
   retransmission timeouts; duplicates are suppressed at the receiver
   via the envelope's globally unique sequence number.
 
+A message is one object here, an :class:`_Arrival`: both the event
+:meth:`Transport.send` returns, which fires once the bytes have landed,
+and the delivery callback it leaves on the fabric's wire.
+
 Tracing writes one record per message, where its fate is decided:
 ``net.recv`` or one of ``net.drop_dead`` / ``net.drop_stale`` /
 ``net.drop_dup`` / ``net.drop_lseq_dup``, at the destination's rank
@@ -99,35 +103,41 @@ class NetContext:
         self.transport._registry.pop(self.addr, None)
 
 
-class _Arrival:
-    """One message in flight: the callback :meth:`Transport.send`
-    leaves on the wire event, and the message's one delivery body
-    whether or not anyone is watching.
+class _Arrival(Event):
+    """One message in flight: the sender's completion, which
+    :meth:`Transport.send` returns, and the callback it leaves on the
+    wire event -- the message's one delivery body whether or not anyone
+    is watching.
 
-    A record rather than a closure -- a closure over these names is a
-    function object plus one cyclic-GC-tracked cell per name, per
-    message, and at 16k ranks the collector's walks over them cost more
-    wall clock than the interpreter does.  ``send`` fills the slots
-    (no ``__init__``: it would be a frame per message).
+    A record rather than an event plus a closure -- a closure over these
+    names is a function object plus one cyclic-GC-tracked cell per name,
+    per message, and at 16k ranks the collector's walks over them cost
+    more wall clock than the interpreter does.  ``send`` builds it with
+    no Python frame and fills Event's slots and its own (``simt.kernel``
+    has the rule for such records).
 
     The record is its own timer callback too: a copy the omission model
     delayed, one retransmitted across a drop-mode cut and a trailing
     duplicate all re-enter it from a ``Timeout``, and a heal re-enters
     the records parked at a stall-mode cut with no event at all.
-    ``done`` is ``None`` on a duplicate's twin, which must never touch
-    the sender's completion.
+    ``twin`` marks a duplicate's second record, whose own event nobody
+    waits on and which must never complete the sender's.
     """
 
-    __slots__ = ("transport", "env", "src_nid", "dst_addr", "done")
+    __slots__ = ("transport", "env", "src_nid", "dst_addr", "twin")
+    __init__ = object.__init__
+
+    def _what(self) -> str:
+        env = self.env
+        return f"send {env.src}\u2192{env.dst} tag {env.tag}"
 
     def __call__(self, evt: Optional[Event] = None) -> None:
         """Final delivery step: partition cut, liveness, epoch filter,
         duplicate suppression -- in that order -- then the record of
         what happened, for whoever is watching *now*."""
-        done = self.done
         if evt is not None and not evt._ok:
-            if not done.triggered:
-                done.fail(evt._value)
+            if self._value is _PENDING:
+                self.fail(evt._value)
             return
         transport = self.transport
         fabric = transport.machine.fabric
@@ -175,7 +185,7 @@ class _Arrival:
             # a third of the record.
             instant = sim.tracer.instant
             lseq = env.lseq
-            if ctx is not None and done is not None:
+            if ctx is not None and not self.twin:
                 if lseq is None:
                     instant(outcome, "net", env.dst, dst_addr[0], None,
                             env.epoch, src=env.src, src_node=self.src_nid,
@@ -193,12 +203,12 @@ class _Arrival:
                     args["ctx_epoch"] = ctx.epoch
                 if lseq is not None:
                     args["lseq"] = lseq
-                if done is None:
+                if self.twin:
                     args["dup"] = True
                 instant(outcome, "net", env.dst, dst_addr[0], None,
                         env.epoch, **args)
-        if done is not None and done._value is _PENDING:  # not triggered
-            done.succeed(None)
+        if self._value is _PENDING and not self.twin:  # not triggered
+            self.succeed(None)
 
 
 class _LossyArrival(_Arrival):
@@ -225,11 +235,12 @@ class _LossyArrival(_Arrival):
             _Arrival.__call__(self, evt)
         if plan.duplicate:
             twin = _Arrival()
+            Event.__init__(twin, sim)  # a rare copy: the plain fill
             twin.transport = self.transport
             twin.env = self.env
             twin.src_nid = self.src_nid
             twin.dst_addr = self.dst_addr
-            twin.done = None
+            twin.twin = True
             Timeout(sim, extra + faults.dup_lag)._callbacks = twin
 
 
@@ -335,7 +346,6 @@ class Transport:
             src.node, dst_node, env.nbytes, sw_overhead=self.sw_overhead
         )
         sim = self.sim
-        done = Event(sim)
         src_nid = src.node.id
         # Draw this message's fault plan up front (one seeded draw per
         # message keeps replays byte-identical).
@@ -358,13 +368,20 @@ class Transport:
             arrival = _LossyArrival()
             arrival.plan = plan
             arrival.faults = faults
+        arrival.sim = sim
+        arrival._callbacks = ()
+        arrival._value = _PENDING
+        arrival._ok = None
+        arrival._processed = False
+        arrival._cancelled = False
+        arrival._cancel_cb = None
         arrival.transport = self
         arrival.env = env
         arrival.src_nid = src_nid
         arrival.dst_addr = dst_addr
-        arrival.done = done
+        arrival.twin = False
         wire._callbacks = arrival  # fresh from the fabric: no waiter yet
-        return done
+        return arrival
 
     # -- partition cuts --------------------------------------------------------
     def _cut(self, arrival: _Arrival) -> None:

@@ -28,9 +28,11 @@ Hot-path notes (this is the innermost loop of every simulation):
   during a queue batch it opens a bucket, which the batch yields to.
 * :meth:`Event.succeed` and :class:`Timeout` -- together nearly every
   schedule of a run -- carry their own copy of the push instead of
-  calling :meth:`Simulator._push`: a Python frame per event is the
-  largest single cost left in the loop.  ``_push`` remains the general
-  path (``fail``, delayed ``succeed``, ``Process``, ``BulkCompletion``).
+  calling :meth:`Simulator._push`, and so do the wire's landing
+  (``cluster.network``) and a process's wakes (``simt.process``): a
+  Python frame per event is the largest single cost left in the loop.
+  ``_push`` remains the general path (``fail``, delayed ``succeed``,
+  ``Process``, ``BulkCompletion``).
   The copies must stay *one push each, in program order*: no live
   callback moves, or which same-instant event fires first changes, and
   with it every simulated number downstream.  An entry that would
@@ -38,6 +40,20 @@ Hot-path notes (this is the innermost loop of every simulation):
   ``(time, seq)``: a fair-share pipe takes a sequence number for each
   new deadline but keeps one entry queued (``simt.resources``).
   ``tests/test_golden_order.py`` pins the resulting order.
+* **A per-message record is its own event.**  What the messaging path
+  keeps per message -- a posted receive, a send's completion, the
+  wire's arrival, a transfer paying its overhead, a process's wake --
+  is an ``Event`` subclass whose class sets ``__init__ =
+  object.__init__``: building one is no Python frame.  The one site
+  that builds it fills the seven slots ``Event.__init__`` would
+  (``sim``, ``_callbacks``, ``_value``, ``_ok``, ``_processed``,
+  ``_cancelled``, ``_cancel_cb``), as :class:`Timeout` does;
+  ``tests/test_event_records.py`` checks every such fill against a
+  fresh ``Event(sim)``.  A record never refers to itself: a cycle
+  would keep it alive until the collector runs.  Every subclass is
+  registered by ``Event.__init_subclass__``, so a process recognises
+  whatever it yields with one set lookup (:data:`_EVENT_CLASSES`),
+  not an ``isinstance`` call per resume.
 * An event keeps its callbacks in one raw slot, ``_callbacks``, whose
   shape says how many it holds: ``()`` for none, the callable itself
   for one, a list for two or more, ``None`` once the event fired, was
@@ -109,6 +125,10 @@ class Event:
     #: ``_seq``: written by a push, read in a bucket (not by __init__)
     __slots__ = ("sim", "_callbacks", "_value", "_ok", "_processed",
                  "_cancelled", "_cancel_cb", "_seq")
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        _EVENT_CLASSES.add(cls)
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -228,6 +248,11 @@ class Event:
         elif cls is not tuple and callbacks is not None:
             callbacks(self)
 
+    def _what(self) -> str:
+        """What this event is, in a stalled run's report (the cold path
+        of :meth:`Simulator._stall`); a record names its message."""
+        return type(self).__name__
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
             "processed"
@@ -239,6 +264,11 @@ class Event:
             else "pending"
         )
         return f"<{type(self).__name__} {state} at t={self.sim.now:.6g}>"
+
+
+#: every Event class, :class:`Event` and each subclass as it is
+#: defined: what a process may yield, recognised with one set lookup
+_EVENT_CLASSES = {Event}
 
 
 class Timeout(Event):

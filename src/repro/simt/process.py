@@ -39,7 +39,7 @@ from types import GeneratorType
 from typing import Any, Generator, Optional
 
 from repro.simt.kernel import (
-    _PENDING, Event, SimulationError, Simulator, Timeout,
+    _EVENT_CLASSES, _PENDING, Event, SimulationError, Simulator,
 )
 
 __all__ = ["Process", "Interrupt", "ProcessKilled", "wait_chain", "waiters"]
@@ -61,9 +61,13 @@ def waiters(event: Event) -> str:
     names = []
     for cb in _registered(event):
         owner = getattr(cb, "__self__", None)
-        names.append(f"process {owner.name!r}" if isinstance(owner, Process)
-                     else getattr(cb, "__qualname__", type(cb).__qualname__))
-    return ", ".join(names) or f"{type(event).__name__} (inert)"
+        if isinstance(owner, Process):
+            names.append(f"process {owner.name!r}")
+        elif isinstance(cb, Event):  # a record that is its own callback
+            names.append(cb._what())
+        else:
+            names.append(getattr(cb, "__qualname__", type(cb).__qualname__))
+    return ", ".join(names) or f"{event._what()} (inert)"
 
 
 def wait_chain(event: Event) -> str:
@@ -77,9 +81,18 @@ def wait_chain(event: Event) -> str:
         count = len(_registered(event))
         state = ("cancelled" if event._cancelled else
                  "triggered" if event.triggered else "untriggered")
-        chain.append(f"{type(event).__name__} ({state}, {count} "
+        chain.append(f"{event._what()} ({state}, {count} "
                      f"callback{'' if count == 1 else 's'})")
     return " \u2192 ".join(chain)
+
+
+class _Wake(Event):
+    """A process's bootstrap or relay wake: triggered when it is built,
+    its one callback the process's resume.  Built with no Python frame
+    where it is needed (``simt.kernel`` has the rule for such records)."""
+
+    __slots__ = ()
+    __init__ = object.__init__
 
 
 class Interrupt(Exception):
@@ -127,12 +140,18 @@ class Process(Event):
         #: the body suspended at a hand-off ``yield``, None otherwise
         self._caller: Optional[Generator] = None
         self._resume_cb = self._resume
-        # Bootstrap: resume once at the current time.
-        init = Event(sim)
-        init._ok = True
-        init._value = None
+        # Bootstrap: resume once at the current time (a zero-delay
+        # push: the immediate queue, as ``Event.succeed`` does it).
+        init = _Wake()
+        init.sim = sim
         init._callbacks = self._resume_cb
-        sim._push(init, 0.0)
+        init._value = None
+        init._ok = True
+        init._processed = False
+        init._cancelled = False
+        init._cancel_cb = None
+        sim._seq += 1
+        sim._nowq.append(init)
 
     # -- lifecycle ------------------------------------------------------------
     @property
@@ -256,10 +275,13 @@ class Process(Event):
                 self._caller = None
                 gen = self.generator = caller
                 continue
-            # exact classes first: a call per wake for the subclass check
+            # every Event class is in the set: no call per wake
             cls = nxt.__class__
-            if cls is Event or cls is Timeout or isinstance(nxt, Event):
-                if nxt._callbacks is not None or nxt._processed:
+            if cls in _EVENT_CLASSES:
+                # (a withdrawn wire keeps ``()`` in its slot: the flag;
+                # a cancelled process still fires, and may be joined)
+                if nxt._processed or (nxt._callbacks is not None
+                                      and not nxt._cancelled):
                     break
                 # a withdrawn event never fires: waiting on it would
                 # hang the process with nothing to say why
@@ -289,11 +311,16 @@ class Process(Event):
         if nxt._processed:
             # Already fired: resume on a fresh zero-delay event carrying
             # the same outcome so scheduling order stays heap-driven.
-            relay = Event(self.sim)
-            relay._ok = nxt._ok
-            relay._value = nxt._value
+            relay = _Wake()
+            relay.sim = sim
             relay._callbacks = self._resume_cb
-            self.sim._push(relay, 0.0)
+            relay._value = nxt._value
+            relay._ok = nxt._ok
+            relay._processed = False
+            relay._cancelled = False
+            relay._cancel_cb = None
+            sim._seq += 1
+            sim._nowq.append(relay)
             self._target = relay
             return
         # register in the slot (kernel docstring): empty -> the callable,

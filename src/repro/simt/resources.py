@@ -35,7 +35,8 @@ once per message part):
   heap entries -- which is why the not-a-number guards sit on the
   public arguments here rather than in ``Timeout``.
 * No closure per transfer: a flow that first pays a fixed overhead
-  waits as a slotted :class:`_DelayedStart` on its overhead timer.
+  waits as a slotted :class:`_DelayedStart` on its overhead timer, and
+  that record is the transfer's event too.
 """
 
 from __future__ import annotations
@@ -51,24 +52,30 @@ __all__ = ["BandwidthResource"]
 class _Flow:
     """One transfer in flight; :meth:`BandwidthResource._start` fills
     the slots (no ``__init__``: it would be a frame per message).
-    ``event`` is the completion target: an :class:`Event`, or a record
-    that answers ``_callbacks`` / ``_value`` / ``succeed`` like one and
-    so is called in the draining frame (``cluster.network``'s wire)."""
+    ``event`` is the completion target, an :class:`Event` whose
+    ``succeed`` the draining frame calls (``cluster.network``'s wire
+    makes it the join of its two flows)."""
 
     __slots__ = ("remaining", "event", "nbytes")
 
 
-class _DelayedStart:
-    """A transfer still paying its fixed overhead: the callback on the
-    overhead timer, which then enters the pipe.  A record filled by
-    :meth:`BandwidthResource.transfer`, not a closure -- three cells
-    and a function object per message are work for the cyclic
-    collector, and with 16k ranks in one heap that is the wall clock."""
+class _DelayedStart(Event):
+    """A transfer still paying its fixed overhead, and the event its
+    completion fires: the callback on the overhead timer, which then
+    enters the pipe.  A record built with no Python frame by
+    :meth:`BandwidthResource.transfer` (``simt.kernel`` has the rule),
+    not a closure -- three cells and a function object per message are
+    work for the cyclic collector, and with 16k ranks in one heap that
+    is the wall clock."""
 
-    __slots__ = ("pipe", "nbytes", "done")
+    __slots__ = ("pipe", "nbytes")
+    __init__ = object.__init__
 
     def __call__(self, _timer: Event) -> None:
-        self.pipe._start(self.nbytes, self.done)
+        self.pipe._start(self.nbytes, self)
+
+    def _what(self) -> str:
+        return f"transfer of {self.nbytes!r} B on {self.pipe.name}"
 
 
 class BandwidthResource:
@@ -124,15 +131,22 @@ class BandwidthResource:
             raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
         if not overhead >= 0:
             raise ValueError(f"overhead must be >= 0, got {overhead!r}")
-        done = Event(self.sim)
+        sim = self.sim
         if overhead > 0:
             # Charge the fixed overhead first, then enter the shared pipe.
-            start = _DelayedStart()
-            start.pipe = self
-            start.nbytes = nbytes
-            start.done = done
-            Timeout(self.sim, overhead)._callbacks = start
+            done = _DelayedStart()
+            done.sim = sim
+            done._callbacks = ()
+            done._value = _PENDING
+            done._ok = None
+            done._processed = False
+            done._cancelled = False
+            done._cancel_cb = None
+            done.pipe = self
+            done.nbytes = nbytes
+            Timeout(sim, overhead)._callbacks = done
         else:
+            done = Event(sim)
             self._start(nbytes, done)
         return done
 

@@ -48,6 +48,11 @@ the same, re-read on the parent of
 the next row                           1100    97.2         11.3
 one waiter held in the event's slot,
 no callback list per event             1035    97.2         10.6
+the same, re-read on the parent of
+the next row                           1017    97.2         10.5
+a message's records are its events:
+no ``Event.__init__`` per receive,
+send, wire, delayed transfer or wake    959    97.2          9.9
 ====================================  =====  ======  ===========
 
 The ceilings sit ~12 % above the last row (events: 8 %, below the 106
@@ -158,6 +163,11 @@ one waiter held in the event's slot
 (no callback list per event), one
 sequence-counter list per instance
 key instead of a tuple key per rank     79.6    7.38     20.3    0.0   3,033
+the same, re-read on the parent
+of the next row                         79.0    7.38     20.3    0.0   2,985
+a message's records are its events
+(the ring's receive, send and wire
+records carry no event beside them)     74.8    7.38     17.3    0.0   2,873
 =====================================  =====  ======  =======  =====  ======
 
 The event count is an equality: PR 19's diet was not allowed to move
@@ -175,6 +185,7 @@ dict the matching engine still carried there.  The tail hand-off's row
 lowered the calls, tracked and traced ceilings to ~12 % above it
 again; the 3.9/3.10 ceilings stay.  The event slot's row lowered the
 same three, and the first table's calls and calls/event, the same way.
+So did the records row; the event ceilings stay, as the events did.
 """
 
 import cProfile
@@ -200,11 +211,11 @@ from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
 RANKS, ITERATIONS = 24, 8
-CALLS_PER_RANK_ITERATION = 1160.0
+CALLS_PER_RANK_ITERATION = 1075.0
 EVENTS_PER_RANK_ITERATION = 105.0
 #: below the 18.1 this run cost before the diet, so that neither half
 #: can drift back while the other hides it
-CALLS_PER_EVENT = 11.9
+CALLS_PER_EVENT = 11.0
 #: calls a tracer and a metrics registry add to the run, in all: 6,707
 #: run alone, 10,238 after the rest of tier-1 (the bare arm then reads
 #: 3,531 calls fewer)
@@ -350,11 +361,11 @@ def test_a_clean_delivery_probes_one_bucket():
 
 # ------------------------------------------------------------- macro tier
 MACRO_RANKS, MACRO_ROUNDS, MACRO_PPN = 1024, 2, 16
-MACRO_CALLS_PER_RANK_ROUND = 89.0
+MACRO_CALLS_PER_RANK_ROUND = 84.0
 MACRO_EVENTS = 15_108  # 7.38 per rank-round
-MACRO_TRACKED_PER_RANK = 22.7 if sys.version_info >= (3, 11) else 40.0
+MACRO_TRACKED_PER_RANK = 19.4 if sys.version_info >= (3, 11) else 40.0
 MACRO_CELLS_PER_RANK = 1.0
-MACRO_TRACED_BYTES_PER_RANK = 3400.0 if sys.version_info >= (3, 11) else 5000.0
+MACRO_TRACED_BYTES_PER_RANK = 3220.0 if sys.version_info >= (3, 11) else 5000.0
 
 _CELL = type((lambda x: lambda: x)(0).__closure__[0])
 

@@ -141,9 +141,11 @@ def test_parked_records_are_delivered_once_in_park_order(observed):
     machine.fabric.partition([[1]])
     dones = [tp.send(a, b.addr, env(tag)) for tag in range(3)]
     sim.run()
-    # the records themselves are parked; message 0's twin trails by dup_lag
+    # the records themselves are parked -- each is its sender's event --
+    # and message 0's twin, flagged, trails by dup_lag
     assert [rec.env.tag for rec in tp._stalled] == [0, 1, 2, 0]
-    assert [rec.done for rec in tp._stalled] == dones + [None]
+    assert tp._stalled[:3] == dones
+    assert [rec.twin for rec in tp._stalled] == [False] * 3 + [True]
     assert not any(d.triggered for d in dones)
     order = []
     for tag in range(3):

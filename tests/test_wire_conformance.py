@@ -32,6 +32,10 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import Machine, network
 from repro.cluster.network import Fabric
 from repro.cluster.spec import SIERRA
+from repro.net.matching import _PostedRecv
+from repro.net.transport import _Arrival, _LossyArrival
+from repro.simt.process import _Wake
+from repro.simt.resources import _DelayedStart
 from repro.simt.rng import RngRegistry
 from tests.schedule_recorder import RecordingSimulator
 from tests.wire_reference import ReferenceFabric
@@ -248,8 +252,12 @@ def test_an_uncontended_message_costs_five_kernel_events_not_eight():
         return sim.stats.events_processed
 
     assert (events(Fabric), events(ReferenceFabric)) == (5, 8)
-    wire = vars(network._Wire)
-    assert "both" not in wire["__slots__"] and "__init__" not in wire
+    assert "both" not in network._Wire.__slots__
+    # no per-message record has a Python-level constructor: each is
+    # built without a frame and filled where it is built
+    for cls in (network._Wire, _Arrival, _LossyArrival, _PostedRecv,
+                _DelayedStart, _Wake):
+        assert cls.__init__ is object.__init__, cls
 
 
 # ------------------------------------------- the two doors next to the wire
