@@ -85,10 +85,6 @@ class _FilesystemBase:
     def listdir(self) -> list:
         return sorted(self._files)
 
-    @property
-    def bandwidth(self) -> float:
-        return self._bw.capacity
-
     def time_for(self, nbytes: float) -> float:
         """Uncontended time to stream ``nbytes`` (planning helper)."""
         return self.latency + nbytes / self._bw.capacity

@@ -231,12 +231,6 @@ class Fabric:
             return True
         return part.get(node_a, 0) == part.get(node_b, 0)
 
-    def transfer_time(self, nbytes: float, sw_overhead: float) -> float:
-        """Uncontended end-to-end time for one message (planning)."""
-        return (
-            2 * sw_overhead + self.spec.wire_latency + nbytes / self.spec.link_bw
-        )
-
     def send(
         self,
         src: Node,
@@ -276,7 +270,6 @@ class Fabric:
         wire._ok = None
         wire._processed = False
         wire._cancelled = False
-        wire._cancel_cb = None
         wire.fabric = self
         wire.src = src
         wire.dst = dst

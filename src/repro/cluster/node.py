@@ -76,12 +76,6 @@ class Node:
         """Spawn a simulated process bound to this node."""
         return self.register(self.sim.spawn(generator, name=name))
 
-    @property
-    def processes(self) -> List[Process]:
-        """Live processes currently bound to this node."""
-        self._procs = [p for p in self._procs if p.alive]
-        return list(self._procs)
-
     # -- memory-bus helpers -----------------------------------------------------
     def memcpy(self, nbytes: float):
         """Copy ``nbytes`` through the memory bus (fair-shared)."""

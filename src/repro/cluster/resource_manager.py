@@ -28,7 +28,6 @@ deterministically.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import Deque, Dict, List, Optional
 
 from repro.cluster.node import Node
@@ -229,7 +228,7 @@ class ResourceManager:
             self._idle = {n: None for n in self._idle if n.alive}
 
     def _pop_idle(self, count: int) -> List[Node]:
-        taken = list(islice(self._idle, count))
+        taken = list(self._idle)[:count]
         for node in taken:
             del self._idle[node]
         return taken

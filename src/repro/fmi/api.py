@@ -109,25 +109,25 @@ class FmiContext(ParallelApi):
         self._hop_only += 1
         try:
             self._check_ok()
-            rs = self.fproc.rank_state
+            fproc = self.fproc
             family = self.recovery
-            if rs.restore_pending:
-                rs.restore_pending = False
+            if fproc.restore_pending:
+                fproc.restore_pending = False
                 restored = yield from family.restore(self)
                 if restored == "beyond-xor":
                     restored = yield from self._restore_from_level2()
                 if restored is not None:
                     meta, payloads = restored
                     yield from copy_into(self.memcpy, ckpts, payloads)
-                    rs.loop_id = meta.dataset_id + 1
-                    rs.policy.reset_after_recovery(self.now)
+                    fproc.loop_id = meta.dataset_id + 1
+                    fproc.policy.reset_after_recovery(self.now)
                     self.fmi_job.restores_done += 1
                     return meta.dataset_id
                 # Cold start: the failure predates the first checkpoint.
-                rs.loop_id = 0
-                rs.policy = type(rs.policy)(self.fmi_job.config)
+                fproc.loop_id = 0
+                fproc.policy = type(fproc.policy)(self.fmi_job.config)
 
-            want = rs.policy.should_checkpoint(self.now)
+            want = fproc.policy.should_checkpoint(self.now)
             if self.fmi_job.config.checkpoint_enabled:
                 # "FMI_Loop ... synchronizes the application": the
                 # checkpoint decision is global, so a time-based (Vaidya)
@@ -136,19 +136,20 @@ class FmiContext(ParallelApi):
             if want:
                 t0 = self.now
                 payloads = pack(ckpts, nbytes)
-                family.note_ckpt_begin(self.rank, rs.loop_id, self.ctx)
-                meta = yield from self.engine.checkpoint(payloads, dataset_id=rs.loop_id)
-                rs.policy.record_checkpoint(self.now, self.now - t0)
+                family.note_ckpt_begin(self.rank, fproc.loop_id, self.ctx)
+                meta = yield from self.engine.checkpoint(
+                    payloads, dataset_id=fproc.loop_id)
+                fproc.policy.record_checkpoint(self.now, self.now - t0)
                 self.fmi_job.checkpoints_done += 1
-                family.note_rank_checkpoint(self.rank, rs.loop_id, self.ctx)
+                family.note_rank_checkpoint(self.rank, fproc.loop_id, self.ctx)
                 if (
                     self.l2store is not None
-                    and rs.loop_id >= self.fmi_job.next_l2_at
+                    and fproc.loop_id >= self.fmi_job.next_l2_at
                 ):
                     yield from self._flush_level2(meta)
 
-            current = rs.loop_id
-            rs.loop_id += 1
+            current = fproc.loop_id
+            fproc.loop_id += 1
             return current
         finally:
             self._hop_only -= 1

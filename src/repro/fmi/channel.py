@@ -112,7 +112,7 @@ class ChannelState:
 class ChannelPlane(RecoveryFamily):
     """The state and the rules both lseq planes share.
 
-    Subclasses provide ``_make_recv_filter(fproc, chan)`` and
+    Subclasses provide ``_make_recv_filter(chan)`` and
     ``_make_sink(fproc, chan)``: the closures :meth:`_wire` installs.
     """
 
@@ -132,7 +132,7 @@ class ChannelPlane(RecoveryFamily):
         filter, the match sink -- and drop whatever it had queued."""
         ctx = fproc.ctx
         ctx.matching.match_sink = self._make_sink(fproc, chan)
-        ctx.recv_filter = self._make_recv_filter(fproc, chan)
+        ctx.recv_filter = self._make_recv_filter(chan)
         ctx.matching.reset()
 
     def _file_snapshot(self, rank: int, chan: ChannelState,

@@ -19,7 +19,7 @@ neither is lost when some other rank dies.  Three mechanisms:
 the set of ranks that die together) is appended to the sender's
 in-memory log together with its payload copy and a per-channel logical
 sequence number ``lseq = (src, dst, n)``.  ``n`` is *reproduced* by a
-re-executing sender (unlike ``Envelope.seq``, which is a fresh draw per
+re-executing sender (an envelope itself is a fresh object per
 transmission), so the same logical message always carries the same
 identity.  Logs are garbage-collected when every live rank's retained
 checkpoint window has advanced past an entry (:meth:`_gc`).
@@ -185,7 +185,7 @@ class RecoveryPlane(ChannelPlane):
             )
 
     # -- receive path ------------------------------------------------------
-    def _make_recv_filter(self, fproc, chan: ChannelState):
+    def _make_recv_filter(self, chan: ChannelState):
         """The per-context :attr:`NetContext.recv_filter` closure:
         exact-once per channel lseq."""
 

@@ -4,8 +4,8 @@ Every virtual rank is backed by ``replication_degree`` physical
 processes (FTHP-MPI's model; ReStore's in-memory state angle).  All
 copies execute the application; the *lead* copy owns the rank's entry
 in the endpoint table, and the plane's ``on_send`` sends a clone of
-every envelope addressed to a lead to each of its live replicas, so
-each copy observes the same message stream.
+every envelope addressed to a rank to each of its lead's live
+replicas, so each copy observes the same message stream.
 
 Three mechanisms keep the copies bit-identical:
 
@@ -21,11 +21,13 @@ Three mechanisms keep the copies bit-identical:
   source, parking when caught up until the lead's record arrives.  A
   promoted copy first drains any recorded determinants it has not
   consumed, then posts natively.
-* **standby re-arm** -- a respawned copy buffers mirrored traffic,
-  waits for the lead's next checkpoint, clones the lead's in-memory
-  checkpoint storage plus the channel counters snapshotted at that
-  checkpoint, restores, and re-executes into sync (its duplicate sends
-  are suppressed at every receiver by the channel dedup).
+* **standby re-arm** -- a respawned copy buffers mirrored traffic (its
+  context's receive filter parks every stamped envelope until it
+  syncs), waits for the lead's next checkpoint, clones the lead's
+  in-memory checkpoint storage plus the channel counters snapshotted
+  at that checkpoint, restores, and re-executes into sync (its
+  duplicate sends are suppressed at every receiver by the channel
+  dedup).
 
 Failure handling is a two-tier ladder (``try_failover``):
 
@@ -71,6 +73,13 @@ class _StandbyRec:
         #: stamped envelopes buffered until the sync point
         self.buffered: List[Envelope] = []
 
+    def park(self, env: Envelope) -> bool:
+        """The unsynced standby's receive filter: buffer every stamped
+        envelope until the sync point tells which of them the snapshot
+        consumed."""
+        self.buffered.append(env)
+        return False
+
 
 def _chain(inner: Event, outer: Event) -> None:
     """Forward ``inner``'s outcome into ``outer`` (parked wildcards)."""
@@ -109,9 +118,9 @@ class ReplicationPlane(ChannelPlane):
         self.copies: Dict[int, Dict[int, object]] = {}
         #: which copy currently owns the rank's endpoint-table entry
         self.lead_copy: Dict[int, int] = {}
-        #: lead address -> live replica contexts (``on_send``'s fan-out)
-        self.mirrors: Dict[Tuple[int, int], List[object]] = {}
-        self._mirror_key: Dict[int, Tuple[int, int]] = {}
+        #: rank -> its lead's live replica contexts (``on_send``'s
+        #: fan-out)
+        self.mirrors: Dict[int, List[object]] = {}
         #: context -> its channel state (each copy dedups on its own)
         self.channels: Dict[object, ChannelState] = {}
         #: rank -> [(ctx, source, tag, comm_id, event)] wildcards parked
@@ -216,7 +225,9 @@ class ReplicationPlane(ChannelPlane):
         self._wire(fproc, chan)
         if (rank, fproc.copy) in self.standby_expected:
             self.standby_expected.discard((rank, fproc.copy))
-            self.standby_recs[ctx] = _StandbyRec(rank, fproc.copy, self.sim)
+            rec = self.standby_recs[ctx] = _StandbyRec(rank, fproc.copy,
+                                                       self.sim)
+            ctx.recv_filter = rec.park
             self._rebuild_mirrors(rank)
             if self.sim.tracer.enabled:
                 self.sim.tracer.instant(
@@ -229,9 +240,7 @@ class ReplicationPlane(ChannelPlane):
         self._rebuild_mirrors(rank)
 
     def _rebuild_mirrors(self, rank: int) -> None:
-        old = self._mirror_key.pop(rank, None)
-        if old is not None:
-            self.mirrors.pop(old, None)
+        self.mirrors.pop(rank, None)
         lead = self.job.rank_procs.get(rank)
         if lead is None:
             return
@@ -241,9 +250,7 @@ class ReplicationPlane(ChannelPlane):
             if p is not lead and p.alive and not p.ctx.closed
         ]
         if followers:
-            addr = lead.ctx.addr
-            self.mirrors[addr] = followers
-            self._mirror_key[rank] = addr
+            self.mirrors[rank] = followers
 
     def _rebuild_all_mirrors(self) -> None:
         for rank in list(self.copies):
@@ -253,27 +260,27 @@ class ReplicationPlane(ChannelPlane):
     def on_send(self, src: int, dst: int, env: Envelope, ctx=None) -> None:
         """Stamp the sender's channel sequence (per *context*: each copy
         runs the same channel schedule, so copies of one rank produce
-        identical lseq streams), then send the mirror clones of a
-        lead-bound envelope.  The clones enter the wire before the
-        caller sends ``env`` itself: that order of ``Envelope.seq``
-        draws and wire starts is part of the pinned schedule."""
+        identical lseq streams), then send the mirror clones of an
+        envelope to ``dst``.  The clones enter the wire before the
+        caller sends ``env`` itself: that order of wire starts is part
+        of the pinned schedule."""
         send_seq = self.channels[ctx].send_seq
         n = send_seq.get(dst, 0)
         send_seq[dst] = n + 1
         env.lseq = (src, dst, n)
-        job = self.job
-        transport = job.transport
-        for maddr, menv in self.mirror_copies(job.addr_table[dst], env):
+        transport = self.job.transport
+        for maddr, menv in self.mirror_copies(dst, env):
             transport.send(ctx, maddr, menv)
 
-    def mirror_copies(self, dst_addr, env: Envelope):
-        """Clones of ``env`` for the replicas shadowing ``dst_addr``.
+    def mirror_copies(self, dst: int, env: Envelope):
+        """Clones of ``env`` for the replicas shadowing rank ``dst``'s
+        lead.
 
         Payloads are snapshotted per clone: copies of a rank must never
-        share one mutable buffer.  Clones keep the lseq (dedup
-        identity) but draw fresh global seqs.
+        share one mutable buffer.  Each clone is an envelope of its own
+        that keeps the lseq, the identity the receiving copies dedup on.
         """
-        targets = self.mirrors.get(dst_addr)
+        targets = self.mirrors.get(dst)
         if not targets:
             return ()
         out = []
@@ -288,17 +295,12 @@ class ReplicationPlane(ChannelPlane):
             out.append((ctx.addr, menv))
         return out
 
-    def _make_recv_filter(self, fproc, chan: ChannelState):
-        ctx = fproc.ctx
+    def _make_recv_filter(self, chan: ChannelState):
+        """Exact-once per channel lseq; an unsynced standby's context
+        parks instead (:meth:`_StandbyRec.park`) until it syncs."""
 
         def accept(env: Envelope) -> bool:
             lseq = env.lseq
-            rec = self.standby_recs.get(ctx)
-            if rec is not None:
-                # Unsynced standby: park everything until the sync
-                # point tells us which messages the snapshot consumed.
-                rec.buffered.append(env)
-                return False
             key = (lseq[0], lseq[2])
             seen = chan.seen
             if key in seen:
@@ -503,11 +505,12 @@ class ReplicationPlane(ChannelPlane):
         for chan in self.channels.values():
             chan.load(None)
         self.parked.clear()
+        for ctx in self.standby_recs:  # no longer parking
+            ctx.recv_filter = self._make_recv_filter(self.channels[ctx])
         self.standby_recs.clear()
         self.standby_expected.clear()
         self.snapshots.clear()
         self.mirrors.clear()
-        self._mirror_key.clear()
         for vslot in range(job.num_nodes):
             active = self.unfinished_ranks(vslot)
             elected = None
@@ -641,21 +644,16 @@ class ReplicationPlane(ChannelPlane):
         dataset = max(ids)
         chan = self.channels[ctx]
         chan.load(window[dataset])
-        seen = chan.seen
-        # Synced: stop buffering and deliver what the snapshot has not
-        # already consumed.
+        # Synced: stop buffering and deliver, through the exact-once
+        # filter, what the snapshot has not already consumed.
         self.standby_recs.pop(ctx, None)
+        ctx.recv_filter = accept = self._make_recv_filter(chan)
         pend = rec.buffered
         delivered = 0
         for env in pend:
-            if env.epoch < ctx.epoch:
-                continue
-            key = (env.lseq[0], env.lseq[2])
-            if key in seen:
-                continue
-            seen.add(key)
-            ctx.matching.deliver(env)
-            delivered += 1
+            if env.epoch >= ctx.epoch and accept(env):
+                ctx.matching.deliver(env)
+                delivered += 1
         if self.sim.tracer.enabled:
             self.sim.tracer.instant(
                 "repl.standby.sync", "repl", rank=rank, copy=rec.copy,

@@ -45,7 +45,7 @@ from repro.simt.primitives import AnyOf
 from repro.simt.process import Interrupt, ProcessKilled
 
 __all__ = [
-    "Fmirun", "FmirunTask", "FmiProcess", "RankState", "RecoveryFamily",
+    "Fmirun", "FmirunTask", "FmiProcess", "RecoveryFamily",
 ]
 
 
@@ -156,16 +156,6 @@ class RecoveryFamily:
         ]
 
 
-class RankState:
-    """Per-rank FMI bookkeeping that survives application restarts
-    (but not process death -- replacements start fresh)."""
-
-    def __init__(self, config):
-        self.loop_id = 0
-        self.restore_pending = False
-        self.policy = IntervalPolicy(config)
-
-
 class FmiProcess(RankProcess):
     """One rank's runtime process (one incarnation)."""
 
@@ -175,7 +165,13 @@ class FmiProcess(RankProcess):
         #: (always 0 unless recovery="replicated")
         self.copy = copy
         self.storage = MemoryStorage(node)
-        self.rank_state = RankState(job.config)
+        #: FMI_Loop's bookkeeping, which survives application restarts
+        #: but not the process: the next loop id (a checkpoint's
+        #: dataset id), whether the next call restores, and the
+        #: checkpoint interval policy
+        self.loop_id = 0
+        self.restore_pending = False
+        self.policy = IntervalPolicy(job.config)
         self.state = ProcState.H1_BOOTSTRAPPING
         self.notified_gen = -1
         #: True from a failure notice until H1 clears it; while set,
@@ -308,7 +304,7 @@ class FmiProcess(RankProcess):
         job = self.job
         if job.epoch > 0 and job.recovery.restores(self):
             # Recovery restart: FMI_Loop must restore the checkpoint.
-            self.rank_state.restore_pending = True
+            self.restore_pending = True
         return job.app(FmiContext(self))
 
 

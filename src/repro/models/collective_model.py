@@ -7,7 +7,8 @@ virtual per-rank clocks, charging the same closed-form per-message
 costs the fabric would charge an uncontended transfer:
 
 * inter-node: ``t(b) = 2*o + L + b/B``   (head overhead, send, wire
-  latency + tail overhead -- exactly :meth:`Fabric.transfer_time`)
+  latency + tail overhead -- exactly what :meth:`Fabric.send` charges
+  a message alone on its NICs; :meth:`NetParams.p2p`)
 * intra-node: ``m(b) = 2*o + b/M``       (the memory-bus path)
 
 where ``o`` is the per-side software overhead, ``L`` the wire latency,
@@ -75,7 +76,8 @@ class NetParams:
         )
 
     def p2p(self, nbytes: float) -> float:
-        """Uncontended inter-node transfer (Fabric.transfer_time)."""
+        """Uncontended inter-node transfer (what ``Fabric.send``
+        charges a message alone on its NICs)."""
         return (
             2.0 * self.sw_overhead
             + self.wire_latency

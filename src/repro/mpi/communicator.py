@@ -215,9 +215,5 @@ class Communicator:
         new_id = (seq << 20) | color_index
         return Communicator(self.api, new_id, members)
 
-    def translate(self, local_rank: int) -> int:
-        """Local rank -> world rank."""
-        return self.members[local_rank]
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Comm id={self.id} rank={self.rank}/{self.size}>"

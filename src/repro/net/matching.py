@@ -46,9 +46,9 @@ Dead entries -- posted receives whose waiter died (killed process,
 :meth:`~repro.simt.kernel.Event.cancel`, an externally failed event)
 and taken unexpected aliases -- are swept lazily: they are popped when
 they reach a bucket head during matching, and a full compaction runs
-once enough cancellations/claims have accumulated (cancelled events
-report in through the kernel's cancellation hook).  The compaction
-only drops dead entries, so it can never change match order.
+once enough cancellations/claims have accumulated (a cancelled receive
+reports in to its ``engine``).  The compaction only drops dead
+entries, so it can never change match order.
 
 The linear-scan engine this replaced is the conformance oracle of
 ``tests/test_matching_conformance.py`` and lives beside it.
@@ -88,26 +88,33 @@ class RecvCancelled(Exception):
 class _PostedRecv(Event):
     """One receive, and the event its match completes: ``post`` builds
     it with no Python frame and fills Event's slots and its own
-    (``simt.kernel`` has the rule for such records)."""
+    (``simt.kernel`` has the rule for such records).  ``engine`` is
+    the engine that posted it, which a cancel reports to."""
 
-    __slots__ = ("source", "tag", "seq")
+    __slots__ = ("source", "tag", "seq", "engine")
     __init__ = object.__init__
 
     @property
     def live(self) -> bool:
         return self._callbacks is not None and self._value is _PENDING
 
+    def cancel(self) -> bool:
+        """Withdraw the receive, and count it as a dead entry of its
+        engine (the lazy sweep's debt)."""
+        if not Event.cancel(self):
+            return False
+        self.engine._note_debt()
+        return True
+
     def _what(self) -> str:
         # cold (a stalled run's report): the comm is the key of the
         # bucket the record waits in, while it waits in one
         comm = ""
-        engine = self._cancel_cb
-        if engine is not None:
-            for (comm_id, _source, _tag), bucket in engine._posted.items():
-                if bucket is self or (bucket.__class__ is not _PostedRecv
-                                      and self in bucket):
-                    comm = f", comm {comm_id}"
-                    break
+        for (comm_id, _source, _tag), bucket in self.engine._posted.items():
+            if bucket is self or (bucket.__class__ is not _PostedRecv
+                                  and self in bucket):
+                comm = f", comm {comm_id}"
+                break
         return f"posted receive (source {self.source}, tag {self.tag}{comm})"
 
 
@@ -178,7 +185,7 @@ class MatchingEngine:
         rec._ok = None
         rec._processed = False
         rec._cancelled = False
-        rec._cancel_cb = None
+        rec.engine = self
         rec.source = source
         rec.tag = tag
         if not self._wild and (source == ANY_SOURCE or tag == ANY_TAG):
@@ -215,7 +222,6 @@ class MatchingEngine:
             posted[key] = deque((bucket, rec))
         else:
             bucket.append(rec)
-        rec._cancel_cb = self  # no bound method per post or per engine
         return rec
 
     def probe(self, source: int, tag: int, comm_id: int) -> Optional[Envelope]:
@@ -336,7 +342,6 @@ class MatchingEngine:
         ]
         live.sort(key=lambda rec: rec.seq)  # fail in post order
         for rec in live:
-            rec._cancel_cb = None
             rec.fail(RecvCancelled())
         cancelled = len(live)
         self._posted.clear()
@@ -351,15 +356,12 @@ class MatchingEngine:
         return cancelled, purged
 
     # -- lazy sweeping --------------------------------------------------------
-    def _note_debt(self, _evt: Optional[Event] = None) -> None:
-        """One more dead entry (a claimed arrival's aliases, or -- as
-        the kernel's cancellation hook -- a posted receive's event)."""
+    def _note_debt(self) -> None:
+        """One more dead entry (a claimed arrival's aliases, or a
+        cancelled posted receive)."""
         self._sweep_debt += 1
         if self._sweep_debt >= self._sweep_at:
             self._sweep()
-
-    #: the engine is the cancellation hook of every receive it posts
-    __call__ = _note_debt
 
     def _sweep(self) -> None:
         """Compact every bucket: drop dead receives and taken aliases.

@@ -3,17 +3,18 @@
 An :class:`Envelope` is what travels through the transport: addressing
 (rank, tag, communicator), the *epoch* stamp used to discard stale
 pre-failure traffic (Section IV-D), a declared byte count for timing,
-and the actual payload object for data fidelity.
+and the actual payload object for data fidelity.  It carries no
+identity of its own: each envelope is sent once, so the object is the
+message, and an omission duplicate's twin travels with the same one
+(``net.transport``).  The lseq planes stamp the one identity a
+re-executing sender reproduces.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Optional
+from typing import Any
 
 __all__ = ["Envelope"]
-
-_seq = itertools.count()
 
 
 class Envelope:
@@ -25,7 +26,7 @@ class Envelope:
     """
 
     __slots__ = ("src", "dst", "tag", "comm_id", "epoch", "nbytes",
-                 "data", "seq", "lseq")
+                 "data", "lseq")
 
     def __init__(
         self,
@@ -36,7 +37,6 @@ class Envelope:
         epoch: int,
         nbytes: float,
         data: Any = None,
-        seq: Optional[int] = None,
     ):
         #: sender's / destination rank within ``comm_id``
         self.src = src
@@ -50,11 +50,9 @@ class Envelope:
         self.nbytes = nbytes
         #: the payload object (numpy array, Python object, Payload...)
         self.data = data
-        #: global monotonic sequence number -- debugging/trace ordering
-        self.seq = next(_seq) if seq is None else seq
-        #: message-logging identity ``(sender_world_rank, channel_seq)``;
-        #: stamped only when a recovery plane is active.  Unlike ``seq``
-        #: it is *reproduced* when a rolled-back sender re-executes, so
+        #: channel identity ``(sender_world_rank, dst_world_rank, n)``;
+        #: stamped only when an lseq recovery plane is active.  It is
+        #: *reproduced* when a rolled-back sender re-executes, so
         #: receivers can suppress duplicate re-sends during replay.
         self.lseq = None
 

@@ -22,8 +22,9 @@ Gray failures ride the same delivery path:
   ``partition_mode``.  Either way delivery is eventually exact-once.
 * **Omission** -- an attached :class:`~repro.net.faults.LinkFaultModel`
   injects seeded per-message drop/duplicate/delay.  Drops cost
-  retransmission timeouts; duplicates are suppressed at the receiver
-  via the envelope's globally unique sequence number.
+  retransmission timeouts.  A duplicated message and its twin share
+  one ``landed`` flag: the copy that lands second is suppressed at
+  the receiver.
 
 A message is one object here, an :class:`_Arrival`: both the event
 :meth:`Transport.send` returns, which fires once the bytes have landed,
@@ -46,7 +47,7 @@ priority order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.machine import Machine
 from repro.cluster.node import Node
@@ -64,7 +65,7 @@ class NetContext:
     """Per-process networking state: address, matching engine, epoch."""
 
     __slots__ = ("transport", "node", "addr", "label", "matching", "epoch",
-                 "closed", "recv_filter", "delivered_seqs")
+                 "closed", "recv_filter")
 
     def __init__(self, transport: "Transport", node: Node, label: str = ""):
         # Serials are per-transport, not per-process: two simulations in
@@ -86,17 +87,6 @@ class NetContext:
         #: returning False suppresses it (a replayed, re-sent or
         #: cross-copy duplicate, or one buffered by an unsynced standby)
         self.recv_filter = None
-        #: sequence numbers already delivered (duplicate suppression):
-        #: a set once a lossy link model has been attached
-        #: (:meth:`Transport.set_faults`), ``None`` until then, so that
-        #: a clean run carries no set per rank
-        self.delivered_seqs: Optional[Set[int]] = (
-            set() if transport._lossy else None
-        )
-
-    @property
-    def alive(self) -> bool:
-        return not self.closed and self.node.alive
 
     def close(self) -> None:
         self.closed = True
@@ -121,11 +111,14 @@ class _Arrival(Event):
     duplicate all re-enter it from a ``Timeout``, and a heal re-enters
     the records parked at a stall-mode cut with no event at all.
     ``twin`` marks a duplicate's second record, whose own event nobody
-    waits on and which must never complete the sender's.
+    waits on and which must never complete the sender's.  ``landed``
+    is ``None`` here and on a lossy record the omission model did not
+    duplicate; a duplicated pair shares it (:class:`_LossyArrival`).
     """
 
     __slots__ = ("transport", "env", "src_nid", "dst_addr", "twin")
     __init__ = object.__init__
+    landed = None
 
     def _what(self) -> str:
         env = self.env
@@ -156,7 +149,7 @@ class _Arrival(Event):
         elif env.epoch < ctx.epoch:
             transport.dropped_stale += 1
             outcome = "net.drop_stale"
-        elif transport._lossy and env.seq in ctx.delivered_seqs:
+        elif self.landed is not None and self.landed[0]:
             transport.dup_dropped += 1
             outcome = "net.drop_dup"
         elif (
@@ -167,8 +160,8 @@ class _Arrival(Event):
             transport.lseq_dup_dropped += 1
             outcome = "net.drop_lseq_dup"
         else:
-            if transport._lossy:
-                ctx.delivered_seqs.add(env.seq)
+            if self.landed is not None:
+                self.landed[0] = True
             ctx.matching.deliver(env)
             outcome = "net.recv"
         sim = transport.sim
@@ -216,9 +209,13 @@ class _LossyArrival(_Arrival):
     :class:`FaultPlan` rides along (with the model that drew it, for
     ``rto`` and ``dup_lag``) until the wire event arrives, then plays
     out as timers that re-enter the record; a subclass, so that a
-    clean message carries no two empty slots."""
+    clean message carries no three empty slots.
 
-    __slots__ = ("plan", "faults")
+    A duplicated message's record and its twin share ``landed``, a
+    one-item list set when either copy is delivered: the copy that
+    lands second is a ``net.drop_dup``."""
+
+    __slots__ = ("plan", "faults", "landed")
 
     def __call__(self, evt: Optional[Event] = None) -> None:
         plan = self.plan
@@ -229,18 +226,22 @@ class _LossyArrival(_Arrival):
         faults = self.faults
         sim = self.transport.sim
         extra = plan.drops * faults.rto + plan.delay
+        # before the original's first landing, which may be right below
+        self.landed = [False] if plan.duplicate else None
         if extra > 0:
             Timeout(sim, extra)._callbacks = self
         else:
             _Arrival.__call__(self, evt)
         if plan.duplicate:
-            twin = _Arrival()
+            twin = _LossyArrival()
             Event.__init__(twin, sim)  # a rare copy: the plain fill
             twin.transport = self.transport
             twin.env = self.env
             twin.src_nid = self.src_nid
             twin.dst_addr = self.dst_addr
             twin.twin = True
+            twin.plan = None
+            twin.landed = self.landed
             Timeout(sim, extra + faults.dup_lag)._callbacks = twin
 
 
@@ -270,9 +271,9 @@ class Transport:
         # -- gray-failure state --
         #: attached link-fault model (None = clean links)
         self.faults: Optional[LinkFaultModel] = None
-        #: sticky flag: once a fault model has ever been attached,
-        #: duplicate suppression stays armed (a detached model may
-        #: still have duplicates in flight)
+        #: sticky flag: a fault model has been attached at some point
+        #: (a detached model may still have faults in flight), so the
+        #: collective verdict keeps its ``omission`` reason
         self._lossy = False
         #: what happens to a message arriving at a partition cut
         self.partition_mode = "stall"  # or "drop"
@@ -321,10 +322,7 @@ class Transport:
     def set_faults(self, model: LinkFaultModel) -> None:
         """Attach a lossy-link model (all subsequent sends consult it)."""
         self.faults = model
-        if not self._lossy:
-            self._lossy = True
-            for ctx in self.contexts:
-                ctx.delivered_seqs = set()
+        self._lossy = True
 
     def clear_faults(self) -> None:
         """Detach the model; in-flight faults still play out."""
@@ -374,7 +372,6 @@ class Transport:
         arrival._ok = None
         arrival._processed = False
         arrival._cancelled = False
-        arrival._cancel_cb = None
         arrival.transport = self
         arrival.env = env
         arrival.src_nid = src_nid

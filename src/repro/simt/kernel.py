@@ -45,9 +45,9 @@ Hot-path notes (this is the innermost loop of every simulation):
   wire's arrival, a transfer paying its overhead, a process's wake --
   is an ``Event`` subclass whose class sets ``__init__ =
   object.__init__``: building one is no Python frame.  The one site
-  that builds it fills the seven slots ``Event.__init__`` would
+  that builds it fills the six slots ``Event.__init__`` would
   (``sim``, ``_callbacks``, ``_value``, ``_ok``, ``_processed``,
-  ``_cancelled``, ``_cancel_cb``), as :class:`Timeout` does;
+  ``_cancelled``), as :class:`Timeout` does;
   ``tests/test_event_records.py`` checks every such fill against a
   fresh ``Event(sim)``.  A record never refers to itself: a cycle
   would keep it alive until the collector runs.  Every subclass is
@@ -73,8 +73,9 @@ Hot-path notes (this is the innermost loop of every simulation):
   by the property) -- no ``len()`` on the push path.
 * :meth:`Event.cancel` withdraws an event that will never fire so dead
   waiters (killed processes) leave no live-looking tombstones in
-  whatever queue holds them; the matching engine keys its lazy sweeps
-  off the cancellation hook.
+  whatever queue holds them.  The one queue that must hear of it, the
+  matching engine, overrides ``cancel`` on its posted receive
+  (``net.matching``) and keys its lazy sweeps off that.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class Event:
 
     #: ``_seq``: written by a push, read in a bucket (not by __init__)
     __slots__ = ("sim", "_callbacks", "_value", "_ok", "_processed",
-                 "_cancelled", "_cancel_cb", "_seq")
+                 "_cancelled", "_seq")
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -139,9 +140,6 @@ class Event:
         self._ok: Optional[bool] = None
         self._processed = False
         self._cancelled = False
-        #: single hook invoked (synchronously) on cancellation; used by
-        #: queue owners (the matching engine) to sweep dead entries
-        self._cancel_cb: Optional[Callable[["Event"], None]] = None
 
     # -- state inspection -------------------------------------------------
     @property
@@ -223,18 +221,13 @@ class Event:
         """Withdraw an untriggered event; returns True if it took effect.
 
         After a successful cancel the event never fires: callbacks are
-        dropped, later ``succeed``/``fail`` calls are silently ignored,
-        and any registered cancellation hook runs immediately so the
-        structure holding the waiter can unlink it.
+        dropped and later ``succeed``/``fail`` calls are silently
+        ignored.
         """
         if self._value is not _PENDING or self._cancelled:
             return False
         self._cancelled = True
         self._callbacks = None
-        hook = self._cancel_cb
-        if hook is not None:
-            self._cancel_cb = None
-            hook(self)
         return True
 
     # -- internal ------------------------------------------------------------
@@ -288,7 +281,6 @@ class Timeout(Event):
         self._ok = True
         self._processed = False
         self._cancelled = False
-        self._cancel_cb = None
         self.delay = delay
         self._seq = sim._seq = sim._seq + 1
         when = sim.now + delay
@@ -381,10 +373,6 @@ class BulkCompletion(Event):
         self._cancelled = True
         self._events = self._values = ()
         self._callbacks = None
-        hook = self._cancel_cb
-        if hook is not None:
-            self._cancel_cb = None
-            hook(self)
         return True
 
 

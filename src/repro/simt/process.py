@@ -149,7 +149,6 @@ class Process(Event):
         init._ok = True
         init._processed = False
         init._cancelled = False
-        init._cancel_cb = None
         sim._seq += 1
         sim._nowq.append(init)
 
@@ -318,7 +317,6 @@ class Process(Event):
             relay._ok = nxt._ok
             relay._processed = False
             relay._cancelled = False
-            relay._cancel_cb = None
             sim._seq += 1
             sim._nowq.append(relay)
             self._target = relay

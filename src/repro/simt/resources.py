@@ -141,7 +141,6 @@ class BandwidthResource:
             done._ok = None
             done._processed = False
             done._cancelled = False
-            done._cancel_cb = None
             done.pipe = self
             done.nbytes = nbytes
             Timeout(sim, overhead)._callbacks = done

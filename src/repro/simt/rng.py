@@ -39,10 +39,3 @@ class RngRegistry:
             gen = np.random.default_rng(seed)
             self._streams[name] = gen
         return gen
-
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of this one's."""
-        digest = hashlib.sha256(
-            f"{self.master_seed}:fork:{name}".encode()
-        ).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "little"))

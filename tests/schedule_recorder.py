@@ -39,9 +39,9 @@ class RecordingSimulator(Simulator):
         super().__init__()
         self.digest = hashlib.sha256()
         self.entries = [] if keep else None
-        #: ``Envelope.seq`` counts per interpreter, not per simulation;
-        #: offset by the first one seen so a pin survives test order
-        self._seq_base = None
+        #: envelope -> its index in first-dispatch order: a message's
+        #: name, shared by its duplicate's twin and every re-entry
+        self._envs = {}
 
     def run(self, until=None, max_events=None):
         limit_event = until if isinstance(until, Event) else None
@@ -87,10 +87,9 @@ class RecordingSimulator(Simulator):
             identity = (owner.src.id, owner.dst.id, repr(owner.nbytes))
         elif type(callback).__name__.endswith("Arrival"):
             env = callback.env  # transport's _Arrival / _LossyArrival
-            if self._seq_base is None:
-                self._seq_base = env.seq
             kind = "arrival"
-            identity = (env.src, env.dst, env.tag, env.seq - self._seq_base)
+            identity = (env.src, env.dst, env.tag,
+                        self._envs.setdefault(env, len(self._envs)))
         elif type(callback).__name__ == "_DelayedStart":
             kind = "delayed-start"
             identity = (callback.pipe.name, repr(callback.nbytes))

@@ -24,8 +24,7 @@ from repro.simt.rng import RngRegistry
 from tests.collective_engine import pinned_engine
 
 #: everything public on a Communicator that is *not* a collective kind
-NOT_A_KIND = {"send_async", "post_recv", "recv", "sendrecv", "dup", "split",
-              "translate"}
+NOT_A_KIND = {"send_async", "post_recv", "recv", "sendrecv", "dup", "split"}
 
 
 def _functions(module):

@@ -58,7 +58,7 @@ def _machine(nodes=2):
 
 def test_event_init_writes_exactly_the_slots_a_fill_copies():
     evt = Event(Simulator())
-    assert len(SLOTS) == 7
+    assert len(SLOTS) == 6
     assert [name for name in Event.__slots__ if hasattr(evt, name)] == list(SLOTS)
 
 
@@ -67,9 +67,9 @@ def test_a_post_fills_the_receive_as_event_init_would():
     engine = MatchingEngine(sim)
     rec = engine.post(3, 7, 0)
     assert rec.__class__ is _PostedRecv
-    # the old post hooked the engine onto the plain event it built
-    assert _slots(rec) == _fresh(sim, _cancel_cb=engine)
-    # matched from the unexpected queue: triggered at birth, unhooked
+    assert _slots(rec) == _fresh(sim)
+    assert rec.engine is engine  # what a cancel reports to
+    # matched from the unexpected queue: triggered at birth
     env = Envelope(4, 0, 7, 0, 0, 8.0)
     engine.deliver(env)
     matched = engine.post(4, 7, 0)

@@ -178,41 +178,44 @@ METRICS = {
 
 #: sha256 of the dispatch sequence (``tests/schedule_recorder.py``);
 #: recorded on commit 58d77b4 (PR 20), before PR 21 touched the wire
-#: -- and re-recorded twice since, for renames only: the safety-sweep
+#: -- and re-recorded since for renames and relabels only: the safety-sweep
 #: closure moved from ``Survivable.begin_recovery`` to
 #: ``Fmirun.begin_recovery``, one entry in each scenario that sweeps
 #: (``crash-replicated`` fails over and never sweeps); then a rank
 #: became its own exit hook, ``RankProcess._dispatch_exit`` ->
 #: ``FmiProcess``, 9 entries in each crash scenario, 20 in
-#: ``sched-three-tenants``; and four once more with the ``PINNED`` model
-#: change
+#: ``sched-three-tenants``; four once more with the ``PINNED`` model
+#: change; and once for a relabel: a message is named by its envelope's
+#: index in first-dispatch order, not by the process-global
+#: ``Envelope.seq`` it no longer has (every arrival entry, one to one)
 SCHEDULE = {
     "crash-global":
-        "44edddfb93efe4dfc9a58f3682f30e5d966469b5a143d50c7fd1d09fcaef2ad4",
+        "b79b636a6a23f5c5d339c180b0c01634264a26bc3d67cca3af697e489ad515dc",
     "crash-logged":
-        "62a8fb821783e099fec16ebfa91f86bd90a656a496dda93203dd8780adc4071e",
+        "da6b86eafa75a09d00ba5967fc29fe9316b9a6d1087a291dce94cf0ee2dfa548",
     "crash-replicated":
-        "db4b7e116ac6155e86dd8814d3e93c5db300899c892ee1afd3fe9bd98c967543",
+        "301799f86f88b7ebdbe4f3f5a89fc94ae50126efcbbb545d9c1d2416316073fe",
     "gray-limp-partition-crash":
-        "edf40d07f8ce49132666cb4ba3358cb533502860720cf894d91ca99839de6876",
+        "a92fb496820380b3506e174e7d0f928834f38ccfbd9e3216744f63f11745abc9",
     "sched-three-tenants":
-        "21a252ba5521cb86f92d93ae682b6f95d8c6dd1196adcc6e180ca039a17570c0",
+        "115246da79325d65b311054e6110e19e9f42faed9246fd0d6570523da5809f04",
     "lossy-partition-crash-metered":
-        "d50bcddb1f796360016bed0bb0d325e6bef4390fe572cf5c17ef818cd9a05524",
+        "ff0119c516d06ada0b96c0c0e7c774ed0dd5ef1a01085219147ce81f2230b07e",
 }
 
 #: the call budget's macro-tier run (``tests/test_call_budget.py``),
 #: untraced, and the one pin where a collective of 1,024 ranks runs on
 #: the macro tier: ``(schedule digest, repr(sim.now), (events_processed,
-#: peak_heap))``.  Recorded on commit 472b942 and re-recorded twice,
-#: under the ``SCHEDULE`` rule, for renames: the exit hook,
+#: peak_heap))``.  Recorded on commit 472b942 and re-recorded three
+#: times under the ``SCHEDULE`` rule, twice for renames: the exit hook,
 #: ``RankProcess._dispatch_exit`` -> ``MpiRankProcess``, one entry per
 #: rank (1,024); then the bulk's own callback,
 #: ``MacroCollectives._complete.<locals>.<lambda>`` ->
-#: ``_Instance._completed``, one entry per instance (2).  The clock and
-#: the counters held
+#: ``_Instance._completed``, one entry per instance (2); then the
+#: arrival relabel of ``SCHEDULE``, 2,048 entries.  The clock and the
+#: counters held
 MACRO = (
-    "aebad701197094e7e48537cf61fecdde242bf49eb66ca4c9c6fa2609f03f2ba1",
+    "c310c3e87a4958fb754a9c006d844fd2d0bf21b56ad148cdfa3c3b2f57bbdc02",
     "0.17006687372839502",
     (15108, 1984),
 )

@@ -257,11 +257,23 @@ def test_duplicates_are_suppressed_at_receiver():
 
 
 def test_dedup_stays_armed_after_model_detached():
+    """A duplicate drawn before ``clear_faults`` that lands after it is
+    dropped once: its pair carries the flag, not the model."""
     sim, m, tp = setup()
-    tp.set_faults(LinkFaultModel(np.random.default_rng(0), dup_p=0.5))
+    a = tp.create_context(m.node(0))
+    b = tp.create_context(m.node(1))
+    tp.set_faults(LinkFaultModel(np.random.default_rng(2), dup_p=0.8))
+    n = 10
+    for i in range(n):
+        b.matching.post(source=0, tag=i, comm_id=0)
+        tp.send(a, b.addr, env(0, 1, data=i, tag=i))
     tp.clear_faults()
     assert tp.faults is None
-    assert tp._lossy  # in-flight duplicates must still be suppressed
+    assert tp._lossy  # the collective verdict keeps its omission reason
+    sim.run()
+    assert b.matching.delivered == n
+    assert tp.omission_dups > 0
+    assert tp.dup_dropped == tp.omission_dups
 
 
 def test_fault_plans_are_seed_deterministic():

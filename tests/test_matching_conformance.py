@@ -111,8 +111,7 @@ def _run_engine(engine_cls, ops):
         elif kind == "deliver":
             _, src, tag, comm = op
             eng.deliver(
-                Envelope(src, 99, tag, comm, 0, 8.0,
-                         data=deliveries, seq=deliveries)
+                Envelope(src, 99, tag, comm, 0, 8.0, data=deliveries)
             )
             deliveries += 1
         elif kind == "probe":

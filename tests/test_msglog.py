@@ -62,7 +62,7 @@ def hooks(plane, rank):
     """The (recv_filter, match_sink) pair ``on_h1`` installs on
     ``rank``'s context."""
     chan, fproc = plane.channels[rank], SimpleNamespace(rank=rank)
-    return plane._make_recv_filter(fproc, chan), plane._make_sink(fproc, chan)
+    return plane._make_recv_filter(chan), plane._make_sink(fproc, chan)
 
 
 # ------------------------------------------------------------- send logging

@@ -124,16 +124,14 @@ def _replicated_plane(sim):
 
 def _logged_filter(sim):
     plane = _logged_plane(sim)
-    fproc = SimpleNamespace(rank=1)
-    return plane, plane._make_recv_filter(fproc, plane.channels[1]), None
+    return plane, plane._make_recv_filter(plane.channels[1]), None
 
 
 def _replicated_filter(sim):
     plane = _replicated_plane(sim)
     key = object()  # stands in for the receiving context
     chan = plane.channels[key] = ChannelState()
-    fproc = SimpleNamespace(ctx=key)
-    return plane, plane._make_recv_filter(fproc, chan), key
+    return plane, plane._make_recv_filter(chan), key
 
 
 @pytest.mark.parametrize("traced", [False, True],
@@ -175,8 +173,7 @@ def test_recv_filter_through_both_delivery_paths(make_filter, traced):
     if standby_key is not None:
         # An unsynced standby parks stamped envelopes instead.
         rec = plane.standby_recs[standby_key] = _StandbyRec(1, 1, sim)
-        dst.recv_filter = plane._make_recv_filter(
-            SimpleNamespace(ctx=standby_key), plane.channels[standby_key])
+        dst.recv_filter = rec.park
         parked = send((0, 1, 2))
         assert rec.buffered == [parked]
         assert dst.matching.delivered == 3

@@ -108,7 +108,7 @@ def test_on_send_stamps_per_context_sequences():
     lead = boot(plane, 0, 0, (0, 0))
     follower = boot(plane, 0, 1, (1, 0))
     assert job.addr_table == {0: lead.addr}  # only the lead is published
-    assert plane.mirrors == {lead.addr: [follower]}
+    assert plane.mirrors == {0: [follower]}
     # Rank 1 runs three copies, one of them on a dead node; rank 2 one.
     boot(plane, 1, 0, (2, 0))
     replicas = [boot(plane, 1, 1, (3, 0)), boot(plane, 1, 2, (4, 0))]
@@ -148,7 +148,7 @@ def test_transport_send_mirrors_nothing():
         boot(plane, 0, copy, None, transport.create_context(machine.node(n)))
         for copy, n in ((0, 1), (1, 2))
     )
-    assert plane.mirrors == {lead.addr: [follower]}
+    assert plane.mirrors == {0: [follower]}
     env = _env(src=1, dst=0)
     env.lseq = (1, 0, 0)
     src = transport.create_context(machine.node(0))
@@ -162,11 +162,11 @@ def test_transport_send_mirrors_nothing():
 def test_mirror_copies_snapshots_payloads():
     _job, plane = make_plane()
     replica = _StubCtx((1, 0))
-    plane.mirrors[(0, 0)] = [replica]
+    plane.mirrors[0] = [replica]
     payload = np.arange(4, dtype=np.float64)
     env = _env(data=payload)
     env.lseq = (0, 1, 7)
-    out = plane.mirror_copies((0, 0), env)
+    out = plane.mirror_copies(0, env)
     assert len(out) == 1
     addr, menv = out[0]
     assert addr == replica.addr
@@ -181,9 +181,9 @@ def test_mirror_copies_skips_dead_and_closed_replicas():
     closed.closed = True
     dead.node = _StubNode()
     dead.node.alive = False
-    plane.mirrors[(0, 0)] = [closed, dead]
-    assert plane.mirror_copies((0, 0), _env()) == []
-    assert plane.mirror_copies((9, 9), _env()) == ()  # no mirror entry
+    plane.mirrors[0] = [closed, dead]
+    assert plane.mirror_copies(0, _env()) == []
+    assert plane.mirror_copies(9, _env()) == ()  # no mirror entry
 
 
 # ------------------------------------------------------------ standby sync
@@ -212,12 +212,38 @@ def test_standby_parks_until_synced_then_loads_the_lead_snapshot():
     parked.lseq = (1, 0, 1)
     assert standby.recv_filter(parked) is False
     assert plane.standby_recs[standby].buffered == [parked]
-    # ...and syncing loads the snapshot: consumed lseqs are duplicates.
+    # ...and syncing loads the snapshot: consumed lseqs are duplicates
+    # to the exact-once filter the sync swaps in.
     chan = plane.channels[standby]
     chan.load(plane.snapshots[0][1])
-    del plane.standby_recs[standby]
+    standby.recv_filter = plane._make_recv_filter(chan)
     assert chan.seen == chan.consumed == {(1, 0), (1, 1)}
     assert standby.recv_filter(parked) is False  # a duplicate now
+
+
+def test_fallback_puts_a_parking_standby_back_on_the_exact_once_filter():
+    """A fallback retires the standby protocol: a context that was
+    parking must filter exact-once again, not buffer for a sync that
+    will never come."""
+    job, plane = make_plane()
+    boot(plane, 0, 0, (0, 0))
+    plane.standby_expected.add((0, 1))
+    standby = boot(plane, 0, 1, (1, 0))
+    rec = plane.standby_recs[standby]
+    parked = _env(src=1, dst=0)
+    parked.lseq = (1, 0, 0)
+    assert standby.recv_filter(parked) is False
+    assert rec.buffered == [parked]
+    # no slot to elect and nobody alive to poke: the filter is the test
+    job.num_nodes = 0
+    for copy in plane.copies[0].values():
+        copy.alive = False
+    plane._fallback("test")
+    assert plane.standby_recs == {}
+    env = _env(src=1, dst=0)
+    env.lseq = (1, 0, 0)
+    assert standby.recv_filter(env) is True
+    assert standby.recv_filter(env) is False
 
 
 # ------------------------------------------------------ config and guards

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.matching import MatchingEngine
 from repro.simt import (
     BandwidthResource, BulkCompletion, Event, Simulator, Timeout)
 from repro.simt.kernel import SimulationError
@@ -346,15 +347,16 @@ def test_cancelled_event_on_heap_never_fires():
 
 
 def test_cancel_hook_runs_synchronously():
-    sim = Simulator()
-    seen = []
-    evt = Event(sim)
-    evt._cancel_cb = seen.append
-    evt.cancel()
-    assert seen == [evt]
-    # hook cleared: a second (refused) cancel never re-fires it
-    evt.cancel()
-    assert seen == [evt]
+    # the one record with a hook: a posted receive reports its cancel to
+    # its engine, as one more dead entry for the lazy sweep
+    engine = MatchingEngine(Simulator())
+    rec = engine.post(0, 7, 0)
+    assert engine._sweep_debt == 0
+    assert rec.cancel()
+    assert engine._sweep_debt == 1
+    # a second (refused) cancel never reports again
+    assert not rec.cancel()
+    assert engine._sweep_debt == 1
 
 
 # ---------------------------------------------------------- run stats

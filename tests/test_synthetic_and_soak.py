@@ -13,10 +13,12 @@ from repro.apps.synthetic import (
     imbalanced_app,
 )
 from repro.chaos import ChaosEngine, KillRandomSlot, Poisson, Rule, Scenario
+from repro.chaos.__main__ import main as chaos_main
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
 from repro.mpi.runtime import MpiJob
+from repro.sched.__main__ import main as sched_main
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
@@ -112,3 +114,16 @@ def test_fmi_soak_statistics_sane():
             lat = job.recovery_latency(epoch)
             assert lat is None or 0.0 < lat < 60.0
     assert job.checkpoints_done >= iterations  # >= one round per loop
+
+
+# ------------------------------------------------------------ soak drivers
+def test_the_soak_drivers_exit_clean_on_their_own_oracles(capsys):
+    """Both soak CLIs end on their own checks -- the scheduler's
+    ``check_invariants`` (bitwise per-tenant answers, no double
+    booking, node conservation) and a chaos campaign's trace
+    invariants -- and exit 0 only when all of them hold."""
+    assert sched_main(["--seeds", "1", "--mtbf", "60"]) == 0
+    assert chaos_main(["--campaign", "lossy-links", "--seed-list", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "soak: 1/1 seeds clean" in out
+    assert "all invariants green across 1 runs" in out
