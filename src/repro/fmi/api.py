@@ -84,7 +84,7 @@ class FmiContext(ParallelApi):
 
     def finalize(self):
         """``FMI_Finalize``: global barrier, then teardown."""
-        yield from self.barrier()
+        yield self.barrier()
 
     def loop(self, ckpts: Sequence[CkptBuffer], nbytes: Optional[Sequence[float]] = None):
         """``FMI_Loop(ckpts, sizes, len)``.
@@ -102,10 +102,16 @@ class FmiContext(ParallelApi):
         per-hop message timing is load-bearing, so the collectives
         inside never take the macro-event fast path.
         """
-        # A counter, not a ``with``: a context manager around a
-        # delegating ``yield from`` would put one more frame under every
-        # resume of a rank that is inside FMI_Loop (kill ->
-        # generator.close() unwinds this ``finally`` the same way).
+        # The protocol subroutines below (the restore, the checkpoint
+        # decision, the checkpoint, the level-2 flush) are handed off
+        # with a bare ``yield`` (``simt.process``): a resume of a rank
+        # inside one enters its frames only, never the application's
+        # or this one to forward.  Helpers of an event or two
+        # (``copy_into``, the level-2 store's) delegate: handed off,
+        # each would cost a ``send`` and a re-entry more than it saves.
+        # The ``_hop_only`` scope is a counter, not a ``with``, for the
+        # same reason; a kill closes the subroutine, then the
+        # application, so the ``finally`` runs once.
         self._hop_only += 1
         try:
             self._check_ok()
@@ -113,9 +119,9 @@ class FmiContext(ParallelApi):
             family = self.recovery
             if fproc.restore_pending:
                 fproc.restore_pending = False
-                restored = yield from family.restore(self)
+                restored = yield family.restore(self)
                 if restored == "beyond-xor":
-                    restored = yield from self._restore_from_level2()
+                    restored = yield self._restore_from_level2()
                 if restored is not None:
                     meta, payloads = restored
                     yield from copy_into(self.memcpy, ckpts, payloads)
@@ -132,12 +138,12 @@ class FmiContext(ParallelApi):
                 # "FMI_Loop ... synchronizes the application": the
                 # checkpoint decision is global, so a time-based (Vaidya)
                 # policy can never split the ranks.
-                want = bool((yield from self.allreduce(1 if want else 0, MAX)))
+                want = bool((yield self.allreduce(1 if want else 0, MAX)))
             if want:
                 t0 = self.now
                 payloads = pack(ckpts, nbytes)
                 family.note_ckpt_begin(self.rank, fproc.loop_id, self.ctx)
-                meta = yield from self.engine.checkpoint(
+                meta = yield self.engine.checkpoint(
                     payloads, dataset_id=fproc.loop_id)
                 fproc.policy.record_checkpoint(self.now, self.now - t0)
                 self.fmi_job.checkpoints_done += 1
@@ -146,7 +152,7 @@ class FmiContext(ParallelApi):
                     self.l2store is not None
                     and fproc.loop_id >= self.fmi_job.next_l2_at
                 ):
-                    yield from self._flush_level2(meta)
+                    yield self._flush_level2(meta)
 
             current = fproc.loop_id
             fproc.loop_id += 1
@@ -162,10 +168,10 @@ class FmiContext(ParallelApi):
         ds = meta.dataset_id
         blob = yield from self.engine.load_blob(ds)
         yield from self.l2store.flush(ds, blob, meta.sections)
-        yield from self.barrier()  # everyone's blob is on the PFS
+        yield self.barrier()  # everyone's blob is on the PFS
         if self.rank == 0:
             yield from self.l2store.mark_complete(ds, self.size)
-        yield from self.barrier()  # marker visible before proceeding
+        yield self.barrier()  # marker visible before proceeding
         keep = self.l2store.complete_datasets()[-2:]
         self.l2store.prune(keep)
         job.next_l2_at = ds + job.config.level2_every
@@ -176,7 +182,7 @@ class FmiContext(ParallelApi):
         """The failure exceeded XOR protection: roll the whole job back
         to the newest complete PFS dataset, then re-seed level 1."""
         job = self.fmi_job
-        ds = yield from self._agree_min(self.l2store.latest_for_me())
+        ds = yield self._agree_min(self.l2store.latest_for_me())
         if ds < 0:
             return None  # no level-2 dataset either: cold start
         blob, sections = yield from self.l2store.read(ds)
@@ -184,7 +190,7 @@ class FmiContext(ParallelApi):
         # Local level-1 state is a stale timeline; wipe and re-encode
         # so the XOR tier protects the restored state immediately.
         yield from self.engine.reset_local()
-        meta = yield from self.engine.checkpoint(payloads, dataset_id=ds)
+        meta = yield self.engine.checkpoint(payloads, dataset_id=ds)
         if self.rank == 0:
             job.level2_restores += 1
         return meta, payloads

@@ -236,8 +236,12 @@ class CheckpointEngine:
     ``mem_charge(nbytes)`` charges encode compute time through the
     memory bus; ``scheme`` is a
     :class:`~repro.fmi.redundancy.RedundancyScheme` (XOR when omitted).
-    All public methods are generators (drive with ``yield from`` inside
-    a rank process).
+    Every public method that takes simulated time returns a generator,
+    driven inside a rank process.
+    ``FMI_Loop`` hands ``checkpoint`` and ``restore`` off (a bare
+    ``yield``, ``simt.process``); beneath them every call delegates
+    with ``yield from``, so each entry's inclusive time is the whole
+    protocol's (the perf ledger's ``fmi.checkpoint`` entry points).
     """
 
     #: complete datasets retained (2 tolerates one in-flight checkpoint)
@@ -296,8 +300,7 @@ class CheckpointEngine:
 
     def load_blob(self, dataset: int):
         """Read back the stored (padded) blob of a local dataset."""
-        blob = yield from self.storage.load(_blob_key(dataset))
-        return blob
+        return self.storage.load(_blob_key(dataset))
 
     def reset_local(self):
         """Drop every local dataset (used before re-seeding level 1

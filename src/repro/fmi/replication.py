@@ -588,10 +588,8 @@ class ReplicationPlane(ChannelPlane):
         """
         rec = self.standby_recs.get(fmi_ctx.ctx)
         if rec is None:
-            restored = yield from super().restore(fmi_ctx)
-            return restored
-        result = yield from self._standby_sync(fmi_ctx, rec)
-        return result
+            return (yield from super().restore(fmi_ctx))
+        return (yield from self._standby_sync(fmi_ctx, rec))
 
     #: the seam's name for it (the perf ledger's entry point is
     #: ``partial_restore``)

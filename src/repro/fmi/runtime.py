@@ -248,7 +248,12 @@ class FmiProcess(RankProcess):
                     booted = True
                 yield from self._h1()
                 yield from self._h2()
-                result = yield self._enter_h3()
+                # H3, running: the (re)started application
+                self._set_state(ProcState.H3_RUNNING)
+                if job.epoch > 0 and job.recovery.restores(self):
+                    # Recovery restart: FMI_Loop must restore the checkpoint.
+                    self.restore_pending = True
+                result = yield job.app(FmiContext(self))
                 epoch = job.epoch
                 if (epoch > self.notified_gen
                         and not job.recovery.absorb_notification(self, epoch)):
@@ -296,16 +301,6 @@ class FmiProcess(RankProcess):
         yield rdv.arrive()
         if overlay_epoch is not None:
             job.note_recovery_complete()
-
-    def _enter_h3(self):
-        """Running: the (re)started application generator, for
-        :meth:`_main` to hand off."""
-        self._set_state(ProcState.H3_RUNNING)
-        job = self.job
-        if job.epoch > 0 and job.recovery.restores(self):
-            # Recovery restart: FMI_Loop must restore the checkpoint.
-            self.restore_pending = True
-        return job.app(FmiContext(self))
 
 
 class FmirunTask:

@@ -88,8 +88,7 @@ class Scr:
         def agree(candidate: int):
             from repro.mpi.ops import MIN
 
-            result = yield from self.api.allreduce(candidate, MIN)
-            return result
+            return self.api.allreduce(candidate, MIN)
 
         restored = yield from self.engine.restore(world_agree=agree)
         if restored is None:

@@ -22,6 +22,7 @@ from repro.cluster.machine import Machine
 from repro.cluster.node import Node
 from repro.net.transport import NetContext, Transport
 from repro.simt.kernel import _PENDING, Event
+from repro.simt.process import wait_chain
 
 __all__ = [
     "FaultPolicy", "JobAborted", "JobBase", "RankProcess", "check_geometry",
@@ -95,6 +96,22 @@ class RankProcess:
     def __call__(self, proc_evt: Event) -> None:
         """The process's exit: route it to the job's fault policy."""
         self.job.policy.on_rank_exit(self, proc_evt)
+
+
+class _JobDone(Event):
+    """A job's completion event.  A run that drains before it fires
+    names the ranks still out, at most eight, each with its wait chain
+    (:meth:`~repro.simt.kernel.Simulator._stall`)."""
+
+    __slots__ = ("job",)
+
+    def _what(self) -> str:
+        procs, done = self.job.rank_procs, self.job.results
+        out = [r for r in sorted(procs) if r not in done]
+        return (f"job {self.job.name!r} done, awaiting {len(out)} of "
+                f"{self.job.num_ranks} ranks [" + "; ".join(
+                    [f"rank {r}: {wait_chain(procs[r].proc)}" for r in out[:8]]
+                    + ["..."] * (len(out) > 8)) + "]")
 
 
 class FaultPolicy:
@@ -171,7 +188,8 @@ class JobBase:
         self.addr_table: Dict[int, Tuple[int, int]] = {}
         #: rank -> its app's return value; the keys are the finished ranks
         self.results: Dict[int, Any] = {}
-        self.done: Event = self.sim.event()
+        self.done = _JobDone(self.sim)
+        self.done.job = self
         # Jobs come and go on a long-lived machine: drop the machine-
         # level subscriptions (transport heal hook, and whatever
         # subclasses add via _detach) once the job is over, so a stream

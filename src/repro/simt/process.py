@@ -16,13 +16,16 @@ Two ways a process can die from the outside:
   dead node simply ceases to exist, mid-instruction, with no chance to
   clean up its protocol state.
 
-A process body may also ``yield`` a *generator*, once at a time: the
-*hand-off*.  The trampoline then drives that subroutine itself, and the
-body receives its return value (or its exception) at that ``yield``,
-exactly where ``yield from`` would deliver it.  The difference is the
-cost: under ``yield from`` every resume of the subroutine enters the
-body's frame only to forward into it.  A rank's runtime body hands its
-application over this way; application code keeps ``yield from``.
+A process body may also ``yield`` a *generator*: the *hand-off*.  The
+trampoline then drives that subroutine itself, and the body receives
+its return value (or its exception) at that ``yield``, exactly where
+``yield from`` would deliver it.  A handed-off subroutine may hand off
+in turn, to any depth.  The difference is the cost: under ``yield
+from`` every resume of the subroutine enters each caller's frame only
+to forward into it.  A rank's runtime body hands its application over
+this way, and ``FMI_Loop`` its multi-event protocol entries (checkpoint,
+restore, the checkpoint decision); application code and helpers of
+an event or two keep ``yield from``.
 
 A body that *returns* a generator makes the *tail hand-off*: that
 generator becomes the body, and the process ends with its outcome.  A
@@ -72,10 +75,15 @@ def waiters(event: Event) -> str:
 
 def wait_chain(event: Event) -> str:
     """What ``event`` waits on: the processes it joins, one ``_target``
-    after another, then the event the last one waits on."""
+    after another, then the event the last one waits on.  A process
+    inside a hand-off names where it is: its generators' qualnames,
+    outermost first (``[FmiProcess._main \u2192 app \u2192 ...]``)."""
     chain = []
     while isinstance(event, Process) and len(chain) < 64:  # no cycle
-        chain.append(f"process {event.name!r}")
+        chain.append(f"process {event.name!r}" if event._caller is None else
+                     f"process {event.name!r} [" + " \u2192 ".join(
+                         getattr(gen, "__qualname__", type(gen).__name__)
+                         for gen in reversed(event._stack())) + "]")
         event = event._target
     if event is not None:
         count = len(_registered(event))
@@ -120,25 +128,25 @@ class Process(Event):
 
     Yielding a generator hands it off (module docstring): while the
     subroutine runs, ``generator`` is the subroutine and ``_caller``
-    the body that yielded it.  There is one caller slot, not a stack: a
-    subroutine that yields a generator in turn fails the process with
-    :class:`~repro.simt.kernel.SimulationError`.  Returning a generator
-    from the body replaces ``generator`` with it (the tail hand-off).
-    Yielding a cancelled event fails the process the same way: it would
-    never fire.
+    the chain of suspended callers, ``(gen, rest)`` innermost first
+    (None when there is none); a subroutine that yields a generator
+    pushes itself on the chain, and its return pops its caller.
+    Returning a generator from the body replaces ``generator`` with it
+    (the tail hand-off).  Yielding a cancelled event fails the process
+    with :class:`~repro.simt.kernel.SimulationError`: it would never
+    fire.
     """
 
-    __slots__ = ("generator", "name", "_target", "_killed", "_resume_cb",
-                 "_caller")
+    __slots__ = ("generator", "name", "_target", "_resume_cb", "_caller")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None  # event we are waiting on
-        self._killed = False
-        #: the body suspended at a hand-off ``yield``, None otherwise
-        self._caller: Optional[Generator] = None
+        #: the callers suspended at a hand-off ``yield``, innermost
+        #: first: ``(gen, rest)``, or None
+        self._caller: Optional[tuple] = None
         self._resume_cb = self._resume
         # Bootstrap: resume once at the current time (a zero-delay
         # push: the immediate queue, as ``Event.succeed`` does it).
@@ -163,7 +171,7 @@ class Process(Event):
 
         No-op if the process already finished or was killed.
         """
-        if self.triggered or self._killed:
+        if self.triggered:
             return
         self._detach()
         evt = Event(self.sim)
@@ -180,9 +188,8 @@ class Process(Event):
         process teardown) and the process event fails with
         :class:`ProcessKilled`.
         """
-        if self.triggered or self._killed:
+        if self.triggered:
             return
-        self._killed = True
         self._detach()
         # If nobody else is waiting on the target, withdraw it: a
         # killed process must not leave a live-looking posted receive
@@ -191,25 +198,33 @@ class Process(Event):
         if tgt is not None and not _registered(tgt) and not tgt.triggered:
             tgt.cancel()
         self._target = None
-        self._close()
+        # failed before the close: a ``finally`` that kills or
+        # interrupts this process again finds it finished
         self._ok = False
         self._value = ProcessKilled(self, cause)
+        self._close()
         self.sim._push(self, 0.0)
 
+    def _stack(self) -> list:
+        """The generators this process drives, innermost first: the
+        running one, then each caller suspended at a hand-off."""
+        gens, caller = [self.generator], self._caller
+        while caller is not None:
+            gen, caller = caller
+            gens.append(gen)
+        return gens
+
     def _close(self) -> None:
-        """Close the generator: a handed-off subroutine first, then the
-        body that yielded it -- the order ``yield from`` gives, so their
-        ``finally`` blocks run in the same order."""
-        caller = self._caller
+        """Close the generators innermost first, the order nested
+        ``yield from`` gives, so their ``finally`` blocks run in the
+        same order; the outermost stays as ``generator``."""
+        for gen in self._stack():
+            try:
+                gen.close()
+            except Exception:  # pragma: no cover - user finally blocks misbehaving
+                pass
         self._caller = None
-        for gen in (self.generator, caller):
-            if gen is not None:
-                try:
-                    gen.close()
-                except Exception:  # pragma: no cover - user finally blocks misbehaving
-                    pass
-        if caller is not None:
-            self.generator = caller
+        self.generator = gen
 
     def _detach(self) -> None:
         """Stop listening to the event we were waiting on; a slot that
@@ -228,7 +243,7 @@ class Process(Event):
 
     # -- the trampoline -------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self._killed or self._value is not _PENDING:  # killed/finished
+        if self._value is not _PENDING:  # killed/finished
             return
         # Single-shot resume: if some *other* event still holds our
         # callback (an interrupt raced the bootstrap init before
@@ -269,10 +284,10 @@ class Process(Event):
                     self._value = value
                     sim._push(self, 0.0)
                     return
-                # a handed-off subroutine ended: the outcome of the
+                # a handed-off subroutine ended: the outcome of its
                 # caller's ``yield``
-                self._caller = None
-                gen = self.generator = caller
+                gen, self._caller = caller
+                self.generator = gen
                 continue
             # every Event class is in the set: no call per wake
             cls = nxt.__class__
@@ -287,16 +302,14 @@ class Process(Event):
                 error = (f"process {self.name!r} yielded a "
                          f"{'cancelled' if nxt._cancelled else 'inert'} "
                          f"{cls.__name__}, which never fires")
-            elif cls is GeneratorType and self._caller is None:
-                # the hand-off: drive the subroutine from here on
-                self._caller = gen
+            elif cls is GeneratorType:
+                # the hand-off: drive the subroutine from here on, its
+                # caller innermost on the chain
+                self._caller = (gen, self._caller)
                 gen = self.generator = nxt
                 ok = True
                 value = None
                 continue
-            elif cls is GeneratorType:
-                error = (f"process {self.name!r} yielded a generator from "
-                         "a handed-off one; hand-offs do not nest")
             else:
                 error = (f"process {self.name!r} yielded {cls.__name__}, "
                          "expected an Event or a generator")

@@ -53,6 +53,11 @@ the next row                           1017    97.2         10.5
 a message's records are its events:
 no ``Event.__init__`` per receive,
 send, wire, delayed transfer or wake    959    97.2          9.9
+the same, re-read on the parent of
+the next row                            946    97.2          9.7
+hand-offs nest: FMI_Loop hands off its
+restore, checkpoint decision and
+checkpoint                              911    97.2          9.4
 ====================================  =====  ======  ===========
 
 The ceilings sit ~12 % above the last row (events: 8 %, below the 106
@@ -66,6 +71,16 @@ third ceiling and not the first; it is re-set above each new reading,
 still under the 18.1 of PR 15, and kept -- it is what catches calls
 and events creeping back *together*.  The rows of PR 21 and later were
 read on CPython 3.11 only (the one interpreter in those sessions).
+
+**Forwarding frames** are pinned on the same run by the entries of
+``FmiContext.loop`` (its first call and every resume) per
+rank-iteration.  While FMI_Loop drove its checkpoint, restore and
+checkpoint decision with ``yield from``, every resume of a rank inside
+one entered the application's frame and ``loop``'s only to forward:
+23.6 entries per rank-iteration.  Handed off (``simt.process``: hand-offs
+nest), ``loop`` is entered at its call and once after each subroutine it
+hands off: 3.75.  The ceiling sits ~12 % above that, far below what
+one forwarded subroutine would add.
 
 **The message path** above the transport has a budget in *frames*, not
 calls, because that is what it was dieted by (PR 24): Python frames
@@ -168,6 +183,10 @@ of the next row                         79.0    7.38     20.3    0.0   2,985
 a message's records are its events
 (the ring's receive, send and wire
 records carry no event beside them)     74.8    7.38     17.3    0.0   2,873
+the same, re-read on the parent
+of the next row                         74.2    7.38     17.3    0.0   2,796
+a process without a kill flag (one
+slot less)                              74.2    7.38     17.3    0.0   2,788
 =====================================  =====  ======  =======  =====  ======
 
 The event count is an equality: PR 19's diet was not allowed to move
@@ -186,6 +205,9 @@ lowered the calls, tracked and traced ceilings to ~12 % above it
 again; the 3.9/3.10 ceilings stay.  The event slot's row lowered the
 same three, and the first table's calls and calls/event, the same way.
 So did the records row; the event ceilings stay, as the events did.
+The nested hand-offs' row lowered the first table's calls and
+calls/event ceilings and the macro calls and traced ones, ~12 % above
+it again (tracked: 19.4 already was).
 """
 
 import cProfile
@@ -200,6 +222,7 @@ from repro.apps.himeno import HimenoParams, himeno_fmi_app
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
+from repro.fmi.api import FmiContext
 from repro.models.vaidya import optimal_interval
 from repro.mpi.communicator import Communicator
 from repro.mpi.runtime import MpiJob
@@ -211,11 +234,13 @@ from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
 
 RANKS, ITERATIONS = 24, 8
-CALLS_PER_RANK_ITERATION = 1075.0
+CALLS_PER_RANK_ITERATION = 1020.0
 EVENTS_PER_RANK_ITERATION = 105.0
 #: below the 18.1 this run cost before the diet, so that neither half
 #: can drift back while the other hides it
-CALLS_PER_EVENT = 11.0
+CALLS_PER_EVENT = 10.5
+#: entries of ``FmiContext.loop``: 3.75 handed off, 23.6 forwarding
+LOOP_ENTRIES_PER_RANK_ITERATION = 4.2
 #: calls a tracer and a metrics registry add to the run, in all: 6,707
 #: run alone, 10,238 after the rest of tier-1 (the bare arm then reads
 #: 3,531 calls fewer)
@@ -223,8 +248,8 @@ OBSERVED_CALLS_EXCESS = 14_000
 
 
 def _profiled_run(observed):
-    """``(calls, events)`` of the profiled run, bare or with a tracer
-    and a metrics registry attached."""
+    """``(calls, events, entries of FmiContext.loop)`` of the profiled
+    run, bare or with a tracer and a metrics registry attached."""
     # the one memo under src/ that outlives a simulation: without this
     # a run would be cheaper for every run profiled before it
     optimal_interval.cache_clear()
@@ -253,7 +278,13 @@ def _profiled_run(observed):
     assert job.recovery_count == 1
     events = sim.stats.events_processed
     assert events > 17_000  # the run is the size the ceilings were set on
-    return pstats.Stats(profile).total_calls, events
+    stats = pstats.Stats(profile)
+    loop = FmiContext.loop.__code__
+    entries = next(nc for (path, line, name), (_cc, nc, *_)
+                   in stats.stats.items()
+                   if (path, line, name) == (loop.co_filename,
+                                             loop.co_firstlineno, "loop"))
+    return stats.total_calls, events, entries
 
 
 @pytest.fixture(scope="module")
@@ -262,23 +293,28 @@ def budget_run():
 
 
 def test_calls_per_rank_iteration_stay_under_the_ceiling(budget_run):
-    calls, _events = budget_run
+    calls, _events, _entries = budget_run
     assert calls / (RANKS * ITERATIONS) < CALLS_PER_RANK_ITERATION, calls
 
 
 def test_events_per_rank_iteration_stay_under_the_ceiling(budget_run):
-    _calls, events = budget_run
+    _calls, events, _entries = budget_run
     assert events / (RANKS * ITERATIONS) < EVENTS_PER_RANK_ITERATION, events
 
 
 def test_calls_per_kernel_event_stay_under_the_ceiling(budget_run):
-    calls, events = budget_run
+    calls, events, _entries = budget_run
     assert calls / events < CALLS_PER_EVENT, (calls, events)
 
 
+def test_no_frame_forwards_to_fmi_loops_subroutines(budget_run):
+    entries = budget_run[2]
+    assert entries / (RANKS * ITERATIONS) < LOOP_ENTRIES_PER_RANK_ITERATION, entries
+
+
 def test_watching_costs_a_bounded_number_of_calls():
-    calls, events = _profiled_run(observed=False)
-    observed_calls, observed_events = _profiled_run(observed=True)
+    calls, events, _entries = _profiled_run(observed=False)
+    observed_calls, observed_events, _entries = _profiled_run(observed=True)
     assert observed_events == events  # observe, never perturb
     assert observed_calls - calls < OBSERVED_CALLS_EXCESS, (observed_calls, calls)
 
@@ -361,11 +397,11 @@ def test_a_clean_delivery_probes_one_bucket():
 
 # ------------------------------------------------------------- macro tier
 MACRO_RANKS, MACRO_ROUNDS, MACRO_PPN = 1024, 2, 16
-MACRO_CALLS_PER_RANK_ROUND = 84.0
+MACRO_CALLS_PER_RANK_ROUND = 83.0
 MACRO_EVENTS = 15_108  # 7.38 per rank-round
 MACRO_TRACKED_PER_RANK = 19.4 if sys.version_info >= (3, 11) else 40.0
 MACRO_CELLS_PER_RANK = 1.0
-MACRO_TRACED_BYTES_PER_RANK = 3220.0 if sys.version_info >= (3, 11) else 5000.0
+MACRO_TRACED_BYTES_PER_RANK = 3120.0 if sys.version_info >= (3, 11) else 5000.0
 
 _CELL = type((lambda x: lambda: x)(0).__closure__[0])
 

@@ -218,6 +218,57 @@ def test_a_send_parked_at_a_cut_names_the_message():
         "(untriggered, 1 callback)")
 
 
+def _stalled_launch(job):
+    """The stall text of a run drained before ``job`` finished."""
+    with pytest.raises(SimulationError) as info:
+        job.sim.run(until=job.launch())
+    return str(info.value)
+
+
+def test_a_drained_launch_names_each_unfinished_rank_and_where_it_waits():
+    def app(api):
+        yield from api.recv((api.rank + 1) % api.size, tag=7)  # a ring, all wait
+
+    sim, machine = _machine(nodes=10)
+    text = _stalled_launch(
+        MpiJob(machine, app, 2, procs_per_node=1, charge_init=False))
+    assert text.endswith(
+        "waiting: job 'mpi' done, awaiting 2 of 2 ranks ["
+        "rank 0: process 'mpi:rank0' → posted receive (source 1, tag 7, "
+        "comm 0) (untriggered, 1 callback); "
+        "rank 1: process 'mpi:rank1' → posted receive (source 0, tag 7, "
+        "comm 0) (untriggered, 1 callback)] (untriggered, 2 callbacks)")
+
+    # at most eight ranks are named
+    sim, machine = _machine(nodes=10)
+    text = _stalled_launch(
+        MpiJob(machine, app, 10, procs_per_node=1, charge_init=False))
+    assert "awaiting 10 of 10 ranks [rank 0: " in text
+    assert "rank 7: process 'mpi:rank7'" in text and "rank 8" not in text
+    assert text.endswith("(untriggered, 1 callback); ...] "
+                         "(untriggered, 2 callbacks)")
+
+
+def test_a_drained_fmi_launch_names_the_hand_off_a_rank_is_in():
+    from repro.fmi import FmiConfig, FmiJob
+
+    def app(api):
+        if api.rank == 0:
+            yield from api.loop([])  # the checkpoint decision: rank 1 never comes
+        else:
+            yield from api.recv(0, tag=7)
+
+    sim, machine = _machine(nodes=8)
+    text = _stalled_launch(
+        FmiJob(machine, app, num_ranks=2, config=FmiConfig(xor_group_size=2)))
+    qual = app.__qualname__
+    assert (f"rank 0: process 'fmi:rank0.0' [FmiProcess._main → {qual} → "
+            "allreduce_hops] → posted receive (source 1, ") in text
+    assert (f"rank 1: process 'fmi:rank1.0' [FmiProcess._main → {qual}] → "
+            "posted receive (source 0, tag 7, comm 0) (untriggered, "
+            "1 callback)]") in text
+
+
 def test_a_transfer_in_flight_names_its_wire_or_its_pipe():
     sim, machine = _machine()
 

@@ -132,3 +132,55 @@ def test_single_crash_with_level2_enabled(t):
         assert u[0] == NUM_LOOPS
     if t <= 2.0:
         assert job.recovery_count >= 1
+
+
+def _scoped_run(recovery, kill=None):
+    """Run ``app`` traced, killing per ``kill = (k, slot)`` at the k-th
+    ``ckpt.encode.begin``; returns the results and every ``_hop_only``
+    a context read after it was left behind."""
+    from repro.chaos import ChaosEngine, KillSlot, OnEvent, Rule, Scenario
+    from repro.obs import Tracer
+
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(14), RngRegistry(0))
+    Tracer(sim)
+    current = {}  # rank -> the context its running app was given
+    left = []  # contexts whose app was unwound or closed
+    seen = []
+
+    def h3(fmi):
+        # an H3 (re-)entry: every context left behind is out of its
+        # FMI_Loop, checkpoint and restore scopes, each exited once
+        if fmi.rank in current:
+            left.append(current[fmi.rank])
+        current[fmi.rank] = fmi
+        seen.extend(api._hop_only for api in left)
+        return app(fmi)
+
+    job = FmiJob(machine, h3, num_ranks=8, procs_per_node=2,
+                 config=FmiConfig(interval=1, xor_group_size=4,
+                                  spare_nodes=2, recovery=recovery))
+    done = job.launch()
+    if kill is not None:
+        engine = ChaosEngine(machine, jobs=[job])
+        engine.arm(Scenario("encode-kill", [
+            Rule(OnEvent("ckpt.encode.begin", count=kill[0]),
+                 KillSlot(kill[1]))]))
+    results = sim.run(until=done, max_events=20_000_000)
+    if kill is not None:
+        assert len(engine.injected) == 1 and job.recovery_count >= 1
+    seen.extend(api._hop_only for api in left + list(current.values()))
+    return results, seen
+
+
+@pytest.mark.parametrize("recovery", ["global", "logged"])
+@pytest.mark.parametrize("kill", [(1, 0), (6, 1), (12, 3)])
+def test_a_kill_inside_an_encode_leaves_every_scope_once(recovery, kill):
+    # FMI_Loop hands the checkpoint off, so a kill or a failure notice
+    # unwinds a chain of generators; each ``_hop_only`` scope on it is
+    # exited exactly once, and the answers are the failure-free ones
+    clean, _ = _scoped_run(recovery)
+    results, seen = _scoped_run(recovery, kill)
+    assert seen and set(seen) == {0}
+    assert len(results) == 8 and all(
+        u.tobytes() == v.tobytes() for u, v in zip(results, clean))

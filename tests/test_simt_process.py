@@ -324,57 +324,67 @@ def test_process_immediate_return():
 
 
 # ---------------------------------------------------------------- hand-off
-_STEPS = st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.booleans()),
-                  max_size=3)
-_ROUND = st.tuples(_STEPS, st.sampled_from(["return", "raise"]))
+_DELAY = st.sampled_from([0.0, 0.5, 1.0])
 _INSTANT = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5])
+#: what a yield site catches: V a subroutine's ValueError, I an Interrupt
+_CATCHES = st.sampled_from(["", "V", "I", "VI"])
+_WAIT = st.tuples(st.just("wait"), _DELAY, _CATCHES)
 
 
-def _run_program(handoff, pre, rounds, body_catches, interrupts, kill_at):
-    """One body program, its subroutines entered by hand-off or by
+def _call(depth):
+    """A call site: ``("call", handoff, subroutine, catches)``."""
+    return st.tuples(st.just("call"), st.booleans(), _subroutine(depth),
+                     _CATCHES)
+
+
+def _subroutine(depth):
+    """``(items, end)``: up to three waits or, while ``depth`` lasts,
+    calls, then a return or a raise."""
+    item = _WAIT if depth == 0 else st.one_of(_WAIT, _call(depth - 1))
+    return st.tuples(st.lists(item, max_size=3),
+                     st.sampled_from(["return", "raise"]))
+
+
+def _body(depth):
+    """A body whose subroutine tree is ``depth`` deep at the most, with
+    at least one call."""
+    item = st.one_of(_WAIT, _call(depth - 1))
+    return st.tuples(
+        st.builds(lambda head, call, tail: head + [call] + tail,
+                  st.lists(item, max_size=2), _call(depth - 1),
+                  st.lists(item, max_size=2)),
+        st.sampled_from(["return", "raise"]))
+
+
+def _run_program(handoff, body, interrupts, kill_at):
+    """One body and its tree of subroutines, each call entered by
+    hand-off where both ``handoff`` and the call site say so, else by
     ``yield from``; returns everything the two must agree on."""
     sim = Simulator()
     log = []
 
-    def sub(tag, steps, end):
+    def run(tag, items, end):
         try:
-            for i, (delay, catch) in enumerate(steps):
+            for i, item in enumerate(items):
                 try:
-                    got = yield sim.timeout(delay, value=(tag, i))
-                    log.append(("sub", tag, repr(sim.now), got))
-                except Interrupt as exc:
-                    log.append(("sub-interrupt", tag, repr(sim.now), exc.cause))
-                    if not catch:
+                    if item[0] == "wait":
+                        got = yield sim.timeout(item[1], value=(tag, i))
+                    elif handoff and item[1]:
+                        got = yield run(f"{tag}.{i}", *item[2])
+                    else:
+                        got = yield from run(f"{tag}.{i}", *item[2])
+                    log.append(("got", tag, i, repr(sim.now), got))
+                except (ValueError, Interrupt) as exc:
+                    log.append(("caught", tag, i, repr(sim.now), repr(exc)))
+                    if type(exc).__name__[0] not in item[-1]:
                         raise
             if end == "raise":
-                raise ValueError(f"sub {tag} failed")
+                raise ValueError(f"{tag} failed")
             return ("result", tag)
         finally:
-            log.append(("sub-finally", tag, repr(sim.now)))
+            log.append(("finally", tag, repr(sim.now)))
 
-    def body():
-        try:
-            yield sim.timeout(pre)
-            for tag, (steps, end) in enumerate(rounds):
-                child = sub(tag, steps, end)
-                try:
-                    if handoff:
-                        got = yield child
-                    else:
-                        got = yield from child
-                    log.append(("body-got", tag, repr(sim.now), got))
-                except ValueError as exc:
-                    log.append(("body-caught", tag, repr(sim.now), str(exc)))
-                except Interrupt as exc:
-                    if not body_catches:
-                        raise
-                    log.append(("body-interrupt", tag, repr(sim.now), exc.cause))
-            yield sim.timeout(0.5)
-            return "body-done"
-        finally:
-            log.append(("body-finally", repr(sim.now)))
-
-    proc = sim.spawn(body(), name="body")
+    proc = sim.spawn(run("body", *body), name="body")
     for t in interrupts:
         sim.timeout(t).callbacks.append(
             lambda _e, t=t: proc.interrupt(("interrupt", t)))
@@ -386,6 +396,10 @@ def _run_program(handoff, pre, rounds, body_catches, interrupts, kill_at):
     return log, outcome, sim.stats.events_processed, repr(sim.now)
 
 
+_STEPS = st.lists(st.tuples(_DELAY, st.booleans()), max_size=3)
+_ROUND = st.tuples(_STEPS, st.sampled_from(["return", "raise"]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(pre=st.sampled_from([0.0, 0.5]),
        rounds=st.lists(_ROUND, min_size=1, max_size=2),
@@ -394,36 +408,75 @@ def _run_program(handoff, pre, rounds, body_catches, interrupts, kill_at):
        kill_at=st.one_of(st.none(), _INSTANT))
 def test_a_hand_off_behaves_as_yield_from(pre, rounds, body_catches,
                                           interrupts, kill_at):
-    program = (pre, rounds, body_catches, interrupts, kill_at)
+    # one level: a body that hands off each of its subroutines in turn
+    calls = [("call", True,
+              ([("wait", delay, "I" if catch else "")
+                for delay, catch in steps], end),
+              "VI" if body_catches else "V")
+             for steps, end in rounds]
+    body = ([("wait", pre, "")] + calls + [("wait", 0.5, "")], "return")
+    program = (body, interrupts, kill_at)
     assert _run_program(True, *program) == _run_program(False, *program)
 
 
-def test_a_nested_hand_off_is_refused():
+@settings(max_examples=300, deadline=None)
+@given(body=st.integers(1, 4).flatmap(_body),
+       interrupts=st.lists(_INSTANT, max_size=3),
+       kill_at=st.one_of(st.none(), _INSTANT))
+def test_a_tree_of_hand_offs_behaves_as_nested_yield_from(body, interrupts,
+                                                          kill_at):
+    # hand-offs nest, and mix with ``yield from`` levels: the same
+    # values, catches, ``finally`` order, outcome, events and clock
+    program = (body, interrupts, kill_at)
+    assert _run_program(True, *program) == _run_program(False, *program)
+
+
+def _chain(depth, sim, log):
+    """``depth`` subroutines, each handing off the next; the innermost
+    waits 5 s."""
+    def level(k):
+        try:
+            if k == depth:
+                yield sim.timeout(5.0)
+                return "leaf"
+            got = yield level(k + 1)
+            log.append(("got", k, got))
+            return got
+        finally:
+            log.append(("finally", k, sim.now))
+    return level(0)
+
+
+def test_nested_hand_offs_return_outward_and_close_inward():
     sim = Simulator()
     log = []
-
-    def inner():
-        log.append("inner ran")  # must never start
-        yield sim.timeout(1.0)
-
-    def sub():
-        try:
-            yield sim.timeout(1.0)
-            yield inner()
-        finally:
-            log.append("sub-finally")
-
-    def body():
-        try:
-            yield sub()
-        finally:
-            log.append("body-finally")
-
-    proc = sim.spawn(body(), name="body")
+    proc = sim.spawn(_chain(3, sim, log), name="deep")
     sim.run()
-    assert not proc.ok and isinstance(proc.value, SimulationError)
-    assert "hand-offs do not nest" in str(proc.value)
-    assert log == ["sub-finally", "body-finally"]  # the yield-from order
+    assert proc.value == "leaf" and sim.now == 5.0
+    assert log == [("finally", 3, 5.0), ("got", 2, "leaf"),
+                   ("finally", 2, 5.0), ("got", 1, "leaf"),
+                   ("finally", 1, 5.0), ("got", 0, "leaf"),
+                   ("finally", 0, 5.0)]
+    assert proc._caller is None
+
+    sim = Simulator()
+    log = []
+    proc = sim.spawn(_chain(3, sim, log), name="deep")
+    sim.timeout(1.0).callbacks.append(lambda _e: proc.kill("crash"))
+    sim.run()
+    assert isinstance(proc.value, ProcessKilled)
+    assert log == [("finally", k, 1.0) for k in (3, 2, 1, 0)]
+    assert proc._caller is None and proc.generator.gi_frame is None
+
+
+def test_wait_chain_names_the_hand_off_chain():
+    sim = Simulator()
+    proc = sim.spawn(_chain(2, sim, []), name="deep")
+    sim.run(until=1.0)
+    level = "_chain.<locals>.level"
+    assert wait_chain(proc) == (
+        f"process 'deep' [{level} \u2192 {level} \u2192 {level}] "
+        "\u2192 Timeout (triggered, 1 callback)")
 
 
 def test_kill_closes_the_subroutine_then_the_body():
