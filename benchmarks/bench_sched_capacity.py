@@ -68,7 +68,7 @@ FAMILIES = {
 def _soak_args(family: str, rate: float, mtbf: float) -> argparse.Namespace:
     return argparse.Namespace(
         mix=family, nodes=NODES, jobs=JOBS, rate=rate, mtbf=mtbf,
-        spare_pool=0, no_backfill=False, preempt=False,
+        spare_pool=0, no_backfill=False,
     )
 
 

@@ -380,10 +380,13 @@ class DetectorMonitor:
       connection the moment it closes, so one that lingers is a leak.
     """
 
-    def __init__(self, job, sample_dt: float = 0.25, grace: float = 1.0):
+    #: simulated seconds between two samples
+    sample_dt = 0.25
+    #: how long a closed connection may stay listed before it is a leak
+    grace = 1.0
+
+    def __init__(self, job):
         self.job = job
-        self.sample_dt = sample_dt
-        self.grace = grace
         self.max_entries = 0
         self._stale_first_seen: Dict[int, float] = {}
         self.violations: List[Violation] = []

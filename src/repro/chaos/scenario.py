@@ -82,12 +82,11 @@ class AtTime:
 @dataclass(frozen=True)
 class OnEvent:
     """Fire ``delay`` seconds after the ``count``-th trace event whose
-    name equals ``name`` and for which ``where`` (if given) is true."""
+    name equals ``name``."""
 
     name: str
     count: int = 1
     delay: float = 0.0
-    where: Optional[Callable[[object], bool]] = None
 
     def __post_init__(self) -> None:
         if not self.count >= 1:
@@ -411,10 +410,8 @@ class ChaosEngine(_Injector):
         a (possibly zero-delay) timer: see the module docstring."""
         seen = 0
 
-        def match(ev) -> None:
+        def match(_ev) -> None:
             nonlocal seen
-            if trig.where is not None and not trig.where(ev):
-                return
             seen += 1
             if seen == trig.count:
                 self.sim.tracer.unsubscribe(trig.name, match)

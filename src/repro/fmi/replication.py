@@ -145,7 +145,13 @@ class ReplicationPlane(ChannelPlane):
     def adopt(self, fproc) -> None:
         """A (re)spawned copy registers itself (``JobBase`` adoption)."""
         rank, copy = fproc.rank, fproc.copy
-        self.copies.setdefault(rank, {})[copy] = fproc
+        cps = self.copies.setdefault(rank, {})
+        old = cps.get(copy)
+        if old is not None:  # the copy it replaces leaves nothing behind
+            self.channels.pop(old.ctx, None)
+            self.standby_recs.pop(old.ctx, None)
+            old.ctx.close()
+        cps[copy] = fproc
         if (rank, copy) in self.standby_expected:
             return  # re-arming: never the lead, even at the lead index
         if copy == self.lead_copy.setdefault(rank, 0):

@@ -9,48 +9,41 @@ On FMI recovery the engine is :meth:`reset`: posted receives are
 cancelled (their events fail with :class:`RecvCancelled`) and
 unexpected messages from the old epoch are purged.
 
-Index layout (the hot-path rewrite)
------------------------------------
+Index layout
+------------
 
 Both queues are hash-bucket indexes keyed on ``(comm_id, source,
-tag)``; wildcard patterns use :data:`ANY_SOURCE` / :data:`ANY_TAG` in
-the key, so wildcard receives live in *side-lists* next to the exact
-buckets:
+tag)``; a wildcard pattern uses :data:`ANY_SOURCE` / :data:`ANY_TAG`
+in its key.
 
 * **posted receives** -- each posted receive sits in exactly one
-  bucket: its own pattern.  A delivery consults at most four buckets
-  (exact, source-wildcard, tag-wildcard, both-wildcard) and takes the
-  live head with the smallest post sequence number -- byte-identical
-  match order to a linear scan of a single deque, at O(1) per message
-  instead of O(posted).  A bucket has two shapes: the bare
-  ``_PostedRecv`` while it holds one receive -- the common case, one
-  waiting receive per pattern per rank -- and a ``deque`` in post
-  order from the moment a second receive is posted under the same key
-  (a sweep that leaves one record stores it bare again).  The bucket
-  key is deleted the moment its last record is popped, so a drained
-  pattern costs nothing.
-* **unexpected messages** -- each arrival is appended to all four
-  buckets it could be claimed under.  A posted receive consults
-  exactly one bucket: its own pattern.  Claiming an envelope marks it
-  *taken*; the stale aliases in sibling buckets are skipped (and
-  popped) when they surface at a bucket head.
-* **the engine probes what was posted** -- until its first wildcard
-  ``post`` / ``probe`` no wildcard-keyed bucket can hold anything, so
-  a delivery consults, and an unexpected arrival is filed under, the
-  exact key alone and a claim leaves no alias behind.  The first
-  wildcard pattern files the waiting arrivals under their three
-  wildcard keys in arrival order, once, and the four-bucket path runs
-  from then on (until a :meth:`reset` empties both queues).
+  bucket: its own pattern.  While a wildcard receive is filed, a
+  delivery consults four buckets (exact, source-wildcard,
+  tag-wildcard, both-wildcard) and takes the live head with the
+  smallest post sequence number -- the match order of a linear scan
+  of one deque.  With none filed (``_wild_posted`` counts them) it
+  consults the exact bucket alone: one ``dict.get``.  A bucket has two
+  shapes: the bare ``_PostedRecv`` while it holds one receive -- the
+  common case, one waiting receive per pattern per rank -- and a
+  ``deque`` in post order from the moment a second receive is posted
+  under the same key.  The key is deleted the moment its last record
+  is popped, so a drained pattern costs nothing.
+* **unexpected messages** -- each arrival is filed once, under its
+  exact key, as an ``(arrival number, envelope)`` pair; an emptied key
+  is deleted.  An exact post pops its own key's head.  A wildcard post
+  or :meth:`probe` scans the heads of the waiting keys and takes the
+  matching one with the smallest arrival number: within a key the
+  arrivals are in order, so that head is the oldest matching arrival.
+  The scan costs O(keys waiting); wildcard posts are rare (the XOR
+  rebuild's ``ANY_SOURCE`` gather) and find few keys waiting.
 
-Dead entries -- posted receives whose waiter died (killed process,
+A posted receive whose waiter died (killed process, an
 :meth:`~repro.simt.kernel.Event.cancel`, an externally failed event)
-and taken unexpected aliases -- are swept lazily: they are popped when
-they reach a bucket head during matching, and a full compaction runs
-once enough cancellations/claims have accumulated (a cancelled receive
-reports in to its ``engine``).  The compaction only drops dead
-entries, so it can never change match order.
+is pruned when it reaches a candidate head during a delivery.  Nothing
+sweeps: only a killed process cancels a receive, and its context is
+never posted to again.
 
-The linear-scan engine this replaced is the conformance oracle of
+The linear-scan engine is the conformance oracle of
 ``tests/test_matching_conformance.py`` and lives beside it.
 """
 
@@ -73,9 +66,6 @@ __all__ = [
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-#: full compactions run once this many dead/taken entries accumulated
-_SWEEP_THRESHOLD = 64
-
 _BucketKey = Tuple[int, int, int]  # (comm_id, source, tag)
 
 _NO_ARRIVALS: Mapping = MappingProxyType({})
@@ -88,42 +78,18 @@ class RecvCancelled(Exception):
 class _PostedRecv(Event):
     """One receive, and the event its match completes: ``post`` builds
     it with no Python frame and fills Event's slots and its own
-    (``simt.kernel`` has the rule for such records).  ``engine`` is
-    the engine that posted it, which a cancel reports to."""
+    (``simt.kernel`` has the rule for such records)."""
 
-    __slots__ = ("source", "tag", "seq", "engine")
+    __slots__ = ("source", "tag", "seq", "comm")
     __init__ = object.__init__
 
     @property
     def live(self) -> bool:
         return self._callbacks is not None and self._value is _PENDING
 
-    def cancel(self) -> bool:
-        """Withdraw the receive, and count it as a dead entry of its
-        engine (the lazy sweep's debt)."""
-        if not Event.cancel(self):
-            return False
-        self.engine._note_debt()
-        return True
-
     def _what(self) -> str:
-        # cold (a stalled run's report): the comm is the key of the
-        # bucket the record waits in, while it waits in one
-        comm = ""
-        for (comm_id, _source, _tag), bucket in self.engine._posted.items():
-            if bucket is self or (bucket.__class__ is not _PostedRecv
-                                  and self in bucket):
-                comm = f", comm {comm_id}"
-                break
-        return f"posted receive (source {self.source}, tag {self.tag}{comm})"
-
-
-class _Unexpected:
-    """One arrived envelope, shared between its index buckets;
-    ``deliver`` fills the slots.  ``seq`` is its arrival order, what
-    the wildcard buckets are built in."""
-
-    __slots__ = ("env", "taken", "seq")
+        return (f"posted receive (source {self.source}, tag {self.tag}, "
+                f"comm {self.comm})")
 
 
 class MatchingEngine:
@@ -132,9 +98,8 @@ class MatchingEngine:
     Slotted, one per rank context."""
 
     __slots__ = ("sim", "match_sink", "_posted", "_unexpected", "_post_seq",
-                 "_unexpected_live", "_wild", "_sweep_debt", "_sweep_at",
-                 "delivered", "matched_unexpected", "matched_posted",
-                 "pruned_dead", "swept_dead", "cancelled_total",
+                 "_wild_posted", "delivered", "matched_unexpected",
+                 "matched_posted", "pruned_dead", "cancelled_total",
                  "purged_total")
 
     def __init__(self, sim: Simulator):
@@ -147,30 +112,23 @@ class MatchingEngine:
         self._posted: Dict[
             _BucketKey, Union[_PostedRecv, Deque[_PostedRecv]]
         ] = {}
-        #: the unexpected index until the first arrival is filed: a
-        #: read-only mapping shared by every engine, so one whose
-        #: receives are always posted first carries no empty dict
-        self._unexpected: Mapping[_BucketKey, Deque[_Unexpected]] = _NO_ARRIVALS
+        #: exact key -> its waiting ``(arrival number, envelope)`` pairs;
+        #: until the first arrival is filed, a read-only mapping shared
+        #: by every engine, so one whose receives are always posted
+        #: first carries no empty dict
+        self._unexpected: Mapping[
+            _BucketKey, Deque[Tuple[int, Envelope]]
+        ] = _NO_ARRIVALS
         self._post_seq = 0
-        #: arrivals waiting unclaimed; while 0 a post looks up nothing
-        self._unexpected_live = 0
-        #: a wildcard pattern has been posted or probed: the three
-        #: wildcard keys of every arrival are in use
-        self._wild = False
-        #: dead/taken entries accumulated since the last compaction;
-        #: a compaction runs when the debt reaches ``_sweep_at``, which
-        #: is re-armed to the surviving entry count so sweeps stay
-        #: amortised O(1) per operation at any queue depth
-        self._sweep_debt = 0
-        self._sweep_at = _SWEEP_THRESHOLD
+        #: wildcard receives filed in ``_posted``; while 0 a delivery
+        #: consults the exact bucket alone
+        self._wild_posted = 0
         #: observability counters
         self.delivered = 0
         self.matched_unexpected = 0
         self.matched_posted = 0
         #: dead posted receives pruned during delivery matching
         self.pruned_dead = 0
-        #: dead/taken entries removed by background compactions
-        self.swept_dead = 0
         #: lifetime totals across every recovery reset
         self.cancelled_total = 0
         self.purged_total = 0
@@ -185,35 +143,30 @@ class MatchingEngine:
         rec._ok = None
         rec._processed = False
         rec._cancelled = False
-        rec.engine = self
         rec.source = source
         rec.tag = tag
-        if not self._wild and (source == ANY_SOURCE or tag == ANY_TAG):
-            self._open_wildcards()
-        # First look in the unexpected queue (oldest first: FIFO).  A
-        # post consults exactly one bucket -- its own pattern -- so no
-        # probe object and no scan are needed; and none at all while no
-        # arrival waits (taken aliases left behind are swept as ever).
+        rec.comm = comm_id
         key = (comm_id, source, tag)
-        if self._unexpected_live:
-            dq = self._unexpected.get(key)
+        wild = source == ANY_SOURCE or tag == ANY_TAG
+        # First look in the unexpected queue (oldest first: FIFO), and
+        # not at all while no arrival waits.
+        unexpected = self._unexpected
+        if unexpected:
+            found = self._oldest(comm_id, source, tag) if wild else key
+            dq = unexpected.get(found)
             if dq is not None:
-                while dq and dq[0].taken:
-                    dq.popleft()
-                if dq:
-                    arrived = dq.popleft()
-                    arrived.taken = True
-                    self._unexpected_live -= 1
-                    if self._wild:  # three stale aliases stay behind
-                        self._note_debt()
-                    self.matched_unexpected += 1
-                    if self.match_sink is not None:
-                        self.match_sink(source, tag, arrived.env)
-                    rec.succeed(arrived.env)
-                    return rec
-                del self._unexpected[key]
+                env = dq.popleft()[1]
+                if not dq:
+                    del unexpected[found]
+                self.matched_unexpected += 1
+                if self.match_sink is not None:
+                    self.match_sink(source, tag, env)
+                rec.succeed(env)
+                return rec
         rec.seq = self._post_seq
         self._post_seq += 1
+        if wild:
+            self._wild_posted += 1
         posted = self._posted
         bucket = posted.get(key)
         if bucket is None:
@@ -226,32 +179,39 @@ class MatchingEngine:
 
     def probe(self, source: int, tag: int, comm_id: int) -> Optional[Envelope]:
         """Non-destructive check of the unexpected queue (MPI_Iprobe)."""
-        if not self._wild and (source == ANY_SOURCE or tag == ANY_TAG):
-            self._open_wildcards()
-        dq = self._unexpected.get((comm_id, source, tag))
-        if dq is None:
-            return None
-        while dq and dq[0].taken:
-            dq.popleft()
-        if not dq:
-            del self._unexpected[(comm_id, source, tag)]
-            return None
-        return dq[0].env
+        dq = self._unexpected.get(self._oldest(comm_id, source, tag))
+        return None if dq is None else dq[0][1]
+
+    def _oldest(self, comm_id: int, source: int, tag: int):
+        """The key of the oldest waiting arrival the pattern matches, or
+        None: the matching exact head with the smallest arrival
+        number."""
+        best = None
+        best_n = 0
+        for key, dq in self._unexpected.items():
+            if (key[0] == comm_id
+                    and (source == ANY_SOURCE or key[1] == source)
+                    and (tag == ANY_TAG or key[2] == tag)
+                    and (best is None or dq[0][0] < best_n)):
+                best = key
+                best_n = dq[0][0]
+        return best
 
     # -- delivery side ------------------------------------------------------
     def deliver(self, env: Envelope) -> None:
         """An envelope arrived from the transport."""
         self.delivered += 1
         comm_id, src, tag = env.comm_id, env.src, env.tag
-        if self._wild:
+        key = (comm_id, src, tag)
+        if self._wild_posted:
             keys = (
-                (comm_id, src, tag),
+                key,
                 (comm_id, src, ANY_TAG),
                 (comm_id, ANY_SOURCE, tag),
                 (comm_id, ANY_SOURCE, ANY_TAG),
             )
         else:
-            keys = ((comm_id, src, tag),)
+            keys = (key,)
         posted = self._posted
         # Walk matching posted receives in post order (= ascending seq
         # across the candidate bucket heads), pruning dead entries as
@@ -260,13 +220,13 @@ class MatchingEngine:
         while True:
             best_key = best = None
             best_seq = -1
-            for key in keys:
-                bucket = posted.get(key)
+            for cand in keys:
+                bucket = posted.get(cand)
                 if bucket is None:
                     continue
                 head = bucket if bucket.__class__ is _PostedRecv else bucket[0]
                 if best is None or head.seq < best_seq:
-                    best_key = key
+                    best_key = cand
                     best = bucket
                     best_seq = head.seq
             if best is None:
@@ -278,6 +238,8 @@ class MatchingEngine:
                 rec = best.popleft()
                 if not best:
                     del posted[best_key]
+            if best_key is not key:
+                self._wild_posted -= 1
             if rec._callbacks is not None and rec._value is _PENDING:
                 self.matched_posted += 1
                 if self.match_sink is not None:
@@ -289,42 +251,14 @@ class MatchingEngine:
             # receive with a later seq may also match, and must not be
             # shadowed by the corpse.
             self.pruned_dead += 1
-        rec = _Unexpected()
-        rec.env = env
-        rec.taken = False
-        rec.seq = self.delivered
-        self._file(rec, keys)
-        self._unexpected_live += 1
-
-    def _file(self, rec: _Unexpected, keys) -> None:
         unexpected = self._unexpected
         if unexpected is _NO_ARRIVALS:
             unexpected = self._unexpected = {}
-        for key in keys:
-            dq = unexpected.get(key)
-            if dq is None:
-                dq = unexpected[key] = deque()
-            dq.append(rec)
-
-    def _open_wildcards(self) -> None:
-        """The first wildcard pattern: file what is waiting under its
-        wildcard keys too, in arrival order.  Nothing waiting has been
-        claimed -- a claim that leaves no alias pops its only entry --
-        and no posted receive needs moving: each sits under its own
-        pattern, and none of those held a wildcard."""
-        self._wild = True
-        waiting = sorted(
-            (rec for dq in self._unexpected.values() for rec in dq),
-            key=lambda rec: rec.seq,
-        )
-        for rec in waiting:
-            env = rec.env
-            comm_id, src, tag = env.comm_id, env.src, env.tag
-            self._file(rec, (
-                (comm_id, src, ANY_TAG),
-                (comm_id, ANY_SOURCE, tag),
-                (comm_id, ANY_SOURCE, ANY_TAG),
-            ))
+        dq = unexpected.get(key)
+        if dq is None:
+            unexpected[key] = deque(((self.delivered, env),))
+        else:
+            dq.append((self.delivered, env))
 
     # -- recovery ------------------------------------------------------------
     def reset(self) -> Tuple[int, int]:
@@ -345,57 +279,14 @@ class MatchingEngine:
             rec.fail(RecvCancelled())
         cancelled = len(live)
         self._posted.clear()
-        purged = self._unexpected_live
+        self._wild_posted = 0
+        purged = 0
         if self._unexpected:
+            purged = sum(map(len, self._unexpected.values()))
             self._unexpected.clear()
-        self._unexpected_live = 0
-        self._wild = False  # both queues are empty: nothing is aliased
-        self._sweep_debt = 0
         self.cancelled_total += cancelled
         self.purged_total += purged
         return cancelled, purged
-
-    # -- lazy sweeping --------------------------------------------------------
-    def _note_debt(self) -> None:
-        """One more dead entry (a claimed arrival's aliases, or a
-        cancelled posted receive)."""
-        self._sweep_debt += 1
-        if self._sweep_debt >= self._sweep_at:
-            self._sweep()
-
-    def _sweep(self) -> None:
-        """Compact every bucket: drop dead receives and taken aliases.
-
-        Removal order is irrelevant to matching semantics -- only dead
-        entries go -- so the sweep can run at any point between
-        deliveries.
-        """
-        self._sweep_debt = 0
-        surviving = 0
-        posted = self._posted
-        for key in list(posted):
-            bucket = posted[key]
-            if bucket.__class__ is _PostedRecv:
-                bucket = (bucket,)
-            kept = [rec for rec in bucket if rec.live]
-            if len(kept) != len(bucket):
-                self.swept_dead += len(bucket) - len(kept)
-                if not kept:
-                    del posted[key]
-                    continue
-                posted[key] = kept[0] if len(kept) == 1 else deque(kept)
-            surviving += len(kept)
-        for key in list(self._unexpected):
-            dq = self._unexpected[key]
-            kept = [rec for rec in dq if not rec.taken]
-            if len(kept) != len(dq):
-                if kept:
-                    self._unexpected[key] = deque(kept)
-                else:
-                    del self._unexpected[key]
-                    continue
-            surviving += len(kept)
-        self._sweep_at = max(_SWEEP_THRESHOLD, surviving)
 
     # -- introspection --------------------------------------------------------
     def _iter_posted(self) -> Iterator[_PostedRecv]:
@@ -407,7 +298,7 @@ class MatchingEngine:
 
     @property
     def unexpected_count(self) -> int:
-        return self._unexpected_live
+        return sum(map(len, self._unexpected.values()))
 
     @property
     def posted_count(self) -> int:
@@ -418,4 +309,3 @@ class MatchingEngine:
         """Posted receives still waiting on a live event -- the ones a
         finished rank must have drained (chaos invariant feed)."""
         return sum(1 for rec in self._iter_posted() if rec.live)
-

@@ -6,7 +6,6 @@ invariants after every run::
 
     python -m repro.sched --seeds 5 --jobs 16 --rate 0.5 --mtbf 200
     python -m repro.sched --seed-list 3,7 --mix global,logged --verbose
-    python -m repro.sched --preempt --spare-pool 2
 
 Checked invariants: every tenant's answer is bitwise identical to its
 solo failure-free run, no node is double-booked across tenants, and
@@ -75,8 +74,6 @@ def _parse_args(argv):
                         help="shared warm-spare pool size (default: 2)")
     parser.add_argument("--no-backfill", action="store_true",
                         help="plain FCFS (disable EASY backfill)")
-    parser.add_argument("--preempt", action="store_true",
-                        help="enable the preempt-low-priority policy")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print the per-tenant table for every seed")
     return parser.parse_args(argv)
@@ -134,7 +131,6 @@ def run_soak(seed: int, args) -> Tuple[SchedSummary, List[str], float]:
     scheduler = StreamScheduler(
         machine,
         backfill=not args.no_backfill,
-        preempt=args.preempt,
         spare_pool=args.spare_pool,
     )
     specs = [FAMILY_SPECS[f] for f in families]

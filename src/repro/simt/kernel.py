@@ -73,9 +73,10 @@ Hot-path notes (this is the innermost loop of every simulation):
   by the property) -- no ``len()`` on the push path.
 * :meth:`Event.cancel` withdraws an event that will never fire so dead
   waiters (killed processes) leave no live-looking tombstones in
-  whatever queue holds them.  The one queue that must hear of it, the
-  matching engine, overrides ``cancel`` on its posted receive
-  (``net.matching``) and keys its lazy sweeps off that.
+  whatever queue holds them.  No subclass overrides it and no queue
+  hears of it: the matching engine reads a posted receive's slots and
+  prunes a withdrawn one when it reaches a bucket head
+  (``net.matching``).
 """
 
 from __future__ import annotations

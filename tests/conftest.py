@@ -1,7 +1,8 @@
 """Hypothesis settings profiles for the suite.
 
 ``deep`` runs every property at ten times hypothesis's default example
-count.  The kernel, pipe, invariant and matching oracles and the
+count.  The eight oracle suites (kernel, event, pipe, wire, matching,
+collective-model, invariant, summary), the kill lattice and the
 scheduler properties scale their ``max_examples`` with it, so ``python
 -m pytest tests/test_kernel_oracle.py --hypothesis-profile=deep`` runs
 them at ten times their tier-1 counts; tier-1 itself loads no profile.

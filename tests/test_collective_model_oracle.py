@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 from repro.models.collective_model import NetParams, collective_time
 from tests import collective_model_reference as oracle
 
+#: 1 at tier-1, 10 under ``--hypothesis-profile=deep`` (``conftest.py``)
+_SCALE = max(1, settings.default.max_examples // 100)
+
 ROOTED = ("bcast", "reduce", "gather", "scatter")
 #: kinds whose ``sizes`` is one scalar / may also be one value per rank
 SCALAR_ONLY = ("bcast", "barrier")
@@ -84,7 +87,7 @@ def both(kind, nodes, sizes, net, root=0):
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300 * _SCALE, deadline=None)
 @given(cases())
 def test_every_kind_prices_exactly_like_the_per_edge_loop(case):
     kind, nodes, sizes, root, net = case

@@ -2,7 +2,7 @@
 
 The indexed :class:`MatchingEngine` reorganised both queues into
 hash-bucket indexes; this file is the proof it kept the observable
-semantics.  Hypothesis drives the indexed engine and the pre-refactor
+semantics.  Hypothesis drives the indexed engine and the linear-scan
 :class:`ReferenceMatchingEngine` with the *same* random sequence of
 post / deliver / probe / cancel / reset operations and asserts:
 
@@ -13,20 +13,16 @@ post / deliver / probe / cancel / reset operations and asserts:
   reset ``(cancelled, purged)`` tuples);
 * FIFO non-overtaking -- concrete-pattern receives match envelopes of
   their pattern in delivery order;
-* identical counters.  ``swept_dead``/``posted_count`` are
-  deliberately *excluded*, and ``pruned_dead`` is held to a bracket:
-  the indexed engine's background compaction retires dead entries the
-  linear engine only prunes when a delivery walks over them, so the
-  split between "pruned" and "swept" differs even though the set of
-  dead entries removed is the same.  With nothing swept the two
-  ``pruned_dead`` are equal.
+* identical counters, ``pruned_dead`` and ``posted_count`` included:
+  both engines prune a dead receive exactly when a delivery it matches
+  comes before any live receive that delivery could take;
+* after every operation, each waiting arrival is filed once: the
+  unexpected index's deques sum to ``unexpected_count``.
 
-The indexed engine probes what was posted: until its first wildcard
-``post`` / ``probe`` it files arrivals under, and consults, the exact
-key alone, and builds the three wildcard indexes from what is waiting
-when that first wildcard comes.  ``_LATE_WILDCARD_OPS`` puts that
-moment after a drawn run of exact-only traffic (unexpected arrivals,
-claims, cancellations, forced sweeps, resets) -- the general ``_OPS``
+The indexed engine consults the four posted buckets of a delivery
+only while a wildcard receive is filed.  ``_LATE_WILDCARD_OPS`` puts
+the first wildcard after a drawn run of exact-only traffic (unexpected
+arrivals, claims, cancellations, resets) -- the general ``_OPS``
 usually draw a wildcard within the first few operations.
 """
 
@@ -65,7 +61,6 @@ _EXACT_OP = st.one_of(
     st.tuples(st.just("deliver"), _SOURCES, _TAGS, _COMMS),  # twice as likely
     st.tuples(st.just("probe"), _SOURCES, _TAGS, _COMMS),
     st.tuples(st.just("cancel"), st.integers(0, 2**30)),
-    st.tuples(st.just("sweep")),
     st.tuples(st.just("reset")),
 )
 _WILDCARD_PATTERN = st.one_of(
@@ -78,7 +73,7 @@ _FIRST_WILDCARD = st.tuples(
 _LATE_WILDCARD_OPS = st.tuples(
     st.lists(_EXACT_OP, max_size=80),
     _FIRST_WILDCARD,
-    st.lists(st.one_of(_OP, st.tuples(st.just("sweep"))), max_size=60),
+    st.lists(_OP, max_size=60),
 ).map(lambda parts: parts[0] + [parts[1]] + parts[2])
 
 #: counters that must agree exactly between the two engines
@@ -86,6 +81,7 @@ _COMPARED_COUNTERS = (
     "delivered",
     "matched_posted",
     "matched_unexpected",
+    "pruned_dead",
     "cancelled_total",
     "purged_total",
 )
@@ -122,11 +118,10 @@ def _run_engine(engine_cls, ops):
             if posts:
                 idx = op[1] % len(posts)
                 trace.append(("cancel", idx, posts[idx][0].cancel()))
-        elif kind == "sweep":
-            if engine_cls is MatchingEngine:  # the oracle has nothing to sweep
-                eng._sweep()
         else:  # reset
             trace.append(("reset", eng.reset()))
+        if engine_cls is MatchingEngine:
+            _assert_filed_once(eng)
         sim.run()  # drain match callbacks so `triggered` settles per op
     outcomes = []
     for evt, src, tag, comm in posts:
@@ -142,7 +137,25 @@ def _run_engine(engine_cls, ops):
     counters = {name: getattr(eng, name) for name in _COMPARED_COUNTERS}
     counters["unexpected_count"] = eng.unexpected_count
     counters["pending_posted"] = eng.pending_posted
+    counters["posted_count"] = eng.posted_count
     return trace, outcomes, counters, eng
+
+
+def _assert_filed_once(eng):
+    """Each waiting arrival sits in one deque, under its exact key; an
+    emptied key is gone; ``_wild_posted`` counts the receives filed
+    under a wildcard key."""
+    assert (sum(len(dq) for dq in eng._unexpected.values())
+            == eng.unexpected_count)
+    assert all(eng._unexpected.values())
+    assert all(env.comm_id == key[0] and env.src == key[1]
+               and env.tag == key[2]
+               for key, dq in eng._unexpected.items() for _n, env in dq)
+    assert eng._wild_posted == sum(
+        1 if bucket.__class__ is not deque else len(bucket)
+        for key, bucket in eng._posted.items()
+        if key[1] == ANY_SOURCE or key[2] == ANY_TAG
+    )
 
 
 def _assert_conforms(ops):
@@ -151,11 +164,6 @@ def _assert_conforms(ops):
     assert indexed[0] == reference[0], "inline probe/cancel/reset traces differ"
     assert indexed[1] == reference[1], "per-post match outcomes differ"
     assert indexed[2] == reference[2], "counters differ"
-    eng, ref = indexed[3], reference[3]
-    # every corpse the oracle's deliveries walked over was pruned or
-    # had been swept; equal when nothing was swept
-    assert (eng.pruned_dead <= ref.pruned_dead
-            <= eng.pruned_dead + eng.swept_dead)
 
 
 @settings(max_examples=200 * _SCALE, deadline=None)
@@ -165,24 +173,39 @@ def _assert_conforms(ops):
 @example(ops=[("post", 0, 1, 0), ("post", 0, 1, 0), ("deliver", 0, 1, 0),
               ("deliver", 0, 1, 0), ("post", 0, 1, 0), ("deliver", 0, 1, 0),
               ("deliver", 0, 1, 0)])
-# a dead single record pruned by a delivery; one swept, then one left
-# alone in a swept deque
+# a dead single record pruned by a delivery; a dead deque head pruned
+# with the live record behind it taking the envelope
 @example(ops=[("post", 0, 1, 0), ("cancel", 0), ("deliver", 0, 1, 0),
               ("post", 0, 1, 0)])
-@example(ops=[("post", 1, 1, 0), ("cancel", 0), ("sweep",),
-              ("deliver", 1, 1, 0), ("post", 2, 0, 0), ("post", 2, 0, 0),
-              ("cancel", 1), ("sweep",), ("deliver", 2, 0, 0),
-              ("deliver", 2, 0, 0)])
+@example(ops=[("post", 1, 1, 0), ("cancel", 0), ("deliver", 1, 1, 0),
+              ("post", 2, 0, 0), ("post", 2, 0, 0), ("cancel", 1),
+              ("deliver", 2, 0, 0), ("deliver", 2, 0, 0)])
 # a reset over single and deque buckets mixed
 @example(ops=[("post", 0, 0, 0), ("post", 1, 0, 0), ("post", 1, 0, 0),
               ("post", 2, 1, 1), ("cancel", 1), ("reset",),
               ("deliver", 1, 0, 0), ("post", 1, 0, 0)])
-# the first wildcard post opens over single-record buckets: deliveries
+# the first wildcard post lands over single-record buckets: deliveries
 # compare their heads with the wildcard bucket's
 @example(ops=[("post", 0, 0, 0), ("post", 1, 0, 0), ("deliver", 2, 0, 0),
               ("post", ANY_SOURCE, 0, 0), ("post", 1, ANY_TAG, 0),
               ("deliver", 1, 0, 0), ("deliver", 1, 0, 0),
               ("deliver", 0, 0, 0), ("deliver", 3, 0, 0)])
+# a wildcard post over several exact heads takes the oldest, across
+# sources and tags, never another comm's
+@example(ops=[("deliver", 2, 1, 0), ("deliver", 0, 1, 0), ("deliver", 1, 0, 0),
+              ("deliver", 0, 1, 0), ("deliver", 3, 1, 1),
+              ("probe", ANY_SOURCE, 1, 0), ("post", ANY_SOURCE, 1, 0),
+              ("post", ANY_SOURCE, 1, 0), ("post", 0, ANY_TAG, 0),
+              ("post", ANY_SOURCE, ANY_TAG, 0), ("probe", ANY_SOURCE, ANY_TAG, 0),
+              ("probe", ANY_SOURCE, ANY_TAG, 1)])
+# a drained wildcard receive returns deliveries to the exact key alone
+@example(ops=[("post", ANY_SOURCE, 0, 0), ("post", 1, 0, 0),
+              ("deliver", 1, 0, 0), ("deliver", 1, 0, 0), ("deliver", 2, 0, 0),
+              ("post", ANY_SOURCE, 0, 0)])
+# a dead wildcard head is pruned, and a live exact receive behind it
+# takes the envelope
+@example(ops=[("post", ANY_SOURCE, 0, 0), ("cancel", 0), ("post", 1, 0, 0),
+              ("deliver", 1, 0, 0), ("deliver", 1, 0, 0)])
 def test_indexed_engine_matches_linear_oracle(ops):
     _assert_conforms(ops)
 
@@ -224,15 +247,15 @@ def _wildcard_keys(eng):
 
 
 def test_first_wildcard_takes_waiting_arrivals_in_arrival_order():
-    """FIFO across sources: the indexes built at the first wildcard are
-    in arrival order, not bucket order, and hold no claimed arrival."""
+    """FIFO across sources: a wildcard post takes the oldest waiting
+    exact head it matches -- arrival order, not key order -- and never
+    a claimed arrival; nothing is keyed under a wildcard."""
     sim = Simulator()
     eng = MatchingEngine(sim)
     for n, (src, tag) in enumerate([(2, 1), (0, 1), (3, 0), (1, 1), (0, 1)]):
         _deliver(eng, src, tag, n)
     claimed = eng.post(0, 1, 0)  # the older of source 0's two
-    eng._sweep()
-    assert not _wildcard_keys(eng)
+    assert not _wildcard_keys(eng) and len(eng._unexpected) == 4
     got = [eng.post(ANY_SOURCE, 1, 0) for _ in range(3)]
     rest = [eng.post(ANY_SOURCE, ANY_TAG, 0), eng.post(3, ANY_TAG, 0)]
     sim.run()
@@ -240,6 +263,7 @@ def test_first_wildcard_takes_waiting_arrivals_in_arrival_order():
     assert [evt.value.data for evt in got] == [0, 3, 4]
     assert rest[0].value.data == 2 and not rest[1].triggered
     assert eng.matched_unexpected == 5 and eng.unexpected_count == 0
+    assert not eng._unexpected and eng._wild_posted == 1  # rest[1] waits
 
 
 def test_an_engine_that_never_sees_a_wildcard_never_keys_one():
@@ -258,18 +282,29 @@ def test_an_engine_that_never_sees_a_wildcard_never_keys_one():
             eng.probe((src + 1) % 4, tag, comm)
         if n == 150:
             eng.reset()
-        assert not _wildcard_keys(eng)
+        assert not _wildcard_keys(eng) and eng._wild_posted == 0
         sim.run()
     assert eng.matched_unexpected and eng.matched_posted and eng.unexpected_count
-    # the first wildcard, here a probe, keys every waiting arrival four ways
+    # a wildcard probe or post keys nothing new: each arrival is keyed
+    # once, under its exact key
     waiting = eng.unexpected_count
     assert eng.probe(ANY_SOURCE, ANY_TAG, 0) is not None
-    assert sum(len(dq) for dq in eng._unexpected.values()) == 4 * waiting
-    assert eng.unexpected_count == waiting
-    # a reset empties both queues: back to exact keys only
+    taken = eng.post(ANY_SOURCE, ANY_TAG, 0)
+    assert taken.triggered and eng.unexpected_count == waiting - 1
+    assert sum(len(dq) for dq in eng._unexpected.values()) == waiting - 1
+    assert not _wildcard_keys(eng)
+    # a filed wildcard receive opens the four-key walk until it drains
+    while eng.probe(ANY_SOURCE, ANY_TAG, 1) is not None:
+        eng.post(ANY_SOURCE, ANY_TAG, 1)
+    wild = eng.post(ANY_SOURCE, ANY_TAG, 1)
+    assert eng._wild_posted == 1
+    _deliver(eng, 2, 2, "wild", comm=1)
+    sim.run()
+    assert wild.value.data == "wild" and eng._wild_posted == 0
+    assert not _wildcard_keys(eng)
+    eng.post(ANY_SOURCE, 0, 0)
     eng.reset()
-    _deliver(eng, 1, 1, "late")
-    assert not _wildcard_keys(eng) and eng.unexpected_count == 1
+    assert eng._wild_posted == 0 and not eng._posted and not eng._unexpected
 
 
 def test_a_bucket_is_its_record_until_a_second_receive_shares_the_key():
@@ -289,12 +324,11 @@ def test_a_bucket_is_its_record_until_a_second_receive_shares_the_key():
     assert not eng._posted
     sim.run()
     assert [e.value.data for e in (first, second, lone)] == ["a", "b", "c"]
-    # a sweep that leaves one live record stores it bare again
+    # a delivery prunes a dead head and gives the envelope to the live
+    # record behind it, and the key goes with it
     dead, live = eng.post(3, 0, 0), eng.post(3, 0, 0)
     dead.cancel()
-    eng._sweep()
-    assert type(eng._posted[(0, 3, 0)]).__name__ == "_PostedRecv"
-    assert eng.swept_dead == 1 and eng.pending_posted == 1
+    assert eng.posted_count == 2 and eng.pending_posted == 1
     _deliver(eng, 3, 0, "d")
     sim.run()
-    assert live.value.data == "d" and not eng._posted
+    assert live.value.data == "d" and eng.pruned_dead == 1 and not eng._posted

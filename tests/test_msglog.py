@@ -164,7 +164,7 @@ def test_rewind_purges_the_live_matching_queue():
     plane._rewind(1, None, matching)
     # The queued copy is gone and its lseq erased from ``seen``: the
     # replay is now the unique source of that logical message.
-    assert matching._unexpected_live == 0
+    assert matching.unexpected_count == 0
     assert plane.channels[1].seen == set()
     assert accept(env) is True
 

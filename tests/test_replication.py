@@ -53,6 +53,9 @@ class _StubCtx:
         self.epoch = 0
         self.matching = MatchingEngine(Simulator())
 
+    def close(self):
+        self.closed = True
+
 
 class _StubTransport:
     """Records every send the plane makes: ``(src ctx, dst addr, env)``."""
@@ -433,6 +436,73 @@ def test_replica_tier_kill_rearms_without_promotion():
     assert names.count("ckpt.restore.begin") == 0
     assert names.count("repl.standby.register") == 2
     assert _violations(tracer) == []
+
+
+def test_a_replaced_copy_leaves_no_channel_or_endpoint_behind():
+    # Ten node kills, each taking one copy of one rank: every
+    # replacement adopts the dead copy's slot, and the plane's channel
+    # table and the transport's endpoint registry keep one entry per
+    # live copy instead of one per incarnation ever booted.
+    iters = 60
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(12), RngRegistry(0))
+    job = FmiJob(
+        machine, bsp_app(iters, work_s=0.5), num_ranks=4, procs_per_node=1,
+        config=FmiConfig(interval=1, xor_group_size=4, recovery="replicated",
+                         spare_nodes=2),
+    )
+    done = job.launch()
+    plane = job.recovery
+    sizes = []
+
+    def killer():
+        for i in range(10):
+            yield sim.timeout(2.9)
+            sizes.append((len(plane.channels), len(job.transport._registry)))
+            cps = plane.copies[i % 4]
+            cps[i % 2 if i % 2 in cps else min(cps)].node.crash("injected")
+
+    sim.spawn(killer())
+    results = sim.run(until=done)
+    sizes.append((len(plane.channels), len(job.transport._registry)))
+    assert sizes == [(8, 8)] * 11
+    for rank, u in enumerate(results):
+        assert np.array_equal(u, expected_bsp_state(rank, 4, iters))
+
+
+def test_a_replaced_standby_leaves_no_record_to_fall_back_over():
+    # A re-arming standby dies before it syncs and its replacement
+    # re-arms in turn: the dead copy's record goes with its channel
+    # state, so the fallback that the lead's death then forces walks
+    # the live standby's record alone.
+    iters = 30
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(16), RngRegistry(0))
+    job = FmiJob(
+        machine, bsp_app(iters, work_s=0.3), num_ranks=4, procs_per_node=1,
+        config=FmiConfig(interval=1, xor_group_size=4, recovery="replicated",
+                         spare_nodes=3),
+    )
+    done = job.launch()
+    plane = job.recovery
+    waiting = []
+
+    def killer():
+        yield sim.timeout(1.0)
+        plane.copies[0][0].node.crash("injected")
+        yield sim.timeout(0.3)
+        (rec,) = plane.standby_recs.values()
+        plane.copies[rec.rank][rec.copy].node.crash("injected")
+        yield sim.timeout(0.2)
+        waiting.append((list(plane.standby_recs), plane.copies[0][0].ctx))
+        job.rank_procs[0].node.crash("injected")
+
+    sim.spawn(killer())
+    results = sim.run(until=done)
+    (recs, replacement), = waiting
+    assert recs == [replacement]
+    for rank, u in enumerate(results):
+        assert np.array_equal(u, expected_bsp_state(rank, 4, iters))
 
 
 def test_kill_both_copies_falls_back_to_coordinated_restore():

@@ -347,16 +347,15 @@ def test_cancelled_event_on_heap_never_fires():
 
 
 def test_cancel_hook_runs_synchronously():
-    # the one record with a hook: a posted receive reports its cancel to
-    # its engine, as one more dead entry for the lazy sweep
+    # a posted receive keeps no hook of its own: the cancel withdraws it
+    # at once, the engine sees it not pending, and a second is refused
     engine = MatchingEngine(Simulator())
     rec = engine.post(0, 7, 0)
-    assert engine._sweep_debt == 0
+    assert engine.pending_posted == 1
     assert rec.cancel()
-    assert engine._sweep_debt == 1
-    # a second (refused) cancel never reports again
+    assert rec.cancelled and engine.pending_posted == 0
+    assert engine.posted_count == 1  # pruned when a delivery reaches it
     assert not rec.cancel()
-    assert engine._sweep_debt == 1
 
 
 # ---------------------------------------------------------- run stats

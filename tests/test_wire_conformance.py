@@ -40,6 +40,9 @@ from repro.simt.rng import RngRegistry
 from tests.schedule_recorder import RecordingSimulator
 from tests.wire_reference import ReferenceFabric
 
+#: 1 at tier-1, 10 under ``--hypothesis-profile=deep`` (``conftest.py``)
+_SCALE = max(1, settings.default.max_examples // 100)
+
 NODES = 4
 NET = SIERRA.network
 US = 1e-6
@@ -144,13 +147,13 @@ def _assert_conforms(ops):
     return got
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200 * _SCALE, deadline=None)
 @given(ops=st.lists(_OP, min_size=1, max_size=16))
 def test_every_message_arrives_where_the_event_per_stage_wire_delivers_it(ops):
     _assert_conforms(ops)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50 * _SCALE, deadline=None)
 @given(
     sizes=st.lists(_SIZE, min_size=1, max_size=12),
     at=_SEND_AT,
