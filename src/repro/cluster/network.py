@@ -86,8 +86,8 @@ class _Wire(Event):
     def start(self, _head: Event) -> None:
         """Sender overhead paid: the bytes enter both NIC pipes."""
         nbytes = self.nbytes
-        self.src.nic_tx._start(nbytes, self)
-        self.dst.nic_rx._start(nbytes, self)
+        self.src.nic_tx._change(None, nbytes, self)
+        self.dst.nic_rx._change(None, nbytes, self)
 
     def succeed(self, _value: None) -> None:
         """A pipe drained this wire's flow.  When both have: wire

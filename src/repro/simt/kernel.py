@@ -29,7 +29,8 @@ Hot-path notes (this is the innermost loop of every simulation):
 * :meth:`Event.succeed` and :class:`Timeout` -- together nearly every
   schedule of a run -- carry their own copy of the push instead of
   calling :meth:`Simulator._push`, and so do the wire's landing
-  (``cluster.network``) and a process's wakes (``simt.process``): a
+  (``cluster.network``), a pipe's entries and overhead timers
+  (``simt.resources``) and a process's wakes (``simt.process``): a
   Python frame per event is the largest single cost left in the loop.
   ``_push`` remains the general path (``fail``, delayed ``succeed``,
   ``Process``, ``BulkCompletion``).
@@ -42,7 +43,7 @@ Hot-path notes (this is the innermost loop of every simulation):
   ``tests/test_golden_order.py`` pins the resulting order.
 * **A per-message record is its own event.**  What the messaging path
   keeps per message -- a posted receive, a send's completion, the
-  wire's arrival, a transfer paying its overhead, a process's wake --
+  wire's arrival, a transfer and its overhead timer, a process's wake --
   is an ``Event`` subclass whose class sets ``__init__ =
   object.__init__``: building one is no Python frame.  The one site
   that builds it fills the six slots ``Event.__init__`` would

@@ -13,30 +13,39 @@ Hot-path notes (twelve ranks per node start and finish flows on the
 same pipe all the time; on a checkpointing run this file is entered
 once per message part):
 
-* **One armed entry per pipe.**  Every change of the flow set moves
-  the completion deadline, but only the newest deadline ever does any
-  work.  So a change always *reserves* its place in the kernel's order
-  -- it computes the absolute deadline and takes the next sequence
-  number, exactly as a fresh ``Timeout`` would -- and reaches the heap
-  only when it has to: no entry is armed, or the new deadline is
-  earlier than the armed one (which then pops inert), or the deadline
-  is the current instant (the immediate queue).  Otherwise the armed
-  entry stays, and when it pops ahead of the reserved ``(when, seq)``
-  it touches no pipe state and pushes itself back at exactly that
-  reserved position.  The live :meth:`~BandwidthResource._on_timer`
-  therefore runs at the heap position it always had, with the floats it
-  always saw; what is gone are entries that dispatched nothing.
-  ``tests/pipe_reference.py`` keeps the arm-on-every-change pipe as the
-  oracle for this.
-* The bookkeeping lives in the frame that needs it: the progress
-  update is written out in :meth:`~BandwidthResource._start` and
-  ``_on_timer``, the flow count comes out of the scan that finds the
-  next deadline, a flow has no constructor, and the pipe pushes its own
-  heap entries -- which is why the not-a-number guards sit on the
-  public arguments here rather than in ``Timeout``.
-* No closure per transfer: a flow that first pays a fixed overhead
-  waits as a slotted :class:`_DelayedStart` on its overhead timer, and
-  that record is the transfer's event too.
+* **A change of the flow set is one frame.**  A flow's start, its
+  deadline's pop, the end of a transfer's overhead and a capacity
+  change all run :meth:`~BandwidthResource._change`, which does three
+  things in order: apply the progress accrued since the last change
+  (fused with the scan for the flow count and the earliest finisher),
+  add the new flow or drain the finished ones, and re-arm the pipe.
+  The kernel dispatches it directly -- it is the callback of the
+  pipe's deadline entry and of every overhead timer -- and the wire
+  (``cluster.network``), :meth:`~BandwidthResource.transfer` and
+  :meth:`~BandwidthResource.set_capacity` call it.
+* **One armed entry per pipe.**  Every change moves the completion
+  deadline, but only the newest deadline ever does any work.  So a
+  change always *reserves* its place in the kernel's order -- it
+  computes the absolute deadline and takes the next sequence number,
+  exactly as a fresh ``Timeout`` would -- and reaches the heap only
+  when it has to: no entry is armed, or the new deadline is earlier
+  than the armed one (which then pops inert), or the deadline is the
+  current instant (the immediate queue).  Otherwise the armed entry
+  stays, and when it pops ahead of the reserved ``(when, seq)`` it
+  touches no flow and pushes itself back at exactly that reserved
+  position.  The live drain therefore runs at the heap position it
+  always had, with the floats it always saw; what is gone are entries
+  that dispatched nothing.  ``tests/pipe_reference.py`` keeps the
+  arm-on-every-change pipe as the oracle for this.
+* **No frame but the change.**  A flow has no constructor, the flow
+  count comes out of the progress scan, and the pipe pushes its own
+  heap entries -- which is why the not-a-number and infinity guards
+  sit on the public arguments here rather than in ``Timeout``.  A
+  transfer's completion event is a slotted :class:`_Transfer`, and a
+  transfer that first pays a fixed overhead waits as a slotted
+  :class:`_DelayedStart` timer pushed inline, at the ``(when, seq)`` a
+  ``Timeout`` would take; both are built with no Python frame
+  (``simt.kernel`` has the rule), and no closure waits per transfer.
 """
 
 from __future__ import annotations
@@ -44,13 +53,13 @@ from __future__ import annotations
 from heapq import heappush
 from typing import List, Optional
 
-from repro.simt.kernel import _INF, _PENDING, Event, Simulator, Timeout
+from repro.simt.kernel import _INF, _PENDING, Event, Simulator
 
 __all__ = ["BandwidthResource"]
 
 
 class _Flow:
-    """One transfer in flight; :meth:`BandwidthResource._start` fills
+    """One transfer in flight; :meth:`BandwidthResource._change` fills
     the slots (no ``__init__``: it would be a frame per message).
     ``event`` is the completion target, an :class:`Event` whose
     ``succeed`` the draining frame calls (``cluster.network``'s wire
@@ -59,23 +68,28 @@ class _Flow:
     __slots__ = ("remaining", "event", "nbytes")
 
 
-class _DelayedStart(Event):
-    """A transfer still paying its fixed overhead, and the event its
-    completion fires: the callback on the overhead timer, which then
-    enters the pipe.  A record built with no Python frame by
-    :meth:`BandwidthResource.transfer` (``simt.kernel`` has the rule),
-    not a closure -- three cells and a function object per message are
-    work for the cyclic collector, and with 16k ranks in one heap that
-    is the wall clock."""
+class _Transfer(Event):
+    """The event a :meth:`BandwidthResource.transfer` completes, built
+    with no Python frame; ``pipe`` and ``nbytes`` name it in a stalled
+    run's report."""
 
     __slots__ = ("pipe", "nbytes")
     __init__ = object.__init__
 
-    def __call__(self, _timer: Event) -> None:
-        self.pipe._start(self.nbytes, self)
-
     def _what(self) -> str:
         return f"transfer of {self.nbytes!r} B on {self.pipe.name}"
+
+
+class _DelayedStart(Event):
+    """The overhead timer of a transfer: triggered when it is built, its
+    one callback the pipe's :meth:`~BandwidthResource._change`, which
+    starts the flow of ``done`` when it pops.  A record built with no
+    Python frame, not a ``Timeout`` and a closure -- three cells and a
+    function object per message are work for the cyclic collector, and
+    with 16k ranks in one heap that is the wall clock."""
+
+    __slots__ = ("done",)
+    __init__ = object.__init__
 
 
 class BandwidthResource:
@@ -104,13 +118,12 @@ class BandwidthResource:
         self.name = name
         self._flows: List[_Flow] = []
         self._last = sim.now
-        #: bytes/second per flow, as of the last :meth:`_reschedule`
-        #: that found flows (the flow set and the capacity cannot
-        #: change without one)
+        #: bytes/second per flow, as of the last change that found
+        #: flows (the flow set and the capacity cannot change without one)
         self._rate = 0.0
         # -- the one armed entry (see the module docstring) --
         #: the one callback every entry of this pipe carries in its slot
-        self._fire = self._on_timer
+        self._fire = self._change
         #: the newest entry object; on the heap (or the immediate
         #: queue) iff ``_armed_at`` is set, free for re-use otherwise
         self._entry: Optional[Event] = None
@@ -129,24 +142,41 @@ class BandwidthResource:
         """Move ``nbytes`` through the pipe; event fires at completion."""
         if not nbytes >= 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
-        if not overhead >= 0:
-            raise ValueError(f"overhead must be >= 0, got {overhead!r}")
+        # a chained compare: NaN and inf must not reach the heap
+        if not 0.0 <= overhead < _INF:
+            raise ValueError(f"overhead must be >= 0 and finite, got {overhead!r}")
         sim = self.sim
+        done = _Transfer()
+        done.sim = sim
+        done._callbacks = ()
+        done._value = _PENDING
+        done._ok = None
+        done._processed = False
+        done._cancelled = False
+        done.pipe = self
+        done.nbytes = nbytes
         if overhead > 0:
-            # Charge the fixed overhead first, then enter the shared pipe.
-            done = _DelayedStart()
-            done.sim = sim
-            done._callbacks = ()
-            done._value = _PENDING
-            done._ok = None
-            done._processed = False
-            done._cancelled = False
-            done.pipe = self
-            done.nbytes = nbytes
-            Timeout(sim, overhead)._callbacks = done
+            # Charge the fixed overhead first, then enter the shared
+            # pipe: a Timeout's fill and push, with the pipe's callback
+            timer = _DelayedStart()
+            timer.sim = sim
+            timer._callbacks = self._fire
+            timer._value = None
+            timer._ok = True
+            timer._processed = False
+            timer._cancelled = False
+            timer.done = done
+            timer._seq = sim._seq = sim._seq + 1
+            when = sim.now + overhead
+            if when == sim.now:
+                sim._nowq.append(timer)
+            elif when in sim._at:
+                sim._at[when].append(timer)
+            else:
+                sim._at[when] = [timer]
+                heappush(sim._heap, when)
         else:
-            done = Event(sim)
-            self._start(nbytes, done)
+            self._change(None, nbytes, done)
         return done
 
     @property
@@ -163,75 +193,120 @@ class BandwidthResource:
             raise ValueError(f"capacity must be positive, got {capacity!r}")
         if capacity == self.capacity:
             return
-        self._advance()
+        # the progress so far runs at ``_rate``, the old capacity's share
         self.capacity = float(capacity)
-        self._reschedule()
+        self._change(None)
 
     def time_for(self, nbytes: float) -> float:
         """Uncontended transfer time for ``nbytes`` (planning helper)."""
         return nbytes / self.capacity
 
     # -- internals ----------------------------------------------------------------
-    def _start(self, nbytes: float, done: Event) -> None:
-        if done._callbacks is None:
-            return  # receiver abandoned before start (e.g. killed)
-        # _advance(), written out
-        now = self.sim.now
-        flows = self._flows
-        if flows and now > self._last:
-            progressed = (now - self._last) * self._rate
-            for flow in flows:
-                flow.remaining -= progressed
-        self._last = now
-        if nbytes <= self._EPS:
-            self.bytes_done += nbytes
-            done.succeed(None)
-        else:
-            flow = _Flow()
-            flow.nbytes = nbytes
-            flow.remaining = float(nbytes)
-            flow.event = done
-            flows.append(flow)
-        self._reschedule()
+    def _change(self, entry: Optional[Event], nbytes: float = 0.0,
+                done: Optional[Event] = None) -> None:
+        """One change of the flow set, in one frame (module docstring).
 
-    def _advance(self) -> None:
-        """Apply progress accrued since the last recomputation
-        (:meth:`_start` and :meth:`_on_timer` carry their own copy)."""
-        now = self.sim.now
-        flows = self._flows
-        if flows and now > self._last:
-            progressed = (now - self._last) * self._rate
-            for flow in flows:
-                flow.remaining -= progressed
-        self._last = now
-
-    def _reschedule(self) -> None:
-        """Set the completion deadline for the current flow set.
-
-        Always takes the deadline's place in the kernel's order (the
-        next sequence number); pushes an entry only when the armed one
-        cannot stand in for it -- see the module docstring.
+        ``entry`` is what the kernel popped -- the pipe's deadline entry
+        or a :class:`_DelayedStart` -- or None for a direct call: the
+        start of a flow of ``nbytes`` completing ``done``, or, with
+        neither, a capacity change.
         """
+        sim = self.sim
+        if done is None:
+            if entry.__class__ is _DelayedStart:  # its overhead is paid
+                done = entry.done
+                nbytes = done.nbytes
+            elif entry is not None and self._due_seq:
+                # Popped ahead of the deadline: touch no flow (their
+                # floats must see exactly the updates a live deadline
+                # applies) and move to the reserved *absolute* position
+                # -- ``now + delay`` would not be ``when`` in floats.
+                # That sequence number predates everything in the
+                # immediate queue, so a bucket is its place even when
+                # ``when`` is this instant.
+                seq, self._due_seq = self._due_seq, 0
+                when = self._armed_at = self._due_at
+                entry._callbacks = self._fire
+                sim._reserved -= 1
+                entry._seq = seq
+                at = sim._at
+                if when not in at:
+                    at[when] = [entry]
+                    heappush(sim._heap, when)
+                elif (at[when][-1] or entry)._seq <= seq:  # None: all walked
+                    at[when].append(entry)
+                else:
+                    sim._insert(entry, when, seq)
+                return
+        if done is not None and done._callbacks is None:
+            return  # receiver abandoned before start (e.g. killed)
+
+        # 1. The progress since the last change, fused with the scan for
+        # the flow count and the earliest finisher (x - 0.0 is x, bit
+        # for bit).
+        now = sim.now
         flows = self._flows
+        progressed = (now - self._last) * self._rate if now > self._last else 0.0
+        self._last = now
+        count = 0
+        low = _INF
+        for flow in flows:
+            remaining = flow.remaining = flow.remaining - progressed
+            count += 1
+            if remaining < low:
+                low = remaining
+
+        # 2. The new flow, or the drain of the finished ones.
         armed_at = self._armed_at
-        if not flows:
+        if done is not None:
+            if nbytes <= self._EPS:
+                self.bytes_done += nbytes
+                done.succeed(None)
+            else:
+                flow = _Flow()
+                flow.nbytes = nbytes
+                remaining = flow.remaining = float(nbytes)
+                flow.event = done
+                flows.append(flow)
+                count += 1
+                if remaining < low:
+                    low = remaining
+        elif entry is not None:
+            # Popped at its deadline, which was the earliest finisher's;
+            # the entry is free for re-use.  Float residue on multi-GB
+            # flows can exceed the absolute epsilon, but that flow *is*
+            # done.
+            armed_at = self._armed_at = None
+            threshold = self._EPS if low <= self._EPS else low + self._EPS
+            count = 0
+            low = _INF
+            for flow in flows:
+                remaining = flow.remaining
+                if remaining > threshold:
+                    flows[count] = flow
+                    count += 1
+                    if remaining < low:
+                        low = remaining
+                else:
+                    self.bytes_done += flow.nbytes
+                    event = flow.event
+                    if event._callbacks is not None and event._value is _PENDING:
+                        event.succeed(None)
+            del flows[count:]
+
+        # 3. Re-arm: always take the deadline's place in the kernel's
+        # order (the next sequence number); push an entry only when the
+        # armed one cannot stand in for it.
+        if not count:
             if armed_at is not None:
                 self._entry._callbacks = None  # still pops, inert
                 self._entry = self._armed_at = None
                 self._due_seq = 0
             return
-        count = 0
-        min_remaining = flows[0].remaining
-        for flow in flows:
-            count += 1
-            if flow.remaining < min_remaining:
-                min_remaining = flow.remaining
         rate = self._rate = self.capacity / count
-        sim = self.sim
-        now = sim.now
-        # The larger of min_remaining and 0.0, without the call (like
-        # the builtin it keeps a -0.0, which gives the same ``when``)
-        when = now + (0.0 if min_remaining < 0.0 else min_remaining) / rate
+        # The larger of low and 0.0, without the call (like the builtin
+        # it keeps a -0.0, which gives the same ``when``)
+        when = now + (0.0 if low < 0.0 else low) / rate
         if not now <= when < _INF:  # inf bytes, or through an inf pipe
             raise ValueError(f"{self.name}: completion time is {when!r}")
         seq = sim._seq = sim._seq + 1
@@ -263,56 +338,3 @@ class BandwidthResource:
         else:
             sim._at[when] = [entry]
             heappush(sim._heap, when)
-
-    def _on_timer(self, entry: Event) -> None:
-        sim = self.sim
-        seq = self._due_seq
-        if seq:
-            # Popped ahead of the deadline: touch no flow (their floats
-            # must see exactly the updates a live timer applies) and
-            # move to the reserved *absolute* position -- ``now + delay``
-            # would not be ``when`` in floats.  That sequence number
-            # predates everything in the immediate queue, so a bucket
-            # is its place even when ``when`` is this instant.
-            self._due_seq = 0
-            when = self._armed_at = self._due_at
-            entry._callbacks = self._fire
-            sim._reserved -= 1
-            entry._seq = seq
-            at = sim._at
-            if when not in at:
-                at[when] = [entry]
-                heappush(sim._heap, when)
-            elif (at[when][-1] or entry)._seq <= seq:  # None: all walked
-                at[when].append(entry)
-            else:
-                sim._insert(entry, when, seq)
-            return
-        self._armed_at = None  # popped at its deadline; free for re-use
-        # _advance(), written out and fused with the scan for the flow
-        # this deadline was set for (x - 0.0 is x, bit for bit)
-        now = sim.now
-        flows = self._flows
-        progressed = (now - self._last) * self._rate if now > self._last else 0.0
-        self._last = now
-        low = flows[0].remaining - progressed
-        for flow in flows:
-            remaining = flow.remaining = flow.remaining - progressed
-            if remaining < low:
-                low = remaining
-        # Float residue on multi-GB flows can exceed the absolute
-        # epsilon; but this deadline was exactly the minimum-remaining
-        # flow's, so that flow *is* done.
-        threshold = self._EPS if low <= self._EPS else low + self._EPS
-        kept = 0
-        for flow in flows:
-            if flow.remaining > threshold:
-                flows[kept] = flow
-                kept += 1
-            else:
-                self.bytes_done += flow.nbytes
-                event = flow.event
-                if event._callbacks is not None and event._value is _PENDING:
-                    event.succeed(None)
-        del flows[kept:]
-        self._reschedule()

@@ -62,7 +62,7 @@ class RecordingSimulator(Simulator):
                     self.now = limit_time
                     break
             for callback in event.callbacks or ():
-                self._record(when, callback)
+                self._record(when, callback, event)
             self.step()
             steps += 1
             if max_events is not None and steps >= max_events:
@@ -73,13 +73,19 @@ class RecordingSimulator(Simulator):
             return limit_event.value
         return None
 
-    def _record(self, when, callback):
+    def _record(self, when, callback, event):
         owner = getattr(callback, "__self__", None)
         name = getattr(callback, "__name__", "")
         if isinstance(owner, Process):
             kind, identity = "process." + name, owner.name
         elif isinstance(owner, BandwidthResource):
-            kind, identity = "pipe." + name, owner.name
+            # one pipe method takes both pops; the labels, which the
+            # golden digests hash, name the entry
+            if type(event).__name__ == "_DelayedStart":
+                kind = "delayed-start"
+                identity = (owner.name, repr(event.done.nbytes))
+            else:
+                kind, identity = "pipe._on_timer", owner.name
         elif type(owner).__name__ == "_Wire":
             if name in self.UNRECORDED:
                 return
@@ -90,9 +96,6 @@ class RecordingSimulator(Simulator):
             kind = "arrival"
             identity = (env.src, env.dst, env.tag,
                         self._envs.setdefault(env, len(self._envs)))
-        elif type(callback).__name__ == "_DelayedStart":
-            kind = "delayed-start"
-            identity = (callback.pipe.name, repr(callback.nbytes))
         else:
             kind = getattr(callback, "__qualname__", type(callback).__qualname__)
             identity = ""

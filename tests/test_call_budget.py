@@ -58,6 +58,11 @@ the next row                            946    97.2          9.7
 hand-offs nest: FMI_Loop hands off its
 restore, checkpoint decision and
 checkpoint                              911    97.2          9.4
+the same, re-read on the parent of
+the next row                            904    97.2          9.3
+a pipe change is one frame: a flow's
+start, its deadline's pop and an
+overhead timer's pop enter one method   852    97.2          8.8
 ====================================  =====  ======  ===========
 
 The ceilings sit ~12 % above the last row (events: 8 %, below the 106
@@ -91,6 +96,11 @@ the envelope (``send_async`` itself and ``Envelope.__init__``; 9 before)
 ``MatchingEngine.post`` -- 2 (5 before).  A clean delivery (posted
 first, exact pattern, no wildcard seen by the engine) probes one
 bucket: one ``dict.get`` inside ``deliver`` (4 before), budget 2.
+**The pipe** is budgeted in frames of ``simt.resources``: a flow's
+start, its deadline's pop and the pop of a transfer's overhead timer
+each enter one (``_change``; two, two and three before), and a
+transfer that pays an overhead arms its timer in its own frame (a
+``Timeout.__init__`` before).
 
 **Watching** the same run -- a ``Tracer`` and a ``MetricsRegistry``
 attached -- is pinned as the *excess* of profiled calls, observed
@@ -187,6 +197,11 @@ the same, re-read on the parent
 of the next row                         74.2    7.38     17.3    0.0   2,796
 a process without a kill flag (one
 slot less)                              74.2    7.38     17.3    0.0   2,788
+the same, re-read on the parent
+of the next row                         74.2    7.38     17.3    0.0   2,756
+a pipe change is one frame (the
+ring's wires enter each NIC pipe in
+one frame, and drain in one)            71.0    7.38     17.3    0.0   2,733
 =====================================  =====  ======  =======  =====  ======
 
 The event count is an equality: PR 19's diet was not allowed to move
@@ -207,7 +222,9 @@ same three, and the first table's calls and calls/event, the same way.
 So did the records row; the event ceilings stay, as the events did.
 The nested hand-offs' row lowered the first table's calls and
 calls/event ceilings and the macro calls and traced ones, ~12 % above
-it again (tracked: 19.4 already was).
+it again (tracked: 19.4 already was).  The one-frame pipe's row
+lowered the first table's calls and calls/event ceilings and the macro
+calls one the same way.
 """
 
 import cProfile
@@ -215,6 +232,7 @@ import gc
 import pstats
 import sys
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -230,15 +248,16 @@ from repro.net.matching import MatchingEngine
 from repro.net.message import Envelope
 from repro.net.transport import Transport
 from repro.obs import MetricsRegistry, Tracer
-from repro.simt import Simulator
+from repro.simt import BandwidthResource, Simulator
+from repro.simt import resources
 from repro.simt.rng import RngRegistry
 
 RANKS, ITERATIONS = 24, 8
-CALLS_PER_RANK_ITERATION = 1020.0
+CALLS_PER_RANK_ITERATION = 955.0
 EVENTS_PER_RANK_ITERATION = 105.0
 #: below the 18.1 this run cost before the diet, so that neither half
 #: can drift back while the other hides it
-CALLS_PER_EVENT = 10.5
+CALLS_PER_EVENT = 9.8
 #: entries of ``FmiContext.loop``: 3.75 handed off, 23.6 forwarding
 LOOP_ENTRIES_PER_RANK_ITERATION = 4.2
 #: calls a tracer and a metrics registry add to the run, in all: 6,707
@@ -395,9 +414,53 @@ def test_a_clean_delivery_probes_one_bucket():
     assert 0 < from_deliver / len(envs) <= 2, from_deliver
 
 
+# ------------------------------------------------------------------- pipe
+def _entered(call, module=None):
+    """Names of the Python frames entered while ``call()`` runs, of
+    ``module``'s code only when one is given."""
+    names = []
+
+    def on_event(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and (module is None
+                                or code.co_filename == module.__file__):
+            names.append(code.co_name)
+
+    sys.setprofile(on_event)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def test_a_pipe_change_is_one_frame():
+    # a flow's start: the wire's head pops and enters each NIC pipe once
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(2), RngRegistry(14))
+    src, dst = machine.node(0), machine.node(1)
+    machine.fabric.send(src, dst, 8.0)
+    assert _entered(sim.step, resources) == ["_change", "_change"]
+    assert src.nic_tx.active_flows == dst.nic_rx.active_flows == 1
+    # a deadline's pop drains its flow in the one frame
+    assert _entered(sim.step, resources) == ["_change"]
+    assert src.nic_tx.active_flows == 0 and src.nic_tx.bytes_done == 8.0
+
+    # an overhead: the timer is armed in the caller's frame, and its
+    # pop starts the flow in the one frame
+    sim = Simulator()
+    pipe = BandwidthResource(sim, 1e9, name="mem")
+    assert _entered(partial(pipe.transfer, 8.0, 1e-6)) == ["transfer"]
+    assert _entered(sim.step, resources) == ["_change"]
+    assert pipe.active_flows == 1
+    assert _entered(sim.step, resources) == ["_change"]
+    assert pipe.active_flows == 0 and pipe.bytes_done == 8.0
+    assert _entered(partial(pipe.transfer, 8.0)) == ["transfer", "_change"]
+
+
 # ------------------------------------------------------------- macro tier
 MACRO_RANKS, MACRO_ROUNDS, MACRO_PPN = 1024, 2, 16
-MACRO_CALLS_PER_RANK_ROUND = 83.0
+MACRO_CALLS_PER_RANK_ROUND = 79.5
 MACRO_EVENTS = 15_108  # 7.38 per rank-round
 MACRO_TRACKED_PER_RANK = 19.4 if sys.version_info >= (3, 11) else 40.0
 MACRO_CELLS_PER_RANK = 1.0

@@ -1,8 +1,9 @@
 """A message's records are its events.
 
 The messaging path keeps one record per message at each layer -- a
-posted receive, a send's completion, the wire's arrival, a transfer
-paying its overhead -- and a process one wake per bootstrap or relay.
+posted receive, a send's completion, the wire's arrival, a transfer's
+completion and its overhead timer -- and a process one wake per
+bootstrap or relay.
 Each is an ``Event`` subclass built with no Python frame
 (``__init__ = object.__init__``); the one site that builds it fills
 Event's slots itself (``simt.kernel``).  Two things can go wrong with
@@ -31,9 +32,9 @@ from repro.net.matching import MatchingEngine, _PostedRecv
 from repro.net.message import Envelope
 from repro.net.transport import _Arrival, Transport
 from repro.simt import Event, Simulator
-from repro.simt.kernel import _EVENT_CLASSES, SimulationError
+from repro.simt.kernel import _EVENT_CLASSES, SimulationError, Timeout
 from repro.simt.process import _Wake, wait_chain
-from repro.simt.resources import BandwidthResource, _DelayedStart
+from repro.simt.resources import BandwidthResource, _DelayedStart, _Transfer
 from repro.simt.rng import RngRegistry
 
 #: what ``Event.__init__`` writes: every slot but ``_seq``, which a push
@@ -88,7 +89,7 @@ def test_a_send_fills_its_completion_as_event_init_would():
     assert done.ok and dst.matching.delivered == 1
 
 
-@pytest.mark.parametrize("dst, cls", [(1, _Wire), (0, _DelayedStart)],
+@pytest.mark.parametrize("dst, cls", [(1, _Wire), (0, _Transfer)],
                          ids=["inter-node", "intra-node"])
 def test_a_fabric_send_fills_its_arrival_as_event_init_would(dst, cls):
     sim, machine = _machine()
@@ -103,10 +104,19 @@ def test_an_overhead_transfer_fills_its_event_as_event_init_would():
     sim = Simulator()
     pipe = BandwidthResource(sim, 1e6, name="bus")
     done = pipe.transfer(1e3, overhead=1e-3)
-    assert done.__class__ is _DelayedStart
+    assert done.__class__ is _Transfer
     assert _slots(done) == _fresh(sim)
-    plain = pipe.transfer(1e3)  # no overhead: a plain event
-    assert plain.__class__ is Event
+    # the overhead timer: where a Timeout would be, filled as one, with
+    # the pipe's one method as its callback
+    timer, = sim._at[sim.peek()]
+    assert timer.__class__ is _DelayedStart and timer.done is done
+    twin = Timeout(Simulator(), 1e-3)
+    assert sim.peek() == twin.sim.peek() and timer._seq == twin._seq
+    assert _slots(timer) == dict(_slots(twin), sim=sim, _callbacks=pipe._fire)
+    plain = pipe.transfer(1e3)  # no overhead: the same record, no timer
+    assert plain.__class__ is _Transfer
+    assert _slots(plain) == _fresh(sim)
+    assert sim._seq == 2  # the timer, and the plain flow's deadline
     sim.run()
     # the plain flow drains alone by 1 ms, where the delayed one starts
     assert done.ok and sim.now == pytest.approx(2e-3)
@@ -149,6 +159,8 @@ def test_no_record_refers_to_itself_at_any_step():
         machine.fabric.send(machine.node(0), machine.node(1), 1e3),
         machine.fabric.send(machine.node(0), machine.node(0), 1e3),
     ]
+    records += [entry for bucket in sim._at.values() for entry in bucket
+                if entry.__class__ is _DelayedStart]  # its overhead timer
 
     def waiter():
         yield records[0]
@@ -156,7 +168,7 @@ def test_no_record_refers_to_itself_at_any_step():
     sim.spawn(waiter(), name="p")
     records.append(sim._nowq[-1])  # its bootstrap wake
     assert [type(rec) for rec in records] == [
-        _PostedRecv, _Arrival, _Wire, _DelayedStart, _Wake]
+        _PostedRecv, _Arrival, _Wire, _Transfer, _DelayedStart, _Wake]
     steps = 0
     while True:
         for rec in records:
@@ -169,7 +181,7 @@ def test_no_record_refers_to_itself_at_any_step():
 
 
 def test_every_record_is_an_event_class_a_process_may_yield():
-    for cls in (_PostedRecv, _Arrival, _Wire, _DelayedStart, _Wake):
+    for cls in (_PostedRecv, _Arrival, _Wire, _Transfer, _DelayedStart, _Wake):
         assert cls in _EVENT_CLASSES and cls.__init__ is object.__init__
     assert Event in _EVENT_CLASSES
 

@@ -324,6 +324,9 @@ def test_process_immediate_return():
 
 
 # ---------------------------------------------------------------- hand-off
+#: 1 at tier-1, 10 under ``--hypothesis-profile=deep`` (``conftest.py``)
+_SCALE = max(1, settings.default.max_examples // 100)
+
 _DELAY = st.sampled_from([0.0, 0.5, 1.0])
 _INSTANT = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5])
 #: what a yield site catches: V a subroutine's ValueError, I an Interrupt
@@ -400,7 +403,7 @@ _STEPS = st.lists(st.tuples(_DELAY, st.booleans()), max_size=3)
 _ROUND = st.tuples(_STEPS, st.sampled_from(["return", "raise"]))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200 * _SCALE, deadline=None)
 @given(pre=st.sampled_from([0.0, 0.5]),
        rounds=st.lists(_ROUND, min_size=1, max_size=2),
        body_catches=st.booleans(),
@@ -419,7 +422,7 @@ def test_a_hand_off_behaves_as_yield_from(pre, rounds, body_catches,
     assert _run_program(True, *program) == _run_program(False, *program)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300 * _SCALE, deadline=None)
 @given(body=st.integers(1, 4).flatmap(_body),
        interrupts=st.lists(_INSTANT, max_size=3),
        kill_at=st.one_of(st.none(), _INSTANT))

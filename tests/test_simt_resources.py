@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simt import BandwidthResource, Simulator
 from repro.simt.primitives import AllOf, AnyOf
+from repro.simt.resources import _DelayedStart
 from tests.pipe_reference import ReferenceBandwidthResource
 
 
@@ -161,17 +162,19 @@ def test_bandwidth_nan_deadline_does_not_reach_the_heap():
 
 
 class _CountingPipe(BandwidthResource):
-    """Records every entry into ``_on_timer``: when, and whether the
-    entry popped ahead of its deadline (and only moved itself) or at it."""
+    """Records every pop of the pipe's deadline entry into ``_change``:
+    when, and whether the entry popped ahead of its deadline (and only
+    moved itself) or at it."""
 
     def __init__(self, sim, capacity, pops=None):
         self.pops = [] if pops is None else pops
         super().__init__(sim, capacity)
 
-    def _on_timer(self, entry):
-        kind = "early" if self._due_seq else "live"
-        self.pops.append((self.sim.now, kind))
-        super()._on_timer(entry)
+    def _change(self, entry, nbytes=0.0, done=None):
+        if entry is not None and entry.__class__ is not _DelayedStart:
+            kind = "early" if self._due_seq else "live"
+            self.pops.append((self.sim.now, kind))
+        super()._change(entry, nbytes, done)
 
 
 def test_bandwidth_flows_started_together_enter_the_timer_once():
@@ -291,14 +294,17 @@ def _delay_to(now, instant):
 
 
 def _armed_entries(sim, pipe):
-    """Entries of ``pipe`` outstanding in the kernel that can still
-    call back (an inert one has lost the pipe's callback list)."""
+    """Deadline entries of ``pipe`` outstanding in the kernel that can
+    still call back (an inert one has lost the pipe's callback; an
+    overhead timer carries it too, but is no deadline).  Reads the raw
+    slot: the ``callbacks`` property would turn it into a list."""
     queued = [entry for bucket in sim._at.values() for entry in bucket
               if entry is not None] + list(sim._nowq)
     if sim._batch is not None and sim._batch is not sim._at.get(sim.now):
         # inside run(), the rest of a queue batch being walked is queued too
         queued += [entry for entry in sim._batch if entry is not None]
-    return sum(entry.callbacks is pipe._fire for entry in queued)
+    return sum(entry._callbacks is pipe._fire
+               and entry.__class__ is not _DelayedStart for entry in queued)
 
 
 def _drive(pipe_cls, ops, instants=(), one_entry=False):

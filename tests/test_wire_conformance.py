@@ -35,7 +35,7 @@ from repro.cluster.spec import SIERRA
 from repro.net.matching import _PostedRecv
 from repro.net.transport import _Arrival, _LossyArrival
 from repro.simt.process import _Wake
-from repro.simt.resources import _DelayedStart
+from repro.simt.resources import _DelayedStart, _Transfer
 from repro.simt.rng import RngRegistry
 from tests.schedule_recorder import RecordingSimulator
 from tests.wire_reference import ReferenceFabric
@@ -259,7 +259,7 @@ def test_an_uncontended_message_costs_five_kernel_events_not_eight():
     # no per-message record has a Python-level constructor: each is
     # built without a frame and filled where it is built
     for cls in (network._Wire, _Arrival, _LossyArrival, _PostedRecv,
-                _DelayedStart, _Wake):
+                _Transfer, _DelayedStart, _Wake):
         assert cls.__init__ is object.__init__, cls
 
 
