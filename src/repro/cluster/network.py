@@ -17,9 +17,9 @@ The five stages of an inter-node message, and the frame each runs in
 (one :class:`_Wire` record carries the message through all of them,
 and is the event its landing completes):
 
-1. **head** -- :meth:`Fabric.send` arms a ``Timeout`` of the sender's
-   software overhead (at the sender's limp factor of the send instant)
-   and returns the wire.
+1. **head** -- :meth:`Fabric.send` arms the wire's timer record with
+   the sender's software overhead (at the sender's limp factor of the
+   send instant) and returns the wire.
 2. **start** -- the head's callback: the bytes enter ``A.nic_tx`` and
    ``B.nic_rx`` with *the wire itself* as each flow's completion
    target.  No event per flow.
@@ -28,8 +28,8 @@ and is the event its landing completes):
    pipe finishes at once); the second call arms the tail there and
    then.  The join has no event either: it touches nothing but the
    wire's own counter (DESIGN section 9 has the rule).
-4. **tail** -- a ``Timeout`` of the wire latency at the slower
-   endpoint's limp factor (sampled at send) plus the receiver's
+4. **tail** -- the same record, re-armed with the wire latency at the
+   slower endpoint's limp factor (sampled at send) plus the receiver's
    software overhead at *its* limp factor of the drain frame.
 5. **land** -- the tail's callback completes the wire, pushing it on
    the immediate queue as ``Event.succeed`` would; what waits on it
@@ -37,18 +37,21 @@ and is the event its landing completes):
    everything already queued for that instant.  A delivery may change
    what a same-instant resume sees, so it keeps its own event.
 
-The wire and two ``Timeout`` entries per message; head and tail are
-real delays.  A withdrawn wire (:meth:`_Wire.cancel`, its waiter gone)
-withdraws the landing only: its bytes still run dry through both NICs.
+The wire and one :class:`_WireTimer`, pushed twice, per message; head
+and tail are real delays.  Each arm is a ``Timeout``'s guard, fill and
+push, written out in the arming frame (``simt.kernel``).  A withdrawn
+wire (:meth:`_Wire.cancel`, its waiter gone) withdraws the landing
+only: its bytes still run dry through both NICs.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.cluster.node import Node
 from repro.cluster.spec import NetworkSpec
-from repro.simt.kernel import _PENDING, Event, Simulator, Timeout
+from repro.simt.kernel import _INF, _PENDING, Event, Simulator
 
 __all__ = ["Fabric", "partition_components"]
 
@@ -67,6 +70,18 @@ def partition_components(groups: Iterable[Iterable[int]]) -> Dict[int, int]:
     return component
 
 
+class _WireTimer(Event):
+    """A wire's head timer, re-armed as its tail: each arm fills and
+    pushes it at the ``(when, seq)`` a ``Timeout`` of that delay would
+    take, behind the same guard, with no Python frame.  Its callback is
+    the wire's :meth:`_Wire.start`, then its :meth:`_Wire.land`; the
+    wire holds it in ``timer``, a cycle only while the kernel holds it
+    armed (the pop empties its slot)."""
+
+    __slots__ = ()
+    __init__ = object.__init__
+
+
 class _Wire(Event):
     """One inter-node message in flight, and the event its landing
     completes: the callback of its head and tail timers (:meth:`start`,
@@ -80,7 +95,7 @@ class _Wire(Event):
     """
 
     __slots__ = ("fabric", "src", "dst", "nbytes", "overhead",
-                 "lat_factor", "parts_left")
+                 "lat_factor", "parts_left", "timer")
     __init__ = object.__init__
 
     def start(self, _head: Event) -> None:
@@ -96,12 +111,24 @@ class _Wire(Event):
         self.parts_left -= 1
         if self.parts_left:
             return
-        fabric = self.fabric
-        Timeout(
-            fabric.sim,
-            fabric.spec.wire_latency * self.lat_factor
-            + self.overhead * self.dst.limp_latency,
-        )._callbacks = self.land
+        delay = (self.fabric.spec.wire_latency * self.lat_factor
+                 + self.overhead * self.dst.limp_latency)
+        # Timeout's guard, fill and push, into the head's record
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"timeout delay must be finite and >= 0: {delay}")
+        timer = self.timer
+        timer._callbacks = self.land
+        timer._processed = False
+        sim = self.sim
+        timer._seq = sim._seq = sim._seq + 1
+        when = sim.now + delay
+        if when == sim.now:
+            sim._nowq.append(timer)
+        elif when in sim._at:
+            sim._at[when].append(timer)
+        else:
+            sim._at[when] = [timer]
+            heappush(sim._heap, when)
 
     def land(self, _tail: Event) -> None:
         """The last byte is in: complete the arrival, as
@@ -283,6 +310,25 @@ class Fabric:
             lat_factor = dst.limp_latency
         wire.lat_factor = lat_factor
         wire.parts_left = 2
-        # Sender-side software overhead before bytes hit the NIC.
-        Timeout(sim, overhead * src.limp_latency)._callbacks = wire.start
+        # Sender-side software overhead before bytes hit the NIC: a
+        # Timeout's guard, fill and push, frame-less (``_WireTimer``)
+        delay = overhead * src.limp_latency
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"timeout delay must be finite and >= 0: {delay}")
+        head = wire.timer = _WireTimer()
+        head.sim = sim
+        head._callbacks = wire.start
+        head._value = None
+        head._ok = True
+        head._processed = False
+        head._cancelled = False
+        head._seq = sim._seq = sim._seq + 1
+        when = sim.now + delay
+        if when == sim.now:
+            sim._nowq.append(head)
+        elif when in sim._at:
+            sim._at[when].append(head)
+        else:
+            sim._at[when] = [head]
+            heappush(sim._heap, when)
         return wire

@@ -33,7 +33,7 @@ from repro.mpi.collectives import (
 from repro.mpi.datatypes import _IMMUTABLE, sizeof, snapshot
 from repro.mpi.ops import SUM
 from repro.net.matching import ANY_SOURCE, ANY_TAG
-from repro.net.message import Envelope
+from repro.net.message import _Filled
 
 __all__ = ["Communicator"]
 
@@ -78,10 +78,16 @@ class Communicator:
         if not size >= 0:  # negative or NaN, before any plane sees it
             raise ValueError(f"message size must be >= 0 bytes, got {size}")
         ctx = api.ctx
-        env = Envelope(
-            self.rank, dst, tag, self.id, ctx.epoch, size,
-            data if data.__class__ in _IMMUTABLE else snapshot(data),
-        )
+        # Envelope(...)'s fill, with no __init__ frame (``net.message``)
+        env = _Filled()
+        env.src = self.rank
+        env.dst = dst
+        env.tag = tag
+        env.comm_id = self.id
+        env.epoch = ctx.epoch
+        env.nbytes = size
+        env.data = data if data.__class__ in _IMMUTABLE else snapshot(data)
+        env.lseq = None
         dst_world = self.members[dst]
         on_send = api.recovery.on_send
         if on_send is not None:

@@ -77,8 +77,9 @@ class RecvCancelled(Exception):
 
 class _PostedRecv(Event):
     """One receive, and the event its match completes: ``post`` builds
-    it with no Python frame and fills Event's slots and its own
-    (``simt.kernel`` has the rule for such records)."""
+    it with no Python frame and fills Event's slots and its own, and
+    the match completes it in place, with ``Event.succeed``'s stores
+    and push (``simt.kernel`` has the rule for such records)."""
 
     __slots__ = ("source", "tag", "seq", "comm")
     __init__ = object.__init__
@@ -137,7 +138,7 @@ class MatchingEngine:
     def post(self, source: int, tag: int, comm_id: int) -> Event:
         """Post a receive; the event fires with the matching Envelope."""
         rec = _PostedRecv()
-        rec.sim = self.sim
+        rec.sim = sim = self.sim
         rec._callbacks = ()
         rec._value = _PENDING
         rec._ok = None
@@ -161,7 +162,11 @@ class MatchingEngine:
                 self.matched_unexpected += 1
                 if self.match_sink is not None:
                     self.match_sink(source, tag, env)
-                rec.succeed(env)
+                # Event.succeed, in place: the receive is fresh
+                rec._ok = True
+                rec._value = env
+                sim._seq += 1
+                sim._nowq.append(rec)
                 return rec
         rec.seq = self._post_seq
         self._post_seq += 1
@@ -244,7 +249,12 @@ class MatchingEngine:
                 self.matched_posted += 1
                 if self.match_sink is not None:
                     self.match_sink(rec.source, rec.tag, env)
-                rec.succeed(env)
+                # Event.succeed, in place: live means neither triggered
+                # nor cancelled
+                rec._ok = True
+                rec._value = env
+                self.sim._seq += 1
+                self.sim._nowq.append(rec)
                 return
             # The waiter died (killed process / already-cancelled
             # event): prune the entry and keep walking -- a *live*

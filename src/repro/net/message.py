@@ -8,6 +8,10 @@ identity of its own: each envelope is sent once, so the object is the
 message, and an omission duplicate's twin travels with the same one
 (``net.transport``).  The lseq planes stamp the one identity a
 re-executing sender reproduces.
+
+The hot site, ``Communicator.send_async``, builds a :class:`_Filled`
+and fills its slots itself, with no ``__init__`` frame; ``Envelope(...)``
+is the constructor everywhere else.
 """
 
 from __future__ import annotations
@@ -61,3 +65,12 @@ class Envelope:
             f"<Env {self.src}->{self.dst} tag={self.tag} comm={self.comm_id} "
             f"epoch={self.epoch} {self.nbytes:.0f}B>"
         )
+
+
+class _Filled(Envelope):
+    """An envelope whose one building site fills every slot
+    :meth:`Envelope.__init__` writes, ``lseq`` included: built with no
+    Python frame, as the kernel's records are (``simt.kernel``)."""
+
+    __slots__ = ()
+    __init__ = object.__init__

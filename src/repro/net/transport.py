@@ -103,8 +103,9 @@ class _Arrival(Event):
     names is a function object plus one cyclic-GC-tracked cell per name,
     per message, and at 16k ranks the collector's walks over them cost
     more wall clock than the interpreter does.  ``send`` builds it with
-    no Python frame and fills Event's slots and its own (``simt.kernel``
-    has the rule for such records).
+    no Python frame and fills Event's slots and its own, and the
+    delivery step completes it in place (``simt.kernel`` has the rule
+    for such records).
 
     The record is its own timer callback too: a copy the omission model
     delayed, one retransmitted across a drop-mode cut and a trailing
@@ -200,8 +201,12 @@ class _Arrival(Event):
                     args["dup"] = True
                 instant(outcome, "net", env.dst, dst_addr[0], None,
                         env.epoch, **args)
-        if self._value is _PENDING and not self.twin:  # not triggered
-            self.succeed(None)
+        if self._value is _PENDING and not self.twin and not self._cancelled:
+            # Event.succeed, in place
+            self._ok = True
+            self._value = None
+            sim._seq += 1
+            sim._nowq.append(self)
 
 
 class _LossyArrival(_Arrival):

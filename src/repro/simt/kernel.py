@@ -26,14 +26,21 @@ Hot-path notes (this is the innermost loop of every simulation):
   one out-of-order push, a pipe's reserved re-push, goes in by seq
   (:meth:`Simulator._insert`), into the live bucket too; at ``now``
   during a queue batch it opens a bucket, which the batch yields to.
-* :meth:`Event.succeed` and :class:`Timeout` -- together nearly every
-  schedule of a run -- carry their own copy of the push instead of
-  calling :meth:`Simulator._push`, and so do the wire's landing
-  (``cluster.network``), a pipe's entries and overhead timers
-  (``simt.resources``) and a process's wakes (``simt.process``): a
-  Python frame per event is the largest single cost left in the loop.
-  ``_push`` remains the general path (``fail``, delayed ``succeed``,
-  ``Process``, ``BulkCompletion``).
+* **A trigger is a store.**  A Python frame per event is the largest
+  single cost left in the loop, so the hot schedules do not call
+  :meth:`Simulator._push`: each carries its own copy of the push, and
+  a completion is the store of ``_ok`` and ``_value`` plus that push,
+  written out where it happens.  The sites: :meth:`Event.succeed` and
+  :class:`Timeout` here; a matched receive, at a delivery or from the
+  unexpected queue (``net.matching``); a send's completion
+  (``net.transport``); the wire's head and tail timer and its landing
+  (``cluster.network``); a pipe's entries, its overhead timers and a
+  transfer's completion (``simt.resources``); a process's wakes
+  (``simt.process``).  ``_push`` remains the general path (``fail``,
+  delayed ``succeed``, ``Process``, ``BulkCompletion``), and
+  ``Event.succeed`` the trigger of everything else: a copy stands in
+  for it only where the event is known live (not triggered, not
+  cancelled), so its checks cannot fire.
   The copies must stay *one push each, in program order*: no live
   callback moves, or which same-instant event fires first changes, and
   with it every simulated number downstream.  An entry that would
@@ -43,15 +50,18 @@ Hot-path notes (this is the innermost loop of every simulation):
   ``tests/test_golden_order.py`` pins the resulting order.
 * **A per-message record is its own event.**  What the messaging path
   keeps per message -- a posted receive, a send's completion, the
-  wire's arrival, a transfer and its overhead timer, a process's wake --
-  is an ``Event`` subclass whose class sets ``__init__ =
-  object.__init__``: building one is no Python frame.  The one site
+  wire's arrival and its timer, a transfer and its overhead timer, a
+  process's wake -- is an ``Event`` subclass whose class sets
+  ``__init__ = object.__init__``: building one is no Python frame (nor
+  is the envelope, ``net.message``).  The one site
   that builds it fills the six slots ``Event.__init__`` would
   (``sim``, ``_callbacks``, ``_value``, ``_ok``, ``_processed``,
   ``_cancelled``), as :class:`Timeout` does;
   ``tests/test_event_records.py`` checks every such fill against a
   fresh ``Event(sim)``.  A record never refers to itself: a cycle
-  would keep it alive until the collector runs.  Every subclass is
+  would keep it alive until the collector runs.  (The wire and its
+  timer form one only while the timer is armed, and its pop clears the
+  callback that closes it.)  Every subclass is
   registered by ``Event.__init_subclass__``, so a process recognises
   whatever it yields with one set lookup (:data:`_EVENT_CLASSES`),
   not an ``isinstance`` call per resume.

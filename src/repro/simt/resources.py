@@ -41,11 +41,14 @@ once per message part):
   count comes out of the progress scan, and the pipe pushes its own
   heap entries -- which is why the not-a-number and infinity guards
   sit on the public arguments here rather than in ``Timeout``.  A
-  transfer's completion event is a slotted :class:`_Transfer`, and a
-  transfer that first pays a fixed overhead waits as a slotted
+  transfer's completion event is a slotted :class:`_Transfer`, which
+  the drain completes in place, with ``Event.succeed``'s stores and
+  push; a transfer that first pays a fixed overhead waits as a slotted
   :class:`_DelayedStart` timer pushed inline, at the ``(when, seq)`` a
-  ``Timeout`` would take; both are built with no Python frame
+  ``Timeout`` would take.  Both are built with no Python frame
   (``simt.kernel`` has the rule), and no closure waits per transfer.
+  Any other target -- the wire's join -- and a zero-byte start call
+  ``succeed``.
 """
 
 from __future__ import annotations
@@ -61,9 +64,10 @@ __all__ = ["BandwidthResource"]
 class _Flow:
     """One transfer in flight; :meth:`BandwidthResource._change` fills
     the slots (no ``__init__``: it would be a frame per message).
-    ``event`` is the completion target, an :class:`Event` whose
-    ``succeed`` the draining frame calls (``cluster.network``'s wire
-    makes it the join of its two flows)."""
+    ``event`` is the completion target: a :class:`_Transfer` the
+    draining frame completes in place, or an :class:`Event` whose
+    ``succeed`` it calls (``cluster.network``'s wire makes that the join
+    of its two flows)."""
 
     __slots__ = ("remaining", "event", "nbytes")
 
@@ -291,7 +295,13 @@ class BandwidthResource:
                     self.bytes_done += flow.nbytes
                     event = flow.event
                     if event._callbacks is not None and event._value is _PENDING:
-                        event.succeed(None)
+                        if event.__class__ is _Transfer:  # Event.succeed, in place
+                            event._ok = True
+                            event._value = None
+                            sim._seq += 1
+                            sim._nowq.append(event)
+                        else:  # the wire's join
+                            event.succeed(None)
             del flows[count:]
 
         # 3. Re-arm: always take the deadline's place in the kernel's

@@ -63,6 +63,9 @@ the next row                            904    97.2          9.3
 a pipe change is one frame: a flow's
 start, its deadline's pop and an
 overhead timer's pop enter one method   852    97.2          8.8
+a trigger is a store: a message's
+completions, wire timers and envelope
+enter no kernel frame                   791    97.2          8.1
 ====================================  =====  ======  ===========
 
 The ceilings sit ~12 % above the last row (events: 8 %, below the 106
@@ -90,8 +93,9 @@ one forwarded subroutine would add.
 **The message path** above the transport has a budget in *frames*, not
 calls, because that is what it was dieted by (PR 24): Python frames
 entered from ``Communicator.send_async`` up to but not including
-``Transport.send`` -- 2 for an immutable payload when no plane stamps
-the envelope (``send_async`` itself and ``Envelope.__init__``; 9 before)
+``Transport.send`` -- 1 for an immutable payload when no plane stamps
+the envelope (``send_async`` itself, which fills the envelope; 9 before
+the diet, 2 while ``Envelope.__init__`` ran)
 -- and from ``Communicator.post_recv`` up to and including
 ``MatchingEngine.post`` -- 2 (5 before).  A clean delivery (posted
 first, exact pattern, no wildcard seen by the engine) probes one
@@ -100,7 +104,13 @@ bucket: one ``dict.get`` inside ``deliver`` (4 before), budget 2.
 start, its deadline's pop and the pop of a transfer's overhead timer
 each enter one (``_change``; two, two and three before), and a
 transfer that pays an overhead arms its timer in its own frame (a
-``Timeout.__init__`` before).
+``Timeout.__init__`` before).  **A trigger is a store**: from a clean
+message's ``send_async`` to its receiver's resume, inter-node or
+intra-node, no ``Event.succeed``, ``Timeout.__init__`` or
+``Envelope.__init__`` frame is entered -- the matched receive, the
+sender's completion and a transfer complete in place, and the wire's
+head and tail are one timer record armed inline (five such frames
+inter-node before, four intra-node).
 
 **Watching** the same run -- a ``Tracer`` and a ``MetricsRegistry``
 attached -- is pinned as the *excess* of profiled calls, observed
@@ -202,6 +212,9 @@ of the next row                         74.2    7.38     17.3    0.0   2,756
 a pipe change is one frame (the
 ring's wires enter each NIC pipe in
 one frame, and drain in one)            71.0    7.38     17.3    0.0   2,733
+a trigger is a store (the ring's
+matches, completions, wire timers and
+envelopes enter no kernel frame)        67.0    7.38     17.3    0.0   2,737
 =====================================  =====  ======  =======  =====  ======
 
 The event count is an equality: PR 19's diet was not allowed to move
@@ -224,7 +237,7 @@ The nested hand-offs' row lowered the first table's calls and
 calls/event ceilings and the macro calls and traced ones, ~12 % above
 it again (tracked: 19.4 already was).  The one-frame pipe's row
 lowered the first table's calls and calls/event ceilings and the macro
-calls one the same way.
+calls one the same way, and so did the trigger-is-a-store row.
 """
 
 import cProfile
@@ -248,16 +261,16 @@ from repro.net.matching import MatchingEngine
 from repro.net.message import Envelope
 from repro.net.transport import Transport
 from repro.obs import MetricsRegistry, Tracer
-from repro.simt import BandwidthResource, Simulator
+from repro.simt import BandwidthResource, Event, Simulator, Timeout
 from repro.simt import resources
 from repro.simt.rng import RngRegistry
 
 RANKS, ITERATIONS = 24, 8
-CALLS_PER_RANK_ITERATION = 955.0
+CALLS_PER_RANK_ITERATION = 885.0
 EVENTS_PER_RANK_ITERATION = 105.0
 #: below the 18.1 this run cost before the diet, so that neither half
 #: can drift back while the other hides it
-CALLS_PER_EVENT = 9.8
+CALLS_PER_EVENT = 9.1
 #: entries of ``FmiContext.loop``: 3.75 handed off, 23.6 forwarding
 LOOP_ENTRIES_PER_RANK_ITERATION = 4.2
 #: calls a tracer and a metrics registry add to the run, in all: 6,707
@@ -389,10 +402,46 @@ def test_message_path_frame_budget(flavour):
                      config=FmiConfig(checkpoint_enabled=False,
                                       xor_group_size=2))
     sim.run(until=job.launch())
-    # exclusive of Transport.send: send_async and the envelope's __init__
-    assert frames["send"][-1] == "send" and len(frames["send"]) - 1 <= 2, frames
+    # exclusive of Transport.send: send_async alone, which fills the envelope
+    assert frames["send"][-1] == "send" and len(frames["send"]) - 1 <= 1, frames
     # inclusive of MatchingEngine.post
     assert frames["post"][-1] == "post" and len(frames["post"]) <= 2, frames
+
+
+@pytest.mark.parametrize("ppn", [1, 2], ids=["inter-node", "intra-node"])
+def test_a_clean_message_enters_no_trigger_frame(ppn):
+    # from the sender's send_async to the receiver's resume: every
+    # trigger on the way is a store and a push in the caller's frame
+    trigger = {Event.succeed.__code__, Timeout.__init__.__code__,
+               Envelope.__init__.__code__}
+    entered = []
+
+    def on_event(frame, event, _arg):
+        if event == "call":
+            entered.append(frame.f_code)
+
+    def app(api):
+        world = api.world
+        if api.rank == 0:
+            sys.setprofile(on_event)
+            yield world.send_async(1, 7, 8.0, 3)
+        else:
+            got = yield world.post_recv(0, 3)
+            sys.setprofile(None)
+            assert got.data == 7
+        return None
+
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(2), RngRegistry(14))
+    job = MpiJob(machine, app, 2, procs_per_node=ppn, charge_init=False)
+    try:
+        sim.run(until=job.launch())
+    finally:
+        sys.setprofile(None)
+    names = [code.co_name for code in entered]
+    # the whole path ran: the delivery, and (inter-node) the wire's land
+    assert "deliver" in names and ("land" in names) == (ppn == 1), names
+    assert not trigger.intersection(entered), names
 
 
 def test_a_clean_delivery_probes_one_bucket():
@@ -460,7 +509,7 @@ def test_a_pipe_change_is_one_frame():
 
 # ------------------------------------------------------------- macro tier
 MACRO_RANKS, MACRO_ROUNDS, MACRO_PPN = 1024, 2, 16
-MACRO_CALLS_PER_RANK_ROUND = 79.5
+MACRO_CALLS_PER_RANK_ROUND = 75.0
 MACRO_EVENTS = 15_108  # 7.38 per rank-round
 MACRO_TRACKED_PER_RANK = 19.4 if sys.version_info >= (3, 11) else 40.0
 MACRO_CELLS_PER_RANK = 1.0

@@ -23,16 +23,25 @@ the pipes' progress updates.
 The checkpoint obeys both relations at every size.  The restart obeys
 them only once its flows are bandwidth-bound, above ~512 KiB per rank
 at the spec's bandwidths: below that it is an ``xfail`` whose reason
-names the mechanism.  ROADMAP item 26 lists the relations still to add.
+names the mechanism.
+
+One relation holds of a whole run: **nodes nobody uses change
+nothing**.  Spare nodes reserved with the allocation, or idle nodes
+left in the machine, must leave a failure-free FMI Himeno run -- its
+final clock, its kernel event count and its answers -- bit-equal, with
+checkpoints and without.  ROADMAP item 26 lists the relations still to
+add.
 """
 
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.apps.himeno import HimenoParams, himeno_fmi_app
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA, ClusterSpec
+from repro.fmi import FmiConfig, FmiJob
 from repro.fmi.checkpoint import CheckpointEngine, MemoryStorage
 from repro.fmi.payload import Payload
 from repro.fmi.redundancy import make_scheme
@@ -173,3 +182,48 @@ def test_without_latency_the_restart_is_affine_at_every_size():
 def test_xor_restart_time_is_affine_in_s_below_the_bandwidth_bound(n, s):
     first, second = _affine(n, s, 0, 1)
     assert second == pytest.approx(first, rel=REL)
+
+
+# --------------------------------------------------- nodes nobody uses
+@st.composite
+def _layouts(draw):
+    """``(nodes, procs per node, XOR group size)``: a group size that
+    divides the node count, as the layout requires."""
+    nodes = draw(st.integers(2, 16))
+    ppn = draw(st.integers(1, max(1, 32 // nodes)))
+    group = draw(st.sampled_from(
+        [g for g in range(2, nodes + 1) if nodes % g == 0]))
+    return nodes, ppn, group
+
+
+def _himeno_run(layout, seed, checkpoints, spares=0, idle=0):
+    """``(repr(now), events processed, answers)`` of a failure-free FMI
+    Himeno run on ``spares`` reserved and ``idle`` unallocated nodes
+    beyond the ones its ranks fill."""
+    nodes, ppn, group = layout
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(nodes + spares + idle),
+                      RngRegistry(seed))
+    params = HimenoParams(iterations=3, synthetic=True, points_per_rank=1e6,
+                          halo_bytes=333e3, ckpt_bytes=1e6)
+    config = FmiConfig(interval=2 if checkpoints else None,
+                       checkpoint_enabled=checkpoints, xor_group_size=group,
+                       spare_nodes=spares)
+    job = FmiJob(machine, himeno_fmi_app(params), num_ranks=nodes * ppn,
+                 procs_per_node=ppn, config=config)
+    answers = sim.run(until=job.launch())
+    assert job.recovery_count == 0 and (job.checkpoints_done > 0) == checkpoints
+    return repr(sim.now), sim.stats.events_processed, answers
+
+
+@settings(max_examples=6 * _SCALE, deadline=None)
+@given(layout=_layouts(), seed=_SEED, spares=st.integers(0, 2),
+       idle=st.integers(0, 2))
+@example(layout=(2, 12, 2), seed=14, spares=1, idle=1)  # 24 ranks x 12
+@example(layout=(8, 1, 4), seed=14, spares=2, idle=0)
+@example(layout=(14, 1, 7), seed=14, spares=0, idle=2)
+def test_spare_and_idle_nodes_leave_a_failure_free_run_bit_equal(
+        layout, seed, spares, idle):
+    for checkpoints in (False, True):
+        bare = _himeno_run(layout, seed, checkpoints)
+        assert _himeno_run(layout, seed, checkpoints, spares, idle) == bare

@@ -1,9 +1,11 @@
 """A message's records are its events.
 
 The messaging path keeps one record per message at each layer -- a
-posted receive, a send's completion, the wire's arrival, a transfer's
-completion and its overhead timer -- and a process one wake per
-bootstrap or relay.
+posted receive, a send's completion, the wire's arrival and its one
+timer (head, then tail), a transfer's completion and its overhead
+timer -- and a process one wake per bootstrap or relay.  A message's
+envelope is filled at ``send_async`` the same way, without its
+``__init__``.
 Each is an ``Event`` subclass built with no Python frame
 (``__init__ = object.__init__``); the one site that builds it fills
 Event's slots itself (``simt.kernel``).  Two things can go wrong with
@@ -22,14 +24,15 @@ as the shared events.
 
 import gc
 
+import numpy as np
 import pytest
 
 from repro.cluster import Machine
-from repro.cluster.network import _Wire
+from repro.cluster.network import _Wire, _WireTimer
 from repro.cluster.spec import SIERRA
 from repro.mpi.runtime import MpiJob
 from repro.net.matching import MatchingEngine, _PostedRecv
-from repro.net.message import Envelope
+from repro.net.message import Envelope, _Filled
 from repro.net.transport import _Arrival, Transport
 from repro.simt import Event, Simulator
 from repro.simt.kernel import _EVENT_CLASSES, SimulationError, Timeout
@@ -122,6 +125,66 @@ def test_an_overhead_transfer_fills_its_event_as_event_init_would():
     assert done.ok and sim.now == pytest.approx(2e-3)
 
 
+def test_a_wire_arms_its_head_and_tail_as_a_timeout_would():
+    sim, machine = _machine()
+    src, dst = machine.node(0), machine.node(1)
+    dst.set_limp(1.0, 3.0)  # the tail reads the receiver's limp factor
+    wire = machine.fabric.send(src, dst, 1e3)
+    head = wire.timer
+    assert head.__class__ is _WireTimer
+    # where a Timeout of the sender's overhead would be, filled as one,
+    # with the wire's start as its callback
+    spec = machine.spec.network
+    twin = Timeout(sim, spec.sw_overhead_fmi)
+    assert sim._at[sim.peek()] == [head, twin] and twin._seq == head._seq + 1
+    assert _slots(head) == dict(_slots(twin), _callbacks=wire.start)
+    sim.step()  # the head: its pop clears the callback, so the
+    assert head._callbacks is None  # wire <-> timer cycle is broken
+    sim.step()  # its twin
+    while wire.parts_left:
+        sim.step()
+    # re-armed at the second drain, where a Timeout would be: the same
+    # record, filled as one again, now with the wire's land
+    assert wire.timer is head and sim._seq == head._seq
+    twin = Timeout(sim, spec.wire_latency * 3.0 + spec.sw_overhead_fmi * 3.0)
+    bucket = sim._at[sim.now + twin.delay]
+    assert bucket[-2:] == [head, twin] and twin._seq == head._seq + 1
+    assert _slots(head) == dict(_slots(twin), _callbacks=wire.land)
+    sim.run(until=wire)  # the tail's pop breaks the cycle again
+    assert wire.ok and head.processed and head._callbacks is None
+
+
+@pytest.mark.parametrize("data", [7, np.arange(3.0)],
+                         ids=["immutable", "copied"])
+def test_send_async_fills_its_envelope_as_envelope_init_would(data):
+    envs = []
+
+    def app(api):
+        world = api.world
+        if api.rank == 0:
+            sent = world.send_async(1, data, 8, 3)
+            envs.append((sent.env, Envelope(0, 1, 3, world.id,
+                                            api.ctx.epoch, 8.0, data)))
+            yield sent
+        else:
+            yield world.post_recv(0, 3)
+
+    sim, machine = _machine()
+    sim.run(until=MpiJob(machine, app, 2, procs_per_node=1,
+                         charge_init=False).launch())
+    (env, want), = envs
+    assert env.__class__ is _Filled and isinstance(env, Envelope)
+    assert env.lseq is None and type(env.nbytes) is float
+    slots = [name for name in Envelope.__slots__ if name != "data"]
+    assert ({name: getattr(env, name) for name in slots}
+            == {name: getattr(want, name) for name in slots})
+    # an immutable payload travels as is, an array as a copy
+    if data.__class__ is int:
+        assert env.data is data
+    else:
+        assert env.data is not data and np.array_equal(env.data, data)
+
+
 def test_a_spawn_and_a_relay_fill_their_wakes_as_event_init_would():
     sim = Simulator()
     fired = sim.event()
@@ -159,6 +222,7 @@ def test_no_record_refers_to_itself_at_any_step():
         machine.fabric.send(machine.node(0), machine.node(1), 1e3),
         machine.fabric.send(machine.node(0), machine.node(0), 1e3),
     ]
+    records.append(records[2].timer)  # the wire's head, then its tail
     records += [entry for bucket in sim._at.values() for entry in bucket
                 if entry.__class__ is _DelayedStart]  # its overhead timer
 
@@ -168,7 +232,8 @@ def test_no_record_refers_to_itself_at_any_step():
     sim.spawn(waiter(), name="p")
     records.append(sim._nowq[-1])  # its bootstrap wake
     assert [type(rec) for rec in records] == [
-        _PostedRecv, _Arrival, _Wire, _Transfer, _DelayedStart, _Wake]
+        _PostedRecv, _Arrival, _Wire, _Transfer, _WireTimer, _DelayedStart,
+        _Wake]
     steps = 0
     while True:
         for rec in records:
@@ -181,7 +246,8 @@ def test_no_record_refers_to_itself_at_any_step():
 
 
 def test_every_record_is_an_event_class_a_process_may_yield():
-    for cls in (_PostedRecv, _Arrival, _Wire, _Transfer, _DelayedStart, _Wake):
+    for cls in (_PostedRecv, _Arrival, _Wire, _WireTimer, _Transfer,
+                _DelayedStart, _Wake):
         assert cls in _EVENT_CLASSES and cls.__init__ is object.__init__
     assert Event in _EVENT_CLASSES
 
