@@ -177,15 +177,13 @@ class LogRingDetector:
             peer_rank = conn.peer_of(key)[0]
             self._suspect(rank, epoch, peer_rank, reason)
             return
-        self._escalate(rank, epoch, reason)
+        self._escalate(fproc, epoch, reason)
 
-    def _escalate(self, rank: int, epoch: int, reason: str) -> None:
+    def _escalate(self, fproc, epoch: int, reason: str) -> None:
         """A confirmed failure: cascade through the overlay and notify
-        this endpoint's process."""
+        this endpoint's process (live: its caller just checked)."""
         generation = epoch + 1  # a failure under epoch e leads to epoch e+1
-        fproc = self.job.rank_procs.get(rank)
-        if fproc is None or not fproc.alive:
-            return
+        rank = fproc.rank
         if self._cascaded.get(rank, -1) < generation:
             self._cascaded[rank] = generation
             for other in self.edges(rank):
@@ -251,7 +249,7 @@ class LogRingDetector:
                 peer=peer_rank, resolution="confirmed-dead",
                 job=self.job.job_id,
             )
-        self._escalate(rank, epoch, f"confirmed:{reason}")
+        self._escalate(fproc, epoch, f"confirmed:{reason}")
 
     def _clear_suspicions(self, rank: Optional[int] = None, resolution: str = "healed") -> None:
         """Resolve pending suspicions involving ``rank`` (or all, when

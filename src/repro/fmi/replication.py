@@ -116,8 +116,6 @@ class ReplicationPlane(ChannelPlane):
         super().__init__(job)
         #: rank -> copy -> FmiProcess (current incarnations)
         self.copies: Dict[int, Dict[int, object]] = {}
-        #: which copy currently owns the rank's endpoint-table entry
-        self.lead_copy: Dict[int, int] = {}
         #: rank -> its lead's live replica contexts (``on_send``'s
         #: fan-out)
         self.mirrors: Dict[int, List[object]] = {}
@@ -154,25 +152,9 @@ class ReplicationPlane(ChannelPlane):
         cps[copy] = fproc
         if (rank, copy) in self.standby_expected:
             return  # re-arming: never the lead, even at the lead index
-        if copy == self.lead_copy.setdefault(rank, 0):
+        # the lead's copy index (copy 0 before the rank has a lead)
+        if copy == getattr(self.job.rank_procs.get(rank), "copy", 0):
             self.job.rank_procs[rank] = fproc
-
-    def notify_targets(self) -> List[object]:
-        """Every live copy must hear of a recovery, not just the leads."""
-        out: List[object] = []
-        for cps in self.copies.values():
-            out.extend(cps.values())
-        return out
-
-    def slot_procs(self, slot: int) -> List[object]:
-        """Every current process of one *physical* slot (task)."""
-        job = self.job
-        copy, vslot = divmod(slot, job.num_nodes)
-        return [
-            self.copies[r][copy]
-            for r in job.ranks_of_slot(vslot)
-            if copy in self.copies.get(r, ())
-        ]
 
     def is_unsynced(self, fproc) -> bool:
         return (
@@ -257,10 +239,6 @@ class ReplicationPlane(ChannelPlane):
         ]
         if followers:
             self.mirrors[rank] = followers
-
-    def _rebuild_all_mirrors(self) -> None:
-        for rank in list(self.copies):
-            self._rebuild_mirrors(rank)
 
     # ------------------------------------------------------------ data plane
     def on_send(self, src: int, dst: int, env: Envelope, ctx=None) -> None:
@@ -419,7 +397,8 @@ class ReplicationPlane(ChannelPlane):
             for copy, p in cps.items():
                 if not p.alive:
                     self.standby_expected.add((rank, copy))
-        self._rebuild_all_mirrors()
+        for rank in self.copies:
+            self._rebuild_mirrors(rank)
         if dead_lead_slots:
             self.sim.spawn(
                 self._promote(job.epoch, dead_lead_slots, cause),
@@ -474,7 +453,6 @@ class ReplicationPlane(ChannelPlane):
                 continue  # the later death's own recovery takes over
             for r in ranks:
                 proc = self.copies[r][copy]
-                self.lead_copy[r] = copy
                 job.rank_procs[r] = proc
                 job.register_endpoint(r, proc.ctx)
                 self._rebuild_mirrors(r)
@@ -521,7 +499,7 @@ class ReplicationPlane(ChannelPlane):
             active = self.unfinished_ranks(vslot)
             elected = None
             if active:
-                cur = self.lead_copy.get(active[0], 0)
+                cur = job.rank_procs[active[0]].copy
                 for copy in [cur] + [
                     c for c in range(job.config.num_copies) if c != cur
                 ]:
@@ -536,30 +514,24 @@ class ReplicationPlane(ChannelPlane):
                     elected = 0  # every copy died: copy 0's respawn
                     # rejoins the cohort and restores via XOR rebuild
                 for r in active:
-                    self.lead_copy[r] = elected
-                    p = self.copies.get(r, {}).get(elected)
-                    if p is not None:
-                        job.rank_procs[r] = p
+                    job.rank_procs[r] = self.copies[r][elected]
             for r in job.ranks_of_slot(vslot):
                 for copy, p in self.copies.get(r, {}).items():
                     if copy == elected and r in active:
                         continue
-                    if p.alive:
-                        p.kill("replication fallback: redundant copy")
-                    if not p.ctx.closed:
-                        # Retired copies often sit on live nodes (the
-                        # kill is task-granular); close their contexts
-                        # so parked receives are cancelled and stray
-                        # mirrored traffic is dropped at the transport.
-                        p.ctx.close()
+                    p.kill("replication fallback: redundant copy")
+                    # Retired copies often sit on live nodes (the kill
+                    # is task-granular); close their contexts so parked
+                    # receives are cancelled and stray mirrored traffic
+                    # is dropped at the transport.
+                    p.ctx.close()
                     if r in active:
                         self.standby_expected.add((r, copy))
         # The overlay is degraded after failovers (promoted leads never
         # re-joined the log-ring), so poke every surviving copy
         # directly instead of trusting detector propagation.
-        for p in self.notify_targets():
-            if p.alive:
-                p.notify_failure(epoch, "replication fallback")
+        for p in job.fmirun.processes():
+            p.notify_failure(epoch, "replication fallback")
 
     # ------------------------------------------------------------ checkpoints
     def note_ckpt_begin(self, rank: int, dataset_id: int, ctx=None) -> None:

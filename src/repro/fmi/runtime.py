@@ -140,14 +140,6 @@ class RecoveryFamily:
         never learn a failure happened."""
         return False
 
-    def notify_targets(self) -> list:
-        """Processes a recovery must reach."""
-        return list(self.job.rank_procs.values())
-
-    def slot_procs(self, slot: int) -> list:
-        """The rank processes hosted on physical slot ``slot``."""
-        return [self.job.rank_procs[r] for r in self.job.ranks_of_slot(slot)]
-
     def unfinished_ranks(self, vslot: int) -> List[int]:
         """The ranks of virtual slot ``vslot`` still running the app."""
         job = self.job
@@ -336,17 +328,17 @@ class FmirunTask:
 
     def _child_exit(self, fproc: FmiProcess):
         def cb(evt: Event) -> None:
+            # On a node crash the guard, spawned first, died first: its
+            # exit has already reported and set ``failed``.
             if evt._ok or self.failed or self.fmirun.job.finished:
                 return
-            if not self.node.alive:
-                return  # node crash: guard path reports it
             if not isinstance(evt._value, ProcessKilled):
                 return  # app exception: job.abort already triggered
             # A child died while the node stayed up: kill the other
             # children and exit with EXIT_FAILURE (Section IV-B).
             self.failed = True
             for sibling in self.children:
-                if sibling is not fproc and sibling.proc.alive:
+                if sibling is not fproc:
                     sibling.proc.kill(cause="fmirun.task sibling kill")
             # Only a *lead* copy's death is overlay-visible: follower
             # and standby deaths never joined the ring and must not
@@ -360,8 +352,7 @@ class FmirunTask:
 
     def shutdown(self) -> None:
         self.failed = True
-        if self._guard.alive:
-            self._guard.kill(cause="job teardown")
+        self._guard.kill(cause="job teardown")
 
 
 class Fmirun(FaultPolicy):
@@ -415,6 +406,11 @@ class Fmirun(FaultPolicy):
             self.job.ranks_of_slot(slot % self.job.num_nodes), incarnation
         )
 
+    def processes(self) -> List[FmiProcess]:
+        """Every process the tasks spawned, slot by slot: each rank's
+        current incarnation, and under replication every copy."""
+        return [p for task in self.tasks.values() for p in task.children]
+
     # -- rank death ----------------------------------------------------------
     def on_rank_exit(self, rproc: RankProcess, proc_evt: Event) -> None:
         # A killed rank (injected failure / node crash) is the
@@ -461,8 +457,8 @@ class Fmirun(FaultPolicy):
             # no detection overlay to hear through; the master re-syncs
             # them directly.  Running processes hear via the overlay
             # (log-ring).
-            for rproc in job.recovery.notify_targets():
-                if rproc.alive and rproc.needs_resync:
+            for rproc in self.processes():
+                if rproc.needs_resync:
                     rproc.notify_failure(job.epoch, "fmirun re-sync")
         if self._recovery_proc is None or not self._recovery_proc.alive:
             self._recovery_proc = self.sim.spawn(
@@ -479,9 +475,8 @@ class Fmirun(FaultPolicy):
         job = self.job
         if job.finished or job.epoch != generation:
             return
-        for rproc in job.recovery.notify_targets():
-            if rproc.alive and rproc.notified_gen < generation:
-                rproc.notify_failure(generation, "fmirun sweep")
+        for rproc in self.processes():
+            rproc.notify_failure(generation, "fmirun sweep")
 
     def _recover(self):
         """Replace failed nodes and respawn their ranks (Figure 6)."""
@@ -491,12 +486,12 @@ class Fmirun(FaultPolicy):
             target_epoch = job.epoch
             for slot in range(self.num_slots):
                 node = self.node_slots[slot]
-                task = self.tasks.get(slot)
-                procs = job.recovery.slot_procs(slot)
+                task = self.tasks[slot]
+                procs = task.children
                 if all(
                     p.alive or p.rank in job.results
                     for p in procs
-                ) and node.alive and task is not None and not task.failed:
+                ) and node.alive and not task.failed:
                     continue
                 # This slot needs a fresh node (spare list first, then
                 # the resource manager).  Any node we acquire can be
@@ -505,7 +500,7 @@ class Fmirun(FaultPolicy):
                 # latency, or either during the task-spawn window -- so
                 # every acquisition is re-checked after each wait and
                 # retried until a task starts on a *live* node.
-                if task is not None and not task.failed:
+                if not task.failed:
                     # A broken slot whose guard never reported: this
                     # scan can land on a fresh failure before the
                     # guard's exit callback fires (shutting it down
@@ -515,8 +510,7 @@ class Fmirun(FaultPolicy):
                     # report already in flight at this instant
                     # coalesces in begin_recovery.
                     self.on_task_failure(task, "discovered during recovery")
-                if task is not None:
-                    task.shutdown()
+                task.shutdown()
                 while True:
                     # A slot whose processes were sibling-killed (not a
                     # node crash) respawns on its own still-healthy node

@@ -46,6 +46,11 @@ def snapshot(data):
 #: envelope/marshalling overhead assumed for small Python objects
 _DEFAULT_OBJECT_BYTES = 64.0
 
+#: exact scalar classes sized before the ``isinstance`` chain -- a
+#: float residual is the common payload; subclasses (NumPy scalars
+#: among them) still take the chain
+_SCALAR_BYTES = {float: 8.0, int: 8.0, bool: 1.0, type(None): 1.0}
+
 
 def sizeof(data) -> float:
     """Bytes this object occupies on the wire.
@@ -54,6 +59,9 @@ def sizeof(data) -> float:
     arrays and :class:`Payload` report exactly; scalars count 8 bytes;
     containers sum their items; anything else gets a flat estimate.
     """
+    size = _SCALAR_BYTES.get(data.__class__)
+    if size is not None:
+        return size
     if isinstance(data, Payload):
         return data.nbytes
     if isinstance(data, np.ndarray):

@@ -76,11 +76,10 @@ class RankProcess:
     # -- liveness -----------------------------------------------------------
     @property
     def alive(self) -> bool:
-        return self.proc.alive and self.node.alive
+        return self.proc.alive
 
     def kill(self, cause: str) -> None:
-        if self.proc.alive:
-            self.proc.kill(cause=cause)
+        self.proc.kill(cause=cause)
 
     # -- lifecycle ----------------------------------------------------------
     def _main(self):
@@ -132,6 +131,10 @@ class FaultPolicy:
     def on_rank_exit(self, rproc: RankProcess, proc_evt: Event) -> None:
         """A rank process exited (successfully or not)."""
         raise NotImplementedError
+
+    def processes(self) -> List[RankProcess]:
+        """Every rank process the policy spawned and still owns."""
+        return list(self.job.rank_procs.values())
 
     def wrap_abort(self, cause) -> BaseException:
         """Turn an abort cause into the exception ``job.done`` fails with."""
@@ -259,7 +262,7 @@ class JobBase:
     def abort(self, cause: Any) -> None:
         if self.done.triggered:
             return
-        for rproc in list(self.rank_procs.values()):
+        for rproc in self.policy.processes():
             rproc.kill(cause="job-abort")
         self.policy.shutdown()
         self.done.fail(self.policy.wrap_abort(cause))

@@ -81,6 +81,27 @@ def test_sizeof_containers_recursive():
     assert sizeof(object()) == 64.0  # opaque default
 
 
+class _Count(int):
+    """An ``int`` subclass: it skips the exact-class table."""
+
+
+@pytest.mark.parametrize("case", [
+    (Payload.synthetic(96.0, rep_bytes=16), 96.0),
+    (np.zeros(3, dtype=np.int32), 12.0),
+    (b"abc", 3.0), (bytearray(b"ab"), 2.0), (memoryview(b"abcd"), 4.0),
+    (True, 1.0), (None, 1.0),
+    (7, 8.0), (2.5, 8.0), (1 + 2j, 8.0), (_Count(7), 8.0),
+    (np.int16(3), 8.0), (np.float32(0.5), 8.0), (np.float64(0.5), 8.0),
+    ("h\u00e9", 3.0),
+    ({1: None}, 9.0), ([2.5, True], 9.0), ((None,), 1.0),
+    ({1.5}, 8.0), (frozenset({1}), 8.0),
+    (object(), 64.0),
+], ids=lambda case: type(case[0]).__name__)
+def test_sizeof_of_every_class_it_handles(case):
+    data, size = case
+    assert sizeof(data) == size
+
+
 # ----------------------------------------------------------------------- ops
 def test_ops_scalars():
     assert SUM(2, 3) == 5

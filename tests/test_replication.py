@@ -237,10 +237,9 @@ def test_fallback_puts_a_parking_standby_back_on_the_exact_once_filter():
     parked.lseq = (1, 0, 0)
     assert standby.recv_filter(parked) is False
     assert rec.buffered == [parked]
-    # no slot to elect and nobody alive to poke: the filter is the test
+    # no slot to elect and no process to poke: the filter is the test
     job.num_nodes = 0
-    for copy in plane.copies[0].values():
-        copy.alive = False
+    job.fmirun = SimpleNamespace(processes=list)
     plane._fallback("test")
     assert plane.standby_recs == {}
     env = _env(src=1, dst=0)
@@ -550,3 +549,73 @@ def test_replicated_answer_is_failure_free_for_any_single_kill(
     assert names.count("ckpt.restore.begin") == 0
     assert names.count("repl.fallback") == 0
     assert _violations(tracer) == []
+
+
+# ------------------------------------------------- fmirun's process list
+def _job(recovery, num_ranks=4, ppn=2, iters=20):
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(8), RngRegistry(0))
+    job = FmiJob(
+        machine, bsp_app(iters, 0.25, 1e4), num_ranks=num_ranks,
+        procs_per_node=ppn,
+        config=FmiConfig(interval=1, xor_group_size=2, recovery=recovery,
+                         spare_nodes=1),
+    )
+    return sim, machine, job
+
+
+def test_fmirun_lists_every_copy_slot_by_slot():
+    sim, machine, job = _job("replicated")
+    done = job.launch()
+    # slots 0-1 host copy 0 of ranks 0-1 and 2-3, slots 2-3 copy 1
+    order = [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1)]
+    assert [(p.rank, p.copy) for p in job.fmirun.processes()] == order
+
+    def killer():
+        yield sim.timeout(1.6)
+        machine.node(1).crash("injected")  # the copy-0 leads of ranks 2-3
+
+    sim.spawn(killer())
+    sim.run(until=done)
+    plane = job.recovery
+    assert job.fmirun.processes() == [plane.copies[r][c] for r, c in order]
+    assert [p.incarnation for p in job.fmirun.processes()] == [0, 0, 1, 1,
+                                                               0, 0, 0, 0]
+
+
+def test_fmirun_lists_the_current_incarnations_in_rank_order_under_global():
+    sim, machine, job = _job("global")
+    done = job.launch()
+    assert job.fmirun.processes() == [job.rank_procs[r] for r in range(4)]
+
+    def killer():
+        yield sim.timeout(1.6)
+        machine.node(1).crash("injected")
+
+    sim.spawn(killer())
+    sim.run(until=done)
+    assert job.fmirun.processes() == [job.rank_procs[r] for r in range(4)]
+    assert [p.incarnation for p in job.fmirun.processes()] == [0, 0, 1, 1]
+
+
+def test_an_aborted_replicated_job_leaves_no_copy_running():
+    # An abort kills every process fmirun spawned, the follower copies
+    # too: none keeps sending on nodes the job has given back, and the
+    # clock stops where a global job's does.
+    ends = {}
+    for recovery in ("global", "replicated"):
+        sim, _machine, job = _job(recovery)
+        done = job.launch()
+
+        def aborter(job=job):
+            yield sim.timeout(2.0)
+            job.abort("test abort")
+
+        sim.spawn(aborter())
+        sim.run(until=2.5)
+        assert done.triggered and not done.ok
+        tasks = job.fmirun.tasks.values()
+        assert [p for task in tasks for p in task.children if p.alive] == []
+        sim.run()
+        ends[recovery] = sim.now
+    assert ends["replicated"] == pytest.approx(ends["global"], rel=1e-3)
