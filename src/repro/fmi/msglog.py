@@ -361,10 +361,10 @@ class RecoveryPlane(ChannelPlane):
         (private position->address table, epoch 0): collectives for a
         ``CheckpointEngine`` with no application context touched.
 
-        A member whose process or node died with no replacement yet (a
-        second kill at the same instant) is lost just like a restarting
-        one.  Nothing spawns on a dead node: its sidecar stands in on
-        this rank's node, with empty storage."""
+        A member whose task has failed with no replacement yet (a
+        second death already reported) is lost just like a restarting
+        one.  Nothing spawns on its node: its sidecar stands in on this
+        rank's node, with empty storage."""
         job = self.job
         rank_procs = job.rank_procs
         layout = job.xor_layout
@@ -373,11 +373,7 @@ class RecoveryPlane(ChannelPlane):
         members = layout.members(group)
         size = len(members)
         my_pos = members.index(rank)
-        dead = {
-            m for m in members
-            if not rank_procs[m].node.alive
-            or not (rank_procs[m].proc.alive or m in job.results)
-        }
+        dead = {m for m in members if rank_procs[m].task.failed}
         missing = sorted(
             pos for pos, m in enumerate(members)
             if m in self.recovering or m in dead
@@ -513,8 +509,10 @@ class RecoveryPlane(ChannelPlane):
         procs = []
         for src in sorted(by_sender):
             rproc = job.rank_procs.get(src)
-            if rproc is None or not rproc.node.alive:
-                continue  # sender just died too; its replacement re-sends
+            if rproc is None or rproc.task.failed:
+                # The sender died too, and its log with it: its
+                # replacement re-sends.
+                continue
             ctx = job.transport.create_context(
                 rproc.node, label=f"mlog:replay:{src}->{rank}"
             )

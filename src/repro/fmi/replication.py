@@ -235,7 +235,7 @@ class ReplicationPlane(ChannelPlane):
         followers = [
             p.ctx
             for _c, p in sorted(self.copies.get(rank, {}).items())
-            if p is not lead and p.alive and not p.ctx.closed
+            if p is not lead and not p.task.failed and not p.ctx.closed
         ]
         if followers:
             self.mirrors[rank] = followers
@@ -375,7 +375,7 @@ class ReplicationPlane(ChannelPlane):
             if not ranks:
                 continue
             lead_dead = any(
-                job.rank_procs.get(r) is None or not job.rank_procs[r].alive
+                job.rank_procs.get(r) is None or job.rank_procs[r].task.failed
                 for r in ranks
             )
             if lead_dead:
@@ -384,7 +384,7 @@ class ReplicationPlane(ChannelPlane):
                     return False
                 dead_lead_slots.append(vslot)
             elif any(
-                not p.alive
+                p.task.failed
                 for r in ranks
                 for p in self.copies.get(r, {}).values()
             ):
@@ -395,7 +395,7 @@ class ReplicationPlane(ChannelPlane):
             if rank in job.results:
                 continue
             for copy, p in cps.items():
-                if not p.alive:
+                if p.task.failed:
                     self.standby_expected.add((rank, copy))
         for rank in self.copies:
             self._rebuild_mirrors(rank)
@@ -425,7 +425,7 @@ class ReplicationPlane(ChannelPlane):
         for copy in range(job.config.num_copies):
             for r in ranks:
                 p = self.copies.get(r, {}).get(copy)
-                if p is None or not p.alive or self.is_unsynced(p):
+                if p is None or p.task.failed or self.is_unsynced(p):
                     break
             else:
                 return copy
@@ -444,7 +444,8 @@ class ReplicationPlane(ChannelPlane):
         for vslot in vslots:
             ranks = self.unfinished_ranks(vslot)
             if not ranks or all(
-                job.rank_procs.get(r) is not None and job.rank_procs[r].alive
+                job.rank_procs.get(r) is not None
+                and not job.rank_procs[r].task.failed
                 for r in ranks
             ):
                 continue  # a later recovery already handled it
@@ -505,7 +506,7 @@ class ReplicationPlane(ChannelPlane):
                 ]:
                     if all(
                         self.copies.get(r, {}).get(copy) is not None
-                        and self.copies[r][copy].alive
+                        and not self.copies[r][copy].task.failed
                         for r in active
                     ):
                         elected = copy
@@ -581,7 +582,7 @@ class ReplicationPlane(ChannelPlane):
         while True:
             yield rec.sync
             lead = job.rank_procs.get(rank)
-            if lead is None or not lead.alive:
+            if lead is None or lead.task.failed:
                 # The lead died between its checkpoint and our clone;
                 # whatever recovery that death triggered owns us now --
                 # re-arm against the next lead checkpoint in case we
@@ -600,7 +601,7 @@ class ReplicationPlane(ChannelPlane):
                 rec.sync = Event(self.sim)
                 rec.eligible_ds = None
                 continue
-            if lead.alive:
+            if not lead.task.failed:
                 break
             rec.sync = Event(self.sim)
             rec.eligible_ds = None

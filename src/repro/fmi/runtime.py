@@ -303,7 +303,12 @@ class FmirunTask:
         self.slot = slot
         self.node = node
         self.sim = fmirun.sim
+        #: the one record of a death fmirun and the recovery families
+        #: read: set when the guard's exit or the first child's fires
         self.failed = False
+        #: set with ``failed`` by the guard's exit: the node went down
+        #: (a child's exit leaves it up)
+        self.node_lost = False
         self.children: List[FmiProcess] = []
         self._guard = node.spawn(self._task_main(), name=f"fmirun.task[{node.id}]")
         self._guard.callbacks.append(self._on_guard_exit)
@@ -314,14 +319,15 @@ class FmirunTask:
     def _on_guard_exit(self, evt: Event) -> None:
         # Only reached by kill (node crash or job teardown).
         if not self.failed and not self.fmirun.job.finished:
-            self.failed = True
-            self.fmirun.on_task_failure(self, "node-crash")
+            self.failed = self.node_lost = True
+            self.fmirun.begin_recovery(f"task[{self.slot}]: node-crash")
 
     def spawn_ranks(self, ranks: List[int], incarnation: int) -> None:
         job = self.fmirun.job
         copy = self.slot // job.num_nodes  # replica tier of this slot
         for rank in ranks:
             fproc = FmiProcess(job, rank, self.node, incarnation, copy=copy)
+            fproc.task = self
             self.children.append(fproc)
             fproc.proc.callbacks.append(self._child_exit(fproc))
             job.recovery.adopt(fproc)
@@ -346,7 +352,8 @@ class FmirunTask:
             if self.fmirun.job.rank_procs.get(fproc.rank) is fproc:
                 self.fmirun.job.detector.process_died(fproc.rank, "child-death")
             self._guard.kill(cause="fmirun.task EXIT_FAILURE")
-            self.fmirun.on_task_failure(self, f"child rank {fproc.rank} died")
+            self.fmirun.begin_recovery(
+                f"task[{self.slot}]: child rank {fproc.rank} died")
 
         return cb
 
@@ -384,6 +391,8 @@ class Fmirun(FaultPolicy):
         self.node_slots: List[Node] = []
         self.tasks: Dict[int, FmirunTask] = {}
         self._recovery_proc = None
+        #: whether the open epoch's classification was a failover
+        self._failover = False
 
     # -- launch --------------------------------------------------------------
     def start(self) -> None:
@@ -421,22 +430,22 @@ class Fmirun(FaultPolicy):
         if not isinstance(proc_evt._value, ProcessKilled):
             self.job.abort(proc_evt._value)
 
-    def on_task_failure(self, task: FmirunTask, cause: str) -> None:
-        if self.job.finished:
-            return
-        self.begin_recovery(f"task[{task.slot}]: {cause}")
-
     # -- recovery ------------------------------------------------------------
     def begin_recovery(self, cause: str) -> None:
-        """Bump the recovery epoch (coalescing same-instant failures)
-        and make sure the replacement machinery is running."""
+        """Bump the recovery epoch and make sure the replacement
+        machinery is running.
+
+        An exit at the instant of the open epoch's cause folds into
+        that epoch, unless the epoch was a failover: its classification
+        saw only the deaths already reported, so a same-instant exit
+        still queued behind it is classified on its own."""
         job = self.job
         causes = job.recovery_causes
-        if causes and causes[-1][0] == self.sim.now:
+        if causes and causes[-1][0] == self.sim.now and not self._failover:
             return
         job.epoch += 1
         causes.append((self.sim.now, cause))
-        failover = job.recovery.try_failover(self, cause)
+        failover = self._failover = job.recovery.try_failover(self, cause)
         if not failover:
             # In-flight macro collective instances are dead timelines
             # now: every rank will unwind to H1 and replay the
@@ -479,19 +488,13 @@ class Fmirun(FaultPolicy):
             rproc.notify_failure(generation, "fmirun sweep")
 
     def _recover(self):
-        """Replace failed nodes and respawn their ranks (Figure 6)."""
+        """Replace failed nodes and respawn their ranks (Figure 6),
+        until no task is failed or the job is over."""
         job = self.job
         spec = self.machine.spec
         while True:
-            target_epoch = job.epoch
-            for slot in range(self.num_slots):
-                node = self.node_slots[slot]
-                task = self.tasks[slot]
-                procs = task.children
-                if all(
-                    p.alive or p.rank in job.results
-                    for p in procs
-                ) and node.alive and not task.failed:
+            for slot, task in self.tasks.items():
+                if not task.failed:
                     continue
                 # This slot needs a fresh node (spare list first, then
                 # the resource manager).  Any node we acquire can be
@@ -500,26 +503,14 @@ class Fmirun(FaultPolicy):
                 # latency, or either during the task-spawn window -- so
                 # every acquisition is re-checked after each wait and
                 # retried until a task starts on a *live* node.
-                if not task.failed:
-                    # A broken slot whose guard never reported: this
-                    # scan can land on a fresh failure before the
-                    # guard's exit callback fires (shutting it down
-                    # below would then suppress the report forever).
-                    # Open the failure's epoch first so the recovery
-                    # family classifies it before the respawn; a
-                    # report already in flight at this instant
-                    # coalesces in begin_recovery.
-                    self.on_task_failure(task, "discovered during recovery")
-                task.shutdown()
+                # A task whose child died (not its node) respawns on
+                # its own still-healthy node when its ranks have other
+                # copies -- re-arming a replica must not exhaust the
+                # spare pool.
+                reuse = not task.node_lost and job.config.num_copies > 1
                 while True:
-                    # A slot whose processes were sibling-killed (not a
-                    # node crash) respawns on its own still-healthy node
-                    # when its ranks have other copies -- re-arming a
-                    # replica must not exhaust the spare pool.
-                    if (node is not None and node.alive
-                            and job.config.num_copies > 1):
-                        new_node = node
-                        node = None  # one reuse attempt only
+                    if reuse:
+                        new_node, reuse = task.node, False  # one attempt
                     else:
                         new_node = self.alloc.take_spare()
                     if new_node is None:
@@ -552,9 +543,11 @@ class Fmirun(FaultPolicy):
                     if new_node.alive:
                         break
                     # Killed in the spawn window: acquire another node.
-                incarnation = max(p.incarnation for p in procs) + 1
+                incarnation = max(p.incarnation for p in task.children) + 1
                 self._start_task(slot, new_node, incarnation)
-            if job.epoch == target_epoch:
+            if job.finished or not any(
+                task.failed for task in self.tasks.values()
+            ):
                 return
 
     # -- dynamic leave (maintenance drain) ------------------------------------

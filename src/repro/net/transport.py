@@ -91,6 +91,10 @@ class NetContext:
     def close(self) -> None:
         self.closed = True
         self.transport._registry.pop(self.addr, None)
+        # The hooks are closures over the process that owned the
+        # context: ``Transport.contexts`` keeps every context, so a
+        # closed one must not keep a dead incarnation reachable.
+        self.matching.match_sink = self.recv_filter = None
 
 
 class _Arrival(Event):

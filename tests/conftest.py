@@ -6,7 +6,9 @@ collective-model, invariant, summary), the hand-off properties, the XOR
 cost relations, the kill lattice and the scheduler properties scale
 their ``max_examples`` with it, so ``python
 -m pytest tests/test_kernel_oracle.py --hypothesis-profile=deep`` runs
-them at ten times their tier-1 counts; tier-1 itself loads no profile.
+them at ten times their tier-1 counts; the two-kill window table runs
+every point where tier-1 runs every tenth.  Tier-1 itself loads no
+profile.
 """
 
 from hypothesis import settings

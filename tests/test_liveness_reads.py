@@ -15,6 +15,10 @@ read of ``.alive`` or ``.closed`` in ``fmi/``, ``mpi/``, ``net/`` or
   names the delivered signal that is to replace it: a task exit, a
   detector notice or a resource-manager grant failure.
 
+fmirun and both recovery planes read a death one way, as the spawning
+task's exit record (``fproc.task.failed``), which is not a liveness
+read.
+
 This walks those packages and keys every load by ``(module, enclosing
 function, source text)`` with a count.  It fails on a read the table
 does not list and on a table entry no read matches any more.
@@ -44,12 +48,6 @@ READS = {
     ("fmi/runtime.py", "Fmirun.begin_recovery", "self._recovery_proc.alive"):
         (1, PHYSICS, "fmirun's own recovery process, on the login node",
          None),
-    ("fmi/runtime.py", "Fmirun._recover", "p.alive"):
-        (1, OMNISCIENT, "the slot scan finds dead ranks of a slot whose "
-                        "task has not reported", "task exit"),
-    ("fmi/runtime.py", "Fmirun._recover", "node.alive"):
-        (2, OMNISCIENT, "the slot scan and the same-node respawn read the "
-                        "slot's node, not the guard's exit", "task exit"),
     ("fmi/runtime.py", "Fmirun._recover", "new_node.alive"):
         (2, PHYSICS, "a task launch onto a node that died during the "
                      "grant or the spawn window fails", None),
@@ -71,20 +69,7 @@ READS = {
                        "network", None),
     ("fmi/detector.py", "LogRingDetector._repair", "rproc.alive"):
         (1, PHYSICS, "no edge can be rebuilt to a dead process", None),
-    # -- fmi/msglog.py ------------------------------------------------------
-    ("fmi/msglog.py", "RecoveryPlane._rebuild", "rank_procs[m].node.alive"):
-        (1, OMNISCIENT, "the group's dead set counts members whose death "
-                        "nobody reported", "task exit"),
-    ("fmi/msglog.py", "RecoveryPlane._rebuild", "rank_procs[m].proc.alive"):
-        (1, OMNISCIENT, "the group's dead set counts members whose death "
-                        "nobody reported", "task exit"),
-    ("fmi/msglog.py", "RecoveryPlane._replay_into", "rproc.node.alive"):
-        (1, OMNISCIENT, "skips a log sender that just died, before its "
-                        "task reports", "task exit"),
     # -- fmi/replication.py -------------------------------------------------
-    ("fmi/replication.py", "ReplicationPlane._rebuild_mirrors", "p.alive"):
-        (1, OMNISCIENT, "mirrors only to followers it sees alive",
-         "task exit"),
     ("fmi/replication.py", "ReplicationPlane._rebuild_mirrors",
      "p.ctx.closed"):
         (1, DELIVERED, "a context the runtime closed itself (a replaced "
@@ -101,26 +86,6 @@ READS = {
      "ctx.node.alive"):
         (1, PHYSICS, "a parked wildcard on a dead node has no waiter",
          None),
-    ("fmi/replication.py", "ReplicationPlane.try_failover",
-     "job.rank_procs[r].alive"):
-        (1, OMNISCIENT, "the damage sort sees every dead lead, not the "
-                        "one reported", "task exit"),
-    ("fmi/replication.py", "ReplicationPlane.try_failover", "p.alive"):
-        (2, OMNISCIENT, "the damage sort and the standby marks see every "
-                        "dead copy, not the one reported", "task exit"),
-    ("fmi/replication.py", "ReplicationPlane._live_synced_copy", "p.alive"):
-        (1, OMNISCIENT, "picks a copy it sees alive", "task exit"),
-    ("fmi/replication.py", "ReplicationPlane._promote",
-     "job.rank_procs[r].alive"):
-        (1, OMNISCIENT, "re-reads the leads after the failover delay",
-         "task exit"),
-    ("fmi/replication.py", "ReplicationPlane._fallback",
-     "self.copies[r][copy].alive"):
-        (1, OMNISCIENT, "the election picks a copy it sees alive",
-         "task exit"),
-    ("fmi/replication.py", "ReplicationPlane._standby_sync", "lead.alive"):
-        (2, OMNISCIENT, "a standby sees its lead die between the "
-                        "checkpoint and the clone", "task exit"),
     # -- mpi/ ---------------------------------------------------------------
     ("mpi/runtime.py", "FailStop.start", "node.alive"):
         (1, PHYSICS, "a launch onto a dead node fails", None),
@@ -213,6 +178,14 @@ def test_every_entry_has_a_class_and_omniscient_ones_a_signal():
             assert signal in SIGNALS, key
         else:
             assert signal is None, key
+
+
+def test_one_omniscient_read_is_left():
+    # A mirror sender's skip of a replica on a dead node: its signal is
+    # a detector notice, not a task exit.
+    assert [key for key, entry in READS.items() if entry[1] == OMNISCIENT] \
+        == [("fmi/replication.py", "ReplicationPlane.mirror_copies",
+             "ctx.node.alive")]
 
 
 def test_the_guard_sees_every_spelling():

@@ -7,12 +7,13 @@ end-to-end tests run a killed BSP job under ``recovery="replicated"``
 and require it to land bit-identical on the failure-free answer
 *without any rank ever opening a checkpoint restore* -- failover, not
 rollback -- plus the graceful fall-back when both copies of one
-virtual rank die, and regressions for the recovery scan's
-swallowed-failure race.
+virtual rank die, and a second kill in the recovery's respawn window.
 """
 
+import gc
 import math
-from types import SimpleNamespace
+import sys
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
 from repro.fmi.replication import ReplicationPlane
+from repro.fmi.runtime import FmiProcess
 from repro.models.efficiency import (
     replication_efficiency,
     replication_vs_cr_crossover,
@@ -94,12 +96,12 @@ def make_plane(degree=2):
 
 
 def boot(plane, rank, copy, addr, ctx=None):
-    """Adopt one copy and take it through ``on_h1``, as the runtime
-    does; returns its wired context (a stub at ``addr`` unless
-    ``ctx`` is given)."""
+    """Adopt one copy, spawned by a task that has not failed, and take
+    it through ``on_h1``, as the runtime does; returns its wired
+    context (a stub at ``addr`` unless ``ctx`` is given)."""
     fproc = SimpleNamespace(rank=rank, copy=copy,
                             ctx=_StubCtx(addr) if ctx is None else ctx,
-                            alive=True)
+                            task=SimpleNamespace(failed=False))
     plane.adopt(fproc)
     plane.on_h1(fproc)
     return fproc.ctx
@@ -469,6 +471,58 @@ def test_a_replaced_copy_leaves_no_channel_or_endpoint_behind():
         assert np.array_equal(u, expected_bsp_state(rank, 4, iters))
 
 
+def _reachable(root, cls):
+    """The instances of ``cls`` that references from ``root`` reach,
+    through neither a module's globals nor a class: those reach every
+    object the interpreter holds, other tests' jobs too."""
+    seen = {id(vars(m)) for m in list(sys.modules.values()) if m}
+    seen.add(id(root))
+    stack, found = [root], []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, cls):
+            found.append(obj)
+        if isinstance(obj, (type, ModuleType)):
+            continue
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+    return found
+
+
+def test_the_transport_keeps_no_dead_copy_reachable():
+    # ``Transport.contexts`` keeps every context ever created, a
+    # replaced copy's too.  Closing one drops its receive filter and
+    # match sink, closures over the copy's process, so eight lead
+    # kills leave no dead incarnation reachable from the transport.
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(24), RngRegistry(0))
+    job = FmiJob(
+        machine, bsp_app(40, work_s=0.4), num_ranks=4, procs_per_node=1,
+        config=FmiConfig(interval=1, xor_group_size=4, recovery="replicated",
+                         spare_nodes=2),
+    )
+    done = job.launch()
+    reached = []
+
+    def killer():
+        for i in range(8):
+            yield sim.timeout(1.5)
+            job.rank_procs[i % 4].node.crash("injected")
+        yield sim.timeout(1.5)
+        reached.extend((p.rank, p.copy, p.alive)
+                       for p in _reachable(job.transport, FmiProcess))
+
+    sim.spawn(killer())
+    results = sim.run(until=done)
+    assert sum(ctx.closed for ctx in job.transport.contexts) >= 8
+    # one live process per copy of each rank, and nothing else
+    assert sorted(reached) == [(r, c, True) for r in range(4) for c in (0, 1)]
+    for rank, u in enumerate(results):
+        assert np.array_equal(u, expected_bsp_state(rank, 4, 40))
+
+
 def test_a_replaced_standby_leaves_no_record_to_fall_back_over():
     # A re-arming standby dies before it syncs and its replacement
     # re-arms in turn: the dead copy's record goes with its channel
@@ -519,17 +573,43 @@ def test_kill_both_copies_falls_back_to_coordinated_restore():
     assert _violations(tracer) == []
 
 
-def test_recovery_scan_reports_discovered_failures():
-    # Regression: the second kill lands exactly one proc_spawn_latency
-    # (0.02 s) after the first, so the recovery scan wakes from its
-    # spawn timeout in the same instant the second guard exit is queued
-    # behind it.  The scan used to shut the broken task down first,
-    # which suppressed the queued failure report forever -- the job
-    # deadlocked with a half-promoted, never-recovered slot.
+def test_a_kill_in_the_respawn_window_opens_its_own_epoch():
+    # The second kill, of the other copy of the same slot, lands
+    # exactly one proc_spawn_latency (0.02 s) after the first: the
+    # recovery wakes from its spawn timeout in the instant the second
+    # guard's exit is queued behind it.  The recovery respawns only
+    # what a task reported, so that exit opens its own epoch and falls
+    # back, and the job ends on the failure-free answer.
     job, _tracer, results = run_bsp(
         "replicated", kills=[(1, 1.6), (5, 1.62)])
     _assert_failure_free_answer(results)
     assert job.epoch == 2  # both deaths opened their own epoch
+
+
+def test_a_kill_queued_behind_a_failover_opens_its_own_epoch():
+    # Both copies of slot 1 die at 1.6 s, the second behind a zero
+    # timeout: the first exit has been classified (a failover to the
+    # other copy) when the second crash happens.  Folded into the
+    # failover's epoch, the second death would go unclassified and the
+    # slot would be left with no synced copy: the job would stall.
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(12), RngRegistry(0))
+    job = FmiJob(
+        machine, bsp_app(ITERS, work_s=0.25), num_ranks=8, procs_per_node=2,
+        config=FmiConfig(interval=1, xor_group_size=4, recovery="replicated",
+                         spare_nodes=2),
+    )
+    done = job.launch()
+
+    def killer():
+        yield sim.timeout(1.6)
+        machine.node(1).crash("injected")
+        yield sim.timeout(0.0)
+        machine.node(5).crash("injected")
+
+    sim.spawn(killer())
+    _assert_failure_free_answer(sim.run(until=done))
+    assert [t for t, _cause in job.recovery_causes] == [1.6, 1.6]
 
 
 @settings(max_examples=6, deadline=None)
