@@ -159,8 +159,8 @@ class XorScheme(RedundancyScheme):
         buf = Payload.zeros_like(chunks[0])
         for step in range(n):
             recv_evt = self.comm.post_recv(left, TAG_XOR_RING)
-            yield self.comm.send_async(right, buf, buf.nbytes, TAG_XOR_RING)
-            env = yield recv_evt
+            env = (yield self.comm.send_async(
+                right, buf, buf.nbytes, TAG_XOR_RING), recv_evt)[1]
             buf = env.data
             slot = (i - 1 - step) % n
             if slot != i:
@@ -300,8 +300,8 @@ class PartnerScheme(RedundancyScheme):
         if n == 1:  # degenerate group: nobody to replicate to
             return None
         recv_evt = self.comm.post_recv((i - 1) % n, TAG_PARTNER)
-        yield self.comm.send_async((i + 1) % n, blob, blob.nbytes, TAG_PARTNER)
-        env = yield recv_evt
+        env = (yield self.comm.send_async(
+            (i + 1) % n, blob, blob.nbytes, TAG_PARTNER), recv_evt)[1]
         return env.data  # the left neighbour's blob: my partner copy
 
     def assist_rebuild(self, f: int, dataset: int):

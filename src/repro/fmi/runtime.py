@@ -444,6 +444,13 @@ class Fmirun(FaultPolicy):
         if causes and causes[-1][0] == self.sim.now and not self._failover:
             return
         job.epoch += 1
+        # every rendezvous key names its epoch (``rendezvous_scope``):
+        # a released one is never asked for again, while one released
+        # in this epoch meets a late arrival and refuses it
+        for opened in (job._h1_rdv, job._h2_rdv):
+            for key in [key for key, rdv in opened.items()
+                        if rdv.released_at is not None]:
+                del opened[key]
         causes.append((self.sim.now, cause))
         failover = self._failover = job.recovery.try_failover(self, cause)
         if not failover:

@@ -232,8 +232,11 @@ def allreduce_hops(comm, value: Any, op: Callable = SUM,
             # back to a real rank: the folded pairs kept their odd half
             partner = partner * 2 + 1 if partner < rem else partner + rem
             recv_evt = post_recv(partner, TAG_ALLREDUCE)
-            yield send_async(partner, acc, nbytes, TAG_ALLREDUCE)
-            env = yield recv_evt
+            # the pair (simt.process): the send, then the receive, in
+            # one resume; indexed, not unpacked, so the frame has no
+            # slot for the send's value
+            env = (yield send_async(
+                partner, acc, nbytes, TAG_ALLREDUCE), recv_evt)[1]
             acc = op(acc, env.data)
             mask <<= 1
 
@@ -259,8 +262,7 @@ def barrier_hops(comm):
         dst = (rank + mask) % size
         src = (rank - mask) % size
         recv_evt = post_recv(src, TAG_BARRIER)
-        yield send_async(dst, None, _TINY, TAG_BARRIER)
-        yield recv_evt
+        yield send_async(dst, None, _TINY, TAG_BARRIER), recv_evt
         mask <<= 1
 
 
@@ -302,8 +304,9 @@ def allgather_hops(comm, value: Any, nbytes: Optional[float] = None):
     send_async = comm.send_async
     for _step in range(size - 1):
         recv_evt = post_recv(left, TAG_ALLGATHER)
-        yield send_async(right, (send_block, blocks[send_block]), nbytes, TAG_ALLGATHER)
-        env = yield recv_evt
+        env = (yield send_async(
+            right, (send_block, blocks[send_block]), nbytes, TAG_ALLGATHER
+        ), recv_evt)[1]
         idx, blk = env.data
         blocks[idx] = blk
         send_block = idx
@@ -342,9 +345,8 @@ def alltoall_hops(comm, values: List[Any], nbytes: Optional[float] = None):
         src = (rank - step) % size
         recv_evt = post_recv(src, TAG_ALLTOALL)
         # price each destination's own item, not values[0]'s size
-        yield send_async(
+        env = (yield send_async(
             dst, values[dst], wire_bytes(values[dst], nbytes), TAG_ALLTOALL
-        )
-        env = yield recv_evt
+        ), recv_evt)[1]
         result[src] = env.data
     return result

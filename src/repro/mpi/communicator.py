@@ -121,8 +121,7 @@ class Communicator:
         """Concurrent send+receive (deadlock-free ring/halo building block)."""
         recv_evt = self.post_recv(source, tag)
         send_evt = self.send_async(dst, data, nbytes, tag)
-        env = yield recv_evt
-        yield send_evt
+        env = (yield recv_evt, send_evt)[0]  # the pair: one resume
         return env.data
 
     # -- collectives: the one dispatch point ----------------------------------

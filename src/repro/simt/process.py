@@ -27,6 +27,20 @@ this way, and ``FMI_Loop`` its multi-event protocol entries (checkpoint,
 restore, the checkpoint decision); application code and helpers of
 an event or two keep ``yield from``.
 
+A process may also ``yield a, b``: the *pair*, two events waited on in
+that order in one resume.  When ``a`` fires the trampoline registers
+on ``b`` (or relays it, if it already fired) without entering the
+generator, which receives ``(a's value, b's value)`` -- or the
+exception of whichever failed, ``a``'s at once -- exactly as ``x =
+yield a`` followed by ``y = yield b`` would, at the same instants and
+with the same callbacks dispatched; what goes is the resume in
+between, which entered every frame of the process's stack only to
+yield ``b``.  So use a pair only where both events exist before the
+first wait and nothing runs between the two waits.  A second event
+that is built after the first fires, or code between the waits,
+keeps two ``yield``\\ s.  A refusal of ``b`` (cancelled, inert) comes
+when ``a`` fires, where the second ``yield`` would have met it.
+
 A body that *returns* a generator makes the *tail hand-off*: that
 generator becomes the body, and the process ends with its outcome.  A
 runtime body with nothing left to do after the application (the MPI
@@ -77,20 +91,26 @@ def wait_chain(event: Event) -> str:
     """What ``event`` waits on: the processes it joins, one ``_target``
     after another, then the event the last one waits on.  A process
     inside a hand-off names where it is: its generators' qualnames,
-    outermost first (``[FmiProcess._main \u2192 app \u2192 ...]``)."""
+    outermost first (``[FmiProcess._main \u2192 app \u2192 ...]``).  A
+    process waiting on the first event of a pair names the second
+    after it (``..., then send 3\u21924 tag 7``)."""
     chain = []
+    then = None
     while isinstance(event, Process) and len(chain) < 64:  # no cycle
         chain.append(f"process {event.name!r}" if event._caller is None else
                      f"process {event.name!r} [" + " \u2192 ".join(
                          getattr(gen, "__qualname__", type(gen).__name__)
                          for gen in reversed(event._stack())) + "]")
+        then = event._pair
         event = event._target
     if event is not None:
         count = len(_registered(event))
         state = ("cancelled" if event._cancelled else
                  "triggered" if event.triggered else "untriggered")
+        then = (f", then {then._what()}"  # a pair's second
+                if then.__class__ in _EVENT_CLASSES else "")
         chain.append(f"{event._what()} ({state}, {count} "
-                     f"callback{'' if count == 1 else 's'})")
+                     f"callback{'' if count == 1 else 's'}){then}")
     return " \u2192 ".join(chain)
 
 
@@ -132,12 +152,19 @@ class Process(Event):
     (None when there is none); a subroutine that yields a generator
     pushes itself on the chain, and its return pops its caller.
     Returning a generator from the body replaces ``generator`` with it
-    (the tail hand-off).  Yielding a cancelled event fails the process
+    (the tail hand-off).  Yielding a pair ``(a, b)`` waits on ``a``
+    with ``b`` in ``_pair``, then on ``b`` with ``a``'s value there
+    (module docstring).  Yielding a cancelled event fails the process
     with :class:`~repro.simt.kernel.SimulationError`: it would never
     fire.
     """
 
     __slots__ = ("generator", "name", "_target", "_resume_cb", "_caller")
+
+    #: ``_pair`` is the kernel's ``_seq`` slot under a second name: a
+    #: process is pushed once, when it ends, so the slot is free until
+    #: then, and a rank costs no more bytes for it
+    _pair = Event._seq
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
         super().__init__(sim)
@@ -147,6 +174,10 @@ class Process(Event):
         #: the callers suspended at a hand-off ``yield``, innermost
         #: first: ``(gen, rest)``, or None
         self._caller: Optional[tuple] = None
+        #: a yielded pair's second event while its first is awaited,
+        #: then the first's value (boxed: ``_resume``) while the second
+        #: is; else None
+        self._pair = None
         self._resume_cb = self._resume
         # Bootstrap: resume once at the current time (a zero-delay
         # push: the immediate queue, as ``Event.succeed`` does it).
@@ -227,8 +258,10 @@ class Process(Event):
         self.generator = gen
 
     def _detach(self) -> None:
-        """Stop listening to the event we were waiting on; a slot that
-        held this process alone goes back to empty."""
+        """Stop listening to the event we were waiting on, and forget a
+        pair's rest; a slot that held this process alone goes back to
+        empty."""
+        self._pair = None
         tgt = self._target
         if tgt is None:
             return
@@ -257,72 +290,99 @@ class Process(Event):
         if tgt is not None and tgt._callbacks is not None:
             self._detach()
         self._target = None
-        sim = self.sim
-        gen = self.generator
         ok = event._ok
         value = event._value
-        while True:
-            try:
+        nxt = self._pair
+        if nxt is not None:
+            if ok and nxt.__class__ in _EVENT_CLASSES:
+                # the first fired: keep its value and wait on the
+                # second, no resume.  A value that could pass for the
+                # second (an event), for a box (a tuple) or for no pair
+                # (None) is boxed in a 1-tuple; an envelope is kept as
+                # it is, so a rank between its receive and its send
+                # holds no tuple
+                cls = value.__class__
+                self._pair = ((value,) if cls in _EVENT_CLASSES
+                              or cls is tuple or value is None else value)
+            else:  # the second fired (the outcome), or the first failed
+                self._pair = None
                 if ok:
-                    nxt = gen.send(value)
-                else:
-                    nxt = gen.throw(value)
-            except BaseException as exc:
-                # a return (generators raise StopIteration itself) or
-                # an uncaught exception
-                ok = exc.__class__ is StopIteration
-                value = exc.value if ok else exc
-                caller = self._caller
-                if caller is None:
-                    if ok and value.__class__ is GeneratorType:
-                        # the tail hand-off: the returned generator is
-                        # the body from here on
-                        gen = self.generator = value
-                        value = None
-                        continue
-                    self._ok = ok
-                    self._value = value
-                    sim._push(self, 0.0)
-                    return
-                # a handed-off subroutine ended: the outcome of its
-                # caller's ``yield``
-                gen, self._caller = caller
-                self.generator = gen
-                continue
-            # every Event class is in the set: no call per wake
-            cls = nxt.__class__
-            if cls in _EVENT_CLASSES:
-                # (a withdrawn wire keeps ``()`` in its slot: the flag;
-                # a cancelled process still fires, and may be joined)
-                if nxt._processed or (nxt._callbacks is not None
-                                      and not nxt._cancelled):
+                    value = (nxt[0] if nxt.__class__ is tuple else nxt,
+                             value)
+                nxt = None
+        if nxt is None:  # the generator's turn
+            gen = self.generator
+            while True:
+                try:
+                    if ok:
+                        nxt = gen.send(value)
+                    else:
+                        nxt = gen.throw(value)
+                except BaseException as exc:
+                    # a return (generators raise StopIteration itself)
+                    # or an uncaught exception
+                    ok = exc.__class__ is StopIteration
+                    value = exc.value if ok else exc
+                    caller = self._caller
+                    if caller is None:
+                        if ok and value.__class__ is GeneratorType:
+                            # the tail hand-off: the returned generator
+                            # is the body from here on
+                            gen = self.generator = value
+                            value = None
+                            continue
+                        self._ok = ok
+                        self._value = value
+                        self.sim._push(self, 0.0)
+                        return
+                    # a handed-off subroutine ended: the outcome of its
+                    # caller's ``yield``
+                    gen, self._caller = caller
+                    self.generator = gen
+                    continue
+                # every Event class is in the set: no call per wake
+                cls = nxt.__class__
+                if cls in _EVENT_CLASSES:
                     break
-                # a withdrawn event never fires: waiting on it would
-                # hang the process with nothing to say why
-                error = (f"process {self.name!r} yielded a "
-                         f"{'cancelled' if nxt._cancelled else 'inert'} "
-                         f"{cls.__name__}, which never fires")
-            elif cls is GeneratorType:
-                # the hand-off: drive the subroutine from here on, its
-                # caller innermost on the chain
-                self._caller = (gen, self._caller)
-                gen = self.generator = nxt
-                ok = True
-                value = None
-                continue
-            else:
-                error = (f"process {self.name!r} yielded {cls.__name__}, "
-                         "expected an Event or a generator")
-            self._ok = False
-            self._value = SimulationError(error)
-            sim._push(self, 0.0)
-            self._close()
-            return
+                if cls is tuple:  # first: more pairs than hand-offs
+                    try:  # unpacked: a ``len`` would be a call per pair
+                        first, second = nxt
+                    except ValueError:
+                        first = second = None
+                    if (first.__class__ in _EVENT_CLASSES
+                            and second.__class__ in _EVENT_CLASSES):
+                        # the pair: wait on the first, keep the second
+                        # (checked when the first fires, where a second
+                        # ``yield`` would check it)
+                        self._pair = second
+                        nxt = first
+                        break
+                elif cls is GeneratorType:
+                    # the hand-off: drive the subroutine from here on,
+                    # its caller innermost on the chain
+                    self._caller = (gen, self._caller)
+                    gen = self.generator = nxt
+                    ok = True
+                    value = None
+                    continue
+                return self._refuse(
+                    f"yielded {cls.__name__}, expected an Event or a "
+                    "generator (or a pair of Events)")
 
+        # (a withdrawn wire keeps ``()`` in its slot: the flag; a
+        # cancelled process still fires, and may be joined)
+        if not (nxt._processed or (nxt._callbacks is not None
+                                   and not nxt._cancelled)):
+            # a withdrawn event never fires: waiting on it would hang
+            # the process with nothing to say why
+            return self._refuse(
+                f"yielded a {'cancelled' if nxt._cancelled else 'inert'} "
+                f"{type(nxt).__name__}, which never fires")
         self._target = nxt
         if nxt._processed:
             # Already fired: resume on a fresh zero-delay event carrying
             # the same outcome so scheduling order stays heap-driven.
+            sim = self.sim
             relay = _Wake()
             relay.sim = sim
             relay._callbacks = self._resume_cb
@@ -344,3 +404,10 @@ class Process(Event):
             callbacks.append(self._resume_cb)
         else:
             nxt._callbacks = [callbacks, self._resume_cb]
+
+    def _refuse(self, what: str) -> None:
+        """Fail the process for a yield it cannot wait on."""
+        self._ok = False
+        self._value = SimulationError(f"process {self.name!r} {what}")
+        self.sim._push(self, 0.0)
+        self._close()

@@ -66,6 +66,12 @@ overhead timer's pop enter one method   852    97.2          8.8
 a trigger is a store: a message's
 completions, wire timers and envelope
 enter no kernel frame                   791    97.2          8.1
+the same, re-read on the parent of
+the next row                            776    97.2          8.0
+a paired wait is one resume: sendrecv,
+each hop-collective round and the XOR
+ring wait on send and receive in one
+yield                                   741    97.2          7.6
 ====================================  =====  ======  ===========
 
 The ceilings sit ~12 % above the last row (events: 8 %, below the 106
@@ -215,6 +221,9 @@ one frame, and drain in one)            71.0    7.38     17.3    0.0   2,733
 a trigger is a store (the ring's
 matches, completions, wire timers and
 envelopes enter no kernel frame)        67.0    7.38     17.3    0.0   2,737
+a paired wait is one resume (the
+ring's ``sendrecv``; no slot, local
+or tuple more per rank)                 64.0    7.38     17.3    0.0   2,737
 =====================================  =====  ======  =======  =====  ======
 
 The event count is an equality: PR 19's diet was not allowed to move
@@ -237,7 +246,15 @@ The nested hand-offs' row lowered the first table's calls and
 calls/event ceilings and the macro calls and traced ones, ~12 % above
 it again (tracked: 19.4 already was).  The one-frame pipe's row
 lowered the first table's calls and calls/event ceilings and the macro
-calls one the same way, and so did the trigger-is-a-store row.
+calls one the same way, and so did the trigger-is-a-store row, and
+the paired-wait row.
+
+**A paired wait** is pinned by its frame entries: a rank whose
+application calls one two-rank ``sendrecv`` enters the application's
+frame at its start and once when the exchange is done -- twice.  While
+``sendrecv`` yielded its receive and then its send, the rank was
+resumed between the two only to yield the second, and entered the
+frame a third time.
 """
 
 import cProfile
@@ -266,11 +283,11 @@ from repro.simt import resources
 from repro.simt.rng import RngRegistry
 
 RANKS, ITERATIONS = 24, 8
-CALLS_PER_RANK_ITERATION = 885.0
+CALLS_PER_RANK_ITERATION = 830.0
 EVENTS_PER_RANK_ITERATION = 105.0
 #: below the 18.1 this run cost before the diet, so that neither half
 #: can drift back while the other hides it
-CALLS_PER_EVENT = 9.1
+CALLS_PER_EVENT = 8.5
 #: entries of ``FmiContext.loop``: 3.75 handed off, 23.6 forwarding
 LOOP_ENTRIES_PER_RANK_ITERATION = 4.2
 #: calls a tracer and a metrics registry add to the run, in all: 6,707
@@ -463,6 +480,32 @@ def test_a_clean_delivery_probes_one_bucket():
     assert 0 < from_deliver / len(envs) <= 2, from_deliver
 
 
+def test_a_paired_wait_is_one_resume():
+    entries = {0: 0, 1: 0}
+
+    def app(api):
+        peer = 1 - api.rank
+        return (yield from api.sendrecv(peer, api.rank, source=peer,
+                                        nbytes=8.0, tag=3))
+
+    def on_event(frame, event, _arg):
+        if event == "call" and frame.f_code is app.__code__:
+            entries[frame.f_locals["api"].rank] += 1
+
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(2), RngRegistry(14))
+    job = MpiJob(machine, app, 2, procs_per_node=1, charge_init=False)
+    sys.setprofile(on_event)
+    try:
+        results = sim.run(until=job.launch())
+    finally:
+        sys.setprofile(None)
+    assert results == [1, 0]
+    # its start, then the exchange's end: no resume between the
+    # receive and the send
+    assert entries == {0: 2, 1: 2}
+
+
 # ------------------------------------------------------------------- pipe
 def _entered(call, module=None):
     """Names of the Python frames entered while ``call()`` runs, of
@@ -509,7 +552,7 @@ def test_a_pipe_change_is_one_frame():
 
 # ------------------------------------------------------------- macro tier
 MACRO_RANKS, MACRO_ROUNDS, MACRO_PPN = 1024, 2, 16
-MACRO_CALLS_PER_RANK_ROUND = 75.0
+MACRO_CALLS_PER_RANK_ROUND = 71.5
 MACRO_EVENTS = 15_108  # 7.38 per rank-round
 MACRO_TRACKED_PER_RANK = 19.4 if sys.version_info >= (3, 11) else 40.0
 MACRO_CELLS_PER_RANK = 1.0

@@ -283,6 +283,20 @@ def test_a_mutual_recv_names_both_receives():
         "(source 0, tag 7, comm 0) (untriggered, 1 callback)")
 
 
+def test_a_sendrecv_whose_partner_never_sends_names_both_its_events():
+    def app(api):
+        if api.rank == 0:
+            yield from api.sendrecv(1, "x", source=1, tag=7)
+        else:
+            yield from api.recv(0, tag=7)  # takes the message, sends none
+
+    text, proc0, _proc1 = _mutual(app)
+    assert text.endswith(
+        f"waiting: process {proc0.name!r} → posted receive "
+        "(source 1, tag 7, comm 0) (untriggered, 1 callback), "
+        "then send 0→1 tag 7")
+
+
 def test_a_send_parked_at_a_cut_names_the_message():
     def app(api):
         if api.rank == 0:

@@ -1,15 +1,18 @@
 """End-to-end FMI jobs: failure-free runs, recovery, data integrity."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.apps.synthetic import bsp_app, expected_bsp_state
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
 from repro.fmi.errors import FmiAbort
 from repro.fmi.state import ProcState
 from repro.obs import Tracer
-from repro.simt import Simulator
+from repro.simt import BandwidthResource, Simulator
 from repro.simt.rng import RngRegistry
 
 
@@ -335,3 +338,81 @@ def test_replacement_timeout_aborts_when_machine_exhausted():
     with pytest.raises(FmiAbort, match="replacement"):
         sim.run(until=done)
     assert sim.now < 60.0  # aborted promptly, no infinite wait
+
+
+# ------------------------------------------------------- per-recovery growth
+#: ``Transport.contexts`` keeps every context ever made (the live
+#: registry is ROADMAP item 21), and a pipe keeps its last entry event,
+#: three per node the job first uses: what the growth pin leaves out
+_UNPINNED = ("NetContext", "MatchingEngine")
+
+
+def _objects_left_behind():
+    """GC-tracked objects after a collection, less the unpinned ones
+    and the pipes' entry events."""
+    gc.collect()
+    objects = gc.get_objects()
+    return len(objects) - sum(
+        1 for o in objects if type(o).__name__ in _UNPINNED
+        or (type(o) is BandwidthResource and o._entry is not None))
+
+
+def test_a_released_rendezvous_goes_when_the_epoch_moves_on():
+    sim, machine = make()
+    job = FmiJob(machine, counting_app(1), num_ranks=2,
+                 config=FmiConfig(xor_group_size=2))
+    # the global family's scope reads the job alone: no process needed
+    h1 = job.h1_rendezvous(None)
+    h1.arrive()
+    h1.arrive()
+    sim.run()
+    assert h1.released_at is not None
+    # a late arrival in the epoch that released it meets it, refused
+    assert job.h1_rendezvous(None) is h1
+    with pytest.raises(RuntimeError, match="already released"):
+        h1.arrive()
+    pending = job.h2_rendezvous(None)
+    job.fmirun.begin_recovery("injected")
+    # a new epoch: the released one goes, the unreleased one stays
+    assert job.epoch == 1
+    assert job._h1_rdv == {} and list(job._h2_rdv.values()) == [pending]
+
+
+def _killed_job(recovery, kills):
+    """A finished 4-rank job whose lead nodes were killed ``kills``
+    times, 1.5 s apart."""
+    sim, machine = make(num_nodes=24)
+    job = FmiJob(machine, bsp_app(40, work_s=0.4), num_ranks=4,
+                 procs_per_node=1,
+                 config=FmiConfig(interval=1, xor_group_size=4,
+                                  recovery=recovery, spare_nodes=2))
+    done = job.launch()
+
+    def killer():
+        for i in range(kills):
+            yield sim.timeout(1.5)
+            job.rank_procs[i % 4].node.crash("injected")
+
+    sim.spawn(killer())
+    results = sim.run(until=done)
+    assert job.recovery_count == kills
+    for rank, u in enumerate(results):
+        assert np.array_equal(u, expected_bsp_state(rank, 4, 40))
+    return job
+
+
+@pytest.mark.parametrize("recovery", ["global", "logged", "replicated"])
+def test_a_recovery_leaves_nothing_behind(recovery):
+    # What a finished job still holds, after 2 recoveries and after 10:
+    # counted at the end, when no message is in flight, the difference
+    # is what each recovery left.  The ceiling is below the 4 objects a
+    # recovery's released H1 and H2 rendezvous and their lists would
+    # add if no later epoch dropped them.
+    _killed_job(recovery, 2)  # what a first job sets up once
+    base = _objects_left_behind()
+    job = _killed_job(recovery, 2)
+    after_two = _objects_left_behind() - base
+    del job
+    job = _killed_job(recovery, 10)
+    after_ten = _objects_left_behind() - base
+    assert (after_ten - after_two) / 8 < 2.5, (after_two, after_ten)

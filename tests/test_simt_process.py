@@ -1,12 +1,16 @@
 """Unit tests for generator processes: resume, interrupt, kill, join."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simt import Interrupt, Process, ProcessKilled, Simulator
 from repro.simt.process import wait_chain
-from repro.simt.kernel import SimulationError
+from repro.simt.kernel import Event, SimulationError
+
+from tests.schedule_recorder import RecordingSimulator
 
 
 def test_process_runs_and_returns():
@@ -332,38 +336,63 @@ _INSTANT = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5])
 #: what a yield site catches: V a subroutine's ValueError, I an Interrupt
 _CATCHES = st.sampled_from(["", "V", "I", "VI"])
 _WAIT = st.tuples(st.just("wait"), _DELAY, _CATCHES)
+#: one event of a pair: ``(delay, fails)``
+_MEMBER = st.tuples(_DELAY, st.sampled_from(
+    ["name", "None", "tuple", "Event", "fails"]))
+#: ``("pair", wait before the yield, a, b, catches)``: a member whose
+#: delay the wait reaches has fired by the yield (a relay)
+_PAIR = st.tuples(st.just("pair"), _DELAY, _MEMBER, _MEMBER, _CATCHES)
 
 
-def _call(depth):
+def _call(depth, wait=_WAIT):
     """A call site: ``("call", handoff, subroutine, catches)``."""
-    return st.tuples(st.just("call"), st.booleans(), _subroutine(depth),
+    return st.tuples(st.just("call"), st.booleans(), _subroutine(depth, wait),
                      _CATCHES)
 
 
-def _subroutine(depth):
+def _subroutine(depth, wait=_WAIT):
     """``(items, end)``: up to three waits or, while ``depth`` lasts,
     calls, then a return or a raise."""
-    item = _WAIT if depth == 0 else st.one_of(_WAIT, _call(depth - 1))
+    item = wait if depth == 0 else st.one_of(wait, _call(depth - 1, wait))
     return st.tuples(st.lists(item, max_size=3),
                      st.sampled_from(["return", "raise"]))
 
 
-def _body(depth):
+def _body(depth, wait=_WAIT):
     """A body whose subroutine tree is ``depth`` deep at the most, with
     at least one call."""
-    item = st.one_of(_WAIT, _call(depth - 1))
+    item = st.one_of(wait, _call(depth - 1, wait))
     return st.tuples(
         st.builds(lambda head, call, tail: head + [call] + tail,
-                  st.lists(item, max_size=2), _call(depth - 1),
+                  st.lists(item, max_size=2), _call(depth - 1, wait),
                   st.lists(item, max_size=2)),
         st.sampled_from(["return", "raise"]))
 
 
-def _run_program(handoff, body, interrupts, kill_at):
+#: a value that is an event, the same object in every run
+_AN_EVENT = Event(Simulator())
+
+
+def _member(sim, delay, kind, name):
+    """A pair's event, ``delay`` from now: a timeout whose value is
+    ``name``, None, ``(name,)`` or an event -- the values the trampoline
+    must not take for a state of the pair -- or an event that fails
+    with a ``ValueError`` naming it."""
+    if kind != "fails":
+        return sim.timeout(delay, value={
+            "name": name, "None": None, "tuple": (name,),
+            "Event": _AN_EVENT}[kind])
+    evt = Event(sim)
+    return evt.fail(ValueError(f"{name} failed"), delay)
+
+
+def _run_program(handoff, body, interrupts, kill_at, paired=True):
     """One body and its tree of subroutines, each call entered by
     hand-off where both ``handoff`` and the call site say so, else by
-    ``yield from``; returns everything the two must agree on."""
-    sim = Simulator()
+    ``yield from``, each pair yielded as one where ``paired`` says so,
+    else as two ``yield``\\ s; returns everything the two must agree
+    on, the dispatch sequence included."""
+    sim = RecordingSimulator(keep=True)
     log = []
 
     def run(tag, items, end):
@@ -372,6 +401,14 @@ def _run_program(handoff, body, interrupts, kill_at):
                 try:
                     if item[0] == "wait":
                         got = yield sim.timeout(item[1], value=(tag, i))
+                    elif item[0] == "pair":
+                        a, b = (_member(sim, *member, f"{tag}.{i}{k}")
+                                for k, member in zip("ab", item[2:4]))
+                        yield sim.timeout(item[1])
+                        if paired:
+                            got = yield a, b
+                        else:
+                            got = (yield a), (yield b)
                     elif handoff and item[1]:
                         got = yield run(f"{tag}.{i}", *item[2])
                     else:
@@ -396,7 +433,8 @@ def _run_program(handoff, body, interrupts, kill_at):
     sim.run()
     outcome = (proc.ok, repr(proc.value) if proc.ok
                else (type(proc.value).__name__, str(proc.value)))
-    return log, outcome, sim.stats.events_processed, repr(sim.now)
+    return (log, outcome, sim.stats.events_processed, repr(sim.now),
+            sim.entries)
 
 
 _STEPS = st.lists(st.tuples(_DELAY, st.booleans()), max_size=3)
@@ -432,6 +470,150 @@ def test_a_tree_of_hand_offs_behaves_as_nested_yield_from(body, interrupts,
     # values, catches, ``finally`` order, outcome, events and clock
     program = (body, interrupts, kill_at)
     assert _run_program(True, *program) == _run_program(False, *program)
+
+
+@settings(max_examples=300 * _SCALE, deadline=None)
+@given(pair=_PAIR, at=st.integers(0, 4),
+       body=st.integers(1, 3).flatmap(
+           lambda depth: _body(depth, st.one_of(_WAIT, _PAIR))),
+       interrupts=st.lists(_INSTANT, max_size=3),
+       kill_at=st.one_of(st.none(), _INSTANT))
+def test_a_pair_behaves_as_two_yields(pair, at, body, interrupts, kill_at):
+    # ``x, y = yield a, b`` against ``x, y = (yield a), (yield b)``, in
+    # a tree of hand-offs: either member first, either fired by the
+    # yield, either failing, an interrupt or a kill while either is
+    # awaited -- the same values, catches, ``finally`` order, outcome,
+    # events, clock and dispatch sequence
+    items, end = body
+    program = ((items[:at] + [pair] + items[at:], end), interrupts, kill_at)
+    assert (_run_program(True, *program, paired=True)
+            == _run_program(True, *program, paired=False))
+
+
+def _pair_program(sim, a, b, log):
+    def body():
+        try:
+            log.append((yield a, b))
+        except (ValueError, Interrupt) as exc:
+            log.append(repr(exc))
+        return "done"
+    return body()
+
+
+def test_a_pair_is_waited_on_in_order_in_one_resume():
+    sim = Simulator()
+    log = []
+    a, b = sim.timeout(2.0, value="a"), sim.timeout(1.0, value="b")
+    proc = sim.spawn(_pair_program(sim, a, b, log), name="p")
+    sim.run(until=1.5)
+    # b fired first; the process still waits on a, and names b after it
+    assert proc._target is a and proc._pair is b
+    assert wait_chain(proc) == (
+        "process 'p' \u2192 Timeout (triggered, 1 callback), then Timeout")
+    sim.run()
+    assert log == [("a", "b")] and proc.value == "done"
+    assert sim.now == 2.0
+    # the boot, both timeouts, b's relay, the join
+    assert sim.stats.events_processed == 5
+
+
+def test_a_pair_takes_the_first_failure():
+    sim = Simulator()
+    log = []
+    a = Event(sim).fail(ValueError("a"), 1.0)
+    b = sim.timeout(0.5)
+    proc = sim.spawn(_pair_program(sim, a, b, log), name="p")
+    sim.run()
+    assert log == ["ValueError('a')"]
+
+    sim = Simulator()
+    log = []
+    a = sim.timeout(0.5, value="a")
+    b = Event(sim).fail(ValueError("b"), 1.0)
+    sim.spawn(_pair_program(sim, a, b, log), name="p")
+    sim.run()
+    assert log == ["ValueError('b')"]
+
+
+def test_the_pair_takes_no_slot_of_its_own():
+    # its state lives in the kernel's ``_seq`` slot, free until the
+    # process's one push: a process is an event and five slots, and a
+    # thirteenth would cost every rank 16 bytes (pymalloc rounds up)
+    assert Process._pair is Event._seq
+    assert Process.__basicsize__ == (Event.__basicsize__
+                                     + 5 * struct.calcsize("P"))
+
+
+@pytest.mark.parametrize("at", [0.5, 1.5], ids=["on-a", "on-b"])
+def test_an_interrupt_or_a_kill_clears_the_pair(at):
+    sim = Simulator()
+    log = []
+    a, b = sim.event(), sim.event()
+    a.succeed("a", delay=1.0)
+    proc = sim.spawn(_pair_program(sim, a, b, log), name="p")
+    sim.run(until=at)
+    assert proc._pair is not None
+    proc.interrupt("stop")
+    assert proc._pair is None
+    sim.run()
+    assert log == ["Interrupt('stop')"] and proc.value == "done"
+    assert b._callbacks == ()  # nobody left registered on b
+
+    sim = Simulator()
+    a, b = sim.event(), sim.event()
+    a.succeed("a", delay=1.0)
+    proc = sim.spawn(_pair_program(sim, a, b, []), name="p")
+    sim.run(until=at)
+    proc.kill("crash")
+    sim.run()
+    assert isinstance(proc.value, ProcessKilled)
+    assert not b.callbacks  # nor on b after a kill
+
+
+def _refused(sim, yielded):
+    """The failure of a process that yields ``yielded`` once, and the
+    time its generator was closed."""
+    closed = []
+
+    def body():
+        try:
+            yield yielded
+        finally:
+            closed.append(sim.now)
+
+    proc = sim.spawn(body(), name="p")
+    sim.run()
+    assert not proc.ok and isinstance(proc.value, SimulationError)
+    return str(proc.value), closed
+
+
+def test_a_pair_refuses_a_member_that_never_fires():
+    sim = Simulator()
+    cancelled, inert = sim.event(), sim.event()
+    cancelled.cancel()
+    inert._callbacks = None  # a record whose slot was taken
+    never = "process 'p' yielded a {} Event, which never fires"
+    assert _refused(sim, (cancelled, sim.timeout(1.0))) == (
+        never.format("cancelled"), [0.0])
+    assert _refused(sim, (inert, sim.timeout(1.0))) == (
+        never.format("inert"), [1.0])
+    # the second is refused when the first fires, where a second
+    # ``yield`` would meet it
+    assert _refused(sim, (sim.timeout(1.0), cancelled)) == (
+        never.format("cancelled"), [3.0])
+
+
+@pytest.mark.parametrize("shape", ["one", "three", "not-an-event",
+                                   "a-generator", "nested"])
+def test_a_tuple_that_is_not_two_events_is_refused(shape):
+    sim = Simulator()
+    evt = sim.timeout(1.0)
+    yielded = {"one": (evt,), "three": (evt, evt, evt),
+               "not-an-event": (evt, 42), "a-generator": (evt, iter(())),
+               "nested": ((evt, evt), evt)}[shape]
+    assert _refused(sim, yielded) == (
+        "process 'p' yielded tuple, expected an Event or a generator "
+        "(or a pair of Events)", [0.0])
 
 
 def _chain(depth, sim, log):
