@@ -120,6 +120,7 @@ class FmiContext(ParallelApi):
             if fproc.restore_pending:
                 fproc.restore_pending = False
                 restored = yield family.restore(self)
+                fproc.fresh = False
                 if restored == "beyond-xor":
                     restored = yield self._restore_from_level2()
                 if restored is not None:
@@ -182,7 +183,7 @@ class FmiContext(ParallelApi):
         """The failure exceeded XOR protection: roll the whole job back
         to the newest complete PFS dataset, then re-seed level 1."""
         job = self.fmi_job
-        ds = yield self._agree_min(self.l2store.latest_for_me())
+        ds = yield self.allreduce(self.l2store.latest_for_me(), MIN)
         if ds < 0:
             return None  # no level-2 dataset either: cold start
         blob, sections = yield from self.l2store.read(ds)
@@ -195,9 +196,3 @@ class FmiContext(ParallelApi):
             job.level2_restores += 1
         return meta, payloads
 
-    def _agree_min(self, candidate: int):
-        """Job-wide agreement on the restore dataset (world MIN); the
-        checkpoint engine's ``world_agree`` callback.  Both callers
-        (:meth:`loop`, ``CheckpointEngine.restore``) already hold a
-        ``_hop_only`` scope."""
-        return self.allreduce(candidate, MIN)

@@ -36,7 +36,7 @@ restart entries share one survey and one rebuild-and-store body.
   leaving some members with the new dataset and others without.  The
   engine therefore keeps the **two** most recent *complete* datasets
   (completion is marked only after the whole group encoded), and
-  restore agrees -- group-wide and, via the ``world_agree`` hook,
+  restore agrees -- group-wide and, through the job's ``world`` API,
   job-wide -- on the newest dataset every survivor still holds.  Any
   datasets newer than the agreed one belong to a rolled-back timeline
   and are pruned.
@@ -247,10 +247,14 @@ class CheckpointEngine:
     #: complete datasets retained (2 tolerates one in-flight checkpoint)
     KEEP = 2
 
-    #: world_agree sentinel: this group cannot recover at level 1.
-    #: Smaller than every real dataset id, so a MIN-based agreement
+    #: restore agreement sentinel: this group cannot recover at level 1.
+    #: Smaller than every real dataset id, so the MIN of the agreement
     #: drags every group to the level-2 fallback.
     BEYOND = -2
+    #: restore agreement sentinel, less the group's first world rank:
+    #: every member of the group is a replacement, so whatever it held
+    #: died with it.  Below ``BEYOND``, so the MIN carries it job-wide.
+    WIPED = -3
 
     def __init__(self, comm, storage, mem_charge,
                  scheme: Optional[RedundancyScheme] = None):
@@ -388,26 +392,29 @@ class CheckpointEngine:
             api._hop_only -= 1
 
     # ---------------------------------------------------------------- restart
-    def restore(self, world_agree=None, allow_beyond_xor: bool = False):
+    def restore(self, world=None, allow_beyond_xor: bool = False,
+                fresh: bool = False):
         """Group-collective restart.
 
         Collectively picks the newest dataset every survivor still
-        holds (optionally narrowed job-wide through ``world_agree``, a
-        generator-function mapping this group's candidate id to the
-        global minimum), rebuilds the lost members the scheme can
+        holds (narrowed job-wide when ``world``, the job's API, is
+        given: one 8 B allreduce of ``(candidate, newest id held)`` to
+        their MIN and MAX), rebuilds the lost members the scheme can
         repair, prunes stale newer datasets, and returns
-        ``(meta, payloads)`` -- or ``None`` when no checkpoint exists
-        anywhere (cold start).
+        ``(meta, payloads)`` -- or ``None`` when no survivor holds a
+        checkpoint (cold start).  ``fresh`` says this member is a
+        replacement that has not restored yet.
 
         If the scheme cannot repair this group's losses (more than one
         member for XOR, adjacent members for partner, any member for
         single) the group is *beyond level-1 repair*: with
         ``allow_beyond_xor`` (the multilevel path) the sentinel string
         ``"beyond-xor"`` is returned -- and, because the sentinel value
-        :attr:`BEYOND` is smaller than every real dataset id, a
-        MIN-based ``world_agree`` automatically drags **every** group to
-        the level-2 fallback.  Otherwise
-        :class:`UnrecoverableFailure` is raised.
+        :attr:`BEYOND` is smaller than every real dataset id, the
+        agreement's MIN drags **every** group to the level-2 fallback.
+        Otherwise :class:`UnrecoverableFailure` is raised.  A group
+        whose every member is a replacement is beyond level 1 too,
+        once the agreement's MAX shows a dataset survives elsewhere.
         """
         t0 = self.sim.now
         if self.sim.tracer.enabled:
@@ -417,18 +424,29 @@ class CheckpointEngine:
         api = self.comm.api
         api._hop_only += 1
         try:
-            # No survivor anywhere is a cold start -- or, with a deeper
-            # tier, perhaps a wiped group (every member's node died), so
-            # level 2 decides.
+            # No survivor anywhere is a cold start; a group of
+            # replacements only (``WIPED``) is one only if no dataset
+            # survives elsewhere.  With a deeper tier, level 2 decides.
             mine, missing, candidate = yield from self._survey(
-                None, allow_beyond_xor
+                None, allow_beyond_xor, fresh
             )
-            if world_agree is not None:
-                dataset = yield from world_agree(candidate)
+            if world is not None:
+                dataset, newest = yield from world.allreduce(
+                    (candidate, mine[-1] if mine else -1), _min_max, 8.0
+                )
             else:
-                dataset = candidate
+                dataset, newest = candidate, -1
             if dataset == self.BEYOND:
                 return self._restored(t0, "beyond-xor")
+            if dataset <= self.WIPED:
+                if newest >= 0:
+                    raise UnrecoverableFailure(
+                        f"{self.scheme.name} group of rank "
+                        f"{self.WIPED - dataset} lost every member while "
+                        f"dataset {newest} survives elsewhere: beyond "
+                        f"level-1 repair"
+                    )
+                dataset = -1  # it held nothing: nobody had checkpointed
             if dataset == -1:
                 # Cold start everywhere: wipe any partial local state.
                 for ds in mine:
@@ -504,24 +522,33 @@ class CheckpointEngine:
         return meta, unpack(blob, meta.sections)
 
     # ------------------------------------------- shared by the two entries
-    def _survey(self, missing: Optional[List[int]], allow_beyond: bool):
-        """Group agreement: one allgather of completed ids.
+    def _survey(self, missing: Optional[List[int]], allow_beyond: bool,
+                fresh: bool = False):
+        """Group agreement: one allgather of completed ids (None from a
+        ``fresh`` replacement still holding nothing).
 
         ``missing`` lists the lost positions (``None``: whoever holds
         nothing).  Returns ``(mine, missing, candidate)`` -- the newest
         dataset every survivor holds, or -1 when no survivor holds
-        anything.  A group whose survivors share no dataset, or whose
-        losses the scheme cannot repair, raises
-        :class:`UnrecoverableFailure`; with ``allow_beyond`` both that
-        and the empty group answer :attr:`BEYOND` instead.
+        anything, or the :attr:`WIPED` code when every member is fresh.
+        A group whose survivors share no dataset, or whose losses the
+        scheme cannot repair, raises :class:`UnrecoverableFailure`; with
+        ``allow_beyond`` both that and the empty group answer
+        :attr:`BEYOND` instead.
         """
         mine = self.completed_ids()
-        entries = yield from self.comm.allgather(list(mine), nbytes=16.0)
+        entries = yield from self.comm.allgather(
+            None if fresh and not mine else mine, nbytes=16.0
+        )
         if missing is None:
             missing = [pos for pos, ids in enumerate(entries) if not ids]
         held = [set(ids) for pos, ids in enumerate(entries) if pos not in missing]
         if not any(held):
-            return mine, missing, self.BEYOND if allow_beyond else -1
+            if allow_beyond:
+                return mine, missing, self.BEYOND
+            if entries.count(None) == len(entries):
+                return mine, missing, self.WIPED - self.comm.members[0]
+            return mine, missing, -1
         common = set.intersection(*held)
         if common and self.scheme.can_repair(missing, len(entries)):
             return mine, missing, max(common)
@@ -575,6 +602,12 @@ class CheckpointEngine:
 # ------------------------------------------------------------------ helpers
 def _pairmax(a, b):
     return (max(a[0], b[0]), max(a[1], b[1]))
+
+
+def _min_max(a, b):
+    """The restore agreement: the oldest candidate, the newest id held
+    (compared inline: it folds at every hop of a restoring job)."""
+    return (a[0] if a[0] < b[0] else b[0], a[1] if a[1] > b[1] else b[1])
 
 
 def _round_up(value: int, multiple: int) -> int:

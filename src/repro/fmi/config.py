@@ -71,10 +71,6 @@ class FmiConfig:
     #: exceed XOR protection fall back to the newest level-2 dataset.
     #: None disables level 2 (the 2014 prototype's behaviour).
     level2_every: Optional[int] = None
-    #: how long fmirun will wait for the resource manager to grant a
-    #: replacement node before aborting the job.  None = wait forever
-    #: (the paper: "fmirun waits until new nodes are allocated").
-    replacement_timeout: Optional[float] = None
     #: derived, not settable: physical rank-processes per virtual rank
     #: (``replication_degree`` under recovery="replicated", else 1);
     #: physical slot ``s`` hosts copy ``s // num_nodes`` of virtual slot
@@ -136,12 +132,6 @@ class FmiConfig:
             raise ValueError("spare_nodes must be >= 0")
         if self.level2_every is not None and self.level2_every < 1:
             raise ValueError("level2_every must be >= 1")
-        if (self.replacement_timeout is not None
-                and not self.replacement_timeout >= 0):
-            raise ValueError(
-                f"replacement_timeout must be >= 0, "
-                f"got {self.replacement_timeout!r}"
-            )
         object.__setattr__(
             self, "num_copies",
             self.replication_degree if self.recovery == "replicated" else 1,

@@ -64,6 +64,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fmi.channel import ChannelPlane, ChannelState
 from repro.fmi.checkpoint import CheckpointEngine, MemoryStorage
+from repro.fmi.errors import UnrecoverableFailure
 from repro.fmi.redundancy import make_scheme
 from repro.mpi.api import MpiApi
 from repro.mpi.datatypes import snapshot as _snapshot
@@ -362,9 +363,10 @@ class RecoveryPlane(ChannelPlane):
         ``CheckpointEngine`` with no application context touched.
 
         A member whose task has failed with no replacement yet (a
-        second death already reported) is lost just like a restarting
-        one.  Nothing spawns on its node: its sidecar stands in on this
-        rank's node, with empty storage."""
+        second death already reported), or whose replacement has not
+        restored yet (``fresh``), is lost just like a restarting one.
+        Nothing spawns on a dead member's node: its sidecar stands in
+        on this rank's node, with empty storage."""
         job = self.job
         rank_procs = job.rank_procs
         layout = job.xor_layout
@@ -376,7 +378,7 @@ class RecoveryPlane(ChannelPlane):
         dead = {m for m in members if rank_procs[m].task.failed}
         missing = sorted(
             pos for pos, m in enumerate(members)
-            if m in self.recovering or m in dead
+            if m in self.recovering or m in dead or rank_procs[m].fresh
         )
         transport = job.transport
         ctxs = []
@@ -424,6 +426,18 @@ class RecoveryPlane(ChannelPlane):
         finally:
             for ctx in ctxs:
                 ctx.close()
+        if mine is None and len(missing) == size:
+            # Every member lost.  A rank that survives with a committed
+            # dataset had its log trimmed at it, so a cold start would
+            # wait on receives no log holds any more.
+            held = [ds for r, ds in self.last_ckpt.items()
+                    if not (rank_procs[r].fresh or rank_procs[r].task.failed)]
+            if held:
+                raise UnrecoverableFailure(
+                    f"{scheme_name} group {group} lost every member (ranks "
+                    f"{list(members)}) while dataset {max(held)} survives "
+                    f"elsewhere: beyond level-1 repair"
+                )
         return mine
 
     def _rewind(self, rank: int, dataset: Optional[int],

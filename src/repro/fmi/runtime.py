@@ -41,7 +41,6 @@ from repro.fmi.interval import IntervalPolicy
 from repro.fmi.state import ProcState
 from repro.runtime.core import FaultPolicy, RankProcess
 from repro.simt.kernel import Event
-from repro.simt.primitives import AnyOf
 from repro.simt.process import Interrupt, ProcessKilled
 
 __all__ = [
@@ -117,8 +116,9 @@ class RecoveryFamily:
         """Bring a restarted rank's state back (generator returning
         ``(meta, payloads)``, None on a cold start, or "beyond-xor")."""
         return fmi_ctx.engine.restore(
-            world_agree=fmi_ctx._agree_min,
+            world=fmi_ctx,
             allow_beyond_xor=fmi_ctx.l2store is not None,
+            fresh=fmi_ctx.fproc.fresh,
         )
 
     def note_ckpt_begin(self, rank: int, dataset_id: int, ctx) -> None:
@@ -163,6 +163,9 @@ class FmiProcess(RankProcess):
         #: checkpoint interval policy
         self.loop_id = 0
         self.restore_pending = False
+        #: a replacement holding no dataset of its own, until its first
+        #: restore returns (the restore agreement reads it)
+        self.fresh = incarnation > 0
         self.policy = IntervalPolicy(job.config)
         self.state = ProcState.H1_BOOTSTRAPPING
         self.notified_gen = -1
@@ -524,25 +527,10 @@ class Fmirun(FaultPolicy):
                         # On-demand tier: the allocation's grow() seam
                         # (shared spare pool first when the scheduler
                         # attached one, else a resource-manager grant).
-                        request = self.alloc.grow()
-                        deadline = job.config.replacement_timeout
-                        if deadline is None:
-                            new_node = yield request
-                        else:
-                            idx, value = yield AnyOf(
-                                self.sim, [request, self.sim.timeout(deadline)]
-                            )
-                            if idx == 1:
-                                # Withdraw before aborting: a grant
-                                # racing this deadline re-enters the
-                                # pool instead of stranding.
-                                request.cancel()
-                                job.abort(FmiAbort(
-                                    f"no replacement node granted within "
-                                    f"{deadline}s (machine exhausted?)"
-                                ))
-                                return
-                            new_node = value
+                        # fmirun waits until the node is granted (§II-B);
+                        # on an exhausted machine the run stalls, and
+                        # the drained launch names this slot.
+                        new_node = yield self.alloc.grow()
                     if not new_node.alive:
                         continue  # died during the grant; ask again
                     self.node_slots[slot] = new_node
@@ -590,6 +578,19 @@ class Fmirun(FaultPolicy):
         if isinstance(cause, FmiAbort):
             return cause
         return FmiAbort(repr(cause))
+
+    def stall_note(self, ranks: List[int]) -> str:
+        """The slots still waiting for a node (on an exhausted machine,
+        what the job waits on is a grant), then each unfinished rank's
+        H-state and the newest epoch it has heard of, or ``lost`` while
+        its task awaits a respawn."""
+        procs = self.job.rank_procs
+        refilling = [slot for slot, task in self.tasks.items() if task.failed]
+        return (f"; epoch {self.job.epoch}, refilling slots {refilling}: "
+                + ", ".join(
+                    f"rank {r} lost" if procs[r].task.failed else
+                    f"rank {r} {procs[r].state.value} epoch "
+                    f"{procs[r].notified_gen}" for r in ranks))
 
     # -- teardown ---------------------------------------------------------------
     def shutdown(self) -> None:

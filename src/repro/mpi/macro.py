@@ -178,8 +178,10 @@ class MacroCollectives:
 
     def __init__(self, transport):
         self.transport = transport
-        #: collective call counters, one per rank of the communicator:
-        #: (epoch, comm_id, kind) -> [n of rank 0, n of rank 1, ...]
+        #: collective call counters, one per rank of the communicator,
+        #: then the instances a hop-only family has counted:
+        #: (epoch, comm_id, kind) -> [n of rank 0, ..., n of rank
+        #: size - 1, instances]
         self._seq: Dict[Tuple[int, int, str], List[int]] = {}
         #: instances not yet consulted by every rank, by
         #: (epoch, comm_id, kind, n)
@@ -251,16 +253,30 @@ class MacroCollectives:
         exactly as it would on a hop-level recv), while the
         post-recovery replay realigns from call zero under the new
         epoch.
+
+        A job whose recovery family needs hops (``hop_fidelity``) has
+        no verdict to latch: its instance is counted at its first
+        consult and never kept.  Under replication it could not be:
+        the copies of a rank share its counter, so a copy's death
+        leaves the rank short of consults that its peers' instances
+        would wait on for the rest of the run.
         """
         api = comm.api
         epoch = api.ctx.epoch
         seq_key = (epoch, comm.id, kind)
         counts = self._seq.get(seq_key)
         if counts is None:
-            counts = self._seq[seq_key] = [0] * comm.size
+            counts = self._seq[seq_key] = [0] * (comm.size + 1)
         rank = comm.rank
         n = counts[rank]
         counts[rank] = n + 1
+        if api.recovery.hop_fidelity is not None:
+            if n == counts[-1]:  # no rank has consulted ``n`` yet
+                counts[-1] = n + 1
+                verdict = self.verdict(api)
+                self.instances_hop += 1
+                self.fallbacks[verdict] = self.fallbacks.get(verdict, 0) + 1
+            return None
         key = (epoch, comm.id, kind, n)
         inst = self._pending.get(key)
         if inst is None:

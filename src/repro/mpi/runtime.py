@@ -180,7 +180,6 @@ class MpiRestartDriver:
         app: AppFactory,
         nprocs: int,
         procs_per_node: int = 1,
-        max_restarts: Optional[int] = None,
         name: str = "mpirun",
     ):
         self.machine = machine
@@ -188,7 +187,6 @@ class MpiRestartDriver:
         self.app = app
         self.nprocs = nprocs
         self.ppn = procs_per_node
-        self.max_restarts = max_restarts
         self.name = name
         self.restarts = 0
         self.num_nodes = check_geometry(nprocs, procs_per_node)
@@ -216,11 +214,6 @@ class MpiRestartDriver:
                     return results
                 except JobAborted:
                     self.restarts += 1
-                    if (
-                        self.max_restarts is not None
-                        and self.restarts > self.max_restarts
-                    ):
-                        raise
                     # Scheduler tear-down + re-submission latency.
                     yield self.sim.timeout(self.machine.spec.job_relaunch_latency)
         finally:

@@ -82,15 +82,11 @@ class Scr:
 
         Returns ``(dataset_id, payloads)`` or ``None`` on a cold start.
         Rebuilds a missing member's files from the XOR group when a
-        replacement node joined the allocation.
+        replacement node joined the allocation.  A relaunch cannot tell
+        a replaced node from a survivor that never checkpointed, so no
+        member is ``fresh``: a group that lost every node cold-starts.
         """
-
-        def agree(candidate: int):
-            from repro.mpi.ops import MIN
-
-            return self.api.allreduce(candidate, MIN)
-
-        restored = yield from self.engine.restore(world_agree=agree)
+        restored = yield from self.engine.restore(world=self.api)
         if restored is None:
             return None
         meta, payloads = restored

@@ -100,7 +100,8 @@ class RankProcess:
 class _JobDone(Event):
     """A job's completion event.  A run that drains before it fires
     names the ranks still out, at most eight, each with its wait chain
-    (:meth:`~repro.simt.kernel.Simulator._stall`)."""
+    (:meth:`~repro.simt.kernel.Simulator._stall`), then what the fault
+    policy adds (:meth:`FaultPolicy.stall_note`)."""
 
     __slots__ = ("job",)
 
@@ -110,7 +111,8 @@ class _JobDone(Event):
         return (f"job {self.job.name!r} done, awaiting {len(out)} of "
                 f"{self.job.num_ranks} ranks [" + "; ".join(
                     [f"rank {r}: {wait_chain(procs[r].proc)}" for r in out[:8]]
-                    + ["..."] * (len(out) > 8)) + "]")
+                    + ["..."] * (len(out) > 8)) + "]"
+                + self.job.policy.stall_note(out[:8]))
 
 
 class FaultPolicy:
@@ -139,6 +141,11 @@ class FaultPolicy:
     def wrap_abort(self, cause) -> BaseException:
         """Turn an abort cause into the exception ``job.done`` fails with."""
         raise NotImplementedError
+
+    def stall_note(self, ranks: List[int]) -> str:
+        """What a drained launch's report adds about the unfinished
+        ``ranks``, after their wait chains (nothing, by default)."""
+        return ""
 
     def shutdown(self) -> None:
         """Job teardown (completion or abort)."""

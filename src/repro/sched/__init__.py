@@ -4,8 +4,8 @@ The paper's operational pitch priced on the thing operators actually
 face: many concurrent FMI/MPI jobs sharing one cluster.  A
 :class:`~repro.sched.scheduler.StreamScheduler` admits a trace- or
 distribution-driven stream of :class:`~repro.sched.spec.JobSpec`\\ s
-with FCFS + EASY backfill (and optional low-priority preemption),
-grants each tenant an externally owned allocation, shares a warm
+with FCFS + EASY backfill, grants each tenant an externally owned
+allocation, shares a warm
 :class:`~repro.cluster.resource_manager.SparePool` across tenants, and
 labels every metric/trace record with the tenant's ``job_id``.
 

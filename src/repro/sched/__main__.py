@@ -191,7 +191,7 @@ def main(argv=None) -> int:
         print(
             f"[{status}] seed={seed} jobs={summary.jobs} "
             f"done={summary.completed} failed={summary.failed} "
-            f"restarts={summary.restarts} preempts={summary.preemptions} "
+            f"restarts={summary.restarts} "
             f"p50_wait={summary.p50_wait:.2f}s p99_wait={summary.p99_wait:.2f}s "
             f"goodput={summary.goodput:.3f} makespan={summary.makespan:.1f}s "
             f"sim_t={sim_t:.1f}s"

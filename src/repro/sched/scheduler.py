@@ -9,18 +9,14 @@ cluster to themselves).
 
 Policies:
 
-* **FCFS** head-of-queue admission, deterministic: priority classes
-  first, submission order within a class.
+* **FCFS** head-of-queue admission, deterministic: submission order,
+  kept across requeues.
 * **EASY backfill** (default on): while the head job waits for nodes, a
   later job may jump ahead iff it fits *now* and -- by the runtime
   estimates -- cannot delay the head's reservation (finishes before the
   head's shadow time, or uses only nodes the head's reservation leaves
   over).  The head is never starved: its reservation is computed before
   any backfill candidate is considered.
-* **Preempt-low-priority** (opt-in): a queued job with strictly higher
-  priority may evict the lowest-priority running jobs; victims requeue
-  at their original position *within their priority class* (i.e.
-  behind all higher-priority work) and restart from scratch.
 
 Failure handling is per recovery family: FMI tenants (a spec with a
 config, whose ``recovery`` is ``global`` / ``logged`` /
@@ -28,7 +24,7 @@ config, whose ``recovery`` is ``global`` / ``logged`` /
 their reserved spares, then the shared :class:`SparePool`, then
 on-demand RM grants via ``Allocation.grow()`` -- while fail-stop
 tenants (``config=None``) abort and are requeued (the classic
-relaunch-through-the-batch-queue loop) up to ``max_restarts`` times.
+relaunch-through-the-batch-queue loop) up to ``MAX_RESTARTS`` times.
 
 Everything is deterministic given the machine's seeded RNG streams:
 the same submission stream replays to the same schedule, byte for
@@ -53,6 +49,9 @@ __all__ = ["StreamScheduler", "TenantRecord", "SchedSummary"]
 # terminal states: the record will never run again
 _TERMINAL = ("done", "failed", "rejected")
 
+#: fail-stop relaunches through the queue before a tenant is failed
+MAX_RESTARTS = 4
+
 
 class TenantRecord:
     """One submitted job's life in the queue (the scheduler's ledger)."""
@@ -71,6 +70,7 @@ class TenantRecord:
         #: node ids granted at the (latest) start
         self.nodes: List[int] = []
         self.restarts = 0
+        #: always 0: the scheduler never evicts (read by the perf ledger)
         self.preemptions = 0
         self.result = None
         self.failure: Optional[BaseException] = None
@@ -115,7 +115,6 @@ class SchedSummary:
         self.completed = sum(1 for r in records if r.state == "done")
         self.failed = sum(1 for r in records if r.state in ("failed", "rejected"))
         self.restarts = sum(r.restarts for r in records)
-        self.preemptions = sum(r.preemptions for r in records)
         waits = sorted(r.wait_s for r in records if r.wait_s is not None)
         self.mean_wait = sum(waits) / len(waits) if waits else 0.0
         self.p50_wait = percentile(waits, 50)
@@ -143,16 +142,12 @@ class StreamScheduler:
         self,
         machine: Machine,
         backfill: bool = True,
-        preempt: bool = False,
         spare_pool: int = 0,
-        name: str = "sched",
     ):
         self.machine = machine
         self.sim = machine.sim
         self.rm = machine.rm
         self.backfill = backfill
-        self.preempt = preempt
-        self.name = name
         #: shared warm-spare reserve every tenant's grow() draws on
         self.pool: Optional[SparePool] = (
             SparePool(machine.rm, spare_pool) if spare_pool > 0 else None
@@ -211,12 +206,8 @@ class StreamScheduler:
             rec.submitted_at = self.sim.now
         rec.state = "queued"
         self.queue.append(rec)
-        # Priority classes first, FIFO by original submission order
-        # within a class (and across requeues).  Deliberately NOT pure
-        # seq: a preempted victim keeps its seq, and sorting it ahead of
-        # the higher-priority job that evicted it would hand the nodes
-        # straight back -- an eviction/restart livelock.
-        self.queue.sort(key=lambda r: (-r.spec.priority, r.seq))
+        # FIFO by original submission order, across requeues too
+        self.queue.sort(key=lambda r: r.seq)
         self._trace("sched.submit", rec)
         self._pump()
 
@@ -280,15 +271,10 @@ class StreamScheduler:
             rec.result = evt.value
             self._trace("sched.finish", rec, wait=rec.wait_s,
                         service=rec.service_s)
-        elif rec.state == "preempted":
-            rec.preemptions += 1
-            rec.restarts += 1
-            self._trace("sched.requeue", rec, cause="preempted")
-            self._enqueue(rec)
         elif (
             isinstance(evt.value, JobAborted)
             and rec.spec.config is None
-            and rec.restarts < rec.spec.max_restarts
+            and rec.restarts < MAX_RESTARTS
         ):
             # The classic batch loop: relaunch through the queue.
             rec.restarts += 1
@@ -319,7 +305,7 @@ class StreamScheduler:
         ):
             self._drained.succeed(self.summary())
 
-    # -- the pump: FCFS + EASY backfill (+ optional preemption) --------------
+    # -- the pump: FCFS + EASY backfill --------------------------------------
     def _pump(self) -> None:
         if self._pumping:
             return
@@ -362,10 +348,6 @@ class StreamScheduler:
                     if self._try_start(head, backfilled=False):
                         progress = True
                         continue
-                if self.preempt and self._preempt_for(head):
-                    if self._try_start(head, backfilled=False):
-                        progress = True
-                        continue
                 if not self.backfill:
                     break
                 shadow, extra = self._shadow_window(head)
@@ -378,30 +360,17 @@ class StreamScheduler:
         finally:
             self._pumping = False
 
-    def _draining(self) -> int:
-        """Nodes of victims whose abort is in flight (``preempted``, not
-        yet out of ``running``): the one reservation rule counts them as
-        free *now*, for the head that evicted them."""
-        return sum(len(rec.nodes) for rec in self.running.values()
-                   if rec.state == "preempted")
-
     def _shadow_window(self, head: TenantRecord):
         """EASY reservation for the blocked head: (shadow time, extra).
 
         Walk the running jobs in estimated-completion order until the
         head's footprint fits; that completion is the *shadow* time, and
         ``extra`` is how many idle-at-shadow nodes the head leaves over
-        for backfill jobs that would outlive the shadow.  When idle plus
-        draining nodes already cover the head, the shadow is now: a
-        requeued victim cannot backfill into the nodes its abort freed
-        for the head and be preempted again, at the same instant.
+        for backfill jobs that would outlive the shadow.
         """
         need = head.spec.total_nodes
         idle = self.rm.idle_count
         now = self.sim.now
-        draining = self._draining()
-        if draining and idle + draining >= need:
-            return now, idle + draining - need
         ends = sorted(
             (
                 max(rec.started_at + rec.spec.estimated_runtime, now),
@@ -422,33 +391,6 @@ class StreamScheduler:
         if self.sim.now + rec.spec.estimated_runtime <= shadow:
             return True  # done before the head's reservation matures
         return need <= extra  # uses only nodes the reservation leaves over
-
-    def _preempt_for(self, head: TenantRecord) -> bool:
-        """Evict strictly-lower-priority running jobs until the head
-        fits.  Victims are chosen lowest-priority-first, youngest-first
-        (least work lost), deterministically; the nodes of victims
-        already draining count as freed, and no victim is picked twice."""
-        need = head.spec.total_nodes
-        freed = self.rm.idle_count + self._draining()
-        victims = sorted(
-            (r for r in self.running.values()
-             if r.state != "preempted"
-             and r.spec.priority < head.spec.priority),
-            key=lambda r: (r.spec.priority, -r.seq),
-        )
-        chosen = []
-        for victim in victims:
-            if freed >= need:
-                break
-            freed += len(victim.nodes)
-            chosen.append(victim)
-        if freed < need or not chosen:
-            return False
-        for victim in chosen:
-            victim.state = "preempted"
-            self._trace("sched.preempt", victim, by=head.job_id)
-            victim.job.abort(f"preempted by {head.job_id}")
-        return True
 
     # -- results -------------------------------------------------------------
     def summary(self) -> SchedSummary:

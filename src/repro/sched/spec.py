@@ -24,7 +24,7 @@ e.g. replayed from a production log) or *distribution-driven*
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.apps.synthetic import bsp_app, expected_bsp_state
 from repro.fmi.config import FmiConfig
@@ -46,14 +46,6 @@ class JobSpec:
     iterations: int = 10
     work_s: float = 0.1
     halo_bytes: float = 1e4
-    #: preemption rank (higher may evict lower under the preempt policy)
-    priority: int = 0
-    #: user-supplied runtime estimate for backfill; None = derived
-    est_runtime: Optional[float] = None
-    #: fail-stop relaunch budget before the job is marked failed
-    max_restarts: int = 4
-    #: custom application factory ``spec -> app`` (default: bsp_app)
-    app_factory: Optional[Callable[["JobSpec"], Any]] = None
 
     def __post_init__(self) -> None:
         if self.config is None:
@@ -85,21 +77,15 @@ class JobSpec:
         """The backfill estimate.  Deliberately generous (EASY relies on
         estimates being over-, not under-shoots): twice the compute time
         plus a constant boot/init allowance."""
-        if self.est_runtime is not None:
-            return self.est_runtime
         return 2.0 * self.ideal_runtime + 2.0
 
     # -- factories ----------------------------------------------------------
     def make_app(self):
-        if self.app_factory is not None:
-            return self.app_factory(self)
         return bsp_app(self.iterations, self.work_s, self.halo_bytes)
 
     def expected_results(self) -> List[Any]:
-        """Per-rank answers of the default workload (solo, failure-free
-        -- also what any run *through* failures must reproduce bitwise)."""
-        if self.app_factory is not None:
-            raise ValueError("expected_results only known for the default app")
+        """Per-rank answers of the workload (solo, failure-free -- also
+        what any run *through* failures must reproduce bitwise)."""
         return [
             expected_bsp_state(r, self.ranks, self.iterations)
             for r in range(self.ranks)

@@ -28,13 +28,12 @@ anywhere in the kernel.
 
 from repro.simt.kernel import BulkCompletion, Event, SimStats, Simulator, Timeout
 from repro.simt.process import Interrupt, Process, ProcessKilled
-from repro.simt.primitives import AllOf, AnyOf
+from repro.simt.primitives import AllOf
 from repro.simt.resources import BandwidthResource
 from repro.simt.rng import RngRegistry
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "BandwidthResource",
     "BulkCompletion",
     "Event",

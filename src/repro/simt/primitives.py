@@ -1,4 +1,4 @@
-"""Composite wait primitives: wait-for-all and wait-for-any."""
+"""Composite wait primitive: wait-for-all."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from typing import Iterable, List
 
 from repro.simt.kernel import Event, Simulator
 
-__all__ = ["AllOf", "AnyOf"]
+__all__ = ["AllOf"]
 
 
 class AllOf(Event):
@@ -40,37 +40,6 @@ class AllOf(Event):
             self._pending -= 1
             if self._pending == 0:
                 self.succeed(list(self._results))
-
-        if evt.processed:
-            on_fire(evt)
-        else:
-            evt.callbacks.append(on_fire)
-
-
-class AnyOf(Event):
-    """Succeeds with ``(index, value)`` of the first child to succeed.
-
-    Fails if the first child to fire fired with a failure.
-    """
-
-    __slots__ = ("_children",)
-
-    def __init__(self, sim: Simulator, events: Iterable[Event]):
-        super().__init__(sim)
-        self._children = list(events)
-        if not self._children:
-            raise ValueError("AnyOf requires at least one event")
-        for idx, evt in enumerate(self._children):
-            self._attach(idx, evt)
-
-    def _attach(self, idx: int, evt: Event) -> None:
-        def on_fire(e: Event, idx=idx) -> None:
-            if self.triggered:
-                return
-            if e._ok:
-                self.succeed((idx, e._value))
-            else:
-                self.fail(e._value)
 
         if evt.processed:
             on_fire(evt)

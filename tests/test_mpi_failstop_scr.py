@@ -153,33 +153,6 @@ def test_restart_driver_recovers_from_node_crash():
     assert len({s for s in starts[8:]}) == 1
 
 
-def test_restart_driver_respects_max_restarts():
-    sim, machine = make(10, seed=2)
-
-    def hopeless(mpi):
-        yield mpi.elapse(1000.0)
-
-    driver = MpiRestartDriver(
-        machine, hopeless, nprocs=8, procs_per_node=2, max_restarts=1
-    )
-    proc = sim.spawn(driver.run())
-
-    def killer():
-        while True:
-            yield sim.timeout(30.0)
-            for job in driver.jobs[::-1]:
-                live = [n for n in job.nodes if n.alive]
-                if live:
-                    live[0].crash("again")
-                    break
-
-    k = sim.spawn(killer())
-    with pytest.raises(JobAborted):
-        sim.run(until=proc)
-    assert driver.restarts == 2  # max_restarts=1 allows one relaunch
-    k.kill()
-
-
 # ------------------------------------------------------------------------ SCR
 def test_scr_rejects_what_fmi_loop_rejects():
     """SCR packs and copies in through the routines FMI_Loop uses, so a

@@ -3,8 +3,7 @@
 MpiJob and FmiJob are the same :class:`~repro.runtime.core.JobBase`
 machinery behind different :class:`~repro.runtime.core.FaultPolicy`
 strategies -- these tests pin that contract, plus the error paths of
-fmirun's graceful drain and the restart driver's
-``max_restarts`` exhaustion.
+fmirun's graceful drain.
 """
 
 import numpy as np
@@ -14,7 +13,7 @@ from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
 from repro.fmi.runtime import Fmirun
-from repro.mpi.runtime import FailStop, JobAborted, MpiJob, MpiRestartDriver
+from repro.mpi.runtime import FailStop, MpiJob
 from repro.runtime import FaultPolicy, JobBase, RankProcess
 from repro.simt import Simulator
 from repro.simt.rng import RngRegistry
@@ -179,27 +178,3 @@ def test_drain_already_failed_task_rejected():
     sim.spawn(driver())
     sim.run(until=done)
     assert "not drainable" in checked["error"]
-
-
-# ------------------------------------------------- restart driver exhaustion
-def test_restart_driver_zero_restarts_reraises_first_abort():
-    sim, machine = make(8)
-
-    def doomed(mpi):
-        yield mpi.elapse(50.0)
-
-    driver = MpiRestartDriver(
-        machine, doomed, nprocs=8, procs_per_node=2, max_restarts=0
-    )
-    proc = sim.spawn(driver.run())
-
-    def killer():
-        yield sim.timeout(machine.spec.mpi_init_time(8) + 1.0)
-        driver.jobs[0].nodes[0].crash("once")
-
-    sim.spawn(killer())
-    with pytest.raises(JobAborted):
-        sim.run(until=proc)
-    # max_restarts=0: the very first abort is final -- no relaunch.
-    assert driver.restarts == 1
-    assert len(driver.jobs) == 1

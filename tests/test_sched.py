@@ -13,11 +13,10 @@ through seeded mid-run failures, and demands:
   service mode and not accidental serialization.
 
 Plus focused unit tests for the scheduler policies (FCFS, EASY
-backfill, preempt-low-priority, rejection) on hand-built streams.
+backfill, rejection) on hand-built streams.
 """
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,19 +230,6 @@ def test_no_backfill_is_strict_fcfs():
     assert drained.value.completed == 3
     assert not short.backfilled
     assert short.started_at >= wide.started_at
-
-
-def test_preempt_evicts_lower_priority():
-    sim, _machine, sched = _mini(4, backfill=True, preempt=True)
-    low = sched.submit(replace(LONG, priority=0), at=0.0)
-    high = sched.submit(replace(WIDE, priority=5), at=0.3)
-    drained = sched.drain()
-    sim.run(until=drained, max_events=MAX_EVENTS)
-    summary = drained.value
-    assert summary.completed == 2
-    assert low.preemptions == 1
-    assert high.wait_s < 1.0  # did not wait for the long job to finish
-    assert low.state == "done"  # victim requeued and finished
 
 
 def test_unsatisfiable_job_rejected_not_starving():

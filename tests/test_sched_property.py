@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for the stream scheduler.
 
 Each example generates a small shared cluster and a random job stream
-(mixed recovery families, geometries, arrival times, priorities) and
-drives it to drain under a random policy mix.  Checked invariants:
+(mixed recovery families, geometries, arrival times) and drives it to
+drain under a random policy mix.  Checked invariants:
 
 * **no double-booking** -- no node serves two tenants at once, ever
   (checked against the per-attempt occupancy ledger);
@@ -16,7 +16,7 @@ drives it to drain under a random policy mix.  Checked invariants:
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Machine
@@ -43,7 +43,6 @@ def job_specs():
         config=st.sampled_from([FmiConfig(interval=1, spare_nodes=0), None]),
         iterations=st.integers(1, 3),
         work_s=st.sampled_from([0.05, 0.1]),
-        priority=st.integers(0, 2),
     )
 
 
@@ -54,12 +53,10 @@ streams = st.lists(
 )
 
 
-def run_stream(num_nodes, stream, backfill, preempt, spare_pool):
+def run_stream(num_nodes, stream, backfill, spare_pool):
     sim = Simulator()
     machine = Machine(sim, SIERRA.with_nodes(num_nodes), RngRegistry(0))
-    sched = StreamScheduler(
-        machine, backfill=backfill, preempt=preempt, spare_pool=spare_pool
-    )
+    sched = StreamScheduler(machine, backfill=backfill, spare_pool=spare_pool)
     # Arrival streams are time-ordered (as poisson_arrivals/trace_arrivals
     # produce them), so submission seq == arrival order.
     for spec, at_ds in sorted(stream, key=lambda p: p[1]):
@@ -117,46 +114,12 @@ def assert_invariants(machine, sched, summary):
 )
 def test_stream_invariants(num_nodes, stream, backfill, spare_pool):
     machine, sched, summary = run_stream(
-        num_nodes, stream, backfill, preempt=False, spare_pool=spare_pool
+        num_nodes, stream, backfill, spare_pool=spare_pool
     )
     assert_invariants(machine, sched, summary)
-    # FCFS within a priority class: non-backfilled first starts happen
-    # in submission order among jobs of equal priority.
-    by_prio = {}
-    for r in summary.records:
-        if not r.backfilled and r.started_at is not None and r.restarts == 0:
-            by_prio.setdefault(r.spec.priority, []).append(r)
-    for recs in by_prio.values():
-        order = sorted(recs, key=lambda r: (r.started_at, r.seq))
-        assert [r.seq for r in order] == sorted(r.seq for r in order)
-
-
-_CR = FmiConfig(interval=1, spare_nodes=0)
-
-
-def _spec(ranks, config, iterations, priority):
-    return JobSpec(name="j", ranks=ranks, ppn=1, config=config,
-                   iterations=iterations, work_s=0.1, priority=priority)
-
-
-@settings(max_examples=15 * _SCALE, deadline=None)
-@given(num_nodes=st.integers(4, 10), stream=streams)
-# A zero-time preemption livelock, shrunk: the fail-stop head j#3
-# evicted j#1 and j#2 at t=1.3, and each victim, requeued while the
-# other still drained, backfilled into the nodes it had freed for the
-# head and was evicted again.
-@example(num_nodes=7, stream=[
-    (_spec(4, _CR, 3, 2), 7),
-    (_spec(2, _CR, 2, 0), 9),
-    (_spec(2, _CR, 1, 1), 13),
-    (_spec(4, None, 3, 2), 13),
-])
-def test_stream_invariants_with_preemption(num_nodes, stream):
-    machine, sched, summary = run_stream(
-        num_nodes, stream, backfill=True, preempt=True, spare_pool=0
-    )
-    assert_invariants(machine, sched, summary)
-    # Preempted victims still finish (they requeue at their seq).
-    for rec in summary.records:
-        if rec.preemptions and rec.spec.total_nodes <= machine.spec.num_nodes:
-            assert rec.state == "done"
+    # FCFS: non-backfilled first starts happen in submission order.
+    recs = [r for r in summary.records
+            if not r.backfilled and r.started_at is not None
+            and r.restarts == 0]
+    order = sorted(recs, key=lambda r: (r.started_at, r.seq))
+    assert [r.seq for r in order] == sorted(r.seq for r in order)

@@ -1,4 +1,4 @@
-"""Unit tests for the fair-share BandwidthResource and AllOf/AnyOf."""
+"""Unit tests for the fair-share BandwidthResource and AllOf."""
 
 import functools
 import math
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simt import BandwidthResource, Simulator
-from repro.simt.primitives import AllOf, AnyOf
+from repro.simt.primitives import AllOf
 from repro.simt.resources import _DelayedStart
 from tests.pipe_reference import ReferenceBandwidthResource
 
@@ -411,7 +411,7 @@ def test_conformance_schedule_reaches_every_pipe_branch():
     assert len({label[1] for label in ties}) == len(instants)
 
 
-# ---------------------------------------------------------------- AllOf/AnyOf
+# ---------------------------------------------------------------------- AllOf
 def test_allof_collects_values_in_order():
     sim = Simulator()
     e1, e2 = sim.timeout(2.0, "two"), sim.timeout(1.0, "one")
@@ -438,27 +438,3 @@ def test_allof_fails_fast():
     with pytest.raises(ValueError):
         sim.run(until=both)
     assert sim.now == pytest.approx(1.0)
-
-
-def test_anyof_first_wins():
-    sim = Simulator()
-    e1, e2 = sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")
-    race = AnyOf(sim, [e1, e2])
-    sim.run(until=race)
-    assert race.value == (1, "fast")
-    assert sim.now == pytest.approx(1.0)
-
-
-def test_anyof_requires_events():
-    with pytest.raises(ValueError):
-        AnyOf(Simulator(), [])
-
-
-def test_anyof_with_processed_event():
-    sim = Simulator()
-    evt = sim.event()
-    evt.succeed("pre")
-    sim.run()
-    race = AnyOf(sim, [evt, sim.timeout(9.0)])
-    sim.run(until=race)
-    assert race.value == (0, "pre")

@@ -14,8 +14,13 @@ node slots and every ``d`` in ``DELAYS``:
   lost, so every global and logged point ends in ``FmiAbort``;
 * XOR groups of 2 under ``global`` and ``logged``: a second kill in
   the other block of two nodes is survivable.  Losing both nodes of a
-  block, global recomputes from the start and logged stalls
-  (``SimulationError``).
+  block loses every member of two groups while the others hold the
+  newest dataset: beyond level-1 repair, so both families end in
+  ``FmiAbort`` (``UnrecoverableFailure``), never in a cold start or a
+  stall.
+
+``WIPES`` adds those same-block pairs under the ``partner`` and
+``single`` schemes (groups of 2, where a block holds whole groups).
 
 Each point records how the run ended (``ok`` for the bitwise
 failure-free answer, else the exception's class name), ``repr`` of the
@@ -24,8 +29,8 @@ final clock and the job's recovery epoch.  Tier-1 runs every
 
 To re-record after a *declared* change of recovery behaviour: run
 ``PYTHONPATH=src python -m tests.test_two_kill_windows`` on the new
-commit, paste the printed dict over ``WINDOWS``, and quote in
-CHANGES.md every cell that moved.
+commit, paste the printed dicts over ``WINDOWS`` and ``WIPES``, and
+quote in CHANGES.md every cell that moved.
 """
 
 import itertools
@@ -38,7 +43,7 @@ from repro.apps.synthetic import bsp_app, expected_bsp_state
 from repro.cluster import Machine
 from repro.cluster.spec import SIERRA
 from repro.fmi import FmiConfig, FmiJob
-from repro.fmi.errors import FmiError
+from repro.fmi.errors import FmiAbort, FmiError
 from repro.simt import Simulator
 from repro.simt.kernel import SimulationError
 from repro.simt.rng import RngRegistry
@@ -64,14 +69,24 @@ def points():
     ]
 
 
-def run_window(recovery, xor, a, b, d):
-    """``(outcome, repr(final clock), epoch)`` of one point."""
+def wipe_points():
+    return [
+        (recovery, redundancy, a, b, d)
+        for recovery in ("global", "logged")
+        for redundancy in ("partner", "single")
+        for a, b in ((0, 1), (2, 3))
+        for d in DELAYS
+    ]
+
+
+def launch(recovery, xor, a, b, d, redundancy="xor"):
+    """The job of one point, launched with its two kills armed."""
     sim = Simulator()
     machine = Machine(sim, SIERRA.with_nodes(12), RngRegistry(0))
     job = FmiJob(
         machine, bsp_app(ITERS, work_s=0.25), num_ranks=8, procs_per_node=2,
         config=FmiConfig(interval=1, xor_group_size=xor, recovery=recovery,
-                         spare_nodes=2),
+                         redundancy=redundancy, spare_nodes=2),
     )
     done = job.launch()
     for slot, when in ((a, FIRST), (b, FIRST + d)):
@@ -79,6 +94,12 @@ def run_window(recovery, xor, a, b, d):
             yield sim.timeout(when)
             node.crash("injected")
         sim.spawn(killer())
+    return sim, job, done
+
+
+def run_window(recovery, xor, a, b, d, redundancy="xor"):
+    """``(outcome, repr(final clock), epoch)`` of one point."""
+    sim, job, done = launch(recovery, xor, a, b, d, redundancy)
     try:
         results = sim.run(until=done, max_events=2_000_000)
     except (FmiError, SimulationError) as exc:  # an abort or a stall
@@ -332,12 +353,12 @@ WINDOWS = {
     ('logged', 4, 2, 3, 0.1): ('FmiAbort', '2.055328013651268', 2),
     ('logged', 4, 2, 3, 0.15): ('FmiAbort', '2.055328013651268', 2),
     ('logged', 4, 2, 3, 0.19): ('FmiAbort', '2.055328013651268', 2),
-    ('global', 2, 0, 1, 0.0): ('ok', '3.816918908407466', 1),
-    ('global', 2, 0, 1, 0.02): ('ok', '3.816918908407466', 2),
-    ('global', 2, 0, 1, 0.05): ('ok', '3.816918908407466', 2),
-    ('global', 2, 0, 1, 0.1): ('ok', '3.816918908407466', 2),
-    ('global', 2, 0, 1, 0.15): ('ok', '3.816918908407466', 2),
-    ('global', 2, 0, 1, 0.19): ('ok', '3.826918908407466', 2),
+    ('global', 2, 0, 1, 0.0): ('FmiAbort', '2.316647371925992', 1),
+    ('global', 2, 0, 1, 0.02): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 2, 0, 1, 0.05): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 2, 0, 1, 0.1): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 2, 0, 1, 0.15): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 2, 0, 1, 0.19): ('FmiAbort', '2.326647371925992', 2),
     ('global', 2, 0, 2, 0.0): ('ok', '2.816748009401298', 1),
     ('global', 2, 0, 2, 0.02): ('ok', '2.816748009401298', 2),
     ('global', 2, 0, 2, 0.05): ('ok', '2.816748009401298', 2),
@@ -362,18 +383,18 @@ WINDOWS = {
     ('global', 2, 1, 3, 0.1): ('ok', '2.816748009401298', 2),
     ('global', 2, 1, 3, 0.15): ('ok', '2.816748009401298', 2),
     ('global', 2, 1, 3, 0.19): ('ok', '2.8267480094012982', 2),
-    ('global', 2, 2, 3, 0.0): ('ok', '3.816918908407466', 1),
-    ('global', 2, 2, 3, 0.02): ('ok', '3.816918908407466', 2),
-    ('global', 2, 2, 3, 0.05): ('ok', '3.816918908407466', 2),
-    ('global', 2, 2, 3, 0.1): ('ok', '3.816918908407466', 2),
-    ('global', 2, 2, 3, 0.15): ('ok', '3.816918908407466', 2),
-    ('global', 2, 2, 3, 0.19): ('ok', '3.826918908407466', 2),
-    ('logged', 2, 0, 1, 0.0): ('SimulationError', '2.6', 1),
-    ('logged', 2, 0, 1, 0.02): ('SimulationError', '2.62', 2),
-    ('logged', 2, 0, 1, 0.05): ('SimulationError', '2.6500000000000004', 2),
-    ('logged', 2, 0, 1, 0.1): ('SimulationError', '2.7', 2),
-    ('logged', 2, 0, 1, 0.15): ('SimulationError', '2.75', 2),
-    ('logged', 2, 0, 1, 0.19): ('SimulationError', '2.79', 2),
+    ('global', 2, 2, 3, 0.0): ('FmiAbort', '2.316647371925992', 1),
+    ('global', 2, 2, 3, 0.02): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 2, 2, 3, 0.05): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 2, 2, 3, 0.1): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 2, 2, 3, 0.15): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 2, 2, 3, 0.19): ('FmiAbort', '2.326647371925992', 2),
+    ('logged', 2, 0, 1, 0.0): ('FmiAbort', '2.0553208577747246', 1),
+    ('logged', 2, 0, 1, 0.02): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 2, 0, 1, 0.05): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 2, 0, 1, 0.1): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 2, 0, 1, 0.15): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 2, 0, 1, 0.19): ('FmiAbort', '2.0553208577747246', 2),
     ('logged', 2, 0, 2, 0.0): ('ok', '2.57542389259571', 1),
     ('logged', 2, 0, 2, 0.02): ('ok', '2.57542389259571', 2),
     ('logged', 2, 0, 2, 0.05): ('ok', '2.60542389259571', 2),
@@ -398,12 +419,64 @@ WINDOWS = {
     ('logged', 2, 1, 3, 0.1): ('ok', '2.65542389259571', 2),
     ('logged', 2, 1, 3, 0.15): ('ok', '2.70542389259571', 2),
     ('logged', 2, 1, 3, 0.19): ('ok', '2.74542389259571', 2),
-    ('logged', 2, 2, 3, 0.0): ('SimulationError', '2.6', 1),
-    ('logged', 2, 2, 3, 0.02): ('SimulationError', '2.62', 2),
-    ('logged', 2, 2, 3, 0.05): ('SimulationError', '2.6500000000000004', 2),
-    ('logged', 2, 2, 3, 0.1): ('SimulationError', '2.7', 2),
-    ('logged', 2, 2, 3, 0.15): ('SimulationError', '2.75', 2),
-    ('logged', 2, 2, 3, 0.19): ('SimulationError', '2.79', 2),
+    ('logged', 2, 2, 3, 0.0): ('FmiAbort', '2.0553208577747246', 1),
+    ('logged', 2, 2, 3, 0.02): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 2, 2, 3, 0.05): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 2, 2, 3, 0.1): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 2, 2, 3, 0.15): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 2, 2, 3, 0.19): ('FmiAbort', '2.0553208577747246', 2),
+}
+
+
+WIPES = {
+    ('global', 'partner', 0, 1, 0.0): ('FmiAbort', '2.316647371925992', 1),
+    ('global', 'partner', 0, 1, 0.02): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'partner', 0, 1, 0.05): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'partner', 0, 1, 0.1): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'partner', 0, 1, 0.15): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'partner', 0, 1, 0.19): ('FmiAbort', '2.326647371925992', 2),
+    ('global', 'partner', 2, 3, 0.0): ('FmiAbort', '2.316647371925992', 1),
+    ('global', 'partner', 2, 3, 0.02): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'partner', 2, 3, 0.05): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'partner', 2, 3, 0.1): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'partner', 2, 3, 0.15): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'partner', 2, 3, 0.19): ('FmiAbort', '2.326647371925992', 2),
+    ('global', 'single', 0, 1, 0.0): ('FmiAbort', '2.316647371925992', 1),
+    ('global', 'single', 0, 1, 0.02): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'single', 0, 1, 0.05): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'single', 0, 1, 0.1): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'single', 0, 1, 0.15): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'single', 0, 1, 0.19): ('FmiAbort', '2.326647371925992', 2),
+    ('global', 'single', 2, 3, 0.0): ('FmiAbort', '2.316647371925992', 1),
+    ('global', 'single', 2, 3, 0.02): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'single', 2, 3, 0.05): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'single', 2, 3, 0.1): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'single', 2, 3, 0.15): ('FmiAbort', '2.316647371925992', 2),
+    ('global', 'single', 2, 3, 0.19): ('FmiAbort', '2.326647371925992', 2),
+    ('logged', 'partner', 0, 1, 0.0): ('FmiAbort', '2.0553208577747246', 1),
+    ('logged', 'partner', 0, 1, 0.02): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'partner', 0, 1, 0.05): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'partner', 0, 1, 0.1): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'partner', 0, 1, 0.15): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'partner', 0, 1, 0.19): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'partner', 2, 3, 0.0): ('FmiAbort', '2.0553208577747246', 1),
+    ('logged', 'partner', 2, 3, 0.02): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'partner', 2, 3, 0.05): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'partner', 2, 3, 0.1): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'partner', 2, 3, 0.15): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'partner', 2, 3, 0.19): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'single', 0, 1, 0.0): ('FmiAbort', '2.0553208577747246', 1),
+    ('logged', 'single', 0, 1, 0.02): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'single', 0, 1, 0.05): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'single', 0, 1, 0.1): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'single', 0, 1, 0.15): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'single', 0, 1, 0.19): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'single', 2, 3, 0.0): ('FmiAbort', '2.0553208577747246', 1),
+    ('logged', 'single', 2, 3, 0.02): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'single', 2, 3, 0.05): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'single', 2, 3, 0.1): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'single', 2, 3, 0.15): ('FmiAbort', '2.0553208577747246', 2),
+    ('logged', 'single', 2, 3, 0.19): ('FmiAbort', '2.0553208577747246', 2),
 }
 
 
@@ -412,13 +485,44 @@ def test_a_two_kill_window_ends_as_recorded(point):
     assert run_window(*point) == WINDOWS[point]
 
 
+@pytest.mark.parametrize("point", wipe_points()[::STRIDE], ids=str)
+def test_a_wiped_group_ends_by_name(point):
+    recovery, redundancy, a, b, d = point
+    assert run_window(recovery, 2, a, b, d, redundancy) == WIPES[point]
+
+
+@pytest.mark.parametrize("recovery, named", [
+    # the agreement names the wiped group by its first rank
+    ("global", "xor group of rank 1 lost every member"),
+    # the logging plane knows the group and its members
+    ("logged", "xor group 0 lost every member (ranks [0, 2])"),
+])
+def test_a_wiped_group_is_named_with_the_dataset_that_survives(recovery,
+                                                               named):
+    sim, _job, done = launch(recovery, 2, 0, 1, 0.05)
+    with pytest.raises(FmiAbort, match="UnrecoverableFailure") as info:
+        sim.run(until=done, max_events=2_000_000)
+    assert named in str(info.value)
+    assert "while dataset 4 survives elsewhere" in str(info.value)
+
+
 def test_the_table_covers_every_point():
     assert sorted(WINDOWS) == sorted(points())
     assert len(WINDOWS) == 6 * (28 + 4 * 6)
+    assert sorted(WIPES) == sorted(wipe_points())
+    # every ending is named: no point stalls
+    endings = {outcome for outcome, _, _ in [*WINDOWS.values(),
+                                             *WIPES.values()]}
+    assert endings == {"ok", "FmiAbort"}, endings
 
 
 if __name__ == "__main__":
     print("WINDOWS = {")
     for point in points():
         print(f"    {point!r}: {run_window(*point)!r},")
+    print("}")
+    print("WIPES = {")
+    for recovery, redundancy, a, b, d in wipe_points():
+        got = run_window(recovery, 2, a, b, d, redundancy)
+        print(f"    {(recovery, redundancy, a, b, d)!r}: {got!r},")
     print("}")
