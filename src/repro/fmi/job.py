@@ -115,6 +115,13 @@ class FmiJob(JobBase):
             if not self.recovered_at:
                 self.init_done_at = self.sim.now
             self.recovered_at[epoch] = self.sim.now
+            # under global rollback every rank is back in H3 at
+            # ``epoch`` now, so an older epoch's instance is dead; a
+            # hop-only family keeps none, and its survivors go on
+            # counting their calls at the epoch they run in
+            macro = self.transport.macro
+            if macro is not None and self.recovery.hop_fidelity is None:
+                macro.retire(epoch)
             if self.sim.tracer.enabled and epoch > 0:
                 # begin_recovery bumps the epoch and records its cause
                 # together

@@ -59,6 +59,7 @@ reads ``mlog.log`` / ``mlog.rewind`` / ``net.recv``.
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -114,6 +115,10 @@ class RecoveryPlane(ChannelPlane):
         self.logs: Dict[int, List[LogEntry]] = {}
         #: rank -> last completed dataset id (stamped on log entries)
         self.last_ckpt: Dict[int, int] = {}
+        #: a lower bound on every logged entry's ``ckpt_tag`` (``inf``
+        #: while nothing was logged): no GC floor at or below it can
+        #: drop an entry
+        self.oldest_tag: float = math.inf
         #: ranks currently inside partial_restore
         self.recovering: Set[int] = set()
 
@@ -173,9 +178,12 @@ class RecoveryPlane(ChannelPlane):
             # Same recovery unit: sender and receiver die together, and
             # a restarted pair re-executes both ends -- nothing to log.
             return
+        ckpt_tag = self.last_ckpt.get(src, -1)
+        if ckpt_tag < self.oldest_tag:
+            self.oldest_tag = ckpt_tag
         entry = LogEntry(
             dst, env.src, env.dst, env.tag, env.comm_id, n, env.nbytes,
-            _snapshot(env.data), self.last_ckpt.get(src, -1),
+            _snapshot(env.data), ckpt_tag,
         )
         self.logs.setdefault(src, []).append(entry)
         sim = self.sim
@@ -269,7 +277,9 @@ class RecoveryPlane(ChannelPlane):
         checkpoints are coordinated and the BSP app quiesces its
         traffic at every ``FMI_Loop``, such a message was delivered
         before the receiver's ``stable`` snapshot -- its lseq is inside
-        every rewind target's consumed set, so it is never replayed."""
+        every rewind target's consumed set, so it is never replayed.
+        While :attr:`oldest_tag` is at or above ``stable`` no entry can
+        go, and no log is rebuilt."""
         job = self.job
         floors: List[int] = []
         for r in range(job.num_ranks):
@@ -282,6 +292,9 @@ class RecoveryPlane(ChannelPlane):
         if not floors:
             return
         stable = min(floors)
+        if self.oldest_tag >= stable:
+            return  # no entry is older than the floor
+        self.oldest_tag = stable
         dropped, dropped_bytes = self._trim([
             (src, [e for e in entries if e.ckpt_tag >= stable])
             for src, entries in self.logs.items()

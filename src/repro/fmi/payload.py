@@ -26,15 +26,31 @@ __all__ = ["Payload", "pack", "unpack", "copy_into"]
 ArrayLike = Union[np.ndarray, bytes, bytearray, memoryview]
 
 
+#: the dtype of every payload's ``data`` (NumPy keeps one object for it)
+_UINT8 = np.dtype(np.uint8)
+
+
 class Payload:
-    """A sized blob of checkpoint (or message) data."""
+    """A sized blob of checkpoint (or message) data.
+
+    ``data`` is always a flat C-contiguous ``uint8`` array.  An array
+    that already is one -- an exact ``ndarray``, not a subclass -- is
+    taken as it is, with no copy and no view: that is what every copy,
+    split, pad and received chunk of the XOR ring passes.  Anything
+    else is made contiguous and viewed as flat bytes, which shares the
+    caller's memory whenever it can.
+    """
 
     __slots__ = ("nbytes", "data")
 
     def __init__(self, data: np.ndarray, nbytes: float = None):
-        if not isinstance(data, np.ndarray):
+        if (data.__class__ is np.ndarray and data.dtype is _UINT8
+                and data.ndim == 1 and data.flags.c_contiguous):
+            self.data = data
+        elif not isinstance(data, np.ndarray):
             raise TypeError("Payload data must be a numpy array")
-        self.data = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        else:
+            self.data = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
         self.nbytes = float(self.data.nbytes if nbytes is None else nbytes)
         if self.nbytes < self.data.nbytes:
             raise ValueError(
@@ -103,17 +119,13 @@ class Payload:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        chunk_data = -(-self.data.nbytes // k)  # ceil
-        chunk_declared = self.nbytes / k
-        out = []
-        for i in range(k):
-            piece = np.zeros(chunk_data, dtype=np.uint8)
-            lo = i * chunk_data
-            hi = min(lo + chunk_data, self.data.nbytes)
-            if lo < self.data.nbytes:
-                piece[: hi - lo] = self.data[lo:hi]
-            out.append(Payload(piece, nbytes=max(chunk_declared, float(chunk_data))))
-        return out
+        size = self.data.nbytes
+        chunk_data = -(-size // k)  # ceil
+        declared = max(self.nbytes / k, float(chunk_data))
+        # one zeroed buffer, filled at once; each chunk is one of its rows
+        rows = np.zeros((k, chunk_data), dtype=np.uint8)
+        rows.reshape(-1)[:size] = self.data
+        return [Payload(row, nbytes=declared) for row in rows]
 
     @staticmethod
     def join(chunks: List["Payload"], data_len: int, nbytes: float) -> "Payload":

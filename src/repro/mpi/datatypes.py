@@ -35,11 +35,10 @@ def snapshot(data):
     calls this exactly where the hop-level path would have copied at a
     ``send_async``, so both produce byte-identical results.
     """
-    if data.__class__ in _IMMUTABLE:
+    cls = data.__class__
+    if cls in _IMMUTABLE:
         return data
-    if isinstance(data, np.ndarray):
-        return data.copy()
-    if isinstance(data, Payload):
+    if cls is Payload or isinstance(data, (np.ndarray, Payload)):
         return data.copy()
     return data
 

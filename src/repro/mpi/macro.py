@@ -333,16 +333,39 @@ class MacroCollectives:
         a different node.
         """
         for inst in self._live:
-            if inst.bulk is not None:
-                inst.bulk.cancel()
-            for evt in inst.events:
-                if evt is not None and evt._value is _PENDING and not evt._cancelled:
-                    evt.cancel()
+            _cancel(inst)
         self._live.clear()
         self._pending.clear()
         self._seq.clear()
         self._times.clear()
         self._nodes_cache.clear()
+
+    def retire(self, epoch: int) -> None:
+        """Drop the instances of epochs before ``epoch``, once a global
+        rollback to it has completed.
+
+        A survivor that calls a collective after :meth:`reset` but
+        before its failure notification, its context still at the old
+        epoch, opens an instance that nobody completes.  Once every
+        rank is back in H3 at ``epoch`` no rank can consult it again,
+        nor count a call on its epoch's sequence counters.
+        """
+        for key in [key for key in self._pending if key[0] < epoch]:
+            inst = self._pending.pop(key)
+            if inst in self._live:
+                self._live.discard(inst)
+                _cancel(inst)
+        for key in [key for key in self._seq if key[0] < epoch]:
+            del self._seq[key]
+
+
+def _cancel(inst: _Instance) -> None:
+    """Withdraw an instance's completion and every rank's event."""
+    if inst.bulk is not None:
+        inst.bulk.cancel()
+    for evt in inst.events:
+        if evt is not None and evt._value is _PENDING and not evt._cancelled:
+            evt.cancel()
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,10 @@ a paired wait is one resume: sendrecv,
 each hop-collective round and the XOR
 ring wait on send and receive in one
 yield                                   741    97.2          7.6
+a pipe keeps its earliest finisher (a
+start at the instant of its last change
+scans no flow); a payload keeps the
+buffer it is given                      712    97.2          7.3
 ====================================  =====  ======  ===========
 
 The ceilings sit ~12 % above the last row (events: 8 %, below the 106
@@ -247,7 +251,25 @@ calls/event ceilings and the macro calls and traced ones, ~12 % above
 it again (tracked: 19.4 already was).  The one-frame pipe's row
 lowered the first table's calls and calls/event ceilings and the macro
 calls one the same way, and so did the trigger-is-a-store row, and
-the paired-wait row.
+the paired-wait row, and the earliest-finisher row.
+
+**The pipe's bytecode** is pinned beside its frames, because keeping
+the earliest finisher saves no frame: it saves the scan of every flow
+that a start at the instant of the pipe's last change used to make.
+The unit is executed opcodes per entry of
+``BandwidthResource._change`` on the budget run, counted with
+``sys.settrace`` opcode events in that frame only: 166.0 while every
+change rescanned the flows, 160.7 since (only ~1 in 20 of this small
+run's changes is such a start; on the benchmark's ``himeno_cr`` it is
+most of them).  The ceiling, 164, sits between the two readings rather
+than ~12 % above the newer one, which would pass the rescanning pipe
+too: the count is exact and does not move with ``PYTHONHASHSEED``, so
+it needs no headroom for noise, only for a small edit.  It is read on
+CPython 3.11 and skipped elsewhere: another interpreter compiles the
+same source to other bytecode.  A second test pins the starts
+themselves, on any interpreter: a start at the instant of the pipe's
+last change executes the same opcodes beside one flow as beside twelve
+(180 and 389 while every change rescanned).
 
 **A paired wait** is pinned by its frame entries: a rank whose
 application calls one two-rank ``sendrecv`` enters the application's
@@ -281,13 +303,17 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.simt import BandwidthResource, Event, Simulator, Timeout
 from repro.simt import resources
 from repro.simt.rng import RngRegistry
+from tests.count_opcodes import trace as trace_opcodes
 
 RANKS, ITERATIONS = 24, 8
-CALLS_PER_RANK_ITERATION = 830.0
+CALLS_PER_RANK_ITERATION = 800.0
 EVENTS_PER_RANK_ITERATION = 105.0
 #: below the 18.1 this run cost before the diet, so that neither half
 #: can drift back while the other hides it
-CALLS_PER_EVENT = 8.5
+CALLS_PER_EVENT = 8.2
+#: executed opcodes per ``BandwidthResource._change`` (CPython 3.11):
+#: below the 166.0 a pipe that rescans at every change costs
+OPCODES_PER_PIPE_CHANGE = 164.0
 #: entries of ``FmiContext.loop``: 3.75 handed off, 23.6 forwarding
 LOOP_ENTRIES_PER_RANK_ITERATION = 4.2
 #: calls a tracer and a metrics registry add to the run, in all: 6,707
@@ -296,9 +322,10 @@ LOOP_ENTRIES_PER_RANK_ITERATION = 4.2
 OBSERVED_CALLS_EXCESS = 14_000
 
 
-def _profiled_run(observed):
-    """``(calls, events, entries of FmiContext.loop)`` of the profiled
-    run, bare or with a tracer and a metrics registry attached."""
+def _budget_job(observed):
+    """``(sim, job, done)`` of the budget run, launched and with its
+    crash armed, bare or with a tracer and a metrics registry
+    attached."""
     # the one memo under src/ that outlives a simulation: without this
     # a run would be cheaper for every run profiled before it
     optimal_interval.cache_clear()
@@ -318,7 +345,13 @@ def _profiled_run(observed):
     done = job.launch()
     victim = job.fmirun.node_slots[3]
     sim.timeout(4.0).callbacks.append(lambda _e: victim.crash("budget"))
+    return sim, job, done
 
+
+def _profiled_run(observed):
+    """``(calls, events, entries of FmiContext.loop)`` of the profiled
+    run, bare or with a tracer and a metrics registry attached."""
+    sim, job, done = _budget_job(observed)
     profile = cProfile.Profile()
     profile.enable()
     sim.run(until=done)
@@ -359,6 +392,38 @@ def test_calls_per_kernel_event_stay_under_the_ceiling(budget_run):
 def test_no_frame_forwards_to_fmi_loops_subroutines(budget_run):
     entries = budget_run[2]
     assert entries / (RANKS * ITERATIONS) < LOOP_ENTRIES_PER_RANK_ITERATION, entries
+
+
+def _pipe_opcodes(call):
+    """``(opcodes, entries)`` of ``BandwidthResource._change`` while
+    ``call()`` runs."""
+    opcodes, entries = trace_opcodes(call)
+    change = BandwidthResource._change.__code__
+    return opcodes[change], entries[change]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="bytecode counts are CPython 3.11's")
+def test_pipe_changes_execute_a_bounded_number_of_opcodes():
+    sim, _job, done = _budget_job(observed=False)
+    opcodes, entries = _pipe_opcodes(partial(sim.run, until=done))
+    assert opcodes / entries < OPCODES_PER_PIPE_CHANGE, (opcodes, entries)
+
+
+@pytest.mark.parametrize("overhead", [0.0, 1e-3], ids=["direct", "delayed"])
+def test_a_same_instant_start_scans_no_flow(overhead):
+    # the budget run has few such starts; a checkpoint burst is mostly
+    # them, so their cost must not grow with the flows in the pipe
+    def start_after(flows):
+        sim = Simulator()
+        pipe = BandwidthResource(sim, 100.0)
+        for _ in range(flows):
+            pipe.transfer(50.0, overhead)
+        sim.run(until=overhead)  # the flows' own starts, at ``overhead``
+        pipe.transfer(10.0)  # arms the deadline the next one reserves behind
+        return _pipe_opcodes(partial(pipe.transfer, 10.0))
+
+    assert start_after(1) == start_after(12)
 
 
 def test_watching_costs_a_bounded_number_of_calls():

@@ -426,3 +426,17 @@ def test_a_recovery_leaves_nothing_behind(recovery):
     # no macro instance waits on a consult that never comes (a dead
     # replica's, under replication)
     assert instances_ten <= instances_two, (instances_two, instances_ten)
+
+
+def test_a_finished_global_rollback_leaves_no_dead_epoch_instance():
+    # A survivor that calls a collective after ``begin_recovery``'s
+    # reset, before its notification, opens an instance at the old
+    # epoch that nobody completes.  Once every rank is back in H3 at
+    # the new epoch, no rank can consult it: the rollback's completion
+    # drops it (it held one, ``(1, 0, 'allreduce', 0)``, consulted by
+    # ranks 0 and 3 only), and the old epoch's sequence counters.
+    job = _killed_job("global", 2)
+    macro = job.transport.macro
+    assert macro._pending == {} and not macro._live
+    assert macro._seq and all(key[0] == job.epoch for key in macro._seq), (
+        job.epoch, list(macro._seq))

@@ -90,6 +90,71 @@ def test_split_validates():
         Payload.wrap(b"abc").split(0)
 
 
+def test_an_exact_buffer_is_taken_as_it_is():
+    # what every copy, split row and received ring chunk passes: no
+    # copy, and no view of it either
+    buf = np.arange(16, dtype=np.uint8)
+    p = Payload(buf, nbytes=64.0)
+    assert p.data is buf and p.nbytes == 64.0
+    row = np.zeros((3, 5), dtype=np.uint8)[1]
+    assert Payload(row).data is row
+
+
+class _Bytes(np.ndarray):
+    pass
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.arange(32, dtype=np.uint8)[::2],          # strided
+    lambda: np.arange(12, dtype=np.float64),             # not uint8
+    lambda: np.arange(12, dtype=np.int16).reshape(3, 4),  # 2-D, not uint8
+    lambda: np.arange(12, dtype=np.uint8).reshape(3, 4),  # 2-D
+    lambda: np.arange(12, dtype=np.uint8).reshape(3, 4).T,  # Fortran order
+    lambda: np.arange(8, dtype=np.uint8).view(_Bytes),    # a subclass
+    lambda: np.arange(8, dtype=np.dtype(np.uint8, metadata={"a": 1})),
+], ids=["strided", "float64", "int16-2d", "uint8-2d", "fortran", "subclass",
+        "dtype-instance"])
+def test_any_other_array_is_viewed_as_flat_bytes(make):
+    arr = make()
+    p = Payload(arr)
+    assert p.data.__class__ is np.ndarray and p.data.dtype == np.uint8
+    assert p.data.ndim == 1 and p.data.flags.c_contiguous
+    assert p.tobytes() == np.ascontiguousarray(arr).tobytes()
+    assert p.nbytes == arr.nbytes
+    # a contiguous array's memory is shared, as before
+    assert np.shares_memory(p.data, arr) == arr.flags.c_contiguous
+
+
+def _chunks_one_array_each(p, k):
+    """:meth:`Payload.split` as it allocated before: a zeroed array per
+    chunk, filled from its slice."""
+    chunk_data = -(-p.data.nbytes // k)
+    out = []
+    for i in range(k):
+        piece = np.zeros(chunk_data, dtype=np.uint8)
+        lo = i * chunk_data
+        hi = min(lo + chunk_data, p.data.nbytes)
+        if lo < p.data.nbytes:
+            piece[: hi - lo] = p.data[lo:hi]
+        out.append(Payload(piece, nbytes=max(p.nbytes / k, float(chunk_data))))
+    return out
+
+
+@pytest.mark.parametrize("size", [0, 1, 5, 103, 4096])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 15])
+def test_split_rows_equal_one_array_per_chunk(size, k):
+    p = Payload(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8),
+                nbytes=size * 1e6 + 7.0)
+    source = p.tobytes()
+    got, want = p.split(k), _chunks_one_array_each(p, k)
+    assert [(c.tobytes(), c.nbytes) for c in got] == [
+        (c.tobytes(), c.nbytes) for c in want]
+    # the rows share one buffer, but a write to one stays in it
+    got[0].data[:] = 255
+    assert [c.tobytes() for c in got[1:]] == [c.tobytes() for c in want[1:]]
+    assert p.tobytes() == source
+
+
 # ------------------------------------------------------------------- codec
 def test_slot_assignment_bijection():
     n = 8

@@ -117,6 +117,24 @@ def test_gc_drops_entries_behind_the_stable_floor():
     assert [(gc["entries"], gc["live"]) for gc in _gc_records(job)] == [(1, 0)]
 
 
+def test_gc_bound_follows_every_logged_tag():
+    # The GC skips its rebuild while the lowest logged ``ckpt_tag`` it
+    # knows of is at or above the floor, so every send must lower it:
+    # here an entry from a rank not yet checkpointed (-1) is logged
+    # after one stamped 0, and must still go once the floor is 0.
+    job, plane = make_plane()
+    Tracer(job.sim)
+    plane.note_rank_checkpoint(0, 0)
+    plane.on_send(0, 1, _env(src=0, dst=1))  # stamped 0
+    plane.on_send(1, 2, _env(src=1, dst=2))  # stamped -1
+    assert plane.oldest_tag == -1
+    for r in range(1, 4):
+        plane.note_rank_checkpoint(r, 0)
+    assert plane.logs[1] == [] and len(plane.logs[0]) == 1
+    assert plane.oldest_tag == 0
+    assert [(gc["entries"], gc["live"]) for gc in _gc_records(job)] == [(1, 1)]
+
+
 def test_snapshot_window_matches_checkpoint_retention():
     _job, plane = make_plane()
     for ds in range(4):
@@ -378,6 +396,58 @@ def test_logged_recovery_matches_global_and_failure_free_bitwise():
         assert np.array_equal(c, expect)
         assert np.array_equal(l, expect)
         assert np.array_equal(g, expect)
+
+
+def _rescanned_logs(plane):
+    """The logs :meth:`RecoveryPlane._gc` keeps when it rescans every
+    log at every checkpoint: entries at or above the stable floor."""
+    logs = {src: list(entries) for src, entries in plane.logs.items()}
+    job = plane.job
+    floors = []
+    for r in range(job.num_ranks):
+        if r in job.results:
+            continue
+        window = plane.snapshots.get(r)
+        if not window:
+            return logs
+        floors.append(min(window))
+    if not floors:
+        return logs
+    stable = min(floors)
+    return {src: [e for e in entries if e.ckpt_tag >= stable]
+            for src, entries in logs.items()}
+
+
+def test_gc_keeps_what_a_rescan_keeps_without_rebuilding_every_time(monkeypatch):
+    # The plane keeps a lower bound on the logged ``ckpt_tag``s and
+    # returns before the rebuild while the floor has not passed it.
+    # After every checkpoint of a killed run the logs must be the ones
+    # the rescanning body leaves, and most checkpoints rebuild nothing.
+    calls, rebuilds = [], []
+    gc, trim = RecoveryPlane._gc, RecoveryPlane._trim
+
+    def trimmed(plane, kept_logs):
+        rebuilds.append(kept_logs)
+        return trim(plane, kept_logs)
+
+    def checked(plane):
+        want = _rescanned_logs(plane)
+        before = len(rebuilds)
+        gc(plane)
+        calls.append(len(rebuilds) - before)
+        assert plane.logs == want
+        assert all(e.ckpt_tag >= plane.oldest_tag
+                   for entries in plane.logs.values() for e in entries)
+
+    monkeypatch.setattr(RecoveryPlane, "_gc", checked)
+    monkeypatch.setattr(RecoveryPlane, "_trim", trimmed)
+    job, _tracer, results = run_bsp("logged", kill_node=1, trace=True)
+    for rank, u in enumerate(results):
+        assert np.array_equal(u, expected_bsp_state(rank, 8, ITERS))
+    # (the rewind trims too: only the GC's own rebuilds are counted)
+    gc_rebuilds = sum(calls)
+    assert len(_gc_records(job)) <= gc_rebuilds < len(calls) // 2, (
+        gc_rebuilds, len(calls))
 
 
 def test_logged_survivors_never_restore():

@@ -263,6 +263,36 @@ def test_bandwidth_set_capacity_rearms_one_timer():
     assert armed.processed and bw.pops == [(pytest.approx(1.5), "live")]
 
 
+def test_a_same_instant_start_touches_no_other_flow():
+    # The pipe keeps its flow count and earliest finisher: a start at
+    # the instant of the previous change applies no progress, so no
+    # flow's ``remaining`` is even rewritten (``x - 0.0`` would be a
+    # new float object of the same value).
+    sim = Simulator()
+    bw = BandwidthResource(sim, capacity=100.0)
+    bw.transfer(300.0)
+    sim.run(until=1.0)
+    for nbytes in (50.0, 400.0, 150.0):
+        bw.transfer(nbytes)  # the first one applies t=[0, 1)'s progress
+    floats = [flow.remaining for flow in bw._flows]
+    assert floats == [200.0, 50.0, 400.0, 150.0]
+    assert (bw._count, bw._low) == (4, 50.0)
+    bw.transfer(20.0)
+    assert all(flow.remaining is before
+               for flow, before in zip(bw._flows, floats))
+    assert (bw._count, bw._low) == (5, 20.0)
+    # a later instant subtracts the same progress from ``low`` as from
+    # every flow: 5 flows at 20 B/s for 0.5 s
+    sim.run(until=1.5)
+    bw.set_capacity(50.0)
+    assert [flow.remaining for flow in bw._flows] == [190.0, 40.0, 390.0,
+                                                      140.0, 10.0]
+    assert (bw._count, bw._low) == (5, 10.0)
+    sim.run()
+    assert (bw._count, bw._low) == (0, float("inf"))
+    assert bw.bytes_done == pytest.approx(920.0)
+
+
 # ------------------------------------------- conformance with the oracle
 # One schedule entry: (kind, issue time, ...).  Sizes include zero and
 # sub-epsilon flows (finished on arrival), overheads include none.
@@ -270,14 +300,22 @@ _AT = st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1.0, 1.7, 3.0])
 _SIZE = st.sampled_from([0.0, 1e-7, 1.0, 10.0, 50.0, 200.0, 333.0, 1e9 / 3])
 _OVERHEAD = st.sampled_from([0.0, 0.0, 0.125, 0.3])
 _PIPE = st.sampled_from([0, 1])
+_CAPACITY = st.sampled_from([25.0, 50.0, 100.0, 400.0])
 _OP = st.one_of(
     st.tuples(st.just("start"), _AT, _PIPE, _SIZE, _OVERHEAD),
     # the receiver goes away before (overhead > 0) or after the start
     st.tuples(st.just("abandon"), _AT, _PIPE, _SIZE, _OVERHEAD),
     # one message through both pipes at once, like cluster.network._Wire
     st.tuples(st.just("wire"), _AT, _SIZE),
-    st.tuples(st.just("capacity"), _AT, _PIPE,
-              st.sampled_from([25.0, 50.0, 100.0, 400.0])),
+    st.tuples(st.just("capacity"), _AT, _PIPE, _CAPACITY),
+    # a start issued from the first flow's completion callback: at the
+    # instant of the drain that completed it
+    st.tuples(st.just("chain"), _AT, _PIPE, _SIZE, _OVERHEAD, _PIPE, _SIZE),
+    # up to twelve starts at one instant (a node's ranks entering its
+    # NIC together), with the capacity changed before the ``k``-th
+    st.tuples(st.just("burst"), _AT, _PIPE,
+              st.lists(st.tuples(_SIZE, _OVERHEAD), min_size=1, max_size=12),
+              st.integers(0, 12), _CAPACITY),
 )
 
 
@@ -341,6 +379,20 @@ def _drive(pipe_cls, ops, instants=(), one_entry=False):
             elif kind == "abandon":
                 pipe, nbytes, overhead = args
                 pipes[pipe].transfer(nbytes, overhead).cancel()
+            elif kind == "chain":
+                pipe, nbytes, overhead, then_pipe, then_nbytes = args
+                first = pipes[pipe].transfer(nbytes, overhead)
+                watch(index, first)
+                first.callbacks.append(lambda _evt: watch(
+                    (index, "then"), pipes[then_pipe].transfer(then_nbytes)))
+            elif kind == "burst":
+                pipe, starts, capacity_at, capacity = args
+                for k, (nbytes, overhead) in enumerate(starts):
+                    if k == capacity_at:
+                        pipes[pipe].set_capacity(capacity)
+                    watch((index, k), pipes[pipe].transfer(nbytes, overhead))
+                if capacity_at >= len(starts):
+                    pipes[pipe].set_capacity(capacity)
             elif kind == "wire":
                 parts = [pipe.transfer(args[0]) for pipe in pipes]
                 both = sim.event()
