@@ -40,7 +40,7 @@ def measure(nprocs: int):
                          checkpoint_enabled=False),
     )
     sim.run(until=fjob.launch())
-    h1_done = fjob._h1_rdv[0].released_at
+    h1_done = fjob._rdv["H1", 0].released_at
     h2_done = fjob.recovered_at[0]
     bootstrap = h1_done - fjob.launched_at - spawn
     logring = h2_done - h1_done

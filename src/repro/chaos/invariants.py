@@ -370,26 +370,19 @@ class DetectorMonitor:
     The boundedness invariant cannot be checked only at job end -- every
     rank's ``leave()`` drops its own edges, so the final view is empty
     even with an accumulation bug present.  Instead the monitor samples
-    every ``sample_dt`` simulated seconds and records:
-
-    * the largest per-rank edge count seen (must stay within
-      ``2 x out-degree``: a rank's incoming plus outgoing log-ring
-      edges);
-    * any *closed* connection still listed as a live rank's edge
-      longer than ``grace`` seconds.  The connection manager unlists a
-      connection the moment it closes, so one that lingers is a leak.
+    every ``sample_dt`` simulated seconds and records the largest
+    per-rank edge count seen (it must stay within ``2 x out-degree``: a
+    rank's incoming plus outgoing log-ring edges).  A closed connection
+    is never among them: the detector's edges are the connection
+    manager's index, which unlists a connection as it closes it.
     """
 
     #: simulated seconds between two samples
     sample_dt = 0.25
-    #: how long a closed connection may stay listed before it is a leak
-    grace = 1.0
 
     def __init__(self, job):
         self.job = job
         self.max_entries = 0
-        self._stale_first_seen: Dict[int, float] = {}
-        self.violations: List[Violation] = []
 
     def start(self) -> None:
         self.job.sim.spawn(self._run(), name="chaos.detector-monitor")
@@ -401,46 +394,21 @@ class DetectorMonitor:
             yield sim.timeout(self.sample_dt)
 
     def sample(self) -> None:
-        now = self.job.sim.now
-        seen_stale = set()
         detector = self.job.detector
         for rank in detector._joined_epoch:
-            conns = detector.edges(rank)
-            self.max_entries = max(self.max_entries, len(conns))
-            rproc = self.job.rank_procs.get(rank)
-            if rproc is None or not rproc.alive:
-                continue  # the leak hunted is in *live* ranks' edges
-            for conn in conns:
-                if conn.open:
-                    continue
-                seen_stale.add(id(conn))
-                first = self._stale_first_seen.setdefault(id(conn), now)
-                if now - first > self.grace:
-                    self.violations.append(Violation(
-                        "detector-bounded",
-                        f"closed connection {conn.ends} still listed at "
-                        f"rank {rank} {now - first:.3g}s after it was "
-                        f"first seen closed (t={now:.6g})",
-                    ))
-                    seen_stale.discard(id(conn))  # report once
-        self._stale_first_seen = {
-            k: v for k, v in self._stale_first_seen.items() if k in seen_stale
-        }
+            self.max_entries = max(self.max_entries, len(detector.edges(rank)))
 
 
 def check_detector_bounded(job, monitor: DetectorMonitor) -> List[Violation]:
-    """Every rank's overlay edges stayed within ``2 x out-degree``, and
-    no closed connection stayed listed past the monitor's grace
-    window."""
-    out = list(monitor.violations)
+    """Every rank's overlay edges stayed within ``2 x out-degree``."""
     bound = 2 * job.detector.connections_per_rank(job.num_ranks)
     if monitor.max_entries > bound:
-        out.append(Violation(
+        return [Violation(
             "detector-bounded",
             f"a rank's overlay reached {monitor.max_entries} "
             f"edges (log-ring bound: {bound})",
-        ))
-    return out
+        )]
+    return []
 
 
 def check_link_accounting(job) -> List[Violation]:

@@ -47,7 +47,7 @@ only: its bytes still run dry through both NICs.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.cluster.node import Node
 from repro.cluster.spec import NetworkSpec
@@ -176,8 +176,12 @@ class Fabric:
         self._partition: Optional[Dict[int, int]] = None
         self._partition_tag = ""
         self._partition_count = 0
-        self._partition_listeners: List[Callable[[str, Dict[int, int]], None]] = []
-        self._heal_listeners: List[Callable[[str], None]] = []
+        #: insertion-ordered callbacks, fired in subscription order:
+        #: ``(tag, node_id -> component)`` on a cut, ``(tag)`` on a
+        #: heal; a subscriber writes ``d[cb] = None`` and
+        #: ``d.pop(cb, None)``
+        self.partition_listeners: Dict[Callable[[str, Dict[int, int]], None], None] = {}
+        self.heal_listeners: Dict[Callable[[str], None], None] = {}
 
     # -- partitions ------------------------------------------------------------
     @property
@@ -188,30 +192,6 @@ class Fabric:
     def partition_tag(self) -> str:
         """Tag of the active partition ('' when healed)."""
         return self._partition_tag if self._partition is not None else ""
-
-    def on_partition(self, callback: Callable[[str, Dict[int, int]], None]) -> None:
-        """Subscribe ``callback(tag, node_id -> component)`` to cuts."""
-        self._partition_listeners.append(callback)
-
-    def on_heal(self, callback: Callable[[str], None]) -> None:
-        """Subscribe ``callback(tag)`` to partition heals."""
-        self._heal_listeners.append(callback)
-
-    def remove_partition_listener(
-        self, callback: Callable[[str, Dict[int, int]], None]
-    ) -> None:
-        """Unsubscribe from cuts (job teardown); unknown callbacks ignored."""
-        try:
-            self._partition_listeners.remove(callback)
-        except ValueError:
-            pass
-
-    def remove_heal_listener(self, callback: Callable[[str], None]) -> None:
-        """Unsubscribe from heals (job teardown); unknown callbacks ignored."""
-        try:
-            self._heal_listeners.remove(callback)
-        except ValueError:
-            pass
 
     def partition(self, groups: Iterable[Iterable[int]], tag: str = "") -> str:
         """Split the fabric into components; returns the partition tag.
@@ -235,7 +215,7 @@ class Fabric:
                 components=max(component.values(), default=0) + 1,
                 cut_nodes=sorted(n for n, c in component.items() if c != 0),
             )
-        for callback in list(self._partition_listeners):
+        for callback in list(self.partition_listeners):
             callback(self._partition_tag, component)
         return self._partition_tag
 
@@ -248,7 +228,7 @@ class Fabric:
         self._partition_tag = ""
         if self.sim.tracer.enabled:
             self.sim.tracer.instant("net.heal", "failure", tag=tag)
-        for callback in list(self._heal_listeners):
+        for callback in list(self.heal_listeners):
             callback(tag)
 
     def reachable(self, node_a: int, node_b: int) -> bool:

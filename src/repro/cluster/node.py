@@ -7,17 +7,17 @@ A node bundles the shared hardware its processes contend for:
 * ``tmpfs``   -- node-local RAM filesystem (dies with the node);
 * a registry of simulated processes, all killed on :meth:`crash`.
 
-Crash listeners (the endpoint manager, ``fmirun``, the resource
-manager) subscribe via :meth:`on_crash`.
+A node reports to the :class:`~repro.cluster.machine.Machine` that
+built it: a crash goes to the machine's ``death_listeners`` (the
+connection managers and detectors of the jobs it hosts), and a limp
+transition moves the machine's ``limping_count``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from typing import Any, List
 
 from repro.cluster.filesystem import Tmpfs
-from repro.cluster.spec import ClusterSpec
-from repro.simt.kernel import Simulator
 from repro.simt.process import Process
 from repro.simt.resources import BandwidthResource
 
@@ -41,10 +41,11 @@ def check_limp_factors(bw_factor: float, latency_factor: float) -> None:
 class Node:
     """One compute node of the simulated machine."""
 
-    def __init__(self, sim: Simulator, node_id: int, spec: ClusterSpec):
-        self.sim = sim
+    def __init__(self, machine, node_id: int):
+        self.machine = machine
+        sim = self.sim = machine.sim
+        spec = self.spec = machine.spec
         self.id = node_id
-        self.spec = spec
         self.alive = True
         ns = spec.node
         self.mem_bw = BandwidthResource(sim, ns.memory_bw, name=f"mem[{node_id}]")
@@ -54,15 +55,10 @@ class Node:
         fs = spec.filesystem
         self.tmpfs = Tmpfs(sim, fs.tmpfs_bw, fs.tmpfs_latency, f"tmpfs[{node_id}]")
         self._procs: List[Process] = []
-        self._crash_listeners: List[Callable[["Node", Any], None]] = []
         #: gray-failure degradation factors (1.0 = healthy); >= 1 slows
         #: the node's network path down without killing anything.
         self.limp_bw = 1.0
         self.limp_latency = 1.0
-        #: healthy<->limping transition sink (set by Machine so it can
-        #: keep an O(1) ``limping_count`` for the macro-event
-        #: eligibility check); called with +1 / -1.
-        self._limp_sink: Any = None
 
     # -- process registry ------------------------------------------------------
     def register(self, proc: Process) -> Process:
@@ -106,14 +102,13 @@ class Node:
         """
         if not self.alive:
             raise NodeDownError(f"node {self.id} is down")
-        # before any state is written: a NaN would flip the limp sink,
-        # then surface from a wire's tail timer
+        # before any state is written: a NaN would move the machine's
+        # limping count, then surface from a wire's tail timer
         check_limp_factors(bw_factor, latency_factor)
         was_limping = self.limping
         self.limp_bw = float(bw_factor)
         self.limp_latency = float(latency_factor)
-        if self._limp_sink is not None and was_limping != self.limping:
-            self._limp_sink(1 if self.limping else -1)
+        self.machine.limping_count += self.limping - was_limping
         cap = self.spec.network.link_bw / self.limp_bw
         self.nic_tx.set_capacity(cap)
         self.nic_rx.set_capacity(cap)
@@ -129,22 +124,19 @@ class Node:
             self.set_limp(1.0, 1.0)
 
     # -- failure ------------------------------------------------------------
-    def on_crash(self, callback: Callable[["Node", Any], None]) -> None:
-        self._crash_listeners.append(callback)
-
     def crash(self, cause: Any = "failure") -> None:
         """Unrecoverable node failure.
 
         Kills every registered process (they are never resumed),
-        destroys tmpfs contents, and informs listeners.  Idempotent.
+        destroys tmpfs contents, and informs the machine's death
+        listeners.  Idempotent.
         """
         if not self.alive:
             return
         self.alive = False
-        if self._limp_sink is not None and self.limping:
-            # A dead node no longer perturbs the fabric; stop counting
-            # it against the macro-event eligibility check.
-            self._limp_sink(-1)
+        # A dead node no longer perturbs the fabric; stop counting it
+        # against the macro-event eligibility check.
+        self.machine.limping_count -= self.limping
         if self.sim.tracer.enabled:
             self.sim.tracer.instant(
                 "node.crash", "failure", node=self.id, cause=str(cause),
@@ -153,7 +145,7 @@ class Node:
         for proc in procs:
             proc.kill(cause=f"node {self.id} crash: {cause}")
         self.tmpfs.destroy()
-        for listener in list(self._crash_listeners):
+        for listener in list(self.machine.death_listeners):
             listener(self, cause)
 
     def __repr__(self) -> str:  # pragma: no cover

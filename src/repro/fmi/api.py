@@ -64,7 +64,7 @@ class FmiContext(ParallelApi):
         if job.config.level2_every is not None:
             from repro.fmi.multilevel import Level2Store
 
-            self.l2store = Level2Store(job.machine.pfs, job.name, fproc.rank)
+            self.l2store = Level2Store(job.machine.pfs, job.job_id, fproc.rank)
 
     def _check_ok(self) -> None:
         if self.fproc.notified_pending:

@@ -64,16 +64,16 @@ class LogRingDetector:
         # Registered after the ConnectionManager's own death listener, so
         # by the time _on_node_death runs the node's edges are closed
         # and unlisted.
-        job.machine.on_node_death(self._on_node_death)
-        job.machine.fabric.on_heal(self._on_partition_heal)
+        job.machine.death_listeners[self._on_node_death] = None
+        job.machine.fabric.heal_listeners[self._on_partition_heal] = None
 
     def detach(self) -> None:
         """Unhook this job's detector from the machine (job teardown).
         Tenants come and go on a shared cluster; a finished job's
         detector must stop hearing node deaths entirely rather than
         early-returning forever."""
-        self.job.machine.remove_death_listener(self._on_node_death)
-        self.job.machine.fabric.remove_heal_listener(self._on_partition_heal)
+        self.job.machine.death_listeners.pop(self._on_node_death, None)
+        self.job.machine.fabric.heal_listeners.pop(self._on_partition_heal, None)
         self.cm.detach()
 
     # -- membership -----------------------------------------------------------

@@ -55,14 +55,13 @@ class FmiJob(JobBase):
         config: Optional[FmiConfig] = None,
         name: str = "fmi",
         alloc=None,
-        job_id: Optional[str] = None,
     ):
         self.config = config or FmiConfig()
         super().__init__(
             machine, app, num_ranks, procs_per_node,
             policy=Fmirun(), name=name,
             sw_overhead=machine.spec.network.sw_overhead_fmi,
-            alloc=alloc, job_id=job_id,
+            alloc=alloc,
         )
         self.fmirun: Fmirun = self.policy  # the runtime's public name
         #: the recovery epoch: bumped by ``Fmirun.begin_recovery``,
@@ -77,8 +76,8 @@ class FmiJob(JobBase):
         #: everything that differs between global rollback, message
         #: logging and replication sits behind this one object
         self.recovery: RecoveryFamily = _FAMILIES[self.config.recovery](self)
-        self._h1_rdv: Dict[Any, PmgrRendezvous] = {}
-        self._h2_rdv: Dict[Any, PmgrRendezvous] = {}
+        #: ``("H1" | "H2", scope key)`` -> that rendezvous
+        self._rdv: Dict[Tuple[str, Any], PmgrRendezvous] = {}
 
         # -- statistics --
         self.recovered_at: Dict[int, float] = {}
@@ -90,21 +89,15 @@ class FmiJob(JobBase):
         self.level2_restores = 0
 
     # -- runtime services (called by FmiProcess) -------------------------------------
-    def h1_rendezvous(self, fproc: FmiProcess) -> PmgrRendezvous:
+    def rendezvous(self, state: str, fproc: FmiProcess) -> PmgrRendezvous:
+        """The ``"H1"`` or ``"H2"`` rendezvous ``fproc`` joins in its
+        scope; only H1 pays the PMGR bootstrap."""
         key, size, scale = self.recovery.rendezvous_scope(fproc)
-        rdv = self._h1_rdv.get(key)
+        rdv = self._rdv.get((state, key))
         if rdv is None:
-            cost = self.machine.spec.fmi_bootstrap_time(scale)
-            rdv = PmgrRendezvous(self.sim, size, cost)
-            self._h1_rdv[key] = rdv
-        return rdv
-
-    def h2_rendezvous(self, fproc: FmiProcess) -> PmgrRendezvous:
-        key, size, _scale = self.recovery.rendezvous_scope(fproc)
-        rdv = self._h2_rdv.get(key)
-        if rdv is None:
-            rdv = PmgrRendezvous(self.sim, size, cost=0.0)
-            self._h2_rdv[key] = rdv
+            cost = (self.machine.spec.fmi_bootstrap_time(scale)
+                    if state == "H1" else 0.0)
+            rdv = self._rdv[state, key] = PmgrRendezvous(self.sim, size, cost)
         return rdv
 
     def note_recovery_complete(self) -> None:

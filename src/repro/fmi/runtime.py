@@ -278,8 +278,7 @@ class FmiProcess(RankProcess):
         self.notified_pending = False
         self.notified_gen = max(self.notified_gen, job.epoch)
         job.recovery.on_h1(self)
-        rdv = job.h1_rendezvous(self)
-        yield rdv.arrive()
+        yield job.rendezvous("H1", self).arrive()
 
     def _h2(self):
         """Connecting: build this epoch's log-ring overlay."""
@@ -292,8 +291,7 @@ class FmiProcess(RankProcess):
         overlay_epoch = job.recovery.overlay_epoch(self)
         if overlay_epoch is not None:
             job.detector.join(self, overlay_epoch)
-        rdv = job.h2_rendezvous(self)
-        yield rdv.arrive()
+        yield job.rendezvous("H2", self).arrive()
         if overlay_epoch is not None:
             job.note_recovery_complete()
 
@@ -450,10 +448,8 @@ class Fmirun(FaultPolicy):
         # every rendezvous key names its epoch (``rendezvous_scope``):
         # a released one is never asked for again, while one released
         # in this epoch meets a late arrival and refuses it
-        for opened in (job._h1_rdv, job._h2_rdv):
-            for key in [key for key, rdv in opened.items()
-                        if rdv.released_at is not None]:
-                del opened[key]
+        job._rdv = {key: rdv for key, rdv in job._rdv.items()
+                    if rdv.released_at is None}
         causes.append((self.sim.now, cause))
         failover = self._failover = job.recovery.try_failover(self, cause)
         if not failover:

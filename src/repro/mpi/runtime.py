@@ -153,14 +153,13 @@ class MpiJob(JobBase):
         charge_init: bool = True,
         name: str = "mpi",
         alloc=None,
-        job_id: Optional[str] = None,
     ):
         super().__init__(
             machine, app, nprocs, procs_per_node,
             policy=FailStop(nodes=nodes, charge_init=charge_init),
             name=name,
             sw_overhead=machine.spec.network.sw_overhead_mpi,
-            alloc=alloc, job_id=job_id,
+            alloc=alloc,
         )
 
 
@@ -180,14 +179,12 @@ class MpiRestartDriver:
         app: AppFactory,
         nprocs: int,
         procs_per_node: int = 1,
-        name: str = "mpirun",
     ):
         self.machine = machine
         self.sim = machine.sim
         self.app = app
         self.nprocs = nprocs
         self.ppn = procs_per_node
-        self.name = name
         self.restarts = 0
         self.num_nodes = check_geometry(nprocs, procs_per_node)
         self.jobs: List[MpiJob] = []
@@ -206,7 +203,7 @@ class MpiRestartDriver:
                         nodes[i] = yield alloc.grow()
                 job = MpiJob(
                     self.machine, self.app, self.nprocs, self.ppn,
-                    nodes=nodes, name=f"{self.name}#{self.restarts}",
+                    nodes=nodes, name=f"mpirun#{self.restarts}",
                 )
                 self.jobs.append(job)
                 try:

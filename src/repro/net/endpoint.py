@@ -94,14 +94,14 @@ class ConnectionManager:
         #: order (the detector's overlay edges; a closed connection is
         #: never listed)
         self.by_end: Dict[Any, Dict[Connection, None]] = {}
-        machine.on_node_death(self._on_node_death)
-        machine.fabric.on_partition(self._on_partition)
+        machine.death_listeners[self._on_node_death] = None
+        machine.fabric.partition_listeners[self._on_partition] = None
 
     def detach(self) -> None:
         """Unhook from the machine at job teardown (the machine outlives
         any one tenant's connection manager)."""
-        self.machine.remove_death_listener(self._on_node_death)
-        self.machine.fabric.remove_partition_listener(self._on_partition)
+        self.machine.death_listeners.pop(self._on_node_death, None)
+        self.machine.fabric.partition_listeners.pop(self._on_partition, None)
 
     # -- establishment ----------------------------------------------------
     def connect(self, key_a: Any, node_a: Node, key_b: Any, node_b: Node) -> Connection:

@@ -309,12 +309,12 @@ class Transport:
         #: coordinator: the transport is the one object every rank's API
         #: shares, and never reads the slot itself
         self.macro = None
-        machine.fabric.on_heal(self._on_heal)
+        machine.fabric.heal_listeners[self._on_heal] = None
 
     def detach(self) -> None:
         """Unhook from the (long-lived) fabric at job teardown so a
         stream of tenant jobs does not accumulate dead heal listeners."""
-        self.machine.fabric.remove_heal_listener(self._on_heal)
+        self.machine.fabric.heal_listeners.pop(self._on_heal, None)
 
     # -- registry ---------------------------------------------------------
     def create_context(self, node: Node, label: str = "") -> NetContext:

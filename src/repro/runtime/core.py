@@ -68,10 +68,10 @@ class RankProcess:
 
     # -- naming hooks -------------------------------------------------------
     def _ctx_label(self) -> str:
-        return f"{self.job.name}:r{self.rank}"
+        return f"{self.job.job_id}:r{self.rank}"
 
     def _proc_name(self) -> str:
-        return f"{self.job.name}:rank{self.rank}"
+        return f"{self.job.job_id}:rank{self.rank}"
 
     # -- liveness -----------------------------------------------------------
     @property
@@ -108,7 +108,7 @@ class _JobDone(Event):
     def _what(self) -> str:
         procs, done = self.job.rank_procs, self.job.results
         out = [r for r in sorted(procs) if r not in done]
-        return (f"job {self.job.name!r} done, awaiting {len(out)} of "
+        return (f"job {self.job.job_id!r} done, awaiting {len(out)} of "
                 f"{self.job.num_ranks} ranks [" + "; ".join(
                     [f"rank {r}: {wait_chain(procs[r].proc)}" for r in out[:8]]
                     + ["..."] * (len(out) > 8)) + "]"
@@ -172,7 +172,6 @@ class JobBase:
         name: str,
         sw_overhead: Optional[float] = None,
         alloc=None,
-        job_id: Optional[str] = None,
     ):
         self.num_nodes = check_geometry(num_ranks, procs_per_node)
         self.machine = machine
@@ -180,13 +179,13 @@ class JobBase:
         self.app = app
         self.num_ranks = num_ranks
         self.ppn = procs_per_node
-        self.name = name
+        #: the job's one name: the tenant label on every metric/trace
+        #: record this job emits
+        self.job_id = name
         #: externally owned allocation (service mode: the scheduler
         #: grants nodes and hands the job a ready allocation); None =
         #: the policy allocates for itself at bind/start
         self.alloc = alloc
-        #: tenant label on every metric/trace record this job emits
-        self.job_id = job_id if job_id is not None else name
         #: fork/exec + loading the executable: what every rank process
         #: waits out first, once per process
         self.boot_latency = (

@@ -221,14 +221,13 @@ class StreamScheduler:
         if spec.config is None:
             return MpiJob(
                 self.machine, app, spec.ranks, spec.ppn,
-                name=rec.job_id, alloc=alloc, job_id=rec.job_id,
+                name=rec.job_id, alloc=alloc,
             )
         from repro.fmi.job import FmiJob
 
         return FmiJob(
             self.machine, app, spec.ranks, spec.ppn,
-            config=spec.config, name=rec.job_id,
-            alloc=alloc, job_id=rec.job_id,
+            config=spec.config, name=rec.job_id, alloc=alloc,
         )
 
     def _try_start(self, rec: TenantRecord, backfilled: bool) -> bool:

@@ -42,10 +42,71 @@ def test_node_crash_idempotent_and_notifies_once():
     sim, m = make_machine()
     node = m.node(1)
     hits = []
-    m.on_node_death(lambda n, cause: hits.append((n.id, cause)))
+    m.death_listeners[lambda n, cause: hits.append((n.id, cause))] = None
     node.crash("a")
     node.crash("b")
     assert hits == [(1, "a")]
+
+
+def test_death_listeners_fire_in_subscription_order_and_a_popped_one_hears_nothing():
+    sim, m = make_machine()
+    heard = []
+
+    def listener(name):
+        return lambda node, cause: heard.append((name, node.id, cause))
+
+    first, second, third = listener("first"), listener("second"), listener("third")
+    for cb in (first, second, third):
+        m.death_listeners[cb] = None
+    m.death_listeners[first] = None  # subscribing again keeps its place
+    m.node(0).crash("a")
+    assert heard == [("first", 0, "a"), ("second", 0, "a"), ("third", 0, "a")]
+    heard.clear()
+    m.death_listeners.pop(second, None)
+    m.death_listeners.pop(second, None)  # popping twice is harmless
+    m.node(1).crash("b")
+    assert heard == [("first", 1, "b"), ("third", 1, "b")]
+
+
+def test_a_listener_that_unsubscribes_mid_fan_out_leaves_the_rest_heard():
+    sim, m = make_machine()
+    heard = []
+
+    def leaver(node, cause):
+        heard.append("leaver")
+        m.death_listeners.pop(leaver, None)
+
+    m.death_listeners[leaver] = None
+    m.death_listeners[lambda node, cause: heard.append("stayer")] = None
+    m.node(0).crash()
+    m.node(1).crash()
+    assert heard == ["leaver", "stayer", "stayer"]
+
+
+def test_limping_count_is_the_number_of_live_limping_nodes():
+    sim, m = make_machine(n=4)
+
+    def live_limping():
+        return sum(1 for n in m.nodes if n.alive and n.limping)
+
+    steps = [
+        lambda: m.node(0).set_limp(2.0),
+        lambda: m.node(0).set_limp(3.0, 2.0),  # still limping: no change
+        lambda: m.node(1).set_limp(latency_factor=4.0),
+        lambda: m.node(2).clear_limp(),  # healthy: a no-op
+        lambda: m.node(0).set_limp(1.0, 1.0),
+        lambda: m.node(2).set_limp(2.0),
+        lambda: m.node(1).crash("limping"),
+        lambda: m.node(1).crash("again"),
+        lambda: m.node(2).clear_limp(),
+        lambda: m.node(3).crash("healthy"),
+    ]
+    counts = []
+    for step in steps:
+        step()
+        assert m.limping_count == live_limping()
+        counts.append(m.limping_count)
+    assert counts == [1, 1, 2, 2, 1, 2, 1, 1, 0, 0]
 
 
 def test_spawn_on_dead_node_rejected():

@@ -368,20 +368,20 @@ def test_a_released_rendezvous_goes_when_the_epoch_moves_on():
     job = FmiJob(machine, counting_app(1), num_ranks=2,
                  config=FmiConfig(xor_group_size=2))
     # the global family's scope reads the job alone: no process needed
-    h1 = job.h1_rendezvous(None)
+    h1 = job.rendezvous("H1", None)
     h1.arrive()
     h1.arrive()
     sim.run()
     assert h1.released_at is not None
     # a late arrival in the epoch that released it meets it, refused
-    assert job.h1_rendezvous(None) is h1
+    assert job.rendezvous("H1", None) is h1
     with pytest.raises(RuntimeError, match="already released"):
         h1.arrive()
-    pending = job.h2_rendezvous(None)
+    pending = job.rendezvous("H2", None)
     job.fmirun.begin_recovery("injected")
     # a new epoch: the released one goes, the unreleased one stays
     assert job.epoch == 1
-    assert job._h1_rdv == {} and list(job._h2_rdv.values()) == [pending]
+    assert job._rdv == {("H2", 0): pending}
 
 
 def _killed_job(recovery, kills):

@@ -76,7 +76,7 @@ def test_overlapping_groups_rejected():
 def test_heal_when_connected_is_noop():
     sim, m, _tp = setup()
     heals = []
-    m.fabric.on_heal(heals.append)
+    m.fabric.heal_listeners[heals.append] = None
     m.fabric.heal()
     assert heals == []
 
@@ -84,12 +84,17 @@ def test_heal_when_connected_is_noop():
 def test_partition_and_heal_listeners_fire():
     sim, m, _tp = setup()
     cuts, heals = [], []
-    m.fabric.on_partition(lambda tag, comp: cuts.append((tag, dict(comp))))
-    m.fabric.on_heal(heals.append)
+    m.fabric.partition_listeners[
+        lambda tag, comp: cuts.append((tag, dict(comp)))] = None
+    m.fabric.heal_listeners[heals.append] = None
     m.fabric.partition([[0], [1, 2]], tag="t")
     m.fabric.heal()
     assert cuts == [("t", {0: 1, 1: 2, 2: 2})]
     assert heals == ["t"]
+    m.fabric.heal_listeners.pop(heals.append, None)
+    m.fabric.partition([[1]], tag="u")
+    m.fabric.heal()
+    assert heals == ["t"]  # popped: the second heal goes unheard
 
 
 # --------------------------------------------------- transport: stall mode

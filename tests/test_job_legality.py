@@ -141,7 +141,14 @@ def test_illegal_specs_never_reach_the_scheduler():
 # ------------------------------------------------ refusals outside the queue
 def test_fmi_job_refuses_a_too_small_allocation_at_construction():
     _sim, machine = make(8)
-    listeners = len(machine.fabric._heal_listeners)
+    fabric = machine.fabric
+
+    def listeners():
+        return [dict(d) for d in (machine.death_listeners,
+                                  fabric.partition_listeners,
+                                  fabric.heal_listeners)]
+
+    before = listeners()
     alloc = machine.rm.allocate(2)
     with pytest.raises(ValueError, match="allocation has 2 compute nodes, "
                                          "job needs 4"):
@@ -150,7 +157,7 @@ def test_fmi_job_refuses_a_too_small_allocation_at_construction():
     # The allocation is its owner's: the refusal neither used nor
     # released it, and the refused job subscribed to nothing.
     assert len(alloc.nodes) == 2 and machine.rm.idle_count == 6
-    assert len(machine.fabric._heal_listeners) == listeners
+    assert listeners() == before
 
 
 def test_mpi_entry_points_refuse_bad_geometry_at_construction():

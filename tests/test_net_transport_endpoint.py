@@ -198,6 +198,48 @@ def test_multi_connection_death_fanout():
     assert sorted(heard) == ["k1", "k2", "k3"]
 
 
+def test_by_end_lists_only_open_connections_whatever_closes_them():
+    """Every way a connection ends unlists it at both ends at once, and
+    an end with no open connection left has no key: ``by_end`` (the
+    detector's overlay edges) never holds a closed connection."""
+    sim, m, tp = setup(6)
+    cm = ConnectionManager(m)
+    node = m.node
+    to_p1 = cm.connect("hub", node(0), "p1", node(1))
+    to_p2 = cm.connect("hub", node(0), "p2", node(2))
+    to_p3 = cm.connect("hub", node(0), "p3", node(3))
+    cut = cm.connect("p4", node(4), "p5", node(5))
+    cm.connect("hub", node(0), "p5", node(5))
+    cm.connect("p1", node(1), "p2", node(2))
+
+    def check(gone):
+        listed = {key: list(bucket) for key, bucket in cm.by_end.items()}
+        open_conns = [c for c in cm._all if c.open]
+        assert len(open_conns) == cm.open_connections
+        assert set(listed) == {key for c in open_conns for key in c.ends}
+        for key, conns in listed.items():
+            assert conns and all(c.open and key in c.ends for c in conns)
+        assert not set(gone) & set(listed)
+
+    check([])
+    to_p1.close_from("hub")
+    check([])  # p1 keeps its edge to p2
+    to_p2.close_silent()
+    check([])
+    to_p3.break_by_owner_death("p3", "exit")
+    check(["p3"])
+    m.fabric.partition([[4]])
+    assert not cut.open
+    check(["p3", "p4"])  # p5 keeps its edge to the hub
+    m.fabric.heal()
+    node(2).crash("hw")
+    check(["p1", "p2", "p3", "p4"])
+    node(0).crash("hw")
+    check(["hub", "p1", "p2", "p3", "p4", "p5"])
+    assert cm.by_end == {} and cm.open_connections == 0
+    sim.run()
+
+
 # ----------------------------------------------------------------- rendezvous
 def test_rendezvous_releases_all_after_cost():
     sim = Simulator()

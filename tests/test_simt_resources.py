@@ -12,12 +12,21 @@ from repro.simt.resources import _DelayedStart
 from tests.pipe_reference import ReferenceBandwidthResource
 
 
+def _run(sim, until=None, max_events=150):
+    """``sim.run`` with a livelock tripwire: a pipe that re-arms at one
+    instant without end would hang the suite, so past ``max_events``
+    the kernel fails the case with its livelock report instead.  The
+    default is about ten times what the largest unit case here needs
+    (12 events)."""
+    return sim.run(until=until, max_events=max_events)
+
+
 # ------------------------------------------------------ BandwidthResource
 def test_bandwidth_single_flow_time():
     sim = Simulator()
     bw = BandwidthResource(sim, capacity=100.0)  # 100 B/s
     done = bw.transfer(200.0)
-    sim.run(until=done)
+    _run(sim, until=done)
     assert sim.now == pytest.approx(2.0)
 
 
@@ -29,7 +38,7 @@ def test_bandwidth_two_equal_flows_share_fairly():
     ends = []
     d1.callbacks.append(lambda e: ends.append(("d1", sim.now)))
     d2.callbacks.append(lambda e: ends.append(("d2", sim.now)))
-    sim.run()
+    _run(sim)
     # Both at 50 B/s -> both finish at t=2 (not 1 and 2).
     assert ends[0][1] == pytest.approx(2.0)
     assert ends[1][1] == pytest.approx(2.0)
@@ -50,7 +59,7 @@ def test_bandwidth_staggered_flows():
     # f2 (100B) also ends t=3... wait f2 has 100B at 50B/s = 2s -> t=3. Then none left.
     sim.spawn(flow("f1", 0.0, 200.0))
     sim.spawn(flow("f2", 1.0, 100.0))
-    sim.run()
+    _run(sim)
     assert ends["f1"] == pytest.approx(3.0)
     assert ends["f2"] == pytest.approx(3.0)
 
@@ -68,7 +77,7 @@ def test_bandwidth_short_flow_releases_capacity():
     # f_big then has 150B left alone at 100B/s -> done at t=2.5.
     sim.spawn(flow("big", 200.0))
     sim.spawn(flow("small", 50.0))
-    sim.run()
+    _run(sim)
     assert ends["small"] == pytest.approx(1.0)
     assert ends["big"] == pytest.approx(2.5)
 
@@ -77,7 +86,7 @@ def test_bandwidth_overhead_added_before_bytes():
     sim = Simulator()
     bw = BandwidthResource(sim, capacity=100.0)
     done = bw.transfer(100.0, overhead=0.5)
-    sim.run(until=done)
+    _run(sim, until=done)
     assert sim.now == pytest.approx(1.5)
 
 
@@ -85,7 +94,7 @@ def test_bandwidth_zero_bytes_is_instant_after_overhead():
     sim = Simulator()
     bw = BandwidthResource(sim, capacity=10.0)
     done = bw.transfer(0.0, overhead=0.25)
-    sim.run(until=done)
+    _run(sim, until=done)
     assert sim.now == pytest.approx(0.25)
 
 
@@ -105,7 +114,7 @@ def test_bandwidth_bytes_done_accounting():
     bw = BandwidthResource(sim, capacity=100.0)
     bw.transfer(30.0)
     bw.transfer(70.0)
-    sim.run()
+    _run(sim)
     assert bw.bytes_done == pytest.approx(100.0)
 
 
@@ -113,7 +122,7 @@ def test_bandwidth_many_flows_aggregate_time():
     sim = Simulator()
     bw = BandwidthResource(sim, capacity=100.0)
     events = [bw.transfer(10.0) for _ in range(10)]
-    sim.run()
+    _run(sim)
     # 100 bytes total through a 100 B/s pipe: all end at t=1.
     assert sim.now == pytest.approx(1.0)
     assert all(e.processed for e in events)
@@ -186,7 +195,7 @@ def test_bandwidth_flows_started_together_enter_the_timer_once():
     assert bw._armed_at == pytest.approx(0.1)
     assert bw._due_at == pytest.approx(1.0) and bw._due_seq
     assert sim.stats.peak_heap == 1
-    sim.run()
+    _run(sim)
     # The entry popped once ahead of the deadline and moved itself;
     # the completion work was done once.
     assert bw.pops == [(pytest.approx(0.1), "early"),
@@ -219,10 +228,10 @@ def test_bandwidth_superseded_timer_is_inert_not_removed():
     # A *later* deadline keeps the armed entry and reserves its place.
     sim.timeout(0.5).callbacks.append(
         lambda e: watch("late", bw.transfer(100.0)))
-    sim.run(until=0.75)
+    _run(sim, until=0.75)
     assert bw._entry is second and bw._armed_at == pytest.approx(1.0)
     assert bw._due_at == pytest.approx(1.25) and bw._due_seq
-    sim.run()
+    _run(sim)
     # 350 B through 100 B/s; small's last 25 B went at a third share.
     assert ends == {"small": pytest.approx(1.25), "late": pytest.approx(2.75),
                     "big": pytest.approx(3.5)}
@@ -242,7 +251,7 @@ def test_bandwidth_set_capacity_rearms_one_timer():
     done = bw.transfer(200.0)
     armed = bw._entry
     sim.timeout(1.0).callbacks.append(lambda e: bw.set_capacity(50.0))
-    sim.run(until=done)
+    _run(sim, until=done)
     # 100 B in the first second, the other 100 B at 50 B/s.
     assert sim.now == pytest.approx(3.0)
     assert bw.pops == [(pytest.approx(2.0), "early"),
@@ -255,11 +264,11 @@ def test_bandwidth_set_capacity_rearms_one_timer():
     done = bw.transfer(200.0)
     armed = bw._entry
     sim.timeout(1.0).callbacks.append(lambda e: bw.set_capacity(200.0))
-    sim.run(until=done)
+    _run(sim, until=done)
     assert sim.now == pytest.approx(1.5)
     assert bw.pops == [(pytest.approx(1.5), "live")]
     assert armed.callbacks is None and not armed.processed
-    sim.run()
+    _run(sim)
     assert armed.processed and bw.pops == [(pytest.approx(1.5), "live")]
 
 
@@ -271,7 +280,7 @@ def test_a_same_instant_start_touches_no_other_flow():
     sim = Simulator()
     bw = BandwidthResource(sim, capacity=100.0)
     bw.transfer(300.0)
-    sim.run(until=1.0)
+    _run(sim, until=1.0)
     for nbytes in (50.0, 400.0, 150.0):
         bw.transfer(nbytes)  # the first one applies t=[0, 1)'s progress
     floats = [flow.remaining for flow in bw._flows]
@@ -283,12 +292,12 @@ def test_a_same_instant_start_touches_no_other_flow():
     assert (bw._count, bw._low) == (5, 20.0)
     # a later instant subtracts the same progress from ``low`` as from
     # every flow: 5 flows at 20 B/s for 0.5 s
-    sim.run(until=1.5)
+    _run(sim, until=1.5)
     bw.set_capacity(50.0)
     assert [flow.remaining for flow in bw._flows] == [190.0, 40.0, 390.0,
                                                       140.0, 10.0]
     assert (bw._count, bw._low) == (5, 10.0)
-    sim.run()
+    _run(sim)
     assert (bw._count, bw._low) == (0, float("inf"))
     assert bw.bytes_done == pytest.approx(920.0)
 
@@ -329,6 +338,16 @@ def _delay_to(now, instant):
         if now + candidate == instant:
             return candidate
     return None
+
+
+def _steps(ops, instants):
+    """A schedule's size: its issue timers, the foreign timers each
+    issue may plant, and its flows.  A run takes at most about two
+    events per step (2.14 over 3,000 draws), so twenty per step is
+    about ten times what it needs."""
+    flows = {"start": 1, "abandon": 1, "wire": 2, "chain": 2, "capacity": 0}
+    return sum(1 + len(instants) + (len(op[3]) if op[0] == "burst"
+                                    else flows[op[0]]) for op in ops)
 
 
 def _armed_entries(sim, pipe):
@@ -417,7 +436,7 @@ def _drive(pipe_cls, ops, instants=(), one_entry=False):
 
     for index, (kind, at, *args) in enumerate(ops):
         sim.timeout(at).callbacks.append(issue(index, kind, *args))
-    sim.run()
+    _run(sim, max_events=20 * _steps(ops, instants))
     return log, ended, [pipe.bytes_done for pipe in pipes]
 
 
@@ -468,7 +487,7 @@ def test_allof_collects_values_in_order():
     sim = Simulator()
     e1, e2 = sim.timeout(2.0, "two"), sim.timeout(1.0, "one")
     both = AllOf(sim, [e1, e2])
-    sim.run(until=both)
+    _run(sim, until=both)
     assert both.value == ["two", "one"]
     assert sim.now == pytest.approx(2.0)
 
@@ -476,7 +495,7 @@ def test_allof_collects_values_in_order():
 def test_allof_empty_succeeds_immediately():
     sim = Simulator()
     all_evt = AllOf(sim, [])
-    sim.run()
+    _run(sim)
     assert all_evt.value == []
 
 
@@ -488,5 +507,5 @@ def test_allof_fails_fast():
     trig.callbacks.append(lambda e: bad.fail(ValueError("nope")))
     both = AllOf(sim, [slow, bad])
     with pytest.raises(ValueError):
-        sim.run(until=both)
+        _run(sim, until=both)
     assert sim.now == pytest.approx(1.0)
