@@ -61,16 +61,14 @@ class Node:
         self.limp_latency = 1.0
 
     # -- process registry ------------------------------------------------------
-    def register(self, proc: Process) -> Process:
-        """Track ``proc`` so it dies if this node crashes."""
+    def spawn(self, generator, name: str = "") -> Process:
+        """Spawn a simulated process bound to this node: a crash kills
+        it.  A dead node refuses it before its start is queued."""
         if not self.alive:
             raise NodeDownError(f"node {self.id} is down")
+        proc = Process(self.sim, generator, name)
         self._procs.append(proc)
         return proc
-
-    def spawn(self, generator, name: str = "") -> Process:
-        """Spawn a simulated process bound to this node."""
-        return self.register(self.sim.spawn(generator, name=name))
 
     # -- memory-bus helpers -----------------------------------------------------
     def memcpy(self, nbytes: float):

@@ -31,7 +31,7 @@ FMI's restart so much cheaper than MPI's relaunch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.node import Node
 from repro.fmi.api import FmiContext
@@ -40,7 +40,7 @@ from repro.fmi.errors import FailureNotified, FmiAbort
 from repro.fmi.interval import IntervalPolicy
 from repro.fmi.state import ProcState
 from repro.runtime.core import FaultPolicy, RankProcess
-from repro.simt.kernel import Event
+from repro.simt.kernel import Event, Timeout
 from repro.simt.process import Interrupt, ProcessKilled
 
 __all__ = [
@@ -174,15 +174,10 @@ class FmiProcess(RankProcess):
         self.notified_pending = False
         super().__init__(job, rank, node, incarnation)
 
-    def _ctx_label(self) -> str:
-        if self.copy:
-            return f"fmi:r{self.rank}c{self.copy}i{self.incarnation}"
-        return f"fmi:r{self.rank}i{self.incarnation}"
-
-    def _proc_name(self) -> str:
-        if self.copy:
-            return f"fmi:rank{self.rank}c{self.copy}.{self.incarnation}"
-        return f"fmi:rank{self.rank}.{self.incarnation}"
+    def _names(self) -> Tuple[str, str]:
+        copy = f"c{self.copy}" if self.copy else ""
+        return (f"fmi:r{self.rank}{copy}i{self.incarnation}",
+                f"fmi:rank{self.rank}{copy}.{self.incarnation}")
 
     # -- liveness / notification ------------------------------------------------
     @property
@@ -239,7 +234,7 @@ class FmiProcess(RankProcess):
         while True:
             try:
                 if not booted:
-                    yield self.sim.timeout(job.boot_latency)
+                    yield Timeout(self.sim, job.boot_latency)
                     booted = True
                 yield from self._h1()
                 yield from self._h2()

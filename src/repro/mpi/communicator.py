@@ -50,12 +50,19 @@ class Communicator:
             raise ValueError("cannot build a communicator I am not a member of")
         self.api = api
         self.id = comm_id
-        # A ``range`` is kept as-is: it is immutable, O(1) to index both
-        # ways, and costs no per-rank memory -- at 16k ranks a copied
-        # world members list would be O(n^2) bytes across the job.
-        self.members = members if type(members) is range else list(members)
-        self.rank = self.members.index(api.rank)
-        self.size = len(self.members)
+        if type(members) is range:
+            # The world's ``range(size)`` (``mpi.api``) is kept as-is:
+            # it is immutable, O(1) to index both ways, and costs no
+            # per-rank memory -- at 16k ranks a copied world members
+            # list would be O(n^2) bytes across the job.  Rank and
+            # size are read off it, no call per rank.
+            self.members = members
+            self.rank = api.rank - members.start
+            self.size = members.stop - members.start
+        else:
+            self.members = list(members)
+            self.rank = self.members.index(api.rank)
+            self.size = len(self.members)
 
     # -- point-to-point (events) ------------------------------------------
     # The message path: everything between a collective and

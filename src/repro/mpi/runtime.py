@@ -37,7 +37,7 @@ from repro.runtime.core import (
     RankProcess,
     check_geometry,
 )
-from repro.simt.kernel import Event
+from repro.simt.kernel import Event, Timeout
 
 __all__ = ["FailStop", "MpiJob", "JobAborted", "MpiRestartDriver"]
 
@@ -55,7 +55,7 @@ class MpiRankProcess(RankProcess):
 
     def _main(self):
         job = self.job
-        yield self.sim.timeout(job.boot_latency)
+        yield Timeout(self.sim, job.boot_latency)
         yield self.rendezvous.arrive()  # MPI_Init
         if self.rank == 0:
             job.init_done_at = self.sim.now
@@ -123,15 +123,17 @@ class FailStop(FaultPolicy):
         cost = spec.mpi_init_time(job.num_ranks) if self.charge_init else 0.0
         rendezvous = PmgrRendezvous(job.sim, job.num_ranks, cost=cost)
         for rank in range(job.num_ranks):
-            node = self.nodes[job.slot_of_rank(rank)]
-            rproc = MpiRankProcess(job, rank, node, rendezvous)
+            rproc = MpiRankProcess(job, rank, self.nodes[rank // job.ppn],
+                                   rendezvous)
             job.rank_procs[rank] = rproc
-            job.register_endpoint(rank, rproc.ctx)
+            # a first launch: no old address to close
+            job.addr_table[rank] = rproc.ctx.addr
 
     def on_rank_exit(self, rproc: RankProcess, proc_evt: Event) -> None:
         if proc_evt._ok:
             self.job.rank_finished(rproc.rank, proc_evt._value)
         else:
+            rproc.rendezvous.withdraw()  # every rank dies with the job
             self.job.abort(proc_evt._value)
 
     def wrap_abort(self, cause) -> BaseException:

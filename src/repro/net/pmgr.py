@@ -11,13 +11,29 @@ The same rendezvous implements the H1 synchronising state during
 recovery: survivors arrive early and *block* until replacement
 processes check in (the paper's "Non-failed processes block in
 FMI_Loop until the new processes are bootstrapped").
+
+**One event per rendezvous.**  Every arrival is handed the same
+event, and the release succeeds it once: its n waiters resume inside
+one dispatch, in the order they registered.  That is the
+``(time, order)`` n contiguous queue entries gave every live waiter,
+and a rank's resume opens no bucket at the current instant, so no
+other entry can run between two of them.  A waiter that dies leaves
+the event (``Process.kill``); when the last one registered so far has
+died the kill withdraws it, and the next arrival is handed a fresh
+one.  The one thing n entries allowed that one does not: a waiter's
+resume that kills or interrupts a later co-waiter, whose resume is
+then already under way.  No rank does -- kills and notices come from
+fault injectors and fmirun's exit callbacks, entries of their own.
+``tests/pmgr_reference.py`` keeps the event-per-arrival rendezvous
+this replaced, and ``tests/test_pmgr_oracle.py`` holds the two to the
+same schedule.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.simt.kernel import _PENDING, Event, Simulator
+from repro.simt.kernel import Event, Simulator
 
 __all__ = ["PmgrRendezvous"]
 
@@ -25,9 +41,9 @@ __all__ = ["PmgrRendezvous"]
 class PmgrRendezvous:
     """A one-shot all-arrive barrier with an exchange cost.
 
-    ``arrive()`` returns an event; once ``size`` participants have
-    arrived, the exchange runs for ``cost`` seconds and then every
-    participant's event fires simultaneously.
+    ``arrive()`` returns the rendezvous's event; once ``size``
+    participants have arrived, the exchange runs for ``cost`` seconds
+    and then the event fires, resuming every participant at once.
     """
 
     def __init__(self, sim: Simulator, size: int, cost: float):
@@ -36,7 +52,8 @@ class PmgrRendezvous:
         self.sim = sim
         self.size = size
         self.cost = cost
-        self._arrived: List[Event] = []
+        self._arrived = 0
+        self._event = Event(sim)
         #: time the last participant checked in (None until complete)
         self.complete_at: Optional[float] = None
         #: time participants were released (None until released)
@@ -47,23 +64,23 @@ class PmgrRendezvous:
         endpoint exchange has completed."""
         if self.released_at is not None:
             raise RuntimeError("rendezvous already released (one-shot)")
-        evt = Event(self.sim)
-        self._arrived.append(evt)
-        if len(self._arrived) > self.size:
+        arrived = self._arrived = self._arrived + 1
+        if arrived > self.size:
             raise RuntimeError(
-                f"rendezvous overfull: {len(self._arrived)} > size {self.size}"
-            )
-        if len(self._arrived) == self.size:
+                f"rendezvous overfull: {arrived} > size {self.size}")
+        if self._event._cancelled:  # every waiter so far was killed
+            self._event = Event(self.sim)
+        if arrived == self.size:
             self.complete_at = self.sim.now
-            exchange = self.sim.timeout(self.cost)
-            exchange._callbacks = self._release
-        return evt
+            self.sim.timeout(self.cost)._callbacks = self._release
+        return self._event
+
+    def withdraw(self) -> None:
+        """Withdraw the event ahead of killing every waiter (a fail-stop
+        abort): one by one, n kills would take n waiters out of the
+        front of its callback list, O(n^2) at 16k ranks."""
+        self._event.cancel()
 
     def _release(self, _evt: Event) -> None:
         self.released_at = self.sim.now
-        # drop the fired events with the list: a job-long rendezvous
-        # would otherwise hold one per rank for the whole run
-        arrived, self._arrived = self._arrived, []
-        for evt in arrived:
-            if evt._callbacks is not None and evt._value is _PENDING:
-                evt.succeed(None)
+        self._event.succeed(None)  # a withdrawn event: a no-op

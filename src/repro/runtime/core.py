@@ -62,16 +62,16 @@ class RankProcess:
         self.node = node
         self.incarnation = incarnation
         self.sim = job.sim
-        self.ctx: NetContext = job.transport.create_context(node, self._ctx_label())
-        self.proc = node.spawn(self._main(), name=self._proc_name())
+        label, name = self._names()
+        self.ctx: NetContext = job.transport.create_context(node, label)
+        self.proc = node.spawn(self._main(), name)
         self.proc._callbacks = self  # the exit hook: __call__
 
-    # -- naming hooks -------------------------------------------------------
-    def _ctx_label(self) -> str:
-        return f"{self.job.job_id}:r{self.rank}"
-
-    def _proc_name(self) -> str:
-        return f"{self.job.job_id}:rank{self.rank}"
+    # -- naming hook --------------------------------------------------------
+    def _names(self) -> Tuple[str, str]:
+        """The rank's network-context label and process name."""
+        return (f"{self.job.job_id}:r{self.rank}",
+                f"{self.job.job_id}:rank{self.rank}")
 
     # -- liveness -----------------------------------------------------------
     @property

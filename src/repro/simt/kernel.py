@@ -116,6 +116,12 @@ _PENDING = object()
 
 _INF = float("inf")
 
+#: dispatches :meth:`Simulator.run` makes at one instant before it calls
+#: the run a livelock (a timer that re-arms at its own instant, a pipe
+#: whose deadline never passes a flow's end): far above any burst a
+#: simulation makes at one instant, so it only stops what would hang
+STALL_DISPATCHES = 10_000_000
+
 
 class Event:
     """A one-shot occurrence on the simulation timeline.
@@ -539,7 +545,9 @@ class Simulator:
 
         Returns the value of the ``until`` event when one is given.  A
         time ``until`` before :attr:`now` (or NaN) is refused: the clock
-        never runs backwards.  A stalled run says who waits on what.
+        never runs backwards.  A stalled run says who waits on what, and
+        so does one whose clock stands still for
+        :data:`STALL_DISPATCHES` dispatches (checked between batches).
         """
         limit_time = None
         limit_event = None
@@ -569,6 +577,10 @@ class Simulator:
             while True:
                 if limit_event is not None and limit_event._processed:
                     break
+                if n - moved > STALL_DISPATCHES:
+                    raise SimulationError(self._stall(
+                        f"the clock stood still for {n - moved} dispatches; "
+                        "livelock suspected"))
                 nowq = self._nowq
                 now = self.now
                 # the bucket at ``now``, the queue, the next bucket

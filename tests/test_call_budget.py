@@ -228,10 +228,19 @@ envelopes enter no kernel frame)        67.0    7.38     17.3    0.0   2,737
 a paired wait is one resume (the
 ring's ``sendrecv``; no slot, local
 or tuple more per rank)                 64.0    7.38     17.3    0.0   2,737
+the same, re-read on the parent
+of the next row                         64.0    7.38     17.3    0.0   2,738
+a rank is born and synchronised in
+the frames it needs: one event per
+rendezvous (1,023 fewer), one spawn
+frame, a boot ``Timeout``, a world
+communicator read off its ``range``     57.0    6.88     17.3    0.0   2,742
 =====================================  =====  ======  =======  =====  ======
 
 The event count is an equality: PR 19's diet was not allowed to move
-an event, and PR 21 moved exactly 3 x 128.  On PR 19's row calls,
+an event, PR 21 moved exactly 3 x 128, and the one-event rendezvous
+exactly 1,024 - 1 (``MPI_Init``'s release is one entry, not one per
+rank).  On PR 19's row calls,
 events and cells read the same on CPython 3.9, 3.10, 3.11, 3.12 and
 3.13 (measured on each; PR 21's row is 3.11's); the tracked objects
 are those of 3.11 and later -- 3.9 and 3.10 give every instance
@@ -251,7 +260,19 @@ calls/event ceilings and the macro calls and traced ones, ~12 % above
 it again (tracked: 19.4 already was).  The one-frame pipe's row
 lowered the first table's calls and calls/event ceilings and the macro
 calls one the same way, and so did the trigger-is-a-store row, and
-the paired-wait row, and the earliest-finisher row.
+the paired-wait row, and the earliest-finisher row.  The born-in-its-
+frames row lowered the macro calls ceiling the same way.
+
+**A rank's launch** is pinned on a third run, of the same 1,024 ranks
+with an application that returns at once: profiled calls per rank from
+``launch()`` to ``done``, which is what every rank of every job pays
+to be spawned, booted, synchronised through ``MPI_Init`` and retired.
+50.1 while the rendezvous built, pushed and dispatched an event per
+rank and a spawn went ``Node.spawn -> register -> Simulator.spawn``;
+36.1 since (one event per rendezvous, one spawn frame, the boot wait a
+``Timeout``, one naming hook, the world communicator's rank and size
+read off its ``range``, the first launch's addresses published without
+a look for an old one).  The ceiling sits ~12 % above the new reading.
 
 **The pipe's bytecode** is pinned beside its frames, because keeping
 the earliest finisher saves no frame: it saves the scan of every flow
@@ -617,8 +638,10 @@ def test_a_pipe_change_is_one_frame():
 
 # ------------------------------------------------------------- macro tier
 MACRO_RANKS, MACRO_ROUNDS, MACRO_PPN = 1024, 2, 16
-MACRO_CALLS_PER_RANK_ROUND = 71.5
-MACRO_EVENTS = 15_108  # 7.38 per rank-round
+MACRO_CALLS_PER_RANK_ROUND = 63.8
+MACRO_EVENTS = 14_085  # 6.88 per rank-round
+#: profiled calls per rank of a no-op job's launch (36.1; 50.1 before)
+LAUNCH_CALLS_PER_RANK = 40.4
 MACRO_TRACKED_PER_RANK = 19.4 if sys.version_info >= (3, 11) else 40.0
 MACRO_CELLS_PER_RANK = 1.0
 MACRO_TRACED_BYTES_PER_RANK = 3120.0 if sys.version_info >= (3, 11) else 5000.0
@@ -727,3 +750,23 @@ def test_no_closure_per_message_or_per_rank(macro_budget_run):
 def test_macro_traced_bytes_per_rank_stay_under_the_ceiling(macro_budget_run):
     traced = macro_budget_run[4]
     assert traced / MACRO_RANKS < MACRO_TRACED_BYTES_PER_RANK, traced
+
+
+def _noop_app(api):
+    return None
+    yield  # a body that ends at its first resume
+
+
+def test_a_ranks_launch_costs_a_bounded_number_of_calls():
+    sim = Simulator()
+    machine = Machine(sim, SIERRA.with_nodes(MACRO_RANKS // MACRO_PPN),
+                      RngRegistry(14))
+    job = MpiJob(machine, _noop_app, MACRO_RANKS, procs_per_node=MACRO_PPN,
+                 charge_init=False)
+    profile = cProfile.Profile()
+    profile.enable()
+    results = sim.run(until=job.launch())
+    profile.disable()
+    assert results == [None] * MACRO_RANKS
+    calls = pstats.Stats(profile).total_calls
+    assert calls / MACRO_RANKS < LAUNCH_CALLS_PER_RANK, calls

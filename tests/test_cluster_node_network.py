@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Machine
 from repro.cluster.filesystem import FileLostError
+from repro.cluster.node import NodeDownError
 from repro.cluster.spec import SIERRA, ClusterSpec
 from repro.simt import Simulator
 from repro.simt.process import ProcessKilled
@@ -110,11 +111,25 @@ def test_limping_count_is_the_number_of_live_limping_nodes():
 
 
 def test_spawn_on_dead_node_rejected():
+    # the refusal comes before the process is built: a body started on
+    # a dead node would run unregistered, where no crash can kill it
     sim, m = make_machine()
     node = m.node(0)
     node.crash()
-    with pytest.raises(Exception):
-        node.spawn(iter(()))
+    sim.run()
+    ran = []
+
+    def body():
+        ran.append(sim.now)
+        yield sim.timeout(1.0)
+        ran.append(sim.now)  # pragma: no cover
+
+    queued = sim._seq
+    with pytest.raises(NodeDownError, match="node 0 is down"):
+        node.spawn(body(), name="orphan")
+    assert sim._seq == queued and sim.peek() == float("inf")
+    sim.run()
+    assert ran == [] and node._procs == []
 
 
 def test_node_memcpy_time():

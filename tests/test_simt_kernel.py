@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.net.matching import MatchingEngine
 from repro.simt import (
     BandwidthResource, BulkCompletion, Event, Simulator, Timeout)
+from repro.simt import kernel
 from repro.simt.kernel import SimulationError
 
 
@@ -276,6 +277,54 @@ def test_a_zero_time_livelock_says_the_clock_stood_still():
         sim.run(max_events=50)
     assert "(49 of them since the clock last advanced) at now=2.0" in str(
         info.value)
+
+
+def _spin_at(sim, when):
+    """A zero-delay event that re-arms itself forever from ``when`` on."""
+    def spin(_e):
+        evt = sim.event()
+        evt.callbacks.append(spin)
+        evt.succeed()
+
+    sim.timeout(when).callbacks.append(spin)
+
+
+@pytest.mark.parametrize("awaited", [False, True])
+def test_a_clock_that_stands_still_fails_the_run_without_a_budget(
+        monkeypatch, awaited):
+    """No ``max_events`` given: the run still stops, once the clock has
+    stood at one instant for ``STALL_DISPATCHES`` dispatches (checked
+    between batches), and names what is due."""
+    monkeypatch.setattr(kernel, "STALL_DISPATCHES", 1000)
+    sim = Simulator()
+    sim.timeout(1.0)
+    _spin_at(sim, 2.0)
+    never = sim.timeout(5.0)
+    with pytest.raises(SimulationError) as info:
+        sim.run(until=never if awaited else None)
+    assert str(info.value) == (
+        "the clock stood still for 1001 dispatches; livelock suspected at "
+        "now=2.0; next due: _spin_at.<locals>.spin; Timeout (inert)")
+    # the state is whole: a budgeted run goes on from where it stopped
+    with pytest.raises(SimulationError, match="1 of them since"):
+        sim.run(max_events=1)
+
+
+def test_the_stall_limit_counts_only_dispatches_at_one_instant(monkeypatch):
+    monkeypatch.setattr(kernel, "STALL_DISPATCHES", 1000)
+    sim = Simulator()
+    left = [5000]  # 5,000 instants, one event each
+
+    def ping(_e):
+        left[0] -= 1
+        if left[0]:
+            sim.timeout(1.0).callbacks.append(ping)
+
+    ping(None)
+    for _ in range(999):  # a burst just under the limit, at one instant
+        sim.timeout(3.0)
+    sim.run()
+    assert sim.now == 4999.0 and sim.stats.events_processed == 5998
 
 
 def test_peek_empty_is_inf():
